@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -420,6 +421,27 @@ func BenchmarkE12_ListVariables(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkE13_BigReport measures the row path: the Appendix A macro with
+// no checkbox ticked and both report fields selected prints all 2 000
+// rows of the table, ORDER BY title, as one 364 KB page — the shape of
+// the benchmark's big_report workload, served through the HTTP handler.
+func BenchmarkE13_BigReport(b *testing.B) {
+	st := newStack(b, 2000)
+	c := st.Client()
+	const url = "http://server/cgi-bin/db2www/urlquery.d2w/report?DBFIELDS=title&DBFIELDS=description"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		page, err := c.Get(url)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rows := strings.Count(page.Body, "<LI>"); page.Status != 200 || rows != 2001 {
+			b.Fatalf("status %d, %d <LI>", page.Status, rows)
+		}
 	}
 }
 

@@ -68,6 +68,10 @@ type DefineStmt struct {
 	TestVar string // for DefCondTest
 	Sep     string // separator template for DefList
 	Line    int
+
+	// Compiled forms of Value, Value2 and Sep (see Template); Parse fills
+	// them in, ApplyDefine does for hand-built statements.
+	value, value2, sep *Template
 }
 
 // SQLSection is a %SQL section: exactly one SQL command plus optional
@@ -81,6 +85,8 @@ type SQLSection struct {
 	// CmdLine is the source line where the (whitespace-trimmed) command
 	// text begins — diagnostics inside the command are offset from here.
 	CmdLine int
+
+	command *Template // Command, compiled
 }
 
 // ReportBlock is a %SQL_REPORT block: HTML before the %ROW block (the
@@ -92,6 +98,8 @@ type ReportBlock struct {
 	HasRow bool // a report block may omit %ROW entirely
 	Footer string
 	Line   int
+
+	header, row, footer *Template // Header, Row and Footer, compiled
 }
 
 // MessageBlock is a %SQL_MESSAGE block: a list of handlers keyed by
@@ -108,6 +116,8 @@ type MessageEntry struct {
 	Text string
 	Exit bool
 	Line int
+
+	text *Template // Text, compiled
 }
 
 // HTMLSection is an %HTML_INPUT or %HTML_REPORT section. The body is a
@@ -126,6 +136,8 @@ type HTMLItem struct {
 	SQLName string // section-name template; "" executes all unnamed sections
 	Cond    *CondBlock
 	Line    int
+
+	text, sqlName *Template // Text and SQLName, compiled
 }
 
 // CondBlock is an %IF(...) ... %ELIF(...) ... %ELSE ... %ENDIF block — an
@@ -148,6 +160,8 @@ type CondArm struct {
 	Right string
 	Items []HTMLItem
 	Line  int
+
+	left, right *Template // Left and Right, compiled
 }
 
 // CommentSection is a %{ ... %} comment block, preserved for tooling.

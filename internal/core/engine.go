@@ -203,6 +203,19 @@ type macroRun struct {
 	conn     DBConn
 	txnOpen  bool
 	finished bool
+	// buf is the scratch every template of the run is expanded into before
+	// it is written to out; a report reuses it row after row.
+	buf []byte
+}
+
+// emit expands t and writes the text to the page.
+func (r *macroRun) emit(t *Template) error {
+	var err error
+	if r.buf, err = r.vt.appendTemplate(r.buf[:0], t); err != nil {
+		return err
+	}
+	_, err = r.out.Write(r.buf)
+	return err
 }
 
 func (r *macroRun) cleanup() {
@@ -304,11 +317,7 @@ func (r *macroRun) renderItems(items []HTMLItem, mode Mode) error {
 				return err
 			}
 		default:
-			text, err := r.vt.Expand(item.Text)
-			if err != nil {
-				return err
-			}
-			if _, err := io.WriteString(r.out, text); err != nil {
+			if err := r.emit(item.text); err != nil {
 				return err
 			}
 		}
@@ -339,14 +348,14 @@ func (r *macroRun) renderCond(cb *CondBlock, mode Mode) error {
 // the sides compare numerically when both parse as numbers, else as
 // strings.
 func (r *macroRun) evalCondition(arm CondArm) (bool, error) {
-	left, err := r.vt.Expand(arm.Left)
+	left, err := r.vt.expandTemplate(arm.left)
 	if err != nil {
 		return false, err
 	}
 	if arm.Op == "" {
 		return left != "", nil
 	}
-	right, err := r.vt.Expand(arm.Right)
+	right, err := r.vt.expandTemplate(arm.right)
 	if err != nil {
 		return false, err
 	}
@@ -386,7 +395,7 @@ func (r *macroRun) evalCondition(arm CondArm) (bool, error) {
 // directive runs every unnamed SQL section in macro order.
 func (r *macroRun) execDirective(item HTMLItem) error {
 	if item.SQLName != "" {
-		name, err := r.vt.Expand(item.SQLName)
+		name, err := r.vt.expandTemplate(item.sqlName)
 		if err != nil {
 			return err
 		}
@@ -423,7 +432,7 @@ func (r *macroRun) execSQLSection(sec *SQLSection) error {
 		secName = "(unnamed)"
 	}
 	evalSpan := r.trace.Start("var-eval:" + secName)
-	sqlStr, err := r.vt.Expand(sec.Command)
+	sqlStr, err := r.vt.expandTemplate(sec.command)
 	evalSpan.End()
 	if err != nil {
 		return err
@@ -579,18 +588,14 @@ func (r *macroRun) emitDefaultError(execErr error) error {
 // traced, so custom error pages can echo it), and honours its
 // disposition.
 func (r *macroRun) emitMessage(entry *MessageEntry, state, dbmsMsg string) error {
-	scope := r.vt.PushScope()
-	scope["SQL_STATE"] = state
-	scope["SQL_MESSAGE"] = dbmsMsg
+	vars := mapScope{"SQL_STATE": state, "SQL_MESSAGE": dbmsMsg}
 	if r.trace != nil && r.trace.ID != "" {
-		scope["TRACE_ID"] = r.trace.ID
+		vars["TRACE_ID"] = r.trace.ID
 	}
-	text, err := r.vt.Expand(entry.Text)
-	r.vt.PopScope()
+	r.vt.pushScope(vars)
+	err := r.emit(entry.text)
+	r.vt.popScope()
 	if err != nil {
-		return err
-	}
-	if _, err := io.WriteString(r.out, text); err != nil {
 		return err
 	}
 	if _, err := io.WriteString(r.out, "\n"); err != nil {
@@ -669,6 +674,118 @@ func (r *macroRun) renderResult(sec *SQLSection, res *SQLResult) error {
 	return r.renderDefaultTable(res)
 }
 
+// rowScope is the report scope of Section 3.2.1, answered on demand from
+// the result instead of being copied into a table per row: Ni, N.column
+// and NLIST for the whole report; Vi, V.column, VLIST and ROW_NUM for the
+// row being printed. Column-name variables match case-insensitively.
+type rowScope struct {
+	cols  []string
+	lower []string // cols, lower-cased once per result
+	inRow bool     // inside the %ROW block: row is the fetched row
+	row   []Field
+	// rowNum is ROW_NUM: the row being printed, then the total; -1 while
+	// the report header leaves it unbound.
+	rowNum int
+	// bound holds, per part of the %ROW template, the column ordinal a
+	// Vi / V.column reference resolved to for this result, else -1.
+	bound []int
+}
+
+func newRowScope(cols []string) *rowScope {
+	s := &rowScope{cols: cols, lower: make([]string, len(cols)), rowNum: -1}
+	for i, c := range cols {
+		s.lower[i] = strings.ToLower(c)
+	}
+	return s
+}
+
+// bind resolves the %ROW template's own row-variable references.
+func (s *rowScope) bind(parts []part) {
+	s.bound = make([]int, len(parts))
+	for k := range parts {
+		s.bound[k] = -1
+		if p := &parts[k]; p.ref && p.dyn == nil && len(p.name) >= 2 && p.name[0] == 'V' {
+			s.bound[k] = s.ordinal(p.name[1:])
+		}
+	}
+}
+
+// ordinal maps the part of a variable name after its N or V — a 1-based
+// column number in canonical decimal, or ".column-name" — to a 0-based
+// ordinal, or -1. Of two columns with one name the later wins.
+func (s *rowScope) ordinal(rest string) int {
+	if rest[0] == '.' {
+		want := strings.ToLower(rest[1:])
+		for i := len(s.lower) - 1; i >= 0; i-- {
+			if s.lower[i] == want {
+				return i
+			}
+		}
+		return -1
+	}
+	if rest[0] == '0' || len(rest) > 9 {
+		return -1
+	}
+	n := 0
+	for i := 0; i < len(rest); i++ {
+		if rest[i] < '0' || rest[i] > '9' {
+			return -1
+		}
+		n = n*10 + int(rest[i]-'0')
+	}
+	return n - 1
+}
+
+func (s *rowScope) appendVar(buf []byte, name string) ([]byte, bool) {
+	switch name {
+	case "ROW_NUM":
+		if s.rowNum < 0 {
+			return buf, false
+		}
+		return strconv.AppendInt(buf, int64(s.rowNum), 10), true
+	case "NLIST":
+		for i, c := range s.cols {
+			if i > 0 {
+				buf = append(buf, ", "...)
+			}
+			buf = append(buf, c...)
+		}
+		return buf, true
+	case "VLIST":
+		if !s.inRow {
+			return buf, false
+		}
+		for i, f := range s.row {
+			if i > 0 {
+				buf = append(buf, ", "...)
+			}
+			if !f.Null {
+				buf = append(buf, f.S...)
+			}
+		}
+		return buf, true
+	}
+	if len(name) < 2 || (name[0] != 'N' && name[0] != 'V') {
+		return buf, false
+	}
+	i := s.ordinal(name[1:])
+	switch {
+	case i < 0:
+	case name[0] == 'N' && i < len(s.cols):
+		return append(buf, s.cols[i]...), true
+	case name[0] == 'V' && i < len(s.row):
+		if f := &s.row[i]; !f.Null {
+			buf = append(buf, f.S...)
+		}
+		return buf, true
+	}
+	return buf, false
+}
+
+// sizeHintRows is how many printed rows renderCustom measures before it
+// sizes the page buffer for the rest of the report.
+const sizeHintRows = 16
+
 // renderCustom implements the %SQL_REPORT semantics of Section 3.2.1:
 // header once (with N-variables bound), the %ROW template per fetched row
 // (with V-variables and ROW_NUM bound), footer once (ROW_NUM = total).
@@ -677,15 +794,11 @@ func (r *macroRun) renderCustom(rb *ReportBlock, res *SQLResult) error {
 	if err != nil {
 		return err
 	}
-	scope := r.vt.PushScope()
-	defer r.vt.PopScope()
-	bindColumns(scope, res.Columns)
+	rs := newRowScope(res.Columns)
+	r.vt.pushScope(rs)
+	defer r.vt.popScope()
 
-	header, err := r.vt.Expand(rb.Header)
-	if err != nil {
-		return err
-	}
-	if _, err := io.WriteString(r.out, header); err != nil {
+	if err := r.emit(rb.header); err != nil {
 		return err
 	}
 	start, err := r.startRow()
@@ -693,70 +806,37 @@ func (r *macroRun) renderCustom(rb *ReportBlock, res *SQLResult) error {
 		return err
 	}
 	if rb.HasRow {
-		rowScope := r.vt.PushScope()
-		printed := 0
-		for i, row := range res.Rows {
-			if i+1 < start {
-				continue
-			}
-			if max > 0 && printed >= max {
-				break
-			}
+		rs.bind(rb.row.parts)
+		rs.inRow = true
+		toPrint := len(res.Rows) - min(start-1, len(res.Rows))
+		if max > 0 {
+			toPrint = min(toPrint, max)
+		}
+		printed, written := 0, 0
+		for i := start - 1; printed < toPrint; i++ {
 			printed++
-			bindRow(rowScope, res.Columns, row, i+1)
-			text, err := r.vt.Expand(rb.Row)
-			if err != nil {
-				r.vt.PopScope()
+			rs.row, rs.rowNum = res.Rows[i], i+1
+			if r.buf, _, err = r.vt.appendParts(r.buf[:0], rb.row.parts, rs); err != nil {
 				return err
 			}
-			if _, err := io.WriteString(r.out, text); err != nil {
-				r.vt.PopScope()
+			if _, err := r.out.Write(r.buf); err != nil {
 				return err
+			}
+			// Once a few rows show what a row costs, reserve the rest of
+			// the report in one step: a page buffer that grows row by row
+			// reallocates several times the size of a large report.
+			if written += len(r.buf); printed == sizeHintRows {
+				if g, ok := r.out.(interface{ Grow(int) }); ok {
+					g.Grow(written / printed * (toPrint - printed) * 5 / 4)
+				}
 			}
 		}
-		r.vt.PopScope()
+		rs.inRow, rs.row = false, nil
 	}
 	// After all rows are processed ROW_NUM holds the total row count,
 	// regardless of whether all rows were printed (Section 3.2.1).
-	scope["ROW_NUM"] = strconv.Itoa(len(res.Rows))
-	footer, err := r.vt.Expand(rb.Footer)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(r.out, footer)
-	return err
-}
-
-// bindColumns installs the per-result system variables: Ni,
-// N.column-name, and NLIST.
-func bindColumns(scope map[string]string, cols []string) {
-	var nlist []string
-	for i, c := range cols {
-		scope["N"+strconv.Itoa(i+1)] = c
-		scope["N."+strings.ToLower(c)] = c
-		nlist = append(nlist, c)
-	}
-	scope["NLIST"] = strings.Join(nlist, ", ")
-}
-
-// bindRow installs the per-row system variables: ROW_NUM, Vi,
-// V.column-name, and VLIST.
-func bindRow(scope map[string]string, cols []string, row []Field, rowNum int) {
-	clear(scope)
-	scope["ROW_NUM"] = strconv.Itoa(rowNum)
-	var vlist []string
-	for i, f := range row {
-		v := f.S
-		if f.Null {
-			v = ""
-		}
-		scope["V"+strconv.Itoa(i+1)] = v
-		if i < len(cols) {
-			scope["V."+strings.ToLower(cols[i])] = v
-		}
-		vlist = append(vlist, v)
-	}
-	scope["VLIST"] = strings.Join(vlist, ", ")
+	rs.rowNum = len(res.Rows)
+	return r.emit(rb.footer)
 }
 
 // renderDefaultTable prints the default report format: an HTML table with
@@ -770,14 +850,11 @@ func (r *macroRun) renderDefaultTable(res *SQLResult) error {
 	if err != nil {
 		return err
 	}
-	var sb strings.Builder
-	sb.WriteString("<TABLE BORDER=1>\n<TR>")
+	buf := append(r.buf[:0], "<TABLE BORDER=1>\n<TR>"...)
 	for _, c := range res.Columns {
-		sb.WriteString("<TH>")
-		sb.WriteString(escapeHTML(c))
-		sb.WriteString("</TH>")
+		buf = append(appendHTML(append(buf, "<TH>"...), c), "</TH>"...)
 	}
-	sb.WriteString("</TR>\n")
+	buf = append(buf, "</TR>\n"...)
 	printed := 0
 	for i, row := range res.Rows {
 		if i+1 < start {
@@ -787,17 +864,17 @@ func (r *macroRun) renderDefaultTable(res *SQLResult) error {
 			break
 		}
 		printed++
-		sb.WriteString("<TR>")
+		buf = append(buf, "<TR>"...)
 		for _, f := range row {
-			sb.WriteString("<TD>")
+			buf = append(buf, "<TD>"...)
 			if !f.Null {
-				sb.WriteString(escapeHTML(f.S))
+				buf = appendHTML(buf, f.S)
 			}
-			sb.WriteString("</TD>")
+			buf = append(buf, "</TD>"...)
 		}
-		sb.WriteString("</TR>\n")
+		buf = append(buf, "</TR>\n"...)
 	}
-	sb.WriteString("</TABLE>\n")
-	_, err = io.WriteString(r.out, sb.String())
+	r.buf = append(buf, "</TABLE>\n"...)
+	_, err = r.out.Write(r.buf)
 	return err
 }

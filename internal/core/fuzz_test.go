@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+
+	"db2www/internal/cgi"
 )
 
 // FuzzMacroParse checks the macro parser never panics and that whatever
@@ -35,18 +38,91 @@ func FuzzMacroParse(f *testing.F) {
 	})
 }
 
-// FuzzExpand checks template expansion never panics on arbitrary text.
+// FuzzExpand checks template expansion never panics on arbitrary text
+// and that the compiled template produces what a reference scanner — a
+// byte-at-a-time interpreter kept here, in the test file only — produces
+// from the same text.
 func FuzzExpand(f *testing.F) {
 	f.Add("$(a)$$(b)$((c))")
 	f.Add("$")
 	f.Add("$(unterminated")
 	f.Add("$(@html:x)$(@sq:y)$(@url:z)")
+	f.Add("$(@html:c) $(@sq:c) $(@url:c) $(n$(one)) $(@sq:n$(one)) $($(p)c)")
+	f.Add("$(outer $(a) $$(b $(n1)) $$(x)y) $(n$(a$(b)")
 	f.Fuzz(func(t *testing.T, tpl string) {
 		vt := NewVarTable("fuzz", nil)
 		vt.ApplyDefine(&DefineSection{Stmts: []DefineStmt{
 			{Kind: DefSimple, Name: "a", Value: "va"},
 			{Kind: DefCondSelf, Name: "b", Value: "$(a)"},
+			{Kind: DefSimple, Name: "c", Value: `<it's "a&b">`},
+			{Kind: DefSimple, Name: "one", Value: "1"},
+			{Kind: DefSimple, Name: "n1", Value: "nested"},
+			{Kind: DefSimple, Name: "p", Value: "@html:"},
 		}})
-		_, _ = vt.Expand(tpl)
+		got, err := vt.Expand(tpl)
+		if err != nil {
+			t.Fatalf("Expand(%q): %v", tpl, err)
+		}
+		values := map[string]string{"a": "va", "b": "va", "c": `<it's "a&b">`, "one": "1", "n1": "nested", "p": "@html:"}
+		if want := referenceExpand(tpl, values); got != want {
+			t.Fatalf("Expand(%q)\n got %q\nwant %q", tpl, got, want)
+		}
 	})
+}
+
+// referenceExpand is the specification of value-string expansion, written
+// for clarity: "$$(" up to the next ")" is an escape that loses its first
+// "$"; "$(" up to the ")" balancing its nested "$(" is a reference, whose
+// body is expanded first if it holds references itself, then stripped of
+// a transform prefix and looked up; an unterminated "$(" or "$$(" ends
+// substitution and the rest is literal.
+func referenceExpand(tpl string, values map[string]string) string {
+	var out strings.Builder
+	for i := 0; i < len(tpl); {
+		switch {
+		case strings.HasPrefix(tpl[i:], "$$("):
+			end := strings.IndexByte(tpl[i:], ')')
+			if end < 0 {
+				return out.String() + tpl[i:]
+			}
+			out.WriteString(tpl[i+1 : i+end+1])
+			i += end + 1
+		case strings.HasPrefix(tpl[i:], "$("):
+			depth, end := 0, -1
+			for j := i + 2; j < len(tpl) && end < 0; j++ {
+				switch {
+				case strings.HasPrefix(tpl[j:], "$("):
+					depth++
+					j++
+				case tpl[j] == ')' && depth == 0:
+					end = j
+				case tpl[j] == ')':
+					depth--
+				}
+			}
+			if end < 0 {
+				return out.String() + tpl[i:]
+			}
+			name := tpl[i+2 : end]
+			if strings.Contains(name, "$(") {
+				name = referenceExpand(name, values)
+			}
+			switch {
+			case strings.HasPrefix(name, "@html:"):
+				out.WriteString(strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "'", "&#39;").
+					Replace(values[name[len("@html:"):]]))
+			case strings.HasPrefix(name, "@sq:"):
+				out.WriteString(strings.ReplaceAll(values[name[len("@sq:"):]], "'", "''"))
+			case strings.HasPrefix(name, "@url:"):
+				out.WriteString(cgi.EncodeComponent(values[name[len("@url:"):]]))
+			default:
+				out.WriteString(values[name])
+			}
+			i = end + 1
+		default:
+			out.WriteByte(tpl[i])
+			i++
+		}
+	}
+	return out.String()
 }

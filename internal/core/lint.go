@@ -6,99 +6,6 @@ import (
 	"db2www/internal/htmlutil"
 )
 
-// TemplateRef is one $(name) reference found in a value template by
-// ParseTemplate. Offset/End are byte offsets of the '$' and of the byte
-// just past the closing ')' within the template text.
-//
-// A reference whose body itself contains a $( — the late-evaluated
-// $(A$(B)) form, legal because the engine substitutes the inner
-// reference when the outer name is dereferenced — is marked Dynamic: its
-// effective name cannot be resolved statically, so Name is empty and Raw
-// holds the unexpanded body. The inner references are reported as
-// TemplateRefs in their own right.
-type TemplateRef struct {
-	Raw     string // text between the parens, transform prefix included
-	Name    string // Raw minus any transform prefix; "" when Dynamic
-	Prefix  string // "@html:", "@sq:", "@url:", or ""
-	Offset  int    // byte offset of '$' in the template
-	End     int    // byte offset just past ')'
-	Dynamic bool   // body contains a nested $( reference
-}
-
-// ParseTemplate extracts every $(name) reference from a value template,
-// skipping $$(name) escapes, matching nested references with balanced
-// parentheses, and reporting the byte offset of every unterminated "$("
-// (or "$$(") so tooling can point at the exact position.
-func ParseTemplate(tpl string) (refs []TemplateRef, unterminated []int) {
-	parseTemplateInto(tpl, 0, &refs, &unterminated)
-	return refs, unterminated
-}
-
-func parseTemplateInto(tpl string, base int, refs *[]TemplateRef, unterminated *[]int) {
-	i := 0
-	for i < len(tpl) {
-		if tpl[i] != '$' {
-			i++
-			continue
-		}
-		if strings.HasPrefix(tpl[i:], "$$(") {
-			end := strings.IndexByte(tpl[i+3:], ')')
-			if end < 0 {
-				*unterminated = append(*unterminated, base+i)
-				return
-			}
-			i += 3 + end + 1
-			continue
-		}
-		if strings.HasPrefix(tpl[i:], "$(") {
-			depth := 0
-			j := i + 2
-			closed := -1
-			for j < len(tpl) {
-				if strings.HasPrefix(tpl[j:], "$(") {
-					depth++
-					j += 2
-					continue
-				}
-				if tpl[j] == ')' {
-					if depth == 0 {
-						closed = j
-						break
-					}
-					depth--
-				}
-				j++
-			}
-			if closed < 0 {
-				*unterminated = append(*unterminated, base+i)
-				return
-			}
-			raw := tpl[i+2 : closed]
-			ref := TemplateRef{Raw: raw, Offset: base + i, End: base + closed + 1}
-			if strings.Contains(raw, "$(") {
-				ref.Dynamic = true
-				// The inner references are evaluated first at run time;
-				// report them so analyses do not under-count.
-				parseTemplateInto(raw, base+i+2, refs, unterminated)
-			} else {
-				name := raw
-				for _, p := range []string{prefixHTML, prefixSQ, prefixURL} {
-					if strings.HasPrefix(name, p) {
-						ref.Prefix = p
-						name = strings.TrimPrefix(name, p)
-						break
-					}
-				}
-				ref.Name = name
-			}
-			*refs = append(*refs, ref)
-			i = closed + 1
-			continue
-		}
-		i++
-	}
-}
-
 // refsInTemplate extracts the statically resolvable variable names
 // referenced by $(name) patterns in a template. The second result
 // reports whether an unterminated "$(" was seen.
@@ -140,49 +47,19 @@ func EscapeNames(tpl string) []string {
 func Variables(m *Macro) (defined, referenced map[string]bool) {
 	defined = map[string]bool{}
 	referenced = map[string]bool{}
-	note := func(tpl string) {
-		refs, _ := refsInTemplate(tpl)
+	for _, sec := range m.Sections {
+		if s, ok := sec.(*DefineSection); ok {
+			for _, st := range s.Stmts {
+				defined[st.Name] = true
+			}
+		}
+	}
+	eachValueString(m, func(src string, _ **Template) {
+		refs, _ := refsInTemplate(src)
 		for _, r := range refs {
 			referenced[r] = true
 		}
-	}
-	for _, sec := range m.Sections {
-		switch s := sec.(type) {
-		case *DefineSection:
-			for _, st := range s.Stmts {
-				defined[st.Name] = true
-				note(st.Value)
-				note(st.Value2)
-				note(st.Sep)
-			}
-		case *SQLSection:
-			note(s.Command)
-			if s.Report != nil {
-				note(s.Report.Header)
-				note(s.Report.Row)
-				note(s.Report.Footer)
-			}
-			if s.Message != nil {
-				for _, e := range s.Message.Entries {
-					note(e.Text)
-				}
-			}
-		case *HTMLSection:
-			WalkHTMLItems(s.Items, func(it HTMLItem) {
-				switch {
-				case it.Cond != nil:
-					for _, arm := range it.Cond.Arms {
-						note(arm.Left)
-						note(arm.Right)
-					}
-				case it.ExecSQL:
-					note(it.SQLName)
-				default:
-					note(it.Text)
-				}
-			})
-		}
-	}
+	})
 	return defined, referenced
 }
 

@@ -28,6 +28,7 @@ func ParseWithIncludes(name, src string, resolver IncludeResolver) (*Macro, erro
 	if err := validate(m); err != nil {
 		return nil, err
 	}
+	compileTemplates(m)
 	return m, nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -105,9 +106,9 @@ func TestDeepNestingDepth(t *testing.T) {
 	sb.WriteString("%define{\nv0 = \"end\"\n")
 	for i := 1; i <= 200; i++ {
 		sb.WriteString("v")
-		sb.WriteString(itoa(i))
+		sb.WriteString(strconv.Itoa(i))
 		sb.WriteString(" = \"$(v")
-		sb.WriteString(itoa(i - 1))
+		sb.WriteString(strconv.Itoa(i - 1))
 		sb.WriteString(")\"\n")
 	}
 	sb.WriteString("%}\n%HTML_INPUT{$(v200)%}")

@@ -1,0 +1,275 @@
+package core
+
+import (
+	"strings"
+
+	"db2www/internal/cgi"
+)
+
+// Template is a value string compiled once: literal text interleaved with
+// $(name) reference slots, "$$(" escapes already reduced and transform
+// prefixes already resolved. core.Parse compiles every value string of a
+// macro, so expanding one at request time is a walk over its parts that
+// appends into the caller's buffer — nothing is scanned twice. The one
+// scanner below serves the engine (VarTable) and the tooling
+// (ParseTemplate) alike, so the two cannot disagree on what a reference
+// is.
+type Template struct {
+	parts        []part
+	unterminated []int // offsets of every "$(" / "$$(" left open
+}
+
+// part is a run of literal text followed by at most one reference.
+type part struct {
+	lit   string
+	ref   bool
+	name  string // static reference: the variable name, prefix stripped
+	xform xform
+	// dyn is set for the late-evaluated $(A$(B)) form: the reference body
+	// compiled as a template of its own. It is expanded first and the
+	// result (transform prefix included) names the variable to read.
+	dyn []part
+	// raw, off and end describe the reference for ParseTemplate.
+	raw      string
+	off, end int
+}
+
+// xform is a transform prefix inside $(prefix:name). The prefixes are a
+// documented extension over the paper (which substitutes raw text
+// everywhere): @html HTML-escapes the value, @sq doubles single quotes
+// for safe inclusion in SQL string literals, @url percent-encodes it.
+type xform uint8
+
+const (
+	xformNone xform = iota
+	xformHTML
+	xformSQ
+	xformURL
+)
+
+var xformPrefixes = [...]string{xformNone: "", xformHTML: "@html:", xformSQ: "@sq:", xformURL: "@url:"}
+
+// splitXform strips a transform prefix from a reference body.
+func splitXform(raw string) (xform, string) {
+	if strings.HasPrefix(raw, "@") {
+		for x := xformHTML; x <= xformURL; x++ {
+			if strings.HasPrefix(raw, xformPrefixes[x]) {
+				return x, raw[len(xformPrefixes[x]):]
+			}
+		}
+	}
+	return xformNone, raw
+}
+
+// appendXform appends s under transform x.
+func appendXform(buf []byte, s string, x xform) []byte {
+	switch x {
+	case xformHTML:
+		return appendHTML(buf, s)
+	case xformSQ:
+		for {
+			i := strings.IndexByte(s, '\'')
+			if i < 0 {
+				return append(buf, s...)
+			}
+			buf = append(append(buf, s[:i+1]...), '\'')
+			s = s[i+1:]
+		}
+	case xformURL:
+		return append(buf, cgi.EncodeComponent(s)...)
+	}
+	return append(buf, s...)
+}
+
+// compileTemplate compiles a value string. It never fails: an unterminated "$("
+// or "$$(" is emitted literally from that point on (lenient, as the era's
+// tools were) and its offset recorded for the linter.
+func compileTemplate(src string) *Template {
+	t := &Template{}
+	t.parts = compileParts(src, 0, &t.unterminated)
+	return t
+}
+
+// compileParts scans tpl, whose first byte sits at offset base of the
+// outermost template.
+func compileParts(tpl string, base int, unterminated *[]int) []part {
+	var parts []part
+	lit := 0 // start of the pending literal run
+	i := 0
+	for {
+		d := strings.IndexByte(tpl[i:], '$')
+		if d < 0 {
+			break
+		}
+		i += d
+		// "$$(name)" emits a literal "$(name)" with no dereference: drop
+		// the first '$' and step over the rest.
+		if strings.HasPrefix(tpl[i:], "$$(") {
+			end := strings.IndexByte(tpl[i+3:], ')')
+			if end < 0 {
+				*unterminated = append(*unterminated, base+i)
+				break
+			}
+			if i > lit {
+				parts = append(parts, part{lit: tpl[lit:i]})
+			}
+			lit = i + 1
+			i += 3 + end + 1
+			continue
+		}
+		if !strings.HasPrefix(tpl[i:], "$(") {
+			i++
+			continue
+		}
+		// A reference closes at the ')' that balances its nested "$(".
+		depth, closed := 0, -1
+		for j := i + 2; j < len(tpl); j++ {
+			if strings.HasPrefix(tpl[j:], "$(") {
+				depth++
+				j++
+			} else if tpl[j] == ')' {
+				if depth == 0 {
+					closed = j
+					break
+				}
+				depth--
+			}
+		}
+		if closed < 0 {
+			*unterminated = append(*unterminated, base+i)
+			break
+		}
+		p := part{lit: tpl[lit:i], ref: true, raw: tpl[i+2 : closed], off: base + i, end: base + closed + 1}
+		if strings.Contains(p.raw, "$(") {
+			p.dyn = compileParts(p.raw, base+i+2, unterminated)
+		} else {
+			p.xform, p.name = splitXform(p.raw)
+		}
+		parts = append(parts, p)
+		i = closed + 1
+		lit = i
+	}
+	if lit < len(tpl) {
+		parts = append(parts, part{lit: tpl[lit:]})
+	}
+	return parts
+}
+
+// literal reports whether the template holds no references, and if so
+// the text it expands to.
+func (t *Template) literal() (string, bool) {
+	switch len(t.parts) {
+	case 0:
+		return "", true
+	case 1:
+		return t.parts[0].lit, !t.parts[0].ref
+	}
+	return "", false
+}
+
+// TemplateRef is one $(name) reference found in a value template by
+// ParseTemplate. Offset/End are byte offsets of the '$' and of the byte
+// just past the closing ')' within the template text.
+//
+// A reference whose body itself contains a $( — the late-evaluated
+// $(A$(B)) form, legal because the engine substitutes the inner
+// reference when the outer name is dereferenced — is marked Dynamic: its
+// effective name cannot be resolved statically, so Name is empty and Raw
+// holds the unexpanded body. The inner references are reported as
+// TemplateRefs in their own right.
+type TemplateRef struct {
+	Raw     string // text between the parens, transform prefix included
+	Name    string // Raw minus any transform prefix; "" when Dynamic
+	Prefix  string // "@html:", "@sq:", "@url:", or ""
+	Offset  int    // byte offset of '$' in the template
+	End     int    // byte offset just past ')'
+	Dynamic bool   // body contains a nested $( reference
+}
+
+// ParseTemplate extracts every $(name) reference from a value template,
+// skipping $$(name) escapes, matching nested references with balanced
+// parentheses, and reporting the byte offset of every unterminated "$("
+// (or "$$(") so tooling can point at the exact position.
+func ParseTemplate(tpl string) (refs []TemplateRef, unterminated []int) {
+	t := compileTemplate(tpl)
+	return appendRefs(nil, t.parts), t.unterminated
+}
+
+// appendRefs lists the references of parts, inner before outer: the inner
+// ones are evaluated first at run time.
+func appendRefs(refs []TemplateRef, parts []part) []TemplateRef {
+	for _, p := range parts {
+		if !p.ref {
+			continue
+		}
+		if p.dyn != nil {
+			refs = appendRefs(refs, p.dyn)
+		}
+		refs = append(refs, TemplateRef{Raw: p.raw, Name: p.name, Prefix: xformPrefixes[p.xform],
+			Offset: p.off, End: p.end, Dynamic: p.dyn != nil})
+	}
+	return refs
+}
+
+// compileTemplates compiles every value string of a parsed macro, so that
+// the engine never scans macro text at request time.
+func compileTemplates(m *Macro) {
+	eachValueString(m, func(src string, compiled **Template) { *compiled = compileTemplate(src) })
+}
+
+// eachValueString calls fn for every value string of the macro — text
+// that may hold $(name) references — together with the field its
+// compiled form is kept in.
+func eachValueString(m *Macro, fn func(src string, compiled **Template)) {
+	for _, sec := range m.Sections {
+		switch s := sec.(type) {
+		case *DefineSection:
+			for i := range s.Stmts {
+				st := &s.Stmts[i]
+				fn(st.Value, &st.value)
+				fn(st.Value2, &st.value2)
+				fn(st.Sep, &st.sep)
+			}
+		case *SQLSection:
+			fn(s.Command, &s.command)
+			if rb := s.Report; rb != nil {
+				fn(rb.Header, &rb.header)
+				fn(rb.Row, &rb.row)
+				fn(rb.Footer, &rb.footer)
+			}
+			if s.Message != nil {
+				for i := range s.Message.Entries {
+					e := &s.Message.Entries[i]
+					fn(e.Text, &e.text)
+				}
+			}
+		case *HTMLSection:
+			eachItemString(s.Items, fn)
+		}
+	}
+}
+
+func eachItemString(items []HTMLItem, fn func(src string, compiled **Template)) {
+	for i := range items {
+		it := &items[i]
+		switch {
+		case it.Cond != nil:
+			for j := range it.Cond.Arms {
+				arm := &it.Cond.Arms[j]
+				fn(arm.Left, &arm.left)
+				fn(arm.Right, &arm.right)
+				eachItemString(arm.Items, fn)
+			}
+			eachItemString(it.Cond.Else, fn)
+		case it.ExecSQL:
+			fn(it.SQLName, &it.sqlName)
+		default:
+			fn(it.Text, &it.text)
+		}
+	}
+}
+
+// compile fills in the compiled value strings of a hand-built statement.
+func (st *DefineStmt) compile() {
+	st.value, st.value2, st.sep = compileTemplate(st.Value), compileTemplate(st.Value2), compileTemplate(st.Sep)
+}

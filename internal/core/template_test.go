@@ -1,0 +1,123 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"db2www/internal/cgi"
+)
+
+// TestNestedReference pins the late-evaluated $(A$(B)) form in the
+// engine: the inner reference is substituted first and the text it
+// spells names the variable to read — what ParseTemplate and the linter
+// have always said the form means.
+func TestNestedReference(t *testing.T) {
+	m := mustParse(t, `
+%define{
+B = "1"
+A1 = "hit"
+P = "@html:"
+raw = "<b>"
+sel = "raw"
+%}
+%HTML_INPUT{[$(A$(B))] [$(A$(missing))] [$(@html:$(sel))] [$($(P)raw)] [$(A$(B$(missing)))] [$$(A$(B))]%}
+`)
+	got := runMacro(t, &Engine{}, m, ModeInput, nil)
+	want := "[hit] [] [&lt;b&gt;] [&lt;b&gt;] [hit] [$(A$(B))]"
+	if got != want {
+		t.Fatalf("got  %q\nwant %q", got, want)
+	}
+}
+
+// TestNestedReferenceCycle: a cycle through a computed name is still an
+// error, not a stack overflow.
+func TestNestedReferenceCycle(t *testing.T) {
+	m := mustParse(t, `
+%define{
+n = "1"
+X1 = "$(X$(n))"
+%}
+%HTML_INPUT{$(X1)%}
+`)
+	var buf bytes.Buffer
+	err := (&Engine{}).Run(m, ModeInput, nil, &buf)
+	if err == nil || !strings.Contains(err.Error(), "circular reference") {
+		t.Fatalf("err = %v, want a circular reference error", err)
+	}
+}
+
+// TestUnterminatedReferenceIsLiteral: from an unterminated "$(" on, the
+// text is emitted as written — including the case only the balanced
+// scanner sees, an outer reference left open around a closed inner one.
+func TestUnterminatedReferenceIsLiteral(t *testing.T) {
+	vt := NewVarTable("t", nil)
+	vt.ApplyDefine(&DefineSection{Stmts: []DefineStmt{{Kind: DefSimple, Name: "a", Value: "va"}}})
+	for tpl, want := range map[string]string{
+		"x $(a) $(open":     "x va $(open",
+		"$(outer $(a)":      "$(outer $(a)",
+		"$(a)$$(esc":        "va$$(esc",
+		"price $5 $a $(a)$": "price $5 $a va$",
+	} {
+		if got, err := vt.Expand(tpl); err != nil || got != want {
+			t.Errorf("Expand(%q) = %q, %v; want %q", tpl, got, err, want)
+		}
+	}
+}
+
+// stubRows is a DBProvider whose every statement returns one fixed result.
+type stubRows struct{ res *SQLResult }
+
+func (s stubRows) Connect(_, _, _ string) (DBConn, error) { return s, nil }
+func (s stubRows) Execute(string) (*SQLResult, error)     { return s.res, nil }
+func (stubRows) Begin() error                             { return nil }
+func (stubRows) Commit() error                            { return nil }
+func (stubRows) Rollback() error                          { return nil }
+func (stubRows) Close() error                             { return nil }
+
+// TestRowPathAllocations is the allocation ceiling of the report row
+// path: the Appendix A macro (its %ROW template reads V1 by ordinal and
+// V2/V3 through the conditional variables D2/D3) over a 2 000-row result
+// allocates at most one object per rendered row, everything else of the
+// request included.
+func TestRowPathAllocations(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/macros/urlquery.d2w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Parse("urlquery.d2w", string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 2000
+	res := &SQLResult{Columns: []string{"url", "title", "description"}}
+	for i := 0; i < rows; i++ {
+		res.Rows = append(res.Rows, []Field{
+			{S: fmt.Sprintf("http://www.example%d.com/", i)},
+			{S: fmt.Sprintf("Title %d <&>", i)},
+			{Null: i%7 == 0, S: "words about the page"},
+		})
+	}
+	e := &Engine{DB: stubRows{res}}
+	inputs := cgi.NewForm()
+	inputs.Add("DBFIELDS", "title")
+	inputs.Add("DBFIELDS", "description")
+	var page bytes.Buffer
+	render := func() {
+		page.Reset()
+		if err := e.Run(m, ModeReport, inputs, &page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	render()
+	if n := strings.Count(page.String(), "<LI> <A HREF="); n != rows {
+		t.Fatalf("rendered %d rows, want %d", n, rows)
+	}
+	if allocs := testing.AllocsPerRun(5, render); allocs > rows {
+		t.Errorf("%.0f allocations for a %d-row report, want at most one per row", allocs, rows)
+	} else {
+		t.Logf("%.0f allocations for a %d-row report", allocs, rows)
+	}
+}

@@ -1,19 +1,35 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 
 	"db2www/internal/cgi"
 	"db2www/internal/flight"
 )
 
-// varDef is the engine-internal state of one macro-defined variable.
+// varDef is the engine-internal state of one macro-defined variable. The
+// statements it points at belong to the (shared, immutable) parsed macro.
 type varDef struct {
-	list    bool         // declared with %LIST
-	sep     string       // separator template (list variables)
-	assigns []DefineStmt // assignment history: all kept for list vars, last wins otherwise
-	exec    bool
-	execCmd string // command template for %EXEC variables
+	list    bool          // declared with %LIST
+	sep     *Template     // separator template (list variables)
+	assigns []*DefineStmt // assignment history: all kept for list vars, last wins otherwise
+	exec    *DefineStmt   // the %EXEC statement, when the variable is one
+}
+
+// scope is one level of system variables: report column names and values,
+// or the variables of a %SQL_MESSAGE entry. appendVar appends the value
+// bound to name and reports whether the scope binds it at all.
+type scope interface {
+	appendVar(buf []byte, name string) ([]byte, bool)
+}
+
+// mapScope is a scope of a few fixed bindings.
+type mapScope map[string]string
+
+func (m mapScope) appendVar(buf []byte, name string) ([]byte, bool) {
+	v, ok := m[name]
+	return append(buf, v...), ok
 }
 
 // VarTable implements the run-time variable substitution mechanism of
@@ -21,11 +37,15 @@ type varDef struct {
 // (which take priority), macro DEFINE variables (lazily evaluated), and
 // system report variables (innermost scope wins). Undefined names
 // evaluate to the null string. Circular references are an error.
+//
+// Every evaluation appends into a caller-supplied buffer: a value that is
+// null is one that appended nothing, and a conditional that must take its
+// text back truncates.
 type VarTable struct {
 	inputs *cgi.Form
 	defs   map[string]*varDef
 	order  []string
-	scopes []map[string]string
+	scopes []scope
 	// execOutputs holds <name>_OUTPUT bindings captured from %EXEC
 	// commands (an extension; see runExec).
 	execOutputs map[string]string
@@ -36,6 +56,10 @@ type VarTable struct {
 	// journalled: they are data plumbing, not macro logic, and would
 	// swamp the journal on large reports.
 	journal *flight.Journal
+	// visiting holds the names being dereferenced, outermost first: a name
+	// met again is a circular reference, and its length is the depth the
+	// journal records.
+	visiting []string
 }
 
 // NewVarTable creates a table over the given HTML input variables.
@@ -50,12 +74,18 @@ func NewVarTable(macro string, inputs *cgi.Form) *VarTable {
 // ApplyDefine registers the statements of one %DEFINE section. Value
 // strings are stored unevaluated (lazy substitution, Section 4.3.1).
 func (vt *VarTable) ApplyDefine(sec *DefineSection) {
-	for _, st := range sec.Stmts {
+	for i := range sec.Stmts {
+		st := &sec.Stmts[i]
+		if st.value == nil { // hand-built statement: Parse compiles its own
+			c := *st
+			c.compile()
+			st = &c
+		}
 		vt.applyStmt(st)
 	}
 }
 
-func (vt *VarTable) applyStmt(st DefineStmt) {
+func (vt *VarTable) applyStmt(st *DefineStmt) {
 	def, ok := vt.defs[st.Name]
 	if !ok {
 		def = &varDef{}
@@ -65,35 +95,22 @@ func (vt *VarTable) applyStmt(st DefineStmt) {
 	switch st.Kind {
 	case DefList:
 		def.list = true
-		def.sep = st.Sep
+		def.sep = st.sep
 	case DefExec:
-		def.exec = true
-		def.execCmd = st.Value
+		def.exec = st
 		def.assigns = nil
 	default:
-		def.exec = false
-		if def.list {
-			def.assigns = append(def.assigns, st)
-		} else {
-			def.assigns = []DefineStmt{st}
+		def.exec = nil
+		if !def.list {
+			def.assigns = def.assigns[:0]
 		}
+		def.assigns = append(def.assigns, st)
 	}
 }
 
-// PushScope adds an innermost scope of system variables (report column
-// names/values etc.). The returned map may be mutated while pushed.
-func (vt *VarTable) PushScope() map[string]string {
-	m := map[string]string{}
-	vt.scopes = append(vt.scopes, m)
-	return m
-}
+func (vt *VarTable) pushScope(s scope) { vt.scopes = append(vt.scopes, s) }
 
-// PopScope removes the innermost scope.
-func (vt *VarTable) PopScope() {
-	if len(vt.scopes) > 0 {
-		vt.scopes = vt.scopes[:len(vt.scopes)-1]
-	}
-}
+func (vt *VarTable) popScope() { vt.scopes = vt.scopes[:len(vt.scopes)-1] }
 
 // Defined reports whether name has a macro definition or input binding
 // (regardless of its value).
@@ -110,295 +127,255 @@ func (vt *VarTable) Names() []string { return vt.order }
 // Lookup evaluates a variable by name, applying the full substitution
 // semantics. It returns the empty string for undefined names.
 func (vt *VarTable) Lookup(name string) (string, error) {
-	v, _, err := vt.deref(name, map[string]bool{})
-	return v, err
+	buf, err := vt.appendVar(nil, name)
+	if err != nil {
+		return "", err
+	}
+	return string(buf), nil
 }
 
-// Expand evaluates a value template: literal text with $(name) references
+// Expand evaluates a value string: literal text with $(name) references
 // substituted and $$(name) escapes reduced to $(name).
 func (vt *VarTable) Expand(tpl string) (string, error) {
-	v, _, err := vt.expand(tpl, map[string]bool{})
-	return v, err
+	return vt.expandTemplate(compileTemplate(tpl))
 }
 
-// expand evaluates tpl and additionally reports whether any referenced
-// variable evaluated to null — the information the conditional form
-// "var = ? value" needs (Section 3.1.2 cases b and d).
-func (vt *VarTable) expand(tpl string, visiting map[string]bool) (string, bool, error) {
-	var sb strings.Builder
+// expandTemplate evaluates a compiled value string.
+func (vt *VarTable) expandTemplate(t *Template) (string, error) {
+	if s, ok := t.literal(); ok {
+		return s, nil
+	}
+	buf, err := vt.appendTemplate(nil, t)
+	if err != nil {
+		return "", err
+	}
+	return string(buf), nil
+}
+
+// appendTemplate evaluates a compiled value string onto buf.
+func (vt *VarTable) appendTemplate(buf []byte, t *Template) ([]byte, error) {
+	buf, _, err := vt.appendParts(buf, t.parts, nil)
+	return buf, err
+}
+
+// appendParts evaluates parts onto buf and additionally reports whether
+// any referenced variable evaluated to null — the information the
+// conditional form "var = ? value" needs (Section 3.1.2 cases b and d).
+// rs, when non-nil, is the report scope whose %ROW template parts is: a
+// reference it has bound to a column ordinal reads the current row
+// directly.
+func (vt *VarTable) appendParts(buf []byte, parts []part, rs *rowScope) ([]byte, bool, error) {
 	sawNull := false
-	i := 0
-	for i < len(tpl) {
-		c := tpl[i]
-		if c != '$' {
-			sb.WriteByte(c)
-			i++
+	for k := range parts {
+		p := &parts[k]
+		buf = append(buf, p.lit...)
+		if !p.ref {
 			continue
 		}
-		// "$$(" escapes to a literal "$(name)" with no dereference.
-		if strings.HasPrefix(tpl[i:], "$$(") {
-			end := strings.IndexByte(tpl[i+3:], ')')
-			if end < 0 {
-				sb.WriteString(tpl[i:])
-				return sb.String(), sawNull, nil
+		if rs != nil {
+			if col := rs.bound[k]; col >= 0 && col < len(rs.row) {
+				if f := &rs.row[col]; f.Null || f.S == "" {
+					sawNull = true
+				} else {
+					buf = appendXform(buf, f.S, p.xform)
+				}
+				continue
 			}
-			sb.WriteString("$(")
-			sb.WriteString(tpl[i+3 : i+3+end])
-			sb.WriteByte(')')
-			i += 3 + end + 1
-			continue
 		}
-		if strings.HasPrefix(tpl[i:], "$(") {
-			end := strings.IndexByte(tpl[i+2:], ')')
-			if end < 0 {
-				// Unterminated reference: emit literally (lenient, as the
-				// era's tools were; macrocheck flags it).
-				sb.WriteString(tpl[i:])
-				return sb.String(), sawNull, nil
+		mark := len(buf)
+		x, name := p.xform, p.name
+		var err error
+		if p.dyn != nil {
+			// Late evaluation: the body's own references first, then the
+			// name (and transform prefix) they spell.
+			if buf, _, err = vt.appendParts(buf, p.dyn, nil); err != nil {
+				return buf, false, err
 			}
-			name := tpl[i+2 : i+2+end]
-			val, isNull, err := vt.derefRef(name, visiting)
-			if err != nil {
-				return "", false, err
-			}
-			if isNull {
-				sawNull = true
-			}
-			sb.WriteString(val)
-			i += 2 + end + 1
-			continue
+			x, name = splitXform(string(buf[mark:]))
+			buf = buf[:mark]
 		}
-		sb.WriteByte(c)
-		i++
+		if buf, err = vt.appendVar(buf, name); err != nil {
+			return buf, false, err
+		}
+		switch {
+		case len(buf) == mark:
+			sawNull = true
+		case x != xformNone:
+			buf = appendXform(buf[:mark], string(buf[mark:]), x)
+		}
 	}
-	return sb.String(), sawNull, nil
+	return buf, sawNull, nil
 }
 
-// transform prefixes supported inside $(prefix:name) references. These
-// are a documented extension over the paper (which substitutes raw text
-// everywhere): @html HTML-escapes the value, @sq doubles single quotes
-// for safe inclusion in SQL string literals, @url percent-encodes it.
-const (
-	prefixHTML = "@html:"
-	prefixSQ   = "@sq:"
-	prefixURL  = "@url:"
-)
-
-// derefRef resolves one $(...) reference, applying transform prefixes.
-func (vt *VarTable) derefRef(name string, visiting map[string]bool) (string, bool, error) {
-	switch {
-	case strings.HasPrefix(name, prefixHTML):
-		v, isNull, err := vt.deref(strings.TrimPrefix(name, prefixHTML), visiting)
-		return escapeHTML(v), isNull, err
-	case strings.HasPrefix(name, prefixSQ):
-		v, isNull, err := vt.deref(strings.TrimPrefix(name, prefixSQ), visiting)
-		return strings.ReplaceAll(v, "'", "''"), isNull, err
-	case strings.HasPrefix(name, prefixURL):
-		v, isNull, err := vt.deref(strings.TrimPrefix(name, prefixURL), visiting)
-		return cgi.EncodeComponent(v), isNull, err
-	default:
-		return vt.deref(name, visiting)
+// appendSource evaluates a value string met at run time (an HTML input
+// value), which is parsed for references like any other.
+func (vt *VarTable) appendSource(buf []byte, src string) ([]byte, error) {
+	if strings.IndexByte(src, '$') < 0 {
+		return append(buf, src...), nil
 	}
+	return vt.appendTemplate(buf, compileTemplate(src))
 }
 
-// deref resolves name to its value. The second result reports nullness
-// (empty value or undefined — indistinguishable per Section 2.2).
-// Priority order (Section 4.3): innermost report scope, then HTML input
-// variables, then macro definitions.
-func (vt *VarTable) deref(name string, visiting map[string]bool) (string, bool, error) {
-	// 1. System/report scopes, innermost first. Column-name variables
-	// (N.xxx / V.xxx) match the column part case-insensitively.
+// appendVar appends the value of name; a null value (empty or undefined —
+// indistinguishable per Section 2.2) appends nothing. Priority order
+// (Section 4.3): innermost report scope, then HTML input variables, then
+// macro definitions.
+func (vt *VarTable) appendVar(buf []byte, name string) ([]byte, error) {
+	// 1. System/report scopes, innermost first.
 	for i := len(vt.scopes) - 1; i >= 0; i-- {
-		if v, ok := vt.scopes[i][name]; ok {
-			return v, v == "", nil
+		if out, ok := vt.scopes[i].appendVar(buf, name); ok {
+			return out, nil
 		}
-		if len(name) > 2 && (name[0] == 'N' || name[0] == 'V') && name[1] == '.' {
-			key := name[:2] + strings.ToLower(name[2:])
-			if v, ok := vt.scopes[i][key]; ok {
-				return v, v == "", nil
-			}
-		}
-	}
-	if v, ok := vt.execOutputs[name]; ok {
-		vt.journal.Var(name, len(visiting), "exec", v == "")
-		return v, v == "", nil
-	}
-	if visiting[name] {
-		return "", false, errAt(vt.macro, 0, "circular reference involving variable %q", name)
 	}
 	// depth is how many dereferences deep this resolution sits: 0 when the
 	// name was referenced directly from a template, +1 per chained $(...).
-	depth := len(visiting)
-	visiting[name] = true
-	defer delete(visiting, name)
+	depth := len(vt.visiting)
+	if v, ok := vt.execOutputs[name]; ok {
+		vt.journal.Var(name, depth, "exec", v == "")
+		return append(buf, v...), nil
+	}
+	for _, n := range vt.visiting {
+		if n == name {
+			return buf, errAt(vt.macro, 0, "circular reference involving variable %q", name)
+		}
+	}
+	vt.visiting = append(vt.visiting, name)
+	mark := len(buf)
+	buf, source, err := vt.appendBound(buf, name)
+	vt.visiting = vt.visiting[:depth]
+	if err == nil {
+		vt.journal.Var(name, depth, source, len(buf) == mark)
+	}
+	return buf, err
+}
 
+// appendBound evaluates name from the HTML input variables or the macro
+// definitions and names which of them answered, for the journal.
+func (vt *VarTable) appendBound(buf []byte, name string) ([]byte, string, error) {
 	def := vt.defs[name]
+	mark := len(buf)
 
 	// 2. HTML input variables override macro definitions. Input values
 	// are themselves parsed for references (Section 4.3.2), which is what
 	// makes the $$(hidden) idiom of Appendix A work.
 	if vals := vt.inputs.GetAll(name); len(vals) > 0 {
 		if len(vals) == 1 {
-			v, _, err := vt.expand(vals[0], visiting)
-			if err == nil {
-				vt.journal.Var(name, depth, "input", v == "")
-			}
-			return v, v == "", err
+			buf, err := vt.appendSource(buf, vals[0])
+			return buf, "input", err
 		}
 		// Multiply-assigned input variable: a list variable with comma
 		// as the default separator (Section 2.2), overridable by %LIST.
 		sep := ","
 		if def != nil && def.list {
-			s, _, err := vt.expand(def.sep, visiting)
-			if err != nil {
-				return "", false, err
+			var err error
+			if sep, err = vt.expandTemplate(def.sep); err != nil {
+				return buf, "", err
 			}
-			sep = s
 		}
-		var parts []string
 		for _, raw := range vals {
-			v, _, err := vt.expand(raw, visiting)
-			if err != nil {
-				return "", false, err
+			item := len(buf)
+			if item > mark {
+				buf = append(buf, sep...)
 			}
-			if v != "" {
-				parts = append(parts, v)
+			n := len(buf)
+			var err error
+			if buf, err = vt.appendSource(buf, raw); err != nil {
+				return buf, "", err
+			}
+			if len(buf) == n {
+				buf = buf[:item]
 			}
 		}
-		v := strings.Join(parts, sep)
-		vt.journal.Var(name, depth, "input", v == "")
-		return v, v == "", nil
+		return buf, "input", nil
 	}
 
 	// 3. Macro definitions.
-	if def == nil {
-		vt.journal.Var(name, depth, "undefined", true)
-		return "", true, nil
-	}
-	if def.exec {
-		v, err := vt.runExec(def, visiting)
-		if err == nil {
-			vt.journal.Var(name, depth, "exec", v == "")
-		}
-		return v, v == "", err
-	}
-	if def.list {
-		sep, _, err := vt.expand(def.sep, visiting)
+	switch {
+	case def == nil:
+		return buf, "undefined", nil
+	case def.exec != nil:
+		buf, err := vt.runExec(buf, name, def.exec)
+		return buf, "exec", err
+	case def.list:
+		sep, err := vt.expandTemplate(def.sep)
 		if err != nil {
-			return "", false, err
+			return buf, "", err
 		}
-		var parts []string
 		for _, st := range def.assigns {
-			v, err := vt.evalAssign(st, visiting)
-			if err != nil {
-				return "", false, err
-			}
 			// "the list variable evaluation is intelligent enough to add
 			// delimiters only if the individual value strings are not
 			// null" (Section 3.1.3).
-			if v != "" {
-				parts = append(parts, v)
+			item := len(buf)
+			if item > mark {
+				buf = append(buf, sep...)
+			}
+			n := len(buf)
+			if buf, err = vt.appendAssign(buf, st); err != nil {
+				return buf, "", err
+			}
+			if len(buf) == n {
+				buf = buf[:item]
 			}
 		}
-		v := strings.Join(parts, sep)
-		vt.journal.Var(name, depth, "list", v == "")
-		return v, v == "", nil
-	}
-	if len(def.assigns) == 0 {
+		return buf, "list", nil
+	case len(def.assigns) == 0:
 		// Declared (%LIST removed or bare) but never assigned.
-		vt.journal.Var(name, depth, "define", true)
-		return "", true, nil
+		return buf, "define", nil
 	}
-	v, err := vt.evalAssign(def.assigns[len(def.assigns)-1], visiting)
-	if err == nil {
-		vt.journal.Var(name, depth, "define", v == "")
-	}
-	return v, v == "", err
+	buf, err := vt.appendAssign(buf, def.assigns[len(def.assigns)-1])
+	return buf, "define", err
 }
 
-// evalAssign evaluates one assignment statement's right-hand side.
-func (vt *VarTable) evalAssign(st DefineStmt, visiting map[string]bool) (string, error) {
+// appendAssign evaluates one assignment statement's right-hand side.
+func (vt *VarTable) appendAssign(buf []byte, st *DefineStmt) ([]byte, error) {
+	mark := len(buf)
+	var err error
 	switch st.Kind {
 	case DefSimple:
-		v, _, err := vt.expand(st.Value, visiting)
-		return v, err
+		return vt.appendTemplate(buf, st.value)
 	case DefCondTest:
-		tv, _, err := vt.deref(st.TestVar, visiting)
-		if err != nil {
-			return "", err
+		if buf, err = vt.appendVar(buf, st.TestVar); err != nil {
+			return buf, err
 		}
-		if tv != "" {
-			v, _, err := vt.expand(st.Value, visiting)
-			return v, err
+		switch {
+		case len(buf) > mark:
+			return vt.appendTemplate(buf[:mark], st.value)
+		case st.HasElse:
+			return vt.appendTemplate(buf, st.value2)
 		}
-		if !st.HasElse {
-			return "", nil
-		}
-		v, _, err := vt.expand(st.Value2, visiting)
-		return v, err
+		return buf, nil
 	case DefCondSelf:
-		v, sawNull, err := vt.expand(st.Value, visiting)
-		if err != nil {
-			return "", err
-		}
+		var sawNull bool
+		buf, sawNull, err = vt.appendParts(buf, st.value.parts, nil)
 		if sawNull {
-			return "", nil
+			buf = buf[:mark]
 		}
-		return v, nil
-	default:
-		return "", errAt(vt.macro, st.Line, "internal: unexpected assignment kind %d", st.Kind)
+		return buf, err
 	}
+	return buf, errAt(vt.macro, st.Line, "internal: unexpected assignment kind %d", st.Kind)
 }
 
 // runExec executes a %EXEC variable's command. The variable's value is
 // the command's non-zero exit code, or null on success (Section 3.1.4).
 // Captured standard output is exposed as <name>_OUTPUT in a system scope
 // (a documented extension; the paper leaves command output unspecified).
-func (vt *VarTable) runExec(def *varDef, visiting map[string]bool) (string, error) {
-	cmdline, _, err := vt.expand(def.execCmd, visiting)
+func (vt *VarTable) runExec(buf []byte, name string, st *DefineStmt) ([]byte, error) {
+	cmdline, err := vt.expandTemplate(st.value)
 	if err != nil {
-		return "", err
+		return buf, err
 	}
 	if vt.engine == nil || vt.engine.Commands == nil {
-		return "", errAt(vt.macro, 0, "%%EXEC variable used but no command registry is configured")
+		return buf, errAt(vt.macro, 0, "%%EXEC variable used but no command registry is configured")
 	}
 	code, output := vt.engine.Commands.Run(cmdline)
-	// Bind the captured output under <name>_OUTPUT.
-	for name, d := range vt.defs {
-		if d == def {
-			if vt.execOutputs == nil {
-				vt.execOutputs = map[string]string{}
-			}
-			vt.execOutputs[name+"_OUTPUT"] = output
-			break
-		}
+	if vt.execOutputs == nil {
+		vt.execOutputs = map[string]string{}
 	}
+	vt.execOutputs[name+"_OUTPUT"] = output
 	if code == 0 {
-		return "", nil
+		return buf, nil
 	}
-	return itoa(code), nil
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return strconv.AppendInt(buf, int64(code), 10), nil
 }
 
 // escapeHTML escapes the five HTML-special characters.
@@ -406,23 +383,29 @@ func escapeHTML(s string) string {
 	if !strings.ContainsAny(s, `&<>"'`) {
 		return s
 	}
-	var sb strings.Builder
-	sb.Grow(len(s) + 8)
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '&':
-			sb.WriteString("&amp;")
-		case '<':
-			sb.WriteString("&lt;")
-		case '>':
-			sb.WriteString("&gt;")
-		case '"':
-			sb.WriteString("&quot;")
-		case '\'':
-			sb.WriteString("&#39;")
-		default:
-			sb.WriteByte(c)
+	return string(appendHTML(make([]byte, 0, len(s)+8), s))
+}
+
+// appendHTML appends s with the five HTML-special characters escaped.
+func appendHTML(buf []byte, s string) []byte {
+	for {
+		i := strings.IndexAny(s, `&<>"'`)
+		if i < 0 {
+			return append(buf, s...)
 		}
+		buf = append(buf, s[:i]...)
+		switch s[i] {
+		case '&':
+			buf = append(buf, "&amp;"...)
+		case '<':
+			buf = append(buf, "&lt;"...)
+		case '>':
+			buf = append(buf, "&gt;"...)
+		case '"':
+			buf = append(buf, "&quot;"...)
+		case '\'':
+			buf = append(buf, "&#39;"...)
+		}
+		s = s[i+1:]
 	}
-	return sb.String()
 }

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -117,7 +116,8 @@ func (a *App) ServeCGIContext(ctx context.Context, req *cgi.Request) (*cgi.Respo
 	if err != nil {
 		return errorPageTrace(400, "Bad request", err.Error(), tr), nil
 	}
-	var buf bytes.Buffer
+	// A strings.Builder hands the finished page over without a copy.
+	var buf strings.Builder
 	if err := a.Engine.RunContext(ctx, m, mode, inputs, &buf); err != nil {
 		return errorPageTrace(500, "Macro processing failed", err.Error(), tr), nil
 	}

@@ -10,6 +10,7 @@ import (
 	"database/sql"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -161,16 +162,27 @@ func (c *sqlConn) ExecuteContext(ctx context.Context, sqlText string) (*core.SQL
 			return nil, err
 		}
 		res := &core.SQLResult{Columns: cols}
+		// One scan buffer serves every row, and the rows are carved out
+		// of shared chunks that start small (a point lookup allocates a
+		// few fields) and double up to maxChunkRows.
+		n := len(cols)
+		raw := make([]any, n)
+		ptrs := make([]any, n)
+		for i := range raw {
+			ptrs[i] = &raw[i]
+		}
+		var chunk []core.Field
+		chunkRows := 4
 		for rows.Next() {
-			raw := make([]any, len(cols))
-			ptrs := make([]any, len(cols))
-			for i := range raw {
-				ptrs[i] = &raw[i]
-			}
 			if err := rows.Scan(ptrs...); err != nil {
 				return nil, err
 			}
-			row := make([]core.Field, len(cols))
+			if len(chunk) < n {
+				chunk = make([]core.Field, n*chunkRows)
+				chunkRows = min(2*chunkRows, maxChunkRows)
+			}
+			row := chunk[:n:n]
+			chunk = chunk[n:]
 			for i, v := range raw {
 				row[i] = toField(v)
 			}
@@ -189,6 +201,9 @@ func (c *sqlConn) ExecuteContext(ctx context.Context, sqlText string) (*core.SQL
 	n, _ := r.RowsAffected()
 	return &core.SQLResult{RowsAffected: n}, nil
 }
+
+// maxChunkRows bounds how many result rows share one backing array.
+const maxChunkRows = 256
 
 // isQueryStatement reports whether the statement produces a result set.
 func isQueryStatement(sqlText string) bool {
@@ -213,7 +228,7 @@ func toField(v any) core.Field {
 	case string:
 		return core.Field{S: x}
 	case int64:
-		return core.Field{S: fmt.Sprintf("%d", x)}
+		return core.Field{S: strconv.FormatInt(x, 10)}
 	case float64:
 		return core.Field{S: sqldb.NewFloat(x).String()}
 	case bool:

@@ -1,7 +1,9 @@
 package sqldb
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -748,11 +750,11 @@ func (vw view) execSelectSingle(sel *SelectStmt, params []Value) (*Result, error
 		}
 	}
 
-	type outRow struct {
-		env  *evalEnv // row environment for final evaluation
-		keys []Value  // order-by keys
-	}
-	var outs []outRow
+	// The rows that reach ORDER BY and the projection: FROM rows, or one
+	// representative row per group with its aggregate results beside it.
+	// Both evaluate through the one env, whose row (and aggs) is swapped.
+	outs := rows
+	var outAggs [][]Value
 
 	if grouped {
 		type group struct {
@@ -807,15 +809,15 @@ func (vw view) execSelectSingle(sel *SelectStmt, params []Value) (*Result, error
 			groups[""] = grp
 			order = append(order, "")
 		}
+		outs = nil
 		for _, k := range order {
 			grp := groups[k]
-			genv := &evalEnv{cols: from.cols, params: params, row: grp.rep, vw: &vw, subCache: subCache}
-			genv.aggs = make([]Value, len(aggs))
+			env.row, env.aggs = grp.rep, make([]Value, len(aggs))
 			for i, st := range grp.states {
-				genv.aggs[i] = st.result()
+				env.aggs[i] = st.result()
 			}
 			if sel.Having != nil {
-				v, err := eval(sel.Having, genv)
+				v, err := eval(sel.Having, env)
 				if err != nil {
 					return nil, err
 				}
@@ -824,73 +826,56 @@ func (vw view) execSelectSingle(sel *SelectStmt, params []Value) (*Result, error
 					continue
 				}
 			}
-			outs = append(outs, outRow{env: genv})
+			outs = append(outs, grp.rep)
+			outAggs = append(outAggs, env.aggs)
 		}
 		vw.trk.stage(sel, "aggregate", len(rows), len(outs))
-	} else {
-		for _, r := range rows {
-			outs = append(outs, outRow{env: &evalEnv{cols: from.cols, params: params, row: r, vw: &vw, subCache: subCache}})
+	}
+	at := func(i int) {
+		env.row = outs[i]
+		if grouped {
+			env.aggs = outAggs[i]
 		}
 	}
 
-	// ORDER BY (stable sort, NULLs first ascending / last descending).
-	if len(orderExprs) > 0 {
+	// ORDER BY.
+	var perm []int32
+	if nk := len(orderExprs); nk > 0 {
+		keys := make([]Value, len(outs)*nk)
 		for i := range outs {
-			outs[i].keys = make([]Value, len(orderExprs))
+			at(i)
 			for j, e := range orderExprs {
-				v, err := eval(e, outs[i].env)
+				v, err := eval(e, env)
 				if err != nil {
 					return nil, err
 				}
-				outs[i].keys[j] = v
+				keys[i*nk+j] = v
 			}
 		}
-		var sortErr error
-		sort.SliceStable(outs, func(a, b int) bool {
-			for j := range orderExprs {
-				ka, kb := outs[a].keys[j], outs[b].keys[j]
-				var c int
-				switch {
-				case ka.IsNull() && kb.IsNull():
-					c = 0
-				case ka.IsNull():
-					c = -1
-				case kb.IsNull():
-					c = 1
-				default:
-					var err error
-					c, err = Compare(ka, kb)
-					if err != nil && sortErr == nil {
-						sortErr = err
-					}
-				}
-				if c == 0 {
-					continue
-				}
-				if sel.OrderBy[j].Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-		if sortErr != nil {
-			return nil, sortErr
+		if perm, err = sortOrder(keys, sel.OrderBy); err != nil {
+			return nil, err
 		}
 	}
 
-	// Projection.
-	res := &Result{Columns: pr.names}
-	for _, o := range outs {
-		row := make([]Value, len(pr.exprs))
-		for i, e := range pr.exprs {
-			v, err := eval(e, o.env)
+	// Projection, in sorted order; the rows share one backing array.
+	res := &Result{Columns: pr.names, Rows: make([][]Value, len(outs))}
+	width := len(pr.exprs)
+	cells := make([]Value, len(outs)*width)
+	for k := range outs {
+		i := k
+		if perm != nil {
+			i = int(perm[k])
+		}
+		at(i)
+		row := cells[k*width : (k+1)*width : (k+1)*width]
+		for c, e := range pr.exprs {
+			v, err := eval(e, env)
 			if err != nil {
 				return nil, err
 			}
-			row[i] = v
+			row[c] = v
 		}
-		res.Rows = append(res.Rows, row)
+		res.Rows[k] = row
 	}
 
 	// DISTINCT.
@@ -945,6 +930,54 @@ func (vw view) execSelectSingle(sel *SelectStmt, params []Value) (*Result, error
 	vw.trk.sel(sel, len(res.Rows), selStart)
 	res.RowsAffected = int64(len(res.Rows))
 	return res, nil
+}
+
+// sortOrder returns the order ORDER BY puts n rows in, as a permutation of
+// their ordinals. keys holds the rows' len(order) sort keys, row after
+// row. NULLs sort first ascending and last descending; rows that tie on
+// every key keep their ordinal order, which makes the sort stable without
+// a stable algorithm. Sorting 4-byte ordinals moves no pointers, so the
+// garbage collector's write barrier stays out of the swaps.
+func sortOrder(keys []Value, order []OrderItem) ([]int32, error) {
+	nk := len(order)
+	perm := make([]int32, len(keys)/nk)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	var sortErr error
+	slices.SortFunc(perm, func(a, b int32) int {
+		ka, kb := keys[int(a)*nk:], keys[int(b)*nk:]
+		for j := range order {
+			c, err := compareSortKeys(&ka[j], &kb[j])
+			if err != nil && sortErr == nil {
+				sortErr = err
+			}
+			if c == 0 {
+				continue
+			}
+			if order[j].Desc {
+				return -c
+			}
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return perm, sortErr
+}
+
+// compareSortKeys is Compare with NULL ordered before every value.
+func compareSortKeys(a, b *Value) (int, error) {
+	switch {
+	case a.T == TNull && b.T == TNull:
+		return 0, nil
+	case a.T == TNull:
+		return -1, nil
+	case b.T == TNull:
+		return 1, nil
+	case a.T == TString && b.T == TString:
+		return strings.Compare(a.S, b.S), nil
+	}
+	return Compare(*a, *b)
 }
 
 // --- DML execution ---

@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -61,38 +60,22 @@ func (vw view) execUnion(sel *SelectStmt, params []Value) (*Result, error) {
 			}
 			keys[i] = pos
 		}
-		var sortErr error
-		sort.SliceStable(res.Rows, func(a, b int) bool {
+		nk := len(keys)
+		flat := make([]Value, len(res.Rows)*nk)
+		for i, r := range res.Rows {
 			for j, pos := range keys {
-				ka, kb := res.Rows[a][pos], res.Rows[b][pos]
-				var c int
-				switch {
-				case ka.IsNull() && kb.IsNull():
-					c = 0
-				case ka.IsNull():
-					c = -1
-				case kb.IsNull():
-					c = 1
-				default:
-					var err error
-					c, err = Compare(ka, kb)
-					if err != nil && sortErr == nil {
-						sortErr = err
-					}
-				}
-				if c == 0 {
-					continue
-				}
-				if sel.OrderBy[j].Desc {
-					return c > 0
-				}
-				return c < 0
+				flat[i*nk+j] = r[pos]
 			}
-			return false
-		})
-		if sortErr != nil {
-			return nil, sortErr
 		}
+		perm, err := sortOrder(flat, sel.OrderBy)
+		if err != nil {
+			return nil, err
+		}
+		sorted := make([][]Value, len(perm))
+		for k, i := range perm {
+			sorted[k] = res.Rows[i]
+		}
+		res.Rows = sorted
 	}
 	if sel.Offset != nil {
 		v, ok := constValue(sel.Offset, params)
