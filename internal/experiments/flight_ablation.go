@@ -122,8 +122,8 @@ func PrintA8(w io.Writer, r *FlightAblation) {
 	fmt.Fprintf(w, "%10s %14s\n", "flight", "mean")
 	fmt.Fprintf(w, "%10s %13.0fµ\n", "off", r.OffMeanMicros)
 	fmt.Fprintf(w, "%10s %13.0fµ\n", "on", r.OnMeanMicros)
-	fmt.Fprintf(w, "overhead: %+.1f%% (budget %.0f%%), %d records kept, %d SLO macros tracked\n",
-		r.OverheadPct, maxFlightOverheadPct, r.KeptRecords, r.SLOMacros)
+	fmt.Fprintf(w, "%s, %d records kept, %d SLO macros tracked\n",
+		overheadText(r.OffMeanMicros, r.OnMeanMicros, r.OverheadPct, maxFlightOverheadPct), r.KeptRecords, r.SLOMacros)
 }
 
 // A8 runs RunA8, prints the result, and fails when the flight recorder

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"time"
 
@@ -22,6 +23,9 @@ type HistoryAblation struct {
 	OffMeanMicros float64 `json:"off_mean_micros"`
 	OnMeanMicros  float64 `json:"on_mean_micros"`
 	OverheadPct   float64 `json:"overhead_pct"`
+	// BlockRequests is how many requests shared the one scrape of the
+	// median pair's on block (what scrapeEvery of traffic held).
+	BlockRequests int `json:"block_requests"`
 
 	SoakSeconds     float64 `json:"soak_seconds"`
 	SoakRequests    int64   `json:"soak_requests"`
@@ -32,6 +36,13 @@ type HistoryAblation struct {
 	WindowsNonEmpty int     `json:"windows_non_empty"`
 }
 
+// ScrapeMicros is the absolute bill behind OverheadPct: what the one
+// scrape of the median block pair cost (on − off per block), which does
+// not depend on how fast the requests beside it are.
+func (r *HistoryAblation) ScrapeMicros() float64 {
+	return (r.OnMeanMicros - r.OffMeanMicros) * float64(r.BlockRequests)
+}
+
 // A12 acceptance bounds: self-scraping must stay inside the same 5%
 // budget as request tracing (maxObsOverheadPct), a healthy soak must
 // fire zero critical alerts, and the store must deliver at least this
@@ -39,11 +50,17 @@ type HistoryAblation struct {
 // series — proof the time-series actually materialized during the run.
 const minSoakWindows = 3
 
+// scrapeEvery is the stretch of traffic the overhead phase bills one
+// scrape to: tighter than the 100ms soak interval and ~140× tighter than
+// the 5s production default, so the measured overhead upper-bounds what
+// gatewayd pays.
+const scrapeEvery = 35 * time.Millisecond
+
 // RunA12 measures the history store end to end. Phase 1 is the A7
 // idea with the store as the variable and finer interleaving: the same
-// report request in paired off/on blocks, median round kept, with the
-// "on" blocks paying a deterministic self-scrape bill far tighter than
-// production cadence. Phase 2 soaks the gateway with
+// report request in paired off/on blocks of scrapeEvery, median pair
+// kept, with the "on" blocks paying a deterministic self-scrape bill far
+// tighter than production cadence. Phase 2 soaks the gateway with
 // browser traffic while the store records and the default alert rules
 // watch, then reads the run back out of the store the way
 // /debug/history would.
@@ -61,89 +78,96 @@ func RunA12(cfg Config) (*HistoryAblation, error) {
 	const reportURL = "http://server/cgi-bin/db2www/urlquery.d2w/report" +
 		"?SEARCH=ib&USE_URL=yes&USE_TITLE=yes&DBFIELDS=title"
 
-	// runBlock serves n requests, the on side leading with one
-	// synchronous scrape whose bill lands inside the timed section —
+	// runBlock serves requests for scrapeEvery, the on side leading with
+	// one synchronous scrape whose bill lands inside the timed section —
 	// amortized into the block mean exactly as it would amortize into
-	// served-request latency. One scrape per 50 sub-millisecond requests
-	// is a scrape every ~35ms of traffic: tighter than the 100ms soak
-	// interval and ~150× tighter than the 5s production default, so the
-	// measured overhead upper-bounds what gatewayd pays. Synchronous
-	// (the store is never Started here) because a free-running scrape
-	// goroutine makes the comparison hinge on whether a background tick
-	// happened to land inside the window.
-	runBlock := func(n int, hist *history.Store) (time.Duration, error) {
+	// served-request latency. The cadence is a stretch of traffic, not a
+	// count of requests: a scrape costs what the registry holds, whatever
+	// a request costs, so "one scrape per 50 requests" became a tighter
+	// cadence every time the request got cheaper (~35ms when that was
+	// written, ~10ms after the LIKE program) and the same scrape a larger
+	// percentage. Synchronous (the store is never Started here) because a
+	// free-running scrape goroutine makes the comparison hinge on whether
+	// a background tick happened to land inside the window. Every block
+	// starts from a collected heap, outside the timed section, so that
+	// the two blocks of a pair see the same number of GC cycles.
+	runBlock := func(hist *history.Store) (micros float64, n int, err error) {
+		runtime.GC()
 		start := time.Now()
 		if hist != nil {
 			hist.Scrape()
 		}
-		for i := 0; i < n; i++ {
+		for n == 0 || time.Since(start) < scrapeEvery {
 			page, err := client.Get(reportURL)
 			if err != nil {
-				return 0, fmt.Errorf("A12: %v", err)
+				return 0, 0, fmt.Errorf("A12: %v", err)
 			}
 			if page.Status != 200 {
-				return 0, fmt.Errorf("A12: status %d", page.Status)
+				return 0, 0, fmt.Errorf("A12: status %d", page.Status)
 			}
+			n++
 		}
-		return time.Since(start), nil
+		return float64(time.Since(start)) / float64(time.Microsecond) / float64(n), n, nil
 	}
 
 	// Phase 1 — overhead. The off/on sides alternate in adjacent
-	// ~35ms blocks rather than back-to-back full runs: scheduler and GC
+	// blocks rather than back-to-back full runs: scheduler and GC
 	// drift on this workload moves single-run means by ~10%, far more
 	// than the effect under measurement. Each adjacent (off, on) block
-	// pair yields one overhead ratio — the pairing cancels any drift
-	// slower than a block — and the median pair across all rounds is the
-	// reported result, so a GC spike landing in one block poisons one of
-	// ~20 pairs instead of a whole side's mean. (Best-of-N means per
-	// side and median-of-round-means both proved looser: the former's
-	// minima come from different rounds and inherit their relative luck,
-	// the latter still averages spikes into every round.)
+	// pair yields one ratio of mean request times — the pairing cancels
+	// any drift slower than a block — and the median pair across all
+	// rounds is the reported result, so a spike landing in one block
+	// poisons one of ~20 pairs instead of a whole side's mean.
+	// (Best-of-N means per side and median-of-round-means both proved
+	// looser: the former's minima come from different rounds and inherit
+	// their relative luck, the latter still averages spikes into every
+	// round.) cfg.Requests buys one pair per round for every 50 requests,
+	// which is what a block held when blocks were counted.
 	const rounds = 5
-	blockSize := 50
-	if cfg.Requests < blockSize {
-		blockSize = cfg.Requests
-	}
-	blocks := cfg.Requests / blockSize
-	out := &HistoryAblation{Requests: blocks * blockSize, Rows: cfg.Rows, Rounds: rounds}
+	blocks := max(cfg.Requests/50, 1)
+	out := &HistoryAblation{Rows: cfg.Rows, Rounds: rounds}
 	type pair struct {
-		off, on time.Duration
+		off, on float64 // mean µs per request
+		onN     int
 	}
 	var pairs []pair
+	if _, _, err := runBlock(nil); err != nil { // warm the request path
+		return nil, err
+	}
 	for round := 0; round < rounds; round++ {
 		hist := history.New(history.Config{
 			Registry:  obs.Default,
 			Interval:  100 * time.Millisecond,
 			Retention: time.Minute,
 		})
-		if round == 0 {
-			if _, err := runBlock(5, hist); err != nil {
+		// A store's first scrape creates its rings (0.2–1.3 ms);
+		// gatewayd pays that once per process, not once per block.
+		hist.Scrape()
+		for b := 0; b < blocks; b++ {
+			off, offN, err := runBlock(nil)
+			if err != nil {
+				hist.Close()
 				return nil, err
 			}
-		}
-		var err error
-		for b := 0; b < blocks; b++ {
-			var doff, don time.Duration
-			if doff, err = runBlock(blockSize, nil); err != nil {
-				break
+			on, onN, err := runBlock(hist)
+			if err != nil {
+				hist.Close()
+				return nil, err
 			}
-			if don, err = runBlock(blockSize, hist); err != nil {
-				break
-			}
-			pairs = append(pairs, pair{off: doff, on: don})
+			out.Requests += offN
+			pairs = append(pairs, pair{off, on, onN})
 		}
 		hist.Close()
-		if err != nil {
-			return nil, err
-		}
 	}
 	sort.Slice(pairs, func(i, j int) bool {
-		return float64(pairs[i].on)/float64(pairs[i].off) < float64(pairs[j].on)/float64(pairs[j].off)
+		return pairs[i].on/pairs[i].off < pairs[j].on/pairs[j].off
 	})
 	med := pairs[len(pairs)/2]
-	out.OffMeanMicros = float64(med.off) / float64(time.Microsecond) / float64(blockSize)
-	out.OnMeanMicros = float64(med.on) / float64(time.Microsecond) / float64(blockSize)
-	out.OverheadPct = (float64(med.on)/float64(med.off) - 1) * 100
+	out.Requests /= rounds
+	out.OffMeanMicros = med.off
+	out.OnMeanMicros = med.on
+	out.OverheadPct = (med.on/med.off - 1) * 100
+	out.BlockRequests = med.onN
 
 	// Phase 2 — soak under the default alert rules. The interval divides
 	// the soak so even a short run yields enough windows to judge.
@@ -217,7 +241,8 @@ func PrintA12(w io.Writer, r *HistoryAblation) {
 	fmt.Fprintf(w, "%10s %14s\n", "history", "mean")
 	fmt.Fprintf(w, "%10s %13.0fµ\n", "off", r.OffMeanMicros)
 	fmt.Fprintf(w, "%10s %13.0fµ\n", "on", r.OnMeanMicros)
-	fmt.Fprintf(w, "overhead: %+.1f%% (budget %.0f%%)\n", r.OverheadPct, maxObsOverheadPct)
+	fmt.Fprintf(w, "%s, one scrape per %v of traffic (%d requests): %.0f µs\n",
+		overheadText(r.OffMeanMicros, r.OnMeanMicros, r.OverheadPct, maxObsOverheadPct), scrapeEvery, r.BlockRequests, r.ScrapeMicros())
 	fmt.Fprintf(w, "soak: %.1fs, %d requests (%d errors, %d 5xx), %d scrapes\n",
 		r.SoakSeconds, r.SoakRequests, r.SoakErrors, r.Soak5xx, r.Scrapes)
 	fmt.Fprintf(w, "critical alerts fired: %d (want 0), non-empty windows: %d (want >= %d)\n",

@@ -7,12 +7,25 @@ import (
 	"time"
 )
 
+// maxTestScrapeMicros bounds what one synchronous scrape of the whole
+// registry may add to the block it is billed to in
+// TestA12HistoryAblation. Timed on its own a scrape is 20–100 µs; read
+// as on − off over the median of 20 block pairs it comes out between −2
+// and +2 ms on a loaded 2-vCPU box, which is the noise of the estimator.
+// The ceiling sits just above that noise and catches a scrape that has
+// become a different kind of cost (a walk over every statement digest, a
+// lock held across requests).
+const maxTestScrapeMicros = 5_000
+
 // TestA12HistoryAblation runs the history-store experiment at small
 // scale: a short soak still has to deliver non-empty sample windows, a
-// zero critical-alert count, and a populated overhead comparison. The
-// strict 5% budget is enforced by A12/benchrunner at full scale.
+// zero critical-alert count, and a populated overhead comparison. What is
+// gated of that comparison is the scrape's absolute bill per block, not
+// its ratio to the 40-row requests beside it: a ratio measures how fast
+// those requests are, and the 5% budget it belongs to is enforced at full
+// scale by A12/benchrunner on the 500-row report.
 func TestA12HistoryAblation(t *testing.T) {
-	cfg := Config{Rows: 40, Requests: 10, Seed: 1, Soak: 1200 * time.Millisecond}
+	cfg := Config{Rows: 40, Requests: 200, Seed: 1, Soak: 1200 * time.Millisecond}
 	r, err := RunA12(cfg)
 	if err != nil {
 		t.Fatalf("A12: %v", err)
@@ -20,8 +33,9 @@ func TestA12HistoryAblation(t *testing.T) {
 	if r.OffMeanMicros <= 0 || r.OnMeanMicros <= 0 {
 		t.Fatalf("timings not populated: %+v", r)
 	}
-	if r.OverheadPct > 50 {
-		t.Fatalf("overhead %.1f%% — history-off path is not actually cheap", r.OverheadPct)
+	if r.ScrapeMicros() > maxTestScrapeMicros {
+		t.Fatalf("one scrape costs %.0f µs (on %.0f µs/request, off %.0f, %d requests a block), ceiling %d µs",
+			r.ScrapeMicros(), r.OnMeanMicros, r.OffMeanMicros, r.BlockRequests, maxTestScrapeMicros)
 	}
 	if r.SoakRequests == 0 || r.SoakErrors != 0 {
 		t.Fatalf("soak result: %+v", r)

@@ -116,8 +116,8 @@ func PrintA7(w io.Writer, r *ObsAblation) {
 	fmt.Fprintf(w, "%10s %14s\n", "obs", "mean")
 	fmt.Fprintf(w, "%10s %13.0fµ\n", "off", r.OffMeanMicros)
 	fmt.Fprintf(w, "%10s %13.0fµ\n", "on", r.OnMeanMicros)
-	fmt.Fprintf(w, "overhead: %+.1f%% (budget %.0f%%), %.1f spans per trace\n",
-		r.OverheadPct, maxObsOverheadPct, r.SpansPerTrace)
+	fmt.Fprintf(w, "%s, %.1f spans per trace\n",
+		overheadText(r.OffMeanMicros, r.OnMeanMicros, r.OverheadPct, maxObsOverheadPct), r.SpansPerTrace)
 }
 
 // A7 runs RunA7, prints the result, and fails when tracing costs more

@@ -209,3 +209,14 @@ func section(w io.Writer, title string) {
 	}
 	fmt.Fprintln(w)
 }
+
+// overheadText is the overhead line of the off/on ablations: the
+// percentage their gates read, and beside it the microseconds per request
+// it stands for. The layers under test cost a fixed amount per request,
+// so every change that makes the request itself cheaper raises the
+// percentage without the layer having changed; the absolute figure is the
+// one to compare across commits.
+func overheadText(offMicros, onMicros, pct, budgetPct float64) string {
+	return fmt.Sprintf("overhead: %+.1f%% = %+.1f µs/request (budget %.0f%%)",
+		pct, onMicros-offMicros, budgetPct)
+}

@@ -107,8 +107,8 @@ func PrintA10(w io.Writer, r *StmtAblation) {
 	fmt.Fprintf(w, "%10s %14s\n", "stats", "mean")
 	fmt.Fprintf(w, "%10s %13.0fµ\n", "off", r.OffMeanMicros)
 	fmt.Fprintf(w, "%10s %13.0fµ\n", "on", r.OnMeanMicros)
-	fmt.Fprintf(w, "overhead: %+.1f%% (budget %.0f%%), %d distinct digests tracked\n",
-		r.OverheadPct, maxStmtOverheadPct, r.DigestsTracked)
+	fmt.Fprintf(w, "%s, %d distinct digests tracked\n",
+		overheadText(r.OffMeanMicros, r.OnMeanMicros, r.OverheadPct, maxStmtOverheadPct), r.DigestsTracked)
 }
 
 // A10 runs RunA10, prints the result, and fails when the full

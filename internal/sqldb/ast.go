@@ -256,6 +256,12 @@ type LikeExpr struct {
 	X       Expr
 	Pattern Expr
 	Escape  Expr // nil means no escape character
+
+	// prog is the compiled pattern, kept on the node like ColumnRef.slot:
+	// built by the first evaluation or by index planning, replaced when
+	// the pattern or escape evaluates to another value (a pattern taken
+	// from a column, a prepared statement run again with new parameters).
+	prog *likeProgram
 }
 
 // BetweenExpr is [NOT] BETWEEN lo AND hi.

@@ -475,20 +475,20 @@ func TestLikePatterns(t *testing.T) {
 		{"naïve", "na_ve", true}, // '_' matches one rune, not one byte
 	}
 	for _, c := range cases {
-		got, err := likeMatch(c.s, c.pat, 0, false)
+		got, err := likeVia(c.s, c.pat, "", false)
 		if err != nil {
-			t.Fatalf("likeMatch(%q, %q): %v", c.s, c.pat, err)
+			t.Fatalf("LIKE(%q, %q): %v", c.s, c.pat, err)
 		}
 		if got != c.want {
-			t.Errorf("likeMatch(%q, %q) = %v, want %v", c.s, c.pat, got, c.want)
+			t.Errorf("LIKE(%q, %q) = %v, want %v", c.s, c.pat, got, c.want)
 		}
 	}
 	// With ESCAPE.
-	got, err := likeMatch("100%", "100!%", '!', true)
+	got, err := likeVia("100%", "100!%", "!", true)
 	if err != nil || !got {
 		t.Errorf("escaped %% should match literally: %v %v", got, err)
 	}
-	got, _ = likeMatch("100x", "100!%", '!', true)
+	got, _ = likeVia("100x", "100!%", "!", true)
 	if got {
 		t.Error("escaped %% must not act as wildcard")
 	}

@@ -268,8 +268,8 @@ func planIndexScan(t *Table, qual string, conj Expr, params []Value) *indexScanP
 		if !ok || pv.IsNull() {
 			return nil
 		}
-		prefix, ok := likePrefix(pv.String())
-		if !ok || prefix == "" {
+		prefix, ok := x.program(pv.String(), "", false).prefix()
+		if !ok {
 			return nil
 		}
 		ix := t.indexOn(pos)

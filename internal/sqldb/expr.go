@@ -358,9 +358,8 @@ func evalLike(x *LikeExpr, env *evalEnv) (Value, error) {
 	if v.IsNull() || p.IsNull() {
 		return Null, nil
 	}
-	var escape rune
-	hasEscape := false
-	if x.Escape != nil {
+	escape, hasEscape := "", x.Escape != nil
+	if hasEscape {
 		e, err := eval(x.Escape, env)
 		if err != nil {
 			return Null, err
@@ -368,19 +367,13 @@ func evalLike(x *LikeExpr, env *evalEnv) (Value, error) {
 		if e.IsNull() {
 			return Null, nil
 		}
-		rs := []rune(e.String())
-		if len(rs) != 1 {
-			return Null, &Error{Code: CodeInvalidText,
-				Message: "ESCAPE must be a single character"}
-		}
-		escape = rs[0]
-		hasEscape = true
+		escape = e.String()
 	}
-	ok, err := likeMatch(v.String(), p.String(), escape, hasEscape)
-	if err != nil {
-		return Null, err
+	prog := x.program(p.String(), escape, hasEscape)
+	if prog.err != nil {
+		return Null, prog.err
 	}
-	return NewBool(ok != x.Not), nil
+	return NewBool(prog.match(v.String()) != x.Not), nil
 }
 
 func evalBetween(x *BetweenExpr, env *evalEnv) (Value, error) {

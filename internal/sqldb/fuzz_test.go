@@ -31,23 +31,160 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzLikeMatch checks likeMatch never panics and stays consistent with
-// basic invariants: a pattern equal to the string (with wildcards
-// escaped away) matches, and "%" matches everything.
-func FuzzLikeMatch(f *testing.F) {
-	f.Add("hello", "h%o")
-	f.Add("", "%")
-	f.Add("a_b", "a\\_b")
-	f.Add("ünïcödé", "__ï%")
-	f.Fuzz(func(t *testing.T, s, pat string) {
-		if _, err := likeMatch(s, pat, 0, false); err != nil {
-			t.Fatalf("no-escape likeMatch returned error: %v", err)
+// patRune is one pattern element of referenceLike: a rune plus whether it
+// is a literal (escaped) occurrence. Non-literal '_' is the
+// single-character wildcard; '%' never appears here (it splits parts).
+type patRune struct {
+	r       rune
+	literal bool
+}
+
+// referenceLike is the matcher the engine used until the LIKE program of
+// like.go replaced it, kept word for word as the specification the
+// program is compared against: '%' matches any sequence of characters
+// (including empty), '_' matches exactly one character, and the optional
+// escape character makes the following character literal.
+func referenceLike(s, pattern string, escape rune, hasEscape bool) (bool, error) {
+	// Split the pattern on unescaped '%' into parts.
+	pr := []rune(pattern)
+	var parts [][]patRune
+	var part []patRune
+	for i := 0; i < len(pr); i++ {
+		r := pr[i]
+		if hasEscape && r == escape {
+			if i+1 >= len(pr) {
+				return false, &Error{Code: CodeInvalidText,
+					Message: "LIKE pattern ends with escape character"}
+			}
+			i++
+			part = append(part, patRune{r: pr[i], literal: true})
+			continue
 		}
-		_, _ = likeMatch(s, pat, '\\', true)
-		if ok, _ := likeMatch(s, "%", 0, false); !ok {
+		if r == '%' {
+			parts = append(parts, part)
+			part = nil
+			continue
+		}
+		part = append(part, patRune{r: r})
+	}
+	parts = append(parts, part)
+
+	sr := []rune(s)
+	// matchPartAt matches one compiled part against sr starting exactly
+	// at pos; it returns the position after the match, or -1.
+	matchPartAt := func(part []patRune, pos int) int {
+		for _, p := range part {
+			if pos >= len(sr) {
+				return -1
+			}
+			if !p.literal && p.r == '_' {
+				pos++
+				continue
+			}
+			if sr[pos] != p.r {
+				return -1
+			}
+			pos++
+		}
+		return pos
+	}
+
+	// parts[0] is anchored at the start.
+	pos := matchPartAt(parts[0], 0)
+	if pos < 0 {
+		return false, nil
+	}
+	if len(parts) == 1 {
+		return pos == len(sr), nil
+	}
+	// Middle parts float: find the earliest match at or after pos.
+	for k := 1; k < len(parts)-1; k++ {
+		found := -1
+		for start := pos; start <= len(sr); start++ {
+			if p := matchPartAt(parts[k], start); p >= 0 {
+				found = p
+				break
+			}
+		}
+		if found < 0 {
+			return false, nil
+		}
+		pos = found
+	}
+	// The last part is anchored at the end.
+	last := parts[len(parts)-1]
+	start := len(sr) - len(last)
+	if start < pos {
+		return false, nil
+	}
+	return matchPartAt(last, start) == len(sr), nil
+}
+
+// referenceLikeEscape is referenceLike behind the ESCAPE check evalLike
+// made before calling it: the escape must be exactly one character.
+func referenceLikeEscape(s, pattern, escape string, hasEscape bool) (bool, error) {
+	var esc rune
+	if hasEscape {
+		rs := []rune(escape)
+		if len(rs) != 1 {
+			return false, &Error{Code: CodeInvalidText,
+				Message: "ESCAPE must be a single character"}
+		}
+		esc = rs[0]
+	}
+	return referenceLike(s, pattern, esc, hasEscape)
+}
+
+// likeVia compiles a program and matches s against it: what evalLike
+// does for one row.
+func likeVia(s, pattern, escape string, hasEscape bool) (bool, error) {
+	p := compileLike(pattern, escape, hasEscape)
+	if p.err != nil {
+		return false, p.err
+	}
+	return p.match(s), nil
+}
+
+// FuzzLikeMatch requires the LIKE program to agree with referenceLike on
+// the result and on whether there is an error, with and without the
+// escape, and checks two invariants: a pattern without escape never
+// fails, and "%" matches everything.
+func FuzzLikeMatch(f *testing.F) {
+	f.Add("hello", "h%o", "")
+	f.Add("", "%", "")
+	f.Add("a_b", "a\\_b", "\\")
+	f.Add("ünïcödé", "__ï%", "")
+	f.Add("a\xffb", "a\xfe%", "")  // invalid bytes are all U+FFFD
+	f.Add("a\xffb", "%�b", "\xff") // and equal to the real one
+	f.Add("x�y\xe4\xb8", "%_%", "_")
+	f.Add("50%", "50%%", "%") // the escape is '%' itself
+	f.Add("abc", "abc!", "!") // trailing escape
+	f.Add("abc", "", "")      // empty pattern
+	f.Add("abc", "a%", "ab")  // escape of two characters
+	f.Fuzz(func(t *testing.T, s, pat, esc string) {
+		for _, hasEscape := range []bool{false, true} {
+			checkLikeAgainstReference(t, s, pat, esc, hasEscape)
+		}
+		if _, err := likeVia(s, pat, esc, false); err != nil {
+			t.Fatalf("no-escape LIKE returned error: %v", err)
+		}
+		if ok, _ := likeVia(s, "%", "", false); !ok {
 			t.Fatalf("%% must match %q", s)
 		}
 	})
+}
+
+// checkLikeAgainstReference is the one differential check of the LIKE
+// program: result and error text equal to referenceLike's. FuzzLikeMatch
+// and TestLikeMatchesReference both run it.
+func checkLikeAgainstReference(t *testing.T, s, pat, esc string, hasEscape bool) {
+	t.Helper()
+	want, wantErr := referenceLikeEscape(s, pat, esc, hasEscape)
+	got, err := likeVia(s, pat, esc, hasEscape)
+	if got != want || (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("LIKE(%q, %q, escape %q/%v) = %v, %v; reference says %v, %v",
+			s, pat, esc, hasEscape, got, err, want, wantErr)
+	}
 }
 
 // FuzzExecRoundTrip parses whatever the fuzzer produces and, when it

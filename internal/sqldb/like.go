@@ -1,107 +1,193 @@
 package sqldb
 
-import "strings"
+import (
+	"strings"
+	"unicode/utf8"
+)
 
-// patRune is one compiled pattern element: a rune plus whether it is a
-// literal (escaped) occurrence. Non-literal '_' is the single-character
-// wildcard; '%' never appears here (it splits parts).
-type patRune struct {
-	r       rune
-	literal bool
-}
-
-// likeMatch implements the SQL LIKE predicate: '%' matches any sequence
-// of characters (including empty), '_' matches exactly one character, and
-// the optional escape character makes the following character literal.
+// likeProgram is a LIKE pattern prepared for matching: the pattern split
+// on unescaped '%' into parts, the first anchored at the start of the
+// operand, the last at its end, the ones between floating. '%' matches
+// any sequence of characters (including none), '_' exactly one character,
+// and the optional escape character makes the character after it literal.
 // Matching is case-sensitive, per SQL-92; callers wanting case-folding
-// apply UPPER/LOWER.
-func likeMatch(s, pattern string, escape rune, hasEscape bool) (bool, error) {
-	// Split the pattern on unescaped '%' into parts.
-	pr := []rune(pattern)
-	var parts [][]patRune
-	var part []patRune
-	for i := 0; i < len(pr); i++ {
-		r := pr[i]
-		if hasEscape && r == escape {
-			if i+1 >= len(pr) {
-				return false, &Error{Code: CodeInvalidText,
-					Message: "LIKE pattern ends with escape character"}
-			}
-			i++
-			part = append(part, patRune{r: pr[i], literal: true})
-			continue
-		}
-		if r == '%' {
-			parts = append(parts, part)
-			part = nil
-			continue
-		}
-		part = append(part, patRune{r: r})
-	}
-	parts = append(parts, part)
-
-	sr := []rune(s)
-	// matchPartAt matches one compiled part against sr starting exactly
-	// at pos; it returns the position after the match, or -1.
-	matchPartAt := func(part []patRune, pos int) int {
-		for _, p := range part {
-			if pos >= len(sr) {
-				return -1
-			}
-			if !p.literal && p.r == '_' {
-				pos++
-				continue
-			}
-			if sr[pos] != p.r {
-				return -1
-			}
-			pos++
-		}
-		return pos
-	}
-
-	// parts[0] is anchored at the start.
-	pos := matchPartAt(parts[0], 0)
-	if pos < 0 {
-		return false, nil
-	}
-	if len(parts) == 1 {
-		return pos == len(sr), nil
-	}
-	// Middle parts float: find the earliest match at or after pos.
-	for k := 1; k < len(parts)-1; k++ {
-		found := -1
-		for start := pos; start <= len(sr); start++ {
-			if p := matchPartAt(parts[k], start); p >= 0 {
-				found = p
-				break
-			}
-		}
-		if found < 0 {
-			return false, nil
-		}
-		pos = found
-	}
-	// The last part is anchored at the end.
-	last := parts[len(parts)-1]
-	start := len(sr) - len(last)
-	if start < pos {
-		return false, nil
-	}
-	return matchPartAt(last, start) == len(sr), nil
+// apply UPPER/LOWER. A character is a rune as []rune(s) would yield it:
+// every byte of invalid UTF-8 counts as one U+FFFD.
+//
+// pattern, escape and hasEscape are what the program was built from, so
+// that its owner can tell when it needs another; err is the pattern's
+// error, reported by every evaluation instead of a match.
+type likeProgram struct {
+	pattern, escape string
+	hasEscape       bool
+	parts           []likePart // at least one when err is nil
+	err             error
 }
 
-// likePrefix reports whether a LIKE pattern is a simple prefix pattern
-// ("abc%", no other wildcards or escapes) and returns the prefix. The
-// executor uses this to route prefix LIKE predicates through an ordered
-// index (ablation A5).
-func likePrefix(pattern string) (string, bool) {
-	if !strings.HasSuffix(pattern, "%") {
+// likePart is the text between two '%'. A part with no '_' hole and no
+// U+FFFD is kept as its bytes and matched by byte comparison and search,
+// which is exact on characters: the part is valid UTF-8, so its first
+// byte is never a continuation byte and an occurrence can only begin
+// where a character of the operand begins. Any other part is a rune
+// sequence (runes non-nil, likeAny for a hole) walked over the decoded
+// operand, where U+FFFD also matches each invalid byte.
+type likePart struct {
+	text  string
+	runes []rune
+}
+
+// likeAny marks a '_' hole. Decoding never yields a negative rune, so it
+// cannot collide with a pattern character.
+const likeAny rune = -1
+
+// compileLike parses a LIKE pattern; it is the only code that does.
+func compileLike(pattern, escape string, hasEscape bool) *likeProgram {
+	p := &likeProgram{pattern: pattern, escape: escape, hasEscape: hasEscape}
+	var esc rune
+	if hasEscape {
+		var w int
+		esc, w = utf8.DecodeRuneInString(escape)
+		if escape == "" || w != len(escape) {
+			p.err = &Error{Code: CodeInvalidText,
+				Message: "ESCAPE must be a single character"}
+			return p
+		}
+	}
+	var part []rune
+	plain := true
+	flush := func() {
+		if plain {
+			p.parts = append(p.parts, likePart{text: string(part)})
+		} else {
+			p.parts = append(p.parts, likePart{runes: append([]rune(nil), part...)})
+		}
+		part, plain = part[:0], true
+	}
+	literal := false
+	for _, r := range pattern {
+		switch {
+		case literal:
+			literal = false
+		case hasEscape && r == esc:
+			literal = true
+			continue
+		case r == '%':
+			flush()
+			continue
+		case r == '_':
+			r = likeAny
+		}
+		if r == likeAny || r == utf8.RuneError {
+			plain = false
+		}
+		part = append(part, r)
+	}
+	if literal {
+		p.err = &Error{Code: CodeInvalidText,
+			Message: "LIKE pattern ends with escape character"}
+		return p
+	}
+	flush()
+	return p
+}
+
+// program returns the node's LIKE program for this pattern and escape,
+// compiling one only when the node has none or has another pattern's.
+func (x *LikeExpr) program(pattern, escape string, hasEscape bool) *likeProgram {
+	if p := x.prog; p == nil || p.hasEscape != hasEscape || p.pattern != pattern || p.escape != escape {
+		x.prog = compileLike(pattern, escape, hasEscape)
+	}
+	return x.prog
+}
+
+// match reports whether s matches the pattern. It does not allocate.
+func (p *likeProgram) match(s string) bool {
+	n := p.parts[0].matchAt(s)
+	if n < 0 {
+		return false
+	}
+	last := len(p.parts) - 1
+	if last == 0 {
+		return n == len(s)
+	}
+	s = s[n:]
+	for i := 1; i < last; i++ {
+		if n = p.parts[i].find(s); n < 0 {
+			return false
+		}
+		s = s[n:]
+	}
+	return p.parts[last].matchEnd(s)
+}
+
+// prefix returns the literal text of a pattern of the form 'text%' with
+// no other wildcard: what an ordered index can seek to. ok is false for
+// every other pattern, the bare '%' included.
+func (p *likeProgram) prefix() (text string, ok bool) {
+	if len(p.parts) != 2 || p.parts[0].runes != nil || p.parts[1].runes != nil ||
+		p.parts[1].text != "" || p.parts[0].text == "" {
 		return "", false
 	}
-	body := pattern[:len(pattern)-1]
-	if strings.ContainsAny(body, "%_") {
-		return "", false
+	return p.parts[0].text, true
+}
+
+// matchAt matches the part at the very start of s and returns the number
+// of bytes it covers, or -1.
+func (pt *likePart) matchAt(s string) int {
+	if pt.runes == nil {
+		if strings.HasPrefix(s, pt.text) {
+			return len(pt.text)
+		}
+		return -1
 	}
-	return body, true
+	pos := 0
+	for _, want := range pt.runes {
+		if pos == len(s) {
+			return -1
+		}
+		r, w := utf8.DecodeRuneInString(s[pos:])
+		if want != likeAny && r != want {
+			return -1
+		}
+		pos += w
+	}
+	return pos
+}
+
+// find returns the offset just past the earliest occurrence of the part
+// in s, or -1.
+func (pt *likePart) find(s string) int {
+	if pt.runes == nil {
+		i := strings.Index(s, pt.text)
+		if i < 0 {
+			return -1
+		}
+		return i + len(pt.text)
+	}
+	for start := 0; ; {
+		if n := pt.matchAt(s[start:]); n >= 0 {
+			return start + n
+		}
+		if start == len(s) {
+			return -1
+		}
+		_, w := utf8.DecodeRuneInString(s[start:])
+		start += w
+	}
+}
+
+// matchEnd reports whether the part matches at the very end of s.
+func (pt *likePart) matchEnd(s string) bool {
+	if pt.runes == nil {
+		return strings.HasSuffix(s, pt.text)
+	}
+	skip := utf8.RuneCountInString(s) - len(pt.runes)
+	if skip < 0 {
+		return false
+	}
+	for ; skip > 0; skip-- {
+		_, w := utf8.DecodeRuneInString(s)
+		s = s[w:]
+	}
+	return pt.matchAt(s) == len(s)
 }

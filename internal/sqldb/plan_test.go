@@ -422,3 +422,38 @@ func TestParamizeTokens(t *testing.T) {
 		}
 	}
 }
+
+// TestNotLikeSelectivityOrdersJoin: the planner starts a join from the
+// relation it expects to be smallest after its pushed filters. LIKE is
+// estimated to keep a quarter of the rows, so NOT LIKE keeps the other
+// three quarters — 100 rows under NOT LIKE are more than 50 unfiltered
+// ones, 100 rows under LIKE fewer — and the results do not depend on it.
+func TestNotLikeSelectivityOrdersJoin(t *testing.T) {
+	s := NewSession(NewDatabase("P"))
+	mustExec(t, s, "CREATE TABLE big (id INT, name VARCHAR(10))")
+	mustExec(t, s, "CREATE TABLE mid (id INT, tag VARCHAR(10))")
+	for i := 0; i < 100; i++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO big VALUES (%d, 'n%d')", i, i))
+	}
+	for i := 0; i < 50; i++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO mid VALUES (%d, 't%d')", i, i))
+	}
+	for _, c := range []struct {
+		where, first, est string
+		rows              int
+	}{
+		{"big.name NOT LIKE 'n1%'", "mid", "Est: ~75 ", 39},
+		{"big.name LIKE 'n1%'", "big", "Est: ~25 ", 11},
+	} {
+		sql := "SELECT big.id FROM big JOIN mid ON big.id = mid.id WHERE " + c.where
+		plan := planText(t, s, "EXPLAIN "+sql)
+		iBig, iMid := strings.Index(plan, "Seq Scan on big"), strings.Index(plan, "Seq Scan on mid")
+		if iBig < 0 || iMid < 0 || (c.first == "mid") != (iMid < iBig) {
+			t.Errorf("%s: want the join to start from %s:\n%s", c.where, c.first, plan)
+		}
+		wantLine(t, plan, c.est)
+		if res := mustExec(t, s, sql); len(res.Rows) != c.rows {
+			t.Errorf("%s: %d rows, want %d", c.where, len(res.Rows), c.rows)
+		}
+	}
+}

@@ -150,7 +150,7 @@ func likeToRegexp(pattern string) *regexp.Regexp {
 	return regexp.MustCompile(sb.String())
 }
 
-// TestLikeMatchesRegexpOracle cross-checks likeMatch against a regexp
+// TestLikeMatchesRegexpOracle cross-checks the LIKE program against a regexp
 // translation on random short strings over a small alphabet.
 func TestLikeMatchesRegexpOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -165,13 +165,13 @@ func TestLikeMatchesRegexpOracle(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		s := strings.ReplaceAll(strings.ReplaceAll(randStr(rng.Intn(8)), "%", "a"), "_", "b")
 		pat := randStr(rng.Intn(6))
-		got, err := likeMatch(s, pat, 0, false)
+		got, err := likeVia(s, pat, "", false)
 		if err != nil {
-			t.Fatalf("likeMatch(%q, %q): %v", s, pat, err)
+			t.Fatalf("LIKE(%q, %q): %v", s, pat, err)
 		}
 		want := likeToRegexp(pat).MatchString(s)
 		if got != want {
-			t.Fatalf("likeMatch(%q, %q) = %v, oracle says %v", s, pat, got, want)
+			t.Fatalf("LIKE(%q, %q) = %v, oracle says %v", s, pat, got, want)
 		}
 	}
 }

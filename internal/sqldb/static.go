@@ -35,11 +35,7 @@ func IsAggregateFunc(name string) bool { return isAggregate(strings.ToUpper(name
 // pattern must end in % and contain no other wildcard. ok is false when
 // the pattern cannot be served by an index seek.
 func IndexablePrefix(pattern string) (prefix string, ok bool) {
-	p, ok := likePrefix(pattern)
-	if !ok || p == "" {
-		return "", false
-	}
-	return p, true
+	return compileLike(pattern, "", false).prefix()
 }
 
 // SchemaIndex describes one index in a schema snapshot.

@@ -439,6 +439,9 @@ func condSelectivity(rp *relPlan, cond Expr) float64 {
 		}
 		return 1.0 / 3
 	case *LikeExpr:
+		if x.Not {
+			return 0.75
+		}
 		return 0.25
 	case *IsNullExpr:
 		return 0.1
