@@ -539,6 +539,9 @@ func BenchmarkA5_IndexVsScan(b *testing.B) {
 	if err := workload.URLDB(db, 10000, 1); err != nil {
 		b.Fatal(err)
 	}
+	if err := workload.URLDBHeap(db); err != nil {
+		b.Fatal(err)
+	}
 	s := sqldb.NewSession(db)
 	defer s.Close()
 	res, err := s.Exec("SELECT url FROM urldb ORDER BY url LIMIT 1 OFFSET 5000")
@@ -547,16 +550,16 @@ func BenchmarkA5_IndexVsScan(b *testing.B) {
 	}
 	key := res.Rows[0][0]
 	for _, idx := range []struct {
-		name string
-		on   bool
-	}{{"IndexScan", true}, {"FullScan", false}} {
+		name, sql string
+	}{
+		{"IndexScan", "SELECT title FROM urldb WHERE url = ?"},
+		{"FullScan", "SELECT title FROM urldb_heap WHERE url = ?"}, // the same rows without the key
+	} {
 		b.Run(idx.name, func(b *testing.B) {
-			db.SetIndexScansEnabled(idx.on)
-			defer db.SetIndexScansEnabled(true)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Exec("SELECT title FROM urldb WHERE url = ?", key); err != nil {
+				if _, err := s.Exec(idx.sql, key); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -61,11 +61,10 @@ func main() {
 		"e10": experiments.E10, "e11": experiments.E11, "e12": experiments.E12,
 		"a1": experiments.A1, "a2": experiments.A2, "a3": experiments.A3,
 		"a5": experiments.A5, "a6": experiments.A6, "a7": experiments.A7,
-		"a8": experiments.A8, "a9": experiments.A9, "a10": experiments.A10,
-		"a11": experiments.A11, "a12": experiments.A12,
+		"a8": experiments.A8, "a10": experiments.A10, "a12": experiments.A12,
 	}
 	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9",
-		"e10", "e11", "e12", "a1", "a2", "a3", "a5", "a6", "a7", "a8", "a9", "a10", "a11", "a12"}
+		"e10", "e11", "e12", "a1", "a2", "a3", "a5", "a6", "a7", "a8", "a10", "a12"}
 
 	var selected []string
 	if *exp == "all" {
@@ -156,17 +155,6 @@ func main() {
 				return nil
 			}
 		}
-		if id == "a9" && *jsonPath != "" {
-			run = func(w io.Writer, cfg experiments.Config) error {
-				r, err := experiments.RunA9(cfg)
-				if err != nil {
-					return err
-				}
-				experiments.PrintA9(w, r)
-				jsonResults["a9"] = r
-				return nil
-			}
-		}
 		if id == "a10" && *jsonPath != "" {
 			run = func(w io.Writer, cfg experiments.Config) error {
 				r, err := experiments.RunA10(cfg)
@@ -194,23 +182,6 @@ func main() {
 				}
 				if r.WindowsNonEmpty < 3 {
 					return fmt.Errorf("a12: only %d non-empty sample windows, want >= 3", r.WindowsNonEmpty)
-				}
-				return nil
-			}
-		}
-		if id == "a11" && *jsonPath != "" {
-			run = func(w io.Writer, cfg experiments.Config) error {
-				r, err := experiments.RunA11(cfg)
-				if err != nil {
-					return err
-				}
-				experiments.PrintA11(w, r)
-				jsonResults["a11"] = r
-				for _, wl := range []experiments.PlanWorkload{r.Report, r.Join} {
-					if wl.SpeedupP50 < 1.3 {
-						return fmt.Errorf("a11: %s workload p50 speedup %.2fx below the 1.3x gate",
-							wl.Name, wl.SpeedupP50)
-					}
 				}
 				return nil
 			}

@@ -53,7 +53,6 @@ func main() {
 		logPath  = flag.String("accesslog", "", "write access log lines to this file; also enables /server-status")
 		logFmt   = flag.String("access-log-format", "clf", "access log line format: clf (NCSA Common Log Format) or json (one object per line with trace/flight/digest/latency fields)")
 
-		isolation      = flag.String("isolation", "snapshot", "concurrency control: snapshot (MVCC, readers never block) or serial (global-write-lock baseline)")
 		vacuumInterval = flag.Duration("vacuum-interval", 5*time.Second, "background version-chain vacuum period (0 disables)")
 
 		qcacheOn    = flag.Bool("qcache", false, "cache %EXEC_SQL query results (LRU, table-version invalidation)")
@@ -155,13 +154,6 @@ func main() {
 		}
 	} else {
 		db := sqldb.NewDatabase(*database)
-		switch *isolation {
-		case "snapshot":
-		case "serial":
-			db.SetSerialMode(true)
-		default:
-			log.Fatalf("gatewayd: -isolation wants snapshot or serial, got %q", *isolation)
-		}
 		if *load != "" {
 			if err := sqldb.RestoreFromFile(db, *load); err != nil {
 				log.Fatalf("restoring %s: %v", *load, err)
@@ -304,11 +296,9 @@ func main() {
 		})
 	}
 	if engineDB != nil {
-		mode := *isolation
 		al.AddStatusSection("Transactions", func() [][2]string {
 			st := engineDB.TxnStats()
 			return [][2]string{
-				{"Isolation", mode},
 				{"Active snapshots", strconv.Itoa(st.ActiveSnapshots)},
 				{"Oldest snapshot", strconv.FormatUint(st.OldestSnapshot, 10)},
 				{"Oldest snapshot age", st.OldestSnapshotAge.String()},
@@ -339,8 +329,6 @@ func main() {
 		al.AddStatusSection("Planner", func() [][2]string {
 			st := engineDB.PlanCacheStats()
 			return [][2]string{
-				{"Plan cache", map[bool]string{true: "enabled", false: "disabled"}[st.Enabled]},
-				{"Cost-based planner", map[bool]string{true: "enabled", false: "disabled"}[st.Planner]},
 				{"Cached plans", fmt.Sprintf("%d / %d", st.Size, st.Cap)},
 				{"Hits", strconv.FormatUint(st.Hits, 10)},
 				{"Misses", strconv.FormatUint(st.Misses, 10)},

@@ -133,14 +133,6 @@ func metaCommand(db *sqldb.Database, cmd string) bool {
 		}
 	case cmd == "\\planstats":
 		st := db.PlanCacheStats()
-		onOff := func(b bool) string {
-			if b {
-				return "on"
-			}
-			return "off"
-		}
-		fmt.Printf("%-16s %s\n", "plan cache:", onOff(st.Enabled))
-		fmt.Printf("%-16s %s\n", "planner:", onOff(st.Planner))
 		fmt.Printf("%-16s %d / %d\n", "cached plans:", st.Size, st.Cap)
 		fmt.Printf("%-16s %d\n", "hits:", st.Hits)
 		fmt.Printf("%-16s %d\n", "misses:", st.Misses)

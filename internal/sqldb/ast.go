@@ -29,22 +29,6 @@ type SelectStmt struct {
 	Limit    Expr // nil when absent
 	Offset   Expr // nil when absent
 	Unions   []UnionPart
-
-	// site is the identity EXPLAIN ANALYZE's tracker keys pipeline-stage
-	// events on. execUnion evaluates the head arm through a shallow copy
-	// of the statement; the copy carries site = the original, so stage
-	// counters land on the node the plan renderer knows about. Nil means
-	// "this statement is its own site" (the common case).
-	site *SelectStmt
-}
-
-// siteKey returns the canonical identity of this SELECT for execution
-// tracking: the original statement when this is execUnion's head copy.
-func (s *SelectStmt) siteKey() *SelectStmt {
-	if s.site != nil {
-		return s.site
-	}
-	return s
 }
 
 // UnionPart is one UNION [ALL] arm after the head SELECT.

@@ -2,10 +2,10 @@ package sqldb
 
 // Deep clones of the AST. The plan cache keeps one pristine parsed
 // statement per shape and hands every execution its own copy: bind
-// mutates ColumnRef.slot and FuncCall.aggSlot in place, and EXPLAIN's
-// tracker keys on node identity, so concurrent executions of one cached
-// shape must not share nodes. Cloning a parsed tree is still far cheaper
-// than re-lexing and re-parsing the statement text.
+// mutates ColumnRef.slot and FuncCall.aggSlot in place, so concurrent
+// executions of one cached shape must not share nodes. Cloning a parsed
+// tree is still far cheaper than re-lexing and re-parsing the statement
+// text.
 
 // cloneStmt returns a deep copy of st sharing no mutable nodes with it.
 func cloneStmt(st Stmt) Stmt {

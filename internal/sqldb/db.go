@@ -33,18 +33,14 @@ import (
 //     Auto-commit statements retry internally; explicit transactions
 //     surface the error through sqldriver.
 //
-// Lock order: serialMu → db.mu → Table.mu; db.mu → vt.mu. The mvcc
-// manager's internal mutex nests under everything and takes nothing.
+// Lock order: db.mu → Table.mu; db.mu → vt.mu. The mvcc manager's
+// internal mutex nests under everything and takes nothing.
 type Database struct {
 	Name string
 
 	mu      sync.RWMutex
 	tables  map[string]*Table
 	indexes map[string]*Index
-
-	// noIndexScan disables index access paths; used by the A5 ablation to
-	// measure full-scan cost on the same data.
-	noIndexScan bool
 
 	// nowFn supplies the clock for NOW()/CURDATE()/CURTIME(). Defaults
 	// to time.Now; tests inject a fixed clock for determinism.
@@ -65,22 +61,8 @@ type Database struct {
 	// plans caches parsed statement shapes by digest; see plan.go.
 	plans *PlanCache
 
-	// noPlanner disables the cost-based planner (index selection among
-	// candidates, predicate pushdown, join reordering), reverting to the
-	// legacy first-match access path and declaration-order joins. Guarded
-	// by db.mu like noIndexScan; used by the A11 ablation.
-	noPlanner bool
-
 	// mvcc orders commits and tracks live snapshots.
 	mvcc *mvcc.Manager
-
-	// serial re-enables the pre-MVCC global-write-lock discipline via
-	// serialMu: explicit transactions and auto-commit writes take it
-	// exclusive (for the whole transaction, resp. statement), reads take
-	// it shared. Kept as the A9 ablation baseline and an escape hatch
-	// (gatewayd -isolation=serial).
-	serial   atomic.Bool
-	serialMu sync.RWMutex
 
 	conflicts   atomic.Uint64
 	vacuumRows  atomic.Uint64
@@ -161,21 +143,6 @@ func (db *Database) now() time.Time {
 	}
 	return time.Now().UTC()
 }
-
-// SetIndexScansEnabled toggles index access paths (default enabled).
-func (db *Database) SetIndexScansEnabled(on bool) {
-	db.mu.Lock()
-	db.noIndexScan = !on
-	db.mu.Unlock()
-}
-
-// SetSerialMode toggles the global-write-lock baseline: when on, writes
-// and explicit transactions serialise behind one lock exactly as the
-// pre-MVCC engine did. Used by the A9 ablation and -isolation=serial.
-func (db *Database) SetSerialMode(on bool) { db.serial.Store(on) }
-
-// SerialMode reports whether the global-write-lock baseline is active.
-func (db *Database) SerialMode() bool { return db.serial.Load() }
 
 // table looks up a table by name, case-insensitively.
 func (db *Database) table(name string) (*Table, error) {
@@ -269,9 +236,38 @@ type view struct {
 	txn  *mvcc.Txn
 	snap uint64
 
-	// trk is non-nil only while an EXPLAIN ANALYZE target executes; the
-	// executor posts per-operator counters to it (see explain.go).
-	trk *execTracker
+	// ex is non-nil only while an EXPLAIN ANALYZE target executes: the
+	// executor hands it the plan it built and times its operators.
+	ex *explainRun
+
+	// naive makes planQuery plan the way the statement is written —
+	// declaration order, nothing pushed down, sequential scans. Set only
+	// by tests (Session.naive), which hold the optimised plan's rows
+	// against this one's on the same executor.
+	naive bool
+}
+
+// explainRun is one EXPLAIN ANALYZE in flight: root is the plan the
+// executor built for the target and ran (the last one, when an auto-commit
+// write was retried on a fresh snapshot).
+type explainRun struct {
+	root stmtPlan
+}
+
+// planned hands the statement's plan to a waiting EXPLAIN ANALYZE.
+func (vw view) planned(p stmtPlan) {
+	if vw.ex != nil {
+		vw.ex.root = p
+	}
+}
+
+// clock reads the time while an EXPLAIN ANALYZE target runs and returns
+// the zero time otherwise, keeping clock reads off the normal path.
+func (vw view) clock() time.Time {
+	if vw.ex == nil {
+		return time.Time{}
+	}
+	return time.Now()
 }
 
 // --- transaction state ---
@@ -605,10 +601,9 @@ type undoRec struct {
 // write-write conflict with a concurrent committer surfaces as a
 // retryable SQLSTATE 40001 error.
 type Session struct {
-	db         *Database
-	tx         *txnState
-	serialHeld bool
-	closed     bool
+	db     *Database
+	tx     *txnState
+	closed bool
 
 	// lastRetries counts conflict retries of the most recent recorded
 	// statement; lastDigest is its statement digest. Sessions are
@@ -616,9 +611,12 @@ type Session struct {
 	lastRetries int64
 	lastDigest  string
 
-	// trk collects per-operator counters while an EXPLAIN ANALYZE target
-	// runs; nil in normal execution.
-	trk *execTracker
+	// ex receives the plan while an EXPLAIN ANALYZE target runs; nil in
+	// normal execution.
+	ex *explainRun
+
+	// naive is handed to every view of this session; see view.naive.
+	naive bool
 }
 
 // NewSession opens a session on db.
@@ -649,10 +647,6 @@ func (s *Session) BeginTxn() error {
 	if s.tx != nil {
 		return &Error{Code: CodeInvalidTxnState, Message: "transaction already in progress"}
 	}
-	if s.db.serial.Load() {
-		s.db.serialMu.Lock()
-		s.serialHeld = true
-	}
 	s.tx = s.db.begin()
 	return nil
 }
@@ -666,10 +660,6 @@ func (s *Session) Commit() error {
 	tx := s.tx
 	s.tx = nil
 	s.db.commitTxn(tx)
-	if s.serialHeld {
-		s.serialHeld = false
-		s.db.serialMu.Unlock()
-	}
 	return nil
 }
 
@@ -684,10 +674,6 @@ func (s *Session) Rollback() error {
 	tx := s.tx
 	s.tx = nil
 	s.db.rollbackTxn(tx, tx.conflicted)
-	if s.serialHeld {
-		s.serialHeld = false
-		s.db.serialMu.Unlock()
-	}
 	return nil
 }
 
@@ -839,31 +825,81 @@ func (s *Session) ExecStmt(st Stmt, params ...Value) (*Result, error) {
 // versions mid-statement.
 func (s *Session) reader() (view, func()) {
 	if s.tx != nil {
-		return view{db: s.db, txn: s.tx.txn, snap: s.tx.txn.Snapshot(), trk: s.trk}, func() {}
+		return s.writer(s.tx), func() {}
 	}
 	snap := s.db.mvcc.AcquireSnapshot()
-	return view{db: s.db, snap: snap, trk: s.trk}, func() { s.db.mvcc.ReleaseSnapshot(snap) }
+	return view{db: s.db, snap: snap, ex: s.ex, naive: s.naive},
+		func() { s.db.mvcc.ReleaseSnapshot(snap) }
+}
+
+// writer returns the view of a statement running inside tx.
+func (s *Session) writer(tx *txnState) view {
+	return view{db: s.db, txn: tx.txn, snap: tx.txn.Snapshot(), ex: s.ex, naive: s.naive}
 }
 
 func (s *Session) execRead(sel *SelectStmt, params []Value) (*Result, error) {
 	db := s.db
 	lockStart := obsNow()
-	if s.tx == nil && db.serial.Load() {
-		db.serialMu.RLock()
-		defer db.serialMu.RUnlock()
-	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	observeLockWait(lockStart)
 	vw, release := s.reader()
 	defer release()
 	execStart := obsNow()
-	res, err := vw.execSelect(sel, params)
+	sp, err := vw.planSelect(sel, params)
+	var res *Result
+	if err == nil {
+		vw.planned(sp)
+		res, err = vw.execSelect(sp, params)
+	}
 	observeExec(mExecSelect, execStart)
 	if err == nil {
 		observeRows(res)
 	}
 	return res, err
+}
+
+// execExplain runs EXPLAIN [ANALYZE]. Plain EXPLAIN plans the target
+// under the shared catalog lock against the session's read view and
+// renders the plan. ANALYZE executes the target — including DML side
+// effects — and renders the plan the executor built and ran, with the
+// counters it left on the nodes.
+func (s *Session) execExplain(x *ExplainStmt, params []Value) (*Result, error) {
+	var root stmtPlan
+	if x.Analyze {
+		switch x.Target.(type) {
+		case *SelectStmt, *InsertStmt, *UpdateStmt, *DeleteStmt:
+		default:
+			return nil, errNotExplainable() // before it runs, not after
+		}
+		ex := &explainRun{}
+		s.ex = ex
+		_, err := func() (*Result, error) {
+			defer func() { s.ex = nil }()
+			return s.ExecStmt(x.Target, params...)
+		}()
+		if err != nil {
+			return nil, err
+		}
+		root = ex.root
+	} else {
+		s.db.mu.RLock()
+		vw, release := s.reader()
+		var err error
+		root, err = vw.planStmt(x.Target, params)
+		release()
+		s.db.mu.RUnlock()
+		if err != nil {
+			return nil, err
+		}
+	}
+	lines := renderPlan(root, x.Analyze)
+	res := &Result{Columns: []string{"QUERY PLAN"}, Rows: make([][]Value, len(lines))}
+	for i, ln := range lines {
+		res.Rows[i] = []Value{NewString(ln)}
+	}
+	res.RowsAffected = int64(len(res.Rows))
+	return res, nil
 }
 
 // maxAutoRetries bounds the internal conflict-retry loop for
@@ -898,7 +934,7 @@ func (s *Session) execDML(run func(view, *txnState) (*Result, error), targets ..
 		tx := s.tx
 		mark := len(tx.writes)
 		execStart := obsNow()
-		res, err := run(view{db: db, txn: tx.txn, snap: tx.txn.Snapshot(), trk: s.trk}, tx)
+		res, err := run(s.writer(tx), tx)
 		observeExec(mExecWrite, execStart)
 		if err != nil {
 			db.abortStmt(tx, mark)
@@ -909,32 +945,22 @@ func (s *Session) execDML(run func(view, *txnState) (*Result, error), targets ..
 		}
 		return res, nil
 	}
-	serial := db.serial.Load()
 	lockStart := obsNow()
 	for attempt := 0; ; attempt++ {
-		if serial {
-			db.serialMu.Lock()
-		}
 		db.mu.RLock()
 		observeLockWait(lockStart)
 		lockStart = time.Time{}
 		tx := db.begin()
 		execStart := obsNow()
-		res, err := run(view{db: db, txn: tx.txn, snap: tx.txn.Snapshot(), trk: s.trk}, tx)
+		res, err := run(s.writer(tx), tx)
 		observeExec(mExecWrite, execStart)
 		db.mu.RUnlock()
 		if err == nil {
 			db.commitTxn(tx)
-			if serial {
-				db.serialMu.Unlock()
-			}
 			return res, nil
 		}
 		conflict := IsSerializationFailure(err)
 		db.rollbackTxn(tx, conflict)
-		if serial {
-			db.serialMu.Unlock()
-		}
 		if conflict && attempt < maxAutoRetries {
 			db.stmtRetries.Add(1)
 			s.lastRetries++
@@ -960,12 +986,8 @@ func (s *Session) execDML(run func(view, *txnState) (*Result, error), targets ..
 // transaction's DDL is undone structurally on rollback.
 func (s *Session) execDDL(bump bool, run func(*txnState) (*Result, error), targets ...string) (*Result, error) {
 	db := s.db
-	serial := s.tx == nil && db.serial.Load()
 	for attempt := 0; ; attempt++ {
 		lockStart := obsNow()
-		if serial {
-			db.serialMu.Lock()
-		}
 		db.mu.Lock()
 		observeLockWait(lockStart)
 		execStart := obsNow()
@@ -981,9 +1003,6 @@ func (s *Session) execDDL(bump bool, run func(*txnState) (*Result, error), targe
 			s.tx.ddlBump = append(s.tx.ddlBump, targets...)
 		}
 		db.mu.Unlock()
-		if serial {
-			db.serialMu.Unlock()
-		}
 		if err != nil && IsSerializationFailure(err) {
 			if s.tx == nil && attempt < maxAutoRetries {
 				s.lastRetries++

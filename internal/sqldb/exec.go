@@ -29,39 +29,38 @@ type rowSet struct {
 	rows [][]Value
 }
 
-// scanTable produces the rowSet for one base table, optionally routed
-// through an index when the WHERE clause has a usable predicate. `where`
-// may be nil. The full WHERE clause is always re-applied by the caller;
-// index routing is purely a row-set reduction. Rows resolve against the
-// view's snapshot under a shared table latch held only for the scan —
+// scanRows reads rp's base table the way the plan says — through the
+// chosen index, or the whole heap — and resolves each candidate against
+// the view's snapshot under a shared table latch held only for the scan;
 // the returned value slices are immutable once committed, so evaluation
-// proceeds latch-free.
-func (vw view) scanTable(name, alias string, where Expr, params []Value, site any) (*rowSet, error) {
-	t, err := vw.db.table(name)
-	if err != nil {
-		return nil, err
-	}
-	qual := strings.ToLower(alias)
-	if qual == "" {
-		qual = strings.ToLower(t.Name)
-	}
-	rs := &rowSet{}
-	for _, c := range t.Columns {
-		rs.cols = append(rs.cols, envCol{tbl: qual, name: strings.ToLower(c.Name)})
-	}
-	start := vw.trk.now()
+// proceeds latch-free. Candidates are in row-ID order so results stay
+// deterministic. An index scan over-approximates (postings are a multiset
+// over versions), so the caller re-applies the predicate. With keepRows
+// the stored rows come back beside their values, for UPDATE and DELETE.
+func (vw view) scanRows(rp *relPlan, keepRows bool) (vals [][]Value, rows []*storedRow) {
+	t := rp.t
+	start := vw.clock()
 	t.mu.RLock()
-	cands, plan := vw.candidateRows(t, qual, where, params)
-	rs.rows = make([][]Value, 0, len(cands))
+	cands := t.rows
+	if rp.access != nil {
+		cands = t.runIndexScan(rp.access)
+	}
+	vals = make([][]Value, 0, len(cands))
+	if keepRows {
+		rows = make([]*storedRow, 0, len(cands))
+	}
 	for _, r := range cands {
 		if v := r.visibleVersion(vw.txn, vw.snap); v != nil {
-			rs.rows = append(rs.rows, v.vals)
+			vals = append(vals, v.vals)
+			if keepRows {
+				rows = append(rows, r)
+			}
 		}
 	}
 	t.mu.RUnlock()
-	noteScan(t, plan, len(rs.rows))
-	vw.trk.scan(site, plan, len(cands), len(rs.rows), start)
-	return rs, nil
+	noteScan(t, rp.access, len(vals))
+	rp.stat.done(start, len(cands), len(vals))
+	return vals, rows
 }
 
 // noteScan bumps the per-table and per-index access counters for one
@@ -77,52 +76,6 @@ func noteScan(t *Table, plan *indexScanPlan, rows int) {
 	t.rowsRead.Add(int64(rows))
 }
 
-// candidateRows picks between a full heap scan and an index scan based
-// on top-level AND conjuncts of the WHERE clause. Returned rows are in
-// row-ID order so results stay deterministic; they are candidates only
-// (index postings are a multiset over versions), so the caller must
-// resolve snapshot visibility and re-apply the WHERE clause. The second
-// return is the access-path decision (nil = sequential scan), which
-// EXPLAIN renders and the tracker records. Caller holds the table latch.
-func (vw view) candidateRows(t *Table, qual string, where Expr, params []Value) ([]*storedRow, *indexScanPlan) {
-	if p := vw.planScanAccess(t, qual, where, params); p != nil {
-		return t.runIndexScan(p), p
-	}
-	return t.rows, nil
-}
-
-// planScanAccess decides the access path for scanning t under the given
-// WHERE clause. With the cost-based planner on, every conjunct an index
-// can satisfy becomes a candidate and the one expected to examine the
-// fewest rows wins; with it off, the legacy first-match rule applies.
-// Pure planning — no tree reads — so EXPLAIN (without ANALYZE) calls it
-// too. Caller holds db.mu at least shared (DDL excluded).
-func (vw view) planScanAccess(t *Table, qual string, where Expr, params []Value) *indexScanPlan {
-	if where == nil || vw.db.noIndexScan {
-		return nil
-	}
-	if vw.db.noPlanner {
-		for _, conj := range andConjuncts(where) {
-			if p := planIndexScan(t, qual, conj, params); p != nil {
-				return p
-			}
-		}
-		return nil
-	}
-	var best *indexScanPlan
-	var bestRows float64
-	for _, conj := range andConjuncts(where) {
-		p := planIndexScan(t, qual, conj, params)
-		if p == nil {
-			continue
-		}
-		if rows := planEstRows(t, p); best == nil || rows < bestRows {
-			best, bestRows = p, rows
-		}
-	}
-	return best
-}
-
 // andConjuncts flattens a chain of top-level ANDs.
 func andConjuncts(e Expr) []Expr {
 	if b, ok := e.(*Binary); ok && b.Op == "AND" {
@@ -131,154 +84,16 @@ func andConjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// constValue evaluates e if it references no columns or aggregates.
+// constValue evaluates e if it is constant for the statement.
 func constValue(e Expr, params []Value) (Value, bool) {
-	ok := true
-	walkExpr(e, func(x Expr) bool {
-		switch x.(type) {
-		case *ColumnRef:
-			ok = false
-			return false
-		case *FuncCall:
-			if isAggregate(x.(*FuncCall).Name) {
-				ok = false
-				return false
-			}
-		}
-		return true
-	})
-	if !ok {
+	if !constShaped(e) {
 		return Null, false
 	}
-	env := &evalEnv{params: params}
-	v, err := eval(e, env)
+	v, err := eval(e, &evalEnv{params: params})
 	if err != nil {
 		return Null, false
 	}
 	return v, true
-}
-
-// columnForQual returns the table column position when c refers to table t
-// (by the scan qualifier), or -1.
-func columnForQual(t *Table, qual string, c *ColumnRef) int {
-	if c.Table != "" && strings.ToLower(c.Table) != qual {
-		return -1
-	}
-	return t.colIndex(c.Column)
-}
-
-// indexScanPlan is one resolved access-path decision: which index serves
-// which conjunct, with the comparison key already coerced to the column
-// type. Planning (shape matching) is separated from running (tree reads)
-// so EXPLAIN can show the decision without touching the data.
-type indexScanPlan struct {
-	ix     *Index
-	op     string // "=", "<", "<=", ">", ">=", or "like"
-	key    Value  // comparison key for "=" and range ops
-	prefix string // literal prefix for "like"
-	conj   Expr   // the WHERE conjunct the index satisfies
-}
-
-// planIndexScan attempts to satisfy one conjunct with an index. Supported
-// shapes: col = const, const = col, col LIKE 'prefix%', and col range
-// comparisons against constants. Returns nil when no index applies.
-func planIndexScan(t *Table, qual string, conj Expr, params []Value) *indexScanPlan {
-	switch x := conj.(type) {
-	case *Binary:
-		if x.Op == "=" {
-			for _, side := range [2]struct{ col, val Expr }{{x.L, x.R}, {x.R, x.L}} {
-				c, ok := side.col.(*ColumnRef)
-				if !ok {
-					continue
-				}
-				pos := columnForQual(t, qual, c)
-				if pos < 0 {
-					continue
-				}
-				v, ok := constValue(side.val, params)
-				if !ok || v.IsNull() {
-					continue
-				}
-				ix := t.indexOn(pos)
-				if ix == nil {
-					continue
-				}
-				key, err := coerceToColumn(v, t.Columns[pos].Type)
-				if err != nil {
-					return nil
-				}
-				return &indexScanPlan{ix: ix, op: "=", key: key, conj: conj}
-			}
-			return nil
-		}
-		if x.Op == "<" || x.Op == "<=" || x.Op == ">" || x.Op == ">=" {
-			c, ok := x.L.(*ColumnRef)
-			op := x.Op
-			rhs := x.R
-			if !ok {
-				// const OP col → flip
-				if c2, ok2 := x.R.(*ColumnRef); ok2 {
-					c = c2
-					rhs = x.L
-					switch x.Op {
-					case "<":
-						op = ">"
-					case "<=":
-						op = ">="
-					case ">":
-						op = "<"
-					case ">=":
-						op = "<="
-					}
-				} else {
-					return nil
-				}
-			}
-			pos := columnForQual(t, qual, c)
-			if pos < 0 {
-				return nil
-			}
-			v, ok := constValue(rhs, params)
-			if !ok || v.IsNull() {
-				return nil
-			}
-			ix := t.indexOn(pos)
-			if ix == nil {
-				return nil
-			}
-			key, err := coerceToColumn(v, t.Columns[pos].Type)
-			if err != nil {
-				return nil
-			}
-			return &indexScanPlan{ix: ix, op: op, key: key, conj: conj}
-		}
-	case *LikeExpr:
-		if x.Not || x.Escape != nil {
-			return nil
-		}
-		c, ok := x.X.(*ColumnRef)
-		if !ok {
-			return nil
-		}
-		pos := columnForQual(t, qual, c)
-		if pos < 0 || t.Columns[pos].Type != TString {
-			return nil
-		}
-		pv, ok := constValue(x.Pattern, params)
-		if !ok || pv.IsNull() {
-			return nil
-		}
-		prefix, ok := x.program(pv.String(), "", false).prefix()
-		if !ok {
-			return nil
-		}
-		ix := t.indexOn(pos)
-		if ix == nil {
-			return nil
-		}
-		return &indexScanPlan{ix: ix, op: "like", prefix: prefix, conj: conj}
-	}
-	return nil
 }
 
 // runIndexScan executes a planned index access. Because postings are a
@@ -339,10 +154,11 @@ func crossJoin(a, b *rowSet) *rowSet {
 }
 
 // joinOn performs an INNER or LEFT join of a with b on cond. LEFT join
-// emits a NULL-padded row for unmatched left rows.
-func (vw view) joinOn(a, b *rowSet, cond Expr, kind JoinKind, params []Value) (*rowSet, error) {
+// emits a NULL-padded row for unmatched left rows. subs are the plans of
+// the statement's subqueries, which cond may contain.
+func (vw view) joinOn(a, b *rowSet, cond Expr, kind JoinKind, params []Value, subs []*subPlan) (*rowSet, error) {
 	out := &rowSet{cols: append(append([]envCol{}, a.cols...), b.cols...)}
-	env := &evalEnv{cols: out.cols, params: params, vw: &vw, subCache: map[*Subquery][][]Value{}}
+	env := &evalEnv{cols: out.cols, params: params, vw: &vw, subs: subs}
 	if cond != nil {
 		if err := bindExpr(cond, env); err != nil {
 			return nil, err
@@ -379,118 +195,37 @@ func (vw view) joinOn(a, b *rowSet, cond Expr, kind JoinKind, params []Value) (*
 	return out, nil
 }
 
-// derivedRowSet materialises a derived table (FROM subquery) under its
-// alias.
-func (vw view) derivedRowSet(sub *SelectStmt, alias string, params []Value, site any) (*rowSet, error) {
-	start := vw.trk.now()
-	res, err := vw.execSelect(sub, params)
-	if err != nil {
-		return nil, err
-	}
-	rs := &rowSet{rows: res.Rows}
-	qual := strings.ToLower(alias)
-	for _, c := range res.Columns {
-		rs.cols = append(rs.cols, envCol{tbl: qual, name: strings.ToLower(c)})
-	}
-	vw.trk.scan(site, nil, len(rs.rows), len(rs.rows), start)
-	return rs, nil
-}
-
-// buildFrom assembles the full FROM row set (joins + comma cross joins)
-// and returns the residual WHERE clause the caller must still apply —
-// sel.Where on the legacy path, or what's left after the planner pushed
-// conjuncts below the joins. `where` enables index routing only for the
-// single-base-table case. Tracker sites are addresses into sel's From
-// slice: execUnion's head copy shares that backing array with the
-// original statement, so the events land on the nodes the plan renderer
-// keyed.
-func (vw view) buildFrom(sel *SelectStmt, params []Value) (*rowSet, Expr, error) {
-	if len(sel.From) == 0 {
-		// SELECT without FROM evaluates expressions over a single empty row.
-		return &rowSet{rows: [][]Value{{}}}, sel.Where, nil
-	}
-	if fp := vw.planQuery(sel); fp != nil {
-		rs, err := vw.execFromPlan(fp, params)
-		return rs, fp.residual, err
-	}
-	singleTable := len(sel.From) == 1 && len(sel.From[0].Joins) == 0 &&
-		sel.From[0].Sub == nil
-	var acc *rowSet
-	for i := range sel.From {
-		tr := &sel.From[i]
-		var where Expr
-		if singleTable && i == 0 {
-			where = sel.Where
-		}
-		var rs *rowSet
-		var err error
-		if tr.Sub != nil {
-			rs, err = vw.derivedRowSet(tr.Sub, tr.Alias, params, tr)
-		} else {
-			rs, err = vw.scanTable(tr.Table, tr.Alias, where, params, tr)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		for j := range tr.Joins {
-			jc := &tr.Joins[j]
-			var right *rowSet
-			if jc.Sub != nil {
-				right, err = vw.derivedRowSet(jc.Sub, jc.Alias, params, jc)
-			} else {
-				right, err = vw.scanTable(jc.Table, jc.Alias, nil, params, jc)
-			}
-			if err != nil {
-				return nil, nil, err
-			}
-			joinStart := vw.trk.now()
-			inRows := len(rs.rows)
-			if jc.Kind == JoinCross {
-				rs = crossJoin(rs, right)
-			} else {
-				rs, err = vw.joinOn(rs, right, jc.On, jc.Kind, params)
-				if err != nil {
-					return nil, nil, err
-				}
-			}
-			vw.trk.join(jc, inRows*len(right.rows), len(rs.rows), joinStart)
-		}
-		if acc == nil {
-			acc = rs
-		} else {
-			acc = crossJoin(acc, rs)
-		}
-	}
-	return acc, sel.Where, nil
-}
-
-// scanRel produces one planned relation's row set: the base-table or
-// derived-table scan with this relation's pushed conjuncts applied. For
-// base tables the pushed conjuncts also drive index routing; the full
-// pushed filter is then re-applied (index scans over-approximate).
+// scanRel produces one planned relation's row set: the base-table scan
+// through its access path, or the derived table's result under its alias,
+// with the conjuncts the planner pushed to this relation applied.
 func (vw view) scanRel(rp *relPlan, params []Value) (*rowSet, error) {
-	pushed := andJoin(rp.pushed)
-	var rs *rowSet
-	var err error
+	rs := &rowSet{cols: rp.cols}
 	if rp.sub != nil {
-		rs, err = vw.derivedRowSet(rp.sub, rp.alias, params, rp.site)
+		start := vw.clock()
+		res, err := vw.execSelect(rp.sub, params)
+		if err != nil {
+			return nil, err
+		}
+		rs.rows = res.Rows
+		rs.cols = make([]envCol, len(res.Columns))
+		for i, c := range res.Columns {
+			rs.cols[i] = envCol{tbl: rp.qual, name: strings.ToLower(c)}
+		}
+		rp.stat.done(start, len(rs.rows), len(rs.rows))
 	} else {
-		rs, err = vw.scanTable(rp.table, rp.alias, pushed, params, rp.site)
+		rs.rows, _ = vw.scanRows(rp, false)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if pushed == nil {
+	if rp.filter == nil {
 		return rs, nil
 	}
-	env := &evalEnv{cols: rs.cols, params: params, vw: &vw, subCache: map[*Subquery][][]Value{}}
-	if err := bindExpr(pushed, env); err != nil {
+	env := &evalEnv{cols: rs.cols, params: params, vw: &vw}
+	if err := bindExpr(rp.filter, env); err != nil {
 		return nil, err
 	}
 	kept := rs.rows[:0:0]
 	for _, r := range rs.rows {
 		env.row = r
-		v, err := eval(pushed, env)
+		v, err := eval(rp.filter, env)
 		if err != nil {
 			return nil, err
 		}
@@ -498,51 +233,52 @@ func (vw view) scanRel(rp *relPlan, params []Value) (*rowSet, error) {
 			kept = append(kept, r)
 		}
 	}
-	vw.trk.stage(rp.site, "pushfilter", len(rs.rows), len(kept))
+	rp.pushStat.note(len(rs.rows), len(kept))
 	rs.rows = kept
 	return rs, nil
 }
 
-// execFromPlan executes a planned FROM clause: scan each relation in
-// join order (pushed filters applied at the scan), join left-deep with
-// each step's conditions, then remap the layout back to declaration
-// order when the planner reordered — projection, *-expansion, and
-// ambiguity resolution must see the layout the statement declared.
-func (vw view) execFromPlan(fp *fromPlan, params []Value) (*rowSet, error) {
-	widths := make([]int, len(fp.rels))
-	var acc *rowSet
-	for i, rp := range fp.rels {
-		rs, err := vw.scanRel(rp, params)
-		if err != nil {
-			return nil, err
-		}
-		widths[i] = len(rs.cols)
-		if i == 0 {
-			acc = rs
-			continue
-		}
-		cond := andJoin(fp.steps[i])
-		start := vw.trk.now()
-		examined := len(acc.rows) * len(rs.rows)
-		if cond == nil {
-			acc = crossJoin(acc, rs)
-		} else {
-			acc, err = vw.joinOn(acc, rs, cond, JoinInner, params)
-			if err != nil {
-				return nil, err
-			}
-		}
-		vw.trk.pjoin(rp.site, examined, len(acc.rows), start)
+// execFromNode runs one node of the FROM tree: a scan, or a nested-loop
+// join of its two inputs, left first.
+func (vw view) execFromNode(n fromNode, params []Value, subs []*subPlan) (*rowSet, error) {
+	jp, ok := n.(*joinPlan)
+	if !ok {
+		return vw.scanRel(n.(*relPlan), params)
 	}
-	if !fp.reordered {
-		return acc, nil
+	left, err := vw.execFromNode(jp.left, params, subs)
+	if err != nil {
+		return nil, err
+	}
+	right, err := vw.execFromNode(jp.right, params, subs)
+	if err != nil {
+		return nil, err
+	}
+	start := vw.clock()
+	var out *rowSet
+	if jp.cond == nil && jp.kind != JoinLeft {
+		out = crossJoin(left, right)
+	} else if out, err = vw.joinOn(left, right, jp.cond, jp.kind, params, subs); err != nil {
+		return nil, err
+	}
+	jp.stat.done(start, len(left.rows)*len(right.rows), len(out.rows))
+	return out, nil
+}
+
+// execFromPlan executes a planned FROM clause — the only way a FROM
+// clause runs — then remaps the layout back to declaration order when
+// the planner reordered: projection, *-expansion, and ambiguity
+// resolution must see the layout the statement declared.
+func (vw view) execFromPlan(fp *fromPlan, params []Value, subs []*subPlan) (*rowSet, error) {
+	acc, err := vw.execFromNode(fp.root, params, subs)
+	if err != nil || !fp.reordered {
+		return acc, err
 	}
 	type block struct{ off, w int }
 	blocks := make([]block, len(fp.rels)) // indexed by declaration position
 	off := 0
-	for i, rp := range fp.rels {
-		blocks[rp.declIdx] = block{off: off, w: widths[i]}
-		off += widths[i]
+	for _, rp := range fp.rels {
+		blocks[rp.declIdx] = block{off: off, w: len(rp.cols)}
+		off += len(rp.cols)
 	}
 	out := &rowSet{cols: make([]envCol, 0, len(acc.cols))}
 	for _, b := range blocks {
@@ -654,25 +390,29 @@ func collectAggregates(pr *projection, sel *SelectStmt) []*FuncCall {
 	return aggs
 }
 
-// execSelect dispatches between a single SELECT and a UNION chain.
-func (vw view) execSelect(sel *SelectStmt, params []Value) (*Result, error) {
-	if len(sel.Unions) == 0 {
-		return vw.execSelectSingle(sel, params)
+// execSelect runs a planned SELECT: a single one, or a UNION chain.
+func (vw view) execSelect(sp *selectPlan, params []Value) (*Result, error) {
+	if sp.arms == nil {
+		return vw.execSelectSingle(sp, params)
 	}
-	return vw.execUnion(sel, params)
+	return vw.execUnion(sp, params)
 }
 
-func (vw view) execSelectSingle(sel *SelectStmt, params []Value) (*Result, error) {
-	selStart := vw.trk.now()
-	from, residual, err := vw.buildFrom(sel, params)
-	if err != nil {
-		return nil, err
+func (vw view) execSelectSingle(sp *selectPlan, params []Value) (*Result, error) {
+	sel := sp.sel
+	selStart := vw.clock()
+	// SELECT without FROM evaluates expressions over a single empty row.
+	from, residual := &rowSet{rows: [][]Value{{}}}, sel.Where
+	if sp.from != nil {
+		var err error
+		if from, err = vw.execFromPlan(sp.from, params, sp.subs); err != nil {
+			return nil, err
+		}
+		residual = sp.from.residual
 	}
-	subCache := map[*Subquery][][]Value{}
-	env := &evalEnv{cols: from.cols, params: params, vw: &vw, subCache: subCache}
+	env := &evalEnv{cols: from.cols, params: params, vw: &vw, subs: sp.subs}
 
-	// WHERE filter. When the planner engaged, conjuncts it pushed into
-	// scans or join steps are gone already; residual holds what is left.
+	// WHERE filter: what the planner did not push into scans or join steps.
 	rows := from.rows
 	if residual != nil {
 		if err := bindExpr(residual, env); err != nil {
@@ -691,7 +431,7 @@ func (vw view) execSelectSingle(sel *SelectStmt, params []Value) (*Result, error
 			}
 		}
 		rows = kept
-		vw.trk.stage(sel, "where", len(from.rows), len(rows))
+		sp.where.note(len(from.rows), len(rows))
 	}
 
 	pr, err := vw.expandProjection(sel, from)
@@ -743,6 +483,10 @@ func (vw view) execSelectSingle(sel *SelectStmt, params []Value) (*Result, error
 		}
 	}
 	for _, fc := range aggs {
+		if !fc.Star && len(fc.Args) != 1 {
+			return nil, &Error{Code: CodeWrongArity,
+				Message: fmt.Sprintf("%s expects 1 argument, got %d", fc.Name, len(fc.Args))}
+		}
 		for _, a := range fc.Args {
 			if err := bindExpr(a, env); err != nil {
 				return nil, err
@@ -829,7 +573,7 @@ func (vw view) execSelectSingle(sel *SelectStmt, params []Value) (*Result, error
 			outs = append(outs, grp.rep)
 			outAggs = append(outAggs, env.aggs)
 		}
-		vw.trk.stage(sel, "aggregate", len(rows), len(outs))
+		sp.aggregate.note(len(rows), len(outs))
 	}
 	at := func(i int) {
 		env.row = outs[i]
@@ -890,46 +634,60 @@ func (vw view) execSelectSingle(sel *SelectStmt, params []Value) (*Result, error
 			seen[k] = struct{}{}
 			kept = append(kept, r)
 		}
-		vw.trk.stage(sel, "distinct", len(res.Rows), len(kept))
+		sp.distinct.note(len(res.Rows), len(kept))
 		res.Rows = kept
 	}
 
-	// LIMIT / OFFSET.
-	preLimit := len(res.Rows)
+	if sel.Limit != nil || sel.Offset != nil {
+		preLimit := len(res.Rows)
+		if res.Rows, err = limitRows(res.Rows, sel, params); err != nil {
+			return nil, err
+		}
+		sp.limit.note(preLimit, len(res.Rows))
+	}
+	sp.stat.done(selStart, 0, len(res.Rows))
+	res.RowsAffected = int64(len(res.Rows))
+	return res, nil
+}
+
+// limitRows applies sel's OFFSET and LIMIT to a SELECT's or a UNION
+// chain's final rows.
+func limitRows(rows [][]Value, sel *SelectStmt, params []Value) ([][]Value, error) {
 	if sel.Offset != nil {
-		v, ok := constValue(sel.Offset, params)
-		if !ok {
-			return nil, errSyntax("OFFSET must be a constant expression")
+		n, err := constCount(sel.Offset, "OFFSET", params)
+		if err != nil {
+			return nil, err
 		}
-		n, ok := v.AsInt()
-		if !ok || n < 0 {
-			return nil, errSyntax("OFFSET must be a non-negative integer")
-		}
-		if int(n) >= len(res.Rows) {
-			res.Rows = nil
+		if n >= len(rows) {
+			rows = nil
 		} else {
-			res.Rows = res.Rows[n:]
+			rows = rows[n:]
 		}
 	}
 	if sel.Limit != nil {
-		v, ok := constValue(sel.Limit, params)
-		if !ok {
-			return nil, errSyntax("LIMIT must be a constant expression")
+		n, err := constCount(sel.Limit, "LIMIT", params)
+		if err != nil {
+			return nil, err
 		}
-		n, ok := v.AsInt()
-		if !ok || n < 0 {
-			return nil, errSyntax("LIMIT must be a non-negative integer")
-		}
-		if int(n) < len(res.Rows) {
-			res.Rows = res.Rows[:n]
+		if n < len(rows) {
+			rows = rows[:n]
 		}
 	}
-	if sel.Limit != nil || sel.Offset != nil {
-		vw.trk.stage(sel, "limit", preLimit, len(res.Rows))
+	return rows, nil
+}
+
+// constCount evaluates a LIMIT or OFFSET operand: a constant expression
+// with a non-negative integer value.
+func constCount(e Expr, clause string, params []Value) (int, error) {
+	v, ok := constValue(e, params)
+	if !ok {
+		return 0, errSyntax("%s must be a constant expression", clause)
 	}
-	vw.trk.sel(sel, len(res.Rows), selStart)
-	res.RowsAffected = int64(len(res.Rows))
-	return res, nil
+	n, ok := v.AsInt()
+	if !ok || n < 0 {
+		return 0, errSyntax("%s must be a non-negative integer", clause)
+	}
+	return int(n), nil
 }
 
 // sortOrder returns the order ORDER BY puts n rows in, as a permutation of
@@ -997,10 +755,12 @@ func compareSortKeys(a, b *Value) (int, error) {
 // surfaces as a retryable serialization conflict.
 
 func (vw view) execInsert(tx *txnState, ins *InsertStmt, params []Value) (*Result, error) {
-	t, err := vw.db.table(ins.Table)
+	dp, err := vw.planInsert(ins, params)
 	if err != nil {
 		return nil, err
 	}
+	vw.planned(dp)
+	t := dp.t
 	cols := ins.Columns
 	colPos := make([]int, 0, len(t.Columns))
 	if len(cols) == 0 {
@@ -1021,7 +781,7 @@ func (vw view) execInsert(tx *txnState, ins *InsertStmt, params []Value) (*Resul
 			colPos = append(colPos, p)
 		}
 	}
-	env := &evalEnv{params: params, vw: &vw, subCache: map[*Subquery][][]Value{}}
+	env := &evalEnv{params: params, vw: &vw, subs: dp.subs}
 	// Phase 2 (evaluate) runs first for INSERT: there are no targets to
 	// snapshot, and evaluating every row before the latch keeps the
 	// apply phase latch-free of expressions.
@@ -1067,7 +827,7 @@ func (vw view) execInsert(tx *txnState, ins *InsertStmt, params []Value) (*Resul
 	}
 	// Phase 3: apply.
 	res := &Result{}
-	applyStart := vw.trk.now()
+	applyStart := vw.clock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, vals := range planned {
@@ -1085,49 +845,18 @@ func (vw view) execInsert(tx *txnState, ins *InsertStmt, params []Value) (*Resul
 		res.LastInsertID = row.id
 	}
 	t.rowsInserted.Add(res.RowsAffected)
-	vw.trk.dml(ins, int(res.RowsAffected), applyStart)
+	dp.stat.done(applyStart, 0, int(res.RowsAffected))
 	return res, nil
 }
 
-// dmlTarget is one snapshot-phase target: a row and the version its
-// values were read from.
-type dmlTarget struct {
-	row  *storedRow
-	vals []Value
-}
-
-// snapshotTargets collects the rows visible to the view that are
-// candidates for a WHERE clause, releasing the latch before any
-// expression runs.
-func (vw view) snapshotTargets(t *Table, qual string, where Expr, params []Value, site any) []dmlTarget {
-	start := vw.trk.now()
-	t.mu.RLock()
-	cands, plan := vw.candidateRows(t, qual, where, params)
-	targets := make([]dmlTarget, 0, len(cands))
-	for _, r := range cands {
-		if v := r.visibleVersion(vw.txn, vw.snap); v != nil {
-			targets = append(targets, dmlTarget{row: r, vals: v.vals})
-		}
-	}
-	t.mu.RUnlock()
-	noteScan(t, plan, len(targets))
-	vw.trk.scan(site, plan, len(cands), len(targets), start)
-	return targets
-}
-
 func (vw view) execUpdate(tx *txnState, up *UpdateStmt, params []Value) (*Result, error) {
-	t, err := vw.db.table(up.Table)
+	dp, err := vw.planWrite(up, up.Table, up.Alias, up.Where, params)
 	if err != nil {
 		return nil, err
 	}
-	qual := strings.ToLower(up.Alias)
-	if qual == "" {
-		qual = strings.ToLower(t.Name)
-	}
-	env := &evalEnv{params: params, vw: &vw, subCache: map[*Subquery][][]Value{}}
-	for _, c := range t.Columns {
-		env.cols = append(env.cols, envCol{tbl: qual, name: strings.ToLower(c.Name)})
-	}
+	vw.planned(dp)
+	t := dp.t
+	env := &evalEnv{cols: dp.scan.cols, params: params, vw: &vw, subs: dp.subs}
 	if up.Where != nil {
 		if err := bindExpr(up.Where, env); err != nil {
 			return nil, err
@@ -1150,9 +879,9 @@ func (vw view) execUpdate(tx *txnState, up *UpdateStmt, params []Value) (*Result
 		vals []Value
 	}
 	var plan []plannedUpdate
-	targets := vw.snapshotTargets(t, qual, up.Where, params, up)
-	for _, tgt := range targets {
-		env.row = tgt.vals
+	targets, rows := vw.scanRows(dp.scan, true)
+	for i, cur := range targets {
+		env.row = cur
 		if up.Where != nil {
 			v, err := eval(up.Where, env)
 			if err != nil {
@@ -1163,7 +892,7 @@ func (vw view) execUpdate(tx *txnState, up *UpdateStmt, params []Value) (*Result
 				continue
 			}
 		}
-		newVals := append([]Value(nil), tgt.vals...)
+		newVals := append([]Value(nil), cur...)
 		for i, sc := range up.Set {
 			v, err := eval(sc.Value, env)
 			if err != nil {
@@ -1180,12 +909,12 @@ func (vw view) execUpdate(tx *txnState, up *UpdateStmt, params []Value) (*Result
 			}
 			newVals[setPos[i]] = cv
 		}
-		plan = append(plan, plannedUpdate{row: tgt.row, vals: newVals})
+		plan = append(plan, plannedUpdate{row: rows[i], vals: newVals})
 	}
-	vw.trk.stage(up, "filter", len(targets), len(plan))
+	dp.filter.note(len(targets), len(plan))
 	// Phase 3: apply.
 	res := &Result{}
-	applyStart := vw.trk.now()
+	applyStart := vw.clock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, p := range plan {
@@ -1218,33 +947,28 @@ func (vw view) execUpdate(tx *txnState, up *UpdateStmt, params []Value) (*Result
 		res.RowsAffected++
 	}
 	t.rowsUpdated.Add(res.RowsAffected)
-	vw.trk.dml(up, int(res.RowsAffected), applyStart)
+	dp.stat.done(applyStart, 0, int(res.RowsAffected))
 	return res, nil
 }
 
 func (vw view) execDelete(tx *txnState, del *DeleteStmt, params []Value) (*Result, error) {
-	t, err := vw.db.table(del.Table)
+	dp, err := vw.planWrite(del, del.Table, del.Alias, del.Where, params)
 	if err != nil {
 		return nil, err
 	}
-	qual := strings.ToLower(del.Alias)
-	if qual == "" {
-		qual = strings.ToLower(t.Name)
-	}
-	env := &evalEnv{params: params, vw: &vw, subCache: map[*Subquery][][]Value{}}
-	for _, c := range t.Columns {
-		env.cols = append(env.cols, envCol{tbl: qual, name: strings.ToLower(c.Name)})
-	}
+	vw.planned(dp)
+	t := dp.t
+	env := &evalEnv{cols: dp.scan.cols, params: params, vw: &vw, subs: dp.subs}
 	if del.Where != nil {
 		if err := bindExpr(del.Where, env); err != nil {
 			return nil, err
 		}
 	}
 	var rows []*storedRow
-	targets := vw.snapshotTargets(t, qual, del.Where, params, del)
-	for _, tgt := range targets {
+	targets, cands := vw.scanRows(dp.scan, true)
+	for i, cur := range targets {
 		if del.Where != nil {
-			env.row = tgt.vals
+			env.row = cur
 			v, err := eval(del.Where, env)
 			if err != nil {
 				return nil, err
@@ -1254,11 +978,11 @@ func (vw view) execDelete(tx *txnState, del *DeleteStmt, params []Value) (*Resul
 				continue
 			}
 		}
-		rows = append(rows, tgt.row)
+		rows = append(rows, cands[i])
 	}
-	vw.trk.stage(del, "filter", len(targets), len(rows))
+	dp.filter.note(len(targets), len(rows))
 	res := &Result{}
-	applyStart := vw.trk.now()
+	applyStart := vw.clock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, row := range rows {
@@ -1274,7 +998,7 @@ func (vw view) execDelete(tx *txnState, del *DeleteStmt, params []Value) (*Resul
 		res.RowsAffected++
 	}
 	t.rowsDeleted.Add(res.RowsAffected)
-	vw.trk.dml(del, int(res.RowsAffected), applyStart)
+	dp.stat.done(applyStart, 0, int(res.RowsAffected))
 	return res, nil
 }
 

@@ -10,23 +10,18 @@ import (
 // operator is UNION ALL; ORDER BY (by output column name or ordinal) and
 // LIMIT/OFFSET then apply to the whole result. Column names come from
 // the first arm, as in SQL.
-func (vw view) execUnion(sel *SelectStmt, params []Value) (*Result, error) {
-	head := *sel
-	head.Unions = nil
-	head.OrderBy, head.Limit, head.Offset = nil, nil, nil
-	// The head arm runs through a copy; point the copy's tracking site at
-	// the original so EXPLAIN ANALYZE counters land on the plan's node.
-	head.site = sel.siteKey()
-	res, err := vw.execSelectSingle(&head, params)
+func (vw view) execUnion(up *selectPlan, params []Value) (*Result, error) {
+	sel := up.sel
+	res, err := vw.execSelectSingle(up.arms[0], params)
 	if err != nil {
 		return nil, err
 	}
 	allAll := true
-	for _, part := range sel.Unions {
+	for i, part := range sel.Unions {
 		if !part.All {
 			allAll = false
 		}
-		arm, err := vw.execSelectSingle(part.Sel, params)
+		arm, err := vw.execSelectSingle(up.arms[i+1], params)
 		if err != nil {
 			return nil, err
 		}
@@ -48,7 +43,7 @@ func (vw view) execUnion(sel *SelectStmt, params []Value) (*Result, error) {
 			seen[k] = struct{}{}
 			kept = append(kept, r)
 		}
-		vw.trk.stage(sel, "union", len(res.Rows), len(kept))
+		up.union.note(len(res.Rows), len(kept))
 		res.Rows = kept
 	}
 	if len(sel.OrderBy) > 0 {
@@ -77,33 +72,8 @@ func (vw view) execUnion(sel *SelectStmt, params []Value) (*Result, error) {
 		}
 		res.Rows = sorted
 	}
-	if sel.Offset != nil {
-		v, ok := constValue(sel.Offset, params)
-		if !ok {
-			return nil, errSyntax("OFFSET must be a constant expression")
-		}
-		n, nok := v.AsInt()
-		if !nok || n < 0 {
-			return nil, errSyntax("OFFSET must be a non-negative integer")
-		}
-		if int(n) >= len(res.Rows) {
-			res.Rows = nil
-		} else {
-			res.Rows = res.Rows[n:]
-		}
-	}
-	if sel.Limit != nil {
-		v, ok := constValue(sel.Limit, params)
-		if !ok {
-			return nil, errSyntax("LIMIT must be a constant expression")
-		}
-		n, nok := v.AsInt()
-		if !nok || n < 0 {
-			return nil, errSyntax("LIMIT must be a non-negative integer")
-		}
-		if int(n) < len(res.Rows) {
-			res.Rows = res.Rows[:n]
-		}
+	if res.Rows, err = limitRows(res.Rows, sel, params); err != nil {
+		return nil, err
 	}
 	res.RowsAffected = int64(len(res.Rows))
 	return res, nil

@@ -1,17 +1,10 @@
 package sqldb
 
-// EXPLAIN [ANALYZE] support: a plan tree built by mirroring the
-// executor's structural decisions (planScanAccess picks the same access
-// path execution would), an execution tracker the executor posts
-// per-operator counters to while an ANALYZE target runs, and a renderer
-// that joins the two.
-//
-// The tracker keys operator events on AST node identity (pointers into
-// the statement being explained), so the plan builder and the executor
-// agree on which counters belong to which plan node without any side
-// channel. execUnion's head copy is the one place a statement executes
-// through a different pointer than the one planned; SelectStmt.site
-// re-points the copy's events at the original (see siteKey).
+// EXPLAIN [ANALYZE] rendering. The plan is the executor's own (planner.go:
+// what planStmt built is what ran); this file only prints it. Under
+// ANALYZE each node carries the counters the executor left on it, so
+// which counter belongs to which line is a matter of which node is being
+// printed — nothing here decides anything about how a statement runs.
 
 import (
 	"fmt"
@@ -19,536 +12,252 @@ import (
 	"time"
 )
 
-// --- execution tracker ---
-
-// opStats accumulates one operator's observed behaviour across however
-// many times it ran (conflict retries re-run the whole statement, so
-// calls can exceed 1).
-type opStats struct {
-	calls    int
-	examined int   // rows considered (scan candidates, join pairs)
-	returned int   // rows produced
-	in, out  int   // pipeline-stage input/output rows
-	micros   int64 // time spent in the operator
+// planPrinter flattens a plan into QUERY PLAN lines. analyze adds each
+// node's observed counters.
+type planPrinter struct {
+	lines   []string
+	analyze bool
 }
 
-// Tracker keys: one comparable type per operator family so different
-// event kinds on the same AST node never collide (a SELECT node owns
-// both a selKey and several stageKeys).
-type (
-	scanKey  struct{ site any } // *TableRef, *JoinClause, *UpdateStmt, *DeleteStmt
-	joinKey  struct{ jc *JoinClause }
-	pjoinKey struct{ site any } // planner join step, keyed by the right rel's site
-	stageKey struct {
-		site  any
-		stage string // "where", "aggregate", "distinct", "limit", "union", "filter"
+// renderPlan renders root, with its counters when the plan was executed.
+func renderPlan(root stmtPlan, analyze bool) []string {
+	pp := &planPrinter{analyze: analyze}
+	root.explain(pp)
+	return pp.lines
+}
+
+// node prints one operator line under pad and returns the padding of its
+// annotation lines and children. The statement's root has no arrow.
+func (pp *planPrinter) node(pad string, root bool, text string) string {
+	if root {
+		pp.lines = append(pp.lines, pad+text)
+		return pad + "  "
 	}
-	selKey struct{ sel *SelectStmt }
-	dmlKey struct{ st Stmt }
-)
-
-// execTracker collects per-operator counters while an EXPLAIN ANALYZE
-// target executes. It lives on the Session and is reached through the
-// view; sessions are single-goroutine, so no locking. Every method is
-// nil-receiver-safe: the normal execution path calls them with a nil
-// tracker and must pay nothing beyond the nil check.
-type execTracker struct {
-	ops map[any]*opStats
+	pp.lines = append(pp.lines, pad+"-> "+text)
+	return pad + "   "
 }
 
-func newExecTracker() *execTracker { return &execTracker{ops: map[any]*opStats{}} }
+// prop prints one annotation line ("Filter: ...") under a node.
+func (pp *planPrinter) prop(pad, text string) {
+	pp.lines = append(pp.lines, pad+text)
+}
 
-// now returns the current time when tracking is active, and the zero
-// time otherwise, keeping clock reads off the untracked hot path.
-func (trk *execTracker) now() time.Time {
-	if trk == nil {
-		return time.Time{}
+// scanned renders a scan's or join's counters: rows examined against
+// rows returned. A node the execution never reached says so.
+func (pp *planPrinter) scanned(o *opStats) string {
+	if !pp.analyze {
+		return ""
 	}
-	return time.Now()
+	return o.annotation(fmt.Sprintf("examined=%d returned=%d", o.examined, o.returned))
 }
 
-func (trk *execTracker) get(key any) *opStats {
-	o, ok := trk.ops[key]
-	if !ok {
-		o = &opStats{}
-		trk.ops[key] = o
+// produced renders a SELECT's or a DML statement's rows and time.
+func (pp *planPrinter) produced(o *opStats) string {
+	if !pp.analyze {
+		return ""
 	}
-	return o
+	return o.annotation(fmt.Sprintf("rows=%d", o.returned))
 }
 
-// scan records one table/derived-table scan: candidates examined, rows
-// returned after visibility and routing, and wall time since start.
-func (trk *execTracker) scan(site any, _ *indexScanPlan, examined, returned int, start time.Time) {
-	if trk == nil {
-		return
+func (o *opStats) annotation(counts string) string {
+	if o.calls == 0 {
+		return " (never executed)"
 	}
-	o := trk.get(scanKey{site})
-	o.calls++
-	o.examined += examined
-	o.returned += returned
-	o.micros += time.Since(start).Microseconds()
-}
-
-// join records one join evaluation: pairs considered and rows kept.
-func (trk *execTracker) join(jc *JoinClause, examined, returned int, start time.Time) {
-	if trk == nil {
-		return
+	s := " (" + counts + " time=" + (time.Duration(o.micros) * time.Microsecond).String()
+	if o.calls > 1 {
+		s += fmt.Sprintf(" loops=%d", o.calls)
 	}
-	o := trk.get(joinKey{jc})
-	o.calls++
-	o.examined += examined
-	o.returned += returned
-	o.micros += time.Since(start).Microseconds()
+	return s + ")"
 }
 
-// pjoin records one planner-ordered join step: pairs considered and
-// rows kept. Keyed on the right-hand relation's site, which uniquely
-// identifies the step regardless of the execution order chosen.
-func (trk *execTracker) pjoin(site any, examined, returned int, start time.Time) {
-	if trk == nil {
-		return
+// staged renders a pipeline stage's in/out row counts. Unlike a node, a
+// stage that never ran renders nothing: stage lines are structural
+// first, counters second.
+func (pp *planPrinter) staged(st *stageStats) string {
+	if !pp.analyze || st.calls == 0 {
+		return ""
 	}
-	o := trk.get(pjoinKey{site})
-	o.calls++
-	o.examined += examined
-	o.returned += returned
-	o.micros += time.Since(start).Microseconds()
-}
-
-// stage records one pipeline stage (WHERE, aggregate, DISTINCT, LIMIT,
-// UNION dedupe, DML filter) as an input/output row-count pair.
-func (trk *execTracker) stage(site any, stage string, in, out int) {
-	if trk == nil {
-		return
+	s := fmt.Sprintf(" (in=%d out=%d", st.in, st.out)
+	if st.calls > 1 {
+		s += fmt.Sprintf(" loops=%d", st.calls)
 	}
-	if s, ok := site.(*SelectStmt); ok {
-		site = s.siteKey()
-	}
-	o := trk.get(stageKey{site: site, stage: stage})
-	o.calls++
-	o.in += in
-	o.out += out
+	return s + ")"
 }
 
-// sel records one SELECT's final row count and total evaluation time.
-func (trk *execTracker) sel(sel *SelectStmt, rows int, start time.Time) {
-	if trk == nil {
-		return
-	}
-	o := trk.get(selKey{sel.siteKey()})
-	o.calls++
-	o.returned += rows
-	o.micros += time.Since(start).Microseconds()
-}
+func (sp *selectPlan) explain(pp *planPrinter) { pp.selectPlan(sp, "", true) }
 
-// dml records one INSERT/UPDATE/DELETE apply phase.
-func (trk *execTracker) dml(st Stmt, rows int, start time.Time) {
-	if trk == nil {
-		return
-	}
-	o := trk.get(dmlKey{st})
-	o.calls++
-	o.returned += rows
-	o.micros += time.Since(start).Microseconds()
-}
-
-// --- plan tree ---
-
-// planProp is one annotation line under a plan node ("Filter: ...").
-// When site is non-nil, ANALYZE appends that stage's in/out counters.
-type planProp struct {
-	text string
-	site any
-}
-
-// planNode is one operator in the rendered plan tree. site is the
-// tracker key whose counters annotate the node under ANALYZE; nil means
-// the node is structural only.
-type planNode struct {
-	label string
-	props []planProp
-	site  any
-	kids  []*planNode
-}
-
-// planStmt builds the plan tree for an explainable statement. Caller
-// holds db.mu at least shared so catalog and index lookups are stable.
-func (vw view) planStmt(st Stmt, params []Value) (*planNode, error) {
-	switch x := st.(type) {
-	case *SelectStmt:
-		return vw.planSelect(x, params)
-	case *InsertStmt:
-		t, err := vw.db.table(x.Table)
-		if err != nil {
-			return nil, err
-		}
-		n := &planNode{label: "Insert on " + t.Name, site: dmlKey{st}}
-		n.props = append(n.props, planProp{text: fmt.Sprintf("Rows: %d", len(x.Rows))})
-		for _, row := range x.Rows {
-			for _, e := range row {
-				if err := vw.appendSubPlans(n, e, params); err != nil {
-					return nil, err
-				}
+// selectPlan prints a SELECT: a Union node over its arms, or one arm.
+func (pp *planPrinter) selectPlan(sp *selectPlan, pad string, root bool) {
+	sel := sp.sel
+	if sp.arms != nil {
+		label := "Union All"
+		for _, part := range sel.Unions {
+			if !part.All {
+				label = "Union" + pp.staged(&sp.union)
+				break
 			}
 		}
-		return n, nil
-	case *UpdateStmt:
-		t, err := vw.db.table(x.Table)
-		if err != nil {
-			return nil, err
+		in := pp.node(pad, root, label)
+		pp.orderAndLimit(sel, nil, in)
+		for _, arm := range sp.arms {
+			pp.selectPlan(arm, in, false)
 		}
-		n := &planNode{label: "Update on " + t.Name, site: dmlKey{st}}
+		return
+	}
+	in := pp.node(pad, root, "Select"+pp.produced(&sp.stat))
+	where := sel.Where
+	if sp.from != nil {
+		// Conjuncts the planner pushed into scans and join steps show
+		// there; only the residual is evaluated above the FROM tree.
+		where = sp.from.residual
+	}
+	if where != nil {
+		pp.prop(in, "Filter: "+exprString(where)+pp.staged(&sp.where))
+	}
+	if len(sel.GroupBy) > 0 {
+		pp.prop(in, "Group By: "+exprListString(sel.GroupBy))
+	}
+	if len(sel.GroupBy) > 0 || sel.Having != nil || selHasAggregate(sel) {
+		pp.prop(in, "Aggregate"+pp.staged(&sp.aggregate))
+	}
+	if sel.Having != nil {
+		pp.prop(in, "Having: "+exprString(sel.Having))
+	}
+	if sel.Distinct {
+		pp.prop(in, "Distinct"+pp.staged(&sp.distinct))
+	}
+	// The head arm of a UNION was planned without the chain's ORDER BY and
+	// LIMIT, so nothing prints for them here.
+	pp.orderAndLimit(sel, &sp.limit, in)
+	if sp.from == nil {
+		pp.node(in, false, "Result")
+	} else {
+		pp.fromNode(sp.from.root, sp.from.free, in)
+	}
+	pp.subPlans(sp.subs, in)
+}
+
+// orderAndLimit prints the ORDER BY, OFFSET and LIMIT lines; the LIMIT
+// stage's counters go on the Limit line, or on Offset when it is alone.
+func (pp *planPrinter) orderAndLimit(sel *SelectStmt, limit *stageStats, pad string) {
+	if len(sel.OrderBy) > 0 {
+		pp.prop(pad, "Order By: "+orderByString(sel.OrderBy))
+	}
+	counters := ""
+	if limit != nil {
+		counters = pp.staged(limit)
+	}
+	if sel.Offset != nil {
+		text := "Offset: " + exprString(sel.Offset)
+		if sel.Limit == nil {
+			text += counters
+		}
+		pp.prop(pad, text)
+	}
+	if sel.Limit != nil {
+		pp.prop(pad, "Limit: "+exprString(sel.Limit)+counters)
+	}
+}
+
+// subPlans prints one SubPlan child per subquery of the statement.
+func (pp *planPrinter) subPlans(subs []*subPlan, pad string) {
+	for _, sub := range subs {
+		pp.selectPlan(sub.plan, pp.node(pad, false, "SubPlan"), false)
+	}
+}
+
+// fromNode prints the FROM tree. A free plan shows the planner's
+// estimates on every node; a pinned one has none to show.
+func (pp *planPrinter) fromNode(n fromNode, free bool, pad string) {
+	jp, ok := n.(*joinPlan)
+	if !ok {
+		pp.relPlan(n.(*relPlan), free, pad)
+		return
+	}
+	label := "Nested Loop Join"
+	switch jp.kind {
+	case JoinCross:
+		label = "Cross Join"
+	case JoinLeft:
+		label = "Nested Loop Left Join"
+	}
+	if !jp.comma { // the product of comma-listed entries has always printed bare
+		label += pp.scanned(&jp.stat)
+	}
+	in := pp.node(pad, false, label)
+	if jp.cond != nil {
+		pp.prop(in, "Join Cond: "+exprString(jp.cond))
+	}
+	if free {
+		pp.prop(in, estText(jp.card, jp.cost))
+	}
+	pp.fromNode(jp.left, free, in)
+	pp.fromNode(jp.right, free, in)
+}
+
+// relPlan prints one scan: the access path the planner chose, the
+// conjuncts it pushed down to it, and its estimate.
+func (pp *planPrinter) relPlan(rp *relPlan, free bool, pad string) {
+	var label string
+	switch {
+	case rp.sub != nil:
+		label = "Subquery Scan on " + rp.alias
+	case rp.access != nil:
+		label = "Index Scan on " + rp.display() + " using " + rp.access.ix.Name
+	default:
+		label = "Seq Scan on " + rp.display()
+	}
+	in := pp.node(pad, false, label+pp.scanned(&rp.stat))
+	if rp.access != nil {
+		pp.prop(in, "Index Cond: "+exprString(rp.access.conj))
+	}
+	if rp.filter != nil {
+		pp.prop(in, "Filter: "+exprString(rp.filter)+pp.staged(&rp.pushStat))
+	}
+	if free {
+		pp.prop(in, estText(rp.est, rp.baseRows))
+	}
+	if rp.sub != nil {
+		pp.selectPlan(rp.sub, in, false)
+	}
+}
+
+// display names a base table with its alias, when it has another one.
+func (rp *relPlan) display() string {
+	if rp.alias != "" && !strings.EqualFold(rp.alias, rp.t.Name) {
+		return rp.t.Name + " as " + rp.alias
+	}
+	return rp.t.Name
+}
+
+func (dp *dmlPlan) explain(pp *planPrinter) {
+	var in string
+	switch x := dp.st.(type) {
+	case *InsertStmt:
+		in = pp.node("", true, "Insert on "+dp.t.Name+pp.produced(&dp.stat))
+		pp.prop(in, fmt.Sprintf("Rows: %d", len(x.Rows)))
+	case *UpdateStmt:
+		in = pp.node("", true, "Update on "+dp.t.Name+pp.produced(&dp.stat))
 		sets := make([]string, len(x.Set))
 		for i, sc := range x.Set {
 			sets[i] = sc.Column + " = " + exprString(sc.Value)
 		}
-		n.props = append(n.props, planProp{text: "Set: " + strings.Join(sets, ", ")})
-		if x.Where != nil {
-			n.props = append(n.props, planProp{
-				text: "Filter: " + exprString(x.Where),
-				site: stageKey{site: any(x), stage: "filter"},
-			})
-		}
-		scan, err := vw.planScanNode(x.Table, x.Alias, x.Where, params, x)
-		if err != nil {
-			return nil, err
-		}
-		n.kids = append(n.kids, scan)
-		if err := vw.appendSubPlans(n, x.Where, params); err != nil {
-			return nil, err
-		}
-		for _, sc := range x.Set {
-			if err := vw.appendSubPlans(n, sc.Value, params); err != nil {
-				return nil, err
-			}
-		}
-		return n, nil
+		pp.prop(in, "Set: "+strings.Join(sets, ", "))
+		pp.writeScan(dp, x.Where, in)
 	case *DeleteStmt:
-		t, err := vw.db.table(x.Table)
-		if err != nil {
-			return nil, err
-		}
-		n := &planNode{label: "Delete on " + t.Name, site: dmlKey{st}}
-		if x.Where != nil {
-			n.props = append(n.props, planProp{
-				text: "Filter: " + exprString(x.Where),
-				site: stageKey{site: any(x), stage: "filter"},
-			})
-		}
-		scan, err := vw.planScanNode(x.Table, x.Alias, x.Where, params, x)
-		if err != nil {
-			return nil, err
-		}
-		n.kids = append(n.kids, scan)
-		if err := vw.appendSubPlans(n, x.Where, params); err != nil {
-			return nil, err
-		}
-		return n, nil
-	default:
-		return nil, errSyntax("EXPLAIN supports SELECT, INSERT, UPDATE, or DELETE")
+		in = pp.node("", true, "Delete on "+dp.t.Name+pp.produced(&dp.stat))
+		pp.writeScan(dp, x.Where, in)
 	}
+	pp.subPlans(dp.subs, in)
 }
 
-// planSelect builds the tree for a SELECT, dispatching a UNION chain to
-// a Union node over its arms, mirroring execSelect.
-func (vw view) planSelect(sel *SelectStmt, params []Value) (*planNode, error) {
-	if len(sel.Unions) == 0 {
-		return vw.planSelectCore(sel, params, false)
-	}
-	allAll := true
-	for _, part := range sel.Unions {
-		if !part.All {
-			allAll = false
-		}
-	}
-	un := &planNode{label: "Union"}
-	if allAll {
-		un.label = "Union All"
-	} else {
-		un.site = stageKey{site: any(sel), stage: "union"}
-	}
-	if len(sel.OrderBy) > 0 {
-		un.props = append(un.props, planProp{text: "Order By: " + orderByString(sel.OrderBy)})
-	}
-	if sel.Offset != nil {
-		un.props = append(un.props, planProp{text: "Offset: " + exprString(sel.Offset)})
-	}
-	if sel.Limit != nil {
-		un.props = append(un.props, planProp{text: "Limit: " + exprString(sel.Limit)})
-	}
-	head, err := vw.planSelectCore(sel, params, true)
-	if err != nil {
-		return nil, err
-	}
-	un.kids = append(un.kids, head)
-	for _, part := range sel.Unions {
-		arm, err := vw.planSelectCore(part.Sel, params, false)
-		if err != nil {
-			return nil, err
-		}
-		un.kids = append(un.kids, arm)
-	}
-	return un, nil
-}
-
-// planSelectCore builds the node for one SELECT arm. unionHead marks the
-// head of a UNION chain, whose ORDER BY/LIMIT/OFFSET belong to the whole
-// chain (execUnion strips them from the head copy it runs).
-func (vw view) planSelectCore(sel *SelectStmt, params []Value, unionHead bool) (*planNode, error) {
-	n := &planNode{label: "Select", site: selKey{sel}}
-	fp := vw.planQuery(sel)
-	where := sel.Where
-	if fp != nil {
-		// The planner pushed some conjuncts into scans and join steps;
-		// only the residual is evaluated above the FROM pipeline.
-		where = fp.residual
-	}
+// writeScan prints the WHERE filter and the scan under an UPDATE or
+// DELETE.
+func (pp *planPrinter) writeScan(dp *dmlPlan, where Expr, pad string) {
 	if where != nil {
-		n.props = append(n.props, planProp{
-			text: "Filter: " + exprString(where),
-			site: stageKey{site: any(sel), stage: "where"},
-		})
+		pp.prop(pad, "Filter: "+exprString(where)+pp.staged(&dp.filter))
 	}
-	grouped := len(sel.GroupBy) > 0 || sel.Having != nil || selHasAggregate(sel)
-	if len(sel.GroupBy) > 0 {
-		n.props = append(n.props, planProp{text: "Group By: " + exprListString(sel.GroupBy)})
-	}
-	if grouped {
-		n.props = append(n.props, planProp{
-			text: "Aggregate",
-			site: stageKey{site: any(sel), stage: "aggregate"},
-		})
-	}
-	if sel.Having != nil {
-		n.props = append(n.props, planProp{text: "Having: " + exprString(sel.Having)})
-	}
-	if sel.Distinct {
-		n.props = append(n.props, planProp{
-			text: "Distinct",
-			site: stageKey{site: any(sel), stage: "distinct"},
-		})
-	}
-	if !unionHead {
-		if len(sel.OrderBy) > 0 {
-			n.props = append(n.props, planProp{text: "Order By: " + orderByString(sel.OrderBy)})
-		}
-		limitSite := any(nil)
-		if sel.Limit != nil || sel.Offset != nil {
-			limitSite = stageKey{site: any(sel), stage: "limit"}
-		}
-		if sel.Offset != nil {
-			site := limitSite
-			if sel.Limit != nil {
-				site = nil // counters render on the Limit line
-			}
-			n.props = append(n.props, planProp{text: "Offset: " + exprString(sel.Offset), site: site})
-		}
-		if sel.Limit != nil {
-			n.props = append(n.props, planProp{text: "Limit: " + exprString(sel.Limit), site: limitSite})
-		}
-	}
-	kids, err := vw.planFrom(sel, fp, params)
-	if err != nil {
-		return nil, err
-	}
-	n.kids = kids
-	for _, it := range sel.Items {
-		if err := vw.appendSubPlans(n, it.Expr, params); err != nil {
-			return nil, err
-		}
-	}
-	if err := vw.appendSubPlans(n, sel.Where, params); err != nil {
-		return nil, err
-	}
-	for _, g := range sel.GroupBy {
-		if err := vw.appendSubPlans(n, g, params); err != nil {
-			return nil, err
-		}
-	}
-	if err := vw.appendSubPlans(n, sel.Having, params); err != nil {
-		return nil, err
-	}
-	if !unionHead {
-		for _, o := range sel.OrderBy {
-			if err := vw.appendSubPlans(n, o.Expr, params); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return n, nil
-}
-
-// planFrom mirrors buildFrom: one scan node per table reference, joins
-// wrapped around their left input in declaration order, comma-list
-// entries combined under Cross Join nodes. When the cost-based planner
-// engaged (fp != nil), the tree instead reflects its chosen execution
-// order, pushed-down filters, and cardinality estimates.
-func (vw view) planFrom(sel *SelectStmt, fp *fromPlan, params []Value) ([]*planNode, error) {
-	if len(sel.From) == 0 {
-		return []*planNode{{label: "Result"}}, nil
-	}
-	if fp != nil {
-		node, err := vw.planRelNode(fp.rels[0], params)
-		if err != nil {
-			return nil, err
-		}
-		for i := 1; i < len(fp.rels); i++ {
-			rp := fp.rels[i]
-			right, err := vw.planRelNode(rp, params)
-			if err != nil {
-				return nil, err
-			}
-			jn := &planNode{site: pjoinKey{rp.site}}
-			if cond := andJoin(fp.steps[i]); cond != nil {
-				jn.label = "Nested Loop Join"
-				jn.props = append(jn.props, planProp{text: "Join Cond: " + exprString(cond)})
-			} else {
-				jn.label = "Cross Join"
-			}
-			jn.props = append(jn.props, planProp{text: estText(fp.stepCard[i], fp.stepCost[i])})
-			jn.kids = []*planNode{node, right}
-			node = jn
-		}
-		return []*planNode{node}, nil
-	}
-	singleTable := len(sel.From) == 1 && len(sel.From[0].Joins) == 0 &&
-		sel.From[0].Sub == nil
-	var acc *planNode
-	for i := range sel.From {
-		tr := &sel.From[i]
-		var where Expr
-		if singleTable && i == 0 {
-			where = sel.Where
-		}
-		var node *planNode
-		var err error
-		if tr.Sub != nil {
-			node, err = vw.planSubqueryScan(tr.Sub, tr.Alias, params, tr)
-		} else {
-			node, err = vw.planScanNode(tr.Table, tr.Alias, where, params, tr)
-		}
-		if err != nil {
-			return nil, err
-		}
-		for j := range tr.Joins {
-			jc := &tr.Joins[j]
-			var right *planNode
-			if jc.Sub != nil {
-				right, err = vw.planSubqueryScan(jc.Sub, jc.Alias, params, jc)
-			} else {
-				right, err = vw.planScanNode(jc.Table, jc.Alias, nil, params, jc)
-			}
-			if err != nil {
-				return nil, err
-			}
-			jn := &planNode{site: joinKey{jc}}
-			switch jc.Kind {
-			case JoinCross:
-				jn.label = "Cross Join"
-			case JoinLeft:
-				jn.label = "Nested Loop Left Join"
-			default:
-				jn.label = "Nested Loop Join"
-			}
-			if jc.On != nil {
-				jn.props = append(jn.props, planProp{text: "Join Cond: " + exprString(jc.On)})
-			}
-			jn.kids = []*planNode{node, right}
-			node = jn
-		}
-		if acc == nil {
-			acc = node
-		} else {
-			acc = &planNode{label: "Cross Join", kids: []*planNode{acc, node}}
-		}
-	}
-	return []*planNode{acc}, nil
-}
-
-// planRelNode builds the scan node for one planner relation: the base
-// or derived table scan with any pushed-down conjuncts rendered as a
-// Filter and the planner's cardinality estimate attached.
-func (vw view) planRelNode(rp *relPlan, params []Value) (*planNode, error) {
-	pushed := andJoin(rp.pushed)
-	var node *planNode
-	var err error
-	if rp.sub != nil {
-		node, err = vw.planSubqueryScan(rp.sub, rp.alias, params, rp.site)
-	} else {
-		node, err = vw.planScanNode(rp.table, rp.alias, pushed, params, rp.site)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if pushed != nil {
-		node.props = append(node.props, planProp{
-			text: "Filter: " + exprString(pushed),
-			site: stageKey{site: rp.site, stage: "pushfilter"},
-		})
-	}
-	node.props = append(node.props, planProp{text: estText(rp.est, rp.baseRows)})
-	return node, nil
-}
-
-// planScanNode builds a Seq Scan or Index Scan node for one base table,
-// asking planScanAccess for the same access-path decision execution
-// makes. site is the tracker identity the executor posts scan events on.
-func (vw view) planScanNode(table, alias string, where Expr, params []Value, site any) (*planNode, error) {
-	t, err := vw.db.table(table)
-	if err != nil {
-		return nil, err
-	}
-	qual := strings.ToLower(alias)
-	if qual == "" {
-		qual = strings.ToLower(t.Name)
-	}
-	display := t.Name
-	if alias != "" && !strings.EqualFold(alias, t.Name) {
-		display += " as " + alias
-	}
-	n := &planNode{site: scanKey{site}}
-	if p := vw.planScanAccess(t, qual, where, params); p != nil {
-		n.label = "Index Scan on " + display + " using " + p.ix.Name
-		n.props = append(n.props, planProp{text: "Index Cond: " + exprString(p.conj)})
-	} else {
-		n.label = "Seq Scan on " + display
-	}
-	return n, nil
-}
-
-// planSubqueryScan builds the node for a derived table (FROM subquery).
-func (vw view) planSubqueryScan(sub *SelectStmt, alias string, params []Value, site any) (*planNode, error) {
-	inner, err := vw.planSelect(sub, params)
-	if err != nil {
-		return nil, err
-	}
-	return &planNode{
-		label: "Subquery Scan on " + alias,
-		site:  scanKey{site},
-		kids:  []*planNode{inner},
-	}, nil
-}
-
-// appendSubPlans adds a SubPlan child for every subquery expression in
-// e, in AST order. walkExpr treats *Subquery as a closed scope, so
-// nested subqueries attach to their own enclosing SELECT's node.
-func (vw view) appendSubPlans(n *planNode, e Expr, params []Value) error {
-	var walkErr error
-	walkExpr(e, func(x Expr) bool {
-		if walkErr != nil {
-			return false
-		}
-		if sq, ok := x.(*Subquery); ok {
-			inner, err := vw.planSelect(sq.Sel, params)
-			if err != nil {
-				walkErr = err
-				return false
-			}
-			n.kids = append(n.kids, &planNode{label: "SubPlan", kids: []*planNode{inner}})
-		}
-		return true
-	})
-	return walkErr
+	pp.relPlan(dp.scan, false, pad)
 }
 
 // selHasAggregate reports whether the SELECT computes any aggregate,
@@ -572,81 +281,6 @@ func selHasAggregate(sel *SelectStmt) bool {
 		check(o.Expr)
 	}
 	return found
-}
-
-// --- rendering ---
-
-// renderPlan flattens the plan tree into QUERY PLAN lines, annotating
-// nodes and stage props with tracker counters when trk is non-nil (i.e.
-// ANALYZE ran).
-func renderPlan(root *planNode, trk *execTracker) []string {
-	var lines []string
-	var walk func(n *planNode, pad string, isRoot bool)
-	walk = func(n *planNode, pad string, isRoot bool) {
-		head := pad
-		propPad := pad + "  "
-		if !isRoot {
-			head += "-> "
-			propPad = pad + "   "
-		}
-		lines = append(lines, head+n.label+opAnnotation(trk, n.site))
-		for _, p := range n.props {
-			lines = append(lines, propPad+p.text+stageAnnotation(trk, p.site))
-		}
-		for _, kid := range n.kids {
-			walk(kid, propPad, false)
-		}
-	}
-	walk(root, "", true)
-	return lines
-}
-
-// opAnnotation renders a node's observed counters: scans and joins show
-// rows examined vs returned, SELECT/DML nodes show rows and time. A
-// node the execution never reached renders "(never executed)".
-func opAnnotation(trk *execTracker, key any) string {
-	if trk == nil || key == nil {
-		return ""
-	}
-	o := trk.ops[key]
-	if o == nil {
-		return " (never executed)"
-	}
-	var s string
-	switch key.(type) {
-	case scanKey, joinKey, pjoinKey:
-		s = fmt.Sprintf(" (examined=%d returned=%d time=%s", o.examined, o.returned, microsString(o.micros))
-	case stageKey:
-		return stageAnnotation(trk, key)
-	default: // selKey, dmlKey
-		s = fmt.Sprintf(" (rows=%d time=%s", o.returned, microsString(o.micros))
-	}
-	if o.calls > 1 {
-		s += fmt.Sprintf(" loops=%d", o.calls)
-	}
-	return s + ")"
-}
-
-// stageAnnotation renders a pipeline stage's in/out row counts. Unlike
-// node annotations, a missing stage renders nothing: stage props are
-// structural lines first, counters second.
-func stageAnnotation(trk *execTracker, key any) string {
-	if trk == nil || key == nil {
-		return ""
-	}
-	o := trk.ops[key]
-	if o == nil {
-		return ""
-	}
-	s := fmt.Sprintf(" (in=%d out=%d", o.in, o.out)
-	if o.calls > 1 {
-		s += fmt.Sprintf(" loops=%d", o.calls)
-	}
-	return s + ")"
-}
-
-func microsString(micros int64) string {
-	return (time.Duration(micros) * time.Microsecond).String()
 }
 
 // planResultText flattens an EXPLAIN result back into the newline-joined
@@ -802,44 +436,4 @@ func orderByString(items []OrderItem) string {
 		}
 	}
 	return strings.Join(parts, ", ")
-}
-
-// --- EXPLAIN execution ---
-
-// execExplain runs EXPLAIN [ANALYZE]. The plan builds under the shared
-// catalog lock against the session's read view so the access-path
-// decisions match what execution would choose at this moment. ANALYZE
-// then executes the target with the session's tracker installed —
-// including DML side effects and conflict retries (retried operators
-// render a loops= count) — and annotates the tree with what happened.
-func (s *Session) execExplain(x *ExplainStmt, params []Value) (*Result, error) {
-	db := s.db
-	db.mu.RLock()
-	vw, release := s.reader()
-	root, err := vw.planStmt(x.Target, params)
-	release()
-	db.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	var trk *execTracker
-	if x.Analyze {
-		trk = newExecTracker()
-		s.trk = trk
-		_, execErr := func() (*Result, error) {
-			defer func() { s.trk = nil }()
-			return s.ExecStmt(x.Target, params...)
-		}()
-		if execErr != nil {
-			return nil, execErr
-		}
-	}
-	lines := renderPlan(root, trk)
-	res := &Result{Columns: []string{"QUERY PLAN"}}
-	res.Rows = make([][]Value, 0, len(lines))
-	for _, ln := range lines {
-		res.Rows = append(res.Rows, []Value{NewString(ln)})
-	}
-	res.RowsAffected = int64(len(res.Rows))
-	return res, nil
 }

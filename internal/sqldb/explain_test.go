@@ -208,3 +208,69 @@ func TestExplainUnsupportedStatement(t *testing.T) {
 		t.Fatal("EXPLAIN of DDL should be a syntax error")
 	}
 }
+
+// wantPlan compares a whole rendered plan, observed times masked.
+func wantPlan(t *testing.T, sess *Session, sql, want string) {
+	t.Helper()
+	got := explainTimeRE.ReplaceAllString(planText(t, sess, sql), "time=…")
+	if want = strings.TrimSpace(want); got != want {
+		t.Errorf("%s\n got:\n%s\nwant:\n%s", sql, got, want)
+	}
+}
+
+// TestExplainAnalyzeCountersStayOnTheirNodes: ANALYZE reads the counters
+// off the plan nodes the executor ran, so they cannot land on another
+// node that happens to look alike — the outer query, a subquery and both
+// arms of a UNION all scan the same table here. A subquery runs once
+// however many rows ask for its value, so nothing reports loops=.
+func TestExplainAnalyzeCountersStayOnTheirNodes(t *testing.T) {
+	sess := explainDB(t)
+	wantPlan(t, sess, "EXPLAIN ANALYZE SELECT id FROM t WHERE val > (SELECT MIN(val) FROM t WHERE id <= 4) AND id > 10", `
+Select (rows=10 time=…)
+  Filter: ((val > (subquery)) AND (id > 10)) (in=10 out=10)
+  -> Index Scan on t using t_pkey (examined=10 returned=10 time=…)
+     Index Cond: (id > 10)
+  -> SubPlan
+     -> Select (rows=1 time=…)
+        Filter: (id <= 4) (in=4 out=4)
+        Aggregate (in=4 out=1)
+        -> Index Scan on t using t_pkey (examined=4 returned=4 time=…)
+           Index Cond: (id <= 4)`)
+
+	// The head arm runs from a copy of the statement without the chain's
+	// ORDER BY and LIMIT; its counters are the head's all the same.
+	wantPlan(t, sess, "EXPLAIN ANALYZE SELECT grp FROM t WHERE id <= 3 UNION SELECT grp FROM t WHERE val > 180 ORDER BY grp LIMIT 5", `
+Union (in=5 out=2)
+  Order By: grp ASC
+  Limit: 5
+  -> Select (rows=3 time=…)
+     Filter: (id <= 3) (in=3 out=3)
+     -> Index Scan on t using t_pkey (examined=3 returned=3 time=…)
+        Index Cond: (id <= 3)
+  -> Select (rows=2 time=…)
+     Filter: (val > 180) (in=20 out=2)
+     -> Seq Scan on t (examined=20 returned=20 time=…)`)
+
+	// A subquery in an ON condition runs inside the join; it has a plan,
+	// so it shows like any other.
+	wantPlan(t, sess, "EXPLAIN ANALYZE SELECT a.id FROM t a LEFT JOIN t b ON b.id = a.id AND b.val > (SELECT AVG(val) FROM t) WHERE a.id >= 19", `
+Select (rows=2 time=…)
+  Filter: (a.id >= 19) (in=20 out=2)
+  -> Nested Loop Left Join (examined=400 returned=20 time=…)
+     Join Cond: ((b.id = a.id) AND (b.val > (subquery)))
+     -> Seq Scan on t as a (examined=20 returned=20 time=…)
+     -> Seq Scan on t as b (examined=20 returned=20 time=…)
+  -> SubPlan
+     -> Select (rows=1 time=…)
+        Aggregate (in=20 out=1)
+        -> Seq Scan on t (examined=20 returned=20 time=…)`)
+
+	// This engine's subqueries are uncorrelated: a reference to a column
+	// of the enclosing query is planned (EXPLAIN shows it) and rejected
+	// when the subquery binds.
+	const correlated = "SELECT id FROM t a WHERE val = (SELECT MAX(val) FROM t b WHERE b.grp = a.grp)"
+	wantLine(t, planText(t, sess, "EXPLAIN "+correlated), "Filter: (b.grp = a.grp)")
+	if _, err := sess.Exec("EXPLAIN ANALYZE " + correlated); err == nil || !strings.Contains(err.Error(), `"a.grp" does not exist`) {
+		t.Errorf("correlated subquery: err = %v, want a.grp rejected", err)
+	}
+}

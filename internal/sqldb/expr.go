@@ -21,9 +21,10 @@ type evalEnv struct {
 	// vw enables subquery evaluation against the reader's snapshot; nil
 	// where subqueries are not permitted (e.g. constant folding for LIMIT).
 	vw *view
-	// subCache memoises uncorrelated subquery results for one statement
-	// execution. Shared across row environments of the same statement.
-	subCache map[*Subquery][][]Value
+	// subs are the plans of the subqueries the statement's expressions
+	// contain; each keeps its rows once it ran, for every environment of
+	// the execution.
+	subs []*subPlan
 }
 
 // resolveColumn finds the slot for a column reference. Matching is
@@ -404,25 +405,27 @@ func evalBetween(x *BetweenExpr, env *evalEnv) (Value, error) {
 	return NewBool(in != x.Not), nil
 }
 
-// evalSubquery evaluates (and memoises) an uncorrelated subquery.
+// evalSubquery runs an uncorrelated subquery's plan the first time the
+// execution reaches it, and returns the rows it kept after that.
 func evalSubquery(sub *Subquery, env *evalEnv) ([][]Value, error) {
 	if env.vw == nil {
 		return nil, &Error{Code: CodeFeature,
 			Message: "subqueries are not allowed in this context"}
 	}
-	if env.subCache != nil {
-		if rows, ok := env.subCache[sub]; ok {
-			return rows, nil
+	for _, sp := range env.subs {
+		if sp.sq != sub {
+			continue
 		}
+		if !sp.done {
+			res, err := env.vw.execSelect(sp.plan, env.params)
+			if err != nil {
+				return nil, err
+			}
+			sp.rows, sp.done = res.Rows, true
+		}
+		return sp.rows, nil
 	}
-	res, err := env.vw.execSelect(sub.Sel, env.params)
-	if err != nil {
-		return nil, err
-	}
-	if env.subCache != nil {
-		env.subCache[sub] = res.Rows
-	}
-	return res.Rows, nil
+	return nil, errInternal("subquery without a plan")
 }
 
 func evalIn(x *InExpr, env *evalEnv) (Value, error) {

@@ -450,44 +450,6 @@ func TestVacuumRespectsLiveSnapshot(t *testing.T) {
 	}
 }
 
-// TestSerialModeBaseline: the global-write-lock baseline still executes
-// transactions correctly (it is the A9 control arm).
-func TestSerialModeBaseline(t *testing.T) {
-	db, s := newMVCCTestDB(t, 1)
-	db.SetSerialMode(true)
-	defer db.SetSerialMode(false)
-
-	const workers, increments = 4, 10
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := NewSession(db)
-			defer w.Close()
-			for j := 0; j < increments; j++ {
-				if err := w.BeginTxn(); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := w.Exec("UPDATE acct SET bal = bal + 1 WHERE id = 1"); err != nil {
-					t.Error(err)
-					w.Rollback()
-					return
-				}
-				if err := w.Commit(); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := queryInt(t, s, "SELECT bal FROM acct WHERE id = 1"); got != 100+workers*increments {
-		t.Fatalf("bal = %d, want %d", got, 100+workers*increments)
-	}
-}
-
 // TestDDLConflictsWithPendingWrites: ALTER/DROP TABLE refuse to run over
 // another transaction's uncommitted rows instead of orphaning them.
 func TestDDLConflictsWithPendingWrites(t *testing.T) {

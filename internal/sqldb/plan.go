@@ -68,28 +68,25 @@ type PlanCache struct {
 	texts   map[string]*textEntry
 	tlru    *list.List // text-map LRU; values are SQL texts
 
-	enabled       atomic.Bool
 	hits          atomic.Uint64
 	misses        atomic.Uint64
 	bypasses      atomic.Uint64
 	invalidations atomic.Uint64
 }
 
-// NewPlanCache returns an enabled cache holding at most cap shapes.
-// cap <= 0 means DefaultPlanCacheCap.
+// NewPlanCache returns a cache holding at most cap shapes. cap <= 0
+// means DefaultPlanCacheCap.
 func NewPlanCache(cap int) *PlanCache {
 	if cap <= 0 {
 		cap = DefaultPlanCacheCap
 	}
-	pc := &PlanCache{
+	return &PlanCache{
 		cap:     cap,
 		entries: map[string]*planEntry{},
 		lru:     list.New(),
 		texts:   map[string]*textEntry{},
 		tlru:    list.New(),
 	}
-	pc.enabled.Store(true)
-	return pc
 }
 
 // lookupText returns the exact-text entry for sql, bumping its recency.
@@ -188,16 +185,6 @@ func (pc *PlanCache) remove(digest string) {
 	}
 }
 
-// purge drops every entry, keeping the counters.
-func (pc *PlanCache) purge() {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	pc.entries = map[string]*planEntry{}
-	pc.lru.Init()
-	pc.texts = map[string]*textEntry{}
-	pc.tlru.Init()
-}
-
 // len reports the number of cached shapes (including negative entries).
 func (pc *PlanCache) len() int {
 	pc.mu.Lock()
@@ -223,12 +210,10 @@ func (db *Database) PlanCached(sql string) (digest string, cached bool) {
 	return digest, db.plans.contains(digest)
 }
 
-// PlanCacheStats is a point-in-time summary of the plan cache and the
-// cost-based planner, shown on /server-status ("Planner") and exported
-// as db2www_sqldb_plan_cache_* metrics.
+// PlanCacheStats is a point-in-time summary of the plan cache, shown on
+// /server-status ("Planner") and exported as db2www_sqldb_plan_cache_*
+// metrics.
 type PlanCacheStats struct {
-	Enabled       bool   `json:"enabled"`
-	Planner       bool   `json:"planner"`
 	Size          int    `json:"size"`
 	Cap           int    `json:"cap"`
 	Hits          uint64 `json:"hits"`
@@ -241,8 +226,6 @@ type PlanCacheStats struct {
 func (db *Database) PlanCacheStats() PlanCacheStats {
 	pc := db.plans
 	return PlanCacheStats{
-		Enabled:       pc.enabled.Load(),
-		Planner:       db.PlannerEnabled(),
 		Size:          pc.len(),
 		Cap:           pc.cap,
 		Hits:          pc.hits.Load(),
@@ -250,34 +233,6 @@ func (db *Database) PlanCacheStats() PlanCacheStats {
 		Bypasses:      pc.bypasses.Load(),
 		Invalidations: pc.invalidations.Load(),
 	}
-}
-
-// SetPlanCacheEnabled toggles the prepared-plan cache (default enabled).
-// Disabling purges cached shapes so a re-enable starts cold.
-func (db *Database) SetPlanCacheEnabled(on bool) {
-	db.plans.enabled.Store(on)
-	if !on {
-		db.plans.purge()
-	}
-}
-
-// PlanCacheEnabled reports whether the prepared-plan cache is active.
-func (db *Database) PlanCacheEnabled() bool { return db.plans.enabled.Load() }
-
-// SetPlannerEnabled toggles the cost-based planner (default enabled).
-// When off, access-path selection reverts to the legacy first-match rule
-// and multi-relation FROM clauses build exactly as declared.
-func (db *Database) SetPlannerEnabled(on bool) {
-	db.mu.Lock()
-	db.noPlanner = !on
-	db.mu.Unlock()
-}
-
-// PlannerEnabled reports whether the cost-based planner is active.
-func (db *Database) PlannerEnabled() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return !db.noPlanner
 }
 
 // --- schema versions ---
@@ -497,14 +452,11 @@ func stmtTables(st Stmt) []string {
 // returns a private clone of the parsed statement with the extracted
 // literal values as its bind parameters, plus the digest/normalized
 // shape (saving the recording path its own lex). ok is false when the
-// statement must take the literal Parse path — cache disabled, shape not
-// parameterizable, or the parameterized form failed to parse (the
-// literal path then reports the authoritative error).
+// statement must take the literal Parse path — shape not parameterizable,
+// or the parameterized form failed to parse (the literal path then
+// reports the authoritative error).
 func (db *Database) prepareCached(sql string) (st Stmt, vals []Value, digest, norm string, hit, ok bool) {
 	pc := db.plans
-	if pc == nil || !pc.enabled.Load() {
-		return nil, nil, "", "", false, false
-	}
 	// Exact-text fast path: a verbatim repeat skips even the lex. The
 	// values slice is copied out because callers hand it to execution.
 	if te := pc.lookupText(sql); te != nil {

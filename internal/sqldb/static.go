@@ -1,14 +1,13 @@
 package sqldb
 
-import "strings"
-
 // This file exports read-only views of the parser, catalog, and planner
 // internals for static analysis. internal/sqlsema resolves and type-checks
 // SQL extracted from web macros against either a DDL file (parsed with this
-// package's parser) or a live catalog (via SchemaSnapshot), and mirrors the
-// cost model's access-path reasoning to predict sequential scans without
-// executing anything. Nothing here takes locks for longer than a snapshot
-// copy, and nothing exposes mutable engine state.
+// package's parser) or a live catalog (via SchemaSnapshot), and predicts
+// sequential scans without executing anything by asking IndexableShape —
+// the planner's own test of what an index can serve — about each
+// conjunct. Nothing here takes locks for longer than a snapshot copy, and
+// nothing exposes mutable engine state.
 
 // WalkExpr visits e and every sub-expression depth-first. The visitor
 // returns false to prune a subtree. Subqueries are closed scopes: the
@@ -26,14 +25,85 @@ func Conjuncts(e Expr) []Expr {
 	return andConjuncts(e)
 }
 
-// IsAggregateFunc reports whether name (any case) is an aggregate
-// function in this engine.
-func IsAggregateFunc(name string) bool { return isAggregate(strings.ToUpper(name)) }
+// IndexShape is the one way a conjunct can drive an index scan: a column
+// compared with an operand that is constant for the statement.
+type IndexShape struct {
+	Col     *ColumnRef
+	Op      string // "=", "<", "<=", ">", ">=" (as if the column were on the left), or "like"
+	Operand Expr   // the comparison operand, or the LIKE pattern
+}
+
+// IndexableShape classifies one conjunct the way the planner does before
+// it looks at the catalog: col = const, const = col, a range comparison
+// in either orientation, or col LIKE pattern without NOT or ESCAPE, where
+// the operand references no column, aggregate or subquery. planIndexScan
+// starts from this verdict, so what the linter predicts from it cannot
+// drift from what the engine does. What remains for the caller needs a
+// catalog and values: the column belongs to the scanned table and is
+// indexed (VARCHAR for LIKE), the operand is not NULL and coerces to the
+// column type, and the LIKE pattern has an IndexablePrefix.
+func IndexableShape(conj Expr) (IndexShape, bool) {
+	switch x := conj.(type) {
+	case *Binary:
+		flipped, ok := flipComparison(x.Op)
+		if !ok {
+			return IndexShape{}, false
+		}
+		if c, ok := x.L.(*ColumnRef); ok {
+			return IndexShape{Col: c, Op: x.Op, Operand: x.R}, constShaped(x.R)
+		}
+		if c, ok := x.R.(*ColumnRef); ok {
+			return IndexShape{Col: c, Op: flipped, Operand: x.L}, constShaped(x.L)
+		}
+	case *LikeExpr:
+		if c, ok := x.X.(*ColumnRef); ok && !x.Not && x.Escape == nil {
+			return IndexShape{Col: c, Op: "like", Operand: x.Pattern}, constShaped(x.Pattern)
+		}
+	}
+	return IndexShape{}, false
+}
+
+// flipComparison returns the operator that says the same with the
+// operands exchanged; ok is false for anything but = and the four range
+// comparisons.
+func flipComparison(op string) (flipped string, ok bool) {
+	switch op {
+	case "=":
+		return "=", true
+	case "<":
+		return ">", true
+	case "<=":
+		return ">=", true
+	case ">":
+		return "<", true
+	case ">=":
+		return "<=", true
+	}
+	return "", false
+}
+
+// constShaped reports whether e can be evaluated once per statement: no
+// column references, aggregates or subqueries. Parameters qualify.
+func constShaped(e Expr) bool {
+	ok := true
+	walkExpr(e, func(x Expr) bool {
+		switch n := x.(type) {
+		case *ColumnRef, *Subquery:
+			ok = false
+		case *FuncCall:
+			if isAggregate(n.Name) {
+				ok = false
+			}
+		}
+		return ok
+	})
+	return ok
+}
 
 // IndexablePrefix returns the literal prefix of a LIKE pattern that an
-// index range scan can use, mirroring the executor's access-path rule: the
-// pattern must end in % and contain no other wildcard. ok is false when
-// the pattern cannot be served by an index seek.
+// index range scan can use: the pattern must end in % and contain no
+// other wildcard. ok is false when the pattern cannot be served by an
+// index seek.
 func IndexablePrefix(pattern string) (prefix string, ok bool) {
 	return compileLike(pattern, "", false).prefix()
 }

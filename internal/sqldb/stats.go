@@ -15,24 +15,29 @@ import (
 // size into an atomic (Index.distinct). Both read latch-free, so
 // planning never blocks execution.
 //
-// On top of them sit three decisions, all disabled by SetPlannerEnabled
-// (false) to recover the legacy engine exactly:
+// planQuery plans every FROM clause (and the scan under UPDATE/DELETE)
+// into the fromPlan of planner.go, and makes three decisions on the way:
 //
-//   - access-path selection: planScanAccess scores every usable conjunct
-//     and picks the index expected to examine the fewest rows, instead
-//     of the legacy first-match rule (exec.go);
-//   - predicate pushdown: planQuery attributes WHERE and inner-join ON
-//     conjuncts to the single relation they mention and applies them at
-//     that relation's scan, below the joins;
-//   - join ordering: multi-relation FROM clauses of base tables are
-//     joined greedily by estimated cardinality, smallest first, with the
-//     output layout remapped back to declaration order.
+//   - access-path selection: planScanAccess scores every conjunct an
+//     index can serve (planIndexScan) and picks the index expected to
+//     examine the fewest rows;
+//   - predicate pushdown: WHERE and inner-join ON conjuncts that mention
+//     a single relation are applied at that relation's scan, below the
+//     joins;
+//   - join ordering: a FROM clause of base tables is joined greedily by
+//     estimated cardinality, smallest first, with the output layout
+//     remapped back to declaration order.
+//
+// The last two apply only where they cannot change the result: a FROM
+// clause of two or more relations without a LEFT join. Any other keeps
+// its declaration order with nothing pushed, and only a lone base table
+// is routed through an index.
 //
 // Everything here is estimation only — correctness never depends on a
 // statistic being current. A conjunct that cannot be attributed safely
 // stays in the residual WHERE clause, which binds and evaluates against
-// the full join layout exactly as the legacy path did (preserving
-// undefined-column and ambiguity errors).
+// the full join layout (preserving undefined-column and ambiguity
+// errors).
 
 // estTableRows estimates t's current visible row count: the last vacuum
 // sweep's exact count plus the insert/delete counter drift since. Before
@@ -69,34 +74,85 @@ func planEstRows(t *Table, p *indexScanPlan) float64 {
 	}
 }
 
+// --- access-path selection ---
+
+// indexScanPlan is one resolved access-path decision: which index serves
+// which conjunct, with the comparison key already coerced to the column
+// type.
+type indexScanPlan struct {
+	ix     *Index
+	op     string // "=", "<", "<=", ">", ">=", or "like"
+	key    Value  // comparison key for "=" and range ops
+	prefix string // literal prefix for "like"
+	conj   Expr   // the conjunct the index satisfies
+}
+
+// planScanAccess decides how t is read under conds, the conjuncts that
+// filter it: every conjunct an index can satisfy is a candidate, and the
+// one expected to examine the fewest rows wins. nil means a sequential
+// scan. Pure planning — no tree reads. Caller holds db.mu at least shared
+// (DDL excluded), which keeps t's index list still.
+func planScanAccess(t *Table, qual string, conds []Expr, params []Value) *indexScanPlan {
+	var best *indexScanPlan
+	var bestRows float64
+	for _, conj := range conds {
+		p := planIndexScan(t, qual, conj, params)
+		if p == nil {
+			continue
+		}
+		if rows := planEstRows(t, p); best == nil || rows < bestRows {
+			best, bestRows = p, rows
+		}
+	}
+	return best
+}
+
+// planIndexScan attempts to satisfy one conjunct with an index of t. The
+// shapes an index can serve are IndexableShape's; what is left to check
+// here needs the catalog and the parameter values: the column is t's and
+// indexed, the operand evaluates to a non-NULL constant that coerces to
+// the column type, and a LIKE pattern has a literal prefix.
+func planIndexScan(t *Table, qual string, conj Expr, params []Value) *indexScanPlan {
+	sh, ok := IndexableShape(conj)
+	if !ok {
+		return nil
+	}
+	pos := columnForQual(t, qual, sh.Col)
+	if pos < 0 || (sh.Op == "like" && t.Columns[pos].Type != TString) {
+		return nil
+	}
+	ix := t.indexOn(pos)
+	if ix == nil {
+		return nil
+	}
+	v, err := eval(sh.Operand, &evalEnv{params: params})
+	if err != nil || v.IsNull() {
+		return nil
+	}
+	if sh.Op == "like" {
+		prefix, ok := conj.(*LikeExpr).program(v.String(), "", false).prefix()
+		if !ok {
+			return nil
+		}
+		return &indexScanPlan{ix: ix, op: "like", prefix: prefix, conj: conj}
+	}
+	key, err := coerceToColumn(v, t.Columns[pos].Type)
+	if err != nil {
+		return nil
+	}
+	return &indexScanPlan{ix: ix, op: sh.Op, key: key, conj: conj}
+}
+
+// columnForQual returns the table column position when c refers to table t
+// (by the scan qualifier), or -1.
+func columnForQual(t *Table, qual string, c *ColumnRef) int {
+	if c.Table != "" && strings.ToLower(c.Table) != qual {
+		return -1
+	}
+	return t.colIndex(c.Column)
+}
+
 // --- query planning: pushdown + join ordering ---
-
-// relPlan is one relation in a planned multi-relation FROM clause.
-type relPlan struct {
-	declIdx  int         // position in declaration order
-	table    string      // base table name ("" for derived)
-	t        *Table      // resolved base table (nil for derived)
-	sub      *SelectStmt // derived table (nil for base)
-	alias    string
-	qual     string   // lower-cased binding qualifier
-	cols     []string // known lower-cased output columns; nil = opaque
-	site     any      // tracker identity: *TableRef or *JoinClause
-	pushed   []Expr   // conjuncts applied at this relation's scan
-	baseRows float64  // estimated rows before pushed filters
-	est      float64  // estimated rows after pushed filters
-}
-
-// fromPlan is the planned execution of a FROM clause: relations in join
-// order, the conjuncts applied at each join step, and the residual WHERE
-// clause left for the post-join filter.
-type fromPlan struct {
-	rels      []*relPlan // execution order
-	steps     [][]Expr   // steps[i]: conds applied when rels[i] joins (i >= 1)
-	stepCard  []float64  // estimated output rows after joining rels[i]
-	stepCost  []float64  // cumulative estimated cost through step i
-	residual  Expr       // AND of unattributed conjuncts; nil when none
-	reordered bool       // execution order differs from declaration order
-}
 
 // stepCond is one conjunct referencing two or more relations, applied at
 // the first join step where all of them are present.
@@ -120,99 +176,126 @@ func andJoin(conds []Expr) Expr {
 	return e
 }
 
-// derivedCols returns the lower-cased output column names a derived
-// table will expose, mirroring expandProjection's naming, or nil when
-// the projection cannot be resolved statically (SELECT * or t.*).
-func derivedCols(sub *SelectStmt) []string {
+// derivedCols returns the output layout a derived table will expose
+// under qual, mirroring expandProjection's naming, or nil when the
+// projection cannot be resolved statically (SELECT * or t.*).
+func derivedCols(sub *SelectStmt, qual string) []envCol {
 	if sub.Star {
 		return nil
 	}
-	out := make([]string, 0, len(sub.Items))
+	out := make([]envCol, 0, len(sub.Items))
 	for i, it := range sub.Items {
 		if it.TableStar != "" {
 			return nil
 		}
-		switch {
-		case it.Alias != "":
-			out = append(out, strings.ToLower(it.Alias))
-		default:
+		name := it.Alias
+		if name == "" {
 			if c, ok := it.Expr.(*ColumnRef); ok {
-				out = append(out, strings.ToLower(c.Column))
+				name = c.Column
 			} else {
-				out = append(out, fmt.Sprintf("col%d", i+1))
+				name = fmt.Sprintf("col%d", i+1)
 			}
 		}
+		out = append(out, envCol{tbl: qual, name: strings.ToLower(name)})
 	}
 	return out
 }
 
-// planQuery plans a multi-relation FROM clause: pushdown attribution,
-// selectivity estimation, and greedy join ordering. It returns nil when
-// the planner should not engage — planner disabled, fewer than two
-// relations (the legacy single-table path already routes WHERE through
-// indexes), any LEFT join (pushdown and reordering change LEFT join
-// semantics), or an unresolvable table (the legacy path reports the
-// error). Caller holds db.mu at least shared.
-func (vw view) planQuery(sel *SelectStmt) *fromPlan {
-	if vw.db.noPlanner || len(sel.From) == 0 {
-		return nil
-	}
-	var rels []*relPlan
-	var conds []Expr
-	addRel := func(table string, sub *SelectStmt, alias string, site any) bool {
-		rp := &relPlan{declIdx: len(rels), table: table, sub: sub, alias: alias, site: site}
-		if sub != nil {
-			rp.qual = strings.ToLower(alias)
-			rp.cols = derivedCols(sub)
-			rp.baseRows = 100 // no statistics inside a derived table
-		} else {
-			t, err := vw.db.table(table)
-			if err != nil {
-				return false
-			}
-			rp.t = t
-			rp.qual = strings.ToLower(alias)
-			if rp.qual == "" {
-				rp.qual = strings.ToLower(t.Name)
-			}
-			rp.cols = make([]string, len(t.Columns))
-			for i := range t.Columns {
-				rp.cols[i] = strings.ToLower(t.Columns[i].Name)
-			}
-			rp.baseRows = estTableRows(t)
+// planRel resolves one FROM entry or join target: a base table with its
+// layout and row estimate, or a derived table with its own plan.
+func (vw view) planRel(table string, sub *SelectStmt, alias string, params []Value) (*relPlan, error) {
+	rp := &relPlan{alias: alias, qual: strings.ToLower(alias)}
+	if sub != nil {
+		sp, err := vw.planSelect(sub, params)
+		if err != nil {
+			return nil, err
 		}
-		rels = append(rels, rp)
-		return true
+		rp.sub = sp
+		rp.cols = derivedCols(sub, rp.qual)
+		rp.baseRows = 100 // no statistics inside a derived table
+		return rp, nil
 	}
-	for i := range sel.From {
-		tr := &sel.From[i]
-		if !addRel(tr.Table, tr.Sub, tr.Alias, tr) {
-			return nil
+	t, err := vw.db.table(table)
+	if err != nil {
+		return nil, err
+	}
+	rp.t = t
+	if rp.qual == "" {
+		rp.qual = strings.ToLower(t.Name)
+	}
+	rp.cols = make([]envCol, len(t.Columns))
+	for i := range t.Columns {
+		rp.cols[i] = envCol{tbl: rp.qual, name: strings.ToLower(t.Columns[i].Name)}
+	}
+	rp.baseRows = estTableRows(t)
+	return rp, nil
+}
+
+// planQuery plans a FROM clause under its WHERE clause. It is total: the
+// relations resolve in declaration order (so the first table that does
+// not exist is the error), and what it returns is what runs.
+//
+// Two or more relations without a LEFT join are planned freely: pushdown
+// attribution, selectivity estimation, greedy join ordering. Anything
+// else is pinned — declaration order, each explicit join where it was
+// written, comma-listed entries multiplied, nothing pushed (pushdown and
+// reordering change LEFT join semantics) — and only a lone base table is
+// routed through an index, chosen among the WHERE conjuncts. Caller holds
+// db.mu at least shared.
+func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan, error) {
+	fp := &fromPlan{residual: where}
+	pinned := vw.naive
+	for i := range from {
+		tr := &from[i]
+		rp, err := vw.planRel(tr.Table, tr.Sub, tr.Alias, params)
+		if err != nil {
+			return nil, err
 		}
+		rp.declIdx = len(fp.rels)
+		fp.rels = append(fp.rels, rp)
 		for j := range tr.Joins {
 			jc := &tr.Joins[j]
 			if jc.Kind == JoinLeft {
-				return nil
+				pinned = true
 			}
-			if !addRel(jc.Table, jc.Sub, jc.Alias, jc) {
-				return nil
+			if rp, err = vw.planRel(jc.Table, jc.Sub, jc.Alias, params); err != nil {
+				return nil, err
 			}
-			if jc.On != nil {
-				conds = append(conds, andConjuncts(jc.On)...)
-			}
+			rp.declIdx = len(fp.rels)
+			fp.rels = append(fp.rels, rp)
 		}
 	}
-	if len(rels) < 2 {
-		return nil
+	rels := fp.rels
+	if len(rels) == 1 {
+		rp := rels[0]
+		if rp.t != nil && where != nil && !vw.naive {
+			rp.access = planScanAccess(rp.t, rp.qual, andConjuncts(where), params)
+		}
+		fp.root = rp
+		return fp, nil
 	}
-	if sel.Where != nil {
-		conds = append(andConjuncts(sel.Where), conds...)
+	if pinned {
+		fp.root = declaredJoins(from, rels)
+		return fp, nil
+	}
+
+	var conds []Expr
+	if where != nil {
+		conds = andConjuncts(where)
+	}
+	for i := range from {
+		for j := range from[i].Joins {
+			if on := from[i].Joins[j].On; on != nil {
+				conds = append(conds, andConjuncts(on)...)
+			}
+		}
 	}
 
 	// Attribute each conjunct: to one relation (pushed), to a join step
 	// (multi-relation), or to the residual filter.
 	var joinConds []stepCond
 	var residual []Expr
+	pushed := make([][]Expr, len(rels))
 	for _, cond := range conds {
 		mask, ok := attributeCond(cond, rels)
 		switch {
@@ -220,17 +303,24 @@ func (vw view) planQuery(sel *SelectStmt) *fromPlan {
 			residual = append(residual, cond)
 		case len(mask) == 1:
 			for i := range mask {
-				rels[i].pushed = append(rels[i].pushed, cond)
+				pushed[i] = append(pushed[i], cond)
 			}
 		default:
 			joinConds = append(joinConds, stepCond{cond: cond, mask: mask})
 		}
 	}
 
-	// Per-relation cardinality after pushed filters.
-	for _, rp := range rels {
+	// Per-relation filter, access path, and cardinality after the filter.
+	allBase := true
+	for i, rp := range rels {
+		rp.filter = andJoin(pushed[i])
+		if rp.t != nil {
+			rp.access = planScanAccess(rp.t, rp.qual, pushed[i], params)
+		} else {
+			allBase = false
+		}
 		est := rp.baseRows
-		for _, cond := range rp.pushed {
+		for _, cond := range pushed[i] {
 			est *= condSelectivity(rp, cond)
 		}
 		rp.est = math.Max(1, est)
@@ -240,16 +330,7 @@ func (vw view) planQuery(sel *SelectStmt) *fromPlan {
 	// guesses, and reordering around them buys little). Start from the
 	// smallest estimated relation; at each step add the relation whose
 	// join yields the smallest estimated output.
-	order := make([]int, len(rels))
-	for i := range order {
-		order[i] = i
-	}
-	allBase := true
-	for _, rp := range rels {
-		if rp.sub != nil {
-			allBase = false
-		}
-	}
+	order := make([]*relPlan, 0, len(rels))
 	if allBase {
 		start := 0
 		for i, rp := range rels {
@@ -258,8 +339,7 @@ func (vw view) planQuery(sel *SelectStmt) *fromPlan {
 			}
 		}
 		chosen := map[int]bool{start: true}
-		order = order[:0]
-		order = append(order, start)
+		order = append(order, rels[start])
 		acc := rels[start].est
 		for len(order) < len(rels) {
 			best, bestCard := -1, math.MaxFloat64
@@ -273,36 +353,28 @@ func (vw view) planQuery(sel *SelectStmt) *fromPlan {
 				}
 			}
 			chosen[best] = true
-			order = append(order, best)
+			order = append(order, rels[best])
 			acc = bestCard
 		}
+	} else {
+		order = append(order, rels...)
 	}
-
-	fp := &fromPlan{
-		rels:     make([]*relPlan, len(order)),
-		steps:    make([][]Expr, len(order)),
-		stepCard: make([]float64, len(order)),
-		stepCost: make([]float64, len(order)),
-		residual: andJoin(residual),
-	}
-	for i, r := range order {
-		fp.rels[i] = rels[r]
-		if r != i {
+	for i, rp := range order {
+		if rp.declIdx != i {
 			fp.reordered = true
 		}
 	}
 
-	// Assign each join condition to the earliest step covering its mask,
-	// and roll up cardinality/cost estimates for EXPLAIN.
+	// Join left-deep in that order, each condition at the earliest step
+	// that covers its relations, rolling up cardinality and cost.
 	assigned := make([]bool, len(joinConds))
-	covered := map[int]bool{fp.rels[0].declIdx: true}
-	card := fp.rels[0].est
-	cost := fp.rels[0].baseRows
-	fp.stepCard[0] = card
-	fp.stepCost[0] = cost
-	for i := 1; i < len(fp.rels); i++ {
-		rp := fp.rels[i]
+	covered := map[int]bool{order[0].declIdx: true}
+	card := order[0].est
+	cost := order[0].baseRows
+	var node fromNode = order[0]
+	for _, rp := range order[1:] {
 		covered[rp.declIdx] = true
+		var step []Expr
 		sel := 1.0
 		for j := range joinConds {
 			if assigned[j] {
@@ -319,23 +391,52 @@ func (vw view) planQuery(sel *SelectStmt) *fromPlan {
 				continue
 			}
 			assigned[j] = true
-			fp.steps[i] = append(fp.steps[i], joinConds[j].cond)
+			step = append(step, joinConds[j].cond)
 			sel = math.Min(sel, condJoinSelectivity(rp, joinConds[j].cond))
 		}
 		cost += rp.baseRows + card*rp.est // scan + nested-loop pairs
 		card = math.Max(1, card*rp.est*sel)
-		fp.stepCard[i] = card
-		fp.stepCost[i] = cost
+		jp := &joinPlan{left: node, right: rp, kind: JoinCross, cond: andJoin(step), card: card, cost: cost}
+		if jp.cond != nil {
+			jp.kind = JoinInner
+		}
+		node = jp
 	}
-	return fp
+	fp.root, fp.rels = node, order
+	fp.residual = andJoin(residual)
+	fp.free = true
+	return fp, nil
+}
+
+// declaredJoins builds the join tree of a pinned FROM clause exactly as
+// it is written: each entry's explicit joins chained onto it with their
+// own ON conditions, the comma-listed entries then multiplied in order.
+func declaredJoins(from []TableRef, rels []*relPlan) fromNode {
+	var acc fromNode
+	k := 0
+	for i := range from {
+		var node fromNode = rels[k]
+		k++
+		for j := range from[i].Joins {
+			jc := &from[i].Joins[j]
+			node = &joinPlan{left: node, right: rels[k], kind: jc.Kind, cond: jc.On}
+			k++
+		}
+		if acc == nil {
+			acc = node
+		} else {
+			acc = &joinPlan{left: acc, right: node, kind: JoinCross, comma: true}
+		}
+	}
+	return acc
 }
 
 // attributeCond determines which relations cond references. ok is false
 // when the conjunct must stay in the residual filter: it contains a
 // subquery or aggregate, references no columns, or has a reference that
-// cannot be resolved to exactly one relation (including every case the
-// legacy bind would reject — ambiguity and undefined columns surface
-// from the residual bind exactly as before).
+// cannot be resolved to exactly one relation (including every case bind
+// rejects — ambiguity and undefined columns surface from the residual
+// bind).
 func attributeCond(cond Expr, rels []*relPlan) (map[int]bool, bool) {
 	bad := false
 	var refs []*ColumnRef
@@ -385,7 +486,7 @@ func attributeCond(cond Expr, rels []*relPlan) (map[int]bool, bool) {
 				return nil, false
 			}
 			for _, col := range rp.cols {
-				if col == name {
+				if col.name == name {
 					matches++
 					found = i
 				}

@@ -2,6 +2,9 @@ package sqldriver
 
 import (
 	"database/sql"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"db2www/internal/sqldb"
@@ -319,5 +322,109 @@ func TestRetryLoopThroughDriver(t *testing.T) {
 	}
 	if salary != 90000+workers*increments {
 		t.Fatalf("salary = %v, want %d", salary, 90000+workers*increments)
+	}
+}
+
+// rowStrings returns a query's rows, each joined to a line.
+func rowStrings(t *testing.T, rows *sql.Rows, err error) []string {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	cols, _ := rows.Columns()
+	var out []string
+	for rows.Next() {
+		cells := make([]sql.NullString, len(cols))
+		dest := make([]any, len(cols))
+		for i := range cells {
+			dest[i] = &cells[i]
+		}
+		if err := rows.Scan(dest...); err != nil {
+			t.Fatal(err)
+		}
+		line := ""
+		for _, c := range cells {
+			line += c.String + "|"
+		}
+		out = append(out, line)
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestPreparedJoinReplansPerExecution: a prepared statement is one parsed
+// tree executed many times, so nothing the planner decides may stay on
+// it. The same stmt runs a two-table join, then again with another
+// parameter after the smaller table has outgrown the other: both times
+// its rows are those of the join written so that the planner must take
+// it as declared (a LEFT JOIN keeps declaration order, pushes nothing
+// down and scans sequentially — the naive plan, reached through SQL),
+// and EXPLAIN shows the join order following the data.
+func TestPreparedJoinReplansPerExecution(t *testing.T) {
+	db := openTestDB(t, "REPLAN")
+	db.SetMaxOpenConns(1) // one connection, so one driver stmt serves both runs
+	for _, q := range []string{
+		"CREATE TABLE small (k INTEGER PRIMARY KEY, tag VARCHAR(10))",
+		"CREATE TABLE big (id INTEGER PRIMARY KEY, k INTEGER, v VARCHAR(10))",
+	} {
+		if _, err := db.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < 3; k++ {
+		if _, err := db.Exec("INSERT INTO small VALUES (?, ?)", k, fmt.Sprintf("t%d", k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := 1; id <= 40; id++ {
+		if _, err := db.Exec("INSERT INTO big VALUES (?, ?, ?)", id, id%5, fmt.Sprintf("v%d", id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const join = "SELECT b.id, s.tag FROM big b JOIN small s ON s.k = b.k WHERE b.id > ? ORDER BY b.id"
+	const declared = "SELECT b.id, s.tag FROM big b LEFT JOIN small s ON s.k = b.k WHERE b.id > ? AND s.k IS NOT NULL ORDER BY b.id"
+	st, err := db.Prepare(join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	lines := func(rows *sql.Rows, err error) []string {
+		t.Helper()
+		return rowStrings(t, rows, err)
+	}
+	firstScan := func(arg int) string {
+		plan := strings.Join(lines(db.Query("EXPLAIN "+join, arg)), "\n")
+		iSmall, iBig := strings.Index(plan, "Scan on small"), strings.Index(plan, "Scan on big")
+		if iSmall < 0 || iBig < 0 {
+			t.Fatalf("plan shows no scans:\n%s", plan)
+		}
+		if iSmall < iBig {
+			return "small"
+		}
+		return "big"
+	}
+
+	got, want := lines(st.Query(10)), lines(db.Query(declared, 10))
+	if len(got) != 18 || !slices.Equal(got, want) {
+		t.Fatalf("first run: %d rows %v, declared-order join %v", len(got), got, want)
+	}
+	if first := firstScan(10); first != "small" {
+		t.Fatalf("3 rows against ~13: want the join to start from small, starts from %s", first)
+	}
+
+	for k := 100; k < 300; k++ {
+		if _, err := db.Exec("INSERT INTO small VALUES (?, 'late')", k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, want = lines(st.Query(35)), lines(db.Query(declared, 35))
+	if len(got) != 3 || !slices.Equal(got, want) {
+		t.Fatalf("second run: %d rows %v, declared-order join %v", len(got), got, want)
+	}
+	if first := firstScan(35); first != "big" {
+		t.Fatalf("203 rows against ~13: want the join to start from big, starts from %s", first)
 	}
 }

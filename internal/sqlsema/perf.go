@@ -7,12 +7,13 @@ import (
 	"db2www/internal/sqldb"
 )
 
-// Planner-driven performance lints. These mirror planIndexScan /
-// planScanAccess: a conjunct can route a scan through an index only when
-// it has the shape col-op-const (or col LIKE 'prefix%' on an indexed
-// VARCHAR column), so the analyzer predicts — without executing — which
-// WHERE clauses the cost-based planner will be unable to serve with
-// anything better than a sequential scan.
+// Planner-driven performance lints. A conjunct can route a scan through
+// an index only when sqldb.IndexableShape — the test the planner itself
+// starts from — accepts it and the column is indexed, so the analyzer
+// predicts, without executing, which WHERE clauses the cost-based planner
+// will be unable to serve with anything better than a sequential scan.
+// What is decided here is only what a macro adds to that: a literal that
+// is partly or wholly a substitution slot, and the CREATE INDEX hint.
 
 // wildcardDiag is a deferred leading-wildcard diagnosis: emitted only if
 // no other conjunct gives the relation an index path (if one does, the
@@ -52,27 +53,6 @@ func (a *analyzer) conjRels(sc *scope, conj sqldb.Expr) (map[*rel]bool, bool) {
 	return rels, ok
 }
 
-// constish mirrors the planner's constValue shape test: no column
-// references, no subqueries, no aggregates. (Parameters are const at
-// plan time — slot substitution sites can still use an index.)
-func constish(e sqldb.Expr) bool {
-	ok := true
-	sqldb.WalkExpr(e, func(x sqldb.Expr) bool {
-		switch n := x.(type) {
-		case *sqldb.ColumnRef, *sqldb.Subquery, *sqldb.ExistsExpr:
-			ok = false
-			return false
-		case *sqldb.FuncCall:
-			if sqldb.IsAggregateFunc(n.Name) {
-				ok = false
-				return false
-			}
-		}
-		return ok
-	})
-	return ok
-}
-
 // relColumn returns the base-table column when cr binds to r, else nil.
 func (a *analyzer) relColumn(sc *scope, cr *sqldb.ColumnRef, r *rel) *Column {
 	res := a.resolveQuiet(sc, cr)
@@ -83,83 +63,65 @@ func (a *analyzer) relColumn(sc *scope, cr *sqldb.ColumnRef, r *rel) *Column {
 }
 
 // indexUsable decides whether one conjunct attributed to relation r can
-// route r's scan through an index, mirroring planIndexScan.
+// route r's scan through an index.
 func (a *analyzer) indexUsable(sc *scope, conj sqldb.Expr, r *rel) usability {
-	switch x := conj.(type) {
-	case *sqldb.Binary:
-		switch x.Op {
-		case "=", "<", "<=", ">", ">=":
-		default:
+	sh, ok := sqldb.IndexableShape(conj)
+	if !ok {
+		return usability{}
+	}
+	c := a.relColumn(sc, sh.Col, r)
+	if c == nil {
+		return usability{}
+	}
+	lit, isLit := sh.Operand.(*sqldb.Literal)
+	if sh.Op != "like" {
+		// The planner skips NULL keys (no row can match), so col = NULL
+		// never claims an index path.
+		if isLit && lit.Val.IsNull() {
 			return usability{}
 		}
-		for _, side := range [2]struct{ col, other sqldb.Expr }{{x.L, x.R}, {x.R, x.L}} {
-			cr, is := side.col.(*sqldb.ColumnRef)
-			if !is {
-				continue
-			}
-			c := a.relColumn(sc, cr, r)
-			if c == nil || !constish(side.other) {
-				continue
-			}
-			// planIndexScan skips NULL keys (no row can match); mirror it
-			// so col = NULL never claims an index path.
-			if lit, is := side.other.(*sqldb.Literal); is && lit.Val.IsNull() {
-				continue
-			}
-			if r.tbl.IndexOn(c.Name) == nil {
-				return usability{missingCol: c.Name}
-			}
-			// The planner also requires the key to coerce to the column
-			// type; an uncoercible literal is a type error the sqltype
-			// rule already flags, so perf stays quiet about it.
-			return usability{usable: true}
-		}
-	case *sqldb.LikeExpr:
-		if x.Not || x.Escape != nil {
-			return usability{}
-		}
-		cr, is := x.X.(*sqldb.ColumnRef)
-		if !is {
-			return usability{}
-		}
-		c := a.relColumn(sc, cr, r)
-		if c == nil || c.Type != sqldb.TString {
-			return usability{}
-		}
-		lit, is := x.Pattern.(*sqldb.Literal)
-		if !is {
-			// A slot pattern may carry an indexable prefix at runtime:
-			// give it the benefit of the doubt.
-			return usability{usable: true}
-		}
-		ix := r.tbl.IndexOn(c.Name)
-		pat := lit.Val.S
-		known := pat
-		if p, opaque := a.opaquePrefix(lit.Off); opaque {
-			known = p
-		}
-		if known != "" && (known[0] == '%' || known[0] == '_') {
-			if ix != nil {
-				return usability{wildcard: &wildcardDiag{
-					off: lit.Off, pattern: known, ixName: ix.Name, col: c.Name,
-				}}
-			}
-			return usability{missingCol: ""} // no index to defeat; plain seq scan
-		}
-		if _, opaque := a.opaquePrefix(lit.Off); opaque {
-			// Known prefix is literal text; the dynamic tail may well
-			// end in %. Assume the best.
-			return usability{usable: true}
-		}
-		if _, ok := sqldb.IndexablePrefix(pat); !ok {
-			return usability{} // inner wildcard or no trailing %: never indexable
-		}
-		if ix == nil {
+		if r.tbl.IndexOn(c.Name) == nil {
 			return usability{missingCol: c.Name}
 		}
+		// The planner also requires the key to coerce to the column
+		// type; an uncoercible literal is a type error the sqltype
+		// rule already flags, so perf stays quiet about it.
 		return usability{usable: true}
 	}
-	return usability{}
+	if c.Type != sqldb.TString {
+		return usability{}
+	}
+	if !isLit {
+		// A slot pattern may carry an indexable prefix at runtime:
+		// give it the benefit of the doubt.
+		return usability{usable: true}
+	}
+	ix := r.tbl.IndexOn(c.Name)
+	pat := lit.Val.S
+	known, opaque := a.opaquePrefix(lit.Off)
+	if !opaque {
+		known = pat
+	}
+	if known != "" && (known[0] == '%' || known[0] == '_') {
+		if ix != nil {
+			return usability{wildcard: &wildcardDiag{
+				off: lit.Off, pattern: known, ixName: ix.Name, col: c.Name,
+			}}
+		}
+		return usability{} // no index to defeat; plain seq scan
+	}
+	if opaque {
+		// Known prefix is literal text; the dynamic tail may well
+		// end in %. Assume the best.
+		return usability{usable: true}
+	}
+	if _, ok := sqldb.IndexablePrefix(pat); !ok {
+		return usability{} // inner wildcard or no trailing %: never indexable
+	}
+	if ix == nil {
+		return usability{missingCol: c.Name}
+	}
+	return usability{usable: true}
 }
 
 // relState accumulates the per-relation verdicts of perfConjuncts.

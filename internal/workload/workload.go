@@ -70,6 +70,30 @@ func URLDB(db *sqldb.Database, n int, seed int64) error {
 	return nil
 }
 
+// URLDBHeap declares urldb_heap, urldb's rows in a table without its key:
+// the same predicate on it is the full scan an index saves, measured
+// through SQL alone (A5).
+func URLDBHeap(db *sqldb.Database) error {
+	s := sqldb.NewSession(db)
+	defer s.Close()
+	if _, err := s.Exec(`CREATE TABLE urldb_heap (
+  url VARCHAR(255) NOT NULL,
+  title VARCHAR(255),
+  description VARCHAR(1024))`); err != nil {
+		return err
+	}
+	all, err := s.Exec("SELECT url, title, description FROM urldb")
+	if err != nil {
+		return err
+	}
+	for _, row := range all.Rows {
+		if _, err := s.Exec("INSERT INTO urldb_heap VALUES (?, ?, ?)", row...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Orders creates the Section 3.1.3 schema: customers and products with a
 // secondary index on custid, populated deterministically.
 func Orders(db *sqldb.Database, customers, productsPerCustomer int, seed int64) error {
