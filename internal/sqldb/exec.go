@@ -153,48 +153,6 @@ func crossJoin(a, b *rowSet) *rowSet {
 	return out
 }
 
-// joinOn performs an INNER or LEFT join of a with b on cond. LEFT join
-// emits a NULL-padded row for unmatched left rows. subs are the plans of
-// the statement's subqueries, which cond may contain.
-func (vw view) joinOn(a, b *rowSet, cond Expr, kind JoinKind, params []Value, subs []*subPlan) (*rowSet, error) {
-	out := &rowSet{cols: append(append([]envCol{}, a.cols...), b.cols...)}
-	env := &evalEnv{cols: out.cols, params: params, vw: &vw, subs: subs}
-	if cond != nil {
-		if err := bindExpr(cond, env); err != nil {
-			return nil, err
-		}
-	}
-	nullPad := make([]Value, len(b.cols))
-	for _, ra := range a.rows {
-		matched := false
-		for _, rb := range b.rows {
-			row := make([]Value, 0, len(ra)+len(rb))
-			row = append(row, ra...)
-			row = append(row, rb...)
-			if cond != nil {
-				env.row = row
-				v, err := eval(cond, env)
-				if err != nil {
-					return nil, err
-				}
-				truth, known := v.Truth()
-				if !known || !truth {
-					continue
-				}
-			}
-			matched = true
-			out.rows = append(out.rows, row)
-		}
-		if kind == JoinLeft && !matched {
-			row := make([]Value, 0, len(ra)+len(nullPad))
-			row = append(row, ra...)
-			row = append(row, nullPad...)
-			out.rows = append(out.rows, row)
-		}
-	}
-	return out, nil
-}
-
 // scanRel produces one planned relation's row set: the base-table scan
 // through its access path, or the derived table's result under its alias,
 // with the conjuncts the planner pushed to this relation applied.
@@ -238,8 +196,8 @@ func (vw view) scanRel(rp *relPlan, params []Value) (*rowSet, error) {
 	return rs, nil
 }
 
-// execFromNode runs one node of the FROM tree: a scan, or a nested-loop
-// join of its two inputs, left first.
+// execFromNode runs one node of the FROM tree: a scan, or the join of its
+// two inputs, left first, by the method on the node.
 func (vw view) execFromNode(n fromNode, params []Value, subs []*subPlan) (*rowSet, error) {
 	jp, ok := n.(*joinPlan)
 	if !ok {
@@ -255,12 +213,13 @@ func (vw view) execFromNode(n fromNode, params []Value, subs []*subPlan) (*rowSe
 	}
 	start := vw.clock()
 	var out *rowSet
+	examined := len(left.rows) * len(right.rows)
 	if jp.cond == nil && jp.kind != JoinLeft {
 		out = crossJoin(left, right)
-	} else if out, err = vw.joinOn(left, right, jp.cond, jp.kind, params, subs); err != nil {
+	} else if out, examined, err = vw.joinOn(left, right, jp, params, subs); err != nil {
 		return nil, err
 	}
-	jp.stat.done(start, len(left.rows)*len(right.rows), len(out.rows))
+	jp.stat.done(start, examined, len(out.rows))
 	return out, nil
 }
 

@@ -174,18 +174,34 @@ func (pp *planPrinter) fromNode(n fromNode, free bool, pad string) {
 		pp.relPlan(n.(*relPlan), free, pad)
 		return
 	}
-	label := "Nested Loop Join"
+	method := "Nested Loop"
+	if jp.hash != nil {
+		method = "Hash"
+	}
+	label := method + " Join"
 	switch jp.kind {
 	case JoinCross:
 		label = "Cross Join"
 	case JoinLeft:
-		label = "Nested Loop Left Join"
+		label = method + " Left Join"
 	}
 	if !jp.comma { // the product of comma-listed entries has always printed bare
 		label += pp.scanned(&jp.stat)
 	}
 	in := pp.node(pad, false, label)
-	if jp.cond != nil {
+	switch {
+	case jp.hash != nil:
+		pp.prop(in, "Hash Cond: "+exprString(jp.hash.conj))
+		var rest []Expr
+		for _, conj := range andConjuncts(jp.cond) {
+			if conj != Expr(jp.hash.conj) {
+				rest = append(rest, conj)
+			}
+		}
+		if len(rest) > 0 {
+			pp.prop(in, "Join Cond: "+exprString(andJoin(rest)))
+		}
+	case jp.cond != nil:
 		pp.prop(in, "Join Cond: "+exprString(jp.cond))
 	}
 	if free {

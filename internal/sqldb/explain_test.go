@@ -87,9 +87,10 @@ func TestExplainAnalyzeIndexScan(t *testing.T) {
 }
 
 // TestExplainAnalyzeJoin: the planner pushes the WHERE conjunct below
-// the join (the left scan keeps 3 of 20 rows), so the nested loop
-// examines 3x20 pairs rather than the full cross product, and the plan
-// carries the planner's cardinality estimates.
+// the join (the left scan keeps 3 of 20 rows) and joins on the equality
+// with a hash, so the join examines the 3 pairs with equal ids rather than
+// 3x20 or the full cross product, and the plan carries the planner's
+// cardinality estimates.
 func TestExplainAnalyzeJoin(t *testing.T) {
 	sess := explainDB(t)
 	bare := mustExec(t, sess, "SELECT a.id FROM t AS a JOIN t AS b ON a.id = b.id WHERE a.val <= 30")
@@ -97,8 +98,8 @@ func TestExplainAnalyzeJoin(t *testing.T) {
 		t.Fatalf("bare query returned %d rows, want 3", len(bare.Rows))
 	}
 	plan := planText(t, sess, "EXPLAIN ANALYZE SELECT a.id FROM t AS a JOIN t AS b ON a.id = b.id WHERE a.val <= 30")
-	wantLine(t, plan, "Nested Loop Join (examined=60 returned=3 time=")
-	wantLine(t, plan, "Join Cond: (a.id = b.id)")
+	wantLine(t, plan, "Hash Join (examined=3 returned=3 time=")
+	wantLine(t, plan, "Hash Cond: (a.id = b.id)")
 	wantLine(t, plan, "-> Seq Scan on t as a (examined=20 returned=20 time=")
 	wantLine(t, plan, "-> Seq Scan on t as b (examined=20 returned=20 time=")
 	wantLine(t, plan, fmt.Sprintf("Filter: (a.val <= 30) (in=20 out=%d)", len(bare.Rows)))
@@ -256,8 +257,9 @@ Union (in=5 out=2)
 	wantPlan(t, sess, "EXPLAIN ANALYZE SELECT a.id FROM t a LEFT JOIN t b ON b.id = a.id AND b.val > (SELECT AVG(val) FROM t) WHERE a.id >= 19", `
 Select (rows=2 time=…)
   Filter: (a.id >= 19) (in=20 out=2)
-  -> Nested Loop Left Join (examined=400 returned=20 time=…)
-     Join Cond: ((b.id = a.id) AND (b.val > (subquery)))
+  -> Hash Left Join (examined=20 returned=20 time=…)
+     Hash Cond: (b.id = a.id)
+     Join Cond: (b.val > (subquery))
      -> Seq Scan on t as a (examined=20 returned=20 time=…)
      -> Seq Scan on t as b (examined=20 returned=20 time=…)
   -> SubPlan

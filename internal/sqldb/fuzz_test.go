@@ -214,9 +214,10 @@ INSERT INTO u VALUES (1, 1, 'p'), (2, 1, 'q'), (3, 2, NULL), (4, NULL, 'r'), (5,
 // resolved, before any row is looked at — so every plan of the statement
 // must raise it. The others depend on which rows a plan evaluates an
 // expression over (pushdown evaluates a predicate on rows a join would
-// have dropped, and the other way round). Name resolution is not in the
-// set: a freely planned FROM clause resolves an ON condition against the
-// whole clause, a pinned one against the relations joined so far.
+// have dropped, and the other way round; a hash join does not evaluate
+// its condition on a pair whose keys differ). Name resolution is not in
+// the set: a reference is resolved when the operator that evaluates it
+// runs, after whatever that plan ran before it.
 func sameOnEveryPlan(err error) bool {
 	var e *Error
 	if !errors.As(err, &e) {
@@ -248,6 +249,8 @@ func FuzzExecRoundTrip(f *testing.F) {
 	f.Add("SELECT s.n FROM (SELECT a, COUNT(*) AS n FROM u GROUP BY a) s, t WHERE s.a = t.a")
 	f.Add("SELECT a FROM t WHERE c = 20 UNION SELECT a FROM u WHERE x IN (SELECT a FROM t)")
 	f.Add("DELETE FROM u WHERE a = 1 AND y = 'q'")
+	f.Add("SELECT t.a, t2.a FROM t JOIN t t2 ON t.c = t2.c AND t.a <> t2.a")
+	f.Add("SELECT u.x, t.b FROM u LEFT JOIN t ON t.a = u.a AND t.c > 10")
 	f.Fuzz(func(t *testing.T, src string) {
 		// Every relation multiplies the rows of a product; a statement
 		// listing many would spend the fuzzing budget on one cross join.

@@ -1,0 +1,228 @@
+package sqldb
+
+import "strings"
+
+// Join methods. A join step is a nested loop unless the planner found, at
+// plan time, one conjunct of its condition a hash can serve (hashKeyFor);
+// the choice is on the joinPlan, EXPLAIN prints it, and joinOn does what
+// it says. Either way the whole condition decides each pair it is
+// evaluated on — the hash only chooses which pairs those are — so a hash
+// join returns the nested loop's rows in the nested loop's order.
+
+// keyClass is the kind of map that compares the two columns of a hash key
+// the way Compare does.
+type keyClass int
+
+const (
+	keyInt    keyClass = iota // INTEGER = INTEGER, exact; BOOLEAN = BOOLEAN as 0 and 1
+	keyFloat                  // a DOUBLE on either side: both through AsFloat
+	keyString                 // VARCHAR = VARCHAR
+)
+
+// keyClassOf returns the class two declared column types compare in. A
+// VARCHAR beside a number has none: Compare parses the string, and fails
+// on the pair whose string is not a number.
+func keyClassOf(a, b Type) (keyClass, bool) {
+	numeric := func(t Type) bool { return t == TInt || t == TFloat }
+	switch {
+	case a == TInt && b == TInt, a == TBool && b == TBool:
+		return keyInt, true
+	case numeric(a) && numeric(b):
+		return keyFloat, true
+	case a == TString && b == TString:
+		return keyString, true
+	}
+	return 0, false
+}
+
+// hashKeyFor chooses the join method of a step that joins right onto the
+// join of left under cond: the first conjunct `L.col = R.col` with one
+// column from left and one from right, both of base tables — what a table
+// stores has its column's declared type or is NULL, which a derived
+// table's column does not promise — and of one comparison class. nil
+// means a nested loop. The references are resolved as bindExpr will
+// resolve them against the step's layout, so where it succeeds the two
+// agree on which side each column is.
+func hashKeyFor(cond Expr, left []*relPlan, right *relPlan) *hashKey {
+	if cond == nil {
+		return nil
+	}
+	rels := append(left[:len(left):len(left)], right)
+	column := func(e Expr) (rel int, typ Type, ok bool) {
+		c, isRef := e.(*ColumnRef)
+		if !isRef {
+			return 0, 0, false
+		}
+		if rel = refRel(c, rels); rel < 0 || rels[rel].t == nil {
+			return 0, 0, false
+		}
+		name := strings.ToLower(c.Column)
+		for pos, col := range rels[rel].cols {
+			if col.name == name {
+				return rel, rels[rel].t.Columns[pos].Type, true
+			}
+		}
+		return 0, 0, false
+	}
+	for _, conj := range andConjuncts(cond) {
+		b, ok := conj.(*Binary)
+		if !ok || b.Op != "=" {
+			continue
+		}
+		lRel, lType, lok := column(b.L)
+		rRel, rType, rok := column(b.R)
+		if !lok || !rok || (lRel == len(left)) == (rRel == len(left)) {
+			continue
+		}
+		if class, ok := keyClassOf(lType, rType); ok {
+			return &hashKey{conj: b, class: class}
+		}
+	}
+	return nil
+}
+
+// hashTable finds the right rows of a hash join by key. Rows with one key
+// are chained through next in right order, so a probe walks them as the
+// nested loop would meet them; a NULL key is in no chain and finds none.
+type hashTable struct {
+	class  keyClass
+	ints   map[int64]int32 // key → first row with it
+	floats map[float64]int32
+	strs   map[string]int32
+	next   []int32 // next[i]: the next row with row i's key, -1 after the last
+}
+
+func intKey(v Value) int64 {
+	if v.T == TBool && v.B {
+		return 1
+	}
+	return v.I // zero for FALSE
+}
+
+// buildHash hashes column slot of rows. It goes through them backwards, so
+// that each chain starts at the first row with its key.
+func buildHash(rows [][]Value, slot int, class keyClass) *hashTable {
+	h := &hashTable{class: class, next: make([]int32, len(rows))}
+	switch class {
+	case keyInt:
+		h.ints = make(map[int64]int32, len(rows))
+	case keyFloat:
+		h.floats = make(map[float64]int32, len(rows))
+	case keyString:
+		h.strs = make(map[string]int32, len(rows))
+	}
+	for i := len(rows) - 1; i >= 0; i-- {
+		v := rows[i][slot]
+		if v.IsNull() {
+			continue
+		}
+		h.next[i] = h.first(v)
+		switch class {
+		case keyInt:
+			h.ints[intKey(v)] = int32(i)
+		case keyFloat:
+			f, _ := v.AsFloat()
+			h.floats[f] = int32(i)
+		case keyString:
+			h.strs[v.S] = int32(i)
+		}
+	}
+	return h
+}
+
+// first returns the first row whose key compares equal to v, or -1.
+func (h *hashTable) first(v Value) int32 {
+	var i int32
+	var ok bool
+	switch {
+	case v.IsNull():
+	case h.class == keyInt:
+		i, ok = h.ints[intKey(v)]
+	case h.class == keyFloat:
+		f, _ := v.AsFloat()
+		i, ok = h.floats[f]
+	default:
+		i, ok = h.strs[v.S]
+	}
+	if !ok {
+		return -1
+	}
+	return i
+}
+
+// joinOn performs the INNER or LEFT join jp of a with b: for each row of a
+// in order, the rows of b in order that the condition holds with; LEFT
+// emits a NULL-padded row for a left row that has none. The condition is
+// evaluated on one scratch row that is copied only for a pair it keeps.
+// It returns the number of pairs it evaluated beside the rows. subs are
+// the plans of the statement's subqueries, which the condition may
+// contain.
+func (vw view) joinOn(a, b *rowSet, jp *joinPlan, params []Value, subs []*subPlan) (*rowSet, int, error) {
+	out := &rowSet{cols: append(append([]envCol{}, a.cols...), b.cols...)}
+	env := &evalEnv{cols: out.cols, params: params, vw: &vw, subs: subs}
+	if jp.cond != nil {
+		if err := bindExpr(jp.cond, env); err != nil {
+			return nil, 0, err
+		}
+	}
+	wa := len(a.cols)
+	var hash *hashTable
+	probe := 0 // the key's slot in a
+	if jp.hash != nil {
+		// bindExpr left each side's slot in the joined layout on the key.
+		probe = jp.hash.conj.L.(*ColumnRef).slot
+		build := jp.hash.conj.R.(*ColumnRef).slot
+		if probe >= wa {
+			probe, build = build, probe
+		}
+		if probe >= wa || build < wa {
+			return nil, 0, errInternal("hash key columns are not one from each input")
+		}
+		hash = buildHash(b.rows, build-wa, jp.hash.class)
+	}
+	env.row = make([]Value, wa+len(b.cols))
+	examined := 0
+	// pair evaluates the condition on the scratch row with rb in its right
+	// half, and keeps a copy of it when the condition holds.
+	pair := func(rb []Value) (bool, error) {
+		examined++
+		copy(env.row[wa:], rb)
+		if jp.cond != nil {
+			v, err := eval(jp.cond, env)
+			if err != nil {
+				return false, err
+			}
+			if truth, known := v.Truth(); !known || !truth {
+				return false, nil
+			}
+		}
+		out.rows = append(out.rows, append([]Value(nil), env.row...))
+		return true, nil
+	}
+	for _, ra := range a.rows {
+		copy(env.row, ra)
+		matched := false
+		if hash != nil {
+			for i := hash.first(ra[probe]); i >= 0; i = hash.next[i] {
+				kept, err := pair(b.rows[i])
+				if err != nil {
+					return nil, 0, err
+				}
+				matched = matched || kept
+			}
+		} else {
+			for _, rb := range b.rows {
+				kept, err := pair(rb)
+				if err != nil {
+					return nil, 0, err
+				}
+				matched = matched || kept
+			}
+		}
+		if jp.kind == JoinLeft && !matched {
+			clear(env.row[wa:])
+			out.rows = append(out.rows, append([]Value(nil), env.row...))
+		}
+	}
+	return out, examined, nil
+}

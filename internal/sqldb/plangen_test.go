@@ -10,9 +10,10 @@ import (
 
 // planGen derives statements over the planSeed schema from a seed: the
 // FROM shapes the planner treats differently (one relation, inner joins
-// it may reorder, LEFT joins it must not, derived tables), predicates an
-// index can and cannot serve, NULL keys, grouping, UNION, subqueries,
-// writes, and references that do not resolve. It stays clear of what
+// it may reorder, LEFT joins it must not, derived tables), join keys a
+// hash can and cannot serve, predicates an index can and cannot serve,
+// NULL keys, grouping, UNION, subqueries, writes, and references that do
+// not resolve. It stays clear of what
 // pushdown may legitimately change: predicates that fail on some rows
 // only (a type mismatch, a division), and LIMIT without a total order.
 type planGen struct {
@@ -37,7 +38,10 @@ var genCols = map[string][]struct{ name, kind string }{
 }
 
 // planGenSeed adds to planSeed what the corpus does not have: NULL join
-// keys, a key with no partner, NULL strings.
+// keys, a key with no partner, NULL strings, and what the key classes of
+// a hash join turn on — a DOUBLE that equals an INTEGER key, a name two
+// rows share, integers beyond 2^53 that are one apart (equal through
+// float64, not as integers), a string that is no number.
 func planGenSeed(t *testing.T, s *Session) {
 	t.Helper()
 	planSeed(t, s)
@@ -45,8 +49,13 @@ func planGenSeed(t *testing.T, s *Session) {
 		"INSERT INTO emp VALUES (31, 'n31', NULL, NULL)",
 		"INSERT INTO emp VALUES (32, 'x32', 9, 1.5)",
 		"INSERT INTO emp VALUES (33, NULL, 2, 2000.5)",
+		"INSERT INTO emp VALUES (34, 'n07', 3, 3.0)",
+		"INSERT INTO emp VALUES (35, 'n34', 35, 35)",
+		"INSERT INTO emp VALUES (9007199254740992, 'big', 9007199254740993, 7.0)",
+		"INSERT INTO emp VALUES (9007199254740993, 'big', 9007199254740992, 9007199254740992.0)",
 		"INSERT INTO dept VALUES (6, 'dept6', NULL)",
 		"INSERT INTO dept VALUES (7, NULL, 'east')",
+		"INSERT INTO dept VALUES (8, 'abc', '3')",
 	} {
 		mustExec(t, s, q)
 	}
@@ -145,10 +154,13 @@ func (g *planGen) link(a, b genRel) string {
 }
 
 // from returns a FROM clause over rels and the conjuncts that belong in
-// WHERE with it (the join conditions of comma-listed relations).
+// WHERE with it (the join conditions of comma-listed relations). An ON
+// condition links the new relation to any relation of its own FROM entry,
+// which is all it may refer to.
 func (g *planGen) from(rels []genRel) (string, []string) {
 	var sb strings.Builder
 	var conds []string
+	entry := 0 // the first relation of the FROM entry being written
 	for i, r := range rels {
 		ref := r.table + " " + r.alias
 		switch how := g.r.Intn(10); {
@@ -157,10 +169,11 @@ func (g *planGen) from(rels []genRel) (string, []string) {
 		case how < 3:
 			sb.WriteString(", " + ref)
 			conds = append(conds, g.link(rels[g.r.Intn(i)], r))
+			entry = i
 		case how < 6:
-			sb.WriteString(" JOIN " + ref + " ON " + g.link(rels[i-1], r))
+			sb.WriteString(" JOIN " + ref + " ON " + g.link(rels[entry+g.r.Intn(i-entry)], r))
 		case how < 9:
-			on := g.link(rels[i-1], r)
+			on := g.link(rels[entry+g.r.Intn(i-entry)], r)
 			if g.chance(40) {
 				on += " AND " + g.pred(rels[i:i+1])
 			}
@@ -170,6 +183,55 @@ func (g *planGen) from(rels []genRel) (string, []string) {
 		}
 	}
 	return sb.String(), conds
+}
+
+// keyStmt returns a self-join of emp on a key of each comparison class a
+// hash join has, and of none: duplicates and NULLs on both sides, INTEGER
+// against DOUBLE, integers beyond 2^53 compared exactly and through
+// float64, strings, and a VARCHAR against an INTEGER, whose comparison
+// fails on the first pair of any plan (so that statement has no WHERE a
+// plan could push below the join). Some carry a residual conjunct over
+// both sides beside the key, some a third relation whose key is a column
+// of the first.
+func (g *planGen) keyStmt() genStmt {
+	key := g.pick("a.dept = b.dept", "b.dept = a.dept", "a.salary = b.id", "a.id = b.salary",
+		"a.id = b.dept", "a.salary = b.salary", "a.name = b.name", "a.name = b.id")
+	kind := g.pick("JOIN", "LEFT JOIN", ",")
+	on := []string{key}
+	if g.chance(40) {
+		on = append(on, g.pick("a.id < b.id", "b.salary > 1500.5", "a.name <> b.name", "a.id + b.id > 40"))
+	}
+	rels := []genRel{{"emp", "a"}, {"emp", "b"}}
+	var from string
+	var where []string
+	if kind == "," {
+		from, where = "emp a, emp b", on
+	} else {
+		from = "emp a " + kind + " emp b ON " + strings.Join(on, " AND ")
+	}
+	order := "a.id, b.id"
+	if g.chance(30) {
+		rels = append(rels, genRel{"dept", "d"})
+		if kind == "," {
+			from += ", dept d"
+			where = append(where, "d.id = a.dept")
+		} else {
+			from += " " + g.pick("JOIN", "LEFT JOIN") + " dept d ON d.id = a.dept"
+		}
+		order += ", d.id"
+	}
+	if key != "a.name = b.id" {
+		where = append(where, g.where(rels, 2)...)
+	}
+	st := genStmt{sql: "SELECT * FROM " + from}
+	if len(where) > 0 {
+		st.sql += " WHERE " + strings.Join(where, " AND ")
+	}
+	if g.chance(50) {
+		st.sql += " ORDER BY " + order
+		st.ordered = true
+	}
+	return st
 }
 
 // derivedStmt returns a SELECT that joins a base table with a derived
@@ -188,7 +250,7 @@ func (g *planGen) derivedStmt() genStmt {
 	}
 	from, where := base[0].table+" "+base[0].alias, g.where(base, 2)
 	if g.chance(50) {
-		from += " JOIN " + sub + " ON " + link
+		from += g.pick(" JOIN ", " LEFT JOIN ") + sub + " ON " + link
 	} else {
 		from += ", " + sub
 		where = append(where, link)
@@ -268,6 +330,8 @@ func (g *planGen) brokenStmt() genStmt {
 		"SELECT e.nocol FROM emp e, dept d WHERE e.dept = d.id",
 		"SELECT id FROM emp e, dept d WHERE e.dept = d.id",
 		"SELECT e.id FROM emp e JOIN dept d ON e.dept = zz.id",
+		"SELECT e.id FROM emp e JOIN dept d ON e.dept = d2.id JOIN dept d2 ON d2.id = d.id",
+		"SELECT e.id FROM emp e JOIN emp e2 ON e2.id = loc JOIN dept d ON d.id = e.dept",
 		"SELECT * FROM emp e, nosuch n WHERE e.id = n.id",
 		"SELECT * FROM emp e LEFT JOIN nosuch n ON e.id = n.id",
 		"SELECT e.id FROM emp e WHERE e.dept IN (SELECT id FROM nosuch)",
@@ -303,7 +367,9 @@ func (g *planGen) next() genStmt {
 		return g.writeStmt()
 	case n < 20:
 		return g.derivedStmt()
-	case n < 28:
+	case n < 30:
+		return g.keyStmt()
+	case n < 38:
 		a, b := g.rels(1), g.rels(1)
 		arm := func(r []genRel) string {
 			sql := "SELECT " + r[0].alias + ".id FROM " + r[0].table + " " + r[0].alias

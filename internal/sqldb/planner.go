@@ -6,10 +6,11 @@ import "time"
 // parts before anything runs, and the only thing the executor (exec.go,
 // exec2.go), EXPLAIN (explain.go) and — through the shape classifier of
 // static.go — the linter read. Every decision the engine makes about how
-// to read a table is on a node here: which relations join in which order,
-// which conjuncts filter at a scan, which index serves a scan. The
-// executor follows the nodes and leaves its counters on them; EXPLAIN
-// prints the nodes, and EXPLAIN ANALYZE the counters beside them.
+// to read a table is on a node here: which relations join in which order
+// and by which method, which conjuncts filter at a scan, which index
+// serves a scan. The executor follows the nodes and leaves its counters
+// on them; EXPLAIN prints the nodes, and EXPLAIN ANALYZE the counters
+// beside them.
 //
 // A plan is built per execution and never kept on the statement: the
 // driver's prepared statements execute one parsed tree many times with
@@ -112,16 +113,28 @@ type relPlan struct {
 	pushStat stageStats
 }
 
-// joinPlan joins two inputs with a nested loop. kind is JoinCross when
-// there is no condition, JoinLeft only in a FROM clause the planner left
-// in declaration order.
+// joinPlan joins two inputs, left rows in order, each with its matches in
+// right order. kind is JoinCross when there is no condition, JoinLeft only
+// in a FROM clause the planner left in declaration order. With hash set
+// the pairs the condition is evaluated on are found through a hash of the
+// right input on one equality of cond; without, every pair is tried.
 type joinPlan struct {
 	left, right fromNode
 	kind        JoinKind
 	cond        Expr
+	hash        *hashKey
 	card, cost  float64 // estimated output rows and cumulative cost (free plans)
 	comma       bool    // the product of two comma-listed entries of a pinned FROM
 	stat        opStats
+}
+
+// hashKey is the join method chosen for a step at plan time: conj is the
+// conjunct of the step's condition that equates a column of the left input
+// with one of the right relation, class the kind of map that compares the
+// two columns' values the way Compare does.
+type hashKey struct {
+	conj  *Binary
+	class keyClass
 }
 
 // dmlPlan is the plan of an INSERT, UPDATE or DELETE: the target table,

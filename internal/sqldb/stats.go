@@ -16,7 +16,8 @@ import (
 // planning never blocks execution.
 //
 // planQuery plans every FROM clause (and the scan under UPDATE/DELETE)
-// into the fromPlan of planner.go, and makes three decisions on the way:
+// into the fromPlan of planner.go, and makes three decisions on the way
+// (a fourth, the method of each join step, needs no statistics: join.go):
 //
 //   - access-path selection: planScanAccess scores every conjunct an
 //     index can serve (planIndexScan) and picks the index expected to
@@ -235,13 +236,16 @@ func (vw view) planRel(table string, sub *SelectStmt, alias string, params []Val
 // relations resolve in declaration order (so the first table that does
 // not exist is the error), and what it returns is what runs.
 //
-// Two or more relations without a LEFT join are planned freely: pushdown
-// attribution, selectivity estimation, greedy join ordering. Anything
-// else is pinned — declaration order, each explicit join where it was
-// written, comma-listed entries multiplied, nothing pushed (pushdown and
-// reordering change LEFT join semantics) — and only a lone base table is
-// routed through an index, chosen among the WHERE conjuncts. Caller holds
-// db.mu at least shared.
+// Two or more relations without a LEFT join, whose ON conditions mean the
+// same against the whole FROM clause as in their own scope (onInScope),
+// are planned freely: pushdown attribution, selectivity estimation, greedy
+// join ordering. Anything else is pinned — declaration order, each
+// explicit join where it was written, comma-listed entries multiplied,
+// nothing pushed (pushdown and reordering change LEFT join semantics) —
+// and only a lone base table is routed through an index, chosen among the
+// WHERE conjuncts. Either way each join step gets the method its condition
+// allows (hashKeyFor), except on the naive plan. Caller holds db.mu at
+// least shared.
 func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan, error) {
 	fp := &fromPlan{residual: where}
 	pinned := vw.naive
@@ -266,6 +270,7 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 		}
 	}
 	rels := fp.rels
+	pinned = pinned || !onInScope(from, rels)
 	if len(rels) == 1 {
 		rp := rels[0]
 		if rp.t != nil && where != nil && !vw.naive {
@@ -275,7 +280,7 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 		return fp, nil
 	}
 	if pinned {
-		fp.root = declaredJoins(from, rels)
+		fp.root = declaredJoins(from, rels, !vw.naive)
 		return fp, nil
 	}
 
@@ -372,7 +377,7 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 	card := order[0].est
 	cost := order[0].baseRows
 	var node fromNode = order[0]
-	for _, rp := range order[1:] {
+	for i, rp := range order[1:] {
 		covered[rp.declIdx] = true
 		var step []Expr
 		sel := 1.0
@@ -394,12 +399,20 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 			step = append(step, joinConds[j].cond)
 			sel = math.Min(sel, condJoinSelectivity(rp, joinConds[j].cond))
 		}
-		cost += rp.baseRows + card*rp.est // scan + nested-loop pairs
-		card = math.Max(1, card*rp.est*sel)
-		jp := &joinPlan{left: node, right: rp, kind: JoinCross, cond: andJoin(step), card: card, cost: cost}
+		jp := &joinPlan{left: node, right: rp, kind: JoinCross, cond: andJoin(step)}
 		if jp.cond != nil {
 			jp.kind = JoinInner
+			jp.hash = hashKeyFor(jp.cond, order[:i+1], rp)
 		}
+		// The scan, then the pairs the step forms: every one in a nested
+		// loop, one pass over each input in a hash join.
+		if jp.hash != nil {
+			cost += rp.baseRows + card + rp.est
+		} else {
+			cost += rp.baseRows + card*rp.est
+		}
+		card = math.Max(1, card*rp.est*sel)
+		jp.card, jp.cost = card, cost
 		node = jp
 	}
 	fp.root, fp.rels = node, order
@@ -411,15 +424,22 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 // declaredJoins builds the join tree of a pinned FROM clause exactly as
 // it is written: each entry's explicit joins chained onto it with their
 // own ON conditions, the comma-listed entries then multiplied in order.
-func declaredJoins(from []TableRef, rels []*relPlan) fromNode {
+// With hash, each explicit join gets the join method its condition allows;
+// the naive plan keeps the nested loop everywhere.
+func declaredJoins(from []TableRef, rels []*relPlan, hash bool) fromNode {
 	var acc fromNode
 	k := 0
 	for i := range from {
+		entry := k
 		var node fromNode = rels[k]
 		k++
 		for j := range from[i].Joins {
 			jc := &from[i].Joins[j]
-			node = &joinPlan{left: node, right: rels[k], kind: jc.Kind, cond: jc.On}
+			jp := &joinPlan{left: node, right: rels[k], kind: jc.Kind, cond: jc.On}
+			if hash {
+				jp.hash = hashKeyFor(jc.On, rels[entry:k], rels[k])
+			}
+			node = jp
 			k++
 		}
 		if acc == nil {
@@ -429,6 +449,38 @@ func declaredJoins(from []TableRef, rels []*relPlan) fromNode {
 		}
 	}
 	return acc
+}
+
+// onInScope reports whether every ON condition of from means against the
+// whole FROM clause, which is the layout a free plan attributes and binds
+// conjuncts in, what it means against the relations of its own entry
+// joined so far, which is its scope and where a pinned plan binds it.
+// Where it does not — a reference to a relation joined later, or to a
+// name another entry also has — the FROM clause is planned pinned, and the
+// statement runs, or fails, by the one rule. rels are from's relations in
+// declaration order.
+func onInScope(from []TableRef, rels []*relPlan) bool {
+	k := 0
+	for i := range from {
+		entry := k
+		k++
+		for j := range from[i].Joins {
+			k++
+			ok := true
+			walkExpr(from[i].Joins[j].On, func(x Expr) bool {
+				if c, isRef := x.(*ColumnRef); isRef {
+					if r := refRel(c, rels); r < entry || r >= k {
+						ok = false
+					}
+				}
+				return ok
+			})
+			if !ok {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // attributeCond determines which relations cond references. ok is false
@@ -460,44 +512,48 @@ func attributeCond(cond Expr, rels []*relPlan) (map[int]bool, bool) {
 	}
 	mask := map[int]bool{}
 	for _, c := range refs {
-		if c.Table != "" {
-			q := strings.ToLower(c.Table)
-			found := -1
-			for i, rp := range rels {
-				if rp.qual == q {
-					if found >= 0 {
-						return nil, false // duplicate qualifier
-					}
-					found = i
-				}
-			}
-			if found < 0 {
-				return nil, false
-			}
-			mask[found] = true
-			continue
-		}
-		// Unqualified: require every relation's columns to be known and
-		// the name to resolve to exactly one column overall.
-		name := strings.ToLower(c.Column)
-		found, matches := -1, 0
-		for i, rp := range rels {
-			if rp.cols == nil {
-				return nil, false
-			}
-			for _, col := range rp.cols {
-				if col.name == name {
-					matches++
-					found = i
-				}
-			}
-		}
-		if matches != 1 {
+		r := refRel(c, rels)
+		if r < 0 {
 			return nil, false
 		}
-		mask[found] = true
+		mask[r] = true
 	}
 	return mask, true
+}
+
+// refRel returns the index in rels of the relation c refers to, or -1 when
+// it is not exactly one: a qualifier none or several of them bind, an
+// unqualified name none or several of their columns have, or one that a
+// layout not known before it runs may have too.
+func refRel(c *ColumnRef, rels []*relPlan) int {
+	found := -1
+	if c.Table != "" {
+		q := strings.ToLower(c.Table)
+		for i, rp := range rels {
+			if rp.qual == q {
+				if found >= 0 {
+					return -1 // duplicate qualifier
+				}
+				found = i
+			}
+		}
+		return found
+	}
+	name := strings.ToLower(c.Column)
+	for i, rp := range rels {
+		if rp.cols == nil {
+			return -1
+		}
+		for _, col := range rp.cols {
+			if col.name == name {
+				if found >= 0 {
+					return -1
+				}
+				found = i
+			}
+		}
+	}
+	return found
 }
 
 // relEqColumn returns the column position on rp that cond (a Binary "=")

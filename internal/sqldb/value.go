@@ -264,7 +264,9 @@ func IdentityEqual(a, b Value) bool {
 }
 
 // identityKey builds a hashable string key for a value row, used by
-// DISTINCT, GROUP BY, and hash joins. The encoding is injective per type.
+// DISTINCT and GROUP BY, where NULL is a key like any other. The encoding
+// is injective per type. (A hash join keys typed maps on one column
+// instead, see join.go.)
 func identityKey(vals []Value) string {
 	var sb strings.Builder
 	for _, v := range vals {
@@ -306,7 +308,10 @@ func identityKey(vals []Value) string {
 
 // coerceToColumn converts a value for storage into a column of the given
 // declared type. Strings parse to numbers when the column is numeric;
-// numbers render to strings for VARCHAR columns; NULL passes through.
+// numbers render to strings for VARCHAR columns; NULL passes through. A
+// number that is not finite is not a value of a numeric column: NaN would
+// compare equal to every number (Compare answers 0 when neither operand is
+// less), and a dump writes ±Inf as a bare word that does not parse back.
 func coerceToColumn(v Value, t Type) (Value, error) {
 	if v.IsNull() || t == TNull {
 		return v, nil
@@ -317,6 +322,9 @@ func coerceToColumn(v Value, t Type) (Value, error) {
 		case TInt:
 			return v, nil
 		case TFloat:
+			if !finite(v.F) {
+				return Null, errNotFinite(v, t)
+			}
 			return NewInt(int64(v.F)), nil
 		case TBool:
 			if v.B {
@@ -327,7 +335,7 @@ func coerceToColumn(v Value, t Type) (Value, error) {
 			i, err := strconv.ParseInt(strings.TrimSpace(v.S), 10, 64)
 			if err != nil {
 				f, ferr := strconv.ParseFloat(strings.TrimSpace(v.S), 64)
-				if ferr != nil {
+				if ferr != nil || !finite(f) {
 					return Null, &Error{Code: CodeInvalidText,
 						Message: fmt.Sprintf("invalid INTEGER literal %q", v.S)}
 				}
@@ -340,6 +348,9 @@ func coerceToColumn(v Value, t Type) (Value, error) {
 		case TInt:
 			return NewFloat(float64(v.I)), nil
 		case TFloat:
+			if !finite(v.F) {
+				return Null, errNotFinite(v, t)
+			}
 			return v, nil
 		case TBool:
 			if v.B {
@@ -348,7 +359,7 @@ func coerceToColumn(v Value, t Type) (Value, error) {
 			return NewFloat(0), nil
 		case TString:
 			f, err := strconv.ParseFloat(strings.TrimSpace(v.S), 64)
-			if err != nil {
+			if err != nil || !finite(f) {
 				return Null, &Error{Code: CodeInvalidText,
 					Message: fmt.Sprintf("invalid DOUBLE literal %q", v.S)}
 			}
@@ -376,4 +387,11 @@ func coerceToColumn(v Value, t Type) (Value, error) {
 		}
 	}
 	return Null, errInternal(fmt.Sprintf("coerce %s to %s", v.T, t))
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+func errNotFinite(v Value, t Type) *Error {
+	return &Error{Code: CodeInvalidText,
+		Message: fmt.Sprintf("%s is not a value of type %s", v.String(), t)}
 }
