@@ -7,10 +7,11 @@ import (
 )
 
 // TestA8FlightAblation runs the flight-overhead experiment at small
-// scale and checks the result's shape. The strict 5% budget is enforced
-// by A8/benchrunner at full scale; this unit test tolerates CI noise
-// and only rejects overhead so large it indicates the journal leaked
-// onto the hot path.
+// scale and checks the result's shape: what was kept, what the SLO
+// tracked, what is printed. It asserts nothing about the overhead: 15
+// requests of a few hundred µs cannot resolve a ratio of two means (the
+// cheaper the request, the less), so timing is left to `benchrunner -exp
+// a8` at full scale, which enforces the 5% budget.
 func TestA8FlightAblation(t *testing.T) {
 	cfg := Config{Rows: 40, Requests: 15, Seed: 1}
 	r, err := RunA8(cfg)
@@ -28,9 +29,6 @@ func TestA8FlightAblation(t *testing.T) {
 	// The SLO tracked the macro even though records were sampled away.
 	if r.SLOMacros != 1 {
 		t.Errorf("SLO tracked %d macros, want 1", r.SLOMacros)
-	}
-	if r.OverheadPct > 50 {
-		t.Fatalf("overhead %.1f%% — flight-off path is not actually cheap", r.OverheadPct)
 	}
 	var buf bytes.Buffer
 	PrintA8(&buf, r)

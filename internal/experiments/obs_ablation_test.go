@@ -9,9 +9,12 @@ import (
 )
 
 // TestA7ObsAblation runs the observability-overhead experiment at small
-// scale and checks the result's shape. The strict 5% budget is enforced
-// by A7/benchrunner at full scale; this unit test tolerates CI noise and
-// only rejects overhead so large it indicates a broken disabled path.
+// scale and checks the result's shape: instrumentation back on, the
+// engine's phase spans recorded, the report printed. It asserts nothing
+// about the overhead: 15 requests of a few hundred µs cannot resolve a
+// ratio of two means (the cheaper the request, the less), so timing is
+// left to `benchrunner -exp a7` at full scale, which enforces the 5%
+// budget.
 func TestA7ObsAblation(t *testing.T) {
 	cfg := Config{Rows: 40, Requests: 15, Seed: 1}
 	r, err := RunA7(cfg)
@@ -26,9 +29,6 @@ func TestA7ObsAblation(t *testing.T) {
 	}
 	if r.SpansPerTrace < 3 {
 		t.Fatalf("spans per trace = %v, want the engine's phase spans", r.SpansPerTrace)
-	}
-	if r.OverheadPct > 50 {
-		t.Fatalf("overhead %.1f%% — disabled path is not actually cheap", r.OverheadPct)
 	}
 	var buf bytes.Buffer
 	PrintA7(&buf, r)

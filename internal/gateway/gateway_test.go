@@ -378,3 +378,43 @@ func TestProviderSQLStatePropagates(t *testing.T) {
 		t.Fatalf("state = %q", st.SQLState())
 	}
 }
+
+// TestExplainRendersThroughDefaultTable: EXPLAIN returns its plan as rows,
+// and so does a SELECT behind a comment; a macro's default report table
+// must show them, not "n row(s) affected".
+func TestExplainRendersThroughDefaultTable(t *testing.T) {
+	_, app := newTestStack(t)
+	macro := "%define{\nDATABASE = \"CELDIAL\"\n%}\n" +
+		"%SQL{\nEXPLAIN SELECT url FROM urldb WHERE title = 'x' ORDER BY url\n%}\n" +
+		"%HTML_REPORT{%EXEC_SQL%}"
+	if err := os.WriteFile(filepath.Join(app.MacroDir, "explain.d2w"), []byte(macro), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := app.ServeCGI(&cgi.Request{Method: "GET", PathInfo: "/explain.d2w/report"})
+	if err != nil || resp.Status != 200 {
+		t.Fatalf("status %d, err %v", resp.Status, err)
+	}
+	for _, want := range []string{"QUERY PLAN", "Seq Scan on urldb", "Order By: url ASC"} {
+		if !strings.Contains(resp.Body, want) {
+			t.Errorf("report lacks %q:\n%s", want, resp.Body)
+		}
+	}
+	if strings.Contains(resp.Body, "affected") {
+		t.Errorf("the plan's rows were dropped for an affected-row count:\n%s", resp.Body)
+	}
+
+	for sql, want := range map[string]bool{
+		"/* c */ SELECT 1":                  true,
+		"-- a\n  /* b */\n-- c\nselect 1":   true,
+		"explain analyze DELETE FROM urldb": true,
+		"/* SELECT */ DELETE FROM urldb":    false,
+		"-- SELECT 1":                       false,
+		"/* unterminated SELECT 1":          false,
+		"UPDATE urldb SET title = 'SELECT'": false,
+		"":                                  false,
+	} {
+		if got := isQueryStatement(sql); got != want {
+			t.Errorf("isQueryStatement(%q) = %v, want %v", sql, got, want)
+		}
+	}
+}

@@ -205,17 +205,31 @@ func (c *sqlConn) ExecuteContext(ctx context.Context, sqlText string) (*core.SQL
 // maxChunkRows bounds how many result rows share one backing array.
 const maxChunkRows = 256
 
-// isQueryStatement reports whether the statement produces a result set.
+// isQueryStatement reports whether the statement produces a result set:
+// after the comments the engine's lexer skips, it begins with SELECT or
+// with EXPLAIN, whose plan is rows like any other.
 func isQueryStatement(sqlText string) bool {
-	s := strings.TrimSpace(sqlText)
-	for strings.HasPrefix(s, "--") {
-		if i := strings.IndexByte(s, '\n'); i >= 0 {
-			s = strings.TrimSpace(s[i+1:])
-		} else {
+	s := sqlText
+	for {
+		s = strings.TrimSpace(s)
+		closed := false
+		switch {
+		case strings.HasPrefix(s, "--"):
+			_, s, closed = strings.Cut(s, "\n")
+		case strings.HasPrefix(s, "/*"):
+			_, s, closed = strings.Cut(s[2:], "*/")
+		default:
+			for _, kw := range []string{"SELECT", "EXPLAIN"} {
+				if len(s) >= len(kw) && strings.EqualFold(s[:len(kw)], kw) {
+					return true
+				}
+			}
 			return false
 		}
+		if !closed {
+			return false // the comment runs to the end of the text
+		}
 	}
-	return len(s) >= 6 && strings.EqualFold(s[:6], "SELECT")
 }
 
 // toField converts a database/sql scan value to the engine's Field.

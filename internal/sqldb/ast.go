@@ -1,10 +1,10 @@
 package sqldb
 
-// This file defines the abstract syntax tree produced by the parser and
-// consumed by the executor. Statements and expressions are deliberately
-// plain structs: the engine compiles nothing, it interprets the tree, which
-// matches the fully dynamic SQL model of the CGI era (every request builds
-// a fresh statement string by variable substitution).
+// This file defines the abstract syntax tree produced by the parser.
+// Statements and expressions are deliberately plain structs, and nothing
+// writes to them after Parse: the planner reads the tree, compiles its
+// expressions into closures (compile.go) and keeps what it resolved on the
+// plan, so one parsed statement serves any number of executions at once.
 
 // Stmt is any parsed SQL statement.
 type Stmt interface{ stmt() }
@@ -211,8 +211,6 @@ type ColumnRef struct {
 	Table  string // "" when unqualified
 	Column string
 	Off    int // byte offset of the reference's first identifier
-	// resolved slot index into the executor's row layout; set by bind.
-	slot int
 }
 
 // Param is a positional ? parameter (1-based Index). Off is the byte
@@ -240,12 +238,6 @@ type LikeExpr struct {
 	X       Expr
 	Pattern Expr
 	Escape  Expr // nil means no escape character
-
-	// prog is the compiled pattern, kept on the node like ColumnRef.slot:
-	// built by the first evaluation or by index planning, replaced when
-	// the pattern or escape evaluates to another value (a pattern taken
-	// from a column, a prepared statement run again with new parameters).
-	prog *likeProgram
 }
 
 // BetweenExpr is [NOT] BETWEEN lo AND hi.
@@ -267,7 +259,7 @@ type InExpr struct {
 // (single column, at most one row), as the right side of IN, or under
 // EXISTS. Subqueries are uncorrelated: they cannot reference columns of
 // the enclosing query; they are evaluated once per statement execution
-// (the result is cached in the evaluation environment).
+// (the rows are kept on the subquery's plan).
 type Subquery struct {
 	Sel *SelectStmt
 }
@@ -292,8 +284,6 @@ type FuncCall struct {
 	Distinct bool
 	Args     []Expr
 	Off      int // byte offset of the function name
-	// aggregate slot assigned during grouping; -1 for scalar calls.
-	aggSlot int
 }
 
 // CaseExpr is a searched or simple CASE expression.

@@ -1,0 +1,422 @@
+package sqldb
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// exprSite is one place of a statement an expression is evaluated in: the
+// layout of the rows that reach it, some such rows, and whether an
+// aggregate call there stands for its group's result (the projection,
+// HAVING and ORDER BY of a SELECT) or has no group (everywhere else).
+type exprSite struct {
+	cols    []envCol
+	rows    [][]Value
+	grouped bool
+}
+
+// sameValue compares two values as a report would show them, type
+// included; NaN is then equal to itself.
+func sameValue(a, b Value) bool {
+	return a.T == b.T && valueSQL(a) == valueSQL(b)
+}
+
+// sameFailure reports whether two evaluations failed alike: neither, or
+// both with one SQLSTATE.
+func sameFailure(a, b error) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	var ea, eb *Error
+	return errors.As(a, &ea) && errors.As(b, &eb) && ea.Code == eb.Code
+}
+
+// checkCompiled is the one differential check of the compiler: e compiled
+// as a value and as a predicate answers, on every row of the site, what
+// the reference evaluator answers — the same Value or the same SQLSTATE —
+// and fails to compile exactly where the reference's bind fails. It
+// returns the number of evaluations compared. Caller holds db.mu shared.
+func checkCompiled(t testing.TB, vw view, e Expr, site exprSite, params []Value) int {
+	t.Helper()
+	// Each side plans the subqueries for itself: a plan keeps its rows.
+	plan := func() []*subPlan {
+		sc := subCollector{vw: vw, params: params}
+		sc.add(e)
+		if sc.err != nil {
+			return nil
+		}
+		return sc.subs
+	}
+	env := &evalEnv{cols: site.cols, params: params, vw: &vw, subs: plan()}
+	var aggRow []Value
+	c := compiler{cols: site.cols, params: params, vw: vw, subs: plan(), aggRow: &aggRow}
+	if site.grouped {
+		c.aggs = appendAggregates(nil, e)
+		// Any results will do, as long as both sides read the same ones.
+		for i := range c.aggs {
+			aggRow = append(aggRow, NewInt(int64(i)+2))
+		}
+		env.aggCalls, env.aggs = c.aggs, aggRow
+	}
+	c.aggArgs = newAggArgs(len(c.aggs))
+
+	val, valErr := c.value(e)
+	pred, predErr := c.pred(e)
+	if want := bindErr(e, site.cols); !sameFailure(valErr, want) || !sameFailure(predErr, want) {
+		t.Fatalf("%s: compiles with %v (value), %v (predicate); the reference binds with %v",
+			exprString(e), valErr, predErr, want)
+	}
+	if valErr != nil {
+		return 0
+	}
+	// Whatever the closure goes on to evaluate, the executor groups over
+	// the argument of every aggregate call it was handed.
+	for i, fc := range c.aggs {
+		if !fc.Star && len(fc.Args) == 1 && c.aggArgs[i].uncompiled() {
+			t.Fatalf("%s: compiled, and left the argument of %s uncompiled", exprString(e), exprString(fc))
+		}
+	}
+	for _, row := range site.rows {
+		env.row = row
+		want, wantErr := eval(e, env)
+		got, gotErr := val.eval(row)
+		if !sameFailure(gotErr, wantErr) || (wantErr == nil && !sameValue(got, want)) {
+			t.Fatalf("%s on %v: compiled value %s, %v; reference %s, %v",
+				exprString(e), row, valueSQL(got), gotErr, valueSQL(want), wantErr)
+		}
+		truth, truthErr := pred(row)
+		if !sameFailure(truthErr, wantErr) || (wantErr == nil && truth != triTruth(want)) {
+			t.Fatalf("%s on %v: compiled predicate %d, %v; reference %s, %v",
+				exprString(e), row, truth, truthErr, valueSQL(want), wantErr)
+		}
+	}
+	// Subqueries are uncorrelated: however many rows asked, each ran once.
+	for _, sub := range c.subs {
+		arm := sub.plan
+		if arm.arms != nil {
+			arm = arm.arms[0]
+		}
+		if arm.stat.calls > 1 {
+			t.Fatalf("%s: a subquery ran %d times in one execution", exprString(e), arm.stat.calls)
+		}
+	}
+	return 2 * len(site.rows)
+}
+
+// siteOf builds the site of a FROM clause's expressions: the layout in
+// declaration order, and a sample of the rows of the relations' product
+// with an all-NULL row (what a LEFT join pads with) at the end. ok is
+// false for a FROM clause the test cannot lay out: a table that does not
+// exist, a derived table whose columns are not written out.
+func siteOf(vw view, from []TableRef, params []Value) (site exprSite, ok bool) {
+	var rels [][][]Value
+	add := func(table string, sub *SelectStmt, alias string) bool {
+		rp, err := vw.planRel(table, sub, alias, params)
+		if err != nil || rp.cols == nil {
+			return false
+		}
+		var rows [][]Value
+		if rp.sub != nil {
+			res, err := vw.execSelect(rp.sub, params)
+			if err != nil {
+				return false
+			}
+			rows = res.Rows
+		} else {
+			rows, _ = vw.scanRows(rp, false)
+		}
+		site.cols = append(site.cols, rp.cols...)
+		rels = append(rels, rows)
+		return true
+	}
+	for i := range from {
+		if !add(from[i].Table, from[i].Sub, from[i].Alias) {
+			return site, false
+		}
+		for _, jc := range from[i].Joins {
+			if !add(jc.Table, jc.Sub, jc.Alias) {
+				return site, false
+			}
+		}
+	}
+	for k := 0; k < 12; k++ {
+		var row []Value
+		for i, rows := range rels {
+			if len(rows) == 0 {
+				return site, false
+			}
+			row = append(row, rows[(k*(2*i+1)+i)%len(rows)]...)
+		}
+		site.rows = append(site.rows, row)
+	}
+	site.rows = append(site.rows, make([]Value, len(site.cols)))
+	return site, true
+}
+
+// checkStatement runs checkCompiled over every expression of st that is
+// evaluated against rows: those of each SELECT arm and derived table, of
+// an UPDATE's and DELETE's WHERE and SET, of an INSERT's VALUES.
+func checkStatement(t testing.TB, vw view, st Stmt, params []Value) int {
+	t.Helper()
+	n := 0
+	check := func(e Expr, site exprSite, grouped bool) {
+		if e != nil {
+			site.grouped = grouped
+			n += checkCompiled(t, vw, e, site, params)
+		}
+	}
+	var sel func(s *SelectStmt)
+	sel = func(s *SelectStmt) {
+		for _, u := range s.Unions {
+			sel(u.Sel)
+		}
+		for i := range s.From {
+			if s.From[i].Sub != nil {
+				sel(s.From[i].Sub)
+			}
+			for _, jc := range s.From[i].Joins {
+				if jc.Sub != nil {
+					sel(jc.Sub)
+				}
+			}
+		}
+		site, ok := siteOf(vw, s.From, params)
+		if !ok {
+			return
+		}
+		for i := range s.From {
+			for _, jc := range s.From[i].Joins {
+				check(jc.On, site, false)
+			}
+		}
+		check(s.Where, site, false)
+		for _, g := range s.GroupBy {
+			check(g, site, false)
+		}
+		for _, it := range s.Items {
+			check(it.Expr, site, true)
+		}
+		check(s.Having, site, true)
+		if len(s.Unions) == 0 { // a UNION's ORDER BY names output columns
+			for _, o := range s.OrderBy {
+				check(o.Expr, site, true)
+			}
+		}
+	}
+	switch x := st.(type) {
+	case *SelectStmt:
+		sel(x)
+	case *UpdateStmt:
+		if site, ok := siteOf(vw, []TableRef{{Table: x.Table, Alias: x.Alias}}, params); ok {
+			check(x.Where, site, false)
+			for _, set := range x.Set {
+				check(set.Value, site, false)
+			}
+		}
+	case *DeleteStmt:
+		if site, ok := siteOf(vw, []TableRef{{Table: x.Table, Alias: x.Alias}}, params); ok {
+			check(x.Where, site, false)
+		}
+	case *InsertStmt:
+		for _, row := range x.Rows {
+			for _, e := range row {
+				check(e, exprSite{rows: [][]Value{nil}}, false)
+			}
+		}
+	}
+	return n
+}
+
+// TestCompiledMatchesReference holds the compiler against the reference
+// evaluator on every expression of the plan corpus and of the 2 500
+// statements planGen derives from the seeds TestPlanCacheByteIdentical
+// uses, each on rows of the tables it reads.
+func TestCompiledMatchesReference(t *testing.T) {
+	s := NewSession(NewDatabase("ref"))
+	planGenSeed(t, s)
+	s.db.mu.RLock()
+	defer s.db.mu.RUnlock()
+	vw, release := s.reader()
+	defer release()
+
+	var stmts []string
+	stmts = append(stmts, planCorpus...)
+	for seed := int64(1); seed <= 5; seed++ {
+		g := &planGen{r: rand.New(rand.NewSource(seed)), nextID: 200}
+		for i := 0; i < 500; i++ {
+			stmts = append(stmts, g.next().sql)
+		}
+	}
+	compared := 0
+	for _, sql := range stmts {
+		st, err := Parse(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		compared += checkStatement(t, vw, st, nil)
+	}
+	if compared < 20*len(stmts) {
+		t.Fatalf("%d evaluations compared over %d statements: the test checks too little", compared, len(stmts))
+	}
+}
+
+// compileSeeds are expressions over fuzzDB's t and u, chosen for what a
+// closure can get wrong that comparing two plans' rows cannot show: both
+// plans would run the same wrong closure.
+var compileSeeds = []string{
+	"FALSE AND 1/0 = 1",   // the right operand must not be evaluated
+	"TRUE OR 1/0 = 1",     //
+	"t.c = 10 OR 1/0 = 1", // ... on the rows the left one decides, only
+	"NULL OR t.b = 'one'", // unknown OR true is true
+	"NULL AND t.c = 10",   // unknown AND false is false
+	"NOT (t.c = 10 AND u.a = 1)",
+	"t.b LIKE NULL",            // a NULL pattern
+	"t.b LIKE 2",               // a pattern that is no string
+	"t.c LIKE '1%'",            // an operand that is no string
+	"t.b LIKE ?",               // the literal the plan cache extracted
+	"t.b NOT LIKE ?",           //
+	"t.b LIKE 't%' ESCAPE ?",   // a NULL escape
+	"t.b LIKE 'x' ESCAPE 'ab'", // fails where b is not NULL, not before
+	"t.b LIKE 'x!' ESCAPE '!'", //
+	"t.b LIKE u.y || '%'",      // a pattern that changes from row to row
+	"u.y LIKE '%' ESCAPE t.b",  //
+	"UPPER(t.b) LIKE 'T%'",
+	"t.a = 3", "3 < t.a", "'2' >= t.a", "t.b = 5", "t.c <> NULL", "t.b < 'p'", "t.a = ?", "? > t.c",
+	"1 < 2", "? >= 'a'", "3 > NULL", // no column on either side
+	"t.a = u.a", "t.a + u.x > t.c / 2", "t.c % (t.a - 3)",
+	"t.c BETWEEN 10 AND u.x * 5", "t.b NOT BETWEEN 'a' AND 'p'",
+	"t.c IN (10, NULL)", "t.c NOT IN (10, NULL)", "t.a IN (1, 1/0)", "t.b IN ('one', u.y)",
+	"t.a IN (SELECT a FROM u)", "t.a NOT IN (SELECT a FROM u)", "t.a IN (SELECT x, a FROM u)",
+	"t.c = (SELECT MAX(c) FROM t)", "(SELECT a FROM t)", "(SELECT a FROM t WHERE a > 9) IS NULL",
+	"EXISTS (SELECT 1 FROM u WHERE a = 9)", "NOT EXISTS (SELECT 1 FROM nosuch)",
+	"t.b IS NULL", "u.y IS NOT NULL", "-t.c", "-t.b", "t.b || u.y", "t.a || NULL",
+	"CASE t.c WHEN 10 THEN 'ten' WHEN 20 THEN u.y END", "CASE WHEN t.b IS NULL THEN 1/0 WHEN u.a > 1 THEN t.a ELSE -1 END",
+	"CAST(t.b AS INTEGER)", "CAST(t.c AS VARCHAR(10)) || '!'",
+	"COALESCE(u.y, t.b, 'none')", "SUBSTR(t.b, 2, u.x)", "NOSUCHFN(t.a)", "LENGTH(t.b, t.b)", "NOW(1)",
+	"NOW(COUNT(1))", "NOW(SUM(t.b))", "CURDATE(nosuch)", // arguments never evaluated are compiled all the same
+	"COUNT(*) > 1", "SUM(t.a) + MAX(t.c)", "MIN(t.b) LIKE 'o%'", "SUM(COUNT(*))", "COUNT(t.a, t.c)", // HAVING, ORDER BY
+	"nosuch = 1", "a = 1", "FALSE AND nosuch = 1", "SUM(nosuch)", "zz.a IS NULL",
+	"?", "t.a = ? + ?",
+}
+
+// FuzzCompileExpr parses whatever the fuzzer produces as one select-list
+// expression over t and u and, when it parses, holds its compiled forms
+// against the reference evaluator on the product of the two tables: in a
+// position where an aggregate call is its group's result, and in one where
+// it has none. Run with
+//
+//	go test -run '^$' -fuzz FuzzCompileExpr -fuzztime 20s ./internal/sqldb
+func FuzzCompileExpr(f *testing.F) {
+	for _, s := range compileSeeds {
+		f.Add(s)
+	}
+	s := fuzzDB(f)
+	s.db.mu.RLock()
+	defer s.db.mu.RUnlock()
+	vw, release := s.reader()
+	defer release()
+	site, ok := siteOf(vw, []TableRef{{Table: "t"}, {Table: "u"}}, nil)
+	if !ok {
+		f.Fatal("no rows to evaluate on")
+	}
+	site.rows = site.rows[:0]
+	rt, _ := vw.scanRows(&relPlan{t: s.db.tables["t"]}, false)
+	ru, _ := vw.scanRows(&relPlan{t: s.db.tables["u"]}, false)
+	site.rows = append(crossJoin(rt, ru), make([]Value, len(site.cols)))
+	// Parameter 1 is a pattern, 2 is NULL, 3 a number; 4 is not bound.
+	params := []Value{NewString("t%"), Null, NewInt(2)}
+
+	f.Fuzz(func(t *testing.T, src string) {
+		if strings.Count(src, ",")+strings.Count(strings.ToUpper(src), "JOIN") > 6 {
+			t.Skip() // as in FuzzExecRoundTrip: no budget for products in subqueries
+		}
+		st, err := Parse("SELECT " + src + " FROM t, u")
+		if err != nil {
+			return
+		}
+		sel, ok := st.(*SelectStmt)
+		if !ok || len(sel.Items) != 1 || sel.Items[0].Expr == nil || len(sel.From) != 2 || len(sel.Unions) > 0 {
+			return
+		}
+		for _, grouped := range []bool{true, false} {
+			site.grouped = grouped
+			checkCompiled(t, vw, sel.Items[0].Expr, site, params)
+		}
+	})
+}
+
+// TestAggregateInUnevaluatedArguments: a clock function given arguments
+// fails without evaluating them, and an aggregate among them is grouped
+// over its own argument all the same, not over whatever column is first.
+func TestAggregateInUnevaluatedArguments(t *testing.T) {
+	s := fuzzDB(t)
+	for _, c := range []struct{ sql, code string }{
+		{"SELECT NOW(COUNT(1))", CodeWrongArity},
+		{"SELECT 1 ORDER BY NOW(COUNT(1))", CodeWrongArity},
+		{"SELECT NOW(COUNT(c)) FROM t", CodeWrongArity},
+		{"SELECT NOW(SUM(b)) FROM t", CodeInvalidText}, // SUM of a string fails first
+		{"SELECT a FROM t GROUP BY a HAVING CURDATE(MAX(c)) = 'x'", CodeWrongArity},
+	} {
+		_, err := s.Exec(c.sql)
+		var se *Error
+		if !errors.As(err, &se) || se.Code != c.code {
+			t.Errorf("%s: %v, want SQLSTATE %s", c.sql, err, c.code)
+		}
+	}
+}
+
+// TestSharedStatementConcurrent is the proof that nothing writes to a
+// parsed tree: the plan cache hands the one tree of a shape to every
+// execution, and eight sessions execute it at once with other literals.
+// Under -race a write to the tree is a reported race; without it, a slot
+// or program one execution left for another shows as a wrong row.
+func TestSharedStatementConcurrent(t *testing.T) {
+	db := NewDatabase("shared")
+	setup := NewSession(db)
+	planSeed(t, setup)
+	shape := func(g int) string {
+		return fmt.Sprintf("SELECT e.name, d.dname, COUNT(*) FROM emp e JOIN dept d ON e.dept = d.id "+
+			"WHERE e.name LIKE 'n%d%%' OR e.id IN (%d, %d) GROUP BY e.name, d.dname HAVING COUNT(*) >= %d ORDER BY e.name",
+			g%3, g+1, g+11, g%2)
+	}
+	const sessions = 8
+	want := make([]string, sessions)
+	for g := range want {
+		want[g] = resultBytes(mustExec(t, setup, shape(g)))
+	}
+	first, _, _, _, _, ok := db.prepareCached(shape(0))
+	again, _, _, _, hit, _ := db.prepareCached(shape(1))
+	if !ok || !hit || first != again {
+		t.Fatalf("the plan cache does not hand out one tree per shape (ok %v, hit %v)", ok, hit)
+	}
+
+	var wg sync.WaitGroup
+	errc := make(chan error, sessions)
+	for g := 0; g < sessions; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			s := NewSession(db)
+			for i := 0; i < 200; i++ {
+				res, err := s.Exec(shape(g))
+				if err != nil {
+					errc <- fmt.Errorf("session %d: %v", g, err)
+					return
+				}
+				if got := resultBytes(res); got != want[g] {
+					errc <- fmt.Errorf("session %d, run %d:\n got %s\nwant %s", g, i, got, want[g])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+}

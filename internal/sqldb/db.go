@@ -687,8 +687,8 @@ func (s *Session) Exec(sql string, params ...Value) (*Result, error) {
 	return s.execPrepared(sql, p)
 }
 
-// prepared is one statement resolved for execution: a private AST (from
-// the plan cache or a fresh parse) with its bind values. digest/norm are
+// prepared is one statement resolved for execution: an AST (the plan
+// cache's, shared, or a fresh parse) with its bind values. digest/norm are
 // set when the plan-cache path already computed them, saving the
 // recording path a second lex.
 type prepared struct {

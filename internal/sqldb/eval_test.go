@@ -2,22 +2,26 @@ package sqldb
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 )
 
-// envCol names one slot of the executor's row layout: the (lower-cased)
-// table qualifier and column name.
-type envCol struct {
-	tbl  string
-	name string
-}
+// The reference evaluator: the tree walk that evaluated every expression
+// until the compiler of compile.go replaced it, kept as the specification
+// the compiled closures are compared against (compile_test.go). It reads
+// the tree and nothing else — a column is resolved against the layout each
+// time it is evaluated, a LIKE pattern parsed each time it is matched —
+// and shares with the compiler only what works on values: Compare, arith,
+// callScalar, coerceToColumn, the LIKE program.
 
 // evalEnv is the evaluation environment for one row (or one group).
 type evalEnv struct {
 	cols   []envCol
 	row    []Value
 	params []Value
-	aggs   []Value // aggregate results for the current group
+	// aggCalls are the aggregate calls the row's group has results for, in
+	// slot order, and aggs the results.
+	aggCalls []*FuncCall
+	aggs     []Value
 	// vw enables subquery evaluation against the reader's snapshot; nil
 	// where subqueries are not permitted (e.g. constant folding for LIMIT).
 	vw *view
@@ -27,54 +31,18 @@ type evalEnv struct {
 	subs []*subPlan
 }
 
-// resolveColumn finds the slot for a column reference. Matching is
-// case-insensitive; an unqualified name matching columns in more than one
-// table is ambiguous.
-func (env *evalEnv) resolveColumn(c *ColumnRef) (int, error) {
-	want := strings.ToLower(c.Column)
-	qual := strings.ToLower(c.Table)
-	found := -1
-	for i, ec := range env.cols {
-		if ec.name != want {
-			continue
-		}
-		if qual != "" && ec.tbl != qual {
-			continue
-		}
-		if found >= 0 {
-			return 0, &Error{Code: CodeAmbiguousColumn,
-				Message: fmt.Sprintf("column reference %q is ambiguous", c.Column)}
-		}
-		found = i
-	}
-	if found < 0 {
-		if qual != "" {
-			return 0, errUndefinedColumn(qual + "." + c.Column)
-		}
-		return 0, errUndefinedColumn(c.Column)
-	}
-	return found, nil
-}
-
-// bindExpr resolves all column references in e against env's layout,
-// caching slot indexes so per-row evaluation is slot lookup only.
-func bindExpr(e Expr, env *evalEnv) error {
-	var bindErr error
+// bindErr returns the error of the first column reference of e that does
+// not resolve against the layout: what compiling e returns before any row
+// is looked at.
+func bindErr(e Expr, cols []envCol) error {
+	var err error
 	walkExpr(e, func(x Expr) bool {
-		if bindErr != nil {
-			return false
+		if c, ok := x.(*ColumnRef); ok && err == nil {
+			_, err = resolveColumn(cols, c)
 		}
-		if c, ok := x.(*ColumnRef); ok {
-			slot, err := env.resolveColumn(c)
-			if err != nil {
-				bindErr = err
-				return false
-			}
-			c.slot = slot
-		}
-		return true
+		return err == nil
 	})
-	return bindErr
+	return err
 }
 
 // eval evaluates a bound expression against one row environment.
@@ -83,10 +51,11 @@ func eval(e Expr, env *evalEnv) (Value, error) {
 	case *Literal:
 		return x.Val, nil
 	case *ColumnRef:
-		if x.slot < 0 || x.slot >= len(env.row) {
-			return Null, errInternal(fmt.Sprintf("unbound column %q", x.Column))
+		slot, err := resolveColumn(env.cols, x)
+		if err != nil {
+			return Null, err
 		}
-		return env.row[x.slot], nil
+		return env.row[slot], nil
 	case *Param:
 		if x.Index < 1 || x.Index > len(env.params) {
 			return Null, &Error{Code: CodeWrongArity,
@@ -110,11 +79,8 @@ func eval(e Expr, env *evalEnv) (Value, error) {
 		}
 		return NewBool(v.IsNull() != x.Not), nil
 	case *FuncCall:
-		if x.aggSlot >= 0 {
-			if x.aggSlot >= len(env.aggs) {
-				return Null, errInternal("aggregate evaluated outside grouping")
-			}
-			return env.aggs[x.aggSlot], nil
+		if slot := slices.Index(env.aggCalls, x); slot >= 0 {
+			return env.aggs[slot], nil
 		}
 		return evalFunc(x, env)
 	case *CaseExpr:
@@ -266,85 +232,9 @@ func evalBinary(x *Binary, env *evalEnv) (Value, error) {
 		}
 		return NewString(l.String() + r.String()), nil
 	case "+", "-", "*", "/", "%":
-		return evalArith(x.Op, l, r)
+		return arith(x.Op, l, r)
 	}
 	return Null, errInternal("unknown binary operator " + x.Op)
-}
-
-func evalArith(op string, l, r Value) (Value, error) {
-	if l.IsNull() || r.IsNull() {
-		return Null, nil
-	}
-	// Strings in arithmetic contexts are parsed numerically — the engine
-	// receives every literal as a string when statements are assembled by
-	// textual variable substitution, so this mirrors dynamic-SQL behaviour.
-	l2, err := numify(l)
-	if err != nil {
-		return Null, err
-	}
-	r2, err := numify(r)
-	if err != nil {
-		return Null, err
-	}
-	if l2.T == TInt && r2.T == TInt {
-		a, b := l2.I, r2.I
-		switch op {
-		case "+":
-			return NewInt(a + b), nil
-		case "-":
-			return NewInt(a - b), nil
-		case "*":
-			return NewInt(a * b), nil
-		case "/":
-			if b == 0 {
-				return Null, &Error{Code: CodeDivisionByZero, Message: "division by zero"}
-			}
-			return NewInt(a / b), nil
-		case "%":
-			if b == 0 {
-				return Null, &Error{Code: CodeDivisionByZero, Message: "division by zero"}
-			}
-			return NewInt(a % b), nil
-		}
-	}
-	af, _ := l2.AsFloat()
-	bf, _ := r2.AsFloat()
-	switch op {
-	case "+":
-		return NewFloat(af + bf), nil
-	case "-":
-		return NewFloat(af - bf), nil
-	case "*":
-		return NewFloat(af * bf), nil
-	case "/":
-		if bf == 0 {
-			return Null, &Error{Code: CodeDivisionByZero, Message: "division by zero"}
-		}
-		return NewFloat(af / bf), nil
-	case "%":
-		if bf == 0 {
-			return Null, &Error{Code: CodeDivisionByZero, Message: "division by zero"}
-		}
-		return NewFloat(float64(int64(af) % int64(bf))), nil
-	}
-	return Null, errInternal("unknown arithmetic operator " + op)
-}
-
-// numify coerces a value to TInt or TFloat for arithmetic.
-func numify(v Value) (Value, error) {
-	switch v.T {
-	case TInt, TFloat:
-		return v, nil
-	case TString:
-		return coerceToColumn(v, TFloat)
-	case TBool:
-		if v.B {
-			return NewInt(1), nil
-		}
-		return NewInt(0), nil
-	}
-	return Null, &Error{Code: CodeDatatypeMismatch,
-		Message: fmt.Sprintf("%s is not numeric", v.T)}
 }
 
 func evalLike(x *LikeExpr, env *evalEnv) (Value, error) {
@@ -370,7 +260,7 @@ func evalLike(x *LikeExpr, env *evalEnv) (Value, error) {
 		}
 		escape = e.String()
 	}
-	prog := x.program(p.String(), escape, hasEscape)
+	prog := compileLike(p.String(), escape, hasEscape)
 	if prog.err != nil {
 		return Null, prog.err
 	}
@@ -520,4 +410,48 @@ func evalCase(x *CaseExpr, env *evalEnv) (Value, error) {
 		return eval(x.Else, env)
 	}
 	return Null, nil
+}
+
+// evalFunc evaluates a scalar (non-aggregate) function call.
+func evalFunc(fc *FuncCall, env *evalEnv) (Value, error) {
+	if isAggregate(fc.Name) {
+		return Null, &Error{Code: CodeSyntax,
+			Message: fmt.Sprintf("aggregate function %s used outside of a grouped query", fc.Name)}
+	}
+	// Clock functions read the database clock (injectable for tests).
+	switch fc.Name {
+	case "NOW", "CURRENT_TIMESTAMP":
+		if len(fc.Args) != 0 {
+			return Null, &Error{Code: CodeWrongArity, Message: fc.Name + " takes no arguments"}
+		}
+		if env.vw == nil {
+			return Null, &Error{Code: CodeFeature, Message: fc.Name + " requires a database context"}
+		}
+		return NewString(env.vw.db.now().Format("2006-01-02 15:04:05")), nil
+	case "CURDATE", "CURRENT_DATE":
+		if len(fc.Args) != 0 {
+			return Null, &Error{Code: CodeWrongArity, Message: fc.Name + " takes no arguments"}
+		}
+		if env.vw == nil {
+			return Null, &Error{Code: CodeFeature, Message: fc.Name + " requires a database context"}
+		}
+		return NewString(env.vw.db.now().Format("2006-01-02")), nil
+	case "CURTIME", "CURRENT_TIME":
+		if len(fc.Args) != 0 {
+			return Null, &Error{Code: CodeWrongArity, Message: fc.Name + " takes no arguments"}
+		}
+		if env.vw == nil {
+			return Null, &Error{Code: CodeFeature, Message: fc.Name + " requires a database context"}
+		}
+		return NewString(env.vw.db.now().Format("15:04:05")), nil
+	}
+	args := make([]Value, len(fc.Args))
+	for i, a := range fc.Args {
+		v, err := eval(a, env)
+		if err != nil {
+			return Null, err
+		}
+		args[i] = v
+	}
+	return callScalar(fc.Name, args)
 }

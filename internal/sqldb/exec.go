@@ -23,12 +23,6 @@ type Result struct {
 
 // --- row source assembly ---
 
-// rowSet is an intermediate table of rows with a named layout.
-type rowSet struct {
-	cols []envCol
-	rows [][]Value
-}
-
 // scanRows reads rp's base table the way the plan says — through the
 // chosen index, or the whole heap — and resolves each candidate against
 // the view's snapshot under a shared table latch held only for the scan;
@@ -84,18 +78,6 @@ func andConjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// constValue evaluates e if it is constant for the statement.
-func constValue(e Expr, params []Value) (Value, bool) {
-	if !constShaped(e) {
-		return Null, false
-	}
-	v, err := eval(e, &evalEnv{params: params})
-	if err != nil {
-		return Null, false
-	}
-	return v, true
-}
-
 // runIndexScan executes a planned index access. Because postings are a
 // multiset over row versions, the same row ID can surface more than
 // once; collect sorts and de-duplicates so each candidate appears
@@ -139,142 +121,129 @@ func (t *Table) runIndexScan(p *indexScanPlan) []*storedRow {
 }
 
 // crossJoin combines two row sets with a filter-less nested loop.
-func crossJoin(a, b *rowSet) *rowSet {
-	out := &rowSet{cols: append(append([]envCol{}, a.cols...), b.cols...)}
-	out.rows = make([][]Value, 0, len(a.rows)*len(b.rows))
-	for _, ra := range a.rows {
-		for _, rb := range b.rows {
+func crossJoin(a, b [][]Value) [][]Value {
+	out := make([][]Value, 0, len(a)*len(b))
+	for _, ra := range a {
+		for _, rb := range b {
 			row := make([]Value, 0, len(ra)+len(rb))
 			row = append(row, ra...)
 			row = append(row, rb...)
-			out.rows = append(out.rows, row)
+			out = append(out, row)
 		}
 	}
 	return out
 }
 
-// scanRel produces one planned relation's row set: the base-table scan
-// through its access path, or the derived table's result under its alias,
-// with the conjuncts the planner pushed to this relation applied.
-func (vw view) scanRel(rp *relPlan, params []Value) (*rowSet, error) {
-	rs := &rowSet{cols: rp.cols}
+// scanRel produces one planned relation's rows: the base-table scan
+// through its access path, or the derived table's result, with the
+// conjuncts the planner pushed to this relation applied.
+func (vw view) scanRel(rp *relPlan, params []Value) ([][]Value, error) {
+	var rows [][]Value
 	if rp.sub != nil {
 		start := vw.clock()
 		res, err := vw.execSelect(rp.sub, params)
 		if err != nil {
 			return nil, err
 		}
-		rs.rows = res.Rows
-		rs.cols = make([]envCol, len(res.Columns))
-		for i, c := range res.Columns {
-			rs.cols[i] = envCol{tbl: rp.qual, name: strings.ToLower(c)}
-		}
-		rp.stat.done(start, len(rs.rows), len(rs.rows))
+		rows = res.Rows
+		rp.stat.done(start, len(rows), len(rows))
 	} else {
-		rs.rows, _ = vw.scanRows(rp, false)
+		rows, _ = vw.scanRows(rp, false)
 	}
 	if rp.filter == nil {
-		return rs, nil
+		return rows, nil
 	}
-	env := &evalEnv{cols: rs.cols, params: params, vw: &vw}
-	if err := bindExpr(rp.filter, env); err != nil {
-		return nil, err
+	kept, err := filterRows(rows, rp.pred, rp.predErr)
+	rp.pushStat.note(len(rows), len(kept))
+	return kept, err
+}
+
+// filterRows returns the rows pred holds on, in rows' own array: every
+// stage's input is its alone. bindErr is the reference in the predicate
+// that did not resolve, raised before any row is looked at.
+func filterRows(rows [][]Value, pred predFn, bindErr error) ([][]Value, error) {
+	if bindErr != nil {
+		return nil, bindErr
 	}
-	kept := rs.rows[:0:0]
-	for _, r := range rs.rows {
-		env.row = r
-		v, err := eval(rp.filter, env)
+	kept := rows[:0]
+	for _, r := range rows {
+		t, err := pred(r)
 		if err != nil {
 			return nil, err
 		}
-		if t, known := v.Truth(); known && t {
+		if t == triTrue {
 			kept = append(kept, r)
 		}
 	}
-	rp.pushStat.note(len(rs.rows), len(kept))
-	rs.rows = kept
-	return rs, nil
+	return kept, nil
 }
 
 // execFromNode runs one node of the FROM tree: a scan, or the join of its
 // two inputs, left first, by the method on the node.
-func (vw view) execFromNode(n fromNode, params []Value, subs []*subPlan) (*rowSet, error) {
+func (vw view) execFromNode(n fromNode, params []Value) ([][]Value, error) {
 	jp, ok := n.(*joinPlan)
 	if !ok {
 		return vw.scanRel(n.(*relPlan), params)
 	}
-	left, err := vw.execFromNode(jp.left, params, subs)
+	left, err := vw.execFromNode(jp.left, params)
 	if err != nil {
 		return nil, err
 	}
-	right, err := vw.execFromNode(jp.right, params, subs)
+	right, err := vw.execFromNode(jp.right, params)
 	if err != nil {
 		return nil, err
 	}
 	start := vw.clock()
-	var out *rowSet
-	examined := len(left.rows) * len(right.rows)
+	var out [][]Value
+	examined := len(left) * len(right)
 	if jp.cond == nil && jp.kind != JoinLeft {
 		out = crossJoin(left, right)
-	} else if out, examined, err = vw.joinOn(left, right, jp, params, subs); err != nil {
+	} else if out, examined, err = joinOn(left, right, jp); err != nil {
 		return nil, err
 	}
-	jp.stat.done(start, examined, len(out.rows))
+	jp.stat.done(start, examined, len(out))
 	return out, nil
 }
 
 // execFromPlan executes a planned FROM clause — the only way a FROM
-// clause runs — then remaps the layout back to declaration order when
-// the planner reordered: projection, *-expansion, and ambiguity
-// resolution must see the layout the statement declared.
-func (vw view) execFromPlan(fp *fromPlan, params []Value, subs []*subPlan) (*rowSet, error) {
-	acc, err := vw.execFromNode(fp.root, params, subs)
+// clause runs — then puts the columns back in declaration order when the
+// planner reordered: the stages above were compiled against the layout
+// the statement declared.
+func (vw view) execFromPlan(fp *fromPlan, params []Value) ([][]Value, error) {
+	rows, err := vw.execFromNode(fp.root, params)
 	if err != nil || !fp.reordered {
-		return acc, err
+		return rows, err
 	}
-	type block struct{ off, w int }
-	blocks := make([]block, len(fp.rels)) // indexed by declaration position
-	off := 0
-	for _, rp := range fp.rels {
-		blocks[rp.declIdx] = block{off: off, w: len(rp.cols)}
-		off += len(rp.cols)
-	}
-	out := &rowSet{cols: make([]envCol, 0, len(acc.cols))}
-	for _, b := range blocks {
-		out.cols = append(out.cols, acc.cols[b.off:b.off+b.w]...)
-	}
-	out.rows = make([][]Value, len(acc.rows))
-	for ri, r := range acc.rows {
-		nr := make([]Value, 0, len(r))
-		for _, b := range blocks {
-			nr = append(nr, r[b.off:b.off+b.w]...)
+	out := make([][]Value, len(rows))
+	for ri, r := range rows {
+		nr := make([]Value, len(r))
+		for i, from := range fp.remap {
+			nr[i] = r[from]
 		}
-		out.rows[ri] = nr
+		out[ri] = nr
 	}
 	return out, nil
 }
 
 // --- SELECT execution ---
 
-// projection describes the output columns of a SELECT.
-type projection struct {
-	names []string
-	exprs []Expr
-}
-
-// expandProjection resolves *, t.*, and expression items into a concrete
-// column list against the FROM layout.
-func (vw view) expandProjection(sel *SelectStmt, from *rowSet) (*projection, error) {
-	pr := &projection{}
+// expandProjection resolves *, t.*, and expression items into the output
+// columns against the FROM layout: their names, and for each either the
+// slot it copies (proj) or the expression still to compile (exprs, nil
+// altogether for a bare *).
+func (vw view) expandProjection(sel *SelectStmt, cols []envCol) (names []string, proj []rowExpr, exprs []Expr, err error) {
 	addStarFor := func(qual string) error {
 		matched := false
-		for i, ec := range from.cols {
+		for i, ec := range cols {
 			if qual != "" && ec.tbl != qual {
 				continue
 			}
 			matched = true
-			pr.names = append(pr.names, vw.displayColumnName(ec))
-			pr.exprs = append(pr.exprs, &ColumnRef{Table: ec.tbl, Column: ec.name, slot: i})
+			names = append(names, vw.displayColumnName(ec))
+			proj = append(proj, rowExpr{slot: i})
+			if exprs != nil {
+				exprs = append(exprs, nil)
+			}
 		}
 		if qual != "" && !matched {
 			return errUndefinedTable(qual)
@@ -282,15 +251,15 @@ func (vw view) expandProjection(sel *SelectStmt, from *rowSet) (*projection, err
 		return nil
 	}
 	if sel.Star {
-		if err := addStarFor(""); err != nil {
-			return nil, err
-		}
-		return pr, nil
+		names, proj = make([]string, 0, len(cols)), make([]rowExpr, 0, len(cols))
+		return names, proj, nil, addStarFor("")
 	}
+	n := len(sel.Items)
+	names, proj, exprs = make([]string, 0, n), make([]rowExpr, 0, n), make([]Expr, 0, n)
 	for i, item := range sel.Items {
 		if item.TableStar != "" {
 			if err := addStarFor(strings.ToLower(item.TableStar)); err != nil {
-				return nil, err
+				return nil, nil, nil, err
 			}
 			continue
 		}
@@ -302,10 +271,11 @@ func (vw view) expandProjection(sel *SelectStmt, from *rowSet) (*projection, err
 				name = fmt.Sprintf("COL%d", i+1)
 			}
 		}
-		pr.names = append(pr.names, name)
-		pr.exprs = append(pr.exprs, item.Expr)
+		names = append(names, name)
+		proj = append(proj, rowExpr{})
+		exprs = append(exprs, item.Expr)
 	}
-	return pr, nil
+	return names, proj, exprs, nil
 }
 
 // displayColumnName recovers the catalog-cased column name for a layout
@@ -325,30 +295,6 @@ func (vw view) displayColumnName(ec envCol) string {
 	return ec.name
 }
 
-// collectAggregates walks the projection, HAVING, and ORDER BY expressions
-// assigning aggregate slots. It returns the aggregate calls in slot order.
-func collectAggregates(pr *projection, sel *SelectStmt) []*FuncCall {
-	var aggs []*FuncCall
-	assign := func(e Expr) {
-		walkExpr(e, func(x Expr) bool {
-			if fc, ok := x.(*FuncCall); ok && isAggregate(fc.Name) {
-				fc.aggSlot = len(aggs)
-				aggs = append(aggs, fc)
-				return false // no nested aggregates
-			}
-			return true
-		})
-	}
-	for _, e := range pr.exprs {
-		assign(e)
-	}
-	assign(sel.Having)
-	for _, o := range sel.OrderBy {
-		assign(o.Expr)
-	}
-	return aggs
-}
-
 // execSelect runs a planned SELECT: a single one, or a UNION chain.
 func (vw view) execSelect(sp *selectPlan, params []Value) (*Result, error) {
 	if sp.arms == nil {
@@ -357,120 +303,56 @@ func (vw view) execSelect(sp *selectPlan, params []Value) (*Result, error) {
 	return vw.execUnion(sp, params)
 }
 
+// execSelectSingle drives the compiled stages of one SELECT.
 func (vw view) execSelectSingle(sp *selectPlan, params []Value) (*Result, error) {
 	sel := sp.sel
 	selStart := vw.clock()
 	// SELECT without FROM evaluates expressions over a single empty row.
-	from, residual := &rowSet{rows: [][]Value{{}}}, sel.Where
+	rows := [][]Value{{}}
 	if sp.from != nil {
 		var err error
-		if from, err = vw.execFromPlan(sp.from, params, sp.subs); err != nil {
+		if rows, err = vw.execFromPlan(sp.from, params); err != nil {
 			return nil, err
 		}
-		residual = sp.from.residual
 	}
-	env := &evalEnv{cols: from.cols, params: params, vw: &vw, subs: sp.subs}
 
 	// WHERE filter: what the planner did not push into scans or join steps.
-	rows := from.rows
-	if residual != nil {
-		if err := bindExpr(residual, env); err != nil {
+	if sp.filter != nil || sp.filterErr != nil {
+		kept, err := filterRows(rows, sp.filter, sp.filterErr)
+		if err != nil {
 			return nil, err
 		}
-		kept := rows[:0:0]
-		for _, r := range rows {
-			env.row = r
-			v, err := eval(residual, env)
-			if err != nil {
-				return nil, err
-			}
-			t, known := v.Truth()
-			if known && t {
-				kept = append(kept, r)
-			}
-		}
+		sp.where.note(len(rows), len(kept))
 		rows = kept
-		sp.where.note(len(from.rows), len(rows))
 	}
-
-	pr, err := vw.expandProjection(sel, from)
-	if err != nil {
-		return nil, err
-	}
-	aggs := collectAggregates(pr, sel)
-	grouped := len(sel.GroupBy) > 0 || len(aggs) > 0 || sel.Having != nil
-
-	// Resolve ORDER BY items that reference select aliases or ordinals.
-	orderExprs := make([]Expr, len(sel.OrderBy))
-	for i, o := range sel.OrderBy {
-		orderExprs[i] = o.Expr
-		if c, ok := o.Expr.(*ColumnRef); ok && c.Table == "" {
-			for j, name := range pr.names {
-				if strings.EqualFold(name, c.Column) {
-					orderExprs[i] = pr.exprs[j]
-					break
-				}
-			}
-		}
-		if l, ok := o.Expr.(*Literal); ok && l.Val.T == TInt {
-			n := int(l.Val.I)
-			if n >= 1 && n <= len(pr.exprs) {
-				orderExprs[i] = pr.exprs[n-1]
-			}
-		}
-	}
-
-	// Bind everything that evaluates against the FROM layout.
-	for _, e := range pr.exprs {
-		if err := bindExpr(e, env); err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range sel.GroupBy {
-		if err := bindExpr(e, env); err != nil {
-			return nil, err
-		}
-	}
-	if sel.Having != nil {
-		if err := bindExpr(sel.Having, env); err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range orderExprs {
-		if err := bindExpr(e, env); err != nil {
-			return nil, err
-		}
-	}
-	for _, fc := range aggs {
-		if !fc.Star && len(fc.Args) != 1 {
-			return nil, &Error{Code: CodeWrongArity,
-				Message: fmt.Sprintf("%s expects 1 argument, got %d", fc.Name, len(fc.Args))}
-		}
-		for _, a := range fc.Args {
-			if err := bindExpr(a, env); err != nil {
-				return nil, err
-			}
-		}
+	if sp.stagesErr != nil {
+		return nil, sp.stagesErr
 	}
 
 	// The rows that reach ORDER BY and the projection: FROM rows, or one
-	// representative row per group with its aggregate results beside it.
-	// Both evaluate through the one env, whose row (and aggs) is swapped.
+	// representative row per group with its aggregate results beside it,
+	// which go where the closures read them before the row is evaluated.
 	outs := rows
 	var outAggs [][]Value
 
-	if grouped {
+	if sp.grouped {
 		type group struct {
 			rep    []Value
 			states []*aggState
 		}
+		newGroup := func(rep []Value) *group {
+			grp := &group{rep: rep, states: make([]*aggState, len(sp.aggs))}
+			for i, ac := range sp.aggs {
+				grp.states[i] = newAggState(ac.fc)
+			}
+			return grp
+		}
 		var order []string
 		groups := map[string]*group{}
+		keyVals := make([]Value, len(sp.groupBy))
 		for _, r := range rows {
-			env.row = r
-			keyVals := make([]Value, len(sel.GroupBy))
-			for i, g := range sel.GroupBy {
-				v, err := eval(g, env)
+			for i, g := range sp.groupBy {
+				v, err := g.eval(r)
 				if err != nil {
 					return nil, err
 				}
@@ -479,100 +361,88 @@ func (vw view) execSelectSingle(sp *selectPlan, params []Value) (*Result, error)
 			k := identityKey(keyVals)
 			grp, ok := groups[k]
 			if !ok {
-				grp = &group{rep: r}
-				for _, fc := range aggs {
-					grp.states = append(grp.states, newAggState(fc))
-				}
+				grp = newGroup(r)
 				groups[k] = grp
 				order = append(order, k)
 			}
-			for i, fc := range aggs {
-				if fc.Star {
-					if err := grp.states[i].add(Null, true); err != nil {
+			for i, ac := range sp.aggs {
+				var av Value
+				if !ac.fc.Star {
+					var err error
+					if av, err = ac.arg.eval(r); err != nil {
 						return nil, err
 					}
-					continue
 				}
-				av, err := eval(fc.Args[0], env)
-				if err != nil {
-					return nil, err
-				}
-				if err := grp.states[i].add(av, false); err != nil {
+				if err := grp.states[i].add(av, ac.fc.Star); err != nil {
 					return nil, err
 				}
 			}
 		}
 		// A grouped query with no GROUP BY and no input rows still yields
 		// one row of aggregates over the empty set.
-		if len(sel.GroupBy) == 0 && len(order) == 0 {
-			grp := &group{rep: make([]Value, len(from.cols))}
-			for _, fc := range aggs {
-				grp.states = append(grp.states, newAggState(fc))
-			}
-			groups[""] = grp
+		if len(sp.groupBy) == 0 && len(order) == 0 {
+			groups[""] = newGroup(make([]Value, sp.width))
 			order = append(order, "")
 		}
 		outs = nil
 		for _, k := range order {
 			grp := groups[k]
-			env.row, env.aggs = grp.rep, make([]Value, len(aggs))
+			sp.aggRow = make([]Value, len(sp.aggs))
 			for i, st := range grp.states {
-				env.aggs[i] = st.result()
+				sp.aggRow[i] = st.result()
 			}
-			if sel.Having != nil {
-				v, err := eval(sel.Having, env)
+			if sp.having != nil {
+				t, err := sp.having(grp.rep)
 				if err != nil {
 					return nil, err
 				}
-				t, known := v.Truth()
-				if !known || !t {
+				if t != triTrue {
 					continue
 				}
 			}
 			outs = append(outs, grp.rep)
-			outAggs = append(outAggs, env.aggs)
+			outAggs = append(outAggs, sp.aggRow)
 		}
 		sp.aggregate.note(len(rows), len(outs))
-	}
-	at := func(i int) {
-		env.row = outs[i]
-		if grouped {
-			env.aggs = outAggs[i]
-		}
 	}
 
 	// ORDER BY.
 	var perm []int32
-	if nk := len(orderExprs); nk > 0 {
+	if nk := len(sp.order); nk > 0 {
 		keys := make([]Value, len(outs)*nk)
-		for i := range outs {
-			at(i)
-			for j, e := range orderExprs {
-				v, err := eval(e, env)
+		for i, r := range outs {
+			if sp.grouped {
+				sp.aggRow = outAggs[i]
+			}
+			for j, e := range sp.order {
+				v, err := e.eval(r)
 				if err != nil {
 					return nil, err
 				}
 				keys[i*nk+j] = v
 			}
 		}
+		var err error
 		if perm, err = sortOrder(keys, sel.OrderBy); err != nil {
 			return nil, err
 		}
 	}
 
 	// Projection, in sorted order; the rows share one backing array.
-	res := &Result{Columns: pr.names, Rows: make([][]Value, len(outs))}
-	width := len(pr.exprs)
+	res := &Result{Columns: sp.names, Rows: make([][]Value, len(outs))}
+	width := len(sp.proj)
 	cells := make([]Value, len(outs)*width)
 	for k := range outs {
 		i := k
 		if perm != nil {
 			i = int(perm[k])
 		}
-		at(i)
+		if sp.grouped {
+			sp.aggRow = outAggs[i]
+		}
 		row := cells[k*width : (k+1)*width : (k+1)*width]
-		for c, e := range pr.exprs {
-			v, err := eval(e, env)
+		for c, e := range sp.proj {
+			v, err := e.eval(outs[i])
 			if err != nil {
 				return nil, err
 			}
@@ -599,6 +469,7 @@ func (vw view) execSelectSingle(sp *selectPlan, params []Value) (*Result, error)
 
 	if sel.Limit != nil || sel.Offset != nil {
 		preLimit := len(res.Rows)
+		var err error
 		if res.Rows, err = limitRows(res.Rows, sel, params); err != nil {
 			return nil, err
 		}
@@ -704,8 +575,8 @@ func compareSortKeys(a, b *Value) (int, error) {
 //
 //  1. snapshot: collect target rows and their visible values under the
 //     shared latch;
-//  2. evaluate: run WHERE/SET/VALUES expressions latch-free against the
-//     snapshot copies;
+//  2. evaluate: run the compiled WHERE/SET/VALUES expressions latch-free
+//     against the snapshot copies;
 //  3. apply: under the exclusive latch, writeCheck each target
 //     (first-committer-wins conflict detection), check uniqueness, and
 //     link pending versions into the chains.
@@ -740,12 +611,11 @@ func (vw view) execInsert(tx *txnState, ins *InsertStmt, params []Value) (*Resul
 			colPos = append(colPos, p)
 		}
 	}
-	env := &evalEnv{params: params, vw: &vw, subs: dp.subs}
 	// Phase 2 (evaluate) runs first for INSERT: there are no targets to
 	// snapshot, and evaluating every row before the latch keeps the
 	// apply phase latch-free of expressions.
-	planned := make([][]Value, 0, len(ins.Rows))
-	for _, rowExprs := range ins.Rows {
+	planned := make([][]Value, 0, len(dp.values))
+	for _, rowExprs := range dp.values {
 		if len(rowExprs) != len(colPos) {
 			return nil, &Error{Code: CodeCardinality,
 				Message: fmt.Sprintf("INSERT has %d values for %d columns",
@@ -754,10 +624,7 @@ func (vw view) execInsert(tx *txnState, ins *InsertStmt, params []Value) (*Resul
 		vals := make([]Value, len(t.Columns))
 		provided := make([]bool, len(t.Columns))
 		for i, e := range rowExprs {
-			if err := bindExpr(e, env); err != nil {
-				return nil, err
-			}
-			v, err := eval(e, env)
+			v, err := e.eval(nil)
 			if err != nil {
 				return nil, err
 			}
@@ -814,24 +681,10 @@ func (vw view) execUpdate(tx *txnState, up *UpdateStmt, params []Value) (*Result
 		return nil, err
 	}
 	vw.planned(dp)
+	if dp.bindErr != nil {
+		return nil, dp.bindErr
+	}
 	t := dp.t
-	env := &evalEnv{cols: dp.scan.cols, params: params, vw: &vw, subs: dp.subs}
-	if up.Where != nil {
-		if err := bindExpr(up.Where, env); err != nil {
-			return nil, err
-		}
-	}
-	setPos := make([]int, len(up.Set))
-	for i, sc := range up.Set {
-		p := t.colIndex(sc.Column)
-		if p < 0 {
-			return nil, errUndefinedColumn(sc.Column)
-		}
-		setPos[i] = p
-		if err := bindExpr(sc.Value, env); err != nil {
-			return nil, err
-		}
-	}
 	// Phases 1+2: snapshot targets, then evaluate WHERE and SET latch-free.
 	type plannedUpdate struct {
 		row  *storedRow
@@ -840,33 +693,31 @@ func (vw view) execUpdate(tx *txnState, up *UpdateStmt, params []Value) (*Result
 	var plan []plannedUpdate
 	targets, rows := vw.scanRows(dp.scan, true)
 	for i, cur := range targets {
-		env.row = cur
-		if up.Where != nil {
-			v, err := eval(up.Where, env)
+		if dp.where != nil {
+			truth, err := dp.where(cur)
 			if err != nil {
 				return nil, err
 			}
-			truth, known := v.Truth()
-			if !known || !truth {
+			if truth != triTrue {
 				continue
 			}
 		}
 		newVals := append([]Value(nil), cur...)
-		for i, sc := range up.Set {
-			v, err := eval(sc.Value, env)
+		for _, set := range dp.set {
+			v, err := set.val.eval(cur)
 			if err != nil {
 				return nil, err
 			}
-			cv, err := coerceToColumn(v, t.Columns[setPos[i]].Type)
+			col := &t.Columns[set.pos]
+			cv, err := coerceToColumn(v, col.Type)
 			if err != nil {
 				return nil, err
 			}
-			if t.Columns[setPos[i]].NotNull && cv.IsNull() {
+			if col.NotNull && cv.IsNull() {
 				return nil, &Error{Code: CodeNotNullViolation,
-					Message: fmt.Sprintf("null value in column %q violates NOT NULL",
-						t.Columns[setPos[i]].Name)}
+					Message: fmt.Sprintf("null value in column %q violates NOT NULL", col.Name)}
 			}
-			newVals[setPos[i]] = cv
+			newVals[set.pos] = cv
 		}
 		plan = append(plan, plannedUpdate{row: rows[i], vals: newVals})
 	}
@@ -916,24 +767,19 @@ func (vw view) execDelete(tx *txnState, del *DeleteStmt, params []Value) (*Resul
 		return nil, err
 	}
 	vw.planned(dp)
-	t := dp.t
-	env := &evalEnv{cols: dp.scan.cols, params: params, vw: &vw, subs: dp.subs}
-	if del.Where != nil {
-		if err := bindExpr(del.Where, env); err != nil {
-			return nil, err
-		}
+	if dp.bindErr != nil {
+		return nil, dp.bindErr
 	}
+	t := dp.t
 	var rows []*storedRow
 	targets, cands := vw.scanRows(dp.scan, true)
 	for i, cur := range targets {
-		if del.Where != nil {
-			env.row = cur
-			v, err := eval(del.Where, env)
+		if dp.where != nil {
+			truth, err := dp.where(cur)
 			if err != nil {
 				return nil, err
 			}
-			truth, known := v.Truth()
-			if !known || !truth {
+			if truth != triTrue {
 				continue
 			}
 		}
@@ -1005,7 +851,7 @@ func (db *Database) execCreateTable(tx *txnState, ct *CreateTableStmt) (*Result,
 		seen[lc] = true
 		col := Column{Name: cd.Name, Type: cd.Type, NotNull: cd.NotNull, PrimaryKey: cd.PrimaryKey}
 		if cd.Default != nil {
-			v, err := eval(cd.Default, &evalEnv{})
+			v, err := evalConst(cd.Default, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -189,7 +189,7 @@ func (db *Database) execAlterTable(tx *txnState, at *AlterTableStmt) (*Result, e
 		col := Column{Name: cd.Name, Type: cd.Type, NotNull: cd.NotNull}
 		fill := Null
 		if cd.Default != nil {
-			v, err := eval(cd.Default, &evalEnv{})
+			v, err := evalConst(cd.Default, nil)
 			if err != nil {
 				return nil, err
 			}

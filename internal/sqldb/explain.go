@@ -117,7 +117,7 @@ func (pp *planPrinter) selectPlan(sp *selectPlan, pad string, root bool) {
 	if len(sel.GroupBy) > 0 {
 		pp.prop(in, "Group By: "+exprListString(sel.GroupBy))
 	}
-	if len(sel.GroupBy) > 0 || sel.Having != nil || selHasAggregate(sel) {
+	if sp.grouped {
 		pp.prop(in, "Aggregate"+pp.staged(&sp.aggregate))
 	}
 	if sel.Having != nil {
@@ -274,29 +274,6 @@ func (pp *planPrinter) writeScan(dp *dmlPlan, where Expr, pad string) {
 		pp.prop(pad, "Filter: "+exprString(where)+pp.staged(&dp.filter))
 	}
 	pp.relPlan(dp.scan, false, pad)
-}
-
-// selHasAggregate reports whether the SELECT computes any aggregate,
-// checking the same expression positions collectAggregates scans.
-func selHasAggregate(sel *SelectStmt) bool {
-	found := false
-	check := func(e Expr) {
-		walkExpr(e, func(x Expr) bool {
-			if fc, ok := x.(*FuncCall); ok && isAggregate(fc.Name) {
-				found = true
-				return false
-			}
-			return true
-		})
-	}
-	for _, it := range sel.Items {
-		check(it.Expr)
-	}
-	check(sel.Having)
-	for _, o := range sel.OrderBy {
-		check(o.Expr)
-	}
-	return found
 }
 
 // planResultText flattens an EXPLAIN result back into the newline-joined

@@ -15,50 +15,6 @@ func isAggregate(name string) bool {
 	return false
 }
 
-// evalFunc evaluates a scalar (non-aggregate) function call.
-func evalFunc(fc *FuncCall, env *evalEnv) (Value, error) {
-	if isAggregate(fc.Name) {
-		return Null, &Error{Code: CodeSyntax,
-			Message: fmt.Sprintf("aggregate function %s used outside of a grouped query", fc.Name)}
-	}
-	// Clock functions read the database clock (injectable for tests).
-	switch fc.Name {
-	case "NOW", "CURRENT_TIMESTAMP":
-		if len(fc.Args) != 0 {
-			return Null, &Error{Code: CodeWrongArity, Message: fc.Name + " takes no arguments"}
-		}
-		if env.vw == nil {
-			return Null, &Error{Code: CodeFeature, Message: fc.Name + " requires a database context"}
-		}
-		return NewString(env.vw.db.now().Format("2006-01-02 15:04:05")), nil
-	case "CURDATE", "CURRENT_DATE":
-		if len(fc.Args) != 0 {
-			return Null, &Error{Code: CodeWrongArity, Message: fc.Name + " takes no arguments"}
-		}
-		if env.vw == nil {
-			return Null, &Error{Code: CodeFeature, Message: fc.Name + " requires a database context"}
-		}
-		return NewString(env.vw.db.now().Format("2006-01-02")), nil
-	case "CURTIME", "CURRENT_TIME":
-		if len(fc.Args) != 0 {
-			return Null, &Error{Code: CodeWrongArity, Message: fc.Name + " takes no arguments"}
-		}
-		if env.vw == nil {
-			return Null, &Error{Code: CodeFeature, Message: fc.Name + " requires a database context"}
-		}
-		return NewString(env.vw.db.now().Format("15:04:05")), nil
-	}
-	args := make([]Value, len(fc.Args))
-	for i, a := range fc.Args {
-		v, err := eval(a, env)
-		if err != nil {
-			return Null, err
-		}
-		args[i] = v
-	}
-	return callScalar(fc.Name, args)
-}
-
 func arity(name string, args []Value, want int) error {
 	if len(args) != want {
 		return &Error{Code: CodeWrongArity,
@@ -266,7 +222,7 @@ func callScalar(name string, args []Value) (Value, error) {
 		if err := arity(name, args, 2); err != nil {
 			return Null, err
 		}
-		return evalArith("%", args[0], args[1])
+		return arith("%", args[0], args[1])
 	case "ROUND":
 		if len(args) != 1 && len(args) != 2 {
 			return Null, &Error{Code: CodeWrongArity,

@@ -40,7 +40,7 @@ func keyClassOf(a, b Type) (keyClass, bool) {
 // column from left and one from right, both of base tables — what a table
 // stores has its column's declared type or is NULL, which a derived
 // table's column does not promise — and of one comparison class. nil
-// means a nested loop. The references are resolved as bindExpr will
+// means a nested loop. The references are resolved as the compiler will
 // resolve them against the step's layout, so where it succeeds the two
 // agree on which side each column is.
 func hashKeyFor(cond Expr, left []*relPlan, right *relPlan) *hashKey {
@@ -154,64 +154,45 @@ func (h *hashTable) first(v Value) int32 {
 // in order, the rows of b in order that the condition holds with; LEFT
 // emits a NULL-padded row for a left row that has none. The condition is
 // evaluated on one scratch row that is copied only for a pair it keeps.
-// It returns the number of pairs it evaluated beside the rows. subs are
-// the plans of the statement's subqueries, which the condition may
-// contain.
-func (vw view) joinOn(a, b *rowSet, jp *joinPlan, params []Value, subs []*subPlan) (*rowSet, int, error) {
-	out := &rowSet{cols: append(append([]envCol{}, a.cols...), b.cols...)}
-	env := &evalEnv{cols: out.cols, params: params, vw: &vw, subs: subs}
-	if jp.cond != nil {
-		if err := bindExpr(jp.cond, env); err != nil {
-			return nil, 0, err
-		}
+// It returns the number of pairs it evaluated beside the rows.
+func joinOn(a, b [][]Value, jp *joinPlan) ([][]Value, int, error) {
+	if jp.predErr != nil {
+		return nil, 0, jp.predErr
 	}
-	wa := len(a.cols)
+	wa := jp.leftWidth
 	var hash *hashTable
-	probe := 0 // the key's slot in a
 	if jp.hash != nil {
-		// bindExpr left each side's slot in the joined layout on the key.
-		probe = jp.hash.conj.L.(*ColumnRef).slot
-		build := jp.hash.conj.R.(*ColumnRef).slot
-		if probe >= wa {
-			probe, build = build, probe
-		}
-		if probe >= wa || build < wa {
-			return nil, 0, errInternal("hash key columns are not one from each input")
-		}
-		hash = buildHash(b.rows, build-wa, jp.hash.class)
+		hash = buildHash(b, jp.hash.build, jp.hash.class)
 	}
-	env.row = make([]Value, wa+len(b.cols))
+	var out [][]Value
+	scratch := make([]Value, jp.width)
 	examined := 0
 	// pair evaluates the condition on the scratch row with rb in its right
 	// half, and keeps a copy of it when the condition holds.
 	pair := func(rb []Value) (bool, error) {
 		examined++
-		copy(env.row[wa:], rb)
-		if jp.cond != nil {
-			v, err := eval(jp.cond, env)
-			if err != nil {
+		copy(scratch[wa:], rb)
+		if jp.pred != nil {
+			if t, err := jp.pred(scratch); err != nil || t != triTrue {
 				return false, err
 			}
-			if truth, known := v.Truth(); !known || !truth {
-				return false, nil
-			}
 		}
-		out.rows = append(out.rows, append([]Value(nil), env.row...))
+		out = append(out, append([]Value(nil), scratch...))
 		return true, nil
 	}
-	for _, ra := range a.rows {
-		copy(env.row, ra)
+	for _, ra := range a {
+		copy(scratch, ra)
 		matched := false
 		if hash != nil {
-			for i := hash.first(ra[probe]); i >= 0; i = hash.next[i] {
-				kept, err := pair(b.rows[i])
+			for i := hash.first(ra[jp.hash.probe]); i >= 0; i = hash.next[i] {
+				kept, err := pair(b[i])
 				if err != nil {
 					return nil, 0, err
 				}
 				matched = matched || kept
 			}
 		} else {
-			for _, rb := range b.rows {
+			for _, rb := range b {
 				kept, err := pair(rb)
 				if err != nil {
 					return nil, 0, err
@@ -220,8 +201,8 @@ func (vw view) joinOn(a, b *rowSet, jp *joinPlan, params []Value, subs []*subPla
 			}
 		}
 		if jp.kind == JoinLeft && !matched {
-			clear(env.row[wa:])
-			out.rows = append(out.rows, append([]Value(nil), env.row...))
+			clear(scratch[wa:])
+			out = append(out, append([]Value(nil), scratch...))
 		}
 	}
 	return out, examined, nil

@@ -14,12 +14,11 @@ import (
 // apply UPPER/LOWER. A character is a rune as []rune(s) would yield it:
 // every byte of invalid UTF-8 counts as one U+FFFD.
 //
-// pattern, escape and hasEscape are what the program was built from, so
-// that its owner can tell when it needs another; err is the pattern's
-// error, reported by every evaluation instead of a match.
+// pattern and escape are what the program was built from, so that its
+// owner can tell when it needs another; err is the pattern's error,
+// reported by every evaluation instead of a match.
 type likeProgram struct {
 	pattern, escape string
-	hasEscape       bool
 	parts           []likePart // at least one when err is nil
 	err             error
 }
@@ -42,7 +41,7 @@ const likeAny rune = -1
 
 // compileLike parses a LIKE pattern; it is the only code that does.
 func compileLike(pattern, escape string, hasEscape bool) *likeProgram {
-	p := &likeProgram{pattern: pattern, escape: escape, hasEscape: hasEscape}
+	p := &likeProgram{pattern: pattern, escape: escape}
 	var esc rune
 	if hasEscape {
 		var w int
@@ -89,15 +88,6 @@ func compileLike(pattern, escape string, hasEscape bool) *likeProgram {
 	}
 	flush()
 	return p
-}
-
-// program returns the node's LIKE program for this pattern and escape,
-// compiling one only when the node has none or has another pattern's.
-func (x *LikeExpr) program(pattern, escape string, hasEscape bool) *likeProgram {
-	if p := x.prog; p == nil || p.hasEscape != hasEscape || p.pattern != pattern || p.escape != escape {
-		x.prog = compileLike(pattern, escape, hasEscape)
-	}
-	return x.prog
 }
 
 // match reports whether s matches the pattern. It does not allocate.

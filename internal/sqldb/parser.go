@@ -1132,7 +1132,7 @@ func (p *parser) parseIdentExpr() (Expr, error) {
 	name := nameTok.text
 	// function call?
 	if p.acceptOp("(") {
-		fc := &FuncCall{Name: strings.ToUpper(name), Off: nameTok.pos, aggSlot: -1}
+		fc := &FuncCall{Name: strings.ToUpper(name), Off: nameTok.pos}
 		if p.acceptOp("*") {
 			fc.Star = true
 			if err := p.expectOp(")"); err != nil {
@@ -1167,9 +1167,9 @@ func (p *parser) parseIdentExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ColumnRef{Table: name, Column: col, Off: nameTok.pos, slot: -1}, nil
+		return &ColumnRef{Table: name, Column: col, Off: nameTok.pos}, nil
 	}
-	return &ColumnRef{Column: name, Off: nameTok.pos, slot: -1}, nil
+	return &ColumnRef{Column: name, Off: nameTok.pos}, nil
 }
 
 func (p *parser) parseCase() (Expr, error) {

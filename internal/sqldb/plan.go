@@ -14,9 +14,9 @@ import (
 // literals. Instead of re-lexing and re-parsing every statement, the
 // session lexes once, extracts the literals into bind parameters, and
 // looks the shape up by its statement digest (the same normalization
-// stmtstats keys on). A hit skips parsing entirely: the cached pristine
-// AST is deep-cloned (bind mutates resolved slots in place, so executions
-// must not share nodes) and executed with the extracted values bound.
+// stmtstats keys on). A hit skips parsing entirely: the cached AST is
+// executed as it is — nothing writes to a parsed tree, so concurrent
+// executions share it — with the extracted values bound.
 //
 // Cached entries are validated against per-table *schema* versions — a
 // DDL-only counter separate from the DML-bumped result-cache versions,
@@ -44,8 +44,9 @@ type textEntry struct {
 	elem   *list.Element
 }
 
-// planEntry is one cached shape. stmt is the pristine master AST, cloned
-// per execution; a nil stmt is a negative entry recording that the shape
+// planEntry is one cached shape. stmt is the parsed statement every
+// execution of the shape shares; a nil stmt is a negative entry recording
+// that the shape
 // cannot take the parameterized path (so repeat executions skip the
 // doomed parse attempt).
 type planEntry struct {
@@ -449,9 +450,10 @@ func stmtTables(st Stmt) []string {
 }
 
 // prepareCached resolves sql through the plan cache. On success it
-// returns a private clone of the parsed statement with the extracted
-// literal values as its bind parameters, plus the digest/normalized
-// shape (saving the recording path its own lex). ok is false when the
+// returns the shape's parsed statement, which the caller must not write
+// to, with the extracted literal values as its bind parameters, plus the
+// digest/normalized shape (saving the recording path its own lex). ok is
+// false when the
 // statement must take the literal Parse path — shape not parameterizable,
 // or the parameterized form failed to parse (the literal path then
 // reports the authoritative error).
@@ -464,7 +466,7 @@ func (db *Database) prepareCached(sql string) (st Stmt, vals []Value, digest, no
 		if e != nil && e.stmt != nil && e.norm == te.norm &&
 			e.nparams == len(te.vals) && db.planEntryValid(e) {
 			pc.hits.Add(1)
-			return cloneStmt(e.stmt), append([]Value(nil), te.vals...), e.digest, e.norm, true, true
+			return e.stmt, append([]Value(nil), te.vals...), e.digest, e.norm, true, true
 		}
 		// Stale or gone; re-resolve through the token path (a stale shape
 		// entry is removed there, counting the invalidation).
@@ -489,7 +491,7 @@ func (db *Database) prepareCached(sql string) (st Stmt, vals []Value, digest, no
 		if db.planEntryValid(e) {
 			pc.hits.Add(1)
 			pc.storeText(sql, digest, norm, vals)
-			return cloneStmt(e.stmt), vals, digest, norm, true, true
+			return e.stmt, vals, digest, norm, true, true
 		}
 		pc.remove(digest)
 		pc.invalidations.Add(1)
@@ -514,5 +516,5 @@ func (db *Database) prepareCached(sql string) (st Stmt, vals []Value, digest, no
 	}
 	pc.store(e)
 	pc.storeText(sql, digest, norm, vals)
-	return cloneStmt(master), vals, digest, norm, false, true
+	return master, vals, digest, norm, false, true
 }

@@ -1,6 +1,10 @@
 package sqldb
 
-import "time"
+import (
+	"fmt"
+	"strings"
+	"time"
+)
 
 // The plan: one tree per statement execution, built by planStmt and its
 // parts before anything runs, and the only thing the executor (exec.go,
@@ -8,9 +12,18 @@ import "time"
 // static.go — the linter read. Every decision the engine makes about how
 // to read a table is on a node here: which relations join in which order
 // and by which method, which conjuncts filter at a scan, which index
-// serves a scan. The executor follows the nodes and leaves its counters
-// on them; EXPLAIN prints the nodes, and EXPLAIN ANALYZE the counters
-// beside them.
+// serves a scan. The plan also holds the statement's compiled stages:
+// every expression — a scan's filter, a join's condition, the WHERE left
+// above them, the grouping keys and aggregate arguments, HAVING, the sort
+// keys, the projection, a write's SET and VALUES — resolved against the
+// layout of the rows that reach it and compiled (compile.go) into the
+// closure the executor calls. The executor follows the nodes, calls the
+// closures and leaves its counters on the nodes; EXPLAIN prints the nodes,
+// and EXPLAIN ANALYZE the counters beside them.
+//
+// A reference that does not resolve does not fail the plan: plain EXPLAIN
+// still prints it. The error is kept beside the stage and raised by the
+// executor when it reaches the stage, after whatever ran before it.
 //
 // A plan is built per execution and never kept on the statement: the
 // driver's prepared statements execute one parsed tree many times with
@@ -63,8 +76,38 @@ type selectPlan struct {
 	subs []*subPlan
 	arms []*selectPlan
 
+	// The compiled stages of a single SELECT, in the order they run.
+	width     int      // columns of a row the FROM clause yields
+	filter    predFn   // WHERE above the FROM tree; nil when nothing is left there
+	filterErr error    // its reference that did not resolve
+	names     []string // output column names
+	proj      []rowExpr
+	grouped   bool      // GROUP BY, HAVING or an aggregate: one output row per group
+	groupBy   []rowExpr // grouping keys
+	aggs      []aggCall // aggregate calls in slot order
+	aggRow    []Value   // the current group's results, which the closures read
+	having    predFn
+	order     []rowExpr // sort keys, evaluated like the projection
+	stagesErr error     // the first reference from the projection on that did not resolve
+
 	stat                                     opStats
 	where, aggregate, distinct, limit, union stageStats
+}
+
+// aggCall is one aggregate call of a grouped SELECT with its compiled
+// argument (none for COUNT(*)).
+type aggCall struct {
+	fc  *FuncCall
+	arg rowExpr
+}
+
+// columns returns the SELECT's output column names, a UNION's from its
+// first arm; nil when its projection did not resolve.
+func (sp *selectPlan) columns() []string {
+	if sp.arms != nil {
+		return sp.arms[0].names
+	}
+	return sp.names
 }
 
 // subPlan is one subquery expression of a statement with its plan and,
@@ -86,6 +129,7 @@ type fromPlan struct {
 	residual  Expr       // nil when nothing is left to filter
 	free      bool       // the planner chose order and pushdown, and estimated
 	reordered bool       // execution order differs from declaration order
+	remap     []int      // reordered: for each slot in declaration order, its slot in root's rows
 }
 
 // fromNode is a relPlan (a scan) or a joinPlan.
@@ -105,6 +149,8 @@ type relPlan struct {
 	cols    []envCol       // output layout; nil = not known before it runs
 	access  *indexScanPlan // nil = sequential scan
 	filter  Expr           // AND of the conjuncts pushed down to this scan; nil when none
+	pred    predFn         // filter compiled against the scan's layout
+	predErr error
 
 	baseRows float64 // estimated rows before the pushed filter
 	est      float64 // estimated rows after it
@@ -122,6 +168,10 @@ type joinPlan struct {
 	left, right fromNode
 	kind        JoinKind
 	cond        Expr
+	pred        predFn // cond compiled against the joined layout
+	predErr     error
+	leftWidth   int // columns of a left row; a joined row is a left row, then a right row
+	width       int
 	hash        *hashKey
 	card, cost  float64 // estimated output rows and cumulative cost (free plans)
 	comma       bool    // the product of two comma-listed entries of a pinned FROM
@@ -135,6 +185,9 @@ type joinPlan struct {
 type hashKey struct {
 	conj  *Binary
 	class keyClass
+	// The key's slot in a left row and in a right row; set where the
+	// condition compiled.
+	probe, build int
 }
 
 // dmlPlan is the plan of an INSERT, UPDATE or DELETE: the target table,
@@ -146,8 +199,20 @@ type dmlPlan struct {
 	scan *relPlan
 	subs []*subPlan
 
+	where   predFn      // UPDATE, DELETE: WHERE over the scanned rows; nil when absent
+	set     []setValue  // UPDATE: the assignments
+	values  [][]rowExpr // INSERT: the VALUES rows
+	bindErr error       // UPDATE, DELETE: the first reference that did not resolve
+
 	filter stageStats // WHERE over the scanned rows
 	stat   opStats    // the apply phase
+}
+
+// setValue is one assignment of an UPDATE: the column's position in the
+// table and the compiled value.
+type setValue struct {
+	pos int
+	val rowExpr
 }
 
 // stmtPlan is what EXPLAIN renders: a *selectPlan or a *dmlPlan.
@@ -229,7 +294,206 @@ func (vw view) planArm(sel *SelectStmt, params []Value) (*selectPlan, error) {
 		sc.add(o.Expr)
 	}
 	sp.subs = sc.subs
+	if sc.err == nil {
+		vw.compileSelect(sp, params)
+	}
 	return sp, sc.err
+}
+
+// compileSelect resolves a single SELECT against the layout its FROM
+// clause yields — *, t.*, ORDER BY aliases and ordinals, the aggregate
+// calls — and compiles every stage. The stages run in the order the
+// fields are set here, and a reference that does not resolve is reported
+// by the stage it belongs to: the WHERE's when the filter runs, any later
+// one when the projection is reached, the first in this order.
+func (vw view) compileSelect(sp *selectPlan, params []Value) {
+	sel := sp.sel
+	c := compiler{params: params, vw: vw, subs: sp.subs}
+	residual := sel.Where // SELECT without FROM evaluates over a single empty row
+	if sp.from != nil {
+		c.cols = sp.from.compile(&c)
+		residual = sp.from.residual
+	}
+	sp.width = len(c.cols)
+	if residual != nil {
+		sp.filter, sp.filterErr = c.pred(residual)
+	}
+
+	// The aggregate calls, in the order their slots are numbered: as the
+	// projection, HAVING and ORDER BY are walked. * and t.* add none.
+	for _, it := range sel.Items {
+		c.aggs = appendAggregates(c.aggs, it.Expr)
+	}
+	c.aggs = appendAggregates(c.aggs, sel.Having)
+	for _, o := range sel.OrderBy {
+		c.aggs = appendAggregates(c.aggs, o.Expr)
+	}
+	sp.grouped = len(sel.GroupBy) > 0 || len(c.aggs) > 0 || sel.Having != nil
+	c.aggRow, c.aggArgs = &sp.aggRow, newAggArgs(len(c.aggs))
+
+	fail := func(err error) {
+		if sp.stagesErr == nil {
+			sp.stagesErr = err
+		}
+	}
+	names, proj, exprs, err := vw.expandProjection(sel, c.cols)
+	if err != nil {
+		sp.stagesErr = err
+		return
+	}
+	for i, e := range exprs {
+		if e != nil {
+			if proj[i], err = c.value(e); err != nil {
+				fail(err)
+			}
+		}
+	}
+	sp.names, sp.proj = names, proj
+	if len(sel.GroupBy) > 0 {
+		// A grouping key sees rows, not groups.
+		rowc := c
+		rowc.aggs = nil
+		sp.groupBy = make([]rowExpr, len(sel.GroupBy))
+		for i, g := range sel.GroupBy {
+			if sp.groupBy[i], err = rowc.value(g); err != nil {
+				fail(err)
+			}
+		}
+	}
+	if sel.Having != nil {
+		if sp.having, err = c.pred(sel.Having); err != nil {
+			fail(err)
+		}
+	}
+	// A sort key that names an output column, or gives its ordinal, is
+	// that column's expression.
+	if len(sel.OrderBy) > 0 {
+		sp.order = make([]rowExpr, len(sel.OrderBy))
+	}
+	for i, o := range sel.OrderBy {
+		at := -1
+		if ref, ok := o.Expr.(*ColumnRef); ok && ref.Table == "" {
+			for j, name := range names {
+				if strings.EqualFold(name, ref.Column) {
+					at = j
+					break
+				}
+			}
+		}
+		if l, ok := o.Expr.(*Literal); ok && l.Val.T == TInt && l.Val.I >= 1 && l.Val.I <= int64(len(proj)) {
+			at = int(l.Val.I) - 1
+		}
+		if at >= 0 {
+			sp.order[i] = proj[at]
+		} else if sp.order[i], err = c.value(o.Expr); err != nil {
+			fail(err)
+		}
+	}
+	sp.aggs = make([]aggCall, len(c.aggs))
+	for i, fc := range c.aggs {
+		switch {
+		case fc.Star:
+		case len(fc.Args) != 1:
+			fail(&Error{Code: CodeWrongArity,
+				Message: fmt.Sprintf("%s expects 1 argument, got %d", fc.Name, len(fc.Args))})
+		case c.aggArgs[i].uncompiled():
+			// The expression the call stands in compiled without reaching it:
+			// better no result than the aggregate of some other column.
+			fail(errInternal("the argument of " + fc.Name + " was not compiled"))
+		}
+		sp.aggs[i] = aggCall{fc: fc, arg: c.aggArgs[i]}
+	}
+}
+
+// appendAggregates appends the aggregate calls of e, outermost only: an
+// aggregate inside another's argument has no group to be the result of.
+func appendAggregates(aggs []*FuncCall, e Expr) []*FuncCall {
+	walkExpr(e, func(x Expr) bool {
+		fc, ok := x.(*FuncCall)
+		if ok && isAggregate(fc.Name) {
+			aggs = append(aggs, fc)
+			return false
+		}
+		return true
+	})
+	return aggs
+}
+
+// compile gives every node of the FROM tree the layout of its rows,
+// compiles the filters and conditions against them, and returns the
+// layout of the whole clause in declaration order.
+func (fp *fromPlan) compile(c *compiler) []envCol {
+	cols := compileFromNode(fp.root, c)
+	if !fp.reordered {
+		return cols
+	}
+	// Projection, *-expansion and ambiguity resolution must see the layout
+	// the statement declared: find each relation's block in root's rows.
+	type block struct{ off, w int }
+	blocks := make([]block, len(fp.rels)) // by declaration position
+	off := 0
+	for _, rp := range fp.rels {
+		blocks[rp.declIdx] = block{off: off, w: len(rp.cols)}
+		off += len(rp.cols)
+	}
+	out := make([]envCol, 0, len(cols))
+	fp.remap = make([]int, 0, len(cols))
+	for _, b := range blocks {
+		out = append(out, cols[b.off:b.off+b.w]...)
+		for k := 0; k < b.w; k++ {
+			fp.remap = append(fp.remap, b.off+k)
+		}
+	}
+	return out
+}
+
+func compileFromNode(n fromNode, c *compiler) []envCol {
+	if rp, ok := n.(*relPlan); ok {
+		cols := rp.layout()
+		if rp.filter != nil {
+			// Nothing with a subquery in it is pushed down to a scan.
+			sc := compiler{cols: cols, params: c.params, vw: c.vw}
+			rp.pred, rp.predErr = sc.pred(rp.filter)
+		}
+		return cols
+	}
+	jp := n.(*joinPlan)
+	left, right := compileFromNode(jp.left, c), compileFromNode(jp.right, c)
+	cols := append(left[:len(left):len(left)], right...)
+	jp.leftWidth, jp.width = len(left), len(cols)
+	if jp.cond == nil {
+		return cols
+	}
+	jc := compiler{cols: cols, params: c.params, vw: c.vw, subs: c.subs}
+	jp.pred, jp.predErr = jc.pred(jp.cond)
+	if h := jp.hash; h != nil && jp.predErr == nil {
+		// The condition resolved, so its two key columns do, one to each side.
+		h.probe, _ = resolveColumn(cols, h.conj.L.(*ColumnRef))
+		h.build, _ = resolveColumn(cols, h.conj.R.(*ColumnRef))
+		if h.probe >= len(left) {
+			h.probe, h.build = h.build, h.probe
+		}
+		if h.probe >= len(left) || h.build < len(left) {
+			jp.predErr = errInternal("hash key columns are not one from each input")
+		}
+		h.build -= len(left)
+	}
+	return cols
+}
+
+// layout returns the layout of the relation's rows. The planner leaves
+// cols nil for a derived table whose output names it does not attribute
+// conjuncts through (SELECT *, t.*); its plan knows them all the same.
+func (rp *relPlan) layout() []envCol {
+	if rp.cols != nil || rp.sub == nil {
+		return rp.cols
+	}
+	names := rp.sub.columns()
+	cols := make([]envCol, len(names))
+	for i, name := range names {
+		cols[i] = envCol{tbl: rp.qual, name: strings.ToLower(name)}
+	}
+	return cols
 }
 
 // subCollector plans the subqueries of a statement's expressions in the
@@ -267,7 +531,25 @@ func (vw view) planInsert(ins *InsertStmt, params []Value) (*dmlPlan, error) {
 			sc.add(e)
 		}
 	}
-	return &dmlPlan{st: ins, t: t, subs: sc.subs}, sc.err
+	dp := &dmlPlan{st: ins, t: t, subs: sc.subs}
+	if sc.err != nil {
+		return dp, sc.err
+	}
+	// Each value is evaluated exactly once, so a reference that does not
+	// resolve (VALUES sees no columns) is the error of its evaluation.
+	c := compiler{params: params, vw: vw, subs: dp.subs}
+	dp.values = make([][]rowExpr, len(ins.Rows))
+	for i, row := range ins.Rows {
+		dp.values[i] = make([]rowExpr, len(row))
+		for j, e := range row {
+			v, err := c.value(e)
+			if err != nil {
+				v = failExpr(err)
+			}
+			dp.values[i][j] = v
+		}
+	}
+	return dp, nil
 }
 
 // planWrite plans an UPDATE or DELETE: the one-table scan under it, which
@@ -280,10 +562,39 @@ func (vw view) planWrite(st Stmt, table, alias string, where Expr, params []Valu
 	scan := fp.rels[0]
 	sc := subCollector{vw: vw, params: params}
 	sc.add(where)
-	if up, ok := st.(*UpdateStmt); ok {
+	up, _ := st.(*UpdateStmt)
+	if up != nil {
 		for _, set := range up.Set {
 			sc.add(set.Value)
 		}
 	}
-	return &dmlPlan{st: st, t: scan.t, scan: scan, subs: sc.subs}, sc.err
+	dp := &dmlPlan{st: st, t: scan.t, scan: scan, subs: sc.subs}
+	if sc.err != nil {
+		return dp, sc.err
+	}
+	fail := func(err error) {
+		if dp.bindErr == nil {
+			dp.bindErr = err
+		}
+	}
+	c := compiler{cols: scan.cols, params: params, vw: vw, subs: dp.subs}
+	if where != nil {
+		if dp.where, err = c.pred(where); err != nil {
+			fail(err)
+		}
+	}
+	if up != nil {
+		dp.set = make([]setValue, len(up.Set))
+		for i, set := range up.Set {
+			pos := scan.t.colIndex(set.Column)
+			if pos < 0 {
+				fail(errUndefinedColumn(set.Column))
+			}
+			dp.set[i].pos = pos
+			if dp.set[i].val, err = c.value(set.Value); err != nil {
+				fail(err)
+			}
+		}
+	}
+	return dp, nil
 }

@@ -126,12 +126,12 @@ func planIndexScan(t *Table, qual string, conj Expr, params []Value) *indexScanP
 	if ix == nil {
 		return nil
 	}
-	v, err := eval(sh.Operand, &evalEnv{params: params})
+	v, err := evalConst(sh.Operand, params)
 	if err != nil || v.IsNull() {
 		return nil
 	}
 	if sh.Op == "like" {
-		prefix, ok := conj.(*LikeExpr).program(v.String(), "", false).prefix()
+		prefix, ok := IndexablePrefix(v.String())
 		if !ok {
 			return nil
 		}
@@ -162,9 +162,7 @@ type stepCond struct {
 	mask map[int]bool
 }
 
-// andJoin folds conds into one AND chain (nil for an empty list). The
-// wrapper nodes are freshly allocated per call, so two executions of a
-// cached statement never share bind state through them.
+// andJoin folds conds into one AND chain (nil for an empty list).
 func andJoin(conds []Expr) Expr {
 	var e Expr
 	for _, c := range conds {
