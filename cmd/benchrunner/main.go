@@ -61,10 +61,10 @@ func main() {
 		"e10": experiments.E10, "e11": experiments.E11, "e12": experiments.E12,
 		"a1": experiments.A1, "a2": experiments.A2, "a3": experiments.A3,
 		"a5": experiments.A5, "a6": experiments.A6, "a7": experiments.A7,
-		"a8": experiments.A8, "a10": experiments.A10, "a12": experiments.A12,
+		"a12": experiments.A12,
 	}
 	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9",
-		"e10", "e11", "e12", "a1", "a2", "a3", "a5", "a6", "a7", "a8", "a10", "a12"}
+		"e10", "e11", "e12", "a1", "a2", "a3", "a5", "a6", "a7", "a12"}
 
 	var selected []string
 	if *exp == "all" {
@@ -99,7 +99,7 @@ func main() {
 	}
 
 	// jsonResults accumulates the machine-readable rows experiments expose
-	// (currently A6 through A12); keyed by experiment id.
+	// (A6, A7 and A12); keyed by experiment id.
 	jsonResults := map[string]any{}
 	// The obs registry accumulates across every experiment in the run;
 	// the delta over the whole batch lands in the JSON envelope so a CI
@@ -141,29 +141,7 @@ func main() {
 				}
 				experiments.PrintA7(w, r)
 				jsonResults["a7"] = r
-				return nil
-			}
-		}
-		if id == "a8" && *jsonPath != "" {
-			run = func(w io.Writer, cfg experiments.Config) error {
-				r, err := experiments.RunA8(cfg)
-				if err != nil {
-					return err
-				}
-				experiments.PrintA8(w, r)
-				jsonResults["a8"] = r
-				return nil
-			}
-		}
-		if id == "a10" && *jsonPath != "" {
-			run = func(w io.Writer, cfg experiments.Config) error {
-				r, err := experiments.RunA10(cfg)
-				if err != nil {
-					return err
-				}
-				experiments.PrintA10(w, r)
-				jsonResults["a10"] = r
-				return nil
+				return r.Check()
 			}
 		}
 		if id == "a12" && *jsonPath != "" {
@@ -174,16 +152,7 @@ func main() {
 				}
 				experiments.PrintA12(w, r)
 				jsonResults["a12"] = r
-				if r.OverheadPct > 5.0 {
-					return fmt.Errorf("a12: history overhead %.1f%% exceeds the 5%% budget", r.OverheadPct)
-				}
-				if r.CriticalAlerts != 0 {
-					return fmt.Errorf("a12: %d critical alert(s) fired during a healthy soak", r.CriticalAlerts)
-				}
-				if r.WindowsNonEmpty < 3 {
-					return fmt.Errorf("a12: only %d non-empty sample windows, want >= 3", r.WindowsNonEmpty)
-				}
-				return nil
+				return r.Check()
 			}
 		}
 		if err := run(os.Stdout, cfg); err != nil {

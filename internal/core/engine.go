@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"db2www/internal/cgi"
-	"db2www/internal/flight"
 	"db2www/internal/obs"
 )
 
@@ -107,9 +106,9 @@ type DBConn interface {
 
 // ContextDBConn is an optional extension of DBConn: connections that
 // implement it receive the request context on every statement, carrying
-// the request trace and the obs.ExecInfo out-parameter (how the query
-// cache handled the statement). The engine falls back to Execute on
-// connections that do not.
+// the request trace and the statement's obs.SQLExec entry (where the
+// query cache and the database say how they handled it). The engine
+// falls back to Execute on connections that do not.
 type ContextDBConn interface {
 	ExecuteContext(ctx context.Context, sql string) (*SQLResult, error)
 }
@@ -162,9 +161,8 @@ func (e *Engine) RunContext(ctx context.Context, m *Macro, mode Mode, inputs *cg
 	}
 	vt := NewVarTable(m.Name, inputs)
 	vt.engine = e
-	vt.journal = flight.JournalFrom(ctx)
-	run := &macroRun{engine: e, macro: m, vt: vt, out: w,
-		ctx: ctx, trace: obs.TraceFrom(ctx), journal: vt.journal}
+	vt.trace = obs.TraceFrom(ctx)
+	run := &macroRun{engine: e, macro: m, vt: vt, out: w, ctx: ctx, trace: vt.trace}
 	defer run.cleanup()
 
 	for _, sec := range m.Sections {
@@ -199,7 +197,6 @@ type macroRun struct {
 	out      io.Writer
 	ctx      context.Context
 	trace    *obs.Trace
-	journal  *flight.Journal
 	conn     DBConn
 	txnOpen  bool
 	finished bool
@@ -431,7 +428,7 @@ func (r *macroRun) execSQLSection(sec *SQLSection) error {
 	if secName == "" {
 		secName = "(unnamed)"
 	}
-	evalSpan := r.trace.Start("var-eval:" + secName)
+	evalSpan := r.trace.Start(obs.SpanVarEval, secName)
 	sqlStr, err := r.vt.expandTemplate(sec.command)
 	evalSpan.End()
 	if err != nil {
@@ -444,58 +441,27 @@ func (r *macroRun) execSQLSection(sec *SQLSection) error {
 	if err != nil {
 		return err
 	}
-	execSpan := r.trace.Start("sql-exec:" + secName)
+	timed := obs.Enabled() || r.trace != nil
 	var start time.Time
-	if obs.Enabled() || r.journal != nil {
+	if timed {
 		start = time.Now()
 	}
-	info := obs.ExecInfo{}
-	res, execErr := r.executeStatement(conn, sqlStr, &info)
+	stmt := r.trace.StartSQL(secName, sqlStr)
+	res, execErr := r.executeStatement(conn, sqlStr, stmt)
 	var elapsed time.Duration
-	if !start.IsZero() {
+	if timed {
 		elapsed = time.Since(start)
 	}
-	if obs.Enabled() && !start.IsZero() {
+	if obs.Enabled() {
 		obs.Default.Histogram("db2www_sql_exec_seconds",
 			"macro %SQL section execution latency (substitution excluded)",
 			nil, "section", secName).Observe(elapsed.Seconds())
 	}
-	if r.journal != nil {
-		entry := flight.SQLExec{
-			Section:   secName,
-			SQL:       obs.TruncateSQL(sqlStr, 500),
-			DurMicros: elapsed.Microseconds(),
-			Cache:     info.CacheState,
-			Dedup:     info.Dedup,
-			Kind:      info.StmtKind,
-			DBMicros:  info.DBMicros,
-			Digest:    info.Digest,
-		}
-		if execErr != nil {
-			entry.Err = execErr.Error()
-		} else {
-			entry.Rows = len(res.Rows)
-		}
-		r.journal.SQL(entry)
-	}
 	if execErr != nil {
-		if execSpan != nil {
-			execSpan.EndNote(fmt.Sprintf("error=%s sql=%q",
-				obs.TruncateSQL(execErr.Error(), 120), obs.TruncateSQL(sqlStr, 200)))
-		}
+		r.trace.EndSQL(stmt, start, elapsed, 0, execErr)
 		return r.handleSQLError(sec, sqlStr, execErr)
 	}
-	if execSpan != nil {
-		note := fmt.Sprintf("rows=%d", len(res.Rows))
-		if info.CacheState != "" {
-			note += " cache=" + info.CacheState
-		}
-		if info.Digest != "" {
-			note += " digest=" + info.Digest
-		}
-		note += fmt.Sprintf(" sql=%q", obs.TruncateSQL(sqlStr, 200))
-		execSpan.EndNote(note)
-	}
+	r.trace.EndSQL(stmt, start, elapsed, len(res.Rows), nil)
 	// The no-rows condition: DB2 reports SQLCODE +100; a message entry
 	// keyed "+100" customises it.
 	if len(res.Columns) > 0 && len(res.Rows) == 0 {
@@ -503,18 +469,23 @@ func (r *macroRun) execSQLSection(sec *SQLSection) error {
 			return r.emitMessage(entry, "+100", "no rows satisfy the query")
 		}
 	}
-	renderSpan := r.trace.Start("report-render:" + secName)
+	renderSpan := r.trace.Start(obs.SpanReportRender, secName)
 	err = r.renderResult(sec, res)
 	renderSpan.End()
 	return err
 }
 
 // executeStatement dispatches to the context-aware execution path when
-// the connection supports it, threading the trace and the per-statement
-// ExecInfo carrier down to the cache and database layers.
-func (r *macroRun) executeStatement(conn DBConn, sqlStr string, info *obs.ExecInfo) (*SQLResult, error) {
+// the connection supports it, threading the trace and the statement's
+// entry on it (nil when the request is not traced) down to the cache and
+// database layers.
+func (r *macroRun) executeStatement(conn DBConn, sqlStr string, stmt *obs.SQLExec) (*SQLResult, error) {
 	if cc, ok := conn.(ContextDBConn); ok {
-		return cc.ExecuteContext(obs.WithExecInfo(r.ctx, info), sqlStr)
+		ctx := r.ctx
+		if stmt != nil {
+			ctx = obs.WithSQLExec(ctx, stmt)
+		}
+		return cc.ExecuteContext(ctx, sqlStr)
 	}
 	return conn.Execute(sqlStr)
 }

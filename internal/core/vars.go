@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"db2www/internal/cgi"
-	"db2www/internal/flight"
+	"db2www/internal/obs"
 )
 
 // varDef is the engine-internal state of one macro-defined variable. The
@@ -51,14 +51,14 @@ type VarTable struct {
 	execOutputs map[string]string
 	engine      *Engine // for %EXEC command execution; may be nil
 	macro       string  // macro name for error messages
-	// journal, when non-nil, receives every variable dereference for the
-	// request's flight record. Scope (per-row report) hits are not
-	// journalled: they are data plumbing, not macro logic, and would
-	// swamp the journal on large reports.
-	journal *flight.Journal
+	// trace, when non-nil, is the request's record and receives every
+	// variable dereference. Scope (per-row report) hits are not recorded:
+	// they are data plumbing, not macro logic, and would swamp the record
+	// on large reports.
+	trace *obs.Trace
 	// visiting holds the names being dereferenced, outermost first: a name
 	// met again is a circular reference, and its length is the depth the
-	// journal records.
+	// record notes.
 	visiting []string
 }
 
@@ -231,7 +231,7 @@ func (vt *VarTable) appendVar(buf []byte, name string) ([]byte, error) {
 	// name was referenced directly from a template, +1 per chained $(...).
 	depth := len(vt.visiting)
 	if v, ok := vt.execOutputs[name]; ok {
-		vt.journal.Var(name, depth, "exec", v == "")
+		vt.trace.Var(name, depth, "exec", v == "")
 		return append(buf, v...), nil
 	}
 	for _, n := range vt.visiting {
@@ -244,13 +244,13 @@ func (vt *VarTable) appendVar(buf []byte, name string) ([]byte, error) {
 	buf, source, err := vt.appendBound(buf, name)
 	vt.visiting = vt.visiting[:depth]
 	if err == nil {
-		vt.journal.Var(name, depth, source, len(buf) == mark)
+		vt.trace.Var(name, depth, source, len(buf) == mark)
 	}
 	return buf, err
 }
 
 // appendBound evaluates name from the HTML input variables or the macro
-// definitions and names which of them answered, for the journal.
+// definitions and names which of them answered, for the record.
 func (vt *VarTable) appendBound(buf []byte, name string) ([]byte, string, error) {
 	def := vt.defs[name]
 	mark := len(buf)

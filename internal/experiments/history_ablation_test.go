@@ -10,12 +10,20 @@ import (
 // maxTestScrapeMicros bounds what one synchronous scrape of the whole
 // registry may add to the block it is billed to in
 // TestA12HistoryAblation. Timed on its own a scrape is 20–100 µs; read
-// as on − off over the median of 20 block pairs it comes out between −2
-// and +2 ms on a loaded 2-vCPU box, which is the noise of the estimator.
-// The ceiling sits just above that noise and catches a scrape that has
-// become a different kind of cost (a walk over every statement digest, a
-// lock held across requests).
-const maxTestScrapeMicros = 5_000
+// as on − off over the median of 20 block pairs it is the noise of the
+// estimator: −0.9…+1.7 ms over 30 runs on an idle 2-vCPU box, the same
+// for pairedBlocks as for the loop it was lifted from; beside a loop of
+// the root package's golden test (seven `go run`s) mostly −4.4…+4.5 ms,
+// with 3 readings of 43 over the ceiling (+5.5, +5.6, +11.5 ms). The
+// ceiling sits just above the noise and catches a scrape that has become
+// a different kind of cost (a walk over every statement digest, a lock
+// held across requests: an 8 ms sleep beside the scrape reads +7.7…+10.8
+// ms every time). A reading over it is taken again, twice at most: noise
+// did not repeat in those 40 runs, and such a cost does.
+const (
+	maxTestScrapeMicros = 5_000
+	scrapeAttempts      = 3
+)
 
 // TestA12HistoryAblation runs the history-store experiment at small
 // scale: a short soak still has to deliver non-empty sample windows, a
@@ -26,16 +34,24 @@ const maxTestScrapeMicros = 5_000
 // scale by A12/benchrunner on the 500-row report.
 func TestA12HistoryAblation(t *testing.T) {
 	cfg := Config{Rows: 40, Requests: 200, Seed: 1, Soak: 1200 * time.Millisecond}
-	r, err := RunA12(cfg)
-	if err != nil {
-		t.Fatalf("A12: %v", err)
-	}
-	if r.OffMeanMicros <= 0 || r.OnMeanMicros <= 0 {
-		t.Fatalf("timings not populated: %+v", r)
-	}
-	if r.ScrapeMicros() > maxTestScrapeMicros {
-		t.Fatalf("one scrape costs %.0f µs (on %.0f µs/request, off %.0f, %d requests a block), ceiling %d µs",
-			r.ScrapeMicros(), r.OnMeanMicros, r.OffMeanMicros, r.BlockRequests, maxTestScrapeMicros)
+	var r *HistoryAblation
+	for attempt := 1; ; attempt++ {
+		var err error
+		if r, err = RunA12(cfg); err != nil {
+			t.Fatalf("A12: %v", err)
+		}
+		if r.OffMeanMicros <= 0 || r.OnMeanMicros <= 0 || r.BlockRequests == 0 || r.Pairs != 20 {
+			t.Fatalf("overhead comparison not populated: %+v", r)
+		}
+		t.Logf("one scrape: %+.0f µs (on %.1f µs/request, off %.1f, %d requests a block)",
+			r.ScrapeMicros(), r.OnMeanMicros, r.OffMeanMicros, r.BlockRequests)
+		if r.ScrapeMicros() <= maxTestScrapeMicros {
+			break
+		}
+		if attempt == scrapeAttempts {
+			t.Fatalf("one scrape costs %.0f µs (on %.0f µs/request, off %.0f, %d requests a block), ceiling %d µs, %d readings in a row",
+				r.ScrapeMicros(), r.OnMeanMicros, r.OffMeanMicros, r.BlockRequests, maxTestScrapeMicros, scrapeAttempts)
+		}
 	}
 	if r.SoakRequests == 0 || r.SoakErrors != 0 {
 		t.Fatalf("soak result: %+v", r)

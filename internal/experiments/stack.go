@@ -16,7 +16,9 @@ import (
 	"time"
 
 	"db2www/internal/core"
+	"db2www/internal/flight"
 	"db2www/internal/gateway"
+	"db2www/internal/obs"
 	"db2www/internal/qcache"
 	"db2www/internal/sqldb"
 	"db2www/internal/sqldriver"
@@ -107,6 +109,31 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	st.App = &gateway.App{MacroDir: st.MacroDir, Engine: st.Engine, CacheMacros: cfg.CacheMacros}
 	st.Handler = &gateway.Handler{App: st.App}
 	return st, nil
+}
+
+// cmd/gatewayd's -trace-ring and -flight-sample defaults, the two parts
+// of its default wiring that no package supplies as its own default.
+// TestGatewaydDefaults pins them, and the ones internal/flight does
+// supply, to the flag defaults `gatewayd -h` prints.
+const (
+	gatewaydTraceRing    = 64
+	gatewaydFlightSample = 0.01
+)
+
+// Gatewayd wraps the stack's handler in what cmd/gatewayd puts on the
+// request path with its default flags — a ring of recent traces, the
+// flight recorder at its sample rate with the default slow threshold and
+// SLO, the access-log middleware with no log file — and returns what main
+// would hand its listener. The ring and the recorder are the handler's
+// TraceRing and Flight.
+func (s *Stack) Gatewayd() (*gateway.AccessLog, error) {
+	rec, err := flight.New(flight.Config{SampleRate: gatewaydFlightSample, Metrics: obs.Default})
+	if err != nil {
+		return nil, err
+	}
+	s.Handler.TraceRing = obs.NewRing(gatewaydTraceRing)
+	s.Handler.Flight = rec
+	return gateway.NewAccessLog(s.Handler, nil), nil
 }
 
 // Client returns a fresh in-process browser for this stack.
@@ -208,15 +235,4 @@ func section(w io.Writer, title string) {
 		fmt.Fprint(w, "-")
 	}
 	fmt.Fprintln(w)
-}
-
-// overheadText is the overhead line of the off/on ablations: the
-// percentage their gates read, and beside it the microseconds per request
-// it stands for. The layers under test cost a fixed amount per request,
-// so every change that makes the request itself cheaper raises the
-// percentage without the layer having changed; the absolute figure is the
-// one to compare across commits.
-func overheadText(offMicros, onMicros, pct, budgetPct float64) string {
-	return fmt.Sprintf("overhead: %+.1f%% = %+.1f µs/request (budget %.0f%%)",
-		pct, onMicros-offMicros, budgetPct)
 }

@@ -31,19 +31,19 @@ func TestAnomalyBurstTrigger(t *testing.T) {
 	)
 
 	for i := 0; i < 4; i++ {
-		r.Observe(finishedTrace("x", 500, time.Millisecond), nil)
+		r.Observe(finishedTrace("x", 500, time.Millisecond))
 	}
 	if len(captures) != 0 {
 		t.Fatalf("captured before the burst threshold: %v", captures)
 	}
-	r.Observe(finishedTrace("x", 500, time.Millisecond), nil)
+	r.Observe(finishedTrace("x", 500, time.Millisecond))
 	if len(captures) != 1 || !strings.HasPrefix(captures[0], "5xx-burst:") {
 		t.Fatalf("after 5th 5xx captures = %v, want one 5xx-burst", captures)
 	}
 
 	// Still inside MinInterval: a continuing burst must not re-capture.
 	for i := 0; i < 20; i++ {
-		r.Observe(finishedTrace("x", 500, time.Millisecond), nil)
+		r.Observe(finishedTrace("x", 500, time.Millisecond))
 	}
 	if len(captures) != 1 {
 		t.Fatalf("rate limit did not hold: %v", captures)
@@ -52,7 +52,7 @@ func TestAnomalyBurstTrigger(t *testing.T) {
 	// Past the interval the trigger re-arms.
 	now = now.Add(2 * time.Minute)
 	for i := 0; i < 5; i++ {
-		r.Observe(finishedTrace("x", 500, time.Millisecond), nil)
+		r.Observe(finishedTrace("x", 500, time.Millisecond))
 	}
 	if len(captures) != 2 {
 		t.Fatalf("after interval captures = %v, want 2", captures)
@@ -75,7 +75,7 @@ func TestAnomalyBurnTrigger(t *testing.T) {
 	r.TestHookAnomaly(nil, func(reason string, _ time.Time) { captures = append(captures, reason) })
 
 	// One 5xx out of one request: burn = 1/0.1 = 10 >= 5.
-	r.Observe(finishedTrace("x", 500, time.Millisecond), nil)
+	r.Observe(finishedTrace("x", 500, time.Millisecond))
 	if len(captures) != 1 || !strings.HasPrefix(captures[0], "burn-rate:") {
 		t.Fatalf("captures = %v, want one burn-rate capture", captures)
 	}
@@ -91,7 +91,7 @@ func TestAnomalyHealthyRequestsNeverTrigger(t *testing.T) {
 	captured := false
 	r.TestHookAnomaly(nil, func(string, time.Time) { captured = true })
 	for i := 0; i < 100; i++ {
-		r.Observe(finishedTrace("x", 200, time.Millisecond), nil)
+		r.Observe(finishedTrace("x", 200, time.Millisecond))
 	}
 	if captured {
 		t.Error("healthy traffic tripped a capture")

@@ -7,7 +7,7 @@ import (
 )
 
 // recordSummary is the list view: enough to pick a trace, without the
-// full waterfall/journal payload.
+// full waterfall, variable and SQL payload.
 type recordSummary struct {
 	TraceID     string `json:"trace_id"`
 	Time        string `json:"time"`
@@ -67,13 +67,13 @@ func (r *Recorder) Handler() http.Handler {
 		}{Count: len(recs), Records: make([]recordSummary, len(recs))}
 		for i, rec := range recs {
 			out.Records[i] = recordSummary{
-				TraceID:     rec.TraceID,
-				Time:        rec.Time.UTC().Format("2006-01-02T15:04:05.000Z"),
+				TraceID:     rec.ID,
+				Time:        rec.Begun.UTC().Format("2006-01-02T15:04:05.000Z"),
 				Method:      rec.Method,
 				Path:        rec.Path,
 				Macro:       rec.Macro,
 				Status:      rec.Status,
-				TotalMicros: rec.TotalMicros,
+				TotalMicros: rec.Total.Microseconds(),
 				Decision:    rec.Decision,
 				Spans:       len(rec.Spans),
 				SQL:         len(rec.SQL),

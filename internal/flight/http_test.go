@@ -29,7 +29,7 @@ func TestHandlerUnknownTrace404JSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Observe(finishedTrace("kept-1", 500, time.Millisecond), testJournal())
+	r.Observe(fullTrace("kept-1", 500, time.Millisecond))
 
 	rec, body := flightGet(t, r, "/debug/flight?trace=no-such-trace")
 	if rec.Code != http.StatusNotFound {
@@ -54,23 +54,5 @@ func TestHandlerNilRecorder404JSON(t *testing.T) {
 	}
 	if msg, _ := body["error"].(string); !strings.Contains(msg, "disabled") {
 		t.Fatalf("error body = %v", body)
-	}
-}
-
-func TestJournalTopDigest(t *testing.T) {
-	j := NewJournal()
-	if d := j.TopDigest(); d != "" {
-		t.Fatalf("empty journal TopDigest = %q", d)
-	}
-	j.SQL(SQLExec{SQL: "SELECT 1", Digest: "fast", DurMicros: 10})
-	j.SQL(SQLExec{SQL: "SELECT 2", Digest: "slow", DurMicros: 900})
-	j.SQL(SQLExec{SQL: "SELECT 3", Digest: "mid", DurMicros: 100})
-	j.SQL(SQLExec{SQL: "COMMIT", Digest: "", DurMicros: 99999}) // no digest: skipped
-	if d := j.TopDigest(); d != "slow" {
-		t.Fatalf("TopDigest = %q, want slow", d)
-	}
-	var nilJ *Journal
-	if d := nilJ.TopDigest(); d != "" {
-		t.Fatalf("nil journal TopDigest = %q", d)
 	}
 }

@@ -1,3 +1,22 @@
+// Package flight is the gateway's flight recorder: it decides, after a
+// request has finished, whether its record (the obs.Trace the request's
+// goroutine filled: span waterfall, variable dereferences with depth, the
+// fully-substituted SQL of every %SQL section with row counts and cache
+// decisions) is worth keeping — a tail-based sampler keeps every error
+// and slow request and samples the healthy tail — and holds the kept
+// ones in a bounded in-memory ring and an optional rotating JSONL sink.
+//
+// Where internal/obs answers "is p99 up?", this package answers "which
+// macro, which %SQL section, and which variable chain did it": aggregate
+// metrics say that something regressed, a kept record shows the one
+// request that did. On top of the recorder sits an SLO engine
+// (multi-window burn rates per macro) and an anomaly trigger that
+// captures pprof snapshots when a burn-rate threshold trips or a 5xx
+// burst lands.
+//
+// The package depends only on internal/obs and the standard library, and
+// every entry point is nil-safe so instrumented code never branches on
+// "is the flight recorder on".
 package flight
 
 import (
@@ -9,6 +28,17 @@ import (
 	"time"
 
 	"db2www/internal/obs"
+)
+
+// Retention decisions, in the order the sampler checks them. A record is
+// never silently absent: the access log carries the decision for every
+// request, so a missing /debug/flight record is distinguishable from a
+// dropped one.
+const (
+	KeptError   = "kept:error"   // 5xx response: always retained
+	KeptSlow    = "kept:slow"    // total over the slow threshold: always retained
+	KeptSampled = "kept:sampled" // healthy request inside the sample rate
+	Dropped     = "dropped"      // healthy request outside the sample rate
 )
 
 // Config configures a Recorder.
@@ -67,15 +97,11 @@ type Recorder struct {
 	slo     *SLO
 	anomaly *anomaly
 
-	mu   sync.Mutex
-	ring []*Record // newest at ring[next-1]
-	next int
-	full bool
-	sink *jsonlSink
+	ring *obs.Ring
+	sink *jsonlSink // nil without a Dir; a closed sink drops what it is given
 
 	mKept    func(reason string) // nil when Metrics unset
 	mDropped *obs.Counter
-	mSinkErr *obs.Counter
 }
 
 // New builds a Recorder. If cfg.Dir is set it is created and the JSONL
@@ -86,7 +112,7 @@ func New(cfg Config) (*Recorder, error) {
 	r := &Recorder{
 		sampler: Sampler{Rate: cfg.SampleRate, SlowThreshold: cfg.SlowThreshold},
 		slo:     NewSLO(cfg.SLO),
-		ring:    make([]*Record, cfg.RingSize),
+		ring:    obs.NewRing(cfg.RingSize),
 	}
 	r.anomaly = newAnomaly(anomalyConfig{
 		Dir:           cfg.Dir,
@@ -141,87 +167,51 @@ func (r *Recorder) SlowThreshold() time.Duration {
 }
 
 // Observe ingests one finished request: feeds the SLO windows and the
-// anomaly trigger, runs the tail sampler, and — when kept — assembles
-// the record into the ring and the sink. Returns the retention decision
-// (Dropped for a nil recorder), which the gateway puts in the access
-// log so every request's fate is joinable.
-func (r *Recorder) Observe(tr *obs.Trace, j *Journal) string {
-	if r == nil {
+// anomaly trigger, runs the tail sampler, writes the retention decision
+// onto the record, and — when kept — puts the record in the ring and
+// hands it to the sink, which is where it is first formatted. The caller
+// has finished the record and publishes it to nobody before this
+// returns. The decision is also returned (Dropped for a nil recorder,
+// and for a nil record: a request nobody described is not counted).
+func (r *Recorder) Observe(tr *obs.Trace) string {
+	if r == nil || tr == nil {
 		return Dropped
 	}
-	var (
-		traceID string
-		status  int
-		total   time.Duration
-	)
-	if tr != nil {
-		traceID, status, total = tr.ID, tr.Status(), tr.Total()
-	}
-	macro, _ := j.Macro()
-	r.slo.Observe(macro, status, total)
-	r.anomaly.note(status, macro, r.slo)
+	r.slo.Observe(tr.Macro, tr.Status, tr.Total)
+	r.anomaly.note(tr.Status, tr.Macro, r.slo)
 
-	decision := r.sampler.Decide(status, total, traceID)
-	if decision == Dropped {
+	tr.Decision = r.sampler.Decide(tr.Status, tr.Total, tr.ID)
+	if tr.Decision == Dropped {
 		if r.mDropped != nil {
 			r.mDropped.Inc()
 		}
-		return decision
+		return Dropped
 	}
-	rec := buildRecord(tr, j)
-	rec.Decision = decision
 	if r.mKept != nil {
-		r.mKept(decision)
+		r.mKept(tr.Decision)
 	}
-
-	r.mu.Lock()
-	r.ring[r.next] = rec
-	r.next++
-	if r.next == len(r.ring) {
-		r.next, r.full = 0, true
-	}
-	sink := r.sink
-	r.mu.Unlock()
-
-	sink.write(rec)
-	return decision
+	r.ring.Add(tr)
+	r.sink.write(tr)
+	return tr.Decision
 }
 
 // Records returns up to n kept records, newest first. n <= 0 means all.
-func (r *Recorder) Records(n int) []*Record {
+func (r *Recorder) Records(n int) []*obs.Trace {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	size := r.next
-	if r.full {
-		size = len(r.ring)
+	recs := r.ring.Snapshot()
+	if n > 0 && n < len(recs) {
+		recs = recs[:n]
 	}
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]*Record, 0, n)
-	for i := 1; i <= n; i++ {
-		out = append(out, r.ring[((r.next-i)+len(r.ring))%len(r.ring)])
-	}
-	return out
+	return recs
 }
 
 // Get returns the kept record for a trace ID, or nil.
-func (r *Recorder) Get(traceID string) *Record {
-	if r == nil || traceID == "" {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	size := r.next
-	if r.full {
-		size = len(r.ring)
-	}
+func (r *Recorder) Get(traceID string) *obs.Trace {
 	// Newest first, so a recycled trace ID resolves to its latest use.
-	for i := 1; i <= size; i++ {
-		if rec := r.ring[((r.next-i)+len(r.ring))%len(r.ring)]; rec != nil && rec.TraceID == traceID {
+	for _, rec := range r.Records(0) {
+		if rec.ID == traceID {
 			return rec
 		}
 	}
@@ -234,11 +224,7 @@ func (r *Recorder) Close() error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	sink := r.sink
-	r.sink = nil
-	r.mu.Unlock()
-	return sink.close()
+	return r.sink.close()
 }
 
 // jsonlSink appends records to <path> and rotates it to <path>.1 when
@@ -252,7 +238,6 @@ type jsonlSink struct {
 	maxBytes int64
 	f        *os.File
 	size     int64
-	enc      *json.Encoder
 
 	mRotations *obs.Counter
 	mErrors    *obs.Counter
@@ -280,13 +265,14 @@ func (s *jsonlSink) open() error {
 		f.Close()
 		return fmt.Errorf("flight: stat sink: %w", err)
 	}
-	s.f, s.size, s.enc = f, st.Size(), json.NewEncoder(f)
+	s.f, s.size = f, st.Size()
 	return nil
 }
 
-// write appends one record; errors are counted, not returned — losing a
-// flight record must never fail the request it describes.
-func (s *jsonlSink) write(rec *Record) {
+// write appends one record as one line in one Write, so a crash tears at
+// most the last line; errors are counted, not returned — losing a flight
+// record must never fail the request it describes.
+func (s *jsonlSink) write(rec *obs.Trace) {
 	if s == nil {
 		return
 	}
@@ -295,17 +281,14 @@ func (s *jsonlSink) write(rec *Record) {
 	if s.f == nil {
 		return
 	}
-	before := s.size
-	if err := s.enc.Encode(rec); err != nil {
-		if s.mErrors != nil {
-			s.mErrors.Inc()
-		}
-		return
+	line, err := json.Marshal(rec)
+	if err == nil {
+		var n int
+		n, err = s.f.Write(append(line, '\n'))
+		s.size += int64(n)
 	}
-	if st, err := s.f.Stat(); err == nil {
-		s.size = st.Size()
-	} else {
-		s.size = before + 1 // keep growing so rotation still triggers eventually
+	if err != nil && s.mErrors != nil {
+		s.mErrors.Inc()
 	}
 	if s.size >= s.maxBytes {
 		s.rotateLocked()
@@ -314,7 +297,7 @@ func (s *jsonlSink) write(rec *Record) {
 
 func (s *jsonlSink) rotateLocked() {
 	s.f.Close()
-	s.f, s.enc = nil, nil
+	s.f = nil
 	if err := os.Rename(s.path, s.path+".1"); err != nil {
 		if s.mErrors != nil {
 			s.mErrors.Inc()
@@ -339,6 +322,6 @@ func (s *jsonlSink) close() error {
 		return nil
 	}
 	err := s.f.Close()
-	s.f, s.enc = nil, nil
+	s.f = nil
 	return err
 }

@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -13,24 +14,45 @@ import (
 	"db2www/internal/obs"
 )
 
-// finishedTrace builds a trace the way the gateway does: spans, then
-// Finish with status and total.
+// finishedTrace builds a bare record the way the gateway does: a parse
+// span, then Finish with status and total.
 func finishedTrace(id string, status int, total time.Duration) *obs.Trace {
 	tr := obs.NewTrace(id)
 	tr.Method, tr.Path = "GET", "/cgi-bin/db2www/q.d2w/report"
-	tr.Add("parse", 0, time.Millisecond, "cache=hit")
-	tr.Add("sql-exec:(unnamed)", time.Millisecond, 2*time.Millisecond, "rows=3")
+	tr.Start(obs.SpanParse, "").End()
 	tr.Finish(status, total)
 	return tr
 }
 
-func testJournal() *Journal {
-	j := NewJournal()
-	j.SetMacro("q.d2w", true)
-	j.Var("SEARCH", 0, "input", false)
-	j.Var("WHERE", 1, "define", false)
-	j.SQL(SQLExec{Section: "(unnamed)", SQL: "SELECT 1", Rows: 3, Cache: "miss", Kind: "select"})
-	return j
+// fullTrace is finishedTrace with what a report request leaves on the
+// record besides: the macro, two variables, one statement.
+func fullTrace(id string, status int, total time.Duration) *obs.Trace {
+	tr := finishedTrace(id, status, total)
+	tr.SetMacro("q.d2w", true)
+	tr.Var("SEARCH", 0, "input", false)
+	tr.Var("WHERE", 1, "define", false)
+	e := tr.StartSQL("(unnamed)", "SELECT 1")
+	e.Cache, e.Kind = "miss", "select"
+	tr.EndSQL(e, tr.Begun.Add(time.Millisecond), 2*time.Millisecond, 3, nil)
+	return tr
+}
+
+// readJSONL decodes the sink's file the way any consumer would: one JSON
+// object per line.
+func readJSONL(t *testing.T, path string) []map[string]any {
+	t.Helper()
+	var out []map[string]any
+	for _, line := range strings.Split(strings.TrimSuffix(string(mustRead(t, path)), "\n"), "\n") {
+		if line == "" {
+			continue
+		}
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("%s: a line is not a JSON object on its own: %v\n%s", path, err, line)
+		}
+		out = append(out, rec)
+	}
+	return out
 }
 
 func TestRecorderObserveAndRing(t *testing.T) {
@@ -38,13 +60,13 @@ func TestRecorderObserveAndRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := r.Observe(finishedTrace("ok", 200, time.Millisecond), NewJournal()); d != Dropped {
+	if d := r.Observe(finishedTrace("ok", 200, time.Millisecond)); d != Dropped {
 		t.Fatalf("healthy at rate 0: %q", d)
 	}
-	if d := r.Observe(finishedTrace("err", 500, time.Millisecond), testJournal()); d != KeptError {
+	if d := r.Observe(fullTrace("err", 500, time.Millisecond)); d != KeptError {
 		t.Fatalf("5xx: %q", d)
 	}
-	if d := r.Observe(finishedTrace("slow", 200, 2*time.Second), testJournal()); d != KeptSlow {
+	if d := r.Observe(fullTrace("slow", 200, 2*time.Second)); d != KeptSlow {
 		t.Fatalf("slow: %q", d)
 	}
 
@@ -52,8 +74,8 @@ func TestRecorderObserveAndRing(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("ring holds %d records, want 2", len(recs))
 	}
-	if recs[0].TraceID != "slow" || recs[1].TraceID != "err" {
-		t.Errorf("order = %s, %s; want newest first", recs[0].TraceID, recs[1].TraceID)
+	if recs[0].ID != "slow" || recs[1].ID != "err" {
+		t.Errorf("order = %s, %s; want newest first", recs[0].ID, recs[1].ID)
 	}
 
 	rec := r.Get("err")
@@ -63,7 +85,7 @@ func TestRecorderObserveAndRing(t *testing.T) {
 	if rec.Decision != KeptError || rec.Status != 500 || rec.Macro != "q.d2w" || !rec.MacroCached {
 		t.Errorf("record = %+v", rec)
 	}
-	if len(rec.Spans) != 2 || rec.Spans[0].Name != "parse" {
+	if len(rec.Spans) != 2 || rec.Spans[0].Name() != "parse" {
 		t.Errorf("spans = %+v", rec.Spans)
 	}
 	if len(rec.Vars) != 2 || rec.Vars[1].Name != "WHERE" || rec.Vars[1].MaxDepth != 1 {
@@ -78,7 +100,7 @@ func TestRecorderObserveAndRing(t *testing.T) {
 
 	// Ring wraps: 4 more kept records push "err" out.
 	for i := 0; i < 4; i++ {
-		r.Observe(finishedTrace(fmt.Sprintf("e%d", i), 500, time.Millisecond), nil)
+		r.Observe(finishedTrace(fmt.Sprintf("e%d", i), 500, time.Millisecond))
 	}
 	if r.Get("err") != nil {
 		t.Error("ring did not evict the oldest record")
@@ -94,43 +116,43 @@ func TestRecorderJSONLRoundTripAndTornLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Observe(finishedTrace("a", 500, time.Millisecond), testJournal())
-	r.Observe(finishedTrace("b", 503, time.Millisecond), testJournal())
+	r.Observe(fullTrace("a", 500, time.Millisecond))
+	r.Observe(fullTrace("b", 503, time.Millisecond))
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, "flight.jsonl")
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadJSONL(f)
-	f.Close()
-	if err != nil || len(recs) != 2 {
-		t.Fatalf("ReadJSONL = %d records, err %v", len(recs), err)
+	// Every line is a whole record on its own — the sink writes a record
+	// in one Write, so a crash tears at most the last line and everything
+	// before it stays readable — under the field names /debug/flight uses.
+	recs := readJSONL(t, filepath.Join(dir, "flight.jsonl"))
+	if len(recs) != 2 {
+		t.Fatalf("sink holds %d records, want 2", len(recs))
 	}
 	got := recs[0]
-	if got.TraceID != "a" || got.Status != 500 || got.Decision != KeptError ||
-		got.Macro != "q.d2w" || len(got.Spans) != 2 || len(got.Vars) != 2 || len(got.SQL) != 1 {
-		t.Errorf("decoded record = %+v", got)
+	for k, want := range map[string]any{
+		"trace_id": "a", "status": 500.0, "decision": KeptError, "macro": "q.d2w", "macro_cached": true,
+		"method": "GET", "path": "/cgi-bin/db2www/q.d2w/report", "total_micros": 1000.0,
+	} {
+		if got[k] != want {
+			t.Errorf("decoded %s = %v, want %v", k, got[k], want)
+		}
 	}
-	if got.SQL[0].Kind != "select" || got.SQL[0].Rows != 3 {
-		t.Errorf("decoded sql = %+v", got.SQL[0])
+	spans, vars, sql := got["spans"].([]any), got["vars"].([]any), got["sql"].([]any)
+	if len(spans) != 2 || len(vars) != 2 || len(sql) != 1 {
+		t.Fatalf("decoded record = %+v", got)
 	}
-
-	// A torn final line (crash mid-write) must not lose the intact prefix.
-	if err := os.WriteFile(path+".torn", append(mustRead(t, path), []byte(`{"trace_id":"half`)...), 0o644); err != nil {
-		t.Fatal(err)
+	if sp := spans[1].(map[string]any); sp["name"] != "sql-exec:(unnamed)" || sp["start_micros"] != 1000.0 ||
+		sp["dur_micros"] != 2000.0 || sp["note"] != `rows=3 cache=miss sql="SELECT 1"` {
+		t.Errorf("decoded span = %+v", sp)
 	}
-	f, err = os.Open(path + ".torn")
-	if err != nil {
-		t.Fatal(err)
+	if v := vars[1].(map[string]any); v["name"] != "WHERE" || v["source"] != "define" || v["count"] != 1.0 ||
+		v["max_depth"] != 1.0 || v["null"] != false {
+		t.Errorf("decoded var = %+v", v)
 	}
-	recs, err = ReadJSONL(f)
-	f.Close()
-	if len(recs) != 2 {
-		t.Errorf("torn file decoded %d records, want the 2 intact ones (err %v)", len(recs), err)
+	if q := sql[0].(map[string]any); q["section"] != "(unnamed)" || q["sql"] != "SELECT 1" || q["rows"] != 3.0 ||
+		q["dur_micros"] != 2000.0 || q["cache"] != "miss" || q["kind"] != "select" {
+		t.Errorf("decoded sql = %+v", q)
 	}
 }
 
@@ -151,7 +173,7 @@ func TestRecorderRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		r.Observe(finishedTrace(fmt.Sprintf("t%d", i), 500, time.Millisecond), testJournal())
+		r.Observe(fullTrace(fmt.Sprintf("t%d", i), 500, time.Millisecond))
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -170,16 +192,7 @@ func TestRecorderRotation(t *testing.T) {
 	// live file may be empty if the last write itself rotated).
 	total := 0
 	for _, name := range []string{"flight.jsonl", "flight.jsonl.1"} {
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		recs, err := ReadJSONL(f)
-		f.Close()
-		if err != nil {
-			t.Errorf("%s decode: %v", name, err)
-		}
-		total += len(recs)
+		total += len(readJSONL(t, filepath.Join(dir, name)))
 	}
 	// One level of rotation bounds disk, so only the newest records are
 	// guaranteed retained; the rotated file must hold at least one.
@@ -209,7 +222,7 @@ func TestRecorderConcurrentStress(t *testing.T) {
 					status = 500
 				}
 				id := fmt.Sprintf("g%d-%d", g, i)
-				r.Observe(finishedTrace(id, status, time.Millisecond), testJournal())
+				r.Observe(fullTrace(id, status, time.Millisecond))
 			}
 		}()
 		wg.Add(1)
@@ -235,8 +248,16 @@ func TestRecorderConcurrentStress(t *testing.T) {
 // entry point must be safe and cost nothing.
 func TestRecorderNilNoOps(t *testing.T) {
 	var r *Recorder
-	if d := r.Observe(finishedTrace("x", 500, time.Second), testJournal()); d != Dropped {
+	if d := r.Observe(fullTrace("x", 500, time.Second)); d != Dropped {
 		t.Errorf("nil Observe = %q", d)
+	}
+	// A nil record (obs.SetEnabled(false)) is the other disabled path.
+	on, err := New(Config{SlowThreshold: -1, RingSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := on.Observe(nil); d != Dropped || len(on.Records(0)) != 0 || len(on.SLO().Snapshot()) != 0 {
+		t.Errorf("Observe(nil) = %q, %d records, %d SLO macros", d, len(on.Records(0)), len(on.SLO().Snapshot()))
 	}
 	if r.Records(5) != nil || r.Get("x") != nil || r.SLO() != nil || r.Close() != nil {
 		t.Error("nil recorder leaked state")
@@ -249,14 +270,6 @@ func TestRecorderNilNoOps(t *testing.T) {
 	if rec.Code != 404 {
 		t.Errorf("nil Handler status = %d", rec.Code)
 	}
-	// Nil journal methods are equally inert.
-	var j *Journal
-	j.SetMacro("m", true)
-	j.Var("x", 0, "input", false)
-	j.SQL(SQLExec{})
-	if name, _ := j.Macro(); name != "" {
-		t.Error("nil journal returned a macro")
-	}
 }
 
 func TestRecorderHandler(t *testing.T) {
@@ -264,7 +277,7 @@ func TestRecorderHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Observe(finishedTrace("want-me", 500, time.Millisecond), testJournal())
+	r.Observe(fullTrace("want-me", 500, time.Millisecond))
 
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/flight", nil))
@@ -294,30 +307,5 @@ func TestRecorderHandler(t *testing.T) {
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/flight?trace=nope", nil))
 	if rec.Code != 404 {
 		t.Errorf("missing-trace status = %d, want 404", rec.Code)
-	}
-}
-
-// TestJournalBounds: the var table caps distinct names (counting the
-// overflow) and the SQL list caps entries.
-func TestJournalBounds(t *testing.T) {
-	j := NewJournal()
-	for i := 0; i < maxVarEntries+10; i++ {
-		j.Var(fmt.Sprintf("v%d", i), 0, "input", false)
-	}
-	vars, dropped := j.varSnapshot()
-	if len(vars) != maxVarEntries || dropped != 10 {
-		t.Errorf("vars = %d, dropped = %d", len(vars), dropped)
-	}
-	// Re-evaluating a known name aggregates instead of dropping.
-	j.Var("v0", 3, "input", true)
-	vars, _ = j.varSnapshot()
-	if vars[0].Count != 2 || vars[0].MaxDepth != 3 || !vars[0].Null {
-		t.Errorf("aggregate = %+v", vars[0])
-	}
-	for i := 0; i < maxSQLEntries+5; i++ {
-		j.SQL(SQLExec{Section: "s"})
-	}
-	if got := len(j.sqlSnapshot()); got != maxSQLEntries {
-		t.Errorf("sql entries = %d, want %d", got, maxSQLEntries)
 	}
 }

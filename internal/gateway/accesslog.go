@@ -112,6 +112,14 @@ func (cw *countingWriter) WriteHeader(code int) {
 	cw.ResponseWriter.WriteHeader(code)
 }
 
+// code is the status the response went out with.
+func (cw *countingWriter) code() int {
+	if cw.status == 0 {
+		return http.StatusOK
+	}
+	return cw.status
+}
+
 func (cw *countingWriter) Write(p []byte) (int, error) {
 	if cw.status == 0 {
 		cw.status = http.StatusOK
@@ -150,18 +158,43 @@ func (l *AccessLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		route.ServeHTTP(w, r)
 		return
 	}
-	// The carrier lets the inner handler report the trace ID and flight
-	// decision back to this middleware for the log line.
-	li := &logInfo{}
-	r = r.WithContext(withLogInfo(r.Context(), li))
-	cw := &countingWriter{ResponseWriter: w}
-	start := l.Now()
+	// The line is only put together when there is somewhere to write it;
+	// what the inner handler learnt of the request (trace ID, retention
+	// decision, slowest statement) it left on the request's record.
+	cw, r, tr := beginRequest(w, r)
+	var start time.Time
+	if l.out != nil {
+		start = l.Now()
+	}
 	l.next.ServeHTTP(cw, r)
-	elapsed := l.Now().Sub(start)
-	if cw.status == 0 {
-		cw.status = http.StatusOK
+	var line string
+	if l.out != nil {
+		line = l.line(r, cw, tr, start)
 	}
 
+	maxPaths := l.MaxPaths
+	if maxPaths <= 0 {
+		maxPaths = defaultMaxPaths
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.requests++
+	l.bytes += cw.bytes
+	l.statuses[cw.code()]++
+	if _, known := l.paths[r.URL.Path]; known || len(l.paths) < maxPaths {
+		l.paths[r.URL.Path]++
+	} else {
+		l.otherPaths++
+	}
+	if l.out != nil {
+		_, _ = io.WriteString(l.out, line) // a full disk must not fail the request it would have logged
+	}
+}
+
+// line formats the log line of a request that began at start and has
+// just ended.
+func (l *AccessLog) line(r *http.Request, cw *countingWriter, tr *obs.Trace, start time.Time) string {
+	now := l.Now()
 	host := r.RemoteAddr
 	if h, _, err := net.SplitHostPort(host); err == nil {
 		host = h
@@ -173,72 +206,49 @@ func (l *AccessLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if u, _, ok := r.BasicAuth(); ok && u != "" {
 		user = u
 	}
-	traceID, decision, digest := li.get()
-	var line string
+	// The join keys against /debug/flight and /debug/statements, when the
+	// flight recorder handled the request.
+	var traceID, decision, digest string
+	if tr != nil && tr.Decision != "" {
+		traceID, decision, digest = tr.ID, tr.Decision, tr.TopDigest()
+	}
 	if l.Format == "json" {
-		// One JSON object per line: the CLF fields, the flight-recorder
-		// join keys, and the middleware-measured latency.
-		rec := map[string]any{
-			"time":       l.Now().UTC().Format(time.RFC3339Nano),
-			"host":       host,
-			"user":       user,
-			"method":     r.Method,
-			"uri":        r.URL.RequestURI(),
-			"proto":      r.Proto,
-			"status":     cw.status,
-			"bytes":      cw.bytes,
-			"latency_us": elapsed.Microseconds(),
-		}
-		if traceID != "" {
-			rec["trace"] = traceID
-			rec["flight"] = decision
-		}
-		if digest != "" {
-			rec["digest"] = digest
-		}
-		b, err := json.Marshal(rec)
+		// One JSON object per line: the CLF fields, the join keys, and the
+		// middleware-measured latency. Fields are in the order of their
+		// names.
+		b, err := json.Marshal(struct {
+			Bytes     int64  `json:"bytes"`
+			Digest    string `json:"digest,omitempty"`
+			Flight    string `json:"flight,omitempty"`
+			Host      string `json:"host"`
+			LatencyUS int64  `json:"latency_us"`
+			Method    string `json:"method"`
+			Proto     string `json:"proto"`
+			Status    int    `json:"status"`
+			Time      string `json:"time"`
+			Trace     string `json:"trace,omitempty"`
+			URI       string `json:"uri"`
+			User      string `json:"user"`
+		}{cw.bytes, digest, decision, host, now.Sub(start).Microseconds(), r.Method, r.Proto,
+			cw.code(), now.UTC().Format(time.RFC3339Nano), traceID, r.URL.RequestURI(), user})
 		if err != nil {
 			b = []byte(`{"error":"marshal"}`)
 		}
-		line = string(b) + "\n"
-	} else {
-		// NCSA Common Log Format:
-		// host ident authuser [date] "request" status bytes
-		// — plus, when the flight recorder handled the request, a trace=/
-		// flight=/digest= suffix so the line joins against /debug/flight
-		// and /debug/statements records.
-		suffix := ""
-		if traceID != "" {
-			suffix = fmt.Sprintf(" trace=%s flight=%s", traceID, decision)
-			if digest != "" {
-				suffix += " digest=" + digest
-			}
+		return string(b) + "\n"
+	}
+	// NCSA Common Log Format:
+	// host ident authuser [date] "request" status bytes
+	// — plus a trace=/flight=/digest= suffix of the join keys.
+	suffix := ""
+	if traceID != "" {
+		suffix = fmt.Sprintf(" trace=%s flight=%s", traceID, decision)
+		if digest != "" {
+			suffix += " digest=" + digest
 		}
-		line = fmt.Sprintf("%s - %s [%s] \"%s %s %s\" %d %d%s\n",
-			host, user, l.Now().Format("02/Jan/2006:15:04:05 -0700"),
-			r.Method, r.URL.RequestURI(), r.Proto, cw.status, cw.bytes, suffix)
 	}
-
-	maxPaths := l.MaxPaths
-	if maxPaths <= 0 {
-		maxPaths = defaultMaxPaths
-	}
-	l.mu.Lock()
-	l.requests++
-	l.bytes += cw.bytes
-	l.statuses[cw.status]++
-	if _, known := l.paths[r.URL.Path]; known || len(l.paths) < maxPaths {
-		l.paths[r.URL.Path]++
-	} else {
-		l.otherPaths++
-	}
-	out := l.out
-	l.mu.Unlock()
-	if out != nil {
-		l.mu.Lock()
-		_, _ = io.WriteString(out, line)
-		l.mu.Unlock()
-	}
+	return fmt.Sprintf("%s - %s [%s] \"%s %s %s\" %d %d%s\n",
+		host, user, now.Format("02/Jan/2006:15:04:05 -0700"),
+		r.Method, r.URL.RequestURI(), r.Proto, cw.code(), cw.bytes, suffix)
 }
 
 // Stats returns the counters collected so far.

@@ -3,18 +3,21 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"db2www/internal/obs"
 )
 
 func TestAccessLogJSONFormat(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// The inner handler reports its flight join keys the same way
-		// gateway.Handler does.
-		logInfoFrom(r.Context()).set("tr-123", "keep", "d-abc")
+		// The inner handler leaves its flight join keys where
+		// gateway.Handler does: on the request's record.
+		setJoinKeys(r, "keep", "d-abc")
 		w.WriteHeader(http.StatusTeapot)
 		_, _ = w.Write([]byte("short and stout"))
 	})
@@ -32,6 +35,7 @@ func TestAccessLogJSONFormat(t *testing.T) {
 
 	req := httptest.NewRequest("GET", "/cgi-bin/db2www/report.d2w/report?X=1", nil)
 	req.RemoteAddr = "10.1.2.3:4242"
+	req.Header.Set("X-Trace-Id", "tr-123")
 	al.ServeHTTP(httptest.NewRecorder(), req)
 
 	line := buf.String()
@@ -89,16 +93,47 @@ func TestAccessLogJSONOmitsEmptyJoinKeys(t *testing.T) {
 
 func TestAccessLogCLFDigestSuffix(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		logInfoFrom(r.Context()).set("tr-9", "drop", "d-77")
+		setJoinKeys(r, "drop", "d-77")
 		_, _ = w.Write([]byte("ok"))
 	})
 	var buf bytes.Buffer
 	al := NewAccessLog(inner, &buf)
-	al.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/x", nil))
-	line := buf.String()
-	for _, want := range []string{"trace=tr-9", "flight=drop", "digest=d-77"} {
-		if !strings.Contains(line, want) {
-			t.Fatalf("CLF line missing %q: %q", want, line)
+	al.Now = fixedClock
+	req := httptest.NewRequest("GET", "/x", nil)
+	req.Header.Set("X-Trace-Id", "tr-9")
+	al.ServeHTTP(httptest.NewRecorder(), req)
+	want := `192.0.2.1 - - [04/Jun/1996:10:30:00 +0000] "GET /x HTTP/1.1" 200 2 trace=tr-9 flight=drop digest=d-77` + "\n"
+	if line := buf.String(); line != want {
+		t.Fatalf("CLF line:\n got %q\nwant %q", line, want)
+	}
+}
+
+// setJoinKeys puts a retention decision and a statement digest on the
+// record the AccessLog middleware gave the request.
+func setJoinKeys(r *http.Request, decision, digest string) {
+	tr := obs.TraceFrom(r.Context())
+	tr.Decision = decision
+	tr.StartSQL("s", "SELECT 1").Digest = digest
+}
+
+// TestAccessLogFormatsOnlyForAWriter: without a log file (gatewayd's
+// default) the middleware keeps its statistics and neither reads the
+// clock nor formats a line; with one, a request reads the clock twice —
+// the end of the request is also the line's timestamp.
+func TestAccessLogFormatsOnlyForAWriter(t *testing.T) {
+	for _, c := range []struct {
+		out   io.Writer
+		reads int
+	}{{nil, 0}, {io.Discard, 2}} {
+		al := NewAccessLog(okHandler(), c.out)
+		reads := 0
+		al.Now = func() time.Time { reads++; return fixedClock() }
+		al.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/page", nil))
+		if reads != c.reads {
+			t.Errorf("out=%v: %d clock reads, want %d", c.out, reads, c.reads)
+		}
+		if requests, bytes, statuses := al.Stats(); requests != 1 || bytes != 19 || statuses[200] != 1 {
+			t.Errorf("out=%v: stats = %d requests, %d bytes, %v", c.out, requests, bytes, statuses)
 		}
 	}
 }

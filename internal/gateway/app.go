@@ -11,7 +11,6 @@ import (
 
 	"db2www/internal/cgi"
 	"db2www/internal/core"
-	"db2www/internal/flight"
 	"db2www/internal/macrolint"
 	"db2www/internal/obs"
 )
@@ -81,7 +80,7 @@ func (a *App) ServeCGI(req *cgi.Request) (*cgi.Response, error) {
 
 // ServeCGIContext is ServeCGI with the request context: the gateway's
 // trace rides it into the engine, and macro loading becomes the trace's
-// "parse" span (noting whether the parsed-macro cache served it).
+// "parse" span (the trace notes whether the parsed-macro cache served it).
 func (a *App) ServeCGIContext(ctx context.Context, req *cgi.Request) (*cgi.Response, error) {
 	tr := obs.TraceFrom(ctx)
 	macroName, cmdName, err := cgi.SplitPathInfo(req.PathInfo)
@@ -92,20 +91,14 @@ func (a *App) ServeCGIContext(ctx context.Context, req *cgi.Request) (*cgi.Respo
 	if err != nil {
 		return errorPageTrace(400, "Bad request", err.Error(), tr), nil
 	}
-	parseSpan := tr.Start("parse")
+	parseSpan := tr.Start(obs.SpanParse, "")
 	m, status, cached, err := a.loadMacro(macroName)
-	if parseSpan != nil {
-		note := "cache=miss"
-		if cached {
-			note = "cache=hit"
-		}
-		parseSpan.EndNote(note)
-	}
+	parseSpan.End()
 	// The app is the authority on which macro a request resolved to; the
-	// flight record and the SLO windows attribute by this name (set even
-	// on a failed load, so error bursts land on the macro that caused
+	// request's record and the SLO windows attribute by this name (set
+	// even on a failed load, so error bursts land on the macro that caused
 	// them).
-	flight.JournalFrom(ctx).SetMacro(macroName, cached)
+	tr.SetMacro(macroName, cached)
 	if err != nil {
 		if status == 404 {
 			return errorPageTrace(404, "Macro not found", err.Error(), tr), nil

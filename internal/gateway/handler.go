@@ -54,9 +54,8 @@ type Handler struct {
 	// SlowLog, when non-nil, records requests over its threshold with
 	// their per-phase span breakdown and substituted SQL.
 	SlowLog *obs.SlowLog
-	// Flight, when non-nil, gives every request an execution journal and
-	// feeds the finished request through the flight recorder's tail
-	// sampler, SLO windows, and anomaly trigger.
+	// Flight, when non-nil, feeds every finished request through the
+	// flight recorder's tail sampler, SLO windows, and anomaly trigger.
 	Flight *flight.Recorder
 	// Logf receives server-side error detail (with the trace ID) that is
 	// deliberately kept out of client responses. Defaults to log.Printf.
@@ -79,57 +78,54 @@ var (
 		"request latency from gateway receipt to response completion", nil)
 )
 
-// ServeHTTP implements http.Handler. Every request gets a trace: the ID
-// comes from a valid incoming X-Trace-Id header (so a client or an
-// upstream proxy can stitch its own correlation) or is minted here, is
-// echoed on the X-Trace-Id response header, and travels the request
-// context through the engine. Request count, latency, and in-flight
-// gauges land in the obs registry.
+// beginRequest gives a request what the middleware of this package needs
+// of it: a writer that counts the response and, while instrumentation is
+// on, its record — the ID taken from a valid incoming X-Trace-Id header
+// (so a client or an upstream proxy can stitch its own correlation) or
+// minted here, echoed on the X-Trace-Id response header, and travelling
+// the request context through the engine. Whichever of AccessLog and
+// Handler meets the request first does this; the other finds it done.
+func beginRequest(w http.ResponseWriter, r *http.Request) (*countingWriter, *http.Request, *obs.Trace) {
+	cw, ok := w.(*countingWriter)
+	if !ok {
+		cw = &countingWriter{ResponseWriter: w}
+	}
+	tr := obs.TraceFrom(r.Context())
+	if tr == nil && obs.Enabled() {
+		id := obs.SanitizeTraceID(r.Header.Get("X-Trace-Id"))
+		if id == "" {
+			id = obs.NewTraceID()
+		}
+		tr = obs.NewTrace(id)
+		tr.Method, tr.Path = r.Method, r.URL.Path
+		w.Header().Set("X-Trace-Id", id)
+		r = r.WithContext(obs.WithTrace(r.Context(), tr))
+	}
+	return cw, r, tr
+}
+
+// ServeHTTP implements http.Handler. While instrumentation is on, every
+// request fills one record (see beginRequest) and, once finished, the
+// record goes to the sinks — flight recorder, trace ring, slow log — and
+// the request count, latency, and in-flight gauges land in the obs
+// registry. Nothing is written to the record once the first sink has it.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if !obs.Enabled() {
-		h.route(w, r)
+	cw, r, tr := beginRequest(w, r)
+	if tr == nil {
+		h.route(cw, r)
 		return
 	}
-	start := time.Now()
-	id := obs.SanitizeTraceID(r.Header.Get("X-Trace-Id"))
-	if id == "" {
-		id = obs.NewTraceID()
-	}
-	tr := obs.NewTrace(id)
-	tr.Method, tr.Path = r.Method, r.URL.Path
-	w.Header().Set("X-Trace-Id", id)
-	ctx := obs.WithTrace(r.Context(), tr)
-	var journal *flight.Journal
-	if h.Flight != nil {
-		// The journal must exist before anyone knows whether the request
-		// will be kept — that is what tail-based sampling means.
-		journal = flight.NewJournal()
-		ctx = flight.WithJournal(ctx, journal)
-	}
-	r = r.WithContext(ctx)
-
 	mInFlight.Add(1)
 	defer mInFlight.Add(-1)
 
-	cw := &countingWriter{ResponseWriter: w}
 	h.route(cw, r)
-	status := cw.status
-	if status == 0 {
-		status = http.StatusOK
-	}
-	total := time.Since(start)
-	tr.Finish(status, total)
+	tr.Finish(cw.code(), time.Since(tr.Begun))
 	obs.Default.Counter("db2www_http_requests_total",
-		"requests served, by response status", "code", strconv.Itoa(status)).Inc()
-	mRequestSeconds.Observe(total.Seconds())
+		"requests served, by response status", "code", strconv.Itoa(tr.Status)).Inc()
+	mRequestSeconds.Observe(tr.Total.Seconds())
+	h.Flight.Observe(tr)
 	h.TraceRing.Add(tr)
 	h.SlowLog.Record(tr)
-	if h.Flight != nil {
-		decision := h.Flight.Observe(tr, journal)
-		// Hand the decision to the access-log middleware (when present)
-		// so the log line can be joined against /debug/flight.
-		logInfoFrom(ctx).set(tr.ID, decision, journal.TopDigest())
-	}
 }
 
 // route dispatches between CGI, static files, and 404.
@@ -237,7 +233,7 @@ func (h *Handler) serveCGI(w http.ResponseWriter, r *http.Request, script string
 //
 // No Content-Length is set, although the length is known: with it a large
 // page is complete on the client while this handler is still closing its
-// trace, journal and log line, and a client that pairs its own timing
+// record and log line, and a client that pairs its own timing
 // with the server's (benchmark/trace.go does) sees the two overlap. The
 // chunked terminator is only sent once the handler has returned.
 func pageBytes(s string) []byte {

@@ -41,12 +41,12 @@ func TestTraceIDPropagation(t *testing.T) {
 	if tr.ID != "t1" {
 		t.Errorf("trace ID = %q", tr.ID)
 	}
-	if tr.Status() != 200 || tr.Total() <= 0 {
-		t.Errorf("finish: status=%d total=%v", tr.Status(), tr.Total())
+	if tr.Status != 200 || tr.Total <= 0 {
+		t.Errorf("finish: status=%d total=%v", tr.Status, tr.Total)
 	}
 	names := map[string]string{}
-	for _, sp := range tr.Spans() {
-		names[sp.Name] = sp.Note
+	for _, sp := range tr.Spans {
+		names[sp.Name()] = tr.Note(sp)
 	}
 	for _, want := range []string{"parse", "var-eval:(unnamed)",
 		"sql-exec:(unnamed)", "report-render:(unnamed)"} {

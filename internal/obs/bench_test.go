@@ -44,9 +44,9 @@ func BenchmarkSpanStartEnd(b *testing.B) {
 	tr := NewTrace("bench")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Start("phase").EndNote("rows=1")
-		if len(tr.spans) > 64 {
-			tr.spans = tr.spans[:0]
+		tr.Start(SpanVarEval, "phase").End()
+		if len(tr.Spans) > 64 {
+			tr.Spans = tr.Spans[:0]
 		}
 	}
 }

@@ -69,7 +69,7 @@ func (r *Ring) StatusRows() [][2]string {
 	traces := r.Snapshot()
 	rows := make([][2]string, 0, len(traces))
 	for _, t := range traces {
-		key := fmt.Sprintf("%s %d %s %s", t.ID, t.Status(), t.Method, t.Path)
+		key := fmt.Sprintf("%s %d %s %s", t.ID, t.Status, t.Method, t.Path)
 		rows = append(rows, [2]string{key, FormatSpans(t)})
 	}
 	if len(rows) == 0 {
@@ -86,18 +86,17 @@ func FormatSpans(t *Trace) string {
 		return ""
 	}
 	var sb strings.Builder
-	sb.WriteString(roundDur(t.Total()).String())
-	spans := t.Spans()
-	if len(spans) > 0 {
+	sb.WriteString(roundDur(t.Total).String())
+	if len(t.Spans) > 0 {
 		sb.WriteString(";")
-		for _, sp := range spans {
+		for _, sp := range t.Spans {
 			sb.WriteString(" ")
-			sb.WriteString(sp.Name)
+			sb.WriteString(sp.Name())
 			sb.WriteString("=")
 			sb.WriteString(roundDur(sp.Dur).String())
-			if sp.Note != "" {
+			if note := t.Note(sp); note != "" {
 				sb.WriteString(" [")
-				sb.WriteString(sp.Note)
+				sb.WriteString(note)
 				sb.WriteString("]")
 			}
 		}

@@ -63,14 +63,14 @@ func (l *SlowLog) Record(t *Trace) bool {
 	if l == nil || t == nil {
 		return false
 	}
-	if t.Total() < l.threshold {
+	if t.Total < l.threshold {
 		return false
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	line := fmt.Sprintf("%s trace=%s status=%d total=%s %s %s | %s\n",
-		l.now().UTC().Format(time.RFC3339Nano), t.ID, t.Status(),
-		roundDur(t.Total()), t.Method, t.Path, FormatSpans(t))
+		l.now().UTC().Format(time.RFC3339Nano), t.ID, t.Status,
+		roundDur(t.Total), t.Method, t.Path, FormatSpans(t))
 	if _, err := io.WriteString(l.w, line); err != nil {
 		return false
 	}

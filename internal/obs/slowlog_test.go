@@ -38,8 +38,9 @@ func TestSlowLogThreshold(t *testing.T) {
 
 	slow := NewTrace("slow1")
 	slow.Method, slow.Path = "GET", "/cgi-bin/db2www/urlquery.d2w/report"
-	sp := slow.Start("sql-exec:Q1")
-	sp.EndNote(`rows=500 cache=miss sql="SELECT url FROM urldb"`)
+	e := slow.StartSQL("Q1", "SELECT url FROM urldb")
+	e.Cache = "miss"
+	slow.EndSQL(e, time.Now(), time.Millisecond, 500, nil)
 	slow.Finish(200, 250*time.Millisecond)
 	if !l.Record(slow) {
 		t.Fatal("slow request must be logged")
@@ -48,7 +49,7 @@ func TestSlowLogThreshold(t *testing.T) {
 	for _, want := range []string{
 		"trace=slow1", "status=200", "total=250ms",
 		"GET /cgi-bin/db2www/urlquery.d2w/report",
-		"sql-exec:Q1=", `sql="SELECT url FROM urldb"`,
+		"sql-exec:Q1=", `[rows=500 cache=miss sql="SELECT url FROM urldb"]`,
 		"1996-06-04T12:00:00Z",
 	} {
 		if !strings.Contains(out, want) {

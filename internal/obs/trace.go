@@ -4,37 +4,157 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"sync"
+	"encoding/json"
+	"strconv"
 	"time"
 )
 
-// Span is one completed, timed phase of a request: parse, var-eval,
-// sql-exec:<section>, report-render, … Start is the offset from the
-// trace's begin time, so a span list reads as a waterfall.
-type Span struct {
-	Name  string
-	Start time.Duration
-	Dur   time.Duration
-	// Note carries phase detail: row counts, cache hit/miss, the
-	// fully-substituted SQL of an exec span.
-	Note string
+// Record bounds: a hostile or pathological macro cannot grow a request's
+// record without limit. Beyond maxVars distinct variables, dereferences
+// of further names are counted in vars_dropped; beyond maxSQL statements
+// further entries are not kept (their spans still show they ran); a
+// statement is kept up to maxSQLText bytes.
+const (
+	maxVars    = 128
+	maxSQL     = 64
+	maxSQLText = 500
+)
+
+// SpanKind names a timed phase of a request.
+type SpanKind uint8
+
+// The phases the gateway and the engine time.
+const (
+	SpanParse        SpanKind = iota // macro load: stat, read, parse, lint — or a cache hit
+	SpanVarEval                      // a %SQL section's statement assembled by substitution
+	SpanSQLExec                      // the statement executed
+	SpanReportRender                 // its result rendered
+)
+
+func (k SpanKind) String() string {
+	return [...]string{"parse", "var-eval", "sql-exec", "report-render"}[k]
 }
 
-// Trace is one request's journey through the stack: an ID (minted at the
-// gateway or taken from the client's X-Trace-Id header), the request
-// identity, and the spans recorded while it ran. A nil *Trace is valid
-// everywhere — every method no-ops — so instrumented code never branches
-// on "is tracing on".
+// Span is one completed phase. Start is the offset from the trace's
+// begin time, so a span list reads as a waterfall. A span holds what
+// happened, not text: its name and note are put together by whoever
+// prints it.
+type Span struct {
+	Kind    SpanKind
+	Section string // the %SQL section; "" for the parse span
+	Start   time.Duration
+	Dur     time.Duration
+	SQL     *SQLExec // SpanSQLExec: the statement it timed
+}
+
+// Name is the span's display name: "parse", "sql-exec:<section>".
+func (s Span) Name() string {
+	if s.Section == "" {
+		return s.Kind.String()
+	}
+	return s.Kind.String() + ":" + s.Section
+}
+
+// SQLExec is one %SQL section execution: the section name, the
+// fully-substituted statement, and how every layer below handled it.
+// The engine opens it, and its address rides the statement's context so
+// the query cache and the embedded engine fill in their part.
+type SQLExec struct {
+	Section   string `json:"section"`
+	SQL       string `json:"sql"`
+	Rows      int    `json:"rows"`
+	DurMicros int64  `json:"dur_micros"`
+	// Cache is the query-result cache's decision: hit, miss, or bypass
+	// ("" when no cache is wired).
+	Cache string `json:"cache,omitempty"`
+	// Dedup marks a single-flight follower: this execution waited on an
+	// identical in-flight query instead of running its own.
+	Dedup bool `json:"dedup,omitempty"`
+	// Kind is the embedded engine's statement classification
+	// (select/write/ddl) and DBMicros the time spent inside it, so engine
+	// time separates from driver and cache overhead.
+	Kind     string `json:"kind,omitempty"`
+	DBMicros int64  `json:"db_micros,omitempty"`
+	// Digest is the engine's normalized-statement digest — the key into
+	// /debug/statements, linking a record to its registry row.
+	Digest string `json:"digest,omitempty"`
+	Err    string `json:"error,omitempty"`
+}
+
+// MarshalJSON prints the statement on one line.
+func (e *SQLExec) MarshalJSON() ([]byte, error) {
+	type plain SQLExec
+	p := plain(*e)
+	p.SQL = TruncateSQL(e.SQL, 0)
+	return json.Marshal(&p)
+}
+
+// note is the bracketed detail of the statement's sql-exec span.
+func (e *SQLExec) note() string {
+	sql := strconv.Quote(TruncateSQL(e.SQL, 200))
+	if e.Err != "" {
+		return "error=" + TruncateSQL(e.Err, 120) + " sql=" + sql
+	}
+	note := "rows=" + strconv.Itoa(e.Rows)
+	if e.Cache != "" {
+		note += " cache=" + e.Cache
+	}
+	if e.Digest != "" {
+		note += " digest=" + e.Digest
+	}
+	return note + " sql=" + sql
+}
+
+// VarEval aggregates every evaluation of one variable during the
+// request: how many times it was dereferenced, the deepest chain it was
+// reached through (0 = referenced directly from a template), where it
+// resolved, and whether its last evaluation was null.
+type VarEval struct {
+	Name     string `json:"name"`
+	Source   string `json:"source"` // input, define, list, exec, undefined
+	Count    int    `json:"count"`
+	MaxDepth int    `json:"max_depth"`
+	Null     bool   `json:"null"`
+	// next is the index in Trace.Vars of the variable dereferenced after
+	// this one the last time: where Trace.Var looks first.
+	next int
+}
+
+// Trace is the one record of a request: its identity (an ID minted at
+// the gateway or taken from the client's X-Trace-Id header), the macro it
+// resolved to, the phases it went through, the variables it dereferenced,
+// the statements it ran, its outcome, and whether the flight recorder
+// kept it. The request's goroutine fills it and, after Finish, hands the
+// pointer to the sinks — trace ring, slow log, flight recorder, access
+// log — which only read it, and format what they print themselves.
+//
+// A nil *Trace is valid on the request path — every method that fills it
+// no-ops — so instrumented code never branches on "is tracing on".
 type Trace struct {
 	ID     string
 	Begun  time.Time
 	Method string
 	Path   string
 
-	mu     sync.Mutex
-	status int
-	total  time.Duration
-	spans  []Span
+	// Macro is the macro file the request resolved to, MacroCached
+	// whether the parsed-macro cache served it.
+	Macro       string
+	MacroCached bool
+
+	Status int
+	Total  time.Duration
+	// Decision is the flight recorder's retention decision, "" when no
+	// recorder saw the request.
+	Decision string
+
+	Spans []Span
+	SQL   []*SQLExec
+	// Vars is the variables the engine dereferenced, in first-seen order;
+	// VarsDropped counts the dereferences of further names once maxVars
+	// were tracked (the list is complete when zero).
+	Vars        []VarEval
+	VarsDropped int
+	lastVar     int // index in Vars of the latest dereference
 }
 
 // NewTrace starts a trace now under the given ID.
@@ -42,90 +162,185 @@ func NewTrace(id string) *Trace {
 	return &Trace{ID: id, Begun: time.Now()}
 }
 
-// ActiveSpan is an in-progress span; End (or EndNote) completes it and
-// appends it to the trace. A nil *ActiveSpan no-ops.
+// ActiveSpan is an in-progress span; End completes it.
 type ActiveSpan struct {
-	t     *Trace
-	name  string
-	start time.Time
+	t       *Trace
+	kind    SpanKind
+	section string
+	start   time.Time
 }
 
-// Start opens a span. Returns nil (a no-op span) on a nil trace.
-func (t *Trace) Start(name string) *ActiveSpan {
+// Start opens a span (a no-op span on a nil trace).
+func (t *Trace) Start(kind SpanKind, section string) ActiveSpan {
+	if t == nil {
+		return ActiveSpan{}
+	}
+	return ActiveSpan{t: t, kind: kind, section: section, start: time.Now()}
+}
+
+// End completes the span and appends it to the trace.
+func (s ActiveSpan) End() {
+	if s.t != nil {
+		s.t.addSpan(Span{Kind: s.kind, Section: s.section,
+			Start: s.start.Sub(s.t.Begun), Dur: time.Since(s.start)})
+	}
+}
+
+func (t *Trace) addSpan(sp Span) {
+	if t.Spans == nil {
+		t.Spans = make([]Span, 0, 8)
+	}
+	t.Spans = append(t.Spans, sp)
+}
+
+// SetMacro records which macro the request resolved to and whether the
+// parsed-macro cache served it.
+func (t *Trace) SetMacro(name string, cached bool) {
+	if t != nil {
+		t.Macro, t.MacroCached = name, cached
+	}
+}
+
+// Var records one variable dereference: the depth it was reached at
+// (0 = referenced directly from a template text), where it resolved, and
+// whether it evaluated to null. Dereferences aggregate per name — count,
+// deepest chain, last source and nullness — so a report that dereferences
+// per row stays bounded. A report dereferences its row variables in a
+// cycle, and they are the last names of the list, so the name that
+// followed the previous one last time is tried before the list is
+// scanned: 9 ns a dereference where the scan alone costs 27, ≈ 3.4 µs of
+// the Appendix A report (A7, higher without it in 12 of 14 paired runs).
+func (t *Trace) Var(name string, depth int, source string, null bool) {
+	if t == nil {
+		return
+	}
+	i := 0
+	if len(t.Vars) > 0 {
+		if i = t.Vars[t.lastVar].next; t.Vars[i].Name != name {
+			for i = 0; i < len(t.Vars) && t.Vars[i].Name != name; i++ {
+			}
+		}
+	}
+	if i == len(t.Vars) {
+		if i == maxVars {
+			t.VarsDropped++
+			return
+		}
+		if t.Vars == nil {
+			t.Vars = make([]VarEval, 0, 16)
+		}
+		t.Vars = append(t.Vars, VarEval{Name: name})
+	}
+	t.Vars[t.lastVar].next = i
+	t.lastVar = i
+	v := &t.Vars[i]
+	v.Count++
+	v.MaxDepth = max(v.MaxDepth, depth)
+	v.Source, v.Null = source, null
+}
+
+// StartSQL opens the entry of one %SQL section execution (nil on a nil
+// trace). The entry is kept on the trace while there is room.
+func (t *Trace) StartSQL(section, sql string) *SQLExec {
 	if t == nil {
 		return nil
 	}
-	return &ActiveSpan{t: t, name: name, start: time.Now()}
-}
-
-// End completes the span with no note.
-func (s *ActiveSpan) End() { s.EndNote("") }
-
-// EndNote completes the span with a detail note.
-func (s *ActiveSpan) EndNote(note string) {
-	if s == nil {
-		return
+	if len(sql) > maxSQLText {
+		sql = sql[:maxSQLText] + "…" // a copy: the record must not pin a statement of any size
 	}
-	end := time.Now()
-	s.t.mu.Lock()
-	s.t.spans = append(s.t.spans, Span{
-		Name:  s.name,
-		Start: s.start.Sub(s.t.Begun),
-		Dur:   end.Sub(s.start),
-		Note:  note,
-	})
-	s.t.mu.Unlock()
+	e := &SQLExec{Section: section, SQL: sql}
+	if len(t.SQL) < maxSQL {
+		t.SQL = append(t.SQL, e)
+	}
+	return e
 }
 
-// Add appends an already-measured span (for phases timed externally).
-func (t *Trace) Add(name string, start, dur time.Duration, note string) {
+// EndSQL completes an entry StartSQL opened — the rows it returned or the
+// error it failed with — and records its sql-exec span.
+func (t *Trace) EndSQL(e *SQLExec, start time.Time, dur time.Duration, rows int, err error) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.spans = append(t.spans, Span{Name: name, Start: start, Dur: dur, Note: note})
-	t.mu.Unlock()
+	e.DurMicros = dur.Microseconds()
+	if err != nil {
+		e.Err = err.Error()
+	} else {
+		e.Rows = rows
+	}
+	t.addSpan(Span{Kind: SpanSQLExec, Section: e.Section, Start: start.Sub(t.Begun), Dur: dur, SQL: e})
 }
 
-// Finish records the response status and total duration.
+// TopDigest returns the statement digest of the request's slowest SQL
+// execution — the digest worth pivoting on in /debug/statements when a
+// logged request looks slow. Empty when nothing ran (or digests are
+// unavailable).
+func (t *Trace) TopDigest() string {
+	if t == nil {
+		return ""
+	}
+	var top string
+	var topDur int64 = -1
+	for _, e := range t.SQL {
+		if e.Digest != "" && e.DurMicros > topDur {
+			top, topDur = e.Digest, e.DurMicros
+		}
+	}
+	return top
+}
+
+// Finish records the response status and total duration. Nothing writes
+// to the trace after the sinks have seen it.
 func (t *Trace) Finish(status int, total time.Duration) {
-	if t == nil {
-		return
+	if t != nil {
+		t.Status, t.Total = status, total
 	}
-	t.mu.Lock()
-	t.status = status
-	t.total = total
-	t.mu.Unlock()
 }
 
-// Status returns the response status recorded by Finish.
-func (t *Trace) Status() int {
-	if t == nil {
-		return 0
+// Note is the detail a printed span carries in brackets: whether the
+// macro cache served a parse, the rows (or error), cache decision,
+// digest and substituted SQL of an execution.
+func (t *Trace) Note(sp Span) string {
+	switch {
+	case sp.Kind == SpanParse && t.MacroCached:
+		return "cache=hit"
+	case sp.Kind == SpanParse:
+		return "cache=miss"
+	case sp.SQL != nil:
+		return sp.SQL.note()
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.status
+	return ""
 }
 
-// Total returns the request duration recorded by Finish.
-func (t *Trace) Total() time.Duration {
-	if t == nil {
-		return 0
+// MarshalJSON is the record as /debug/flight serves it and the JSONL sink
+// persists it. Durations are microseconds so the JSON is compact and
+// grep-friendly.
+func (t *Trace) MarshalJSON() ([]byte, error) {
+	type span struct {
+		Name        string `json:"name"`
+		StartMicros int64  `json:"start_micros"`
+		DurMicros   int64  `json:"dur_micros"`
+		Note        string `json:"note,omitempty"`
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// Spans returns a copy of the recorded spans in completion order.
-func (t *Trace) Spans() []Span {
-	if t == nil {
-		return nil
+	spans := make([]span, len(t.Spans))
+	for i, sp := range t.Spans {
+		spans[i] = span{sp.Name(), sp.Start.Microseconds(), sp.Dur.Microseconds(), t.Note(sp)}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
+	return json.Marshal(struct {
+		TraceID     string     `json:"trace_id"`
+		Time        time.Time  `json:"time"`
+		Method      string     `json:"method"`
+		Path        string     `json:"path"`
+		Macro       string     `json:"macro,omitempty"`
+		MacroCached bool       `json:"macro_cached,omitempty"`
+		Status      int        `json:"status"`
+		TotalMicros int64      `json:"total_micros"`
+		Decision    string     `json:"decision"`
+		Spans       []span     `json:"spans,omitempty"`
+		Vars        []VarEval  `json:"vars,omitempty"`
+		VarsDropped int        `json:"vars_dropped,omitempty"`
+		SQL         []*SQLExec `json:"sql,omitempty"`
+	}{t.ID, t.Begun, t.Method, t.Path, t.Macro, t.MacroCached, t.Status,
+		t.Total.Microseconds(), t.Decision, spans, t.Vars, t.VarsDropped, t.SQL})
 }
 
 // NewTraceID mints a 16-hex-digit random trace ID.
@@ -136,7 +351,9 @@ func NewTraceID() string {
 		// keeps tracing alive rather than panicking on the request path.
 		return "0000000000000000"
 	}
-	return hex.EncodeToString(b[:])
+	var id [16]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 // SanitizeTraceID validates a client-supplied trace ID: 1–64 characters
@@ -161,11 +378,11 @@ func SanitizeTraceID(id string) string {
 type ctxKey int
 
 const (
-	traceKey ctxKey = iota
-	execInfoKey
+	traceKey ctxKey = iota // the request's *Trace
+	sqlKey                 // the *SQLExec of the statement being executed
 )
 
-// WithTrace attaches a trace to a context.
+// WithTrace attaches a trace to a request's context.
 func WithTrace(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, traceKey, t)
 }
@@ -179,39 +396,19 @@ func TraceFrom(ctx context.Context) *Trace {
 	return t
 }
 
-// ExecInfo is an out-parameter the engine threads to the database layer
-// for one statement execution: each layer below fills in how it handled
-// the statement so the engine's sql-exec span and the flight journal can
-// say "cache=hit" or "dedup follower".
-type ExecInfo struct {
-	// CacheState is "", "hit", "miss", or "bypass".
-	CacheState string
-	// Dedup marks a single-flight follower: the query cache coalesced
-	// this execution onto an identical in-flight query.
-	Dedup bool
-	// StmtKind is the embedded engine's classification: "select",
-	// "write", or "ddl" ("" when the statement never reached it).
-	StmtKind string
-	// DBMicros is time spent inside the embedded engine, excluding
-	// driver and cache overhead.
-	DBMicros int64
-	// Digest is the engine's normalized-statement digest, the key into
-	// the statement stats registry ("" when stats were not recorded).
-	Digest string
+// WithSQLExec attaches the entry of the statement about to be executed,
+// for the layers below the engine to fill in.
+func WithSQLExec(ctx context.Context, e *SQLExec) context.Context {
+	return context.WithValue(ctx, sqlKey, e)
 }
 
-// WithExecInfo attaches a statement-scoped ExecInfo carrier.
-func WithExecInfo(ctx context.Context, info *ExecInfo) context.Context {
-	return context.WithValue(ctx, execInfoKey, info)
-}
-
-// ExecInfoFrom returns the context's ExecInfo carrier, or nil.
-func ExecInfoFrom(ctx context.Context) *ExecInfo {
+// SQLExecFrom returns the entry of the statement being executed, or nil.
+func SQLExecFrom(ctx context.Context) *SQLExec {
 	if ctx == nil {
 		return nil
 	}
-	info, _ := ctx.Value(execInfoKey).(*ExecInfo)
-	return info
+	e, _ := ctx.Value(sqlKey).(*SQLExec)
+	return e
 }
 
 // TruncateSQL bounds a SQL string for notes and log lines, marking the

@@ -2,6 +2,9 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -9,39 +12,63 @@ import (
 
 func TestTraceSpans(t *testing.T) {
 	tr := NewTrace("abc")
-	sp := tr.Start("sql-exec:Q1")
+	tr.Start(SpanParse, "").End()
+	tr.SetMacro("q.d2w", true)
+	start := time.Now()
+	e := tr.StartSQL("Q1", "SELECT url\nFROM urldb")
+	e.Cache = "miss"
 	time.Sleep(time.Millisecond)
-	sp.EndNote("rows=3 cache=miss")
-	tr.Start("report-render").End()
+	tr.EndSQL(e, start, time.Since(start), 3, nil)
+	tr.Start(SpanReportRender, "Q1").End()
 	tr.Finish(200, 5*time.Millisecond)
 
-	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("spans = %d", len(spans))
+	if len(tr.Spans) != 3 {
+		t.Fatalf("spans = %d", len(tr.Spans))
 	}
-	if spans[0].Name != "sql-exec:Q1" || spans[0].Note != "rows=3 cache=miss" {
-		t.Errorf("span 0 = %+v", spans[0])
+	if sp := tr.Spans[0]; sp.Name() != "parse" || tr.Note(sp) != "cache=hit" {
+		t.Errorf("span 0 = %s [%s]", sp.Name(), tr.Note(sp))
 	}
-	if spans[0].Dur < time.Millisecond {
-		t.Errorf("span 0 dur = %v", spans[0].Dur)
+	sp := tr.Spans[1]
+	if sp.Name() != "sql-exec:Q1" || tr.Note(sp) != `rows=3 cache=miss sql="SELECT url FROM urldb"` {
+		t.Errorf("span 1 = %s [%s]", sp.Name(), tr.Note(sp))
 	}
-	if tr.Status() != 200 || tr.Total() != 5*time.Millisecond {
-		t.Errorf("finish: status=%d total=%v", tr.Status(), tr.Total())
+	if sp.Dur < time.Millisecond || e.DurMicros < 1000 {
+		t.Errorf("span 1 dur = %v, entry %dµs", sp.Dur, e.DurMicros)
+	}
+	if tr.Spans[2].Name() != "report-render:Q1" || tr.Note(tr.Spans[2]) != "" {
+		t.Errorf("span 2 = %+v", tr.Spans[2])
+	}
+	if tr.Status != 200 || tr.Total != 5*time.Millisecond {
+		t.Errorf("finish: status=%d total=%v", tr.Status, tr.Total)
 	}
 	line := FormatSpans(tr)
-	if !strings.Contains(line, "sql-exec:Q1=") || !strings.Contains(line, "[rows=3 cache=miss]") {
+	if !strings.Contains(line, "sql-exec:Q1=") || !strings.Contains(line, "[rows=3 cache=miss sql=") {
 		t.Errorf("FormatSpans = %q", line)
+	}
+
+	// A failed statement's note names the error, and a statement longer
+	// than the record keeps is cut where it is recorded.
+	start = time.Now()
+	e = tr.StartSQL("Q2", strings.Repeat("x", 600))
+	tr.EndSQL(e, start, 0, 0, errors.New("no such table"))
+	if note := tr.Note(tr.Spans[3]); !strings.HasPrefix(note, `error=no such table sql="xxx`) || !strings.HasSuffix(note, `x…"`) {
+		t.Errorf("error note = %q", note)
+	}
+	if len(e.SQL) != 500+len("…") {
+		t.Errorf("kept %d bytes of a 600-byte statement", len(e.SQL))
 	}
 }
 
 func TestNilTraceIsSafe(t *testing.T) {
 	var tr *Trace
-	sp := tr.Start("x")
-	sp.End()
-	tr.Add("y", 0, 0, "")
+	tr.Start(SpanParse, "").End()
+	tr.SetMacro("m", true)
+	tr.Var("x", 0, "input", false)
+	e := tr.StartSQL("s", "SELECT 1")
+	tr.EndSQL(e, time.Now(), 0, 0, nil)
 	tr.Finish(200, time.Second)
-	if tr.Spans() != nil || tr.Status() != 0 || tr.Total() != 0 {
-		t.Fatal("nil trace must no-op")
+	if e != nil {
+		t.Fatal("nil trace must open no SQL entry")
 	}
 	if FormatSpans(nil) != "" {
 		t.Fatal("FormatSpans(nil) must be empty")
@@ -60,13 +87,84 @@ func TestContextPlumbing(t *testing.T) {
 	if TraceFrom(ctx) != tr {
 		t.Fatal("trace lost in context")
 	}
-	info := &ExecInfo{}
-	ctx = WithExecInfo(ctx, info)
-	if ExecInfoFrom(ctx) != info {
-		t.Fatal("exec info lost in context")
+	e := tr.StartSQL("s", "SELECT 1")
+	ctx = WithSQLExec(ctx, e)
+	if SQLExecFrom(ctx) != e {
+		t.Fatal("statement entry lost in context")
 	}
 	if TraceFrom(ctx) != tr {
-		t.Fatal("exec info must not displace the trace")
+		t.Fatal("statement entry must not displace the trace")
+	}
+}
+
+// TestRecordBounds: the variables aggregate by name — count, deepest
+// chain, last source and nullness — in first-seen order; distinct names
+// are capped (counting the overflow) and so are SQL entries, however many
+// dereferences and statements the request makes.
+func TestRecordBounds(t *testing.T) {
+	tr := NewTrace("bounds")
+	for i := 0; i < maxVars+10; i++ {
+		tr.Var(fmt.Sprintf("v%d", i), 0, "input", false)
+	}
+	if len(tr.Vars) != maxVars || tr.VarsDropped != 10 {
+		t.Errorf("vars = %d, dropped = %d", len(tr.Vars), tr.VarsDropped)
+	}
+	// Re-evaluating a known name aggregates instead of dropping.
+	tr.Var("v0", 3, "define", true)
+	if v := tr.Vars[0]; v.Name != "v0" || v.Count != 2 || v.MaxDepth != 3 || !v.Null || v.Source != "define" {
+		t.Errorf("aggregate = %+v", v)
+	}
+	// A report loop dereferences in a cycle, names beyond the cap among
+	// them: every dereference is counted on its name or as dropped.
+	for i := 0; i < 1000; i++ {
+		tr.Var("v1", 1, "input", false)
+		tr.Var("late", 0, "input", false)
+		tr.Var("v127", 2, "list", i%2 == 0)
+	}
+	if v := tr.Vars[1]; v.Count != 1001 || v.MaxDepth != 1 {
+		t.Errorf("v1 = %+v", v)
+	}
+	if v := tr.Vars[127]; v.Count != 1001 || v.MaxDepth != 2 || v.Source != "list" || v.Null {
+		t.Errorf("v127 = %+v", v)
+	}
+	if len(tr.Vars) != maxVars || tr.VarsDropped != 1010 {
+		t.Errorf("after the loop: %d vars, dropped = %d", len(tr.Vars), tr.VarsDropped)
+	}
+	b, err := json.Marshal(tr)
+	if err != nil || !strings.Contains(string(b), `"vars_dropped":1010`) ||
+		!strings.Contains(string(b), `{"name":"v1","source":"input","count":1001,"max_depth":1,"null":false}`) {
+		t.Errorf("vars missing from the JSON (err %v):\n%s", err, b)
+	}
+
+	for i := 0; i < maxSQL+5; i++ {
+		e := tr.StartSQL("s", "SELECT 1")
+		tr.EndSQL(e, time.Now(), 0, 1, nil)
+	}
+	if len(tr.SQL) != maxSQL {
+		t.Errorf("sql entries = %d, want %d", len(tr.SQL), maxSQL)
+	}
+	if len(tr.Spans) != maxSQL+5 {
+		t.Errorf("spans = %d: a statement beyond the cap must still show it ran", len(tr.Spans))
+	}
+}
+
+func TestTopDigest(t *testing.T) {
+	if d := (*Trace)(nil).TopDigest(); d != "" {
+		t.Fatalf("nil record TopDigest = %q", d)
+	}
+	tr := NewTrace("d")
+	if d := tr.TopDigest(); d != "" {
+		t.Fatalf("empty record TopDigest = %q", d)
+	}
+	for _, s := range []struct {
+		digest string
+		micros int64
+	}{{"fast", 10}, {"slow", 900}, {"mid", 100}, {"", 99999}} { // no digest: skipped
+		e := tr.StartSQL("s", "SELECT 1")
+		e.Digest, e.DurMicros = s.digest, s.micros
+	}
+	if d := tr.TopDigest(); d != "slow" {
+		t.Fatalf("TopDigest = %q, want slow", d)
 	}
 }
 

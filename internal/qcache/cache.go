@@ -132,7 +132,7 @@ func (c *Cache) Do(key string, src VersionSource,
 // DoTracked is Do, additionally reporting whether this caller was a
 // single-flight follower — it waited on another caller's execution of
 // the same key at least once. The flight recorder marks such statements
-// dedup so a request's journal shows which of its queries were
+// dedup so a request's record shows which of its queries were
 // coalesced.
 func (c *Cache) DoTracked(key string, src VersionSource,
 	analyze func() (tables []string, cacheable bool),

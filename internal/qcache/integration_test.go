@@ -2,6 +2,7 @@ package qcache_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -12,6 +13,7 @@ import (
 	"db2www/internal/cgi"
 	"db2www/internal/core"
 	"db2www/internal/gateway"
+	"db2www/internal/obs"
 	"db2www/internal/qcache"
 	"db2www/internal/sqldb"
 	"db2www/internal/sqldriver"
@@ -278,6 +280,32 @@ SELECT url, title FROM urldb ORDER BY url
 	}
 	writer := sqldb.NewSession(db)
 	defer writer.Close()
+
+	// On a traced request the statement's entry says how each layer
+	// handled it: the cache's decision, and — from the engine on a miss,
+	// from the cache on a hit — the digest.
+	traced := func(e *core.Engine) obs.SQLExec {
+		tr := obs.NewTrace("qprop")
+		if err := e.RunContext(obs.WithTrace(context.Background(), tr), m, core.ModeReport, nil, &bytes.Buffer{}); err != nil {
+			t.Fatal(err)
+		}
+		entry := *tr.SQL[0]
+		entry.DurMicros, entry.DBMicros = 0, 0
+		return entry
+	}
+	want := obs.SQLExec{Section: "(unnamed)", SQL: "SELECT url, title FROM urldb ORDER BY url", Rows: 120,
+		Kind: "select", Digest: traced(plain).Digest}
+	if got := traced(plain); got != want || got.Digest == "" {
+		t.Fatalf("uncached entry = %+v", got)
+	}
+	want.Cache = "miss"
+	if got := traced(cached); got != want {
+		t.Fatalf("entry of a miss = %+v", got)
+	}
+	want.Cache, want.Kind = "hit", "" // the engine never saw it
+	if got := traced(cached); got != want {
+		t.Fatalf("entry of a hit = %+v", got)
+	}
 
 	for round := 0; round < 6; round++ {
 		// Vary the paging inputs so cached results are re-rendered under

@@ -94,15 +94,15 @@ func (c *cachingConn) Execute(sql string) (*core.SQLResult, error) {
 }
 
 // ExecuteContext is Execute carrying the request context. When the
-// context holds an obs.ExecInfo carrier (the engine installs one per
-// %EXEC_SQL), the cache reports how it handled the statement — bypass,
-// hit, or miss — so the request trace can say so.
+// context holds the statement's obs.SQLExec entry (the engine opens one
+// per %EXEC_SQL of a traced request), the cache reports on it how it
+// handled the statement — bypass, hit, or miss.
 func (c *cachingConn) ExecuteContext(ctx context.Context, sql string) (*core.SQLResult, error) {
-	info := obs.ExecInfoFrom(ctx)
+	info := obs.SQLExecFrom(ctx)
 	if c.inTxn || !isSelect(sql) {
 		c.cache.NoteBypass()
 		if info != nil {
-			info.CacheState = "bypass"
+			info.Cache = "bypass"
 		}
 		return c.execInner(ctx, sql)
 	}
@@ -121,12 +121,12 @@ func (c *cachingConn) ExecuteContext(ctx context.Context, sql string) (*core.SQL
 	}
 	if info != nil {
 		if hit {
-			info.CacheState = "hit"
+			info.Cache = "hit"
 			if digest, _ := sqldb.DigestSQL(sql); digest != "" {
 				info.Digest = digest
 			}
 		} else {
-			info.CacheState = "miss"
+			info.Cache = "miss"
 		}
 		info.Dedup = waited
 	}

@@ -29,20 +29,20 @@ func StatementKind(st Stmt) string {
 }
 
 // ExecContext is Exec carrying the request context: when the context
-// holds an obs.ExecInfo carrier, the engine reports the statement's
-// classification and the time spent inside the embedded engine, so a
-// flight record can separate database time from cache and driver
-// overhead above it.
+// holds the statement's obs.SQLExec entry, the engine reports on it the
+// statement's classification and the time spent inside the embedded
+// engine, so a request's record can separate database time from cache
+// and driver overhead above it.
 func (s *Session) ExecContext(ctx context.Context, sql string, params ...Value) (*Result, error) {
 	p, err := s.prepare(sql, params)
 	if err != nil {
 		return nil, err
 	}
-	info := obs.ExecInfoFrom(ctx)
+	info := obs.SQLExecFrom(ctx)
 	if info == nil {
 		return s.execPrepared(sql, p)
 	}
-	info.StmtKind = StatementKind(p.st)
+	info.Kind = StatementKind(p.st)
 	start := time.Now()
 	res, err := s.execPrepared(sql, p)
 	info.DBMicros = time.Since(start).Microseconds()
@@ -50,16 +50,16 @@ func (s *Session) ExecContext(ctx context.Context, sql string, params ...Value) 
 	return res, err
 }
 
-// ExecStmtContext is ExecStmt with the context's ExecInfo carrier
-// filled. The timing is taken only when a carrier is present — the
+// ExecStmtContext is ExecStmt with the context's obs.SQLExec entry
+// filled. The timing is taken only when an entry is present — the
 // plain path stays clock-free. Without the SQL text there is no digest
 // to record; statement stats accrue only on the text-bearing paths.
 func (s *Session) ExecStmtContext(ctx context.Context, st Stmt, params ...Value) (*Result, error) {
-	info := obs.ExecInfoFrom(ctx)
+	info := obs.SQLExecFrom(ctx)
 	if info == nil {
 		return s.ExecStmt(st, params...)
 	}
-	info.StmtKind = StatementKind(st)
+	info.Kind = StatementKind(st)
 	start := time.Now()
 	res, err := s.ExecStmt(st, params...)
 	info.DBMicros = time.Since(start).Microseconds()

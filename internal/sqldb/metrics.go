@@ -113,7 +113,7 @@ func RegisterMetrics(db *Database) {
 }
 
 // obsEnabled reports whether engine observability recording is on; the
-// statement registry and MVCC telemetry gate on it so the A10 ablation
+// statement registry and MVCC telemetry gate on it so the A7 ablation
 // can measure the fully-instrumented engine against the bare one.
 func obsEnabled() bool { return obs.Enabled() }
 
