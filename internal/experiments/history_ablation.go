@@ -5,13 +5,13 @@ import (
 	"io"
 	"time"
 
-	"db2www/internal/obs"
+	"db2www/internal/gateway"
 	"db2www/internal/obs/history"
 	"db2www/internal/webclient"
 )
 
 // HistoryAblation is A12's machine-readable result: the report workload
-// with the history store off versus on (overhead phase), then a
+// without and with a scrape of the history store (overhead phase), then a
 // sustained webclient soak with the store scraping and the default alert
 // rules armed (soak phase).
 type HistoryAblation struct {
@@ -53,24 +53,47 @@ const (
 	minSoakWindows        = 3
 )
 
-// RunA12 measures the history store end to end. Phase 1 is A7's
-// comparison with the store as the variable: the same report request in
-// paired off/on blocks, median pair kept, with the "on" blocks paying a
-// deterministic self-scrape bill. Phase 2 soaks the gateway with
-// browser traffic while the store records and the default alert rules
-// watch, then reads the run back out of the store the way
+// criticalFiringSeries is the store's own gauge of critical rules firing:
+// the store scrapes the registry it reports to, so the gauge's history is
+// in the store it describes.
+const criticalFiringSeries = `db2www_history_alerts_firing{severity="critical"}`
+
+// RunA12 measures the history store end to end, on the store
+// gateway.NewServer builds — there is no server without one. Phase 1 is
+// A7's comparison with the scrape as the variable: the same report
+// request in paired off/on blocks, median pair kept, with the "on"
+// blocks paying a deterministic self-scrape bill. Phase 2 soaks a
+// gatewayd with browser traffic while its store records and the default
+// alert rules watch, then reads the run back out of the store the way
 // /debug/history would.
 func RunA12(cfg Config) (*HistoryAblation, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Soak <= 0 {
 		cfg.Soak = 3 * time.Second
 	}
-	st, err := NewStack(StackConfig{Rows: cfg.Rows, Seed: cfg.Seed, CacheMacros: true})
+	// server builds a gatewayd whose store scrapes every interval, and
+	// the request the overhead phase repeats against it.
+	server := func(interval time.Duration) (*gateway.Server, *webclient.Client, error) {
+		sc := gatewaydConfig(corpusMacros(), cfg.Rows, cfg.Seed)
+		sc.HistoryInterval = interval
+		srv, err := gateway.NewServer(sc)
+		if err != nil {
+			return nil, nil, err
+		}
+		return srv, browser(srv.Handler()), nil
+	}
+
+	// Phase 1 — overhead, by the estimator every off/on ablation shares.
+	// An on block leads with one synchronous scrape, and the store's own
+	// loop is set to an interval no run reaches: a free-running scrape
+	// makes the comparison hinge on whether a background tick happened to
+	// land inside the window. cfg.Requests buys five pairs for every 50
+	// requests, which is what a block held when blocks were counted.
+	out := &HistoryAblation{Rows: cfg.Rows, Pairs: 5 * max(cfg.Requests/50, 1)}
+	srv, client, err := server(time.Hour)
 	if err != nil {
 		return nil, err
 	}
-	defer st.Close()
-	client := st.Client()
 	request := func() error {
 		page, err := client.Get(appendixAReportURL)
 		if err != nil {
@@ -81,28 +104,15 @@ func RunA12(cfg Config) (*HistoryAblation, error) {
 		}
 		return nil
 	}
-
-	// Phase 1 — overhead, by the estimator every off/on ablation shares.
-	// An on block leads with one synchronous scrape: the store is never
-	// Started here, because a free-running scrape goroutine makes the
-	// comparison hinge on whether a background tick happened to land
-	// inside the window. cfg.Requests buys five pairs for every 50
-	// requests, which is what a block held when blocks were counted.
-	out := &HistoryAblation{Rows: cfg.Rows, Pairs: 5 * max(cfg.Requests/50, 1)}
-	scraped := history.New(history.Config{
-		Registry:  obs.Default,
-		Interval:  100 * time.Millisecond,
-		Retention: time.Minute,
-	})
 	// A store's first scrape creates its rings (0.2–1.3 ms); gatewayd
 	// pays that once per process, not once per block.
-	scraped.Scrape()
+	srv.History.Scrape()
 	overhead, err := pairedBlocks(out.Pairs, request, func(on bool) {
 		if on {
-			scraped.Scrape()
+			srv.History.Scrape()
 		}
 	})
-	scraped.Close()
+	srv.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -120,19 +130,12 @@ func RunA12(cfg Config) (*HistoryAblation, error) {
 	if interval > history.DefaultInterval {
 		interval = history.DefaultInterval
 	}
-	criticalFired := 0
-	hist := history.New(history.Config{
-		Registry:  obs.Default,
-		Interval:  interval,
-		Retention: 10 * cfg.Soak,
-		Rules:     history.DefaultRules(),
-		OnAlert: func(r history.Rule, _ float64) {
-			if r.Severity == history.SeverityCritical {
-				criticalFired++
-			}
-		},
-	})
-	hist.Start()
+	srv, client, err = server(interval)
+	if err != nil {
+		return nil, err
+	}
+	defer srv.Close()
+	hist := srv.History
 	res, err := webclient.Soak(webclient.SoakConfig{
 		Client: client,
 		URLs: []string{
@@ -143,7 +146,6 @@ func RunA12(cfg Config) (*HistoryAblation, error) {
 		Concurrency: 2,
 	})
 	if err != nil {
-		hist.Close()
 		return nil, err
 	}
 	hist.Scrape() // one final scrape so the soak's tail is in the window
@@ -158,7 +160,16 @@ func RunA12(cfg Config) (*HistoryAblation, error) {
 		}
 	}
 	out.Scrapes = hist.Scrapes()
-	out.CriticalAlerts = criticalFired
+	// Every scrape sampled how many critical rules the one before it left
+	// firing; the last one's verdict is still on the engine.
+	if !hist.Has(criticalFiringSeries) {
+		return nil, fmt.Errorf("A12: the store holds no %s series", criticalFiringSeries)
+	}
+	for _, p := range hist.Samples(criticalFiringSeries, 0) {
+		if p.V > 0 {
+			out.CriticalAlerts++
+		}
+	}
 	if hist.CriticalFiring() {
 		out.CriticalAlerts++
 	}

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"db2www/internal/gateway"
 	"db2www/internal/obs"
 	"db2www/internal/sqldb"
 )
@@ -146,25 +147,25 @@ const pointLookupRows = 2000
 
 // RunA7 measures the request record end to end: obs.SetEnabled(false)
 // against everything on, through what gatewayd hands its listener with
-// default flags (Stack.Gatewayd), on the Appendix A report and on the
-// benchmark's point_lookup request — the one where the fixed cost of a
-// request is the request.
+// default flags (gateway.NewServer, the constructor cmd/gatewayd calls),
+// on the Appendix A report and on the benchmark's point_lookup request —
+// the one where the fixed cost of a request is the request.
 func RunA7(cfg Config) (*RecordAblation, error) {
 	cfg = cfg.withDefaults()
 	defer obs.SetEnabled(true)
 	sqldb.Statements.Reset()
 	out := &RecordAblation{Pairs: 5 * max(cfg.Requests/50, 1)}
 	for _, rq := range []struct {
-		name  string
-		stack StackConfig
-		url   func(*Stack) (string, error)
+		name   string
+		macros string
+		rows   int
+		url    func(*sqldb.Database) (string, error)
 	}{
-		{"appendixa_report", StackConfig{Rows: cfg.Rows, Seed: cfg.Seed, CacheMacros: true},
-			func(*Stack) (string, error) { return appendixAReportURL, nil }},
-		{"point_lookup", StackConfig{Rows: pointLookupRows, Seed: cfg.Seed, CacheMacros: true,
-			MacroDir: filepath.Join(RepoRoot(), "benchmark", "macros", "urldb")}, pointLookupURL},
+		{"appendixa_report", corpusMacros(), cfg.Rows,
+			func(*sqldb.Database) (string, error) { return appendixAReportURL, nil }},
+		{"point_lookup", pointLookupMacros(), pointLookupRows, pointLookupURL},
 	} {
-		row, err := recordOverhead(rq.stack, rq.url, out.Pairs)
+		row, err := recordOverhead(rq.macros, rq.rows, cfg.Seed, rq.url, out.Pairs)
 		if err != nil {
 			return nil, fmt.Errorf("A7 %s: %w", rq.name, err)
 		}
@@ -175,9 +176,12 @@ func RunA7(cfg Config) (*RecordAblation, error) {
 	return out, nil
 }
 
+// pointLookupMacros is the benchmark's urldb macro directory.
+func pointLookupMacros() string { return filepath.Join(RepoRoot(), "benchmark", "macros", "urldb") }
+
 // pointLookupURL is the detail request of one urldb row.
-func pointLookupURL(st *Stack) (string, error) {
-	s := sqldb.NewSession(st.DB)
+func pointLookupURL(db *sqldb.Database) (string, error) {
+	s := sqldb.NewSession(db)
 	defer s.Close()
 	res, err := s.Exec("SELECT MIN(url) FROM urldb")
 	if err != nil {
@@ -186,18 +190,15 @@ func pointLookupURL(st *Stack) (string, error) {
 	return "http://server/cgi-bin/db2www/detail.d2w/report?U=" + url.QueryEscape(res.Rows[0][0].String()), nil
 }
 
-func recordOverhead(sc StackConfig, target func(*Stack) (string, error), pairs int) (RecordOverhead, error) {
-	row := RecordOverhead{Rows: sc.Rows}
-	st, err := NewStack(sc)
+func recordOverhead(macros string, rows int, seed int64, target func(*sqldb.Database) (string, error), pairs int) (RecordOverhead, error) {
+	row := RecordOverhead{Rows: rows}
+	srv, err := gateway.NewServer(gatewaydConfig(macros, rows, seed))
 	if err != nil {
 		return row, err
 	}
-	defer st.Close()
-	root, err := st.Gatewayd()
-	if err != nil {
-		return row, err
-	}
-	rawURL, err := target(st)
+	defer srv.Close()
+	root := srv.Handler()
+	rawURL, err := target(srv.DB)
 	if err != nil {
 		return row, err
 	}
@@ -224,12 +225,12 @@ func recordOverhead(sc StackConfig, target func(*Stack) (string, error), pairs i
 	if row.OnAllocs, err = allocsPerRequest(200, request); err != nil {
 		return row, err
 	}
-	traces := st.Handler.TraceRing.Snapshot()
+	traces := srv.Traces.Snapshot()
 	for _, t := range traces {
 		row.SpansPerTrace += float64(len(t.Spans)) / float64(len(traces))
 	}
-	row.KeptRecords = len(st.Handler.Flight.Records(0))
-	row.SLOMacros = len(st.Handler.Flight.SLO().Snapshot())
+	row.KeptRecords = len(srv.Flight.Records(0))
+	row.SLOMacros = len(srv.Flight.SLO().Snapshot())
 	return row, nil
 }
 

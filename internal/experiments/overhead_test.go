@@ -2,15 +2,13 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os/exec"
-	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"db2www/internal/gateway"
 	"db2www/internal/obs"
 )
 
@@ -65,24 +63,23 @@ func TestA7ObsAblation(t *testing.T) {
 }
 
 // TestRequestRecordAllocations bounds what describing a request may
-// allocate: the benchmark's point_lookup request through gatewayd's
-// default wiring makes at most 94 allocations with instrumentation off
+// allocate: the benchmark's point_lookup request through the server
+// gatewayd builds (its background scrape held off: AllocsPerRun counts
+// the whole process) makes at most 94 allocations with instrumentation off
 // and at most 120 with everything on (106 and 152 before the five
 // per-request descriptions became one record). Allocation counts are the
 // one overhead figure that repeats exactly.
 func TestRequestRecordAllocations(t *testing.T) {
 	defer obs.SetEnabled(true)
-	st, err := NewStack(StackConfig{Rows: pointLookupRows, Seed: 1, CacheMacros: true,
-		MacroDir: filepath.Join(RepoRoot(), "benchmark", "macros", "urldb")})
+	cfg := gatewaydConfig(pointLookupMacros(), pointLookupRows, 1)
+	cfg.HistoryInterval = time.Hour
+	srv, err := gateway.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	root, err := st.Gatewayd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawURL, err := pointLookupURL(st)
+	defer srv.Close()
+	root := srv.Handler()
+	rawURL, err := pointLookupURL(srv.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,41 +99,6 @@ func TestRequestRecordAllocations(t *testing.T) {
 		t.Logf("instrumentation on=%v: %.0f allocations per request", c.on, allocs)
 		if allocs > c.max {
 			t.Errorf("instrumentation on=%v: %.0f allocations per request, want at most %.0f", c.on, allocs, c.max)
-		}
-	}
-}
-
-// TestGatewaydDefaults pins Stack.Gatewayd — what A7, its budget and
-// TestRequestRecordAllocations call gatewayd's default wiring — to the
-// flag defaults cmd/gatewayd prints: a flag default that moves without
-// the stack following it fails here instead of being measured silently.
-func TestGatewaydDefaults(t *testing.T) {
-	cmd := exec.Command("go", "run", "db2www/cmd/gatewayd", "-h")
-	cmd.Dir = RepoRoot()
-	usage, _ := cmd.CombinedOutput() // -h exits 0 after printing the flags
-	defaults := map[string]string{}
-	for _, m := range regexp.MustCompile(`(?m)^  -(\S+).*\n.*\(default (.*)\)$`).FindAllStringSubmatch(string(usage), -1) {
-		defaults[m[1]] = m[2]
-	}
-	st, err := NewStack(StackConfig{Rows: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if _, err := st.Gatewayd(); err != nil {
-		t.Fatal(err)
-	}
-	slo := st.Handler.Flight.SLO().Config()
-	for name, got := range map[string]string{
-		"flight":            "true", // Gatewayd wires a recorder
-		"trace-ring":        fmt.Sprint(gatewaydTraceRing),
-		"flight-sample":     fmt.Sprint(gatewaydFlightSample),
-		"slowlog-threshold": st.Handler.Flight.SlowThreshold().String(),
-		"slo-target":        fmt.Sprint(slo.AvailabilityTarget),
-		"slo-latency":       slo.LatencyThreshold.String(),
-	} {
-		if defaults[name] != got {
-			t.Errorf("gatewayd -%s defaults to %q, Stack.Gatewayd uses %s\n%s", name, defaults[name], got, usage)
 		}
 	}
 }

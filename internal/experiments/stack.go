@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,9 +17,7 @@ import (
 	"time"
 
 	"db2www/internal/core"
-	"db2www/internal/flight"
 	"db2www/internal/gateway"
-	"db2www/internal/obs"
 	"db2www/internal/qcache"
 	"db2www/internal/sqldb"
 	"db2www/internal/sqldriver"
@@ -111,34 +110,25 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	return st, nil
 }
 
-// cmd/gatewayd's -trace-ring and -flight-sample defaults, the two parts
-// of its default wiring that no package supplies as its own default.
-// TestGatewaydDefaults pins them, and the ones internal/flight does
-// supply, to the flag defaults `gatewayd -h` prints.
-const (
-	gatewaydTraceRing    = 64
-	gatewaydFlightSample = 0.01
-)
-
-// Gatewayd wraps the stack's handler in what cmd/gatewayd puts on the
-// request path with its default flags — a ring of recent traces, the
-// flight recorder at its sample rate with the default slow threshold and
-// SLO, the access-log middleware with no log file — and returns what main
-// would hand its listener. The ring and the recorder are the handler's
-// TraceRing and Flight.
-func (s *Stack) Gatewayd() (*gateway.AccessLog, error) {
-	rec, err := flight.New(flight.Config{SampleRate: gatewaydFlightSample, Metrics: obs.Default})
-	if err != nil {
-		return nil, err
-	}
-	s.Handler.TraceRing = obs.NewRing(gatewaydTraceRing)
-	s.Handler.Flight = rec
-	return gateway.NewAccessLog(s.Handler, nil), nil
+// gatewaydConfig is cmd/gatewayd's flag defaults with the macro directory
+// and the urldb size an experiment asks for: gateway.NewServer over it is
+// the server the binary builds from the same command line.
+func gatewaydConfig(macros string, rows int, seed int64) gateway.ServerConfig {
+	cfg := gateway.DefaultServerConfig()
+	cfg.Macros = macros
+	cfg.Dataset = fmt.Sprintf("urldb:%d:%d", rows, seed)
+	return cfg
 }
 
+// corpusMacros is testdata/macros, home of the Appendix A application.
+func corpusMacros() string { return filepath.Join(RepoRoot(), "testdata", "macros") }
+
 // Client returns a fresh in-process browser for this stack.
-func (s *Stack) Client() *webclient.Client {
-	return &webclient.Client{Handler: s.Handler, UserAgent: "db2www-experiments/1.0"}
+func (s *Stack) Client() *webclient.Client { return browser(s.Handler) }
+
+// browser is an in-process browser over any handler.
+func browser(h http.Handler) *webclient.Client {
+	return &webclient.Client{Handler: h, UserAgent: "db2www-experiments/1.0"}
 }
 
 // WriteMacro adds (or replaces) a macro file in the stack's macro dir.

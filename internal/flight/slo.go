@@ -111,14 +111,6 @@ func (s *SLO) SetClock(now func() time.Time) {
 	s.now = now
 }
 
-// Config returns the engine's resolved objectives.
-func (s *SLO) Config() SLOConfig {
-	if s == nil {
-		return SLOConfig{}
-	}
-	return s.cfg
-}
-
 // Observe records one finished request against the macro's windows.
 // An empty macro attributes to "_none" (requests that never resolved a
 // macro: static files, 404s, early 4xx rejections).

@@ -6,8 +6,10 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"db2www/internal/cgi"
 	"db2www/internal/core"
@@ -25,8 +27,9 @@ type App struct {
 	MacroDir string
 	// Engine processes macros. Required.
 	Engine *core.Engine
-	// CacheMacros enables the parsed-macro cache (keyed by path and
-	// mtime). Off, every request re-reads and re-parses the file — the
+	// CacheMacros enables the parsed-macro cache (keyed by path; an entry
+	// holds while the file and every %INCLUDE it resolved keep their
+	// mtime and size). Off, every request re-reads and re-parses the file — the
 	// faithful CGI process model; the A2 ablation measures the delta.
 	CacheMacros bool
 	// Lint, when set, runs the macrolint analyzers over every macro as
@@ -38,10 +41,10 @@ type App struct {
 	// injectable or broken page.
 	LintStrict bool
 
+	macroHits, macroMisses atomic.Int64
+
 	mu          sync.Mutex
 	cache       map[string]cachedMacro
-	macroHits   int64
-	macroMisses int64
 	lintLoads   int64
 	lintErrors  int64
 	lintWarns   int64
@@ -62,15 +65,63 @@ func (a *App) LintStats() (loads, errors, warnings, infos, rejected int64) {
 // off every load counts as a miss, so the ratio doubles as a measure of
 // what the cache would save.
 func (a *App) MacroCacheStats() (hits, misses int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.macroHits, a.macroMisses
+	return a.macroHits.Load(), a.macroMisses.Load()
 }
 
-type cachedMacro struct {
+// MacroCacheStatusRows renders MacroCacheStats for the /server-status
+// "Macro cache" section.
+func (a *App) MacroCacheStatusRows() [][2]string {
+	hits, misses := a.MacroCacheStats()
+	return [][2]string{
+		{"Hits", strconv.FormatInt(hits, 10)},
+		{"Misses", strconv.FormatInt(misses, 10)},
+	}
+}
+
+// LintStatusRows renders LintStats as the lint-on-load rows of the
+// /server-status "Macro lint" section.
+func (a *App) LintStatusRows() [][2]string {
+	loads, errs, warns, infos, rejected := a.LintStats()
+	return [][2]string{
+		{"Loads linted", strconv.FormatInt(loads, 10)},
+		{"Load errors", strconv.FormatInt(errs, 10)},
+		{"Load warnings", strconv.FormatInt(warns, 10)},
+		{"Load infos", strconv.FormatInt(infos, 10)},
+		{"Loads refused", strconv.FormatInt(rejected, 10)},
+	}
+}
+
+// fileStamp is what the parsed-macro cache remembers of a file it read:
+// a later os.Stat that differs, or fails, means the file was edited or
+// removed.
+type fileStamp struct {
+	path  string
 	mtime int64
 	size  int64
-	macro *core.Macro
+}
+
+func stampOf(path string, st os.FileInfo) fileStamp {
+	return fileStamp{path: path, mtime: st.ModTime().UnixNano(), size: st.Size()}
+}
+
+// cachedMacro is a parsed macro with the stamps of the file it came from
+// and of every %INCLUDE the parse resolved.
+type cachedMacro struct {
+	file     fileStamp
+	includes []fileStamp
+	macro    *core.Macro
+}
+
+// includesUnchanged stats every include the entry was parsed from. A
+// macro without includes — the common case — costs nothing here.
+func (c cachedMacro) includesUnchanged() bool {
+	for _, inc := range c.includes {
+		st, err := os.Stat(inc.path)
+		if err != nil || stampOf(inc.path, st) != inc {
+			return false
+		}
+	}
+	return true
 }
 
 // ServeCGI implements cgi.Handler.
@@ -142,21 +193,20 @@ func (a *App) loadMacro(name string) (m *core.Macro, status int, cached bool, er
 	}
 	if a.CacheMacros {
 		a.mu.Lock()
-		if c, ok := a.cache[full]; ok && c.mtime == st.ModTime().UnixNano() && c.size == st.Size() {
-			a.macroHits++
-			a.mu.Unlock()
+		c, ok := a.cache[full]
+		a.mu.Unlock()
+		if ok && c.file == stampOf(full, st) && c.includesUnchanged() {
+			a.macroHits.Add(1)
 			return c.macro, 200, true, nil
 		}
-		a.mu.Unlock()
 	}
-	a.mu.Lock()
-	a.macroMisses++
-	a.mu.Unlock()
+	a.macroMisses.Add(1)
 	src, err := os.ReadFile(full)
 	if err != nil {
 		return nil, 404, false, fmt.Errorf("cannot read macro %q: %v", name, err)
 	}
-	m, err = core.ParseWithIncludes(rel, string(src), a.includeResolver())
+	var includes []fileStamp
+	m, err = core.ParseWithIncludes(rel, string(src), a.includeResolver(&includes))
 	if err != nil {
 		return nil, 500, false, err
 	}
@@ -187,25 +237,33 @@ func (a *App) loadMacro(name string) (m *core.Macro, status int, cached bool, er
 		if a.cache == nil {
 			a.cache = map[string]cachedMacro{}
 		}
-		a.cache[full] = cachedMacro{mtime: st.ModTime().UnixNano(), size: st.Size(), macro: m}
+		a.cache[full] = cachedMacro{file: stampOf(full, st), includes: includes, macro: m}
 		a.mu.Unlock()
 	}
 	return m, 200, false, nil
 }
 
 // includeResolver loads %INCLUDE targets from inside MacroDir, with the
-// same traversal protection as top-level macro names.
-func (a *App) includeResolver() core.IncludeResolver {
+// same traversal protection as top-level macro names, and appends the
+// stamp of each file it read to seen (taken before the read, so an edit
+// racing the read shows as a mismatch later).
+func (a *App) includeResolver(seen *[]fileStamp) core.IncludeResolver {
 	return func(name string) (string, error) {
 		clean := path.Clean("/" + name)
 		rel := clean[1:]
 		if rel == "" || strings.Contains(rel, "..") {
 			return "", fmt.Errorf("include %q escapes the macro directory", name)
 		}
-		src, err := os.ReadFile(filepath.Join(a.MacroDir, filepath.FromSlash(rel)))
+		full := filepath.Join(a.MacroDir, filepath.FromSlash(rel))
+		st, err := os.Stat(full)
 		if err != nil {
 			return "", err
 		}
+		src, err := os.ReadFile(full)
+		if err != nil {
+			return "", err
+		}
+		*seen = append(*seen, stampOf(full, st))
 		return string(src), nil
 	}
 }

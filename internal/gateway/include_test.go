@@ -84,3 +84,55 @@ func TestAppIncludeMissingIs500(t *testing.T) {
 		t.Fatalf("status = %d", resp.Status)
 	}
 }
+
+// TestAppIncludeEditInvalidatesCache: the parsed-macro cache must notice
+// an edit to a file the macro %INCLUDEs, and an include that vanished,
+// without the including file being touched — and must keep hitting while
+// nothing changes.
+func TestAppIncludeEditInvalidatesCache(t *testing.T) {
+	_, app := newTestStack(t)
+	site := filepath.Join(app.MacroDir, "site.d2i")
+	write := func(title string) {
+		t.Helper()
+		if err := os.WriteFile(site, []byte(`%define SITE = "`+title+`"`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("one")
+	if err := os.WriteFile(filepath.Join(app.MacroDir, "with_include.d2w"),
+		[]byte("%INCLUDE \"site.d2i\"\n%HTML_INPUT{<H1>$(SITE)</H1>%}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	get := func() *cgi.Response {
+		t.Helper()
+		resp, err := app.ServeCGI(&cgi.Request{Method: "GET", PathInfo: "/with_include.d2w/input"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for i := 0; i < 3; i++ {
+		if resp := get(); !strings.Contains(resp.Body, "<H1>one</H1>") {
+			t.Fatalf("resp = %d %q", resp.Status, resp.Body)
+		}
+	}
+	if hits, misses := app.MacroCacheStats(); hits != 2 || misses != 1 {
+		t.Fatalf("unedited: hits, misses = %d, %d, want 2, 1", hits, misses)
+	}
+	write("second") // another size, so the edit shows whatever the mtime granularity
+	if resp := get(); !strings.Contains(resp.Body, "<H1>second</H1>") {
+		t.Fatalf("after editing the include: %q", resp.Body)
+	}
+	if resp := get(); !strings.Contains(resp.Body, "<H1>second</H1>") {
+		t.Fatalf("after editing the include, cached: %q", resp.Body)
+	}
+	if hits, misses := app.MacroCacheStats(); hits != 3 || misses != 2 {
+		t.Fatalf("edited once: hits, misses = %d, %d, want 3, 2", hits, misses)
+	}
+	if err := os.Remove(site); err != nil {
+		t.Fatal(err)
+	}
+	if resp := get(); resp.Status != 500 {
+		t.Fatalf("include removed: status %d %q, want the parse error and not the cached page", resp.Status, resp.Body)
+	}
+}

@@ -1,0 +1,251 @@
+package gateway
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"db2www/internal/sqldriver"
+)
+
+const smokeReport = "/cgi-bin/db2www/urlquery.d2w/report?SEARCH=ib&USE_URL=yes&USE_TITLE=yes&DBFIELDS=title"
+
+// smokeConfig is the command line of CI's observability smoke step:
+//
+//	gatewayd -macros ./testdata/macros -lint strict -qcache -slowlog FILE
+//	  -slowlog-threshold 1ms -flight-sample 1 -history-interval 250ms
+//
+// (the step logs to stderr; a test reads a file back).
+func smokeConfig(t *testing.T) ServerConfig {
+	cfg := DefaultServerConfig()
+	cfg.Macros = filepath.Join(repoRoot(t), "testdata", "macros")
+	cfg.Lint = "strict"
+	cfg.QCache = true
+	cfg.SlowLog = filepath.Join(t.TempDir(), "slow.log")
+	cfg.SlowLogThreshold = time.Millisecond
+	cfg.FlightSample = 1
+	cfg.HistoryInterval = 250 * time.Millisecond
+	return cfg
+}
+
+func get(t *testing.T, h http.Handler, target string) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "http://localhost"+target, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s: status %d\n%s", target, rec.Code, rec.Body)
+	}
+	if rec.Body.Len() == 0 {
+		t.Fatalf("GET %s: empty body", target)
+	}
+	return rec.Body.String()
+}
+
+func wantAll(t *testing.T, what, body string, wants ...string) {
+	t.Helper()
+	for _, want := range wants {
+		if !strings.Contains(body, want) {
+			t.Errorf("%s lacks %q", what, want)
+		}
+	}
+}
+
+// TestServerSurfaces is what CI's observability smoke step used to grep
+// out of a running binary, assertion for assertion, against the server
+// gatewayd builds from the step's command line: every series, status
+// section, JSON key and endpoint an operator's dashboards and runbooks
+// name.
+func TestServerSurfaces(t *testing.T) {
+	cfg := smokeConfig(t)
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	get(t, h, smokeReport)
+
+	wantAll(t, "/metrics", get(t, h, "/metrics"),
+		`db2www_http_requests_total{code="200"}`,
+		"db2www_sql_exec_seconds_bucket",
+		"db2www_qcache_misses_total",
+		"db2www_macrolint_findings_total",
+		`db2www_macrolint_findings_total{analyzer="schema"`,
+		`db2www_macrolint_findings_total{analyzer="sqltype"`,
+		`db2www_macrolint_findings_total{analyzer="sqlperf"`,
+		"db2www_slo_burn_rate",
+		"go_goroutines",
+		"db2www_build_info",
+		"db2www_sqldb_txn_total",
+		"db2www_sqldb_stmt_",
+		"db2www_sqldb_version_chain_length",
+		"db2www_sqldb_plan_cache_hits",
+		"db2www_sqldb_plan_cache_misses",
+		"db2www_history_scrapes_total",
+		"db2www_history_samples_total",
+		"db2www_history_alerts_firing")
+	wantAll(t, "/debug/statements", get(t, h, "/debug/statements"), `"digest"`, `"tracked"`, `"plan_cache"`)
+	wantAll(t, "/debug/flight", get(t, h, "/debug/flight"), `"trace_id"`, `"decision"`)
+
+	status := get(t, h, "/server-status")
+	wantAll(t, "/server-status", status,
+		"Build info", "Recent traces", "Macro lint", "SLO burn rates",
+		"Transactions", "Statements", "Planner", "Storage", "History")
+	// The whole page in order, with the two sections the step's command
+	// line adds to the default page (there, no "Query cache").
+	var titles []string
+	for _, m := range regexp.MustCompile(`<H2>([^<]*)</H2>`).FindAllStringSubmatch(status, -1) {
+		titles = append(titles, m[1])
+	}
+	if got, want := strings.Join(titles, " | "), "Responses by status | Busiest URLs | Build info | "+
+		"SLO burn rates | Recent traces | Macro cache | Macro lint | Transactions | Statements | "+
+		"Planner | Storage | Query cache | History"; got != want {
+		t.Errorf("/server-status sections:\n got %s\nwant %s", got, want)
+	}
+
+	wantAll(t, "/healthz", get(t, h, "/healthz"), `"status":"ok"`)
+	wantAll(t, "/readyz", get(t, h, "/readyz"), `"status": "ok"`, `"no-critical-alert"`)
+
+	// The step sleeps a second for the 250 ms scrape loop; two scrapes are
+	// what a rate needs.
+	for deadline := time.Now().Add(5 * time.Second); srv.History.Scrapes() < 2; time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("history store scraped %d times in 5 s at a 250 ms interval", srv.History.Scrapes())
+		}
+	}
+	wantAll(t, "/debug/history", get(t, h, "/debug/history"), `"scrapes"`, `"alerts"`)
+	wantAll(t, "rate of http_requests_total", get(t, h, "/debug/history?series=http_requests_total&fn=rate"), `"samples"`)
+	wantAll(t, "p99 of db2www_http_request_seconds", get(t, h, "/debug/history?series=db2www_http_request_seconds&fn=p99"), `"samples"`)
+	wantAll(t, "/debug/dash", get(t, h, "/debug/dash"), "history dashboard")
+
+	// -slowlog FILE -slowlog-threshold 1ms: the line is written by the
+	// request that crosses the threshold, so only the file is asserted.
+	if _, err := os.Stat(cfg.SlowLog); err != nil {
+		t.Errorf("slow log: %v", err)
+	}
+	var banner strings.Builder
+	srv.WriteBanner(&banner)
+	wantAll(t, "banner", banner.String(),
+		"gatewayd: lint preflight: 3 macro(s), 0 error(s), 2 warning(s)\n",
+		"gatewayd: serving macros from "+cfg.Macros+" on :8080\n",
+		"gatewayd: flight records at /debug/flight (sample 1, slow >= 1ms)\n",
+		"gatewayd: history at /debug/history, dashboard at /debug/dash (scrape 250ms, retain 15m0s)\n",
+		"gatewayd: try http://localhost:8080/cgi-bin/db2www/urlquery.d2w/input\n")
+}
+
+// TestServerCloseLeavesNothing builds, serves from and closes the server
+// three times in one process: every goroutine NewServer started is gone,
+// the database name is free for the next server, and Close is idempotent.
+func TestServerCloseLeavesNothing(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		cfg := smokeConfig(t)
+		cfg.AccessLog = filepath.Join(t.TempDir(), "access.log")
+		cfg.FlightDir = t.TempDir()
+		srv, err := NewServer(cfg)
+		if err != nil {
+			t.Fatalf("server %d: %v", i, err)
+		}
+		if db, ok := sqldriver.Lookup(cfg.Database); !ok || db != srv.DB {
+			t.Fatalf("server %d: %s is not this server's database", i, cfg.Database)
+		}
+		get(t, srv.Handler(), smokeReport)
+		if line, err := os.ReadFile(cfg.AccessLog); err != nil || !strings.Contains(string(line), "urlquery.d2w/report") {
+			t.Errorf("server %d: access log %q, %v", i, line, err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Errorf("server %d: Close: %v", i, err)
+		}
+		if err := srv.Close(); err != nil { // a no-op: closing a file twice would be an error
+			t.Errorf("server %d: second Close: %v", i, err)
+		}
+		if _, ok := sqldriver.Lookup(cfg.Database); ok {
+			t.Errorf("server %d: %s still registered after Close", i, cfg.Database)
+		}
+	}
+	// Close waits for the loops it stops; database/sql winds its opener
+	// down on its own time.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines before, %d after three servers:\n%s", baseline, n, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestNewServerFailureLeavesNothing: a constructor that fails half-way
+// (here at the lint preflight, after the database was registered and the
+// vacuum loop started) undoes what it had done.
+func TestNewServerFailureLeavesNothing(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	cfg := DefaultServerConfig()
+	cfg.Macros = filepath.Join(t.TempDir(), "no-such-dir")
+	if srv, err := NewServer(cfg); err == nil {
+		srv.Close()
+		t.Fatal("NewServer over a missing macro directory succeeded")
+	} else if !strings.Contains(err.Error(), "lint preflight of") {
+		t.Fatalf("err = %v", err)
+	}
+	if _, ok := sqldriver.Lookup(cfg.Database); ok {
+		t.Errorf("%s still registered after a failed NewServer", cfg.Database)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines before, %d after a failed NewServer", baseline, n)
+	}
+}
+
+// TestServerConfigValidate: a value the server would silently serve as
+// something else is refused, before any database is loaded.
+func TestServerConfigValidate(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*ServerConfig)
+		want string // "" = valid
+	}{
+		{"defaults", func(*ServerConfig) {}, ""},
+		{"txn single", func(c *ServerConfig) { c.Txn = "single" }, ""},
+		{"txn typo", func(c *ServerConfig) { c.Txn = "sinlge" }, `-txn wants auto or single, got "sinlge"`},
+		{"txn empty", func(c *ServerConfig) { c.Txn = "" }, `-txn wants auto or single, got ""`},
+		{"lint typo", func(c *ServerConfig) { c.Lint = "strcit" }, `-lint wants off, warn, or strict, got "strcit"`},
+		{"log format", func(c *ServerConfig) { c.AccessLogFormat = "xml" }, `-access-log-format wants clf or json, got "xml"`},
+		{"auth without colon", func(c *ServerConfig) { c.Auth = "admin" }, "-auth wants user:password"},
+		{"auth", func(c *ServerConfig) { c.Auth = "admin:secret" }, ""},
+		{"cgi", func(c *ServerConfig) { c.CGI = "./db2www" }, ""},
+		{"cgi with load", func(c *ServerConfig) { c.CGI, c.Load = "./db2www", "dump.sql" },
+			`-load and -save want the in-process database, got -cgi "./db2www"`},
+		{"cgi with save", func(c *ServerConfig) { c.CGI, c.Save = "./db2www", "out.sql" },
+			`-load and -save want the in-process database, got -cgi "./db2www"`},
+		{"load and save in process", func(c *ServerConfig) { c.Load, c.Save = "dump.sql", "out.sql" }, ""},
+	} {
+		cfg := DefaultServerConfig()
+		c.edit(&cfg)
+		err := cfg.validate()
+		if got := errString(err); got != c.want {
+			t.Errorf("%s: validate() = %q, want %q", c.name, got, c.want)
+		}
+		if c.want == "" {
+			continue
+		}
+		// NewServer refuses before it touches anything: the dataset below
+		// would fail to load, and is never reached.
+		cfg.Dataset = "no-such-dataset"
+		if _, err := NewServer(cfg); errString(err) != c.want {
+			t.Errorf("%s: NewServer = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}

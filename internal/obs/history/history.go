@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"db2www/internal/obs"
@@ -89,37 +90,33 @@ type sample struct {
 	buckets []int64
 }
 
-// seriesState is one series' bounded ring, oldest overwritten first.
+// seriesState is one series' bounded ring, oldest overwritten first. A
+// ring of up to the default geometry's size is allocated whole; one that a
+// finer interval makes larger grows with the samples it holds, so that a
+// 100 ms store does not start with 9 000 empty samples a series.
 type seriesState struct {
 	key    string // name{labels}
 	kind   string
 	bounds []float64
 	buf    []sample
-	next   int
-	full   bool
+	max    int
+	next   int // the oldest sample, once buf holds max
 }
 
 func (s *seriesState) add(smp sample) {
-	s.buf[s.next] = smp
-	s.next++
-	if s.next == len(s.buf) {
-		s.next, s.full = 0, true
+	if len(s.buf) < s.max {
+		s.buf = append(s.buf, smp)
+		return
 	}
+	s.buf[s.next] = smp
+	s.next = (s.next + 1) % s.max
 }
 
 // snapshot returns the ring oldest-first.
 func (s *seriesState) snapshot() []sample {
-	n := s.next
-	if s.full {
-		n = len(s.buf)
-	}
-	out := make([]sample, 0, n)
-	start := 0
-	if s.full {
-		start = s.next
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, s.buf[(start+i)%len(s.buf)])
+	out := make([]sample, 0, len(s.buf))
+	for i := range s.buf {
+		out = append(out, s.buf[(s.next+i)%len(s.buf)])
 	}
 	return out
 }
@@ -150,6 +147,7 @@ type Store struct {
 	alerts *alertEngine
 
 	stopOnce sync.Once
+	started  atomic.Bool
 	stop     chan struct{}
 	done     chan struct{}
 
@@ -211,6 +209,7 @@ func (s *Store) Retention() time.Duration { return s.cfg.Retention }
 
 // Start launches the background scrape loop. Close stops it.
 func (s *Store) Start() {
+	s.started.Store(true)
 	go func() {
 		defer close(s.done)
 		t := time.NewTicker(s.cfg.Interval)
@@ -226,15 +225,13 @@ func (s *Store) Start() {
 	}()
 }
 
-// Close stops the scrape loop started by Start. Safe to call more than
-// once, and on a store that was never started (Scrape keeps working).
+// Close stops the scrape loop started by Start and waits for it to
+// exit. Safe to call more than once, and on a store that was never
+// started (Scrape keeps working).
 func (s *Store) Close() {
 	s.stopOnce.Do(func() { close(s.stop) })
-	select {
-	case <-s.done:
-	default:
-		// Started stores close done from the loop; unstarted ones never
-		// will, and there is nothing to wait for.
+	if s.started.Load() {
+		<-s.done
 	}
 }
 
@@ -252,8 +249,8 @@ func (s *Store) Scrape() {
 	record := func(key, kind string, bounds []float64, smp sample) {
 		st, ok := s.series[key]
 		if !ok {
-			st = &seriesState{key: key, kind: kind, bounds: bounds,
-				buf: make([]sample, s.cap)}
+			st = &seriesState{key: key, kind: kind, bounds: bounds, max: s.cap,
+				buf: make([]sample, 0, min(s.cap, int(DefaultRetention/DefaultInterval)))}
 			s.series[key] = st
 			s.order = append(s.order, key)
 		}

@@ -26,6 +26,8 @@ package qcache
 
 import (
 	"container/list"
+	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -308,6 +310,28 @@ func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
+}
+
+// StatusRows renders the counters and the live size for the
+// /server-status "Query cache" section.
+func (c *Cache) StatusRows() [][2]string {
+	c.mu.Lock()
+	st, entries, bytes := c.stats, len(c.entries), c.bytes
+	c.mu.Unlock()
+	return [][2]string{
+		{"Hits", strconv.FormatInt(st.Hits, 10)},
+		{"Misses", strconv.FormatInt(st.Misses, 10)},
+		{"Hit ratio", fmt.Sprintf("%.3f", st.HitRatio())},
+		{"Deduplicated", strconv.FormatInt(st.Dedups, 10)},
+		{"Stores", strconv.FormatInt(st.Stores, 10)},
+		{"Evictions", strconv.FormatInt(st.Evictions, 10)},
+		{"Invalidations", strconv.FormatInt(st.Invalidations, 10)},
+		{"Expirations", strconv.FormatInt(st.Expirations, 10)},
+		{"Bypasses", strconv.FormatInt(st.Bypasses, 10)},
+		{"Uncacheable", strconv.FormatInt(st.Uncacheable, 10)},
+		{"Entries", strconv.Itoa(entries)},
+		{"Bytes", strconv.FormatInt(bytes, 10)},
+	}
 }
 
 // Flush drops every entry (counters are kept).

@@ -2,6 +2,8 @@ package sqldb
 
 import (
 	"container/list"
+	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -233,6 +235,19 @@ func (db *Database) PlanCacheStats() PlanCacheStats {
 		Misses:        pc.misses.Load(),
 		Bypasses:      pc.bypasses.Load(),
 		Invalidations: pc.invalidations.Load(),
+	}
+}
+
+// PlanCacheStatusRows renders PlanCacheStats for the /server-status
+// "Planner" section.
+func (db *Database) PlanCacheStatusRows() [][2]string {
+	st := db.PlanCacheStats()
+	return [][2]string{
+		{"Cached plans", fmt.Sprintf("%d / %d", st.Size, st.Cap)},
+		{"Hits", strconv.FormatUint(st.Hits, 10)},
+		{"Misses", strconv.FormatUint(st.Misses, 10)},
+		{"Bypasses", strconv.FormatUint(st.Bypasses, 10)},
+		{"Invalidations", strconv.FormatUint(st.Invalidations, 10)},
 	}
 }
 
