@@ -62,3 +62,27 @@ func BenchmarkAppendixAStatement(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBigReportStatement is the benchmark's big_report workload seen
+// from the engine: every row of urldb:2000:1, in the statement's exact
+// text, and the same rows without the sort.
+func BenchmarkBigReportStatement(b *testing.B) {
+	db := sqldb.NewDatabase("CELDIAL")
+	if err := workload.URLDB(db, 2000, 1); err != nil {
+		b.Fatal(err)
+	}
+	s := sqldb.NewSession(db)
+	for _, st := range []struct{ name, sql string }{
+		{"sorted", "SELECT url , title , description FROM urldb ORDER BY title"},
+		{"unsorted", "SELECT url , title , description FROM urldb"},
+	} {
+		b.Run(st.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if res, err := s.Exec(st.sql); err != nil || len(res.Rows) != 2000 {
+					b.Fatal(len(res.Rows), err)
+				}
+			}
+		})
+	}
+}

@@ -336,7 +336,9 @@ func arith(op string, l, r Value) (Value, error) {
 		}
 		return NewFloat(af / bf), nil
 	case "%":
-		if bf == 0 {
+		// The remainder is of the truncated operands: it is the truncated
+		// divisor that must not be zero, as 0.5 is.
+		if int64(bf) == 0 {
 			return Null, &Error{Code: CodeDivisionByZero, Message: "division by zero"}
 		}
 		return NewFloat(float64(int64(af) % int64(bf))), nil

@@ -369,6 +369,50 @@ func TestAggregateInUnevaluatedArguments(t *testing.T) {
 	}
 }
 
+// TestModuloOfTruncatedOperands: % on anything but two INTEGERs is the
+// remainder of the truncated operands, and a divisor that truncates to
+// zero is a division by zero, not a panic — for the compiled closure and
+// for the reference evaluator alike.
+func TestModuloOfTruncatedOperands(t *testing.T) {
+	s := fuzzDB(t)
+	for _, c := range []struct{ expr, want, code string }{
+		{"1 % .1", "", CodeDivisionByZero},
+		{"7.5 % 2", "1", ""},
+		{"-7 % 2", "-1", ""},
+		{"7 % 0", "", CodeDivisionByZero},
+		{"7 % -0.9", "", CodeDivisionByZero},
+		{"7 % -1.9", "0", ""},
+		{"t.c % 0.5", "", CodeDivisionByZero},
+	} {
+		st, err := Parse("SELECT " + c.expr + " FROM t WHERE a = 1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := st.(*SelectStmt).Items[0].Expr
+		compiled := func() (Value, error) {
+			res, err := s.ExecStmt(st)
+			if err != nil {
+				return Null, err
+			}
+			return res.Rows[0][0], nil
+		}
+		reference := func() (Value, error) {
+			return eval(e, &evalEnv{cols: []envCol{{"t", "a"}, {"t", "b"}, {"t", "c"}},
+				row: []Value{NewInt(1), NewString("one"), NewInt(10)}})
+		}
+		for name, run := range map[string]func() (Value, error){"compiled": compiled, "reference": reference} {
+			v, err := run()
+			var se *Error
+			switch {
+			case c.code != "" && (!errors.As(err, &se) || se.Code != c.code):
+				t.Errorf("%s, %s: %v, %v, want SQLSTATE %s", c.expr, name, v, err, c.code)
+			case c.code == "" && (err != nil || v.String() != c.want):
+				t.Errorf("%s, %s: %v, %v, want %s", c.expr, name, v, err, c.want)
+			}
+		}
+	}
+}
+
 // TestSharedStatementConcurrent is the proof that nothing writes to a
 // parsed tree: the plan cache hands the one tree of a shape to every
 // execution, and eight sessions execute it at once with other literals.

@@ -1,9 +1,7 @@
 package sqldb
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -14,6 +12,13 @@ import (
 // under the database lock and hands the caller an immutable snapshot,
 // which the Rows cursor then walks row-at-a-time (the fetch model the
 // macro engine's %ROW block expects).
+//
+// The rows of a Result are read-only and may share storage with the
+// table: a SELECT that only lists adjacent columns (SELECT *, SELECT url,
+// title) hands out the stored rows themselves, which no later statement
+// writes to — an UPDATE links a new version, ALTER TABLE re-slices or
+// appends past what a Result can see. Writing to a cell writes to the
+// table under every snapshot; copy a row before changing it.
 type Result struct {
 	Columns      []string
 	Rows         [][]Value
@@ -336,90 +341,30 @@ func (vw view) execSelectSingle(sp *selectPlan, params []Value) (*Result, error)
 	var outAggs [][]Value
 
 	if sp.grouped {
-		type group struct {
-			rep    []Value
-			states []*aggState
+		var err error
+		if outs, outAggs, err = sp.groupRows(rows); err != nil {
+			return nil, err
 		}
-		newGroup := func(rep []Value) *group {
-			grp := &group{rep: rep, states: make([]*aggState, len(sp.aggs))}
-			for i, ac := range sp.aggs {
-				grp.states[i] = newAggState(ac.fc)
-			}
-			return grp
-		}
-		var order []string
-		groups := map[string]*group{}
-		keyVals := make([]Value, len(sp.groupBy))
-		for _, r := range rows {
-			for i, g := range sp.groupBy {
-				v, err := g.eval(r)
-				if err != nil {
-					return nil, err
-				}
-				keyVals[i] = v
-			}
-			k := identityKey(keyVals)
-			grp, ok := groups[k]
-			if !ok {
-				grp = newGroup(r)
-				groups[k] = grp
-				order = append(order, k)
-			}
-			for i, ac := range sp.aggs {
-				var av Value
-				if !ac.fc.Star {
-					var err error
-					if av, err = ac.arg.eval(r); err != nil {
-						return nil, err
-					}
-				}
-				if err := grp.states[i].add(av, ac.fc.Star); err != nil {
-					return nil, err
-				}
-			}
-		}
-		// A grouped query with no GROUP BY and no input rows still yields
-		// one row of aggregates over the empty set.
-		if len(sp.groupBy) == 0 && len(order) == 0 {
-			groups[""] = newGroup(make([]Value, sp.width))
-			order = append(order, "")
-		}
-		outs = nil
-		for _, k := range order {
-			grp := groups[k]
-			sp.aggRow = make([]Value, len(sp.aggs))
-			for i, st := range grp.states {
-				sp.aggRow[i] = st.result()
-			}
-			if sp.having != nil {
-				t, err := sp.having(grp.rep)
-				if err != nil {
-					return nil, err
-				}
-				if t != triTrue {
-					continue
-				}
-			}
-			outs = append(outs, grp.rep)
-			outAggs = append(outAggs, sp.aggRow)
-		}
-		sp.aggregate.note(len(rows), len(outs))
 	}
 
-	// ORDER BY.
+	// ORDER BY. Keys that are columns of the rows are sorted where they
+	// are; any other key is evaluated for every row first.
 	var perm []int32
 	if nk := len(sp.order); nk > 0 {
-		keys := make([]Value, len(outs)*nk)
-		for i, r := range outs {
-			if sp.grouped {
-				sp.aggRow = outAggs[i]
-			}
-			for j, e := range sp.order {
-				v, err := e.eval(r)
-				if err != nil {
-					return nil, err
+		keys := sortKeys{nk: nk, rows: outs, slots: columnSlots(sp.order)}
+		if keys.slots == nil {
+			keys.flat = make([]Value, len(outs)*nk)
+			for i, r := range outs {
+				if sp.grouped {
+					sp.aggRow = outAggs[i]
 				}
-				keys[i*nk+j] = v
+				for j, e := range sp.order {
+					v, err := e.eval(r)
+					if err != nil {
+						return nil, err
+					}
+					keys.flat[i*nk+j] = v
+				}
 			}
 		}
 		var err error
@@ -428,14 +373,37 @@ func (vw view) execSelectSingle(sp *selectPlan, params []Value) (*Result, error)
 		}
 	}
 
-	// Projection, in sorted order; the rows share one backing array.
-	res := &Result{Columns: sp.names, Rows: make([][]Value, len(outs))}
+	// OFFSET and LIMIT cut the sorted order, not the projected rows, unless
+	// DISTINCT has rows to drop in between: a row the cut drops is not
+	// projected.
+	from, to := 0, len(outs)
+	limited := sel.Limit != nil || sel.Offset != nil
+	if limited && !sel.Distinct {
+		var err error
+		if from, to, err = limitRange(len(outs), sel, params); err != nil {
+			return nil, err
+		}
+		sp.limit.note(len(outs), to-from)
+	}
+
+	// Projection, in sorted order. A projection that is a run of the rows'
+	// own columns hands out that run of each row; any other is evaluated
+	// into cells of one backing array.
+	res := &Result{Columns: sp.names, Rows: make([][]Value, to-from)}
 	width := len(sp.proj)
-	cells := make([]Value, len(outs)*width)
-	for k := range outs {
-		i := k
+	var cells []Value
+	if !sp.shareRows {
+		cells = make([]Value, len(res.Rows)*width)
+	}
+	for k := range res.Rows {
+		i := from + k
 		if perm != nil {
-			i = int(perm[k])
+			i = int(perm[i])
+		}
+		if sp.shareRows {
+			lo := sp.proj[0].slot
+			res.Rows[k] = outs[i][lo : lo+width : lo+width]
+			continue
 		}
 		if sp.grouped {
 			sp.aggRow = outAggs[i]
@@ -451,7 +419,6 @@ func (vw view) execSelectSingle(sp *selectPlan, params []Value) (*Result, error)
 		res.Rows[k] = row
 	}
 
-	// DISTINCT.
 	if sel.Distinct {
 		seen := map[string]struct{}{}
 		kept := res.Rows[:0:0]
@@ -465,45 +432,114 @@ func (vw view) execSelectSingle(sp *selectPlan, params []Value) (*Result, error)
 		}
 		sp.distinct.note(len(res.Rows), len(kept))
 		res.Rows = kept
-	}
-
-	if sel.Limit != nil || sel.Offset != nil {
-		preLimit := len(res.Rows)
-		var err error
-		if res.Rows, err = limitRows(res.Rows, sel, params); err != nil {
-			return nil, err
+		if limited {
+			from, to, err := limitRange(len(kept), sel, params)
+			if err != nil {
+				return nil, err
+			}
+			sp.limit.note(len(kept), to-from)
+			res.Rows = kept[from:to]
 		}
-		sp.limit.note(preLimit, len(res.Rows))
 	}
 	sp.stat.done(selStart, 0, len(res.Rows))
 	res.RowsAffected = int64(len(res.Rows))
 	return res, nil
 }
 
-// limitRows applies sel's OFFSET and LIMIT to a SELECT's or a UNION
-// chain's final rows.
-func limitRows(rows [][]Value, sel *SelectStmt, params []Value) ([][]Value, error) {
+// groupRows runs the aggregate stage of a grouped SELECT: one output row
+// per group that passes HAVING — the group's first row, in the order the
+// groups were first met — and beside it the group's aggregate results.
+func (sp *selectPlan) groupRows(rows [][]Value) (outs, outAggs [][]Value, err error) {
+	type group struct {
+		rep    []Value
+		states []*aggState
+	}
+	newGroup := func(rep []Value) *group {
+		grp := &group{rep: rep, states: make([]*aggState, len(sp.aggs))}
+		for i, ac := range sp.aggs {
+			grp.states[i] = newAggState(ac.fc)
+		}
+		return grp
+	}
+	var order []string
+	groups := map[string]*group{}
+	keyVals := make([]Value, len(sp.groupBy))
+	for _, r := range rows {
+		for i, g := range sp.groupBy {
+			v, err := g.eval(r)
+			if err != nil {
+				return nil, nil, err
+			}
+			keyVals[i] = v
+		}
+		k := identityKey(keyVals)
+		grp, ok := groups[k]
+		if !ok {
+			grp = newGroup(r)
+			groups[k] = grp
+			order = append(order, k)
+		}
+		for i, ac := range sp.aggs {
+			var av Value
+			if !ac.fc.Star {
+				var err error
+				if av, err = ac.arg.eval(r); err != nil {
+					return nil, nil, err
+				}
+			}
+			if err := grp.states[i].add(av, ac.fc.Star); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	// A grouped query with no GROUP BY and no input rows still yields
+	// one row of aggregates over the empty set.
+	if len(sp.groupBy) == 0 && len(order) == 0 {
+		groups[""] = newGroup(make([]Value, sp.width))
+		order = append(order, "")
+	}
+	for _, k := range order {
+		grp := groups[k]
+		sp.aggRow = make([]Value, len(sp.aggs))
+		for i, st := range grp.states {
+			sp.aggRow[i] = st.result()
+		}
+		if sp.having != nil {
+			t, err := sp.having(grp.rep)
+			if err != nil {
+				return nil, nil, err
+			}
+			if t != triTrue {
+				continue
+			}
+		}
+		outs = append(outs, grp.rep)
+		outAggs = append(outAggs, sp.aggRow)
+	}
+	sp.aggregate.note(len(rows), len(outs))
+	return outs, outAggs, nil
+}
+
+// limitRange returns the range of n rows that sel's OFFSET and LIMIT keep.
+func limitRange(n int, sel *SelectStmt, params []Value) (from, to int, err error) {
+	to = n
 	if sel.Offset != nil {
-		n, err := constCount(sel.Offset, "OFFSET", params)
-		if err != nil {
-			return nil, err
+		if from, err = constCount(sel.Offset, "OFFSET", params); err != nil {
+			return 0, 0, err
 		}
-		if n >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[n:]
-		}
+		from = min(from, n)
 	}
 	if sel.Limit != nil {
-		n, err := constCount(sel.Limit, "LIMIT", params)
+		count, err := constCount(sel.Limit, "LIMIT", params)
 		if err != nil {
-			return nil, err
+			return 0, 0, err
 		}
-		if n < len(rows) {
-			rows = rows[:n]
+		// Not from+count: the count may be as large as an int.
+		if count < to-from {
+			to = from + count
 		}
 	}
-	return rows, nil
+	return from, to, nil
 }
 
 // constCount evaluates a LIMIT or OFFSET operand: a constant expression
@@ -518,54 +554,6 @@ func constCount(e Expr, clause string, params []Value) (int, error) {
 		return 0, errSyntax("%s must be a non-negative integer", clause)
 	}
 	return int(n), nil
-}
-
-// sortOrder returns the order ORDER BY puts n rows in, as a permutation of
-// their ordinals. keys holds the rows' len(order) sort keys, row after
-// row. NULLs sort first ascending and last descending; rows that tie on
-// every key keep their ordinal order, which makes the sort stable without
-// a stable algorithm. Sorting 4-byte ordinals moves no pointers, so the
-// garbage collector's write barrier stays out of the swaps.
-func sortOrder(keys []Value, order []OrderItem) ([]int32, error) {
-	nk := len(order)
-	perm := make([]int32, len(keys)/nk)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	var sortErr error
-	slices.SortFunc(perm, func(a, b int32) int {
-		ka, kb := keys[int(a)*nk:], keys[int(b)*nk:]
-		for j := range order {
-			c, err := compareSortKeys(&ka[j], &kb[j])
-			if err != nil && sortErr == nil {
-				sortErr = err
-			}
-			if c == 0 {
-				continue
-			}
-			if order[j].Desc {
-				return -c
-			}
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	return perm, sortErr
-}
-
-// compareSortKeys is Compare with NULL ordered before every value.
-func compareSortKeys(a, b *Value) (int, error) {
-	switch {
-	case a.T == TNull && b.T == TNull:
-		return 0, nil
-	case a.T == TNull:
-		return -1, nil
-	case b.T == TNull:
-		return 1, nil
-	case a.T == TString && b.T == TString:
-		return strings.Compare(a.S, b.S), nil
-	}
-	return Compare(*a, *b)
 }
 
 // --- DML execution ---

@@ -46,23 +46,14 @@ func (vw view) execUnion(up *selectPlan, params []Value) (*Result, error) {
 		up.union.note(len(res.Rows), len(kept))
 		res.Rows = kept
 	}
-	if len(sel.OrderBy) > 0 {
-		keys := make([]int, len(sel.OrderBy))
+	if nk := len(sel.OrderBy); nk > 0 {
+		slots := make([]int, nk)
 		for i, o := range sel.OrderBy {
-			pos, err := unionOrderColumn(o.Expr, res.Columns)
-			if err != nil {
+			if slots[i], err = unionOrderColumn(o.Expr, res.Columns); err != nil {
 				return nil, err
 			}
-			keys[i] = pos
 		}
-		nk := len(keys)
-		flat := make([]Value, len(res.Rows)*nk)
-		for i, r := range res.Rows {
-			for j, pos := range keys {
-				flat[i*nk+j] = r[pos]
-			}
-		}
-		perm, err := sortOrder(flat, sel.OrderBy)
+		perm, err := sortOrder(sortKeys{nk: nk, rows: res.Rows, slots: slots}, sel.OrderBy)
 		if err != nil {
 			return nil, err
 		}
@@ -72,9 +63,11 @@ func (vw view) execUnion(up *selectPlan, params []Value) (*Result, error) {
 		}
 		res.Rows = sorted
 	}
-	if res.Rows, err = limitRows(res.Rows, sel, params); err != nil {
+	from, to, err := limitRange(len(res.Rows), sel, params)
+	if err != nil {
 		return nil, err
 	}
+	res.Rows = res.Rows[from:to]
 	res.RowsAffected = int64(len(res.Rows))
 	return res, nil
 }
@@ -99,11 +92,17 @@ func unionOrderColumn(e Expr, cols []string) (int, error) {
 				return n - 1, nil
 			}
 		}
-		return 0, errSyntax("ORDER BY ordinal %s out of range", x.Val.String())
+		return 0, errOrdinalRange(x.Val)
 	default:
 		return 0, &Error{Code: CodeFeature,
 			Message: "UNION ORDER BY supports output column names and ordinals only"}
 	}
+}
+
+// errOrdinalRange is the error of an ORDER BY ordinal that names no output
+// column, of a single SELECT and of a UNION alike.
+func errOrdinalRange(v Value) *Error {
+	return errSyntax("ORDER BY ordinal %s out of range", v.String())
 }
 
 // cloneForUndo deep-copies a table so ALTER TABLE can be rolled back

@@ -82,6 +82,10 @@ type selectPlan struct {
 	filterErr error    // its reference that did not resolve
 	names     []string // output column names
 	proj      []rowExpr
+	// shareRows: ungrouped, without DISTINCT, and proj is a run of adjacent
+	// columns of the FROM row in their order, so that an output row is that
+	// run of the row itself and nothing is copied.
+	shareRows bool
 	grouped   bool      // GROUP BY, HAVING or an aggregate: one output row per group
 	groupBy   []rowExpr // grouping keys
 	aggs      []aggCall // aggregate calls in slot order
@@ -380,7 +384,11 @@ func (vw view) compileSelect(sp *selectPlan, params []Value) {
 				}
 			}
 		}
-		if l, ok := o.Expr.(*Literal); ok && l.Val.T == TInt && l.Val.I >= 1 && l.Val.I <= int64(len(proj)) {
+		if l, ok := o.Expr.(*Literal); ok && l.Val.T == TInt {
+			if l.Val.I < 1 || l.Val.I > int64(len(proj)) {
+				fail(errOrdinalRange(l.Val))
+				continue
+			}
 			at = int(l.Val.I) - 1
 		}
 		if at >= 0 {
@@ -403,6 +411,26 @@ func (vw view) compileSelect(sp *selectPlan, params []Value) {
 		}
 		sp.aggs[i] = aggCall{fc: fc, arg: c.aggArgs[i]}
 	}
+	sp.shareRows = sp.stagesErr == nil && len(proj) > 0 && !sp.grouped && !sel.Distinct
+	for i, e := range proj {
+		sp.shareRows = sp.shareRows && e.isColumn() && e.slot == proj[0].slot+i
+	}
+}
+
+// columnSlots returns the slots of exprs where every one of them is a bare
+// column, nil otherwise and for none.
+func columnSlots(exprs []rowExpr) []int {
+	if len(exprs) == 0 {
+		return nil
+	}
+	slots := make([]int, len(exprs))
+	for i, e := range exprs {
+		if !e.isColumn() {
+			return nil
+		}
+		slots[i] = e.slot
+	}
+	return slots
 }
 
 // appendAggregates appends the aggregate calls of e, outermost only: an
