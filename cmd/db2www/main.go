@@ -14,11 +14,6 @@
 //	                   paper's deployments connected to (default urldb)
 //	DB2WWW_TXN         "auto" (default) or "single"
 //	DB2WWW_MAXROWS     default row cap for reports (default 0 = unlimited)
-//	DB2WWW_QCACHE      "1" enables the query-result cache (off by default;
-//	                   a per-request process rarely profits, but FastCGI-style
-//	                   reuse and the in-process gateway share this code path)
-//	DB2WWW_QCACHE_BYTES  query cache byte budget (default 64 MiB)
-//	DB2WWW_QCACHE_TTL    entry lifetime, Go duration syntax (default 0 = none)
 //
 // The paper also describes the server passing {macro-file} and {cmd} as
 // two program parameters; when arguments are given they take precedence
@@ -30,13 +25,11 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"time"
 
 	"db2www/internal/cgi"
 	"db2www/internal/core"
 	"db2www/internal/gateway"
 	"db2www/internal/obs"
-	"db2www/internal/qcache"
 	"db2www/internal/sqldb"
 	"db2www/internal/sqldriver"
 	"db2www/internal/workload"
@@ -66,12 +59,8 @@ func run() error {
 	}
 	sqldriver.Register(dbName, db)
 
-	qc, err := qcacheFromEnv()
-	if err != nil {
-		return err
-	}
 	engine := &core.Engine{
-		DB:       qcache.Wrap(gateway.NewSQLProvider(), qc),
+		DB:       gateway.NewSQLProvider(),
 		Commands: core.NewCommandRegistry(),
 	}
 	if os.Getenv("DB2WWW_TXN") == "single" {
@@ -114,31 +103,6 @@ func run() error {
 	fmt.Fprint(out, cgi.WriteHeader(resp.ContentType))
 	_, err = io.WriteString(out, resp.Body)
 	return err
-}
-
-// qcacheFromEnv builds the query-result cache the DB2WWW_QCACHE* contract
-// asks for, or nil when disabled.
-func qcacheFromEnv() (*qcache.Cache, error) {
-	if os.Getenv("DB2WWW_QCACHE") != "1" {
-		return nil, nil
-	}
-	maxBytes := int64(64 << 20)
-	if v := os.Getenv("DB2WWW_QCACHE_BYTES"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad DB2WWW_QCACHE_BYTES %q", v)
-		}
-		maxBytes = n
-	}
-	var ttl time.Duration
-	if v := os.Getenv("DB2WWW_QCACHE_TTL"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return nil, fmt.Errorf("bad DB2WWW_QCACHE_TTL %q", v)
-		}
-		ttl = d
-	}
-	return qcache.New(maxBytes, ttl), nil
 }
 
 func envDefault(key, def string) string {

@@ -137,7 +137,6 @@ func metaCommand(db *sqldb.Database, cmd string) bool {
 		fmt.Printf("%-16s %d\n", "hits:", st.Hits)
 		fmt.Printf("%-16s %d\n", "misses:", st.Misses)
 		fmt.Printf("%-16s %d\n", "bypasses:", st.Bypasses)
-		fmt.Printf("%-16s %d\n", "invalidations:", st.Invalidations)
 	case strings.HasPrefix(cmd, "\\d "):
 		name := strings.TrimSpace(cmd[3:])
 		t, err := db.Table(name)
@@ -196,8 +195,8 @@ func runStatement(db *sqldb.Database, sess *sqldb.Session, stmt string) bool {
 		return false
 	}
 	printResult(res)
-	if inner, ok := explainTarget(stmt); ok {
-		digest, cached := db.PlanCached(inner)
+	if sqldb.HeadKeyword(stmt) == "EXPLAIN" {
+		digest, cached := db.PlanCached(stmt)
 		state := "miss — not in plan cache"
 		if cached {
 			state = "hit — shape is in the plan cache"
@@ -205,28 +204,6 @@ func runStatement(db *sqldb.Database, sess *sqldb.Session, stmt string) bool {
 		fmt.Printf("plan cache: %s (digest=%s)\n", state, digest)
 	}
 	return true
-}
-
-// explainTarget returns the statement under an EXPLAIN [ANALYZE] prefix,
-// or ok=false when stmt is not an EXPLAIN. The inner statement is what
-// repeated plain executions would cache, so its digest is the one the
-// provenance footer probes.
-func explainTarget(stmt string) (string, bool) {
-	s := strings.TrimSpace(stmt)
-	const kw = "EXPLAIN"
-	if len(s) <= len(kw) || !strings.EqualFold(s[:len(kw)], kw) || !isSpace(s[len(kw)]) {
-		return "", false
-	}
-	s = strings.TrimSpace(s[len(kw):])
-	const an = "ANALYZE"
-	if len(s) > len(an) && strings.EqualFold(s[:len(an)], an) && isSpace(s[len(an)]) {
-		s = strings.TrimSpace(s[len(an):])
-	}
-	return s, s != ""
-}
-
-func isSpace(b byte) bool {
-	return b == ' ' || b == '\t' || b == '\n' || b == '\r'
 }
 
 // printResult renders a result as an aligned text table.

@@ -209,27 +209,8 @@ const maxChunkRows = 256
 // after the comments the engine's lexer skips, it begins with SELECT or
 // with EXPLAIN, whose plan is rows like any other.
 func isQueryStatement(sqlText string) bool {
-	s := sqlText
-	for {
-		s = strings.TrimSpace(s)
-		closed := false
-		switch {
-		case strings.HasPrefix(s, "--"):
-			_, s, closed = strings.Cut(s, "\n")
-		case strings.HasPrefix(s, "/*"):
-			_, s, closed = strings.Cut(s[2:], "*/")
-		default:
-			for _, kw := range []string{"SELECT", "EXPLAIN"} {
-				if len(s) >= len(kw) && strings.EqualFold(s[:len(kw)], kw) {
-					return true
-				}
-			}
-			return false
-		}
-		if !closed {
-			return false // the comment runs to the end of the text
-		}
-	}
+	kw := sqldb.HeadKeyword(sqlText)
+	return kw == "SELECT" || kw == "EXPLAIN"
 }
 
 // toField converts a database/sql scan value to the engine's Field.

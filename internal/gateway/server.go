@@ -111,9 +111,13 @@ func (c ServerConfig) validate() error {
 		return errors.New("-auth wants user:password")
 	}
 	// Under -cgi every request's subprocess loads its own database: there
-	// is none in this process to restore into or to dump.
+	// is none in this process to restore into or to dump, and a result
+	// cache in a process that serves one request never hits.
 	if c.CGI != "" && (c.Load != "" || c.Save != "") {
 		return fmt.Errorf("-load and -save want the in-process database, got -cgi %q", c.CGI)
+	}
+	if c.CGI != "" && c.QCache {
+		return fmt.Errorf("-qcache wants the in-process database, got -cgi %q", c.CGI)
 	}
 	return nil
 }
@@ -314,17 +318,6 @@ func (c ServerConfig) cgiEnv() []string {
 	}
 	if c.Txn == "single" {
 		env = append(env, "DB2WWW_TXN=single")
-	}
-	if c.QCache {
-		// Each CGI subprocess gets its own cache; with one request per
-		// process it never hits, which is exactly the process-model cost
-		// the in-process mode exists to escape. Pass the knobs anyway so
-		// the configuration is honest about what was asked for.
-		env = append(env,
-			"DB2WWW_QCACHE=1",
-			"DB2WWW_QCACHE_BYTES="+strconv.FormatInt(c.QCacheBytes, 10),
-			"DB2WWW_QCACHE_TTL="+c.QCacheTTL.String(),
-		)
 	}
 	return env
 }

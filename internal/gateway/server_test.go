@@ -223,6 +223,8 @@ func TestServerConfigValidate(t *testing.T) {
 			`-load and -save want the in-process database, got -cgi "./db2www"`},
 		{"cgi with save", func(c *ServerConfig) { c.CGI, c.Save = "./db2www", "out.sql" },
 			`-load and -save want the in-process database, got -cgi "./db2www"`},
+		{"cgi with qcache", func(c *ServerConfig) { c.CGI, c.QCache = "./db2www", true },
+			`-qcache wants the in-process database, got -cgi "./db2www"`},
 		{"load and save in process", func(c *ServerConfig) { c.Load, c.Save = "dump.sql", "out.sql" }, ""},
 	} {
 		cfg := DefaultServerConfig()

@@ -3,6 +3,7 @@ package qcache_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -58,7 +59,10 @@ func benchMacro(tb testing.TB, dbName string) *core.Macro {
 // repeated-query workload runs at least 5x faster end to end (full macro
 // report rendering included) with the cache on. The measured gap is far
 // larger — a hit skips SQL parsing, planning, a full table scan, and a
-// sort — so the 5x floor leaves a wide margin for noisy machines.
+// sort — so the 5x floor leaves a wide margin for noisy machines. Each
+// request is timed and the two passes' medians compared: the cached pass
+// is about a millisecond for all of its requests, and one scheduling
+// hiccup in it used to decide the ratio of the sums.
 func TestReadOnlyWorkloadSpeedup(t *testing.T) {
 	const rows, iters = 2000, 60
 	cache := qcache.New(64<<20, 0)
@@ -73,19 +77,22 @@ func TestReadOnlyWorkloadSpeedup(t *testing.T) {
 		if err := e.Run(m, core.ModeReport, nil, &buf); err != nil {
 			t.Fatal(err)
 		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
+		took := make([]time.Duration, iters)
+		for i := range took {
 			buf.Reset()
+			start := time.Now()
 			if err := e.Run(m, core.ModeReport, nil, &buf); err != nil {
 				t.Fatal(err)
 			}
+			took[i] = time.Since(start)
 		}
-		return time.Since(start)
+		slices.Sort(took)
+		return took[iters/2]
 	}
 	plain := run(plainEngine, mp)
 	cached := run(cachedEngine, mc)
 	speedup := float64(plain) / float64(cached)
-	t.Logf("uncached %v, cached %v per %d requests: %.1fx", plain, cached, iters, speedup)
+	t.Logf("median request of %d: uncached %v, cached %v: %.1fx", iters, plain, cached, speedup)
 	if speedup < 5 {
 		t.Fatalf("cached speedup %.1fx, want >= 5x (uncached %v, cached %v)", speedup, plain, cached)
 	}

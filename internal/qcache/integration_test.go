@@ -136,6 +136,40 @@ func TestNoStaleReadAfterCommittedWrite(t *testing.T) {
 	}
 }
 
+// TestCommentBeforeSelectIsCached: the cache and the provider under it
+// read a statement's kind with the engine's lexer, so a SELECT behind
+// either kind of comment is a query to both — cached, not bypassed — and a
+// write behind one still reaches the database.
+func TestCommentBeforeSelectIsCached(t *testing.T) {
+	newStressDB(t, "QCOMMENT")
+	cache := qcache.New(1<<20, 0)
+	conn, err := qcache.Wrap(gateway.NewSQLProvider(), cache).Connect("QCOMMENT", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, q := range []string{"/* c */ SELECT v FROM kv WHERE k = 1", "-- c\n/* d */ select v FROM kv WHERE k = 1"} {
+		for i := 0; i < 2; i++ {
+			res, err := conn.Execute(q)
+			if err != nil || len(res.Rows) != 1 || res.Rows[0][0].S != "0" {
+				t.Fatalf("%q: %+v, %v", q, res, err)
+			}
+		}
+	}
+	if st := cache.Stats(); st.Hits != 2 || st.Misses != 2 || st.Bypasses != 0 {
+		t.Fatalf("want 2 hits, 2 misses, no bypass: %+v", st)
+	}
+	if _, err := conn.Execute("/* SELECT */ UPDATE kv SET v = 7 WHERE k = 1"); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Bypasses != 1 {
+		t.Fatalf("a write behind a comment was not a bypass: %+v", st)
+	}
+	if res, err := conn.Execute("/* c */ SELECT v FROM kv WHERE k = 1"); err != nil || res.Rows[0][0].S != "7" {
+		t.Fatalf("read after write: %+v, %v", res, err)
+	}
+}
+
 // TestNoStaleReadAcrossTransactions repeats the staleness check with the
 // writer using explicit transactions, including rollbacks: a reader must
 // never observe a value from a rolled-back transaction, and committed

@@ -142,16 +142,7 @@ func (c *cachingConn) execInner(ctx context.Context, sql string) (*core.SQLResul
 	return c.inner.Execute(sql)
 }
 
-// isSelect reports whether the statement is a SELECT (after leading
-// line comments) — the only statement family the cache may intercept.
-func isSelect(sqlText string) bool {
-	s := strings.TrimSpace(sqlText)
-	for strings.HasPrefix(s, "--") {
-		if i := strings.IndexByte(s, '\n'); i >= 0 {
-			s = strings.TrimSpace(s[i+1:])
-		} else {
-			return false
-		}
-	}
-	return len(s) >= 6 && strings.EqualFold(s[:6], "SELECT")
-}
+// isSelect reports whether the statement is a SELECT, after the comments
+// the engine's lexer skips — the only statement family the cache may
+// intercept.
+func isSelect(sqlText string) bool { return sqldb.HeadKeyword(sqlText) == "SELECT" }

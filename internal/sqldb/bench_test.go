@@ -146,6 +146,41 @@ func BenchmarkTxnCommit(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanCacheResolve measures what the front door costs before
+// anything is planned: a verbatim repeat (the text map), a repeat of the
+// shape with another literal (the shape map; 2 000 texts, as the
+// benchmark's point_lookup sends them), and the same with an ORDER BY
+// ordinal in the shape's key.
+func BenchmarkPlanCacheResolve(b *testing.B) {
+	texts := func(format string) []string {
+		out := make([]string, 2000)
+		for i := range out {
+			out[i] = fmt.Sprintf(format, i)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name  string
+		texts []string
+	}{
+		{"text", []string{"SELECT url, title FROM urldb WHERE url LIKE '%ibm%' OR title LIKE '%ibm%' ORDER BY title"}},
+		{"shape", texts("SELECT url, title, description FROM urldb WHERE url = 'http://www.ibm%d.example/'")},
+		{"shape_ordinal", texts("SELECT a, b FROM t WHERE c = %d ORDER BY 1")},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			db := NewDatabase("PC")
+			for _, q := range c.texts[:1] {
+				db.prepareCached(q)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				db.prepareCached(c.texts[i%len(c.texts)])
+			}
+		})
+	}
+}
+
 // TestLargeObjectValues is the Section 5 "support for large objects"
 // check: megabyte-scale values survive storage, predicates, functions,
 // and dump/restore.

@@ -514,10 +514,10 @@ func (c *compiler) subqueryRows(sub *Subquery) func() ([][]Value, error) {
 		if sp.sq != sub {
 			continue
 		}
-		vw, params := c.vw, c.params
+		vw := c.vw
 		return func() ([][]Value, error) {
 			if !sp.done {
-				res, err := vw.execSelect(sp.plan, params)
+				res, err := vw.execSelect(sp.plan)
 				if err != nil {
 					return nil, err
 				}

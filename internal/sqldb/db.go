@@ -51,15 +51,7 @@ type Database struct {
 	// invalidation; see version.go.
 	vt versionTable
 
-	// sv holds per-table *schema* versions, bumped only by DDL (including
-	// index DDL, which changes access paths). Cached plans validate
-	// against these rather than vt: data changes never invalidate a
-	// parsed statement. schemaEpoch invalidates everything at once when a
-	// rollback replays DDL undo.
-	sv          versionTable
-	schemaEpoch atomic.Uint64
-
-	// plans caches parsed statement shapes by digest; see plan.go.
+	// plans caches parsed statement shapes; see plan.go.
 	plans *PlanCache
 
 	// mvcc orders commits and tracks live snapshots.
@@ -430,9 +422,6 @@ func (db *Database) rollbackTxn(tx *txnState, conflict bool) {
 		db.mu.Lock()
 		db.replayDDLUndo(tx.ddlUndo)
 		db.mu.Unlock()
-		// The undo replay may restore catalog state no single table name
-		// captures (renames, dropped indexes); invalidate every cached plan.
-		db.bumpSchemaAll()
 	}
 	if names := tx.bumpNames(); len(names) > 0 {
 		db.bumpVersions(names...)
@@ -714,7 +703,6 @@ type prepared struct {
 	st           Stmt
 	params       []Value
 	digest, norm string
-	hit          bool
 }
 
 // prepare resolves sql to an executable statement, routing literal-only
@@ -725,8 +713,8 @@ func (s *Session) prepare(sql string, params []Value) (*prepared, error) {
 		return nil, &Error{Code: CodeInvalidTxnState, Message: "session is closed"}
 	}
 	if len(params) == 0 {
-		if st, vals, digest, norm, hit, ok := s.db.prepareCached(sql); ok {
-			return &prepared{st: st, params: vals, digest: digest, norm: norm, hit: hit}, nil
+		if p := s.db.prepareCached(sql); p != nil {
+			return p, nil
 		}
 	}
 	st, err := Parse(sql)
@@ -869,7 +857,7 @@ func (s *Session) execRead(sel *SelectStmt, params []Value) (*Result, error) {
 	var res *Result
 	if err == nil {
 		vw.planned(sp)
-		res, err = vw.execSelect(sp, params)
+		res, err = vw.execSelect(sp)
 	}
 	observeExec(mExecSelect, execStart)
 	if err == nil {
@@ -1016,7 +1004,6 @@ func (s *Session) execDDL(bump bool, run func(*txnState) (*Result, error), targe
 			// Unconditional, as in the undo-log engine: even a failed DDL
 			// statement bumps, trading a cache miss for never a stale hit.
 			db.bumpVersions(targets...)
-			db.bumpSchema(targets...)
 		}
 		if err == nil && bump && s.tx != nil {
 			s.tx.ddlBump = append(s.tx.ddlBump, targets...)

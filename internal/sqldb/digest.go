@@ -82,18 +82,27 @@ func DigestSQL(sql string) (digest, norm string) {
 // not an EXPLAIN statement.
 func DigestSQLInner(sql string) (digest, norm string, ok bool) {
 	toks, err := lexSQL(sql)
-	if err != nil || len(toks) == 0 {
+	if err != nil {
 		return "", "", false
 	}
-	if toks[0].kind != tkKeyword || toks[0].text != "EXPLAIN" {
+	if toks, ok = explainTarget(toks); !ok {
 		return "", "", false
 	}
-	rest := toks[1:]
-	if len(rest) > 0 && rest[0].kind == tkKeyword && rest[0].text == "ANALYZE" {
-		rest = rest[1:]
-	}
-	norm = normalizeTokens(rest)
+	norm = normalizeTokens(toks)
 	return digestOf(norm), norm, true
+}
+
+// explainTarget returns the tokens of the statement under an EXPLAIN
+// [ANALYZE] prefix, or toks as they are and false.
+func explainTarget(toks []token) ([]token, bool) {
+	if toks[0].kind != tkKeyword || toks[0].text != "EXPLAIN" {
+		return toks, false
+	}
+	toks = toks[1:]
+	if toks[0].kind == tkKeyword && toks[0].text == "ANALYZE" {
+		toks = toks[1:]
+	}
+	return toks, true
 }
 
 func digestOf(norm string) string {

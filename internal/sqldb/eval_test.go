@@ -307,7 +307,7 @@ func evalSubquery(sub *Subquery, env *evalEnv) ([][]Value, error) {
 			continue
 		}
 		if !sp.done {
-			res, err := env.vw.execSelect(sp.plan, env.params)
+			res, err := env.vw.execSelect(sp.plan)
 			if err != nil {
 				return nil, err
 			}

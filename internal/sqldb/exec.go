@@ -142,11 +142,11 @@ func crossJoin(a, b [][]Value) [][]Value {
 // scanRel produces one planned relation's rows: the base-table scan
 // through its access path, or the derived table's result, with the
 // conjuncts the planner pushed to this relation applied.
-func (vw view) scanRel(rp *relPlan, params []Value) ([][]Value, error) {
+func (vw view) scanRel(rp *relPlan) ([][]Value, error) {
 	var rows [][]Value
 	if rp.sub != nil {
 		start := vw.clock()
-		res, err := vw.execSelect(rp.sub, params)
+		res, err := vw.execSelect(rp.sub)
 		if err != nil {
 			return nil, err
 		}
@@ -185,16 +185,16 @@ func filterRows(rows [][]Value, pred predFn, bindErr error) ([][]Value, error) {
 
 // execFromNode runs one node of the FROM tree: a scan, or the join of its
 // two inputs, left first, by the method on the node.
-func (vw view) execFromNode(n fromNode, params []Value) ([][]Value, error) {
+func (vw view) execFromNode(n fromNode) ([][]Value, error) {
 	jp, ok := n.(*joinPlan)
 	if !ok {
-		return vw.scanRel(n.(*relPlan), params)
+		return vw.scanRel(n.(*relPlan))
 	}
-	left, err := vw.execFromNode(jp.left, params)
+	left, err := vw.execFromNode(jp.left)
 	if err != nil {
 		return nil, err
 	}
-	right, err := vw.execFromNode(jp.right, params)
+	right, err := vw.execFromNode(jp.right)
 	if err != nil {
 		return nil, err
 	}
@@ -214,8 +214,8 @@ func (vw view) execFromNode(n fromNode, params []Value) ([][]Value, error) {
 // clause runs — then puts the columns back in declaration order when the
 // planner reordered: the stages above were compiled against the layout
 // the statement declared.
-func (vw view) execFromPlan(fp *fromPlan, params []Value) ([][]Value, error) {
-	rows, err := vw.execFromNode(fp.root, params)
+func (vw view) execFromPlan(fp *fromPlan) ([][]Value, error) {
+	rows, err := vw.execFromNode(fp.root)
 	if err != nil || !fp.reordered {
 		return rows, err
 	}
@@ -301,22 +301,21 @@ func (vw view) displayColumnName(ec envCol) string {
 }
 
 // execSelect runs a planned SELECT: a single one, or a UNION chain.
-func (vw view) execSelect(sp *selectPlan, params []Value) (*Result, error) {
+func (vw view) execSelect(sp *selectPlan) (*Result, error) {
 	if sp.arms == nil {
-		return vw.execSelectSingle(sp, params)
+		return vw.execSelectSingle(sp)
 	}
-	return vw.execUnion(sp, params)
+	return vw.execUnion(sp)
 }
 
 // execSelectSingle drives the compiled stages of one SELECT.
-func (vw view) execSelectSingle(sp *selectPlan, params []Value) (*Result, error) {
-	sel := sp.sel
+func (vw view) execSelectSingle(sp *selectPlan) (*Result, error) {
 	selStart := vw.clock()
 	// SELECT without FROM evaluates expressions over a single empty row.
 	rows := [][]Value{{}}
 	if sp.from != nil {
 		var err error
-		if rows, err = vw.execFromPlan(sp.from, params); err != nil {
+		if rows, err = vw.execFromPlan(sp.from); err != nil {
 			return nil, err
 		}
 	}
@@ -368,7 +367,7 @@ func (vw view) execSelectSingle(sp *selectPlan, params []Value) (*Result, error)
 			}
 		}
 		var err error
-		if perm, err = sortOrder(keys, sel.OrderBy); err != nil {
+		if perm, err = sortOrder(keys, sp.orderBy); err != nil {
 			return nil, err
 		}
 	}
@@ -377,13 +376,11 @@ func (vw view) execSelectSingle(sp *selectPlan, params []Value) (*Result, error)
 	// DISTINCT has rows to drop in between: a row the cut drops is not
 	// projected.
 	from, to := 0, len(outs)
-	limited := sel.Limit != nil || sel.Offset != nil
-	if limited && !sel.Distinct {
+	if !sp.dedupe {
 		var err error
-		if from, to, err = limitRange(len(outs), sel, params); err != nil {
+		if from, to, err = sp.cut(len(outs)); err != nil {
 			return nil, err
 		}
-		sp.limit.note(len(outs), to-from)
 	}
 
 	// Projection, in sorted order. A projection that is a run of the rows'
@@ -419,27 +416,13 @@ func (vw view) execSelectSingle(sp *selectPlan, params []Value) (*Result, error)
 		res.Rows[k] = row
 	}
 
-	if sel.Distinct {
-		seen := map[string]struct{}{}
-		kept := res.Rows[:0:0]
-		for _, r := range res.Rows {
-			k := identityKey(r)
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			kept = append(kept, r)
+	if sp.dedupe {
+		res.Rows = sp.dedupeRows(res.Rows)
+		from, to, err := sp.cut(len(res.Rows))
+		if err != nil {
+			return nil, err
 		}
-		sp.distinct.note(len(res.Rows), len(kept))
-		res.Rows = kept
-		if limited {
-			from, to, err := limitRange(len(kept), sel, params)
-			if err != nil {
-				return nil, err
-			}
-			sp.limit.note(len(kept), to-from)
-			res.Rows = kept[from:to]
-		}
+		res.Rows = res.Rows[from:to]
 	}
 	sp.stat.done(selStart, 0, len(res.Rows))
 	res.RowsAffected = int64(len(res.Rows))
@@ -520,40 +503,21 @@ func (sp *selectPlan) groupRows(rows [][]Value) (outs, outAggs [][]Value, err er
 	return outs, outAggs, nil
 }
 
-// limitRange returns the range of n rows that sel's OFFSET and LIMIT keep.
-func limitRange(n int, sel *SelectStmt, params []Value) (from, to int, err error) {
-	to = n
-	if sel.Offset != nil {
-		if from, err = constCount(sel.Offset, "OFFSET", params); err != nil {
-			return 0, 0, err
+// dedupeRows is the DISTINCT stage, and a UNION's that is not ALL
+// throughout: the rows without those equal to one before them.
+func (sp *selectPlan) dedupeRows(rows [][]Value) [][]Value {
+	seen := map[string]struct{}{}
+	kept := rows[:0:0]
+	for _, r := range rows {
+		k := identityKey(r)
+		if _, dup := seen[k]; dup {
+			continue
 		}
-		from = min(from, n)
+		seen[k] = struct{}{}
+		kept = append(kept, r)
 	}
-	if sel.Limit != nil {
-		count, err := constCount(sel.Limit, "LIMIT", params)
-		if err != nil {
-			return 0, 0, err
-		}
-		// Not from+count: the count may be as large as an int.
-		if count < to-from {
-			to = from + count
-		}
-	}
-	return from, to, nil
-}
-
-// constCount evaluates a LIMIT or OFFSET operand: a constant expression
-// with a non-negative integer value.
-func constCount(e Expr, clause string, params []Value) (int, error) {
-	v, ok := constValue(e, params)
-	if !ok {
-		return 0, errSyntax("%s must be a constant expression", clause)
-	}
-	n, ok := v.AsInt()
-	if !ok || n < 0 {
-		return 0, errSyntax("%s must be a non-negative integer", clause)
-	}
-	return int(n), nil
+	sp.deduped.note(len(rows), len(kept))
+	return kept
 }
 
 // --- DML execution ---
@@ -923,9 +887,6 @@ func (db *Database) execCreateIndex(tx *txnState, ci *CreateIndexStmt) (*Result,
 	}
 	db.indexes[key] = ix
 	tx.logDDL(undoRec{kind: undoCreateIndex, index: ci.Name})
-	// Index DDL never changes results (no vt bump) but does change access
-	// paths, which cached plans' cost decisions depend on.
-	db.bumpSchema(ci.Table)
 	return &Result{}, nil
 }
 
@@ -951,6 +912,5 @@ func (db *Database) execDropIndex(tx *txnState, di *DropIndexStmt) (*Result, err
 		t.mu.Unlock()
 	}
 	tx.logDDL(undoRec{kind: undoDropIndex, index: ix.Name, droppedIndex: ix})
-	db.bumpSchema(ix.Table)
 	return &Result{}, nil
 }

@@ -10,18 +10,13 @@ import (
 // operator is UNION ALL; ORDER BY (by output column name or ordinal) and
 // LIMIT/OFFSET then apply to the whole result. Column names come from
 // the first arm, as in SQL.
-func (vw view) execUnion(up *selectPlan, params []Value) (*Result, error) {
-	sel := up.sel
-	res, err := vw.execSelectSingle(up.arms[0], params)
+func (vw view) execUnion(up *selectPlan) (*Result, error) {
+	res, err := vw.execSelectSingle(up.arms[0])
 	if err != nil {
 		return nil, err
 	}
-	allAll := true
-	for i, part := range sel.Unions {
-		if !part.All {
-			allAll = false
-		}
-		arm, err := vw.execSelectSingle(up.arms[i+1], params)
+	for _, ap := range up.arms[1:] {
+		arm, err := vw.execSelectSingle(ap)
 		if err != nil {
 			return nil, err
 		}
@@ -32,28 +27,14 @@ func (vw view) execUnion(up *selectPlan, params []Value) (*Result, error) {
 		}
 		res.Rows = append(res.Rows, arm.Rows...)
 	}
-	if !allAll {
-		seen := map[string]struct{}{}
-		kept := res.Rows[:0:0]
-		for _, r := range res.Rows {
-			k := identityKey(r)
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			kept = append(kept, r)
-		}
-		up.union.note(len(res.Rows), len(kept))
-		res.Rows = kept
+	if up.dedupe {
+		res.Rows = up.dedupeRows(res.Rows)
 	}
-	if nk := len(sel.OrderBy); nk > 0 {
-		slots := make([]int, nk)
-		for i, o := range sel.OrderBy {
-			if slots[i], err = unionOrderColumn(o.Expr, res.Columns); err != nil {
-				return nil, err
-			}
-		}
-		perm, err := sortOrder(sortKeys{nk: nk, rows: res.Rows, slots: slots}, sel.OrderBy)
+	if up.stagesErr != nil {
+		return nil, up.stagesErr
+	}
+	if nk := len(up.order); nk > 0 {
+		perm, err := sortOrder(sortKeys{nk: nk, rows: res.Rows, slots: columnSlots(up.order)}, up.orderBy)
 		if err != nil {
 			return nil, err
 		}
@@ -63,46 +44,13 @@ func (vw view) execUnion(up *selectPlan, params []Value) (*Result, error) {
 		}
 		res.Rows = sorted
 	}
-	from, to, err := limitRange(len(res.Rows), sel, params)
+	from, to, err := up.limit.cut(len(res.Rows))
 	if err != nil {
 		return nil, err
 	}
 	res.Rows = res.Rows[from:to]
 	res.RowsAffected = int64(len(res.Rows))
 	return res, nil
-}
-
-// unionOrderColumn resolves a UNION ORDER BY key: an output column name
-// or a 1-based ordinal.
-func unionOrderColumn(e Expr, cols []string) (int, error) {
-	switch x := e.(type) {
-	case *ColumnRef:
-		if x.Table == "" {
-			for i, c := range cols {
-				if strings.EqualFold(c, x.Column) {
-					return i, nil
-				}
-			}
-		}
-		return 0, errUndefinedColumn(x.Column)
-	case *Literal:
-		if x.Val.T == TInt {
-			n := int(x.Val.I)
-			if n >= 1 && n <= len(cols) {
-				return n - 1, nil
-			}
-		}
-		return 0, errOrdinalRange(x.Val)
-	default:
-		return 0, &Error{Code: CodeFeature,
-			Message: "UNION ORDER BY supports output column names and ordinals only"}
-	}
-}
-
-// errOrdinalRange is the error of an ORDER BY ordinal that names no output
-// column, of a single SELECT and of a UNION alike.
-func errOrdinalRange(v Value) *Error {
-	return errSyntax("ORDER BY ordinal %s out of range", v.String())
 }
 
 // cloneForUndo deep-copies a table so ALTER TABLE can be rolled back

@@ -91,14 +91,11 @@ func (pp *planPrinter) selectPlan(sp *selectPlan, pad string, root bool) {
 	sel := sp.sel
 	if sp.arms != nil {
 		label := "Union All"
-		for _, part := range sel.Unions {
-			if !part.All {
-				label = "Union" + pp.staged(&sp.union)
-				break
-			}
+		if sp.dedupe {
+			label = "Union" + pp.staged(&sp.deduped)
 		}
 		in := pp.node(pad, root, label)
-		pp.orderAndLimit(sel, nil, in)
+		pp.orderAndLimit(sp, in)
 		for _, arm := range sp.arms {
 			pp.selectPlan(arm, in, false)
 		}
@@ -123,12 +120,12 @@ func (pp *planPrinter) selectPlan(sp *selectPlan, pad string, root bool) {
 	if sel.Having != nil {
 		pp.prop(in, "Having: "+exprString(sel.Having))
 	}
-	if sel.Distinct {
-		pp.prop(in, "Distinct"+pp.staged(&sp.distinct))
+	if sp.dedupe {
+		pp.prop(in, "Distinct"+pp.staged(&sp.deduped))
 	}
 	// The head arm of a UNION was planned without the chain's ORDER BY and
 	// LIMIT, so nothing prints for them here.
-	pp.orderAndLimit(sel, &sp.limit, in)
+	pp.orderAndLimit(sp, in)
 	if sp.from == nil {
 		pp.node(in, false, "Result")
 	} else {
@@ -138,24 +135,22 @@ func (pp *planPrinter) selectPlan(sp *selectPlan, pad string, root bool) {
 }
 
 // orderAndLimit prints the ORDER BY, OFFSET and LIMIT lines; the LIMIT
-// stage's counters go on the Limit line, or on Offset when it is alone.
-func (pp *planPrinter) orderAndLimit(sel *SelectStmt, limit *stageStats, pad string) {
-	if len(sel.OrderBy) > 0 {
-		pp.prop(pad, "Order By: "+orderByString(sel.OrderBy))
+// stage's counters (a UNION keeps none) go on the Limit line, or on Offset
+// when it is alone.
+func (pp *planPrinter) orderAndLimit(sp *selectPlan, pad string) {
+	if len(sp.orderBy) > 0 {
+		pp.prop(pad, "Order By: "+orderByString(sp.orderBy))
 	}
-	counters := ""
-	if limit != nil {
-		counters = pp.staged(limit)
-	}
-	if sel.Offset != nil {
-		text := "Offset: " + exprString(sel.Offset)
-		if sel.Limit == nil {
+	l, counters := &sp.limit, pp.staged(&sp.limited)
+	if l.offset != nil {
+		text := "Offset: " + exprString(l.offset)
+		if l.limit == nil {
 			text += counters
 		}
 		pp.prop(pad, text)
 	}
-	if sel.Limit != nil {
-		pp.prop(pad, "Limit: "+exprString(sel.Limit)+counters)
+	if l.limit != nil {
+		pp.prop(pad, "Limit: "+exprString(l.limit)+counters)
 	}
 }
 

@@ -74,6 +74,18 @@ func lexSQL(src string) ([]token, error) {
 	}
 }
 
+// HeadKeyword returns the keyword sql begins with, upper-cased, after the
+// whitespace and comments the lexer skips; "" when it begins with anything
+// else. It reads one token: callers that route a statement by its kind
+// (rows or a count, cacheable or not) need not lex the rest.
+func HeadKeyword(sql string) string {
+	lx := lexer{src: sql}
+	if t, err := lx.next(); err == nil && t.kind == tkKeyword {
+		return t.text
+	}
+	return ""
+}
+
 func (lx *lexer) next() (token, error) {
 	lx.skipSpaceAndComments()
 	if lx.pos >= len(lx.src) {

@@ -96,8 +96,6 @@ func RegisterMetrics(db *Database) {
 			"prepared-plan cache misses").Set(int64(pc.Misses))
 		obs.Default.Gauge("db2www_sqldb_plan_cache_bypasses",
 			"statements not eligible for plan caching").Set(int64(pc.Bypasses))
-		obs.Default.Gauge("db2www_sqldb_plan_cache_invalidations",
-			"cached plans discarded after schema changes").Set(int64(pc.Invalidations))
 		obs.Default.Gauge("db2www_sqldb_plan_cache_size",
 			"cached plans currently held").Set(int64(pc.Size))
 		st := db.TxnStats()

@@ -129,6 +129,7 @@ func TestOrderByIncomparableKeysIsAnError(t *testing.T) {
 // nothing. A single SELECT raises what a UNION always raised, when the
 // stage is reached: the WHERE's own error comes first.
 func TestOrderByOrdinalOutOfRange(t *testing.T) {
+	s := fuzzDB(t)
 	for _, c := range []struct{ sql, code, msg string }{
 		{"SELECT a, b, c FROM t ORDER BY 5", CodeSyntax, "ORDER BY ordinal 5 out of range"},
 		{"SELECT a, b, c FROM t ORDER BY 0", CodeSyntax, "ORDER BY ordinal 0 out of range"},
@@ -142,10 +143,7 @@ func TestOrderByOrdinalOutOfRange(t *testing.T) {
 		{"SELECT a FROM t ORDER BY -1, a", "", ""},
 		{"SELECT a FROM t ORDER BY 2.0, a", "", ""},
 	} {
-		// A database per statement: the plan cache keeps one tree per shape
-		// and an ordinal is a literal of it, so a second ordinal through the
-		// same shape is planned as the first (ROADMAP item 5e).
-		_, err := fuzzDB(t).Exec(c.sql)
+		_, err := s.Exec(c.sql)
 		var se *Error
 		switch {
 		case c.code == "" && err != nil:
@@ -155,8 +153,51 @@ func TestOrderByOrdinalOutOfRange(t *testing.T) {
 		}
 	}
 	// EXPLAIN still prints the plan of a statement whose stage will fail.
-	if _, err := fuzzDB(t).Exec("EXPLAIN SELECT a FROM t ORDER BY 9"); err != nil {
+	if _, err := s.Exec("EXPLAIN SELECT a FROM t ORDER BY 9"); err != nil {
 		t.Errorf("EXPLAIN of an out-of-range ordinal: %v", err)
+	}
+}
+
+// TestOrderByOrdinalsAreShapes: an ORDER BY ordinal stays a literal of the
+// parsed tree, so two statements that differ in one are two shapes of the
+// parse cache — one database, every statement twice, the repeat a hit and
+// never a bypass — while statement stats still file them under one digest.
+func TestOrderByOrdinalsAreShapes(t *testing.T) {
+	s := fuzzDB(t)
+	for _, c := range []struct{ sql, want string }{
+		{"SELECT a, c FROM t ORDER BY 1 DESC", "[[5 10] [4 ] [3 20] [2 20] [1 10]]"},
+		{"SELECT a, c FROM t ORDER BY 2 DESC", "[[2 20] [3 20] [1 10] [5 10] [4 ]]"},
+		{"SELECT a, b FROM t UNION ALL SELECT x, y FROM u ORDER BY 3", "42601 ORDER BY ordinal 3 out of range"},
+		{"SELECT a, b FROM t UNION ALL SELECT x, y FROM u ORDER BY 0", "42601 ORDER BY ordinal 0 out of range"},
+		{"SELECT a, b, c FROM t WHERE c = 10 ORDER BY 1", "[[1 one 10] [5 five 10]]"},
+		{"SELECT a, b, c FROM t WHERE c = 10 ORDER BY 5", "42601 ORDER BY ordinal 5 out of range"},
+		{"SELECT CAST(a AS VARCHAR(1)) FROM t WHERE a = 1", "[[1]]"},
+		{"SELECT CAST(a AS VARCHAR(2)) FROM t WHERE a = 1", "[[1]]"},
+	} {
+		for round, counted := range []string{"miss", "hit"} {
+			before := s.db.PlanCacheStats()
+			res, err := s.Exec(c.sql)
+			got := ""
+			var se *Error
+			if errors.As(err, &se) {
+				got = se.Code + " " + se.Message
+			} else {
+				got = fmt.Sprint(res.Rows)
+			}
+			if got != c.want {
+				t.Errorf("%s (%s): %s, want %s", c.sql, counted, got, c.want)
+			}
+			after := s.db.PlanCacheStats()
+			if after.Bypasses != before.Bypasses || int(after.Hits-before.Hits) != round ||
+				int(after.Misses-before.Misses) != 1-round {
+				t.Errorf("%s: want a %s: %+v -> %+v", c.sql, counted, before, after)
+			}
+		}
+	}
+	d1, _ := DigestSQL("SELECT a, c FROM t ORDER BY 1 DESC")
+	d2, _ := DigestSQL("select A, c from T order by 2 desc")
+	if d1 != d2 {
+		t.Errorf("digests differ: %s, %s", d1, d2)
 	}
 }
 

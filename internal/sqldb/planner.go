@@ -69,7 +69,8 @@ func (s *stageStats) note(in, out int) {
 // selectPlan is the plan of a SELECT. A single SELECT has from (nil
 // without a FROM clause) and subs; the head of a UNION chain has arms
 // instead — its own arm first, planned from a copy of the statement
-// without the ORDER BY/LIMIT/OFFSET that belong to the whole chain.
+// without the ORDER BY/LIMIT/OFFSET that belong to the whole chain — and
+// of the stages only the last three, over its arms' rows.
 type selectPlan struct {
 	sel  *SelectStmt
 	from *fromPlan
@@ -91,11 +92,70 @@ type selectPlan struct {
 	aggs      []aggCall // aggregate calls in slot order
 	aggRow    []Value   // the current group's results, which the closures read
 	having    predFn
-	order     []rowExpr // sort keys, evaluated like the projection
-	stagesErr error     // the first reference from the projection on that did not resolve
+	order     []rowExpr   // sort keys, evaluated like the projection
+	stagesErr error       // the first reference from the projection on that did not resolve
+	orderBy   []OrderItem // the sort keys as written: their directions, and what EXPLAIN prints
+	dedupe    bool        // DISTINCT, or a UNION that is not ALL throughout
+	limit     limitStage
 
-	stat                                     opStats
-	where, aggregate, distinct, limit, union stageStats
+	stat                               opStats
+	where, aggregate, deduped, limited stageStats
+}
+
+// limitStage is OFFSET and LIMIT: the operands as written, nil when
+// absent, and their values, constant for the execution. err is the operand
+// that is no non-negative integer constant, raised when the stage is
+// reached.
+type limitStage struct {
+	offset, limit Expr
+	skip, count   int
+	err           error
+}
+
+// planLimit evaluates sel's OFFSET and LIMIT.
+func planLimit(sel *SelectStmt, params []Value) limitStage {
+	l := limitStage{offset: sel.Offset, limit: sel.Limit}
+	if l.offset != nil {
+		l.skip, l.err = constCount(l.offset, "OFFSET", params)
+	}
+	if l.limit != nil && l.err == nil {
+		l.count, l.err = constCount(l.limit, "LIMIT", params)
+	}
+	return l
+}
+
+// cut returns the range of n rows that OFFSET and LIMIT keep.
+func (l *limitStage) cut(n int) (from, to int, err error) {
+	from, to = min(l.skip, n), n
+	// Not from+count: the count may be as large as an int.
+	if l.limit != nil && l.count < to-from {
+		to = from + l.count
+	}
+	return from, to, l.err
+}
+
+// cut is the OFFSET and LIMIT stage of a single SELECT, which counts what
+// it did where the statement has either.
+func (sp *selectPlan) cut(n int) (from, to int, err error) {
+	from, to, err = sp.limit.cut(n)
+	if err == nil && (sp.limit.offset != nil || sp.limit.limit != nil) {
+		sp.limited.note(n, to-from)
+	}
+	return from, to, err
+}
+
+// constCount evaluates a LIMIT or OFFSET operand: a constant expression
+// with a non-negative integer value.
+func constCount(e Expr, clause string, params []Value) (int, error) {
+	v, ok := constValue(e, params)
+	if !ok {
+		return 0, errSyntax("%s must be a constant expression", clause)
+	}
+	n, ok := v.AsInt()
+	if !ok || n < 0 {
+		return 0, errSyntax("%s must be a non-negative integer", clause)
+	}
+	return int(n), nil
 }
 
 // aggCall is one aggregate call of a grouped SELECT with its compiled
@@ -255,7 +315,8 @@ func (vw view) planSelect(sel *SelectStmt, params []Value) (*selectPlan, error) 
 	head := *sel
 	head.Unions = nil
 	head.OrderBy, head.Limit, head.Offset = nil, nil, nil
-	up := &selectPlan{sel: sel, arms: make([]*selectPlan, 0, 1+len(sel.Unions))}
+	up := &selectPlan{sel: sel, arms: make([]*selectPlan, 0, 1+len(sel.Unions)),
+		orderBy: sel.OrderBy, limit: planLimit(sel, params)}
 	arm, err := vw.planArm(&head, params)
 	if err != nil {
 		return nil, err
@@ -266,13 +327,59 @@ func (vw view) planSelect(sel *SelectStmt, params []Value) (*selectPlan, error) 
 			return nil, err
 		}
 		up.arms = append(up.arms, arm)
+		up.dedupe = up.dedupe || !part.All
+	}
+	// The chain is sorted by output columns, the first arm's, only.
+	up.order = make([]rowExpr, len(sel.OrderBy))
+	for i, o := range sel.OrderBy {
+		at, err := orderColumn(o.Expr, up.arms[0].names)
+		if ref, ok := o.Expr.(*ColumnRef); ok && at < 0 {
+			err = errUndefinedColumn(ref.Column)
+		} else if err == nil && at < 0 {
+			err = &Error{Code: CodeFeature,
+				Message: "UNION ORDER BY supports output column names and ordinals only"}
+		}
+		if err != nil && up.stagesErr == nil {
+			up.stagesErr = err
+		}
+		up.order[i] = rowExpr{slot: at}
 	}
 	return up, nil
 }
 
+// orderColumn resolves a sort key that names an output column — by its
+// name, unqualified, or its 1-based ordinal — to the column's position: -1
+// for any other expression, an error for an ordinal that names none.
+func orderColumn(e Expr, names []string) (int, error) {
+	switch x := e.(type) {
+	case *ColumnRef:
+		if x.Table == "" {
+			for j, name := range names {
+				if strings.EqualFold(name, x.Column) {
+					return j, nil
+				}
+			}
+		}
+	case *Literal:
+		if x.Val.T == TInt {
+			if x.Val.I < 1 || x.Val.I > int64(len(names)) {
+				return -1, errOrdinalRange(x.Val)
+			}
+			return int(x.Val.I) - 1, nil
+		}
+	}
+	return -1, nil
+}
+
+// errOrdinalRange is the error of an ORDER BY ordinal that names no output
+// column, of a single SELECT and of a UNION alike.
+func errOrdinalRange(v Value) *Error {
+	return errSyntax("ORDER BY ordinal %s out of range", v.String())
+}
+
 // planArm plans one SELECT without its UNION chain.
 func (vw view) planArm(sel *SelectStmt, params []Value) (*selectPlan, error) {
-	sp := &selectPlan{sel: sel}
+	sp := &selectPlan{sel: sel, orderBy: sel.OrderBy, dedupe: sel.Distinct, limit: planLimit(sel, params)}
 	if len(sel.From) > 0 {
 		fp, err := vw.planQuery(sel.From, sel.Where, params)
 		if err != nil {
@@ -375,25 +482,13 @@ func (vw view) compileSelect(sp *selectPlan, params []Value) {
 		sp.order = make([]rowExpr, len(sel.OrderBy))
 	}
 	for i, o := range sel.OrderBy {
-		at := -1
-		if ref, ok := o.Expr.(*ColumnRef); ok && ref.Table == "" {
-			for j, name := range names {
-				if strings.EqualFold(name, ref.Column) {
-					at = j
-					break
-				}
-			}
-		}
-		if l, ok := o.Expr.(*Literal); ok && l.Val.T == TInt {
-			if l.Val.I < 1 || l.Val.I > int64(len(proj)) {
-				fail(errOrdinalRange(l.Val))
-				continue
-			}
-			at = int(l.Val.I) - 1
-		}
-		if at >= 0 {
+		at, err := orderColumn(o.Expr, names)
+		if err == nil && at >= 0 {
 			sp.order[i] = proj[at]
-		} else if sp.order[i], err = c.value(o.Expr); err != nil {
+		} else if err == nil {
+			sp.order[i], err = c.value(o.Expr)
+		}
+		if err != nil {
 			fail(err)
 		}
 	}

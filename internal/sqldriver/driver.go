@@ -104,11 +104,11 @@ type conn struct {
 }
 
 func (c *conn) Prepare(query string) (driver.Stmt, error) {
-	st, err := sqldb.Parse(query)
+	st, n, err := sqldb.ParseParams(query)
 	if err != nil {
 		return nil, err
 	}
-	return &stmt{conn: c, parsed: st, numInput: countParams(query)}, nil
+	return &stmt{conn: c, parsed: st, numInput: n}, nil
 }
 
 func (c *conn) Close() error { return c.sess.Close() }
@@ -276,45 +276,4 @@ func toValue(a driver.Value) (sqldb.Value, error) {
 	default:
 		return sqldb.Null, fmt.Errorf("sqldriver: unsupported parameter type %T", a)
 	}
-}
-
-// countParams counts ? placeholders outside of string literals, comments,
-// and quoted identifiers.
-func countParams(query string) int {
-	n := 0
-	inStr, inIdent := false, false
-	for i := 0; i < len(query); i++ {
-		c := query[i]
-		switch {
-		case inStr:
-			if c == '\'' {
-				if i+1 < len(query) && query[i+1] == '\'' {
-					i++
-				} else {
-					inStr = false
-				}
-			}
-		case inIdent:
-			if c == '"' {
-				inIdent = false
-			}
-		case c == '\'':
-			inStr = true
-		case c == '"':
-			inIdent = true
-		case c == '-' && i+1 < len(query) && query[i+1] == '-':
-			for i < len(query) && query[i] != '\n' {
-				i++
-			}
-		case c == '/' && i+1 < len(query) && query[i+1] == '*':
-			j := strings.Index(query[i+2:], "*/")
-			if j < 0 {
-				return n
-			}
-			i += 2 + j + 1
-		case c == '?':
-			n++
-		}
-	}
-	return n
 }
