@@ -33,7 +33,7 @@ import (
 )
 
 // newStack builds the standard Appendix A stack for benchmarks.
-func newStack(b *testing.B, rows int) *experiments.Stack {
+func newStack(b testing.TB, rows int) *experiments.Stack {
 	b.Helper()
 	st, err := experiments.NewStack(experiments.StackConfig{Rows: rows, Seed: 1, CacheMacros: true})
 	if err != nil {
@@ -429,19 +429,39 @@ func BenchmarkE12_ListVariables(b *testing.B) {
 // rows of the table, ORDER BY title, as one 364 KB page — the shape of
 // the benchmark's big_report workload, served through the HTTP handler.
 func BenchmarkE13_BigReport(b *testing.B) {
-	st := newStack(b, 2000)
-	c := st.Client()
-	const url = "http://server/cgi-bin/db2www/urlquery.d2w/report?DBFIELDS=title&DBFIELDS=description"
+	get := bigReport(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		get()
+	}
+}
+
+// bigReport returns the request of BenchmarkE13_BigReport, checked.
+func bigReport(tb testing.TB) func() {
+	st := newStack(tb, 2000)
+	c := st.Client()
+	const url = "http://server/cgi-bin/db2www/urlquery.d2w/report?DBFIELDS=title&DBFIELDS=description"
+	return func() {
 		page, err := c.Get(url)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if rows := strings.Count(page.Body, "<LI>"); page.Status != 200 || rows != 2001 {
-			b.Fatalf("status %d, %d <LI>", page.Status, rows)
+			tb.Fatalf("status %d, %d <LI>", page.Status, rows)
 		}
+	}
+}
+
+// TestBigReportAllocations gates what BenchmarkE13_BigReport prints as
+// allocs/op: the 2 000-row report makes at most 200 allocations (137 with
+// the block fetch; 5 988 while the driver's cursor boxed one value per
+// cell), so a per-row or per-cell allocation cannot come back unnoticed.
+func TestBigReportAllocations(t *testing.T) {
+	allocs := testing.AllocsPerRun(10, bigReport(t))
+	t.Logf("%.0f allocations per 2 000-row report", allocs)
+	if allocs > 200 {
+		t.Errorf("%.0f allocations per 2 000-row report, want at most 200", allocs)
 	}
 }
 

@@ -179,13 +179,18 @@ func (h *Handler) serveCGI(w http.ResponseWriter, r *http.Request, script string
 	if pathInfo == r.URL.Path {
 		pathInfo = strings.TrimPrefix(r.URL.Path, script)
 	}
-	req, err := h.buildRequest(r, script, pathInfo)
+	req, err := h.buildRequest(w, r, script, pathInfo)
 	if err != nil {
 		// The detail (an unreadable body, a malformed header) is logged
 		// with the trace ID; the client gets a generic message — internal
 		// error strings are not part of the response contract.
 		h.logf(r, "rejecting request: %v", err)
-		http.Error(w, "bad request", http.StatusBadRequest)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, "request entity too large", http.StatusRequestEntityTooLarge)
+		} else {
+			http.Error(w, "bad request", http.StatusBadRequest)
+		}
 		return
 	}
 	var resp *cgi.Response
@@ -240,8 +245,12 @@ func pageBytes(s string) []byte {
 	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
+// maxBodyBytes bounds a POSTed form. A longer body is refused (413), not
+// cut: a macro must never run on half a form.
+const maxBodyBytes = 1 << 20
+
 // buildRequest translates an HTTP request into the CGI request contract.
-func (h *Handler) buildRequest(r *http.Request, script, pathInfo string) (*cgi.Request, error) {
+func (h *Handler) buildRequest(w http.ResponseWriter, r *http.Request, script, pathInfo string) (*cgi.Request, error) {
 	req := &cgi.Request{
 		Method:      r.Method,
 		ScriptName:  script,
@@ -263,7 +272,7 @@ func (h *Handler) buildRequest(r *http.Request, script, pathInfo string) (*cgi.R
 		req.AuthUser = user
 	}
 	if r.Method == http.MethodPost {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
 			return nil, fmt.Errorf("reading request body: %w", err)
 		}

@@ -226,6 +226,52 @@ func TestHandlerGenericErrorBodies(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyIs413: a form of exactly the limit is served whole; one
+// byte more is refused with 413 and the generic body — the macro never
+// runs on half a form, which is what io.LimitReader used to hand it — the
+// detail is logged with the trace ID, and the request's record carries
+// the status.
+func TestOversizedBodyIs413(t *testing.T) {
+	h, _ := newTestStack(t)
+	h.TraceRing = obs.NewRing(4)
+	var logged []string // filled on this goroutine: ServeHTTP is called directly
+	h.Logf = func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}
+	post := func(id string, size int) *httptest.ResponseRecorder {
+		// The checkbox comes last: a truncated form would lose it and
+		// report on every row.
+		form := "SEARCH=zzzz&PAD=" + strings.Repeat("x", size-len("SEARCH=zzzz&PAD=&USE_URL=yes")) + "&USE_URL=yes"
+		req := httptest.NewRequest("POST", "http://server/cgi-bin/db2www/urlquery.d2w/report", strings.NewReader(form))
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		req.Header.Set("X-Trace-Id", id)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	// One <LI> is the page's footer link: no row matches zzzz.
+	if rec := post("fits", maxBodyBytes); rec.Code != http.StatusOK || strings.Count(rec.Body.String(), "<LI>") != 1 {
+		t.Errorf("a %d-byte form: status %d, %d <LI>", maxBodyBytes, rec.Code, strings.Count(rec.Body.String(), "<LI>"))
+	}
+	rec := post("over", maxBodyBytes+1)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("a %d-byte form: status %d, want 413", maxBodyBytes+1, rec.Code)
+	}
+	if body := strings.TrimSpace(rec.Body.String()); body != "request entity too large" {
+		t.Errorf("body = %q, want the generic phrase", body)
+	}
+	if len(logged) != 1 || !strings.Contains(logged[0], "trace=over") || !strings.Contains(logged[0], "too large") {
+		t.Errorf("server-side log = %v, want one line tagged trace=over naming the cause", logged)
+	}
+	status := map[string]int{}
+	for _, tr := range h.TraceRing.Snapshot() {
+		status[tr.ID] = tr.Status
+	}
+	if status["fits"] != http.StatusOK || status["over"] != http.StatusRequestEntityTooLarge {
+		t.Errorf("the requests' records carry %v, want fits 200 and over 413", status)
+	}
+}
+
 // TestSlowLogOnRequestPath: with a zero threshold every request logs,
 // carrying the trace ID and span breakdown.
 func TestSlowLogOnRequestPath(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"database/sql"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -134,104 +133,46 @@ func (c *sqlConn) Execute(sqlText string) (*core.SQLResult, error) {
 
 // ExecuteContext is Execute carrying the request context, so statement
 // execution rides the same trace/cancellation scope as the HTTP request
-// that assembled it.
+// that assembled it. The result is fetched as one block: the driver
+// connection under c.conn — the one an open c.tx runs on — hands over the
+// engine's rows whole, and the fields are bound from them in one backing
+// array. A statement is a query when its result has columns (SELECT, and
+// EXPLAIN, whose plan is rows like any other).
 func (c *sqlConn) ExecuteContext(ctx context.Context, sqlText string) (*core.SQLResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	query := func(q string) (*sql.Rows, error) {
-		if c.tx != nil {
-			return c.tx.QueryContext(ctx, q)
-		}
-		return c.conn.QueryContext(ctx, q)
-	}
-	exec := func(q string) (sql.Result, error) {
-		if c.tx != nil {
-			return c.tx.ExecContext(ctx, q)
-		}
-		return c.conn.ExecContext(ctx, q)
-	}
-	if isQueryStatement(sqlText) {
-		rows, err := query(sqlText)
-		if err != nil {
-			return nil, err
-		}
-		defer rows.Close()
-		cols, err := rows.Columns()
-		if err != nil {
-			return nil, err
-		}
-		res := &core.SQLResult{Columns: cols}
-		// One scan buffer serves every row, and the rows are carved out
-		// of shared chunks that start small (a point lookup allocates a
-		// few fields) and double up to maxChunkRows.
-		n := len(cols)
-		raw := make([]any, n)
-		ptrs := make([]any, n)
-		for i := range raw {
-			ptrs[i] = &raw[i]
-		}
-		var chunk []core.Field
-		chunkRows := 4
-		for rows.Next() {
-			if err := rows.Scan(ptrs...); err != nil {
-				return nil, err
-			}
-			if len(chunk) < n {
-				chunk = make([]core.Field, n*chunkRows)
-				chunkRows = min(2*chunkRows, maxChunkRows)
-			}
-			row := chunk[:n:n]
-			chunk = chunk[n:]
-			for i, v := range raw {
-				row[i] = toField(v)
-			}
-			res.Rows = append(res.Rows, row)
-		}
-		if err := rows.Err(); err != nil {
-			return nil, err
-		}
-		res.RowsAffected = int64(len(res.Rows))
-		return res, nil
-	}
-	r, err := exec(sqlText)
+	var res *sqldb.Result
+	err := c.conn.Raw(func(driverConn any) (err error) {
+		res, err = sqldriver.Execute(ctx, driverConn, sqlText)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	n, _ := r.RowsAffected()
-	return &core.SQLResult{RowsAffected: n}, nil
-}
-
-// maxChunkRows bounds how many result rows share one backing array.
-const maxChunkRows = 256
-
-// isQueryStatement reports whether the statement produces a result set:
-// after the comments the engine's lexer skips, it begins with SELECT or
-// with EXPLAIN, whose plan is rows like any other.
-func isQueryStatement(sqlText string) bool {
-	kw := sqldb.HeadKeyword(sqlText)
-	return kw == "SELECT" || kw == "EXPLAIN"
-}
-
-// toField converts a database/sql scan value to the engine's Field.
-func toField(v any) core.Field {
-	switch x := v.(type) {
-	case nil:
-		return core.Field{Null: true}
-	case []byte:
-		return core.Field{S: string(x)}
-	case string:
-		return core.Field{S: x}
-	case int64:
-		return core.Field{S: strconv.FormatInt(x, 10)}
-	case float64:
-		return core.Field{S: sqldb.NewFloat(x).String()}
-	case bool:
-		if x {
-			return core.Field{S: "TRUE"}
-		}
-		return core.Field{S: "FALSE"}
-	default:
-		return core.Field{S: fmt.Sprint(x)}
+	n := len(res.Columns)
+	if n == 0 {
+		return &core.SQLResult{RowsAffected: res.RowsAffected}, nil
 	}
+	out := &core.SQLResult{Columns: res.Columns, RowsAffected: int64(len(res.Rows))}
+	if len(res.Rows) == 0 {
+		return out, nil
+	}
+	out.Rows = make([][]core.Field, len(res.Rows))
+	fields := make([]core.Field, n*len(res.Rows))
+	for i, vals := range res.Rows {
+		row := fields[i*n : (i+1)*n : (i+1)*n]
+		for j, v := range vals {
+			switch v.T {
+			case sqldb.TNull:
+				row[j].Null = true
+			case sqldb.TString: // nearly every cell: no call, the string shared
+				row[j].S = v.S
+			default:
+				row[j].S = v.String()
+			}
+		}
+		out.Rows[i] = row
+	}
+	return out, nil
 }

@@ -2,14 +2,21 @@
 // standard database/sql interface under the driver name "db2www".
 //
 // The paper's DB2 WWW Connection talks to "a wide variety of DBMS" through
-// a narrow dynamic-SQL surface; registering the engine as a database/sql
-// driver reproduces that portability point: the gateway and macro engine
-// code only depend on *sql.DB, so any conforming driver could be swapped
-// in. Databases are in-memory and registered by name:
+// a narrow dynamic-SQL surface. Here that portability point is
+// core.DBProvider: a foreign DBMS is another provider. This package is a
+// conforming database/sql driver over the embedded engine — what sqlsh,
+// the related-work baselines and any *sql.DB caller use — and database/sql
+// keeps the pool, the connections and the transactions of the gateway's
+// own provider too. Databases are in-memory and registered by name:
 //
 //	db := sqldb.NewDatabase("CELDIAL")
 //	sqldriver.Register("CELDIAL", db)
 //	conn, err := sql.Open("db2www", "CELDIAL")
+//
+// A cursor crosses the driver interface once per cell (rows.Next boxes
+// every value into a driver.Value). The in-process provider crosses it
+// once per result instead: Execute, given the driver connection
+// sql.Conn.Raw hands out, returns the engine's *sqldb.Result whole.
 package sqldriver
 
 import (
@@ -120,8 +127,24 @@ func (c *conn) Begin() (driver.Tx, error) {
 	return &tx{sess: c.sess}, nil
 }
 
-// ExecContext lets database/sql skip Prepare for one-shot statements.
-func (c *conn) ExecContext(ctx context.Context, query string, args []driver.NamedValue) (driver.Result, error) {
+// Execute is the block fetch: it runs query on the session behind
+// driverConn — the value sql.Conn.Raw passes its callback — and returns
+// the engine's result whole, rows read-only. It is the statement
+// conn.QueryContext would run (same context check, same session, so an
+// open sql.Tx, the request trace and the obs.SQLExec entry on ctx all
+// apply) without the row-at-a-time cursor above it. A connection of
+// another driver is an error.
+func Execute(ctx context.Context, driverConn any, query string) (*sqldb.Result, error) {
+	c, ok := driverConn.(*conn)
+	if !ok {
+		return nil, fmt.Errorf("sqldriver: %T is not a %s connection", driverConn, DriverName)
+	}
+	return c.exec(ctx, query, nil)
+}
+
+// exec is the one-shot path: a context already cancelled is refused at
+// the door, the arguments become engine values, the session runs the text.
+func (c *conn) exec(ctx context.Context, query string, args []driver.NamedValue) (*sqldb.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -129,7 +152,12 @@ func (c *conn) ExecContext(ctx context.Context, query string, args []driver.Name
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.sess.ExecContext(ctx, query, params...)
+	return c.sess.ExecContext(ctx, query, params...)
+}
+
+// ExecContext lets database/sql skip Prepare for one-shot statements.
+func (c *conn) ExecContext(ctx context.Context, query string, args []driver.NamedValue) (driver.Result, error) {
+	res, err := c.exec(ctx, query, args)
 	if err != nil {
 		return nil, err
 	}
@@ -138,14 +166,7 @@ func (c *conn) ExecContext(ctx context.Context, query string, args []driver.Name
 
 // QueryContext lets database/sql skip Prepare for one-shot queries.
 func (c *conn) QueryContext(ctx context.Context, query string, args []driver.NamedValue) (driver.Rows, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	params, err := namedToValues(args)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.sess.ExecContext(ctx, query, params...)
+	res, err := c.exec(ctx, query, args)
 	if err != nil {
 		return nil, err
 	}
@@ -161,28 +182,52 @@ type stmt struct {
 func (s *stmt) Close() error  { return nil }
 func (s *stmt) NumInput() int { return s.numInput }
 
-func (s *stmt) Exec(args []driver.Value) (driver.Result, error) {
-	params, err := driverToValues(args)
+// exec runs the prepared statement under ctx, like conn.exec: the trace
+// and the obs.SQLExec entry a request put on ctx reach the engine through
+// db.PrepareContext + stmt.QueryContext as they do through db.QueryContext.
+func (s *stmt) exec(ctx context.Context, args []driver.NamedValue) (*sqldb.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	params, err := namedToValues(args)
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.conn.sess.ExecStmt(s.parsed, params...)
+	return s.conn.sess.ExecStmtContext(ctx, s.parsed, params...)
+}
+
+func (s *stmt) ExecContext(ctx context.Context, args []driver.NamedValue) (driver.Result, error) {
+	res, err := s.exec(ctx, args)
 	if err != nil {
 		return nil, err
 	}
 	return result{res}, nil
 }
 
-func (s *stmt) Query(args []driver.Value) (driver.Rows, error) {
-	params, err := driverToValues(args)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.conn.sess.ExecStmt(s.parsed, params...)
+func (s *stmt) QueryContext(ctx context.Context, args []driver.NamedValue) (driver.Rows, error) {
+	res, err := s.exec(ctx, args)
 	if err != nil {
 		return nil, err
 	}
 	return &rows{res: res, pos: -1}, nil
+}
+
+// Exec and Query complete driver.Stmt; database/sql calls the context
+// forms above.
+func (s *stmt) Exec(args []driver.Value) (driver.Result, error) {
+	return s.ExecContext(context.TODO(), positional(args))
+}
+
+func (s *stmt) Query(args []driver.Value) (driver.Rows, error) {
+	return s.QueryContext(context.TODO(), positional(args))
+}
+
+func positional(args []driver.Value) []driver.NamedValue {
+	out := make([]driver.NamedValue, len(args))
+	for i, a := range args {
+		out[i] = driver.NamedValue{Ordinal: i + 1, Value: a}
+	}
+	return out
 }
 
 type tx struct {
@@ -229,19 +274,7 @@ func (r *rows) Next(dest []driver.Value) error {
 	return nil
 }
 
-// driverToValues converts database/sql driver values into engine values.
-func driverToValues(args []driver.Value) ([]sqldb.Value, error) {
-	out := make([]sqldb.Value, len(args))
-	for i, a := range args {
-		v, err := toValue(a)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
+// namedToValues converts database/sql's arguments into engine values.
 func namedToValues(args []driver.NamedValue) ([]sqldb.Value, error) {
 	out := make([]sqldb.Value, len(args))
 	for _, a := range args {

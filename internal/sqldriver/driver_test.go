@@ -1,12 +1,16 @@
 package sqldriver
 
 import (
+	"context"
 	"database/sql"
+	"database/sql/driver"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
+	"db2www/internal/obs"
 	"db2www/internal/sqldb"
 )
 
@@ -432,5 +436,142 @@ func TestPreparedJoinReplansPerExecution(t *testing.T) {
 	}
 	if first := firstScan(35); first != "big" {
 		t.Fatalf("203 rows against ~13: want the join to start from big, starts from %s", first)
+	}
+}
+
+// TestPreparedStatementCarriesContext: an obs.SQLExec entry on ctx is
+// filled by a prepared statement exactly as by the one-shot path beside
+// it, and a cancelled ctx is refused by both — stmt used to implement only
+// Exec/Query, so the entry and the request trace stopped at database/sql.
+func TestPreparedStatementCarriesContext(t *testing.T) {
+	db := openTestDB(t, "TCTX")
+	drain := func(rows *sql.Rows, err error) error {
+		if err != nil {
+			return err
+		}
+		defer rows.Close()
+		for rows.Next() {
+		}
+		return rows.Err()
+	}
+	const q = "SELECT name FROM emp WHERE id = ?"
+	oneShot, prepared := &obs.SQLExec{}, &obs.SQLExec{}
+	if err := drain(db.QueryContext(obs.WithSQLExec(context.Background(), oneShot), q, 2)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := db.PrepareContext(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := drain(st.QueryContext(obs.WithSQLExec(context.Background(), prepared), 2)); err != nil {
+		t.Fatal(err)
+	}
+	if oneShot.Kind != "select" || prepared.Kind != oneShot.Kind {
+		t.Errorf("statement kind: one-shot %q, prepared %q, want select from both", oneShot.Kind, prepared.Kind)
+	}
+	write := &obs.SQLExec{}
+	ins, err := db.PrepareContext(context.Background(), "INSERT INTO emp VALUES (?, 'dave', 1)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ins.Close()
+	if _, err := ins.ExecContext(obs.WithSQLExec(context.Background(), write), 9); err != nil {
+		t.Fatal(err)
+	}
+	if write.Kind != "write" {
+		t.Errorf("prepared INSERT reported kind %q, want write", write.Kind)
+	}
+	if _, err := st.QueryContext(context.Background(), sql.Named("id", 2)); err == nil ||
+		!strings.Contains(err.Error(), "named parameters") {
+		t.Errorf("named parameter on a prepared statement: %v", err)
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := drain(db.QueryContext(cancelled, q, 2)); !errors.Is(err, context.Canceled) {
+		t.Errorf("one-shot query under a cancelled context: %v", err)
+	}
+	if err := drain(st.QueryContext(cancelled, 2)); !errors.Is(err, context.Canceled) {
+		t.Errorf("prepared query under a cancelled context: %v", err)
+	}
+	// The driver's own door, which database/sql's checks stand in front of.
+	dc, err := (&Driver{}).Open("TCTX")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+	ds, err := dc.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []driver.NamedValue{{Ordinal: 1, Value: int64(2)}}
+	if _, err := ds.(driver.StmtQueryContext).QueryContext(cancelled, args); !errors.Is(err, context.Canceled) {
+		t.Errorf("stmt.QueryContext under a cancelled context: %v", err)
+	}
+	if _, err := ds.(driver.StmtExecContext).ExecContext(cancelled, args); !errors.Is(err, context.Canceled) {
+		t.Errorf("stmt.ExecContext under a cancelled context: %v", err)
+	}
+	if rows, err := ds.Query([]driver.Value{int64(2)}); err != nil || len(rows.Columns()) != 1 {
+		t.Errorf("driver.Stmt.Query: %v", err)
+	}
+}
+
+// TestExecuteBlockFetch: Execute returns, through sql.Conn.Raw, the result
+// the cursor would iterate — inside the connection's open transaction —
+// and refuses what is not this driver's connection.
+func TestExecuteBlockFetch(t *testing.T) {
+	db := openTestDB(t, "TRAW")
+	ctx := context.Background()
+	conn, err := db.Conn(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fetch := func(ctx context.Context, q string) (res *sqldb.Result, err error) {
+		err = conn.Raw(func(dc any) error {
+			res, err = Execute(ctx, dc, q)
+			return err
+		})
+		return res, err
+	}
+	tx, err := conn.BeginTx(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.ExecContext(ctx, "UPDATE emp SET name = 'zed' WHERE id = 1"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := fetch(ctx, "SELECT id, name, salary FROM emp ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 3 || !slices.Equal(res.Columns, []string{"id", "name", "salary"}) ||
+		res.Rows[0][1].S != "zed" || res.Rows[2][2].F != 120000 {
+		t.Errorf("block fetch inside the transaction: %+v", res)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = fetch(ctx, "SELECT name FROM emp WHERE id = 1"); err != nil || res.Rows[0][0].S != "alice" {
+		t.Errorf("after rollback: %+v, %v", res, err)
+	}
+	if res, err = fetch(ctx, "DELETE FROM emp WHERE id > 1"); err != nil || res.RowsAffected != 2 || len(res.Columns) != 0 {
+		t.Errorf("DELETE: %+v, %v", res, err)
+	}
+	var sqlErr *sqldb.Error
+	if _, err = fetch(ctx, "SELECT * FROM missing"); !errors.As(err, &sqlErr) || sqlErr.Code != sqldb.CodeUndefinedTable {
+		t.Errorf("SQLSTATE through Raw: %v", err)
+	}
+	if err := conn.PingContext(ctx); err != nil {
+		t.Errorf("an SQL error cost the connection: %v", err)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err = fetch(cancelled, "SELECT 1"); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled context: %v", err)
+	}
+	if _, err := Execute(ctx, struct{}{}, "SELECT 1"); err == nil {
+		t.Error("a foreign driver connection was accepted")
 	}
 }
