@@ -15,6 +15,20 @@ type Response struct {
 	ContentType string
 	Headers     map[string]string
 	Body        string
+	// Recycled, when non-nil, owns the memory Body is a view of and takes it
+	// back through Release. A producer that renders into a reused buffer sets
+	// it; a consumer that never calls Release keeps an intact Body for good.
+	Recycled interface{ Release() }
+}
+
+// Release hands Body's memory back to its producer, if the producer asked
+// for it: call it once nothing reads Body any more — Body is "" afterwards,
+// never another response's page. It is a no-op on every other response.
+func (r *Response) Release() {
+	if b := r.Recycled; b != nil {
+		r.Body, r.Recycled = "", nil
+		b.Release()
+	}
 }
 
 // ParseResponse splits raw CGI program output into headers and body.

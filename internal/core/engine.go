@@ -657,10 +657,23 @@ type rowScope struct {
 	// rowNum is ROW_NUM: the row being printed, then the total; -1 while
 	// the report header leaves it unbound.
 	rowNum int
-	// bound holds, per part of the %ROW template, the column ordinal a
-	// Vi / V.column reference resolved to for this result, else -1.
-	bound []int
+	// bound holds what bind resolved each part of the %ROW template to.
+	bound []rowRef
 }
+
+// rowRef is a reference resolved once per report instead of once per row.
+type rowRef struct {
+	// col is the column ordinal a Vi / V.column reference reads, else -1.
+	col int
+	// wrap is set for a reference to a %DEFINE variable that only wraps row
+	// columns in text (Appendix A's D2 = ? "<br>$(V2)"): the assignment it
+	// evaluates to, with the columns of its value's parts in inner.
+	wrap  *DefineStmt
+	inner []rowRef
+}
+
+// unbound is the rowRef of a reference evaluated by name.
+var unbound = rowRef{col: -1}
 
 func newRowScope(cols []string) *rowScope {
 	s := &rowScope{cols: cols, lower: make([]string, len(cols)), rowNum: -1}
@@ -670,13 +683,29 @@ func newRowScope(cols []string) *rowScope {
 	return s
 }
 
-// bind resolves the %ROW template's own row-variable references.
-func (s *rowScope) bind(parts []part) {
-	s.bound = make([]int, len(parts))
+// columns resolves the references among parts to a column the result has
+// (a row of another width than the header is evaluated unbound).
+func (s *rowScope) columns(parts []part) []rowRef {
+	refs := make([]rowRef, len(parts))
 	for k := range parts {
-		s.bound[k] = -1
+		refs[k].col = -1
 		if p := &parts[k]; p.ref && p.dyn == nil && len(p.name) >= 2 && p.name[0] == 'V' {
-			s.bound[k] = s.ordinal(p.name[1:])
+			if col := s.ordinal(p.name[1:]); col < len(s.cols) {
+				refs[k].col = col
+			}
+		}
+	}
+	return refs
+}
+
+// bind resolves the %ROW template's references: its own row variables, and
+// the variables vt can tell now to be wrappers of row variables on every
+// row. All others are evaluated by name, row after row.
+func (s *rowScope) bind(vt *VarTable, parts []part) {
+	s.bound = s.columns(parts)
+	for k := range parts {
+		if b, p := &s.bound[k], &parts[k]; p.ref && p.dyn == nil && b.col < 0 {
+			b.wrap, b.inner = vt.rowWrapper(p.name, s)
 		}
 	}
 }
@@ -753,9 +782,38 @@ func (s *rowScope) appendVar(buf []byte, name string) ([]byte, bool) {
 	return buf, false
 }
 
-// sizeHintRows is how many printed rows renderCustom measures before it
-// sizes the page buffer for the rest of the report.
+// sizeHintRows is how many printed rows printRows measures before it sizes
+// the page buffer for the rest of the report.
 const sizeHintRows = 16
+
+// printRows writes the rows of res that RPT_STARTROW (start) and the row cap
+// (max) select: row builds each — it is given the scratch and the row's
+// index — and the text goes to the page before the next one is built.
+func (r *macroRun) printRows(res *SQLResult, start, max int, row func(buf []byte, i int) ([]byte, error)) error {
+	toPrint := len(res.Rows) - min(start-1, len(res.Rows))
+	if max > 0 {
+		toPrint = min(toPrint, max)
+	}
+	written := 0
+	for printed := 1; printed <= toPrint; printed++ {
+		var err error
+		if r.buf, err = row(r.buf[:0], start+printed-2); err != nil {
+			return err
+		}
+		if _, err := r.out.Write(r.buf); err != nil {
+			return err
+		}
+		// Once a few rows show what a row costs, reserve the rest of the
+		// report in one step: a page buffer that grows row by row
+		// reallocates several times the size of a large report.
+		if written += len(r.buf); printed == sizeHintRows {
+			if g, ok := r.out.(interface{ Grow(int) }); ok {
+				g.Grow(written / printed * (toPrint - printed) * 5 / 4)
+			}
+		}
+	}
+	return nil
+}
 
 // renderCustom implements the %SQL_REPORT semantics of Section 3.2.1:
 // header once (with N-variables bound), the %ROW template per fetched row
@@ -777,30 +835,20 @@ func (r *macroRun) renderCustom(rb *ReportBlock, res *SQLResult) error {
 		return err
 	}
 	if rb.HasRow {
-		rs.bind(rb.row.parts)
-		rs.inRow = true
-		toPrint := len(res.Rows) - min(start-1, len(res.Rows))
-		if max > 0 {
-			toPrint = min(toPrint, max)
-		}
-		printed, written := 0, 0
-		for i := start - 1; printed < toPrint; i++ {
-			printed++
+		// bind asks the scope which names it answers inside a row.
+		rs.inRow, rs.rowNum = true, start
+		rs.bind(r.vt, rb.row.parts)
+		err := r.printRows(res, start, max, func(buf []byte, i int) ([]byte, error) {
 			rs.row, rs.rowNum = res.Rows[i], i+1
-			if r.buf, _, err = r.vt.appendParts(r.buf[:0], rb.row.parts, rs); err != nil {
-				return err
+			bound := rs.bound
+			if len(rs.row) != len(rs.cols) {
+				bound = nil
 			}
-			if _, err := r.out.Write(r.buf); err != nil {
-				return err
-			}
-			// Once a few rows show what a row costs, reserve the rest of
-			// the report in one step: a page buffer that grows row by row
-			// reallocates several times the size of a large report.
-			if written += len(r.buf); printed == sizeHintRows {
-				if g, ok := r.out.(interface{ Grow(int) }); ok {
-					g.Grow(written / printed * (toPrint - printed) * 5 / 4)
-				}
-			}
+			buf, _, err := r.vt.appendParts(buf, rb.row.parts, bound, rs.row)
+			return buf, err
+		})
+		if err != nil {
+			return err
 		}
 		rs.inRow, rs.row = false, nil
 	}
@@ -821,31 +869,27 @@ func (r *macroRun) renderDefaultTable(res *SQLResult) error {
 	if err != nil {
 		return err
 	}
-	buf := append(r.buf[:0], "<TABLE BORDER=1>\n<TR>"...)
+	r.buf = append(r.buf[:0], "<TABLE BORDER=1>\n<TR>"...)
 	for _, c := range res.Columns {
-		buf = append(appendHTML(append(buf, "<TH>"...), c), "</TH>"...)
+		r.buf = append(appendHTML(append(r.buf, "<TH>"...), c), "</TH>"...)
 	}
-	buf = append(buf, "</TR>\n"...)
-	printed := 0
-	for i, row := range res.Rows {
-		if i+1 < start {
-			continue
-		}
-		if max > 0 && printed >= max {
-			break
-		}
-		printed++
+	if _, err := r.out.Write(append(r.buf, "</TR>\n"...)); err != nil {
+		return err
+	}
+	err = r.printRows(res, start, max, func(buf []byte, i int) ([]byte, error) {
 		buf = append(buf, "<TR>"...)
-		for _, f := range row {
+		for _, f := range res.Rows[i] {
 			buf = append(buf, "<TD>"...)
 			if !f.Null {
 				buf = appendHTML(buf, f.S)
 			}
 			buf = append(buf, "</TD>"...)
 		}
-		buf = append(buf, "</TR>\n"...)
+		return append(buf, "</TR>\n"...), nil
+	})
+	if err != nil {
+		return err
 	}
-	r.buf = append(buf, "</TABLE>\n"...)
-	_, err = r.out.Write(r.buf)
+	_, err = io.WriteString(r.out, "</TABLE>\n")
 	return err
 }

@@ -41,7 +41,10 @@ func FuzzMacroParse(f *testing.F) {
 // FuzzExpand checks template expansion never panics on arbitrary text
 // and that the compiled template produces what a reference scanner — a
 // byte-at-a-time interpreter kept here, in the test file only — produces
-// from the same text.
+// from the same text; and that the same text as a report's %ROW template
+// prints the same rows, and leaves the same record, with its references
+// bound once per report as with every one looked up by name on every row
+// (referenceRenderCustom).
 func FuzzExpand(f *testing.F) {
 	f.Add("$(a)$$(b)$((c))")
 	f.Add("$")
@@ -49,7 +52,31 @@ func FuzzExpand(f *testing.F) {
 	f.Add("$(@html:x)$(@sq:y)$(@url:z)")
 	f.Add("$(@html:c) $(@sq:c) $(@url:c) $(n$(one)) $(@sq:n$(one)) $($(p)c)")
 	f.Add("$(outer $(a) $$(b $(n1)) $$(x)y) $(n$(a$(b)")
+	f.Add(`<LI> <A HREF="$(V1)">$(V1)</A> $(D2) $(@html:D3) $(W) $(L) $(X) $(V9) $(ROW_NUM)`)
+	f.Add("$(D$(one)) $(@url:D2)$(D2)$$(D3) $(V.TITLE)$(V.none) $(b) $(posted) $(N1)$(VLIST) $(D3")
+	rowMacro := func(tpl string) *Macro {
+		m := &Macro{Name: "fuzz", Sections: []Section{
+			&DefineSection{Stmts: []DefineStmt{
+				{Kind: DefSimple, Name: "a", Value: "va"},
+				{Kind: DefCondSelf, Name: "b", Value: "$(a)"},
+				{Kind: DefSimple, Name: "one", Value: "2"},
+				{Kind: DefCondSelf, Name: "D2", Value: "<br>$(V2)"},
+				{Kind: DefSimple, Name: "D3", Value: "[$(@html:V.title)|$(V3)]"},
+				{Kind: DefCondSelf, Name: "W", Value: "($(D2))"},
+				{Kind: DefList, Name: "L", Sep: ", "},
+				{Kind: DefSimple, Name: "L", Value: "$(V1)"},
+				{Kind: DefSimple, Name: "L", Value: "$(V2)"},
+				{Kind: DefCondTest, Name: "X", TestVar: "V2", Value: "$(V2)", HasElse: true, Value2: "none"},
+				{Kind: DefCondSelf, Name: "posted", Value: "$(V1)"},
+			}},
+			&SQLSection{Report: &ReportBlock{HasRow: true, Row: tpl}},
+		}}
+		compileTemplates(m)
+		return m
+	}
 	f.Fuzz(func(t *testing.T, tpl string) {
+		checkRowBindingOf(t, rowMacro(tpl), "%ROW{"+tpl+"%} over FuzzExpand's definitions", form("posted", "input $(V3)"), urlTable)
+
 		vt := NewVarTable("fuzz", nil)
 		vt.ApplyDefine(&DefineSection{Stmts: []DefineStmt{
 			{Kind: DefSimple, Name: "a", Value: "va"},

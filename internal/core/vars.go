@@ -154,17 +154,18 @@ func (vt *VarTable) expandTemplate(t *Template) (string, error) {
 
 // appendTemplate evaluates a compiled value string onto buf.
 func (vt *VarTable) appendTemplate(buf []byte, t *Template) ([]byte, error) {
-	buf, _, err := vt.appendParts(buf, t.parts, nil)
+	buf, _, err := vt.appendParts(buf, t.parts, nil, nil)
 	return buf, err
 }
 
 // appendParts evaluates parts onto buf and additionally reports whether
 // any referenced variable evaluated to null — the information the
 // conditional form "var = ? value" needs (Section 3.1.2 cases b and d).
-// rs, when non-nil, is the report scope whose %ROW template parts is: a
-// reference it has bound to a column ordinal reads the current row
-// directly.
-func (vt *VarTable) appendParts(buf []byte, parts []part, rs *rowScope) ([]byte, bool, error) {
+// bound, when non-nil, is what a report scope resolved each of parts to
+// (rowScope.bind) and row the row being printed: a reference bound to a
+// column reads the row directly, one bound to a %DEFINE wrapper evaluates
+// the wrapper's value the same way, every other one is evaluated by name.
+func (vt *VarTable) appendParts(buf []byte, parts []part, bound []rowRef, row []Field) ([]byte, bool, error) {
 	sawNull := false
 	for k := range parts {
 		p := &parts[k]
@@ -172,30 +173,44 @@ func (vt *VarTable) appendParts(buf []byte, parts []part, rs *rowScope) ([]byte,
 		if !p.ref {
 			continue
 		}
-		if rs != nil {
-			if col := rs.bound[k]; col >= 0 && col < len(rs.row) {
-				if f := &rs.row[col]; f.Null || f.S == "" {
-					sawNull = true
-				} else {
-					buf = appendXform(buf, f.S, p.xform)
-				}
-				continue
+		b := &unbound
+		if bound != nil {
+			b = &bound[k]
+		}
+		if b.col >= 0 {
+			if f := &row[b.col]; f.Null || f.S == "" {
+				sawNull = true
+			} else {
+				buf = appendXform(buf, f.S, p.xform)
 			}
+			continue
 		}
 		mark := len(buf)
 		x, name := p.xform, p.name
 		var err error
-		if p.dyn != nil {
-			// Late evaluation: the body's own references first, then the
-			// name (and transform prefix) they spell.
-			if buf, _, err = vt.appendParts(buf, p.dyn, nil); err != nil {
+		if b.wrap != nil {
+			// What appendVar would do for name, without looking it up again:
+			// appendAssign on the assignment bind found, and the record. The
+			// value's references are all bound to columns and cannot fail.
+			var null bool
+			buf, null, _ = vt.appendParts(buf, b.wrap.value.parts, b.inner, row)
+			if null && b.wrap.Kind == DefCondSelf {
+				buf = buf[:mark]
+			}
+			vt.trace.Var(name, len(vt.visiting), "define", len(buf) == mark)
+		} else {
+			if p.dyn != nil {
+				// Late evaluation: the body's own references first, then the
+				// name (and transform prefix) they spell.
+				if buf, _, err = vt.appendParts(buf, p.dyn, nil, nil); err != nil {
+					return buf, false, err
+				}
+				x, name = splitXform(string(buf[mark:]))
+				buf = buf[:mark]
+			}
+			if buf, err = vt.appendVar(buf, name); err != nil {
 				return buf, false, err
 			}
-			x, name = splitXform(string(buf[mark:]))
-			buf = buf[:mark]
-		}
-		if buf, err = vt.appendVar(buf, name); err != nil {
-			return buf, false, err
 		}
 		switch {
 		case len(buf) == mark:
@@ -205,6 +220,44 @@ func (vt *VarTable) appendParts(buf []byte, parts []part, rs *rowScope) ([]byte,
 		}
 	}
 	return buf, sawNull, nil
+}
+
+// rowWrapper decides, once per report, whether a %ROW reference to name is
+// on every row what its last assignment says: literal text around columns
+// of the row. It is when nothing that outranks the assignment can answer —
+// no scope, no HTML input variable, no %EXEC output now or (no %EXEC
+// variable being defined) later — name is no list variable, the assignment
+// is "name = value" or "name = ? value", and value refers only to columns
+// the result has. It returns that assignment and its value's columns.
+func (vt *VarTable) rowWrapper(name string, rs *rowScope) (*DefineStmt, []rowRef) {
+	def := vt.defs[name]
+	if def == nil || def.list || len(def.assigns) == 0 || vt.inputs.Has(name) {
+		return nil, nil
+	}
+	if _, ok := vt.execOutputs[name]; ok {
+		return nil, nil
+	}
+	for _, d := range vt.defs {
+		if d.exec != nil {
+			return nil, nil
+		}
+	}
+	for _, s := range vt.scopes {
+		if _, ok := s.appendVar(nil, name); ok {
+			return nil, nil
+		}
+	}
+	st := def.assigns[len(def.assigns)-1]
+	if st.Kind != DefSimple && st.Kind != DefCondSelf {
+		return nil, nil
+	}
+	inner := rs.columns(st.value.parts)
+	for k := range inner {
+		if st.value.parts[k].ref && inner[k].col < 0 {
+			return nil, nil
+		}
+	}
+	return st, inner
 }
 
 // appendSource evaluates a value string met at run time (an HTML input
@@ -346,7 +399,7 @@ func (vt *VarTable) appendAssign(buf []byte, st *DefineStmt) ([]byte, error) {
 		return buf, nil
 	case DefCondSelf:
 		var sawNull bool
-		buf, sawNull, err = vt.appendParts(buf, st.value.parts, nil)
+		buf, sawNull, err = vt.appendParts(buf, st.value.parts, nil, nil)
 		if sawNull {
 			buf = buf[:mark]
 		}

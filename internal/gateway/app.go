@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"db2www/internal/cgi"
 	"db2www/internal/core"
@@ -160,17 +162,39 @@ func (a *App) ServeCGIContext(ctx context.Context, req *cgi.Request) (*cgi.Respo
 	if err != nil {
 		return errorPageTrace(400, "Bad request", err.Error(), tr), nil
 	}
-	// A strings.Builder hands the finished page over without a copy.
-	var buf strings.Builder
-	if err := a.Engine.RunContext(ctx, m, mode, inputs, &buf); err != nil {
+	// The page is rendered into a buffer the server keeps: Body is a view of
+	// it, not a copy, and a failed run just leaves the buffer to the collector.
+	buf := pagePool.Get().(*pageBuffer)
+	if err := a.Engine.RunContext(ctx, m, mode, inputs, buf); err != nil {
 		return errorPageTrace(500, "Macro processing failed", err.Error(), tr), nil
 	}
 	return &cgi.Response{
 		Status:      200,
 		ContentType: "text/html",
-		Headers:     map[string]string{"content-type": "text/html"},
-		Body:        buf.String(),
+		Body:        unsafe.String(unsafe.SliceData(buf.Bytes()), buf.Len()),
+		Recycled:    buf,
 	}, nil
+}
+
+// pageBuffer is the writer a page is rendered into (its Grow is the size
+// hint core's report renderer looks for). A big_report page is 364 KB of
+// the 742 KB its request used to allocate, with a 3 MB live heap: a fresh
+// buffer per page was a collection every four or five requests.
+type pageBuffer struct{ bytes.Buffer }
+
+// maxPooledPage is the largest buffer that goes back to the pool, so that
+// one huge report does not stay pinned.
+const maxPooledPage = 4 << 20
+
+var pagePool = sync.Pool{New: func() any { return new(pageBuffer) }}
+
+// Release implements the hand-back of cgi.Response: the caller is done
+// with every byte of the page, so the next request may overwrite them.
+func (p *pageBuffer) Release() {
+	if p.Cap() <= maxPooledPage {
+		p.Reset()
+		pagePool.Put(p)
+	}
 }
 
 // loadMacro resolves, reads, and parses a macro file, refusing any path
@@ -276,7 +300,6 @@ func errorPage(status int, title, detail string) *cgi.Response {
 	return &cgi.Response{
 		Status:      status,
 		ContentType: "text/html",
-		Headers:     map[string]string{"content-type": "text/html"},
 		Body:        body,
 	}
 }
@@ -293,7 +316,6 @@ func errorPageTrace(status int, title, detail string, tr *obs.Trace) *cgi.Respon
 	return resp
 }
 
-func htmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+var htmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+
+func htmlEscape(s string) string { return htmlEscaper.Replace(s) }

@@ -226,6 +226,9 @@ func (h *Handler) serveCGI(w http.ResponseWriter, r *http.Request, script string
 	w.Header().Set("Content-Type", resp.ContentType)
 	w.WriteHeader(resp.Status)
 	_, _ = w.Write(pageBytes(resp.Body))
+	// Write has returned, so it holds no reference to the page (io.Writer):
+	// a response rendered into a pooled buffer gives the buffer back.
+	resp.Release()
 }
 
 // pageBytes views a finished page as bytes without copying it. The page
@@ -234,7 +237,8 @@ func (h *Handler) serveCGI(w http.ResponseWriter, r *http.Request, script string
 // 4 KB socket writes (a millisecond on the big_report workload), while a
 // Write that large reaches the socket in one piece. Write must neither
 // modify nor retain its argument (io.Writer), so the string stays
-// immutable.
+// immutable while anyone can read it, and its memory may be reused once
+// Write has returned (cgi.Response.Release).
 //
 // No Content-Length is set, although the length is known: with it a large
 // page is complete on the client while this handler is still closing its

@@ -1,13 +1,22 @@
 package gateway
 
 import (
+	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
 	"db2www/internal/cgi"
+	"db2www/internal/sqldb"
+	"db2www/internal/sqldriver"
+	"db2www/internal/workload"
 )
 
 // recordingWriter is a ResponseWriter that records how the body reached
@@ -54,5 +63,140 @@ func TestPageIsWrittenOnceWithoutCopy(t *testing.T) {
 	}
 	if !strings.Contains(logged.String(), " 200 390000") {
 		t.Errorf("access log does not count the body: %q", logged.String())
+	}
+}
+
+// passThroughApp stands between the handler and the App the way the
+// benchmark's traced application does, and keeps the last response.
+type passThroughApp struct {
+	app  *App
+	last atomic.Pointer[cgi.Response]
+}
+
+func (a *passThroughApp) ServeCGI(req *cgi.Request) (*cgi.Response, error) {
+	return a.ServeCGIContext(context.Background(), req)
+}
+
+func (a *passThroughApp) ServeCGIContext(ctx context.Context, req *cgi.Request) (*cgi.Response, error) {
+	resp, err := a.app.ServeCGIContext(ctx, req)
+	a.last.Store(resp)
+	return resp, err
+}
+
+// pooledPageRequests are distinct requests of three sizes: the 2 000-row
+// report (364 KB), cuts of it by RPT_MAXROWS (14 KB at 80 rows), and
+// one-row lookups (0.3 KB).
+func pooledPageRequests(t *testing.T, app *App) []string {
+	t.Helper()
+	const detail = `%define DATABASE = "CELDIAL"
+%SQL{SELECT url, title FROM urldb WHERE url = '$(@sq:U)'
+%SQL_REPORT{%ROW{<P>$(V1): $(V2)
+%}%}
+%}
+%HTML_REPORT{<TITLE>$(U)</TITLE>
+%EXEC_SQL%}
+`
+	if err := os.WriteFile(filepath.Join(app.MacroDir, "detail.d2w"), []byte(detail), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const report = "/cgi-bin/db2www/urlquery.d2w/report?DBFIELDS=title&DBFIELDS=description"
+	urls := []string{report}
+	for i := 0; i < 12; i++ {
+		urls = append(urls,
+			fmt.Sprintf("%s&RPT_MAXROWS=%d&RPT_STARTROW=%d", report, 70+i, 1+100*i),
+			fmt.Sprintf("/cgi-bin/db2www/detail.d2w/report?U=http://www.ibm%d.com/", i))
+	}
+	return urls
+}
+
+// TestPooledPagesNeverBleed: pages are rendered into buffers that the
+// handler gives back after its Write, so under concurrency every body must
+// still be its own request's page, byte for byte; a response nobody gave
+// back must stay intact however many requests follow; and a response the
+// handler gave back must read as empty, not as the next request's page.
+func TestPooledPagesNeverBleed(t *testing.T) {
+	h, app := newTestStack(t)
+	db := sqldb.NewDatabase("CELDIAL")
+	if err := workload.URLDB(db, 2000, 1); err != nil {
+		t.Fatal(err)
+	}
+	sqldriver.Register("CELDIAL", db) // in place of the stack's 60 rows
+	seen := &passThroughApp{app: app}
+	h.App = seen
+	var logged syncWriter
+	root := NewAccessLog(h, &logged)
+	get := func(url string) string {
+		rec := httptest.NewRecorder()
+		root.ServeHTTP(rec, httptest.NewRequest("GET", "http://server"+url, nil))
+		if rec.Code != 200 {
+			t.Errorf("%s: status %d", url, rec.Code)
+		}
+		return rec.Body.String()
+	}
+
+	urls := pooledPageRequests(t, app)
+	oracle := make([]string, len(urls))
+	for i, u := range urls {
+		oracle[i] = get(u)
+		if last := seen.last.Load(); last.Body != "" || last.Recycled != nil {
+			t.Fatalf("%s: after the handler's hand-back the response still holds %d bytes", u, len(last.Body))
+		}
+	}
+	if big, mid, small := len(oracle[0]), len(oracle[1]), len(oracle[2]); big < 350_000 || mid < 10_000 || mid > 20_000 || small > 500 {
+		t.Fatalf("pages of %d, %d and %d bytes; want about 364 KB, 14 KB and 0.3 KB", big, mid, small)
+	}
+
+	// A response taken from the App directly is never handed back.
+	held, err := app.ServeCGI(&cgi.Request{Method: "GET", PathInfo: "/urlquery.d2w/report",
+		QueryString: "DBFIELDS=title&DBFIELDS=description&RPT_MAXROWS=70&RPT_STARTROW=1"})
+	if err != nil || held.Body != oracle[1] {
+		t.Fatalf("App.ServeCGI: err %v, page differs from the handler's: %v", err, held.Body != oracle[1])
+	}
+
+	const workers, each = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				// The full report every 25th request, cuts and lookups between.
+				k := 1 + (w*7+i)%(len(urls)-1)
+				if i%25 == w {
+					k = 0
+				}
+				if got := get(urls[k]); got != oracle[k] {
+					t.Errorf("worker %d request %d (%s): %d bytes differ from the page rendered alone (%d bytes)",
+						w, i, urls[k], len(got), len(oracle[k]))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if held.Body != oracle[1] {
+		t.Errorf("a response that was never handed back changed while %d requests ran", workers*each)
+	}
+}
+
+// TestOversizedPageBufferIsNotPooled: a buffer grown beyond maxPooledPage
+// is left to the collector, a smaller one comes back empty.
+func TestOversizedPageBufferIsNotPooled(t *testing.T) {
+	huge := &pageBuffer{}
+	huge.Grow(maxPooledPage + 1)
+	huge.Release()
+	for i := 0; i < 64; i++ {
+		if p := pagePool.Get().(*pageBuffer); p == huge {
+			t.Fatalf("a %d-byte buffer went back to the pool", p.Cap())
+		}
+	}
+	small := &pageBuffer{}
+	small.Grow(1000)
+	small.WriteString("page")
+	resp := &cgi.Response{Body: "page", Recycled: small}
+	resp.Release()
+	resp.Release() // a second hand-back is a no-op
+	if resp.Body != "" || small.Len() != 0 || small.Cap() < 1000 {
+		t.Errorf("after Release: body %q, buffer len %d cap %d", resp.Body, small.Len(), small.Cap())
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"time"
 )
 
@@ -12,9 +13,11 @@ var gcPauseBuckets = []float64{
 }
 
 // RegisterRuntimeMetrics registers a scrape hook exporting Go runtime
-// health on reg: goroutine count, heap bytes, a GC pause histogram, and
-// process uptime. Everything refreshes lazily at scrape time — between
-// scrapes the runtime is not touched.
+// health on reg: goroutine count, heap bytes, what the collector costs (a
+// pause histogram, cycles, bytes allocated and CPU seconds, all cumulative:
+// divide their growth by the growth of db2www_http_requests_total for the
+// cost of a request), and process uptime. Everything refreshes lazily at
+// scrape time — between scrapes the runtime is not touched.
 func RegisterRuntimeMetrics(reg *Registry) {
 	if reg == nil {
 		return
@@ -24,12 +27,17 @@ func RegisterRuntimeMetrics(reg *Registry) {
 	heapAlloc := reg.Gauge("go_heap_alloc_bytes", "bytes of allocated heap objects")
 	heapSys := reg.Gauge("go_heap_sys_bytes", "bytes of heap memory obtained from the OS")
 	gcPause := reg.Histogram("go_gc_pause_seconds", "GC stop-the-world pause durations", gcPauseBuckets)
+	gcCycles := reg.Counter("go_gc_cycles_total", "completed GC cycles")
+	allocBytes := reg.Counter("go_alloc_bytes_total", "cumulative bytes allocated for heap objects")
+	gcCPU := reg.FloatGauge("go_gc_cpu_seconds_total", "estimated cumulative CPU seconds spent on garbage collection")
+	gcCPUSample := []metrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}}
 	uptime := reg.FloatGauge("db2www_uptime_seconds", "seconds since the process registered runtime metrics")
 
 	// lastGC tracks which GC cycles have already been fed into the pause
 	// histogram; the hook runs under the registry's hook lock, so plain
 	// state is fine.
 	var lastGC uint32
+	var lastAlloc uint64
 	reg.OnScrape(func() {
 		goroutines.Set(int64(runtime.NumGoroutine()))
 		var ms runtime.MemStats
@@ -45,7 +53,12 @@ func RegisterRuntimeMetrics(reg *Registry) {
 		for k := from + 1; k <= ms.NumGC; k++ {
 			gcPause.Observe(float64(ms.PauseNs[(k+255)%256]) / 1e9)
 		}
-		lastGC = ms.NumGC
+		gcCycles.Add(int64(ms.NumGC - lastGC))
+		allocBytes.Add(int64(ms.TotalAlloc - lastAlloc))
+		lastGC, lastAlloc = ms.NumGC, ms.TotalAlloc
+		if metrics.Read(gcCPUSample); gcCPUSample[0].Value.Kind() == metrics.KindFloat64 {
+			gcCPU.Set(gcCPUSample[0].Value.Float64())
+		}
 		uptime.Set(time.Since(start).Seconds())
 	})
 }

@@ -55,6 +55,9 @@ func TestOnScrapeHook(t *testing.T) {
 	}
 }
 
+// sink keeps an allocation of TestRegisterRuntimeMetrics on the heap.
+var sink []byte
+
 func TestRegisterRuntimeMetrics(t *testing.T) {
 	r := NewRegistry()
 	RegisterRuntimeMetrics(r)
@@ -72,6 +75,9 @@ func TestRegisterRuntimeMetrics(t *testing.T) {
 		"# TYPE go_gc_pause_seconds histogram",
 		`go_gc_pause_seconds_bucket{le="+Inf"}`,
 		"db2www_uptime_seconds ",
+		"# TYPE go_gc_cycles_total counter",
+		"# TYPE go_alloc_bytes_total counter",
+		"go_gc_cpu_seconds_total ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
@@ -86,6 +92,16 @@ func TestRegisterRuntimeMetrics(t *testing.T) {
 	}
 	if snap["go_gc_pause_seconds_count"] < 1 {
 		t.Errorf("gc pause count = %v after forced GC", snap["go_gc_pause_seconds_count"])
+	}
+	// What the collector costs is cumulative: a second scrape, after work
+	// that allocates and a forced cycle, reads strictly more of each.
+	sink = make([]byte, 1<<20)
+	runtime.GC()
+	again := r.Snapshot()
+	for _, name := range []string{"go_gc_cycles_total", "go_alloc_bytes_total", "go_gc_cpu_seconds_total"} {
+		if snap[name] <= 0 || again[name] <= snap[name] {
+			t.Errorf("%s = %v, then %v after a forced GC: want positive and growing", name, snap[name], again[name])
+		}
 	}
 	// Nil registry is a no-op, not a panic.
 	RegisterRuntimeMetrics(nil)
