@@ -34,7 +34,7 @@ func main() {
 		requests     = flag.Int("requests", 200, "requests per measurement")
 		seed         = flag.Int64("seed", 1, "dataset seed")
 		soak         = flag.Duration("soak", 0, "A12 soak-phase duration (0 = the experiment's default)")
-		jsonPath     = flag.String("json", "", "write machine-readable results to this file, '-' for stdout (A6: cache hit ratio and served-from-cache latency percentiles)")
+		jsonPath     = flag.String("json", "", "write machine-readable results to this file, '-' for stdout")
 		writeGolden  = flag.Bool("write-golden", false, "write the golden HTML files and exit")
 		noSubprocess = flag.Bool("no-subprocess", false, "skip the E4 fork/exec flow")
 		version      = flag.Bool("version", false, "print build information and exit")
@@ -60,11 +60,11 @@ func main() {
 		"e7": experiments.E7, "e8": experiments.E8, "e9": experiments.E9,
 		"e10": experiments.E10, "e11": experiments.E11, "e12": experiments.E12,
 		"a1": experiments.A1, "a2": experiments.A2, "a3": experiments.A3,
-		"a5": experiments.A5, "a6": experiments.A6, "a7": experiments.A7,
+		"a5": experiments.A5, "a7": experiments.A7,
 		"a12": experiments.A12,
 	}
 	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9",
-		"e10", "e11", "e12", "a1", "a2", "a3", "a5", "a6", "a7", "a12"}
+		"e10", "e11", "e12", "a1", "a2", "a3", "a5", "a7", "a12"}
 
 	var selected []string
 	if *exp == "all" {
@@ -99,7 +99,7 @@ func main() {
 	}
 
 	// jsonResults accumulates the machine-readable rows experiments expose
-	// (A6, A7 and A12); keyed by experiment id.
+	// (A7 and A12); keyed by experiment id.
 	jsonResults := map[string]any{}
 	// The obs registry accumulates across every experiment in the run;
 	// the delta over the whole batch lands in the JSON envelope so a CI
@@ -121,19 +121,8 @@ func main() {
 	failed := false
 	for _, id := range selected {
 		run := runners[id]
-		if id == "a6" && *jsonPath != "" {
-			// Capture the structured result instead of re-running.
-			run = func(w io.Writer, cfg experiments.Config) error {
-				r, err := experiments.RunA6(cfg)
-				if err != nil {
-					return err
-				}
-				experiments.PrintA6(w, r)
-				jsonResults["a6"] = r
-				return nil
-			}
-		}
 		if id == "a7" && *jsonPath != "" {
+			// Capture the structured result instead of re-running.
 			run = func(w io.Writer, cfg experiments.Config) error {
 				r, err := experiments.RunA7(cfg)
 				if err != nil {

@@ -40,9 +40,7 @@ func main() {
 	flag.StringVar(&cfg.Save, "save", cfg.Save, "dump the database to this file on SIGINT/SIGTERM")
 	flag.StringVar(&cfg.AccessLog, "accesslog", cfg.AccessLog, "write access log lines to this file; also enables /server-status")
 	flag.StringVar(&cfg.AccessLogFormat, "access-log-format", cfg.AccessLogFormat, "access log line format: clf (NCSA Common Log Format) or json (one object per line with trace/flight/digest/latency fields)")
-	flag.BoolVar(&cfg.QCache, "qcache", cfg.QCache, "cache %EXEC_SQL query results (LRU, table-version invalidation)")
-	flag.Int64Var(&cfg.QCacheBytes, "qcache-bytes", cfg.QCacheBytes, "query cache byte budget")
-	flag.DurationVar(&cfg.QCacheTTL, "qcache-ttl", cfg.QCacheTTL, "query cache entry lifetime (0 = no TTL, rely on invalidation)")
+	flag.Int64Var(&cfg.QCacheBytes, "qcache-bytes", cfg.QCacheBytes, "byte budget of the %EXEC_SQL query-result cache (invalidated exactly, by table version; see docs/CACHING.md); 0 = no cache")
 	flag.DurationVar(&cfg.HistoryInterval, "history-interval", cfg.HistoryInterval, "history scrape period")
 	flag.StringVar(&cfg.AlertRules, "alert-rules", cfg.AlertRules, "alert rules file (one rule per line, see docs/HISTORY.md); empty uses the built-in defaults")
 	flag.StringVar(&cfg.FlightDir, "flight-dir", cfg.FlightDir, "persist kept flight records (rotating JSONL) and anomaly pprof snapshots here")

@@ -194,87 +194,3 @@ func A5(w io.Writer, cfg Config) error {
 	}
 	return nil
 }
-
-// QCacheAblation is A6's machine-readable result row: the same read-only
-// report workload measured with the query-result cache off and on.
-type QCacheAblation struct {
-	Requests      int     `json:"requests"`
-	Rows          int     `json:"rows"`
-	OffMeanMicros float64 `json:"off_mean_micros"`
-	OnMeanMicros  float64 `json:"on_mean_micros"`
-	Speedup       float64 `json:"speedup"`
-	HitRatio      float64 `json:"hit_ratio"`
-	Hits          int64   `json:"hits"`
-	Misses        int64   `json:"misses"`
-	OnP50Micros   float64 `json:"on_p50_micros"`
-	OnP95Micros   float64 `json:"on_p95_micros"`
-	OnP99Micros   float64 `json:"on_p99_micros"`
-}
-
-// RunA6 measures the query-result cache on the Appendix A report page: a
-// read-only repeated query whose substring LIKE predicates force a full
-// scan on every uncached execution. The on-side percentiles are the
-// served-from-cache latency distribution benchrunner's -json output
-// records.
-func RunA6(cfg Config) (*QCacheAblation, error) {
-	cfg = cfg.withDefaults()
-	req := &cgi.Request{Method: "GET", PathInfo: "/urlquery.d2w/report",
-		QueryString: "SEARCH=ib&USE_URL=yes&USE_TITLE=yes&DBFIELDS=title"}
-	out := &QCacheAblation{Requests: cfg.Requests, Rows: cfg.Rows}
-	for _, cached := range []bool{false, true} {
-		st, err := NewStack(StackConfig{Rows: cfg.Rows, Seed: cfg.Seed,
-			CacheMacros: true, QCache: cached})
-		if err != nil {
-			return nil, err
-		}
-		lat := &Latencies{}
-		for i := 0; i < cfg.Requests; i++ {
-			start := time.Now()
-			resp, err := st.App.ServeCGI(req)
-			if err != nil || resp.Status != 200 {
-				st.Close()
-				return nil, fmt.Errorf("A6: status %d err %v", resp.Status, err)
-			}
-			lat.Add(time.Since(start))
-		}
-		mean := float64(lat.Mean()) / float64(time.Microsecond)
-		if cached {
-			out.OnMeanMicros = mean
-			out.OnP50Micros = float64(lat.Percentile(50)) / float64(time.Microsecond)
-			out.OnP95Micros = float64(lat.Percentile(95)) / float64(time.Microsecond)
-			out.OnP99Micros = float64(lat.Percentile(99)) / float64(time.Microsecond)
-			qst := st.QCache.Stats()
-			out.Hits, out.Misses = qst.Hits, qst.Misses
-			out.HitRatio = qst.HitRatio()
-		} else {
-			out.OffMeanMicros = mean
-		}
-		st.Close()
-	}
-	if out.OnMeanMicros > 0 {
-		out.Speedup = out.OffMeanMicros / out.OnMeanMicros
-	}
-	return out, nil
-}
-
-// PrintA6 renders a QCacheAblation in the benchrunner table style.
-func PrintA6(w io.Writer, r *QCacheAblation) {
-	section(w, "A6 — query-result cache off vs on (read-only report workload)")
-	fmt.Fprintf(w, "urldb rows: %d, requests per side: %d\n", r.Rows, r.Requests)
-	fmt.Fprintf(w, "%10s %14s %10s %10s %10s\n", "qcache", "mean", "p50", "p95", "p99")
-	fmt.Fprintf(w, "%10s %13.0fµ %10s %10s %10s\n", "off", r.OffMeanMicros, "-", "-", "-")
-	fmt.Fprintf(w, "%10s %13.0fµ %9.0fµ %9.0fµ %9.0fµ\n", "on",
-		r.OnMeanMicros, r.OnP50Micros, r.OnP95Micros, r.OnP99Micros)
-	fmt.Fprintf(w, "speedup: %.1fx, hit ratio %.3f (%d hits / %d misses)\n",
-		r.Speedup, r.HitRatio, r.Hits, r.Misses)
-}
-
-// A6 runs RunA6 and prints the result.
-func A6(w io.Writer, cfg Config) error {
-	r, err := RunA6(cfg)
-	if err != nil {
-		return err
-	}
-	PrintA6(w, r)
-	return nil
-}

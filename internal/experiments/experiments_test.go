@@ -200,28 +200,6 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-func TestA6QueryCacheAblation(t *testing.T) {
-	cfg := Config{Rows: 40, Requests: 8, Seed: 1}
-	r, err := RunA6(cfg)
-	if err != nil {
-		t.Fatalf("A6: %v", err)
-	}
-	if r.Misses != 1 || r.Hits != int64(cfg.Requests-1) {
-		t.Fatalf("hits/misses = %d/%d, want %d/1", r.Hits, r.Misses, cfg.Requests-1)
-	}
-	if r.HitRatio <= 0 || r.HitRatio >= 1 {
-		t.Fatalf("hit ratio = %v", r.HitRatio)
-	}
-	if r.OffMeanMicros <= 0 || r.OnMeanMicros <= 0 || r.Speedup <= 0 {
-		t.Fatalf("timings not populated: %+v", r)
-	}
-	var buf bytes.Buffer
-	PrintA6(&buf, r)
-	if !strings.Contains(buf.String(), "query-result cache") {
-		t.Fatalf("PrintA6 output:\n%s", buf.String())
-	}
-}
-
 func TestGoldenFilesExist(t *testing.T) {
 	for _, name := range []string{"figure2.html", "figure7_input.html", "figure8_report.html"} {
 		p := filepath.Join(RepoRoot(), "testdata", "golden", name)

@@ -65,40 +65,48 @@ func TestA7ObsAblation(t *testing.T) {
 // TestRequestRecordAllocations bounds what describing a request may
 // allocate: the benchmark's point_lookup request through the server
 // gatewayd builds (its background scrape held off: AllocsPerRun counts
-// the whole process) makes at most 94 allocations with instrumentation off
-// and at most 120 with everything on (106 and 152 before the five
-// per-request descriptions became one record). Allocation counts are the
-// one overhead figure that repeats exactly.
+// the whole process). By default the request is a query-cache hit, the
+// cheapest there is: at most 53 allocations with instrumentation off and
+// 75 with everything on (49 and 65 measured). With -qcache-bytes 0 it
+// reaches the engine, whose part of the record is then filled in too: at
+// most 94 and 120 (106 and 152 before the five per-request descriptions
+// became one record). Allocation counts are the one overhead figure that
+// repeats exactly.
 func TestRequestRecordAllocations(t *testing.T) {
 	defer obs.SetEnabled(true)
-	cfg := gatewaydConfig(pointLookupMacros(), pointLookupRows, 1)
-	cfg.HistoryInterval = time.Hour
-	srv, err := gateway.NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	root := srv.Handler()
-	rawURL, err := pointLookupURL(srv.DB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := httptest.NewRequest("GET", rawURL, nil)
 	for _, c := range []struct {
-		on  bool
-		max float64
-	}{{false, 94}, {true, 120}} {
-		obs.SetEnabled(c.on)
-		allocs := testing.AllocsPerRun(200, func() {
-			rec := httptest.NewRecorder()
-			root.ServeHTTP(rec, req)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("status %d", rec.Code)
-			}
-		})
-		t.Logf("instrumentation on=%v: %.0f allocations per request", c.on, allocs)
-		if allocs > c.max {
-			t.Errorf("instrumentation on=%v: %.0f allocations per request, want at most %.0f", c.on, allocs, c.max)
+		qcacheBytes   int64
+		maxOff, maxOn float64
+	}{{gateway.DefaultServerConfig().QCacheBytes, 53, 75}, {0, 94, 120}} {
+		cfg := gatewaydConfig(pointLookupMacros(), pointLookupRows, 1)
+		cfg.HistoryInterval = time.Hour
+		cfg.QCacheBytes = c.qcacheBytes
+		srv, err := gateway.NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		root := srv.Handler()
+		rawURL, err := pointLookupURL(srv.DB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest("GET", rawURL, nil)
+		for i, max := range []float64{c.maxOff, c.maxOn} {
+			on := i == 1
+			obs.SetEnabled(on)
+			allocs := testing.AllocsPerRun(200, func() {
+				rec := httptest.NewRecorder()
+				root.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					t.Fatalf("status %d", rec.Code)
+				}
+			})
+			t.Logf("-qcache-bytes %d, instrumentation on=%v: %.0f allocations per request", c.qcacheBytes, on, allocs)
+			if allocs > max {
+				t.Errorf("-qcache-bytes %d, instrumentation on=%v: %.0f allocations per request, want at most %.0f",
+					c.qcacheBytes, on, allocs, max)
+			}
+		}
+		srv.Close()
 	}
 }

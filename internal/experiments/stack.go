@@ -18,7 +18,6 @@ import (
 
 	"db2www/internal/core"
 	"db2www/internal/gateway"
-	"db2www/internal/qcache"
 	"db2www/internal/sqldb"
 	"db2www/internal/sqldriver"
 	"db2www/internal/webclient"
@@ -35,9 +34,6 @@ type Stack struct {
 	App      *gateway.App
 	Engine   *core.Engine
 	DB       *sqldb.Database
-	// QCache is the query-result cache when StackConfig.QCache asked for
-	// one (nil otherwise) — exposed so experiments can read its counters.
-	QCache *qcache.Cache
 
 	ownsMacroDir bool
 }
@@ -50,10 +46,6 @@ type StackConfig struct {
 	CacheMacros bool   // default true
 	TxnSingle   bool
 	MacroDir    string // default: temp dir seeded with urlquery.d2w
-
-	QCache      bool          // wrap the DB provider in a query-result cache
-	QCacheBytes int64         // byte budget (default 64 MiB)
-	QCacheTTL   time.Duration // entry lifetime (default 0 = no TTL)
 }
 
 // NewStack builds a Stack. Call Close when done.
@@ -92,14 +84,8 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		st.MacroDir = cfg.MacroDir
 	}
 
-	if cfg.QCache {
-		if cfg.QCacheBytes == 0 {
-			cfg.QCacheBytes = 64 << 20
-		}
-		st.QCache = qcache.New(cfg.QCacheBytes, cfg.QCacheTTL)
-	}
 	st.Engine = &core.Engine{
-		DB:       qcache.Wrap(gateway.NewSQLProvider(), st.QCache),
+		DB:       gateway.NewSQLProvider(),
 		Commands: core.NewCommandRegistry(),
 	}
 	if cfg.TxnSingle {

@@ -44,9 +44,7 @@ type ServerConfig struct {
 	AccessLog       string // -accesslog
 	AccessLogFormat string // -access-log-format: clf or json
 
-	QCache      bool          // -qcache
-	QCacheBytes int64         // -qcache-bytes
-	QCacheTTL   time.Duration // -qcache-ttl
+	QCacheBytes int64 // -qcache-bytes: the query cache's budget, 0 for no cache
 
 	HistoryInterval time.Duration // -history-interval
 	AlertRules      string        // -alert-rules
@@ -111,13 +109,10 @@ func (c ServerConfig) validate() error {
 		return errors.New("-auth wants user:password")
 	}
 	// Under -cgi every request's subprocess loads its own database: there
-	// is none in this process to restore into or to dump, and a result
-	// cache in a process that serves one request never hits.
+	// is none in this process to restore into or to dump (nor one whose
+	// results to cache: none is built).
 	if c.CGI != "" && (c.Load != "" || c.Save != "") {
 		return fmt.Errorf("-load and -save want the in-process database, got -cgi %q", c.CGI)
-	}
-	if c.CGI != "" && c.QCache {
-		return fmt.Errorf("-qcache wants the in-process database, got -cgi %q", c.CGI)
 	}
 	return nil
 }
@@ -130,6 +125,9 @@ func (c ServerConfig) validate() error {
 type Server struct {
 	// DB is the in-process database; nil under -cgi.
 	DB *sqldb.Database
+	// QCache is the query-result cache in front of DB; nil under -cgi and
+	// with -qcache-bytes 0.
+	QCache *qcache.Cache
 	// Traces, Flight and History are the request-record sinks and the
 	// metrics time-series, for callers that read them back in-process.
 	Traces  *obs.Ring
@@ -199,10 +197,6 @@ func (s *Server) assemble() (err error) {
 		obs.RegisterBuildInfo(obs.Default)
 	})
 
-	var qc *qcache.Cache
-	if cfg.QCache {
-		qc = qcache.New(cfg.QCacheBytes, cfg.QCacheTTL)
-	}
 	if cfg.CGI != "" {
 		h.CGIProgram = cfg.CGI
 		h.CGIEnv = cfg.cgiEnv()
@@ -212,8 +206,11 @@ func (s *Server) assemble() (err error) {
 		}
 		provider := NewSQLProvider()
 		s.onClose(provider.Close)
+		if cfg.QCacheBytes > 0 {
+			s.QCache = qcache.New(cfg.QCacheBytes)
+		}
 		engine := &core.Engine{
-			DB:       qcache.Wrap(provider, qc),
+			DB:       qcache.Wrap(provider, s.QCache),
 			Commands: core.NewCommandRegistry(),
 			MaxRows:  cfg.MaxRows,
 		}
@@ -259,8 +256,8 @@ func (s *Server) assemble() (err error) {
 		al.Handle("/debug/statements", StatementsHandler(db))
 		sqldb.RegisterMetrics(db)
 	}
-	if qc != nil {
-		al.AddStatusSection("Query cache", qc.StatusRows)
+	if s.QCache != nil {
+		al.AddStatusSection("Query cache", s.QCache.StatusRows)
 	}
 	if err := s.startHistory(); err != nil {
 		return err

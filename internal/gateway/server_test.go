@@ -18,7 +18,7 @@ const smokeReport = "/cgi-bin/db2www/urlquery.d2w/report?SEARCH=ib&USE_URL=yes&U
 
 // smokeConfig is the command line of CI's observability smoke step:
 //
-//	gatewayd -macros ./testdata/macros -lint strict -qcache -slowlog FILE
+//	gatewayd -macros ./testdata/macros -lint strict -slowlog FILE
 //	  -slowlog-threshold 1ms -flight-sample 1 -history-interval 250ms
 //
 // (the step logs to stderr; a test reads a file back).
@@ -26,7 +26,6 @@ func smokeConfig(t *testing.T) ServerConfig {
 	cfg := DefaultServerConfig()
 	cfg.Macros = filepath.Join(repoRoot(t), "testdata", "macros")
 	cfg.Lint = "strict"
-	cfg.QCache = true
 	cfg.SlowLog = filepath.Join(t.TempDir(), "slow.log")
 	cfg.SlowLogThreshold = time.Millisecond
 	cfg.FlightSample = 1
@@ -70,11 +69,15 @@ func TestServerSurfaces(t *testing.T) {
 	defer srv.Close()
 	h := srv.Handler()
 	get(t, h, smokeReport)
+	get(t, h, smokeReport)
 
-	wantAll(t, "/metrics", get(t, h, "/metrics"),
+	metrics := get(t, h, "/metrics")
+	wantAll(t, "/metrics", metrics,
 		`db2www_http_requests_total{code="200"}`,
 		"db2www_sql_exec_seconds_bucket",
 		"db2www_qcache_misses_total",
+		"db2www_qcache_hits_total",
+		"db2www_qcache_refused_total",
 		"db2www_macrolint_findings_total",
 		`db2www_macrolint_findings_total{analyzer="schema"`,
 		`db2www_macrolint_findings_total{analyzer="sqltype"`,
@@ -90,6 +93,13 @@ func TestServerSurfaces(t *testing.T) {
 		"db2www_history_scrapes_total",
 		"db2www_history_samples_total",
 		"db2www_history_alerts_firing")
+	if strings.Contains(metrics, "db2www_qcache_expirations_total") {
+		t.Error("/metrics still has the TTL's db2www_qcache_expirations_total")
+	}
+	// The cache is part of the default wiring: the second report was a hit.
+	if st := srv.QCache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("two identical reports: query cache %+v, want 1 miss then 1 hit", st)
+	}
 	wantAll(t, "/debug/statements", get(t, h, "/debug/statements"), `"digest"`, `"tracked"`, `"plan_cache"`)
 	wantAll(t, "/debug/flight", get(t, h, "/debug/flight"), `"trace_id"`, `"decision"`)
 
@@ -97,8 +107,7 @@ func TestServerSurfaces(t *testing.T) {
 	wantAll(t, "/server-status", status,
 		"Build info", "Recent traces", "Macro lint", "SLO burn rates",
 		"Transactions", "Statements", "Planner", "Storage", "History")
-	// The whole page in order, with the two sections the step's command
-	// line adds to the default page (there, no "Query cache").
+	// The whole page in order.
 	var titles []string
 	for _, m := range regexp.MustCompile(`<H2>([^<]*)</H2>`).FindAllStringSubmatch(status, -1) {
 		titles = append(titles, m[1])
@@ -223,8 +232,6 @@ func TestServerConfigValidate(t *testing.T) {
 			`-load and -save want the in-process database, got -cgi "./db2www"`},
 		{"cgi with save", func(c *ServerConfig) { c.CGI, c.Save = "./db2www", "out.sql" },
 			`-load and -save want the in-process database, got -cgi "./db2www"`},
-		{"cgi with qcache", func(c *ServerConfig) { c.CGI, c.QCache = "./db2www", true },
-			`-qcache wants the in-process database, got -cgi "./db2www"`},
 		{"load and save in process", func(c *ServerConfig) { c.Load, c.Save = "dump.sql", "out.sql" }, ""},
 	} {
 		cfg := DefaultServerConfig()
@@ -242,6 +249,43 @@ func TestServerConfigValidate(t *testing.T) {
 		if _, err := NewServer(cfg); errString(err) != c.want {
 			t.Errorf("%s: NewServer = %v, want %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestServerWithoutQueryCache: the cache is on by default and two
+// configurations build none — -cgi, whose database lives in each request's
+// subprocess, and -qcache-bytes 0. Both start and serve, with no "Query
+// cache" section to show.
+func TestServerWithoutQueryCache(t *testing.T) {
+	script := filepath.Join(t.TempDir(), "db2www")
+	if err := os.WriteFile(script, []byte("#!/bin/sh\nprintf 'Content-Type: text/html\\r\\n\\r\\n<P>from the subprocess</P>'\n"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*ServerConfig)
+		want string // on the report page
+	}{
+		{"-cgi", func(c *ServerConfig) { c.CGI = script }, "<P>from the subprocess</P>"},
+		{"-qcache-bytes 0", func(c *ServerConfig) { c.QCacheBytes = 0 }, "<TITLE>"},
+	} {
+		cfg := DefaultServerConfig()
+		cfg.Macros = filepath.Join(repoRoot(t), "testdata", "macros")
+		c.edit(&cfg)
+		srv, err := NewServer(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if srv.QCache != nil {
+			t.Errorf("%s: a query cache was built", c.name)
+		}
+		for i := 0; i < 2; i++ {
+			wantAll(t, c.name+" report", get(t, srv.Handler(), smokeReport), c.want)
+		}
+		if strings.Contains(get(t, srv.Handler(), "/server-status"), "Query cache") {
+			t.Errorf("%s: /server-status has a Query cache section", c.name)
+		}
+		srv.Close()
 	}
 }
 

@@ -58,6 +58,8 @@ func (s *Store) panels() []dashPanel {
 		{title: "5xx rate", unit: "err/s", lines: []dashLine{
 			{label: "5xx", color: "#dc2626", pts: s.Rate(Series5xx, w)},
 		}},
+		// Of what the cache tried to serve: an execution admission refused
+		// (db2www_qcache_refused_total) is in neither rate.
 		{title: "Query cache hit ratio", unit: "", lines: []dashLine{
 			{label: "hit ratio", color: "#7c3aed", pts: ratioSeries(
 				s.Rate("db2www_qcache_hits_total", w),

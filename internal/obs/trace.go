@@ -64,8 +64,8 @@ type SQLExec struct {
 	SQL       string `json:"sql"`
 	Rows      int    `json:"rows"`
 	DurMicros int64  `json:"dur_micros"`
-	// Cache is the query-result cache's decision: hit, miss, or bypass
-	// ("" when no cache is wired).
+	// Cache is the query-result cache's decision: hit, miss, refused (a
+	// shape admission keeps out) or bypass ("" when no cache is wired).
 	Cache string `json:"cache,omitempty"`
 	// Dedup marks a single-flight follower: this execution waited on an
 	// identical in-flight query instead of running its own.

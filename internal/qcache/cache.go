@@ -1,19 +1,26 @@
 // Package qcache is a concurrency-safe query-result cache for the
 // %EXEC_SQL path: it memoises materialised SELECT results keyed by
-// (database, SQL text, bound parameters) so a read-dominated workload —
-// the form/report applications the paper targets — stops re-executing
-// identical statements between writes.
+// (database, SQL text) so a read-dominated workload — the form/report
+// applications the paper targets — stops re-executing identical
+// statements between writes.
 //
-// Three mechanisms keep it correct and bounded:
+// Four mechanisms keep it correct, bounded and worth its memory:
 //
 //   - Table-version invalidation. Every entry records the version of each
 //     table the query read (internal/sqldb bumps a per-table counter on
 //     every write). A lookup re-reads the current versions and discards
-//     the entry on any difference, so staleness is detected at read time
-//     with an O(tables) comparison instead of a write-time broadcast.
+//     the entry on any difference, so a stale hit is impossible; and
+//     entries are linked under the tables they read, so the first lookup
+//     or fill that sees a table's version move drops every entry under it
+//     then and there instead of leaving them for the collector to trace.
 //
-//   - LRU eviction under a byte budget, with an optional TTL as a second
-//     bound for deployments that prefer time-based freshness.
+//   - Admission by observed invalidation. A statement shape (its digest)
+//     whose fills mostly die unread — its table is written between reads —
+//     is refused: executed on the connection, nothing stored. One
+//     execution in probeEvery is stored all the same, which is how a shape
+//     whose table stops being written comes back.
+//
+//   - LRU eviction under a byte budget.
 //
 //   - Single-flight deduplication. N concurrent identical queries execute
 //     once: one leader computes while followers wait, then re-check the
@@ -26,35 +33,55 @@ package qcache
 
 import (
 	"container/list"
+	"context"
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"db2www/internal/core"
+	"db2www/internal/obs"
+	"db2www/internal/sqldb"
 )
 
-// VersionSource reports current table versions; *sqldb.Database
-// implements it. Snapshots must be causally consistent with writes: a
-// caller that can observe a write's effects must also observe its bump.
-type VersionSource interface {
+// Admission. A shape with at least admitMinFills fills on its counters, of
+// which more than half were wasted — invalidated before their first hit —
+// is refused, but for one execution in probeEvery; both counters halve
+// when fills reaches decayFills, so the judgement follows the traffic.
+const (
+	admitMinFills = 8
+	probeEvery    = 32
+	decayFills    = 64
+)
+
+// maxShapes bounds the admission counters: statement text can carry form
+// input, so the digests a server sees are not its macros' alone. Past it
+// the counters start over.
+const maxShapes = 4096
+
+// Source is the database behind a cached connection; *sqldb.Database
+// implements it. Version snapshots must be causally consistent with
+// writes — a caller that can observe a write's effects must also observe
+// its bump — and a table's version never decreases.
+type Source interface {
 	TableVersions(tables []string) []uint64
+	StatementFacts(sql string) sqldb.Facts
 }
 
 // Stats is a snapshot of the cache's counters.
 type Stats struct {
 	Hits          int64 // lookups served from a valid entry
-	Misses        int64 // lookups that executed the query
+	Misses        int64 // lookups that executed the query to fill an entry
 	Dedups        int64 // hits by callers that waited on another's flight
 	Stores        int64 // entries written
 	Evictions     int64 // entries removed to stay inside the byte budget
 	Invalidations int64 // entries discarded on a table-version mismatch
-	Expirations   int64 // entries discarded past their TTL
-	Bypasses      int64 // statements that skipped the cache (writes, open txn)
+	Refused       int64 // executions of a shape admission keeps out: no lookup counted, nothing stored
+	Bypasses      int64 // statements that skipped the cache (not a SELECT, open txn)
 	Uncacheable   int64 // SELECTs executed but not stored (non-deterministic, oversize, or raced by a write)
 }
 
-// HitRatio returns hits / (hits + misses), or 0 with no lookups.
+// HitRatio returns hits / (hits + misses) — of what the cache tried to
+// serve; a refused execution is neither — or 0 with no lookups.
 func (s Stats) HitRatio() float64 {
 	if s.Hits+s.Misses == 0 {
 		return 0
@@ -62,15 +89,56 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
+// How the cache handled one statement; the sql-exec note of the request
+// record prints it as cache=….
+const (
+	Hit     = "hit"
+	Miss    = "miss"    // executed under a flight; stored when nothing raced it
+	Refused = "refused" // admission kept the shape out
+	Bypass  = "bypass"  // not a cacheable statement, or inside a transaction
+)
+
+// Outcome is what Do reports beside the result.
+type Outcome struct {
+	How string
+	// Dedup marks a single-flight follower: the caller waited on another
+	// caller's execution of the same statement at least once.
+	Dedup bool
+	// Digest and Norm are the statement's, kept on the entry: set on a hit,
+	// which the engine never saw and so did not record.
+	Digest, Norm string
+}
+
+type key struct {
+	src Source
+	sql string
+}
+
 type entry struct {
-	key      string
+	key      key
 	res      *core.SQLResult
 	size     int64
-	expires  time.Time // zero means no TTL
-	tables   []string
-	versions []uint64
-	elem     *list.Element
+	facts    sqldb.Facts   // the digest a hit is recorded under, the tables read
+	hit      bool          // served at least once
+	versions []uint64      // of facts.Tables when the result was read
+	links    []*tableLink  // parallel to facts.Tables
+	elem     *list.Element // nil once removed
 }
+
+// tableLink holds the live entries that read one table, all stored at the
+// version seen.
+type tableLink struct {
+	seen    uint64
+	entries map[*entry]struct{}
+}
+
+type tableKey struct {
+	src   Source
+	table string
+}
+
+// shape is one digest's admission counters.
+type shape struct{ fills, wasted, skipped int }
 
 type flight struct {
 	done chan struct{}
@@ -79,216 +147,276 @@ type flight struct {
 // Cache is the query-result cache. The zero value is not usable; use New.
 type Cache struct {
 	maxBytes int64
-	ttl      time.Duration
 
 	mu      sync.Mutex
-	now     func() time.Time
-	entries map[string]*entry
+	entries map[key]*entry
 	lru     *list.List // front = most recently used
 	bytes   int64
-	flights map[string]*flight
+	links   map[tableKey]*tableLink
+	shapes  map[string]*shape
+	flights map[key]*flight
 	stats   Stats
 }
 
-// New builds a cache holding at most maxBytes of materialised results
-// (0 or negative means unbounded) whose entries expire after ttl
-// (0 means no TTL).
-func New(maxBytes int64, ttl time.Duration) *Cache {
+// New builds a cache holding at most maxBytes of materialised results.
+func New(maxBytes int64) *Cache {
 	return &Cache{
 		maxBytes: maxBytes,
-		ttl:      ttl,
-		now:      time.Now,
-		entries:  map[string]*entry{},
+		entries:  map[key]*entry{},
 		lru:      list.New(),
-		flights:  map[string]*flight{},
+		links:    map[tableKey]*tableLink{},
+		shapes:   map[string]*shape{},
+		flights:  map[key]*flight{},
 	}
 }
 
-// SetClock overrides the TTL clock (tests). Pass nil to restore time.Now.
-func (c *Cache) SetClock(now func() time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if now == nil {
-		now = time.Now
-	}
-	c.now = now
-}
-
-// Do returns the cached result for key if a valid entry exists, otherwise
-// executes compute — at most once across concurrent callers of the same
-// key — and caches the result when it is safe to do so.
+// Do returns the cached result of sql on src if a valid entry exists,
+// otherwise executes it on conn — at most once across concurrent callers
+// of the same statement — and caches the result when it is safe to do so.
 //
-// analyze classifies the statement (called once, by the flight leader):
-// the tables it reads and whether it may be cached at all. compute runs
-// the statement against the real connection. src supplies table versions;
-// the leader snapshots them before and after compute and stores the entry
-// only when they match, so a result raced by a concurrent write is never
-// recorded (it may reflect either side of the write).
-func (c *Cache) Do(key string, src VersionSource,
-	analyze func() (tables []string, cacheable bool),
-	compute func() (*core.SQLResult, error)) (*core.SQLResult, error) {
-	res, _, err := c.DoTracked(key, src, analyze, compute)
-	return res, err
-}
-
-// DoTracked is Do, additionally reporting whether this caller was a
-// single-flight follower — it waited on another caller's execution of
-// the same key at least once. The flight recorder marks such statements
-// dedup so a request's record shows which of its queries were
-// coalesced.
-func (c *Cache) DoTracked(key string, src VersionSource,
-	analyze func() (tables []string, cacheable bool),
-	compute func() (*core.SQLResult, error)) (*core.SQLResult, bool, error) {
-
-	waited := false
+// A hit costs a map lookup and one version snapshot: the statement is not
+// lexed. Anything else asks src for the statement's facts (from the
+// engine's parse cache, which the execution that follows then finds
+// warm): a statement that is not a deterministic SELECT bypasses the
+// cache; a shape admission refuses goes straight to conn; the rest execute
+// as a flight's leader, which snapshots the tables' versions before and
+// after and stores the entry only when they match, so a result raced by a
+// concurrent write is never recorded (it may reflect either side of it).
+func (c *Cache) Do(ctx context.Context, src Source, conn core.DBConn, sql string) (*core.SQLResult, Outcome, error) {
+	k := key{src, sql}
+	var facts sqldb.Facts
+	analyzed, waited := false, false
 	for {
 		c.mu.Lock()
-		if res, ok := c.lookupLocked(key, src); ok {
+		if e := c.lookupLocked(k); e != nil {
 			c.stats.Hits++
 			mHits.Inc()
 			if waited {
 				c.stats.Dedups++
 				mDedups.Inc()
 			}
+			res, out := e.res, Outcome{How: Hit, Dedup: waited, Digest: e.facts.Digest, Norm: e.facts.Norm}
 			c.mu.Unlock()
-			return res, waited, nil
+			return res, out, nil
 		}
-		f, inFlight := c.flights[key]
-		if inFlight {
-			// Another caller is executing this key. Wait, then loop to
-			// re-check the cache: a stored entry is validated against
+		if f, inFlight := c.flights[k]; inFlight {
+			// Another caller is executing this statement. Wait, then loop
+			// to re-check the cache: a stored entry is validated against
 			// current table versions, and if the leader could not store
-			// (error, write race, uncacheable) this caller leads its own
-			// flight. Followers never serve an unvalidated result.
+			// (error, write race) this caller leads its own flight.
+			// Followers never serve an unvalidated result.
 			c.mu.Unlock()
 			<-f.done
 			waited = true
 			continue
 		}
+		if !analyzed {
+			c.mu.Unlock()
+			facts, analyzed = src.StatementFacts(sql), true
+			if !facts.Cacheable {
+				if sqldb.HeadKeyword(sql) == "SELECT" {
+					c.addStat(&c.stats.Uncacheable, mUncacheable)
+				} else {
+					c.addStat(&c.stats.Bypasses, mBypasses)
+				}
+				res, err := execute(ctx, conn, sql)
+				return res, Outcome{How: Bypass}, err
+			}
+			continue
+		}
+		if c.refuseLocked(facts.Digest) {
+			c.stats.Refused++
+			mRefused.Inc()
+			c.mu.Unlock()
+			res, err := execute(ctx, conn, sql)
+			return res, Outcome{How: Refused}, err
+		}
 		c.stats.Misses++
 		mMisses.Inc()
-		f = &flight{done: make(chan struct{})}
-		c.flights[key] = f
+		f := &flight{done: make(chan struct{})}
+		c.flights[k] = f
 		c.mu.Unlock()
 
-		res, err := c.leaderExec(key, src, analyze, compute)
+		res, err := c.lead(ctx, conn, k, facts)
 		c.mu.Lock()
-		delete(c.flights, key)
+		delete(c.flights, k)
 		c.mu.Unlock()
 		close(f.done)
-		return res, waited, err
+		return res, Outcome{How: Miss, Dedup: waited}, err
 	}
 }
 
-// leaderExec runs the query as the single flight leader and stores the
-// result when the version snapshots bracket it cleanly.
-func (c *Cache) leaderExec(key string, src VersionSource,
-	analyze func() ([]string, bool),
-	compute func() (*core.SQLResult, error)) (*core.SQLResult, error) {
-
-	tables, cacheable := analyze()
-	if !cacheable || src == nil {
-		res, err := compute()
-		if err == nil {
-			c.addStat(&c.stats.Uncacheable)
-			mUncacheable.Inc()
-		}
-		return res, err
+// execute forwards to the connection, preserving the context when it is
+// context-aware.
+func execute(ctx context.Context, conn core.DBConn, sql string) (*core.SQLResult, error) {
+	if cc, ok := conn.(core.ContextDBConn); ok {
+		return cc.ExecuteContext(ctx, sql)
 	}
-	before := src.TableVersions(tables)
-	res, err := compute()
+	return conn.Execute(sql)
+}
+
+// lead runs the query as the single flight leader and stores the result
+// when the version snapshots bracket it cleanly.
+func (c *Cache) lead(ctx context.Context, conn core.DBConn, k key, facts sqldb.Facts) (*core.SQLResult, error) {
+	before := k.src.TableVersions(facts.Tables)
+	res, err := execute(ctx, conn, k.sql)
 	if err != nil {
 		return nil, err
 	}
-	after := src.TableVersions(tables)
-	if !versionsEqual(before, after) {
-		// A write landed while we executed; the result's position
-		// relative to it is unknown. Serve it, don't store it.
-		c.addStat(&c.stats.Uncacheable)
+	after := k.src.TableVersions(facts.Tables)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// A write that landed while the query ran leaves the result's position
+	// relative to it unknown: serve it, don't store it.
+	if !versionsEqual(before, after) || !c.storeLocked(k, res, facts, after) {
+		c.stats.Uncacheable++
 		mUncacheable.Inc()
-		return res, nil
 	}
-	c.store(key, res, tables, after)
 	return res, nil
 }
 
-// lookupLocked returns a valid entry's result, discarding the entry when
-// it has expired or any table it read has since changed. c.mu held.
-func (c *Cache) lookupLocked(key string, src VersionSource) (*core.SQLResult, bool) {
-	e, ok := c.entries[key]
+// lookupLocked returns the valid entry under k. It is where a table's
+// version is seen to move: every entry under a table that did is dropped,
+// k's own among them. c.mu held.
+func (c *Cache) lookupLocked(k key) *entry {
+	e, ok := c.entries[k]
 	if !ok {
-		return nil, false
+		return nil
 	}
-	if !e.expires.IsZero() && c.now().After(e.expires) {
-		c.removeLocked(e)
-		c.stats.Expirations++
-		mExpirations.Inc()
-		return nil, false
+	cur := k.src.TableVersions(e.facts.Tables)
+	for i, l := range e.links {
+		if cur[i] != l.seen {
+			c.sweepLocked(l, cur[i])
+		}
 	}
-	if src != nil && !versionsEqual(e.versions, src.TableVersions(e.tables)) {
-		c.removeLocked(e)
-		c.stats.Invalidations++
-		mInvalidations.Inc()
-		return nil, false
+	if e.elem == nil {
+		return nil
+	}
+	// The invariant the links only anticipate: what an entry is served
+	// under is the versions it was stored under.
+	if !versionsEqual(e.versions, cur) {
+		c.invalidateLocked(e)
+		return nil
 	}
 	c.lru.MoveToFront(e.elem)
-	return e.res, true
+	e.hit = true
+	return e
 }
 
-// store inserts (or replaces) an entry and evicts from the LRU tail until
-// the byte budget holds. An entry larger than the whole budget is not
-// stored at all.
-func (c *Cache) store(key string, res *core.SQLResult, tables []string, versions []uint64) {
-	size := int64(res.SizeBytes() + len(key))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.maxBytes > 0 && size > c.maxBytes {
-		c.stats.Uncacheable++
-		mUncacheable.Inc()
-		return
+// sweepLocked drops every entry that read l's table, whose version is now
+// v. c.mu held.
+func (c *Cache) sweepLocked(l *tableLink, v uint64) {
+	for e := range l.entries {
+		c.invalidateLocked(e)
 	}
-	if old, ok := c.entries[key]; ok {
+	l.seen = v
+}
+
+// invalidateLocked drops an entry a write overtook; one nobody was served
+// from is a wasted fill of its shape. c.mu held.
+func (c *Cache) invalidateLocked(e *entry) {
+	c.removeLocked(e)
+	c.stats.Invalidations++
+	mInvalidations.Inc()
+	if sh := c.shapes[e.facts.Digest]; !e.hit && sh != nil && sh.wasted < sh.fills {
+		sh.wasted++
+	}
+}
+
+// refuseLocked reports whether this execution of the shape stays out of
+// the cache. c.mu held.
+func (c *Cache) refuseLocked(digest string) bool {
+	sh := c.shapes[digest]
+	if sh == nil || sh.fills < admitMinFills || 2*sh.wasted <= sh.fills {
+		return false
+	}
+	if sh.skipped++; sh.skipped == probeEvery {
+		sh.skipped = 0
+		return false
+	}
+	return true
+}
+
+// storeLocked inserts an entry read at versions, links it under its
+// tables, counts the fill and evicts from the LRU tail until the byte
+// budget holds. It reports false for a result that cannot be kept: larger
+// than the whole budget, or read before a write some lookup has already
+// seen. c.mu held.
+func (c *Cache) storeLocked(k key, res *core.SQLResult, facts sqldb.Facts, versions []uint64) bool {
+	size := int64(res.SizeBytes() + len(k.sql))
+	if size > c.maxBytes {
+		return false
+	}
+	links := make([]*tableLink, len(facts.Tables))
+	for i, t := range facts.Tables {
+		l := c.links[tableKey{k.src, t}]
+		if l == nil {
+			l = &tableLink{seen: versions[i], entries: map[*entry]struct{}{}}
+			c.links[tableKey{k.src, t}] = l
+		}
+		if versions[i] < l.seen {
+			return false
+		}
+		if versions[i] > l.seen {
+			c.sweepLocked(l, versions[i])
+		}
+		links[i] = l
+	}
+	if old, ok := c.entries[k]; ok {
 		c.removeLocked(old)
 	}
-	e := &entry{key: key, res: res, size: size, tables: tables, versions: versions}
-	if c.ttl > 0 {
-		e.expires = c.now().Add(c.ttl)
-	}
+	e := &entry{key: k, res: res, size: size, facts: facts, versions: versions, links: links}
 	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
+	c.entries[k] = e
+	for _, l := range links {
+		l.entries[e] = struct{}{}
+	}
 	c.bytes += size
 	c.stats.Stores++
 	mStores.Inc()
-	for c.maxBytes > 0 && c.bytes > c.maxBytes {
-		back := c.lru.Back()
-		if back == nil {
-			break
+
+	sh := c.shapes[facts.Digest]
+	if sh == nil {
+		if len(c.shapes) >= maxShapes {
+			c.shapes = map[string]*shape{}
 		}
-		c.removeLocked(back.Value.(*entry))
+		sh = &shape{}
+		c.shapes[facts.Digest] = sh
+	}
+	if sh.fills++; sh.fills == decayFills {
+		sh.fills, sh.wasted = sh.fills/2, sh.wasted/2
+	}
+
+	for c.bytes > c.maxBytes {
+		c.removeLocked(c.lru.Back().Value.(*entry))
 		c.stats.Evictions++
 		mEvictions.Inc()
 	}
+	return true
 }
 
-// removeLocked unlinks an entry. c.mu held.
+// removeLocked unlinks an entry from the map, the LRU and its tables.
+// c.mu held.
 func (c *Cache) removeLocked(e *entry) {
 	delete(c.entries, e.key)
 	c.lru.Remove(e.elem)
+	e.elem = nil
+	for _, l := range e.links {
+		delete(l.entries, e)
+	}
 	c.bytes -= e.size
 }
 
-// NoteBypass counts a statement that went straight to the database:
-// a write, or any statement inside an open transaction (whose reads may
-// see uncommitted data that must never leak into the cache).
-func (c *Cache) NoteBypass() {
-	c.addStat(&c.stats.Bypasses)
-	mBypasses.Inc()
-}
+// NoteBypass counts a statement that went straight to the database
+// without asking Do: one inside an open transaction, whose reads may see
+// uncommitted data that must never leak into the cache.
+func (c *Cache) NoteBypass() { c.addStat(&c.stats.Bypasses, mBypasses) }
 
-func (c *Cache) addStat(p *int64) {
+func (c *Cache) addStat(p *int64, m *obs.Counter) {
 	c.mu.Lock()
 	*p++
 	c.mu.Unlock()
+	m.Inc()
 }
 
 // Stats returns a snapshot of the counters.
@@ -326,7 +454,7 @@ func (c *Cache) StatusRows() [][2]string {
 		{"Stores", strconv.FormatInt(st.Stores, 10)},
 		{"Evictions", strconv.FormatInt(st.Evictions, 10)},
 		{"Invalidations", strconv.FormatInt(st.Invalidations, 10)},
-		{"Expirations", strconv.FormatInt(st.Expirations, 10)},
+		{"Refused", strconv.FormatInt(st.Refused, 10)},
 		{"Bypasses", strconv.FormatInt(st.Bypasses, 10)},
 		{"Uncacheable", strconv.FormatInt(st.Uncacheable, 10)},
 		{"Entries", strconv.Itoa(entries)},
@@ -334,12 +462,14 @@ func (c *Cache) StatusRows() [][2]string {
 	}
 }
 
-// Flush drops every entry (counters are kept).
+// Flush drops every entry and the per-table links (the counters,
+// admission's among them, are kept).
 func (c *Cache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = map[string]*entry{}
+	c.entries = map[key]*entry{}
 	c.lru.Init()
+	c.links = map[tableKey]*tableLink{}
 	c.bytes = 0
 }
 

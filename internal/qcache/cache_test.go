@@ -1,6 +1,7 @@
 package qcache
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,17 +10,20 @@ import (
 	"time"
 
 	"db2www/internal/core"
+	"db2www/internal/sqldb"
 )
 
-// fakeVersions is a VersionSource whose table versions tests mutate.
-type fakeVersions struct {
+// fakeSource is a Source whose table versions tests move. A statement is
+// "<shape> <key>": the shape, a comma-separated list of the tables it
+// reads, is its digest; one that begins SELECT is not cacheable.
+type fakeSource struct {
 	mu sync.Mutex
 	v  map[string]uint64
 }
 
-func newFakeVersions() *fakeVersions { return &fakeVersions{v: map[string]uint64{}} }
+func newFakeSource() *fakeSource { return &fakeSource{v: map[string]uint64{}} }
 
-func (f *fakeVersions) TableVersions(tables []string) []uint64 {
+func (f *fakeSource) TableVersions(tables []string) []uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([]uint64, len(tables))
@@ -29,10 +33,35 @@ func (f *fakeVersions) TableVersions(tables []string) []uint64 {
 	return out
 }
 
-func (f *fakeVersions) bump(table string) {
+func (f *fakeSource) StatementFacts(sql string) sqldb.Facts {
+	shape, _, _ := strings.Cut(sql, " ")
+	if shape == "SELECT" {
+		return sqldb.Facts{}
+	}
+	return sqldb.Facts{Digest: shape, Norm: shape, Tables: strings.Split(shape, ","), Cacheable: true}
+}
+
+func (f *fakeSource) bump(table string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.v[table]++
+}
+
+// fakeConn is the connection under the cache: it counts executions and
+// answers res, or whatever run returns when set.
+type fakeConn struct {
+	core.DBConn // the transaction methods, never called
+	execs       atomic.Int64
+	res         *core.SQLResult
+	run         func() (*core.SQLResult, error)
+}
+
+func (c *fakeConn) Execute(string) (*core.SQLResult, error) {
+	c.execs.Add(1)
+	if c.run != nil {
+		return c.run()
+	}
+	return c.res, nil
 }
 
 func resultOfSize(payload int) *core.SQLResult {
@@ -42,33 +71,31 @@ func resultOfSize(payload int) *core.SQLResult {
 	}
 }
 
-func analyzed(tables ...string) func() ([]string, bool) {
-	return func() ([]string, bool) { return tables, true }
-}
-
-func computeCounting(n *int64, res *core.SQLResult) func() (*core.SQLResult, error) {
-	return func() (*core.SQLResult, error) {
-		atomic.AddInt64(n, 1)
-		return res, nil
+// do is Do for a test that expects no error.
+func do(t *testing.T, c *Cache, src Source, conn core.DBConn, sql string) (*core.SQLResult, Outcome) {
+	t.Helper()
+	res, out, err := c.Do(context.Background(), src, conn, sql)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return res, out
 }
 
 func TestDoCachesAndHits(t *testing.T) {
-	c := New(1<<20, 0)
-	src := newFakeVersions()
-	var execs int64
-	res := resultOfSize(10)
+	c := New(1 << 20)
+	src := newFakeSource()
+	conn := &fakeConn{res: resultOfSize(10)}
 	for i := 0; i < 5; i++ {
-		got, err := c.Do("k1", src, analyzed("t"), computeCounting(&execs, res))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != res {
+		got, out := do(t, c, src, conn, "t k1")
+		if got != conn.res {
 			t.Fatalf("iteration %d returned a different result pointer", i)
 		}
+		if want := (Outcome{How: Hit, Digest: "t", Norm: "t"}); i > 0 && out != want {
+			t.Fatalf("iteration %d: outcome %+v, want %+v", i, out, want)
+		}
 	}
-	if execs != 1 {
-		t.Fatalf("executed %d times, want 1", execs)
+	if n := conn.execs.Load(); n != 1 {
+		t.Fatalf("executed %d times, want 1", n)
 	}
 	st := c.Stats()
 	if st.Hits != 4 || st.Misses != 1 || st.Stores != 1 {
@@ -77,44 +104,34 @@ func TestDoCachesAndHits(t *testing.T) {
 }
 
 func TestVersionInvalidation(t *testing.T) {
-	c := New(1<<20, 0)
-	src := newFakeVersions()
-	var execs int64
-	if _, err := c.Do("k", src, analyzed("t"), computeCounting(&execs, resultOfSize(4))); err != nil {
-		t.Fatal(err)
-	}
+	c := New(1 << 20)
+	src := newFakeSource()
+	conn := &fakeConn{res: resultOfSize(4)}
+	do(t, c, src, conn, "t k")
 	src.bump("t")
-	if _, err := c.Do("k", src, analyzed("t"), computeCounting(&execs, resultOfSize(4))); err != nil {
-		t.Fatal(err)
-	}
-	if execs != 2 {
-		t.Fatalf("executed %d times, want 2 (write invalidates)", execs)
+	do(t, c, src, conn, "t k")
+	if n := conn.execs.Load(); n != 2 {
+		t.Fatalf("executed %d times, want 2 (write invalidates)", n)
 	}
 	if st := c.Stats(); st.Invalidations != 1 {
 		t.Fatalf("invalidations = %d, want 1", st.Invalidations)
 	}
 	// A bump of an unrelated table does not invalidate.
 	src.bump("other")
-	if _, err := c.Do("k", src, analyzed("t"), computeCounting(&execs, resultOfSize(4))); err != nil {
-		t.Fatal(err)
-	}
-	if execs != 2 {
-		t.Fatalf("executed %d times after unrelated bump, want 2", execs)
+	do(t, c, src, conn, "t k")
+	if n := conn.execs.Load(); n != 2 {
+		t.Fatalf("executed %d times after unrelated bump, want 2", n)
 	}
 }
 
 func TestWriteDuringExecutionIsNotStored(t *testing.T) {
-	c := New(1<<20, 0)
-	src := newFakeVersions()
-	var execs int64
-	compute := func() (*core.SQLResult, error) {
-		atomic.AddInt64(&execs, 1)
+	c := New(1 << 20)
+	src := newFakeSource()
+	conn := &fakeConn{run: func() (*core.SQLResult, error) {
 		src.bump("t") // a write lands mid-execution
 		return resultOfSize(4), nil
-	}
-	if _, err := c.Do("k", src, analyzed("t"), compute); err != nil {
-		t.Fatal(err)
-	}
+	}}
+	do(t, c, src, conn, "t k")
 	if c.Len() != 0 {
 		t.Fatalf("entry stored despite a mid-execution write")
 	}
@@ -123,133 +140,248 @@ func TestWriteDuringExecutionIsNotStored(t *testing.T) {
 	}
 }
 
-func TestTTLExpiry(t *testing.T) {
-	c := New(1<<20, time.Minute)
-	clock := time.Unix(1000, 0)
-	c.SetClock(func() time.Time { return clock })
-	src := newFakeVersions()
-	var execs int64
-	if _, err := c.Do("k", src, analyzed("t"), computeCounting(&execs, resultOfSize(4))); err != nil {
-		t.Fatal(err)
+// TestStaleFillIsNotStored: a result read before a write that some lookup
+// has already seen — the leader was slow to come back with it — is served
+// and not stored, and the entries that write killed stay gone.
+func TestStaleFillIsNotStored(t *testing.T) {
+	c := New(1 << 20)
+	src := newFakeSource()
+	conn := &fakeConn{res: resultOfSize(4)}
+	do(t, c, src, conn, "t a")
+	k := key{src, "t slow"}
+	facts := src.StatementFacts(k.sql)
+	before := src.TableVersions(facts.Tables)
+	src.bump("t")
+	do(t, c, src, conn, "t a") // sees the bump, refills at the new version
+	c.mu.Lock()
+	stored := c.storeLocked(k, conn.res, facts, before)
+	c.mu.Unlock()
+	if stored || c.Len() != 1 {
+		t.Fatalf("a fill from before a seen write was stored: %v, %d entries", stored, c.Len())
 	}
-	clock = clock.Add(30 * time.Second)
-	if _, err := c.Do("k", src, analyzed("t"), computeCounting(&execs, resultOfSize(4))); err != nil {
-		t.Fatal(err)
-	}
-	if execs != 1 {
-		t.Fatalf("executed %d times inside TTL, want 1", execs)
-	}
-	clock = clock.Add(31 * time.Second)
-	if _, err := c.Do("k", src, analyzed("t"), computeCounting(&execs, resultOfSize(4))); err != nil {
-		t.Fatal(err)
-	}
-	if execs != 2 {
-		t.Fatalf("executed %d times after TTL, want 2", execs)
-	}
-	if st := c.Stats(); st.Expirations != 1 {
-		t.Fatalf("expirations = %d, want 1", st.Expirations)
+	if _, out := do(t, c, src, conn, "t a"); out.How != Hit {
+		t.Fatalf("the live entry was lost: %+v", out)
 	}
 }
 
 func TestLRUEvictionUnderByteBudget(t *testing.T) {
-	// Each entry is ~130 bytes (64 base + 17 column + 24 row + 25+payload
-	// field + key); a 400-byte budget holds about three.
-	c := New(400, 0)
-	src := newFakeVersions()
-	var execs int64
+	// Each entry is ~135 bytes (64 base + 17 column + 24 row + 25+payload
+	// field + statement text); a 400-byte budget holds two.
+	c := New(400)
+	src := newFakeSource()
+	conn := &fakeConn{res: resultOfSize(1)}
 	for i := 0; i < 4; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if _, err := c.Do(key, src, analyzed("t"), computeCounting(&execs, resultOfSize(1))); err != nil {
-			t.Fatal(err)
-		}
+		do(t, c, src, conn, fmt.Sprintf("t k%d", i))
 	}
 	if st := c.Stats(); st.Evictions == 0 {
-		t.Fatalf("no evictions storing 4 entries under a 3-entry budget; stats %+v, bytes %d", st, c.Bytes())
+		t.Fatalf("no evictions storing 4 entries under a smaller budget; stats %+v, bytes %d", st, c.Bytes())
 	}
 	if c.Bytes() > 400 {
 		t.Fatalf("cache holds %d bytes, budget 400", c.Bytes())
 	}
 	// k0 was evicted (LRU): re-asking executes again.
-	before := execs
-	if _, err := c.Do("k0", src, analyzed("t"), computeCounting(&execs, resultOfSize(1))); err != nil {
-		t.Fatal(err)
-	}
-	if execs != before+1 {
+	before := conn.execs.Load()
+	do(t, c, src, conn, "t k0")
+	if conn.execs.Load() != before+1 {
 		t.Fatalf("k0 served from cache after eviction")
 	}
 }
 
 func TestLRUOrderRespectsRecency(t *testing.T) {
-	c := New(400, 0)
-	src := newFakeVersions()
-	var execs int64
-	for _, k := range []string{"a", "b", "c"} {
-		if _, err := c.Do(k, src, analyzed("t"), computeCounting(&execs, resultOfSize(1))); err != nil {
-			t.Fatal(err)
-		}
+	c := New(420) // three entries of 135 bytes
+	src := newFakeSource()
+	conn := &fakeConn{res: resultOfSize(1)}
+	for _, k := range []string{"t a", "t b", "t c"} {
+		do(t, c, src, conn, k)
 	}
 	// Touch "a" so "b" is now the least recently used, then overflow.
-	if _, err := c.Do("a", src, analyzed("t"), computeCounting(&execs, resultOfSize(1))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Do("d", src, analyzed("t"), computeCounting(&execs, resultOfSize(1))); err != nil {
-		t.Fatal(err)
-	}
-	before := execs
-	if _, err := c.Do("a", src, analyzed("t"), computeCounting(&execs, resultOfSize(1))); err != nil {
-		t.Fatal(err)
-	}
-	if execs != before {
+	do(t, c, src, conn, "t a")
+	do(t, c, src, conn, "t d")
+	before := conn.execs.Load()
+	do(t, c, src, conn, "t a")
+	if conn.execs.Load() != before {
 		t.Fatalf("recently-touched entry was evicted before the LRU one")
 	}
-	if _, err := c.Do("b", src, analyzed("t"), computeCounting(&execs, resultOfSize(1))); err != nil {
-		t.Fatal(err)
-	}
-	if execs != before+1 {
+	do(t, c, src, conn, "t b")
+	if conn.execs.Load() != before+1 {
 		t.Fatalf("LRU entry survived past newer entries")
 	}
 }
 
 func TestOversizeResultNotStored(t *testing.T) {
-	c := New(200, 0)
-	src := newFakeVersions()
-	var execs int64
-	if _, err := c.Do("big", src, analyzed("t"), computeCounting(&execs, resultOfSize(500))); err != nil {
-		t.Fatal(err)
-	}
+	c := New(200)
+	src := newFakeSource()
+	do(t, c, src, &fakeConn{res: resultOfSize(500)}, "t big")
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Fatalf("oversize entry stored: len %d bytes %d", c.Len(), c.Bytes())
+	}
+	if st := c.Stats(); st.Uncacheable != 1 {
+		t.Fatalf("uncacheable = %d, want 1", st.Uncacheable)
 	}
 }
 
 func TestUncacheableNeverStored(t *testing.T) {
-	c := New(1<<20, 0)
-	src := newFakeVersions()
-	var execs int64
-	notCacheable := func() ([]string, bool) { return nil, false }
+	c := New(1 << 20)
+	src := newFakeSource()
+	conn := &fakeConn{res: resultOfSize(4)}
 	for i := 0; i < 3; i++ {
-		if _, err := c.Do("k", src, notCacheable, computeCounting(&execs, resultOfSize(4))); err != nil {
-			t.Fatal(err)
+		if _, out := do(t, c, src, conn, "SELECT NOW()"); out.How != Bypass {
+			t.Fatalf("outcome %+v, want a bypass", out)
 		}
 	}
-	if execs != 3 {
-		t.Fatalf("uncacheable statement executed %d times, want 3", execs)
+	if n := conn.execs.Load(); n != 3 {
+		t.Fatalf("uncacheable statement executed %d times, want 3", n)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("uncacheable statement was stored")
 	}
+	// Not a lookup: the hit ratio is of what the cache tried to serve.
+	if st := c.Stats(); st.Misses != 0 || st.Uncacheable != 3 {
+		t.Fatalf("stats = %+v, want 3 uncacheable and no miss", st)
+	}
+}
+
+// TestAdmissionByObservedInvalidation counts, with no clock: a shape whose
+// table is written between every two fills is stored admitMinFills times,
+// then refused but for one execution in probeEvery; when the writes stop
+// the next probe survives and is served, and the shape is admitted again
+// within decayFills fills.
+func TestAdmissionByObservedInvalidation(t *testing.T) {
+	c := New(1 << 20)
+	src := newFakeSource()
+	conn := &fakeConn{res: resultOfSize(4)}
+	n := 0
+	next := func() Outcome {
+		n++
+		_, out := do(t, c, src, conn, fmt.Sprintf("t k%d", n))
+		return out
+	}
+	for i := 1; i <= admitMinFills; i++ {
+		if out := next(); out.How != Miss {
+			t.Fatalf("fill %d: %+v, want a miss that stores", i, out)
+		}
+		src.bump("t")
+	}
+	if st := c.Stats(); st.Stores != admitMinFills || st.Refused != 0 {
+		t.Fatalf("after %d fills each killed by a write: %+v", admitMinFills, st)
+	}
+	for round := 0; round < 3; round++ {
+		for i := 1; i < probeEvery; i++ {
+			if out := next(); out.How != Refused {
+				t.Fatalf("round %d, execution %d: %+v, want refused", round, i, out)
+			}
+		}
+		if out := next(); out.How != Miss {
+			t.Fatalf("round %d: execution %d is the probe, got %+v", round, probeEvery, out)
+		}
+		src.bump("t")
+	}
+	st := c.Stats()
+	if st.Stores != admitMinFills+3 || st.Refused != 3*(probeEvery-1) || st.Misses != st.Stores {
+		t.Fatalf("a store per %d executions, the rest refused and no miss: %+v", probeEvery, st)
+	}
+	if c.Len() > 1 {
+		t.Fatalf("%d entries of a refused shape are live", c.Len())
+	}
+
+	// The writes stop. The next probe's entry lives and is served …
+	for next().How != Miss {
+	}
+	probe := fmt.Sprintf("t k%d", n)
+	if _, out := do(t, c, src, conn, probe); out.How != Hit {
+		t.Fatalf("the surviving probe is not served: %+v", out)
+	}
+	// … and the probes that survive come to outweigh the wasted fills:
+	// admitted is two misses in a row.
+	stores, last := c.Stats().Stores, n
+	for prev := Refused; ; {
+		how := next().How
+		if how == Miss && prev == Miss {
+			break
+		}
+		if prev = how; c.Stats().Stores-stores > decayFills {
+			t.Fatalf("still refused %d fills after the last write", decayFills)
+		}
+	}
+	t.Logf("admitted again %d fills and %d executions after the last write", c.Stats().Stores-stores, n-last)
+}
+
+// TestReadOnlyShapeNeverRefused: nothing is invalidated, so 2 000 distinct
+// keys of one shape fill at full speed.
+func TestReadOnlyShapeNeverRefused(t *testing.T) {
+	c := New(1 << 20)
+	src := newFakeSource()
+	conn := &fakeConn{res: resultOfSize(4)}
+	for i := 0; i < 2000; i++ {
+		do(t, c, src, conn, fmt.Sprintf("t k%d", i))
+	}
+	if st := c.Stats(); st.Refused != 0 || st.Stores != 2000 || c.Len() != 2000 {
+		t.Fatalf("stats %+v, %d entries: want 2000 stores, none refused", st, c.Len())
+	}
+}
+
+// TestTableSweepDropsExactlyItsReaders: the first lookup that sees a
+// table's version move drops every entry that read the table — the join's
+// too, from under both of its tables — and no other.
+func TestTableSweepDropsExactlyItsReaders(t *testing.T) {
+	c := New(1 << 20)
+	src := newFakeSource()
+	conn := &fakeConn{res: resultOfSize(4)}
+	for i := 0; i < 5; i++ {
+		do(t, c, src, conn, fmt.Sprintf("a k%d", i))
+		do(t, c, src, conn, fmt.Sprintf("b k%d", i))
+	}
+	do(t, c, src, conn, "a,b join")
+	do(t, c, src, conn, "a k0") // the one entry under a that was served
+
+	src.bump("a")
+	if _, out := do(t, c, src, conn, "a k3"); out.How != Miss {
+		t.Fatalf("read of a written table: %+v", out)
+	}
+	// Gone: a's five and the join. Left: b's five and the refill.
+	if st := c.Stats(); st.Invalidations != 6 || c.Len() != 6 {
+		t.Fatalf("after a write to a: %d invalidations, %d entries, want 6 and 6", st.Invalidations, c.Len())
+	}
+	c.mu.Lock()
+	la, lb := c.links[tableKey{src, "a"}], c.links[tableKey{src, "b"}]
+	if len(la.entries) != 1 || len(lb.entries) != 5 {
+		t.Errorf("links: %d under a, %d under b, want 1 and 5", len(la.entries), len(lb.entries))
+	}
+	if sh := c.shapes["a"]; sh.fills != 6 || sh.wasted != 4 {
+		t.Errorf("shape a: %+v, want 6 fills of which 4 wasted (k0 was served)", *sh)
+	}
+	if sh := c.shapes["a,b"]; sh.fills != 1 || sh.wasted != 1 {
+		t.Errorf("shape a,b: %+v, want its one fill wasted", *sh)
+	}
+	c.mu.Unlock()
+	execs := conn.execs.Load()
+	for i := 0; i < 5; i++ {
+		do(t, c, src, conn, fmt.Sprintf("b k%d", i))
+	}
+	if conn.execs.Load() != execs {
+		t.Fatalf("entries that read only b were dropped by a write to a")
+	}
+	// The join comes back under both tables; a write to the other one
+	// takes it out of both.
+	do(t, c, src, conn, "a,b join")
+	src.bump("b")
+	do(t, c, src, conn, "a,b join")
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(la.entries) != 2 || len(lb.entries) != 1 || len(c.entries) != 2 {
+		t.Fatalf("after a write to b: %d under a, %d under b, %d entries, want 2, 1, 2",
+			len(la.entries), len(lb.entries), len(c.entries))
+	}
 }
 
 func TestSingleFlightDeduplicates(t *testing.T) {
-	c := New(1<<20, 0)
-	src := newFakeVersions()
-	var execs int64
+	c := New(1 << 20)
+	src := newFakeSource()
 	gate := make(chan struct{})
-	compute := func() (*core.SQLResult, error) {
-		atomic.AddInt64(&execs, 1)
+	conn := &fakeConn{run: func() (*core.SQLResult, error) {
 		<-gate
 		return resultOfSize(4), nil
-	}
+	}}
 	const n = 16
 	var wg sync.WaitGroup
 	results := make([]*core.SQLResult, n)
@@ -257,7 +389,7 @@ func TestSingleFlightDeduplicates(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := c.Do("k", src, analyzed("t"), compute)
+			res, _, err := c.Do(context.Background(), src, conn, "t k")
 			if err != nil {
 				t.Error(err)
 			}
@@ -265,14 +397,14 @@ func TestSingleFlightDeduplicates(t *testing.T) {
 		}(i)
 	}
 	// Let followers pile up behind the leader, then release it.
-	for atomic.LoadInt64(&execs) == 0 {
+	for conn.execs.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(10 * time.Millisecond)
 	close(gate)
 	wg.Wait()
-	if execs != 1 {
-		t.Fatalf("executed %d times across %d concurrent callers, want 1", execs, n)
+	if got := conn.execs.Load(); got != 1 {
+		t.Fatalf("executed %d times across %d concurrent callers, want 1", got, n)
 	}
 	for i := 1; i < n; i++ {
 		if results[i] != results[0] {
@@ -285,23 +417,21 @@ func TestSingleFlightDeduplicates(t *testing.T) {
 }
 
 func TestFollowerRevalidatesAfterLeaderFails(t *testing.T) {
-	c := New(1<<20, 0)
-	src := newFakeVersions()
-	var execs int64
+	c := New(1 << 20)
+	src := newFakeSource()
 	gate := make(chan struct{})
-	leaderCompute := func() (*core.SQLResult, error) {
-		atomic.AddInt64(&execs, 1)
+	leader := &fakeConn{run: func() (*core.SQLResult, error) {
 		<-gate
 		return nil, fmt.Errorf("boom")
-	}
-	followerCompute := computeCounting(&execs, resultOfSize(4))
+	}}
+	follower := &fakeConn{res: resultOfSize(4)}
 
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := c.Do("k", src, analyzed("t"), leaderCompute)
+		_, _, err := c.Do(context.Background(), src, leader, "t k")
 		errCh <- err
 	}()
-	for atomic.LoadInt64(&execs) == 0 {
+	for leader.execs.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	done := make(chan struct{})
@@ -309,7 +439,7 @@ func TestFollowerRevalidatesAfterLeaderFails(t *testing.T) {
 		defer close(done)
 		// The follower must not inherit the leader's error: it re-checks
 		// the cache, finds nothing, and executes itself.
-		res, err := c.Do("k", src, analyzed("t"), followerCompute)
+		res, _, err := c.Do(context.Background(), src, follower, "t k")
 		if err != nil {
 			t.Errorf("follower: %v", err)
 		}
@@ -323,27 +453,33 @@ func TestFollowerRevalidatesAfterLeaderFails(t *testing.T) {
 		t.Fatalf("leader error lost")
 	}
 	<-done
-	if execs != 2 {
-		t.Fatalf("executed %d times, want 2 (leader fails, follower retries)", execs)
+	if l, f := leader.execs.Load(), follower.execs.Load(); l != 1 || f != 1 {
+		t.Fatalf("executed %d + %d times, want 1 + 1 (leader fails, follower retries)", l, f)
 	}
 }
 
+// TestFlush: the entries and the per-table links go, the counters —
+// admission's too — stay.
 func TestFlush(t *testing.T) {
-	c := New(1<<20, 0)
-	src := newFakeVersions()
-	var execs int64
-	if _, err := c.Do("k", src, analyzed("t"), computeCounting(&execs, resultOfSize(4))); err != nil {
-		t.Fatal(err)
-	}
+	c := New(1 << 20)
+	src := newFakeSource()
+	conn := &fakeConn{res: resultOfSize(4)}
+	do(t, c, src, conn, "t k")
 	c.Flush()
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatalf("flush left len %d bytes %d", c.Len(), c.Bytes())
+	if c.Len() != 0 || c.Bytes() != 0 || len(c.links) != 0 {
+		t.Fatalf("flush left len %d bytes %d links %d", c.Len(), c.Bytes(), len(c.links))
 	}
-	if _, err := c.Do("k", src, analyzed("t"), computeCounting(&execs, resultOfSize(4))); err != nil {
-		t.Fatal(err)
+	if st := c.Stats(); st.Stores != 1 || c.shapes["t"].fills != 1 {
+		t.Fatalf("flush reset the counters: %+v, shape %+v", st, c.shapes["t"])
 	}
-	if execs != 2 {
-		t.Fatalf("executed %d times after flush, want 2", execs)
+	do(t, c, src, conn, "t k")
+	if n := conn.execs.Load(); n != 2 {
+		t.Fatalf("executed %d times after flush, want 2", n)
+	}
+	// The refill is linked afresh: a write still finds it.
+	src.bump("t")
+	if _, out := do(t, c, src, conn, "t k"); out.How != Miss || c.Stats().Invalidations != 1 {
+		t.Fatalf("after flush, refill and write: %+v, %+v", out, c.Stats())
 	}
 }
 
@@ -352,7 +488,7 @@ func TestWrapNilCacheReturnsInner(t *testing.T) {
 	if got := Wrap(inner, nil); got != core.DBProvider(inner) {
 		t.Fatalf("Wrap(inner, nil) != inner")
 	}
-	if got := Wrap(inner, New(1, 0)); got == core.DBProvider(inner) {
+	if got := Wrap(inner, New(1)); got == core.DBProvider(inner) {
 		t.Fatalf("Wrap with a cache returned inner unchanged")
 	}
 }

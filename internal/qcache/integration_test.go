@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,7 +48,7 @@ func newStressDB(t *testing.T, name string) *sqldb.Database {
 // also exercises the cache's locking.
 func TestNoStaleReadAfterCommittedWrite(t *testing.T) {
 	newStressDB(t, "QSTRESS")
-	cache := qcache.New(1<<20, 0)
+	cache := qcache.New(1 << 20)
 	provider := qcache.Wrap(gateway.NewSQLProvider(), cache)
 
 	const (
@@ -142,7 +146,7 @@ func TestNoStaleReadAfterCommittedWrite(t *testing.T) {
 // write behind one still reaches the database.
 func TestCommentBeforeSelectIsCached(t *testing.T) {
 	newStressDB(t, "QCOMMENT")
-	cache := qcache.New(1<<20, 0)
+	cache := qcache.New(1 << 20)
 	conn, err := qcache.Wrap(gateway.NewSQLProvider(), cache).Connect("QCOMMENT", "", "")
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +180,7 @@ func TestCommentBeforeSelectIsCached(t *testing.T) {
 // values must be visible to subsequent cached reads.
 func TestNoStaleReadAcrossTransactions(t *testing.T) {
 	newStressDB(t, "QSTRESSTXN")
-	cache := qcache.New(1<<20, 0)
+	cache := qcache.New(1 << 20)
 	provider := qcache.Wrap(gateway.NewSQLProvider(), cache)
 
 	const rounds = 200
@@ -301,7 +305,7 @@ SELECT url, title FROM urldb ORDER BY url
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := qcache.New(1<<20, 0)
+	cache := qcache.New(1 << 20)
 	cached := &core.Engine{DB: qcache.Wrap(gateway.NewSQLProvider(), cache)}
 	plain := &core.Engine{DB: gateway.NewSQLProvider()}
 
@@ -391,7 +395,7 @@ func TestInvalidationContractUnderMVCC(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache := qcache.New(1<<20, 0)
+	cache := qcache.New(1 << 20)
 	provider := qcache.Wrap(gateway.NewSQLProvider(), cache)
 	conn, err := provider.Connect("QCONTRACT", "", "")
 	if err != nil {
@@ -459,5 +463,80 @@ func TestInvalidationContractUnderMVCC(t *testing.T) {
 	}
 	if hits() != h2+1 {
 		t.Fatalf("rollback of a read-only access invalidated kv's cache entry")
+	}
+}
+
+// TestHitAndMissDoTheParsingTheyClaim: a hit does not reach the engine's
+// lexer, parser or plan cache and allocates next to nothing; a miss asks
+// the plan cache for the statement's facts and the execution that follows
+// finds the text it left there, so a new literal of a known shape is lexed
+// once and never parsed. What parses a text outright, AnalyzeQuery and
+// Parse, has no caller on the request path.
+func TestHitAndMissDoTheParsingTheyClaim(t *testing.T) {
+	db := newStressDB(t, "QPARSE")
+	conn, err := qcache.Wrap(gateway.NewSQLProvider(), qcache.New(1<<20)).Connect("QPARSE", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const q = "SELECT v FROM kv WHERE k = 1"
+	exec := func(sql string) {
+		if _, err := conn.Execute(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exec(q)
+	before := db.PlanCacheStats()
+	for i := 0; i < 1000; i++ {
+		exec(q)
+	}
+	if after := db.PlanCacheStats(); after != before {
+		t.Errorf("1000 hits moved the plan cache's counters: %+v -> %+v", before, after)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { exec(q) }); allocs > 4 {
+		t.Errorf("a hit makes %.0f allocations, want at most 4", allocs)
+	}
+
+	before = db.PlanCacheStats()
+	for i := 100; i < 200; i++ {
+		exec(fmt.Sprintf("SELECT v FROM kv WHERE k = %d", i))
+	}
+	after := db.PlanCacheStats()
+	// Per statement two lookups, the cache's for the facts and the
+	// engine's; none parses, the shape being q's.
+	if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 0 || hits != 200 {
+		t.Errorf("100 new literals of a known shape: %d plan-cache misses and %d hits, want 0 and 200", misses, hits)
+	}
+	before = after
+	for i := 100; i < 200; i++ {
+		exec(fmt.Sprintf("SELECT k FROM kv WHERE v = %d", i))
+	}
+	after = db.PlanCacheStats()
+	if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 1 || hits != 199 {
+		t.Errorf("100 literals of a new shape: %d plan-cache misses and %d hits, want 1 and 199", misses, hits)
+	}
+
+	root := filepath.Join("..", "..")
+	for _, dir := range []string{"cmd", "internal"} {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			rel, _ := filepath.Rel(root, path)
+			if rel != filepath.Join("internal", "sqldb", "introspect.go") && bytes.Contains(src, []byte("AnalyzeQuery(")) {
+				t.Errorf("%s calls AnalyzeQuery: the request path asks Database.StatementFacts", rel)
+			}
+			if filepath.Dir(rel) == filepath.Join("internal", "qcache") && bytes.Contains(src, []byte("sqldb.Parse")) {
+				t.Errorf("%s reaches sqldb.Parse", rel)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -10,7 +10,7 @@ var (
 	mHits = obs.Default.Counter("db2www_qcache_hits_total",
 		"query-cache lookups served from a valid entry")
 	mMisses = obs.Default.Counter("db2www_qcache_misses_total",
-		"query-cache lookups that executed the query")
+		"query-cache lookups that executed the query to fill an entry")
 	mDedups = obs.Default.Counter("db2www_qcache_dedups_total",
 		"query-cache hits by callers that waited on another caller's flight")
 	mStores = obs.Default.Counter("db2www_qcache_stores_total",
@@ -19,8 +19,8 @@ var (
 		"query-cache entries removed to stay inside the byte budget")
 	mInvalidations = obs.Default.Counter("db2www_qcache_invalidations_total",
 		"query-cache entries discarded on a table-version mismatch")
-	mExpirations = obs.Default.Counter("db2www_qcache_expirations_total",
-		"query-cache entries discarded past their TTL")
+	mRefused = obs.Default.Counter("db2www_qcache_refused_total",
+		"SELECTs of a shape admission keeps out of the query cache: executed, not looked up, not stored")
 	mBypasses = obs.Default.Counter("db2www_qcache_bypasses_total",
 		"statements that skipped the query cache (writes, open transaction)")
 	mUncacheable = obs.Default.Counter("db2www_qcache_uncacheable_total",

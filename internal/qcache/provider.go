@@ -2,7 +2,6 @@ package qcache
 
 import (
 	"context"
-	"strings"
 
 	"db2www/internal/core"
 	"db2www/internal/obs"
@@ -42,26 +41,20 @@ func (p *provider) Connect(database, login, password string) (core.DBConn, error
 	if !ok {
 		return conn, nil
 	}
-	return &cachingConn{
-		inner: conn,
-		cache: p.cache,
-		db:    db,
-		// The engine has no per-user row visibility (credentials pass
-		// through to the DBMS untouched), so the key needs only the
-		// database name and the statement text — which, in the macro
-		// model, already embeds every bound input after substitution.
-		keyPrefix: strings.ToUpper(database) + "\x00",
-	}, nil
+	return &cachingConn{inner: conn, cache: p.cache, db: db}, nil
 }
 
 // cachingConn interposes on one core.DBConn. Like the connections it
-// wraps, it is used by a single macro run at a time.
+// wraps, it is used by a single macro run at a time. The engine has no
+// per-user row visibility (credentials pass through to the DBMS
+// untouched), so an entry's key needs only the database and the statement
+// text — which, in the macro model, already embeds every bound input after
+// substitution.
 type cachingConn struct {
-	inner     core.DBConn
-	cache     *Cache
-	db        *sqldb.Database
-	keyPrefix string
-	inTxn     bool
+	inner core.DBConn
+	cache *Cache
+	db    *sqldb.Database
+	inTxn bool
 }
 
 func (c *cachingConn) Begin() error {
@@ -96,53 +89,27 @@ func (c *cachingConn) Execute(sql string) (*core.SQLResult, error) {
 // ExecuteContext is Execute carrying the request context. When the
 // context holds the statement's obs.SQLExec entry (the engine opens one
 // per %EXEC_SQL of a traced request), the cache reports on it how it
-// handled the statement — bypass, hit, or miss.
+// handled the statement — bypass, hit, miss or refused.
 func (c *cachingConn) ExecuteContext(ctx context.Context, sql string) (*core.SQLResult, error) {
 	info := obs.SQLExecFrom(ctx)
-	if c.inTxn || !isSelect(sql) {
+	if c.inTxn {
 		c.cache.NoteBypass()
 		if info != nil {
-			info.Cache = "bypass"
+			info.Cache = Bypass
 		}
-		return c.execInner(ctx, sql)
+		return execute(ctx, c.inner, sql)
 	}
-	computed := false
-	res, waited, err := c.cache.DoTracked(c.keyPrefix+sql, c.db,
-		func() ([]string, bool) { return sqldb.AnalyzeQuery(sql) },
-		func() (*core.SQLResult, error) {
-			computed = true
-			return c.execInner(ctx, sql)
-		})
-	hit := err == nil && !computed
-	if hit {
+	res, out, err := c.cache.Do(ctx, c.db, c.inner, sql)
+	if out.How == Hit {
 		// The engine never saw this execution; credit the statement shape
 		// in the stats registry so per-digest cache-hit counts stay honest.
-		c.db.NoteStatementCacheHit(sql)
+		c.db.NoteStatementCacheHit(out.Digest, out.Norm)
 	}
 	if info != nil {
-		if hit {
-			info.Cache = "hit"
-			if digest, _ := sqldb.DigestSQL(sql); digest != "" {
-				info.Digest = digest
-			}
-		} else {
-			info.Cache = "miss"
+		info.Cache, info.Dedup = out.How, out.Dedup
+		if out.How == Hit {
+			info.Digest = out.Digest
 		}
-		info.Dedup = waited
 	}
 	return res, err
 }
-
-// execInner forwards to the wrapped connection, preserving the context
-// when it is context-aware.
-func (c *cachingConn) execInner(ctx context.Context, sql string) (*core.SQLResult, error) {
-	if cc, ok := c.inner.(core.ContextDBConn); ok {
-		return cc.ExecuteContext(ctx, sql)
-	}
-	return c.inner.Execute(sql)
-}
-
-// isSelect reports whether the statement is a SELECT, after the comments
-// the engine's lexer skips — the only statement family the cache may
-// intercept.
-func isSelect(sqlText string) bool { return sqldb.HeadKeyword(sqlText) == "SELECT" }

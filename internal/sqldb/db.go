@@ -97,14 +97,14 @@ func (db *Database) StatementStats() *StatementStats { return db.stmts }
 // Tests use it to observe a single database in isolation.
 func (db *Database) SetStatementStats(s *StatementStats) { db.stmts = s }
 
-// NoteStatementCacheHit records a result-cache hit for sql's digest: an
-// execution the engine never ran. The query cache calls this so the
-// statements table shows cached and executed traffic side by side.
-func (db *Database) NoteStatementCacheHit(sql string) {
+// NoteStatementCacheHit records a result-cache hit under the digest and
+// normalized shape the cache kept from StatementFacts: an execution the
+// engine never ran. The query cache calls this so the statements table
+// shows cached and executed traffic side by side.
+func (db *Database) NoteStatementCacheHit(digest, norm string) {
 	if db.stmts == nil || !obsEnabled() {
 		return
 	}
-	digest, norm := DigestSQL(sql)
 	db.stmts.NoteCacheHit(digest, norm, "select")
 }
 

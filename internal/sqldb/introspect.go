@@ -10,11 +10,20 @@ import "strings"
 // statement text. A parse error, any non-SELECT statement, or a call to
 // a clock-dependent function (NOW, CURDATE, CURTIME and their SQL-92
 // spellings) makes it uncacheable.
+//
+// It parses the text it is given; the request path asks
+// Database.StatementFacts, which keeps the answer with the shape's parse.
 func AnalyzeQuery(sql string) (tables []string, cacheable bool) {
 	st, err := Parse(sql)
 	if err != nil {
 		return nil, false
 	}
+	return stmtFacts(st)
+}
+
+// stmtFacts is AnalyzeQuery on a parsed statement. Literals play no part
+// in it, so the answer holds for every statement of the shape.
+func stmtFacts(st Stmt) (tables []string, cacheable bool) {
 	sel, ok := st.(*SelectStmt)
 	if !ok {
 		return nil, false

@@ -51,12 +51,25 @@ type textEntry struct {
 // planEntry is one cached shape, immutable once stored. stmt is the parsed
 // statement every execution of the shape shares; a nil stmt is a negative
 // entry recording that the shape cannot take the parameterized path (so
-// repeat executions skip the doomed parse attempt).
+// repeat executions skip the doomed parse attempt). facts is what a result
+// cache asks about the shape — like the parse, a pure function of the
+// tokens.
 type planEntry struct {
-	key          string // shapeKey of the token stream after extraction
-	digest, norm string // DigestSQL of any text of the shape
-	stmt         Stmt
-	elem         *list.Element
+	key   string // shapeKey of the token stream after extraction
+	facts Facts
+	stmt  Stmt
+	elem  *list.Element
+}
+
+// Facts is what a result cache needs to know of a statement before it
+// runs: the digest and normalized shape it is recorded under, the
+// lower-cased base tables it reads (sorted, deduplicated), and whether its
+// result depends on nothing but those tables' contents and the statement
+// text (AnalyzeQuery's rule). The zero Facts says: not cacheable.
+type Facts struct {
+	Digest, Norm string
+	Tables       []string
+	Cacheable    bool
 }
 
 // PlanCache is a bounded LRU of parsed statement shapes, with a bounded
@@ -328,9 +341,7 @@ func shapeKey(ptoks []token) string {
 // statement, which the caller must not write to, with the extracted
 // literal values as its bind parameters and the digest and normalized
 // shape (saving the recording path its own lex). It returns nil when the
-// statement must take the literal Parse path — shape not parameterizable,
-// or the parameterized form failed to parse (the literal path then reports
-// the authoritative error).
+// statement must take the literal Parse path (see resolve).
 func (db *Database) prepareCached(sql string) *prepared {
 	pc := db.plans
 	// Exact-text fast path: a verbatim repeat skips even the lex. The
@@ -339,41 +350,71 @@ func (db *Database) prepareCached(sql string) *prepared {
 		pc.hits.Add(1)
 		return te.shape.prepared(append([]Value(nil), te.vals...))
 	}
+	if e, vals := pc.resolve(sql); e != nil {
+		return e.prepared(vals)
+	}
+	return nil
+}
+
+// StatementFacts is what the plan cache knows of sql's shape, parsed and
+// walked once per shape: a text seen before costs a map lookup, and the
+// execution that follows a first sight finds the text cached. A statement
+// the plan cache does not take (DDL, caller-supplied parameters, a syntax
+// error) is not cacheable.
+func (db *Database) StatementFacts(sql string) Facts {
+	pc := db.plans
+	if te := pc.lookupText(sql); te != nil {
+		pc.hits.Add(1)
+		return te.shape.facts
+	}
+	if e, _ := pc.resolve(sql); e != nil {
+		return e.facts
+	}
+	return Facts{}
+}
+
+// resolve is the path of a text the cache has not seen: lex, extract the
+// literals, and find the shape or parse it. It returns nil when the
+// statement must take the literal Parse path — shape not parameterizable,
+// or the parameterized form failed to parse (the literal path then reports
+// the authoritative error).
+func (pc *PlanCache) resolve(sql string) (*planEntry, []Value) {
 	toks, err := lexSQL(sql)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
 	ptoks, vals, ok := paramizeTokens(toks)
 	if !ok {
 		pc.bypasses.Add(1)
-		return nil
+		return nil, nil
 	}
 	key := shapeKey(ptoks)
 	if e := pc.lookup(key, sql, vals); e != nil {
 		if e.stmt == nil {
 			pc.bypasses.Add(1)
-			return nil
+			return nil, nil
 		}
 		pc.hits.Add(1)
-		return e.prepared(vals)
+		return e, vals
 	}
 	pc.misses.Add(1)
 	norm := normalizeTokens(toks)
-	e := &planEntry{key: key, digest: digestOf(norm), norm: norm}
+	e := &planEntry{key: key, facts: Facts{Digest: digestOf(norm), Norm: norm}}
 	if st, err := parseTokens(ptoks); err == nil {
 		e.stmt = st
+		e.facts.Tables, e.facts.Cacheable = stmtFacts(st)
 	}
 	// Without a parse, a negative entry: this shape never parses in
 	// parameterized form (e.g. a literal in a position the grammar needs
 	// verbatim).
 	pc.store(e, sql, vals)
 	if e.stmt == nil {
-		return nil
+		return nil, nil
 	}
-	return e.prepared(vals)
+	return e, vals
 }
 
 // prepared is the shape's statement with vals bound.
 func (e *planEntry) prepared(vals []Value) *prepared {
-	return &prepared{st: e.stmt, params: vals, digest: e.digest, norm: e.norm}
+	return &prepared{st: e.stmt, params: vals, digest: e.facts.Digest, norm: e.facts.Norm}
 }

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -178,28 +179,29 @@ func TestTableVersionsSnapshot(t *testing.T) {
 	}
 }
 
+var analyzeCases = []struct {
+	sql       string
+	tables    []string
+	cacheable bool
+}{
+	{"SELECT * FROM urldb", []string{"urldb"}, true},
+	{"SELECT a.x FROM t1 a JOIN t2 b ON a.id = b.id", []string{"t1", "t2"}, true},
+	{"SELECT x FROM (SELECT x FROM inner_t) d", []string{"inner_t"}, true},
+	{"SELECT x FROM t WHERE y IN (SELECT y FROM u)", []string{"t", "u"}, true},
+	{"SELECT x FROM t WHERE EXISTS (SELECT 1 FROM v)", []string{"t", "v"}, true},
+	{"SELECT x FROM a UNION SELECT x FROM b", []string{"a", "b"}, true},
+	{"SELECT T.x FROM T, T u", []string{"t"}, true},
+	{"SELECT NOW() FROM t", nil, false},
+	{"SELECT x FROM t WHERE d < CURDATE()", nil, false},
+	{"SELECT x FROM t WHERE ts > CURRENT_TIMESTAMP()", nil, false},
+	{"INSERT INTO t VALUES (1)", nil, false},
+	{"UPDATE t SET x = 1", nil, false},
+	{"DELETE FROM t", nil, false},
+	{"not sql at all", nil, false},
+}
+
 func TestAnalyzeQuery(t *testing.T) {
-	cases := []struct {
-		sql       string
-		tables    []string
-		cacheable bool
-	}{
-		{"SELECT * FROM urldb", []string{"urldb"}, true},
-		{"SELECT a.x FROM t1 a JOIN t2 b ON a.id = b.id", []string{"t1", "t2"}, true},
-		{"SELECT x FROM (SELECT x FROM inner_t) d", []string{"inner_t"}, true},
-		{"SELECT x FROM t WHERE y IN (SELECT y FROM u)", []string{"t", "u"}, true},
-		{"SELECT x FROM t WHERE EXISTS (SELECT 1 FROM v)", []string{"t", "v"}, true},
-		{"SELECT x FROM a UNION SELECT x FROM b", []string{"a", "b"}, true},
-		{"SELECT T.x FROM T, T u", []string{"t"}, true},
-		{"SELECT NOW() FROM t", nil, false},
-		{"SELECT x FROM t WHERE d < CURDATE()", nil, false},
-		{"SELECT x FROM t WHERE ts > CURRENT_TIMESTAMP()", nil, false},
-		{"INSERT INTO t VALUES (1)", nil, false},
-		{"UPDATE t SET x = 1", nil, false},
-		{"DELETE FROM t", nil, false},
-		{"not sql at all", nil, false},
-	}
-	for _, c := range cases {
+	for _, c := range analyzeCases {
 		tables, cacheable := AnalyzeQuery(c.sql)
 		if cacheable != c.cacheable {
 			t.Errorf("AnalyzeQuery(%q) cacheable = %v, want %v", c.sql, cacheable, c.cacheable)
@@ -208,5 +210,46 @@ func TestAnalyzeQuery(t *testing.T) {
 		if c.cacheable && !reflect.DeepEqual(tables, c.tables) {
 			t.Errorf("AnalyzeQuery(%q) tables = %v, want %v", c.sql, tables, c.tables)
 		}
+	}
+}
+
+// TestStatementFactsMatchAnalyzeQuery is the oracle of the facts the plan
+// cache keeps with a shape: for AnalyzeQuery's own cases, the plan corpus
+// and the 2 500 statements planGen derives from TestPlanCacheByteIdentical's
+// seeds, what Database.StatementFacts answers — on first sight, when it
+// parses the shape or finds it, and on the repeat, from the text map — is
+// what AnalyzeQuery derives from a parse of the text, under the text's own
+// digest.
+func TestStatementFactsMatchAnalyzeQuery(t *testing.T) {
+	var stmts []string
+	for _, c := range analyzeCases {
+		stmts = append(stmts, c.sql)
+	}
+	stmts = append(stmts, planCorpus...)
+	for seed := int64(1); seed <= 5; seed++ {
+		g := &planGen{r: rand.New(rand.NewSource(seed)), nextID: 200}
+		for i := 0; i < 500; i++ {
+			stmts = append(stmts, g.next().sql)
+		}
+	}
+	db := NewDatabase("facts")
+	cacheable := 0
+	for _, sql := range stmts {
+		wantTables, want := AnalyzeQuery(sql)
+		for _, pass := range []string{"first sight", "repeat"} {
+			f := db.StatementFacts(sql)
+			if f.Cacheable != want || (want && !reflect.DeepEqual(f.Tables, wantTables)) {
+				t.Fatalf("%s, %s: facts %v %v, AnalyzeQuery %v %v", sql, pass, f.Tables, f.Cacheable, wantTables, want)
+			}
+			if digest, norm := DigestSQL(sql); want && (f.Digest != digest || f.Norm != norm) {
+				t.Fatalf("%s, %s: facts under %s %q, the text digests to %s %q", sql, pass, f.Digest, f.Norm, digest, norm)
+			}
+		}
+		if want {
+			cacheable++
+		}
+	}
+	if cacheable < len(stmts)/2 {
+		t.Fatalf("%d of %d statements cacheable: the oracle checks too little", cacheable, len(stmts))
 	}
 }
