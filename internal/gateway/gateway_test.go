@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -327,9 +328,7 @@ func TestProviderTransaction(t *testing.T) {
 	if _, err := s.ExecScript("CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
-	p := NewSQLProvider()
-	defer p.Close()
-	conn, err := p.Connect("TXT", "", "")
+	conn, err := NewSQLProvider().Connect("TXT", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,6 +348,23 @@ func TestProviderTransaction(t *testing.T) {
 	if res.Rows[0][0].S != "1" {
 		t.Fatalf("a = %q after rollback, want 1", res.Rows[0][0].S)
 	}
+	// Transaction-state errors are the session's: SQLSTATE 25000, which a
+	// macro's %SQL_MESSAGE can catch, not a bare string.
+	if err := conn.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	var st core.SQLStater
+	if err := conn.Begin(); !errors.As(err, &st) || st.SQLState() != sqldb.CodeInvalidTxnState {
+		t.Errorf("second Begin: %v, want SQLSTATE %s", err, sqldb.CodeInvalidTxnState)
+	}
+	if err := conn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for name, end := range map[string]func() error{"Commit": conn.Commit, "Rollback": conn.Rollback} {
+		if err := end(); !errors.As(err, &st) || st.SQLState() != sqldb.CodeInvalidTxnState {
+			t.Errorf("%s with no transaction: %v, want SQLSTATE %s", name, err, sqldb.CodeInvalidTxnState)
+		}
+	}
 	if err := conn.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -358,9 +374,7 @@ func TestProviderSQLStatePropagates(t *testing.T) {
 	db := sqldb.NewDatabase("ERRDB")
 	sqldriver.Register("ERRDB", db)
 	defer sqldriver.Unregister("ERRDB")
-	p := NewSQLProvider()
-	defer p.Close()
-	conn, err := p.Connect("ERRDB", "", "")
+	conn, err := NewSQLProvider().Connect("ERRDB", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +385,6 @@ func TestProviderSQLStatePropagates(t *testing.T) {
 	}
 	st, ok := err.(core.SQLStater)
 	if !ok {
-		// database/sql may wrap; the engine uses errors.As, mirror that.
 		t.Fatalf("error %T does not expose SQLState: %v", err, err)
 	}
 	if st.SQLState() != sqldb.CodeUndefinedTable {

@@ -7,123 +7,46 @@ package gateway
 
 import (
 	"context"
-	"database/sql"
-	"errors"
 	"fmt"
-	"strings"
-	"sync"
 
 	"db2www/internal/core"
 	"db2www/internal/sqldb"
 	"db2www/internal/sqldriver"
 )
 
-// SQLProvider implements core.DBProvider over database/sql. The macro's
-// DATABASE variable selects a registered database; LOGIN/PASSWORD are
-// accepted and passed through to the driver DSN (the embedded engine has
-// no user catalog, mirroring how DB2WWW deferred authentication to the
-// DBMS and web server).
-type SQLProvider struct {
-	mu   sync.Mutex
-	pool map[string]*sql.DB
-}
+// SQLProvider implements core.DBProvider over the embedded engine: a
+// connection is one sqldb.Session. The macro's DATABASE variable selects a
+// database registered with sqldriver.Register; LOGIN/PASSWORD are accepted
+// and ignored (the engine has no user catalog, mirroring how DB2WWW
+// deferred authentication to the DBMS and web server).
+type SQLProvider struct{}
 
-// NewSQLProvider returns an empty provider; databases are resolved
-// through the sqldriver registry on first use.
-func NewSQLProvider() *SQLProvider {
-	return &SQLProvider{pool: map[string]*sql.DB{}}
-}
+// NewSQLProvider returns the provider; it holds no state, databases are
+// resolved through the sqldriver registry on every Connect.
+func NewSQLProvider() *SQLProvider { return &SQLProvider{} }
 
-// Connect opens a connection to the named database.
+// Connect opens a session on the named database.
 func (p *SQLProvider) Connect(database, login, password string) (core.DBConn, error) {
 	if database == "" {
 		return nil, fmt.Errorf("gateway: macro does not define the DATABASE variable")
 	}
-	p.mu.Lock()
-	db, ok := p.pool[strings.ToUpper(database)]
+	db, ok := sqldriver.Lookup(database)
 	if !ok {
-		if _, registered := sqldriver.Lookup(database); !registered {
-			p.mu.Unlock()
-			return nil, fmt.Errorf("gateway: unknown database %q", database)
-		}
-		dsn := database
-		if login != "" {
-			dsn += "?user=" + login + "&password=" + password
-		}
-		var err error
-		db, err = sql.Open(sqldriver.DriverName, dsn)
-		if err != nil {
-			p.mu.Unlock()
-			return nil, err
-		}
-		p.pool[strings.ToUpper(database)] = db
+		return nil, fmt.Errorf("gateway: unknown database %q", database)
 	}
-	p.mu.Unlock()
-	conn, err := db.Conn(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return &sqlConn{conn: conn}, nil
+	return &sqlConn{sess: sqldb.NewSession(db)}, nil
 }
 
-// Close releases all pooled databases.
-func (p *SQLProvider) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var first error
-	for name, db := range p.pool {
-		if err := db.Close(); err != nil && first == nil {
-			first = err
-		}
-		delete(p.pool, name)
-	}
-	return first
-}
-
-// sqlConn adapts one *sql.Conn (plus an optional open transaction) to
-// core.DBConn.
+// sqlConn adapts one engine session to core.DBConn. Transaction state and
+// its errors (SQLSTATE 25000) are the session's own.
 type sqlConn struct {
-	conn *sql.Conn
-	tx   *sql.Tx
+	sess *sqldb.Session
 }
 
-func (c *sqlConn) Begin() error {
-	if c.tx != nil {
-		return errors.New("gateway: transaction already open")
-	}
-	tx, err := c.conn.BeginTx(context.Background(), nil)
-	if err != nil {
-		return err
-	}
-	c.tx = tx
-	return nil
-}
-
-func (c *sqlConn) Commit() error {
-	if c.tx == nil {
-		return errors.New("gateway: no open transaction")
-	}
-	err := c.tx.Commit()
-	c.tx = nil
-	return err
-}
-
-func (c *sqlConn) Rollback() error {
-	if c.tx == nil {
-		return errors.New("gateway: no open transaction")
-	}
-	err := c.tx.Rollback()
-	c.tx = nil
-	return err
-}
-
-func (c *sqlConn) Close() error {
-	if c.tx != nil {
-		_ = c.tx.Rollback()
-		c.tx = nil
-	}
-	return c.conn.Close()
-}
+func (c *sqlConn) Begin() error    { return c.sess.BeginTxn() }
+func (c *sqlConn) Commit() error   { return c.sess.Commit() }
+func (c *sqlConn) Rollback() error { return c.sess.Rollback() }
+func (c *sqlConn) Close() error    { return c.sess.Close() }
 
 // Execute runs one dynamically assembled SQL statement and materialises
 // the result in the engine's string-oriented shape.
@@ -133,20 +56,18 @@ func (c *sqlConn) Execute(sqlText string) (*core.SQLResult, error) {
 
 // ExecuteContext is Execute carrying the request context, so statement
 // execution rides the same trace/cancellation scope as the HTTP request
-// that assembled it. The result is fetched as one block: the driver
-// connection under c.conn — the one an open c.tx runs on — hands over the
-// engine's rows whole, and the fields are bound from them in one backing
-// array. A statement is a query when its result has columns (SELECT, and
-// EXPLAIN, whose plan is rows like any other).
+// that assembled it; a context already cancelled is refused at the door.
+// The session hands over the engine's rows whole, and the fields are bound
+// from them in one backing array. A statement is a query when its result
+// has columns (SELECT, and EXPLAIN, whose plan is rows like any other).
 func (c *sqlConn) ExecuteContext(ctx context.Context, sqlText string) (*core.SQLResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var res *sqldb.Result
-	err := c.conn.Raw(func(driverConn any) (err error) {
-		res, err = sqldriver.Execute(ctx, driverConn, sqlText)
-		return err
-	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	res, err := c.sess.ExecContext(ctx, sqlText)
 	if err != nil {
 		return nil, err
 	}

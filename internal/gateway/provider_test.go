@@ -20,11 +20,47 @@ import (
 	"db2www/internal/workload"
 )
 
+// scanConn is the oracle's connection: a *sql.Conn on the twin database,
+// opened through the conforming driver, plus its open *sql.Tx — what
+// sqlConn held before a connection became an engine session.
+type scanConn struct {
+	conn *sql.Conn
+	tx   *sql.Tx
+}
+
+func (c *scanConn) Begin() (err error) {
+	if c.tx != nil {
+		return errors.New("transaction already open")
+	}
+	c.tx, err = c.conn.BeginTx(context.Background(), nil)
+	return err
+}
+
+// end finishes the open transaction with Commit or Rollback.
+func (c *scanConn) end(finish func(*sql.Tx) error) error {
+	if c.tx == nil {
+		return errors.New("no open transaction")
+	}
+	tx := c.tx
+	c.tx = nil
+	return finish(tx)
+}
+
+func (c *scanConn) Commit() error   { return c.end((*sql.Tx).Commit) }
+func (c *scanConn) Rollback() error { return c.end((*sql.Tx).Rollback) }
+
+func (c *scanConn) Close() error {
+	if c.tx != nil {
+		_ = c.Rollback()
+	}
+	return c.conn.Close()
+}
+
 // referenceExecute is ExecuteContext as it was before the block fetch,
 // word for word: the portable database/sql cursor — rows.Next, Scan into
 // `any`, toField — that a foreign driver would need. It is the oracle the
 // block fetch is compared against and nothing else calls it.
-func referenceExecute(c *sqlConn, ctx context.Context, sqlText string) (*core.SQLResult, error) {
+func referenceExecute(c *scanConn, ctx context.Context, sqlText string) (*core.SQLResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -153,9 +189,9 @@ const twinRef = "_REF"
 // loaded twin, so writes cannot see each other, and requires the same
 // result — or the same error — from both.
 type twinProvider struct {
-	t *testing.T
-	p *SQLProvider
-	n int // statements compared
+	t   *testing.T
+	ref *sql.DB // the oracle's pool, on the twin
+	n   int     // statements compared
 }
 
 // newTwins registers two databases loaded from one dataset spec ("" loads
@@ -172,40 +208,43 @@ func newTwins(t *testing.T, name, dataset string) *twinProvider {
 		sqldriver.Register(n, db)
 		t.Cleanup(func() { sqldriver.Unregister(n) })
 	}
-	tp := &twinProvider{t: t, p: NewSQLProvider()}
-	t.Cleanup(func() { _ = tp.p.Close() })
-	return tp
+	ref, err := sqldriver.Open(name + twinRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ref.Close() })
+	return &twinProvider{t: t, ref: ref}
 }
 
 func (tp *twinProvider) Connect(database, login, password string) (core.DBConn, error) {
-	a, err := tp.p.Connect(database, login, password)
+	a, err := NewSQLProvider().Connect(database, login, password)
 	if err != nil {
 		return nil, err
 	}
-	b, err := tp.p.Connect(database+twinRef, login, password)
+	b, err := tp.ref.Conn(context.Background())
 	if err != nil {
 		return nil, err
 	}
-	return &twinConn{tp: tp, block: a.(*sqlConn), scan: b.(*sqlConn)}, nil
+	return &twinConn{tp: tp, block: a.(*sqlConn), scan: &scanConn{conn: b}}, nil
 }
 
 type twinConn struct {
-	tp          *twinProvider
-	block, scan *sqlConn
+	tp    *twinProvider
+	block *sqlConn
+	scan  *scanConn
 }
 
-func (c *twinConn) both(f func(*sqlConn) error) error {
-	err := f(c.block)
-	if err2 := f(c.scan); (err == nil) != (err2 == nil) {
+func (c *twinConn) both(err, err2 error) error {
+	if (err == nil) != (err2 == nil) {
 		c.tp.t.Errorf("twins disagree: %v vs %v", err, err2)
 	}
 	return err
 }
 
-func (c *twinConn) Begin() error    { return c.both((*sqlConn).Begin) }
-func (c *twinConn) Commit() error   { return c.both((*sqlConn).Commit) }
-func (c *twinConn) Rollback() error { return c.both((*sqlConn).Rollback) }
-func (c *twinConn) Close() error    { return c.both((*sqlConn).Close) }
+func (c *twinConn) Begin() error    { return c.both(c.block.Begin(), c.scan.Begin()) }
+func (c *twinConn) Commit() error   { return c.both(c.block.Commit(), c.scan.Commit()) }
+func (c *twinConn) Rollback() error { return c.both(c.block.Rollback(), c.scan.Rollback()) }
+func (c *twinConn) Close() error    { return c.both(c.block.Close(), c.scan.Close()) }
 
 func (c *twinConn) Execute(sqlText string) (*core.SQLResult, error) {
 	return c.ExecuteContext(context.Background(), sqlText)
@@ -405,7 +444,7 @@ func TestBlockFetchMatchesScan(t *testing.T) {
 	_, err = conn.Execute("SELECT * FROM missing")
 	var st core.SQLStater
 	if !errors.As(err, &st) || st.SQLState() != sqldb.CodeUndefinedTable {
-		t.Errorf("error through Raw lost its SQLSTATE: %v", err)
+		t.Errorf("error lost its SQLSTATE: %v", err)
 	}
 	if _, err := conn.Execute("INSERT INTO v VALUES (1, 'dup', 0, 0, NULL)"); err == nil {
 		t.Error("duplicate key accepted")
@@ -450,14 +489,12 @@ func urldbConn(tb testing.TB, n int) (*sqlConn, *sqldb.Session) {
 		tb.Fatal(err)
 	}
 	sqldriver.Register(name, db)
-	p := NewSQLProvider()
-	conn, err := p.Connect(name, "", "")
+	conn, err := NewSQLProvider().Connect(name, "", "")
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() {
 		_ = conn.Close()
-		_ = p.Close()
 		sqldriver.Unregister(name)
 	})
 	return conn.(*sqlConn), sqldb.NewSession(db)
@@ -466,11 +503,24 @@ func urldbConn(tb testing.TB, n int) (*sqlConn, *sqldb.Session) {
 const wholeTable = "SELECT url, title, description FROM urldb ORDER BY title"
 
 // TestProviderAllocationsIndependentOfRows: what the provider allocates
-// on top of the engine is a small constant — the closure, the result and
-// its two slices — at 200 rows and at 2 000 alike. The Scan loop boxed
-// every cell: 3 allocations a row.
+// on top of the engine is a small constant — the result and its two slices
+// — at 200 rows and at 2 000 alike (the Scan loop boxed every cell: 3
+// allocations a row), and a connection is the adapter and its session,
+// with no pool to take it from or hand it back to.
 func TestProviderAllocationsIndependentOfRows(t *testing.T) {
 	ctx := context.Background()
+	urldbConn(t, 1) // registers URLDB1
+	if n := testing.AllocsPerRun(100, func() {
+		conn, err := NewSQLProvider().Connect("URLDB1", "login", "password")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("Connect + Close with no statement allocates %.0f objects, want at most 2", n)
+	}
 	var added []float64
 	for _, n := range []int{200, 2000} {
 		conn, sess := urldbConn(t, n)

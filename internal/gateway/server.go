@@ -204,13 +204,11 @@ func (s *Server) assemble() (err error) {
 		if err := s.openDatabase(); err != nil {
 			return err
 		}
-		provider := NewSQLProvider()
-		s.onClose(provider.Close)
 		if cfg.QCacheBytes > 0 {
 			s.QCache = qcache.New(cfg.QCacheBytes)
 		}
 		engine := &core.Engine{
-			DB:       qcache.Wrap(provider, s.QCache),
+			DB:       qcache.Wrap(NewSQLProvider(), s.QCache),
 			Commands: core.NewCommandRegistry(),
 			MaxRows:  cfg.MaxRows,
 		}

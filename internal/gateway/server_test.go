@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"db2www/internal/sqldb"
 	"db2www/internal/sqldriver"
 )
 
@@ -149,8 +151,9 @@ func TestServerSurfaces(t *testing.T) {
 }
 
 // TestServerCloseLeavesNothing builds, serves from and closes the server
-// three times in one process: every goroutine NewServer started is gone,
-// the database name is free for the next server, and Close is idempotent.
+// three times in one process: every goroutine NewServer started is gone
+// when Close returns, the database name is free for the next server, and
+// Close is idempotent.
 func TestServerCloseLeavesNothing(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
@@ -177,16 +180,10 @@ func TestServerCloseLeavesNothing(t *testing.T) {
 		if _, ok := sqldriver.Lookup(cfg.Database); ok {
 			t.Errorf("server %d: %s still registered after Close", i, cfg.Database)
 		}
-	}
-	// Close waits for the loops it stops; database/sql winds its opener
-	// down on its own time.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		buf := make([]byte, 1<<16)
-		t.Fatalf("%d goroutines before, %d after three servers:\n%s", baseline, n, buf[:runtime.Stack(buf, true)])
+		if n := runtime.NumGoroutine(); n > baseline {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before, %d when Close of server %d returned:\n%s", baseline, n, i, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 
@@ -294,4 +291,78 @@ func errString(err error) string {
 		return ""
 	}
 	return err.Error()
+}
+
+// twoStatements runs a write that succeeds, then a query that cannot: in
+// -txn single the failure finds a transaction open.
+const twoStatements = `%define{
+DATABASE = "CELDIAL"
+%}
+%SQL(first){
+UPDATE urldb SET title = 'touched' WHERE url = 'http://none/'
+%}
+%SQL(second){
+SELECT nosuch FROM urldb
+%}
+%HTML_INPUT{<P>a form, no SQL</P>%}
+%HTML_REPORT{%EXEC_SQL(first)%EXEC_SQL(second)%}
+`
+
+// TestRequestsLeaveNoSnapshot: a connection is an engine session with no
+// pool behind it, so whatever a request opened it has closed when the
+// response is written — no snapshot stays registered after a report whose
+// second statement fails, a request whose client is already gone, a cache
+// hit, or a page that never connects, in either transaction mode, with
+// the query cache and without.
+func TestRequestsLeaveNoSnapshot(t *testing.T) {
+	macros := t.TempDir()
+	src, err := os.ReadFile(filepath.Join(repoRoot(t), "testdata", "macros", "urlquery.d2w"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, text := range map[string][]byte{"urlquery.d2w": src, "two.d2w": []byte(twoStatements)} {
+		if err := os.WriteFile(filepath.Join(macros, name), text, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, txn := range []string{"auto", "single"} {
+		for _, cacheBytes := range []int64{0, DefaultServerConfig().QCacheBytes} {
+			cfg := DefaultServerConfig()
+			cfg.Macros, cfg.Txn, cfg.QCacheBytes = macros, txn, cacheBytes
+			cfg.Lint = "off" // the preflight would report the column two.d2w misses on purpose
+			srv, err := NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := srv.Handler()
+			serve := func(what, target string, ctx context.Context, want string) {
+				t.Helper()
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", "http://localhost"+target, nil).WithContext(ctx))
+				if !strings.Contains(rec.Body.String(), want) {
+					t.Errorf("-txn %s, cache %d, %s: status %d, page lacks %q:\n%s", txn, cacheBytes, what, rec.Code, want, rec.Body)
+				}
+				if st := srv.DB.TxnStats(); st.ActiveSnapshots != 0 || st.OldestSnapshotAge != 0 {
+					t.Errorf("-txn %s, cache %d, after %s: %d active snapshot(s), oldest held %v",
+						txn, cacheBytes, what, st.ActiveSnapshots, st.OldestSnapshotAge)
+				}
+			}
+			live := context.Background()
+			serve("a failing second statement", "/cgi-bin/db2www/two.d2w/report", live, sqldb.CodeUndefinedColumn)
+			serve("a cancelled request", smokeReport, cancelled, context.Canceled.Error())
+			serve("a report", smokeReport, live, "<LI>")
+			serve("the same report", smokeReport, live, "<LI>")
+			serve("a page without SQL", "/cgi-bin/db2www/two.d2w/input", live, "no SQL")
+			if srv.QCache != nil && txn == "auto" {
+				if st := srv.QCache.Stats(); st.Hits == 0 {
+					t.Errorf("-txn auto: the repeated report was no cache hit: %+v", st)
+				}
+			}
+			if err := srv.Close(); err != nil {
+				t.Error(err)
+			}
+		}
+	}
 }

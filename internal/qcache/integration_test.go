@@ -470,8 +470,9 @@ func TestInvalidationContractUnderMVCC(t *testing.T) {
 // lexer, parser or plan cache and allocates next to nothing; a miss asks
 // the plan cache for the statement's facts and the execution that follows
 // finds the text it left there, so a new literal of a known shape is lexed
-// once and never parsed. What parses a text outright, AnalyzeQuery and
-// Parse, has no caller on the request path.
+// once and never parsed. What parses a text outright — Parse, and the
+// AnalyzeQuery that sqldb's tests keep as an oracle — has no caller on the
+// request path.
 func TestHitAndMissDoTheParsingTheyClaim(t *testing.T) {
 	db := newStressDB(t, "QPARSE")
 	conn, err := qcache.Wrap(gateway.NewSQLProvider(), qcache.New(1<<20)).Connect("QPARSE", "", "")
@@ -527,7 +528,7 @@ func TestHitAndMissDoTheParsingTheyClaim(t *testing.T) {
 				return err
 			}
 			rel, _ := filepath.Rel(root, path)
-			if rel != filepath.Join("internal", "sqldb", "introspect.go") && bytes.Contains(src, []byte("AnalyzeQuery(")) {
+			if bytes.Contains(src, []byte("AnalyzeQuery(")) {
 				t.Errorf("%s calls AnalyzeQuery: the request path asks Database.StatementFacts", rel)
 			}
 			if filepath.Dir(rel) == filepath.Join("internal", "qcache") && bytes.Contains(src, []byte("sqldb.Parse")) {

@@ -27,11 +27,12 @@ type provider struct {
 	cache *Cache
 }
 
-// Connect opens the underlying connection and, when the database is one
-// of the embedded engine's (found in the sqldriver registry, which is how
-// the cache obtains its table versions), wraps it in a caching
-// connection. Databases the registry does not know — a hypothetical
-// external DBMS — are served uncached rather than risk invisible writes.
+// Connect opens the underlying connection and wraps it in a caching
+// connection over the engine database of that name: the registry lookup is
+// the cache's version source (a table's version decides what is stale). A
+// provider serving a name the registry does not know — another DBMS, with
+// no versions to read — is served uncached rather than risk invisible
+// writes.
 func (p *provider) Connect(database, login, password string) (core.DBConn, error) {
 	conn, err := p.inner.Connect(database, login, password)
 	if err != nil {

@@ -3,6 +3,9 @@ package sqldb
 import (
 	"bytes"
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -336,6 +339,63 @@ func TestDumpRestoreFile(t *testing.T) {
 	res := mustExec(t, s2, "SELECT COUNT(*) FROM urldb")
 	if res.Rows[0][0].I != 5 {
 		t.Fatalf("count = %v", res.Rows[0][0])
+	}
+}
+
+// TestDumpToFileFailureKeepsOldDump: -save is the whole persistence story,
+// so a dump that fails half-way — the writer errors — leaves the previous
+// file byte-identical and no temp file beside it; and a bare relative
+// name dumps into the working directory.
+func TestDumpToFileFailureKeepsOldDump(t *testing.T) {
+	s := mustSession(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap.sql")
+	if err := s.db.DumpToFile(path); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil || len(old) == 0 {
+		t.Fatalf("first dump: %d bytes, %v", len(old), err)
+	}
+	mustExec(t, s, "DELETE FROM urldb")
+	diskFull := errors.New("disk full")
+	err = writeFileAtomic(path, func(w io.Writer) error {
+		var buf bytes.Buffer
+		if err := s.db.Dump(&buf); err != nil {
+			return err
+		}
+		if _, err := w.Write(buf.Bytes()[:buf.Len()/2]); err != nil {
+			return err
+		}
+		return diskFull
+	})
+	if !errors.Is(err, diskFull) {
+		t.Fatalf("a dump whose writer fails returned %v", err)
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, old) {
+		t.Errorf("the failed dump changed the previous file (%v)", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, ".dump-*")); len(left) != 0 {
+		t.Errorf("temp files left behind: %v", left)
+	}
+
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	if err := s.db.DumpToFile("bare.sql"); err != nil {
+		t.Fatalf("bare relative name: %v", err)
+	}
+	db2 := NewDatabase("BARE")
+	if err := RestoreFromFile(db2, filepath.Join(dir, "bare.sql")); err != nil {
+		t.Fatal(err)
+	}
+	if res := mustExec(t, NewSession(db2), "SELECT COUNT(*) FROM urldb"); res.Rows[0][0].I != 0 {
+		t.Errorf("restored %v urldb rows, want the emptied table", res.Rows[0][0])
 	}
 }
 

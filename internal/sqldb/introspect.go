@@ -2,27 +2,16 @@ package sqldb
 
 import "strings"
 
-// AnalyzeQuery classifies one SQL statement for result caching. It
+// stmtFacts classifies one parsed statement for result caching. It
 // returns the lower-cased base tables the statement reads (sorted,
 // deduplicated) and whether the statement is cacheable at all: a
 // statement is cacheable only when it is a SELECT (possibly a UNION
 // chain) whose result depends on nothing but table contents and the
-// statement text. A parse error, any non-SELECT statement, or a call to
-// a clock-dependent function (NOW, CURDATE, CURTIME and their SQL-92
-// spellings) makes it uncacheable.
-//
-// It parses the text it is given; the request path asks
-// Database.StatementFacts, which keeps the answer with the shape's parse.
-func AnalyzeQuery(sql string) (tables []string, cacheable bool) {
-	st, err := Parse(sql)
-	if err != nil {
-		return nil, false
-	}
-	return stmtFacts(st)
-}
-
-// stmtFacts is AnalyzeQuery on a parsed statement. Literals play no part
-// in it, so the answer holds for every statement of the shape.
+// statement text. Any non-SELECT statement, or a call to a clock-dependent
+// function (NOW, CURDATE, CURTIME and their SQL-92 spellings), makes it
+// uncacheable. Literals play no part in it, so the answer holds for every
+// statement of the shape; Database.StatementFacts keeps it with the
+// shape's parse.
 func stmtFacts(st Stmt) (tables []string, cacheable bool) {
 	sel, ok := st.(*SelectStmt)
 	if !ok {

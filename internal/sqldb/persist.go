@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -157,22 +158,42 @@ func Restore(db *Database, r io.Reader) error {
 	return err
 }
 
-// DumpToFile writes a dump atomically: to a temp file in the same
-// directory, then renamed over the target.
+// DumpToFile writes a dump atomically and durably: a reader of path sees
+// the old dump or the whole new one, also after a crash.
 func (db *Database) DumpToFile(path string) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".dump-*")
+	return writeFileAtomic(path, db.Dump)
+}
+
+// writeFileAtomic has write fill a temp file in path's directory, syncs it,
+// renames it over path and syncs the directory, so that the rename cannot
+// reach the disk ahead of the bytes it names. An error before the rename
+// leaves path as it was; the temp file is removed either way.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".dump-*")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := db.Dump(tmp); err != nil {
-		tmp.Close()
+	defer os.Remove(tmp.Name()) // a no-op once renamed
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
-	if err := tmp.Close(); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // RestoreFromFile loads a dump file into the database.
@@ -183,15 +204,4 @@ func RestoreFromFile(db *Database, path string) error {
 	}
 	defer f.Close()
 	return Restore(db, f)
-}
-
-func dirOf(path string) string {
-	i := strings.LastIndexByte(path, '/')
-	if i < 0 {
-		return "."
-	}
-	if i == 0 {
-		return "/"
-	}
-	return path[:i]
 }

@@ -65,7 +65,7 @@ type planEntry struct {
 // runs: the digest and normalized shape it is recorded under, the
 // lower-cased base tables it reads (sorted, deduplicated), and whether its
 // result depends on nothing but those tables' contents and the statement
-// text (AnalyzeQuery's rule). The zero Facts says: not cacheable.
+// text (stmtFacts' rule). The zero Facts says: not cacheable.
 type Facts struct {
 	Digest, Norm string
 	Tables       []string

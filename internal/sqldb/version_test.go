@@ -200,6 +200,17 @@ var analyzeCases = []struct {
 	{"not sql at all", nil, false},
 }
 
+// AnalyzeQuery is stmtFacts on a parse of the text it is given, outside
+// the plan cache: the oracle of Database.StatementFacts. A parse error is
+// uncacheable.
+func AnalyzeQuery(sql string) (tables []string, cacheable bool) {
+	st, err := Parse(sql)
+	if err != nil {
+		return nil, false
+	}
+	return stmtFacts(st)
+}
+
 func TestAnalyzeQuery(t *testing.T) {
 	for _, c := range analyzeCases {
 		tables, cacheable := AnalyzeQuery(c.sql)

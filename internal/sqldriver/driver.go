@@ -3,20 +3,16 @@
 //
 // The paper's DB2 WWW Connection talks to "a wide variety of DBMS" through
 // a narrow dynamic-SQL surface. Here that portability point is
-// core.DBProvider: a foreign DBMS is another provider. This package is a
-// conforming database/sql driver over the embedded engine — what sqlsh,
-// the related-work baselines and any *sql.DB caller use — and database/sql
-// keeps the pool, the connections and the transactions of the gateway's
-// own provider too. Databases are in-memory and registered by name:
+// core.DBProvider: a foreign DBMS is another provider, and the gateway's
+// own provider holds engine sessions directly. This package is a
+// conforming database/sql driver over the embedded engine — what the
+// related-work baselines, the Scan-loop oracle of the provider's tests and
+// any *sql.DB caller use — plus the registry that names databases for
+// both routes. Databases are in-memory and registered by name:
 //
 //	db := sqldb.NewDatabase("CELDIAL")
 //	sqldriver.Register("CELDIAL", db)
 //	conn, err := sql.Open("db2www", "CELDIAL")
-//
-// A cursor crosses the driver interface once per cell (rows.Next boxes
-// every value into a driver.Value). The in-process provider crosses it
-// once per result instead: Execute, given the driver connection
-// sql.Conn.Raw hands out, returns the engine's *sqldb.Result whole.
 package sqldriver
 
 import (
@@ -40,7 +36,8 @@ var (
 	registry = map[string]*sqldb.Database{}
 )
 
-// Register makes db reachable as a DSN for sql.Open(DriverName, name).
+// Register makes db reachable by name: as the DSN of sql.Open(DriverName,
+// name) and as a macro's DATABASE through Lookup.
 // Registering a name twice replaces the earlier database.
 func Register(name string, db *sqldb.Database) {
 	mu.Lock()
@@ -125,21 +122,6 @@ func (c *conn) Begin() (driver.Tx, error) {
 		return nil, err
 	}
 	return &tx{sess: c.sess}, nil
-}
-
-// Execute is the block fetch: it runs query on the session behind
-// driverConn — the value sql.Conn.Raw passes its callback — and returns
-// the engine's result whole, rows read-only. It is the statement
-// conn.QueryContext would run (same context check, same session, so an
-// open sql.Tx, the request trace and the obs.SQLExec entry on ctx all
-// apply) without the row-at-a-time cursor above it. A connection of
-// another driver is an error.
-func Execute(ctx context.Context, driverConn any, query string) (*sqldb.Result, error) {
-	c, ok := driverConn.(*conn)
-	if !ok {
-		return nil, fmt.Errorf("sqldriver: %T is not a %s connection", driverConn, DriverName)
-	}
-	return c.exec(ctx, query, nil)
 }
 
 // exec is the one-shot path: a context already cancelled is refused at

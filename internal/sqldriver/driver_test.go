@@ -517,25 +517,26 @@ func TestPreparedStatementCarriesContext(t *testing.T) {
 	}
 }
 
-// TestExecuteBlockFetch: Execute returns, through sql.Conn.Raw, the result
-// the cursor would iterate — inside the connection's open transaction —
-// and refuses what is not this driver's connection.
+// TestExecuteBlockFetch: the driver connection's exec — the shared body of
+// ExecContext and QueryContext, reached here through sql.Conn.Raw — returns
+// whole the result the cursor would iterate, inside the connection's open
+// transaction.
 func TestExecuteBlockFetch(t *testing.T) {
 	db := openTestDB(t, "TRAW")
 	ctx := context.Background()
-	conn, err := db.Conn(ctx)
+	sc, err := db.Conn(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	defer sc.Close()
 	fetch := func(ctx context.Context, q string) (res *sqldb.Result, err error) {
-		err = conn.Raw(func(dc any) error {
-			res, err = Execute(ctx, dc, q)
+		err = sc.Raw(func(dc any) error {
+			res, err = dc.(*conn).exec(ctx, q, nil)
 			return err
 		})
 		return res, err
 	}
-	tx, err := conn.BeginTx(ctx, nil)
+	tx, err := sc.BeginTx(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,15 +564,12 @@ func TestExecuteBlockFetch(t *testing.T) {
 	if _, err = fetch(ctx, "SELECT * FROM missing"); !errors.As(err, &sqlErr) || sqlErr.Code != sqldb.CodeUndefinedTable {
 		t.Errorf("SQLSTATE through Raw: %v", err)
 	}
-	if err := conn.PingContext(ctx); err != nil {
+	if err := sc.PingContext(ctx); err != nil {
 		t.Errorf("an SQL error cost the connection: %v", err)
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	if _, err = fetch(cancelled, "SELECT 1"); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled context: %v", err)
-	}
-	if _, err := Execute(ctx, struct{}{}, "SELECT 1"); err == nil {
-		t.Error("a foreign driver connection was accepted")
 	}
 }
