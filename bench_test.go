@@ -1,12 +1,13 @@
-// Package bench holds the repository-level benchmark harness: one
-// testing.B benchmark per experiment in DESIGN.md's per-experiment index
-// (the paper's figures E1–E12 and the A-series ablations). The benchmarks
-// exercise the same code paths as cmd/benchrunner, which prints the
-// corresponding report tables.
+// Package bench answers what a component costs: one testing.B benchmark
+// per experiment in DESIGN.md's per-experiment index (the paper's figures
+// E1–E13 and the ablations A1–A5), and the only timing of them — whether
+// a figure is reproduced is asserted by internal/experiments' tests, what
+// the server costs end to end is benchmark/. Every number of
+// EXPERIMENTS.md that is not the yardstick's names the benchmark here
+// that regenerates it:
 //
-// Run with:
-//
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem .
+//	go test -run '^$' -bench E1_ -benchtime 3200x .   # Figure 1's series
 package bench
 
 import (
@@ -16,8 +17,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,20 +50,42 @@ func newStack(b testing.TB, rows int) *experiments.Stack {
 }
 
 // BenchmarkE1_Figure1_ConcurrentClients measures the full browser → HTTP
-// → CGI → macro engine → SQL → report flow under parallel clients
-// (Figure 1's many-browsers topology).
+// → CGI → macro engine → SQL → report flow under 1 to 16 concurrent
+// clients (Figure 1's many-browsers topology). The clients of a row share
+// its b.N interactions, so -benchtime 3200x is 3 200 interactions a row;
+// req/s counts interactions (form, then report) and p95-ms is their 95th
+// percentile.
 func BenchmarkE1_Figure1_ConcurrentClients(b *testing.B) {
 	st := newStack(b, 500)
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		c := st.Client()
-		for pb.Next() {
-			if _, err := experiments.URLQueryFlow(c); err != nil {
-				b.Error(err)
-				return
+	for _, clients := range []int{1, 2, 4, 8, 16} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			lat := make([]time.Duration, b.N)
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range clients {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					c := st.Client()
+					for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
+						start := time.Now()
+						if _, err := experiments.URLQueryFlow(c); err != nil {
+							b.Error(err)
+							return
+						}
+						lat[i] = time.Since(start)
+					}
+				}()
 			}
-		}
-	})
+			wg.Wait()
+			b.StopTimer()
+			slices.Sort(lat)
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+			b.ReportMetric(lat[max(len(lat)*95/100-1, 0)].Seconds()*1e3, "p95-ms")
+		})
+	}
 }
 
 // BenchmarkE2_Figure2_InputMode measures input-mode macro processing:

@@ -22,6 +22,7 @@ package main
 
 import (
 	"fmt"
+	"html"
 	"io"
 	"os"
 	"strconv"
@@ -43,9 +44,11 @@ func main() {
 		return
 	}
 	if err := run(); err != nil {
-		// A CGI program must still emit a valid response on failure.
-		fmt.Print(cgi.WriteHeader("text/html"))
-		fmt.Printf("<HTML><TITLE>Server Error</TITLE><BODY><H1>Server Error</H1><P>%s</P></BODY></HTML>\n", err)
+		// A CGI program must still emit a valid response on failure, and
+		// one the server counts as a failure.
+		fmt.Print("Status: 500\n", cgi.WriteHeader("text/html"))
+		fmt.Printf("<HTML><TITLE>Server Error</TITLE><BODY><H1>Server Error</H1><P>%s</P></BODY></HTML>\n",
+			html.EscapeString(err.Error()))
 		os.Exit(0)
 	}
 }

@@ -38,7 +38,7 @@ func main() {
 	flag.StringVar(&cfg.Auth, "auth", cfg.Auth, "user:password for HTTP basic auth (optional)")
 	flag.StringVar(&cfg.Load, "load", cfg.Load, "restore a database dump instead of generating -dataset")
 	flag.StringVar(&cfg.Save, "save", cfg.Save, "dump the database to this file on SIGINT/SIGTERM")
-	flag.StringVar(&cfg.AccessLog, "accesslog", cfg.AccessLog, "write access log lines to this file; also enables /server-status")
+	flag.StringVar(&cfg.AccessLog, "accesslog", cfg.AccessLog, "write access log lines to this file")
 	flag.StringVar(&cfg.AccessLogFormat, "access-log-format", cfg.AccessLogFormat, "access log line format: clf (NCSA Common Log Format) or json (one object per line with trace/flight/digest/latency fields)")
 	flag.Int64Var(&cfg.QCacheBytes, "qcache-bytes", cfg.QCacheBytes, "byte budget of the %EXEC_SQL query-result cache (invalidated exactly, by table version; see docs/CACHING.md); 0 = no cache")
 	flag.DurationVar(&cfg.HistoryInterval, "history-interval", cfg.HistoryInterval, "history scrape period")

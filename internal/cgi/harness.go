@@ -17,8 +17,8 @@ var ErrTimeout = errors.New("cgi: subprocess timed out")
 // Handler is a CGI application that can be invoked in-process. The
 // in-process harness preserves the CGI contract (a Request in, a CGI
 // response — headers, blank line, body — out) while skipping process
-// creation; the gateway uses it by default and the E4 experiment compares
-// it against the true subprocess path.
+// creation; the gateway uses it by default and BenchmarkE4_Figure4_CGIFlows
+// compares it against the true subprocess path.
 type Handler interface {
 	ServeCGI(req *Request) (*Response, error)
 }

@@ -163,6 +163,15 @@ func TestCmdDB2WWWGetAndPost(t *testing.T) {
 	if resp.Status != 404 {
 		t.Fatalf("missing macro status = %d", resp.Status)
 	}
+	// A process that cannot start its database answers 500, not a 200 page
+	// that says "Server Error", and does not echo the setting as markup.
+	resp, err = cgi.InvokeProcess(bin, nil, get, []string{"DB2WWW_MACRO_DIR=" + macroDir, "DB2WWW_DATASET=nosuch<b>"}, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != 500 || strings.Contains(resp.Body, "<b>") || !strings.Contains(resp.Body, "nosuch&lt;b&gt;") {
+		t.Fatalf("bad dataset: status %d, body %q", resp.Status, resp.Body)
+	}
 }
 
 // TestCmdGatewaydLifecycle boots the real server binary on a free port,
@@ -243,19 +252,5 @@ func TestCmdGatewaydLifecycle(t *testing.T) {
 	logData, err := os.ReadFile(logFile)
 	if err != nil || !strings.Contains(string(logData), "GET /cgi-bin/db2www/urlquery.d2w/input") {
 		t.Fatalf("access log: %v %q", err, logData)
-	}
-}
-
-func TestCmdBenchrunnerSingleExperiment(t *testing.T) {
-	skipIfShort(t)
-	bin := buildCmd(t, "benchrunner")
-	cmd := exec.Command(bin, "-exp", "e8", "-rows", "20", "-requests", "3")
-	cmd.Dir = RepoRoot()
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "MATCH: all four combinations") {
-		t.Fatalf("output = %s", out)
 	}
 }

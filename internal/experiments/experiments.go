@@ -3,46 +3,12 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"strings"
-	"sync"
-	"time"
 
-	"db2www/internal/cgi"
 	"db2www/internal/core"
-	"db2www/internal/htmlutil"
-	"db2www/internal/macrolint"
 	"db2www/internal/webclient"
 )
-
-// Config carries the scale knobs shared by the experiment runners; the
-// zero value picks the defaults benchrunner uses.
-type Config struct {
-	Rows     int   // urldb size (default 500)
-	Requests int   // requests per measurement (default 200)
-	Seed     int64 // dataset seed (default 1)
-	// DB2WWWBinary is the compiled CGI executable for E4's subprocess
-	// flow; empty skips that half of the experiment.
-	DB2WWWBinary string
-	// Soak is A12's sustained-traffic phase duration (default 3s; CI
-	// passes 60s).
-	Soak time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.Rows == 0 {
-		c.Rows = 500
-	}
-	if c.Requests == 0 {
-		c.Requests = 200
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
 
 // URLQueryFlow performs one complete user interaction against a stack:
 // fetch the input form, submit the default selections, read the report.
@@ -69,60 +35,6 @@ func URLQueryFlow(c *webclient.Client) (*webclient.Page, error) {
 	return report, nil
 }
 
-// E1 reproduces Figure 1: N concurrent Web clients driving one gateway
-// and DBMS end to end. It prints a series of rows — clients, total
-// requests, throughput, mean and p95 latency.
-func E1(w io.Writer, cfg Config) error {
-	cfg = cfg.withDefaults()
-	st, err := NewStack(StackConfig{Rows: cfg.Rows, Seed: cfg.Seed, CacheMacros: true})
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-
-	section(w, "E1 / Figure 1 — concurrent Web clients on one gateway")
-	fmt.Fprintf(w, "%8s %10s %12s %12s %12s\n", "clients", "requests", "req/s", "mean", "p95")
-	for _, clients := range []int{1, 2, 4, 8, 16} {
-		perClient := cfg.Requests / clients
-		if perClient == 0 {
-			perClient = 1
-		}
-		var mu sync.Mutex
-		lat := &Latencies{}
-		var wg sync.WaitGroup
-		start := time.Now()
-		for i := 0; i < clients; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c := st.Client()
-				for r := 0; r < perClient; r++ {
-					t0 := time.Now()
-					if _, err := URLQueryFlow(c); err != nil {
-						// Surface the first failure through the latency
-						// channel being short; the caller checks totals.
-						return
-					}
-					d := time.Since(t0)
-					mu.Lock()
-					lat.Add(d)
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		total := clients * perClient
-		if lat.N() != total {
-			return fmt.Errorf("E1: %d/%d requests succeeded at %d clients", lat.N(), total, clients)
-		}
-		fmt.Fprintf(w, "%8d %10d %12.0f %12s %12s\n",
-			clients, total, float64(total)/elapsed.Seconds(),
-			lat.Mean().Round(time.Microsecond), lat.Percentile(95).Round(time.Microsecond))
-	}
-	return nil
-}
-
 // RenderFigure2 runs the figure2.d2w macro in input mode and returns the
 // generated page body (the E2 artefact).
 func RenderFigure2() (string, error) {
@@ -141,276 +53,41 @@ func RenderFigure2() (string, error) {
 	return buf.String(), nil
 }
 
-// E2 reproduces Figure 2: the sample HTML input form, generated from a
-// macro in input mode and pinned against the golden file.
-func E2(w io.Writer, cfg Config) error {
-	body, err := RenderFigure2()
-	if err != nil {
-		return err
-	}
-	section(w, "E2 / Figure 2 — input-mode generation of the sample form")
-	golden := filepath.Join(RepoRoot(), "testdata", "golden", "figure2.html")
-	want, err := os.ReadFile(golden)
-	switch {
-	case err != nil:
-		fmt.Fprintf(w, "golden file %s missing; generated %d bytes (run with -write-golden)\n",
-			golden, len(body))
-	case string(want) == body:
-		fmt.Fprintf(w, "MATCH: generated form is byte-identical to golden (%d bytes)\n", len(body))
-	default:
-		return fmt.Errorf("E2: generated form diverges from golden %s", golden)
-	}
-	forms := htmlutil.ParseForms(body)
-	if len(forms) != 1 {
-		return fmt.Errorf("E2: parsed %d forms, want 1", len(forms))
-	}
-	names := map[string]bool{}
-	for _, c := range forms[0].Controls {
-		if c.Name != "" {
-			names[c.Name] = true
-		}
-	}
-	fmt.Fprintf(w, "form method=%s action=%s\n", forms[0].Method, forms[0].Action)
-	fmt.Fprintf(w, "input variables (%d): SEARCH USE_URL USE_TITLE USE_DESC DBFIELD SHOWSQL\n", len(names))
-	for _, n := range []string{"SEARCH", "USE_URL", "USE_TITLE", "USE_DESC", "DBFIELD", "SHOWSQL"} {
-		if !names[n] {
-			return fmt.Errorf("E2: form lacks the paper's input variable %s", n)
-		}
-	}
-	return nil
-}
-
-// Figure3Submission renders Figure 2, applies the user selections of
-// Section 2.2 / Figure 3, and returns the submitted variable pairs.
-func Figure3Submission() (*cgi.Form, error) {
-	body, err := RenderFigure2()
-	if err != nil {
-		return nil, err
-	}
-	forms := htmlutil.ParseForms(body)
-	if len(forms) != 1 {
-		return nil, fmt.Errorf("parsed %d forms, want 1", len(forms))
-	}
-	f := forms[0]
-	// Figure 3 selections: SEARCH left empty, URL+Title stay checked,
-	// DBFIELD = {title, desc}, SHOWSQL stays No.
-	if err := f.SelectOptions("DBFIELD", "title", "desc"); err != nil {
-		return nil, err
-	}
-	return f.Submission(), nil
-}
-
-// E3 reproduces Figure 3 and the Section 2.2 variable-passing example:
-// the exact set of name=value pairs the Web client sends.
-func E3(w io.Writer, cfg Config) error {
-	sub, err := Figure3Submission()
-	if err != nil {
-		return err
-	}
-	section(w, "E3 / Figure 3 — variables the Web client sends (Section 2.2)")
-	fmt.Fprintf(w, "QUERY_STRING: %s\n", sub.Encode())
-	for _, p := range sub.Pairs() {
-		fmt.Fprintf(w, "  %s = %q\n", p.Name, p.Value)
-	}
-	// Verify against the paper's listing.
-	type pair = cgi.Pair
-	want := []pair{
-		{Name: "SEARCH", Value: ""},
-		{Name: "USE_URL", Value: "yes"},
-		{Name: "USE_TITLE", Value: "yes"},
-		{Name: "DBFIELD", Value: "title"},
-		{Name: "DBFIELD", Value: "desc"},
-		{Name: "SHOWSQL", Value: ""},
-	}
-	got := sub.Pairs()
-	if len(got) != len(want) {
-		return fmt.Errorf("E3: %d pairs, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("E3: pair %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	fmt.Fprintln(w, "MATCH: pairs equal the paper's Section 2.2 listing")
-	fmt.Fprintln(w, "(USE_DESC is absent: an unchecked checkbox is not a successful control,")
-	fmt.Fprintln(w, " and the engine treats absent and null-string variables identically)")
-	return nil
-}
-
-// E4 reproduces Figure 4: the CGI data flow, both the GET/QUERY_STRING
-// and POST/stdin variants, through the in-process harness and (when a
-// binary is available) a true per-request subprocess. It verifies all
-// four paths yield the same page and reports their cost.
-func E4(w io.Writer, cfg Config) error {
-	cfg = cfg.withDefaults()
-	st, err := NewStack(StackConfig{Rows: cfg.Rows, Seed: cfg.Seed, CacheMacros: true})
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-
-	qs := "SEARCH=ib&USE_URL=yes&USE_TITLE=yes&DBFIELDS=title"
-	getReq := &cgi.Request{Method: "GET", ScriptName: "/cgi-bin/db2www",
-		PathInfo: "/urlquery.d2w/report", QueryString: qs}
-	postReq := &cgi.Request{Method: "POST", ScriptName: "/cgi-bin/db2www",
-		PathInfo: "/urlquery.d2w/report", ContentType: cgi.FormEncoded, Body: qs}
-
-	section(w, "E4 / Figure 4 — CGI data flow: GET vs POST, in-process vs subprocess")
-	getResp, err := st.App.ServeCGI(getReq)
-	if err != nil {
-		return err
-	}
-	postResp, err := st.App.ServeCGI(postReq)
-	if err != nil {
-		return err
-	}
-	if getResp.Body != postResp.Body {
-		return fmt.Errorf("E4: GET and POST flows produced different pages")
-	}
-	fmt.Fprintf(w, "GET (QUERY_STRING) and POST (stdin) produce identical pages (%d bytes)\n",
-		len(getResp.Body))
-
-	measure := func(fn func() error, n int) (time.Duration, error) {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			if err := fn(); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start) / time.Duration(n), nil
-	}
-	inprocN := cfg.Requests
-	inproc, err := measure(func() error {
-		_, err := st.App.ServeCGI(getReq)
-		return err
-	}, inprocN)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-28s %12s per request (n=%d)\n", "in-process harness:", inproc.Round(time.Microsecond), inprocN)
-
-	if cfg.DB2WWWBinary == "" {
-		fmt.Fprintln(w, "subprocess flow: skipped (no db2www binary; pass -db2www or let benchrunner build it)")
-		return nil
-	}
-	env := []string{
-		"DB2WWW_MACRO_DIR=" + st.MacroDir,
-		"DB2WWW_DATABASE=" + st.DBName,
-		fmt.Sprintf("DB2WWW_DATASET=urldb:%d:%d", cfg.Rows, cfg.Seed),
-	}
-	subN := cfg.Requests / 10
-	if subN == 0 {
-		subN = 1
-	}
-	var subBody string
-	sub, err := measure(func() error {
-		resp, err := cgi.InvokeProcess(cfg.DB2WWWBinary, nil, getReq, env, 30*time.Second)
-		if err != nil {
-			return err
-		}
-		subBody = resp.Body
-		return nil
-	}, subN)
-	if err != nil {
-		return err
-	}
-	if subBody != getResp.Body {
-		return fmt.Errorf("E4: subprocess page differs from in-process page")
-	}
-	fmt.Fprintf(w, "%-28s %12s per request (n=%d)\n", "fork/exec CGI subprocess:", sub.Round(time.Microsecond), subN)
-	fmt.Fprintf(w, "process-model overhead: %.1fx (the cost Figure 4's per-request process pays)\n",
-		float64(sub)/float64(inproc))
-	return nil
-}
-
-// E5 reproduces Figure 5: the application-development workflow — macros
-// validated with macrocheck's linter and their HTML/SQL sections
-// extractable for external tools.
-func E5(w io.Writer, cfg Config) error {
-	cfg = cfg.withDefaults()
-	src, err := os.ReadFile(filepath.Join(RepoRoot(), "testdata", "macros", "urlquery.d2w"))
-	if err != nil {
-		return err
-	}
-	section(w, "E5 / Figure 5 — macro development pipeline (lint + extraction)")
-	m, err := core.Parse("urlquery.d2w", string(src))
-	if err != nil {
-		return err
-	}
-	linter := macrolint.New()
-	diags := linter.LintMacro(m, "urlquery.d2w")
-	errs, warns, infos := macrolint.Counts(diags)
-	fmt.Fprintf(w, "urlquery.d2w: %d sections, %d lint findings (%d errors, %d warnings, %d infos)\n",
-		len(m.Sections), len(diags), errs, warns, infos)
-	for _, d := range diags {
-		fmt.Fprintf(w, "  %s\n", d)
-	}
-	defined, referenced := core.Variables(m)
-	fmt.Fprintf(w, "variables: %d defined, %d referenced\n", len(defined), len(referenced))
-	sqls := m.SQLSections()
-	fmt.Fprintf(w, "SQL sections for the query tool: %d\n", len(sqls))
-	for _, q := range sqls {
-		fmt.Fprintf(w, "  %s\n", strings.ReplaceAll(strings.TrimSpace(q.Command), "\n", " "))
-	}
-	// Pipeline cost: parse + lint per iteration.
-	start := time.Now()
-	for i := 0; i < cfg.Requests; i++ {
-		mm, err := core.Parse("urlquery.d2w", string(src))
-		if err != nil {
-			return err
-		}
-		linter.LintMacro(mm, "urlquery.d2w")
-	}
-	per := time.Since(start) / time.Duration(cfg.Requests)
-	fmt.Fprintf(w, "parse+lint: %s per macro (n=%d)\n", per.Round(time.Microsecond), cfg.Requests)
-	return nil
-}
-
-// lazyMacro is the Section 4.3.1 worked example, verbatim.
-const lazyMacro = `
-%define X = "One$(Y)$(Z)"
-%define Y = " Two"
-%HTML_INPUT{$(X)%}
-%define Z = " Three"
-%HTML_REPORT{$(X)%}
+// Restyles returns three %SQL_REPORT blocks over the identical SQL
+// command: the E11 report-restyling experiment (paper Section 7's "full
+// power of HTML" claim).
+func Restyles() map[string]string {
+	reportBase := `
+%%define DATABASE = "RESTYLE"
+%%SQL{
+SELECT url, title FROM urldb ORDER BY title
+%s%%}
+%%HTML_REPORT{<TITLE>Restyle</TITLE>
+%%EXEC_SQL
+%%}
 `
-
-// E6 reproduces Figure 6: run-time flow control — the same macro
-// processed in input mode and report mode, with the lazy-substitution
-// order and input-variable priority made visible.
-func E6(w io.Writer, cfg Config) error {
-	section(w, "E6 / Figure 6 — run-time flow: input vs report mode, lazy substitution")
-	m, err := core.Parse("lazy.d2w", lazyMacro)
-	if err != nil {
-		return err
+	styles := map[string]string{
+		// Default: no %SQL_REPORT block at all.
+		"default-table": fmt.Sprintf(reportBase, ""),
+		"bullet-list": fmt.Sprintf(reportBase, `%SQL_REPORT{
+<UL>
+%ROW{<LI><A HREF="$(V1)">$(V2)</A>
+%}
+</UL>
+%}
+`),
+		// An HTML 3.0 table with attributes a 1996 visual editor would
+		// emit — adopting the new HTML version without touching SQL.
+		"html3-table": fmt.Sprintf(reportBase, `%SQL_REPORT{
+<TABLE BORDER=2 CELLPADDING=4 WIDTH="100:">
+<CAPTION>URL catalogue ($(NLIST))</CAPTION>
+<TR><TH>#</TH><TH>$(N1)</TH><TH>$(N2)</TH></TR>
+%ROW{<TR><TD>$(ROW_NUM)</TD><TD><A HREF="$(V1)">$(V1)</A></TD><TD>$(V2)</TD></TR>
+%}
+</TABLE>
+<P>$(ROW_NUM) rows.</P>
+%}
+`),
 	}
-	e := &core.Engine{}
-	var in, rep bytes.Buffer
-	if err := e.Run(m, core.ModeInput, nil, &in); err != nil {
-		return err
-	}
-	if err := e.Run(m, core.ModeReport, nil, &rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "input mode  (Z not yet defined): $(X) = %q\n", strings.TrimSpace(in.String()))
-	fmt.Fprintf(w, "report mode (Z defined earlier): $(X) = %q\n", strings.TrimSpace(rep.String()))
-	if strings.TrimSpace(in.String()) != "One Two" {
-		return fmt.Errorf("E6: input mode produced %q, want \"One Two\"", in.String())
-	}
-	if strings.TrimSpace(rep.String()) != "One Two Three" {
-		return fmt.Errorf("E6: report mode produced %q, want \"One Two Three\"", rep.String())
-	}
-	// Input variables override DEFINE defaults (Section 4.3).
-	inputs := cgi.NewForm()
-	inputs.Add("Y", " Client")
-	var over bytes.Buffer
-	if err := e.Run(m, core.ModeInput, inputs, &over); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "with HTML input Y=\" Client\":    $(X) = %q (input overrides DEFINE)\n",
-		strings.TrimSpace(over.String()))
-	if strings.TrimSpace(over.String()) != "One Client" {
-		return fmt.Errorf("E6: override produced %q", over.String())
-	}
-	return nil
+	return styles
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"db2www/internal/gateway"
@@ -10,27 +9,27 @@ import (
 	"db2www/internal/webclient"
 )
 
-// HistoryAblation is A12's machine-readable result: the report workload
+// HistoryAblation is A12's result: the report workload
 // without and with a scrape of the history store (overhead phase), then a
 // sustained webclient soak with the store scraping and the default alert
 // rules armed (soak phase).
 type HistoryAblation struct {
-	Rows          int     `json:"rows"`
-	Pairs         int     `json:"pairs"`
-	OffMeanMicros float64 `json:"off_mean_micros"`
-	OnMeanMicros  float64 `json:"on_mean_micros"`
-	OverheadPct   float64 `json:"overhead_pct"`
+	Rows          int
+	Pairs         int
+	OffMeanMicros float64
+	OnMeanMicros  float64
+	OverheadPct   float64
 	// BlockRequests is how many requests shared the one scrape of the
 	// median pair's on block (what blockTime of traffic held).
-	BlockRequests int `json:"block_requests"`
+	BlockRequests int
 
-	SoakSeconds     float64 `json:"soak_seconds"`
-	SoakRequests    int64   `json:"soak_requests"`
-	SoakErrors      int64   `json:"soak_errors"`
-	Soak5xx         int64   `json:"soak_5xx"`
-	Scrapes         int64   `json:"scrapes"`
-	CriticalAlerts  int     `json:"critical_alerts"`
-	WindowsNonEmpty int     `json:"windows_non_empty"`
+	SoakSeconds     float64
+	SoakRequests    int64
+	SoakErrors      int64
+	Soak5xx         int64
+	Scrapes         int64
+	CriticalAlerts  int
+	WindowsNonEmpty int
 }
 
 // ScrapeMicros is the absolute bill behind OverheadPct: what the one
@@ -184,32 +183,6 @@ func RunA12(cfg Config) (*HistoryAblation, error) {
 		out.WindowsNonEmpty = p99Windows
 	}
 	return out, nil
-}
-
-// PrintA12 renders a HistoryAblation in the benchrunner table style.
-func PrintA12(w io.Writer, r *HistoryAblation) {
-	section(w, "A12 — history store off vs on (self-scrape overhead + soak)")
-	fmt.Fprintf(w, "urldb rows: %d, %d block pairs of %v a side (median pair kept)\n",
-		r.Rows, r.Pairs, blockTime)
-	fmt.Fprintf(w, "%10s %14s\n", "history", "mean")
-	fmt.Fprintf(w, "%10s %13.0fµ\n", "off", r.OffMeanMicros)
-	fmt.Fprintf(w, "%10s %13.0fµ\n", "on", r.OnMeanMicros)
-	fmt.Fprintf(w, "overhead: %+.1f%% = %+.1f µs/request (budget %.0f%%), one scrape per %v of traffic (%d requests): %.0f µs\n",
-		r.OverheadPct, r.OnMeanMicros-r.OffMeanMicros, maxHistoryOverheadPct, blockTime, r.BlockRequests, r.ScrapeMicros())
-	fmt.Fprintf(w, "soak: %.1fs, %d requests (%d errors, %d 5xx), %d scrapes\n",
-		r.SoakSeconds, r.SoakRequests, r.SoakErrors, r.Soak5xx, r.Scrapes)
-	fmt.Fprintf(w, "critical alerts fired: %d (want 0), non-empty windows: %d (want >= %d)\n",
-		r.CriticalAlerts, r.WindowsNonEmpty, minSoakWindows)
-}
-
-// A12 runs RunA12, prints the result, and applies its gate.
-func A12(w io.Writer, cfg Config) error {
-	r, err := RunA12(cfg)
-	if err != nil {
-		return err
-	}
-	PrintA12(w, r)
-	return r.Check()
 }
 
 // Check is A12's gate: it fails when the store costs more than the

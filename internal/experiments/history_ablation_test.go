@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 )
@@ -31,7 +29,7 @@ const (
 // gated of that comparison is the scrape's absolute bill per block, not
 // its ratio to the 40-row requests beside it: a ratio measures how fast
 // those requests are, and the 5% budget it belongs to is enforced at full
-// scale by A12/benchrunner on the 500-row report.
+// scale by BenchmarkA12_HistoryStore on the 500-row report.
 func TestA12HistoryAblation(t *testing.T) {
 	cfg := Config{Rows: 40, Requests: 200, Seed: 1, Soak: 1200 * time.Millisecond}
 	var r *HistoryAblation
@@ -66,11 +64,38 @@ func TestA12HistoryAblation(t *testing.T) {
 		t.Fatalf("windows = %d, want >= %d (scrapes = %d)",
 			r.WindowsNonEmpty, minSoakWindows, r.Scrapes)
 	}
-	var buf bytes.Buffer
-	PrintA12(&buf, r)
-	for _, want := range []string{"history store", "overhead", "critical alerts", "windows"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("PrintA12 output missing %q:\n%s", want, buf.String())
+}
+
+// fullScaleSoak is how long BenchmarkA12_HistoryStore keeps browser
+// traffic on a server whose store scrapes and whose default alert rules
+// watch.
+const fullScaleSoak = 60 * time.Second
+
+// BenchmarkA12_HistoryStore is the A12 gate at full scale (500 rows, 20
+// block pairs, fullScaleSoak): it fails when a scrape per blockTime of
+// traffic costs the Appendix A request more than maxHistoryOverheadPct,
+// when a critical alert fires during the soak, or when the store delivers
+// fewer than minSoakWindows windows. One iteration is one run of the
+// gate, so it wants -benchtime 1x:
+//
+//	go test -run '^$' -bench A12_ -benchtime 1x ./internal/experiments
+func BenchmarkA12_HistoryStore(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		r, err := RunA12(Config{Soak: fullScaleSoak})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(r.OffMeanMicros, "off-µs")
+		b.ReportMetric(r.OnMeanMicros, "on-µs")
+		b.ReportMetric(r.OverheadPct, "overhead-%")
+		b.ReportMetric(r.ScrapeMicros(), "scrape-µs")
+		b.ReportMetric(float64(r.SoakRequests), "soak-requests")
+		b.ReportMetric(float64(r.Soak5xx), "soak-5xx")
+		b.ReportMetric(float64(r.Scrapes), "scrapes")
+		b.ReportMetric(float64(r.CriticalAlerts), "critical-alerts")
+		b.ReportMetric(float64(r.WindowsNonEmpty), "windows")
+		if err := r.Check(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -15,6 +14,30 @@ import (
 	"db2www/internal/obs"
 	"db2www/internal/sqldb"
 )
+
+// Config is the scale of a gate's run. The zero value is full scale, what
+// BenchmarkA7_RequestRecord runs and, with a longer soak,
+// BenchmarkA12_HistoryStore.
+type Config struct {
+	Rows     int   // urldb size (default 500)
+	Requests int   // buys five block pairs for every 50 (default 200: 20 pairs)
+	Seed     int64 // dataset seed (default 1)
+	// Soak is A12's sustained-traffic phase duration (default 3s).
+	Soak time.Duration
+}
+
+func (c Config) withDefaults() Config {
+	if c.Rows == 0 {
+		c.Rows = 500
+	}
+	if c.Requests == 0 {
+		c.Requests = 200
+	}
+	if c.Seed == 0 {
+		c.Seed = 1
+	}
+	return c
+}
 
 // appendixAReportURL is the report request the overhead ablations serve:
 // a substring-LIKE full scan with the query cache off, so the work the
@@ -109,30 +132,30 @@ func allocsPerRequest(n int, request func() error) (float64, error) {
 
 // RecordOverhead is one request's row of A7.
 type RecordOverhead struct {
-	Request        string  `json:"request"`
-	Rows           int     `json:"rows"`
-	OffMicros      float64 `json:"off_micros"`
-	OnMicros       float64 `json:"on_micros"`
-	OverheadMicros float64 `json:"overhead_micros"`
-	OffAllocs      float64 `json:"off_allocs"`
-	OnAllocs       float64 `json:"on_allocs"`
+	Request        string
+	Rows           int
+	OffMicros      float64
+	OnMicros       float64
+	OverheadMicros float64
+	OffAllocs      float64
+	OnAllocs       float64
 	// What the on side left behind: spans on the traces in the ring,
 	// records the tail sampler kept of the OnRequests it saw, macros the
 	// SLO windows track (they see every request, kept or not).
-	SpansPerTrace float64 `json:"spans_per_trace"`
-	OnRequests    int     `json:"on_requests"`
-	KeptRecords   int     `json:"kept_records"`
-	SLOMacros     int     `json:"slo_macros"`
+	SpansPerTrace float64
+	OnRequests    int
+	KeptRecords   int
+	SLOMacros     int
 }
 
-// RecordAblation is A7's machine-readable result: what a request pays for
+// RecordAblation is A7's result: what a request pays for
 // being described — its record filled, sampled, put in the ring and
 // counted in the SLO windows, and the metrics and engine statistics that
 // obs.SetEnabled gates with it — on gatewayd's default wiring.
 type RecordAblation struct {
-	Pairs          int              `json:"pairs"`
-	Requests       []RecordOverhead `json:"requests"`
-	DigestsTracked int              `json:"digests_tracked"`
+	Pairs          int
+	Requests       []RecordOverhead
+	DigestsTracked int
 }
 
 // maxRecordOverheadMicros is the acceptance bound A7 enforces on every
@@ -232,34 +255,6 @@ func recordOverhead(macros string, rows int, seed int64, target func(*sqldb.Data
 	row.KeptRecords = len(srv.Flight.Records(0))
 	row.SLOMacros = len(srv.Flight.SLO().Snapshot())
 	return row, nil
-}
-
-// PrintA7 renders a RecordAblation in the benchrunner table style.
-func PrintA7(w io.Writer, r *RecordAblation) {
-	section(w, "A7 — request record off vs on (gatewayd's default wiring)")
-	fmt.Fprintf(w, "%d block pairs of %v a side per request, median pair kept; budget %.0f µs per request\n",
-		r.Pairs, blockTime, maxRecordOverheadMicros)
-	fmt.Fprintf(w, "%18s %6s %10s %10s %10s %16s\n", "request", "rows", "off", "on", "overhead", "allocs off → on")
-	for _, q := range r.Requests {
-		fmt.Fprintf(w, "%18s %6d %9.1fµ %9.1fµ %+9.1fµ %9.0f → %.0f\n",
-			q.Request, q.Rows, q.OffMicros, q.OnMicros, q.OverheadMicros, q.OffAllocs, q.OnAllocs)
-	}
-	for _, q := range r.Requests {
-		fmt.Fprintf(w, "%s: %.1f spans per trace, %d of %d records kept, %d SLO macros tracked\n",
-			q.Request, q.SpansPerTrace, q.KeptRecords, q.OnRequests, q.SLOMacros)
-	}
-	fmt.Fprintf(w, "%d distinct statement digests tracked\n", r.DigestsTracked)
-}
-
-// A7 runs RunA7, prints the result, and fails when the record costs a
-// request more than the budget.
-func A7(w io.Writer, cfg Config) error {
-	r, err := RunA7(cfg)
-	if err != nil {
-		return err
-	}
-	PrintA7(w, r)
-	return r.Check()
 }
 
 // Check is A7's gate.

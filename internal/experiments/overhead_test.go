@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -16,11 +14,11 @@ import (
 // checks what the on side left behind on each of its two requests:
 // instrumentation back on, the engine's phase spans on the traces, the
 // tail sampler keeping next to nothing of healthy fast traffic while the
-// SLO windows saw the macro, statement digests tracked, the report
-// printed. It asserts nothing about time: a few blocks of 35 ms cannot
-// resolve microseconds on a loaded box, so the budget is left to
-// `benchrunner -exp a7` at full scale; TestRequestRecordAllocations gates
-// the one overhead figure a unit test can resolve.
+// SLO windows saw the macro, statement digests tracked. It asserts
+// nothing about time: a few blocks of 35 ms cannot resolve microseconds
+// on a loaded box, so the budget is left to BenchmarkA7_RequestRecord at
+// full scale; TestRequestRecordAllocations gates the one overhead figure
+// a unit test can resolve.
 func TestA7ObsAblation(t *testing.T) {
 	r, err := RunA7(Config{Rows: 40, Requests: 15, Seed: 1})
 	if err != nil {
@@ -52,12 +50,29 @@ func TestA7ObsAblation(t *testing.T) {
 	if r.DigestsTracked == 0 {
 		t.Error("no statement digests tracked")
 	}
-	var buf bytes.Buffer
-	PrintA7(&buf, r)
-	for _, want := range []string{"request record", "overhead", "allocs", "point_lookup",
-		"spans per trace", "records kept", "SLO macros", "digests tracked"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("PrintA7 output missing %q:\n%s", want, buf.String())
+}
+
+// BenchmarkA7_RequestRecord is the A7 gate at full scale (500 rows, 20
+// block pairs a request): it fails when describing a request costs more
+// than maxRecordOverheadMicros on either request. One iteration is one
+// run of the gate, so it wants -benchtime 1x:
+//
+//	go test -run '^$' -bench A7_ -benchtime 1x ./internal/experiments
+func BenchmarkA7_RequestRecord(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		r, err := RunA7(Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range r.Requests {
+			b.ReportMetric(q.OffMicros, q.Request+"-off-µs")
+			b.ReportMetric(q.OnMicros, q.Request+"-on-µs")
+			b.ReportMetric(q.OverheadMicros, q.Request+"-overhead-µs")
+			b.ReportMetric(q.OffAllocs, q.Request+"-off-allocs")
+			b.ReportMetric(q.OnAllocs, q.Request+"-on-allocs")
+		}
+		if err := r.Check(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

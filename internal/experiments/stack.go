@@ -1,20 +1,20 @@
-// Package experiments implements every experiment of DESIGN.md's
-// per-experiment index (E1–E12 reproducing the paper's figures and worked
-// examples, plus the A-series ablations). cmd/benchrunner prints their
-// rows and series; the repository-root benchmarks reuse their setup
-// helpers; and the package's tests run each experiment end to end, making
-// this the integration suite across all substrates.
+// Package experiments holds what the experiments of DESIGN.md's
+// per-experiment index share and the two overhead gates. Whether a figure
+// or worked example of the paper is reproduced (E2–E11) is asserted by
+// this package's tests, on values; what a component costs is a
+// Benchmark* of the repository root's bench_test.go, which builds on the
+// Stack, URLQueryFlow, RenderFigure2 and Restyles defined here; what the
+// server costs is benchmark/. The gates (RunA7, RunA12) bound what the
+// always-on layers may cost a request and run at full scale as
+// BenchmarkA7_RequestRecord and BenchmarkA12_HistoryStore.
 package experiments
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
-	"time"
 
 	"db2www/internal/core"
 	"db2www/internal/gateway"
@@ -24,18 +24,15 @@ import (
 	"db2www/internal/workload"
 )
 
-// Stack is the full serving stack for one experiment: a seeded database,
-// a macro directory holding the Appendix A application, the engine, the
-// gateway, and a browser-simulator client.
+// Stack is the full serving stack for one experiment: a seeded database
+// registered under DBName, a temporary macro directory holding the
+// Appendix A application, and the engine behind the CGI application and
+// the HTTP handler.
 type Stack struct {
 	DBName   string
 	MacroDir string
 	Handler  *gateway.Handler
 	App      *gateway.App
-	Engine   *core.Engine
-	DB       *sqldb.Database
-
-	ownsMacroDir bool
 }
 
 // StackConfig controls stack construction.
@@ -43,9 +40,7 @@ type StackConfig struct {
 	DBName      string // default CELDIAL
 	Rows        int    // urldb rows, default 500
 	Seed        int64  // default 1
-	CacheMacros bool   // default true
-	TxnSingle   bool
-	MacroDir    string // default: temp dir seeded with urlquery.d2w
+	CacheMacros bool
 }
 
 // NewStack builds a Stack. Call Close when done.
@@ -65,33 +60,23 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	}
 	sqldriver.Register(cfg.DBName, db)
 
-	st := &Stack{DBName: cfg.DBName, DB: db}
-	if cfg.MacroDir == "" {
-		dir, err := os.MkdirTemp("", "db2www-macros-")
-		if err != nil {
-			return nil, err
-		}
-		src, err := os.ReadFile(filepath.Join(RepoRoot(), "testdata", "macros", "urlquery.d2w"))
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(filepath.Join(dir, "urlquery.d2w"), src, 0o644); err != nil {
-			return nil, err
-		}
-		st.MacroDir = dir
-		st.ownsMacroDir = true
-	} else {
-		st.MacroDir = cfg.MacroDir
+	dir, err := os.MkdirTemp("", "db2www-macros-")
+	if err != nil {
+		return nil, err
 	}
-
-	st.Engine = &core.Engine{
-		DB:       gateway.NewSQLProvider(),
-		Commands: core.NewCommandRegistry(),
+	src, err := os.ReadFile(filepath.Join(corpusMacros(), "urlquery.d2w"))
+	if err != nil {
+		return nil, err
 	}
-	if cfg.TxnSingle {
-		st.Engine.Txn = core.TxnSingle
+	if err := os.WriteFile(filepath.Join(dir, "urlquery.d2w"), src, 0o644); err != nil {
+		return nil, err
 	}
-	st.App = &gateway.App{MacroDir: st.MacroDir, Engine: st.Engine, CacheMacros: cfg.CacheMacros}
+	st := &Stack{DBName: cfg.DBName, MacroDir: dir}
+	st.App = &gateway.App{
+		MacroDir:    dir,
+		Engine:      &core.Engine{DB: gateway.NewSQLProvider(), Commands: core.NewCommandRegistry()},
+		CacheMacros: cfg.CacheMacros,
+	}
 	st.Handler = &gateway.Handler{App: st.App}
 	return st, nil
 }
@@ -122,12 +107,10 @@ func (s *Stack) WriteMacro(name, src string) error {
 	return os.WriteFile(filepath.Join(s.MacroDir, name), []byte(src), 0o644)
 }
 
-// Close unregisters the database and removes any owned temp directory.
+// Close unregisters the database and removes the macro directory.
 func (s *Stack) Close() {
 	sqldriver.Unregister(s.DBName)
-	if s.ownsMacroDir {
-		_ = os.RemoveAll(s.MacroDir)
-	}
+	_ = os.RemoveAll(s.MacroDir)
 }
 
 // RepoRoot locates the module root by walking up from the working
@@ -150,7 +133,8 @@ func RepoRoot() string {
 }
 
 // BuildDB2WWW compiles cmd/db2www into dir and returns the binary path —
-// needed by the E4 subprocess flow.
+// needed by the E4 subprocess flow (BenchmarkE4_Figure4_CGIFlows/Subprocess,
+// TestE4SubprocessFlow).
 func BuildDB2WWW(dir string) (string, error) {
 	bin := filepath.Join(dir, "db2www")
 	cmd := exec.Command("go", "build", "-o", bin, "db2www/cmd/db2www")
@@ -160,55 +144,4 @@ func BuildDB2WWW(dir string) (string, error) {
 		return "", fmt.Errorf("building db2www: %v\n%s", err, out)
 	}
 	return bin, nil
-}
-
-// --- measurement helpers ---
-
-// Latencies collects per-request durations and reports summary rows.
-type Latencies struct {
-	ds []time.Duration
-}
-
-// Add records one duration.
-func (l *Latencies) Add(d time.Duration) { l.ds = append(l.ds, d) }
-
-// N returns the sample count.
-func (l *Latencies) N() int { return len(l.ds) }
-
-// Mean returns the arithmetic mean.
-func (l *Latencies) Mean() time.Duration {
-	if len(l.ds) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range l.ds {
-		sum += d
-	}
-	return sum / time.Duration(len(l.ds))
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100).
-func (l *Latencies) Percentile(p float64) time.Duration {
-	if len(l.ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), l.ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(float64(len(sorted))*p/100) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// section prints an underlined experiment heading.
-func section(w io.Writer, title string) {
-	fmt.Fprintf(w, "\n%s\n", title)
-	for range title {
-		fmt.Fprint(w, "-")
-	}
-	fmt.Fprintln(w)
 }

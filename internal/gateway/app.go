@@ -32,7 +32,7 @@ type App struct {
 	// CacheMacros enables the parsed-macro cache (keyed by path; an entry
 	// holds while the file and every %INCLUDE it resolved keep their
 	// mtime and size). Off, every request re-reads and re-parses the file — the
-	// faithful CGI process model; the A2 ablation measures the delta.
+	// faithful CGI process model; BenchmarkA2_ParseCache measures the delta.
 	CacheMacros bool
 	// Lint, when set, runs the macrolint analyzers over every macro as
 	// it is loaded (cache misses only, so an unchanged macro is linted

@@ -314,6 +314,9 @@ func (c ServerConfig) cgiEnv() []string {
 	if c.Txn == "single" {
 		env = append(env, "DB2WWW_TXN=single")
 	}
+	if c.MaxRows != 0 {
+		env = append(env, "DB2WWW_MAXROWS="+strconv.Itoa(c.MaxRows))
+	}
 	return env
 }
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -245,6 +246,29 @@ func TestServerConfigValidate(t *testing.T) {
 		cfg.Dataset = "no-such-dataset"
 		if _, err := NewServer(cfg); errString(err) != c.want {
 			t.Errorf("%s: NewServer = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestCGIEnv: everything of the command line that cmd/db2www reads from
+// its environment reaches a -cgi subprocess; a value left out would be
+// served as its default.
+func TestCGIEnv(t *testing.T) {
+	base := []string{"DB2WWW_MACRO_DIR=./macros", "DB2WWW_DATABASE=CELDIAL", "DB2WWW_DATASET=urldb"}
+	for _, c := range []struct {
+		txn     string
+		maxRows int
+		want    []string
+	}{
+		{"auto", 0, nil},
+		{"single", 0, []string{"DB2WWW_TXN=single"}},
+		{"auto", 50, []string{"DB2WWW_MAXROWS=50"}},
+		{"single", 50, []string{"DB2WWW_TXN=single", "DB2WWW_MAXROWS=50"}},
+	} {
+		cfg := DefaultServerConfig()
+		cfg.Txn, cfg.MaxRows = c.txn, c.maxRows
+		if got, want := cfg.cgiEnv(), append(base[:len(base):len(base)], c.want...); !slices.Equal(got, want) {
+			t.Errorf("-txn %s -maxrows %d: cgiEnv() = %q, want %q", c.txn, c.maxRows, got, want)
 		}
 	}
 }

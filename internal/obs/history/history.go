@@ -551,46 +551,3 @@ func QuantileFromBuckets(bounds []float64, counts []int64, q float64) float64 {
 	}
 	return bounds[len(bounds)-1]
 }
-
-// Export is one series flattened for benchrunner's -json trajectories.
-type Export struct {
-	Series  string  `json:"series"`
-	Kind    string  `json:"kind"`
-	Samples []Point `json:"-"`
-	// SampleRows is Samples as [unix_ms, value] pairs — compact JSON.
-	SampleRows [][2]float64 `json:"samples"`
-}
-
-// ExportMoved returns every series whose value moved during the retained
-// window, capped at max series (0 = no cap); dropped reports how many
-// moving series the cap excluded. Flat series are noise in a trajectory
-// report and are always skipped.
-func (s *Store) ExportMoved(max int) (out []Export, dropped int) {
-	for _, info := range s.SeriesList() {
-		pts := s.Samples(info.Key, 0)
-		if len(pts) < 2 {
-			continue
-		}
-		moved := false
-		for _, p := range pts[1:] {
-			if p.V != pts[0].V {
-				moved = true
-				break
-			}
-		}
-		if !moved {
-			continue
-		}
-		if max > 0 && len(out) >= max {
-			dropped++
-			continue
-		}
-		e := Export{Series: info.Key, Kind: info.Kind, Samples: pts,
-			SampleRows: make([][2]float64, len(pts))}
-		for i, p := range pts {
-			e.SampleRows[i] = [2]float64{float64(p.T.UnixMilli()), p.V}
-		}
-		out = append(out, e)
-	}
-	return out, dropped
-}

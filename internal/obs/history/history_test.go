@@ -193,45 +193,6 @@ func TestStepAlign(t *testing.T) {
 	}
 }
 
-func TestExportMovedSkipsFlatSeries(t *testing.T) {
-	reg := obs.NewRegistry()
-	mover := reg.Counter("mover_total", "demo")
-	reg.Counter("flat_total", "demo").Add(5) // set once, never moves again
-	s, clk := newTestStore(t, Config{Registry: reg, Interval: time.Second, Retention: time.Minute})
-	clk.tick(s, time.Second)
-	mover.Add(1)
-	clk.tick(s, time.Second)
-
-	out, dropped := s.ExportMoved(0)
-	if dropped != 0 {
-		t.Fatalf("dropped = %d", dropped)
-	}
-	for _, e := range out {
-		if e.Series == "flat_total" {
-			t.Fatalf("flat series exported: %+v", out)
-		}
-		if len(e.SampleRows) != len(e.Samples) {
-			t.Fatalf("sample rows mismatch: %+v", e)
-		}
-	}
-	found := false
-	for _, e := range out {
-		if e.Series == "mover_total" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("moving series missing from export: %+v", out)
-	}
-
-	// A cap of 1 keeps one moving series and reports the rest dropped.
-	// (history's own self-metrics move too, so there is >1 mover.)
-	capped, droppedCapped := s.ExportMoved(1)
-	if len(capped) != 1 || droppedCapped < 1 {
-		t.Fatalf("capped export = %d series, %d dropped", len(capped), droppedCapped)
-	}
-}
-
 func TestStartAndCloseScrapeLoop(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("c_total", "demo").Add(1)

@@ -382,8 +382,8 @@ func formatBound(b float64) string {
 
 // Snapshot returns every sample as a flat name{labels} -> value map:
 // counters and gauges directly, histograms as their _sum and _count
-// (buckets are omitted to keep deltas small). benchrunner diffs two
-// snapshots to report what a run did to the process-wide metrics.
+// (buckets are omitted). Tests read it to see what a request did to the
+// metrics.
 func (r *Registry) Snapshot() map[string]float64 {
 	r.runScrapeHooks()
 	out := map[string]float64{}
@@ -464,17 +464,6 @@ func (r *Registry) FullSnapshot() []Sample {
 		}
 		return out[i].Labels < out[j].Labels
 	})
-	return out
-}
-
-// DeltaSnapshot returns after-before, keeping only samples that moved.
-func DeltaSnapshot(before, after map[string]float64) map[string]float64 {
-	out := map[string]float64{}
-	for k, v := range after {
-		if d := v - before[k]; d != 0 {
-			out[k] = d
-		}
-	}
 	return out
 }
 

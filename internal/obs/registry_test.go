@@ -111,14 +111,14 @@ func TestSnapshotDelta(t *testing.T) {
 	before := r.Snapshot()
 	c.Add(3)
 	h.Observe(0.25)
-	delta := DeltaSnapshot(before, r.Snapshot())
-	if delta["snap_total"] != 3 {
-		t.Errorf("counter delta = %v", delta["snap_total"])
+	after := r.Snapshot()
+	if d := after["snap_total"] - before["snap_total"]; d != 3 {
+		t.Errorf("counter delta = %v", d)
 	}
-	if delta["snap_seconds_count"] != 1 {
-		t.Errorf("count delta = %v", delta["snap_seconds_count"])
+	if d := after["snap_seconds_count"] - before["snap_seconds_count"]; d != 1 {
+		t.Errorf("count delta = %v", d)
 	}
-	if d := delta["snap_seconds_sum"]; d < 0.24 || d > 0.26 {
+	if d := after["snap_seconds_sum"] - before["snap_seconds_sum"]; d < 0.24 || d > 0.26 {
 		t.Errorf("sum delta = %v", d)
 	}
 }

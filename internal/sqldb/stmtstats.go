@@ -85,8 +85,8 @@ func NewStatementStats(cap int) *StatementStats {
 }
 
 // Statements is the process-wide registry every Database records into by
-// default. A shared registry means benchrunner and gatewayd see one
-// statement table across all embedded databases, mirroring how
+// default. A shared registry means a process sees one statement table
+// across all its embedded databases, mirroring how
 // pg_stat_statements is cluster-wide rather than per-database.
 var Statements = NewStatementStats(DefaultStmtCap)
 
