@@ -45,8 +45,7 @@ func main() {
 	flag.StringVar(&cfg.AlertRules, "alert-rules", cfg.AlertRules, "alert rules file (one rule per line, see docs/HISTORY.md); empty uses the built-in defaults")
 	flag.StringVar(&cfg.FlightDir, "flight-dir", cfg.FlightDir, "persist kept flight records (rotating JSONL) and anomaly pprof snapshots here")
 	flag.Float64Var(&cfg.FlightSample, "flight-sample", cfg.FlightSample, "keep probability for healthy requests (errors and slow requests are always kept)")
-	flag.StringVar(&cfg.SlowLog, "slowlog", cfg.SlowLog, "write slow-request lines (trace, spans, SQL) to this file; \"-\" for stderr")
-	flag.DurationVar(&cfg.SlowLogThreshold, "slowlog-threshold", cfg.SlowLogThreshold, "log requests slower than this")
+	flag.DurationVar(&cfg.SlowThreshold, "slow-threshold", cfg.SlowThreshold, "a request slower than this is slow: the flight recorder keeps its record (kept:slow)")
 	version := flag.Bool("version", false, "print build information and exit")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 	flag.Parse()

@@ -48,7 +48,7 @@ func run() int {
 		format    = flag.String("format", "text", "output format: text, json, or sarif")
 		enable    = flag.String("enable", "", "comma-separated analyzers to run (default: all)")
 		disable   = flag.String("disable", "", "comma-separated analyzers to skip")
-		schemaSQL = flag.String("schema", "", "DDL file describing the database; enables the schema-aware analyzers")
+		schemaSQL = flag.String("schema", "", "DDL file describing the database, executed on a scratch engine; enables the schema-aware analyzers")
 		analyzers = flag.Bool("analyzers", false, "print the analyzer catalog and exit")
 	)
 	flag.Parse()

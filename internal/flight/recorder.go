@@ -45,9 +45,9 @@ const (
 type Config struct {
 	// SampleRate is the keep probability for healthy requests, in [0, 1].
 	SampleRate float64
-	// SlowThreshold marks requests slow (always kept). Shared with the
-	// slow-query log in the gateway wiring. 0 means the default (200ms);
-	// negative keeps every request.
+	// SlowThreshold marks requests slow (always kept): gatewayd's
+	// -slow-threshold. 0 means the default (200ms); negative keeps every
+	// request.
 	SlowThreshold time.Duration
 	// RingSize bounds the in-memory record ring. 0 means the default (256).
 	RingSize int
@@ -158,7 +158,7 @@ func (r *Recorder) SLO() *SLO {
 	return r.slo
 }
 
-// SlowThreshold reports the shared slow cut-off the sampler uses.
+// SlowThreshold reports the slow cut-off the sampler uses.
 func (r *Recorder) SlowThreshold() time.Duration {
 	if r == nil {
 		return 0

@@ -13,8 +13,7 @@ type Sampler struct {
 	// Rate is the keep probability for healthy requests, in [0, 1].
 	Rate float64
 	// SlowThreshold marks a request slow (and therefore always kept).
-	// Zero keeps every request — the same convention as the slow-query
-	// log, whose threshold this shares in the gateway wiring.
+	// Zero keeps every request.
 	SlowThreshold time.Duration
 }
 

@@ -59,8 +59,8 @@ func TestSamplerHealthyTail(t *testing.T) {
 	}
 }
 
-// TestSamplerZeroThresholdKeepsEverything mirrors the slow-query log
-// convention this threshold is shared with.
+// TestSamplerZeroThresholdKeepsEverything: the convention of the
+// sampler's own zero value.
 func TestSamplerZeroThresholdKeepsEverything(t *testing.T) {
 	s := Sampler{Rate: 0, SlowThreshold: 0}
 	if got := s.Decide(200, time.Microsecond, "x"); got != KeptSlow {

@@ -24,18 +24,13 @@ type AccessLog struct {
 	mu   sync.Mutex
 	out  io.Writer
 
-	// StatusPath serves the statistics page when non-empty.
-	// Defaults to "/server-status".
-	StatusPath string
 	// Format selects the log line format: "clf" (default, NCSA Common Log
 	// Format with a trace=/flight=/digest= suffix) or "json" (one JSON
 	// object per line carrying the same fields plus latency in
 	// microseconds — grep-able with jq instead of awk).
 	Format string
-	// MetricsPath serves the obs registry in Prometheus text exposition
-	// format. Defaults to "/metrics"; set "-" to disable.
-	MetricsPath string
-	// Metrics is the registry MetricsPath serves. Defaults to obs.Default.
+	// Metrics is the registry /metrics serves, in Prometheus text
+	// exposition format. Defaults to obs.Default.
 	Metrics *obs.Registry
 	// Now is the clock used for log timestamps (overridable for tests).
 	Now func() time.Time
@@ -64,6 +59,12 @@ type statusSection struct {
 // defaultMaxPaths bounds the paths map when MaxPaths is unset.
 const defaultMaxPaths = 512
 
+// Where the middleware serves its two pages of its own.
+const (
+	statusPath  = "/server-status"
+	metricsPath = "/metrics"
+)
+
 // AddStatusSection appends a section to the /server-status page. items is
 // called per render (under no AccessLog locks) and returns name/value
 // rows — how the gateway surfaces cache counters and other app metrics
@@ -90,13 +91,12 @@ func (l *AccessLog) Handle(path string, h http.Handler) {
 // to out (nil discards the lines but still collects statistics).
 func NewAccessLog(next http.Handler, out io.Writer) *AccessLog {
 	return &AccessLog{
-		next:       next,
-		out:        out,
-		StatusPath: "/server-status",
-		Now:        time.Now,
-		started:    time.Now(),
-		statuses:   map[int]int64{},
-		paths:      map[string]int64{},
+		next:     next,
+		out:      out,
+		Now:      time.Now,
+		started:  time.Now(),
+		statuses: map[int]int64{},
+		paths:    map[string]int64{},
 	}
 }
 
@@ -131,19 +131,11 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 
 // ServeHTTP implements http.Handler.
 func (l *AccessLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	statusPath := l.StatusPath
-	if statusPath == "" {
-		statusPath = "/server-status"
-	}
 	if r.URL.Path == statusPath {
 		l.serveStatus(w)
 		return
 	}
-	metricsPath := l.MetricsPath
-	if metricsPath == "" {
-		metricsPath = "/metrics"
-	}
-	if metricsPath != "-" && r.URL.Path == metricsPath {
+	if r.URL.Path == metricsPath {
 		reg := l.Metrics
 		if reg == nil {
 			reg = obs.Default

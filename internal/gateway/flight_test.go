@@ -206,19 +206,21 @@ func TestFlightHealthySampledOut(t *testing.T) {
 // TestOneRecordEverySink serves one request with every sink wired and
 // keeping everything, and finds the same request — trace ID, status,
 // macro, statement digest, row count, substituted SQL — in each of them:
-// the "Recent traces" row, the slow-log line, /debug/flight?trace=, the
-// CLF and the JSON access line. They all print the one record the request
+// the "Recent traces" row, /debug/flight?trace=, the flight.jsonl line
+// (where an operator greps for a slow request), the CLF and the JSON
+// access line. They all print the one record the request
 // filled; none of them holds a description of its own.
 func TestOneRecordEverySink(t *testing.T) {
 	h, _ := newTestStack(t)
-	rec, err := flight.New(flight.Config{SampleRate: 1, SlowThreshold: -1})
+	dir := t.TempDir()
+	rec, err := flight.New(flight.Config{SampleRate: 1, SlowThreshold: -1, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var slow, clf, jsonl syncWriter
+	defer rec.Close()
+	var clf, jsonl syncWriter
 	h.Flight = rec
 	h.TraceRing = obs.NewRing(4)
-	h.SlowLog = obs.NewSlowLog(&slow, rec.SlowThreshold())
 	inner := NewAccessLog(h, &clf)
 	al := NewAccessLog(inner, &jsonl) // two middlewares, still one record
 	al.Format = "json"
@@ -253,14 +255,19 @@ func TestOneRecordEverySink(t *testing.T) {
 	detail := get("http://server/debug/flight?trace=one")
 	jsonSQL, _ := json.Marshal(obs.TruncateSQL(tr.SQL[0].SQL, 0))
 	jsonNote, _ := json.Marshal(strings.Trim(note, "[]"))
+	flightFile, err := os.ReadFile(filepath.Join(dir, "flight.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for sink, c := range map[string]struct {
 		text string
 		want []string
 	}{
 		"recent traces": {get("http://server/server-status"),
 			[]string{"<LI>one 200 GET /cgi-bin/db2www/urlquery.d2w/report: ", " sql-exec:(unnamed)=", note}},
-		"slow log": {slow.String(),
-			[]string{" trace=one status=200 total=", " GET /cgi-bin/db2www/urlquery.d2w/report | ", " sql-exec:(unnamed)=", note}},
+		"flight.jsonl": {string(flightFile),
+			[]string{`"trace_id":"one"`, `"method":"GET","path":"/cgi-bin/db2www/urlquery.d2w/report"`, `"status":200`,
+				`"decision":"kept:slow"`, `"sql":` + string(jsonSQL), `"name":"sql-exec:(unnamed)"`, `"note":` + string(jsonNote)}},
 		"/debug/flight": {detail,
 			[]string{`"trace_id": "one"`, `"status": 200`, `"macro": "urlquery.d2w"`, `"decision": "kept:slow"`,
 				`"digest": "` + tr.SQL[0].Digest + `"`, fmt.Sprintf(`"rows": %d`, tr.SQL[0].Rows),

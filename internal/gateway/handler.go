@@ -26,9 +26,6 @@ type Handler struct {
 	// App handles CGI requests in-process. Required unless CGIProgram is
 	// set.
 	App cgi.Handler
-	// ScriptName is the URL prefix that triggers CGI dispatch.
-	// Defaults to "/cgi-bin/db2www".
-	ScriptName string
 	// DocRoot, when non-empty, serves static files for non-CGI paths
 	// (an organisation's ordinary home pages).
 	DocRoot string
@@ -36,24 +33,18 @@ type Handler struct {
 	// authentication (Section 5: DB2WWW delegates security to the web
 	// server and DBMS).
 	Authenticate func(user, password string) bool
-	// Realm is the basic-auth realm. Defaults to "DB2WWW".
-	Realm string
 
 	// CGIProgram, when non-empty, is the path of a CGI executable to
 	// fork/exec per request instead of calling App — the true CGI
 	// process model. CGIEnv is appended to its environment and
 	// CGITimeout bounds each invocation (default 30s).
 	CGIProgram string
-	CGIArgs    []string
 	CGIEnv     []string
 	CGITimeout time.Duration
 
 	// TraceRing, when non-nil, receives every finished request trace;
 	// /server-status renders its contents.
 	TraceRing *obs.Ring
-	// SlowLog, when non-nil, records requests over its threshold with
-	// their per-phase span breakdown and substituted SQL.
-	SlowLog *obs.SlowLog
 	// Flight, when non-nil, feeds every finished request through the
 	// flight recorder's tail sampler, SLO windows, and anomaly trigger.
 	Flight *flight.Recorder
@@ -61,6 +52,12 @@ type Handler struct {
 	// deliberately kept out of client responses. Defaults to log.Printf.
 	Logf func(format string, args ...any)
 }
+
+// The URL prefix that triggers CGI dispatch, and the basic-auth realm.
+const (
+	scriptName = "/cgi-bin/db2www"
+	authRealm  = "DB2WWW"
+)
 
 // contextCGIHandler is the optional context-aware extension of
 // cgi.Handler; App implements it, and the handler uses it to thread the
@@ -106,9 +103,10 @@ func beginRequest(w http.ResponseWriter, r *http.Request) (*countingWriter, *htt
 
 // ServeHTTP implements http.Handler. While instrumentation is on, every
 // request fills one record (see beginRequest) and, once finished, the
-// record goes to the sinks — flight recorder, trace ring, slow log — and
-// the request count, latency, and in-flight gauges land in the obs
-// registry. Nothing is written to the record once the first sink has it.
+// record goes to the sinks — the flight recorder, which keeps every slow
+// request, and the trace ring — and the request count, latency, and
+// in-flight gauges land in the obs registry. Nothing is written to the
+// record once the first sink has it.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	cw, r, tr := beginRequest(w, r)
 	if tr == nil {
@@ -125,18 +123,13 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	mRequestSeconds.Observe(tr.Total.Seconds())
 	h.Flight.Observe(tr)
 	h.TraceRing.Add(tr)
-	h.SlowLog.Record(tr)
 }
 
 // route dispatches between CGI, static files, and 404.
 func (h *Handler) route(w http.ResponseWriter, r *http.Request) {
-	script := h.ScriptName
-	if script == "" {
-		script = "/cgi-bin/db2www"
-	}
-	if r.URL.Path == script || strings.HasPrefix(r.URL.Path, script+"/") ||
-		strings.HasPrefix(r.URL.Path, script+".exe/") {
-		h.serveCGI(w, r, script)
+	if r.URL.Path == scriptName || strings.HasPrefix(r.URL.Path, scriptName+"/") ||
+		strings.HasPrefix(r.URL.Path, scriptName+".exe/") {
+		h.serveCGI(w, r)
 		return
 	}
 	if h.DocRoot != "" {
@@ -162,24 +155,20 @@ func (h *Handler) logf(r *http.Request, format string, args ...any) {
 		fmt.Sprintf(format, args...))
 }
 
-func (h *Handler) serveCGI(w http.ResponseWriter, r *http.Request, script string) {
+func (h *Handler) serveCGI(w http.ResponseWriter, r *http.Request) {
 	if h.Authenticate != nil {
 		user, pass, ok := r.BasicAuth()
 		if !ok || !h.Authenticate(user, pass) {
-			realm := h.Realm
-			if realm == "" {
-				realm = "DB2WWW"
-			}
-			w.Header().Set("WWW-Authenticate", fmt.Sprintf("Basic realm=%q", realm))
+			w.Header().Set("WWW-Authenticate", fmt.Sprintf("Basic realm=%q", authRealm))
 			http.Error(w, "authorization required", http.StatusUnauthorized)
 			return
 		}
 	}
-	pathInfo := strings.TrimPrefix(r.URL.Path, script+".exe")
+	pathInfo := strings.TrimPrefix(r.URL.Path, scriptName+".exe")
 	if pathInfo == r.URL.Path {
-		pathInfo = strings.TrimPrefix(r.URL.Path, script)
+		pathInfo = strings.TrimPrefix(r.URL.Path, scriptName)
 	}
-	req, err := h.buildRequest(w, r, script, pathInfo)
+	req, err := h.buildRequest(w, r, pathInfo)
 	if err != nil {
 		// The detail (an unreadable body, a malformed header) is logged
 		// with the trace ID; the client gets a generic message — internal
@@ -200,7 +189,7 @@ func (h *Handler) serveCGI(w http.ResponseWriter, r *http.Request, script string
 		if timeout == 0 {
 			timeout = 30 * time.Second
 		}
-		resp, err = cgi.InvokeProcess(h.CGIProgram, h.CGIArgs, req, h.CGIEnv, timeout)
+		resp, err = cgi.InvokeProcess(h.CGIProgram, nil, req, h.CGIEnv, timeout)
 	case h.App != nil:
 		if ch, ok := h.App.(contextCGIHandler); ok {
 			resp, err = ch.ServeCGIContext(r.Context(), req)
@@ -254,10 +243,10 @@ func pageBytes(s string) []byte {
 const maxBodyBytes = 1 << 20
 
 // buildRequest translates an HTTP request into the CGI request contract.
-func (h *Handler) buildRequest(w http.ResponseWriter, r *http.Request, script, pathInfo string) (*cgi.Request, error) {
+func (h *Handler) buildRequest(w http.ResponseWriter, r *http.Request, pathInfo string) (*cgi.Request, error) {
 	req := &cgi.Request{
 		Method:      r.Method,
-		ScriptName:  script,
+		ScriptName:  scriptName,
 		PathInfo:    pathInfo,
 		QueryString: r.URL.RawQuery,
 		ContentType: r.Header.Get("Content-Type"),

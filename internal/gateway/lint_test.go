@@ -132,6 +132,78 @@ func TestLintStrictRefusesSchemaMismatch(t *testing.T) {
 	}
 }
 
+// TestLintSeesRunTimeDDL: the linter holds the server's engine, not a copy
+// of its catalog taken at boot, so under -lint strict a macro written
+// after a run-time ALTER TABLE is checked against the table as altered —
+// served when it names the new column, refused at load (not failed at
+// execution with a 42703) once the column is gone again.
+func TestLintSeesRunTimeDDL(t *testing.T) {
+	cfg := DefaultServerConfig()
+	cfg.Macros = t.TempDir()
+	cfg.Dataset = "urldb:20:1"
+	cfg.Lint = "strict"
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sess := sqldb.NewSession(srv.DB)
+	defer sess.Close()
+	c := &webclient.Client{Handler: srv.Handler()}
+	status := func() string {
+		t.Helper()
+		page, err := c.Get("http://server/server-status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return page.Body
+	}
+	if body := status(); !strings.Contains(body, "<LI>Schema tables: 1\n") {
+		t.Fatalf("/server-status at boot lacks \"Schema tables: 1\":\n%s", body)
+	}
+
+	if _, err := sess.Exec("ALTER TABLE urldb ADD COLUMN rating INTEGER DEFAULT 5"); err != nil {
+		t.Fatal(err)
+	}
+	macro := filepath.Join(cfg.Macros, "rating.d2w")
+	const src = `%define DATABASE = "CELDIAL"
+%SQL{SELECT url, rating FROM urldb%}
+%HTML_REPORT{%EXEC_SQL%}
+`
+	if err := os.WriteFile(macro, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	page, err := c.Get("http://server/cgi-bin/db2www/rating.d2w/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if page.Status != 200 || strings.Count(page.Body, "<TD>5</TD>") != 20 {
+		t.Fatalf("a macro selecting the column added at run time: status %d, want 200 with 20 rows of rating 5:\n%s",
+			page.Status, page.Body)
+	}
+
+	for _, stmt := range []string{"ALTER TABLE urldb DROP COLUMN rating", "CREATE TABLE ratings (url VARCHAR, stars INTEGER)"} {
+		if _, err := sess.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(macro, []byte(src+"\n"), 0o644); err != nil { // a new size: a parsed-macro cache miss
+		t.Fatal(err)
+	}
+	page, err = c.Get("http://server/cgi-bin/db2www/rating.d2w/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if page.Status != 500 || !strings.Contains(page.Body, "refused by lint") ||
+		!strings.Contains(page.Body, `column "rating" does not exist`) || !strings.Contains(page.Body, "[schema]") {
+		t.Fatalf("a macro selecting a dropped column: status %d, want the [schema] finding at load:\n%s",
+			page.Status, page.Body)
+	}
+	if body := status(); !strings.Contains(body, "<LI>Schema tables: 2\n") {
+		t.Errorf("/server-status after CREATE TABLE lacks \"Schema tables: 2\":\n%s", body)
+	}
+}
+
 // TestLintConcurrentLoads: concurrent first-requests must lint without
 // races (run under -race in CI).
 func TestLintConcurrentLoads(t *testing.T) {

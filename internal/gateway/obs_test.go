@@ -1,14 +1,18 @@
 package gateway
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"db2www/internal/flight"
 	"db2www/internal/obs"
 )
 
@@ -272,26 +276,71 @@ func TestOversizedBodyIs413(t *testing.T) {
 	}
 }
 
-// TestSlowLogOnRequestPath: with a zero threshold every request logs,
-// carrying the trace ID and span breakdown.
+// TestSlowLogOnRequestPath: where a slow request is found now that the
+// slow log is the flight recorder. A request over the cut-off is kept as
+// kept:slow whatever the sample rate, and its flight.jsonl line carries
+// what the slow log's line did: trace ID, status, total, method, path,
+// every span with its note, the substituted SQL and its row count.
 func TestSlowLogOnRequestPath(t *testing.T) {
 	h, _ := newTestStack(t)
-	var buf syncWriter
-	h.SlowLog = obs.NewSlowLog(&buf, 0)
+	dir := t.TempDir()
+	rec, err := flight.New(flight.Config{SlowThreshold: time.Nanosecond, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	h.Flight = rec
 
 	req := httptest.NewRequest("GET",
 		"http://server/cgi-bin/db2www/urlquery.d2w/report?SEARCH=ib&USE_URL=yes&USE_TITLE=yes&DBFIELDS=title", nil)
 	req.Header.Set("X-Trace-Id", "t4")
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != 200 {
-		t.Fatalf("status = %d", rec.Code)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != 200 {
+		t.Fatalf("status = %d", w.Code)
 	}
-	out := buf.String()
-	for _, want := range []string{"trace=t4", "status=200", "sql-exec:(unnamed)=", "sql="} {
-		if !strings.Contains(out, want) {
-			t.Errorf("slow log missing %q:\n%s", want, out)
+	line, err := os.ReadFile(filepath.Join(dir, "flight.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept struct {
+		TraceID     string `json:"trace_id"`
+		Method      string `json:"method"`
+		Path        string `json:"path"`
+		Status      int    `json:"status"`
+		TotalMicros int64  `json:"total_micros"`
+		Decision    string `json:"decision"`
+		Spans       []struct {
+			Name, Note string
+			DurMicros  int64 `json:"dur_micros"`
+		} `json:"spans"`
+		SQL []struct {
+			SQL  string `json:"sql"`
+			Rows int    `json:"rows"`
+		} `json:"sql"`
+	}
+	if err := json.Unmarshal(line, &kept); err != nil {
+		t.Fatalf("flight.jsonl is not one record: %v\n%s", err, line)
+	}
+	if kept.TraceID != "t4" || kept.Decision != flight.KeptSlow || kept.Status != 200 || kept.TotalMicros <= 0 ||
+		kept.Method != "GET" || kept.Path != "/cgi-bin/db2www/urlquery.d2w/report" {
+		t.Errorf("kept record = %+v", kept)
+	}
+	if len(kept.SQL) != 1 || kept.SQL[0].Rows == 0 || !strings.Contains(kept.SQL[0].SQL, "LIKE '%ib%'") {
+		t.Errorf("the record lacks the substituted SQL and its row count: %+v", kept.SQL)
+	}
+	tr := rec.Get("t4")
+	if tr == nil || len(kept.Spans) == 0 || len(kept.Spans) != len(tr.Spans) {
+		t.Fatalf("the line has %d spans, the record %+v", len(kept.Spans), tr)
+	}
+	var sqlNote string
+	for _, sp := range kept.Spans {
+		if sp.Name == "sql-exec:(unnamed)" {
+			sqlNote = sp.Note
 		}
+	}
+	if !strings.Contains(sqlNote, fmt.Sprintf("rows=%d", kept.SQL[0].Rows)) || !strings.Contains(sqlNote, "sql=") {
+		t.Errorf("the sql-exec span's note = %q, want the row count and the statement", sqlNote)
 	}
 }
 

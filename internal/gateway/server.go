@@ -52,8 +52,7 @@ type ServerConfig struct {
 	FlightDir    string  // -flight-dir
 	FlightSample float64 // -flight-sample
 
-	SlowLog          string        // -slowlog
-	SlowLogThreshold time.Duration // -slowlog-threshold
+	SlowThreshold time.Duration // -slow-threshold
 }
 
 // DefaultServerConfig is gatewayd's flag defaults, the one list of them:
@@ -61,17 +60,17 @@ type ServerConfig struct {
 // callers start from them.
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
-		Addr:             ":8080",
-		Macros:           "./macros",
-		Database:         "CELDIAL",
-		Dataset:          "urldb",
-		Txn:              "auto",
-		Lint:             "warn",
-		AccessLogFormat:  "clf",
-		QCacheBytes:      64 << 20,
-		HistoryInterval:  history.DefaultInterval,
-		FlightSample:     0.01,
-		SlowLogThreshold: 200 * time.Millisecond,
+		Addr:            ":8080",
+		Macros:          "./macros",
+		Database:        "CELDIAL",
+		Dataset:         "urldb",
+		Txn:             "auto",
+		Lint:            "warn",
+		AccessLogFormat: "clf",
+		QCacheBytes:     64 << 20,
+		HistoryInterval: history.DefaultInterval,
+		FlightSample:    0.01,
+		SlowThreshold:   200 * time.Millisecond,
 	}
 }
 
@@ -141,7 +140,6 @@ type Server struct {
 	// What the lint preflight found, for the banner, /server-status and
 	// /readyz.
 	preFiles, preErrs, preWarns int
-	schemaTables                int
 
 	closers   []func() error // run last-first by Close
 	closeOnce sync.Once
@@ -170,18 +168,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 func (s *Server) assemble() (err error) {
 	cfg := s.cfg
 	h := &Handler{DocRoot: cfg.DocRoot, TraceRing: s.Traces}
-	if cfg.SlowLog != "" {
-		out, err := s.openLog(cfg.SlowLog, os.Stderr)
-		if err != nil {
-			return fmt.Errorf("opening slow log: %w", err)
-		}
-		h.SlowLog = obs.NewSlowLog(out, cfg.SlowLogThreshold)
-	}
 	s.Flight, err = flight.New(flight.Config{
-		SampleRate: cfg.FlightSample,
-		// The "slow" cut-off is shared with the slow-query log: one
-		// definition of slow across the whole observability stack.
-		SlowThreshold: cfg.SlowLogThreshold,
+		SampleRate:    cfg.FlightSample,
+		SlowThreshold: cfg.SlowThreshold,
 		Dir:           cfg.FlightDir,
 		SLO:           flight.SLOConfig{AvailabilityTarget: sloTarget, LatencyThreshold: sloLatency},
 		Metrics:       obs.Default,
@@ -229,7 +218,7 @@ func (s *Server) assemble() (err error) {
 	// is available; -accesslog additionally writes the lines to disk.
 	var logOut io.Writer
 	if cfg.AccessLog != "" {
-		if logOut, err = s.openLog(cfg.AccessLog, nil); err != nil {
+		if logOut, err = s.openLog(cfg.AccessLog); err != nil {
 			return fmt.Errorf("opening access log: %w", err)
 		}
 	}
@@ -290,12 +279,8 @@ func (s *Server) Close() (err error) {
 
 func (s *Server) onClose(fn func() error) { s.closers = append(s.closers, fn) }
 
-// openLog opens a log file for appending, closed by Close; "-" is dash,
-// where the flag allows one.
-func (s *Server) openLog(path string, dash io.Writer) (io.Writer, error) {
-	if path == "-" && dash != nil {
-		return dash, nil
-	}
+// openLog opens a log file for appending, closed by Close.
+func (s *Server) openLog(path string) (io.Writer, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
@@ -364,11 +349,10 @@ func (s *Server) lintPreflight() error {
 	macrolint.RegisterMetrics()
 	linter := macrolint.New()
 	if s.DB != nil {
-		// In-process mode lints against the live catalog: a macro that
-		// names a table or column the engine does not have is a
-		// deploy-time error, not a runtime 42703.
+		// In-process mode lints against the live catalog, read at every
+		// lint run: a macro that names a table or column the engine does
+		// not have is an error at deploy or load time, not a runtime 42703.
 		linter.Schema = sqlsema.FromDatabase(s.DB)
-		s.schemaTables = len(s.DB.SchemaSnapshot())
 	}
 	files, diags, err := linter.LintDir(s.cfg.Macros)
 	if err != nil {
@@ -395,9 +379,13 @@ func (s *Server) lintPreflight() error {
 // lintStatusRows is the /server-status "Macro lint" section: what the
 // preflight found, then what lint-on-load has found since.
 func (s *Server) lintStatusRows() [][2]string {
+	schemaTables := 0
+	if s.DB != nil {
+		schemaTables = len(s.DB.TableNames())
+	}
 	rows := [][2]string{
 		{"Mode", s.cfg.Lint},
-		{"Schema tables", strconv.Itoa(s.schemaTables)},
+		{"Schema tables", strconv.Itoa(schemaTables)},
 		{"Preflight macros", strconv.Itoa(s.preFiles)},
 		{"Preflight errors", strconv.Itoa(s.preErrs)},
 		{"Preflight warnings", strconv.Itoa(s.preWarns)},

@@ -21,16 +21,13 @@ const smokeReport = "/cgi-bin/db2www/urlquery.d2w/report?SEARCH=ib&USE_URL=yes&U
 
 // smokeConfig is the command line of CI's observability smoke step:
 //
-//	gatewayd -macros ./testdata/macros -lint strict -slowlog FILE
-//	  -slowlog-threshold 1ms -flight-sample 1 -history-interval 250ms
-//
-// (the step logs to stderr; a test reads a file back).
+//	gatewayd -macros ./testdata/macros -lint strict -slow-threshold 1ms
+//	  -flight-sample 1 -history-interval 250ms
 func smokeConfig(t *testing.T) ServerConfig {
 	cfg := DefaultServerConfig()
 	cfg.Macros = filepath.Join(repoRoot(t), "testdata", "macros")
 	cfg.Lint = "strict"
-	cfg.SlowLog = filepath.Join(t.TempDir(), "slow.log")
-	cfg.SlowLogThreshold = time.Millisecond
+	cfg.SlowThreshold = time.Millisecond
 	cfg.FlightSample = 1
 	cfg.HistoryInterval = 250 * time.Millisecond
 	return cfg
@@ -65,6 +62,9 @@ func wantAll(t *testing.T, what, body string, wants ...string) {
 // name.
 func TestServerSurfaces(t *testing.T) {
 	cfg := smokeConfig(t)
+	cfg.SlowThreshold = time.Nanosecond // the step's 1ms, made certain: every request is slow
+	cfg.FlightSample = 0
+	cfg.FlightDir = t.TempDir()
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -136,17 +136,27 @@ func TestServerSurfaces(t *testing.T) {
 	wantAll(t, "p99 of db2www_http_request_seconds", get(t, h, "/debug/history?series=db2www_http_request_seconds&fn=p99"), `"samples"`)
 	wantAll(t, "/debug/dash", get(t, h, "/debug/dash"), "history dashboard")
 
-	// -slowlog FILE -slowlog-threshold 1ms: the line is written by the
-	// request that crosses the threshold, so only the file is asserted.
-	if _, err := os.Stat(cfg.SlowLog); err != nil {
-		t.Errorf("slow log: %v", err)
+	// -slow-threshold: a request over it is kept whatever -flight-sample
+	// says, in /debug/flight and as one line of -flight-dir's flight.jsonl.
+	req := httptest.NewRequest("GET", "http://localhost"+smokeReport, nil)
+	req.Header.Set("X-Trace-Id", "slow1")
+	h.ServeHTTP(httptest.NewRecorder(), req)
+	wantAll(t, "/debug/flight?trace=slow1", get(t, h, "/debug/flight?trace=slow1"),
+		`"decision": "kept:slow"`, `"status": 200`, `"name": "sql-exec:(unnamed)"`, `"sql": "SELECT url , title FROM urldb`)
+	lines, err := os.ReadFile(filepath.Join(cfg.FlightDir, "flight.jsonl"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if n := strings.Count(string(lines), `"trace_id":"slow1"`); n != 1 || strings.Contains(string(lines), `"decision":"kept:sampled"`) {
+		t.Errorf("flight.jsonl: %d line(s) of trace slow1, want 1, and every line kept:slow:\n%s", n, lines)
+	}
+	wantAll(t, "/metrics", get(t, h, "/metrics"), `db2www_flight_kept_total{reason="slow"}`)
 	var banner strings.Builder
 	srv.WriteBanner(&banner)
 	wantAll(t, "banner", banner.String(),
 		"gatewayd: lint preflight: 3 macro(s), 0 error(s), 2 warning(s)\n",
 		"gatewayd: serving macros from "+cfg.Macros+" on :8080\n",
-		"gatewayd: flight records at /debug/flight (sample 1, slow >= 1ms)\n",
+		"gatewayd: flight records at /debug/flight (sample 0, slow >= 1ns)\n",
 		"gatewayd: history at /debug/history, dashboard at /debug/dash (scrape 250ms, retain 15m0s)\n",
 		"gatewayd: try http://localhost:8080/cgi-bin/db2www/urlquery.d2w/input\n")
 }

@@ -16,9 +16,9 @@ import (
 //	GET /debug/statements?digest=<d>  → one digest's full row, including
 //	                                    its last EXPLAIN ANALYZE plan
 //
-// The digests are the same values the flight recorder's SQL records and
-// the slow-query log carry (digest=...), so a slow request links
-// straight to its statement's aggregate profile.
+// The digests are the same values the flight recorder's SQL records
+// carry (digest=...), so a slow request's kept record links straight to
+// its statement's aggregate profile.
 func StatementsHandler(db *sqldb.Database) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")

@@ -81,10 +81,12 @@ type Linter struct {
 
 	// Schema enables the schema-aware analyzers (schema, sqltype,
 	// sqlperf): SQL extracted from macros is resolved and type-checked
-	// against it. Nil disables all three — without metadata there is
-	// nothing to resolve against. Build one with sqlsema.FromDDL (a DDL
-	// file, macrocheck -schema) or sqlsema.FromDatabase (the live
-	// catalog, gatewayd preflight and sqlsh \check).
+	// against the catalog of the engine it holds, read anew for every
+	// macro linted. Nil disables all three — without metadata there is
+	// nothing to resolve against. Build one with sqlsema.FromDatabase
+	// (the live database: gatewayd preflight and lint-on-load, sqlsh
+	// \check) or sqlsema.FromDDL (a scratch database that executed a
+	// DDL file: macrocheck -schema).
 	Schema *sqlsema.Schema
 
 	enabled map[string]bool

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"db2www/internal/obs"
+	"db2www/internal/sqldb"
 	"db2www/internal/sqlsema"
 )
 
@@ -193,6 +194,36 @@ func TestCleanCorpusSchemaAware(t *testing.T) {
 	for _, d := range diags {
 		if d.Severity == SevError {
 			t.Errorf("false positive on clean corpus with schema: %s", d)
+		}
+	}
+}
+
+// TestSchemaSourcesAgree: offline ≡ live. A linter built from the schema
+// file and one holding a database that executed the same file report the
+// same findings, text for text, over the clean and the seeded-defect
+// corpus.
+func TestSchemaSourcesAgree(t *testing.T) {
+	ddl, err := os.ReadFile(appendixaPath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := sqldb.NewDatabase("CELDIAL")
+	if _, err := sqldb.NewSession(db).ExecScript(string(ddl)); err != nil {
+		t.Fatal(err)
+	}
+	live := New()
+	live.Schema = sqlsema.FromDatabase(db)
+	for _, dir := range []string{macrosDirPath(t), lintDirPath(t)} {
+		_, offline, err := newSchemaLinter(t).LintDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, online, err := live.LintDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := renderText(online), renderText(offline); got != want || want == "" {
+			t.Errorf("%s: findings differ by schema source:\n--- live ---\n%s--- schema file ---\n%s", dir, got, want)
 		}
 	}
 }

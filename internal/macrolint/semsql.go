@@ -358,6 +358,9 @@ func (p *pass) semantic() []Diagnostic {
 	if p.l.Schema == nil {
 		return nil
 	}
+	// The catalog as it is now, read once for the whole macro: a lint run
+	// after a run-time ALTER TABLE sees the altered table.
+	catalog := p.l.Schema.Snapshot()
 	for _, t := range p.env.templates {
 		if t.kind != tplSQL || t.sec == nil {
 			continue
@@ -375,7 +378,7 @@ func (p *pass) semantic() []Diagnostic {
 			Reported:   t.sec.Report != nil,
 			OpaqueLits: sub.opaque,
 		}
-		for _, f := range sqlsema.Analyze(stmt, p.l.Schema, opts) {
+		for _, f := range sqlsema.Analyze(stmt, catalog, opts) {
 			d := Diagnostic{
 				Analyzer: f.Rule,
 				Severity: semaSeverity(f.Sev),

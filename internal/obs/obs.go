@@ -1,11 +1,11 @@
 // Package obs is the reproduction's observability layer: a
 // dependency-free metrics registry (counters, gauges, fixed-bucket
 // histograms) exposed in Prometheus text format, per-request traces
-// threaded through context.Context, a ring buffer of recent traces for
-// /server-status, and a slow-query log. The paper's DB2WWW was a black
-// box between QUERY_STRING and the rendered report; this package is the
-// instrument panel the 1996 operator never had, and the measurement
-// substrate every performance PR builds on.
+// threaded through context.Context, and a ring buffer of recent traces
+// for /server-status. The paper's DB2WWW was a black box between
+// QUERY_STRING and the rendered report; this package is the instrument
+// panel the 1996 operator never had, and the measurement substrate every
+// performance PR builds on.
 //
 // Everything is safe for concurrent use. Instrumentation can be turned
 // off process-wide with SetEnabled(false) — the A7 ablation measures the

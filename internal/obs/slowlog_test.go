@@ -1,97 +1,104 @@
-package obs
+package obs_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"db2www/internal/flight"
+	"db2www/internal/obs"
 )
 
-// syncBuffer is a goroutine-safe strings.Builder for log assertions.
-type syncBuffer struct {
-	mu sync.Mutex
-	sb strings.Builder
-}
+// The slow log is the flight recorder's kept:slow record: these tests pin
+// that a Trace over the cut-off reaches flight.jsonl with everything the
+// slow log's line carried, in the JSON form this package gives a Trace.
 
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sb.Write(p)
-}
-
-func (b *syncBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sb.String()
+func slowSink(t *testing.T, threshold time.Duration) (*flight.Recorder, func() string) {
+	t.Helper()
+	dir := t.TempDir()
+	rec, err := flight.New(flight.Config{SlowThreshold: threshold, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rec.Close() })
+	return rec, func() string {
+		t.Helper()
+		out, err := os.ReadFile(filepath.Join(dir, "flight.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
 }
 
 func TestSlowLogThreshold(t *testing.T) {
-	var buf syncBuffer
-	l := NewSlowLog(&buf, 100*time.Millisecond)
-	l.SetClock(func() time.Time { return time.Date(1996, 6, 4, 12, 0, 0, 0, time.UTC) })
+	rec, file := slowSink(t, 100*time.Millisecond)
 
-	fast := NewTrace("fast1")
+	fast := obs.NewTrace("fast1")
 	fast.Finish(200, 50*time.Millisecond)
-	if l.Record(fast) {
-		t.Fatal("fast request must not be logged")
+	if d := rec.Observe(fast); d != flight.Dropped {
+		t.Fatalf("fast request: %s, want dropped at sample rate 0", d)
 	}
 
-	slow := NewTrace("slow1")
+	slow := obs.NewTrace("slow1")
 	slow.Method, slow.Path = "GET", "/cgi-bin/db2www/urlquery.d2w/report"
 	e := slow.StartSQL("Q1", "SELECT url FROM urldb")
 	e.Cache = "miss"
 	slow.EndSQL(e, time.Now(), time.Millisecond, 500, nil)
 	slow.Finish(200, 250*time.Millisecond)
-	if !l.Record(slow) {
-		t.Fatal("slow request must be logged")
+	if d := rec.Observe(slow); d != flight.KeptSlow {
+		t.Fatalf("slow request: %s, want kept:slow", d)
 	}
-	out := buf.String()
+	out := file()
 	for _, want := range []string{
-		"trace=slow1", "status=200", "total=250ms",
-		"GET /cgi-bin/db2www/urlquery.d2w/report",
-		"sql-exec:Q1=", `[rows=500 cache=miss sql="SELECT url FROM urldb"]`,
-		"1996-06-04T12:00:00Z",
+		`"trace_id":"slow1"`, `"status":200`, `"total_micros":250000`, `"decision":"kept:slow"`,
+		`"method":"GET","path":"/cgi-bin/db2www/urlquery.d2w/report"`,
+		`"name":"sql-exec:Q1"`, `"note":"rows=500 cache=miss sql=\"SELECT url FROM urldb\""`,
+		`"sql":"SELECT url FROM urldb","rows":500`,
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("slow log missing %q:\n%s", want, out)
+			t.Errorf("kept:slow line missing %s:\n%s", want, out)
 		}
 	}
-	if l.Count() != 1 {
-		t.Errorf("count = %d", l.Count())
+	if strings.Contains(out, "fast1") || strings.Count(out, "\n") != 1 {
+		t.Errorf("want one line, the slow request's:\n%s", out)
 	}
 }
 
 func TestSlowLogNilSafe(t *testing.T) {
-	var l *SlowLog
-	if l.Record(NewTrace("x")) || l.Count() != 0 || l.Threshold() != 0 {
-		t.Fatal("nil slow log must no-op")
+	var rec *flight.Recorder
+	if d := rec.Observe(obs.NewTrace("x")); d != flight.Dropped {
+		t.Fatalf("nil recorder: %s", d)
 	}
-	real := NewSlowLog(&syncBuffer{}, time.Second)
-	if real.Record(nil) {
-		t.Fatal("nil trace must no-op")
+	real, file := slowSink(t, -1)
+	if d := real.Observe(nil); d != flight.Dropped || file() != "" {
+		t.Fatalf("nil trace: %s, file %q", d, file())
 	}
 }
 
 func TestSlowLogConcurrent(t *testing.T) {
-	var buf syncBuffer
-	l := NewSlowLog(&buf, 0)
+	rec, file := slowSink(t, -1)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				tr := NewTrace(NewTraceID())
+				tr := obs.NewTrace(obs.NewTraceID())
 				tr.Finish(200, time.Millisecond)
-				l.Record(tr)
+				rec.Observe(tr)
 			}
 		}()
 	}
 	wg.Wait()
-	if l.Count() != 400 {
-		t.Errorf("count = %d, want 400", l.Count())
-	}
-	if got := strings.Count(buf.String(), "\n"); got != 400 {
+	out := file()
+	if got := strings.Count(out, "\n"); got != 400 {
 		t.Errorf("lines = %d, want 400", got)
+	}
+	if got := strings.Count(out, `"decision":"kept:slow"`); got != 400 {
+		t.Errorf("kept:slow lines = %d, want 400 whole ones", got)
 	}
 }

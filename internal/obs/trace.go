@@ -125,8 +125,8 @@ type VarEval struct {
 // resolved to, the phases it went through, the variables it dereferenced,
 // the statements it ran, its outcome, and whether the flight recorder
 // kept it. The request's goroutine fills it and, after Finish, hands the
-// pointer to the sinks — trace ring, slow log, flight recorder, access
-// log — which only read it, and format what they print themselves.
+// pointer to the sinks — trace ring, flight recorder, access log — which
+// only read it, and format what they print themselves.
 //
 // A nil *Trace is valid on the request path — every method that fills it
 // no-ops — so instrumented code never branches on "is tracing on".

@@ -28,7 +28,7 @@ import (
 // an entry — no DDL, rollback or data change can make a parse wrong. The
 // statement digest, which reads more statements alike than the key does
 // (identifier case, ORDER BY ordinals), is kept on the entry for statement
-// stats, the flight record and the slow log; it is not what is looked up.
+// stats and the flight record; it is not what is looked up.
 
 // DefaultPlanCacheCap bounds the number of cached statement shapes.
 const DefaultPlanCacheCap = 256

@@ -2,12 +2,14 @@ package sqldb
 
 // This file exports read-only views of the parser, catalog, and planner
 // internals for static analysis. internal/sqlsema resolves and type-checks
-// SQL extracted from web macros against either a DDL file (parsed with this
-// package's parser) or a live catalog (via SchemaSnapshot), and predicts
-// sequential scans without executing anything by asking IndexableShape —
-// the planner's own test of what an index can serve — about each
-// conjunct. Nothing here takes locks for longer than a snapshot copy, and
-// nothing exposes mutable engine state.
+// SQL extracted from web macros against a catalog (SchemaSnapshot: of the
+// live database, or of a scratch one that executed a DDL file), and
+// predicts sequential scans without executing the macro's statements by
+// asking IndexableShape — the planner's own test of what an index can
+// serve — about each conjunct. Nothing here takes locks for longer than a
+// snapshot copy, and nothing exposes mutable engine state.
+
+import "strings"
 
 // WalkExpr visits e and every sub-expression depth-first. The visitor
 // returns false to prune a subtree. Subqueries are closed scopes: the
@@ -123,6 +125,34 @@ type SchemaTable struct {
 	Columns []Column
 	Indexes []SchemaIndex
 	EstRows int64
+}
+
+// Column returns the named column (any case), or nil.
+func (t *SchemaTable) Column(name string) *Column {
+	for i := range t.Columns {
+		if strings.EqualFold(t.Columns[i].Name, name) {
+			return &t.Columns[i]
+		}
+	}
+	return nil
+}
+
+// IndexOn returns an index covering the named column, preferring a unique
+// one (the access path the planner would pick first), or nil.
+func (t *SchemaTable) IndexOn(col string) *SchemaIndex {
+	var found *SchemaIndex
+	for i := range t.Indexes {
+		if !strings.EqualFold(t.Indexes[i].Column, col) {
+			continue
+		}
+		if t.Indexes[i].Unique {
+			return &t.Indexes[i]
+		}
+		if found == nil {
+			found = &t.Indexes[i]
+		}
+	}
+	return found
 }
 
 // SchemaSnapshot returns a point-in-time copy of the catalog — tables in

@@ -76,10 +76,10 @@ type Options struct {
 	OpaqueLits map[int]string
 }
 
-// Analyze resolves and checks one parsed statement against the schema
-// and returns its findings in source order. A nil schema yields nil:
-// without metadata there is nothing to resolve against.
-func Analyze(stmt sqldb.Stmt, schema *Schema, opts Options) []Finding {
+// Analyze resolves and checks one parsed statement against a catalog
+// snapshot and returns its findings in source order. A nil catalog yields
+// nil: without metadata there is nothing to resolve against.
+func Analyze(stmt sqldb.Stmt, schema Catalog, opts Options) []Finding {
 	if schema == nil || stmt == nil {
 		return nil
 	}
@@ -99,7 +99,7 @@ func Analyze(stmt sqldb.Stmt, schema *Schema, opts Options) []Finding {
 }
 
 type analyzer struct {
-	schema *Schema
+	schema Catalog
 	opts   Options
 	finds  []Finding
 }
@@ -146,7 +146,7 @@ func (a *analyzer) stmt(st sqldb.Stmt) {
 		if s.IfExists {
 			return
 		}
-		for _, t := range a.schema.Tables() {
+		for _, t := range a.schema {
 			for i := range t.Indexes {
 				if strings.EqualFold(t.Indexes[i].Name, s.Name) {
 					return
@@ -180,7 +180,7 @@ func (a *analyzer) unknownTable(name string, off int) {
 		fmt.Sprintf("table %q does not exist in the schema", name), "")
 }
 
-func (a *analyzer) unknownColumn(t *Table, name string, off int) {
+func (a *analyzer) unknownColumn(t *sqldb.SchemaTable, name string, off int) {
 	a.add(RuleSchema, SevError, off,
 		fmt.Sprintf("column %q does not exist in table %q", name, t.Name), "")
 }
@@ -191,12 +191,12 @@ func (a *analyzer) unknownColumn(t *Table, name string, off int) {
 // table, or an opaque placeholder for something already reported as
 // unknown (suppressing cascade errors).
 type rel struct {
-	qual   string   // lower-cased alias, or table name when unaliased
-	tbl    *Table   // base table; nil for derived or unknown
-	cols   []relCol // derived-table outputs, when statically computable
-	opaque bool     // column membership unknowable: suppress resolution errors
-	off    int      // byte offset of the relation in the FROM clause
-	cross  bool     // introduced by an explicit CROSS JOIN (intentional product)
+	qual   string             // lower-cased alias, or table name when unaliased
+	tbl    *sqldb.SchemaTable // base table; nil for derived or unknown
+	cols   []relCol           // derived-table outputs, when statically computable
+	opaque bool               // column membership unknowable: suppress resolution errors
+	off    int                // byte offset of the relation in the FROM clause
+	cross  bool               // introduced by an explicit CROSS JOIN (intentional product)
 }
 
 // relCol is one output column of a derived table.
@@ -277,7 +277,7 @@ func (r *rel) findCol(name string) (relCol, bool, bool) {
 // resolved is the outcome of binding one ColumnRef.
 type resolved struct {
 	rel     *rel
-	col     *Column // non-nil only for base-table columns
+	col     *sqldb.Column // non-nil only for base-table columns
 	typ     sqldb.Type
 	hasType bool
 	ok      bool // false: unknown binding (error already reported or suppressed)
@@ -564,7 +564,7 @@ func (a *analyzer) insertStmt(s *sqldb.InsertStmt) {
 		}
 		return
 	}
-	targets := make([]*Column, 0, len(t.Columns))
+	targets := make([]*sqldb.Column, 0, len(t.Columns))
 	if len(s.Columns) == 0 {
 		for i := range t.Columns {
 			targets = append(targets, &t.Columns[i])

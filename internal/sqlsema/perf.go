@@ -54,7 +54,7 @@ func (a *analyzer) conjRels(sc *scope, conj sqldb.Expr) (map[*rel]bool, bool) {
 }
 
 // relColumn returns the base-table column when cr binds to r, else nil.
-func (a *analyzer) relColumn(sc *scope, cr *sqldb.ColumnRef, r *rel) *Column {
+func (a *analyzer) relColumn(sc *scope, cr *sqldb.ColumnRef, r *rel) *sqldb.Column {
 	res := a.resolveQuiet(sc, cr)
 	if !res.ok || res.rel != r || r.tbl == nil {
 		return nil

@@ -1,14 +1,17 @@
 // Package sqlsema performs schema-aware static semantic analysis of SQL
 // statements extracted from web macros: name resolution against a schema,
 // expression type checking with typed substitution slots, and
-// planner-driven performance lints that mirror the embedded engine's cost
-// model. It never executes anything; it predicts what the engine would do.
+// planner-driven performance lints that ask the embedded engine's own
+// classifier what an index can serve. It never executes a macro's
+// statement; it predicts what the engine would do with it.
 //
-// The schema comes from one of two interchangeable sources: a DDL file
-// parsed with the engine's own parser (FromDDL, used by `macrocheck
-// -schema`), or a live catalog snapshot (FromDatabase, used by gatewayd's
-// lint preflight and sqlsh's \check). Both produce the same Schema model,
-// so findings are identical whichever source supplied the metadata.
+// The schema is the catalog of an engine, in the engine's own model
+// (sqldb.SchemaSnapshot), and there is one way to read it. What differs
+// is where the engine comes from: the live database (FromDatabase:
+// gatewayd's lint preflight and lint-on-load, sqlsh's \check), or a
+// scratch database that executed a DDL file (FromDDL: `macrocheck
+// -schema`). Offline and live findings agree because they are computed
+// from the same thing.
 package sqlsema
 
 import (
@@ -18,250 +21,65 @@ import (
 	"db2www/internal/sqldb"
 )
 
-// Column is one column of a schema table, with the constraint facts the
-// analyzer needs: its declared type, nullability, and whether an INSERT
-// may omit it.
-type Column struct {
-	Name       string
-	Type       sqldb.Type
-	NotNull    bool
-	PrimaryKey bool
-	HasDefault bool
+// Schema is where a lint run reads table metadata: the catalog of one
+// engine. It holds the database, not a copy of its schema, so every run
+// sees the catalog as it is at that moment — after a run-time ALTER TABLE
+// as much as at boot.
+type Schema struct {
+	db *sqldb.Database
 }
 
-// Index is one single-column index. Distinct is the live key count when
-// the schema came from a running catalog, 0 for DDL-sourced schemas.
-type Index struct {
-	Name     string
-	Column   string
-	Unique   bool
-	Distinct int64
+// Catalog is the engine's catalog at one moment, in the engine's own model
+// (sqldb.SchemaSnapshot): row estimates and index cardinalities are the
+// numbers the cost-based planner was using then.
+type Catalog []sqldb.SchemaTable
+
+// Snapshot returns the catalog as it is now. A lint run takes it once
+// and hands it to every Analyze of that run.
+func (s *Schema) Snapshot() Catalog {
+	return s.db.SchemaSnapshot()
 }
 
-// Table is one table with its columns, indexes, and the row estimate the
-// perf lints report ("~N rows scanned"). EstRows is the planner's live
-// estimate for catalog-sourced schemas, or the number of seed INSERT rows
-// counted out of the DDL file.
-type Table struct {
-	Name    string
-	Columns []Column
-	Indexes []Index
-	EstRows int64
-}
-
-// Column returns the named column (any case), or nil.
-func (t *Table) Column(name string) *Column {
-	for i := range t.Columns {
-		if strings.EqualFold(t.Columns[i].Name, name) {
-			return &t.Columns[i]
+// Table returns the named table (any case), or nil.
+func (c Catalog) Table(name string) *sqldb.SchemaTable {
+	for i := range c {
+		if strings.EqualFold(c[i].Name, name) {
+			return &c[i]
 		}
 	}
 	return nil
 }
 
-// IndexOn returns an index covering the named column, preferring a unique
-// one (the access path the planner would pick first), or nil.
-func (t *Table) IndexOn(col string) *Index {
-	var found *Index
-	for i := range t.Indexes {
-		if !strings.EqualFold(t.Indexes[i].Column, col) {
-			continue
-		}
-		if t.Indexes[i].Unique {
-			return &t.Indexes[i]
-		}
-		if found == nil {
-			found = &t.Indexes[i]
-		}
-	}
-	return found
-}
-
-// Schema is the set of tables statements are resolved against.
-type Schema struct {
-	tables map[string]*Table // keyed by lower-cased name
-	order  []string          // insertion order of lower-cased names
-}
-
-// Table returns the named table (any case), or nil.
-func (s *Schema) Table(name string) *Table {
-	if s == nil {
-		return nil
-	}
-	return s.tables[strings.ToLower(name)]
-}
-
-// Tables returns the tables in declaration order.
-func (s *Schema) Tables() []*Table {
-	if s == nil {
-		return nil
-	}
-	out := make([]*Table, 0, len(s.order))
-	for _, k := range s.order {
-		out = append(out, s.tables[k])
-	}
-	return out
-}
-
-func (s *Schema) put(t *Table) {
-	k := strings.ToLower(t.Name)
-	if _, ok := s.tables[k]; !ok {
-		s.order = append(s.order, k)
-	}
-	s.tables[k] = t
-}
-
-func (s *Schema) drop(name string) {
-	k := strings.ToLower(name)
-	if _, ok := s.tables[k]; !ok {
-		return
-	}
-	delete(s.tables, k)
-	for i, o := range s.order {
-		if o == k {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// FromDatabase snapshots a live catalog into a Schema. Row estimates and
-// index cardinalities are the same numbers the cost-based planner is
-// using at that moment.
+// FromDatabase reads the catalog of a live database.
 func FromDatabase(db *sqldb.Database) *Schema {
-	s := &Schema{tables: map[string]*Table{}}
-	for _, st := range db.SchemaSnapshot() {
-		t := &Table{Name: st.Name, EstRows: st.EstRows}
-		for _, c := range st.Columns {
-			t.Columns = append(t.Columns, Column{
-				Name: c.Name, Type: c.Type, NotNull: c.NotNull,
-				PrimaryKey: c.PrimaryKey, HasDefault: c.HasDefault,
-			})
-		}
-		for _, ix := range st.Indexes {
-			t.Indexes = append(t.Indexes, Index{
-				Name: ix.Name, Column: ix.Column, Unique: ix.Unique, Distinct: ix.Distinct,
-			})
-		}
-		s.put(t)
-	}
-	return s
+	return &Schema{db: db}
 }
 
-// FromDDL builds a Schema from a DDL script parsed with the engine's own
-// parser, so `macrocheck -schema schema.sql` accepts exactly the dialect
-// the engine does. CREATE TABLE synthesizes the same `<table>_pkey`
-// unique index the engine would; CREATE INDEX, ALTER TABLE, and DROP
-// statements are applied in order; INSERT rows are counted into EstRows
-// so the perf lints can report scan sizes for seeded fixtures. Any other
-// statement kind is rejected — a DDL file should not smuggle in queries.
+// FromDDL executes a DDL script on a scratch engine and reads that
+// engine's catalog, so `macrocheck -schema schema.sql` accepts exactly
+// what the engine accepts and sees exactly the catalog a server that
+// loaded the script would have: the primary-key indexes, the planner's
+// row estimates for the seed INSERTs. Any statement that is neither DDL
+// nor an INSERT is rejected — a schema file should not smuggle in
+// queries — and an error of the engine comes back with its SQLSTATE.
 func FromDDL(src string) (*Schema, error) {
 	stmts, err := sqldb.ParseAll(src)
 	if err != nil {
 		return nil, err
 	}
-	s := &Schema{tables: map[string]*Table{}}
+	db := sqldb.NewDatabase("SCHEMA")
+	sess := sqldb.NewSession(db)
+	defer sess.Close()
 	for _, st := range stmts {
-		switch d := st.(type) {
-		case *sqldb.CreateTableStmt:
-			if s.Table(d.Table) != nil {
-				if d.IfNotExists {
-					continue
-				}
-				return nil, fmt.Errorf("schema: table %q created twice", d.Table)
-			}
-			t := &Table{Name: d.Table}
-			for _, cd := range d.Columns {
-				if t.Column(cd.Name) != nil {
-					return nil, fmt.Errorf("schema: duplicate column %q in table %q", cd.Name, d.Table)
-				}
-				t.Columns = append(t.Columns, Column{
-					Name: cd.Name, Type: cd.Type, NotNull: cd.NotNull,
-					PrimaryKey: cd.PrimaryKey, HasDefault: cd.Default != nil,
-				})
-				if cd.PrimaryKey {
-					// Mirror the engine: a PRIMARY KEY column gets a
-					// unique index named <table>_pkey.
-					t.Indexes = append(t.Indexes, Index{
-						Name: strings.ToLower(d.Table) + "_pkey", Column: cd.Name, Unique: true,
-					})
-				}
-			}
-			s.put(t)
-		case *sqldb.CreateIndexStmt:
-			t := s.Table(d.Table)
-			if t == nil {
-				return nil, fmt.Errorf("schema: CREATE INDEX %s on unknown table %q", d.Name, d.Table)
-			}
-			if t.Column(d.Column) == nil {
-				return nil, fmt.Errorf("schema: CREATE INDEX %s on unknown column %s.%s", d.Name, d.Table, d.Column)
-			}
-			t.Indexes = append(t.Indexes, Index{Name: d.Name, Column: d.Column, Unique: d.Unique})
-		case *sqldb.InsertStmt:
-			if t := s.Table(d.Table); t != nil {
-				t.EstRows += int64(len(d.Rows))
-			} else {
-				return nil, fmt.Errorf("schema: INSERT into unknown table %q", d.Table)
-			}
-		case *sqldb.AlterTableStmt:
-			t := s.Table(d.Table)
-			if t == nil {
-				return nil, fmt.Errorf("schema: ALTER TABLE on unknown table %q", d.Table)
-			}
-			switch {
-			case d.AddColumn != nil:
-				cd := d.AddColumn
-				if t.Column(cd.Name) != nil {
-					return nil, fmt.Errorf("schema: duplicate column %q in table %q", cd.Name, d.Table)
-				}
-				t.Columns = append(t.Columns, Column{
-					Name: cd.Name, Type: cd.Type, NotNull: cd.NotNull,
-					PrimaryKey: cd.PrimaryKey, HasDefault: cd.Default != nil,
-				})
-			case d.DropColumn != "":
-				for i := range t.Columns {
-					if strings.EqualFold(t.Columns[i].Name, d.DropColumn) {
-						t.Columns = append(t.Columns[:i], t.Columns[i+1:]...)
-						break
-					}
-				}
-				for i := 0; i < len(t.Indexes); {
-					if strings.EqualFold(t.Indexes[i].Column, d.DropColumn) {
-						t.Indexes = append(t.Indexes[:i], t.Indexes[i+1:]...)
-					} else {
-						i++
-					}
-				}
-			case d.RenameTo != "":
-				s.drop(t.Name)
-				t.Name = d.RenameTo
-				s.put(t)
-			}
-		case *sqldb.DropTableStmt:
-			if s.Table(d.Table) == nil && !d.IfExists {
-				return nil, fmt.Errorf("schema: DROP TABLE on unknown table %q", d.Table)
-			}
-			s.drop(d.Table)
-		case *sqldb.DropIndexStmt:
-			found := false
-			for _, t := range s.Tables() {
-				for i := range t.Indexes {
-					if strings.EqualFold(t.Indexes[i].Name, d.Name) {
-						t.Indexes = append(t.Indexes[:i], t.Indexes[i+1:]...)
-						found = true
-						break
-					}
-				}
-				if found {
-					break
-				}
-			}
-			if !found && !d.IfExists {
-				return nil, fmt.Errorf("schema: DROP INDEX on unknown index %q", d.Name)
-			}
+		switch st.(type) {
+		case *sqldb.CreateTableStmt, *sqldb.CreateIndexStmt, *sqldb.AlterTableStmt,
+			*sqldb.DropTableStmt, *sqldb.DropIndexStmt, *sqldb.InsertStmt:
 		default:
 			return nil, fmt.Errorf("schema: statement %T not allowed in a schema file (DDL and seed INSERTs only)", st)
 		}
+		if _, err := sess.ExecStmt(st); err != nil {
+			return nil, fmt.Errorf("schema: %w", err)
+		}
 	}
-	return s, nil
+	return FromDatabase(db), nil
 }

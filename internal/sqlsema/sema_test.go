@@ -1,6 +1,10 @@
 package sqlsema
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -40,7 +44,7 @@ func analyzeSQL(t *testing.T, schema *Schema, sql string, opts Options) []Findin
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
-	return Analyze(st, schema, opts)
+	return Analyze(st, schema.Snapshot(), opts)
 }
 
 func wantFinding(t *testing.T, finds []Finding, rule string, sev Severity, msgSub string) Finding {
@@ -54,27 +58,40 @@ func wantFinding(t *testing.T, finds []Finding, rule string, sev Severity, msgSu
 	return Finding{}
 }
 
+// TestFromDDL: a schema file is executed, not interpreted a second time,
+// so what FromDDL reads is the catalog of a database that ran the script.
 func TestFromDDL(t *testing.T) {
-	s := mustSchema(t)
-	c := s.Table("CUSTOMERS")
+	appendixA, err := os.ReadFile(filepath.Join("..", "..", "testdata", "appendixa.sql"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]string{"testDDL": testDDL, "appendixa.sql": string(appendixA)} {
+		s, err := FromDDL(src)
+		if err != nil {
+			t.Fatalf("%s: FromDDL: %v", name, err)
+		}
+		db := sqldb.NewDatabase("LIVE")
+		if _, err := sqldb.NewSession(db).ExecScript(src); err != nil {
+			t.Fatalf("%s: the engine refuses the script: %v", name, err)
+		}
+		got, want := s.Snapshot(), db.SchemaSnapshot()
+		if len(got) == 0 || !reflect.DeepEqual([]sqldb.SchemaTable(got), want) {
+			t.Errorf("%s: offline and live catalogs differ:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+	// The lookups the analyzers use, over the engine's own model.
+	c := mustSchema(t).Snapshot().Table("CUSTOMERS")
 	if c == nil {
 		t.Fatal("customers not found (case-insensitive lookup)")
 	}
-	if c.EstRows != 2 {
-		t.Errorf("customers EstRows = %d, want 2 (seed INSERT rows)", c.EstRows)
+	if ix := c.IndexOn("custid"); ix == nil || !ix.Unique {
+		t.Errorf("primary-key index = %+v, want the engine's unique index", ix)
 	}
-	if ix := c.IndexOn("custid"); ix == nil || !ix.Unique || ix.Name != "customers_pkey" {
-		t.Errorf("pkey index = %+v, want unique customers_pkey", ix)
-	}
-	if ix := c.IndexOn("name"); ix == nil || ix.Name != "customers_name_idx" {
+	if ix := c.IndexOn("NAME"); ix == nil || ix.Name != "customers_name_idx" {
 		t.Errorf("name index = %+v", ix)
 	}
-	if col := c.Column("balance"); col == nil || !col.HasDefault {
+	if col := c.Column("Balance"); col == nil || !col.HasDefault {
 		t.Errorf("balance should have a default: %+v", col)
-	}
-	if col := c.Column("custid"); col == nil || !col.NotNull {
-		// Mirror the engine's parser: PRIMARY KEY implies NOT NULL.
-		t.Errorf("custid NotNull = false, want true: %+v", col)
 	}
 }
 
@@ -84,6 +101,26 @@ func TestFromDDLRejectsQueries(t *testing.T) {
 	}
 	if _, err := FromDDL("CREATE INDEX i ON missing(a)"); err == nil {
 		t.Fatal("index on unknown table should be rejected")
+	}
+}
+
+// TestFromDDLRefusesWhatTheEngineRefuses: a schema no server could load
+// must not bless macros in CI. Three scripts only the engine itself knows
+// to refuse, each coming back with the engine's SQLSTATE.
+func TestFromDDLRefusesWhatTheEngineRefuses(t *testing.T) {
+	for _, tc := range []struct{ name, src, state string }{
+		{"DROP COLUMN of an indexed column",
+			"CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR); ALTER TABLE t DROP COLUMN a", "0A000"},
+		{"duplicate index name",
+			"CREATE TABLE t (a INTEGER, b INTEGER); CREATE INDEX i ON t(a); CREATE INDEX i ON t(b)", "42710"},
+		{"duplicate-key seed row",
+			"CREATE TABLE t (a INTEGER PRIMARY KEY); INSERT INTO t VALUES (1), (1)", "23505"},
+	} {
+		_, err := FromDDL(tc.src)
+		var se *sqldb.Error
+		if !errors.As(err, &se) || se.Code != tc.state {
+			t.Errorf("%s: err = %v, want the engine's SQLSTATE %s", tc.name, err, tc.state)
+		}
 	}
 }
 
@@ -257,7 +294,7 @@ func TestPerfSeqScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	off := strings.Index(sql, "'%x'")
-	f = Analyze(st, s, Options{OpaqueLits: map[int]string{off: "%"}})
+	f = Analyze(st, s.Snapshot(), Options{OpaqueLits: map[int]string{off: "%"}})
 	wantFinding(t, f, RulePerf, SevWarn, "leading-wildcard LIKE")
 }
 
@@ -308,7 +345,7 @@ func TestFromDatabase(t *testing.T) {
 		}
 	}
 	s := FromDatabase(db)
-	p := s.Table("pets")
+	p := s.Snapshot().Table("pets")
 	if p == nil {
 		t.Fatal("pets missing from snapshot schema")
 	}

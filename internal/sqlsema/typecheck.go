@@ -48,7 +48,7 @@ type val struct {
 	lit    *sqldb.Literal // set when the expression is a literal
 	opaque bool           // literal with partially dynamic content
 	slot   *Slot          // set when the expression is a substitution slot
-	col    *Column        // set when the expression is a base-table column
+	col    *sqldb.Column  // set when the expression is a base-table column
 	colRel *rel           // the relation the column came from
 	maybe  bool           // kText via ClassMaybeText (warn, not error)
 }
@@ -300,7 +300,7 @@ func (an *analyzer) checkSides(op string, a, b val, ae, be sqldb.Expr) {
 
 // checkAssign checks one INSERT/UPDATE value against its target column,
 // mirroring coerceToColumn.
-func (a *analyzer) checkAssign(c *Column, t *Table, e sqldb.Expr) {
+func (a *analyzer) checkAssign(c *sqldb.Column, t *sqldb.SchemaTable, e sqldb.Expr) {
 	v := a.kindValQuiet(e)
 	if v.kind == kNull {
 		if c.NotNull {

@@ -1,9 +1,10 @@
 -- Appendix A / Section 3.1.3 schema for schema-aware macro linting.
--- Parsed with the embedded engine's own SQL parser (sqlsema.FromDDL):
--- CREATE TABLE synthesizes the same <table>_pkey unique index the
--- engine would, CREATE INDEX adds the secondary indexes the workload
--- generator builds, and the seed INSERT rows below are counted into
--- the row estimates the sqlperf analyzer reports.
+-- Executed on a scratch instance of the embedded engine
+-- (sqlsema.FromDDL), whose catalog the analyzers then read: the
+-- <table>_pkey unique indexes, the secondary indexes the workload
+-- generator builds, and the planner's row estimates for the seed INSERT
+-- rows below (what the sqlperf analyzer reports) are the engine's own.
+-- A statement the engine refuses fails `macrocheck -schema`.
 
 CREATE TABLE urldb (
   url VARCHAR(255) NOT NULL PRIMARY KEY,
