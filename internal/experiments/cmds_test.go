@@ -225,9 +225,10 @@ func TestCmdGatewaydLifecycle(t *testing.T) {
 	if err != nil || report.Status != 200 {
 		t.Fatalf("report: %v %d", err, report.Status)
 	}
-	// Server status page from the access-log middleware.
+	// Server status page from the access-log middleware: the registry's
+	// count of the two pages served.
 	status, err := c.Get("http://" + addr + "/server-status")
-	if err != nil || !strings.Contains(status.Body, "Total accesses") {
+	if err != nil || !strings.Contains(status.Body, `<LI>db2www_http_requests_total{code="200"}: 2`+"\n") {
 		t.Fatalf("server-status: %v %q", err, status.Body)
 	}
 

@@ -11,27 +11,19 @@ import (
 	"db2www/internal/obs"
 )
 
-// anomalyConfig mirrors the Recorder's trigger knobs; see Config.
-type anomalyConfig struct {
-	Dir           string
-	BurnThreshold float64
-	Burst5xx      int
-	BurstWindow   time.Duration
-	MinInterval   time.Duration
-	Metrics       *obs.Registry
-}
-
 // anomaly watches the request stream for two distress signals — a
-// fast-window burn rate over threshold, or a burst of 5xx — and
-// captures one goroutine+heap pprof snapshot into the flight dir when
-// either trips, rate-limited so a sustained incident yields a snapshot
-// per interval, not per request.
+// fast-window burn rate over burnThreshold, or burst5xx 5xx within
+// burstWindow — and captures one goroutine+heap pprof snapshot into the
+// flight dir when either trips, rate-limited so a sustained incident
+// yields a snapshot per pprofMinInterval, not per request.
 type anomaly struct {
-	cfg anomalyConfig
+	dir string
 
-	mu          sync.Mutex
-	now         func() time.Time
-	recent5xx   []time.Time // within cfg.BurstWindow of the newest
+	mu   sync.Mutex
+	now  func() time.Time
+	last []time.Time // the times of the last burst5xx 5xx, a ring
+	// next is where the next 5xx goes: the oldest time the ring holds.
+	next        int
 	lastCapture time.Time
 
 	// capture is swappable in tests; the default writes pprof profiles.
@@ -40,70 +32,40 @@ type anomaly struct {
 	mCaptures *obs.Counter
 }
 
-func newAnomaly(cfg anomalyConfig) *anomaly {
-	if cfg.BurnThreshold <= 0 {
-		cfg.BurnThreshold = 10
-	}
-	if cfg.Burst5xx <= 0 {
-		cfg.Burst5xx = 10
-	}
-	if cfg.BurstWindow <= 0 {
-		cfg.BurstWindow = 10 * time.Second
-	}
-	if cfg.MinInterval <= 0 {
-		cfg.MinInterval = 5 * time.Minute
-	}
-	a := &anomaly{cfg: cfg, now: time.Now}
+func newAnomaly(dir string, reg *obs.Registry) *anomaly {
+	a := &anomaly{dir: dir, now: time.Now, last: make([]time.Time, burst5xx)}
 	a.capture = a.writeProfiles
-	if cfg.Metrics != nil {
-		a.mCaptures = cfg.Metrics.Counter("db2www_flight_pprof_captures_total", "anomaly-triggered pprof captures")
+	if reg != nil {
+		a.mCaptures = reg.Counter("db2www_flight_pprof_captures_total", "anomaly-triggered pprof captures")
 	}
 	return a
 }
 
 // note ingests one finished request and fires a capture if a trigger
 // condition holds. Called on the request path, so the hot (healthy)
-// case is a status check and nothing else.
+// case is a status check and nothing else, and a 5xx costs the same
+// however many came before it.
 func (a *anomaly) note(status int, macro string, slo *SLO) {
 	if a == nil || status < 500 {
 		return
 	}
 	a.mu.Lock()
 	nw := a.now()
-	cutoff := nw.Add(-a.cfg.BurstWindow)
-	keep := a.recent5xx[:0]
-	for _, t := range a.recent5xx {
-		if t.After(cutoff) {
-			keep = append(keep, t)
-		}
-	}
-	a.recent5xx = append(keep, nw)
-	burst := len(a.recent5xx) >= a.cfg.Burst5xx
+	a.last[a.next] = nw
+	a.next = (a.next + 1) % len(a.last)
+	// A burst is the burst5xx-th most recent 5xx, this one counted, inside
+	// the window: the oldest time the ring holds.
+	oldest := a.last[a.next]
+	burst := !oldest.IsZero() && oldest.After(nw.Add(-burstWindow))
 	a.mu.Unlock()
 
 	reason := ""
 	if burst {
-		reason = fmt.Sprintf("5xx-burst:%d-in-%s", a.cfg.Burst5xx, a.cfg.BurstWindow)
-	} else if burn := slo.Burn(macro); burn >= a.cfg.BurnThreshold {
+		reason = fmt.Sprintf("5xx-burst:%d-in-%s", burst5xx, burstWindow)
+	} else if burn := slo.Burn(macro); burn >= burnThreshold {
 		reason = fmt.Sprintf("burn-rate:%.1f", burn)
 	}
-	if reason == "" {
-		return
-	}
-
-	a.mu.Lock()
-	if !a.lastCapture.IsZero() && nw.Sub(a.lastCapture) < a.cfg.MinInterval {
-		a.mu.Unlock()
-		return
-	}
-	a.lastCapture = nw
-	capture := a.capture
-	a.mu.Unlock()
-
-	if a.mCaptures != nil {
-		a.mCaptures.Inc()
-	}
-	capture(reason, nw)
+	a.fire(reason)
 }
 
 // fire captures for an externally-supplied reason, subject to the same
@@ -114,7 +76,7 @@ func (a *anomaly) fire(reason string) {
 	}
 	a.mu.Lock()
 	nw := a.now()
-	if !a.lastCapture.IsZero() && nw.Sub(a.lastCapture) < a.cfg.MinInterval {
+	if !a.lastCapture.IsZero() && nw.Sub(a.lastCapture) < pprofMinInterval {
 		a.mu.Unlock()
 		return
 	}
@@ -132,7 +94,7 @@ func (a *anomaly) fire(reason string) {
 // No dir, no capture — the trigger still counts, so the metric shows
 // the anomaly even when persistence is off.
 func (a *anomaly) writeProfiles(reason string, t time.Time) {
-	if a.cfg.Dir == "" {
+	if a.dir == "" {
 		return
 	}
 	stamp := t.UTC().Format("20060102T150405")
@@ -141,7 +103,7 @@ func (a *anomaly) writeProfiles(reason string, t time.Time) {
 		if p == nil {
 			continue
 		}
-		path := filepath.Join(a.cfg.Dir, fmt.Sprintf("pprof-%s-%s.pb.gz", name, stamp))
+		path := filepath.Join(a.dir, fmt.Sprintf("pprof-%s-%s.pb.gz", name, stamp))
 		f, err := os.Create(path)
 		if err != nil {
 			continue
@@ -150,7 +112,7 @@ func (a *anomaly) writeProfiles(reason string, t time.Time) {
 		f.Close()
 	}
 	// A tiny sidecar notes why the snapshot exists.
-	_ = os.WriteFile(filepath.Join(a.cfg.Dir, fmt.Sprintf("pprof-%s.reason", stamp)),
+	_ = os.WriteFile(filepath.Join(a.dir, fmt.Sprintf("pprof-%s.reason", stamp)),
 		[]byte(reason+"\n"), 0o644)
 }
 

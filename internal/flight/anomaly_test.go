@@ -11,15 +11,12 @@ import (
 // TestAnomalyBurstTrigger: a 5xx burst trips exactly one capture; the
 // rate limit suppresses the rest until the interval elapses.
 func TestAnomalyBurstTrigger(t *testing.T) {
-	r, err := New(Config{
-		SlowThreshold: time.Second,
-		Burst5xx:      5,
-		BurstWindow:   10 * time.Second,
-		// Burn trips on any 5xx with the default 99.9% target; push it out
-		// of reach so this test sees the burst path alone.
-		BurnThreshold:    1e9,
-		PprofMinInterval: time.Minute,
-	})
+	override(t, &burst5xx, 5)
+	// Burn trips on any 5xx with the default 99.9% target; push it out of
+	// reach so this test sees the burst path alone.
+	override(t, &burnThreshold, 1e9)
+	override(t, &pprofMinInterval, time.Minute)
+	r, err := New(Config{SlowThreshold: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +38,7 @@ func TestAnomalyBurstTrigger(t *testing.T) {
 		t.Fatalf("after 5th 5xx captures = %v, want one 5xx-burst", captures)
 	}
 
-	// Still inside MinInterval: a continuing burst must not re-capture.
+	// Still inside pprofMinInterval: a continuing burst must not re-capture.
 	for i := 0; i < 20; i++ {
 		r.Observe(finishedTrace("x", 500, time.Millisecond))
 	}
@@ -62,12 +59,9 @@ func TestAnomalyBurstTrigger(t *testing.T) {
 // TestAnomalyBurnTrigger: the 5m availability burn rate alone (burst
 // threshold out of reach) trips a capture.
 func TestAnomalyBurnTrigger(t *testing.T) {
-	r, err := New(Config{
-		SlowThreshold: time.Second,
-		Burst5xx:      1000,
-		BurnThreshold: 5,
-		SLO:           SLOConfig{AvailabilityTarget: 0.9},
-	})
+	override(t, &burst5xx, 1000)
+	override(t, &burnThreshold, 5)
+	r, err := New(Config{SlowThreshold: time.Second, SLO: SLOConfig{AvailabilityTarget: 0.9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +75,39 @@ func TestAnomalyBurnTrigger(t *testing.T) {
 	}
 }
 
+// TestAnomalyErrorStorm: 100 000 5xx inside one burst window cost the
+// trigger the same each — it keeps the last burst5xx times, not every time
+// of the window — and fire one capture, the rate limit holding the rest.
+func TestAnomalyErrorStorm(t *testing.T) {
+	override(t, &burnThreshold, 1e9) // the burst path alone
+	r, err := New(Config{SlowThreshold: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const storm = 100_000
+	now := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
+	var captures []string
+	r.TestHookAnomaly(
+		func() time.Time { return now },
+		func(reason string, _ time.Time) { captures = append(captures, reason) },
+	)
+	for i := 0; i < storm; i++ {
+		now = now.Add(burstWindow / storm)
+		r.Observe(finishedTrace("x", 500, time.Millisecond))
+		if n := len(r.anomaly.last); n > burst5xx {
+			t.Fatalf("after %d 5xx the trigger holds %d times, want at most %d", i+1, n, burst5xx)
+		}
+	}
+	if len(captures) != 1 || !strings.HasPrefix(captures[0], "5xx-burst:10-in-10s") {
+		t.Errorf("captures = %v, want one 5xx-burst", captures)
+	}
+}
+
 // TestAnomalyHealthyRequestsNeverTrigger: the hot path for 2xx is a
 // status check and nothing else — no capture regardless of volume.
 func TestAnomalyHealthyRequestsNeverTrigger(t *testing.T) {
-	r, err := New(Config{SlowThreshold: time.Second, BurnThreshold: 0.0001})
+	override(t, &burnThreshold, 0.0001)
+	r, err := New(Config{SlowThreshold: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +125,7 @@ func TestAnomalyHealthyRequestsNeverTrigger(t *testing.T) {
 // flight dir gains goroutine/heap .pb.gz files plus the reason sidecar.
 func TestAnomalyWriteProfiles(t *testing.T) {
 	dir := t.TempDir()
-	a := newAnomaly(anomalyConfig{Dir: dir})
+	a := newAnomaly(dir, nil)
 	a.writeProfiles("test-reason", time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC))
 
 	for _, pattern := range []string{"pprof-goroutine-*.pb.gz", "pprof-heap-*.pb.gz", "pprof-*.reason"} {

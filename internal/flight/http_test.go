@@ -25,7 +25,7 @@ func flightGet(t *testing.T, r *Recorder, target string) (*httptest.ResponseReco
 }
 
 func TestHandlerUnknownTrace404JSON(t *testing.T) {
-	r, err := New(Config{SlowThreshold: time.Second, RingSize: 8})
+	r, err := New(Config{SlowThreshold: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,40 +49,34 @@ type Config struct {
 	// -slow-threshold. 0 means the default (200ms); negative keeps every
 	// request.
 	SlowThreshold time.Duration
-	// RingSize bounds the in-memory record ring. 0 means the default (256).
-	RingSize int
 	// Dir, when non-empty, enables the JSONL sink (and pprof captures)
 	// under this directory.
 	Dir string
-	// MaxFileBytes rotates flight.jsonl when it grows past this size.
-	// 0 means the default (8 MiB).
-	MaxFileBytes int64
 	// SLO configures the burn-rate engine.
 	SLO SLOConfig
-	// BurnThreshold is the 5m availability burn rate that trips a pprof
-	// capture. 0 means the default (10 — the classic fast-burn page).
-	BurnThreshold float64
-	// Burst5xx trips a capture when this many 5xx land within
-	// BurstWindow. 0 means the default (10 in 10s).
-	Burst5xx    int
-	BurstWindow time.Duration
-	// PprofMinInterval rate-limits captures. 0 means the default (5m).
-	PprofMinInterval time.Duration
 	// Metrics, when non-nil, receives db2www_flight_* counters.
 	Metrics *obs.Registry
 }
+
+// What every recorder runs with; in-package tests change them.
+var (
+	ringSize           = 256     // kept records held in memory
+	maxFileBytes int64 = 8 << 20 // flight.jsonl rotates past this size
+	// burnThreshold is the 5m availability burn rate that trips a pprof
+	// capture: the classic fast-burn page.
+	burnThreshold = 10.0
+	// burst5xx 5xx within burstWindow trip a capture too.
+	burst5xx    = 10
+	burstWindow = 10 * time.Second
+	// pprofMinInterval rate-limits captures.
+	pprofMinInterval = 5 * time.Minute
+)
 
 func (c Config) withDefaults() Config {
 	if c.SlowThreshold == 0 {
 		c.SlowThreshold = 200 * time.Millisecond
 	} else if c.SlowThreshold < 0 {
 		c.SlowThreshold = 0
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = 256
-	}
-	if c.MaxFileBytes <= 0 {
-		c.MaxFileBytes = 8 << 20
 	}
 	return c
 }
@@ -112,21 +106,14 @@ func New(cfg Config) (*Recorder, error) {
 	r := &Recorder{
 		sampler: Sampler{Rate: cfg.SampleRate, SlowThreshold: cfg.SlowThreshold},
 		slo:     NewSLO(cfg.SLO),
-		ring:    obs.NewRing(cfg.RingSize),
+		ring:    obs.NewRing(ringSize),
+		anomaly: newAnomaly(cfg.Dir, cfg.Metrics),
 	}
-	r.anomaly = newAnomaly(anomalyConfig{
-		Dir:           cfg.Dir,
-		BurnThreshold: cfg.BurnThreshold,
-		Burst5xx:      cfg.Burst5xx,
-		BurstWindow:   cfg.BurstWindow,
-		MinInterval:   cfg.PprofMinInterval,
-		Metrics:       cfg.Metrics,
-	})
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("flight: create dir: %w", err)
 		}
-		sink, err := newJSONLSink(filepath.Join(cfg.Dir, "flight.jsonl"), cfg.MaxFileBytes, cfg.Metrics)
+		sink, err := newJSONLSink(filepath.Join(cfg.Dir, "flight.jsonl"), maxFileBytes, cfg.Metrics)
 		if err != nil {
 			return nil, err
 		}
@@ -149,8 +136,7 @@ func New(cfg Config) (*Recorder, error) {
 	return r, nil
 }
 
-// SLO exposes the recorder's burn-rate engine for /metrics export and
-// the /server-status section.
+// SLO exposes the recorder's burn-rate engine for /metrics export.
 func (r *Recorder) SLO() *SLO {
 	if r == nil {
 		return nil

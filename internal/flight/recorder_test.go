@@ -55,8 +55,17 @@ func readJSONL(t *testing.T, path string) []map[string]any {
 	return out
 }
 
+// override sets one of the package's production constants to v for the
+// rest of the test.
+func override[T any](t *testing.T, p *T, v T) {
+	old := *p
+	*p = v
+	t.Cleanup(func() { *p = old })
+}
+
 func TestRecorderObserveAndRing(t *testing.T) {
-	r, err := New(Config{SampleRate: 0, SlowThreshold: time.Second, RingSize: 4})
+	override(t, &ringSize, 4)
+	r, err := New(Config{SampleRate: 0, SlowThreshold: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +177,8 @@ func mustRead(t *testing.T, path string) []byte {
 func TestRecorderRotation(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	r, err := New(Config{SlowThreshold: time.Second, Dir: dir, MaxFileBytes: 256, Metrics: reg})
+	override(t, &maxFileBytes, 256)
+	r, err := New(Config{SlowThreshold: time.Second, Dir: dir, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +215,8 @@ func TestRecorderRotation(t *testing.T) {
 // many goroutines; run under -race this pins the recorder's locking.
 func TestRecorderConcurrentStress(t *testing.T) {
 	dir := t.TempDir()
-	r, err := New(Config{SampleRate: 0.5, SlowThreshold: time.Second, RingSize: 32,
-		Dir: dir, MaxFileBytes: 512})
+	override(t, &maxFileBytes, 512)
+	r, err := New(Config{SampleRate: 0.5, SlowThreshold: time.Second, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +262,7 @@ func TestRecorderNilNoOps(t *testing.T) {
 		t.Errorf("nil Observe = %q", d)
 	}
 	// A nil record (obs.SetEnabled(false)) is the other disabled path.
-	on, err := New(Config{SlowThreshold: -1, RingSize: 4})
+	on, err := New(Config{SlowThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +283,7 @@ func TestRecorderNilNoOps(t *testing.T) {
 }
 
 func TestRecorderHandler(t *testing.T) {
-	r, err := New(Config{SlowThreshold: time.Second, RingSize: 8})
+	r, err := New(Config{SlowThreshold: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package flight
 
 import (
-	"fmt"
-	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -15,33 +12,31 @@ type SLOConfig struct {
 	// AvailabilityTarget is the fraction of requests that must not be
 	// 5xx, e.g. 0.999. The error budget is 1 - target.
 	AvailabilityTarget float64
-	// LatencyTarget is the fraction of requests that must finish under
-	// LatencyThreshold, e.g. 0.99.
-	LatencyTarget float64
-	// LatencyThreshold is the latency objective's cut-off.
+	// LatencyThreshold is the latency objective's cut-off: the fraction
+	// sloLatencyTarget of requests must finish under it.
 	LatencyThreshold time.Duration
-	// MaxMacros caps how many distinct macros get their own windows;
-	// beyond it, new macros aggregate into the "_other" bucket so a
-	// client scanning macro names cannot grow SLO memory without bound.
-	// 0 means the default (64).
-	MaxMacros int
 }
 
 func (c SLOConfig) withDefaults() SLOConfig {
 	if c.AvailabilityTarget <= 0 || c.AvailabilityTarget >= 1 {
 		c.AvailabilityTarget = 0.999
 	}
-	if c.LatencyTarget <= 0 || c.LatencyTarget >= 1 {
-		c.LatencyTarget = 0.99
-	}
 	if c.LatencyThreshold <= 0 {
 		c.LatencyThreshold = 250 * time.Millisecond
 	}
-	if c.MaxMacros <= 0 {
-		c.MaxMacros = 64
-	}
 	return c
 }
+
+// What every SLO engine runs with; in-package tests change them.
+var (
+	// sloLatencyTarget is the fraction of requests that must finish under
+	// LatencyThreshold.
+	sloLatencyTarget = 0.99
+	// sloMaxMacros caps how many distinct macros get their own windows;
+	// beyond it, new macros aggregate into the "_other" bucket so a client
+	// scanning macro names cannot grow SLO memory without bound.
+	sloMaxMacros = 64
+)
 
 // Window geometries: a short window that reacts fast and a long window
 // that rejects blips — the standard multi-window burn-rate pairing.
@@ -128,7 +123,7 @@ func (s *SLO) Observe(macro string, status int, total time.Duration) {
 	defer s.mu.Unlock()
 	ser, ok := s.macros[macro]
 	if !ok {
-		if len(s.macros) >= s.cfg.MaxMacros {
+		if len(s.macros) >= sloMaxMacros {
 			macro = overflowMacro
 		}
 		if ser, ok = s.macros[macro]; !ok {
@@ -223,8 +218,8 @@ func (s *SLO) Snapshot() []BurnRates {
 			Requests5m: t5, Requests1h: t1,
 			Avail5m: burnRate(e5, t5, s.cfg.AvailabilityTarget),
 			Avail1h: burnRate(e1, t1, s.cfg.AvailabilityTarget),
-			Lat5m:   burnRate(sl5, t5, s.cfg.LatencyTarget),
-			Lat1h:   burnRate(sl1, t1, s.cfg.LatencyTarget),
+			Lat5m:   burnRate(sl5, t5, sloLatencyTarget),
+			Lat1h:   burnRate(sl1, t1, sloLatencyTarget),
 		})
 	}
 	return out
@@ -253,16 +248,20 @@ func (s *SLO) Burn(macro string) float64 {
 }
 
 // ExportTo registers a scrape hook on reg that refreshes
-// db2www_slo_burn_rate{macro,slo,window} float gauges from the live
-// windows — burn rates are window functions, so they are computed at
-// scrape time rather than stored.
+// db2www_slo_burn_rate{macro,slo,window} float gauges and the
+// db2www_slo_requests{macro,window} gauges beside them from the live
+// windows — both are window functions, so they are computed at scrape
+// time rather than stored.
 func (s *SLO) ExportTo(reg *obs.Registry) {
 	if s == nil || reg == nil {
 		return
 	}
 	const help = "error-budget burn rate (1.0 = on budget), by macro, objective, and window"
+	const reqHelp = "requests inside the SLO window, by macro and window"
 	reg.OnScrape(func() {
 		for _, br := range s.Snapshot() {
+			reg.Gauge("db2www_slo_requests", reqHelp, "macro", br.Macro, "window", "5m").Set(br.Requests5m)
+			reg.Gauge("db2www_slo_requests", reqHelp, "macro", br.Macro, "window", "1h").Set(br.Requests1h)
 			reg.FloatGauge("db2www_slo_burn_rate", help,
 				"macro", br.Macro, "slo", "availability", "window", "5m").Set(br.Avail5m)
 			reg.FloatGauge("db2www_slo_burn_rate", help,
@@ -273,31 +272,4 @@ func (s *SLO) ExportTo(reg *obs.Registry) {
 				"macro", br.Macro, "slo", "latency", "window", "1h").Set(br.Lat1h)
 		}
 	})
-}
-
-// StatusRows renders the engine for a /server-status section: the
-// objectives, then one row per macro with its burn rates.
-func (s *SLO) StatusRows() [][2]string {
-	if s == nil {
-		return nil
-	}
-	cfg := s.cfg
-	rows := [][2]string{
-		{"Availability target", strconv.FormatFloat(cfg.AvailabilityTarget, 'g', -1, 64)},
-		{"Latency target", fmt.Sprintf("%s under %s",
-			strconv.FormatFloat(cfg.LatencyTarget, 'g', -1, 64), cfg.LatencyThreshold)},
-	}
-	snap := s.Snapshot()
-	sort.Slice(snap, func(i, j int) bool { return snap[i].Macro < snap[j].Macro })
-	for _, br := range snap {
-		rows = append(rows, [2]string{
-			br.Macro,
-			fmt.Sprintf("avail burn 5m=%.2f 1h=%.2f, latency burn 5m=%.2f 1h=%.2f (%d req/5m)",
-				br.Avail5m, br.Avail1h, br.Lat5m, br.Lat1h, br.Requests5m),
-		})
-	}
-	if len(snap) == 0 {
-		rows = append(rows, [2]string{"(no traffic yet)", ""})
-	}
-	return rows
 }

@@ -19,9 +19,9 @@ func approx(t *testing.T, name string, got, want float64) {
 // TestSLOBurnRateMath checks the gauges against hand-computed windows:
 // burn = (bad/total) / (1 - target).
 func TestSLOBurnRateMath(t *testing.T) {
+	override(t, &sloLatencyTarget, 0.95) // budget 0.05
 	s := NewSLO(SLOConfig{
-		AvailabilityTarget: 0.9,  // budget 0.1
-		LatencyTarget:      0.95, // budget 0.05
+		AvailabilityTarget: 0.9, // budget 0.1
 		LatencyThreshold:   100 * time.Millisecond,
 	})
 	now := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
@@ -83,10 +83,11 @@ func TestSLOWindowExpiry(t *testing.T) {
 	}
 }
 
-// TestSLOCardinalityOverflow: past MaxMacros, new macros aggregate into
+// TestSLOCardinalityOverflow: past sloMaxMacros, new macros aggregate into
 // _other instead of growing state.
 func TestSLOCardinalityOverflow(t *testing.T) {
-	s := NewSLO(SLOConfig{MaxMacros: 2})
+	override(t, &sloMaxMacros, 2)
+	s := NewSLO(SLOConfig{})
 	s.Observe("a", 200, 0)
 	s.Observe("b", 200, 0)
 	s.Observe("c", 500, 0)
@@ -108,11 +109,12 @@ func TestSLOCardinalityOverflow(t *testing.T) {
 	}
 }
 
-// TestSLOExportTo: the scrape hook materialises float gauges in the
-// Prometheus exposition.
+// TestSLOExportTo: the scrape hook materialises the burn-rate float gauges
+// and the per-window request counts in the Prometheus exposition.
 func TestSLOExportTo(t *testing.T) {
 	s := NewSLO(SLOConfig{AvailabilityTarget: 0.9})
 	s.Observe("m.d2w", 500, time.Millisecond)
+	s.Observe("m.d2w", 200, time.Millisecond)
 	reg := obs.NewRegistry()
 	s.ExportTo(reg)
 
@@ -123,8 +125,11 @@ func TestSLOExportTo(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE db2www_slo_burn_rate gauge",
-		`db2www_slo_burn_rate{macro="m.d2w",slo="availability",window="5m"} 10`,
+		`db2www_slo_burn_rate{macro="m.d2w",slo="availability",window="5m"} 5`,
 		`db2www_slo_burn_rate{macro="m.d2w",slo="latency",window="1h"} 0`,
+		"# TYPE db2www_slo_requests gauge",
+		`db2www_slo_requests{macro="m.d2w",window="5m"} 2`,
+		`db2www_slo_requests{macro="m.d2w",window="1h"} 2`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -138,24 +143,7 @@ func TestSLONilNoOps(t *testing.T) {
 	s.Observe("m", 500, time.Second)
 	s.SetClock(nil)
 	s.ExportTo(obs.NewRegistry())
-	if s.Snapshot() != nil || s.Burn("m") != 0 || s.StatusRows() != nil {
+	if s.Snapshot() != nil || s.Burn("m") != 0 {
 		t.Error("nil SLO returned non-zero state")
-	}
-}
-
-// TestSLOStatusRows: the /server-status section names the objectives
-// and the macro burn rates.
-func TestSLOStatusRows(t *testing.T) {
-	s := NewSLO(SLOConfig{})
-	s.Observe("m.d2w", 200, time.Millisecond)
-	rows := s.StatusRows()
-	joined := ""
-	for _, r := range rows {
-		joined += r[0] + "=" + r[1] + "\n"
-	}
-	for _, want := range []string{"Availability target=0.999", "Latency target=0.99 under 250ms", "m.d2w="} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("status rows missing %q:\n%s", want, joined)
-		}
 	}
 }

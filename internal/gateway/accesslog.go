@@ -6,7 +6,8 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -19,9 +20,12 @@ import (
 //
 //	logged := gateway.NewAccessLog(h, logFile)
 //	http.ListenAndServe(addr, logged)
+//
+// It counts nothing of its own: /server-status and /metrics both print the
+// obs registry, where Handler counts requests.
 type AccessLog struct {
 	next http.Handler
-	mu   sync.Mutex
+	mu   sync.Mutex // one line at a time on out
 	out  io.Writer
 
 	// Format selects the log line format: "clf" (default, NCSA Common Log
@@ -29,35 +33,14 @@ type AccessLog struct {
 	// object per line carrying the same fields plus latency in
 	// microseconds — grep-able with jq instead of awk).
 	Format string
-	// Metrics is the registry /metrics serves, in Prometheus text
-	// exposition format. Defaults to obs.Default.
-	Metrics *obs.Registry
 	// Now is the clock used for log timestamps (overridable for tests).
 	Now func() time.Time
-	// MaxPaths caps how many distinct URL paths the per-path counters
-	// track; once full, requests for new paths fall into one aggregate
-	// "other" bucket, so a client scanning random URLs cannot grow
-	// gateway memory without bound. 0 means the default (512).
-	MaxPaths int
+	// Traces, when non-nil, is the ring /server-status lists under "Recent
+	// traces", newest first.
+	Traces *obs.Ring
 
-	started    time.Time
-	requests   int64
-	bytes      int64
-	statuses   map[int]int64
-	paths      map[string]int64
-	otherPaths int64
-	sections   []statusSection
-	routes     map[string]http.Handler
+	routes sync.Map // path → http.Handler, mounted by Handle
 }
-
-// statusSection is one caller-registered block on the status page.
-type statusSection struct {
-	title string
-	items func() [][2]string
-}
-
-// defaultMaxPaths bounds the paths map when MaxPaths is unset.
-const defaultMaxPaths = 512
 
 // Where the middleware serves its two pages of its own.
 const (
@@ -65,39 +48,15 @@ const (
 	metricsPath = "/metrics"
 )
 
-// AddStatusSection appends a section to the /server-status page. items is
-// called per render (under no AccessLog locks) and returns name/value
-// rows — how the gateway surfaces cache counters and other app metrics
-// through the one observability page a 1996 webmaster had.
-func (l *AccessLog) AddStatusSection(title string, items func() [][2]string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.sections = append(l.sections, statusSection{title: title, items: items})
-}
-
 // Handle mounts an extra endpoint (e.g. /debug/flight) on the
 // middleware, beside /server-status and /metrics. Such requests are
 // served directly and do not reach the wrapped handler or the log.
-func (l *AccessLog) Handle(path string, h http.Handler) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.routes == nil {
-		l.routes = map[string]http.Handler{}
-	}
-	l.routes[path] = h
-}
+func (l *AccessLog) Handle(path string, h http.Handler) { l.routes.Store(path, h) }
 
 // NewAccessLog wraps next, writing one Common Log Format line per request
-// to out (nil discards the lines but still collects statistics).
+// to out (nil writes none).
 func NewAccessLog(next http.Handler, out io.Writer) *AccessLog {
-	return &AccessLog{
-		next:     next,
-		out:      out,
-		Now:      time.Now,
-		started:  time.Now(),
-		statuses: map[int]int64{},
-		paths:    map[string]int64{},
-	}
+	return &AccessLog{next: next, out: out, Now: time.Now}
 }
 
 // countingWriter captures the status code and body size of a response.
@@ -131,56 +90,32 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 
 // ServeHTTP implements http.Handler.
 func (l *AccessLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == statusPath {
+	switch r.URL.Path {
+	case statusPath:
 		l.serveStatus(w)
 		return
-	}
-	if r.URL.Path == metricsPath {
-		reg := l.Metrics
-		if reg == nil {
-			reg = obs.Default
-		}
-		reg.ServeHTTP(w, r)
+	case metricsPath:
+		obs.Default.ServeHTTP(w, r)
 		return
 	}
-	l.mu.Lock()
-	route := l.routes[r.URL.Path]
-	l.mu.Unlock()
-	if route != nil {
-		route.ServeHTTP(w, r)
+	if route, ok := l.routes.Load(r.URL.Path); ok {
+		route.(http.Handler).ServeHTTP(w, r)
 		return
 	}
 	// The line is only put together when there is somewhere to write it;
 	// what the inner handler learnt of the request (trace ID, retention
 	// decision, slowest statement) it left on the request's record.
 	cw, r, tr := beginRequest(w, r)
-	var start time.Time
-	if l.out != nil {
-		start = l.Now()
+	if l.out == nil {
+		l.next.ServeHTTP(cw, r)
+		return
 	}
+	start := l.Now()
 	l.next.ServeHTTP(cw, r)
-	var line string
-	if l.out != nil {
-		line = l.line(r, cw, tr, start)
-	}
-
-	maxPaths := l.MaxPaths
-	if maxPaths <= 0 {
-		maxPaths = defaultMaxPaths
-	}
+	line := l.line(r, cw, tr, start)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.requests++
-	l.bytes += cw.bytes
-	l.statuses[cw.code()]++
-	if _, known := l.paths[r.URL.Path]; known || len(l.paths) < maxPaths {
-		l.paths[r.URL.Path]++
-	} else {
-		l.otherPaths++
-	}
-	if l.out != nil {
-		_, _ = io.WriteString(l.out, line) // a full disk must not fail the request it would have logged
-	}
+	_, _ = io.WriteString(l.out, line) // a full disk must not fail the request it would have logged
 }
 
 // line formats the log line of a request that began at start and has
@@ -243,72 +178,80 @@ func (l *AccessLog) line(r *http.Request, cw *countingWriter, tr *obs.Trace, sta
 		r.Method, r.URL.RequestURI(), r.Proto, cw.code(), cw.bytes, suffix)
 }
 
-// Stats returns the counters collected so far.
-func (l *AccessLog) Stats() (requests, bytes int64, statuses map[int]int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	statuses = make(map[int]int64, len(l.statuses))
-	for k, v := range l.statuses {
-		statuses[k] = v
-	}
-	return l.requests, l.bytes, statuses
+// statusSections is /server-status: the registry's families grouped by
+// the subsystem that records them, in page order. A family is listed in
+// the section one of whose prefixes its name starts with — no name starts
+// with two — and one no prefix claims under "Other".
+var statusSections = []struct {
+	title    string
+	prefixes []string
+}{
+	{"Requests", []string{"db2www_http_"}},
+	{"Build info", []string{"db2www_build_"}},
+	{"SLO burn rates", []string{"db2www_slo_"}},
+	{"Macro cache", []string{"db2www_macro_cache_"}},
+	{"Macro lint", []string{"db2www_macrolint_"}},
+	{"Transactions", []string{"db2www_sqldb_txn_", "db2www_sqldb_oldest_snapshot_", "db2www_sqldb_vacuum_",
+		"db2www_sqldb_lock_wait_"}},
+	{"Statements", []string{"db2www_sqldb_stmt_", "db2www_sqldb_exec_", "db2www_sqldb_rows_returned_",
+		"db2www_sql_exec_"}},
+	{"Planner", []string{"db2www_sqldb_plan_cache_"}},
+	{"Storage", []string{"db2www_sqldb_table_", "db2www_sqldb_index_", "db2www_sqldb_version_chain_"}},
+	{"Query cache", []string{"db2www_qcache_"}},
+	{"History", []string{"db2www_history_"}},
+	{"Flight recorder", []string{"db2www_flight_"}},
+	{"Runtime", []string{"go_", "db2www_uptime_"}},
+	{"Other", nil},
 }
 
-// serveStatus renders the statistics page.
-func (l *AccessLog) serveStatus(w http.ResponseWriter) {
-	l.mu.Lock()
-	uptime := time.Since(l.started).Round(time.Second)
-	requests, bytes := l.requests, l.bytes
-	type kv struct {
-		k string
-		v int64
-	}
-	var statuses []kv
-	for code, n := range l.statuses {
-		statuses = append(statuses, kv{fmt.Sprintf("%d", code), n})
-	}
-	var paths []kv
-	for p, n := range l.paths {
-		paths = append(paths, kv{p, n})
-	}
-	otherPaths := l.otherPaths
-	sections := make([]statusSection, len(l.sections))
-	copy(sections, l.sections)
-	l.mu.Unlock()
-	sort.Slice(statuses, func(i, j int) bool { return statuses[i].k < statuses[j].k })
-	sort.Slice(paths, func(i, j int) bool {
-		if paths[i].v != paths[j].v {
-			return paths[i].v > paths[j].v
+// statusSection returns the index in statusSections of the section that
+// lists the family name.
+func statusSection(name string) int {
+	for i, s := range statusSections {
+		for _, p := range s.prefixes {
+			if strings.HasPrefix(name, p) {
+				return i
+			}
 		}
-		return paths[i].k < paths[j].k
-	})
-	if len(paths) > 20 {
-		paths = paths[:20]
 	}
+	return len(statusSections) - 1
+}
 
-	w.Header().Set("Content-Type", "text/html")
-	fmt.Fprintf(w, "<HTML><HEAD><TITLE>Server Status</TITLE></HEAD><BODY>\n")
-	fmt.Fprintf(w, "<H1>gatewayd status</H1>\n")
-	fmt.Fprintf(w, "<P>Uptime: %s<BR>Total accesses: %d<BR>Total traffic: %d bytes</P>\n",
-		uptime, requests, bytes)
-	fmt.Fprintf(w, "<H2>Responses by status</H2>\n<UL>\n")
-	for _, s := range statuses {
-		fmt.Fprintf(w, "<LI>%s: %d\n", s.k, s.v)
+// serveStatus renders the statistics page: every series /metrics serves,
+// one "name{labels}: value" row each (a histogram as its _count and _sum),
+// then the trace ring.
+func (l *AccessLog) serveStatus(w http.ResponseWriter) {
+	rows := make([][][2]string, len(statusSections))
+	add := func(s obs.Sample, suffix string, v float64) {
+		i := statusSection(s.Name)
+		rows[i] = append(rows[i], [2]string{s.Name + suffix + s.Labels, strconv.FormatFloat(v, 'f', -1, 64)})
 	}
-	fmt.Fprintf(w, "</UL>\n<H2>Busiest URLs</H2>\n<OL>\n")
-	for _, p := range paths {
-		fmt.Fprintf(w, "<LI>%s (%d)\n", p.k, p.v)
+	for _, s := range obs.Default.FullSnapshot() {
+		if s.Kind == "histogram" {
+			add(s, "_count", s.Value)
+			add(s, "_sum", s.Sum)
+		} else {
+			add(s, "", s.Value)
+		}
 	}
-	if otherPaths > 0 {
-		fmt.Fprintf(w, "<LI>(other) (%d)\n", otherPaths)
-	}
-	fmt.Fprintf(w, "</OL>\n")
-	for _, s := range sections {
-		fmt.Fprintf(w, "<H2>%s</H2>\n<UL>\n", htmlEscape(s.title))
-		for _, item := range s.items() {
-			fmt.Fprintf(w, "<LI>%s: %s\n", htmlEscape(item[0]), htmlEscape(item[1]))
+	section := func(title string, rows [][2]string) {
+		if len(rows) == 0 {
+			return
+		}
+		fmt.Fprintf(w, "<H2>%s</H2>\n<UL>\n", title)
+		for _, r := range rows {
+			fmt.Fprintf(w, "<LI>%s: %s\n", htmlEscape(r[0]), htmlEscape(r[1]))
 		}
 		fmt.Fprintf(w, "</UL>\n")
+	}
+	w.Header().Set("Content-Type", "text/html")
+	fmt.Fprintf(w, "<HTML><HEAD><TITLE>Server Status</TITLE></HEAD><BODY>\n<H1>gatewayd status</H1>\n")
+	fmt.Fprintf(w, "<P>Every row is a series of <A HREF=\"%[1]s\">%[1]s</A>.</P>\n", metricsPath)
+	for i, s := range statusSections {
+		section(s.title, rows[i])
+	}
+	if l.Traces != nil {
+		section("Recent traces", l.Traces.StatusRows())
 	}
 	fmt.Fprintf(w, "</BODY></HTML>\n")
 }

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"db2www/internal/obs"
 	"db2www/internal/webclient"
 )
 
@@ -44,9 +47,27 @@ func TestAccessLogCommonLogFormat(t *testing.T) {
 	}
 }
 
+// staticStack is an AccessLog around a Handler serving one static page,
+// /page, of 19 bytes.
+func staticStack(t *testing.T) *AccessLog {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "page"), []byte("<P>twelve bytes</P>"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return NewAccessLog(&Handler{DocRoot: dir}, nil)
+}
+
+// counted reads a series of the registry /metrics and /server-status print.
+func counted(series string) float64 { return obs.Default.Snapshot()[series] }
+
+// TestAccessLogCountsStatuses: what the middleware used to count for
+// itself the registry counts once, behind it — requests by status and the
+// bytes of their responses.
 func TestAccessLogCountsStatuses(t *testing.T) {
-	l := NewAccessLog(okHandler(), nil)
-	l.Now = fixedClock
+	l := staticStack(t)
+	ok, missing, bytesOut := counted(`db2www_http_requests_total{code="200"}`),
+		counted(`db2www_http_requests_total{code="404"}`), counted("db2www_http_response_bytes_total")
 	c := &webclient.Client{Handler: l}
 	for i := 0; i < 3; i++ {
 		if _, err := c.Get("http://host/page"); err != nil {
@@ -56,21 +77,21 @@ func TestAccessLogCountsStatuses(t *testing.T) {
 	if _, err := c.Get("http://host/missing"); err != nil {
 		t.Fatal(err)
 	}
-	requests, bytesOut, statuses := l.Stats()
-	if requests != 4 {
-		t.Fatalf("requests = %d", requests)
+	if n := counted(`db2www_http_requests_total{code="200"}`) - ok; n != 3 {
+		t.Errorf("200s counted: %v, want 3", n)
 	}
-	if statuses[200] != 3 || statuses[404] != 1 {
-		t.Fatalf("statuses = %v", statuses)
+	if n := counted(`db2www_http_requests_total{code="404"}`) - missing; n != 1 {
+		t.Errorf("404s counted: %v, want 1", n)
 	}
-	if bytesOut < 3*19 {
-		t.Fatalf("bytes = %d", bytesOut)
+	if n := counted("db2www_http_response_bytes_total") - bytesOut; n != float64(3*19+len("404 page not found\n")) {
+		t.Errorf("response bytes counted: %v, want three pages and one 404", n)
 	}
 }
 
 func TestServerStatusPage(t *testing.T) {
-	l := NewAccessLog(okHandler(), nil)
+	l := staticStack(t)
 	c := &webclient.Client{Handler: l}
+	before := counted(`db2www_http_requests_total{code="200"}`)
 	for i := 0; i < 5; i++ {
 		if _, err := c.Get("http://host/page"); err != nil {
 			t.Fatal(err)
@@ -83,20 +104,18 @@ func TestServerStatusPage(t *testing.T) {
 	if page.Title() != "Server Status" {
 		t.Fatalf("title = %q", page.Title())
 	}
-	for _, want := range []string{"Total accesses: 5", "200: 5", "/page (5)"} {
-		if !strings.Contains(page.Body, want) {
-			t.Errorf("status page missing %q:\n%s", want, page.Body)
-		}
+	want := fmt.Sprintf(`<LI>db2www_http_requests_total{code="200"}: %v`+"\n", before+5)
+	if !strings.Contains(page.Body, want) {
+		t.Errorf("status page missing %q:\n%s", want, page.Body)
 	}
-	// The status page itself is not logged as an access.
-	requests, _, _ := l.Stats()
-	if requests != 5 {
-		t.Fatalf("status page counted as access: %d", requests)
+	// The status page itself is not counted as an access.
+	if n := counted(`db2www_http_requests_total{code="200"}`) - before; n != 5 {
+		t.Fatalf("status page counted as access: %v", n)
 	}
 }
 
 func TestAccessLogConcurrentSafe(t *testing.T) {
-	var buf bytes.Buffer
+	var buf syncWriter
 	l := NewAccessLog(okHandler(), &buf)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -113,65 +132,57 @@ func TestAccessLogConcurrentSafe(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	requests, _, _ := l.Stats()
-	if requests != 200 {
-		t.Fatalf("requests = %d, want 200", requests)
-	}
 	if n := strings.Count(buf.String(), "\n"); n != 200 {
 		t.Fatalf("log lines = %d, want 200", n)
 	}
-}
-
-func TestAccessLogPathCardinalityCapped(t *testing.T) {
-	l := NewAccessLog(okHandler(), nil)
-	l.MaxPaths = 3
-	c := &webclient.Client{Handler: l}
-	// Distinct paths beyond the cap fall into the "(other)" bucket...
-	for i := 0; i < 10; i++ {
-		if _, err := c.Get(fmt.Sprintf("http://host/missing-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// ...while already-tracked paths keep counting individually.
-	if _, err := c.Get("http://host/missing-0"); err != nil {
-		t.Fatal(err)
-	}
-	l.mu.Lock()
-	tracked, other := len(l.paths), l.otherPaths
-	n := l.paths["/missing-0"]
-	l.mu.Unlock()
-	if tracked != 3 {
-		t.Fatalf("tracked %d paths, want 3", tracked)
-	}
-	if other != 7 {
-		t.Fatalf("other bucket = %d, want 7", other)
-	}
-	if n != 2 {
-		t.Fatalf("/missing-0 count = %d, want 2", n)
-	}
-	page, err := c.Get("http://host/server-status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(page.Body, "(other) (7)") {
-		t.Fatalf("status page missing other bucket:\n%s", page.Body)
+	if n := strings.Count(buf.String(), `"GET /page HTTP/1.1" 200 19`); n != 200 {
+		t.Fatalf("whole lines = %d, want 200", n)
 	}
 }
 
+// TestServerStatusSections: the section table claims each family for one
+// subsystem — no prefix of one section starts a prefix of another — and a
+// family nobody claims is listed under "Other"; the trace ring comes last.
 func TestServerStatusSections(t *testing.T) {
+	for i, s := range statusSections {
+		for _, p := range s.prefixes {
+			for j, o := range statusSections {
+				for _, q := range o.prefixes {
+					if i != j && strings.HasPrefix(q, p) {
+						t.Errorf("%q (%s) also starts %q (%s)", p, s.title, q, o.title)
+					}
+				}
+			}
+		}
+	}
+	for name, want := range map[string]string{
+		"db2www_http_response_bytes_total":   "Requests",
+		"db2www_slo_requests":                "SLO burn rates",
+		"db2www_macro_cache_hits":            "Macro cache",
+		"db2www_macrolint_refused_total":     "Macro lint",
+		"db2www_sqldb_txn_watermark":         "Transactions",
+		"db2www_sqldb_stmt_calls":            "Statements",
+		"db2www_sqldb_plan_cache_size":       "Planner",
+		"db2www_sqldb_table_live_rows":       "Storage",
+		"db2www_qcache_entries":              "Query cache",
+		"db2www_history_scrapes_total":       "History",
+		"db2www_flight_pprof_captures_total": "Flight recorder",
+		"go_goroutines":                      "Runtime",
+		"someone_elses_total":                "Other",
+	} {
+		if got := statusSections[statusSection(name)].title; got != want {
+			t.Errorf("%s is listed under %q, want %q", name, got, want)
+		}
+	}
 	l := NewAccessLog(okHandler(), nil)
-	l.AddStatusSection("Query cache", func() [][2]string {
-		return [][2]string{{"Hits", "41"}, {"Misses", "1"}}
-	})
+	l.Traces = obs.NewRing(4)
 	c := &webclient.Client{Handler: l}
 	page, err := c.Get("http://host/server-status")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"<H2>Query cache</H2>", "<LI>Hits: 41", "<LI>Misses: 1"} {
-		if !strings.Contains(page.Body, want) {
-			t.Errorf("status page missing %q:\n%s", want, page.Body)
-		}
+	if !strings.HasSuffix(page.Body, "<H2>Recent traces</H2>\n<UL>\n<LI>(no traces yet): \n</UL>\n</BODY></HTML>\n") {
+		t.Errorf("the page does not end in the trace ring:\n%s", page.Body)
 	}
 }
 

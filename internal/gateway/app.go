@@ -7,7 +7,6 @@ import (
 	"os"
 	"path"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,22 +44,18 @@ type App struct {
 
 	macroHits, macroMisses atomic.Int64
 
-	mu          sync.Mutex
-	cache       map[string]cachedMacro
-	lintLoads   int64
-	lintErrors  int64
-	lintWarns   int64
-	lintInfos   int64
-	lintRejects int64
+	mu    sync.Mutex
+	cache map[string]cachedMacro
 }
 
-// LintStats reports cumulative lint-on-load activity: macro loads
-// linted, findings by severity, and loads refused under LintStrict.
-func (a *App) LintStats() (loads, errors, warnings, infos, rejected int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lintLoads, a.lintErrors, a.lintWarns, a.lintInfos, a.lintRejects
-}
+// Lint-on-load outcomes. What the loads found is
+// db2www_macrolint_findings_total, which the preflight also feeds.
+var (
+	mLintLoads = obs.Default.Counter("db2www_macrolint_loads_total",
+		"macro loads linted: parsed-macro cache misses")
+	mLintRefused = obs.Default.Counter("db2www_macrolint_refused_total",
+		"macro loads refused for an error-severity finding under -lint strict")
+)
 
 // MacroCacheStats reports how many macro loads were served from the
 // parsed-macro cache versus read and parsed from disk. With CacheMacros
@@ -68,29 +63,6 @@ func (a *App) LintStats() (loads, errors, warnings, infos, rejected int64) {
 // what the cache would save.
 func (a *App) MacroCacheStats() (hits, misses int64) {
 	return a.macroHits.Load(), a.macroMisses.Load()
-}
-
-// MacroCacheStatusRows renders MacroCacheStats for the /server-status
-// "Macro cache" section.
-func (a *App) MacroCacheStatusRows() [][2]string {
-	hits, misses := a.MacroCacheStats()
-	return [][2]string{
-		{"Hits", strconv.FormatInt(hits, 10)},
-		{"Misses", strconv.FormatInt(misses, 10)},
-	}
-}
-
-// LintStatusRows renders LintStats as the lint-on-load rows of the
-// /server-status "Macro lint" section.
-func (a *App) LintStatusRows() [][2]string {
-	loads, errs, warns, infos, rejected := a.LintStats()
-	return [][2]string{
-		{"Loads linted", strconv.FormatInt(loads, 10)},
-		{"Load errors", strconv.FormatInt(errs, 10)},
-		{"Load warnings", strconv.FormatInt(warns, 10)},
-		{"Load infos", strconv.FormatInt(infos, 10)},
-		{"Loads refused", strconv.FormatInt(rejected, 10)},
-	}
 }
 
 // fileStamp is what the parsed-macro cache remembers of a file it read:
@@ -237,22 +209,11 @@ func (a *App) loadMacro(name string) (m *core.Macro, status int, cached bool, er
 	if a.Lint != nil {
 		diags := a.Lint.LintMacro(m, rel)
 		macrolint.Record(diags)
-		errs, warns, infos := macrolint.Counts(diags)
-		reject := a.LintStrict && errs > 0
-		a.mu.Lock()
-		a.lintLoads++
-		a.lintErrors += int64(errs)
-		a.lintWarns += int64(warns)
-		a.lintInfos += int64(infos)
-		if reject {
-			a.lintRejects++
-		}
-		a.mu.Unlock()
-		if reject {
-			for _, d := range diags {
-				if d.Severity == macrolint.SevError {
-					return nil, 500, false, fmt.Errorf("macro refused by lint: %s", d)
-				}
+		mLintLoads.Inc()
+		for _, d := range diags {
+			if a.LintStrict && d.Severity == macrolint.SevError {
+				mLintRefused.Inc()
+				return nil, 500, false, fmt.Errorf("macro refused by lint: %s", d)
 			}
 		}
 	}

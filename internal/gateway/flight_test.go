@@ -33,29 +33,30 @@ const reportURL = "http://server/cgi-bin/db2www/urlquery.d2w/report?SEARCH=ib&US
 // retained, /debug/flight serves them by trace ID with the span
 // waterfall, the variables, and the substituted SQL, the access
 // log carries the retention decision, and the SLO burn rates reach
-// /metrics and /server-status.
+// /metrics and, as the same series, /server-status.
 func TestFlightEndToEnd(t *testing.T) {
 	h, app := newTestStack(t)
 	if err := os.WriteFile(filepath.Join(app.MacroDir, "broken.d2w"), []byte(brokenMacro), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
 	rec, err := flight.New(flight.Config{
 		SampleRate:    0.01,
 		SlowThreshold: time.Nanosecond, // every completed request counts as slow
-		Metrics:       reg,
+		Metrics:       obs.Default,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.Flight = rec
-	rec.SLO().ExportTo(reg)
+	rec.SLO().ExportTo(obs.Default)
+	kept := func(reason string) float64 {
+		return obs.Default.Snapshot()[`db2www_flight_kept_total{reason="`+reason+`"}`]
+	}
+	keptErrors, keptSlow := kept("error"), kept("slow")
 
 	var logBuf syncWriter
 	al := NewAccessLog(h, &logBuf)
-	al.Metrics = reg
 	al.Handle("/debug/flight", rec.Handler())
-	al.AddStatusSection("SLO burn rates", rec.SLO().StatusRows)
 
 	// Induced slow: a healthy report request over the (tiny) threshold.
 	req := httptest.NewRequest("GET", reportURL, nil)
@@ -125,29 +126,22 @@ func TestFlightEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Burn-rate gauges reach the Prometheus exposition, per macro.
-	w = httptest.NewRecorder()
-	al.ServeHTTP(w, httptest.NewRequest("GET", "http://server/metrics", nil))
-	metrics := w.Body.String()
-	for _, want := range []string{
-		"# TYPE db2www_slo_burn_rate gauge",
-		`db2www_slo_burn_rate{macro="urlquery.d2w",slo="availability",window="5m"}`,
-		`db2www_slo_burn_rate{macro="broken.d2w",slo="availability",window="5m"}`,
-		`db2www_flight_kept_total{reason="error"} 1`,
-		`db2www_flight_kept_total{reason="slow"} 1`,
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
+	// Burn-rate gauges reach the Prometheus exposition, per macro, and the
+	// same series the "SLO burn rates" section of /server-status.
+	if n, m := kept("error")-keptErrors, kept("slow")-keptSlow; n != 1 || m != 1 {
+		t.Errorf("db2www_flight_kept_total moved by %v errors and %v slow, want 1 and 1", n, m)
 	}
-
-	// And the human-readable section on /server-status.
-	w = httptest.NewRecorder()
-	al.ServeHTTP(w, httptest.NewRequest("GET", "http://server/server-status", nil))
-	status := w.Body.String()
-	for _, want := range []string{"SLO burn rates", "urlquery.d2w", "broken.d2w"} {
-		if !strings.Contains(status, want) {
-			t.Errorf("/server-status missing %q", want)
+	for _, page := range []string{"metrics", "server-status"} {
+		w = httptest.NewRecorder()
+		al.ServeHTTP(w, httptest.NewRequest("GET", "http://server/"+page, nil))
+		for _, want := range []string{
+			`db2www_slo_burn_rate{macro="urlquery.d2w",slo="availability",window="5m"}`,
+			`db2www_slo_burn_rate{macro="broken.d2w",slo="availability",window="5m"}`,
+			`db2www_slo_requests{macro="broken.d2w",window="5m"}`,
+		} {
+			if !strings.Contains(w.Body.String(), want) {
+				t.Errorf("/%s missing %q", page, want)
+			}
 		}
 	}
 }
@@ -225,7 +219,7 @@ func TestOneRecordEverySink(t *testing.T) {
 	al := NewAccessLog(inner, &jsonl) // two middlewares, still one record
 	al.Format = "json"
 	al.Handle("/debug/flight", rec.Handler())
-	al.AddStatusSection("Recent traces", h.TraceRing.StatusRows)
+	al.Traces = h.TraceRing
 
 	req := httptest.NewRequest("GET", reportURL, nil)
 	req.Header.Set("X-Trace-Id", "one")
@@ -298,7 +292,7 @@ func TestOneRecordEverySink(t *testing.T) {
 func TestRecordPublishedAfterFinish(t *testing.T) {
 	h, _ := newTestStack(t)
 	dir := t.TempDir()
-	rec, err := flight.New(flight.Config{SampleRate: 1, SlowThreshold: time.Hour, Dir: dir, RingSize: 16})
+	rec, err := flight.New(flight.Config{SampleRate: 1, SlowThreshold: time.Hour, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +302,7 @@ func TestRecordPublishedAfterFinish(t *testing.T) {
 	var logBuf syncWriter
 	al := NewAccessLog(h, &logBuf)
 	al.Handle("/debug/flight", rec.Handler())
-	al.AddStatusSection("Recent traces", h.TraceRing.StatusRows)
+	al.Traces = h.TraceRing
 	get := func(target string) string {
 		w := httptest.NewRecorder()
 		al.ServeHTTP(w, httptest.NewRequest("GET", target, nil))
@@ -375,7 +369,7 @@ func TestRecordPublishedAfterFinish(t *testing.T) {
 	if n := strings.Count(logBuf.String(), " flight=kept:sampled"); n != workers*perWorker {
 		t.Errorf("%d access-log lines carry the decision, want %d", n, workers*perWorker)
 	}
-	if kept := len(rec.Records(0)); kept != 16 {
-		t.Errorf("flight ring holds %d records, want its 16", kept)
+	if kept := len(rec.Records(0)); kept != workers*perWorker {
+		t.Errorf("flight ring holds %d records, want all %d", kept, workers*perWorker)
 	}
 }

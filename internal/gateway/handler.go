@@ -44,7 +44,7 @@ type Handler struct {
 	CGITimeout time.Duration
 
 	// TraceRing, when non-nil, receives every finished request trace;
-	// /server-status renders its contents.
+	// /server-status renders its contents (AccessLog.Traces).
 	TraceRing *obs.Ring
 	// Flight, when non-nil, feeds every finished request through the
 	// flight recorder's tail sampler, SLO windows, and anomaly trigger.
@@ -74,6 +74,8 @@ var (
 		"requests currently being served")
 	mRequestSeconds = obs.Default.Histogram("db2www_http_request_seconds",
 		"request latency from gateway receipt to response completion", nil)
+	mResponseBytes = obs.Default.Counter("db2www_http_response_bytes_total",
+		"response body bytes written")
 )
 
 // beginRequest gives a request what the middleware of this package needs
@@ -105,9 +107,9 @@ func beginRequest(w http.ResponseWriter, r *http.Request) (*countingWriter, *htt
 // ServeHTTP implements http.Handler. While instrumentation is on, every
 // request fills one record (see beginRequest) and, once finished, the
 // record goes to the sinks — the flight recorder, which keeps every slow
-// request, and the trace ring — and the request count, latency, and
-// in-flight gauges land in the obs registry. Nothing is written to the
-// record once the first sink has it.
+// request, and the trace ring — and the request count, latency, response
+// bytes and in-flight gauge land in the obs registry. Nothing is written
+// to the record once the first sink has it.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	cw, r, tr := beginRequest(w, r)
 	if tr == nil {
@@ -122,6 +124,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	obs.Default.Counter("db2www_http_requests_total",
 		"requests served, by response status", "code", strconv.Itoa(tr.Status)).Inc()
 	mRequestSeconds.Observe(tr.Total.Seconds())
+	mResponseBytes.Add(cw.bytes)
 	h.Flight.Observe(tr)
 	h.TraceRing.Add(tr)
 }

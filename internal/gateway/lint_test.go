@@ -9,6 +9,7 @@ import (
 
 	"db2www/internal/core"
 	"db2www/internal/macrolint"
+	"db2www/internal/obs"
 	"db2www/internal/sqldb"
 	"db2www/internal/sqlsema"
 	"db2www/internal/webclient"
@@ -39,8 +40,28 @@ func newLintStack(t *testing.T, strict bool) (*Handler, *App) {
 	return &Handler{App: app}, app
 }
 
+// lintSince returns what lint-on-load has counted into the registry since
+// the call: loads linted, loads refused and error-severity findings.
+func lintSince() func() (loads, refused, errs int64) {
+	l0, r0, e0 := lintCounts()
+	return func() (int64, int64, int64) {
+		l, r, e := lintCounts()
+		return l - l0, r - r0, e - e0
+	}
+}
+
+func lintCounts() (loads, refused, errs int64) {
+	for series, v := range obs.Default.Snapshot() {
+		if strings.HasPrefix(series, "db2www_macrolint_findings_total{") && strings.Contains(series, `severity="error"`) {
+			errs += int64(v)
+		}
+	}
+	return mLintLoads.Value(), mLintRefused.Value(), errs
+}
+
 func TestLintStrictRefusesTaintedMacro(t *testing.T) {
-	h, app := newLintStack(t, true)
+	h, _ := newLintStack(t, true)
+	counts := lintSince()
 	c := &webclient.Client{Handler: h}
 	page, err := c.Get("http://server/cgi-bin/db2www/tainted.d2w/input")
 	if err != nil {
@@ -52,14 +73,14 @@ func TestLintStrictRefusesTaintedMacro(t *testing.T) {
 	if !strings.Contains(page.Body, "refused by lint") {
 		t.Fatalf("body does not name the lint refusal:\n%s", page.Body)
 	}
-	loads, errs, _, _, rejected := app.LintStats()
-	if loads != 1 || errs == 0 || rejected != 1 {
-		t.Fatalf("LintStats = loads %d, errors %d, rejected %d", loads, errs, rejected)
+	if loads, rejected, errs := counts(); loads != 1 || errs == 0 || rejected != 1 {
+		t.Fatalf("lint counted loads %d, errors %d, rejected %d", loads, errs, rejected)
 	}
 }
 
 func TestLintWarnModeStillServes(t *testing.T) {
-	h, app := newLintStack(t, false)
+	h, _ := newLintStack(t, false)
+	counts := lintSince()
 	c := &webclient.Client{Handler: h}
 	page, err := c.Get("http://server/cgi-bin/db2www/tainted.d2w/input")
 	if err != nil {
@@ -68,24 +89,23 @@ func TestLintWarnModeStillServes(t *testing.T) {
 	if page.Status != 200 {
 		t.Fatalf("status = %d, body: %s", page.Status, page.Body)
 	}
-	loads, errs, _, _, rejected := app.LintStats()
-	if loads != 1 || errs == 0 || rejected != 0 {
-		t.Fatalf("LintStats = loads %d, errors %d, rejected %d", loads, errs, rejected)
+	if loads, rejected, errs := counts(); loads != 1 || errs == 0 || rejected != 0 {
+		t.Fatalf("lint counted loads %d, errors %d, rejected %d", loads, errs, rejected)
 	}
 }
 
 // TestLintOnLoadOncePerCacheMiss: a cached macro is not re-linted, so
 // lint-on-load costs nothing on the hot path.
 func TestLintOnLoadOncePerCacheMiss(t *testing.T) {
-	h, app := newLintStack(t, false)
+	h, _ := newLintStack(t, false)
+	counts := lintSince()
 	c := &webclient.Client{Handler: h}
 	for i := 0; i < 5; i++ {
 		if _, err := c.Get("http://server/cgi-bin/db2www/tainted.d2w/input"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	loads, _, _, _, _ := app.LintStats()
-	if loads != 1 {
+	if loads, _, _ := counts(); loads != 1 {
 		t.Fatalf("linted %d loads, want 1 (cache misses only)", loads)
 	}
 }
@@ -118,6 +138,7 @@ func TestLintStrictRefusesSchemaMismatch(t *testing.T) {
 		Lint:        linter,
 		LintStrict:  true,
 	}
+	counts := lintSince()
 	c := &webclient.Client{Handler: &Handler{App: app}}
 	page, err := c.Get("http://server/cgi-bin/db2www/mismatch.d2w/report")
 	if err != nil {
@@ -126,9 +147,8 @@ func TestLintStrictRefusesSchemaMismatch(t *testing.T) {
 	if page.Status != 500 || !strings.Contains(page.Body, "refused by lint") {
 		t.Fatalf("status = %d, body:\n%s", page.Status, page.Body)
 	}
-	_, errs, _, _, rejected := app.LintStats()
-	if errs == 0 || rejected != 1 {
-		t.Fatalf("LintStats = errors %d, rejected %d", errs, rejected)
+	if _, rejected, errs := counts(); errs == 0 || rejected != 1 {
+		t.Fatalf("lint counted errors %d, rejected %d", errs, rejected)
 	}
 }
 
@@ -158,8 +178,10 @@ func TestLintSeesRunTimeDDL(t *testing.T) {
 		}
 		return page.Body
 	}
-	if body := status(); !strings.Contains(body, "<LI>Schema tables: 1\n") {
-		t.Fatalf("/server-status at boot lacks \"Schema tables: 1\":\n%s", body)
+	const urldb, ratings = `<LI>db2www_sqldb_table_live_rows{table="urldb"}: 20` + "\n",
+		`<LI>db2www_sqldb_table_live_rows{table="ratings"}: 0` + "\n"
+	if body := status(); !strings.Contains(body, urldb) {
+		t.Fatalf("/server-status at boot lacks %q:\n%s", urldb, body)
 	}
 
 	if _, err := sess.Exec("ALTER TABLE urldb ADD COLUMN rating INTEGER DEFAULT 5"); err != nil {
@@ -199,15 +221,16 @@ func TestLintSeesRunTimeDDL(t *testing.T) {
 		t.Fatalf("a macro selecting a dropped column: status %d, want the [schema] finding at load:\n%s",
 			page.Status, page.Body)
 	}
-	if body := status(); !strings.Contains(body, "<LI>Schema tables: 2\n") {
-		t.Errorf("/server-status after CREATE TABLE lacks \"Schema tables: 2\":\n%s", body)
+	if body := status(); !strings.Contains(body[strings.Index(body, "<H2>Storage</H2>"):], ratings) {
+		t.Errorf("the Storage section of /server-status after CREATE TABLE lacks %q:\n%s", ratings, body)
 	}
 }
 
 // TestLintConcurrentLoads: concurrent first-requests must lint without
 // races (run under -race in CI).
 func TestLintConcurrentLoads(t *testing.T) {
-	h, app := newLintStack(t, true)
+	h, _ := newLintStack(t, true)
+	counts := lintSince()
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -225,8 +248,7 @@ func TestLintConcurrentLoads(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	loads, _, _, _, rejected := app.LintStats()
-	if loads == 0 || loads != rejected {
-		t.Fatalf("LintStats = loads %d, rejected %d", loads, rejected)
+	if loads, rejected, _ := counts(); loads == 0 || loads != rejected {
+		t.Fatalf("lint counted loads %d, rejected %d", loads, rejected)
 	}
 }

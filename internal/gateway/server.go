@@ -137,8 +137,7 @@ type Server struct {
 	app  *App // nil under -cgi
 	root *AccessLog
 
-	// What the lint preflight found, for the banner, /server-status and
-	// /readyz.
+	// What the lint preflight found, for the banner and /readyz.
 	preFiles, preErrs, preWarns int
 
 	closers   []func() error // run last-first by Close
@@ -224,34 +223,30 @@ func (s *Server) assemble() (err error) {
 	}
 	al := NewAccessLog(h, logOut)
 	al.Format = cfg.AccessLogFormat
+	al.Traces = s.Traces
 	s.root = al
-	al.AddStatusSection("Build info", obs.BuildKV)
 	al.Handle("/debug/flight", s.Flight.Handler())
-	al.AddStatusSection("SLO burn rates", s.Flight.SLO().StatusRows)
-	al.AddStatusSection("Recent traces", s.Traces.StatusRows)
-	if s.app != nil {
-		al.AddStatusSection("Macro cache", s.app.MacroCacheStatusRows)
-	}
-	if cfg.Lint != "off" {
-		al.AddStatusSection("Macro lint", s.lintStatusRows)
+	if app := s.app; app != nil {
+		hits := obs.Default.Gauge("db2www_macro_cache_hits", "macro loads served from the parsed-macro cache")
+		misses := obs.Default.Gauge("db2www_macro_cache_misses", "macro loads read and parsed from disk")
+		obs.Default.OnScrape(func() {
+			h, m := app.MacroCacheStats()
+			hits.Set(h)
+			misses.Set(m)
+		})
 	}
 	if db := s.DB; db != nil {
-		al.AddStatusSection("Transactions", db.TxnStatusRows)
-		al.AddStatusSection("Statements", db.StatementStats().StatusRows)
-		al.AddStatusSection("Planner", db.PlanCacheStatusRows)
-		al.AddStatusSection("Storage", db.StorageStatusRows)
 		al.Handle("/debug/statements", StatementsHandler(db))
 		sqldb.RegisterMetrics(db)
 	}
 	if s.QCache != nil {
-		al.AddStatusSection("Query cache", s.QCache.StatusRows)
+		qcache.RegisterMetrics(s.QCache)
 	}
 	if err := s.startHistory(); err != nil {
 		return err
 	}
 	al.Handle("/debug/history", s.History.Handler())
 	al.Handle("/debug/dash", s.History.Dashboard())
-	al.AddStatusSection("History", s.History.StatusRows)
 
 	health := s.health()
 	al.Handle("/healthz", health.Liveness())
@@ -376,26 +371,6 @@ func (s *Server) lintPreflight() error {
 	return nil
 }
 
-// lintStatusRows is the /server-status "Macro lint" section: what the
-// preflight found, then what lint-on-load has found since.
-func (s *Server) lintStatusRows() [][2]string {
-	schemaTables := 0
-	if s.DB != nil {
-		schemaTables = len(s.DB.TableNames())
-	}
-	rows := [][2]string{
-		{"Mode", s.cfg.Lint},
-		{"Schema tables", strconv.Itoa(schemaTables)},
-		{"Preflight macros", strconv.Itoa(s.preFiles)},
-		{"Preflight errors", strconv.Itoa(s.preErrs)},
-		{"Preflight warnings", strconv.Itoa(s.preWarns)},
-	}
-	if s.app != nil {
-		rows = append(rows, s.app.LintStatusRows()...)
-	}
-	return rows
-}
-
 // startHistory starts the embedded time-series self-scraping the same
 // registry /metrics exposes, with the alert engine on top. Critical
 // firings trigger the flight recorder's anomaly pprof capture — the
@@ -462,8 +437,8 @@ func (s *Server) health() *Health {
 func (s *Server) WriteBanner(w io.Writer) {
 	c := s.cfg
 	if c.Lint != "off" {
-		fmt.Fprintf(w, "gatewayd: lint preflight: %d macro(s), %d error(s), %d warning(s)\n",
-			s.preFiles, s.preErrs, s.preWarns)
+		fmt.Fprintf(w, "gatewayd: lint preflight (-lint %s): %d macro(s), %d error(s), %d warning(s)\n",
+			c.Lint, s.preFiles, s.preErrs, s.preWarns)
 	}
 	if c.AccessLog != "" {
 		fmt.Fprintf(w, "gatewayd: access log at %s, stats at /server-status\n", c.AccessLog)

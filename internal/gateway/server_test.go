@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"html"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -9,10 +10,12 @@ import (
 	"regexp"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"db2www/internal/obs"
 	"db2www/internal/sqldb"
 	"db2www/internal/sqldriver"
 )
@@ -107,17 +110,22 @@ func TestServerSurfaces(t *testing.T) {
 	wantAll(t, "/debug/flight", get(t, h, "/debug/flight"), `"trace_id"`, `"decision"`)
 
 	status := get(t, h, "/server-status")
-	wantAll(t, "/server-status", status,
-		"Build info", "Recent traces", "Macro lint", "SLO burn rates",
-		"Transactions", "Statements", "Planner", "Storage", "History")
+	// The counters are the process's, which earlier servers of this test
+	// binary fed too; the step greps the same line off the real binary.
+	if !regexp.MustCompile(`(?m)^<LI>db2www_qcache_hits_total: [1-9]`).MatchString(status) {
+		t.Errorf("/server-status shows no query-cache hit")
+	}
+	wantAll(t, "/server-status", status, "<LI>db2www_qcache_entries: ",
+		`<LI>db2www_macro_cache_hits: `, `<LI>db2www_sqldb_txn_commit_seq: `, `<LI>db2www_build_info{`,
+		`<LI>db2www_slo_requests{macro="urlquery.d2w",window="5m"}: 2`+"\n")
 	// The whole page in order.
 	var titles []string
 	for _, m := range regexp.MustCompile(`<H2>([^<]*)</H2>`).FindAllStringSubmatch(status, -1) {
 		titles = append(titles, m[1])
 	}
-	if got, want := strings.Join(titles, " | "), "Responses by status | Busiest URLs | Build info | "+
-		"SLO burn rates | Recent traces | Macro cache | Macro lint | Transactions | Statements | "+
-		"Planner | Storage | Query cache | History"; got != want {
+	if got, want := strings.Join(titles, " | "), "Requests | Build info | SLO burn rates | Macro cache | "+
+		"Macro lint | Transactions | Statements | Planner | Storage | Query cache | History | "+
+		"Flight recorder | Runtime | Recent traces"; got != want {
 		t.Errorf("/server-status sections:\n got %s\nwant %s", got, want)
 	}
 
@@ -154,7 +162,7 @@ func TestServerSurfaces(t *testing.T) {
 	var banner strings.Builder
 	srv.WriteBanner(&banner)
 	wantAll(t, "banner", banner.String(),
-		"gatewayd: lint preflight: 3 macro(s), 0 error(s), 2 warning(s)\n",
+		"gatewayd: lint preflight (-lint strict): 3 macro(s), 0 error(s), 2 warning(s)\n",
 		"gatewayd: serving macros from "+cfg.Macros+" on :8080\n",
 		"gatewayd: flight records at /debug/flight (sample 0, slow >= 1ns)\n",
 		"gatewayd: history at /debug/history, dashboard at /debug/dash (scrape 250ms, retain 15m0s)\n",
@@ -285,8 +293,8 @@ func TestCGIEnv(t *testing.T) {
 
 // TestServerWithoutQueryCache: the cache is on by default and two
 // configurations build none — -cgi, whose database lives in each request's
-// subprocess, and -qcache-bytes 0. Both start and serve, with no "Query
-// cache" section to show.
+// subprocess, and -qcache-bytes 0. Both start and serve, and their
+// requests move nothing in the "Query cache" section.
 func TestServerWithoutQueryCache(t *testing.T) {
 	script := filepath.Join(t.TempDir(), "db2www")
 	if err := os.WriteFile(script, []byte("#!/bin/sh\nprintf 'Content-Type: text/html\\r\\n\\r\\n<P>from the subprocess</P>'\n"), 0o755); err != nil {
@@ -310,13 +318,131 @@ func TestServerWithoutQueryCache(t *testing.T) {
 		if srv.QCache != nil {
 			t.Errorf("%s: a query cache was built", c.name)
 		}
+		before := sectionRows(t, get(t, srv.Handler(), "/server-status"), "Query cache")
 		for i := 0; i < 2; i++ {
 			wantAll(t, c.name+" report", get(t, srv.Handler(), smokeReport), c.want)
 		}
-		if strings.Contains(get(t, srv.Handler(), "/server-status"), "Query cache") {
-			t.Errorf("%s: /server-status has a Query cache section", c.name)
+		if after := sectionRows(t, get(t, srv.Handler(), "/server-status"), "Query cache"); after != before {
+			t.Errorf("%s: the reports moved the Query cache section:\n%s\nto\n%s", c.name, before, after)
 		}
 		srv.Close()
+	}
+}
+
+// sectionRows returns the rows of one section of a /server-status page.
+func sectionRows(t *testing.T, page, title string) string {
+	t.Helper()
+	_, rest, ok := strings.Cut(page, "<H2>"+title+"</H2>\n")
+	if !ok {
+		t.Fatalf("/server-status has no %s section:\n%s", title, page)
+	}
+	rows, _, _ := strings.Cut(rest, "</UL>")
+	return rows
+}
+
+// statusRows reads a /server-status page back: series → value, and the
+// section each series is listed in.
+func statusRows(page string) (values, sections map[string]string) {
+	values, sections = map[string]string{}, map[string]string{}
+	title := ""
+	for _, line := range strings.Split(page, "\n") {
+		if t, ok := strings.CutPrefix(line, "<H2>"); ok {
+			title = strings.TrimSuffix(t, "</H2>")
+		} else if row, ok := strings.CutPrefix(line, "<LI>"); ok && title != "Recent traces" {
+			i := strings.LastIndex(row, ": ")
+			series := html.UnescapeString(row[:i])
+			if _, dup := values[series]; dup {
+				sections[series] += ", " + title
+			} else {
+				sections[series] = title
+			}
+			values[series] = row[i+2:]
+		}
+	}
+	return values, sections
+}
+
+// TestStatusPageIsTheRegistry: /server-status is /metrics grouped by
+// subsystem. Read with no traffic between them, every row of the page
+// names a series /metrics carries, with the value /metrics gives it — a
+// row whose value moved by itself between two page reads (the runtime's,
+// or the vacuum loop's tick) only has to be there — and every family of
+// the registry is listed, once, in one section.
+func TestStatusPageIsTheRegistry(t *testing.T) {
+	cfg := smokeConfig(t)
+	cfg.HistoryInterval = time.Hour // no self-scrape between the reads
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	get(t, h, smokeReport)
+	get(t, h, smokeReport)
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "http://localhost/cgi-bin/db2www/nosuch.d2w/input", nil))
+
+	families := obs.Default.FullSnapshot()
+	page, metrics, again := get(t, h, "/server-status"), get(t, h, "/metrics"), get(t, h, "/server-status")
+	exposed := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(metrics), "\n") {
+		if i := strings.LastIndexByte(line, ' '); !strings.HasPrefix(line, "#") {
+			exposed[line[:i]] = line[i+1:]
+		}
+	}
+	values, sections := statusRows(page)
+	valuesAgain, _ := statusRows(again)
+	for series, v := range values {
+		m, ok := exposed[series]
+		if !ok {
+			t.Errorf("%s (%s) is not a series of /metrics", series, sections[series])
+			continue
+		}
+		pv, _ := strconv.ParseFloat(v, 64)
+		mv, err := strconv.ParseFloat(m, 64)
+		if err != nil || pv != mv && valuesAgain[series] == v && sections[series] != "Runtime" {
+			t.Errorf("%s: /server-status %s, /metrics %s", series, v, m)
+		}
+	}
+	listed := map[string]string{}
+	for _, f := range families {
+		series := f.Name + f.Labels
+		if f.Kind == "histogram" {
+			series = f.Name + "_count" + f.Labels
+		}
+		sec, ok := sections[series]
+		if !ok {
+			t.Errorf("%s is not on /server-status", series)
+		} else if prev, seen := listed[f.Name]; strings.Contains(sec, ",") || seen && prev != sec {
+			t.Errorf("family %s is listed under %s and %s", f.Name, prev, sec)
+		}
+		listed[f.Name] = sec
+	}
+	if len(values) < 100 || len(listed) < 50 {
+		t.Errorf("the page lists %d series of %d families", len(values), len(listed))
+	}
+}
+
+// TestStatusPageEscapes: a label value can come from the request — here
+// the macro name of a URL, which the SLO series carry — and the page shows
+// it as text, not as markup.
+func TestStatusPageEscapes(t *testing.T) {
+	cfg := DefaultServerConfig()
+	cfg.Macros = filepath.Join(repoRoot(t), "testdata", "macros")
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "http://localhost/cgi-bin/db2www/<b>x</b>.d2w/input", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("status %d, want 404", rec.Code)
+	}
+	page := get(t, h, "/server-status")
+	wantAll(t, "/server-status", page, `<LI>db2www_slo_requests{macro="&lt;b&gt;x&lt;/b&gt;.d2w",window="5m"}: 1`+"\n")
+	if strings.Contains(page, "<b>") {
+		t.Errorf("/server-status carries the client's markup:\n%s", page)
 	}
 }
 

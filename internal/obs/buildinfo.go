@@ -7,7 +7,7 @@ import (
 )
 
 // BuildInfo is the build identity every binary reports under -version
-// and /server-status: the Go toolchain plus whatever VCS stamping the
+// and as db2www_build_info: the Go toolchain plus whatever VCS stamping the
 // build embedded (absent under plain `go build` of a dirty tree —
 // fields degrade to "unknown" rather than vanish).
 type BuildInfo struct {
@@ -52,19 +52,4 @@ func VersionLine(program string) string {
 		dirty = " (modified)"
 	}
 	return fmt.Sprintf("%s %s%s, %s, built %s", program, rev, dirty, bi.GoVersion, bi.Time)
-}
-
-// BuildKV renders the build identity as /server-status section rows.
-func BuildKV() [][2]string {
-	bi := ReadBuildInfo()
-	modified := "false"
-	if bi.Modified {
-		modified = "true"
-	}
-	return [][2]string{
-		{"Go version", bi.GoVersion},
-		{"VCS revision", bi.Revision},
-		{"VCS time", bi.Time},
-		{"Modified tree", modified},
-	}
 }

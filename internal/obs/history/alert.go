@@ -304,8 +304,3 @@ func (s *Store) CriticalFiring() bool {
 	_, critical := s.alerts.firingCounts()
 	return critical > 0
 }
-
-// FiringCounts reports currently-firing rule counts by severity.
-func (s *Store) FiringCounts() (warning, critical int) {
-	return s.alerts.firingCounts()
-}

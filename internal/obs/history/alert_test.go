@@ -149,9 +149,10 @@ func TestAlertPendingThenFiring(t *testing.T) {
 	if s.CriticalFiring() {
 		t.Fatal("critical still firing after recovery")
 	}
-	w, crit := s.FiringCounts()
-	if w != 0 || crit != 0 {
-		t.Fatalf("firing counts after recovery = %d, %d", w, crit)
+	snap := reg.Snapshot()
+	if w, crit := snap[`db2www_history_alerts_firing{severity="warning"}`],
+		snap[`db2www_history_alerts_firing{severity="critical"}`]; w != 0 || crit != 0 {
+		t.Fatalf("firing counts after recovery = %v, %v", w, crit)
 	}
 
 	// A second incident must re-fire (transition counted again).

@@ -221,23 +221,3 @@ func renderAlerts(sb *strings.Builder, alerts []AlertStatus) {
 	}
 	sb.WriteString("</table>\n")
 }
-
-// StatusRows renders the store for a /server-status "History" section.
-func (s *Store) StatusRows() [][2]string {
-	warning, critical := s.FiringCounts()
-	list := s.SeriesList()
-	var samples int
-	for _, info := range list {
-		samples += info.Samples
-	}
-	return [][2]string{
-		{"Scrape interval", s.cfg.Interval.String()},
-		{"Retention", s.cfg.Retention.String()},
-		{"Scrapes", fmt.Sprintf("%d", s.Scrapes())},
-		{"Series", fmt.Sprintf("%d", len(list))},
-		{"Samples retained", fmt.Sprintf("%d", samples)},
-		{"Alert rules", fmt.Sprintf("%d", len(s.Alerts()))},
-		{"Alerts firing", fmt.Sprintf("%d critical, %d warning", critical, warning)},
-		{"Dashboard", "/debug/dash"},
-	}
-}

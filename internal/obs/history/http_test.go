@@ -162,18 +162,3 @@ func TestDashboardRenders(t *testing.T) {
 		}
 	}
 }
-
-func TestStatusRows(t *testing.T) {
-	s, clk := newTestStore(t, Config{Interval: time.Second, Retention: time.Minute,
-		Rules: DefaultRules()})
-	clk.tick(s, time.Second)
-	rows := s.StatusRows()
-	got := map[string]string{}
-	for _, r := range rows {
-		got[r[0]] = r[1]
-	}
-	if got["Scrape interval"] != "1s" || got["Scrapes"] != "1" ||
-		got["Alert rules"] != "2" || got["Dashboard"] != "/debug/dash" {
-		t.Fatalf("status rows = %v", got)
-	}
-}

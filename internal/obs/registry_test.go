@@ -167,8 +167,15 @@ func TestBuildInfo(t *testing.T) {
 	if !strings.Contains(line, "testprog") || !strings.Contains(line, "go1") {
 		t.Errorf("version line = %q", line)
 	}
-	kv := BuildKV()
-	if len(kv) != 4 || kv[0][0] != "Go version" {
-		t.Errorf("BuildKV = %v", kv)
+	reg := NewRegistry()
+	RegisterBuildInfo(reg)
+	if snap := reg.Snapshot(); len(snap) != 1 {
+		t.Errorf("db2www_build_info = %v, want one series", snap)
+	} else {
+		for series, v := range snap {
+			if v != 1 || !strings.Contains(series, `go="`+bi.GoVersion+`"`) {
+				t.Errorf("build info series %s %v", series, v)
+			}
+		}
 	}
 }

@@ -37,8 +37,6 @@ package qcache
 import (
 	"container/list"
 	"context"
-	"fmt"
-	"strconv"
 	"sync"
 
 	"db2www/internal/core"
@@ -81,15 +79,6 @@ type Stats struct {
 	Refused       int64 // executions of a shape admission keeps out: no lookup counted, nothing stored
 	Bypasses      int64 // statements that skipped the cache (not a SELECT, open txn)
 	Uncacheable   int64 // SELECTs executed but not stored (non-deterministic, oversize, or raced by a write)
-}
-
-// HitRatio returns hits / (hits + misses) — of what the cache tried to
-// serve; a refused execution is neither — or 0 with no lookups.
-func (s Stats) HitRatio() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
 // How the cache handled one statement; the sql-exec note of the request
@@ -455,28 +444,6 @@ func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
-}
-
-// StatusRows renders the counters and the live size for the
-// /server-status "Query cache" section.
-func (c *Cache) StatusRows() [][2]string {
-	c.mu.Lock()
-	st, entries, bytes := c.stats, len(c.entries), c.bytes
-	c.mu.Unlock()
-	return [][2]string{
-		{"Hits", strconv.FormatInt(st.Hits, 10)},
-		{"Misses", strconv.FormatInt(st.Misses, 10)},
-		{"Hit ratio", fmt.Sprintf("%.3f", st.HitRatio())},
-		{"Deduplicated", strconv.FormatInt(st.Dedups, 10)},
-		{"Stores", strconv.FormatInt(st.Stores, 10)},
-		{"Evictions", strconv.FormatInt(st.Evictions, 10)},
-		{"Invalidations", strconv.FormatInt(st.Invalidations, 10)},
-		{"Refused", strconv.FormatInt(st.Refused, 10)},
-		{"Bypasses", strconv.FormatInt(st.Bypasses, 10)},
-		{"Uncacheable", strconv.FormatInt(st.Uncacheable, 10)},
-		{"Entries", strconv.Itoa(entries)},
-		{"Bytes", strconv.FormatInt(bytes, 10)},
-	}
 }
 
 // Flush drops every entry and the per-table links (the counters,

@@ -3,7 +3,6 @@ package qcache
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"db2www/internal/core"
+	"db2www/internal/obs"
 	"db2www/internal/sqldb"
 )
 
@@ -229,9 +229,9 @@ func (p cachedDB) Execute(sql string) (*core.SQLResult, error) {
 
 // TestRenderMemoRidesOnTheEntry: the %ROW block the second rendering of a
 // cached result keeps on it is charged to the byte budget the next time the
-// entry is served — Bytes() and the status page's "Bytes" row say so, and
-// a budget it overflows evicts from the LRU tail — and it leaves with the
-// entry, on a sweep as on Flush.
+// entry is served — Bytes(), which db2www_qcache_bytes exports, says so,
+// and a budget it overflows evicts from the LRU tail — and it leaves with
+// the entry, on a sweep as on Flush.
 func TestRenderMemoRidesOnTheEntry(t *testing.T) {
 	m, err := core.Parse("memo.d2w", "%DEFINE{\nD2 = ? \"<br>$(V2)\"\n%}\n"+
 		"%SQL{t report\n%SQL_REPORT{<UL>\n%ROW{<LI>$(V1) $(D2)\n%}\n</UL>\n%}\n%}\n%HTML_REPORT{%EXEC_SQL%}\n")
@@ -251,16 +251,10 @@ func TestRenderMemoRidesOnTheEntry(t *testing.T) {
 		}
 	}
 	fresh := func() (*core.SQLResult, error) { return &core.SQLResult{Columns: table.Columns, Rows: table.Rows}, nil }
-	statusBytes := func(c *Cache) string {
-		for _, row := range c.StatusRows() {
-			if row[0] == "Bytes" {
-				return row[1]
-			}
-		}
-		return ""
-	}
 
 	c := New(1 << 20)
+	RegisterMetrics(c)
+	exported := func() int64 { return int64(obs.Default.Snapshot()["db2www_qcache_bytes"]) }
 	conn.run = fresh
 	render(c) // stored
 	entry := c.Bytes()
@@ -273,8 +267,8 @@ func TestRenderMemoRidesOnTheEntry(t *testing.T) {
 	if memo < int64(100*len("<LI>http://www.ibm10.com/ <br>title\n")) {
 		t.Fatalf("a hit served from a 100-row memo raised Bytes() by %d", memo)
 	}
-	if got := statusBytes(c); got != strconv.FormatInt(c.Bytes(), 10) {
-		t.Errorf("status Bytes row %s, Bytes() %d", got, c.Bytes())
+	if got := exported(); got != c.Bytes() {
+		t.Errorf("db2www_qcache_bytes %d, Bytes() %d", got, c.Bytes())
 	}
 
 	// A write to the table: the next lookup sweeps the entry and its memo
@@ -293,8 +287,8 @@ func TestRenderMemoRidesOnTheEntry(t *testing.T) {
 		t.Fatalf("refilled: %d bytes, want %d", c.Bytes(), entry+memo)
 	}
 	c.Flush()
-	if c.Bytes() != 0 || statusBytes(c) != "0" {
-		t.Errorf("after Flush: %d bytes, status %s", c.Bytes(), statusBytes(c))
+	if c.Bytes() != 0 || exported() != 0 {
+		t.Errorf("after Flush: %d bytes, db2www_qcache_bytes %d", c.Bytes(), exported())
 	}
 
 	// A budget that holds the report's entry and its memo, or the entry and

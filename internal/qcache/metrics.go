@@ -2,10 +2,9 @@ package qcache
 
 import "db2www/internal/obs"
 
-// Prometheus counters mirroring the Stats fields. Stats stays the
-// programmatic per-cache snapshot (experiments diff it around a run);
-// these registry counters are the process-wide operational view that
-// /metrics exposes, incremented at the same sites.
+// What the caches of the process have done, counted where Stats counts it:
+// Stats is one cache's own view (tests and experiments read it around a
+// run), these are what /metrics and /server-status serve.
 var (
 	mHits = obs.Default.Counter("db2www_qcache_hits_total",
 		"query-cache lookups served from a valid entry")
@@ -26,3 +25,16 @@ var (
 	mUncacheable = obs.Default.Counter("db2www_qcache_uncacheable_total",
 		"SELECTs executed but not stored (non-deterministic, oversize, or raced by a write)")
 )
+
+// RegisterMetrics exports what c holds — its live entries and the bytes
+// charged to its budget — refreshed on every scrape. gatewayd calls it for
+// the cache in front of its database.
+func RegisterMetrics(c *Cache) {
+	entries := obs.Default.Gauge("db2www_qcache_entries", "live query-cache entries")
+	bytes := obs.Default.Gauge("db2www_qcache_bytes",
+		"bytes charged to the query-cache budget: results, keys and render memos")
+	obs.Default.OnScrape(func() {
+		entries.Set(int64(c.Len()))
+		bytes.Set(c.Bytes())
+	})
+}

@@ -497,22 +497,6 @@ func (db *Database) TableStatsSnapshot() []TableStats {
 	return out
 }
 
-// StorageStatusRows renders TableStatsSnapshot for the /server-status
-// "Storage" section, one row per table.
-func (db *Database) StorageStatusRows() [][2]string {
-	var rows [][2]string
-	for _, ts := range db.TableStatsSnapshot() {
-		rows = append(rows, [2]string{
-			ts.Name,
-			fmt.Sprintf("rows=%d versions=%d max_chain=%d seq=%d idx=%d read=%d ins=%d upd=%d del=%d retries=%d",
-				ts.Rows, ts.Versions, ts.MaxChain, ts.SeqScans,
-				ts.IndexScans, ts.RowsRead, ts.RowsInserted,
-				ts.RowsUpdated, ts.RowsDeleted, ts.ConflictRetries),
-		})
-	}
-	return rows
-}
-
 // indexOn returns the first index whose key column is at position pos,
 // preferring unique indexes.
 func (t *Table) indexOn(pos int) *Index {

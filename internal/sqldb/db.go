@@ -3,7 +3,6 @@ package sqldb
 import (
 	"fmt"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -217,24 +216,6 @@ func (db *Database) TxnStats() TxnStats {
 		VacuumedRows:      db.vacuumRows.Load(),
 		VacuumSweeps:      db.vacuumSweeps.Load(),
 		VacuumScannedRows: db.vacuumScanned.Load(),
-	}
-}
-
-// TxnStatusRows renders TxnStats for the /server-status "Transactions"
-// section.
-func (db *Database) TxnStatusRows() [][2]string {
-	st := db.TxnStats()
-	return [][2]string{
-		{"Active snapshots", strconv.Itoa(st.ActiveSnapshots)},
-		{"Oldest snapshot", strconv.FormatUint(st.OldestSnapshot, 10)},
-		{"Oldest snapshot age", st.OldestSnapshotAge.String()},
-		{"Commit sequence", strconv.FormatUint(st.CommitSeq, 10)},
-		{"Commits", strconv.FormatUint(st.Commits, 10)},
-		{"Rollbacks", strconv.FormatUint(st.Rollbacks, 10)},
-		{"Conflicts", strconv.FormatUint(st.Conflicts, 10)},
-		{"Conflict retries", strconv.FormatUint(st.ConflictRetries, 10)},
-		{"Vacuumed versions", strconv.FormatUint(st.VacuumedRows, 10)},
-		{"Vacuum sweeps", strconv.FormatUint(st.VacuumSweeps, 10)},
 	}
 }
 

@@ -44,11 +44,11 @@ var (
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128})
 )
 
-// RegisterMetrics exports db's statement registry, per-table access
-// counters, and MVCC health gauges to the obs registry, refreshed on
-// every scrape. Call once per exported database (gatewayd calls it for
-// the in-process engine); registering twice would double the scrape
-// work for identical output.
+// RegisterMetrics exports db's statement registry, per-table access and
+// storage counters, and transaction and MVCC health gauges to the obs
+// registry, refreshed on every scrape. Call once per exported database
+// (gatewayd calls it for the in-process engine); registering twice would
+// double the scrape work for identical output.
 func RegisterMetrics(db *Database) {
 	obs.Default.OnScrape(func() {
 		for _, st := range db.StatementStats().Snapshot() {
@@ -84,6 +84,10 @@ func RegisterMetrics(db *Database) {
 				"auto-commit conflict retries per table", l...).Set(int64(ts.ConflictRetries))
 			obs.Default.Gauge("db2www_sqldb_table_max_chain",
 				"deepest version chain per table", l...).Set(int64(ts.MaxChain))
+			obs.Default.Gauge("db2www_sqldb_table_live_rows",
+				"rows a fresh snapshot sees per table", l...).Set(int64(ts.Rows))
+			obs.Default.Gauge("db2www_sqldb_table_versions",
+				"row versions held per table, pending ones included", l...).Set(int64(ts.Versions))
 			for _, ix := range ts.Indexes {
 				obs.Default.Gauge("db2www_sqldb_index_scans",
 					"scans served per index", "table", ts.Name, "index", ix.Name).Set(ix.Scans)
@@ -99,6 +103,16 @@ func RegisterMetrics(db *Database) {
 		obs.Default.Gauge("db2www_sqldb_plan_cache_size",
 			"cached plans currently held").Set(int64(pc.Size))
 		st := db.TxnStats()
+		obs.Default.Gauge("db2www_sqldb_txn_active_snapshots",
+			"distinct live MVCC snapshots: open transactions and running statements").Set(int64(st.ActiveSnapshots))
+		obs.Default.Gauge("db2www_sqldb_txn_watermark",
+			"commit sequence of the oldest live snapshot, below which vacuum reclaims").Set(int64(st.OldestSnapshot))
+		obs.Default.Gauge("db2www_sqldb_txn_commit_seq",
+			"last published commit sequence").Set(int64(st.CommitSeq))
+		obs.Default.Gauge("db2www_sqldb_txn_conflict_retries",
+			"auto-commit statements replayed after losing a first-committer-wins race").Set(int64(st.ConflictRetries))
+		obs.Default.Gauge("db2www_sqldb_vacuum_sweeps",
+			"vacuum passes, background and manual").Set(int64(st.VacuumSweeps))
 		obs.Default.FloatGauge("db2www_sqldb_oldest_snapshot_age_seconds",
 			"age of the oldest live MVCC snapshot").Set(st.OldestSnapshotAge.Seconds())
 		ratio := 0.0

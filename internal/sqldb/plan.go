@@ -2,8 +2,6 @@ package sqldb
 
 import (
 	"container/list"
-	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -210,18 +208,6 @@ func (db *Database) PlanCacheStats() PlanCacheStats {
 		Hits:     pc.hits.Load(),
 		Misses:   pc.misses.Load(),
 		Bypasses: pc.bypasses.Load(),
-	}
-}
-
-// PlanCacheStatusRows renders PlanCacheStats for the /server-status
-// "Planner" section.
-func (db *Database) PlanCacheStatusRows() [][2]string {
-	st := db.PlanCacheStats()
-	return [][2]string{
-		{"Cached plans", fmt.Sprintf("%d / %d", st.Size, st.Cap)},
-		{"Hits", strconv.FormatUint(st.Hits, 10)},
-		{"Misses", strconv.FormatUint(st.Misses, 10)},
-		{"Bypasses", strconv.FormatUint(st.Bypasses, 10)},
 	}
 }
 

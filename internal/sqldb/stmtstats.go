@@ -1,12 +1,9 @@
 package sqldb
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
-
-	"db2www/internal/obs"
 )
 
 // StatementStats is a pg_stat_statements-style registry: per-digest call
@@ -214,40 +211,6 @@ func (s *StatementStats) Get(digest string) (StmtStat, bool) {
 		return StmtStat{}, false
 	}
 	return e.export(), true
-}
-
-// Top returns the n busiest real statement shapes (the overflow bucket is
-// excluded — it is not a statement).
-func (s *StatementStats) Top(n int) []StmtStat {
-	all := s.Snapshot()
-	out := all[:0:len(all)]
-	for _, st := range all {
-		if st.Digest == OtherDigest {
-			continue
-		}
-		out = append(out, st)
-		if len(out) == n {
-			break
-		}
-	}
-	return out
-}
-
-// StatusRows renders the registry for the /server-status "Statements"
-// section: the tracked-digest count, then the ten busiest shapes.
-func (s *StatementStats) StatusRows() [][2]string {
-	top := s.Top(10)
-	rows := make([][2]string, 0, len(top)+1)
-	rows = append(rows, [2]string{"Tracked digests", strconv.Itoa(s.Len())})
-	for _, st := range top {
-		rows = append(rows, [2]string{
-			st.Digest,
-			fmt.Sprintf("calls=%d p99=%dµs rows=%d hits=%d retries=%d  %s",
-				st.Calls, st.P99Micros, st.Rows, st.CacheHits,
-				st.ConflictRetries, obs.TruncateSQL(st.Statement, 120)),
-		})
-	}
-	return rows
 }
 
 // Len reports the number of distinct digests currently tracked (including
