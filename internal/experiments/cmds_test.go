@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -253,5 +256,60 @@ func TestCmdGatewaydLifecycle(t *testing.T) {
 	logData, err := os.ReadFile(logFile)
 	if err != nil || !strings.Contains(string(logData), "GET /cgi-bin/db2www/urlquery.d2w/input") {
 		t.Fatalf("access log: %v %q", err, logData)
+	}
+}
+
+// TestCmdGatewaydSurvivesDeepNesting is the reproduction of a request
+// that used to end the process: an 800 KB form field of 400 000 nested
+// parentheses spliced into a macro's WHERE clause overflowed the SQL
+// parser's stack, which is a fatal error, not a panic a handler can
+// recover. The server must answer that request with an error page and then
+// go on serving. A subprocess, because a fatal error would take a test
+// binary down with it.
+func TestCmdGatewaydSurvivesDeepNesting(t *testing.T) {
+	skipIfShort(t)
+	bin := buildCmd(t, "gatewayd")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	cmd := exec.Command(bin, "-addr", addr, "-macros", filepath.Join("benchmark", "macros", "orders"),
+		"-dataset", "orders:200:20:1")
+	cmd.Dir = RepoRoot()
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = cmd.Process.Kill()
+		_, _ = cmd.Process.Wait()
+	}()
+	report := "http://" + addr + "/cgi-bin/db2www/orders.d2w/report"
+	post := func(body string) (int, string, error) {
+		resp, err := http.Post(report, "application/x-www-form-urlencoded", strings.NewReader(body))
+		if err != nil {
+			return 0, "", err
+		}
+		defer resp.Body.Close()
+		page, err := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(page), err
+	}
+	for i := 0; ; i++ {
+		if _, _, err := post("sqlcmd=products&cust_inp=1"); err == nil {
+			break
+		} else if i == 100 {
+			t.Fatalf("server never came up: %v", err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+
+	deep := "sqlcmd=products&cust_inp=" + strings.Repeat("(", 400_000) + "1" + strings.Repeat(")", 400_000)
+	if _, page, err := post(deep); err != nil || !strings.Contains(page, "SQLSTATE=54001") {
+		t.Fatalf("the deep request: %v, page %.300q", err, page)
+	}
+	if code, page, err := post("sqlcmd=products&cust_inp=1"); err != nil || code != 200 ||
+		!strings.Contains(page, "Order Search Result") || strings.Contains(page, "SQLSTATE") {
+		t.Fatalf("the request after it: %v %d %.300q", err, code, page)
 	}
 }

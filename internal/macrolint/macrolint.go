@@ -49,8 +49,8 @@ var catalog = []*Analyzer{
 	{ID: "sections", Doc: "cross-section consistency: %EXEC_SQL targets, unexecuted SQL sections, DATABASE, page structure", run: runSections},
 	{ID: "taint", Doc: "dataflow from form/URL input through DEFINE chains into SQL or %EXEC sinks without $(@sq:) quoting", run: runTaint},
 	{ID: "sqlreport", Doc: "substituted-skeleton SQL must parse and %SQL_REPORT column references must match the SELECT list", run: runSQLReport},
-	{ID: "schema", Doc: "SQL name resolution against the configured schema: unknown tables, columns, and indexes; ambiguous column references", run: runSchema},
-	{ID: "sqltype", Doc: "expression type checking against declared column types, with value classes inferred for $(VAR) slots through %DEFINE chains", run: runSqltype},
+	{ID: "schema", Doc: "the engine's own name resolution against the configured schema (Database.Check): the first error a statement would fail with — unknown tables, columns, and indexes; ambiguous column references", run: runSchema},
+	{ID: "sqltype", Doc: "expression type checking against declared column types, each operation evaluated by the engine on sample operands, with value classes inferred for $(VAR) slots through %DEFINE chains", run: runSqltype},
 	{ID: "sqlperf", Doc: "planner-driven performance lints: predicates no index can serve, leading-wildcard LIKE, joins with no join predicate, SELECT * feeding a report", run: runSqlperf},
 }
 
@@ -80,9 +80,9 @@ type Linter struct {
 	Resolver core.IncludeResolver
 
 	// Schema enables the schema-aware analyzers (schema, sqltype,
-	// sqlperf): SQL extracted from macros is resolved and type-checked
-	// against the catalog of the engine it holds, read anew for every
-	// macro linted. Nil disables all three — without metadata there is
+	// sqlperf): SQL extracted from macros is bound by the engine it holds
+	// and type-checked against that engine's catalog as it is when the
+	// statement is linted. Nil disables all three — without metadata there is
 	// nothing to resolve against. Build one with sqlsema.FromDatabase
 	// (the live database: gatewayd preflight and lint-on-load, sqlsh
 	// \check) or sqlsema.FromDDL (a scratch database that executed a

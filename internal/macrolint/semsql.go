@@ -271,7 +271,7 @@ func (p *pass) computeVarClass(name string, visiting map[string]bool) classInfo 
 	}
 	arm := func(tmpl string, line int) {
 		if val, static := resolveStatic(e, tmpl, visiting); static {
-			if isNumericText(val) {
+			if sqlsema.Numeric(val) {
 				sawNum = true
 			} else {
 				sawText = true
@@ -335,16 +335,6 @@ func (p *pass) computeVarClass(name string, visiting map[string]bool) classInfo 
 	return classInfo{class: class, sample: sample, chain: chain}
 }
 
-// isNumericText mirrors the engine's string→number coercion test.
-func isNumericText(s string) bool {
-	s = strings.TrimSpace(s)
-	if _, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return true
-	}
-	_, err := strconv.ParseFloat(s, 64)
-	return err == nil
-}
-
 // --- the shared semantic pass ---
 
 // semantic runs schema-aware analysis once per macro and caches the
@@ -358,9 +348,6 @@ func (p *pass) semantic() []Diagnostic {
 	if p.l.Schema == nil {
 		return nil
 	}
-	// The catalog as it is now, read once for the whole macro: a lint run
-	// after a run-time ALTER TABLE sees the altered table.
-	catalog := p.l.Schema.Snapshot()
 	for _, t := range p.env.templates {
 		if t.kind != tplSQL || t.sec == nil {
 			continue
@@ -378,7 +365,7 @@ func (p *pass) semantic() []Diagnostic {
 			Reported:   t.sec.Report != nil,
 			OpaqueLits: sub.opaque,
 		}
-		for _, f := range sqlsema.Analyze(stmt, catalog, opts) {
+		for _, f := range sqlsema.Analyze(stmt, p.l.Schema, opts) {
 			d := Diagnostic{
 				Analyzer: f.Rule,
 				Severity: semaSeverity(f.Sev),

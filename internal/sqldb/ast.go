@@ -153,6 +153,7 @@ type CreateIndexStmt struct {
 	Table     string
 	Column    string
 	Unique    bool
+	NameOff   int // byte offset of the index name
 	TableOff  int // byte offset of the table name
 	ColumnOff int // byte offset of the indexed column name
 }

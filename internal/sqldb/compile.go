@@ -23,15 +23,17 @@ import (
 // raised when a row is evaluated, as the statement's semantics have it.
 
 // envCol names one slot of a row layout: the (lower-cased) table qualifier
-// and column name.
+// and column name, and the base table the column is read from (nil for a
+// derived table's column).
 type envCol struct {
 	tbl  string
 	name string
+	base *Table
 }
 
 // resolveColumn finds c's slot in the layout cols. Matching is
 // case-insensitive; an unqualified name matching columns in more than one
-// table is ambiguous.
+// table is ambiguous. Either error carries c's position.
 func resolveColumn(cols []envCol, c *ColumnRef) (int, error) {
 	want := strings.ToLower(c.Column)
 	qual := strings.ToLower(c.Table)
@@ -44,16 +46,17 @@ func resolveColumn(cols []envCol, c *ColumnRef) (int, error) {
 			continue
 		}
 		if found >= 0 {
-			return 0, &Error{Code: CodeAmbiguousColumn,
+			return 0, &Error{Code: CodeAmbiguousColumn, Off: c.Off + 1,
 				Message: fmt.Sprintf("column reference %q is ambiguous", c.Column)}
 		}
 		found = i
 	}
 	if found < 0 {
+		name := c.Column
 		if qual != "" {
-			return 0, errUndefinedColumn(qual + "." + c.Column)
+			name = qual + "." + c.Column
 		}
-		return 0, errUndefinedColumn(c.Column)
+		return 0, stampOff(errUndefinedColumn(name), c.Off)
 	}
 	return found, nil
 }
@@ -193,6 +196,9 @@ func (c *compiler) value(e Expr) (rowExpr, error) {
 		return rowExpr{k: &x.Val}, nil
 	case *ColumnRef:
 		slot, err := resolveColumn(c.cols, x)
+		if err == nil && c.vw.bind != nil {
+			c.vw.bind.note(x, c.cols[slot])
+		}
 		return rowExpr{slot: slot}, err
 	case *Param:
 		if x.Index >= 1 && x.Index <= len(c.params) {

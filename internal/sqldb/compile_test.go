@@ -115,7 +115,7 @@ func checkCompiled(t testing.TB, vw view, e Expr, site exprSite, params []Value)
 func siteOf(vw view, from []TableRef, params []Value) (site exprSite, ok bool) {
 	var rels [][][]Value
 	add := func(table string, sub *SelectStmt, alias string) bool {
-		rp, err := vw.planRel(table, sub, alias, params)
+		rp, err := vw.planRel(table, sub, alias, 0, params)
 		if err != nil || rp.cols == nil {
 			return false
 		}
@@ -397,7 +397,7 @@ func TestModuloOfTruncatedOperands(t *testing.T) {
 			return res.Rows[0][0], nil
 		}
 		reference := func() (Value, error) {
-			return eval(e, &evalEnv{cols: []envCol{{"t", "a"}, {"t", "b"}, {"t", "c"}},
+			return eval(e, &evalEnv{cols: []envCol{{tbl: "t", name: "a"}, {tbl: "t", name: "b"}, {tbl: "t", name: "c"}},
 				row: []Value{NewInt(1), NewString("one"), NewInt(10)}})
 		}
 		for name, run := range map[string]func() (Value, error){"compiled": compiled, "reference": reference} {

@@ -237,6 +237,10 @@ type view struct {
 	// by tests (Session.naive), which hold the optimised plan's rows
 	// against this one's on the same executor.
 	naive bool
+
+	// bind receives what each column reference compiles to; set only by
+	// Check.
+	bind Binding
 }
 
 // explainRun is one EXPLAIN ANALYZE in flight: root is the plan the

@@ -27,6 +27,7 @@ const (
 	CodeInternal         = "XX000" // internal error
 	CodeCardinality      = "21000" // cardinality violation
 	CodeFeature          = "0A000" // feature not supported
+	CodeTooComplex       = "54001" // statement too complex
 )
 
 // Error is the typed error returned by all engine operations.
@@ -36,9 +37,11 @@ type Error struct {
 
 	// Off is the 1-based byte offset near the failure in the statement
 	// source, when known (0 means unknown). Parse entry points set it to
-	// the position of the token the parser stopped at, so static tooling
-	// can attribute syntax findings to an exact location. It is not part
-	// of the rendered message.
+	// the position of the token the parser stopped at, and a name that
+	// does not bind carries the position of the node that names it, so
+	// static tooling can attribute findings to an exact location. A
+	// statement from the parse cache carries the positions of the text that
+	// first parsed its shape. It is not part of the rendered message.
 	Off int
 }
 
@@ -75,6 +78,15 @@ func errUndefinedTable(name string) *Error {
 func errUndefinedColumn(name string) *Error {
 	return &Error{Code: CodeUndefinedColumn,
 		Message: fmt.Sprintf("column %q does not exist", name)}
+}
+
+// stampOff stamps err, when it is an engine error without a position,
+// with off, the 0-based source offset of the node the error is about.
+func stampOff(err error, off int) error {
+	if e, ok := err.(*Error); ok && e.Off == 0 {
+		e.Off = off + 1
+	}
+	return err
 }
 
 // errConflict builds a serialization-failure error: a first-committer-wins

@@ -542,37 +542,15 @@ func (vw view) execInsert(tx *txnState, ins *InsertStmt, params []Value) (*Resul
 		return nil, err
 	}
 	vw.planned(dp)
-	t := dp.t
-	cols := ins.Columns
-	colPos := make([]int, 0, len(t.Columns))
-	if len(cols) == 0 {
-		for i := range t.Columns {
-			colPos = append(colPos, i)
-		}
-	} else {
-		seen := map[int]bool{}
-		for _, c := range cols {
-			p := t.colIndex(c)
-			if p < 0 {
-				return nil, errUndefinedColumn(c)
-			}
-			if seen[p] {
-				return nil, errSyntax("column %q specified twice", c)
-			}
-			seen[p] = true
-			colPos = append(colPos, p)
-		}
+	if dp.bindErr != nil {
+		return nil, dp.bindErr
 	}
+	t, colPos := dp.t, dp.cols
 	// Phase 2 (evaluate) runs first for INSERT: there are no targets to
 	// snapshot, and evaluating every row before the latch keeps the
 	// apply phase latch-free of expressions.
 	planned := make([][]Value, 0, len(dp.values))
 	for _, rowExprs := range dp.values {
-		if len(rowExprs) != len(colPos) {
-			return nil, &Error{Code: CodeCardinality,
-				Message: fmt.Sprintf("INSERT has %d values for %d columns",
-					len(rowExprs), len(colPos))}
-		}
 		vals := make([]Value, len(t.Columns))
 		provided := make([]bool, len(t.Columns))
 		for i, e := range rowExprs {
@@ -628,7 +606,7 @@ func (vw view) execInsert(tx *txnState, ins *InsertStmt, params []Value) (*Resul
 }
 
 func (vw view) execUpdate(tx *txnState, up *UpdateStmt, params []Value) (*Result, error) {
-	dp, err := vw.planWrite(up, up.Table, up.Alias, up.Where, params)
+	dp, err := vw.planWrite(up, up.Table, up.Alias, up.TableOff, up.Where, params)
 	if err != nil {
 		return nil, err
 	}
@@ -714,7 +692,7 @@ func (vw view) execUpdate(tx *txnState, up *UpdateStmt, params []Value) (*Result
 }
 
 func (vw view) execDelete(tx *txnState, del *DeleteStmt, params []Value) (*Result, error) {
-	dp, err := vw.planWrite(del, del.Table, del.Alias, del.Where, params)
+	dp, err := vw.planWrite(del, del.Table, del.Alias, del.TableOff, del.Where, params)
 	if err != nil {
 		return nil, err
 	}
@@ -783,15 +761,82 @@ func guardPending(t *Table, tx *txnState, what string) error {
 	return nil
 }
 
-func (db *Database) execCreateTable(tx *txnState, ct *CreateTableStmt) (*Result, error) {
-	key := strings.ToLower(ct.Table)
-	if _, exists := db.tables[key]; exists {
-		if ct.IfNotExists {
-			return &Result{}, nil
+// lookupDDL makes the catalog lookups a DDL statement's execution starts
+// with — what it names exists, what it creates does not — for the exec
+// functions and Check alike. It returns the table the statement acts on,
+// and noop when IF [NOT] EXISTS makes the statement do nothing. Caller
+// holds db.mu at least shared, which keeps tables and their index lists
+// still.
+func (db *Database) lookupDDL(st Stmt) (t *Table, noop bool, err error) {
+	switch x := st.(type) {
+	case *CreateTableStmt:
+		if _, noop = db.tables[strings.ToLower(x.Table)]; noop && !x.IfNotExists {
+			return nil, false, errDuplicateTable(x.Table)
 		}
-		return nil, &Error{Code: CodeDuplicateTable,
-			Message: fmt.Sprintf("table %q already exists", ct.Table)}
+	case *DropTableStmt:
+		if t, err = db.table(x.Table); err != nil && x.IfExists {
+			return nil, true, nil
+		}
+		err = stampOff(err, x.TableOff)
+	case *CreateIndexStmt:
+		if _, exists := db.indexes[strings.ToLower(x.Name)]; exists {
+			return nil, false, &Error{Code: CodeDuplicateIndex, Off: x.NameOff + 1,
+				Message: fmt.Sprintf("index %q already exists", x.Name)}
+		}
+		if t, err = db.table(x.Table); err != nil {
+			return nil, false, stampOff(err, x.TableOff)
+		}
+		if t.colIndex(x.Column) < 0 {
+			err = stampOff(errUndefinedColumn(x.Column), x.ColumnOff)
+		}
+	case *DropIndexStmt:
+		if _, exists := db.indexes[strings.ToLower(x.Name)]; !exists && x.IfExists {
+			return nil, true, nil
+		} else if !exists {
+			err = &Error{Code: CodeUndefinedIndex, Off: x.NameOff + 1,
+				Message: fmt.Sprintf("index %q does not exist", x.Name)}
+		}
+	case *AlterTableStmt:
+		if t, err = db.table(x.Table); err != nil {
+			return nil, false, stampOff(err, x.TableOff)
+		}
+		switch {
+		case x.AddColumn != nil:
+			if t.colIndex(x.AddColumn.Name) >= 0 {
+				err = errSyntax("column %q already exists", x.AddColumn.Name)
+			}
+		case x.DropColumn != "":
+			pos := t.colIndex(x.DropColumn)
+			if pos < 0 {
+				return nil, false, stampOff(errUndefinedColumn(x.DropColumn), x.TableOff)
+			}
+			for _, ix := range t.indexes {
+				if ix.colPos == pos {
+					return nil, false, &Error{Code: CodeFeature, Off: x.TableOff + 1,
+						Message: fmt.Sprintf("cannot drop column %q: index %q depends on it (drop the index first)",
+							x.DropColumn, ix.Name)}
+				}
+			}
+		case x.RenameTo != "":
+			if u, exists := db.tables[strings.ToLower(x.RenameTo)]; exists && u != t {
+				err = errDuplicateTable(x.RenameTo)
+			}
+		default:
+			err = errSyntax("ALTER TABLE requires ADD, DROP, or RENAME")
+		}
 	}
+	return t, noop, err
+}
+
+func errDuplicateTable(name string) *Error {
+	return &Error{Code: CodeDuplicateTable, Message: fmt.Sprintf("table %q already exists", name)}
+}
+
+func (db *Database) execCreateTable(tx *txnState, ct *CreateTableStmt) (*Result, error) {
+	if _, noop, err := db.lookupDDL(ct); err != nil || noop {
+		return ddlNoop(err)
+	}
+	key := strings.ToLower(ct.Table)
 	t := &Table{Name: ct.Table, byID: map[int64]*storedRow{}}
 	seen := map[string]bool{}
 	var pkCol string
@@ -838,16 +883,12 @@ func (db *Database) execCreateTable(tx *txnState, ct *CreateTableStmt) (*Result,
 }
 
 func (db *Database) execDropTable(tx *txnState, dt *DropTableStmt) (*Result, error) {
-	key := strings.ToLower(dt.Table)
-	t, exists := db.tables[key]
-	if !exists {
-		if dt.IfExists {
-			return &Result{}, nil
-		}
-		return nil, errUndefinedTable(dt.Table)
+	t, noop, err := db.lookupDDL(dt)
+	if err != nil || noop {
+		return ddlNoop(err)
 	}
 	t.mu.Lock()
-	err := guardPending(t, tx, "drop")
+	err = guardPending(t, tx, "drop")
 	t.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -859,18 +900,13 @@ func (db *Database) execDropTable(tx *txnState, dt *DropTableStmt) (*Result, err
 			delete(db.indexes, name)
 		}
 	}
-	delete(db.tables, key)
+	delete(db.tables, strings.ToLower(t.Name))
 	tx.logDDL(undoRec{kind: undoDropTable, table: t.Name, droppedTable: t, droppedIndexes: dropped})
 	return &Result{}, nil
 }
 
 func (db *Database) execCreateIndex(tx *txnState, ci *CreateIndexStmt) (*Result, error) {
-	key := strings.ToLower(ci.Name)
-	if _, exists := db.indexes[key]; exists {
-		return nil, &Error{Code: CodeDuplicateIndex,
-			Message: fmt.Sprintf("index %q already exists", ci.Name)}
-	}
-	t, err := db.table(ci.Table)
+	t, _, err := db.lookupDDL(ci)
 	if err != nil {
 		return nil, err
 	}
@@ -885,21 +921,17 @@ func (db *Database) execCreateIndex(tx *txnState, ci *CreateIndexStmt) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	db.indexes[key] = ix
+	db.indexes[strings.ToLower(ci.Name)] = ix
 	tx.logDDL(undoRec{kind: undoCreateIndex, index: ci.Name})
 	return &Result{}, nil
 }
 
 func (db *Database) execDropIndex(tx *txnState, di *DropIndexStmt) (*Result, error) {
-	key := strings.ToLower(di.Name)
-	ix, exists := db.indexes[key]
-	if !exists {
-		if di.IfExists {
-			return &Result{}, nil
-		}
-		return nil, &Error{Code: CodeUndefinedIndex,
-			Message: fmt.Sprintf("index %q does not exist", di.Name)}
+	if _, noop, err := db.lookupDDL(di); err != nil || noop {
+		return ddlNoop(err)
 	}
+	key := strings.ToLower(di.Name)
+	ix := db.indexes[key]
 	delete(db.indexes, key)
 	if t, err := db.table(ix.Table); err == nil {
 		t.mu.Lock()
@@ -912,5 +944,14 @@ func (db *Database) execDropIndex(tx *txnState, di *DropIndexStmt) (*Result, err
 		t.mu.Unlock()
 	}
 	tx.logDDL(undoRec{kind: undoDropIndex, index: ix.Name, droppedIndex: ix})
+	return &Result{}, nil
+}
+
+// ddlNoop is the outcome of a DDL statement that stops at lookupDDL: its
+// error, or the empty result of one IF [NOT] EXISTS makes do nothing.
+func ddlNoop(err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
 	return &Result{}, nil
 }

@@ -20,11 +20,6 @@ func (vw view) execUnion(up *selectPlan) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(arm.Columns) != len(res.Columns) {
-			return nil, &Error{Code: CodeCardinality,
-				Message: fmt.Sprintf("UNION arms have %d and %d columns",
-					len(res.Columns), len(arm.Columns))}
-		}
 		res.Rows = append(res.Rows, arm.Rows...)
 	}
 	if up.dedupe {
@@ -107,7 +102,7 @@ func (t *Table) cloneForUndo() *Table {
 // rewrite along with the rest. Rollback restores a pre-image snapshot
 // of the committed history.
 func (db *Database) execAlterTable(tx *txnState, at *AlterTableStmt) (*Result, error) {
-	t, err := db.table(at.Table)
+	t, _, err := db.lookupDDL(at)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +112,6 @@ func (db *Database) execAlterTable(tx *txnState, at *AlterTableStmt) (*Result, e
 		return nil, err
 	}
 	snapshot := t.cloneForUndo()
-	oldKey := strings.ToLower(t.Name)
 
 	eachVersion := func(fn func(*rowVersion)) {
 		for _, r := range t.rows {
@@ -130,9 +124,6 @@ func (db *Database) execAlterTable(tx *txnState, at *AlterTableStmt) (*Result, e
 	switch {
 	case at.AddColumn != nil:
 		cd := at.AddColumn
-		if t.colIndex(cd.Name) >= 0 {
-			return nil, errSyntax("column %q already exists", cd.Name)
-		}
 		col := Column{Name: cd.Name, Type: cd.Type, NotNull: cd.NotNull}
 		fill := Null
 		if cd.Default != nil {
@@ -158,16 +149,6 @@ func (db *Database) execAlterTable(tx *txnState, at *AlterTableStmt) (*Result, e
 		})
 	case at.DropColumn != "":
 		pos := t.colIndex(at.DropColumn)
-		if pos < 0 {
-			return nil, errUndefinedColumn(at.DropColumn)
-		}
-		for _, ix := range t.indexes {
-			if ix.colPos == pos {
-				return nil, &Error{Code: CodeFeature,
-					Message: fmt.Sprintf("cannot drop column %q: index %q depends on it (drop the index first)",
-						at.DropColumn, ix.Name)}
-			}
-		}
 		t.Columns = append(t.Columns[:pos:pos], t.Columns[pos+1:]...)
 		eachVersion(func(v *rowVersion) {
 			v.vals = append(v.vals[:pos:pos], v.vals[pos+1:]...)
@@ -178,19 +159,12 @@ func (db *Database) execAlterTable(tx *txnState, at *AlterTableStmt) (*Result, e
 			}
 		}
 	case at.RenameTo != "":
-		newKey := strings.ToLower(at.RenameTo)
-		if _, exists := db.tables[newKey]; exists && newKey != oldKey {
-			return nil, &Error{Code: CodeDuplicateTable,
-				Message: fmt.Sprintf("table %q already exists", at.RenameTo)}
-		}
-		delete(db.tables, oldKey)
+		delete(db.tables, strings.ToLower(t.Name))
 		t.Name = at.RenameTo
-		db.tables[newKey] = t
+		db.tables[strings.ToLower(at.RenameTo)] = t
 		for _, ix := range t.indexes {
 			ix.Table = at.RenameTo
 		}
-	default:
-		return nil, errSyntax("ALTER TABLE requires ADD, DROP, or RENAME")
 	}
 	tx.logDDL(undoRec{kind: undoAlterTable, table: t.Name,
 		alterOldName: snapshot.Name, droppedTable: snapshot})

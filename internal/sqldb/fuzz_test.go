@@ -30,6 +30,10 @@ func FuzzParse(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	// Depth seeds: every way a statement nests, one level past the bound.
+	for _, n := range nestings {
+		f.Add(n.build(maxNesting + 1))
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		_, _ = Parse(src)
 		_, _ = ParseAll(src)

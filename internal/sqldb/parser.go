@@ -5,9 +5,36 @@ import "strings"
 // parser is a recursive-descent parser over the token stream. Grammar is a
 // practical SQL-92 subset; see package doc for the supported surface.
 type parser struct {
-	toks []token
-	pos  int
-	nprm int // number of ? parameters seen so far
+	toks  []token
+	pos   int
+	nprm  int // number of ? parameters seen so far
+	depth int // levels of nesting open at pos; see nest
+}
+
+// maxNesting bounds the nesting of a statement (nest). The deepest
+// statement of the golden corpus, testdata/, examples/ and
+// benchmark/macros nests 4 levels, the deepest of the optimiser's
+// generated statements and the engine's own tests 8; the bound is 125
+// times that. A statement past it is SQLSTATE 54001, DB2's "statement too
+// long or too complex".
+const maxNesting = 1000
+
+// nest opens one more level of nesting: an expression parsed inside
+// another (parentheses, a subquery, CASE, an IN list, a function's
+// arguments), a derived table, NOT and unary minus, and each further
+// operator of a chain such as a OR b OR c, which deepens the tree without
+// recursing here. This is the one place the depth of a parsed tree is
+// bounded. Every later walk over the tree — the compiler, the planner,
+// eval, WalkExpr, the EXPLAIN printer, Check — recurses no deeper than a
+// few frames per level counted here, so one request can exhaust neither
+// the parser's stack nor theirs: a statement too deep is refused before
+// anything recurses over it. The caller closes the level by decrementing
+// depth.
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxNesting {
+		return &Error{Code: CodeTooComplex, Message: "statement too complex"}
+	}
+	return nil
 }
 
 // Parse parses a single SQL statement. A trailing semicolon is permitted.
@@ -372,10 +399,14 @@ func (p *parser) parseSelectList(sel *SelectStmt) error {
 // parseDerivedTable parses "( SELECT ... )" after the caller saw "(".
 func (p *parser) parseDerivedTable() (*SelectStmt, error) {
 	p.advance() // consume "("
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	sub, err := p.parseSelect()
 	if err != nil {
 		return nil, err
 	}
+	p.depth--
 	if err := p.expectOp(")"); err != nil {
 		return nil, err
 	}
@@ -736,6 +767,7 @@ func (p *parser) parseTypeName() (Type, error) {
 }
 
 func (p *parser) parseCreateIndex(unique bool) (*CreateIndexStmt, error) {
+	nameOff := p.peek().pos
 	name, err := p.expectIdent("index name")
 	if err != nil {
 		return nil, err
@@ -760,7 +792,7 @@ func (p *parser) parseCreateIndex(unique bool) (*CreateIndexStmt, error) {
 		return nil, err
 	}
 	return &CreateIndexStmt{Name: name, Table: table, Column: col, Unique: unique,
-		TableOff: tblOff, ColumnOff: colOff}, nil
+		NameOff: nameOff, TableOff: tblOff, ColumnOff: colOff}, nil
 }
 
 func (p *parser) parseAlter() (Stmt, error) {
@@ -844,44 +876,57 @@ func (p *parser) parseDrop() (Stmt, error) {
 
 // --- Expressions (precedence climbing) ---
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
+func (p *parser) parseExpr() (Expr, error) {
+	if err := p.nest(); err != nil {
 		return nil, err
 	}
-	for p.acceptKw("OR") {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: "OR", L: l, R: r}
-	}
-	return l, nil
+	e, err := p.parseOr()
+	p.depth--
+	return e, err
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKw("AND") {
-		r, err := p.parseNot()
-		if err != nil {
-			return nil, err
+func (p *parser) parseOr() (Expr, error) { return p.chain(p.parseAnd, "OR") }
+
+func (p *parser) parseAnd() (Expr, error) { return p.chain(p.parseNot, "AND") }
+
+// chain parses a left-associative chain of next's operands joined by ops,
+// keywords or operators; each operator after the first operand nests one
+// level deeper.
+func (p *parser) chain(next func() (Expr, error), ops ...string) (Expr, error) {
+	d := p.depth
+	l, err := next()
+	for err == nil {
+		op := ""
+		for _, o := range ops {
+			if t := p.peek(); (t.kind == tkKeyword || t.kind == tkOp) && t.text == o {
+				op = o
+			}
 		}
-		l = &Binary{Op: "AND", L: l, R: r}
+		if op == "" {
+			p.depth = d
+			return l, nil
+		}
+		p.advance()
+		var r Expr
+		if err = p.nest(); err == nil {
+			if r, err = next(); err == nil {
+				l = &Binary{Op: op, L: l, R: r}
+			}
+		}
 	}
-	return l, nil
+	return nil, err
 }
 
 func (p *parser) parseNot() (Expr, error) {
 	if p.acceptKw("NOT") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return &Unary{Op: "NOT", X: x}, nil
 	}
 	return p.parsePredicate()
@@ -988,67 +1033,28 @@ func (p *parser) parsePredicate() (Expr, error) {
 }
 
 func (p *parser) parseAdditive() (Expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.acceptOp("+"):
-			op = "+"
-		case p.acceptOp("-"):
-			op = "-"
-		case p.acceptOp("||"):
-			op = "||"
-		default:
-			return l, nil
-		}
-		r, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: op, L: l, R: r}
-	}
+	return p.chain(p.parseMultiplicative, "+", "-", "||")
 }
 
-func (p *parser) parseMultiplicative() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.acceptOp("*"):
-			op = "*"
-		case p.acceptOp("/"):
-			op = "/"
-		case p.acceptOp("%"):
-			op = "%"
-		default:
-			return l, nil
-		}
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: op, L: l, R: r}
-	}
-}
+func (p *parser) parseMultiplicative() (Expr, error) { return p.chain(p.parseUnary, "*", "/", "%") }
 
 func (p *parser) parseUnary() (Expr, error) {
-	if p.acceptOp("-") {
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
+	minus := p.acceptOp("-")
+	if !minus && !p.acceptOp("+") {
+		return p.parsePrimary()
+	}
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	x, err := p.parseUnary()
+	if err != nil {
+		return nil, err
+	}
+	p.depth--
+	if minus {
 		return &Unary{Op: "-", X: x}, nil
 	}
-	if p.acceptOp("+") {
-		return p.parseUnary()
-	}
-	return p.parsePrimary()
+	return x, nil
 }
 
 func (p *parser) parsePrimary() (Expr, error) {

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -308,5 +309,57 @@ func TestValueStringAndLiteral(t *testing.T) {
 		if got := c.v.SQLLiteral(); got != c.literal {
 			t.Errorf("SQLLiteral(%v) = %q, want %q", c.v, got, c.literal)
 		}
+	}
+}
+
+// nestings builds, for each way a statement nests, the statement n levels
+// deep.
+var nestings = []struct {
+	name  string
+	build func(n int) string
+}{
+	{"parentheses", func(n int) string { return "SELECT " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) }},
+	{"NOT", func(n int) string { return "SELECT " + strings.Repeat("NOT ", n) + "TRUE" }},
+	{"unary minus", func(n int) string { return "SELECT " + strings.Repeat("- ", n) + "1" }},
+	{"unary plus", func(n int) string { return "SELECT " + strings.Repeat("+ ", n) + "1" }},
+	{"subquery", func(n int) string { return strings.Repeat("SELECT (", n) + "SELECT 1" + strings.Repeat(")", n) }},
+	{"CASE", func(n int) string {
+		return "SELECT " + strings.Repeat("CASE WHEN TRUE THEN ", n) + "1" + strings.Repeat(" END", n)
+	}},
+	{"IN list", func(n int) string {
+		return "SELECT " + strings.Repeat("TRUE IN (", n) + "TRUE" + strings.Repeat(")", n)
+	}},
+	{"function", func(n int) string { return "SELECT " + strings.Repeat("ABS(", n) + "1" + strings.Repeat(")", n) }},
+	{"OR chain", func(n int) string { return "SELECT 1 = 1" + strings.Repeat(" OR 1 = 1", n) }},
+	{"AND chain", func(n int) string { return "SELECT 1 = 1" + strings.Repeat(" AND 1 = 1", n) }},
+	{"sum chain", func(n int) string { return "SELECT 1" + strings.Repeat(" + 1", n) }},
+	{"product", func(n int) string { return "SELECT 1" + strings.Repeat(" * 1", n) }},
+	{"derived table", func(n int) string {
+		return strings.Repeat("SELECT * FROM (", n) + "SELECT 1 AS x" + strings.Repeat(") d", n)
+	}},
+}
+
+// TestNestingIsBounded: a statement nested one level past maxNesting is
+// refused with 54001, however it nests, and one nested well inside the
+// bound parses, plans and runs. The parentheses of the gateway's
+// reproduction — 400 000 levels, 800 KB, what one form field can carry —
+// are refused before anything recurses over them.
+func TestNestingIsBounded(t *testing.T) {
+	s := NewSession(NewDatabase("DEEP"))
+	tooComplex := func(src string) bool {
+		_, err := Parse(src)
+		var se *Error
+		return errors.As(err, &se) && se.Code == CodeTooComplex
+	}
+	for _, n := range nestings {
+		if _, err := s.Exec(n.build(maxNesting / 2)); err != nil {
+			t.Errorf("%s, %d levels: %v", n.name, maxNesting/2, err)
+		}
+		if !tooComplex(n.build(maxNesting + 1)) {
+			t.Errorf("%s, %d levels: not refused with SQLSTATE %s", n.name, maxNesting+1, CodeTooComplex)
+		}
+	}
+	if !tooComplex(nestings[0].build(400_000)) {
+		t.Errorf("400 000 parentheses: not refused with SQLSTATE %s", CodeTooComplex)
 	}
 }

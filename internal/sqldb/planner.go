@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 )
@@ -21,9 +22,12 @@ import (
 // closures and leaves its counters on the nodes; EXPLAIN prints the nodes,
 // and EXPLAIN ANALYZE the counters beside them.
 //
-// A reference that does not resolve does not fail the plan: plain EXPLAIN
-// still prints it. The error is kept beside the stage and raised by the
-// executor when it reaches the stage, after whatever ran before it.
+// A reference in an expression that does not resolve does not fail the
+// plan: plain EXPLAIN still prints it. The error is kept beside the stage
+// and raised by the executor when it reaches the stage, after whatever ran
+// before it; Check returns the first one (keptErr). What the plan's shape
+// rests on fails planning: a table, an INSERT's target columns, the arity
+// of an INSERT's rows and of a UNION's arms.
 //
 // A plan is built per execution and never kept on the statement: the
 // driver's prepared statements execute one parsed tree many times with
@@ -265,8 +269,9 @@ type dmlPlan struct {
 
 	where   predFn      // UPDATE, DELETE: WHERE over the scanned rows; nil when absent
 	set     []setValue  // UPDATE: the assignments
+	cols    []int       // INSERT: the table position each value of a row goes to
 	values  [][]rowExpr // INSERT: the VALUES rows
-	bindErr error       // UPDATE, DELETE: the first reference that did not resolve
+	bindErr error       // the first reference that did not resolve
 
 	filter stageStats // WHERE over the scanned rows
 	stat   opStats    // the apply phase
@@ -279,9 +284,56 @@ type setValue struct {
 	val rowExpr
 }
 
-// stmtPlan is what EXPLAIN renders: a *selectPlan or a *dmlPlan.
+// stmtPlan is what EXPLAIN renders and Check asks: a *selectPlan or a
+// *dmlPlan.
 type stmtPlan interface {
 	explain(pp *planPrinter)
+	// keptErr is the first error of a reference the plan keeps beside
+	// its stage, in the order the executor reaches the stages, subqueries
+	// last.
+	keptErr() error
+}
+
+func (sp *selectPlan) keptErr() error {
+	var errs []error
+	for _, arm := range sp.arms {
+		errs = append(errs, arm.keptErr())
+	}
+	if sp.from != nil {
+		errs = append(errs, fromErr(sp.from.root))
+	}
+	errs = append(errs, sp.filterErr, sp.stagesErr)
+	return firstErr(errs, sp.subs)
+}
+
+func (dp *dmlPlan) keptErr() error {
+	return firstErr([]error{dp.bindErr}, dp.subs)
+}
+
+// fromErr is the first error kept in a FROM tree, in the order it runs.
+func fromErr(n fromNode) error {
+	if jp, ok := n.(*joinPlan); ok {
+		return firstErr([]error{fromErr(jp.left), fromErr(jp.right), jp.predErr}, nil)
+	}
+	rp := n.(*relPlan)
+	if rp.sub != nil {
+		if err := rp.sub.keptErr(); err != nil {
+			return err
+		}
+	}
+	return rp.predErr
+}
+
+func firstErr(errs []error, subs []*subPlan) error {
+	for _, sub := range subs {
+		errs = append(errs, sub.plan.keptErr())
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // planStmt plans a statement EXPLAIN accepts without running it. The
@@ -293,9 +345,9 @@ func (vw view) planStmt(st Stmt, params []Value) (stmtPlan, error) {
 	case *InsertStmt:
 		return vw.planInsert(x, params)
 	case *UpdateStmt:
-		return vw.planWrite(x, x.Table, x.Alias, x.Where, params)
+		return vw.planWrite(x, x.Table, x.Alias, x.TableOff, x.Where, params)
 	case *DeleteStmt:
-		return vw.planWrite(x, x.Table, x.Alias, x.Where, params)
+		return vw.planWrite(x, x.Table, x.Alias, x.TableOff, x.Where, params)
 	default:
 		return nil, errNotExplainable()
 	}
@@ -326,23 +378,31 @@ func (vw view) planSelect(sel *SelectStmt, params []Value) (*selectPlan, error) 
 		if arm, err = vw.planArm(part.Sel, params); err != nil {
 			return nil, err
 		}
+		// An arm whose projection did not resolve fails when it runs.
+		if n, m := len(up.arms[0].names), len(arm.names); up.arms[0].names != nil && arm.names != nil && n != m {
+			err := &Error{Code: CodeCardinality, Message: fmt.Sprintf("UNION arms have %d and %d columns", n, m)}
+			if len(part.Sel.From) > 0 {
+				err.Off = part.Sel.From[0].Off + 1
+			}
+			return nil, err
+		}
 		up.arms = append(up.arms, arm)
 		up.dedupe = up.dedupe || !part.All
 	}
 	// The chain is sorted by output columns, the first arm's, only.
 	up.order = make([]rowExpr, len(sel.OrderBy))
 	for i, o := range sel.OrderBy {
-		at, err := orderColumn(o.Expr, up.arms[0].names)
-		if ref, ok := o.Expr.(*ColumnRef); ok && at < 0 {
-			err = errUndefinedColumn(ref.Column)
-		} else if err == nil && at < 0 {
+		slot, err := orderColumn(o.Expr, up.arms[0].names)
+		if ref, ok := o.Expr.(*ColumnRef); ok && slot < 0 {
+			err = stampOff(errUndefinedColumn(ref.Column), ref.Off)
+		} else if err == nil && slot < 0 {
 			err = &Error{Code: CodeFeature,
 				Message: "UNION ORDER BY supports output column names and ordinals only"}
 		}
 		if err != nil && up.stagesErr == nil {
 			up.stagesErr = err
 		}
-		up.order[i] = rowExpr{slot: at}
+		up.order[i] = rowExpr{slot: slot}
 	}
 	return up, nil
 }
@@ -363,7 +423,7 @@ func orderColumn(e Expr, names []string) (int, error) {
 	case *Literal:
 		if x.Val.T == TInt {
 			if x.Val.I < 1 || x.Val.I > int64(len(names)) {
-				return -1, errOrdinalRange(x.Val)
+				return -1, stampOff(errOrdinalRange(x.Val), x.Off)
 			}
 			return int(x.Val.I) - 1, nil
 		}
@@ -482,9 +542,9 @@ func (vw view) compileSelect(sp *selectPlan, params []Value) {
 		sp.order = make([]rowExpr, len(sel.OrderBy))
 	}
 	for i, o := range sel.OrderBy {
-		at, err := orderColumn(o.Expr, names)
-		if err == nil && at >= 0 {
-			sp.order[i] = proj[at]
+		slot, err := orderColumn(o.Expr, names)
+		if err == nil && slot >= 0 {
+			sp.order[i] = proj[slot]
 		} else if err == nil {
 			sp.order[i], err = c.value(o.Expr)
 		}
@@ -497,7 +557,7 @@ func (vw view) compileSelect(sp *selectPlan, params []Value) {
 		switch {
 		case fc.Star:
 		case len(fc.Args) != 1:
-			fail(&Error{Code: CodeWrongArity,
+			fail(&Error{Code: CodeWrongArity, Off: fc.Off + 1,
 				Message: fmt.Sprintf("%s expects 1 argument, got %d", fc.Name, len(fc.Args))})
 		case c.aggArgs[i].uncompiled():
 			// The expression the call stands in compiled without reaching it:
@@ -641,12 +701,34 @@ func (sc *subCollector) add(e Expr) {
 	})
 }
 
-// planInsert plans an INSERT: the target and the subqueries among its
-// values.
+// planInsert plans an INSERT: the target, the column each value goes to,
+// and the subqueries among its values.
 func (vw view) planInsert(ins *InsertStmt, params []Value) (*dmlPlan, error) {
 	t, err := vw.db.table(ins.Table)
 	if err != nil {
-		return nil, err
+		return nil, stampOff(err, ins.TableOff)
+	}
+	dp := &dmlPlan{st: ins, t: t, cols: make([]int, 0, len(t.Columns))}
+	if len(ins.Columns) == 0 {
+		for i := range t.Columns {
+			dp.cols = append(dp.cols, i)
+		}
+	}
+	for i, name := range ins.Columns {
+		p := t.colIndex(name)
+		switch {
+		case p < 0:
+			return nil, stampOff(errUndefinedColumn(name), ins.ColumnOffs[i])
+		case slices.Contains(dp.cols, p):
+			return nil, stampOff(errSyntax("column %q specified twice", name), ins.ColumnOffs[i])
+		}
+		dp.cols = append(dp.cols, p)
+	}
+	for _, row := range ins.Rows {
+		if len(row) != len(dp.cols) {
+			return nil, stampOff(&Error{Code: CodeCardinality,
+				Message: fmt.Sprintf("INSERT has %d values for %d columns", len(row), len(dp.cols))}, ExprOff(row[0]))
+		}
 	}
 	sc := subCollector{vw: vw, params: params}
 	for _, row := range ins.Rows {
@@ -654,22 +736,19 @@ func (vw view) planInsert(ins *InsertStmt, params []Value) (*dmlPlan, error) {
 			sc.add(e)
 		}
 	}
-	dp := &dmlPlan{st: ins, t: t, subs: sc.subs}
+	dp.subs = sc.subs
 	if sc.err != nil {
 		return dp, sc.err
 	}
-	// Each value is evaluated exactly once, so a reference that does not
-	// resolve (VALUES sees no columns) is the error of its evaluation.
 	c := compiler{params: params, vw: vw, subs: dp.subs}
 	dp.values = make([][]rowExpr, len(ins.Rows))
 	for i, row := range ins.Rows {
 		dp.values[i] = make([]rowExpr, len(row))
 		for j, e := range row {
-			v, err := c.value(e)
-			if err != nil {
-				v = failExpr(err)
+			// VALUES sees no columns: a reference is the statement's error.
+			if dp.values[i][j], err = c.value(e); err != nil && dp.bindErr == nil {
+				dp.bindErr = err
 			}
-			dp.values[i][j] = v
 		}
 	}
 	return dp, nil
@@ -677,8 +756,8 @@ func (vw view) planInsert(ins *InsertStmt, params []Value) (*dmlPlan, error) {
 
 // planWrite plans an UPDATE or DELETE: the one-table scan under it, which
 // planQuery plans like any other FROM clause, and its subqueries.
-func (vw view) planWrite(st Stmt, table, alias string, where Expr, params []Value) (*dmlPlan, error) {
-	fp, err := vw.planQuery([]TableRef{{Table: table, Alias: alias}}, where, params)
+func (vw view) planWrite(st Stmt, table, alias string, off int, where Expr, params []Value) (*dmlPlan, error) {
+	fp, err := vw.planQuery([]TableRef{{Table: table, Alias: alias, Off: off}}, where, params)
 	if err != nil {
 		return nil, err
 	}
@@ -711,7 +790,7 @@ func (vw view) planWrite(st Stmt, table, alias string, where Expr, params []Valu
 		for i, set := range up.Set {
 			pos := scan.t.colIndex(set.Column)
 			if pos < 0 {
-				fail(errUndefinedColumn(set.Column))
+				fail(stampOff(errUndefinedColumn(set.Column), set.ColOff))
 			}
 			dp.set[i].pos = pos
 			if dp.set[i].val, err = c.value(set.Value); err != nil {

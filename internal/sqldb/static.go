@@ -1,15 +1,94 @@
 package sqldb
 
-// This file exports read-only views of the parser, catalog, and planner
-// internals for static analysis. internal/sqlsema resolves and type-checks
-// SQL extracted from web macros against a catalog (SchemaSnapshot: of the
-// live database, or of a scratch one that executed a DDL file), and
-// predicts sequential scans without executing the macro's statements by
-// asking IndexableShape — the planner's own test of what an index can
-// serve — about each conjunct. Nothing here takes locks for longer than a
-// snapshot copy, and nothing exposes mutable engine state.
+// This file is what static analysis asks the engine. internal/sqlsema
+// lints SQL extracted from web macros without running it: Check binds a
+// statement the way its execution would — the planner's own name
+// resolution, under the catalog as it is — and returns the error the
+// statement would fail with and the column each reference reads;
+// IndexableShape, the planner's own test of what an index can
+// serve, predicts sequential scans; SchemaSnapshot is the catalog with the
+// planner's estimates. Nothing here executes a statement or writes, takes
+// locks for longer than a plan, or exposes mutable engine state.
 
 import "strings"
+
+// Binding is what Check found the column references of a statement to
+// name, for each one that binds: the relation of the FROM clause it reads
+// and, for a column of a base table, that column.
+type Binding map[*ColumnRef]BoundColumn
+
+// BoundColumn is the column one reference reads.
+type BoundColumn struct {
+	Rel    string // the relation's lower-cased qualifier: its alias, or the table's name
+	Table  string // the base table; "" for a derived table's column
+	Column Column // the base table's column
+}
+
+func (b Binding) note(c *ColumnRef, ec envCol) {
+	bc := BoundColumn{Rel: ec.tbl}
+	if ec.base != nil {
+		bc.Table, bc.Column = ec.base.Name, ec.base.Columns[ec.base.colIndex(ec.name)]
+	}
+	b[c] = bc
+}
+
+// Check binds st against the catalog as it is now and runs nothing. A
+// query or a write — the target of an EXPLAIN too — is planned under a
+// read snapshot as plain EXPLAIN plans it, and the error is the first one
+// its execution would raise before looking at a row: a table that does
+// not exist, or the first reference of the plan, in the order the
+// executor reaches its stages, that does not bind. A ? is no error: it is
+// bound only when the statement runs. DDL makes the catalog lookups its
+// execution starts with. Transaction control checks nothing.
+func (db *Database) Check(st Stmt) (Binding, error) {
+	if x, ok := st.(*ExplainStmt); ok {
+		st = x.Target
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	switch st.(type) {
+	case *SelectStmt, *InsertStmt, *UpdateStmt, *DeleteStmt:
+	default:
+		_, _, err := db.lookupDDL(st)
+		return nil, err
+	}
+	snap := db.mvcc.AcquireSnapshot()
+	defer db.mvcc.ReleaseSnapshot(snap)
+	vw := view{db: db, snap: snap, bind: Binding{}}
+	p, err := vw.planStmt(st, nil)
+	if err == nil {
+		err = p.keptErr()
+	}
+	return vw.bind, err
+}
+
+// EvalConst evaluates an expression that reads no row, parameter or
+// table, as a statement evaluates it: type checking asks it what the
+// engine does with values of an operation's operand types.
+func EvalConst(e Expr) (Value, error) { return evalConst(e, nil) }
+
+// ExprOff returns the source offset of the first positioned node of e, or
+// -1.
+func ExprOff(e Expr) int {
+	off := -1
+	walkExpr(e, func(x Expr) bool {
+		if off >= 0 {
+			return false
+		}
+		switch n := x.(type) {
+		case *Literal:
+			off = n.Off
+		case *ColumnRef:
+			off = n.Off
+		case *Param:
+			off = n.Off
+		case *FuncCall:
+			off = n.Off
+		}
+		return off < 0
+	})
+	return off
+}
 
 // WalkExpr visits e and every sub-expression depth-first. The visitor
 // returns false to prune a subtree. Subqueries are closed scopes: the

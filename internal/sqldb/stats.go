@@ -200,9 +200,10 @@ func derivedCols(sub *SelectStmt, qual string) []envCol {
 	return out
 }
 
-// planRel resolves one FROM entry or join target: a base table with its
-// layout and row estimate, or a derived table with its own plan.
-func (vw view) planRel(table string, sub *SelectStmt, alias string, params []Value) (*relPlan, error) {
+// planRel resolves one FROM entry or join target, written at off: a base
+// table with its layout and row estimate, or a derived table with its own
+// plan.
+func (vw view) planRel(table string, sub *SelectStmt, alias string, off int, params []Value) (*relPlan, error) {
 	rp := &relPlan{alias: alias, qual: strings.ToLower(alias)}
 	if sub != nil {
 		sp, err := vw.planSelect(sub, params)
@@ -216,7 +217,7 @@ func (vw view) planRel(table string, sub *SelectStmt, alias string, params []Val
 	}
 	t, err := vw.db.table(table)
 	if err != nil {
-		return nil, err
+		return nil, stampOff(err, off)
 	}
 	rp.t = t
 	if rp.qual == "" {
@@ -224,7 +225,7 @@ func (vw view) planRel(table string, sub *SelectStmt, alias string, params []Val
 	}
 	rp.cols = make([]envCol, len(t.Columns))
 	for i := range t.Columns {
-		rp.cols[i] = envCol{tbl: rp.qual, name: strings.ToLower(t.Columns[i].Name)}
+		rp.cols[i] = envCol{tbl: rp.qual, name: strings.ToLower(t.Columns[i].Name), base: t}
 	}
 	rp.baseRows = estTableRows(t)
 	return rp, nil
@@ -249,7 +250,7 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 	pinned := vw.naive
 	for i := range from {
 		tr := &from[i]
-		rp, err := vw.planRel(tr.Table, tr.Sub, tr.Alias, params)
+		rp, err := vw.planRel(tr.Table, tr.Sub, tr.Alias, tr.Off, params)
 		if err != nil {
 			return nil, err
 		}
@@ -260,7 +261,7 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 			if jc.Kind == JoinLeft {
 				pinned = true
 			}
-			if rp, err = vw.planRel(jc.Table, jc.Sub, jc.Alias, params); err != nil {
+			if rp, err = vw.planRel(jc.Table, jc.Sub, jc.Alias, jc.Off, params); err != nil {
 				return nil, err
 			}
 			rp.declIdx = len(fp.rels)

@@ -15,6 +15,39 @@ import (
 // What is decided here is only what a macro adds to that: a literal that
 // is partly or wholly a substitution slot, and the CREATE INDEX hint.
 
+// fromEntry is one relation of a FROM clause: a base table of the
+// catalog, or a derived table (tbl nil).
+type fromEntry struct {
+	qual   string             // lower-cased alias, or table name when unaliased: what Check binds under
+	tbl    *sqldb.SchemaTable // nil for a derived table or an unknown one
+	opaque bool               // a table the catalog does not have
+	off    int                // byte offset of the relation in the FROM clause
+	cross  bool               // introduced by an explicit CROSS JOIN (intentional product)
+}
+
+// rels lists the relations of a FROM clause in declaration order.
+func (a *analyzer) rels(from []sqldb.TableRef) []*fromEntry {
+	var out []*fromEntry
+	add := func(table, alias string, off int, cross bool) {
+		r := &fromEntry{qual: strings.ToLower(alias), off: off, cross: cross}
+		if table != "" {
+			r.tbl = a.catalog.Table(table)
+			r.opaque = r.tbl == nil
+			if r.qual == "" {
+				r.qual = strings.ToLower(table)
+			}
+		}
+		out = append(out, r)
+	}
+	for _, tr := range from {
+		add(tr.Table, tr.Alias, tr.Off, false)
+		for _, jc := range tr.Joins {
+			add(jc.Table, jc.Alias, jc.Off, jc.Kind == sqldb.JoinCross)
+		}
+	}
+	return out
+}
+
 // wildcardDiag is a deferred leading-wildcard diagnosis: emitted only if
 // no other conjunct gives the relation an index path (if one does, the
 // pattern is a cheap residual filter and not worth a warning).
@@ -32,47 +65,44 @@ type usability struct {
 	missingCol string // indexable shape, but no index on this column
 }
 
-// conjRels returns the set of relations a conjunct's column references
-// bind to. ok is false when any reference failed to resolve (the
-// conjunct is then ignored by the perf analysis — resolution errors were
-// already reported).
-func (a *analyzer) conjRels(sc *scope, conj sqldb.Expr) (map[*rel]bool, bool) {
-	rels := map[*rel]bool{}
+// conjRels returns the set of relations of rels a conjunct's column
+// references read, as Check bound them. ok is false when any reference
+// did not bind (the conjunct is then ignored by the perf analysis — the
+// engine's error is the finding).
+func (a *analyzer) conjRels(rels []*fromEntry, conj sqldb.Expr) (map[*fromEntry]bool, bool) {
+	out := map[*fromEntry]bool{}
 	ok := true
 	sqldb.WalkExpr(conj, func(e sqldb.Expr) bool {
 		if cr, is := e.(*sqldb.ColumnRef); is {
-			res := a.resolveQuiet(sc, cr)
-			if !res.ok {
-				ok = false
-				return false
-			}
-			rels[res.rel] = true
+			r := a.relOf(rels, cr)
+			ok = r != nil
+			out[r] = true
 		}
-		return true
+		return ok
 	})
-	return rels, ok
+	return out, ok
 }
 
-// relColumn returns the base-table column when cr binds to r, else nil.
-func (a *analyzer) relColumn(sc *scope, cr *sqldb.ColumnRef, r *rel) *sqldb.Column {
-	res := a.resolveQuiet(sc, cr)
-	if !res.ok || res.rel != r || r.tbl == nil {
-		return nil
+// relOf returns the relation of rels cr binds to, or nil.
+func (a *analyzer) relOf(rels []*fromEntry, cr *sqldb.ColumnRef) *fromEntry {
+	if bc, ok := a.bind[cr]; ok {
+		for _, r := range rels {
+			if r.qual == bc.Rel {
+				return r
+			}
+		}
 	}
-	return r.tbl.Column(cr.Column)
+	return nil
 }
 
 // indexUsable decides whether one conjunct attributed to relation r can
 // route r's scan through an index.
-func (a *analyzer) indexUsable(sc *scope, conj sqldb.Expr, r *rel) usability {
+func (a *analyzer) indexUsable(rels []*fromEntry, conj sqldb.Expr, r *fromEntry) usability {
 	sh, ok := sqldb.IndexableShape(conj)
-	if !ok {
+	if !ok || a.relOf(rels, sh.Col) != r {
 		return usability{}
 	}
-	c := a.relColumn(sc, sh.Col, r)
-	if c == nil {
-		return usability{}
-	}
+	c := r.tbl.Column(a.bind[sh.Col].Column.Name)
 	lit, isLit := sh.Operand.(*sqldb.Literal)
 	if sh.Op != "like" {
 		// The planner skips NULL keys (no row can match), so col = NULL
@@ -134,16 +164,16 @@ type relState struct {
 }
 
 // perfConjuncts runs the sequential-scan prediction over the filtering
-// conjuncts of one statement's scope.
-func (a *analyzer) perfConjuncts(sc *scope, conjs []sqldb.Expr) {
-	st := map[*rel]*relState{}
+// conjuncts of one statement over rels.
+func (a *analyzer) perfConjuncts(rels []*fromEntry, conjs []sqldb.Expr) {
+	st := map[*fromEntry]*relState{}
 	for _, conj := range conjs {
-		rels, ok := a.conjRels(sc, conj)
-		if !ok || len(rels) != 1 {
+		on, ok := a.conjRels(rels, conj)
+		if !ok || len(on) != 1 {
 			continue
 		}
-		var r *rel
-		for rr := range rels {
+		var r *fromEntry
+		for rr := range on {
 			r = rr
 		}
 		if r.tbl == nil {
@@ -155,7 +185,7 @@ func (a *analyzer) perfConjuncts(sc *scope, conjs []sqldb.Expr) {
 			st[r] = s
 		}
 		s.hasFilter = true
-		u := a.indexUsable(sc, conj, r)
+		u := a.indexUsable(rels, conj, r)
 		if u.usable {
 			s.usable = true
 		}
@@ -163,19 +193,19 @@ func (a *analyzer) perfConjuncts(sc *scope, conjs []sqldb.Expr) {
 			s.wildcards = append(s.wildcards, u.wildcard)
 		}
 		if !u.usable && s.firstOff < 0 {
-			s.firstOff = exprOff(conj)
+			s.firstOff = sqldb.ExprOff(conj)
 		}
 		if s.fixCol == "" && u.missingCol != "" {
 			s.fixCol = u.missingCol
 		}
 	}
-	for _, r := range sc.rels {
+	for _, r := range rels {
 		s := st[r]
 		if s == nil || !s.hasFilter || s.usable {
 			continue
 		}
 		rows := ""
-		if n := r.estRows(); n > 0 {
+		if n := r.tbl.EstRows; n > 0 {
 			rows = fmt.Sprintf(" of ~%d rows", n)
 		}
 		if len(s.wildcards) > 0 {
@@ -197,7 +227,7 @@ func (a *analyzer) perfConjuncts(sc *scope, conjs []sqldb.Expr) {
 }
 
 // perfSelect runs all performance predictions for one SELECT.
-func (a *analyzer) perfSelect(sel *sqldb.SelectStmt, sc *scope, reported bool) {
+func (a *analyzer) perfSelect(sel *sqldb.SelectStmt, reported bool) {
 	if reported {
 		star := sel.Star || len(sel.Items) == 0
 		if !star {
@@ -214,7 +244,8 @@ func (a *analyzer) perfSelect(sel *sqldb.SelectStmt, sc *scope, reported bool) {
 				"project only the columns the report references")
 		}
 	}
-	if len(sc.rels) == 0 {
+	rels := a.rels(sel.From)
+	if len(rels) == 0 {
 		return
 	}
 
@@ -236,29 +267,29 @@ func (a *analyzer) perfSelect(sel *sqldb.SelectStmt, sc *scope, reported bool) {
 		}
 	}
 
-	a.perfConjuncts(sc, filters)
-	a.crossProduct(sel, sc, connect)
+	a.perfConjuncts(rels, filters)
+	a.crossProduct(sel, rels, connect)
 }
 
 // crossProduct warns when the FROM clause joins relations with no join
 // predicate connecting them: the engine has no choice but to materialise
 // the full cartesian product before filtering.
-func (a *analyzer) crossProduct(sel *sqldb.SelectStmt, sc *scope, conjs []sqldb.Expr) {
-	if len(sc.rels) < 2 {
+func (a *analyzer) crossProduct(sel *sqldb.SelectStmt, rels []*fromEntry, conjs []sqldb.Expr) {
+	if len(rels) < 2 {
 		return
 	}
-	for _, r := range sc.rels {
+	for _, r := range rels {
 		if r.opaque || r.cross {
 			// Unknown membership makes edge detection unreliable, and
 			// an explicit CROSS JOIN is a stated intent.
 			return
 		}
 	}
-	idx := map[*rel]int{}
-	for i, r := range sc.rels {
+	idx := map[*fromEntry]int{}
+	for i, r := range rels {
 		idx[r] = i
 	}
-	parent := make([]int, len(sc.rels))
+	parent := make([]int, len(rels))
 	for i := range parent {
 		parent[i] = i
 	}
@@ -284,15 +315,15 @@ func (a *analyzer) crossProduct(sel *sqldb.SelectStmt, sc *scope, conjs []sqldb.
 		}
 	}
 	for _, conj := range conjs {
-		rels, ok := a.conjRels(sc, conj)
+		on, ok := a.conjRels(rels, conj)
 		if !ok {
-			return // unresolved references: edges unknowable, stay quiet
+			return // unbound references: edges unknowable, stay quiet
 		}
-		if len(rels) < 2 {
+		if len(on) < 2 {
 			continue
 		}
 		first := -1
-		for r := range rels {
+		for r := range on {
 			if first < 0 {
 				first = idx[r]
 				continue
@@ -304,14 +335,14 @@ func (a *analyzer) crossProduct(sel *sqldb.SelectStmt, sc *scope, conjs []sqldb.
 	root0 := find(0)
 	var product int64 = 1
 	allKnown := true
-	for _, r := range sc.rels {
-		if n := r.estRows(); n > 0 {
-			product *= n
+	for _, r := range rels {
+		if r.tbl != nil && r.tbl.EstRows > 0 {
+			product *= r.tbl.EstRows
 		} else {
 			allKnown = false
 		}
 	}
-	for i, r := range sc.rels {
+	for i, r := range rels {
 		if i == 0 || find(i) == root0 {
 			continue
 		}

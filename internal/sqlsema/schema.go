@@ -1,9 +1,10 @@
 // Package sqlsema performs schema-aware static semantic analysis of SQL
-// statements extracted from web macros: name resolution against a schema,
-// expression type checking with typed substitution slots, and
-// planner-driven performance lints that ask the embedded engine's own
-// classifier what an index can serve. It never executes a macro's
-// statement; it predicts what the engine would do with it.
+// statements extracted from web macros. It resolves no names itself: the
+// engine binds each statement (sqldb.Database.Check) and its error is the
+// name finding. Over that binding it checks types with typed substitution
+// slots, asking the engine to evaluate each operation on sample operands,
+// and predicts sequential scans with the planner's own classifier of what
+// an index can serve. It never executes a macro's statement.
 //
 // The schema is the catalog of an engine, in the engine's own model
 // (sqldb.SchemaSnapshot), and there is one way to read it. What differs
@@ -34,8 +35,8 @@ type Schema struct {
 // numbers the cost-based planner was using then.
 type Catalog []sqldb.SchemaTable
 
-// Snapshot returns the catalog as it is now. A lint run takes it once
-// and hands it to every Analyze of that run.
+// Snapshot returns the catalog as it is now; Analyze takes one per
+// statement.
 func (s *Schema) Snapshot() Catalog {
 	return s.db.SchemaSnapshot()
 }

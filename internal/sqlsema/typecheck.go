@@ -1,22 +1,25 @@
 package sqlsema
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"db2www/internal/sqldb"
 )
 
-// Expression type checking. The checker computes a coarse value kind for
-// every expression and flags combinations the engine would reject at
-// runtime (SQLSTATE 42804/22P02) or silently evaluate to UNKNOWN
-// (comparison with a NULL literal). The kind lattice mirrors the
-// engine's Compare/coerceToColumn semantics exactly: numbers compare
-// numerically, strings compare lexically, a string compared with a
-// number is parsed as a number (so a non-numeric string literal against
-// a numeric column is a guaranteed runtime error, while a string
-// *column* against a number is data-dependent and not flagged), and
-// booleans compare only with booleans.
+// Expression type checking. The checker gives every expression of a
+// statement Check bound a coarse kind — a column's declared type, a
+// slot's value class, what an operator or function yields — and flags
+// what the engine would reject at run time whatever the rows: it does not
+// predict the engine's answer, it asks for it. Where a comparison, an
+// arithmetic operator or a stored value meets an operand whose kind
+// decides the outcome, the checker evaluates the operation with the
+// engine (sqldb.EvalConst) on a sample of each operand — the literal
+// itself, a text slot's sample, a value of the numeric or boolean type —
+// and a type error it returns is the finding, in the engine's words. A
+// VARCHAR column decides nothing: it may hold numeric text. Comparisons
+// with a NULL literal are flagged too: they are always unknown.
 
 type kind int
 
@@ -45,12 +48,11 @@ func (k kind) String() string {
 // val is the checker's abstraction of an expression's value.
 type val struct {
 	kind   kind
-	lit    *sqldb.Literal // set when the expression is a literal
-	opaque bool           // literal with partially dynamic content
-	slot   *Slot          // set when the expression is a substitution slot
-	col    *sqldb.Column  // set when the expression is a base-table column
-	colRel *rel           // the relation the column came from
-	maybe  bool           // kText via ClassMaybeText (warn, not error)
+	lit    *sqldb.Literal     // set when the expression is a literal
+	opaque bool               // literal with partially dynamic content
+	slot   *Slot              // set when the expression is a substitution slot
+	col    *sqldb.BoundColumn // set when the expression is a base-table column
+	maybe  bool               // kText via ClassMaybeText (warn, not error)
 }
 
 func typeKind(t sqldb.Type) kind {
@@ -65,34 +67,53 @@ func typeKind(t sqldb.Type) kind {
 	return kUnknown
 }
 
-// checkExpr resolves and type-checks e, returning its value
-// abstraction. Every ColumnRef under e is bound against sc (reporting
-// unknown/ambiguous names once), and every comparison is checked.
-func (a *analyzer) checkExpr(sc *scope, e sqldb.Expr) val {
+// sample returns a value the engine can evaluate in v's place, or nil when
+// v's kind decides nothing.
+func (v val) sample() sqldb.Expr {
+	switch {
+	case v.lit != nil && !v.opaque:
+		return v.lit
+	case v.slot != nil && v.kind == kText:
+		return &sqldb.Literal{Val: sqldb.NewString(v.slot.Sample)}
+	case v.kind == kNum:
+		return &sqldb.Literal{Val: sqldb.NewInt(1)}
+	case v.kind == kBool:
+		return &sqldb.Literal{Val: sqldb.NewBool(true)}
+	}
+	return nil
+}
+
+// rejects evaluates an operation over samples and returns the type error
+// the engine raises for it, if any.
+func rejects(e sqldb.Expr) error {
+	_, err := sqldb.EvalConst(e)
+	var se *sqldb.Error
+	if errors.As(err, &se) && (se.Code == sqldb.CodeDatatypeMismatch || se.Code == sqldb.CodeInvalidText) {
+		return err
+	}
+	return nil
+}
+
+// checkExpr type-checks e and returns its value abstraction. Column kinds
+// come from Check's binding: a reference it did not bind, or one to a
+// derived table's column, is of unknown kind.
+func (a *analyzer) checkExpr(e sqldb.Expr) val {
 	switch x := e.(type) {
 	case nil:
 		return val{}
 	case *sqldb.Literal:
-		v := val{lit: x}
+		v := val{lit: x, kind: typeKind(x.Val.T)}
 		if x.Val.IsNull() {
 			v.kind = kNull
-			return v
 		}
-		v.kind = typeKind(x.Val.T)
-		if _, ok := a.opaquePrefix(x.Off); ok {
-			v.opaque = true
-		}
+		_, v.opaque = a.opaquePrefix(x.Off)
 		return v
 	case *sqldb.ColumnRef:
-		res := a.resolve(sc, x)
-		if !res.ok {
+		bc, ok := a.bind[x]
+		if !ok || bc.Table == "" {
 			return val{}
 		}
-		v := val{col: res.col, colRel: res.rel}
-		if res.hasType {
-			v.kind = typeKind(res.typ)
-		}
-		return v
+		return val{kind: typeKind(bc.Column.Type), col: &bc}
 	case *sqldb.Param:
 		s := a.slot(x.Index)
 		v := val{slot: &s}
@@ -102,66 +123,68 @@ func (a *analyzer) checkExpr(sc *scope, e sqldb.Expr) val {
 		case ClassText:
 			v.kind = kText
 		case ClassMaybeText:
-			v.kind = kText
-			v.maybe = true
+			v.kind, v.maybe = kText, true
 		}
 		return v
 	case *sqldb.Unary:
-		inner := a.checkExpr(sc, x.X)
+		inner := a.checkExpr(x.X)
 		if x.Op == "NOT" {
 			return val{kind: kBool}
 		}
-		// Arithmetic negation: a non-numeric operand fails at runtime.
-		a.requireNumeric(inner, x.X, "operand of unary "+x.Op)
+		if s := inner.sample(); s != nil {
+			a.checkOperand(rejects(&sqldb.Unary{Op: x.Op, X: s}), inner, x.X, "operand of unary "+x.Op)
+		}
 		return val{kind: kNum}
 	case *sqldb.Binary:
-		l := a.checkExpr(sc, x.L)
-		r := a.checkExpr(sc, x.R)
+		l, r := a.checkExpr(x.L), a.checkExpr(x.R)
 		switch x.Op {
 		case "AND", "OR":
 			return val{kind: kBool}
-		case "=", "<>", "!=", "<", "<=", ">", ">=":
+		case "=", "<>", "<", "<=", ">", ">=":
 			a.checkComparison(x.Op, l, r, x.L, x.R)
 			return val{kind: kBool}
 		case "||":
 			return val{kind: kText}
-		default: // + - * / %
-			a.requireNumeric(l, x.L, "operand of "+x.Op)
-			a.requireNumeric(r, x.R, "operand of "+x.Op)
-			return val{kind: kNum}
 		}
+		// Each operand against a number: a type error is that operand's.
+		one := &sqldb.Literal{Val: sqldb.NewInt(1)}
+		if s := l.sample(); s != nil {
+			a.checkOperand(rejects(&sqldb.Binary{Op: x.Op, L: s, R: one}), l, x.L, "operand of "+x.Op)
+		}
+		if s := r.sample(); s != nil {
+			a.checkOperand(rejects(&sqldb.Binary{Op: x.Op, L: one, R: s}), r, x.R, "operand of "+x.Op)
+		}
+		return val{kind: kNum}
 	case *sqldb.LikeExpr:
-		a.checkExpr(sc, x.X)
-		p := a.checkExpr(sc, x.Pattern)
-		a.checkExpr(sc, x.Escape)
+		a.checkExpr(x.X)
+		p := a.checkExpr(x.Pattern)
+		a.checkExpr(x.Escape)
 		if p.kind == kNull {
-			a.add(RuleType, SevWarn, litOff(p.lit),
+			a.add(RuleType, SevWarn, p.lit.Off,
 				"LIKE with a NULL pattern never matches; the predicate is always unknown", "")
 		}
 		return val{kind: kBool}
 	case *sqldb.BetweenExpr:
-		v := a.checkExpr(sc, x.X)
-		lo := a.checkExpr(sc, x.Lo)
-		hi := a.checkExpr(sc, x.Hi)
+		v, lo, hi := a.checkExpr(x.X), a.checkExpr(x.Lo), a.checkExpr(x.Hi)
 		a.checkComparison(">=", v, lo, x.X, x.Lo)
 		a.checkComparison("<=", v, hi, x.X, x.Hi)
 		return val{kind: kBool}
 	case *sqldb.InExpr:
-		v := a.checkExpr(sc, x.X)
+		v := a.checkExpr(x.X)
 		for _, it := range x.List {
-			iv := a.checkExpr(sc, it)
-			a.checkComparison("=", v, iv, x.X, it)
+			a.checkComparison("=", v, a.checkExpr(it), x.X, it)
 		}
 		if x.Sub != nil {
-			a.checkExpr(sc, x.Sub)
+			a.checkExpr(x.Sub)
 		}
 		return val{kind: kBool}
 	case *sqldb.IsNullExpr:
-		a.checkExpr(sc, x.X)
+		a.checkExpr(x.X)
 		return val{kind: kBool}
 	case *sqldb.FuncCall:
+		var args []val
 		for _, arg := range x.Args {
-			a.checkExpr(sc, arg)
+			args = append(args, a.checkExpr(arg))
 		}
 		switch x.Name {
 		case "COUNT", "SUM", "AVG", "LENGTH", "ABS", "ROUND":
@@ -169,23 +192,21 @@ func (a *analyzer) checkExpr(sc *scope, e sqldb.Expr) val {
 		case "UPPER", "LOWER", "TRIM", "SUBSTR", "SUBSTRING", "CONCAT":
 			return val{kind: kText}
 		case "MIN", "MAX":
-			if len(x.Args) == 1 {
-				return val{kind: a.kindOfQuiet(sc, x.Args[0])}
+			if len(args) == 1 {
+				return val{kind: args[0].kind}
 			}
 		}
 		return val{}
 	case *sqldb.CaseExpr:
-		a.checkExpr(sc, x.Operand)
+		a.checkExpr(x.Operand)
 		var out kind
 		for _, w := range x.Whens {
-			a.checkExpr(sc, w.Cond)
-			tv := a.checkExpr(sc, w.Then)
-			if out == kUnknown {
+			a.checkExpr(w.Cond)
+			if tv := a.checkExpr(w.Then); out == kUnknown {
 				out = tv.kind
 			}
 		}
-		ev := a.checkExpr(sc, x.Else)
-		if out == kUnknown {
+		if ev := a.checkExpr(x.Else); out == kUnknown {
 			out = ev.kind
 		}
 		if out == kNull {
@@ -193,53 +214,39 @@ func (a *analyzer) checkExpr(sc *scope, e sqldb.Expr) val {
 		}
 		return val{kind: out}
 	case *sqldb.CastExpr:
-		a.checkExpr(sc, x.X)
+		a.checkExpr(x.X)
 		return val{kind: typeKind(x.To)}
 	case *sqldb.Subquery:
-		if x.Sel != nil {
-			outs := a.selectStmt(x.Sel, false)
-			if len(outs) == 1 && outs[0].hasType {
-				return val{kind: typeKind(outs[0].typ)}
+		a.selectStmt(x.Sel, false)
+		if len(x.Sel.Items) == 1 {
+			if ref, ok := x.Sel.Items[0].Expr.(*sqldb.ColumnRef); ok {
+				return val{kind: a.checkExpr(ref).kind}
 			}
 		}
 		return val{}
 	case *sqldb.ExistsExpr:
-		if x.Sub != nil {
-			a.checkExpr(sc, x.Sub)
-		}
+		a.checkExpr(x.Sub)
 		return val{kind: kBool}
 	}
 	return val{}
 }
 
-// kindOfQuiet computes the kind of an already-checked expression without
-// re-reporting findings (used by MIN/MAX passthrough).
-func (a *analyzer) kindOfQuiet(sc *scope, e sqldb.Expr) kind {
-	saved := a.finds
-	v := a.checkExpr(sc, e)
-	a.finds = saved
-	return v.kind
-}
-
-// requireNumeric flags operands that can never coerce to a number: a
-// non-numeric string literal, a boolean, or a text-classed slot.
-func (a *analyzer) requireNumeric(v val, e sqldb.Expr, what string) {
+// checkOperand reports err, the engine's refusal of v as the operand what.
+func (a *analyzer) checkOperand(err error, v val, e sqldb.Expr, what string) {
 	switch {
-	case v.kind == kBool:
-		a.add(RuleType, SevError, exprOff(e),
-			fmt.Sprintf("boolean %s where a number is required", what), "")
-	case v.lit != nil && v.kind == kText && !v.opaque && !parseNumber(v.lit.Val.S):
-		a.add(RuleType, SevError, v.lit.Off,
-			fmt.Sprintf("string %q as %s is not a number; the engine raises SQLSTATE 22P02 at runtime", v.lit.Val.S, what), "")
-	case v.slot != nil && v.kind == kText && !v.maybe:
-		a.add(RuleType, SevError, exprOff(e),
-			fmt.Sprintf("macro variable %s%s always substitutes non-numeric text (e.g. %q) as %s",
-				slotRef(v.slot), slotChain(v.slot), v.slot.Sample, what), "")
+	case err == nil:
+	case v.slot != nil:
+		a.add(RuleType, slotSev(v), sqldb.ExprOff(e),
+			fmt.Sprintf("macro variable %s%s %s (e.g. %q) as %s: %v", slotRef(v.slot), slotChain(v.slot), slotText(v), v.slot.Sample, what, err), "")
+	case v.lit != nil && v.kind == kText:
+		a.add(RuleType, SevError, v.lit.Off, fmt.Sprintf("string %q as %s: %v", v.lit.Val.S, what, err), "")
+	default:
+		a.add(RuleType, SevError, sqldb.ExprOff(e), fmt.Sprintf("%s value as %s: %v", v.kind, what, err), "")
 	}
 }
 
-// checkComparison applies the engine's Compare rules to one comparison
-// and flags the combinations that are statically wrong.
+// checkComparison asks the engine about one comparison and flags what it
+// rejects, and any comparison with a NULL literal.
 func (a *analyzer) checkComparison(op string, l, r val, le, re sqldb.Expr) {
 	// `x = NULL` (or any comparison against a NULL literal) is always
 	// UNKNOWN: the predicate filters every row, which is never what the
@@ -247,7 +254,7 @@ func (a *analyzer) checkComparison(op string, l, r val, le, re sqldb.Expr) {
 	for _, side := range [2]val{l, r} {
 		if side.kind == kNull && side.lit != nil {
 			fix := "use IS NULL"
-			if op == "<>" || op == "!=" {
+			if op == "<>" {
 				fix = "use IS NOT NULL"
 			}
 			a.add(RuleType, SevError, side.lit.Off,
@@ -255,118 +262,72 @@ func (a *analyzer) checkComparison(op string, l, r val, le, re sqldb.Expr) {
 			return
 		}
 	}
-	a.checkSides(op, l, r, le, re)
-	a.checkSides(op, r, l, re, le)
-}
-
-// checkSides checks the directed pair (a=one side, b=the other).
-func (an *analyzer) checkSides(op string, a, b val, ae, be sqldb.Expr) {
-	if a.kind == kUnknown || b.kind == kUnknown || a.kind == kNull || b.kind == kNull {
+	ls, rs := l.sample(), r.sample()
+	if ls == nil || rs == nil {
 		return
 	}
-	// Booleans compare only with booleans (engine Compare errors with
-	// 42804 otherwise); string literals in the engine's boolean word
-	// list coerce cleanly when assigned but NOT when compared.
-	if a.kind == kBool && b.kind != kBool {
-		an.add(RuleType, SevError, cmpOff(ae, be),
-			fmt.Sprintf("boolean compared with %s value; the engine raises SQLSTATE 42804 at runtime", b.kind), "")
+	err := rejects(&sqldb.Binary{Op: op, L: ls, R: rs})
+	if err == nil {
 		return
 	}
-	if a.kind != kNum || b.kind != kText {
-		return
+	// Say it from the side that is the boolean, or the number.
+	if r.kind == kBool || l.kind == kText {
+		l, r, le, re = r, l, re, le
 	}
-	// numeric side vs text side: the engine parses the text as a
-	// number. A string *column* may hold numeric text (data-dependent:
-	// skip); a string literal or an inferred-text slot cannot.
 	switch {
-	case b.lit != nil && !b.opaque:
-		if !parseNumber(b.lit.Val.S) {
-			an.add(RuleType, SevError, b.lit.Off,
-				fmt.Sprintf("numeric %s compared with non-numeric string %q; the engine raises SQLSTATE 22P02 at runtime",
-					sideName(a), b.lit.Val.S), "")
-		}
-	case b.slot != nil:
-		if b.maybe {
-			an.add(RuleType, SevWarn, exprOff(be),
-				fmt.Sprintf("numeric %s compared with macro variable %s%s, which can substitute non-numeric text (e.g. %q)",
-					sideName(a), slotRef(b.slot), slotChain(b.slot), b.slot.Sample), "")
-		} else {
-			an.add(RuleType, SevError, exprOff(be),
-				fmt.Sprintf("numeric %s compared with macro variable %s%s, which always substitutes non-numeric text (e.g. %q); the engine raises SQLSTATE 22P02 at runtime",
-					sideName(a), slotRef(b.slot), slotChain(b.slot), b.slot.Sample), "")
-		}
+	case l.kind == kBool:
+		a.add(RuleType, SevError, cmpOff(le, re),
+			fmt.Sprintf("boolean compared with %s value: %v", r.kind, err), "")
+	case r.lit != nil:
+		a.add(RuleType, SevError, r.lit.Off,
+			fmt.Sprintf("numeric %s compared with non-numeric string %q: %v", sideName(l), r.lit.Val.S, err), "")
+	case r.slot != nil:
+		a.add(RuleType, slotSev(r), sqldb.ExprOff(re),
+			fmt.Sprintf("numeric %s compared with macro variable %s%s, which %s (e.g. %q): %v",
+				sideName(l), slotRef(r.slot), slotChain(r.slot), slotText(r), r.slot.Sample, err), "")
 	}
 }
 
-// checkAssign checks one INSERT/UPDATE value against its target column,
-// mirroring coerceToColumn.
-func (a *analyzer) checkAssign(c *sqldb.Column, t *sqldb.SchemaTable, e sqldb.Expr) {
-	v := a.kindValQuiet(e)
+// checkAssign checks one INSERT/UPDATE value against the column of table
+// it is stored in: the engine stores it as CAST to the column type does.
+func (a *analyzer) checkAssign(c *sqldb.Column, table string, v val, e sqldb.Expr) {
 	if v.kind == kNull {
 		if c.NotNull {
-			a.add(RuleType, SevError, exprOff(e),
-				fmt.Sprintf("NULL assigned to NOT NULL column %s.%s; the engine raises SQLSTATE 23502 at runtime", t.Name, c.Name), "")
+			a.add(RuleType, SevError, sqldb.ExprOff(e),
+				fmt.Sprintf("NULL assigned to NOT NULL column %s.%s; the engine raises SQLSTATE 23502 at runtime", table, c.Name), "")
 		}
 		return
 	}
-	ck := typeKind(c.Type)
+	s := v.sample()
+	if s == nil {
+		return
+	}
+	err := rejects(&sqldb.CastExpr{X: s, To: c.Type})
+	target := fmt.Sprintf("%s column %s.%s", strings.ToUpper(c.Type.String()), table, c.Name)
 	switch {
-	case ck == kNum && v.kind == kText:
-		if v.lit != nil && !v.opaque && !parseNumber(v.lit.Val.S) {
-			a.add(RuleType, SevError, v.lit.Off,
-				fmt.Sprintf("string %q cannot be stored in %s column %s.%s; the engine raises SQLSTATE 22P02 at runtime",
-					v.lit.Val.S, strings.ToUpper(c.Type.String()), t.Name, c.Name), "")
-		} else if v.slot != nil && !v.maybe {
-			a.add(RuleType, SevError, exprOff(e),
-				fmt.Sprintf("macro variable %s%s always substitutes non-numeric text (e.g. %q), which cannot be stored in %s column %s.%s",
-					slotRef(v.slot), slotChain(v.slot), v.slot.Sample, strings.ToUpper(c.Type.String()), t.Name, c.Name), "")
-		} else if v.slot != nil && v.maybe {
-			a.add(RuleType, SevWarn, exprOff(e),
-				fmt.Sprintf("macro variable %s%s can substitute non-numeric text (e.g. %q) into %s column %s.%s",
-					slotRef(v.slot), slotChain(v.slot), v.slot.Sample, strings.ToUpper(c.Type.String()), t.Name, c.Name), "")
-		}
-	case ck == kBool && v.kind == kText:
-		if v.lit != nil && !v.opaque && !boolWord(v.lit.Val.S) {
-			a.add(RuleType, SevError, v.lit.Off,
-				fmt.Sprintf("string %q is not a boolean word; it cannot be stored in BOOLEAN column %s.%s",
-					v.lit.Val.S, t.Name, c.Name), "")
-		}
+	case err == nil:
+	case v.slot != nil:
+		a.add(RuleType, slotSev(v), sqldb.ExprOff(e),
+			fmt.Sprintf("macro variable %s%s %s (e.g. %q), which cannot be stored in %s: %v",
+				slotRef(v.slot), slotChain(v.slot), slotText(v), v.slot.Sample, target, err), "")
+	case v.lit != nil:
+		a.add(RuleType, SevError, v.lit.Off, fmt.Sprintf("string %q cannot be stored in %s: %v", v.lit.Val.S, target, err), "")
 	}
-}
-
-// kindValQuiet computes a value abstraction for an expression that was
-// already checked in scope (assignment targets re-examine the value
-// without duplicating resolution findings).
-func (a *analyzer) kindValQuiet(e sqldb.Expr) val {
-	saved := a.finds
-	v := a.checkExpr(&scope{}, e)
-	a.finds = saved
-	return v
-}
-
-func litOff(l *sqldb.Literal) int {
-	if l == nil {
-		return -1
-	}
-	return l.Off
 }
 
 // cmpOff picks the best offset for a comparison finding: the flagged
 // side when positioned, else the other side.
 func cmpOff(ae, be sqldb.Expr) int {
-	if o := exprOff(be); o >= 0 {
+	if o := sqldb.ExprOff(be); o >= 0 {
 		return o
 	}
-	return exprOff(ae)
+	return sqldb.ExprOff(ae)
 }
 
 // sideName describes the numeric side of a mismatched comparison.
 func sideName(v val) string {
-	if v.col != nil && v.colRel != nil && v.colRel.tbl != nil {
-		return fmt.Sprintf("column %s.%s (%s)", v.colRel.tbl.Name, v.col.Name, strings.ToUpper(v.col.Type.String()))
-	}
 	if v.col != nil {
-		return "column " + v.col.Name
+		return fmt.Sprintf("column %s.%s (%s)", v.col.Table, v.col.Column.Name, strings.ToUpper(v.col.Column.Type.String()))
 	}
 	return "value"
 }
@@ -383,4 +344,20 @@ func slotChain(s *Slot) string {
 		return ""
 	}
 	return " (" + s.Chain + ")"
+}
+
+// slotText says how often a text slot substitutes non-numeric text.
+func slotText(v val) string {
+	if v.maybe {
+		return "can substitute non-numeric text"
+	}
+	return "always substitutes non-numeric text"
+}
+
+// slotSev is a warning for a slot that only can substitute text.
+func slotSev(v val) Severity {
+	if v.maybe {
+		return SevWarn
+	}
+	return SevError
 }
