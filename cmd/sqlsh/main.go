@@ -4,11 +4,12 @@
 // commands: \d lists tables, \d NAME describes one (columns, indexes,
 // row count), \check DIR lints a macro directory against the live
 // catalog (schema-aware analyzers included), \planstats dumps the
-// prepared-plan cache counters, \q quits. EXPLAIN [ANALYZE] <stmt>
-// renders the execution plan — with the cost-based planner on, plan
-// nodes carry "Est: ~rows (cost=...)" estimates, and a footer reports
-// whether the statement's shape is in the plan cache (see
-// docs/STATEMENTS.md and docs/PLANNER.md).
+// counters of the plan cache — a cache of parses: no plan is kept, each
+// execution plans afresh — \q quits. EXPLAIN [ANALYZE] <stmt> renders the
+// execution plan — with the cost-based planner on, plan nodes carry "Est:
+// ~rows (cost=...)" estimates, and a footer reports whether the
+// statement's shape has a parse in the plan cache (see docs/STATEMENTS.md
+// and docs/PLANNER.md).
 //
 //	sqlsh -dataset urldb:100:1
 //	sqlsh -e "SELECT COUNT(*) FROM urldb"
@@ -89,7 +90,7 @@ func main() {
 		return
 	}
 
-	fmt.Println("sqlsh — embedded SQL shell. Statements end with ';'. \\q quits, \\d lists tables, \\check DIR lints macros against the catalog, \\planstats dumps plan-cache counters, EXPLAIN [ANALYZE] shows plans.")
+	fmt.Println("sqlsh — embedded SQL shell. Statements end with ';'. \\q quits, \\d lists tables, \\check DIR lints macros against the catalog, \\planstats dumps parse-cache counters, EXPLAIN [ANALYZE] shows plans.")
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
@@ -133,7 +134,7 @@ func metaCommand(db *sqldb.Database, cmd string) bool {
 		}
 	case cmd == "\\planstats":
 		st := db.PlanCacheStats()
-		fmt.Printf("%-16s %d / %d\n", "cached plans:", st.Size, st.Cap)
+		fmt.Printf("%-16s %d / %d\n", "cached shapes:", st.Size, st.Cap)
 		fmt.Printf("%-16s %d\n", "hits:", st.Hits)
 		fmt.Printf("%-16s %d\n", "misses:", st.Misses)
 		fmt.Printf("%-16s %d\n", "bypasses:", st.Bypasses)

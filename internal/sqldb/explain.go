@@ -8,6 +8,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 )
@@ -220,10 +221,19 @@ func (pp *planPrinter) relPlan(rp *relPlan, free bool, pad string) {
 	}
 	in := pp.node(pad, false, label+pp.scanned(&rp.stat))
 	if rp.access != nil {
-		pp.prop(in, "Index Cond: "+exprString(rp.access.conj))
+		pp.prop(in, "Index Cond: "+rp.condText(rp.access.conj))
 	}
 	if rp.filter != nil {
-		pp.prop(in, "Filter: "+exprString(rp.filter)+pp.staged(&rp.pushStat))
+		text := exprString(rp.filter)
+		if len(rp.implied) > 0 {
+			conds := andConjuncts(rp.filter)
+			parts := make([]string, len(conds))
+			for i, c := range conds {
+				parts[i] = rp.condText(c)
+			}
+			text = strings.Join(parts, " AND ")
+		}
+		pp.prop(in, "Filter: "+text+pp.staged(&rp.pushStat))
 	}
 	if free {
 		pp.prop(in, estText(rp.est, rp.baseRows))
@@ -231,6 +241,15 @@ func (pp *planPrinter) relPlan(rp *relPlan, free bool, pad string) {
 	if rp.sub != nil {
 		pp.selectPlan(rp.sub, in, false)
 	}
+}
+
+// condText renders a conjunct pushed to the scan, marked when implied
+// equality derived it.
+func (rp *relPlan) condText(c Expr) string {
+	if slices.Contains(rp.implied, c) {
+		return exprString(c) + " (implied)"
+	}
+	return exprString(c)
 }
 
 // display names a base table with its alias, when it has another one.

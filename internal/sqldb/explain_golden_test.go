@@ -38,6 +38,9 @@ var explainShapes = []string{
 	"SELECT name, dname FROM emp, dept WHERE dept = dept.id AND loc = 'east' ORDER BY name",
 	"SELECT e.name FROM emp e, dept d WHERE e.dept = d.id AND e.salary > (SELECT AVG(salary) FROM emp) ORDER BY e.id",
 	"SELECT id FROM emp e, dept d WHERE e.dept = d.id",
+	// orders.d2w's spend report: the key side reads one row, by implied
+	// equality.
+	"SELECT d.dname, COUNT(*) AS n, SUM(e.salary) AS total FROM dept d JOIN emp e ON d.id = e.dept WHERE e.dept = 3 GROUP BY d.dname ORDER BY d.dname",
 	// LEFT joins: declaration order, nothing pushed below them.
 	"SELECT d.dname, e.name FROM dept d LEFT JOIN emp e ON e.dept = d.id AND e.id > 25 WHERE d.loc = 'west' ORDER BY e.name",
 	"SELECT e.name, d.dname FROM emp e LEFT JOIN dept d ON e.dept = d.id WHERE e.id = 3",

@@ -257,6 +257,11 @@ func FuzzExecRoundTrip(f *testing.F) {
 	f.Add("SELECT u.x, t.b FROM u LEFT JOIN t ON t.a = u.a AND t.c > 10")
 	f.Add("SELECT NOW(COUNT(1))") // an aggregate in arguments that are never evaluated
 	f.Add("SELECT a FROM t GROUP BY a ORDER BY CURDATE(SUM(c))")
+	// Implied equality: a constant on one side of a join key.
+	f.Add("SELECT t.b, u.y FROM t JOIN u ON u.a = t.a WHERE u.a = 2")
+	f.Add("SELECT t.a, u.x FROM t, u WHERE t.c = u.a AND t.c = 1")
+	f.Add("SELECT t.a, t2.b FROM t, t t2 WHERE t.c = t2.c AND t2.c = 20 AND t.a > 1")
+	f.Add("SELECT t.a FROM t JOIN u ON u.y = t.b WHERE t.b = 'one'")
 	f.Fuzz(func(t *testing.T, src string) {
 		// Every relation multiplies the rows of a product; a statement
 		// listing many would spend the fuzzing budget on one cross join.

@@ -48,37 +48,47 @@ func hashKeyFor(cond Expr, left []*relPlan, right *relPlan) *hashKey {
 		return nil
 	}
 	rels := append(left[:len(left):len(left)], right)
-	column := func(e Expr) (rel int, typ Type, ok bool) {
-		c, isRef := e.(*ColumnRef)
-		if !isRef {
-			return 0, 0, false
-		}
-		if rel = refRel(c, rels); rel < 0 || rels[rel].t == nil {
-			return 0, 0, false
-		}
-		name := strings.ToLower(c.Column)
-		for pos, col := range rels[rel].cols {
-			if col.name == name {
-				return rel, rels[rel].t.Columns[pos].Type, true
-			}
-		}
-		return 0, 0, false
-	}
 	for _, conj := range andConjuncts(cond) {
 		b, ok := conj.(*Binary)
 		if !ok || b.Op != "=" {
 			continue
 		}
-		lRel, lType, lok := column(b.L)
-		rRel, rType, rok := column(b.R)
-		if !lok || !rok || (lRel == len(left)) == (rRel == len(left)) {
+		l, lok := baseColumn(b.L, rels)
+		r, rok := baseColumn(b.R, rels)
+		if !lok || !rok || (l.rel == len(left)) == (r.rel == len(left)) {
 			continue
 		}
-		if class, ok := keyClassOf(lType, rType); ok {
+		if class, ok := keyClassOf(l.typ(rels), r.typ(rels)); ok {
 			return &hashKey{conj: b, class: class}
 		}
 	}
 	return nil
+}
+
+// relColumn is a column of a base table among a FROM clause's relations:
+// the relation's index and the column's position in its table.
+type relColumn struct{ rel, pos int }
+
+func (c relColumn) typ(rels []*relPlan) Type { return rels[c.rel].t.Columns[c.pos].Type }
+
+// baseColumn resolves e, when it is a reference to a column of a base
+// table among rels, as the compiler will resolve it.
+func baseColumn(e Expr, rels []*relPlan) (relColumn, bool) {
+	c, ok := e.(*ColumnRef)
+	if !ok {
+		return relColumn{}, false
+	}
+	rel := refRel(c, rels)
+	if rel < 0 || rels[rel].t == nil {
+		return relColumn{}, false
+	}
+	name := strings.ToLower(c.Column)
+	for pos, col := range rels[rel].cols {
+		if col.name == name {
+			return relColumn{rel, pos}, true
+		}
+	}
+	return relColumn{}, false
 }
 
 // hashTable finds the right rows of a hash join by key. Rows with one key

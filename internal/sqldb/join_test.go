@@ -162,3 +162,72 @@ func TestOnConditionHasOneScope(t *testing.T) {
 		}
 	}
 }
+
+// TestImpliedEquality: a join equality of two columns of one type, beside a
+// literal or parameter bound to one of them, binds the other too — through
+// further equalities of one type as well — and the statement returns what
+// the naive plan returns. Nothing is derived across types (Compare coerces
+// there), from a NULL, from a value of another class than the column's,
+// from an expression, or under a LEFT join.
+func TestImpliedEquality(t *testing.T) {
+	s := NewSession(NewDatabase("IMPLIED"))
+	mustExec(t, s, "CREATE TABLE l (id INTEGER, i INTEGER, f DOUBLE, s VARCHAR(10), b BOOLEAN)")
+	mustExec(t, s, "CREATE TABLE r (id INTEGER PRIMARY KEY, i INTEGER, f DOUBLE, s VARCHAR(10), b BOOLEAN)")
+	for _, q := range []string{
+		"INSERT INTO l VALUES (1, 1, 1.0, '1', TRUE), (2, 9007199254740993, 9007199254740992.0, 'x', FALSE)",
+		"INSERT INTO l VALUES (3, NULL, NULL, NULL, NULL), (4, 0, 0.0, '', TRUE), (5, 1, 2.5, 'x', FALSE)",
+		"INSERT INTO r VALUES (1, 1, 1.0, '1', TRUE), (2, 9007199254740992, 9007199254740992.0, 'x', FALSE)",
+		"INSERT INTO r VALUES (3, NULL, NULL, NULL, NULL), (4, 0, 0.0 * -1, ' ', NULL)",
+		"INSERT INTO r VALUES (5, 9007199254740993, 2.5, 'abc', TRUE), (6, 1, 1.0, '1', TRUE)",
+	} {
+		mustExec(t, s, q)
+	}
+	for _, c := range []struct {
+		sql     string
+		implied int
+	}{
+		{"SELECT l.id, r.id FROM l JOIN r ON l.i = r.i WHERE l.i = 1", 1},
+		{"SELECT l.id, r.id FROM l, r WHERE l.i = r.i AND r.i = 9007199254740993", 1},
+		{"SELECT l.id, r.id FROM l JOIN r ON l.f = r.f WHERE 1.0 = l.f", 1},
+		{"SELECT l.id, r.id FROM l JOIN r ON l.s = r.s WHERE r.s = 'x'", 1},
+		{"SELECT l.id, r.id FROM l JOIN r ON l.b = r.b WHERE r.b = TRUE", 1},
+		{"SELECT l.id, r.id FROM l JOIN r ON l.id = r.id WHERE l.id = 5", 1},
+		{"SELECT l.id, r.id, l2.id FROM l, r, l l2 WHERE l.i = r.i AND r.i = l2.i AND l2.i = 1", 2},
+		{"SELECT l.id, r.id FROM l JOIN r ON l.i = r.i WHERE l.i = 1 AND r.i = 1", 0},
+		{"SELECT l.id, r.id FROM l JOIN r ON l.i = r.f WHERE l.i = 1", 0},
+		{"SELECT l.id, r.id FROM l JOIN r ON l.f = r.i WHERE r.i = 9007199254740993", 0},
+		{"SELECT l.id, r.id FROM l JOIN r ON l.s = r.i WHERE r.i = 1", 0},
+		{"SELECT l.id, r.id FROM l JOIN r ON l.i = r.i WHERE l.i = NULL", 0},
+		{"SELECT l.id, r.id FROM l JOIN r ON l.i = r.i WHERE l.i = '1'", 0},
+		{"SELECT l.id, r.id FROM l JOIN r ON l.i = r.i WHERE l.i = 1.5", 1},
+		{"SELECT l.id, r.id FROM l JOIN r ON l.i = r.i WHERE l.i = 0 + 1", 0},
+		{"SELECT l.id, r.id FROM l LEFT JOIN r ON l.i = r.i WHERE l.i = 1", 0},
+	} {
+		plan := planText(t, s, "EXPLAIN "+c.sql)
+		n := 0
+		for _, line := range strings.Split(plan, "\n") {
+			if strings.Contains(line, "Filter: ") {
+				n += strings.Count(line, "(implied)")
+			}
+		}
+		if n != c.implied {
+			t.Errorf("%s: %d conjuncts implied, want %d:\n%s", c.sql, n, c.implied, plan)
+		}
+		got, gotErr := s.Exec(c.sql)
+		want, wantErr := naiveExec(NewSession(s.db), c.sql)
+		if failedAlike(t, c.sql, gotErr, wantErr) {
+			continue
+		}
+		if g, w := sortedRows(got), sortedRows(want); g != w {
+			t.Errorf("%s:\n got %s\nnaive %s", c.sql, g, w)
+		}
+	}
+	// Bound by a parameter, the key side reads one row through its index.
+	const sql = "SELECT l.id, r.id FROM l JOIN r ON l.id = r.id WHERE l.id = ?"
+	res, err := s.Exec("EXPLAIN ANALYZE "+sql, NewInt(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLine(t, planResultText(res), "Index Scan on r using r_pkey (examined=1 returned=1 ")
+	wantLine(t, planResultText(res), "Index Cond: (r.id = ?) (implied)")
+}

@@ -27,29 +27,29 @@ type token struct {
 	num  Value  // parsed value for tkNumber
 }
 
-// sqlKeywords is the set of reserved words recognised by the parser.
-// Non-reserved function names (UPPER, COUNT, ...) are plain identifiers.
-var sqlKeywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"OFFSET": true, "FETCH": true, "FIRST": true, "ROWS": true, "ONLY": true,
-	"INSERT": true, "INTO": true, "VALUES": true, "UPDATE": true, "SET": true,
-	"DELETE": true, "CREATE": true, "DROP": true, "TABLE": true, "INDEX": true,
-	"UNIQUE": true, "PRIMARY": true, "KEY": true, "NOT": true, "NULL": true,
-	"DEFAULT": true, "AND": true, "OR": true, "LIKE": true, "ESCAPE": true,
-	"BETWEEN": true, "IN": true, "IS": true, "AS": true, "ON": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "RIGHT": true, "OUTER": true,
-	"CROSS": true, "DISTINCT": true, "ALL": true, "CASE": true, "WHEN": true,
-	"THEN": true, "ELSE": true, "END": true, "BEGIN": true, "COMMIT": true,
-	"ROLLBACK": true, "WORK": true, "TRANSACTION": true, "TRUE": true,
-	"FALSE": true, "EXISTS": true, "IF": true, "CAST": true, "UNION": true,
-	"ALTER": true, "ADD": true, "COLUMN": true, "RENAME": true, "TO": true,
-	"INTEGER": true, "INT": true, "SMALLINT": true, "BIGINT": true,
-	"VARCHAR": true, "CHAR": true, "CHARACTER": true, "TEXT": true,
-	"DOUBLE": true, "FLOAT": true, "REAL": true, "DECIMAL": true,
-	"NUMERIC": true, "BOOLEAN": true, "PRECISION": true,
-	"EXPLAIN": true, "ANALYZE": true,
-}
+// sqlKeywords is the set of reserved words recognised by the parser, each
+// mapped to itself: the lexer finds a keyword by its upper-cased bytes and
+// takes the text from here, so a keyword written in lower case costs no
+// string. Non-reserved function names (UPPER, COUNT, ...) are plain
+// identifiers.
+var sqlKeywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range strings.Fields(`
+		SELECT FROM WHERE GROUP BY HAVING ORDER ASC DESC LIMIT OFFSET FETCH
+		FIRST ROWS ONLY INSERT INTO VALUES UPDATE SET DELETE CREATE DROP TABLE
+		INDEX UNIQUE PRIMARY KEY NOT NULL DEFAULT AND OR LIKE ESCAPE BETWEEN IN
+		IS AS ON JOIN INNER LEFT RIGHT OUTER CROSS DISTINCT ALL CASE WHEN THEN
+		ELSE END BEGIN COMMIT ROLLBACK WORK TRANSACTION TRUE FALSE EXISTS IF
+		CAST UNION ALTER ADD COLUMN RENAME TO INTEGER INT SMALLINT BIGINT
+		VARCHAR CHAR CHARACTER TEXT DOUBLE FLOAT REAL DECIMAL NUMERIC BOOLEAN
+		PRECISION EXPLAIN ANALYZE`) {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen is the length of the longest keyword (TRANSACTION).
+const maxKeywordLen = 11
 
 // lexer tokenizes a SQL statement string.
 type lexer struct {
@@ -62,9 +62,9 @@ type lexer struct {
 // strings or stray characters.
 func lexSQL(src string) ([]token, error) {
 	lx := &lexer{src: src}
+	var tok token
 	for {
-		tok, err := lx.next()
-		if err != nil {
+		if err := lx.next(&tok); err != nil {
 			return nil, err
 		}
 		lx.toks = append(lx.toks, tok)
@@ -80,33 +80,40 @@ func lexSQL(src string) ([]token, error) {
 // (rows or a count, cacheable or not) need not lex the rest.
 func HeadKeyword(sql string) string {
 	lx := lexer{src: sql}
-	if t, err := lx.next(); err == nil && t.kind == tkKeyword {
+	var t token
+	if err := lx.next(&t); err == nil && t.kind == tkKeyword {
 		return t.text
 	}
 	return ""
 }
 
-func (lx *lexer) next() (token, error) {
+// next lexes the next token into t, which the caller owns: a token is
+// too large to be returned by value through every lexing function, once
+// per token of every statement.
+func (lx *lexer) next(t *token) error {
 	lx.skipSpaceAndComments()
 	if lx.pos >= len(lx.src) {
-		return token{kind: tkEOF, pos: lx.pos}, nil
+		*t = token{kind: tkEOF, pos: lx.pos}
+		return nil
 	}
 	start := lx.pos
 	c := lx.src[lx.pos]
 	switch {
 	case c == '\'':
-		return lx.lexString(start)
+		return lx.lexString(t, start)
 	case c == '"':
-		return lx.lexQuotedIdent(start)
+		return lx.lexQuotedIdent(t, start)
 	case c >= '0' && c <= '9', c == '.' && lx.pos+1 < len(lx.src) && isDigit(lx.src[lx.pos+1]):
-		return lx.lexNumber(start)
+		return lx.lexNumber(t, start)
 	case isIdentStart(rune(c)):
-		return lx.lexWord(start)
+		lx.lexWord(t, start)
+		return nil
 	case c == '?':
 		lx.pos++
-		return token{kind: tkParam, text: "?", pos: start}, nil
+		*t = token{kind: tkParam, text: "?", pos: start}
+		return nil
 	default:
-		return lx.lexOp(start)
+		return lx.lexOp(t, start)
 	}
 }
 
@@ -135,7 +142,15 @@ func (lx *lexer) skipSpaceAndComments() {
 	}
 }
 
-func (lx *lexer) lexString(start int) (token, error) {
+// lexString lexes the literal at start, unescaped: a slice of the input
+// when it has no doubled quote, a copy only when it has.
+func (lx *lexer) lexString(t *token, start int) error {
+	body := lx.src[lx.pos+1:]
+	if n := strings.IndexByte(body, '\''); n >= 0 && (n+1 == len(body) || body[n+1] != '\'') {
+		lx.pos += 1 + n + 1
+		*t = token{kind: tkString, text: body[:n], pos: start}
+		return nil
+	}
 	var sb strings.Builder
 	i := lx.pos + 1
 	for i < len(lx.src) {
@@ -146,15 +161,16 @@ func (lx *lexer) lexString(start int) (token, error) {
 				continue
 			}
 			lx.pos = i + 1
-			return token{kind: tkString, text: sb.String(), pos: start}, nil
+			*t = token{kind: tkString, text: sb.String(), pos: start}
+			return nil
 		}
 		sb.WriteByte(lx.src[i])
 		i++
 	}
-	return token{}, errSyntax("unterminated string literal at offset %d", start)
+	return errSyntax("unterminated string literal at offset %d", start)
 }
 
-func (lx *lexer) lexQuotedIdent(start int) (token, error) {
+func (lx *lexer) lexQuotedIdent(t *token, start int) error {
 	var sb strings.Builder
 	i := lx.pos + 1
 	for i < len(lx.src) {
@@ -165,15 +181,16 @@ func (lx *lexer) lexQuotedIdent(start int) (token, error) {
 				continue
 			}
 			lx.pos = i + 1
-			return token{kind: tkIdent, text: sb.String(), pos: start}, nil
+			*t = token{kind: tkIdent, text: sb.String(), pos: start}
+			return nil
 		}
 		sb.WriteByte(lx.src[i])
 		i++
 	}
-	return token{}, errSyntax("unterminated quoted identifier at offset %d", start)
+	return errSyntax("unterminated quoted identifier at offset %d", start)
 }
 
-func (lx *lexer) lexNumber(start int) (token, error) {
+func (lx *lexer) lexNumber(t *token, start int) error {
 	i := lx.pos
 	sawDot, sawExp := false, false
 	for i < len(lx.src) {
@@ -200,61 +217,86 @@ done:
 	if !sawDot && !sawExp {
 		n, err := strconv.ParseInt(text, 10, 64)
 		if err == nil {
-			return token{kind: tkNumber, text: text, pos: start, num: NewInt(n)}, nil
+			*t = token{kind: tkNumber, text: text, pos: start, num: NewInt(n)}
+			return nil
 		}
 		// Fall through to float for out-of-range integers.
 	}
 	f, err := strconv.ParseFloat(text, 64)
 	if err != nil {
-		return token{}, errSyntax("invalid numeric literal %q at offset %d", text, start)
+		return errSyntax("invalid numeric literal %q at offset %d", text, start)
 	}
-	return token{kind: tkNumber, text: text, pos: start, num: NewFloat(f)}, nil
+	*t = token{kind: tkNumber, text: text, pos: start, num: NewFloat(f)}
+	return nil
 }
 
-func (lx *lexer) lexWord(start int) (token, error) {
+func (lx *lexer) lexWord(t *token, start int) {
 	i := lx.pos
 	for i < len(lx.src) && isIdentPart(rune(lx.src[i])) {
 		i++
 	}
 	word := lx.src[lx.pos:i]
 	lx.pos = i
-	up := strings.ToUpper(word)
-	if sqlKeywords[up] {
-		return token{kind: tkKeyword, text: up, pos: start}, nil
+	if kw, ok := keyword(word); ok {
+		*t = token{kind: tkKeyword, text: kw, pos: start}
+	} else {
+		*t = token{kind: tkIdent, text: word, pos: start}
 	}
-	return token{kind: tkIdent, text: word, pos: start}, nil
 }
 
-// two-character operators, longest match first.
-var twoCharOps = []string{"<>", "!=", "<=", ">=", "||"}
+// keyword returns the keyword word spells in any case. Every keyword is
+// ASCII, and no word lexWord takes upper-cases to ASCII unless it is (the
+// two runes that do, U+0131 and U+017F, end in bytes isIdentPart refuses),
+// so the word is upper-cased byte by byte on the stack.
+func keyword(word string) (string, bool) {
+	if len(word) > maxKeywordLen {
+		return "", false
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= 0x80 {
+			return "", false
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := sqlKeywords[string(buf[:len(word)])]
+	return kw, ok
+}
 
-func (lx *lexer) lexOp(start int) (token, error) {
+func (lx *lexer) lexOp(t *token, start int) error {
+	n := 1
 	if lx.pos+1 < len(lx.src) {
-		pair := lx.src[lx.pos : lx.pos+2]
-		for _, op := range twoCharOps {
-			if pair == op {
-				lx.pos += 2
-				return token{kind: tkOp, text: op, pos: start}, nil
-			}
+		switch lx.src[lx.pos : lx.pos+2] {
+		case "<>", "!=", "<=", ">=", "||": // two-character operators first
+			n = 2
 		}
 	}
-	c := lx.src[lx.pos]
-	switch c {
-	case '+', '-', '*', '/', '%', '=', '<', '>', '(', ')', ',', ';', '.':
-		lx.pos++
-		return token{kind: tkOp, text: string(c), pos: start}, nil
+	if c := lx.src[lx.pos]; n == 1 && strings.IndexByte("+-*/%=<>(),;.", c) < 0 {
+		return errSyntax("unexpected character %q at offset %d", string(c), start)
 	}
-	return token{}, errSyntax("unexpected character %q at offset %d", string(c), start)
+	lx.pos += n
+	*t = token{kind: tkOp, text: lx.src[start:lx.pos], pos: start}
+	return nil
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+	if r < 0x80 {
+		return r == '_' || 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z'
+	}
+	return unicode.IsLetter(r)
 }
 
 func isIdentPart(r rune) bool {
-	return r == '_' || r == '$' || r == '#' || unicode.IsLetter(r) || unicode.IsDigit(r)
+	if r < 0x80 {
+		return r == '_' || r == '$' || r == '#' || 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || '0' <= r && r <= '9'
+	}
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
 // describe renders a token for error messages.

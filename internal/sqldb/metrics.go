@@ -94,14 +94,16 @@ func RegisterMetrics(db *Database) {
 			}
 		}
 		pc := db.PlanCacheStats()
+		// The plan cache holds parses, not plans (plan.go); the series keep
+		// their names.
 		obs.Default.Gauge("db2www_sqldb_plan_cache_hits",
-			"prepared-plan cache hits").Set(int64(pc.Hits))
+			"parse cache hits: statements whose shape was parsed before").Set(int64(pc.Hits))
 		obs.Default.Gauge("db2www_sqldb_plan_cache_misses",
-			"prepared-plan cache misses").Set(int64(pc.Misses))
+			"parse cache misses: statement shapes parsed for the first time").Set(int64(pc.Misses))
 		obs.Default.Gauge("db2www_sqldb_plan_cache_bypasses",
-			"statements not eligible for plan caching").Set(int64(pc.Bypasses))
+			"statements the parse cache does not take (DDL, EXPLAIN, caller-supplied parameters)").Set(int64(pc.Bypasses))
 		obs.Default.Gauge("db2www_sqldb_plan_cache_size",
-			"cached plans currently held").Set(int64(pc.Size))
+			"statement shapes whose parse is cached").Set(int64(pc.Size))
 		st := db.TxnStats()
 		obs.Default.Gauge("db2www_sqldb_txn_active_snapshots",
 			"distinct live MVCC snapshots: open transactions and running statements").Set(int64(st.ActiveSnapshots))

@@ -1,6 +1,7 @@
 package sqldb_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -19,26 +20,35 @@ var ordersStatements = []struct{ name, sql string }{
 	{"shipped", "SELECT prodid, qty FROM products WHERE prodid = 1234"},
 }
 
-// ordersSession loads the benchmark's dataset, orders:200:20:1.
-func ordersSession(tb testing.TB) *sqldb.Session {
+// ordersDB loads the benchmark's dataset, orders:200:20:1.
+func ordersDB(tb testing.TB) *sqldb.Database {
 	tb.Helper()
 	db := sqldb.NewDatabase("CELDIAL")
 	if err := workload.Orders(db, 200, 20, 1); err != nil {
 		tb.Fatal(err)
 	}
-	return sqldb.NewSession(db)
+	return db
 }
 
-// TestOrdersSpendHashJoin pins the plan of the spend report: the join
-// probes the 20 products of one customer against a hash of customers and
-// forms 20 pairs, where the nested loop formed 4 000 to keep 20; without
-// the WHERE it forms one pair per product, not 800 000.
+func ordersSession(tb testing.TB) *sqldb.Session { return sqldb.NewSession(ordersDB(tb)) }
+
+// TestOrdersSpendHashJoin pins the plan of the spend report: implied
+// equality binds the customer's key to the product search's constant, so
+// the join reads one customer through customers_pkey and probes the 20
+// products of that customer, where it used to hash all 200 customers and
+// the nested loop formed 4 000 pairs to keep 20; without the WHERE it
+// forms one pair per product, not 800 000.
 func TestOrdersSpendHashJoin(t *testing.T) {
 	s := ordersSession(t)
-	for _, c := range []struct{ sql, want string }{
-		{ordersStatements[1].sql, "Hash Join (examined=20 returned=20 "},
+	for _, c := range []struct {
+		sql  string
+		want []string
+	}{
+		{ordersStatements[1].sql, []string{"Hash Join (examined=20 returned=20 ",
+			"Index Scan on customers as c using customers_pkey (examined=1 returned=1 ",
+			"Index Cond: (c.custid = 14200) (implied)"}},
 		{"SELECT c.name, COUNT(*) FROM customers c JOIN products p ON c.custid = p.custid GROUP BY c.name",
-			"Hash Join (examined=4000 returned=4000 "},
+			[]string{"Hash Join (examined=4000 returned=4000 "}},
 	} {
 		res, err := s.Exec("EXPLAIN ANALYZE " + c.sql)
 		if err != nil {
@@ -48,8 +58,13 @@ func TestOrdersSpendHashJoin(t *testing.T) {
 		for _, row := range res.Rows {
 			plan.WriteString(row[0].String() + "\n")
 		}
-		if !strings.Contains(plan.String(), c.want) || !strings.Contains(plan.String(), "Hash Cond: (c.custid = p.custid)") {
-			t.Errorf("%s\nwant %q with its Hash Cond in:\n%s", c.sql, c.want, plan.String())
+		for _, want := range append(c.want, "Hash Cond: (c.custid = p.custid)") {
+			if !strings.Contains(plan.String(), want) {
+				t.Errorf("%s\nwant %q in:\n%s", c.sql, want, plan.String())
+			}
+		}
+		if strings.Contains(plan.String(), "Seq Scan") != (c.sql != ordersStatements[1].sql) {
+			t.Errorf("%s: a sequential scan where none is wanted, or the other way round:\n%s", c.sql, plan.String())
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
@@ -57,21 +72,63 @@ func TestOrdersSpendHashJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 600 {
-		t.Errorf("spend report over orders:200:20:1: %.0f allocations, want at most 600 (the nested loop made 4 207)", allocs)
+	if allocs > 300 {
+		t.Errorf("spend report over orders:200:20:1: %.0f allocations, want at most 300 (the nested loop made 4 207)", allocs)
 	}
 }
 
+// ordersTexts returns n distinct texts of the statement of one shape, as
+// orders_mixed sends them: each of the 200 customers, other products and
+// prefixes, and — since there are only 200 spend reports — the head
+// keyword followed by more spaces every 200 texts.
+func ordersTexts(sql string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		r := strings.NewReplacer("14200", fmt.Sprint(10000+100*(i%200)), "1234", fmt.Sprint(1+i%4000),
+			"'bik%'", fmt.Sprintf("'%c%d%%'", 'a'+i%26, i))
+		out[i] = strings.Replace(r.Replace(sql), " ", strings.Repeat(" ", 1+i/200), 1)
+	}
+	return out
+}
+
+// BenchmarkOrdersStatements runs each statement of orders.d2w in 2 048
+// distinct texts, twice as many as the parse cache's exact-text tier holds,
+// so that every execution finds its cached shape by the one pass over its
+// text, as under orders_mixed. shape/ stops there — StatementFacts, what
+// the query cache asks of a statement first — and exec/ runs it.
 func BenchmarkOrdersStatements(b *testing.B) {
-	s := ordersSession(b)
+	db := ordersDB(b)
+	s := sqldb.NewSession(db)
 	for _, st := range ordersStatements {
-		b.Run(st.name, func(b *testing.B) {
+		texts := ordersTexts(st.sql, 2048)
+		b.Run("shape/"+st.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Exec(st.sql); err != nil {
+				if f := db.StatementFacts(texts[i%len(texts)]); f.Digest == "" {
+					b.Fatal("no shape")
+				}
+			}
+		})
+		b.Run("exec/"+st.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Exec(texts[i%len(texts)]); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSpendStatement is the spend report alone, in one text: the join
+// and its scans, with the statement found by the exact-text tier.
+func BenchmarkSpendStatement(b *testing.B) {
+	s := ordersSession(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, err := s.Exec(ordersStatements[1].sql); err != nil || len(res.Rows) != 1 {
+			b.Fatal(res, err)
+		}
 	}
 }

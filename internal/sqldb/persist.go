@@ -140,7 +140,7 @@ func quoteIdent(name string) string {
 			break
 		}
 	}
-	if plain && !sqlKeywords[strings.ToUpper(name)] {
+	if _, kw := keyword(name); plain && !kw {
 		return name
 	}
 	return `"` + strings.ReplaceAll(name, `"`, `""`) + `"`

@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -11,18 +10,19 @@ import (
 //
 // The macro layer substitutes request values into SQL text, so production
 // traffic collapses to a handful of statement shapes differing only in
-// literals. Instead of re-lexing and re-parsing every statement, the
-// session lexes once, extracts the literals into bind parameters, and
-// looks up what is left — the shape — in a bounded map. A hit skips
-// parsing: the cached AST is executed as it is — nothing writes to a parsed
-// tree, so concurrent executions share it — with the extracted values
-// bound. A verbatim repeat of a text skips the lex as well.
+// literals. Instead of re-parsing every statement, the session makes one
+// pass over its text (shaper) that extracts the literals into bind
+// parameters and renders what is left — the shape — as the key of a
+// bounded map, building no token slice. A hit skips parsing: the cached
+// AST is executed as it is — nothing writes to a parsed tree, so
+// concurrent executions share it — with the extracted values bound. A
+// verbatim repeat of a text skips the lex as well.
 //
 // What is cached is the result of parseTokens, a pure function of the
 // token stream that never looks at the catalog: the plan is built from the
 // tree per execution, under the catalog lock, against the tables and
 // indexes that exist then (planner.go). So a shape is keyed by everything
-// that stays literal in its tree (shapeKey), and nothing ever invalidates
+// that stays literal in its tree (shaper), and nothing ever invalidates
 // an entry — no DDL, rollback or data change can make a parse wrong. The
 // statement digest, which reads more statements alike than the key does
 // (identifier case, ORDER BY ordinals), is kept on the entry for statement
@@ -53,7 +53,7 @@ type textEntry struct {
 // cache asks about the shape — like the parse, a pure function of the
 // tokens.
 type planEntry struct {
-	key   string // shapeKey of the token stream after extraction
+	key   string // the shaper's key of the statement
 	facts Facts
 	stmt  Stmt
 	elem  *list.Element
@@ -117,10 +117,10 @@ func (pc *PlanCache) lookupText(sql string) *textEntry {
 
 // lookup returns the shape cached under key, bumping its recency, and
 // remembers that sql resolves to it with vals extracted.
-func (pc *PlanCache) lookup(key, sql string, vals []Value) *planEntry {
+func (pc *PlanCache) lookup(key []byte, sql string, vals []Value) *planEntry {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	e, ok := pc.entries[key]
+	e, ok := pc.entries[string(key)]
 	if !ok {
 		return nil
 	}
@@ -178,10 +178,12 @@ func (db *Database) PlanCached(sql string) (digest string, cached bool) {
 		return "", false
 	}
 	toks, _ = explainTarget(toks)
-	if ptoks, _, ok := paramizeTokens(toks); ok {
+	sh := shapers.Get().(*shaper)
+	defer sh.release()
+	if _, ok := sh.shapeTokens(toks); ok {
 		pc := db.plans
 		pc.mu.Lock()
-		e := pc.entries[shapeKey(ptoks)]
+		e := pc.entries[string(sh.key)]
 		pc.mu.Unlock()
 		cached = e != nil && e.stmt != nil
 	}
@@ -227,100 +229,182 @@ var typeKeywords = map[string]bool{
 	"DECIMAL": true, "NUMERIC": true, "FLOAT": true,
 }
 
-// paramizeTokens rewrites toks with every string and number literal
-// replaced by a ? parameter, returning the extracted values in parameter
-// order. ok is false when the statement should take the literal path:
-// not a DML/SELECT head, or it already carries ? parameters.
+// shaper is the one pass from a statement to its shape. Fed the tokens of
+// the statement in order, it replaces every string and number literal by a
+// ? parameter, collects the values in parameter order, and renders the key
+// of what is left (the shape) as it goes. The statement bypasses the shape
+// tier — it takes the literal path — when it does not have a DML/SELECT
+// head or already carries ? parameters.
 //
 // Numbers in ORDER BY lists are kept literal — a bare integer there is a
 // projection ordinal, which the executor resolves from the *Literal*
 // node; parameterizing it would silently change semantics. Numbers in
 // type suffixes (VARCHAR(10)) are kept literal because they are part of
-// the type. What stays in place is part of the shape's key (shapeKey).
-func paramizeTokens(toks []token) ([]token, []Value, bool) {
-	if len(toks) == 0 || toks[0].kind != tkKeyword || !paramizableHeads[toks[0].text] {
-		return nil, nil, false
-	}
-	out := make([]token, 0, len(toks))
-	var vals []Value
-	depth := 0
-	var orderDepths []int // paren depths with an active ORDER BY list
-	typeParen := -1       // paren depth of an open type-suffix group, -1 when none
-	for i, t := range toks {
-		switch t.kind {
-		case tkParam:
-			return nil, nil, false
-		case tkOp:
-			switch t.text {
-			case "(":
-				depth++
-			case ")":
-				depth--
-				if typeParen >= 0 && depth < typeParen {
-					typeParen = -1
-				}
-				for n := len(orderDepths); n > 0 && depth < orderDepths[n-1]; n = len(orderDepths) {
-					orderDepths = orderDepths[:n-1]
-				}
-			case ";":
-				orderDepths = orderDepths[:0]
-			}
-		case tkKeyword:
-			switch t.text {
-			case "ORDER":
-				if i+1 < len(toks) && toks[i+1].kind == tkKeyword && toks[i+1].text == "BY" {
-					orderDepths = append(orderDepths, depth)
-				}
-			case "LIMIT", "OFFSET", "FETCH", "UNION":
-				if n := len(orderDepths); n > 0 && orderDepths[n-1] == depth {
-					orderDepths = orderDepths[:n-1]
-				}
-			default:
-				if typeKeywords[t.text] && i+1 < len(toks) &&
-					toks[i+1].kind == tkOp && toks[i+1].text == "(" {
-					typeParen = depth + 1
-				}
-			}
-		case tkNumber:
-			inOrder := len(orderDepths) > 0 && depth >= orderDepths[len(orderDepths)-1]
-			inType := typeParen >= 0 && depth >= typeParen
-			if !inOrder && !inType {
-				vals = append(vals, t.num)
-				out = append(out, token{kind: tkParam, text: "?", pos: t.pos})
-				continue
-			}
-		case tkString:
-			vals = append(vals, NewString(t.text))
-			out = append(out, token{kind: tkParam, text: "?", pos: t.pos})
-			continue
-		}
-		out = append(out, t)
-	}
-	return out, vals, true
+// the type. The pass looks back, never ahead: BY opens an ORDER BY list
+// when the token before it was ORDER, and ( opens a type suffix when the
+// token before it was a type keyword.
+//
+// The key renders every token as the parser reads it, one space apart, so
+// that two statements with one key parse to one tree: identifiers as
+// written, which is how the tree names output columns, and quoted, so that
+// none reads as a keyword or as two; the numbers left in place as written.
+// Only the extracted values and the positions error messages cite are not
+// in it. A shaper is reused (shapers); its buffers are scratch.
+type shaper struct {
+	key       []byte
+	vals      []Value
+	orders    []int // paren depths with an active ORDER BY list
+	depth     int
+	typeParen int // paren depth of an open type-suffix group, -1 when none
+	prevKind  tokKind
+	prevText  string
+	started   bool
+	bypass    bool
 }
 
-// shapeKey renders a token stream after extraction so that two streams
-// with one rendering parse to one tree: every token as the parser reads it
-// — identifiers as written, which is how the tree names output columns,
-// and quoted, so that none reads as a keyword or as two; the numbers
-// paramizeTokens left in place as written — one space apart. Only the
-// extracted values and the positions error messages cite are not in it.
-func shapeKey(ptoks []token) string {
-	var sb strings.Builder
-	for _, t := range ptoks {
-		if t.kind == tkEOF {
-			break
-		}
-		sb.WriteByte(' ')
-		if t.kind == tkIdent {
-			sb.WriteByte('"')
-			sb.WriteString(strings.ReplaceAll(t.text, `"`, `""`))
-			sb.WriteByte('"')
-		} else {
-			sb.WriteString(t.text)
+// shapers keeps shapers, and their buffers, between statements.
+var shapers = sync.Pool{New: func() any { return new(shaper) }}
+
+// maxKeptScratch bounds the buffers a shaper keeps when it goes back to
+// the pool: a statement of a 100 000-literal IN list should not pin its
+// megabytes.
+const maxKeptScratch = 64 << 10
+
+func (sh *shaper) release() {
+	if cap(sh.key) > maxKeptScratch {
+		sh.key = nil
+	}
+	if cap(sh.vals) > maxKeptScratch/32 {
+		sh.vals = nil
+	}
+	clear(sh.vals[:cap(sh.vals)]) // drop the strings the values point into
+	shapers.Put(sh)
+}
+
+func (sh *shaper) reset() {
+	*sh = shaper{key: sh.key[:0], vals: sh.vals[:0], orders: sh.orders[:0], typeParen: -1}
+}
+
+// step feeds the next token and reports whether it was extracted as a
+// parameter. After the token that decides a bypass it does nothing.
+func (sh *shaper) step(t *token) (param bool) {
+	if sh.bypass {
+		return false
+	}
+	prevKind, prevText := sh.prevKind, sh.prevText
+	sh.prevKind, sh.prevText = t.kind, t.text
+	if !sh.started {
+		sh.started = true
+		if t.kind != tkKeyword || !paramizableHeads[t.text] {
+			sh.bypass = true
+			return false
 		}
 	}
-	return sb.String()
+	switch t.kind {
+	case tkEOF:
+		return false
+	case tkParam:
+		sh.bypass = true
+		return false
+	case tkOp:
+		switch t.text {
+		case "(":
+			sh.depth++
+			if prevKind == tkKeyword && typeKeywords[prevText] {
+				sh.typeParen = sh.depth
+			}
+		case ")":
+			sh.depth--
+			if sh.typeParen >= 0 && sh.depth < sh.typeParen {
+				sh.typeParen = -1
+			}
+			for n := len(sh.orders); n > 0 && sh.depth < sh.orders[n-1]; n = len(sh.orders) {
+				sh.orders = sh.orders[:n-1]
+			}
+		case ";":
+			sh.orders = sh.orders[:0]
+		}
+	case tkKeyword:
+		switch t.text {
+		case "BY":
+			if prevKind == tkKeyword && prevText == "ORDER" {
+				sh.orders = append(sh.orders, sh.depth)
+			}
+		case "LIMIT", "OFFSET", "FETCH", "UNION":
+			if n := len(sh.orders); n > 0 && sh.orders[n-1] == sh.depth {
+				sh.orders = sh.orders[:n-1]
+			}
+		}
+	case tkNumber:
+		inOrder := len(sh.orders) > 0 && sh.depth >= sh.orders[len(sh.orders)-1]
+		inType := sh.typeParen >= 0 && sh.depth >= sh.typeParen
+		if !inOrder && !inType {
+			sh.vals = append(sh.vals, t.num)
+			sh.key = append(sh.key, " ?"...)
+			return true
+		}
+	case tkString:
+		sh.vals = append(sh.vals, NewString(t.text))
+		sh.key = append(sh.key, " ?"...)
+		return true
+	}
+	sh.key = append(sh.key, ' ')
+	if t.kind != tkIdent {
+		sh.key = append(sh.key, t.text...)
+		return false
+	}
+	sh.key = append(sh.key, '"')
+	for i := 0; i < len(t.text); i++ {
+		if t.text[i] == '"' {
+			sh.key = append(sh.key, '"')
+		}
+		sh.key = append(sh.key, t.text[i])
+	}
+	sh.key = append(sh.key, '"')
+	return false
+}
+
+// shapeText runs the pass over sql, lexing it one token at a time into no
+// slice: the path of every text the exact-text tier does not hold. ok is
+// false when the statement bypasses; err is the lexer's, which the whole
+// text is lexed for, bypass or not.
+func (sh *shaper) shapeText(sql string) (ok bool, err error) {
+	sh.reset()
+	lx := lexer{src: sql}
+	var t token
+	for {
+		if err := lx.next(&t); err != nil {
+			return false, err
+		}
+		sh.step(&t)
+		if t.kind == tkEOF {
+			return !sh.bypass, nil
+		}
+	}
+}
+
+// shapeTokens runs the pass over a lexed statement and returns its tokens
+// with every extracted literal replaced by a parameter: what parseTokens
+// parses once for the shape.
+func (sh *shaper) shapeTokens(toks []token) (ptoks []token, ok bool) {
+	sh.reset()
+	ptoks = make([]token, 0, len(toks))
+	for _, t := range toks {
+		if sh.step(&t) {
+			t = token{kind: tkParam, text: "?", pos: t.pos}
+		}
+		ptoks = append(ptoks, t)
+	}
+	return ptoks, !sh.bypass
+}
+
+// values returns a copy of the extracted values, nil when there are none:
+// the caller keeps it, the shaper goes back to the pool.
+func (sh *shaper) values() []Value {
+	if len(sh.vals) == 0 {
+		return nil
+	}
+	return append(make([]Value, 0, len(sh.vals)), sh.vals...)
 }
 
 // prepareCached resolves sql through the plan cache: the shape's parsed
@@ -359,23 +443,23 @@ func (db *Database) StatementFacts(sql string) Facts {
 	return Facts{}
 }
 
-// resolve is the path of a text the cache has not seen: lex, extract the
-// literals, and find the shape or parse it. It returns nil when the
-// statement must take the literal Parse path — shape not parameterizable,
-// or the parameterized form failed to parse (the literal path then reports
-// the authoritative error).
+// resolve is the path of a text the exact-text tier does not hold: one
+// pass over the text to its shape key and values, and a lookup. Only a
+// shape not cached yet lexes the text into tokens, to parse it. It returns
+// nil when the statement must take the literal Parse path — shape not
+// parameterizable, or the parameterized form failed to parse (the literal
+// path then reports the authoritative error).
 func (pc *PlanCache) resolve(sql string) (*planEntry, []Value) {
-	toks, err := lexSQL(sql)
-	if err != nil {
+	sh := shapers.Get().(*shaper)
+	defer sh.release()
+	if ok, err := sh.shapeText(sql); err != nil {
 		return nil, nil
-	}
-	ptoks, vals, ok := paramizeTokens(toks)
-	if !ok {
+	} else if !ok {
 		pc.bypasses.Add(1)
 		return nil, nil
 	}
-	key := shapeKey(ptoks)
-	if e := pc.lookup(key, sql, vals); e != nil {
+	vals := sh.values()
+	if e := pc.lookup(sh.key, sql, vals); e != nil {
 		if e.stmt == nil {
 			pc.bypasses.Add(1)
 			return nil, nil
@@ -384,8 +468,13 @@ func (pc *PlanCache) resolve(sql string) (*planEntry, []Value) {
 		return e, vals
 	}
 	pc.misses.Add(1)
+	toks, err := lexSQL(sql)
+	if err != nil {
+		return nil, nil // unreachable: the pass lexed the same text
+	}
+	ptoks, _ := sh.shapeTokens(toks)
 	norm := normalizeTokens(toks)
-	e := &planEntry{key: key, facts: Facts{Digest: digestOf(norm), Norm: norm}}
+	e := &planEntry{key: string(sh.key), facts: Facts{Digest: digestOf(norm), Norm: norm}}
 	if st, err := parseTokens(ptoks); err == nil {
 		e.stmt = st
 		e.facts.Tables, e.facts.Cacheable = stmtFacts(st)

@@ -273,7 +273,7 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	store := func(key string) {
 		pc.store(&planEntry{key: key, stmt: &SelectStmt{}}, "text of "+key, nil)
 	}
-	lookup := func(key string) *planEntry { return pc.lookup(key, "text of "+key, nil) }
+	lookup := func(key string) *planEntry { return pc.lookup([]byte(key), "text of "+key, nil) }
 	store("a")
 	store("b")
 	if lookup("a") == nil { // touch a: b becomes LRU
@@ -336,7 +336,7 @@ func TestPlanCacheTextFastPath(t *testing.T) {
 	e := &planEntry{key: "k", stmt: &SelectStmt{}}
 	pc.store(e, "q", nil)
 	for i := 0; i < 3*textCapFactor; i++ {
-		pc.lookup("k", fmt.Sprintf("q%d", i), nil)
+		pc.lookup([]byte("k"), fmt.Sprintf("q%d", i), nil)
 	}
 	if pc.tlru.Len() != textCapFactor || len(pc.texts) != textCapFactor {
 		t.Fatalf("text LRU holds %d entries, want %d", pc.tlru.Len(), textCapFactor)
@@ -419,8 +419,8 @@ func TestPlanCacheConcurrentDDL(t *testing.T) {
 	}
 }
 
-// TestParamizeTokens pins the literal-extraction rules: strings and
-// numbers extract, ORDER BY ordinals and type-suffix lengths stay
+// TestParamizeTokens pins the shaper's literal-extraction rules: strings
+// and numbers extract, ORDER BY ordinals and type-suffix lengths stay
 // literal, and pre-parameterized or non-DML statements bail out. In all
 // extracted cases the normalized shape is unchanged — the cache key is
 // shared with statement stats by construction.
@@ -445,7 +445,9 @@ func TestParamizeTokens(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: lex: %v", c.sql, err)
 		}
-		ptoks, vals, ok := paramizeTokens(toks)
+		var sh shaper
+		ptoks, ok := sh.shapeTokens(toks)
+		vals := sh.values()
 		if ok != c.ok {
 			t.Fatalf("%s: ok=%v want %v", c.sql, ok, c.ok)
 		}

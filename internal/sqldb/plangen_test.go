@@ -192,7 +192,7 @@ func (g *planGen) from(rels []genRel) (string, []string) {
 // fails on the first pair of any plan (so that statement has no WHERE a
 // plan could push below the join). Some carry a residual conjunct over
 // both sides beside the key, some a third relation whose key is a column
-// of the first.
+// of the first, some a constant bound to one side of the key.
 func (g *planGen) keyStmt() genStmt {
 	key := g.pick("a.dept = b.dept", "b.dept = a.dept", "a.salary = b.id", "a.id = b.salary",
 		"a.id = b.dept", "a.salary = b.salary", "a.name = b.name", "a.name = b.id")
@@ -208,6 +208,16 @@ func (g *planGen) keyStmt() genStmt {
 		from, where = "emp a, emp b", on
 	} else {
 		from = "emp a " + kind + " emp b ON " + strings.Join(on, " AND ")
+	}
+	// A constant on one side of the key, which implied equality binds the
+	// other side to where the two columns have one type (not INTEGER
+	// against DOUBLE). Not on the VARCHAR against INTEGER key: a constant
+	// there decides whether any pair is formed, and so whether it fails.
+	if key != "a.name = b.id" && g.chance(50) {
+		col := strings.Fields(key)[2*g.r.Intn(2)]
+		lit := map[string]string{"id": g.pick("3", "35", "9007199254740992", "99"), "dept": g.pick("2", "9", "35", "9007199254740993"),
+			"salary": g.pick("1.5", "3.0", "35", "9007199254740992.0", "NULL"), "name": g.pick("'n07'", "'big'", "''", "NULL")}
+		where = append(where, col+" = "+lit[col[strings.Index(col, ".")+1:]])
 	}
 	order := "a.id, b.id"
 	if g.chance(30) {

@@ -217,6 +217,7 @@ type relPlan struct {
 	cols    []envCol       // output layout; nil = not known before it runs
 	access  *indexScanPlan // nil = sequential scan
 	filter  Expr           // AND of the conjuncts pushed down to this scan; nil when none
+	implied []Expr         // those of filter's conjuncts implied equality derived
 	pred    predFn         // filter compiled against the scan's layout
 	predErr error
 

@@ -25,11 +25,15 @@ import (
 //   - predicate pushdown: WHERE and inner-join ON conjuncts that mention
 //     a single relation are applied at that relation's scan, below the
 //     joins;
+//   - implied equality: a join conjunct equating two base columns of one
+//     declared type, beside a pushed conjunct binding one of them to a
+//     constant, implies the same binding of the other, which is pushed to
+//     its relation too (impliedConds);
 //   - join ordering: a FROM clause of base tables is joined greedily by
 //     estimated cardinality, smallest first, with the output layout
 //     remapped back to declaration order.
 //
-// The last two apply only where they cannot change the result: a FROM
+// The last three apply only where they cannot change the result: a FROM
 // clause of two or more relations without a LEFT join. Any other keeps
 // its declaration order with nothing pushed, and only a lone base table
 // is routed through an index.
@@ -156,10 +160,13 @@ func columnForQual(t *Table, qual string, c *ColumnRef) int {
 // --- query planning: pushdown + join ordering ---
 
 // stepCond is one conjunct referencing two or more relations, applied at
-// the first join step where all of them are present.
+// the first join step where all of them are present. bound says implied
+// equality bound both of its columns to one value, so the step keeps every
+// pair the two scans let through.
 type stepCond struct {
-	cond Expr
-	mask map[int]bool
+	cond  Expr
+	mask  map[int]bool
+	bound bool
 }
 
 // andJoin folds conds into one AND chain (nil for an empty list).
@@ -314,6 +321,11 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 		}
 	}
 
+	for i, imp := range impliedConds(rels, pushed, joinConds, params) {
+		rels[i].implied = imp
+		pushed[i] = append(pushed[i], imp...)
+	}
+
 	// Per-relation filter, access path, and cardinality after the filter.
 	allBase := true
 	for i, rp := range rels {
@@ -396,7 +408,9 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 			}
 			assigned[j] = true
 			step = append(step, joinConds[j].cond)
-			sel = math.Min(sel, condJoinSelectivity(rp, joinConds[j].cond))
+			if !joinConds[j].bound {
+				sel = math.Min(sel, condJoinSelectivity(rp, joinConds[j].cond))
+			}
 		}
 		jp := &joinPlan{left: node, right: rp, kind: JoinCross, cond: andJoin(step)}
 		if jp.cond != nil {
@@ -418,6 +432,93 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 	fp.residual = andJoin(residual)
 	fp.free = true
 	return fp, nil
+}
+
+// impliedConds returns, by relation, the conjuncts implied equality adds
+// to those pushed to it: where a join conjunct equates a column of one base
+// relation with a column of another of the same declared type (c.k = p.k),
+// and a pushed conjunct binds one of them to a literal or parameter
+// (p.k = ?), the other is bound to it too (c.k = ?), and on from there
+// through further join equalities. The original conjuncts all stay, so a
+// derived one only narrows: a row it drops, the join would have dropped,
+// and it lets the relation's scan use an index on the column. Equality is
+// transitive only within one type: Compare coerces across types (an
+// INTEGER beside a DOUBLE, a VARCHAR beside a number), so a join of mixed
+// types derives nothing. The bound value must be of the column's class
+// too, so that the derived conjunct cannot fail on a row: Compare raises
+// no error between values of one class. A join conjunct that derived a
+// binding is marked bound. nil when nothing is implied.
+func impliedConds(rels []*relPlan, pushed [][]Expr, joinConds []stepCond, params []Value) [][]Expr {
+	// Each join equality of one type, once in each direction: a binding of
+	// from's column binds to's.
+	type edge struct {
+		from, to relColumn
+		toRef    *ColumnRef
+		step     *stepCond
+	}
+	var edges []edge
+	for j := range joinConds {
+		b, ok := joinConds[j].cond.(*Binary)
+		if !ok || b.Op != "=" {
+			continue
+		}
+		l, lok := baseColumn(b.L, rels)
+		r, rok := baseColumn(b.R, rels)
+		if !lok || !rok || l.rel == r.rel || l.typ(rels) != r.typ(rels) {
+			continue
+		}
+		if _, ok := keyClassOf(l.typ(rels), r.typ(rels)); ok {
+			lRef, rRef := b.L.(*ColumnRef), b.R.(*ColumnRef)
+			edges = append(edges, edge{l, r, rRef, &joinConds[j]}, edge{r, l, lRef, &joinConds[j]})
+		}
+	}
+	if len(edges) == 0 {
+		return nil
+	}
+	// The operand each column is bound to by a pushed conjunct.
+	bound := map[relColumn]Expr{}
+	for i, conds := range pushed {
+		for _, conj := range conds {
+			sh, ok := IndexableShape(conj)
+			if !ok || sh.Op != "=" {
+				continue
+			}
+			switch sh.Operand.(type) {
+			case *Literal, *Param:
+			default:
+				continue
+			}
+			c, ok := baseColumn(sh.Col, rels)
+			if _, seen := bound[c]; !ok || seen || c.rel != i {
+				continue
+			}
+			v, err := evalConst(sh.Operand, params)
+			if err != nil || v.IsNull() {
+				continue
+			}
+			if _, ok := keyClassOf(c.typ(rels), v.T); ok {
+				bound[c] = sh.Operand
+			}
+		}
+	}
+	var out [][]Expr
+	for derived := true; derived; {
+		derived = false
+		for _, e := range edges {
+			operand, ok := bound[e.from]
+			if _, done := bound[e.to]; !ok || done {
+				continue
+			}
+			if out == nil {
+				out = make([][]Expr, len(rels))
+			}
+			out[e.to.rel] = append(out[e.to.rel], &Binary{Op: "=", L: e.toRef, R: operand})
+			bound[e.to] = operand
+			e.step.bound = true
+			derived = true
+		}
+	}
+	return out
 }
 
 // declaredJoins builds the join tree of a pinned FROM clause exactly as
@@ -657,7 +758,9 @@ func joinCardinality(acc float64, rp *relPlan, chosen map[int]bool, r int, joinC
 			continue
 		}
 		connected = true
-		sel = math.Min(sel, condJoinSelectivity(rp, joinConds[j].cond))
+		if !joinConds[j].bound {
+			sel = math.Min(sel, condJoinSelectivity(rp, joinConds[j].cond))
+		}
 	}
 	if !connected {
 		return acc * rp.est
