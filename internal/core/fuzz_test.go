@@ -54,6 +54,9 @@ func FuzzExpand(f *testing.F) {
 	f.Add("$(outer $(a) $$(b $(n1)) $$(x)y) $(n$(a$(b)")
 	f.Add(`<LI> <A HREF="$(V1)">$(V1)</A> $(D2) $(@html:D3) $(W) $(L) $(X) $(V9) $(ROW_NUM)`)
 	f.Add("$(D$(one)) $(@url:D2)$(D2)$$(D3) $(V.TITLE)$(V.none) $(b) $(posted) $(N1)$(VLIST) $(D3")
+	// Nested past maxRefNesting: the deepest "$(" is literal text.
+	f.Add(strings.Repeat("$(", maxRefNesting+1) + "a" + strings.Repeat(")", maxRefNesting+1))
+	f.Add(strings.Repeat("$(p", maxRefNesting+3) + "$$(b)c" + strings.Repeat(")", maxRefNesting+3) + "$(a)")
 	rowMacro := func(tpl string) *Macro {
 		m := &Macro{Name: "fuzz", Sections: []Section{
 			&DefineSection{Stmts: []DefineStmt{
@@ -91,7 +94,7 @@ func FuzzExpand(f *testing.F) {
 			t.Fatalf("Expand(%q): %v", tpl, err)
 		}
 		values := map[string]string{"a": "va", "b": "va", "c": `<it's "a&b">`, "one": "1", "n1": "nested", "p": "@html:"}
-		if want := referenceExpand(tpl, values); got != want {
+		if want := referenceExpand(tpl, values, 1); got != want {
 			t.Fatalf("Expand(%q)\n got %q\nwant %q", tpl, got, want)
 		}
 	})
@@ -102,8 +105,10 @@ func FuzzExpand(f *testing.F) {
 // "$"; "$(" up to the ")" balancing its nested "$(" is a reference, whose
 // body is expanded first if it holds references itself, then stripped of
 // a transform prefix and looked up; an unterminated "$(" or "$$(" ends
-// substitution and the rest is literal.
-func referenceExpand(tpl string, values map[string]string) string {
+// substitution and the rest is literal. A reference sits level levels
+// deep, and the body of one maxRefNesting levels deep is not expanded: the
+// "$(" in it is literal text of the name.
+func referenceExpand(tpl string, values map[string]string, level int) string {
 	var out strings.Builder
 	for i := 0; i < len(tpl); {
 		switch {
@@ -131,8 +136,8 @@ func referenceExpand(tpl string, values map[string]string) string {
 				return out.String() + tpl[i:]
 			}
 			name := tpl[i+2 : end]
-			if strings.Contains(name, "$(") {
-				name = referenceExpand(name, values)
+			if strings.Contains(name, "$(") && level < maxRefNesting {
+				name = referenceExpand(name, values, level+1)
 			}
 			switch {
 			case strings.HasPrefix(name, "@html:"):

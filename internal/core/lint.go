@@ -4,42 +4,60 @@ import (
 	"strings"
 
 	"db2www/internal/htmlutil"
+	"db2www/internal/obs"
 )
 
-// refsInTemplate extracts the statically resolvable variable names
-// referenced by $(name) patterns in a template. The second result
-// reports whether an unterminated "$(" was seen.
-func refsInTemplate(tpl string) ([]string, bool) {
-	refs, unterminated := ParseTemplate(tpl)
-	var names []string
-	for _, r := range refs {
-		if !r.Dynamic {
-			names = append(names, r.Name)
-		}
-	}
-	return names, len(unterminated) > 0
+// Static is a macro's variables as the engine evaluates them under an empty
+// request: a VarTable holding every %DEFINE section of the macro, with no
+// form, no report scope and no command registry. It is what the linter means
+// by "statically resolvable". A value is static when the expansion raised no
+// error (a cycle, or %EXEC without a registry), every name it dereferenced
+// was answered by a %DEFINE or %LIST (the sources the request record keeps,
+// so the request path carries nothing for it), and none of them is a form
+// control of the macro, which a request may supply.
+type Static struct {
+	vt     *VarTable
+	rec    obs.Trace
+	inputs map[string]bool
 }
 
-// EscapeNames returns the names inside $$(name) escapes. An escape emits
-// a literal $(name) into the page — the Appendix A idiom that round-trips
-// a reference through a hidden form field for later evaluation — so an
-// escaped name counts as a use of the variable.
-func EscapeNames(tpl string) []string {
-	var names []string
-	i := 0
-	for i < len(tpl) {
-		if !strings.HasPrefix(tpl[i:], "$$(") {
-			i++
-			continue
+// NewStatic builds the static view of m.
+func NewStatic(m *Macro) *Static {
+	s := &Static{vt: NewVarTable(m.Name, nil), inputs: InputNames(m)}
+	s.vt.trace = &s.rec
+	for _, sec := range m.Sections {
+		if d, ok := sec.(*DefineSection); ok {
+			s.vt.ApplyDefine(d)
 		}
-		end := strings.IndexByte(tpl[i+3:], ')')
-		if end < 0 {
-			break
-		}
-		names = append(names, tpl[i+3:i+3+end])
-		i += 3 + end + 1
 	}
-	return names
+	return s
+}
+
+// Inputs is the macro's form controls (InputNames).
+func (s *Static) Inputs() map[string]bool { return s.inputs }
+
+// Lookup returns the value of name and whether it is static.
+func (s *Static) Lookup(name string) (string, bool) {
+	s.rec = obs.Trace{Vars: s.rec.Vars[:0]}
+	return s.static(s.vt.appendVar(nil, name))
+}
+
+// Expand returns the expansion of a value string and whether it is static.
+func (s *Static) Expand(tpl string) (string, bool) {
+	s.rec = obs.Trace{Vars: s.rec.Vars[:0]}
+	return s.static(s.vt.appendTemplate(nil, compileTemplate(tpl)))
+}
+
+func (s *Static) static(val []byte, err error) (string, bool) {
+	if err != nil || s.rec.VarsDropped > 0 {
+		return "", false
+	}
+	for _, v := range s.rec.Vars {
+		if v.Source != "define" && v.Source != "list" || s.inputs[v.Name] {
+			return "", false
+		}
+	}
+	return string(val), true
 }
 
 // Variables returns the sets of variable names a macro defines and
@@ -55,9 +73,11 @@ func Variables(m *Macro) (defined, referenced map[string]bool) {
 		}
 	}
 	eachValueString(m, func(src string, _ **Template) {
-		refs, _ := refsInTemplate(src)
+		refs, _ := ParseTemplate(src)
 		for _, r := range refs {
-			referenced[r] = true
+			if !r.Dynamic {
+				referenced[r.Name] = true
+			}
 		}
 	})
 	return defined, referenced

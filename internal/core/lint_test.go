@@ -77,8 +77,18 @@ func TestParseTemplateEscapes(t *testing.T) {
 	if len(refs) != 1 || refs[0].Name != "real" {
 		t.Fatalf("refs = %+v", refs)
 	}
-	if names := EscapeNames(`$$(hidden) and $(real) $$(two)`); !reflect.DeepEqual(names, []string{"hidden", "two"}) {
-		t.Fatalf("escape names = %v", names)
+	// EscapeNames is what the scanner stepped over: an escape inside a
+	// reference body counts, an unterminated one does not.
+	for tpl, want := range map[string][]string{
+		`$$(hidden) and $(real) $$(two)`: {"hidden", "two"},
+		`$(A$$(inner)) $(B$(C$$(deep)))`: {"inner", "deep"},
+		`$$(done) $$(open`:               {"done"},
+		`$$(open`:                        nil,
+		`$$$(x)`:                         {"x"},
+	} {
+		if names := EscapeNames(tpl); !reflect.DeepEqual(names, want) {
+			t.Errorf("EscapeNames(%q) = %v, want %v", tpl, names, want)
+		}
 	}
 }
 

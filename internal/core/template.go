@@ -16,8 +16,19 @@ import (
 // is.
 type Template struct {
 	parts        []part
-	unterminated []int // offsets of every "$(" / "$$(" left open
+	unterminated []int    // offsets of every "$(" / "$$(" left open
+	escapes      []string // names inside "$$(name)" escapes, for EscapeNames
 }
+
+// maxRefNesting bounds how deep "$(" references nest inside one another: a
+// reference nested deeper is literal text of the reference around it. The
+// deepest reference of testdata/, examples/ and benchmark/macros is one level
+// (no reference nests in another); 16 levels leave room for the
+// late-evaluated $(A$(B)) form and then some. Each level rescans its body
+// for the balancing ")", so without the bound k nested "$(" cost O(k²) byte
+// steps and k frames in every walk over the parts — and a form value is
+// compiled for references on every request.
+const maxRefNesting = 16
 
 // part is a run of literal text followed by at most one reference.
 type part struct {
@@ -86,13 +97,16 @@ func appendXform(buf []byte, s string, x xform) []byte {
 // tools were) and its offset recorded for the linter.
 func compileTemplate(src string) *Template {
 	t := &Template{}
-	t.parts = compileParts(src, 0, &t.unterminated)
+	t.parts = t.compileParts(src, 0, 1)
 	return t
 }
 
 // compileParts scans tpl, whose first byte sits at offset base of the
-// outermost template.
-func compileParts(tpl string, base int, unterminated *[]int) []part {
+// outermost template and whose references sit depth levels deep.
+func (t *Template) compileParts(tpl string, base, depth int) []part {
+	if depth > maxRefNesting {
+		return []part{{lit: tpl}}
+	}
 	var parts []part
 	lit := 0 // start of the pending literal run
 	i := 0
@@ -107,12 +121,13 @@ func compileParts(tpl string, base int, unterminated *[]int) []part {
 		if strings.HasPrefix(tpl[i:], "$$(") {
 			end := strings.IndexByte(tpl[i+3:], ')')
 			if end < 0 {
-				*unterminated = append(*unterminated, base+i)
+				t.unterminated = append(t.unterminated, base+i)
 				break
 			}
 			if i > lit {
 				parts = append(parts, part{lit: tpl[lit:i]})
 			}
+			t.escapes = append(t.escapes, tpl[i+3:i+3+end])
 			lit = i + 1
 			i += 3 + end + 1
 			continue
@@ -122,26 +137,26 @@ func compileParts(tpl string, base int, unterminated *[]int) []part {
 			continue
 		}
 		// A reference closes at the ')' that balances its nested "$(".
-		depth, closed := 0, -1
+		open, closed := 0, -1
 		for j := i + 2; j < len(tpl); j++ {
 			if strings.HasPrefix(tpl[j:], "$(") {
-				depth++
+				open++
 				j++
 			} else if tpl[j] == ')' {
-				if depth == 0 {
+				if open == 0 {
 					closed = j
 					break
 				}
-				depth--
+				open--
 			}
 		}
 		if closed < 0 {
-			*unterminated = append(*unterminated, base+i)
+			t.unterminated = append(t.unterminated, base+i)
 			break
 		}
 		p := part{lit: tpl[lit:i], ref: true, raw: tpl[i+2 : closed], off: base + i, end: base + closed + 1}
 		if strings.Contains(p.raw, "$(") {
-			p.dyn = compileParts(p.raw, base+i+2, unterminated)
+			p.dyn = t.compileParts(p.raw, base+i+2, depth+1)
 		} else {
 			p.xform, p.name = splitXform(p.raw)
 		}
@@ -193,6 +208,15 @@ type TemplateRef struct {
 func ParseTemplate(tpl string) (refs []TemplateRef, unterminated []int) {
 	t := compileTemplate(tpl)
 	return appendRefs(nil, t.parts), t.unterminated
+}
+
+// EscapeNames returns the names inside $$(name) escapes, as the scanner
+// above stepped over them. An escape emits a literal $(name) into the page —
+// the Appendix A idiom that round-trips a reference through a hidden form
+// field for later evaluation — so an escaped name counts as a use of the
+// variable.
+func EscapeNames(tpl string) []string {
+	return compileTemplate(tpl).escapes
 }
 
 // appendRefs lists the references of parts, inner before outer: the inner

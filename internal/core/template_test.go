@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"db2www/internal/cgi"
 )
@@ -46,6 +47,49 @@ X1 = "$(X$(n))"
 	err := (&Engine{}).Run(m, ModeInput, nil, &buf)
 	if err == nil || !strings.Contains(err.Error(), "circular reference") {
 		t.Fatalf("err = %v, want a circular reference error", err)
+	}
+}
+
+// TestReferenceNestingIsBounded: a "$(" nested deeper than maxRefNesting
+// levels is literal text of the reference around it, in the engine, in
+// ParseTemplate and in referenceExpand alike; and a form value of nested
+// "$(", which is compiled for references on every request, costs per byte
+// at 800 KB at most 3× what it costs at 10 KB (before the bound it was
+// O(k²) byte steps: 10 KB took 31 ms, 800 KB 139 s).
+func TestReferenceNestingIsBounded(t *testing.T) {
+	nest := func(k int) string { return strings.Repeat("$(", k) + "x" + strings.Repeat(")", k) }
+	vt := NewVarTable("t", nil)
+	vt.ApplyDefine(&DefineSection{Stmts: []DefineStmt{{Kind: DefSimple, Name: "x", Value: "x"}}})
+	for k, want := range map[int]string{1: "x", maxRefNesting: "x", maxRefNesting + 1: ""} {
+		got, err := vt.Expand(nest(k))
+		if spec := referenceExpand(nest(k), map[string]string{"x": "x"}, 1); err != nil || got != want || spec != want {
+			t.Errorf("%d levels: Expand = %q, %v; referenceExpand = %q; want %q", k, got, err, spec, want)
+		}
+		refs, _ := ParseTemplate(nest(k))
+		if last := refs[0]; len(refs) != min(k, maxRefNesting) || last.Dynamic != (k > maxRefNesting) {
+			t.Errorf("%d levels: ParseTemplate = %+v", k, refs)
+		}
+	}
+
+	perByte := func(size, runs int) float64 {
+		k := (size - 1) / 3
+		form := cgi.NewForm()
+		form.Add("in", nest(k))
+		best := time.Duration(1 << 62)
+		for i := 0; i < runs; i++ {
+			vt := NewVarTable("t", form)
+			start := time.Now()
+			if _, err := vt.Lookup("in"); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(start))
+		}
+		return float64(best) / float64(3*k+1)
+	}
+	small, large := perByte(10_000, 50), perByte(800_000, 3)
+	t.Logf("compile + expand: %.1f ns/byte at 10 KB, %.1f at 800 KB", small, large)
+	if large > 3*small {
+		t.Errorf("per byte, 800 KB costs %.1f× what 10 KB costs, want at most 3×", large/small)
 	}
 }
 

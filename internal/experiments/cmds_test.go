@@ -308,6 +308,14 @@ func TestCmdGatewaydSurvivesDeepNesting(t *testing.T) {
 	if _, page, err := post(deep); err != nil || !strings.Contains(page, "SQLSTATE=54001") {
 		t.Fatalf("the deep request: %v, page %.300q", err, page)
 	}
+	// 800 KB of nested "$(" in the same field, which the engine compiles for
+	// references: past the nesting bound the rest is literal text, so the
+	// value costs linear time (it was O(k²) byte steps, minutes at this size).
+	start := time.Now()
+	nested := "sqlcmd=products&cust_inp=" + strings.Repeat("$(", 266_000) + "x" + strings.Repeat(")", 266_000)
+	if code, page, err := post(nested); err != nil || code != 200 || time.Since(start) > 20*time.Second {
+		t.Fatalf("the nested-reference request: %v %d after %v, page %.300q", err, code, time.Since(start), page)
+	}
 	if code, page, err := post("sqlcmd=products&cust_inp=1"); err != nil || code != 200 ||
 		!strings.Contains(page, "Order Search Result") || strings.Contains(page, "SQLSTATE") {
 		t.Fatalf("the request after it: %v %d %.300q", err, code, page)

@@ -2,7 +2,6 @@ package macrolint
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"db2www/internal/core"
@@ -13,8 +12,7 @@ import (
 // the page silently ships a half-reference.
 func runTemplate(p *pass) {
 	for _, t := range p.env.templates {
-		_, unterminated := core.ParseTemplate(t.text)
-		for _, off := range unterminated {
+		for _, off := range t.unterminated {
 			p.reportAt(t, off, Diagnostic{
 				Analyzer: "template",
 				Severity: SevWarn,
@@ -38,29 +36,31 @@ func boundName(e *env, name string) bool {
 // distinguish from an intentional empty value.
 func runUndefined(p *pass) {
 	e := p.env
-	for _, site := range e.refs {
-		if boundName(e, site.ref.Name) {
-			continue
+	for _, t := range e.templates {
+		for _, r := range t.refs {
+			if r.Dynamic || boundName(e, r.Name) {
+				continue
+			}
+			p.reportAt(t, r.Offset, Diagnostic{
+				Analyzer: "undefined",
+				Severity: SevWarn,
+				Message: fmt.Sprintf("$(%s) in %s has no definition, form input, or system binding; it substitutes as the null string",
+					r.Name, t.where),
+				Fix: fmt.Sprintf("define %q or add a form control named %q", r.Name, r.Name),
+			})
 		}
-		p.reportAt(site.t, site.ref.Offset, Diagnostic{
-			Analyzer: "undefined",
-			Severity: SevWarn,
-			Message: fmt.Sprintf("$(%s) in %s has no definition, form input, or system binding; it substitutes as the null string",
-				site.ref.Name, site.t.where),
-			Fix: fmt.Sprintf("define %q or add a form control named %q", site.ref.Name, site.ref.Name),
-		})
 	}
 	// Conditional-definition test variables are dereferenced too, but do
 	// not appear as $(name) references in any template.
 	for _, name := range e.order {
-		for _, st := range e.vars[name].stmts {
-			if st.Kind == core.DefCondTest && !boundName(e, st.TestVar) {
+		for _, a := range e.vars[name].assigns {
+			if a.st.Kind == core.DefCondTest && !boundName(e, a.st.TestVar) {
 				p.report(Diagnostic{
 					Analyzer: "undefined",
 					Severity: SevWarn,
-					Line:     st.Line,
+					Line:     a.st.Line,
 					Message: fmt.Sprintf("conditional definition of %q tests %q, which has no definition, form input, or system binding",
-						name, st.TestVar),
+						name, a.st.TestVar),
 				})
 			}
 		}
@@ -73,17 +73,24 @@ func runUndefined(p *pass) {
 // reads directly.
 func runUnused(p *pass) {
 	e := p.env
-	testVarUses := map[string]bool{}
+	used := map[string]bool{}
+	for _, t := range e.templates {
+		for _, r := range t.refs {
+			used[r.Name] = true
+		}
+		for _, n := range t.escapes {
+			used[n] = true
+		}
+	}
 	for _, name := range e.order {
-		for _, st := range e.vars[name].stmts {
-			if st.Kind == core.DefCondTest {
-				testVarUses[st.TestVar] = true
+		for _, a := range e.vars[name].assigns {
+			if a.st.Kind == core.DefCondTest {
+				used[a.st.TestVar] = true
 			}
 		}
 	}
 	for _, name := range e.order {
-		if len(e.byName[name]) > 0 || e.escapeUses[name] ||
-			engineReadVars[name] || testVarUses[name] {
+		if used[name] || engineReadVars[name] {
 			continue
 		}
 		p.report(Diagnostic{
@@ -96,109 +103,25 @@ func runUnused(p *pass) {
 	}
 }
 
-// defineEdges returns the variables a definition dereferences when its
-// owner is expanded: references in the run-time-effective value
-// templates, the %LIST separator, and conditional test variables.
-func defineEdges(e *env, v *varInfo) []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(name string) {
-		if name != "" && !seen[name] {
-			seen[name] = true
-			out = append(out, name)
-		}
-	}
-	addTpl := func(text string) {
-		refs, _ := core.ParseTemplate(text)
-		for _, r := range refs {
-			if !r.Dynamic {
-				add(r.Name)
-			}
-		}
-	}
-	for _, st := range v.effective() {
-		addTpl(st.Value)
-		if st.Kind == core.DefCondTest {
-			addTpl(st.Value2)
-			add(st.TestVar)
-		}
-	}
-	addTpl(v.sep)
-	return out
-}
-
-// runCycle detects definition cycles, including self-references. A
-// cyclic variable fails at dereference time with a run-time error, so
-// this is the static form of VarTable's visiting-set check.
+// runCycle reports the definition cycles, self-references included, that
+// the walk over the %DEFINE graph met. Dereferencing a member fails at run
+// time: VarTable's visiting-set check.
 func runCycle(p *pass) {
-	e := p.env
-	const (
-		white = iota // unvisited
-		grey         // on the DFS stack
-		black        // done
-	)
-	color := map[string]int{}
-	var stack []string
-	reported := map[string]bool{}
-
-	var visit func(name string)
-	visit = func(name string) {
-		color[name] = grey
-		stack = append(stack, name)
-		for _, dep := range defineEdges(e, e.vars[name]) {
-			// A form input for dep would shadow the definition at run
-			// time, but inputs are request-dependent; the cycle is still
-			// reachable whenever the field is absent.
-			v, ok := e.vars[dep]
-			if !ok {
-				continue
-			}
-			switch color[dep] {
-			case white:
-				visit(dep)
-			case grey:
-				// Back edge: the cycle is the stack suffix from dep.
-				i := len(stack) - 1
-				for i >= 0 && stack[i] != dep {
-					i--
-				}
-				cycle := append([]string(nil), stack[i:]...)
-				key := canonicalCycle(cycle)
-				if reported[key] {
-					continue
-				}
-				reported[key] = true
-				d := Diagnostic{
-					Analyzer: "cycle",
-					Severity: SevError,
-					Line:     v.firstLine,
-					Fix:      "break the cycle by inlining one value or introducing a distinct variable",
-				}
-				if len(cycle) == 1 {
-					d.Message = fmt.Sprintf("%q references itself in its own definition; dereferencing it fails at run time", dep)
-				} else {
-					d.Message = fmt.Sprintf("definition cycle %s -> %s; dereferencing any member fails at run time",
-						strings.Join(cycle, " -> "), cycle[0])
-				}
-				p.report(d)
-			}
+	for _, cycle := range p.env.cycles {
+		d := Diagnostic{
+			Analyzer: "cycle",
+			Severity: SevError,
+			Line:     p.env.vars[cycle[0]].firstLine,
+			Fix:      "break the cycle by inlining one value or introducing a distinct variable",
 		}
-		stack = stack[:len(stack)-1]
-		color[name] = black
-	}
-	for _, name := range e.order {
-		if color[name] == white {
-			visit(name)
+		if len(cycle) == 1 {
+			d.Message = fmt.Sprintf("%q references itself in its own definition; dereferencing it fails at run time", cycle[0])
+		} else {
+			d.Message = fmt.Sprintf("definition cycle %s -> %s; dereferencing any member fails at run time",
+				strings.Join(cycle, " -> "), cycle[0])
 		}
+		p.report(d)
 	}
-}
-
-// canonicalCycle keys a cycle independently of its starting point so
-// each loop is reported once.
-func canonicalCycle(cycle []string) string {
-	names := append([]string(nil), cycle...)
-	sort.Strings(names)
-	return strings.Join(names, "\x00")
 }
 
 // runSections checks cross-section consistency: every %EXEC_SQL must

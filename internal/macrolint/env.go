@@ -31,6 +31,12 @@ type tpl struct {
 	where string  // human-readable context for messages
 	owner string  // defining variable (define templates) or SQL section name
 	sec   *core.SQLSection
+	// refs, unterminated and escapes are the template's references, inner
+	// before outer, its unterminated "$(" offsets and its $$(name) escape
+	// names: parsed once, read by every analyzer.
+	refs         []core.TemplateRef
+	unterminated []int
+	escapes      []string
 }
 
 // pos maps a byte offset inside the template to (line, col). The column
@@ -59,40 +65,43 @@ type varInfo struct {
 	name      string
 	list      bool
 	exec      bool
-	stmts     []core.DefineStmt // assignment history, section order
-	sep       string            // %LIST separator template
+	assigns   []assign // assignment history, section order
+	sep       *tpl     // %LIST separator template
 	firstLine int
 }
 
-// effective returns the statements that matter at run time: every
-// assignment for a list variable, otherwise only the last (last-wins
-// semantics, mirroring VarTable).
-func (v *varInfo) effective() []core.DefineStmt {
-	if v.list || len(v.stmts) <= 1 {
-		return v.stmts
-	}
-	return v.stmts[len(v.stmts)-1:]
+// assign is one assignment statement with its value templates.
+type assign struct {
+	st            core.DefineStmt
+	value, value2 *tpl
 }
 
-// refSite is one occurrence of a $(name) reference.
-type refSite struct {
-	t   *tpl
-	ref core.TemplateRef
+// effective returns the assignments that matter at run time: every one
+// for a list variable, otherwise only the last (last wins, as in
+// VarTable).
+func (v *varInfo) effective() []assign {
+	if v.list || len(v.assigns) <= 1 {
+		return v.assigns
+	}
+	return v.assigns[len(v.assigns)-1:]
 }
 
 // env is the shared analysis state for one macro, built once and read by
 // every analyzer in the pass.
 type env struct {
-	m          *core.Macro
-	file       string
-	inputs     map[string]bool // HTML form control names
-	vars       map[string]*varInfo
-	order      []string // definition order
-	escapeUses map[string]bool
-	templates  []*tpl
-	refs       []refSite // every non-dynamic reference, source order
-	byName     map[string][]refSite
-	taint      map[string]*taintInfo // lazily built by the taint analyzer
+	m         *core.Macro
+	file      string
+	inputs    map[string]bool // HTML form control names
+	vars      map[string]*varInfo
+	order     []string // definition order
+	templates []*tpl
+	static    *core.Static // the engine's values under an empty request
+
+	// The one walk over the %DEFINE graph (walk.go): each name's facts,
+	// the walk's path, and the definition cycles it met.
+	facts  map[string]*varFacts
+	path   []string
+	cycles [][]string
 }
 
 func (e *env) defined(name string) bool {
@@ -100,37 +109,30 @@ func (e *env) defined(name string) bool {
 	return ok
 }
 
-// addTpl registers a template; empty templates are skipped.
-func (e *env) addTpl(t *tpl) {
+// addTpl parses and registers a template; empty templates are not
+// registered.
+func (e *env) addTpl(t *tpl) *tpl {
 	if t.text == "" {
-		return
+		return t
 	}
 	e.templates = append(e.templates, t)
-	refs, _ := core.ParseTemplate(t.text)
-	for _, r := range refs {
-		if r.Dynamic {
-			continue
-		}
-		site := refSite{t: t, ref: r}
-		e.refs = append(e.refs, site)
-		e.byName[r.Name] = append(e.byName[r.Name], site)
+	t.refs, t.unterminated = core.ParseTemplate(t.text)
+	if strings.Contains(t.text, "$$(") {
+		t.escapes = core.EscapeNames(t.text)
 	}
-	for _, n := range core.EscapeNames(t.text) {
-		e.escapeUses[n] = true
-	}
+	return t
 }
 
 // buildEnv walks the macro once, indexing variables, inputs, and every
 // value template with its base line.
 func buildEnv(m *core.Macro, file string) *env {
 	e := &env{
-		m:          m,
-		file:       file,
-		inputs:     core.InputNames(m),
-		vars:       map[string]*varInfo{},
-		escapeUses: map[string]bool{},
-		byName:     map[string][]refSite{},
+		m:      m,
+		file:   file,
+		static: core.NewStatic(m),
+		vars:   map[string]*varInfo{},
 	}
+	e.inputs = e.static.Inputs()
 	for _, sec := range m.Sections {
 		switch s := sec.(type) {
 		case *core.DefineSection:
@@ -144,22 +146,18 @@ func buildEnv(m *core.Macro, file string) *env {
 				switch st.Kind {
 				case core.DefList:
 					v.list = true
-					v.sep = st.Sep
-					e.addTpl(&tpl{text: st.Sep, base: st.Line, kind: tplDefine,
+					v.sep = e.addTpl(&tpl{text: st.Sep, base: st.Line, kind: tplDefine,
 						where: fmt.Sprintf("%%LIST separator of %q", st.Name), owner: st.Name})
 				case core.DefExec:
 					v.exec = true
-					v.stmts = append(v.stmts, st)
-					e.addTpl(&tpl{text: st.Value, base: st.Line, kind: tplExecCmd,
-						where: fmt.Sprintf("%%EXEC command of %q", st.Name), owner: st.Name})
+					v.assigns = append(v.assigns, assign{st: st, value: e.addTpl(&tpl{text: st.Value, base: st.Line,
+						kind: tplExecCmd, where: fmt.Sprintf("%%EXEC command of %q", st.Name), owner: st.Name})})
 				default:
-					v.stmts = append(v.stmts, st)
-					e.addTpl(&tpl{text: st.Value, base: st.Line, kind: tplDefine,
-						where: fmt.Sprintf("definition of %q", st.Name), owner: st.Name})
-					if st.Value2 != "" {
-						e.addTpl(&tpl{text: st.Value2, base: st.Line, kind: tplDefine,
-							where: fmt.Sprintf("definition of %q (else arm)", st.Name), owner: st.Name})
-					}
+					v.assigns = append(v.assigns, assign{st: st,
+						value: e.addTpl(&tpl{text: st.Value, base: st.Line, kind: tplDefine,
+							where: fmt.Sprintf("definition of %q", st.Name), owner: st.Name}),
+						value2: e.addTpl(&tpl{text: st.Value2, base: st.Line, kind: tplDefine,
+							where: fmt.Sprintf("definition of %q (else arm)", st.Name), owner: st.Name})})
 				}
 			}
 		case *core.SQLSection:
@@ -217,6 +215,7 @@ func buildEnv(m *core.Macro, file string) *env {
 			})
 		}
 	}
+	e.walk()
 	return e
 }
 

@@ -152,11 +152,9 @@ type pass struct {
 	diags []Diagnostic
 
 	// Memoized schema-aware analysis state (see semsql.go): skeleton
-	// substitution per SQL template, inferred variable classes, and the
-	// shared semantic findings the schema/sqltype/sqlperf analyzers
-	// surface.
+	// substitution per SQL template and the shared semantic findings the
+	// schema/sqltype/sqlperf analyzers surface.
 	subst     map[*tpl]*substSQL
-	varClass  map[string]classInfo
 	semaDone  bool
 	semaDiags []Diagnostic
 }

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"db2www/internal/core"
 	"db2www/internal/obs"
 	"db2www/internal/sqldb"
 	"db2www/internal/sqlsema"
@@ -435,6 +437,163 @@ func TestUnterminatedPosition(t *testing.T) {
 	t.Fatalf("no template finding in:\n%s", renderText(diags))
 }
 
+// Two macros where the linter's old mirror of VarTable inlined SQL the
+// engine never runs. driftList: a %LIST skips its null items, so the
+// statement is "WHERE url LIKE 'h%'", not "WHERE  AND url LIKE 'h%'".
+// driftCond: "name = ? value" is null when a reference in value is, so the
+// engine never reads nosuchcol.
+const (
+	driftList = `%define{
+DATABASE = "CELDIAL"
+%LIST " AND " W
+W = ""
+W = "url LIKE 'h%'"
+%}
+%SQL{
+SELECT url FROM urldb WHERE $(W)
+%}
+%HTML_REPORT{
+%EXEC_SQL
+%}
+`
+	driftCond = `%define{
+DATABASE = "CELDIAL"
+EMPTY = ""
+C = ? ", nosuchcol$(EMPTY)"
+%}
+%SQL{
+SELECT url $(C) FROM urldb
+%}
+%HTML_REPORT{
+%EXEC_SQL
+%}
+`
+)
+
+// sqlSkeletons returns the skeleton the linter builds for every %SQL
+// section of src.
+func sqlSkeletons(t *testing.T, src string) []*substSQL {
+	t.Helper()
+	m, err := core.Parse("gen.d2w", src)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, src)
+	}
+	p := &pass{l: New(), env: buildEnv(m, "gen.d2w")}
+	var out []*substSQL
+	for _, tp := range p.env.templates {
+		if tp.kind == tplSQL {
+			out = append(out, p.substitute(tp))
+		}
+	}
+	return out
+}
+
+func TestStaticListSkipsNullItems(t *testing.T) {
+	for _, d := range newSchemaLinter(t).LintSource("drift_list.d2w", driftList) {
+		if d.Analyzer == "sqlreport" {
+			t.Errorf("the engine runs a statement that parses: %s", d)
+		}
+	}
+	if sub := sqlSkeletons(t, driftList)[0]; !sub.fullyStatic || sub.sql != "SELECT url FROM urldb WHERE url LIKE 'h%'" {
+		t.Errorf("skeleton = %q (static %v)", sub.sql, sub.fullyStatic)
+	}
+}
+
+func TestStaticCondWithNullIsNull(t *testing.T) {
+	for _, d := range newSchemaLinter(t).LintSource("drift_cond.d2w", driftCond) {
+		if d.Analyzer == "schema" || d.Severity == SevError {
+			t.Errorf("the engine never reads nosuchcol: %s", d)
+		}
+	}
+	if sub := sqlSkeletons(t, driftCond)[0]; !sub.fullyStatic || sub.sql != "SELECT url  FROM urldb" {
+		t.Errorf("skeleton = %q (static %v)", sub.sql, sub.fullyStatic)
+	}
+}
+
+// TestStaticValuesAreTheEngines: over generated %DEFINE chains — plain
+// values, %LIST with null items, "? value", "t ? a : b" with and without
+// an else, with form controls, undefined names and cycles among the
+// references — every reference the linter inlines into a statement as
+// static is what VarTable.Lookup returns under an empty form.
+func TestStaticValuesAreTheEngines(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const vars = 6
+	name := func() string {
+		switch rng.Intn(10) {
+		case 0:
+			return "IN" // a form control
+		case 1:
+			return "NONE" // undefined
+		}
+		return fmt.Sprintf("V%d", rng.Intn(vars))
+	}
+	lits := []string{"", "", "a", "1", "x y"}
+	value := func() string {
+		s := lits[rng.Intn(len(lits))]
+		for k := rng.Intn(3); k > 0; k-- {
+			s += "$(" + name() + ")" + lits[rng.Intn(len(lits))]
+		}
+		return s
+	}
+	inlined, tests := 0, 0
+	for n := 0; n < 400; n++ {
+		var b strings.Builder
+		b.WriteString("%define{\n")
+		kinds := make([]int, vars)
+		for i := range kinds {
+			kinds[i] = rng.Intn(5)
+			switch v := fmt.Sprintf("V%d", i); kinds[i] {
+			case 0:
+				fmt.Fprintf(&b, "%s = %q\n", v, value())
+			case 1:
+				fmt.Fprintf(&b, "%s = ? %q\n", v, value())
+			case 2:
+				fmt.Fprintf(&b, "%s = %s ? %q : %q\n", v, name(), value(), value())
+			case 3:
+				fmt.Fprintf(&b, "%s = %s ? %q\n", v, name(), value())
+			case 4:
+				fmt.Fprintf(&b, "%%LIST %q %s\n", []string{" AND ", ", "}[rng.Intn(2)], v)
+				for k := rng.Intn(4); k > 0; k-- {
+					fmt.Fprintf(&b, "%s = %q\n", v, value())
+				}
+			}
+		}
+		b.WriteString("%}\n")
+		for i := 0; i < vars; i++ {
+			fmt.Fprintf(&b, "%%SQL(s%d){$(V%d)%%}\n", i, i)
+		}
+		b.WriteString(`%HTML_INPUT{<INPUT NAME="IN">%}`)
+		src := b.String()
+
+		m, err := core.Parse("gen.d2w", src)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, src)
+		}
+		vt := core.NewVarTable(m.Name, nil)
+		for _, sec := range m.Sections {
+			if d, ok := sec.(*core.DefineSection); ok {
+				vt.ApplyDefine(d)
+			}
+		}
+		for i, sub := range sqlSkeletons(t, src) {
+			if !sub.ok || !sub.fullyStatic {
+				continue
+			}
+			inlined++
+			if kinds[i] == 2 {
+				tests++
+			}
+			if want, err := vt.Lookup(fmt.Sprintf("V%d", i)); err != nil || sub.sql != want {
+				t.Errorf("V%d: the linter inlines %q, the engine evaluates %q, %v\n%s", i, sub.sql, want, err, src)
+			}
+		}
+	}
+	t.Logf("%d static statements, %d of them a \"t ? a : b\"", inlined, tests)
+	if inlined < 300 || tests < 20 {
+		t.Errorf("%d static statements, %d of them a \"t ? a : b\": the generator is too narrow", inlined, tests)
+	}
+}
+
 func FuzzLint(f *testing.F) {
 	dir := lintDirPath(f)
 	ddlSeed, err := os.ReadFile(appendixaPath(f))
@@ -455,6 +614,8 @@ func FuzzLint(f *testing.F) {
 		}
 		f.Add(string(src), string(ddlSeed))
 	}
+	f.Add(driftList, string(ddlSeed))
+	f.Add(driftCond, string(ddlSeed))
 	f.Add("%define A = \"$(A)\"\n%HTML_INPUT{$(A$(B$(C)))%}", "")
 	f.Add("%SQL{SELECT $(X%}", "CREATE TABLE t (x INTEGER)")
 	f.Add("%SQL{SELECT a FROM t WHERE a = $(Y)%}", "CREATE TABLE t (a VARCHAR(8));\nCREATE INDEX t_a ON t (a)")

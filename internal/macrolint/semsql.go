@@ -1,10 +1,8 @@
 package macrolint
 
 import (
-	"strconv"
 	"strings"
 
-	"db2www/internal/core"
 	"db2www/internal/sqldb"
 	"db2www/internal/sqlsema"
 )
@@ -34,7 +32,7 @@ type substSQL struct {
 	slots       []sqlsema.Slot
 	opaque      map[int]string // skeleton offset of opening quote → known prefix
 	segs        []seg
-	fullyStatic bool // no slots, no opaque literals: resolveStatic-equivalent
+	fullyStatic bool // every reference static (core.Static), no escape left
 	ok          bool
 }
 
@@ -65,37 +63,44 @@ func (s *substSQL) srcOff(out int) int {
 	return cur.src + d
 }
 
-// quoteScan is a single-quote state machine over emitted skeleton text,
-// with ” escape handling. It records where the current string literal
-// opened and its content so far, for opaque-literal bookkeeping.
+// quoteScan is the linter's one single-quote state machine, a doubled
+// quote being an escaped one: buildSubst feeds it the skeleton it emits,
+// the taint analyzer a template's text up to a reference. It records where
+// the current string literal opened and its content so far, for
+// opaque-literal bookkeeping, and counts the '?' it sees outside literals.
 type quoteScan struct {
-	in      bool
-	pending bool // inside a string, saw a quote; '' = escape, else close
-	openOut int  // skeleton offset of the opening quote
-	buf     strings.Builder
+	in        bool
+	pending   bool // inside a string, saw a quote; '' = escape, else close
+	openOut   int  // skeleton offset of the opening quote
+	buf       strings.Builder
+	questions int
 }
 
-func (q *quoteScan) feed(ch byte, outOff int) {
-	if q.pending {
-		q.pending = false
-		if ch == '\'' {
-			q.buf.WriteByte('\'')
-			return
+// feed scans text, whose first byte sits at skeleton offset outOff.
+func (q *quoteScan) feed(text string, outOff int) {
+	for i := 0; i < len(text); i++ {
+		ch := text[i]
+		if ch == '?' && !q.in && !q.pending {
+			q.questions++
 		}
-		q.in = false
-	}
-	if q.in {
-		if ch == '\'' {
+		if q.pending {
+			q.pending = false
+			if ch == '\'' {
+				q.buf.WriteByte('\'')
+				continue
+			}
+			q.in = false
+		}
+		switch {
+		case q.in && ch == '\'':
 			q.pending = true
-		} else {
+		case q.in:
 			q.buf.WriteByte(ch)
+		case ch == '\'':
+			q.in = true
+			q.openOut = outOff + i
+			q.buf.Reset()
 		}
-		return
-	}
-	if ch == '\'' {
-		q.in = true
-		q.openOut = outOff
-		q.buf.Reset()
 	}
 }
 
@@ -128,8 +133,7 @@ func (p *pass) substitute(t *tpl) *substSQL {
 func (p *pass) buildSubst(t *tpl) *substSQL {
 	e := p.env
 	s := &substSQL{opaque: map[int]string{}}
-	refs, unterminated := core.ParseTemplate(t.text)
-	if len(unterminated) > 0 {
+	if len(t.unterminated) > 0 {
 		return s
 	}
 	var b strings.Builder
@@ -142,17 +146,14 @@ func (p *pass) buildSubst(t *tpl) *substSQL {
 			return
 		}
 		s.segs = append(s.segs, seg{out: b.Len(), src: src, literal: literal})
-		for i := 0; i < len(text); i++ {
-			if text[i] == '?' && !q.in && !q.pending {
-				sawQuestion = sawQuestion || literal
-			}
-			q.feed(text[i], b.Len()+i)
-		}
+		n := q.questions
+		q.feed(text, b.Len())
+		sawQuestion = sawQuestion || literal && q.questions > n
 		b.WriteString(text)
 	}
 
 	last := 0
-	for _, r := range refs {
+	for _, r := range t.refs {
 		if r.Offset < last {
 			continue // nested ref inside a dynamic outer one
 		}
@@ -163,7 +164,7 @@ func (p *pass) buildSubst(t *tpl) *substSQL {
 		last = r.End
 
 		if r.Prefix == "" {
-			if val, static := resolveStaticVar(e, r.Name, map[string]bool{}); static {
+			if val, static := e.static.Lookup(r.Name); static {
 				emit(r.Offset, val, false)
 				continue
 			}
@@ -181,8 +182,8 @@ func (p *pass) buildSubst(t *tpl) *substSQL {
 		}
 		// Transform prefixes (@sq, @url, @html) preserve the value's
 		// textual content, so the inferred class stands for them too.
-		class, sample, chain := p.varClassOf(r.Name, map[string]bool{})
-		s.slots = append(s.slots, sqlsema.Slot{Name: r.Name, Class: class, Sample: sample, Chain: chain})
+		c := e.fact(r.Name).class
+		s.slots = append(s.slots, sqlsema.Slot{Name: r.Name, Class: c.class, Sample: c.sample, Chain: c.chain})
 		emit(r.Offset, "?", false)
 	}
 	emit(last, t.text[last:], true)
@@ -192,147 +193,17 @@ func (p *pass) buildSubst(t *tpl) *substSQL {
 	}
 	s.sql = b.String()
 	s.ok = true
-	s.fullyStatic = allStatic && !strings.Contains(s.sql, "$$(")
+	// A "$(" left in the statement is an escape's literal text.
+	s.fullyStatic = allStatic && !strings.Contains(s.sql, "$(")
 	return s
 }
 
-// --- macro-variable value classes ---
-
+// classInfo is a macro variable's value class, with a non-numeric value
+// it can take and the definition chain it came by, for messages.
 type classInfo struct {
 	class  sqlsema.VarClass
 	sample string
 	chain  string
-}
-
-// varClassOf infers the value class of one macro variable by dataflow
-// over its %DEFINE history: which values can it hold when the SQL
-// section executes? Form inputs are request-controlled (ClassInput);
-// statically resolvable definitions classify by whether every reachable
-// value parses as a number. The inference is deliberately conservative —
-// anything request- or environment-dependent degrades to ClassUnknown or
-// ClassInput, which the type checker treats as unfalsifiable.
-func (p *pass) varClassOf(name string, visiting map[string]bool) (sqlsema.VarClass, string, string) {
-	if p.varClass == nil {
-		p.varClass = map[string]classInfo{}
-	}
-	if ci, done := p.varClass[name]; done {
-		return ci.class, ci.sample, ci.chain
-	}
-	ci := p.computeVarClass(name, visiting)
-	if len(visiting) == 0 {
-		// Memoize only cycle-free results: a class computed mid-cycle
-		// depends on the visiting set.
-		p.varClass[name] = ci
-	}
-	return ci.class, ci.sample, ci.chain
-}
-
-func (p *pass) computeVarClass(name string, visiting map[string]bool) classInfo {
-	e := p.env
-	if e.inputs[name] {
-		return classInfo{class: sqlsema.ClassInput, chain: "a form input"}
-	}
-	if core.IsSystemVariable(name) || visiting[name] {
-		return classInfo{class: sqlsema.ClassUnknown}
-	}
-	v, ok := e.vars[name]
-	if !ok {
-		// Undefined references substitute the null string, or whatever
-		// the request supplies: request-controlled for our purposes.
-		return classInfo{class: sqlsema.ClassInput, chain: "not defined in the macro"}
-	}
-	if v.exec || v.list {
-		return classInfo{class: sqlsema.ClassUnknown}
-	}
-	visiting[name] = true
-	defer delete(visiting, name)
-
-	var sawNum, sawText, sawInput, sawUnknown bool
-	var sample, chain string
-	note := func(ci classInfo) {
-		switch ci.class {
-		case sqlsema.ClassNumber:
-			sawNum = true
-		case sqlsema.ClassText:
-			sawText = true
-		case sqlsema.ClassMaybeText:
-			sawText = true
-			sawUnknown = true
-		case sqlsema.ClassInput:
-			sawInput = true
-		default:
-			sawUnknown = true
-		}
-		if ci.class == sqlsema.ClassText || ci.class == sqlsema.ClassMaybeText {
-			if sample == "" {
-				sample, chain = ci.sample, ci.chain
-			}
-		}
-	}
-	arm := func(tmpl string, line int) {
-		if val, static := resolveStatic(e, tmpl, visiting); static {
-			if sqlsema.Numeric(val) {
-				sawNum = true
-			} else {
-				sawText = true
-				if sample == "" {
-					sample = val
-					chain = "%DEFINE at line " + strconv.Itoa(line)
-				}
-			}
-			return
-		}
-		// A definition that is exactly one reference forwards the
-		// referenced variable's class.
-		refs, unterm := core.ParseTemplate(tmpl)
-		if len(unterm) == 0 && len(refs) == 1 && !refs[0].Dynamic && refs[0].Prefix == "" &&
-			strings.TrimSpace(tmpl[:refs[0].Offset]) == "" && strings.TrimSpace(tmpl[refs[0].End:]) == "" {
-			cls, smp, chn := p.varClassOf(refs[0].Name, visiting)
-			ci := classInfo{class: cls, sample: smp, chain: chn}
-			if ci.chain != "" {
-				ci.chain = "via $(" + refs[0].Name + "), " + ci.chain
-			} else {
-				ci.chain = "via $(" + refs[0].Name + ")"
-			}
-			note(ci)
-			return
-		}
-		sawUnknown = true
-	}
-
-	for _, st := range v.effective() {
-		switch st.Kind {
-		case core.DefSimple:
-			arm(st.Value, st.Line)
-		case core.DefCondTest:
-			arm(st.Value, st.Line)
-			if st.HasElse {
-				arm(st.Value2, st.Line)
-			} else {
-				sawUnknown = true // missing else arm yields the null string
-			}
-		default:
-			// DefCondSelf lets the request override the default value.
-			sawUnknown = true
-		}
-	}
-
-	var class sqlsema.VarClass
-	switch {
-	case sawText && !sawNum && !sawInput && !sawUnknown:
-		class = sqlsema.ClassText
-	case sawText:
-		class = sqlsema.ClassMaybeText
-	case sawUnknown:
-		class = sqlsema.ClassUnknown
-	case sawInput:
-		class = sqlsema.ClassInput
-	case sawNum:
-		class = sqlsema.ClassNumber
-	default:
-		class = sqlsema.ClassUnknown
-	}
-	return classInfo{class: class, sample: sample, chain: chain}
 }
 
 // --- the shared semantic pass ---

@@ -6,81 +6,8 @@ import (
 	"strconv"
 	"strings"
 
-	"db2www/internal/core"
 	"db2www/internal/sqldb"
 )
-
-// resolveStatic expands a value template using only request-independent
-// definitions: simple and self-conditional defines, and %LIST variables
-// whose every assignment and separator resolve. Form inputs, system
-// variables, test-conditional defines, and %EXEC variables depend on the
-// request or the environment, so any reference to them fails resolution.
-func resolveStatic(e *env, text string, visiting map[string]bool) (string, bool) {
-	refs, unterminated := core.ParseTemplate(text)
-	if len(unterminated) > 0 {
-		return "", false
-	}
-	var b strings.Builder
-	last := 0
-	for _, r := range refs {
-		if r.Offset < last {
-			continue // inner ref of a dynamic outer one, already rejected below
-		}
-		if r.Dynamic || r.Prefix != "" {
-			return "", false
-		}
-		val, ok := resolveStaticVar(e, r.Name, visiting)
-		if !ok {
-			return "", false
-		}
-		b.WriteString(text[last:r.Offset])
-		b.WriteString(val)
-		last = r.End
-	}
-	b.WriteString(text[last:])
-	// $$(name) escapes emit literal $(name) text; SQL containing one is
-	// not meaningfully parseable.
-	if strings.Contains(b.String(), "$$(") {
-		return "", false
-	}
-	return b.String(), true
-}
-
-func resolveStaticVar(e *env, name string, visiting map[string]bool) (string, bool) {
-	if e.inputs[name] || core.IsSystemVariable(name) || visiting[name] {
-		return "", false
-	}
-	v, ok := e.vars[name]
-	if !ok {
-		return "", false
-	}
-	visiting[name] = true
-	defer delete(visiting, name)
-	var vals []string
-	for _, st := range v.effective() {
-		switch st.Kind {
-		case core.DefSimple, core.DefCondSelf:
-			val, ok := resolveStatic(e, st.Value, visiting)
-			if !ok {
-				return "", false
-			}
-			vals = append(vals, val)
-		default:
-			return "", false
-		}
-	}
-	if len(vals) == 0 {
-		return "", false
-	}
-	if v.list {
-		sep, ok := resolveStatic(e, v.sep, visiting)
-		if !ok {
-			return "", false
-		}
-		return strings.Join(vals, sep), true
-	}
-	return vals[len(vals)-1], true
-}
 
 // selectShape extracts the checkable shape of a SELECT list: the number
 // of projected columns and the names a report can reference via
@@ -170,8 +97,7 @@ func runSQLReport(p *pass) {
 			if rt.sec != t.sec || (rt.kind != tplReport && rt.kind != tplMessage) {
 				continue
 			}
-			refs, _ := core.ParseTemplate(rt.text)
-			for _, r := range refs {
+			for _, r := range rt.refs {
 				if r.Dynamic {
 					continue
 				}

@@ -3,8 +3,6 @@ package macrolint
 import (
 	"fmt"
 	"strings"
-
-	"db2www/internal/core"
 )
 
 // Taint levels. Direct means the value is attacker-controlled at the
@@ -29,89 +27,6 @@ type taintInfo struct {
 	origin string   // human-readable description of the source
 }
 
-var cleanTaint = &taintInfo{level: taintNone}
-
-// taintOf computes (and memoizes) the taint of one variable name.
-// Cycles are left to the cycle analyzer: a name already on the visiting
-// path contributes no taint.
-func taintOf(e *env, name string, visiting map[string]bool) *taintInfo {
-	if t, ok := e.taint[name]; ok {
-		return t
-	}
-	if visiting[name] {
-		return cleanTaint
-	}
-	t := cleanTaint
-	switch {
-	case e.inputs[name]:
-		t = &taintInfo{level: taintDirect, chain: []string{name},
-			origin: fmt.Sprintf("form input %q", name)}
-	case core.IsSystemVariable(name) || engineReadVars[name]:
-		// Report/message variables carry database values, not request
-		// input, and engine-read names are operator configuration.
-	case !e.defined(name):
-		t = &taintInfo{level: taintDirect, chain: []string{name},
-			origin: fmt.Sprintf("%q has no definition, so only the request can supply it", name)}
-	default:
-		visiting[name] = true
-		v := e.vars[name]
-		var worst *taintInfo
-		scan := func(text string) {
-			refs, _ := core.ParseTemplate(text)
-			for _, r := range refs {
-				if r.Dynamic || r.Prefix == "@sq:" {
-					continue // @sq: doubles quotes — the sanitizer
-				}
-				sub := taintOf(e, r.Name, visiting)
-				if sub.level != taintNone && (worst == nil || sub.level > worst.level) {
-					worst = sub
-				}
-			}
-		}
-		for _, st := range v.effective() {
-			if st.Kind == core.DefExec {
-				continue // the variable holds command output, not request data
-			}
-			scan(st.Value)
-			if st.Kind == core.DefCondTest {
-				scan(st.Value2)
-			}
-		}
-		scan(v.sep)
-		delete(visiting, name)
-		if worst != nil {
-			// Any hop through a definition demotes to indirect: the macro
-			// author interposed a template, which is the Appendix A idiom.
-			t = &taintInfo{level: taintIndirect,
-				chain:  append([]string{name}, worst.chain...),
-				origin: worst.origin}
-		}
-	}
-	e.taint[name] = t
-	return t
-}
-
-// inQuotedLiteral reports whether the byte at offset sits inside a
-// single-quoted SQL string literal of text, honouring the ” escape.
-// The engine's plan cache extracts quoted literals into bind parameters,
-// so a substitution inside quotes executes as a value, not as SQL
-// structure — still worth a warning (a stray quote in the input can
-// break out), but not the structural-injection error.
-func inQuotedLiteral(text string, offset int) bool {
-	inQuote := false
-	for i := 0; i < len(text) && i < offset; i++ {
-		if text[i] != '\'' {
-			continue
-		}
-		if inQuote && i+1 < len(text) && text[i+1] == '\'' {
-			i++ // escaped quote, still inside the literal
-			continue
-		}
-		inQuote = !inQuote
-	}
-	return inQuote
-}
-
 // runTaint flags attacker-controlled data flowing into an injection
 // sink: the %SQL command template or a %DEFINE ... %EXEC command. The
 // $(@sq:name) transform (single-quote doubling) is the sanctioned
@@ -119,17 +34,15 @@ func inQuotedLiteral(text string, offset int) bool {
 // ignored.
 func runTaint(p *pass) {
 	e := p.env
-	e.taint = map[string]*taintInfo{}
 	for _, t := range e.templates {
 		if t.kind != tplSQL && t.kind != tplExecCmd {
 			continue
 		}
-		refs, _ := core.ParseTemplate(t.text)
-		for _, r := range refs {
+		for _, r := range t.refs {
 			if r.Dynamic || r.Prefix == "@sq:" {
 				continue
 			}
-			ti := taintOf(e, r.Name, map[string]bool{})
+			ti := &e.fact(r.Name).taint
 			if ti.level == taintNone {
 				continue
 			}
@@ -145,10 +58,13 @@ func runTaint(p *pass) {
 					ti.origin, sink)
 				if t.kind == tplSQL {
 					d.Fix = fmt.Sprintf("replace $(%s) with $(@sq:%s)", r.Raw, r.Name)
-					if inQuotedLiteral(t.text, r.Offset) {
+					var q quoteScan
+					q.feed(t.text[:r.Offset], 0)
+					if q.settle(); q.in {
 						// Inside a quoted literal the value lands in a bind
-						// parameter, not in statement structure; the residual
-						// risk is quote breakout, which $(@sq:) closes.
+						// parameter, not in statement structure (the plan
+						// cache extracts quoted literals); the residual risk
+						// is quote breakout, which $(@sq:) closes.
 						d.Severity = SevWarn
 						d.Message = fmt.Sprintf("%s is interpolated into a string literal of %s without $(@sq:) quoting",
 							ti.origin, sink)
