@@ -93,6 +93,57 @@ func TestReferenceNestingIsBounded(t *testing.T) {
 	}
 }
 
+// derefChain returns a form body of at least size bytes whose fields chain:
+// a0=$(a1)&a1=$(a2)&…, the last one "x".
+func derefChain(size int) string {
+	var b strings.Builder
+	for i := 0; b.Len() < size; i++ {
+		fmt.Fprintf(&b, "a%d=$(a%d)&", i, i+1)
+	}
+	return b.String() + "z=x"
+}
+
+// TestDereferenceChainIsBounded: a chain of form fields, each referring to
+// the next, is followed through at most maxDerefDepth variables and fails
+// past them as a circular reference does; so decoding a body and
+// evaluating the head of its chain costs per byte at 1 MiB at most 3× what
+// it costs at 10 KB (it was quadratic: 16 000 fields, ≈ 220 KB, took 1.6 s).
+func TestDereferenceChainIsBounded(t *testing.T) {
+	for fields, ok := range map[int]bool{maxDerefDepth: true, maxDerefDepth + 1: false} {
+		form := cgi.NewForm()
+		for i := 0; i < fields-1; i++ {
+			form.Add(fmt.Sprintf("a%d", i), fmt.Sprintf("$(a%d)", i+1))
+		}
+		form.Add(fmt.Sprintf("a%d", fields-1), "x")
+		got, err := NewVarTable("t", form).Lookup("a0")
+		if ok && (err != nil || got != "x") || !ok && (err == nil || !strings.Contains(err.Error(), "reference chain deeper than")) {
+			t.Errorf("a chain of %d fields: %q, %v", fields, got, err)
+		}
+	}
+
+	perByte := func(size, runs int) float64 {
+		body := derefChain(size)
+		best := time.Duration(1 << 62)
+		for i := 0; i < runs; i++ {
+			start := time.Now()
+			form, err := cgi.ParseForm(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := NewVarTable("t", form).Lookup("a0"); err == nil {
+				t.Fatalf("a %d-byte chain evaluated without an error", len(body))
+			}
+			best = min(best, time.Since(start))
+		}
+		return float64(best) / float64(len(body))
+	}
+	small, large := perByte(10_000, 50), perByte(1<<20-64, 3)
+	t.Logf("decode + dereference: %.1f ns/byte at 10 KB, %.1f at 1 MiB", small, large)
+	if large > 3*small {
+		t.Errorf("per byte, 1 MiB costs %.1f× what 10 KB costs, want at most 3×", large/small)
+	}
+}
+
 // TestUnterminatedReferenceIsLiteral: from an unterminated "$(" on, the
 // text is emitted as written — including the case only the balanced
 // scanner sees, an outer reference left open around a closed inner one.

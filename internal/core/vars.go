@@ -269,6 +269,16 @@ func (vt *VarTable) appendSource(buf []byte, src string) ([]byte, error) {
 	return vt.appendTemplate(buf, compileTemplate(src))
 }
 
+// maxDerefDepth bounds how many variables one chain of dereferences passes
+// through, each a few frames deeper (appendVar → appendBound →
+// appendSource …) and each searching visiting. Form fields can chain
+// ("a1=$(a2)&a2=$(a3)&…"), and a 1 MiB body holds tens of thousands of
+// them: unbounded, that was quadratic in the body and as deep as the body
+// is long. The deepest chain of the macro corpora is 3 variables, of the
+// linter's generated %DEFINE chains 7; TestDeepNestingDepth pins 201.
+// Past the bound the reference fails as a circular one does.
+const maxDerefDepth = 256
+
 // appendVar appends the value of name; a null value (empty or undefined —
 // indistinguishable per Section 2.2) appends nothing. Priority order
 // (Section 4.3): innermost report scope, then HTML input variables, then
@@ -286,6 +296,9 @@ func (vt *VarTable) appendVar(buf []byte, name string) ([]byte, error) {
 	if v, ok := vt.execOutputs[name]; ok {
 		vt.trace.Var(name, depth, "exec", v == "")
 		return append(buf, v...), nil
+	}
+	if depth == maxDerefDepth {
+		return buf, errAt(vt.macro, 0, "reference chain deeper than %d variables at variable %q", maxDerefDepth, name)
 	}
 	for _, n := range vt.visiting {
 		if n == name {

@@ -316,6 +316,19 @@ func TestCmdGatewaydSurvivesDeepNesting(t *testing.T) {
 	if code, page, err := post(nested); err != nil || code != 200 || time.Since(start) > 20*time.Second {
 		t.Fatalf("the nested-reference request: %v %d after %v, page %.300q", err, code, time.Since(start), page)
 	}
+	// Nearly 1 MiB of form fields that dereference one another in a chain,
+	// cust_inp=$(a1)&a1=$(a2)&…: past the bound on a chain's depth the
+	// reference fails like a circular one (it was quadratic in the fields
+	// and one frame group deeper per field).
+	var chain strings.Builder
+	chain.WriteString("sqlcmd=products&cust_inp=$(a1)")
+	for i := 1; chain.Len() < 1<<20-64; i++ {
+		fmt.Fprintf(&chain, "&a%d=$(a%d)", i, i+1)
+	}
+	start = time.Now()
+	if _, page, err := post(chain.String()); err != nil || !strings.Contains(page, "reference chain deeper than") || time.Since(start) > 20*time.Second {
+		t.Fatalf("the dereference-chain request: %v after %v, page %.300q", err, time.Since(start), page)
+	}
 	if code, page, err := post("sqlcmd=products&cust_inp=1"); err != nil || code != 200 ||
 		!strings.Contains(page, "Order Search Result") || strings.Contains(page, "SQLSTATE") {
 		t.Fatalf("the request after it: %v %d %.300q", err, code, page)

@@ -360,7 +360,7 @@ func TestLinterAgreesWithEngine(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		_, checked := db.Check(st)
+		_, _, checked := db.Check(st)
 		var ce *sqldb.Error
 		if checked != nil && !errors.As(checked, &ce) {
 			t.Fatalf("%s: %v", cs.sql, checked)
@@ -398,7 +398,7 @@ func TestLinterAgreesWithEngine(t *testing.T) {
 	}
 	for _, r := range nameRows {
 		st, _ := sqldb.Parse(r.sql)
-		_, err := db.Check(st)
+		_, _, err := db.Check(st)
 		var ce *sqldb.Error
 		switch {
 		case r.code == "" && err != nil, r.code != "" && (!errors.As(err, &ce) || ce.Code != r.code):

@@ -93,6 +93,9 @@ var seededDefects = map[string][]expectation{
 		{"sqlperf", SevWarn, 8},  // no join predicate: cross product
 		{"sqlperf", SevInfo, 11}, // SELECT * feeding a report
 	},
+	"perf_plan.d2w": {
+		{"sqlperf", SevWarn, 14}, // a LEFT JOIN pins the plan: customers is scanned
+	},
 }
 
 func TestSeededDefects(t *testing.T) {

@@ -138,7 +138,7 @@ func TestCheckReturnsTheEnginesError(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.src, err)
 		}
-		_, checked := db.Check(st)
+		_, _, checked := db.Check(st)
 		var ce *Error
 		switch {
 		case tc.code == "" && checked != nil:
@@ -161,7 +161,7 @@ func TestCheckReturnsTheEnginesError(t *testing.T) {
 	}
 
 	st, _ := Parse("SELECT c.name, o.total, x FROM customers c JOIN orders o ON c.custid = o.custid, (SELECT 1 AS x) d")
-	bind, err := db.Check(st)
+	bind, _, err := db.Check(st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,9 +238,10 @@ type view struct {
 	// against this one's on the same executor.
 	naive bool
 
-	// bind receives what each column reference compiles to; set only by
-	// Check.
+	// bind receives what each column reference compiles to, and sum every
+	// FROM clause planQuery plans; set only by Check.
 	bind Binding
+	sum  *PlanSummary
 }
 
 // explainRun is one EXPLAIN ANALYZE in flight: root is the plan the

@@ -75,8 +75,11 @@ func noteScan(t *Table, plan *indexScanPlan, rows int) {
 	t.rowsRead.Add(int64(rows))
 }
 
-// andConjuncts flattens a chain of top-level ANDs.
+// andConjuncts flattens a chain of top-level ANDs; nil has none.
 func andConjuncts(e Expr) []Expr {
+	if e == nil {
+		return nil
+	}
 	if b, ok := e.(*Binary); ok && b.Op == "AND" {
 		return append(andConjuncts(b.L), andConjuncts(b.R)...)
 	}

@@ -25,7 +25,7 @@ const maxNesting = 1000
 // operator of a chain such as a OR b OR c, which deepens the tree without
 // recursing here. This is the one place the depth of a parsed tree is
 // bounded. Every later walk over the tree — the compiler, the planner,
-// eval, WalkExpr, the EXPLAIN printer, Check — recurses no deeper than a
+// eval, walkExpr, the EXPLAIN printer, Check — recurses no deeper than a
 // few frames per level counted here, so one request can exhaust neither
 // the parser's stack nor theirs: a statement too deep is refused before
 // anything recurses over it. The caller closes the level by decrementing

@@ -498,9 +498,9 @@ func TestNotLikeSelectivityOrdersJoin(t *testing.T) {
 	}
 }
 
-// TestIndexableShape pins the classifier planIndexScan and the linter
-// share: which conjuncts have a shape an index can serve, with the
-// operator as if the column were on the left.
+// TestIndexableShape pins the classifier planIndexScan and implied
+// equality start from: which conjuncts have a shape an index can serve,
+// with the operator as if the column were on the left.
 func TestIndexableShape(t *testing.T) {
 	for _, c := range []struct {
 		where, col, op string
@@ -525,8 +525,8 @@ func TestIndexableShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, ok := IndexableShape(st.(*SelectStmt).Where)
-		if ok != c.ok || (ok && (sh.Col.Column != c.col || sh.Op != c.op)) {
+		sh, ok := indexableShape(st.(*SelectStmt).Where)
+		if ok != c.ok || (ok && (sh.col.Column != c.col || sh.op != c.op)) {
 			t.Errorf("%s: shape %+v, %v; want %s %s, %v", c.where, sh, ok, c.col, c.op, c.ok)
 		}
 	}

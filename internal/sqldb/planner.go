@@ -9,8 +9,8 @@ import (
 
 // The plan: one tree per statement execution, built by planStmt and its
 // parts before anything runs, and the only thing the executor (exec.go,
-// exec2.go), EXPLAIN (explain.go) and — through the shape classifier of
-// static.go — the linter read. Every decision the engine makes about how
+// exec2.go), EXPLAIN (explain.go) and — through the summary Check returns
+// (static.go) — the linter read. Every decision the engine makes about how
 // to read a table is on a node here: which relations join in which order
 // and by which method, which conjuncts filter at a scan, which index
 // serves a scan. The plan also holds the statement's compiled stages:
@@ -214,6 +214,7 @@ type relPlan struct {
 	sub     *selectPlan // derived table; nil for a base table
 	alias   string
 	qual    string         // lower-cased binding qualifier
+	off     int            // source offset of the relation
 	cols    []envCol       // output layout; nil = not known before it runs
 	access  *indexScanPlan // nil = sequential scan
 	filter  Expr           // AND of the conjuncts pushed down to this scan; nil when none

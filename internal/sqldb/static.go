@@ -1,16 +1,19 @@
 package sqldb
 
 // This file is what static analysis asks the engine. internal/sqlsema
-// lints SQL extracted from web macros without running it: Check binds a
+// lints SQL extracted from web macros without running it: Check plans a
 // statement the way its execution would — the planner's own name
-// resolution, under the catalog as it is — and returns the error the
-// statement would fail with and the column each reference reads;
-// IndexableShape, the planner's own test of what an index can
-// serve, predicts sequential scans; SchemaSnapshot is the catalog with the
-// planner's estimates. Nothing here executes a statement or writes, takes
-// locks for longer than a plan, or exposes mutable engine state.
+// resolution and access-path choices, under the catalog as it is — and
+// returns the error the statement would fail with, the column each
+// reference reads, and what the plan decides about reading tables
+// (PlanSummary); SchemaSnapshot is the catalog with the planner's
+// estimates. Nothing here executes a statement or writes, takes locks for
+// longer than a plan, or exposes mutable engine state.
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // Binding is what Check found the column references of a statement to
 // name, for each one that binds: the relation of the FROM clause it reads
@@ -33,14 +36,16 @@ func (b Binding) note(c *ColumnRef, ec envCol) {
 }
 
 // Check binds st against the catalog as it is now and runs nothing. A
-// query or a write — the target of an EXPLAIN too — is planned under a
-// read snapshot as plain EXPLAIN plans it, and the error is the first one
-// its execution would raise before looking at a row: a table that does
-// not exist, or the first reference of the plan, in the order the
-// executor reaches its stages, that does not bind. A ? is no error: it is
-// bound only when the statement runs. DDL makes the catalog lookups its
-// execution starts with. Transaction control checks nothing.
-func (db *Database) Check(st Stmt) (Binding, error) {
+// query or a write — the target of an EXPLAIN too — is planned once under
+// a read snapshot as plain EXPLAIN plans it, except that a ?, which has no
+// value until the statement runs, is planned as an index key of unknown
+// value. The error is the first one its execution would raise before
+// looking at a row: a table that does not exist, or the first reference of
+// the plan, in the order the executor reaches its stages, that does not
+// bind. The summary is the plan's, nil when there is none. DDL makes the
+// catalog lookups its execution starts with. Transaction control checks
+// nothing.
+func (db *Database) Check(st Stmt) (Binding, *PlanSummary, error) {
 	if x, ok := st.(*ExplainStmt); ok {
 		st = x.Target
 	}
@@ -50,16 +55,151 @@ func (db *Database) Check(st Stmt) (Binding, error) {
 	case *SelectStmt, *InsertStmt, *UpdateStmt, *DeleteStmt:
 	default:
 		_, _, err := db.lookupDDL(st)
-		return nil, err
+		return nil, nil, err
 	}
 	snap := db.mvcc.AcquireSnapshot()
 	defer db.mvcc.ReleaseSnapshot(snap)
-	vw := view{db: db, snap: snap, bind: Binding{}}
+	vw := view{db: db, snap: snap, bind: Binding{}, sum: &PlanSummary{}}
 	p, err := vw.planStmt(st, nil)
-	if err == nil {
-		err = p.keptErr()
+	if err != nil {
+		return vw.bind, nil, err
 	}
-	return vw.bind, err
+	for _, f := range vw.sum.froms {
+		vw.sum.from(f)
+	}
+	return vw.bind, vw.sum, p.keptErr()
+}
+
+// PlanSummary is what a plan decides about reading tables, read-only:
+// every scan of a base table — a relation of a FROM clause or the target
+// of an UPDATE or DELETE, in a subquery, derived table or UNION arm as
+// much as at the top — and every join step that multiplies its inputs
+// with no condition in a FROM clause that writes no CROSS JOIN.
+type PlanSummary struct {
+	Scans    []ScanSummary
+	Products []ProductStep
+	froms    []plannedFrom
+	verdicts []ScanCond // planIndexScan's, on every conjunct a scan's access was chosen among
+}
+
+// plannedFrom is one FROM clause planQuery planned, with the conjuncts of
+// its WHERE clause and of its inner joins' ONs, and whether it writes a
+// CROSS JOIN.
+type plannedFrom struct {
+	fp      *fromPlan
+	filters []Expr
+	cross   bool
+}
+
+// plan notes a FROM clause as planQuery starts to plan it into fp; the
+// summary reads fp once the statement is planned.
+func (s *PlanSummary) plan(fp *fromPlan, from []TableRef, where Expr) {
+	f := plannedFrom{fp: fp, filters: andConjuncts(where)}
+	for _, tr := range from {
+		for _, jc := range tr.Joins {
+			f.cross = f.cross || jc.Kind == JoinCross
+			if jc.Kind == JoinInner {
+				f.filters = append(f.filters, andConjuncts(jc.On)...)
+			}
+		}
+	}
+	s.froms = append(s.froms, f)
+}
+
+// ScanSummary is one scan of a base table.
+type ScanSummary struct {
+	Table   string // the table's name in the catalog
+	Qual    string // its lower-cased qualifier
+	Off     int    // source offset of the relation
+	EstRows int64  // the planner's estimate of the table's rows
+	Index   string // the index the scan reads through; "" for a sequential scan
+	// Conds are the conjuncts of the WHERE clause and of inner joins' ONs
+	// that name only this relation, in the order they are written.
+	Conds []ScanCond
+}
+
+// ScanCond is one conjunct that names only its scan's relation, with the
+// planner's verdict on routing the scan through it.
+type ScanCond struct {
+	Expr    Expr
+	Why     Verdict
+	Column  string // the column it compares; "" for VerdictNoShape and VerdictPinned
+	Index   string // VerdictNoPrefix: the index on Column the pattern cannot use; "" when none
+	Pattern string // VerdictNoPrefix: the LIKE pattern
+}
+
+// Verdict is planIndexScan's answer for one conjunct of a scan, or why
+// the conjunct never reached it.
+type Verdict int
+
+const (
+	VerdictIndexable Verdict = iota // an index can serve it
+	VerdictNoShape                  // not a column of the scan compared with a constant that is not NULL
+	VerdictNoIndex                  // no index on the column
+	VerdictNoPrefix                 // a LIKE pattern without a literal prefix
+	VerdictKeyType                  // the key does not convert to the column's type: the statement fails when it runs
+	VerdictPinned                   // not pushed to the scan: a LEFT JOIN pins the FROM clause to its written order
+)
+
+// ProductStep is a join step that multiplies its inputs with no condition.
+type ProductStep struct {
+	Name   string // the base table that joins on the step's right, or a derived table's qualifier
+	Off    int    // its source offset
+	Rows   int64  // the product of the estimated rows of the FROM clause's relations; 0 when one is derived
+	Pinned bool   // a comma of a FROM clause a LEFT JOIN pins: its WHERE filters only above the product
+}
+
+// from summarises one planned FROM clause. A filter conjunct the planner
+// attributes to one of its base relations alone (attributeCond: no
+// subquery or aggregate in it) carries the verdict planIndexScan gave it
+// when the planner weighed it for that relation's scan; the planner weighs
+// every such conjunct unless the FROM clause is pinned.
+func (s *PlanSummary) from(f plannedFrom) {
+	fp := f.fp
+	for k, rp := range fp.rels {
+		if rp.t == nil {
+			continue
+		}
+		sc := ScanSummary{Table: rp.t.Name, Qual: rp.qual, Off: rp.off, EstRows: int64(rp.baseRows)}
+		if rp.access != nil {
+			sc.Index = rp.access.ix.Name
+		}
+		for _, conj := range f.filters {
+			if mask, ok := attributeCond(conj, fp.rels); ok && len(mask) == 1 && mask[k] {
+				c := ScanCond{Expr: conj, Why: VerdictPinned}
+				for _, v := range s.verdicts {
+					if v.Expr == conj {
+						c = v
+					}
+				}
+				sc.Conds = append(sc.Conds, c)
+			}
+		}
+		s.Scans = append(s.Scans, sc)
+	}
+	// Both plans are left-deep along the product steps: a free plan joins
+	// one relation a step, a pinned one multiplies its comma-listed entries.
+	for n, ok := fp.root.(*joinPlan); ok && !f.cross; n, ok = n.left.(*joinPlan) {
+		if n.kind != JoinCross {
+			continue
+		}
+		right := n.right
+		for j, ok := right.(*joinPlan); ok; j, ok = right.(*joinPlan) {
+			right = j.left
+		}
+		rp := right.(*relPlan)
+		step := ProductStep{Name: rp.qual, Off: rp.off, Rows: 1, Pinned: !fp.free}
+		if rp.t != nil {
+			step.Name = rp.t.Name
+		}
+		for _, r := range fp.rels {
+			if r.t == nil {
+				step.Rows = 0
+			}
+			step.Rows *= int64(r.baseRows)
+		}
+		s.Products = append(s.Products, step)
+	}
 }
 
 // EvalConst evaluates an expression that reads no row, parameter or
@@ -90,105 +230,6 @@ func ExprOff(e Expr) int {
 	return off
 }
 
-// WalkExpr visits e and every sub-expression depth-first. The visitor
-// returns false to prune a subtree. Subqueries are closed scopes: the
-// *Subquery node itself is visited but its inner statement is not (its
-// expressions bind against the subquery's own FROM).
-func WalkExpr(e Expr, fn func(Expr) bool) { walkExpr(e, fn) }
-
-// Conjuncts splits a boolean expression on top-level ANDs, exactly as the
-// planner does before attributing predicates to scans. A nil expression
-// yields nil.
-func Conjuncts(e Expr) []Expr {
-	if e == nil {
-		return nil
-	}
-	return andConjuncts(e)
-}
-
-// IndexShape is the one way a conjunct can drive an index scan: a column
-// compared with an operand that is constant for the statement.
-type IndexShape struct {
-	Col     *ColumnRef
-	Op      string // "=", "<", "<=", ">", ">=" (as if the column were on the left), or "like"
-	Operand Expr   // the comparison operand, or the LIKE pattern
-}
-
-// IndexableShape classifies one conjunct the way the planner does before
-// it looks at the catalog: col = const, const = col, a range comparison
-// in either orientation, or col LIKE pattern without NOT or ESCAPE, where
-// the operand references no column, aggregate or subquery. planIndexScan
-// starts from this verdict, so what the linter predicts from it cannot
-// drift from what the engine does. What remains for the caller needs a
-// catalog and values: the column belongs to the scanned table and is
-// indexed (VARCHAR for LIKE), the operand is not NULL and coerces to the
-// column type, and the LIKE pattern has an IndexablePrefix.
-func IndexableShape(conj Expr) (IndexShape, bool) {
-	switch x := conj.(type) {
-	case *Binary:
-		flipped, ok := flipComparison(x.Op)
-		if !ok {
-			return IndexShape{}, false
-		}
-		if c, ok := x.L.(*ColumnRef); ok {
-			return IndexShape{Col: c, Op: x.Op, Operand: x.R}, constShaped(x.R)
-		}
-		if c, ok := x.R.(*ColumnRef); ok {
-			return IndexShape{Col: c, Op: flipped, Operand: x.L}, constShaped(x.L)
-		}
-	case *LikeExpr:
-		if c, ok := x.X.(*ColumnRef); ok && !x.Not && x.Escape == nil {
-			return IndexShape{Col: c, Op: "like", Operand: x.Pattern}, constShaped(x.Pattern)
-		}
-	}
-	return IndexShape{}, false
-}
-
-// flipComparison returns the operator that says the same with the
-// operands exchanged; ok is false for anything but = and the four range
-// comparisons.
-func flipComparison(op string) (flipped string, ok bool) {
-	switch op {
-	case "=":
-		return "=", true
-	case "<":
-		return ">", true
-	case "<=":
-		return ">=", true
-	case ">":
-		return "<", true
-	case ">=":
-		return "<=", true
-	}
-	return "", false
-}
-
-// constShaped reports whether e can be evaluated once per statement: no
-// column references, aggregates or subqueries. Parameters qualify.
-func constShaped(e Expr) bool {
-	ok := true
-	walkExpr(e, func(x Expr) bool {
-		switch n := x.(type) {
-		case *ColumnRef, *Subquery:
-			ok = false
-		case *FuncCall:
-			if isAggregate(n.Name) {
-				ok = false
-			}
-		}
-		return ok
-	})
-	return ok
-}
-
-// IndexablePrefix returns the literal prefix of a LIKE pattern that an
-// index range scan can use: the pattern must end in % and contain no
-// other wildcard. ok is false when the pattern cannot be served by an
-// index seek.
-func IndexablePrefix(pattern string) (prefix string, ok bool) {
-	return compileLike(pattern, "", false).prefix()
-}
-
 // SchemaIndex describes one index in a schema snapshot.
 type SchemaIndex struct {
 	Name     string
@@ -216,24 +257,6 @@ func (t *SchemaTable) Column(name string) *Column {
 	return nil
 }
 
-// IndexOn returns an index covering the named column, preferring a unique
-// one (the access path the planner would pick first), or nil.
-func (t *SchemaTable) IndexOn(col string) *SchemaIndex {
-	var found *SchemaIndex
-	for i := range t.Indexes {
-		if !strings.EqualFold(t.Indexes[i].Column, col) {
-			continue
-		}
-		if t.Indexes[i].Unique {
-			return &t.Indexes[i]
-		}
-		if found == nil {
-			found = &t.Indexes[i]
-		}
-	}
-	return found
-}
-
 // SchemaSnapshot returns a point-in-time copy of the catalog — tables in
 // sorted name order with columns, indexes, and planner row estimates. It
 // is the live-catalog schema source for static analysis (gatewayd's lint
@@ -241,14 +264,9 @@ func (t *SchemaTable) IndexOn(col string) *SchemaIndex {
 // model plans with.
 func (db *Database) SchemaSnapshot() []SchemaTable {
 	db.mu.RLock()
-	tables := make([]*Table, 0, len(db.tables))
+	defer db.mu.RUnlock()
+	out := make([]SchemaTable, 0, len(db.tables))
 	for _, t := range db.tables {
-		tables = append(tables, t)
-	}
-	db.mu.RUnlock()
-
-	out := make([]SchemaTable, 0, len(tables))
-	for _, t := range tables {
 		st := SchemaTable{
 			Name:    t.Name,
 			Columns: append([]Column(nil), t.Columns...),
@@ -266,10 +284,6 @@ func (db *Database) SchemaSnapshot() []SchemaTable {
 		t.mu.RUnlock()
 		out = append(out, st)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].Name > out[j].Name; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	slices.SortFunc(out, func(a, b SchemaTable) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }

@@ -19,7 +19,7 @@ import (
 // into the fromPlan of planner.go, and makes three decisions on the way
 // (a fourth, the method of each join step, needs no statistics: join.go):
 //
-//   - access-path selection: planScanAccess scores every conjunct an
+//   - access-path selection: planAccess scores every conjunct an
 //     index can serve (planIndexScan) and picks the index expected to
 //     examine the fewest rows;
 //   - predicate pushdown: WHERE and inner-join ON conjuncts that mention
@@ -92,60 +92,165 @@ type indexScanPlan struct {
 	conj   Expr   // the conjunct the index satisfies
 }
 
-// planScanAccess decides how t is read under conds, the conjuncts that
-// filter it: every conjunct an index can satisfy is a candidate, and the
-// one expected to examine the fewest rows wins. nil means a sequential
-// scan. Pure planning — no tree reads. Caller holds db.mu at least shared
-// (DDL excluded), which keeps t's index list still.
-func planScanAccess(t *Table, qual string, conds []Expr, params []Value) *indexScanPlan {
-	var best *indexScanPlan
+// planAccess decides how rp's base table is read under conds, the
+// conjuncts that filter it: every conjunct an index can satisfy is a
+// candidate, and the one expected to examine the fewest rows wins; no
+// access means a sequential scan. Under Check (sum is non-nil) the plan's
+// summary keeps planIndexScan's verdict on each conjunct. Pure planning —
+// no tree reads. Caller holds db.mu at least shared (DDL excluded), which
+// keeps the table's index list still.
+func (rp *relPlan) planAccess(conds []Expr, params []Value, sum *PlanSummary) {
 	var bestRows float64
 	for _, conj := range conds {
-		p := planIndexScan(t, qual, conj, params)
+		p, why := planIndexScan(rp.t, rp.qual, conj, params, sum != nil)
+		if sum != nil {
+			sum.verdicts = append(sum.verdicts, why)
+		}
 		if p == nil {
 			continue
 		}
-		if rows := planEstRows(t, p); best == nil || rows < bestRows {
-			best, bestRows = p, rows
+		if rows := planEstRows(rp.t, p); rp.access == nil || rows < bestRows {
+			rp.access, bestRows = p, rows
 		}
 	}
-	return best
 }
 
-// planIndexScan attempts to satisfy one conjunct with an index of t. The
-// shapes an index can serve are IndexableShape's; what is left to check
-// here needs the catalog and the parameter values: the column is t's and
-// indexed, the operand evaluates to a non-NULL constant that coerces to
-// the column type, and a LIKE pattern has a literal prefix.
-func planIndexScan(t *Table, qual string, conj Expr, params []Value) *indexScanPlan {
-	sh, ok := IndexableShape(conj)
+// planIndexScan attempts to satisfy one conjunct with an index of t and
+// says why it cannot when it does not. The conjunct must have a shape an
+// index can serve (indexableShape) over a column of t — a VARCHAR one for
+// LIKE — and its operand must evaluate to a constant that is not NULL (no
+// row matches a NULL key); a LIKE pattern must have a literal prefix, the
+// column an index, and a comparison key must convert to the column type.
+// Under Check (unbound) a ? has no value yet and is a key of unknown value,
+// which converts and has a prefix; the executor and EXPLAIN always bind it.
+func planIndexScan(t *Table, qual string, conj Expr, params []Value, unbound bool) (*indexScanPlan, ScanCond) {
+	why := ScanCond{Expr: conj, Why: VerdictNoShape}
+	sh, ok := indexableShape(conj)
 	if !ok {
-		return nil
+		return nil, why
 	}
-	pos := columnForQual(t, qual, sh.Col)
-	if pos < 0 || (sh.Op == "like" && t.Columns[pos].Type != TString) {
-		return nil
+	pos := columnForQual(t, qual, sh.col)
+	if pos < 0 || (sh.op == "like" && t.Columns[pos].Type != TString) {
+		return nil, why
+	}
+	v, ok := constKey(sh.operand, params, unbound)
+	if !ok {
+		return nil, why
 	}
 	ix := t.indexOn(pos)
-	if ix == nil {
-		return nil
-	}
-	v, err := evalConst(sh.Operand, params)
-	if err != nil || v.IsNull() {
-		return nil
-	}
-	if sh.Op == "like" {
-		prefix, ok := IndexablePrefix(v.String())
-		if !ok {
-			return nil
+	why.Column = t.Columns[pos].Name
+	var prefix string
+	if sh.op == "like" && !v.IsNull() {
+		if prefix, ok = indexablePrefix(v.String()); !ok {
+			why.Why, why.Pattern = VerdictNoPrefix, v.String()
+			if ix != nil {
+				why.Index = ix.Name
+			}
+			return nil, why
 		}
-		return &indexScanPlan{ix: ix, op: "like", prefix: prefix, conj: conj}
 	}
-	key, err := coerceToColumn(v, t.Columns[pos].Type)
-	if err != nil {
-		return nil
+	if ix == nil {
+		why.Why = VerdictNoIndex
+		return nil, why
 	}
-	return &indexScanPlan{ix: ix, op: sh.Op, key: key, conj: conj}
+	if sh.op != "like" && !v.IsNull() {
+		var err error
+		if v, err = coerceToColumn(v, t.Columns[pos].Type); err != nil {
+			why.Why = VerdictKeyType
+			return nil, why
+		}
+	}
+	why.Why = VerdictIndexable
+	return &indexScanPlan{ix: ix, op: sh.op, key: v, prefix: prefix, conj: conj}, why
+}
+
+// constKey evaluates the operand of an index key or an implied binding; ok
+// is false when it is no constant or NULL. Under Check (unbound) a ? is a
+// key of unknown value: ok, with v NULL.
+func constKey(operand Expr, params []Value, unbound bool) (v Value, ok bool) {
+	v, err := evalConst(operand, params)
+	if _, param := operand.(*Param); err != nil && param && unbound {
+		return Null, true
+	}
+	return v, err == nil && !v.IsNull()
+}
+
+// indexShape is the one way a conjunct can drive an index scan: a column
+// compared with an operand that is constant for the statement.
+type indexShape struct {
+	col     *ColumnRef
+	op      string // "=", "<", "<=", ">", ">=" (as if the column were on the left), or "like"
+	operand Expr   // the comparison operand, or the LIKE pattern
+}
+
+// indexableShape classifies one conjunct the way the planner does before
+// it looks at the catalog: col = const, const = col, a range comparison
+// in either orientation, or col LIKE pattern without NOT or ESCAPE, where
+// the operand references no column, aggregate or subquery.
+func indexableShape(conj Expr) (indexShape, bool) {
+	switch x := conj.(type) {
+	case *Binary:
+		flipped, ok := flipComparison(x.Op)
+		if !ok {
+			return indexShape{}, false
+		}
+		if c, ok := x.L.(*ColumnRef); ok {
+			return indexShape{col: c, op: x.Op, operand: x.R}, constShaped(x.R)
+		}
+		if c, ok := x.R.(*ColumnRef); ok {
+			return indexShape{col: c, op: flipped, operand: x.L}, constShaped(x.L)
+		}
+	case *LikeExpr:
+		if c, ok := x.X.(*ColumnRef); ok && !x.Not && x.Escape == nil {
+			return indexShape{col: c, op: "like", operand: x.Pattern}, constShaped(x.Pattern)
+		}
+	}
+	return indexShape{}, false
+}
+
+// flipComparison returns the operator that says the same with the
+// operands exchanged; ok is false for anything but = and the four range
+// comparisons.
+func flipComparison(op string) (flipped string, ok bool) {
+	switch op {
+	case "=":
+		return "=", true
+	case "<":
+		return ">", true
+	case "<=":
+		return ">=", true
+	case ">":
+		return "<", true
+	case ">=":
+		return "<=", true
+	}
+	return "", false
+}
+
+// constShaped reports whether e can be evaluated once per statement: no
+// column references, aggregates or subqueries. Parameters qualify.
+func constShaped(e Expr) bool {
+	ok := true
+	walkExpr(e, func(x Expr) bool {
+		switch n := x.(type) {
+		case *ColumnRef, *Subquery:
+			ok = false
+		case *FuncCall:
+			if isAggregate(n.Name) {
+				ok = false
+			}
+		}
+		return ok
+	})
+	return ok
+}
+
+// indexablePrefix returns the literal prefix of a LIKE pattern that an
+// index range scan can use: the pattern must end in % and contain no
+// other wildcard. ok is false when the pattern cannot be served by an
+// index seek.
+func indexablePrefix(pattern string) (prefix string, ok bool) {
+	return compileLike(pattern, "", false).prefix()
 }
 
 // columnForQual returns the table column position when c refers to table t
@@ -211,7 +316,7 @@ func derivedCols(sub *SelectStmt, qual string) []envCol {
 // table with its layout and row estimate, or a derived table with its own
 // plan.
 func (vw view) planRel(table string, sub *SelectStmt, alias string, off int, params []Value) (*relPlan, error) {
-	rp := &relPlan{alias: alias, qual: strings.ToLower(alias)}
+	rp := &relPlan{alias: alias, qual: strings.ToLower(alias), off: off}
 	if sub != nil {
 		sp, err := vw.planSelect(sub, params)
 		if err != nil {
@@ -250,10 +355,13 @@ func (vw view) planRel(table string, sub *SelectStmt, alias string, off int, par
 // nothing pushed (pushdown and reordering change LEFT join semantics) —
 // and only a lone base table is routed through an index, chosen among the
 // WHERE conjuncts. Either way each join step gets the method its condition
-// allows (hashKeyFor), except on the naive plan. Caller holds db.mu at
-// least shared.
+// allows (hashKeyFor), except on the naive plan. Under Check the plan's
+// summary keeps it. Caller holds db.mu at least shared.
 func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan, error) {
 	fp := &fromPlan{residual: where}
+	if vw.sum != nil {
+		vw.sum.plan(fp, from, where)
+	}
 	pinned := vw.naive
 	for i := range from {
 		tr := &from[i]
@@ -279,8 +387,8 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 	pinned = pinned || !onInScope(from, rels)
 	if len(rels) == 1 {
 		rp := rels[0]
-		if rp.t != nil && where != nil && !vw.naive {
-			rp.access = planScanAccess(rp.t, rp.qual, andConjuncts(where), params)
+		if rp.t != nil && !vw.naive {
+			rp.planAccess(andConjuncts(where), params, vw.sum)
 		}
 		fp.root = rp
 		return fp, nil
@@ -290,10 +398,7 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 		return fp, nil
 	}
 
-	var conds []Expr
-	if where != nil {
-		conds = andConjuncts(where)
-	}
+	conds := andConjuncts(where)
 	for i := range from {
 		for j := range from[i].Joins {
 			if on := from[i].Joins[j].On; on != nil {
@@ -321,7 +426,7 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 		}
 	}
 
-	for i, imp := range impliedConds(rels, pushed, joinConds, params) {
+	for i, imp := range impliedConds(rels, pushed, joinConds, params, vw.sum != nil) {
 		rels[i].implied = imp
 		pushed[i] = append(pushed[i], imp...)
 	}
@@ -331,7 +436,7 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 	for i, rp := range rels {
 		rp.filter = andJoin(pushed[i])
 		if rp.t != nil {
-			rp.access = planScanAccess(rp.t, rp.qual, pushed[i], params)
+			rp.planAccess(pushed[i], params, vw.sum)
 		} else {
 			allBase = false
 		}
@@ -447,8 +552,9 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 // types derives nothing. The bound value must be of the column's class
 // too, so that the derived conjunct cannot fail on a row: Compare raises
 // no error between values of one class. A join conjunct that derived a
-// binding is marked bound. nil when nothing is implied.
-func impliedConds(rels []*relPlan, pushed [][]Expr, joinConds []stepCond, params []Value) [][]Expr {
+// binding is marked bound. nil when nothing is implied. Under Check
+// (unbound) a ? binds a value of unknown class, assumed the column's.
+func impliedConds(rels []*relPlan, pushed [][]Expr, joinConds []stepCond, params []Value, unbound bool) [][]Expr {
 	// Each join equality of one type, once in each direction: a binding of
 	// from's column binds to's.
 	type edge struct {
@@ -479,25 +585,25 @@ func impliedConds(rels []*relPlan, pushed [][]Expr, joinConds []stepCond, params
 	bound := map[relColumn]Expr{}
 	for i, conds := range pushed {
 		for _, conj := range conds {
-			sh, ok := IndexableShape(conj)
-			if !ok || sh.Op != "=" {
+			sh, ok := indexableShape(conj)
+			if !ok || sh.op != "=" {
 				continue
 			}
-			switch sh.Operand.(type) {
+			switch sh.operand.(type) {
 			case *Literal, *Param:
 			default:
 				continue
 			}
-			c, ok := baseColumn(sh.Col, rels)
+			c, ok := baseColumn(sh.col, rels)
 			if _, seen := bound[c]; !ok || seen || c.rel != i {
 				continue
 			}
-			v, err := evalConst(sh.Operand, params)
-			if err != nil || v.IsNull() {
+			v, ok := constKey(sh.operand, params, unbound)
+			if !ok {
 				continue
 			}
-			if _, ok := keyClassOf(c.typ(rels), v.T); ok {
-				bound[c] = sh.Operand
+			if _, ok := keyClassOf(c.typ(rels), v.T); ok || v.IsNull() {
+				bound[c] = sh.operand
 			}
 		}
 	}

@@ -86,15 +86,16 @@ func Numeric(s string) bool {
 // findings in source order. Names are the engine's: Check binds the
 // statement the way its execution would, and the error it would fail with
 // is the statement's one schema finding, in the engine's words (an arity
-// error is a sqltype finding). What only the linter knows — the value
-// class of a substitution slot, a partly dynamic literal, the index a
-// macro author could create — is checked over what Check bound. A nil
+// error is a sqltype finding); the performance findings are read off the
+// plan Check built. What only the linter knows — the value class of a
+// substitution slot, a partly dynamic literal, the index a macro author
+// could create — is checked over what Check bound and planned. A nil
 // schema yields nil: without metadata there is nothing to resolve against.
 func Analyze(stmt sqldb.Stmt, schema *Schema, opts Options) []Finding {
 	if schema == nil || stmt == nil {
 		return nil
 	}
-	bind, err := schema.db.Check(stmt)
+	bind, plan, err := schema.db.Check(stmt)
 	a := &analyzer{catalog: schema.Snapshot(), bind: bind, opts: opts}
 	var se *sqldb.Error
 	if errors.As(err, &se) {
@@ -108,6 +109,7 @@ func Analyze(stmt sqldb.Stmt, schema *Schema, opts Options) []Finding {
 		a.add(rule, SevError, se.Off-1, se.Error(), fix)
 	}
 	a.stmt(stmt)
+	a.perf(stmt, plan)
 	sort.SliceStable(a.finds, func(i, j int) bool {
 		oi, oj := a.finds[i].Off, a.finds[j].Off
 		if oi < 0 {
@@ -140,17 +142,10 @@ func (a *analyzer) slot(idx int) Slot {
 	return Slot{Class: ClassUnknown}
 }
 
-// opaquePrefix reports whether the literal at off is partially dynamic,
-// and its statically known prefix.
-func (a *analyzer) opaquePrefix(off int) (string, bool) {
-	p, ok := a.opts.OpaqueLits[off]
-	return p, ok
-}
-
 func (a *analyzer) stmt(st sqldb.Stmt) {
 	switch s := st.(type) {
 	case *sqldb.SelectStmt:
-		a.selectStmt(s, a.opts.Reported)
+		a.selectStmt(s)
 	case *sqldb.InsertStmt:
 		a.insertStmt(s)
 	case *sqldb.UpdateStmt:
@@ -162,22 +157,24 @@ func (a *analyzer) stmt(st sqldb.Stmt) {
 			}
 		}
 		a.checkExpr(s.Where)
-		a.perfConjuncts(a.rels([]sqldb.TableRef{{Table: s.Table, Alias: s.Alias, Off: s.TableOff}}), sqldb.Conjuncts(s.Where))
 	case *sqldb.DeleteStmt:
 		a.checkExpr(s.Where)
-		a.perfConjuncts(a.rels([]sqldb.TableRef{{Table: s.Table, Alias: s.Alias, Off: s.TableOff}}), sqldb.Conjuncts(s.Where))
 	case *sqldb.ExplainStmt:
 		a.stmt(s.Target)
 	}
 }
 
 // selectStmt checks one SELECT and everything under it: derived tables,
-// join conditions, UNION arms and, through checkExpr, subqueries.
-func (a *analyzer) selectStmt(sel *sqldb.SelectStmt, reported bool) {
+// join conditions, UNION arms and, through checkExpr, subqueries. A nil
+// one, a FROM entry's that is no derived table, has nothing to check.
+func (a *analyzer) selectStmt(sel *sqldb.SelectStmt) {
+	if sel == nil {
+		return
+	}
 	for _, tr := range sel.From {
-		a.derived(tr.Sub)
+		a.selectStmt(tr.Sub)
 		for _, jc := range tr.Joins {
-			a.derived(jc.Sub)
+			a.selectStmt(jc.Sub)
 			a.checkExpr(jc.On)
 		}
 	}
@@ -191,14 +188,7 @@ func (a *analyzer) selectStmt(sel *sqldb.SelectStmt, reported bool) {
 		a.checkExpr(o.Expr)
 	}
 	for _, u := range sel.Unions {
-		a.selectStmt(u.Sel, false)
-	}
-	a.perfSelect(sel, reported)
-}
-
-func (a *analyzer) derived(sub *sqldb.SelectStmt) {
-	if sub != nil {
-		a.selectStmt(sub, false)
+		a.selectStmt(u.Sel)
 	}
 }
 

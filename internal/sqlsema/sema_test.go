@@ -84,10 +84,10 @@ func TestFromDDL(t *testing.T) {
 	if c == nil {
 		t.Fatal("customers not found (case-insensitive lookup)")
 	}
-	if ix := c.IndexOn("custid"); ix == nil || !ix.Unique {
+	if ix := indexOn(c, "custid"); ix == nil || !ix.Unique {
 		t.Errorf("primary-key index = %+v, want the engine's unique index", ix)
 	}
-	if ix := c.IndexOn("NAME"); ix == nil || ix.Name != "customers_name_idx" {
+	if ix := indexOn(c, "NAME"); ix == nil || ix.Name != "customers_name_idx" {
 		t.Errorf("name index = %+v", ix)
 	}
 	if col := c.Column("Balance"); col == nil || !col.HasDefault {
@@ -355,7 +355,7 @@ func TestFromDatabase(t *testing.T) {
 	if p.EstRows != 3 {
 		t.Errorf("EstRows = %d, want 3", p.EstRows)
 	}
-	if ix := p.IndexOn("id"); ix == nil || !ix.Unique {
+	if ix := indexOn(p, "id"); ix == nil || !ix.Unique {
 		t.Errorf("pkey index missing: %+v", ix)
 	}
 	f := analyzeSQL(t, s, "SELECT nosuch FROM pets", Options{})
@@ -432,4 +432,14 @@ func TestTypeFindingsAreTheEnginesErrors(t *testing.T) {
 			t.Errorf("%s: the engine raises %v, yet the finding %+v", sql, ran, typeErr)
 		}
 	}
+}
+
+// indexOn returns the first index of t on col (any case), or nil.
+func indexOn(t *sqldb.SchemaTable, col string) *sqldb.SchemaIndex {
+	for i := range t.Indexes {
+		if strings.EqualFold(t.Indexes[i].Column, col) {
+			return &t.Indexes[i]
+		}
+	}
+	return nil
 }

@@ -106,7 +106,7 @@ func (a *analyzer) checkExpr(e sqldb.Expr) val {
 		if x.Val.IsNull() {
 			v.kind = kNull
 		}
-		_, v.opaque = a.opaquePrefix(x.Off)
+		_, v.opaque = a.opts.OpaqueLits[x.Off]
 		return v
 	case *sqldb.ColumnRef:
 		bc, ok := a.bind[x]
@@ -217,7 +217,7 @@ func (a *analyzer) checkExpr(e sqldb.Expr) val {
 		a.checkExpr(x.X)
 		return val{kind: typeKind(x.To)}
 	case *sqldb.Subquery:
-		a.selectStmt(x.Sel, false)
+		a.selectStmt(x.Sel)
 		if len(x.Sel.Items) == 1 {
 			if ref, ok := x.Sel.Items[0].Expr.(*sqldb.ColumnRef); ok {
 				return val{kind: a.checkExpr(ref).kind}
