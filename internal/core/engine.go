@@ -710,8 +710,8 @@ func (s *rowScope) columns(parts []part) []rowRef {
 	refs := make([]rowRef, len(parts))
 	for k := range parts {
 		refs[k].col = -1
-		if p := &parts[k]; p.ref && p.dyn == nil && len(p.name) >= 2 && p.name[0] == 'V' {
-			if col := s.ordinal(p.name[1:]); col < len(s.cols) {
+		if p := &parts[k]; p.ref && p.dyn == nil && strings.HasPrefix(p.name, "V") {
+			if col := s.ordinal(p.name); col < len(s.cols) {
 				refs[k].col = col
 			}
 		}
@@ -752,30 +752,24 @@ func (s *rowScope) uniform(rows [][]Field) bool {
 	return true
 }
 
-// ordinal maps the part of a variable name after its N or V — a 1-based
-// column number in canonical decimal, or ".column-name" — to a 0-based
-// ordinal, or -1. Of two columns with one name the later wins.
-func (s *rowScope) ordinal(rest string) int {
-	if rest[0] == '.' {
-		want := strings.ToLower(rest[1:])
-		for i := len(s.lower) - 1; i >= 0; i-- {
-			if s.lower[i] == want {
-				return i
-			}
-		}
+// ordinal maps a report variable that addresses a column (ReportColumn) to
+// the column's 0-based ordinal, or -1. Of two columns with one name the
+// later wins.
+func (s *rowScope) ordinal(name string) int {
+	n, col, ok := ReportColumn(name)
+	switch {
+	case !ok:
 		return -1
+	case n > 0:
+		return n - 1
 	}
-	if rest[0] == '0' || len(rest) > 9 {
-		return -1
-	}
-	n := 0
-	for i := 0; i < len(rest); i++ {
-		if rest[i] < '0' || rest[i] > '9' {
-			return -1
+	want := strings.ToLower(col)
+	for i := len(s.lower) - 1; i >= 0; i-- {
+		if s.lower[i] == want {
+			return i
 		}
-		n = n*10 + int(rest[i]-'0')
 	}
-	return n - 1
+	return -1
 }
 
 func (s *rowScope) appendVar(buf []byte, name string) ([]byte, bool) {
@@ -807,10 +801,7 @@ func (s *rowScope) appendVar(buf []byte, name string) ([]byte, bool) {
 		}
 		return buf, true
 	}
-	if len(name) < 2 || (name[0] != 'N' && name[0] != 'V') {
-		return buf, false
-	}
-	i := s.ordinal(name[1:])
+	i := s.ordinal(name)
 	switch {
 	case i < 0:
 	case name[0] == 'N' && i < len(s.cols):

@@ -158,3 +158,73 @@ func referenceExpand(tpl string, values map[string]string, level int) string {
 	}
 	return out.String()
 }
+
+// FuzzSQLShape checks the shape of a %SQL command against the expansion it
+// records (Static.Shape): its text is what the engine expands the command to
+// whenever that raises no error, with no hole when Static calls the command
+// static; its segments cover the text and the skeleton exactly once, in
+// order, a hole outside a literal being one "?"; and every byte of the
+// skeleton maps into the template, a byte of literal text to itself.
+func FuzzSQLShape(f *testing.F) {
+	f.Add("SELECT * FROM t WHERE a = '$(IN)' AND b = $(IN) AND c LIKE '%$(a)$(IN)%'")
+	f.Add("'it''s $(a)' $(b) $(c) $(L) $(w) $(q)$(IN)'$(IN)")
+	f.Add("$(A$(one)) $$(a) '$(@sq:q)' ? $(n1)$(IN) $(x) $(open")
+	f.Add("'$(IN)''$(IN)' '' '$(q)' ?$(IN)")
+	f.Fuzz(func(t *testing.T, cmd string) {
+		m := &Macro{Name: "fuzz", Sections: []Section{
+			&DefineSection{Stmts: []DefineStmt{
+				{Kind: DefSimple, Name: "a", Value: "va"},
+				{Kind: DefSimple, Name: "q", Value: "it's"},
+				{Kind: DefSimple, Name: "w", Value: "url LIKE 'h%'"},
+				{Kind: DefCondSelf, Name: "b", Value: "$(a) = $(IN)"},
+				{Kind: DefSimple, Name: "c", Value: "$(c)"},
+				{Kind: DefList, Name: "L", Sep: " AND "},
+				{Kind: DefSimple, Name: "L", Value: "$(w)"},
+				{Kind: DefSimple, Name: "L", Value: "x = '$(IN)'"},
+				{Kind: DefSimple, Name: "one", Value: "1"},
+				{Kind: DefSimple, Name: "n1", Value: "'"},
+			}},
+			&HTMLSection{Items: []HTMLItem{{Text: `<INPUT NAME="IN">`}}},
+			&SQLSection{Command: cmd},
+		}}
+		compileTemplates(m)
+		s := NewStatic(m)
+		sh := s.Shape(m.SQLSections()[0])
+		if want, err := s.vt.Expand(cmd); err == nil && sh.Text != want {
+			t.Fatalf("%q: shape %q, expansion %q", cmd, sh.Text, want)
+		}
+		static, isStatic := s.Expand(cmd)
+		if isStatic && static != sh.Text {
+			t.Fatalf("%q: shape %q, static expansion %q", cmd, sh.Text, static)
+		}
+		out, skel := 0, 0
+		for _, g := range sh.Segs {
+			if g.Out != out || g.End < g.Out || g.Hole && (isStatic || !g.Ref) {
+				t.Fatalf("%q: segment %+v after %d bytes of text (static %v)", cmd, g, out, isStatic)
+			}
+			text := sh.Text[g.Out:g.End]
+			switch {
+			case g.InLit:
+				text = ""
+			case g.Hole:
+				text = "?"
+			}
+			if !strings.HasPrefix(sh.Skeleton[skel:], text) {
+				t.Fatalf("%q: segment %+v is %q, at %d the skeleton %q", cmd, g, text, skel, sh.Skeleton)
+			}
+			out, skel = g.End, skel+len(text)
+		}
+		if out != len(sh.Text) || skel != len(sh.Skeleton) {
+			t.Fatalf("%q: segments cover %d of %d bytes of text, %d of %d of skeleton", cmd, out, len(sh.Text), skel, len(sh.Skeleton))
+		}
+		for off := 0; off < len(sh.Skeleton); off++ {
+			src := sh.Src(off)
+			if src < 0 || src >= len(cmd) {
+				t.Fatalf("%q: skeleton byte %d maps to %d", cmd, off, src)
+			}
+			if cmd[src] != sh.Skeleton[off] && !strings.HasPrefix(cmd[src:], "$(") {
+				t.Fatalf("%q: skeleton byte %d (%q) maps to %d (%q)", cmd, off, sh.Skeleton[off], src, cmd[src])
+			}
+		}
+	})
+}

@@ -17,7 +17,7 @@ import (
 type Template struct {
 	parts        []part
 	unterminated []int    // offsets of every "$(" / "$$(" left open
-	escapes      []string // names inside "$$(name)" escapes, for EscapeNames
+	escapes      []string // names inside "$$(name)" escapes, for ParseTemplate
 }
 
 // maxRefNesting bounds how deep "$(" references nest inside one another: a
@@ -40,9 +40,10 @@ type part struct {
 	// compiled as a template of its own. It is expanded first and the
 	// result (transform prefix included) names the variable to read.
 	dyn []part
-	// raw, off and end describe the reference for ParseTemplate.
-	raw      string
-	off, end int
+	// at is the template offset of lit; raw, off and end describe the
+	// reference, for ParseTemplate and Static.Shape.
+	raw          string
+	at, off, end int
 }
 
 // xform is a transform prefix inside $(prefix:name). The prefixes are a
@@ -105,7 +106,7 @@ func compileTemplate(src string) *Template {
 // outermost template and whose references sit depth levels deep.
 func (t *Template) compileParts(tpl string, base, depth int) []part {
 	if depth > maxRefNesting {
-		return []part{{lit: tpl}}
+		return []part{{lit: tpl, at: base}}
 	}
 	var parts []part
 	lit := 0 // start of the pending literal run
@@ -125,7 +126,7 @@ func (t *Template) compileParts(tpl string, base, depth int) []part {
 				break
 			}
 			if i > lit {
-				parts = append(parts, part{lit: tpl[lit:i]})
+				parts = append(parts, part{lit: tpl[lit:i], at: base + lit})
 			}
 			t.escapes = append(t.escapes, tpl[i+3:i+3+end])
 			lit = i + 1
@@ -154,7 +155,7 @@ func (t *Template) compileParts(tpl string, base, depth int) []part {
 			t.unterminated = append(t.unterminated, base+i)
 			break
 		}
-		p := part{lit: tpl[lit:i], ref: true, raw: tpl[i+2 : closed], off: base + i, end: base + closed + 1}
+		p := part{lit: tpl[lit:i], at: base + lit, ref: true, raw: tpl[i+2 : closed], off: base + i, end: base + closed + 1}
 		if strings.Contains(p.raw, "$(") {
 			p.dyn = t.compileParts(p.raw, base+i+2, depth+1)
 		} else {
@@ -165,7 +166,7 @@ func (t *Template) compileParts(tpl string, base, depth int) []part {
 		lit = i
 	}
 	if lit < len(tpl) {
-		parts = append(parts, part{lit: tpl[lit:]})
+		parts = append(parts, part{lit: tpl[lit:], at: base + lit})
 	}
 	return parts
 }
@@ -202,21 +203,16 @@ type TemplateRef struct {
 }
 
 // ParseTemplate extracts every $(name) reference from a value template,
-// skipping $$(name) escapes, matching nested references with balanced
-// parentheses, and reporting the byte offset of every unterminated "$("
-// (or "$$(") so tooling can point at the exact position.
-func ParseTemplate(tpl string) (refs []TemplateRef, unterminated []int) {
-	t := compileTemplate(tpl)
-	return appendRefs(nil, t.parts), t.unterminated
-}
-
-// EscapeNames returns the names inside $$(name) escapes, as the scanner
-// above stepped over them. An escape emits a literal $(name) into the page —
-// the Appendix A idiom that round-trips a reference through a hidden form
+// matching nested references with balanced parentheses; reports the byte
+// offset of every unterminated "$(" (or "$$(") so tooling can point at the
+// exact position; and returns the names inside $$(name) escapes, as the
+// scanner stepped over them. An escape emits a literal $(name) into the page
+// — the Appendix A idiom that round-trips a reference through a hidden form
 // field for later evaluation — so an escaped name counts as a use of the
 // variable.
-func EscapeNames(tpl string) []string {
-	return compileTemplate(tpl).escapes
+func ParseTemplate(tpl string) (refs []TemplateRef, unterminated []int, escapes []string) {
+	t := compileTemplate(tpl)
+	return appendRefs(nil, t.parts), t.unterminated, t.escapes
 }
 
 // appendRefs lists the references of parts, inner before outer: the inner

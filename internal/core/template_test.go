@@ -65,7 +65,7 @@ func TestReferenceNestingIsBounded(t *testing.T) {
 		if spec := referenceExpand(nest(k), map[string]string{"x": "x"}, 1); err != nil || got != want || spec != want {
 			t.Errorf("%d levels: Expand = %q, %v; referenceExpand = %q; want %q", k, got, err, spec, want)
 		}
-		refs, _ := ParseTemplate(nest(k))
+		refs, _, _ := ParseTemplate(nest(k))
 		if last := refs[0]; len(refs) != min(k, maxRefNesting) || last.Dynamic != (k > maxRefNesting) {
 			t.Errorf("%d levels: ParseTemplate = %+v", k, refs)
 		}
@@ -141,6 +141,43 @@ func TestDereferenceChainIsBounded(t *testing.T) {
 	t.Logf("decode + dereference: %.1f ns/byte at 10 KB, %.1f at 1 MiB", small, large)
 	if large > 3*small {
 		t.Errorf("per byte, 1 MiB costs %.1f× what 10 KB costs, want at most 3×", large/small)
+	}
+}
+
+// TestDereferenceFanOutIsBounded: form fields that each dereference the
+// next twice, a0=$(a1)$(a1)&a1=$(a2)$(a2)&…, double the work per field — 20
+// fields took 0.6 s even when every chain ended null. At a size within the
+// bounds the expansion is what it always was; at 40 fields, with a 1-byte
+// leaf and with every chain ending null, the reference fails after at most
+// maxDerefs dereferences, and with a 1 MiB leaf after maxRefBytes bytes,
+// instead of asking for 2⁴⁰ of either.
+func TestDereferenceFanOutIsBounded(t *testing.T) {
+	fanOut := func(fields int, leaf string) *cgi.Form {
+		form := cgi.NewForm()
+		for i := 0; i < fields; i++ {
+			form.Add(fmt.Sprintf("a%d", i), fmt.Sprintf("$(a%d)$(a%d)", i+1, i+1))
+		}
+		if leaf != "" {
+			form.Add(fmt.Sprintf("a%d", fields), leaf)
+		}
+		return form
+	}
+	// 2¹³-1 dereferences, 2¹² bytes.
+	if got, err := NewVarTable("t", fanOut(12, "x")).Lookup("a0"); err != nil || got != strings.Repeat("x", 1<<12) {
+		t.Fatalf("12 fields: %d bytes, %v", len(got), err)
+	}
+	for _, leaf := range []string{"x", "", strings.Repeat("y", 1<<20)} {
+		start := time.Now()
+		vt := NewVarTable("t", fanOut(40, leaf))
+		got, err := vt.Lookup("a0")
+		if err == nil || !strings.Contains(err.Error(), "reference makes more than") || time.Since(start) > time.Second {
+			t.Errorf("40 fields, a %d-byte leaf: %d bytes, %v after %v", len(leaf), len(got), err, time.Since(start))
+		}
+		// The 1 MiB leaf meets the byte bound first, the 1-byte one the
+		// dereference bound.
+		if leaf != "" && (vt.derefs > maxDerefs) == (len(leaf) > 1) {
+			t.Errorf("40 fields, a %d-byte leaf: stopped after %d dereferences", len(leaf), vt.derefs)
+		}
 	}
 }
 

@@ -44,7 +44,6 @@ func (m mapScope) appendVar(buf []byte, name string) ([]byte, bool) {
 type VarTable struct {
 	inputs *cgi.Form
 	defs   map[string]*varDef
-	order  []string
 	scopes []scope
 	// execOutputs holds <name>_OUTPUT bindings captured from %EXEC
 	// commands (an extension; see runExec).
@@ -60,6 +59,14 @@ type VarTable struct {
 	// met again is a circular reference, and its length is the depth the
 	// record notes.
 	visiting []string
+	// derefs and refStart are the dereferences the reference being expanded
+	// from depth 0 has made and where its text began in the buffer, for
+	// maxDerefs and maxRefBytes.
+	derefs, refStart int
+	// static is the Static the table belongs to: the table notes for it
+	// what each expansion reads (Static.read) and the shape of a command
+	// (appendParts). The request path leaves it nil.
+	static *Static
 }
 
 // NewVarTable creates a table over the given HTML input variables.
@@ -90,7 +97,6 @@ func (vt *VarTable) applyStmt(st *DefineStmt) {
 	if !ok {
 		def = &varDef{}
 		vt.defs[st.Name] = def
-		vt.order = append(vt.order, st.Name)
 	}
 	switch st.Kind {
 	case DefList:
@@ -111,18 +117,6 @@ func (vt *VarTable) applyStmt(st *DefineStmt) {
 func (vt *VarTable) pushScope(s scope) { vt.scopes = append(vt.scopes, s) }
 
 func (vt *VarTable) popScope() { vt.scopes = vt.scopes[:len(vt.scopes)-1] }
-
-// Defined reports whether name has a macro definition or input binding
-// (regardless of its value).
-func (vt *VarTable) Defined(name string) bool {
-	if _, ok := vt.defs[name]; ok {
-		return true
-	}
-	return vt.inputs.Has(name)
-}
-
-// Names returns all macro-defined variable names in definition order.
-func (vt *VarTable) Names() []string { return vt.order }
 
 // Lookup evaluates a variable by name, applying the full substitution
 // semantics. It returns the empty string for undefined names.
@@ -165,10 +159,22 @@ func (vt *VarTable) appendTemplate(buf []byte, t *Template) ([]byte, error) {
 // (rowScope.bind) and row the row being printed: a reference bound to a
 // column reads the row directly, one bound to a %DEFINE wrapper evaluates
 // the wrapper's value the same way, every other one is evaluated by name.
+//
+// While a Static shapes a command, this call is its top level: it notes each
+// literal run and reference, and a reference that fails is a hole of the
+// shape, spanning what it appended before it failed, instead of the call's
+// error.
 func (vt *VarTable) appendParts(buf []byte, parts []part, bound []rowRef, row []Field) ([]byte, bool, error) {
 	sawNull := false
+	var sh *Shape
+	if vt.static != nil {
+		sh, vt.static.shape = vt.static.shape, nil
+	}
 	for k := range parts {
 		p := &parts[k]
+		if sh != nil && p.lit != "" {
+			sh.Segs = append(sh.Segs, Segment{Out: len(buf), End: len(buf) + len(p.lit), Src: p.at})
+		}
 		buf = append(buf, p.lit...)
 		if !p.ref {
 			continue
@@ -202,13 +208,15 @@ func (vt *VarTable) appendParts(buf []byte, parts []part, bound []rowRef, row []
 			if p.dyn != nil {
 				// Late evaluation: the body's own references first, then the
 				// name (and transform prefix) they spell.
-				if buf, _, err = vt.appendParts(buf, p.dyn, nil, nil); err != nil {
-					return buf, false, err
+				if buf, _, err = vt.appendParts(buf, p.dyn, nil, nil); err == nil {
+					x, name = splitXform(string(buf[mark:]))
+					buf = buf[:mark]
 				}
-				x, name = splitXform(string(buf[mark:]))
-				buf = buf[:mark]
 			}
-			if buf, err = vt.appendVar(buf, name); err != nil {
+			if err == nil {
+				buf, err = vt.appendVar(buf, name)
+			}
+			if err != nil && sh == nil {
 				return buf, false, err
 			}
 		}
@@ -217,6 +225,11 @@ func (vt *VarTable) appendParts(buf []byte, parts []part, bound []rowRef, row []
 			sawNull = true
 		case x != xformNone:
 			buf = appendXform(buf[:mark], string(buf[mark:]), x)
+		}
+		if sh != nil {
+			sh.Segs = append(sh.Segs, Segment{Out: mark, End: len(buf), Src: p.off, Ref: true, Name: p.name,
+				Hole: err != nil || vt.static.reached})
+			vt.static.reached = false
 		}
 	}
 	return buf, sawNull, nil
@@ -279,6 +292,21 @@ func (vt *VarTable) appendSource(buf []byte, src string) ([]byte, error) {
 // Past the bound the reference fails as a circular one does.
 const maxDerefDepth = 256
 
+// maxDerefs and maxRefBytes bound the width of what one reference expanded
+// from depth 0 does: the dereferences it makes and the bytes it appends,
+// checked as it makes each one.
+// Form fields can fan out ("a0=$(a1)$(a1)&a1=$(a2)$(a2)&…"), and each field
+// doubles the work: 20 fields took 0.6 s even when every chain ended null,
+// 40 would ask for 2⁴⁰ bytes. The widest reference of the golden corpus and
+// the four benchmark workloads makes 9 dereferences and appends 178 bytes;
+// 10 000 dereferences cost a few milliseconds, and 4 MiB is four times the
+// largest form a request can post, so any one form value fits. Past either
+// bound the reference fails as a circular one does.
+const (
+	maxDerefs   = 10_000
+	maxRefBytes = 4 << 20
+)
+
 // appendVar appends the value of name; a null value (empty or undefined —
 // indistinguishable per Section 2.2) appends nothing. Priority order
 // (Section 4.3): innermost report scope, then HTML input variables, then
@@ -293,12 +321,18 @@ func (vt *VarTable) appendVar(buf []byte, name string) ([]byte, error) {
 	// depth is how many dereferences deep this resolution sits: 0 when the
 	// name was referenced directly from a template, +1 per chained $(...).
 	depth := len(vt.visiting)
+	if depth == 0 {
+		vt.derefs, vt.refStart = 0, len(buf)
+	}
 	if v, ok := vt.execOutputs[name]; ok {
 		vt.trace.Var(name, depth, "exec", v == "")
 		return append(buf, v...), nil
 	}
 	if depth == maxDerefDepth {
 		return buf, errAt(vt.macro, 0, "reference chain deeper than %d variables at variable %q", maxDerefDepth, name)
+	}
+	if vt.derefs++; vt.derefs > maxDerefs || len(buf)-vt.refStart > maxRefBytes {
+		return buf, errAt(vt.macro, 0, "reference makes more than %d dereferences or %d bytes at variable %q", maxDerefs, maxRefBytes, name)
 	}
 	for _, n := range vt.visiting {
 		if n == name {
@@ -311,6 +345,7 @@ func (vt *VarTable) appendVar(buf []byte, name string) ([]byte, error) {
 	vt.visiting = vt.visiting[:depth]
 	if err == nil {
 		vt.trace.Var(name, depth, source, len(buf) == mark)
+		vt.static.read(name, source)
 	}
 	return buf, err
 }

@@ -79,11 +79,33 @@ func stringLits(t *testing.T, file string) []string {
 	return out
 }
 
+// corpusSources calls fn with every macro of testdata/macros, testdata/lint,
+// benchmark/macros and examples/.
+func corpusSources(t *testing.T, fn func(file, src string, resolve core.IncludeResolver)) {
+	for _, dir := range []string{"testdata/macros", "testdata/lint", "benchmark/macros/orders", "benchmark/macros/urldb"} {
+		files, _ := filepath.Glob(filepath.Join("..", "..", dir, "*.d2w"))
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fn(f, string(src), DirResolver(filepath.Dir(f)))
+		}
+	}
+	for _, f := range exampleFiles(t) {
+		for _, lit := range stringLits(t, f) {
+			if strings.Contains(lit, "%SQL") {
+				fn(f, lit, nil)
+			}
+		}
+	}
+}
+
 // macroCorpus returns every statement the linter builds from the macros of
-// testdata/macros, testdata/lint, benchmark/macros and examples/.
+// corpusSources.
 func macroCorpus(t *testing.T) []corpusStmt {
 	var out []corpusStmt
-	add := func(file, src string, resolve core.IncludeResolver) {
+	corpusSources(t, func(file, src string, resolve core.IncludeResolver) {
 		m, err := core.ParseWithIncludes(file, src, resolve)
 		if err != nil {
 			return // a seeded parse defect
@@ -93,29 +115,12 @@ func macroCorpus(t *testing.T) []corpusStmt {
 			if tp.kind != tplSQL || tp.sec == nil {
 				continue
 			}
-			if sub := p.substitute(tp); sub.ok {
-				out = append(out, corpusStmt{where: file + " " + tp.where, sql: sub.sql,
-					opts: sqlsema.Options{Slots: sub.slots, OpaqueLits: sub.opaque, Reported: tp.sec.Report != nil}})
+			if sk := p.skeletonOf(tp); sk.ok {
+				out = append(out, corpusStmt{where: file + " " + tp.where, sql: sk.Skeleton,
+					opts: sqlsema.Options{Slots: sk.opts.Slots, OpaqueLits: sk.opts.OpaqueLits, Reported: tp.sec.Report != nil}})
 			}
 		}
-	}
-	for _, dir := range []string{"testdata/macros", "testdata/lint", "benchmark/macros/orders", "benchmark/macros/urldb"} {
-		files, _ := filepath.Glob(filepath.Join("..", "..", dir, "*.d2w"))
-		for _, f := range files {
-			src, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			add(f, string(src), DirResolver(filepath.Dir(f)))
-		}
-	}
-	for _, f := range exampleFiles(t) {
-		for _, lit := range stringLits(t, f) {
-			if strings.Contains(lit, "%SQL") {
-				add(f, lit, nil)
-			}
-		}
-	}
+	})
 	if len(out) < 30 {
 		t.Fatalf("the macro corpus has %d statements", len(out))
 	}

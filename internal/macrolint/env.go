@@ -37,6 +37,7 @@ type tpl struct {
 	refs         []core.TemplateRef
 	unterminated []int
 	escapes      []string
+	skel         *skeleton // a %SQL command's, once an analyzer asked (skeletonOf)
 }
 
 // pos maps a byte offset inside the template to (line, col). The column
@@ -116,10 +117,7 @@ func (e *env) addTpl(t *tpl) *tpl {
 		return t
 	}
 	e.templates = append(e.templates, t)
-	t.refs, t.unterminated = core.ParseTemplate(t.text)
-	if strings.Contains(t.text, "$$(") {
-		t.escapes = core.EscapeNames(t.text)
-	}
+	t.refs, t.unterminated, t.escapes = core.ParseTemplate(t.text)
 	return t
 }
 

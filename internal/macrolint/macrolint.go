@@ -151,10 +151,8 @@ type pass struct {
 	env   *env
 	diags []Diagnostic
 
-	// Memoized schema-aware analysis state (see semsql.go): skeleton
-	// substitution per SQL template and the shared semantic findings the
-	// schema/sqltype/sqlperf analyzers surface.
-	subst     map[*tpl]*substSQL
+	// The shared semantic findings the schema/sqltype/sqlperf analyzers
+	// surface (see semsql.go), computed once.
 	semaDone  bool
 	semaDiags []Diagnostic
 }

@@ -68,6 +68,7 @@ var seededDefects = map[string][]expectation{
 	"undefined.d2w":        {{"undefined", SevWarn, 6}, {"unused", SevInfo, 7}},
 	"exec_missing.d2w":     {{"sections", SevError, 10}, {"sections", SevWarn, 6}},
 	"report_cols.d2w":      {{"sqlreport", SevWarn, 11}, {"sqlreport", SevWarn, 11}},
+	"report_ordinals.d2w":  {{"undefined", SevWarn, 12}, {"undefined", SevWarn, 12}}, // $(V0), $(V01)
 	"sqlsyntax.d2w":        {{"sqlreport", SevWarn, 7}},
 	"unterminated.d2w":     {{"template", SevWarn, 7}},
 	"include_missing.d2w":  {{"include", SevError, 5}},
@@ -473,19 +474,19 @@ SELECT url $(C) FROM urldb
 `
 )
 
-// sqlSkeletons returns the skeleton the linter builds for every %SQL
+// sqlSkeletons returns the skeleton the linter reads for every %SQL
 // section of src.
-func sqlSkeletons(t *testing.T, src string) []*substSQL {
+func sqlSkeletons(t *testing.T, src string) []*skeleton {
 	t.Helper()
 	m, err := core.Parse("gen.d2w", src)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, src)
 	}
 	p := &pass{l: New(), env: buildEnv(m, "gen.d2w")}
-	var out []*substSQL
+	var out []*skeleton
 	for _, tp := range p.env.templates {
 		if tp.kind == tplSQL {
-			out = append(out, p.substitute(tp))
+			out = append(out, p.skeletonOf(tp))
 		}
 	}
 	return out
@@ -497,8 +498,8 @@ func TestStaticListSkipsNullItems(t *testing.T) {
 			t.Errorf("the engine runs a statement that parses: %s", d)
 		}
 	}
-	if sub := sqlSkeletons(t, driftList)[0]; !sub.fullyStatic || sub.sql != "SELECT url FROM urldb WHERE url LIKE 'h%'" {
-		t.Errorf("skeleton = %q (static %v)", sub.sql, sub.fullyStatic)
+	if sk := sqlSkeletons(t, driftList)[0]; !sk.fullyStatic || sk.Skeleton != "SELECT url FROM urldb WHERE url LIKE 'h%'" {
+		t.Errorf("skeleton = %q (static %v)", sk.Skeleton, sk.fullyStatic)
 	}
 }
 
@@ -508,8 +509,8 @@ func TestStaticCondWithNullIsNull(t *testing.T) {
 			t.Errorf("the engine never reads nosuchcol: %s", d)
 		}
 	}
-	if sub := sqlSkeletons(t, driftCond)[0]; !sub.fullyStatic || sub.sql != "SELECT url  FROM urldb" {
-		t.Errorf("skeleton = %q (static %v)", sub.sql, sub.fullyStatic)
+	if sk := sqlSkeletons(t, driftCond)[0]; !sk.fullyStatic || sk.Skeleton != "SELECT url  FROM urldb" {
+		t.Errorf("skeleton = %q (static %v)", sk.Skeleton, sk.fullyStatic)
 	}
 }
 
@@ -520,6 +521,44 @@ func TestStaticCondWithNullIsNull(t *testing.T) {
 // static is what VarTable.Lookup returns under an empty form.
 func TestStaticValuesAreTheEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	inlined, tests := 0, 0
+	for n := 0; n < 400; n++ {
+		src, kinds := staticChains(rng)
+		m, err := core.Parse("gen.d2w", src)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, src)
+		}
+		vt := core.NewVarTable(m.Name, nil)
+		for _, sec := range m.Sections {
+			if d, ok := sec.(*core.DefineSection); ok {
+				vt.ApplyDefine(d)
+			}
+		}
+		for i, sk := range sqlSkeletons(t, src) {
+			if !sk.fullyStatic {
+				continue
+			}
+			inlined++
+			if kinds[i] == 2 {
+				tests++
+			}
+			if want, err := vt.Lookup(fmt.Sprintf("V%d", i)); err != nil || sk.Skeleton != want {
+				t.Errorf("V%d: the linter inlines %q, the engine evaluates %q, %v\n%s", i, sk.Skeleton, want, err, src)
+			}
+		}
+	}
+	t.Logf("%d static statements, %d of them a \"t ? a : b\"", inlined, tests)
+	if inlined < 300 || tests < 20 {
+		t.Errorf("%d static statements, %d of them a \"t ? a : b\": the generator is too narrow", inlined, tests)
+	}
+}
+
+// staticChains generates a macro of six %DEFINE variables V0…V5 — plain
+// values, %LIST with null items, "? value", "t ? a : b" with and without an
+// else, referring to each other, to a form control and to an undefined name
+// — and one %SQL section s<i> of $(V<i>) each. kinds[i] is Vi's form, 2 for
+// "t ? a : b".
+func staticChains(rng *rand.Rand) (src string, kinds []int) {
 	const vars = 6
 	name := func() string {
 		switch rng.Intn(10) {
@@ -538,88 +577,66 @@ func TestStaticValuesAreTheEngines(t *testing.T) {
 		}
 		return s
 	}
-	inlined, tests := 0, 0
-	for n := 0; n < 400; n++ {
-		var b strings.Builder
-		b.WriteString("%define{\n")
-		kinds := make([]int, vars)
-		for i := range kinds {
-			kinds[i] = rng.Intn(5)
-			switch v := fmt.Sprintf("V%d", i); kinds[i] {
-			case 0:
+	var b strings.Builder
+	b.WriteString("%define{\n")
+	kinds = make([]int, vars)
+	for i := range kinds {
+		kinds[i] = rng.Intn(5)
+		switch v := fmt.Sprintf("V%d", i); kinds[i] {
+		case 0:
+			fmt.Fprintf(&b, "%s = %q\n", v, value())
+		case 1:
+			fmt.Fprintf(&b, "%s = ? %q\n", v, value())
+		case 2:
+			fmt.Fprintf(&b, "%s = %s ? %q : %q\n", v, name(), value(), value())
+		case 3:
+			fmt.Fprintf(&b, "%s = %s ? %q\n", v, name(), value())
+		case 4:
+			fmt.Fprintf(&b, "%%LIST %q %s\n", []string{" AND ", ", "}[rng.Intn(2)], v)
+			for k := rng.Intn(4); k > 0; k-- {
 				fmt.Fprintf(&b, "%s = %q\n", v, value())
-			case 1:
-				fmt.Fprintf(&b, "%s = ? %q\n", v, value())
-			case 2:
-				fmt.Fprintf(&b, "%s = %s ? %q : %q\n", v, name(), value(), value())
-			case 3:
-				fmt.Fprintf(&b, "%s = %s ? %q\n", v, name(), value())
-			case 4:
-				fmt.Fprintf(&b, "%%LIST %q %s\n", []string{" AND ", ", "}[rng.Intn(2)], v)
-				for k := rng.Intn(4); k > 0; k-- {
-					fmt.Fprintf(&b, "%s = %q\n", v, value())
-				}
-			}
-		}
-		b.WriteString("%}\n")
-		for i := 0; i < vars; i++ {
-			fmt.Fprintf(&b, "%%SQL(s%d){$(V%d)%%}\n", i, i)
-		}
-		b.WriteString(`%HTML_INPUT{<INPUT NAME="IN">%}`)
-		src := b.String()
-
-		m, err := core.Parse("gen.d2w", src)
-		if err != nil {
-			t.Fatalf("%v\n%s", err, src)
-		}
-		vt := core.NewVarTable(m.Name, nil)
-		for _, sec := range m.Sections {
-			if d, ok := sec.(*core.DefineSection); ok {
-				vt.ApplyDefine(d)
-			}
-		}
-		for i, sub := range sqlSkeletons(t, src) {
-			if !sub.ok || !sub.fullyStatic {
-				continue
-			}
-			inlined++
-			if kinds[i] == 2 {
-				tests++
-			}
-			if want, err := vt.Lookup(fmt.Sprintf("V%d", i)); err != nil || sub.sql != want {
-				t.Errorf("V%d: the linter inlines %q, the engine evaluates %q, %v\n%s", i, sub.sql, want, err, src)
 			}
 		}
 	}
-	t.Logf("%d static statements, %d of them a \"t ? a : b\"", inlined, tests)
-	if inlined < 300 || tests < 20 {
-		t.Errorf("%d static statements, %d of them a \"t ? a : b\": the generator is too narrow", inlined, tests)
+	b.WriteString("%}\n")
+	for i := 0; i < vars; i++ {
+		fmt.Fprintf(&b, "%%SQL(s%d){$(V%d)%%}\n", i, i)
 	}
+	b.WriteString(`%HTML_INPUT{<INPUT NAME="IN">%}`)
+	return b.String(), kinds
 }
 
-func FuzzLint(f *testing.F) {
-	dir := lintDirPath(f)
-	ddlSeed, err := os.ReadFile(appendixaPath(f))
-	if err != nil {
-		f.Fatal(err)
-	}
+// lintSeeds is FuzzLint's seed macros: the seeded-defect corpus and a few
+// written here.
+func lintSeeds(t testing.TB) []string {
+	dir := lintDirPath(t)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
+	var out []string
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".d2w") {
 			continue
 		}
 		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
-			f.Fatal(err)
+			t.Fatal(err)
 		}
-		f.Add(string(src), string(ddlSeed))
+		out = append(out, string(src))
 	}
-	f.Add(driftList, string(ddlSeed))
-	f.Add(driftCond, string(ddlSeed))
-	f.Add("%define A = \"$(A)\"\n%HTML_INPUT{$(A$(B$(C)))%}", "")
+	return append(out, driftList, driftCond, "%define A = \"$(A)\"\n%HTML_INPUT{$(A$(B$(C)))%}",
+		"%SQL{SELECT $(X%}", "%SQL{SELECT a FROM t WHERE a = $(Y)%}")
+}
+
+func FuzzLint(f *testing.F) {
+	ddlSeed, err := os.ReadFile(appendixaPath(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, src := range lintSeeds(f) {
+		f.Add(src, string(ddlSeed))
+	}
 	f.Add("%SQL{SELECT $(X%}", "CREATE TABLE t (x INTEGER)")
 	f.Add("%SQL{SELECT a FROM t WHERE a = $(Y)%}", "CREATE TABLE t (a VARCHAR(8));\nCREATE INDEX t_a ON t (a)")
 	f.Fuzz(func(t *testing.T, src, ddl string) {

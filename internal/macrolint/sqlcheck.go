@@ -3,9 +3,9 @@ package macrolint
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 
+	"db2www/internal/core"
 	"db2www/internal/sqldb"
 )
 
@@ -37,23 +37,6 @@ func selectShape(stmt sqldb.Stmt) (count int, names map[string]bool, ok bool) {
 	return len(sel.Items), names, true
 }
 
-// reportColRef decodes the report-variable forms that address a result
-// column: Vi / Ni (1-based position) and V.col / N.col (by name).
-func reportColRef(name string) (idx int, col string, ok bool) {
-	if len(name) < 2 || (name[0] != 'V' && name[0] != 'N') {
-		return 0, "", false
-	}
-	rest := name[1:]
-	if rest[0] == '.' {
-		return 0, rest[1:], len(rest) > 1
-	}
-	n, err := strconv.Atoi(rest)
-	if err != nil || n <= 0 {
-		return 0, "", false
-	}
-	return n, "", true
-}
-
 // runSQLReport validates what can be proven about a SQL section without
 // running it: when the command resolves statically it must parse, and
 // when the SELECT list is known, every $(Vi)/$(V.col) reference in the
@@ -64,11 +47,11 @@ func runSQLReport(p *pass) {
 		if t.kind != tplSQL || t.sec == nil {
 			continue
 		}
-		sub := p.substitute(t)
-		if !sub.ok || !sub.fullyStatic {
+		sk := p.skeletonOf(t)
+		if !sk.fullyStatic {
 			continue // request-dependent SQL; nothing provable here
 		}
-		stmt, err := sqldb.Parse(sub.sql)
+		stmt, err := sqldb.Parse(sk.Skeleton)
 		if err != nil {
 			// The parser records the byte offset of the token it
 			// stopped at; map it back through the substitution segments
@@ -76,7 +59,7 @@ func runSQLReport(p *pass) {
 			off := 0
 			var se *sqldb.Error
 			if errors.As(err, &se) && se.Off > 0 {
-				off = sub.srcOff(se.Off - 1)
+				off = sk.Src(se.Off - 1)
 			}
 			p.reportAt(t, off, Diagnostic{
 				Analyzer: "sqlreport",
@@ -101,12 +84,12 @@ func runSQLReport(p *pass) {
 				if r.Dynamic {
 					continue
 				}
-				idx, col, isCol := reportColRef(r.Name)
+				idx, col, isCol := core.ReportColumn(r.Name)
 				if !isCol {
 					continue
 				}
 				switch {
-				case col != "" && !names[strings.ToLower(col)]:
+				case idx == 0 && !names[strings.ToLower(col)]:
 					p.reportAt(rt, r.Offset, Diagnostic{
 						Analyzer: "sqlreport",
 						Severity: SevWarn,

@@ -58,9 +58,14 @@ func runTaint(p *pass) {
 					ti.origin, sink)
 				if t.kind == tplSQL {
 					d.Fix = fmt.Sprintf("replace $(%s) with $(@sq:%s)", r.Raw, r.Name)
-					var q quoteScan
-					q.feed(t.text[:r.Offset], 0)
-					if q.settle(); q.in {
+					// The hole the reference is, or is nested in.
+					inLit := false
+					for _, g := range p.skeletonOf(t).Segs {
+						if g.Src <= r.Offset {
+							inLit = g.InLit
+						}
+					}
+					if inLit {
 						// Inside a quoted literal the value lands in a bind
 						// parameter, not in statement structure (the plan
 						// cache extracts quoted literals); the residual risk

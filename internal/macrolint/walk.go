@@ -18,6 +18,14 @@ type varFacts struct {
 	class classInfo
 }
 
+// classInfo is a macro variable's value class, with a non-numeric value
+// it can take and the definition chain it came by, for messages.
+type classInfo struct {
+	class  sqlsema.VarClass
+	sample string
+	chain  string
+}
+
 // onPath is the facts of a name met again on the walk's own path: a
 // definition cycle, which fails at run time. It contributes no taint and an
 // unknown class to the names that reach it.

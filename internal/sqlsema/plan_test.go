@@ -331,8 +331,7 @@ func walkAST(v reflect.Value, fn func(any) bool) {
 }
 
 // sectionSkeletons returns the %SQL sections of the macro corpora as the
-// linter sees them, roughly: a static reference is its value, any other is
-// a ? outside a string literal and nothing inside one. A section that does
+// linter sees them: the skeletons of core.Static.Shape. A section that does
 // not parse so is left to the generated statements.
 func sectionSkeletons(t *testing.T) []string {
 	var out []string
@@ -349,23 +348,7 @@ func sectionSkeletons(t *testing.T) []string {
 			}
 			static := core.NewStatic(m)
 			for _, sec := range m.SQLSections() {
-				cmd := sec.Command
-				refs, _ := core.ParseTemplate(cmd)
-				var b strings.Builder
-				last := 0
-				for _, r := range refs {
-					if r.Offset < last {
-						continue
-					}
-					b.WriteString(cmd[last:r.Offset])
-					last = r.End
-					if v, ok := static.Lookup(r.Name); ok && !r.Dynamic {
-						b.WriteString(v)
-					} else if strings.Count(b.String(), "'")%2 == 0 {
-						b.WriteString("?")
-					}
-				}
-				out = append(out, b.String()+cmd[last:])
+				out = append(out, static.Shape(sec).Skeleton)
 			}
 		}
 	}
