@@ -514,6 +514,72 @@ func BenchmarkE13_BigReportHit(b *testing.B) {
 	}
 }
 
+// appendixAForms are the query strings of the four ways the benchmark's
+// appendixa_search workload fills in the Appendix A form, the form's default
+// first. They select url and title, all three columns, url alone, and url
+// and description.
+var appendixAForms = []string{
+	"SEARCH=ib&USE_URL=yes&USE_TITLE=yes&DBFIELDS=%24%28hidden_a%29",
+	"SEARCH=ib&USE_TITLE=yes&USE_DESC=yes&DBFIELDS=%24%28hidden_a%29&DBFIELDS=%24%28hidden_b%29",
+	"SEARCH=ib&USE_URL=yes",
+	"SEARCH=ib&USE_URL=yes&USE_TITLE=yes&USE_DESC=yes&DBFIELDS=%24%28hidden_b%29",
+}
+
+// appendixAHit returns the Appendix A report of form over the 500-row
+// table as the server gatewayd builds by default answers it from the third
+// request on: a cache hit whose %ROW block is written from the memo. The
+// page goes to a writer that drops it.
+func appendixAHit(tb testing.TB, form string) func() {
+	srv, err := gateway.NewServer(experiments.GatewaydConfig("testdata/macros", 500, 1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { srv.Close() })
+	h := srv.Handler()
+	req := httptest.NewRequest("GET", "http://server/cgi-bin/db2www/urlquery.d2w/report?"+form, nil)
+	for i := 0; i < 3; i++ { // a miss, the memo fill, a hit served from the memo
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != 200 || !strings.Contains(rec.Body.String(), "<LI>") {
+			tb.Fatalf("%s: status %d, no rows", form, rec.Code)
+		}
+	}
+	if render := srv.Traces.Snapshot()[0].SQL[0].Render; render != "memo" {
+		tb.Fatalf("%s: the third request's render=%q, want memo", form, render)
+	}
+	w := discardWriter{header: http.Header{}}
+	return func() { h.ServeHTTP(w, req) }
+}
+
+// BenchmarkAppendixAHit is each request of the appendixa_search workload
+// as its end-to-end rows measure it (appendixAHit).
+func BenchmarkAppendixAHit(b *testing.B) {
+	for i, form := range appendixAForms {
+		b.Run(fmt.Sprintf("form=%d", i), func(b *testing.B) {
+			serve := appendixAHit(b, form)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+		})
+	}
+}
+
+// TestAppendixAHitAllocations gates what BenchmarkAppendixAHit prints as
+// allocs/op: a hit of any of the four forms makes at most 120 allocations
+// (86–102 with the rows written from the memo), so a form that falls back to
+// printing row by row cannot go unnoticed.
+func TestAppendixAHitAllocations(t *testing.T) {
+	for i, form := range appendixAForms {
+		allocs := testing.AllocsPerRun(20, appendixAHit(t, form))
+		t.Logf("form %d: %.0f allocations per hit", i, allocs)
+		if allocs > 120 {
+			t.Errorf("form %d: %.0f allocations per hit, want at most 120", i, allocs)
+		}
+	}
+}
+
 // TestBigReportAllocations gates what BenchmarkE13_BigReport prints as
 // allocs/op: the 2 000-row report makes at most 200 allocations (137 with
 // the block fetch; 5 988 while the driver's cursor boxed one value per

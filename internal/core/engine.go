@@ -686,6 +686,10 @@ type rowScope struct {
 type rowRef struct {
 	// col is the column ordinal a Vi / V.column reference reads, else -1.
 	col int
+	// null is set for a Vi / V.column reference to a column the result does
+	// not have, which nothing else answers either: the null string on every
+	// row, as an undefined name is.
+	null bool
 	// wrap is set for a reference to a %DEFINE variable that only wraps row
 	// columns in text (Appendix A's D2 = ? "<br>$(V2)"): the assignment it
 	// evaluates to, with the columns of its value's parts in inner.
@@ -704,16 +708,22 @@ func newRowScope(cols []string) *rowScope {
 	return s
 }
 
-// columns resolves the references among parts to a column the result has
-// (a row of another width than the header is evaluated unbound).
-func (s *rowScope) columns(parts []part) []rowRef {
+// columns resolves the references among parts to a column the result has,
+// or to null when they address one it does not have and vt can tell nothing
+// else answers them (a row of another width than the header is evaluated
+// unbound).
+func (s *rowScope) columns(vt *VarTable, parts []part) []rowRef {
 	refs := make([]rowRef, len(parts))
 	for k := range parts {
 		refs[k].col = -1
-		if p := &parts[k]; p.ref && p.dyn == nil && strings.HasPrefix(p.name, "V") {
-			if col := s.ordinal(p.name); col < len(s.cols) {
-				refs[k].col = col
-			}
+		p := &parts[k]
+		if !p.ref || p.dyn != nil || !strings.HasPrefix(p.name, "V") {
+			continue
+		}
+		if col := s.ordinal(p.name); col >= 0 && col < len(s.cols) {
+			refs[k].col = col
+		} else if _, _, ok := ReportColumn(p.name); ok && vt.defs[p.name] == nil && !vt.outranked(p.name) {
+			refs[k].null = true
 		}
 	}
 	return refs
@@ -723,18 +733,21 @@ func (s *rowScope) columns(parts []part) []rowRef {
 // the variables vt can tell now to be wrappers of row variables on every
 // row. All others are evaluated by name, row after row.
 func (s *rowScope) bind(vt *VarTable, parts []part) {
-	s.bound = s.columns(parts)
+	s.bound = s.columns(vt, parts)
 	for k := range parts {
-		if b, p := &s.bound[k], &parts[k]; p.ref && p.dyn == nil && b.col < 0 {
+		if b, p := &s.bound[k], &parts[k]; p.ref && p.dyn == nil && b.col < 0 && !b.null {
 			b.wrap, b.inner = vt.rowWrapper(p.name, s)
 		}
 	}
 }
 
+// resolved reports whether b reads no variable by name.
+func (b *rowRef) resolved() bool { return b.col >= 0 || b.null || b.wrap != nil }
+
 // allBound reports whether bind resolved every reference among parts.
 func (s *rowScope) allBound(parts []part) bool {
 	for k := range parts {
-		if parts[k].ref && s.bound[k].col < 0 && s.bound[k].wrap == nil {
+		if parts[k].ref && !s.bound[k].resolved() {
 			return false
 		}
 	}
@@ -906,15 +919,18 @@ func (m *rowMemo) matches(row *Template, bound []rowRef, start, max int) bool {
 }
 
 // printRowBlock prints the %ROW template over the rows start and max select.
-// When bind resolved every reference of the template — to a column or to a
-// row wrapper — and every row is as wide as the header, the printed bytes
-// depend on nothing but the result, the template, the wrappers, start and
-// max. The second rendering of one result (a cache's: nothing else renders
-// a result twice) keeps them on it, once they printed without error, and
-// every later rendering with the same key writes them in one piece and
-// replays on the record what the rows' wrappers left there. A rendering
-// under another key prints as usual and may replace the memo; a result
-// rendered once pays one atomic add.
+// When bind resolved every reference of the template — to a column, to null
+// or to a row wrapper — and every row is as wide as the header, the printed
+// bytes depend on nothing but the result, the template, the wrappers, start
+// and max. The null references need no place in the key: the result fixes
+// which columns it lacks, and bind runs again on every rendering, so one
+// under a request that posts or defines such a name binds it by name and
+// prints row by row. The second rendering of one result (a cache's: nothing
+// else renders a result twice) keeps them on it, once they printed without
+// error, and every later rendering with the same key writes them in one
+// piece and replays on the record what the rows' wrappers left there. A
+// rendering under another key prints as usual and may replace the memo; a
+// result rendered once pays one atomic add.
 func (r *macroRun) printRowBlock(row *Template, res *SQLResult, rs *rowScope, start, max int, stmt *obs.SQLExec) error {
 	printEach := func() error {
 		return r.printRows(res, start, max, func(buf []byte, i int) ([]byte, error) {

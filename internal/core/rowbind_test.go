@@ -179,12 +179,18 @@ var urlTable = &SQLResult{
 	},
 }
 
+// appendixA and appendixAWrappers are the %ROW template and the row
+// wrappers of the paper's Appendix A report.
+const (
+	appendixA         = `<LI> <A HREF="$(V1)">$(V1)</A> $(D2) $(D3)`
+	appendixAWrappers = `D2 = ? "<br>$(V2)"` + "\n" + `D3 = ? "<br>$(V3)"`
+)
+
 // TestRowBindingMatchesByName: the page and the request's record are the
 // same whether %ROW's references are bound once per report or looked up by
 // name on every row — on the cases a binding could get wrong, each with
 // the number of references it is expected to bind to a %DEFINE wrapper.
 func TestRowBindingMatchesByName(t *testing.T) {
-	const appendixA = `<LI> <A HREF="$(V1)">$(V1)</A> $(D2) $(D3)`
 	wide := &SQLResult{Columns: []string{"title", "x", "TITLE"}, Rows: [][]Field{{{S: "first"}, {S: "x"}, {S: "last"}}}}
 	cases := []struct {
 		name    string
@@ -194,7 +200,7 @@ func TestRowBindingMatchesByName(t *testing.T) {
 		res     *SQLResult
 		wrapped int
 	}{
-		{"appendix A", `D2 = ? "<br>$(V2)"` + "\n" + `D3 = ? "<br>$(V3)"`, appendixA, nil, urlTable, 2},
+		{"appendix A", appendixAWrappers, appendixA, nil, urlTable, 2},
 		{"simple keeps its text on a null column", `D2 = "<br>$(V2)"` + "\n" + `D3 = "[$(V3)]"`, appendixA, nil, urlTable, 2},
 		{"conditional on another variable", `D2 = V2 ? "<br>$(V2)" : "none"` + "\n" + `D3 = ? "$(V3)"`, appendixA, nil, urlTable, 1},
 		{"list variable", `%LIST " | " D2` + "\n" + `D2 = "$(V2)"` + "\n" + `D2 = "$(V3)"`, appendixA, nil, urlTable, 0},
@@ -208,9 +214,9 @@ func TestRowBindingMatchesByName(t *testing.T) {
 		{"undefined", ``, appendixA, nil, urlTable, 0},
 		{"wrapper of a wrapper", `D2 = ? "<br>$(V2)"` + "\n" + `D3 = ? "($(D2))"`, appendixA, nil, urlTable, 1},
 		{"transforms outside and inside", `D2 = ? "<br>$(@html:V2)"` + "\n" + `D3 = ? "'$(@sq:V3)' $(@url:V.description)"`, "$(@html:D2) $(@url:D3) $(@sq:D3)", nil, urlTable, 3},
-		{"ordinal beyond the width", `D2 = ? "<br>$(V4)"` + "\n" + `D3 = "$(V3)$(V0)"` + "\n" + `V7 = "seven $(V1)"`, appendixA + " $(V4) $(V7)", nil, urlTable, 1},
-		{"duplicate column names: the later wins", `D2 = ? "$(V.title)/$(V.Title)/$(V.x)"` + "\n" + `D3 = "$(V.none)"`, "$(D2) $(V.TITLE) $(D3)", nil, wide, 1},
-		{"a posted wrapper name wins", `D2 = ? "<br>$(V2)"` + "\n" + `D3 = ? "<br>$(V3)"`, appendixA, form("D2", "posted $(V1)", "D3", ""), urlTable, 0},
+		{"ordinal beyond the width", `D2 = ? "<br>$(V4)"` + "\n" + `D3 = "$(V3)$(V0)"` + "\n" + `V7 = "seven $(V1)"`, appendixA + " $(V4) $(V7)", nil, urlTable, 2},
+		{"duplicate column names: the later wins", `D2 = ? "$(V.title)/$(V.Title)/$(V.x)"` + "\n" + `D3 = "$(V.none)"`, "$(D2) $(V.TITLE) $(D3)", nil, wide, 2},
+		{"a posted wrapper name wins", appendixAWrappers, appendixA, form("D2", "posted $(V1)", "D3", ""), urlTable, 0},
 		{"names the report scope answers", `ROW_NUM = "$(V1)"` + "\n" + `VLIST = "$(V1)"` + "\n" + `N2 = "$(V1)"` + "\n" + `N9 = "$(V1)"` + "\n" + `V2 = "$(V1)"`, "$(ROW_NUM) $(VLIST) $(N2) $(N9) $(V2)", nil, urlTable, 1},
 		{"late-evaluated and escaped references", `one = "2"` + "\n" + `D2 = "$(V$(one))"` + "\n" + `D3 = "$$(V3) $(V3)"`, appendixA + " $(D$(one)) $$(D2)", nil, urlTable, 1},
 		{"literal wrapper and empty wrapper", `D2 = "text"` + "\n" + `D3 = ""`, appendixA, nil, urlTable, 2},
@@ -218,7 +224,7 @@ func TestRowBindingMatchesByName(t *testing.T) {
 		{"paging past the end", `D2 = ? "<br>$(V2)"`, appendixA, form("RPT_STARTROW", "9", "RPT_MAXROWS", "1"), urlTable, 1},
 		{"circular wrapper, no rows: no error", `D2 = "$(D3)"` + "\n" + `D3 = "$(D2)"`, appendixA, nil, &SQLResult{Columns: urlTable.Columns}, 0},
 		{"circular wrapper, rows: the same error", `D2 = "$(D3)"` + "\n" + `D3 = "$(D2)"`, appendixA, nil, urlTable, 0},
-		{"rows of another width than the header", `D2 = ? "<br>$(V2)"` + "\n" + `D3 = ? "<br>$(V3)"` + "\n" + `V4 = "four"`, appendixA + " $(V4)", nil, &SQLResult{
+		{"rows of another width than the header", appendixAWrappers + "\n" + `V4 = "four"`, appendixA + " $(V4)", nil, &SQLResult{
 			Columns: urlTable.Columns,
 			Rows:    [][]Field{{{S: "u"}}, {{S: "u"}, {S: "t"}, {S: "d"}, {S: "extra"}}, {{S: "u"}, {S: "t"}, {S: "d"}}, {}},
 		}, 3},
@@ -239,6 +245,58 @@ func TestRowBindingMatchesByName(t *testing.T) {
 			}
 			if strings.Contains(c.name, "the same error") && !strings.Contains(got.err, "circular") {
 				t.Errorf("error %q, want a circular reference", got.err)
+			}
+		})
+	}
+}
+
+// project is the result of urlTable's columns cols (1-based), as a SELECT
+// list that names them would return it.
+func project(cols ...int) *SQLResult {
+	res := &SQLResult{}
+	for _, c := range cols {
+		res.Columns = append(res.Columns, urlTable.Columns[c-1])
+	}
+	for _, row := range urlTable.Rows {
+		var r []Field
+		for _, c := range cols {
+			r = append(r, row[c-1])
+		}
+		res.Rows = append(res.Rows, r)
+	}
+	return res
+}
+
+// TestRowMemoNullColumns: a row variable the result has no column for, which
+// nothing else answers, is null on every row — so Appendix A's report is
+// memoable over the column set of each of the benchmark's four forms — while
+// anything that may answer the name keeps the block on the printed path.
+func TestRowMemoNullColumns(t *testing.T) {
+	narrower := &SQLResult{Columns: []string{"url", "title"}, Rows: [][]Field{{{S: "u"}}, {{S: "v"}, {S: "t"}}}}
+	cases := []struct {
+		name         string
+		defines, row string
+		inputs       *cgi.Form
+		res          *SQLResult
+		memoable     bool
+	}{
+		{"form 0: url, title", appendixAWrappers, appendixA, nil, project(1, 2), true},
+		{"form 1: url, title, description", appendixAWrappers, appendixA, nil, project(1, 2, 3), true},
+		{"form 2: url", appendixAWrappers, appendixA, nil, project(1), true},
+		{"form 3: url, description", appendixAWrappers, appendixA, nil, project(1, 3), true},
+		{"in %ROW itself, with transforms", appendixAWrappers, appendixA + " $(V3) $(@html:V.description) $(@url:V9)", nil, project(1, 2), true},
+		{"V3 posted", appendixAWrappers, appendixA, form("V3", "posted $(V1)"), project(1, 2), false},
+		{"V3 posted empty", appendixAWrappers, appendixA, form("V3", ""), project(1, 2), false},
+		{"%DEFINE V3", appendixAWrappers + "\n" + `V3 = "three"`, appendixA, nil, project(1, 2), false},
+		{"an %EXEC variable", appendixAWrappers + "\n" + `E = %EXEC "rc 1"`, appendixA, nil, project(1, 2), false},
+		{"V.nosuch posted", appendixAWrappers, appendixA + " $(V.nosuch)", form("V.nosuch", "posted"), project(1, 2, 3), false},
+		{"rows narrower than the header", appendixAWrappers, appendixA, nil, narrower, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := checkRowBinding(t, rowReportMacro(c.defines, "$(NLIST)", c.row, "$(ROW_NUM) rows $(D3)"), c.inputs, c.res)
+			if got.memoable != c.memoable || got.served != c.memoable {
+				t.Errorf("memoable %v, served from the memo %v, want %v", got.memoable, got.served, c.memoable)
 			}
 		})
 	}
@@ -385,10 +443,8 @@ func TestRowBindingMatchesByNameGenerated(t *testing.T) {
 // what the key does not pin: a %ROW block that reads a request variable, a
 // row of another width, another window of rows, another macro.
 func TestRowMemoServedOnlyUnderItsKey(t *testing.T) {
-	const appendixA = `<LI> <A HREF="$(V1)">$(V1)</A> $(D2) $(D3)`
-	const wrappers = `D2 = ? "<br>$(V2)"` + "\n" + `D3 = ? "<br>$(V3)"`
 	parse := func(row string) *Macro {
-		m, err := Parse("memo.d2w", rowReportMacro(wrappers, "$(NLIST)", row, "$(ROW_NUM) rows"))
+		m, err := Parse("memo.d2w", rowReportMacro(appendixAWrappers, "$(NLIST)", row, "$(ROW_NUM) rows"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,6 +482,8 @@ func TestRowMemoServedOnlyUnderItsKey(t *testing.T) {
 		renderings []rendering
 	}{
 		{"the key holds", urlTable, []rendering{{a, nil, false}, {a, nil, false}, {a, nil, true}, {a, nil, true}}},
+		{"filled while V3 was undefined, then V3 is posted", project(1, 2), []rendering{
+			{a, nil, false}, {a, nil, false}, {a, nil, true}, {a, form("V3", "posted"), false}, {a, nil, true}}},
 		{"an HTML input shadows D2", urlTable, never(a, form("D2", "posted $(V1)"))},
 		{"ROW_NUM inside %ROW", urlTable, never(parse(appendixA + " $(ROW_NUM)"))},
 		{"VLIST inside %ROW", urlTable, never(parse(appendixA + " $(VLIST)"))},
@@ -492,8 +550,7 @@ func TestRowMemoServedOnlyUnderItsKey(t *testing.T) {
 // concurrent hits of one cache entry do — filling, publishing and reading
 // its memo under -race — and every page is the one the report prints.
 func TestRowMemoConcurrent(t *testing.T) {
-	m, err := Parse("memo.d2w", rowReportMacro(`D2 = ? "<br>$(V2)"`+"\n"+`D3 = ? "<br>$(V3)"`,
-		"$(NLIST)", `<LI> <A HREF="$(V1)">$(V1)</A> $(D2) $(D3)`, "$(ROW_NUM) rows")+"%HTML_REPORT{%EXEC_SQL%}\n")
+	m, err := Parse("memo.d2w", rowReportMacro(appendixAWrappers, "$(NLIST)", appendixA, "$(ROW_NUM) rows")+"%HTML_REPORT{%EXEC_SQL%}\n")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,8 +157,9 @@ func (vt *VarTable) appendTemplate(buf []byte, t *Template) ([]byte, error) {
 // conditional form "var = ? value" needs (Section 3.1.2 cases b and d).
 // bound, when non-nil, is what a report scope resolved each of parts to
 // (rowScope.bind) and row the row being printed: a reference bound to a
-// column reads the row directly, one bound to a %DEFINE wrapper evaluates
-// the wrapper's value the same way, every other one is evaluated by name.
+// column reads the row directly, one bound to null appends nothing, one
+// bound to a %DEFINE wrapper evaluates the wrapper's value the same way,
+// every other one is evaluated by name.
 //
 // While a Static shapes a command, this call is its top level: it notes each
 // literal run and reference, and a reference that fails is a hole of the
@@ -191,15 +192,24 @@ func (vt *VarTable) appendParts(buf []byte, parts []part, bound []rowRef, row []
 			}
 			continue
 		}
+		if b.null {
+			// What appendVar records for a name nothing answers.
+			sawNull = true
+			vt.trace.Var(p.name, len(vt.visiting), "undefined", true)
+			continue
+		}
 		mark := len(buf)
 		x, name := p.xform, p.name
 		var err error
 		if b.wrap != nil {
 			// What appendVar would do for name, without looking it up again:
-			// appendAssign on the assignment bind found, and the record. The
-			// value's references are all bound to columns and cannot fail.
+			// appendAssign on the assignment bind found, one level deeper,
+			// and the record. The value's references are all bound to
+			// columns or null and cannot fail.
 			var null bool
+			vt.visiting = append(vt.visiting, name)
 			buf, null, _ = vt.appendParts(buf, b.wrap.value.parts, b.inner, row)
+			vt.visiting = vt.visiting[:len(vt.visiting)-1]
 			if null && b.wrap.Kind == DefCondSelf {
 				buf = buf[:mark]
 			}
@@ -237,40 +247,50 @@ func (vt *VarTable) appendParts(buf []byte, parts []part, bound []rowRef, row []
 
 // rowWrapper decides, once per report, whether a %ROW reference to name is
 // on every row what its last assignment says: literal text around columns
-// of the row. It is when nothing that outranks the assignment can answer —
-// no scope, no HTML input variable, no %EXEC output now or (no %EXEC
-// variable being defined) later — name is no list variable, the assignment
-// is "name = value" or "name = ? value", and value refers only to columns
-// the result has. It returns that assignment and its value's columns.
+// of the row. It is when nothing outranks the assignment (outranked), name
+// is no list variable, the assignment is "name = value" or "name = ? value",
+// and each reference of value is to a column the result has, or to one it
+// has not that nothing answers (null). It returns that assignment and what
+// its value's references are bound to.
 func (vt *VarTable) rowWrapper(name string, rs *rowScope) (*DefineStmt, []rowRef) {
 	def := vt.defs[name]
-	if def == nil || def.list || len(def.assigns) == 0 || vt.inputs.Has(name) {
+	if def == nil || def.list || len(def.assigns) == 0 || vt.outranked(name) {
 		return nil, nil
-	}
-	if _, ok := vt.execOutputs[name]; ok {
-		return nil, nil
-	}
-	for _, d := range vt.defs {
-		if d.exec != nil {
-			return nil, nil
-		}
-	}
-	for _, s := range vt.scopes {
-		if _, ok := s.appendVar(nil, name); ok {
-			return nil, nil
-		}
 	}
 	st := def.assigns[len(def.assigns)-1]
 	if st.Kind != DefSimple && st.Kind != DefCondSelf {
 		return nil, nil
 	}
-	inner := rs.columns(st.value.parts)
+	inner := rs.columns(vt, st.value.parts)
 	for k := range inner {
-		if st.value.parts[k].ref && inner[k].col < 0 {
+		if st.value.parts[k].ref && !inner[k].resolved() {
 			return nil, nil
 		}
 	}
 	return st, inner
+}
+
+// outranked reports whether something that outranks a %DEFINE assignment
+// may answer name on some row: a scope, an HTML input variable, or a %EXEC
+// output now or (a %EXEC variable being defined) later.
+func (vt *VarTable) outranked(name string) bool {
+	if vt.inputs.Has(name) {
+		return true
+	}
+	if _, ok := vt.execOutputs[name]; ok {
+		return true
+	}
+	for _, d := range vt.defs {
+		if d.exec != nil {
+			return true
+		}
+	}
+	for _, s := range vt.scopes {
+		if _, ok := s.appendVar(nil, name); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // appendSource evaluates a value string met at run time (an HTML input

@@ -164,3 +164,54 @@ func TestMemoOnlyOnACachedResult(t *testing.T) {
 		srv.Close()
 	}
 }
+
+// TestAppendixAFormsServedFromMemo: each of the four ways the benchmark's
+// appendixa_search workload fills in the Appendix A form selects another
+// set of columns — url and title, all three, url alone, url and
+// description — and each is a report whose third request the default
+// server serves from the memo, the wrapper of a column not selected being
+// null on every row. Its page is the one a server without the cache
+// (-qcache-bytes 0) prints.
+func TestAppendixAFormsServedFromMemo(t *testing.T) {
+	forms := []string{
+		"SEARCH=ib&USE_URL=yes&USE_TITLE=yes&DBFIELDS=%24%28hidden_a%29",
+		"SEARCH=ib&USE_TITLE=yes&USE_DESC=yes&DBFIELDS=%24%28hidden_a%29&DBFIELDS=%24%28hidden_b%29",
+		"SEARCH=ib&USE_URL=yes",
+		"SEARCH=ib&USE_URL=yes&USE_TITLE=yes&USE_DESC=yes&DBFIELDS=%24%28hidden_b%29",
+	}
+	server := func(set func(*ServerConfig)) *Server {
+		cfg := DefaultServerConfig()
+		cfg.Macros = filepath.Join(repoRoot(t), "testdata", "macros")
+		cfg.Dataset = "urldb:500:1"
+		set(&cfg)
+		srv, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return srv
+	}
+	cached, uncached := server(func(*ServerConfig) {}), server(func(c *ServerConfig) { c.QCacheBytes = 0 })
+	post := func(srv *Server, body string) string {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest("POST", "http://localhost/cgi-bin/db2www/urlquery.d2w/report", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != 200 || !strings.Contains(rec.Body.String(), "<LI>") {
+			t.Fatalf("%s: status %d, no rows\n%s", body, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	for i, body := range forms {
+		var page string
+		for range 3 {
+			page = post(cached, body)
+		}
+		if render := cached.Traces.Snapshot()[0].SQL[0].Render; render != "memo" {
+			t.Errorf("form %d: the third request's render=%q, want memo", i, render)
+		}
+		if want := post(uncached, body); page != want {
+			t.Errorf("form %d: the memo's page differs from the uncached one\n%s\nwant\n%s", i, page, want)
+		}
+	}
+}
