@@ -537,6 +537,32 @@ func TestReportWithoutRowBlock(t *testing.T) {
 	}
 }
 
+// TestDuplicateRowBlock: a second %ROW block is an error at its own line,
+// also behind a footer word that begins with "%ROW", or a footer %ROW with
+// no '{', which are text.
+func TestDuplicateRowBlock(t *testing.T) {
+	for _, c := range []struct {
+		footer string
+		line   int
+	}{
+		{"\n%ROW{r2%}\n", 5},
+		{"\nfoot %ROWS here\n%ROW{r2%}\n", 6},
+		{"\nTotal %ROW count\n%ROW {r2%}\n", 6},
+	} {
+		src := "%SQL{SELECT 1\n%SQL_REPORT{\nhead\n%ROW{r1%}" + c.footer + "%}\n%}"
+		want := fmt.Sprintf("m.d2w:%d: duplicate %%ROW block in %%SQL_REPORT", c.line)
+		if _, err := Parse("m.d2w", src); err == nil || err.Error() != want {
+			t.Errorf("%q: err = %v, want %s", src, err, want)
+		}
+	}
+	for _, footer := range []string{"\nfoot %ROWS here\n", "\nTotal %ROW count, see %row.\n"} {
+		m := mustParse(t, "%SQL{SELECT 1\n%SQL_REPORT{%ROW{r1%}"+footer+"%}\n%}")
+		if rb := m.SQLSections()[0].Report; rb.Row != "r1" || rb.Footer != footer {
+			t.Errorf("row %q, footer %q", rb.Row, rb.Footer)
+		}
+	}
+}
+
 func TestNonSelectDefaultReport(t *testing.T) {
 	src := reportMacro(`%SQL{UPDATE t SET a = 1%}`)
 	m := mustParse(t, src)

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -71,15 +73,38 @@ func TestIncludeNested(t *testing.T) {
 	}
 }
 
+// TestIncludeCycleDetected: an include of a file the parse is inside is an
+// *IncludeError naming the chain at the include that closes it, a file
+// that includes itself too; a chain of distinct files stops at
+// maxIncludeDepth.
 func TestIncludeCycleDetected(t *testing.T) {
 	files := map[string]string{
-		"a.d2i": `%INCLUDE "b.d2i"`,
-		"b.d2i": `%INCLUDE "a.d2i"`,
+		"a.d2i":  `%INCLUDE "b.d2i"`,
+		"b.d2i":  `%INCLUDE "a.d2i"`,
+		"self":   "\n%INCLUDE \"self\"",
+		"f0.d2i": `%INCLUDE "f1.d2i"`,
 	}
-	resolver := func(name string) (string, error) { return files[name], nil }
-	_, err := ParseWithIncludes("a.d2i", files["a.d2i"], resolver)
-	if err == nil || !strings.Contains(err.Error(), "nesting") {
-		t.Fatalf("err = %v, want nesting/cycle error", err)
+	resolver := func(name string) (string, error) {
+		if src, ok := files[name]; ok {
+			return src, nil
+		}
+		n, _ := strconv.Atoi(strings.TrimSuffix(name[1:], ".d2i"))
+		return fmt.Sprintf("%%INCLUDE \"f%d.d2i\"", n+1), nil
+	}
+	for name, want := range map[string]string{
+		"a.d2i": "b.d2i:1: %INCLUDE cycle: a.d2i -> b.d2i -> a.d2i",
+		"self":  "self:2: %INCLUDE cycle: self -> self",
+	} {
+		_, err := ParseWithIncludes(name, files[name], resolver)
+		var ie *IncludeError
+		if !errors.As(err, &ie) || err.Error() != want {
+			t.Errorf("%s: err = %v, want %s", name, err, want)
+		}
+	}
+	_, err := ParseWithIncludes("f0.d2i", files["f0.d2i"], resolver)
+	var ie *IncludeError
+	if err == nil || errors.As(err, &ie) || !strings.Contains(err.Error(), "nesting exceeds 16 levels") {
+		t.Errorf("a chain of distinct files: err = %v", err)
 	}
 }
 

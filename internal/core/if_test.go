@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -206,5 +207,35 @@ func TestIfDeeplyNestedDoesNotBlowUp(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "core") {
 		t.Fatalf("got %q", buf.String())
+	}
+}
+
+// TestIfNestingIsBounded: maxIfNesting levels of %IF parse and render; one
+// more, or 100 000, is a parse error at the %IF past the bound, on its own
+// line, before any walk recurses that deep.
+func TestIfNestingIsBounded(t *testing.T) {
+	nest := func(depth int) string {
+		var sb strings.Builder
+		sb.WriteString("%HTML_INPUT{")
+		for i := 0; i < depth; i++ {
+			sb.WriteString("%IF($(x))\n")
+		}
+		sb.WriteString("core")
+		for i := 0; i < depth; i++ {
+			sb.WriteString("%ENDIF")
+		}
+		sb.WriteString("%}")
+		return sb.String()
+	}
+	in := cgi.NewForm()
+	in.Add("x", "1")
+	if out := runIf(t, nest(maxIfNesting), in); !strings.Contains(out, "core") {
+		t.Fatalf("%d levels: got %q", maxIfNesting, out)
+	}
+	want := fmt.Sprintf("m.d2w:%d: %%IF nesting exceeds %d levels", maxIfNesting+1, maxIfNesting)
+	for _, depth := range []int{maxIfNesting + 1, 100_000} {
+		if _, err := Parse("m.d2w", nest(depth)); err == nil || err.Error() != want {
+			t.Errorf("%d levels: err = %v, want %s", depth, err, want)
+		}
 	}
 }

@@ -32,6 +32,10 @@ func NewStatic(m *Macro) *Static {
 	return s
 }
 
+// Def is what the engine evaluates name by (VarTable.applyStmt's record of
+// its statements), or nil when no %DEFINE names it. It is read-only.
+func (s *Static) Def(name string) *Def { return s.vt.defs[name] }
+
 // Inputs is the macro's form controls (InputNames).
 func (s *Static) Inputs() map[string]bool { return s.inputs }
 
@@ -170,8 +174,8 @@ func Variables(m *Macro) (defined, referenced map[string]bool) {
 			}
 		}
 	}
-	eachValueString(m, func(src string, _ **Template) {
-		refs, _, _ := ParseTemplate(src)
+	EachValue(m, func(v Value) {
+		refs, _, _ := v.Template.Refs()
 		for _, r := range refs {
 			if !r.Dynamic {
 				referenced[r.Name] = true

@@ -6,7 +6,7 @@ import (
 )
 
 func TestParseTemplateBasic(t *testing.T) {
-	refs, unterminated, _ := ParseTemplate(`a $(X) b $(@sq:Y) c`)
+	refs, unterminated, _ := compileTemplate(`a $(X) b $(@sq:Y) c`).Refs()
 	if len(unterminated) != 0 {
 		t.Fatalf("unterminated = %v", unterminated)
 	}
@@ -24,7 +24,7 @@ func TestParseTemplateBasic(t *testing.T) {
 func TestParseTemplateNested(t *testing.T) {
 	// The late-evaluated $(A$(B)) form: the outer reference is dynamic
 	// (its effective name depends on B's value), the inner one is plain.
-	refs, unterminated, _ := ParseTemplate(`$(A$(B))`)
+	refs, unterminated, _ := compileTemplate(`$(A$(B))`).Refs()
 	if len(unterminated) != 0 {
 		t.Fatalf("unterminated = %v", unterminated)
 	}
@@ -51,7 +51,7 @@ func TestParseTemplateNested(t *testing.T) {
 }
 
 func TestParseTemplateDeeplyNested(t *testing.T) {
-	refs, unterminated, _ := ParseTemplate(`$(A$(B$(C)))`)
+	refs, unterminated, _ := compileTemplate(`$(A$(B$(C)))`).Refs()
 	if len(unterminated) != 0 {
 		t.Fatalf("unterminated = %v", unterminated)
 	}
@@ -70,7 +70,7 @@ func TestParseTemplateDeeplyNested(t *testing.T) {
 }
 
 func TestParseTemplateEscapes(t *testing.T) {
-	refs, unterminated, _ := ParseTemplate(`$$(hidden) and $(real)`)
+	refs, unterminated, _ := compileTemplate(`$$(hidden) and $(real)`).Refs()
 	if len(unterminated) != 0 {
 		t.Fatalf("unterminated = %v", unterminated)
 	}
@@ -86,8 +86,8 @@ func TestParseTemplateEscapes(t *testing.T) {
 		`$$(open`:                        nil,
 		`$$$(x)`:                         {"x"},
 	} {
-		if _, _, names := ParseTemplate(tpl); !reflect.DeepEqual(names, want) {
-			t.Errorf("ParseTemplate(%q) escapes %v, want %v", tpl, names, want)
+		if _, _, names := compileTemplate(tpl).Refs(); !reflect.DeepEqual(names, want) {
+			t.Errorf("compileTemplate(%q).Refs() escapes %v, want %v", tpl, names, want)
 		}
 	}
 }
@@ -103,7 +103,7 @@ func TestParseTemplateUnterminated(t *testing.T) {
 		{"$(outer $(inner)", []int{0}},
 	}
 	for _, c := range cases {
-		_, unterminated, _ := ParseTemplate(c.tpl)
+		_, unterminated, _ := compileTemplate(c.tpl).Refs()
 		if !reflect.DeepEqual(unterminated, c.want) {
 			t.Errorf("%q: unterminated = %v, want %v", c.tpl, unterminated, c.want)
 		}
@@ -111,7 +111,7 @@ func TestParseTemplateUnterminated(t *testing.T) {
 }
 
 func TestParseTemplateDollarWithoutParen(t *testing.T) {
-	refs, unterminated, _ := ParseTemplate(`price $5 and $X but $(Y)`)
+	refs, unterminated, _ := compileTemplate(`price $5 and $X but $(Y)`).Refs()
 	if len(unterminated) != 0 || len(refs) != 1 || refs[0].Name != "Y" {
 		t.Fatalf("refs = %+v, unterminated = %v", refs, unterminated)
 	}

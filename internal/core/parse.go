@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"path"
+	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -8,9 +12,38 @@ import (
 // gateway resolves includes inside its macro directory.
 type IncludeResolver func(name string) (string, error)
 
-// maxIncludeDepth bounds %INCLUDE nesting (cycles are also caught by the
-// depth limit: a cyclic include never terminates otherwise).
+// InsideDir resolves a macro name or an %INCLUDE target to a file inside
+// the macro directory dir: its slash path relative to dir, and the file. A
+// name that is empty or climbs out of dir is refused (Section 5: the
+// gateway must not become a file oracle).
+func InsideDir(dir, name string) (rel, file string, err error) {
+	rel = path.Clean("/" + name)[1:]
+	if rel == "" || strings.Contains(rel, "..") {
+		return "", "", fmt.Errorf("%q escapes the macro directory", name)
+	}
+	return rel, filepath.Join(dir, filepath.FromSlash(rel)), nil
+}
+
+// maxIncludeDepth bounds %INCLUDE nesting. A cycle never reaches it: the
+// include stack finds the cycle first.
 const maxIncludeDepth = 16
+
+// IncludeError is an %INCLUDE the parser could not splice in, at Line of
+// Macro: a target the resolver could not read (Err), or one the parse is
+// already inside (Cycle, the include chain from the target back to it).
+type IncludeError struct {
+	Macro, Target string
+	Line          int
+	Cycle         []string
+	Err           error
+}
+
+func (e *IncludeError) Error() string {
+	if e.Cycle != nil {
+		return errAt(e.Macro, e.Line, "%%INCLUDE cycle: %s", strings.Join(e.Cycle, " -> ")).Error()
+	}
+	return errAt(e.Macro, e.Line, "%%INCLUDE %q: %v", e.Target, e.Err).Error()
+}
 
 // Parse parses macro source text without include support; an %INCLUDE
 // directive is an error. name is used in error messages.
@@ -21,8 +54,32 @@ func Parse(name, src string) (*Macro, error) {
 // ParseWithIncludes parses macro source text, resolving %INCLUDE "file"
 // directives through resolver. A nil resolver rejects includes.
 func ParseWithIncludes(name, src string, resolver IncludeResolver) (*Macro, error) {
+	return parse(name, src, &includes{resolve: resolver})
+}
+
+// ParseLenient parses as ParseWithIncludes does, except that an %INCLUDE
+// whose target the resolver cannot read, or that closes a cycle, splices
+// nothing and the parse goes on. It returns those includes, in the order
+// the parse meets them, whatever the outcome: the linter reports each and
+// still lints the rest.
+func ParseLenient(name, src string, resolver IncludeResolver) (*Macro, []*IncludeError, error) {
+	inc := &includes{resolve: resolver, lenient: true}
+	m, err := parse(name, src, inc)
+	return m, inc.skipped, err
+}
+
+// includes is one parse's %INCLUDE state: the files it is inside, outermost
+// first, and, when lenient, the includes it could not splice.
+type includes struct {
+	resolve IncludeResolver
+	stack   []string
+	lenient bool
+	skipped []*IncludeError
+}
+
+func parse(name, src string, inc *includes) (*Macro, error) {
 	m := &Macro{Name: name, Source: src}
-	if err := parseInto(m, name, src, resolver, 0); err != nil {
+	if err := parseInto(m, name, src, inc); err != nil {
 		return nil, err
 	}
 	if err := validate(m); err != nil {
@@ -33,10 +90,12 @@ func ParseWithIncludes(name, src string, resolver IncludeResolver) (*Macro, erro
 }
 
 // parseInto appends name/src's sections to m, recursing for includes.
-func parseInto(m *Macro, name, src string, resolver IncludeResolver, depth int) error {
-	if depth > maxIncludeDepth {
-		return errAt(name, 0, "%%INCLUDE nesting exceeds %d levels (cycle?)", maxIncludeDepth)
+func parseInto(m *Macro, name, src string, inc *includes) error {
+	if len(inc.stack) > maxIncludeDepth {
+		return errAt(name, 0, "%%INCLUDE nesting exceeds %d levels", maxIncludeDepth)
 	}
+	inc.stack = append(inc.stack, name)
+	defer func() { inc.stack = inc.stack[:len(inc.stack)-1] }()
 	p := &macroParser{name: name, src: src, line: 1}
 	for {
 		p.skipSpace()
@@ -52,14 +111,24 @@ func parseInto(m *Macro, name, src string, resolver IncludeResolver, depth int) 
 			if err != nil {
 				return err
 			}
-			if resolver == nil {
+			if inc.resolve == nil {
 				return errAt(name, incLine, "%%INCLUDE is not available here (no include resolver configured)")
 			}
-			incSrc, err := resolver(target)
-			if err != nil {
-				return errAt(name, incLine, "%%INCLUDE %q: %v", target, err)
+			ie := &IncludeError{Macro: name, Target: target, Line: incLine}
+			var incSrc string
+			if i := slices.Index(inc.stack, target); i >= 0 {
+				ie.Cycle = append(slices.Clone(inc.stack[i:]), target)
+			} else {
+				incSrc, ie.Err = inc.resolve(target)
 			}
-			if err := parseInto(m, target, incSrc, resolver, depth+1); err != nil {
+			if ie.Cycle != nil || ie.Err != nil {
+				if !inc.lenient {
+					return ie
+				}
+				inc.skipped = append(inc.skipped, ie)
+				continue
+			}
+			if err := parseInto(m, target, incSrc, inc); err != nil {
 				return err
 			}
 			continue
@@ -103,79 +172,6 @@ func (p *macroParser) parseIncludeTarget() (string, error) {
 		return "", errAt(p.name, p.line, "%%INCLUDE requires a file name")
 	}
 	return target, nil
-}
-
-// IncludeRef is one top-level %INCLUDE directive found by ScanIncludes.
-type IncludeRef struct {
-	Target string
-	Line   int
-}
-
-// ScanIncludes lists the top-level %INCLUDE directives of macro source
-// without resolving them — the raw edges of the include graph, which
-// the linter walks itself so it can report missing files and cycles with
-// positions instead of tripping the parser's depth limit. The scan is
-// tolerant: malformed sections are skipped, not reported.
-func ScanIncludes(src string) []IncludeRef {
-	p := &macroParser{src: src, line: 1}
-	var out []IncludeRef
-	for {
-		p.skipSpace()
-		if p.eof() {
-			return out
-		}
-		if p.cur() != '%' {
-			p.advance(1)
-			continue
-		}
-		kw := p.keywordAt()
-		if kw == "INCLUDE" {
-			line := p.line
-			target, err := p.parseIncludeTarget()
-			if err == nil && target != "" {
-				out = append(out, IncludeRef{Target: target, Line: line})
-			}
-			continue
-		}
-		if kw == "" {
-			if strings.HasPrefix(p.rest(), "%{") {
-				p.advance(2)
-				_, _ = p.readBlockBody()
-				continue
-			}
-			p.advance(1)
-			continue
-		}
-		p.advance(1 + len(kw))
-		// Optional "(name)" between keyword and '{'.
-		for !p.eof() && (p.cur() == ' ' || p.cur() == '\t') {
-			p.advance(1)
-		}
-		if !p.eof() && p.cur() == '(' {
-			for !p.eof() && p.cur() != ')' && p.cur() != '\n' {
-				p.advance(1)
-			}
-			if !p.eof() && p.cur() == ')' {
-				p.advance(1)
-			}
-		}
-		for !p.eof() && (p.cur() == ' ' || p.cur() == '\t') {
-			p.advance(1)
-		}
-		if !p.eof() && p.cur() == '{' {
-			p.advance(1)
-			if kw == "DEFINE" {
-				_, _ = p.readDefineBody()
-			} else {
-				_, _ = p.readBlockBody()
-			}
-			continue
-		}
-		// Line form (e.g. %DEFINE X = "v"): skip to end of line.
-		for !p.eof() && p.cur() != '\n' {
-			p.advance(1)
-		}
-	}
 }
 
 // validate enforces structural rules the paper states: at most one HTML
@@ -772,43 +768,36 @@ func splitSQLBody(macro, body string, line int) (cmd string, rep *ReportBlock, m
 }
 
 // parseReportBlock splits a %SQL_REPORT body into header, %ROW template,
-// and footer.
+// and footer. A second %ROW block is an error at its own line.
 func parseReportBlock(macro, body string, line int) (*ReportBlock, error) {
 	sp := &macroParser{name: macro, src: body, line: line}
-	rb := &ReportBlock{Line: line}
+	// No %ROW block: the whole body is the header.
+	rb := &ReportBlock{Header: body, Line: line}
 	for !sp.eof() {
-		if sp.cur() == '%' && sp.keywordAt() == "ROW" {
-			rb.Header = body[:sp.pos]
-			sp.advance(1 + len("ROW"))
-			if err := sp.expectOpenBrace("%ROW"); err != nil {
-				return nil, err
-			}
-			row, err := sp.readBlockBody()
-			if err != nil {
-				return nil, err
-			}
-			if rb.HasRow {
+		if sp.cur() != '%' || sp.keywordAt() != "ROW" {
+			sp.advance(1)
+			continue
+		}
+		if rb.HasRow {
+			// Past the block, %ROW opens a second one only when '{'
+			// follows; otherwise it is footer text.
+			if strings.HasPrefix(strings.TrimLeft(body[sp.pos+1+len("ROW"):], " \t"), "{") {
 				return nil, errAt(macro, sp.line, "duplicate %%ROW block in %%SQL_REPORT")
 			}
-			rb.Row = row
-			rb.HasRow = true
-			rb.Footer = sp.rest()
-			// Continue scanning only to detect duplicate %ROW blocks.
-			rest := sp.rest()
-			idx := strings.Index(strings.ToUpper(rest), "%ROW")
-			if idx >= 0 {
-				after := rest[idx+4:]
-				trimmed := strings.TrimLeft(after, " \t")
-				if strings.HasPrefix(trimmed, "{") {
-					return nil, errAt(macro, sp.line, "duplicate %%ROW block in %%SQL_REPORT")
-				}
-			}
-			return rb, nil
+			sp.advance(1)
+			continue
 		}
-		sp.advance(1)
+		rb.Header = body[:sp.pos]
+		sp.advance(1 + len("ROW"))
+		if err := sp.expectOpenBrace("%ROW"); err != nil {
+			return nil, err
+		}
+		row, err := sp.readBlockBody()
+		if err != nil {
+			return nil, err
+		}
+		rb.Row, rb.HasRow, rb.Footer = row, true, sp.rest()
 	}
-	// No %ROW block: the whole body is the header.
-	rb.Header = body
 	return rb, nil
 }
 
@@ -876,7 +865,7 @@ func (p *macroParser) parseHTMLBody(report bool) ([]HTMLItem, error) {
 		return nil, err
 	}
 	sp := &macroParser{name: p.name, src: body, line: bodyLine}
-	items, stop, err := sp.parseHTMLItems(report)
+	items, stop, err := sp.parseHTMLItems(report, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -913,10 +902,15 @@ func (p *macroParser) parseParenArg(what string) (string, error) {
 	return "", errAt(p.name, startLine, "unterminated %s argument", what)
 }
 
-// parseHTMLItems parses items until end of input or an %ELIF/%ELSE/%ENDIF
-// terminator (whose keyword — but not its argument — has been consumed;
-// the terminator keyword is returned in stop).
-func (sp *macroParser) parseHTMLItems(report bool) (items []HTMLItem, stop string, err error) {
+// maxIfNesting bounds how deep %IF blocks nest. The parser, the renderer
+// and every walk over HTML items recurse once per level; the deepest %IF of
+// testdata/, examples/ and benchmark/macros is 2 levels.
+const maxIfNesting = 128
+
+// parseHTMLItems parses items, inside depth %IF blocks, until end of input
+// or an %ELIF/%ELSE/%ENDIF terminator (whose keyword — but not its argument
+// — has been consumed; the terminator keyword is returned in stop).
+func (sp *macroParser) parseHTMLItems(report bool, depth int) (items []HTMLItem, stop string, err error) {
 	textStart := sp.pos
 	flush := func(end int) {
 		if end > textStart {
@@ -951,6 +945,9 @@ func (sp *macroParser) parseHTMLItems(report bool) (items []HTMLItem, stop strin
 			textStart = sp.pos
 		case "IF":
 			ifLine := sp.line
+			if depth == maxIfNesting {
+				return nil, "", errAt(sp.name, ifLine, "%%IF nesting exceeds %d levels", maxIfNesting)
+			}
 			flush(sp.pos)
 			sp.advance(1 + len(kw))
 			cond, err := sp.parseParenArg("%IF")
@@ -961,7 +958,7 @@ func (sp *macroParser) parseHTMLItems(report bool) (items []HTMLItem, stop strin
 			arm := CondArm{Line: ifLine}
 			arm.Left, arm.Op, arm.Right = splitCondition(cond)
 			for {
-				body, innerStop, err := sp.parseHTMLItems(report)
+				body, innerStop, err := sp.parseHTMLItems(report, depth+1)
 				if err != nil {
 					return nil, "", err
 				}

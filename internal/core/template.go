@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"strings"
 
 	"db2www/internal/cgi"
@@ -12,12 +13,12 @@ import (
 // macro, so expanding one at request time is a walk over its parts that
 // appends into the caller's buffer — nothing is scanned twice. The one
 // scanner below serves the engine (VarTable) and the tooling
-// (ParseTemplate) alike, so the two cannot disagree on what a reference
+// (Template.Refs) alike, so the two cannot disagree on what a reference
 // is.
 type Template struct {
 	parts        []part
 	unterminated []int    // offsets of every "$(" / "$$(" left open
-	escapes      []string // names inside "$$(name)" escapes, for ParseTemplate
+	escapes      []string // names inside "$$(name)" escapes, for Refs
 }
 
 // maxRefNesting bounds how deep "$(" references nest inside one another: a
@@ -41,7 +42,7 @@ type part struct {
 	// result (transform prefix included) names the variable to read.
 	dyn []part
 	// at is the template offset of lit; raw, off and end describe the
-	// reference, for ParseTemplate and Static.Shape.
+	// reference, for Refs and Static.Shape.
 	raw          string
 	at, off, end int
 }
@@ -184,7 +185,7 @@ func (t *Template) literal() (string, bool) {
 }
 
 // TemplateRef is one $(name) reference found in a value template by
-// ParseTemplate. Offset/End are byte offsets of the '$' and of the byte
+// Template.Refs. Offset/End are byte offsets of the '$' and of the byte
 // just past the closing ')' within the template text.
 //
 // A reference whose body itself contains a $( — the late-evaluated
@@ -202,16 +203,14 @@ type TemplateRef struct {
 	Dynamic bool   // body contains a nested $( reference
 }
 
-// ParseTemplate extracts every $(name) reference from a value template,
-// matching nested references with balanced parentheses; reports the byte
-// offset of every unterminated "$(" (or "$$(") so tooling can point at the
-// exact position; and returns the names inside $$(name) escapes, as the
-// scanner stepped over them. An escape emits a literal $(name) into the page
-// — the Appendix A idiom that round-trips a reference through a hidden form
-// field for later evaluation — so an escaped name counts as a use of the
-// variable.
-func ParseTemplate(tpl string) (refs []TemplateRef, unterminated []int, escapes []string) {
-	t := compileTemplate(tpl)
+// Refs returns every $(name) reference of the template, matching nested
+// references with balanced parentheses; the byte offset of every
+// unterminated "$(" (or "$$("), so tooling can point at the exact position;
+// and the names inside $$(name) escapes, as the scanner stepped over them.
+// An escape emits a literal $(name) into the page — the Appendix A idiom
+// that round-trips a reference through a hidden form field for later
+// evaluation — so an escaped name counts as a use of the variable.
+func (t *Template) Refs() (refs []TemplateRef, unterminated []int, escapes []string) {
 	return appendRefs(nil, t.parts), t.unterminated, t.escapes
 }
 
@@ -234,60 +233,112 @@ func appendRefs(refs []TemplateRef, parts []part) []TemplateRef {
 // compileTemplates compiles every value string of a parsed macro, so that
 // the engine never scans macro text at request time.
 func compileTemplates(m *Macro) {
-	eachValueString(m, func(src string, compiled **Template) { *compiled = compileTemplate(src) })
+	eachValue(m, func(v Value, compiled **Template) { *compiled = compileTemplate(v.Text) })
 }
 
-// eachValueString calls fn for every value string of the macro — text
-// that may hold $(name) references — together with the field its
-// compiled form is kept in.
-func eachValueString(m *Macro, fn func(src string, compiled **Template)) {
+// ValueKind says where a value string sits in a macro.
+type ValueKind uint8
+
+// Value-string kinds.
+const (
+	ValDefine  ValueKind = iota // a %DEFINE value: "v", "? v", the v1 of "t ? v1 : v2"
+	ValElse                     // the v2 of "t ? v1 : v2"
+	ValListSep                  // a %LIST separator
+	ValExec                     // an %EXEC command
+	ValSQL                      // a %SQL command
+	ValHeader                   // a %SQL_REPORT header
+	ValRow                      // a %ROW block
+	ValFooter                   // a %SQL_REPORT footer
+	ValMessage                  // a %SQL_MESSAGE entry's text
+	ValHTML                     // HTML section text
+	ValCond                     // a side of an %IF or %ELIF condition
+	ValExecSQL                  // an %EXEC_SQL section name
+)
+
+// Value is one value string of a macro — text that may hold $(name)
+// references — with its compiled form and where it sits.
+type Value struct {
+	Text     string
+	Template *Template
+	Kind     ValueKind
+	Line     int     // the line of its first byte
+	Section  Section // the section it sits in
+	// Name is the variable of a %DEFINE value or the code of a
+	// %SQL_MESSAGE entry.
+	Name string
+}
+
+// EachValue calls fn with every value string of a parsed macro, in source
+// order.
+func EachValue(m *Macro, fn func(Value)) {
+	eachValue(m, func(v Value, compiled **Template) {
+		v.Template = *compiled
+		fn(v)
+	})
+}
+
+// eachValue calls fn for every value string of the macro together with the
+// field its compiled form is kept in.
+func eachValue(m *Macro, fn func(v Value, compiled **Template)) {
 	for _, sec := range m.Sections {
 		switch s := sec.(type) {
 		case *DefineSection:
 			for i := range s.Stmts {
 				st := &s.Stmts[i]
-				fn(st.Value, &st.value)
-				fn(st.Value2, &st.value2)
-				fn(st.Sep, &st.sep)
+				val := Value{Text: st.Value, Kind: ValDefine, Line: st.Line, Section: s, Name: st.Name}
+				if st.Kind == DefExec {
+					val.Kind = ValExec
+				}
+				fn(val, &st.value)
+				val.Text, val.Kind = st.Value2, ValElse
+				fn(val, &st.value2)
+				val.Text, val.Kind = st.Sep, ValListSep
+				fn(val, &st.sep)
 			}
 		case *SQLSection:
-			fn(s.Command, &s.command)
+			fn(Value{Text: s.Command, Kind: ValSQL, Line: cmp.Or(s.CmdLine, s.Line), Section: s}, &s.command)
 			if rb := s.Report; rb != nil {
-				fn(rb.Header, &rb.header)
-				fn(rb.Row, &rb.row)
-				fn(rb.Footer, &rb.footer)
+				row := rb.Line + strings.Count(rb.Header, "\n")
+				fn(Value{Text: rb.Header, Kind: ValHeader, Line: rb.Line, Section: s}, &rb.header)
+				fn(Value{Text: rb.Row, Kind: ValRow, Line: row, Section: s}, &rb.row)
+				fn(Value{Text: rb.Footer, Kind: ValFooter, Line: row + strings.Count(rb.Row, "\n"), Section: s}, &rb.footer)
 			}
 			if s.Message != nil {
 				for i := range s.Message.Entries {
 					e := &s.Message.Entries[i]
-					fn(e.Text, &e.text)
+					fn(Value{Text: e.Text, Kind: ValMessage, Line: e.Line, Section: s, Name: e.Code}, &e.text)
 				}
 			}
 		case *HTMLSection:
-			eachItemString(s.Items, fn)
+			eachItemValue(s, s.Items, fn)
 		}
 	}
 }
 
-func eachItemString(items []HTMLItem, fn func(src string, compiled **Template)) {
+func eachItemValue(s *HTMLSection, items []HTMLItem, fn func(v Value, compiled **Template)) {
 	for i := range items {
 		it := &items[i]
 		switch {
 		case it.Cond != nil:
 			for j := range it.Cond.Arms {
 				arm := &it.Cond.Arms[j]
-				fn(arm.Left, &arm.left)
-				fn(arm.Right, &arm.right)
-				eachItemString(arm.Items, fn)
+				fn(Value{Text: arm.Left, Kind: ValCond, Line: arm.Line, Section: s}, &arm.left)
+				fn(Value{Text: arm.Right, Kind: ValCond, Line: arm.Line, Section: s}, &arm.right)
+				eachItemValue(s, arm.Items, fn)
 			}
-			eachItemString(it.Cond.Else, fn)
+			eachItemValue(s, it.Cond.Else, fn)
 		case it.ExecSQL:
-			fn(it.SQLName, &it.sqlName)
+			fn(Value{Text: it.SQLName, Kind: ValExecSQL, Line: it.Line, Section: s}, &it.sqlName)
 		default:
-			fn(it.Text, &it.text)
+			// HTMLItem.Line is the line of the chunk's end, where it was
+			// flushed.
+			fn(Value{Text: it.Text, Kind: ValHTML, Line: it.Line - strings.Count(it.Text, "\n"), Section: s}, &it.text)
 		}
 	}
 }
+
+// Templates returns the compiled forms of Value and Value2.
+func (st *DefineStmt) Templates() (value, value2 *Template) { return st.value, st.value2 }
 
 // compile fills in the compiled value strings of a hand-built statement.
 func (st *DefineStmt) compile() {

@@ -13,7 +13,7 @@ import (
 
 // TestNestedReference pins the late-evaluated $(A$(B)) form in the
 // engine: the inner reference is substituted first and the text it
-// spells names the variable to read — what ParseTemplate and the linter
+// spells names the variable to read — what Template.Refs and the linter
 // have always said the form means.
 func TestNestedReference(t *testing.T) {
 	m := mustParse(t, `
@@ -52,7 +52,7 @@ X1 = "$(X$(n))"
 
 // TestReferenceNestingIsBounded: a "$(" nested deeper than maxRefNesting
 // levels is literal text of the reference around it, in the engine, in
-// ParseTemplate and in referenceExpand alike; and a form value of nested
+// Template.Refs and in referenceExpand alike; and a form value of nested
 // "$(", which is compiled for references on every request, costs per byte
 // at 800 KB at most 3× what it costs at 10 KB (before the bound it was
 // O(k²) byte steps: 10 KB took 31 ms, 800 KB 139 s).
@@ -65,9 +65,9 @@ func TestReferenceNestingIsBounded(t *testing.T) {
 		if spec := referenceExpand(nest(k), map[string]string{"x": "x"}, 1); err != nil || got != want || spec != want {
 			t.Errorf("%d levels: Expand = %q, %v; referenceExpand = %q; want %q", k, got, err, spec, want)
 		}
-		refs, _, _ := ParseTemplate(nest(k))
+		refs, _, _ := compileTemplate(nest(k)).Refs()
 		if last := refs[0]; len(refs) != min(k, maxRefNesting) || last.Dynamic != (k > maxRefNesting) {
-			t.Errorf("%d levels: ParseTemplate = %+v", k, refs)
+			t.Errorf("%d levels: Refs = %+v", k, refs)
 		}
 	}
 

@@ -8,13 +8,14 @@ import (
 	"db2www/internal/obs"
 )
 
-// varDef is the engine-internal state of one macro-defined variable. The
+// Def is what the engine evaluates one macro-defined variable by, as
+// applyStmt left it after the variable's statements in order. The
 // statements it points at belong to the (shared, immutable) parsed macro.
-type varDef struct {
-	list    bool          // declared with %LIST
-	sep     *Template     // separator template (list variables)
-	assigns []*DefineStmt // assignment history: all kept for list vars, last wins otherwise
-	exec    *DefineStmt   // the %EXEC statement, when the variable is one
+type Def struct {
+	List    bool          // declared with %LIST
+	Sep     *Template     // separator template (list variables)
+	Assigns []*DefineStmt // assignment history: all kept for list vars, last wins otherwise
+	Exec    *DefineStmt   // the %EXEC statement, when the variable is one
 }
 
 // scope is one level of system variables: report column names and values,
@@ -43,7 +44,7 @@ func (m mapScope) appendVar(buf []byte, name string) ([]byte, bool) {
 // text back truncates.
 type VarTable struct {
 	inputs *cgi.Form
-	defs   map[string]*varDef
+	defs   map[string]*Def
 	scopes []scope
 	// execOutputs holds <name>_OUTPUT bindings captured from %EXEC
 	// commands (an extension; see runExec).
@@ -75,7 +76,7 @@ func NewVarTable(macro string, inputs *cgi.Form) *VarTable {
 	if inputs == nil {
 		inputs = cgi.NewForm()
 	}
-	return &VarTable{inputs: inputs, defs: map[string]*varDef{}, macro: macro}
+	return &VarTable{inputs: inputs, defs: map[string]*Def{}, macro: macro}
 }
 
 // ApplyDefine registers the statements of one %DEFINE section. Value
@@ -95,22 +96,22 @@ func (vt *VarTable) ApplyDefine(sec *DefineSection) {
 func (vt *VarTable) applyStmt(st *DefineStmt) {
 	def, ok := vt.defs[st.Name]
 	if !ok {
-		def = &varDef{}
+		def = &Def{}
 		vt.defs[st.Name] = def
 	}
 	switch st.Kind {
 	case DefList:
-		def.list = true
-		def.sep = st.sep
+		def.List = true
+		def.Sep = st.sep
 	case DefExec:
-		def.exec = st
-		def.assigns = nil
+		def.Exec = st
+		def.Assigns = nil
 	default:
-		def.exec = nil
-		if !def.list {
-			def.assigns = def.assigns[:0]
+		def.Exec = nil
+		if !def.List {
+			def.Assigns = def.Assigns[:0]
 		}
-		def.assigns = append(def.assigns, st)
+		def.Assigns = append(def.Assigns, st)
 	}
 }
 
@@ -254,10 +255,10 @@ func (vt *VarTable) appendParts(buf []byte, parts []part, bound []rowRef, row []
 // its value's references are bound to.
 func (vt *VarTable) rowWrapper(name string, rs *rowScope) (*DefineStmt, []rowRef) {
 	def := vt.defs[name]
-	if def == nil || def.list || len(def.assigns) == 0 || vt.outranked(name) {
+	if def == nil || def.List || len(def.Assigns) == 0 || vt.outranked(name) {
 		return nil, nil
 	}
-	st := def.assigns[len(def.assigns)-1]
+	st := def.Assigns[len(def.Assigns)-1]
 	if st.Kind != DefSimple && st.Kind != DefCondSelf {
 		return nil, nil
 	}
@@ -281,7 +282,7 @@ func (vt *VarTable) outranked(name string) bool {
 		return true
 	}
 	for _, d := range vt.defs {
-		if d.exec != nil {
+		if d.Exec != nil {
 			return true
 		}
 	}
@@ -387,9 +388,9 @@ func (vt *VarTable) appendBound(buf []byte, name string) ([]byte, string, error)
 		// Multiply-assigned input variable: a list variable with comma
 		// as the default separator (Section 2.2), overridable by %LIST.
 		sep := ","
-		if def != nil && def.list {
+		if def != nil && def.List {
 			var err error
-			if sep, err = vt.expandTemplate(def.sep); err != nil {
+			if sep, err = vt.expandTemplate(def.Sep); err != nil {
 				return buf, "", err
 			}
 		}
@@ -414,15 +415,15 @@ func (vt *VarTable) appendBound(buf []byte, name string) ([]byte, string, error)
 	switch {
 	case def == nil:
 		return buf, "undefined", nil
-	case def.exec != nil:
-		buf, err := vt.runExec(buf, name, def.exec)
+	case def.Exec != nil:
+		buf, err := vt.runExec(buf, name, def.Exec)
 		return buf, "exec", err
-	case def.list:
-		sep, err := vt.expandTemplate(def.sep)
+	case def.List:
+		sep, err := vt.expandTemplate(def.Sep)
 		if err != nil {
 			return buf, "", err
 		}
-		for _, st := range def.assigns {
+		for _, st := range def.Assigns {
 			// "the list variable evaluation is intelligent enough to add
 			// delimiters only if the individual value strings are not
 			// null" (Section 3.1.3).
@@ -439,11 +440,11 @@ func (vt *VarTable) appendBound(buf []byte, name string) ([]byte, string, error)
 			}
 		}
 		return buf, "list", nil
-	case len(def.assigns) == 0:
+	case len(def.Assigns) == 0:
 		// Declared (%LIST removed or bare) but never assigned.
 		return buf, "define", nil
 	}
-	buf, err := vt.appendAssign(buf, def.assigns[len(def.assigns)-1])
+	buf, err := vt.appendAssign(buf, def.Assigns[len(def.Assigns)-1])
 	return buf, "define", err
 }
 

@@ -5,8 +5,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -174,15 +172,10 @@ func (p *pageBuffer) Release() {
 // not become a file oracle). cached reports whether the parsed-macro
 // cache served it.
 func (a *App) loadMacro(name string) (m *core.Macro, status int, cached bool, err error) {
-	clean := path.Clean("/" + name)
-	if clean == "/" {
-		return nil, 404, false, fmt.Errorf("empty macro name")
+	rel, full, err := core.InsideDir(a.MacroDir, name)
+	if err != nil {
+		return nil, 404, false, fmt.Errorf("macro name %w", err)
 	}
-	rel := clean[1:]
-	if strings.Contains(rel, "..") {
-		return nil, 404, false, fmt.Errorf("macro name %q escapes the macro directory", name)
-	}
-	full := filepath.Join(a.MacroDir, filepath.FromSlash(rel))
 	st, err := os.Stat(full)
 	if err != nil || st.IsDir() {
 		return nil, 404, false, fmt.Errorf("no such macro %q", name)
@@ -234,12 +227,10 @@ func (a *App) loadMacro(name string) (m *core.Macro, status int, cached bool, er
 // racing the read shows as a mismatch later).
 func (a *App) includeResolver(seen *[]fileStamp) core.IncludeResolver {
 	return func(name string) (string, error) {
-		clean := path.Clean("/" + name)
-		rel := clean[1:]
-		if rel == "" || strings.Contains(rel, "..") {
-			return "", fmt.Errorf("include %q escapes the macro directory", name)
+		_, full, err := core.InsideDir(a.MacroDir, name)
+		if err != nil {
+			return "", fmt.Errorf("include %w", err)
 		}
-		full := filepath.Join(a.MacroDir, filepath.FromSlash(rel))
 		st, err := os.Stat(full)
 		if err != nil {
 			return "", err

@@ -85,6 +85,28 @@ func TestAppIncludeMissingIs500(t *testing.T) {
 	}
 }
 
+// TestAppIncludeCycleNamesTheChain: a macro that includes itself through
+// another file is a 500 whose page names the chain, at the include that
+// closes it.
+func TestAppIncludeCycleNamesTheChain(t *testing.T) {
+	_, app := newTestStack(t)
+	for name, src := range map[string]string{
+		"loop.d2w": "%INCLUDE \"loop.d2i\"\n%HTML_INPUT{x%}",
+		"loop.d2i": "%{ back %}\n%INCLUDE \"loop.d2w\"",
+	} {
+		if err := os.WriteFile(filepath.Join(app.MacroDir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := app.ServeCGI(&cgi.Request{Method: "GET", PathInfo: "/loop.d2w/input"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "loop.d2i:2: %INCLUDE cycle: loop.d2w -&gt; loop.d2i -&gt; loop.d2w"; resp.Status != 500 || !strings.Contains(resp.Body, want) {
+		t.Fatalf("resp = %d %q, want 500 naming %s", resp.Status, resp.Body, want)
+	}
+}
+
 // TestAppIncludeEditInvalidatesCache: the parsed-macro cache must notice
 // an edit to a file the macro %INCLUDEs, and an include that vanished,
 // without the including file being touched — and must keep hitting while

@@ -112,12 +112,12 @@ func macroCorpus(t *testing.T) []corpusStmt {
 		}
 		p := &pass{l: New(), env: buildEnv(m, file)}
 		for _, tp := range p.env.templates {
-			if tp.kind != tplSQL || tp.sec == nil {
+			if tp.Kind != core.ValSQL {
 				continue
 			}
 			if sk := p.skeletonOf(tp); sk.ok {
-				out = append(out, corpusStmt{where: file + " " + tp.where, sql: sk.Skeleton,
-					opts: sqlsema.Options{Slots: sk.opts.Slots, OpaqueLits: sk.opts.OpaqueLits, Reported: tp.sec.Report != nil}})
+				out = append(out, corpusStmt{where: file + " " + tp.where(), sql: sk.Skeleton,
+					opts: sqlsema.Options{Slots: sk.opts.Slots, OpaqueLits: sk.opts.OpaqueLits, Reported: tp.sql().Report != nil}})
 			}
 		}
 	})

@@ -16,7 +16,7 @@ func runTemplate(p *pass) {
 			p.reportAt(t, off, Diagnostic{
 				Analyzer: "template",
 				Severity: SevWarn,
-				Message:  fmt.Sprintf(`unterminated "$(" reference in %s; the text is emitted literally`, t.where),
+				Message:  fmt.Sprintf(`unterminated "$(" reference in %s; the text is emitted literally`, t.where()),
 				Fix:      "add the closing ')'",
 			})
 		}
@@ -45,26 +45,40 @@ func runUndefined(p *pass) {
 				Analyzer: "undefined",
 				Severity: SevWarn,
 				Message: fmt.Sprintf("$(%s) in %s has no definition, form input, or system binding; it substitutes as the null string",
-					r.Name, t.where),
+					r.Name, t.where()),
 				Fix: fmt.Sprintf("define %q or add a form control named %q", r.Name, r.Name),
 			})
 		}
 	}
 	// Conditional-definition test variables are dereferenced too, but do
 	// not appear as $(name) references in any template.
-	for _, name := range e.order {
-		for _, a := range e.vars[name].assigns {
-			if a.st.Kind == core.DefCondTest && !boundName(e, a.st.TestVar) {
-				p.report(Diagnostic{
-					Analyzer: "undefined",
-					Severity: SevWarn,
-					Line:     a.st.Line,
-					Message: fmt.Sprintf("conditional definition of %q tests %q, which has no definition, form input, or system binding",
-						name, a.st.TestVar),
-				})
+	for _, st := range e.condTests() {
+		if !boundName(e, st.TestVar) {
+			p.report(Diagnostic{
+				Analyzer: "undefined",
+				Severity: SevWarn,
+				Line:     st.Line,
+				Message: fmt.Sprintf("conditional definition of %q tests %q, which has no definition, form input, or system binding",
+					st.Name, st.TestVar),
+			})
+		}
+	}
+}
+
+// condTests returns every "t ? v1 : v2" statement the macro writes, whether
+// or not the engine keeps it.
+func (e *env) condTests() []core.DefineStmt {
+	var out []core.DefineStmt
+	for _, sec := range e.m.Sections {
+		if d, ok := sec.(*core.DefineSection); ok {
+			for _, st := range d.Stmts {
+				if st.Kind == core.DefCondTest {
+					out = append(out, st)
+				}
 			}
 		}
 	}
+	return out
 }
 
 // runUnused flags DEFINE variables nothing ever dereferences. Escaped
@@ -82,12 +96,8 @@ func runUnused(p *pass) {
 			used[n] = true
 		}
 	}
-	for _, name := range e.order {
-		for _, a := range e.vars[name].assigns {
-			if a.st.Kind == core.DefCondTest {
-				used[a.st.TestVar] = true
-			}
-		}
+	for _, st := range e.condTests() {
+		used[st.TestVar] = true
 	}
 	for _, name := range e.order {
 		if used[name] || engineReadVars[name] {
@@ -96,7 +106,7 @@ func runUnused(p *pass) {
 		p.report(Diagnostic{
 			Analyzer: "unused",
 			Severity: SevInfo,
-			Line:     e.vars[name].firstLine,
+			Line:     e.firstLine[name],
 			Message:  fmt.Sprintf("%q is defined but never referenced", name),
 			Fix:      "remove the definition, or reference it",
 		})
@@ -111,7 +121,7 @@ func runCycle(p *pass) {
 		d := Diagnostic{
 			Analyzer: "cycle",
 			Severity: SevError,
-			Line:     p.env.vars[cycle[0]].firstLine,
+			Line:     p.env.firstLine[cycle[0]],
 			Fix:      "break the cycle by inlining one value or introducing a distinct variable",
 		}
 		if len(cycle) == 1 {
@@ -160,10 +170,10 @@ func runSections(p *pass) {
 	unnamedExec := false
 	dynamicExec := false
 	for _, t := range e.templates {
-		if t.kind != tplExecName {
+		if t.Kind != core.ValExecSQL {
 			continue
 		}
-		name := strings.TrimSpace(t.text)
+		name := strings.TrimSpace(t.Text)
 		switch {
 		case name == "":
 			unnamedExec = true

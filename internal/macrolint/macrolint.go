@@ -16,6 +16,8 @@
 package macrolint
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -187,40 +189,64 @@ func (l *Linter) LintMacro(m *core.Macro, file string) []Diagnostic {
 	return p.diags
 }
 
-// LintSource lints macro source text end to end: include-graph analysis
-// (when a Resolver is configured), parsing, and the AST analyzers.
-// Findings are attributed to file. Parse failures become "parse"
-// findings rather than errors — a lint run over a corpus keeps going.
+// LintSource lints macro source text end to end: one parse, its
+// %INCLUDE failures (when a Resolver is configured), and the AST analyzers.
+// Findings are attributed to file. Parse failures become "parse" findings
+// rather than errors — a lint run over a corpus keeps going.
 func (l *Linter) LintSource(file, src string) []Diagnostic {
 	var diags []Diagnostic
-	resolver := l.Resolver
-	if l.enabled["include"] && resolver != nil {
-		var cyclic bool
-		diags, resolver, cyclic = l.lintIncludes(file, src)
-		if cyclic {
-			// A cyclic include graph cannot be parsed meaningfully; the
-			// cycle findings stand on their own.
-			sortDiags(diags)
-			return diags
-		}
-	}
-	m, err := core.ParseWithIncludes(file, src, resolver)
-	if err != nil {
-		if l.enabled["parse"] {
-			d := Diagnostic{Analyzer: "parse", Severity: SevError, File: file, Message: err.Error()}
-			if ce, ok := err.(*core.Error); ok {
-				d.Line = ce.Line
-				d.Message = ce.Msg
-				if ce.Macro != "" {
-					d.File = ce.Macro
-				}
-			}
+	report := func(id string, d Diagnostic) {
+		if l.enabled[id] {
+			d.Analyzer, d.Severity = id, SevError
 			diags = append(diags, d)
 		}
-		sortDiags(diags)
-		return diags
 	}
-	diags = append(diags, l.LintMacro(m, file)...)
+	resolver := l.Resolver
+	if resolver != nil {
+		// Each target is read once: one that cannot be read is reported at
+		// its first include, and splices nothing wherever it is included.
+		sources := map[string]string{}
+		resolver = func(name string) (string, error) {
+			if src, seen := sources[name]; seen {
+				return src, nil
+			}
+			src, err := l.Resolver(name)
+			sources[name] = src
+			return src, err
+		}
+	}
+	m, skipped, err := core.ParseLenient(file, src, resolver)
+	// With the include analyzer disabled, an include failure is still a
+	// failure to parse.
+	incID := "include"
+	if !l.enabled[incID] {
+		incID = "parse"
+	}
+	// Each include loop is reported once, where the parse first closes it.
+	loops := map[string]bool{}
+	for _, ie := range skipped {
+		d := Diagnostic{File: ie.Macro, Line: ie.Line,
+			Message: fmt.Sprintf("%%INCLUDE target %q cannot be read: %v", ie.Target, ie.Err)}
+		if ie.Cycle != nil {
+			key := canonicalCycle(ie.Cycle[1:])
+			if loops[key] {
+				continue
+			}
+			loops[key] = true
+			d.Message, d.Fix = fmt.Sprintf("%%INCLUDE cycle: %s", strings.Join(ie.Cycle, " -> ")), "remove one of the includes"
+		}
+		report(incID, d)
+	}
+	var ce *core.Error
+	switch {
+	case len(loops) > 0:
+		// A cyclic include graph cannot be parsed meaningfully; the cycle
+		// findings stand on their own.
+	case errors.As(err, &ce):
+		report("parse", Diagnostic{File: cmp.Or(ce.Macro, file), Line: ce.Line, Message: ce.Msg})
+	default:
+		diags = append(diags, l.LintMacro(m, file)...)
+	}
 	sortDiags(diags)
 	return diags
 }
@@ -275,19 +301,15 @@ func (l *Linter) LintDir(dir string) (files []string, diags []Diagnostic, err er
 }
 
 // DirResolver returns an include resolver rooted at dir with the same
-// traversal protection as the gateway's macro loader.
+// traversal protection as the gateway's macro loader (core.InsideDir).
 func DirResolver(dir string) core.IncludeResolver {
 	return func(name string) (string, error) {
-		clean := filepath.ToSlash(filepath.Clean("/" + name))
-		rel := strings.TrimPrefix(clean, "/")
-		if rel == "" || strings.Contains(rel, "..") {
-			return "", fmt.Errorf("include %q escapes the macro directory", name)
-		}
-		src, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(rel)))
+		_, file, err := core.InsideDir(dir, name)
 		if err != nil {
-			return "", err
+			return "", fmt.Errorf("include %w", err)
 		}
-		return string(src), nil
+		src, err := os.ReadFile(file)
+		return string(src), err
 	}
 }
 

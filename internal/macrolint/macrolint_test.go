@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"db2www/internal/cgi"
 	"db2www/internal/core"
 	"db2www/internal/obs"
 	"db2www/internal/sqldb"
@@ -275,6 +276,16 @@ func TestParseFailureIsFinding(t *testing.T) {
 	if diags[0].Line == 0 {
 		t.Fatal("parse finding must carry the source line")
 	}
+	// With the include analyzer off, an include cycle is still a failure to
+	// parse.
+	l := New()
+	if err := l.Configure("", "include"); err != nil {
+		t.Fatal(err)
+	}
+	diags, err := l.LintFile(filepath.Join(lintDirPath(t), "include_cycle.d2w"))
+	if err != nil || len(diags) != 1 || diags[0].Analyzer != "parse" || !strings.Contains(diags[0].Message, "%INCLUDE cycle") {
+		t.Fatalf("include disabled: %v %v", diags, err)
+	}
 }
 
 func TestJSONFormat(t *testing.T) {
@@ -485,7 +496,7 @@ func sqlSkeletons(t *testing.T, src string) []*skeleton {
 	p := &pass{l: New(), env: buildEnv(m, "gen.d2w")}
 	var out []*skeleton
 	for _, tp := range p.env.templates {
-		if tp.kind == tplSQL {
+		if tp.Kind == core.ValSQL {
 			out = append(out, p.skeletonOf(tp))
 		}
 	}
@@ -516,12 +527,21 @@ func TestStaticCondWithNullIsNull(t *testing.T) {
 
 // TestStaticValuesAreTheEngines: over generated %DEFINE chains — plain
 // values, %LIST with null items, "? value", "t ? a : b" with and without
-// an else, with form controls, undefined names and cycles among the
-// references — every reference the linter inlines into a statement as
-// static is what VarTable.Lookup returns under an empty form.
+// an else, %EXEC after %LIST assignments, a plain value after an %EXEC,
+// with form controls, undefined names and cycles among the references —
+// every reference the linter inlines into a statement as static is what
+// VarTable.Lookup returns under an empty form; a variable whose value, as
+// an engine with a command registry evaluates it, carries request data is
+// tainted; an %EXEC variable, which is its command's exit code, is not; and
+// a plain value assigned after an %EXEC is classed by that value.
 func TestStaticValuesAreTheEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	inlined, tests := 0, 0
+	commands := core.NewCommandRegistry()
+	commands.RegisterCommand("echo", func(args []string, _ *bytes.Buffer) int { return len(args) })
+	form := cgi.NewForm()
+	form.Add("IN", "MARK")
+	form.Add("NONE", "MARK")
+	inlined, tests, execs, reassigned := 0, 0, 0, 0
 	for n := 0; n < 400; n++ {
 		src, kinds := staticChains(rng)
 		m, err := core.Parse("gen.d2w", src)
@@ -542,22 +562,57 @@ func TestStaticValuesAreTheEngines(t *testing.T) {
 			if kinds[i] == 2 {
 				tests++
 			}
-			if want, err := vt.Lookup(fmt.Sprintf("V%d", i)); err != nil || sk.Skeleton != want {
-				t.Errorf("V%d: the linter inlines %q, the engine evaluates %q, %v\n%s", i, sk.Skeleton, want, err, src)
+			if want, err := vt.Lookup(chainVar(i)); err != nil || sk.Skeleton != want {
+				t.Errorf("%s: the linter inlines %q, the engine evaluates %q, %v\n%s", chainVar(i), sk.Skeleton, want, err, src)
+			}
+		}
+		e := buildEnv(m, "gen.d2w")
+		for i, kind := range kinds {
+			v := chainVar(i)
+			f := e.fact(v)
+			page, err := core.Parse("gen.d2w", strings.Replace(src, `NAME="IN">`, `NAME="IN">[$(`+v+`)]`, 1))
+			var out bytes.Buffer
+			if err == nil {
+				err = (&core.Engine{Commands: commands}).Run(page, core.ModeInput, form, &out)
+			}
+			switch {
+			case err == nil && strings.Contains(out.String(), "MARK") && f.taint.level == taintNone:
+				t.Errorf("%s carries request data as the engine evaluates it, %q, but the linter sees none\n%s", v, out.String(), src)
+			case kind == 5 && f.taint.level != taintNone:
+				t.Errorf("%s is an %%EXEC variable, but the linter taints it by %s\n%s", v, strings.Join(f.taint.chain, " <- "), src)
+			case kind == 6:
+				want := sqlsema.ClassText
+				if val, _ := vt.Lookup(v); sqlsema.Numeric(val) {
+					want = sqlsema.ClassNumber
+				}
+				if f.class.class != want {
+					t.Errorf("%s is a plain value after an %%EXEC: class %v, want %v\n%s", v, f.class.class, want, src)
+				}
+			}
+			switch kind {
+			case 5:
+				execs++
+			case 6:
+				reassigned++
 			}
 		}
 	}
-	t.Logf("%d static statements, %d of them a \"t ? a : b\"", inlined, tests)
-	if inlined < 300 || tests < 20 {
-		t.Errorf("%d static statements, %d of them a \"t ? a : b\": the generator is too narrow", inlined, tests)
+	t.Logf("%d static statements, %d of them a \"t ? a : b\"; %d %%EXEC variables, %d reassigned after one", inlined, tests, execs, reassigned)
+	if inlined < 300 || tests < 20 || execs < 200 || reassigned < 200 {
+		t.Errorf("%d static statements, %d of them a \"t ? a : b\", %d %%EXEC variables, %d reassigned after one: the generator is too narrow",
+			inlined, tests, execs, reassigned)
 	}
 }
 
-// staticChains generates a macro of six %DEFINE variables V0…V5 — plain
+// staticChains generates a macro of six %DEFINE variables V0 X1 V2 X3 V4 X5
+// (chainVar; V2 and V4 are report column names, which a %DEFINE overrides
+// outside a report row) — plain
 // values, %LIST with null items, "? value", "t ? a : b" with and without an
-// else, referring to each other, to a form control and to an undefined name
-// — and one %SQL section s<i> of $(V<i>) each. kinds[i] is Vi's form, 2 for
-// "t ? a : b".
+// else, a %LIST whose last statement is an %EXEC, and an %EXEC reassigned a
+// plain value — referring to each other, to a form control and to an
+// undefined name, and one %SQL section s<i> of variable i each. kinds[i] is
+// variable i's form: 2 for "t ? a : b", 5 for the %EXEC, 6 for the
+// reassigned one.
 func staticChains(rng *rand.Rand) (src string, kinds []int) {
 	const vars = 6
 	name := func() string {
@@ -567,7 +622,7 @@ func staticChains(rng *rand.Rand) (src string, kinds []int) {
 		case 1:
 			return "NONE" // undefined
 		}
-		return fmt.Sprintf("V%d", rng.Intn(vars))
+		return chainVar(rng.Intn(vars))
 	}
 	lits := []string{"", "", "a", "1", "x y"}
 	value := func() string {
@@ -581,8 +636,8 @@ func staticChains(rng *rand.Rand) (src string, kinds []int) {
 	b.WriteString("%define{\n")
 	kinds = make([]int, vars)
 	for i := range kinds {
-		kinds[i] = rng.Intn(5)
-		switch v := fmt.Sprintf("V%d", i); kinds[i] {
+		kinds[i] = rng.Intn(7)
+		switch v := chainVar(i); kinds[i] {
 		case 0:
 			fmt.Fprintf(&b, "%s = %q\n", v, value())
 		case 1:
@@ -591,19 +646,29 @@ func staticChains(rng *rand.Rand) (src string, kinds []int) {
 			fmt.Fprintf(&b, "%s = %s ? %q : %q\n", v, name(), value(), value())
 		case 3:
 			fmt.Fprintf(&b, "%s = %s ? %q\n", v, name(), value())
-		case 4:
+		case 4, 5:
 			fmt.Fprintf(&b, "%%LIST %q %s\n", []string{" AND ", ", "}[rng.Intn(2)], v)
 			for k := rng.Intn(4); k > 0; k-- {
 				fmt.Fprintf(&b, "%s = %q\n", v, value())
 			}
+			if kinds[i] == 5 {
+				fmt.Fprintf(&b, "%s = %%EXEC \"echo $(%s)\"\n", v, name())
+			}
+		case 6:
+			fmt.Fprintf(&b, "%s = %q\n%s = %%EXEC \"echo\"\n%s = %q\n", v, value(), v, v, lits[rng.Intn(len(lits))])
 		}
 	}
 	b.WriteString("%}\n")
 	for i := 0; i < vars; i++ {
-		fmt.Fprintf(&b, "%%SQL(s%d){$(V%d)%%}\n", i, i)
+		fmt.Fprintf(&b, "%%SQL(s%d){$(%s)%%}\n", i, chainVar(i))
 	}
 	b.WriteString(`%HTML_INPUT{<INPUT NAME="IN">%}`)
 	return b.String(), kinds
+}
+
+// chainVar is staticChains' variable i: Vi for even i, Xi for odd.
+func chainVar(i int) string {
+	return fmt.Sprintf("%c%d", "VX"[i%2], i)
 }
 
 // lintSeeds is FuzzLint's seed macros: the seeded-defect corpus and a few

@@ -35,7 +35,7 @@ func (p *pass) skeletonOf(t *tpl) *skeleton {
 	if t.skel != nil {
 		return t.skel
 	}
-	s := &skeleton{Shape: p.env.static.Shape(t.sec), opts: sqlsema.Options{OpaqueLits: map[int]string{}}}
+	s := &skeleton{Shape: p.env.static.Shape(t.sql()), opts: sqlsema.Options{OpaqueLits: map[int]string{}}}
 	t.skel = s
 	for _, g := range s.Segs {
 		switch {
@@ -73,7 +73,7 @@ func (p *pass) semantic() []Diagnostic {
 		return nil
 	}
 	for _, t := range p.env.templates {
-		if t.kind != tplSQL || t.sec == nil {
+		if t.Kind != core.ValSQL {
 			continue
 		}
 		sk := p.skeletonOf(t)
@@ -85,7 +85,7 @@ func (p *pass) semantic() []Diagnostic {
 			continue // sqlreport owns parse findings
 		}
 		opts := sk.opts
-		opts.Reported = t.sec.Report != nil
+		opts.Reported = t.sql().Report != nil
 		for _, f := range sqlsema.Analyze(stmt, p.l.Schema, opts) {
 			d := Diagnostic{
 				Analyzer: f.Rule,

@@ -149,7 +149,7 @@ func (p *pass) referenceSkeleton(t *tpl) *substSQL {
 		if r.Dynamic {
 			return s
 		}
-		emit(last, t.text[last:r.Offset], true)
+		emit(last, t.Text[last:r.Offset], true)
 		last = r.End
 
 		if r.Prefix == "" {
@@ -173,7 +173,7 @@ func (p *pass) referenceSkeleton(t *tpl) *substSQL {
 		s.slots = append(s.slots, sqlsema.Slot{Name: r.Name, Class: c.class, Sample: c.sample, Chain: c.chain})
 		emit(r.Offset, "?", false)
 	}
-	emit(last, t.text[last:], true)
+	emit(last, t.Text[last:], true)
 
 	if sawQuestion && len(s.slots) > 0 {
 		return s // source ? + generated slots: parameter numbering is off
@@ -197,24 +197,24 @@ func checkSkeleton(t *testing.T, file, src string, resolve core.IncludeResolver)
 	p := &pass{l: New(), env: buildEnv(m, file)}
 	n := 0
 	for _, tp := range p.env.templates {
-		if tp.kind != tplSQL || tp.sec == nil {
+		if tp.Kind != core.ValSQL {
 			continue
 		}
 		n++
 		got, want := p.skeletonOf(tp), p.referenceSkeleton(tp)
 		switch {
 		case got.ok != want.ok:
-			t.Errorf("%s %s: ok %v, the reference %v\n%s", file, tp.where, got.ok, want.ok, tp.text)
+			t.Errorf("%s %s: ok %v, the reference %v\n%s", file, tp.where(), got.ok, want.ok, tp.Text)
 		case !want.ok:
 		case got.Skeleton != want.sql || got.fullyStatic != want.fullyStatic ||
 			!reflect.DeepEqual(got.opts.Slots, want.slots) || !reflect.DeepEqual(got.opts.OpaqueLits, want.opaque):
 			t.Errorf("%s %s:\n got %q static %v slots %v opaque %v\nwant %q static %v slots %v opaque %v",
-				file, tp.where, got.Skeleton, got.fullyStatic, got.opts.Slots, got.opts.OpaqueLits,
+				file, tp.where(), got.Skeleton, got.fullyStatic, got.opts.Slots, got.opts.OpaqueLits,
 				want.sql, want.fullyStatic, want.slots, want.opaque)
 		default:
 			for off := -1; off <= len(want.sql)+1; off++ {
 				if g, w := got.Src(off), want.srcOff(off); g != w {
-					t.Errorf("%s %s: byte %d of %q maps to %d, the reference to %d", file, tp.where, off, want.sql, g, w)
+					t.Errorf("%s %s: byte %d of %q maps to %d, the reference to %d", file, tp.where(), off, want.sql, g, w)
 					break
 				}
 			}

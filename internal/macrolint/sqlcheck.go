@@ -1,6 +1,7 @@
 package macrolint
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strings"
@@ -44,7 +45,7 @@ func selectShape(stmt sqldb.Stmt) (count int, names map[string]bool, ok bool) {
 func runSQLReport(p *pass) {
 	e := p.env
 	for _, t := range e.templates {
-		if t.kind != tplSQL || t.sec == nil {
+		if t.Kind != core.ValSQL {
 			continue
 		}
 		sk := p.skeletonOf(t)
@@ -64,7 +65,7 @@ func runSQLReport(p *pass) {
 			p.reportAt(t, off, Diagnostic{
 				Analyzer: "sqlreport",
 				Severity: SevWarn,
-				Message:  fmt.Sprintf("SQL command of %s does not parse: %v", t.where, err),
+				Message:  fmt.Sprintf("SQL command of %s does not parse: %v", t.where(), err),
 			})
 			continue
 		}
@@ -72,12 +73,9 @@ func runSQLReport(p *pass) {
 		if !ok {
 			continue
 		}
-		secName := t.owner
-		if secName == "" {
-			secName = "(unnamed)"
-		}
+		secName := cmp.Or(t.sql().SectName, "(unnamed)")
 		for _, rt := range e.templates {
-			if rt.sec != t.sec || (rt.kind != tplReport && rt.kind != tplMessage) {
+			if rt.Section != t.Section || rt.Kind == core.ValSQL {
 				continue
 			}
 			for _, r := range rt.refs {

@@ -3,6 +3,8 @@ package macrolint
 import (
 	"fmt"
 	"strings"
+
+	"db2www/internal/core"
 )
 
 // Taint levels. Direct means the value is attacker-controlled at the
@@ -35,7 +37,7 @@ type taintInfo struct {
 func runTaint(p *pass) {
 	e := p.env
 	for _, t := range e.templates {
-		if t.kind != tplSQL && t.kind != tplExecCmd {
+		if t.Kind != core.ValSQL && t.Kind != core.ValExec {
 			continue
 		}
 		for _, r := range t.refs {
@@ -47,16 +49,16 @@ func runTaint(p *pass) {
 				continue
 			}
 			d := Diagnostic{Analyzer: "taint"}
-			sink := "the SQL command of " + t.where
-			if t.kind == tplExecCmd {
-				sink = "the " + t.where
+			sink := "the SQL command of " + t.where()
+			if t.Kind == core.ValExec {
+				sink = "the " + t.where()
 			}
 			switch ti.level {
 			case taintDirect:
 				d.Severity = SevError
 				d.Message = fmt.Sprintf("%s is interpolated into %s without $(@sq:) quoting — SQL injection",
 					ti.origin, sink)
-				if t.kind == tplSQL {
+				if t.Kind == core.ValSQL {
 					d.Fix = fmt.Sprintf("replace $(%s) with $(@sq:%s)", r.Raw, r.Name)
 					// The hole the reference is, or is nested in.
 					inLit := false

@@ -42,14 +42,14 @@ func (e *env) walk() {
 }
 
 // fact returns the facts of name, walking the definitions it dereferences
-// when it is expanded first: the references of its run-time-effective
-// value templates, conditional test variables, and the %LIST separator.
+// when it is expanded first: the references of what the engine evaluates it
+// by (core.Static.Def), conditional test variables, and the %LIST separator.
 func (e *env) fact(name string) *varFacts {
 	if f := e.facts[name]; f != nil {
 		return f
 	}
-	v := e.vars[name]
-	if v != nil {
+	def := e.static.Def(name)
+	if def != nil {
 		for i, n := range e.path {
 			if n == name {
 				e.noteCycle(e.path[i:])
@@ -74,26 +74,34 @@ func (e *env) fact(name string) *varFacts {
 			}
 		}
 	}
-	if v != nil {
-		for _, a := range v.effective() {
-			// An %EXEC variable holds command output, not request data.
-			flow(a.value, a.st.Kind != core.DefExec)
-			if a.st.Kind == core.DefCondTest {
-				flow(a.value2, true)
-				e.fact(a.st.TestVar)
+	switch {
+	case def == nil:
+	case def.Exec != nil:
+		// An %EXEC variable is its command's exit code, not request data.
+		cmd, _ := def.Exec.Templates()
+		flow(e.tpls[cmd], false)
+	default:
+		for _, st := range def.Assigns {
+			value, value2 := st.Templates()
+			flow(e.tpls[value], true)
+			if st.Kind == core.DefCondTest {
+				flow(e.tpls[value2], true)
+				e.fact(st.TestVar)
 			}
 		}
-		flow(v.sep, true)
+		flow(e.tpls[def.Sep], true)
 	}
 
 	f := &varFacts{}
 	switch {
 	case e.inputs[name]:
 		f.taint = taintInfo{level: taintDirect, chain: []string{name}, origin: fmt.Sprintf("form input %q", name)}
-	case core.IsSystemVariable(name) || engineReadVars[name]:
-		// Report/message variables carry database values, not request
-		// input, and engine-read names are operator configuration.
-	case v == nil:
+	case (def == nil && core.IsSystemVariable(name)) || engineReadVars[name]:
+		// Undefined report/message variables carry database values, not
+		// request input, and engine-read names are operator configuration.
+		// A %DEFINE of a report variable's name is what the engine evaluates
+		// outside a report row, so it carries its definition's taint.
+	case def == nil:
 		f.taint = taintInfo{level: taintDirect, chain: []string{name},
 			origin: fmt.Sprintf("%q has no definition, so only the request can supply it", name)}
 	case worst != nil:
@@ -104,16 +112,16 @@ func (e *env) fact(name string) *varFacts {
 	switch {
 	case e.inputs[name]:
 		f.class = classInfo{class: sqlsema.ClassInput, chain: "a form input"}
-	case core.IsSystemVariable(name):
-	case v == nil:
+	case def == nil && core.IsSystemVariable(name):
+	case def == nil:
 		// Undefined references substitute the null string, or whatever
 		// the request supplies: request-controlled for our purposes.
 		f.class = classInfo{class: sqlsema.ClassInput, chain: "not defined in the macro"}
 	default:
-		f.class = e.classOf(v)
+		f.class = e.classOf(def)
 	}
 	e.facts[name] = f
-	if v != nil {
+	if def != nil {
 		e.path = e.path[:len(e.path)-1]
 	}
 	return f
@@ -138,21 +146,21 @@ func canonicalCycle(cycle []string) string {
 	return strings.Join(names, "\x00")
 }
 
-// classOf infers the value class of a defined variable from its
-// run-time-effective assignments: which values can it hold when the SQL
+// classOf infers the value class of a defined variable from the
+// assignments the engine evaluates it by: which values can it hold when the SQL
 // section executes? An arm the engine expands statically classifies by
 // whether its value parses as a number; an arm that is exactly one
 // reference forwards that variable's class. Anything request- or
 // environment-dependent degrades to ClassUnknown or ClassInput, which the
 // type checker treats as unfalsifiable.
-func (e *env) classOf(v *varInfo) classInfo {
-	if v.exec || v.list {
+func (e *env) classOf(def *core.Def) classInfo {
+	if def.Exec != nil || def.List {
 		return classInfo{}
 	}
 	var sawNum, sawText, sawInput, sawUnknown bool
 	var sample, chain string
 	arm := func(t *tpl, line int) {
-		if val, static := e.static.Expand(t.text); static {
+		if val, static := e.static.Expand(t.Text); static {
 			if sqlsema.Numeric(val) {
 				sawNum = true
 				return
@@ -168,7 +176,7 @@ func (e *env) classOf(v *varInfo) classInfo {
 			return
 		}
 		r := t.refs[0]
-		if r.Dynamic || r.Prefix != "" || strings.TrimSpace(t.text[:r.Offset]) != "" || strings.TrimSpace(t.text[r.End:]) != "" {
+		if r.Dynamic || r.Prefix != "" || strings.TrimSpace(t.Text[:r.Offset]) != "" || strings.TrimSpace(t.Text[r.End:]) != "" {
 			sawUnknown = true
 			return
 		}
@@ -191,14 +199,15 @@ func (e *env) classOf(v *varInfo) classInfo {
 			sawUnknown = true
 		}
 	}
-	for _, a := range v.effective() {
-		switch a.st.Kind {
+	for _, st := range def.Assigns {
+		value, value2 := st.Templates()
+		switch st.Kind {
 		case core.DefSimple:
-			arm(a.value, a.st.Line)
+			arm(e.tpls[value], st.Line)
 		case core.DefCondTest:
-			arm(a.value, a.st.Line)
-			if a.st.HasElse {
-				arm(a.value2, a.st.Line)
+			arm(e.tpls[value], st.Line)
+			if st.HasElse {
+				arm(e.tpls[value2], st.Line)
 			} else {
 				sawUnknown = true // missing else arm yields the null string
 			}
