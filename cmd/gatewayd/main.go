@@ -41,8 +41,6 @@ func main() {
 	flag.StringVar(&cfg.AccessLog, "accesslog", cfg.AccessLog, "write access log lines to this file")
 	flag.StringVar(&cfg.AccessLogFormat, "access-log-format", cfg.AccessLogFormat, "access log line format: clf (NCSA Common Log Format) or json (one object per line with trace/flight/digest/latency fields)")
 	flag.Int64Var(&cfg.QCacheBytes, "qcache-bytes", cfg.QCacheBytes, "byte budget of the %EXEC_SQL query-result cache (invalidated exactly, by table version; see docs/CACHING.md); 0 = no cache")
-	flag.DurationVar(&cfg.HistoryInterval, "history-interval", cfg.HistoryInterval, "history scrape period")
-	flag.StringVar(&cfg.AlertRules, "alert-rules", cfg.AlertRules, "alert rules file (one rule per line, see docs/HISTORY.md); empty uses the built-in defaults")
 	flag.StringVar(&cfg.FlightDir, "flight-dir", cfg.FlightDir, "persist kept flight records (rotating JSONL) and anomaly pprof snapshots here")
 	flag.Float64Var(&cfg.FlightSample, "flight-sample", cfg.FlightSample, "keep probability for healthy requests (errors and slow requests are always kept)")
 	flag.DurationVar(&cfg.SlowThreshold, "slow-threshold", cfg.SlowThreshold, "a request slower than this is slow: the flight recorder keeps its record (kept:slow)")

@@ -16,14 +16,11 @@ import (
 )
 
 // Config is the scale of a gate's run. The zero value is full scale, what
-// BenchmarkA7_RequestRecord runs and, with a longer soak,
-// BenchmarkA12_HistoryStore.
+// BenchmarkA7_RequestRecord runs.
 type Config struct {
 	Rows     int   // urldb size (default 500)
 	Requests int   // buys five block pairs for every 50 (default 200: 20 pairs)
 	Seed     int64 // dataset seed (default 1)
-	// Soak is A12's sustained-traffic phase duration (default 3s).
-	Soak time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -71,9 +68,9 @@ type pairedOverhead struct {
 // proved looser: the former's minima come from different rounds and
 // inherit their relative luck, the latter still averages spikes into
 // every round.) enter puts the process on a block's side; it runs inside
-// the timed section, so what a side pays once per block (A12's scrape) is
-// amortized into the block mean exactly as it would amortize into
-// served-request latency. Every block starts from a collected heap,
+// the timed section, so what a side pays once per block is amortized into
+// the block mean exactly as it would amortize into served-request
+// latency. Every block starts from a collected heap,
 // outside the timed section, so that the two blocks of a pair see the
 // same number of GC cycles.
 func pairedBlocks(pairs int, request func() error, enter func(on bool)) (pairedOverhead, error) {

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"db2www/internal/gateway"
 	"db2www/internal/obs"
@@ -79,8 +78,7 @@ func BenchmarkA7_RequestRecord(b *testing.B) {
 
 // TestRequestRecordAllocations bounds what describing a request may
 // allocate: the benchmark's point_lookup request through the server
-// gatewayd builds (its background scrape held off: AllocsPerRun counts
-// the whole process). By default the request is a query-cache hit, the
+// gatewayd builds (AllocsPerRun counts the whole process). By default the request is a query-cache hit, the
 // cheapest there is: at most 53 allocations with instrumentation off and
 // 75 with everything on (49 and 65 measured). With -qcache-bytes 0 it
 // reaches the engine, whose part of the record is then filled in too: at
@@ -94,7 +92,6 @@ func TestRequestRecordAllocations(t *testing.T) {
 		maxOff, maxOn float64
 	}{{gateway.DefaultServerConfig().QCacheBytes, 53, 75}, {0, 94, 120}} {
 		cfg := GatewaydConfig(pointLookupMacros(), pointLookupRows, 1)
-		cfg.HistoryInterval = time.Hour
 		cfg.QCacheBytes = c.qcacheBytes
 		srv, err := gateway.NewServer(cfg)
 		if err != nil {

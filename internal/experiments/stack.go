@@ -1,12 +1,12 @@
 // Package experiments holds what the experiments of DESIGN.md's
-// per-experiment index share and the two overhead gates. Whether a figure
+// per-experiment index share and the overhead gate. Whether a figure
 // or worked example of the paper is reproduced (E2–E11) is asserted by
 // this package's tests, on values; what a component costs is a
 // Benchmark* of the repository root's bench_test.go, which builds on the
 // Stack, URLQueryFlow, RenderFigure2 and Restyles defined here; what the
-// server costs is benchmark/. The gates (RunA7, RunA12) bound what the
-// always-on layers may cost a request and run at full scale as
-// BenchmarkA7_RequestRecord and BenchmarkA12_HistoryStore.
+// server costs is benchmark/. The gate (RunA7) bounds what the always-on
+// request record may cost a request and runs at full scale as
+// BenchmarkA7_RequestRecord.
 package experiments
 
 import (

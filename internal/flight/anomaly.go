@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -53,25 +54,31 @@ func (a *anomaly) note(status int, macro string, slo *SLO) {
 	nw := a.now()
 	a.last[a.next] = nw
 	a.next = (a.next + 1) % len(a.last)
-	// A burst is the burst5xx-th most recent 5xx, this one counted, inside
-	// the window: the oldest time the ring holds.
-	oldest := a.last[a.next]
-	burst := !oldest.IsZero() && oldest.After(nw.Add(-burstWindow))
+	burst := a.burstAt(nw)
 	a.mu.Unlock()
 
 	reason := ""
 	if burst {
-		reason = fmt.Sprintf("5xx-burst:%d-in-%s", burst5xx, burstWindow)
+		reason = burstReason()
 	} else if burn := slo.Burn(macro); burn >= burnThreshold {
 		reason = fmt.Sprintf("burn-rate:%.1f", burn)
 	}
 	a.fire(reason)
 }
 
-// fire captures for an externally-supplied reason, subject to the same
-// rate limit as the internal triggers.
+// burstAt reports whether the last burst5xx 5xx all fell inside the
+// burstWindow that ends at nw: whether the oldest time the ring holds
+// does. The caller holds a.mu.
+func (a *anomaly) burstAt(nw time.Time) bool {
+	oldest := a.last[a.next]
+	return !oldest.IsZero() && oldest.After(nw.Add(-burstWindow))
+}
+
+func burstReason() string { return fmt.Sprintf("5xx-burst:%d-in-%s", burst5xx, burstWindow) }
+
+// fire captures for reason, at most once per pprofMinInterval.
 func (a *anomaly) fire(reason string) {
-	if a == nil || reason == "" {
+	if reason == "" {
 		return
 	}
 	a.mu.Lock()
@@ -129,23 +136,28 @@ func (a *anomaly) setCapture(fn func(reason string, t time.Time)) {
 	a.mu.Unlock()
 }
 
-// CaptureAnomaly triggers the recorder's anomaly pprof capture for an
-// incident detected outside the request path — gatewayd calls it when a
-// critical alert rule starts firing, so the profile evidence for "what
-// was the process doing when the alert tripped" lands in the flight dir
-// alongside the request records. Rate-limited exactly like the internal
-// burn-rate and 5xx-burst triggers.
-func (r *Recorder) CaptureAnomaly(reason string) {
+// Burst5xx is nil unless a 5xx burst is in progress: the last burst5xx
+// 5xx all fell inside the last burstWindow, on the anomaly clock. It is
+// gatewayd's /readyz check, so the incident that triggers a pprof capture
+// also takes the server out of a load balancer's rotation, until the
+// burst has left the window.
+func (r *Recorder) Burst5xx() error {
 	if r == nil {
-		return
+		return nil
 	}
-	r.anomaly.fire(reason)
+	a := r.anomaly
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.burstAt(a.now()) {
+		return errors.New(burstReason())
+	}
+	return nil
 }
 
 // TestHookAnomaly exposes the recorder's anomaly clock/capture hooks to
-// tests in other packages (the gateway integration test injects a
-// burst and asserts a capture fired) without exporting the trigger
-// itself.
+// tests in other packages (the gateway's readiness test injects a burst,
+// asserts one capture fired, and moves the clock past the window) without
+// exporting the trigger itself.
 func (r *Recorder) TestHookAnomaly(now func() time.Time, capture func(reason string, t time.Time)) {
 	if r == nil {
 		return

@@ -30,12 +30,20 @@ func TestAnomalyBurstTrigger(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.Observe(finishedTrace("x", 500, time.Millisecond))
 	}
-	if len(captures) != 0 {
-		t.Fatalf("captured before the burst threshold: %v", captures)
+	if len(captures) != 0 || r.Burst5xx() != nil {
+		t.Fatalf("captured before the burst threshold: %v, %v", captures, r.Burst5xx())
 	}
 	r.Observe(finishedTrace("x", 500, time.Millisecond))
 	if len(captures) != 1 || !strings.HasPrefix(captures[0], "5xx-burst:") {
 		t.Fatalf("after 5th 5xx captures = %v, want one 5xx-burst", captures)
+	}
+	// The burst lasts while its oldest 5xx is inside the window.
+	if err := r.Burst5xx(); err == nil || err.Error() != captures[0] {
+		t.Fatalf("Burst5xx() = %v during the burst, want %s", err, captures[0])
+	}
+	now = now.Add(burstWindow)
+	if err := r.Burst5xx(); err != nil {
+		t.Fatalf("Burst5xx() = %v once the burst left the window", err)
 	}
 
 	// Still inside pprofMinInterval: a continuing burst must not re-capture.

@@ -174,8 +174,24 @@ func (l *AccessLog) line(r *http.Request, cw *countingWriter, tr *obs.Trace, sta
 		}
 	}
 	return fmt.Sprintf("%s - %s [%s] \"%s %s %s\" %d %d%s\n",
-		host, user, now.Format("02/Jan/2006:15:04:05 -0700"),
+		host, logItem(user), now.Format("02/Jan/2006:15:04:05 -0700"),
 		r.Method, r.URL.RequestURI(), r.Proto, cw.code(), cw.bytes, suffix)
+}
+
+// logItem escapes a field of a CLF line that the client wrote, as
+// Apache's mod_log_config does: a byte that is not printable ASCII, a
+// space, a quote and a backslash become \xhh, so the field can neither end
+// the line nor split it into other fields.
+func logItem(s string) string {
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c <= ' ' || c >= 0x7f || c == '"' || c == '\\' {
+			fmt.Fprintf(&b, `\x%02x`, c)
+		} else {
+			b.WriteByte(c)
+		}
+	}
+	return b.String()
 }
 
 // statusSections is /server-status: the registry's families grouped by
@@ -198,7 +214,6 @@ var statusSections = []struct {
 	{"Planner", []string{"db2www_sqldb_plan_cache_"}},
 	{"Storage", []string{"db2www_sqldb_table_", "db2www_sqldb_index_", "db2www_sqldb_version_chain_"}},
 	{"Query cache", []string{"db2www_qcache_"}},
-	{"History", []string{"db2www_history_"}},
 	{"Flight recorder", []string{"db2www_flight_"}},
 	{"Runtime", []string{"go_", "db2www_uptime_"}},
 	{"Other", nil},

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,6 +45,23 @@ func TestAccessLogCommonLogFormat(t *testing.T) {
 	want := `- - u [04/Jun/1996:10:30:00 +0000] "GET /page?q=1 HTTP/1.1" 200 19`
 	if line != want {
 		t.Fatalf("log line:\n got %q\nwant %q", line, want)
+	}
+}
+
+// TestAccessLogEscapesUser: the user name of a Basic-auth header is the
+// client's text, and in a CLF line it stays one field of one line whether
+// or not the server checks passwords.
+func TestAccessLogEscapesUser(t *testing.T) {
+	var buf bytes.Buffer
+	l := NewAccessLog(okHandler(), &buf)
+	l.Now = fixedClock
+	req := httptest.NewRequest("GET", "http://host/page", nil)
+	req.SetBasicAuth("evil\n6.6.6.6 - admin [01/Jan/2026 +0000] \"GET /x\\y\"\x7f\xc3\xa9", "pw")
+	l.ServeHTTP(httptest.NewRecorder(), req)
+	want := `192.0.2.1 - evil\x0a6.6.6.6\x20-\x20admin\x20[01/Jan/2026\x20+0000]\x20\x22GET\x20/x\x5cy\x22\x7f\xc3\xa9` +
+		` [04/Jun/1996:10:30:00 +0000] "GET /page HTTP/1.1" 200 19` + "\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("log:\n got %q\nwant %q", got, want)
 	}
 }
 
@@ -165,7 +183,6 @@ func TestServerStatusSections(t *testing.T) {
 		"db2www_sqldb_plan_cache_size":       "Planner",
 		"db2www_sqldb_table_live_rows":       "Storage",
 		"db2www_qcache_entries":              "Query cache",
-		"db2www_history_scrapes_total":       "History",
 		"db2www_flight_pprof_captures_total": "Flight recorder",
 		"go_goroutines":                      "Runtime",
 		"someone_elses_total":                "Other",

@@ -16,11 +16,10 @@ import (
 //
 // Liveness answers "should the supervisor restart this process";
 // readiness answers "should a load balancer send it traffic". gatewayd
-// registers db-open, lint-preflight, and no-critical-alert checks.
+// registers db-open, lint-preflight, and no-5xx-burst checks.
 type Health struct {
 	mu     sync.Mutex
 	checks map[string]func() error
-	order  []string
 }
 
 // NewHealth returns an empty health registry (liveness already works;
@@ -34,9 +33,6 @@ func NewHealth() *Health {
 func (h *Health) AddCheck(name string, check func() error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if _, ok := h.checks[name]; !ok {
-		h.order = append(h.order, name)
-	}
 	h.checks[name] = check
 }
 
@@ -47,14 +43,14 @@ type checkResult struct {
 	Error string `json:"error,omitempty"`
 }
 
-// run executes every check in registration order.
+// run executes every check, in the order of their names.
 func (h *Health) run() (results []checkResult, ready bool) {
 	h.mu.Lock()
-	names := make([]string, len(h.order))
-	copy(names, h.order)
+	names := make([]string, 0, len(h.checks))
 	checks := make(map[string]func() error, len(h.checks))
-	for k, v := range h.checks {
-		checks[k] = v
+	for name, check := range h.checks {
+		names = append(names, name)
+		checks[name] = check
 	}
 	h.mu.Unlock()
 	sort.Strings(names)

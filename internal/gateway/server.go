@@ -16,7 +16,6 @@ import (
 	"db2www/internal/flight"
 	"db2www/internal/macrolint"
 	"db2www/internal/obs"
-	"db2www/internal/obs/history"
 	"db2www/internal/qcache"
 	"db2www/internal/sqldb"
 	"db2www/internal/sqldriver"
@@ -46,9 +45,6 @@ type ServerConfig struct {
 
 	QCacheBytes int64 // -qcache-bytes: the query cache's budget, 0 for no cache
 
-	HistoryInterval time.Duration // -history-interval
-	AlertRules      string        // -alert-rules
-
 	FlightDir    string  // -flight-dir
 	FlightSample float64 // -flight-sample
 
@@ -68,22 +64,19 @@ func DefaultServerConfig() ServerConfig {
 		Lint:            "warn",
 		AccessLogFormat: "clf",
 		QCacheBytes:     64 << 20,
-		HistoryInterval: history.DefaultInterval,
 		FlightSample:    0.01,
 		SlowThreshold:   200 * time.Millisecond,
 	}
 }
 
 // What every gatewayd runs with. Each was a flag (-trace-ring,
-// -slo-target, -slo-latency, -vacuum-interval, -history-retention, and
-// the -flight, -history and -cache switches, now always on) that nothing
-// set to another value.
+// -slo-target, -slo-latency, -vacuum-interval, and the -flight and -cache
+// switches, now always on) that nothing set to another value.
 const (
-	traceRingSize    = 64
-	sloTarget        = 0.999
-	sloLatency       = 250 * time.Millisecond
-	vacuumInterval   = 5 * time.Second
-	historyRetention = history.DefaultRetention
+	traceRingSize  = 64
+	sloTarget      = 0.999
+	sloLatency     = 250 * time.Millisecond
+	vacuumInterval = 5 * time.Second
 )
 
 // validate rejects a configuration that would otherwise be served as
@@ -127,11 +120,10 @@ type Server struct {
 	// QCache is the query-result cache in front of DB; nil under -cgi and
 	// with -qcache-bytes 0.
 	QCache *qcache.Cache
-	// Traces, Flight and History are the request-record sinks and the
-	// metrics time-series, for callers that read them back in-process.
-	Traces  *obs.Ring
-	Flight  *flight.Recorder
-	History *history.Store
+	// Traces and Flight are the request-record sinks, for callers that
+	// read them back in-process.
+	Traces *obs.Ring
+	Flight *flight.Recorder
 
 	cfg  ServerConfig
 	app  *App // nil under -cgi
@@ -242,12 +234,6 @@ func (s *Server) assemble() (err error) {
 	if s.QCache != nil {
 		qcache.RegisterMetrics(s.QCache)
 	}
-	if err := s.startHistory(); err != nil {
-		return err
-	}
-	al.Handle("/debug/history", s.History.Handler())
-	al.Handle("/debug/dash", s.History.Dashboard())
-
 	health := s.health()
 	al.Handle("/healthz", health.Liveness())
 	al.Handle("/readyz", health.Readiness())
@@ -259,10 +245,9 @@ func (s *Server) assemble() (err error) {
 // mounted.
 func (s *Server) Handler() http.Handler { return s.root }
 
-// Close stops the history store and the vacuum loop, closes the
-// provider's connections, the flight recorder and the log files, and
-// unregisters the database; it returns what failed to close. A second
-// Close does nothing.
+// Close stops the vacuum loop, closes the provider's connections, the
+// flight recorder and the log files, and unregisters the database; it
+// returns what failed to close. A second Close does nothing.
 func (s *Server) Close() (err error) {
 	s.closeOnce.Do(func() {
 		for i := len(s.closers) - 1; i >= 0; i-- {
@@ -371,39 +356,6 @@ func (s *Server) lintPreflight() error {
 	return nil
 }
 
-// startHistory starts the embedded time-series self-scraping the same
-// registry /metrics exposes, with the alert engine on top. Critical
-// firings trigger the flight recorder's anomaly pprof capture — the
-// alert says when it got bad, the profile says what the process was
-// doing.
-func (s *Server) startHistory() error {
-	rules := history.DefaultRules()
-	if s.cfg.AlertRules != "" {
-		src, err := os.ReadFile(s.cfg.AlertRules)
-		if err != nil {
-			return fmt.Errorf("reading -alert-rules: %w", err)
-		}
-		if rules, err = history.ParseRules(string(src)); err != nil {
-			return fmt.Errorf("parsing -alert-rules %s: %w", s.cfg.AlertRules, err)
-		}
-	}
-	s.History = history.New(history.Config{
-		Registry:  obs.Default,
-		Interval:  s.cfg.HistoryInterval,
-		Retention: historyRetention,
-		Rules:     rules,
-		OnAlert: func(r history.Rule, v float64) {
-			log.Printf("gatewayd: alert firing: %s (value %.4g)", r.String(), v)
-			if r.Severity == history.SeverityCritical {
-				s.Flight.CaptureAnomaly("alert:" + r.Name)
-			}
-		},
-	})
-	s.History.Start()
-	s.onClose(func() error { s.History.Close(); return nil })
-	return nil
-}
-
 // health is liveness and readiness: /healthz answers as long as the
 // process serves; /readyz runs these checks with per-check detail.
 func (s *Server) health() *Health {
@@ -424,12 +376,7 @@ func (s *Server) health() *Health {
 			return nil
 		})
 	}
-	health.AddCheck("no-critical-alert", func() error {
-		if s.History.CriticalFiring() {
-			return errors.New("critical alert rule firing")
-		}
-		return nil
-	})
+	health.AddCheck("no-5xx-burst", s.Flight.Burst5xx)
 	return health
 }
 
@@ -447,8 +394,6 @@ func (s *Server) WriteBanner(w io.Writer) {
 	fmt.Fprintf(w, "gatewayd: metrics at /metrics, status at /server-status\n")
 	fmt.Fprintf(w, "gatewayd: flight records at /debug/flight (sample %g, slow >= %s)\n",
 		c.FlightSample, s.Flight.SlowThreshold())
-	fmt.Fprintf(w, "gatewayd: history at /debug/history, dashboard at /debug/dash (scrape %s, retain %s)\n",
-		s.History.Interval(), s.History.Retention())
 	fmt.Fprintf(w, "gatewayd: health at /healthz, readiness at /readyz\n")
 	port := c.Addr
 	if i := strings.LastIndexByte(port, ':'); i >= 0 {

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"encoding/json"
 	"html"
 	"net/http"
 	"net/http/httptest"
@@ -25,14 +26,13 @@ const smokeReport = "/cgi-bin/db2www/urlquery.d2w/report?SEARCH=ib&USE_URL=yes&U
 // smokeConfig is the command line of CI's observability smoke step:
 //
 //	gatewayd -macros ./testdata/macros -lint strict -slow-threshold 1ms
-//	  -flight-sample 1 -history-interval 250ms
+//	  -flight-sample 1
 func smokeConfig(t *testing.T) ServerConfig {
 	cfg := DefaultServerConfig()
 	cfg.Macros = filepath.Join(repoRoot(t), "testdata", "macros")
 	cfg.Lint = "strict"
 	cfg.SlowThreshold = time.Millisecond
 	cfg.FlightSample = 1
-	cfg.HistoryInterval = 250 * time.Millisecond
 	return cfg
 }
 
@@ -95,12 +95,11 @@ func TestServerSurfaces(t *testing.T) {
 		"db2www_sqldb_stmt_",
 		"db2www_sqldb_version_chain_length",
 		"db2www_sqldb_plan_cache_hits",
-		"db2www_sqldb_plan_cache_misses",
-		"db2www_history_scrapes_total",
-		"db2www_history_samples_total",
-		"db2www_history_alerts_firing")
-	if strings.Contains(metrics, "db2www_qcache_expirations_total") {
-		t.Error("/metrics still has the TTL's db2www_qcache_expirations_total")
+		"db2www_sqldb_plan_cache_misses")
+	for _, gone := range []string{"db2www_qcache_expirations_total", "db2www_history_"} {
+		if strings.Contains(metrics, gone) {
+			t.Errorf("/metrics still has %s", gone)
+		}
 	}
 	// The cache is part of the default wiring: the second report was a hit.
 	if st := srv.QCache.Stats(); st.Hits != 1 || st.Misses != 1 {
@@ -124,25 +123,21 @@ func TestServerSurfaces(t *testing.T) {
 		titles = append(titles, m[1])
 	}
 	if got, want := strings.Join(titles, " | "), "Requests | Build info | SLO burn rates | Macro cache | "+
-		"Macro lint | Transactions | Statements | Planner | Storage | Query cache | History | "+
+		"Macro lint | Transactions | Statements | Planner | Storage | Query cache | "+
 		"Flight recorder | Runtime | Recent traces"; got != want {
 		t.Errorf("/server-status sections:\n got %s\nwant %s", got, want)
 	}
 
 	wantAll(t, "/healthz", get(t, h, "/healthz"), `"status":"ok"`)
-	wantAll(t, "/readyz", get(t, h, "/readyz"), `"status": "ok"`, `"no-critical-alert"`)
-
-	// The step sleeps a second for the 250 ms scrape loop; two scrapes are
-	// what a rate needs.
-	for deadline := time.Now().Add(5 * time.Second); srv.History.Scrapes() < 2; time.Sleep(20 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("history store scraped %d times in 5 s at a 250 ms interval", srv.History.Scrapes())
+	wantAll(t, "/readyz", get(t, h, "/readyz"), `"status": "ok"`, `"no-5xx-burst"`)
+	// The server keeps no time series: a scraper of /metrics does.
+	for _, gone := range []string{"/debug/history", "/debug/dash"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "http://localhost"+gone, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", gone, rec.Code)
 		}
 	}
-	wantAll(t, "/debug/history", get(t, h, "/debug/history"), `"scrapes"`, `"alerts"`)
-	wantAll(t, "rate of http_requests_total", get(t, h, "/debug/history?series=http_requests_total&fn=rate"), `"samples"`)
-	wantAll(t, "p99 of db2www_http_request_seconds", get(t, h, "/debug/history?series=db2www_http_request_seconds&fn=p99"), `"samples"`)
-	wantAll(t, "/debug/dash", get(t, h, "/debug/dash"), "history dashboard")
 
 	// -slow-threshold: a request over it is kept whatever -flight-sample
 	// says, in /debug/flight and as one line of -flight-dir's flight.jsonl.
@@ -165,8 +160,66 @@ func TestServerSurfaces(t *testing.T) {
 		"gatewayd: lint preflight (-lint strict): 3 macro(s), 0 error(s), 2 warning(s)\n",
 		"gatewayd: serving macros from "+cfg.Macros+" on :8080\n",
 		"gatewayd: flight records at /debug/flight (sample 0, slow >= 1ns)\n",
-		"gatewayd: history at /debug/history, dashboard at /debug/dash (scrape 250ms, retain 15m0s)\n",
 		"gatewayd: try http://localhost:8080/cgi-bin/db2www/urlquery.d2w/input\n")
+}
+
+// TestReadyzFollowsThe5xxBurst: ten 5xx inside ten seconds, the burst the
+// flight recorder captures a profile for, take the server out of
+// rotation, and it is ready again once the burst has left the window. The
+// recorder's clock drives it, not sleeping; the capture fires once.
+func TestReadyzFollowsThe5xxBurst(t *testing.T) {
+	macros := t.TempDir()
+	if err := os.WriteFile(filepath.Join(macros, "loop.d2w"), []byte(`%INCLUDE "loop.d2w"`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultServerConfig()
+	cfg.Macros, cfg.Lint = macros, "off" // the preflight would refuse the cycle
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	now := time.Date(2026, 10, 1, 12, 0, 0, 0, time.UTC)
+	var captures []string
+	srv.Flight.TestHookAnomaly(func() time.Time { return now },
+		func(reason string, _ time.Time) { captures = append(captures, reason) })
+	h := srv.Handler()
+	readyz := func(when string, wantCode int, wantErr string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "http://localhost/readyz", nil))
+		var body struct{ Checks []checkResult }
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s: /readyz %q: %v", when, rec.Body, err)
+		}
+		i := slices.IndexFunc(body.Checks, func(c checkResult) bool { return c.Name == "no-5xx-burst" })
+		if rec.Code != wantCode || i < 0 || body.Checks[i].Error != wantErr {
+			t.Fatalf("%s: /readyz %d %s, want %d with no-5xx-burst error %q", when, rec.Code, rec.Body, wantCode, wantErr)
+		}
+	}
+	fail := func() {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "http://localhost/cgi-bin/db2www/loop.d2w/input", nil))
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("the include cycle answered %d, want 500", rec.Code)
+		}
+	}
+
+	for i := 0; i < 9; i++ {
+		fail()
+		now = now.Add(time.Second)
+	}
+	readyz("after nine 5xx", http.StatusOK, "")
+	fail() // the tenth, 9 s after the first
+	readyz("after ten 5xx in 10 s", http.StatusServiceUnavailable, "5xx-burst:10-in-10s")
+	now = now.Add(time.Second - time.Nanosecond)
+	readyz("while the first is inside the window", http.StatusServiceUnavailable, "5xx-burst:10-in-10s")
+	now = now.Add(time.Nanosecond)
+	readyz("once the first has left the window", http.StatusOK, "")
+	if len(captures) != 1 {
+		t.Errorf("anomaly captures %q, want one for the burst", captures)
+	}
 }
 
 // TestServerCloseLeavesNothing builds, serves from and closes the server
@@ -370,7 +423,6 @@ func statusRows(page string) (values, sections map[string]string) {
 // the registry is listed, once, in one section.
 func TestStatusPageIsTheRegistry(t *testing.T) {
 	cfg := smokeConfig(t)
-	cfg.HistoryInterval = time.Hour // no self-scrape between the reads
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 )
 
 // The /debug/statements error contract: an unknown digest answers 404
-// with a JSON error body, matching /debug/flight and /debug/history.
+// with a JSON error body, matching /debug/flight.
 func TestStatementsHandlerUnknownDigest404JSON(t *testing.T) {
 	db := sqldb.NewDatabase("T")
 	h := StatementsHandler(db)

@@ -11,9 +11,6 @@ import (
 // wall-time sleeps.
 type testClock struct{ t time.Time }
 
-func newTestClock() *testClock {
-	return &testClock{t: time.Date(1996, time.June, 4, 10, 0, 0, 0, time.UTC)}
-}
 func (c *testClock) now() time.Time          { return c.t }
 func (c *testClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func (c *testClock) tick(s *Store, d time.Duration) {
@@ -27,16 +24,32 @@ func newTestStore(t *testing.T, cfg Config) (*Store, *testClock) {
 		cfg.Registry = obs.NewRegistry()
 	}
 	s := New(cfg)
-	clk := newTestClock()
-	s.SetClock(clk.now)
+	clk := &testClock{t: time.Date(1996, time.June, 4, 10, 0, 0, 0, time.UTC)}
+	s.now = clk.now
 	return s, clk
+}
+
+// override sets a package variable for the duration of a test.
+func override[T any](t *testing.T, p *T, v T) {
+	old := *p
+	*p = v
+	t.Cleanup(func() { *p = old })
+}
+
+// values returns the series' samples in the window, oldest first.
+func values(s *Store, key string, window time.Duration) []float64 {
+	var out []float64
+	for _, smp := range s.window(key, window) {
+		out = append(out, smp.v)
+	}
+	return out
 }
 
 func TestScrapeStoresCountersAndGauges(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("demo_total", "demo")
 	g := reg.Gauge("demo_gauge", "demo")
-	s, clk := newTestStore(t, Config{Registry: reg, Interval: time.Second, Retention: time.Minute})
+	s, clk := newTestStore(t, Config{Registry: reg})
 
 	c.Add(3)
 	g.Set(7)
@@ -45,26 +58,24 @@ func TestScrapeStoresCountersAndGauges(t *testing.T) {
 	g.Set(5)
 	clk.tick(s, time.Second)
 
-	pts := s.Samples("demo_total", 0)
-	if len(pts) != 2 || pts[0].V != 3 || pts[1].V != 5 {
-		t.Fatalf("counter samples = %+v", pts)
+	if v := values(s, "demo_total", 0); len(v) != 2 || v[0] != 3 || v[1] != 5 {
+		t.Fatalf("counter samples = %v", v)
 	}
-	pts = s.Samples("demo_gauge", 0)
-	if len(pts) != 2 || pts[1].V != 5 {
-		t.Fatalf("gauge samples = %+v", pts)
+	if v := values(s, "demo_gauge", 0); len(v) != 2 || v[1] != 5 {
+		t.Fatalf("gauge samples = %v", v)
 	}
-	if v, ok := s.Last("demo_gauge"); !ok || v != 5 {
-		t.Fatalf("Last = %v %v", v, ok)
+	if v, ok := s.last("demo_gauge"); !ok || v != 5 {
+		t.Fatalf("last = %v %v", v, ok)
 	}
-	if s.Scrapes() != 2 {
-		t.Fatalf("scrapes = %d", s.Scrapes())
+	if n := reg.Snapshot()["db2www_history_scrapes_total"]; n != 2 {
+		t.Fatalf("scrapes = %v", n)
 	}
 }
 
 func TestRateFromCumulativeCounter(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("reqs_total", "demo")
-	s, clk := newTestStore(t, Config{Registry: reg, Interval: time.Second, Retention: time.Minute})
+	s, clk := newTestStore(t, Config{Registry: reg})
 
 	clk.tick(s, time.Second) // value 0
 	c.Add(10)
@@ -72,43 +83,39 @@ func TestRateFromCumulativeCounter(t *testing.T) {
 	c.Add(30)
 	clk.tick(s, time.Second) // +30 over 1s → 30/s
 
-	pts := s.Rate("reqs_total", 0)
-	if len(pts) != 2 {
-		t.Fatalf("rate points = %+v", pts)
-	}
-	if pts[0].V != 5 || pts[1].V != 30 {
-		t.Fatalf("rates = %v, %v; want 5, 30", pts[0].V, pts[1].V)
+	if r := s.rates("reqs_total", 0); len(r) != 2 || r[0] != 5 || r[1] != 30 {
+		t.Fatalf("rates = %v; want [5 30]", r)
 	}
 }
 
 func TestRingWraparound(t *testing.T) {
+	override(t, &retention, 5*interval) // 5 samples per ring
 	reg := obs.NewRegistry()
 	c := reg.Counter("wrap_total", "demo")
-	// Retention 5s at 1s interval → 5 samples per ring.
-	s, clk := newTestStore(t, Config{Registry: reg, Interval: time.Second, Retention: 5 * time.Second})
+	s, clk := newTestStore(t, Config{Registry: reg})
 
 	for i := 1; i <= 12; i++ {
 		c.Inc()
 		clk.tick(s, time.Second)
 	}
-	pts := s.Samples("wrap_total", 0)
-	if len(pts) != 5 {
-		t.Fatalf("retained %d samples, want 5 (ring capacity)", len(pts))
+	snap := s.window("wrap_total", 0)
+	if len(snap) != 5 {
+		t.Fatalf("retained %d samples, want 5 (ring capacity)", len(snap))
 	}
 	// Oldest-first ordering across the wrap: the last 5 scrapes saw
 	// values 8..12.
-	for i, p := range pts {
-		if want := float64(8 + i); p.V != want {
-			t.Fatalf("pts[%d] = %v, want %v (oldest-first after wrap)", i, p.V, want)
+	for i, smp := range snap {
+		if want := float64(8 + i); smp.v != want {
+			t.Fatalf("sample %d = %v, want %v (oldest-first after wrap)", i, smp.v, want)
 		}
-		if i > 0 && !pts[i-1].T.Before(p.T) {
-			t.Fatalf("timestamps not ascending across wrap: %v then %v", pts[i-1].T, p.T)
+		if i > 0 && !snap[i-1].t.Before(smp.t) {
+			t.Fatalf("timestamps not ascending across wrap: %v then %v", snap[i-1].t, smp.t)
 		}
 	}
 	// Rate across the wrap stays 1/s everywhere.
-	for _, p := range s.Rate("wrap_total", 0) {
-		if p.V != 1 {
-			t.Fatalf("rate across wrap = %v, want 1", p.V)
+	for _, r := range s.rates("wrap_total", 0) {
+		if r != 1 {
+			t.Fatalf("rate across wrap = %v, want 1", r)
 		}
 	}
 }
@@ -119,13 +126,10 @@ func TestSyntheticRequestSeries(t *testing.T) {
 	reg.Counter("db2www_http_requests_total", "h", "code", "404").Add(2)
 	reg.Counter("db2www_http_requests_total", "h", "code", "500").Add(1)
 	reg.Counter("db2www_http_requests_total", "h", "code", "502").Add(1)
-	s, clk := newTestStore(t, Config{Registry: reg, Interval: time.Second, Retention: time.Minute})
+	s, clk := newTestStore(t, Config{Registry: reg})
 	clk.tick(s, time.Second)
 
-	if v, ok := s.Last(SeriesRequests); !ok || v != 11 {
-		t.Fatalf("%s = %v %v, want 11", SeriesRequests, v, ok)
-	}
-	if v, ok := s.Last(Series5xx); !ok || v != 2 {
+	if v, ok := s.last(Series5xx); !ok || v != 2 {
 		t.Fatalf("%s = %v %v, want 2", Series5xx, v, ok)
 	}
 }
@@ -133,78 +137,32 @@ func TestSyntheticRequestSeries(t *testing.T) {
 func TestWindowRestrictsSamples(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("g", "demo")
-	s, clk := newTestStore(t, Config{Registry: reg, Interval: time.Second, Retention: time.Minute})
+	s, clk := newTestStore(t, Config{Registry: reg})
 	for i := 0; i < 10; i++ {
 		g.Set(int64(i))
 		clk.tick(s, time.Second)
 	}
 	// now = last scrape time; a 3s window keeps samples at now-3s..now
 	// inclusive — four scrapes.
-	pts := s.Samples("g", 3*time.Second)
-	if len(pts) != 4 {
-		t.Fatalf("windowed samples = %d, want 4", len(pts))
-	}
-	if pts[0].V != 6 {
-		t.Fatalf("window start value = %v, want 6", pts[0].V)
-	}
-}
-
-func TestDerivAndMaxAcross(t *testing.T) {
-	reg := obs.NewRegistry()
-	g := reg.FloatGauge("burn", "demo", "macro", "a")
-	g2 := reg.FloatGauge("burn", "demo", "macro", "b")
-	s, clk := newTestStore(t, Config{Registry: reg, Interval: time.Second, Retention: time.Minute})
-	g.Set(1)
-	g2.Set(4)
-	clk.tick(s, time.Second)
-	g.Set(5)
-	g2.Set(2)
-	clk.tick(s, 2*time.Second)
-
-	if v, ok := s.Deriv(`burn{macro="a"}`, time.Minute); !ok || v != 2 {
-		t.Fatalf("Deriv = %v %v, want 2 (Δ4 over 2s)", v, ok)
-	}
-	pts := s.MaxAcross("burn{", time.Minute)
-	if len(pts) != 2 || pts[0].V != 4 || pts[1].V != 5 {
-		t.Fatalf("MaxAcross = %+v, want [4 5]", pts)
-	}
-}
-
-func TestStepAlign(t *testing.T) {
-	base := time.Date(1996, time.June, 4, 10, 0, 0, 0, time.UTC)
-	pts := []Point{
-		{T: base.Add(1 * time.Second), V: 1},
-		{T: base.Add(4 * time.Second), V: 2},
-		{T: base.Add(11 * time.Second), V: 3},
-		{T: base.Add(14 * time.Second), V: 4},
-		{T: base.Add(21 * time.Second), V: 5},
-	}
-	got := stepAlign(pts, 10*time.Second)
-	if len(got) != 3 {
-		t.Fatalf("stepAlign kept %d points, want 3: %+v", len(got), got)
-	}
-	for i, want := range []float64{2, 4, 5} {
-		if got[i].V != want {
-			t.Fatalf("step bucket %d = %v, want %v (last sample per step)", i, got[i].V, want)
-		}
-		if got[i].T != got[i].T.Truncate(10*time.Second) {
-			t.Fatalf("step bucket %d timestamp %v not aligned", i, got[i].T)
-		}
+	if v := values(s, "g", 3*time.Second); len(v) != 4 || v[0] != 6 {
+		t.Fatalf("windowed samples = %v, want [6 7 8 9]", v)
 	}
 }
 
 func TestStartAndCloseScrapeLoop(t *testing.T) {
+	override(t, &interval, 5*time.Millisecond)
 	reg := obs.NewRegistry()
 	reg.Counter("c_total", "demo").Add(1)
-	s := New(Config{Registry: reg, Interval: 5 * time.Millisecond, Retention: time.Second})
+	s := New(Config{Registry: reg})
 	s.Start()
+	scrapes := func() float64 { return reg.Snapshot()["db2www_history_scrapes_total"] }
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Scrapes() < 2 && time.Now().Before(deadline) {
+	for scrapes() < 2 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	s.Close()
 	s.Close() // idempotent
-	if s.Scrapes() < 2 {
+	if scrapes() < 2 {
 		t.Fatalf("scrape loop took no scrapes")
 	}
 	// An unstarted store's Close must not hang either.
@@ -214,16 +172,16 @@ func TestStartAndCloseScrapeLoop(t *testing.T) {
 func TestSelfMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("c_total", "demo").Add(1)
-	s, clk := newTestStore(t, Config{Registry: reg, Interval: time.Second, Retention: time.Minute})
+	s, clk := newTestStore(t, Config{Registry: reg})
 	clk.tick(s, time.Second)
 	snap := reg.Snapshot()
 	if snap["db2www_history_scrapes_total"] != 1 {
 		t.Fatalf("scrapes self-metric = %v", snap["db2www_history_scrapes_total"])
 	}
-	if snap["db2www_history_series"] < 3 { // c_total + 2 synthetic
+	if snap["db2www_history_series"] < 2 { // c_total + the synthetic 5xx sum
 		t.Fatalf("series self-metric = %v", snap["db2www_history_series"])
 	}
-	if snap["db2www_history_samples_total"] < 3 {
+	if snap["db2www_history_samples_total"] < 2 {
 		t.Fatalf("samples self-metric = %v", snap["db2www_history_samples_total"])
 	}
 }

@@ -407,9 +407,8 @@ func (r *Registry) Snapshot() map[string]float64 {
 	return out
 }
 
-// Sample is one series' full state at a scrape instant — what Snapshot
-// flattens away. Histograms keep their per-bucket counts so a consumer
-// (the history store) can compute windowed quantiles from deltas.
+// Sample is one series at a scrape instant, with its family's name and
+// kind kept apart — what Snapshot flattens away.
 type Sample struct {
 	// Name is the metric family name; Labels is the rendered `{k="v"}`
 	// label set (or ""), so Name+Labels is the series identity.
@@ -420,17 +419,12 @@ type Sample struct {
 	// Value is the counter/gauge value; for histograms it is the
 	// observation count.
 	Value float64
-	// Sum and Buckets are histogram-only: Sum is the sum of observed
-	// values, Buckets the per-bucket (non-cumulative) counts, one per
-	// bound in Bounds plus a final +Inf bucket. Bounds is shared with the
-	// registry and must not be mutated.
-	Sum     float64
-	Bounds  []float64
-	Buckets []int64
+	// Sum is histogram-only: the sum of observed values.
+	Sum float64
 }
 
-// FullSnapshot returns every series with histogram bucket detail, sorted
-// by name then label set. Scrape hooks run first, as for Snapshot.
+// FullSnapshot returns every series, sorted by name then label set.
+// Scrape hooks run first, as for Snapshot.
 func (r *Registry) FullSnapshot() []Sample {
 	r.runScrapeHooks()
 	r.mu.Lock()
@@ -448,11 +442,6 @@ func (r *Registry) FullSnapshot() []Sample {
 			case kindHistogram:
 				smp.Value = float64(s.h.Count())
 				smp.Sum = s.h.Sum()
-				smp.Bounds = f.bounds
-				smp.Buckets = make([]int64, len(f.bounds)+1)
-				for i := range smp.Buckets {
-					smp.Buckets[i] = s.h.counts[i].Load()
-				}
 			}
 			out = append(out, smp)
 		}

@@ -7,10 +7,10 @@ import (
 	"db2www/internal/obs"
 )
 
-// StatementKind classifies a parsed statement the way the execution
+// statementKind classifies a parsed statement the way the execution
 // dispatch does: "select", "write" (data-changing, version-bumping),
 // "ddl" (index DDL), or "txn" (transaction control).
-func StatementKind(st Stmt) string {
+func statementKind(st Stmt) string {
 	switch st.(type) {
 	case *SelectStmt:
 		return "select"
@@ -42,7 +42,7 @@ func (s *Session) ExecContext(ctx context.Context, sql string, params ...Value) 
 	if info == nil {
 		return s.execPrepared(sql, p)
 	}
-	info.Kind = StatementKind(p.st)
+	info.Kind = statementKind(p.st)
 	start := time.Now()
 	res, err := s.execPrepared(sql, p)
 	info.DBMicros = time.Since(start).Microseconds()
@@ -59,7 +59,7 @@ func (s *Session) ExecStmtContext(ctx context.Context, st Stmt, params ...Value)
 	if info == nil {
 		return s.ExecStmt(st, params...)
 	}
-	info.Kind = StatementKind(st)
+	info.Kind = statementKind(st)
 	start := time.Now()
 	res, err := s.ExecStmt(st, params...)
 	info.DBMicros = time.Since(start).Microseconds()

@@ -84,7 +84,7 @@ func NewDatabase(name string) *Database {
 		indexes: map[string]*Index{},
 		mvcc:    mvcc.NewManager(),
 		stmts:   Statements,
-		plans:   NewPlanCache(0),
+		plans:   newPlanCache(0),
 	}
 }
 
@@ -160,18 +160,6 @@ func (db *Database) TableNames() []string {
 	names := make([]string, 0, len(db.tables))
 	for _, t := range db.tables {
 		names = append(names, t.Name)
-	}
-	sortStrings(names)
-	return names
-}
-
-// IndexNames lists the catalog's index names in sorted order.
-func (db *Database) IndexNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.indexes))
-	for _, ix := range db.indexes {
-		names = append(names, ix.Name)
 	}
 	sortStrings(names)
 	return names
@@ -630,9 +618,6 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// InTxn reports whether an explicit transaction is open.
-func (s *Session) InTxn() bool { return s.tx != nil }
-
 // BeginTxn starts an explicit snapshot-isolation transaction.
 func (s *Session) BeginTxn() error {
 	if s.closed {
@@ -733,22 +718,18 @@ func (s *Session) execPrepared(sql string, p *prepared) (*Result, error) {
 	if res != nil {
 		rows = res.RowsAffected
 	}
-	s.db.stmts.Record(digest, norm, StatementKind(st), micros, rows, s.lastRetries, err != nil)
+	s.db.stmts.Record(digest, norm, statementKind(st), micros, rows, s.lastRetries, err != nil)
 	if err == nil {
 		if x, ok := st.(*ExplainStmt); ok && x.Analyze {
 			// File the rendered plan under the *target* statement's digest,
 			// where /debug/statements?digest= readers will look for it.
-			if innerDigest, innerNorm, ok := DigestSQLInner(sql); ok {
+			if innerDigest, innerNorm, ok := digestSQLInner(sql); ok {
 				s.db.stmts.SetPlan(innerDigest, innerNorm, planResultText(res))
 			}
 		}
 	}
 	return res, err
 }
-
-// LastDigest returns the digest of the session's most recent statement
-// executed with SQL text available, or "" when recording was off.
-func (s *Session) LastDigest() string { return s.lastDigest }
 
 // ExecStmt executes a parsed statement.
 func (s *Session) ExecStmt(st Stmt, params ...Value) (*Result, error) {

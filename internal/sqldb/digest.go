@@ -13,12 +13,12 @@ import (
 // one digest, so the statement stats registry (and the planned plan cache,
 // which will key on the same normalization) aggregates them together.
 
-// NormalizeSQL returns the canonical shape of sql: literals and parameters
+// normalizeSQL returns the canonical shape of sql: literals and parameters
 // become '?', keywords are upper-cased, identifiers lower-cased, comments
 // dropped, and token spacing made uniform. Statements that do not lex fall
 // back to a whitespace-collapsed copy of the raw text so callers always
 // get a stable key.
-func NormalizeSQL(sql string) string {
+func normalizeSQL(sql string) string {
 	toks, err := lexSQL(sql)
 	if err != nil {
 		return strings.Join(strings.Fields(sql), " ")
@@ -72,15 +72,15 @@ func spaceBetween(prev, next string) bool {
 // DigestSQL returns the statement digest (a 16-hex-digit FNV-64a of the
 // normalized shape) together with the normalized text itself.
 func DigestSQL(sql string) (digest, norm string) {
-	norm = NormalizeSQL(sql)
+	norm = normalizeSQL(sql)
 	return digestOf(norm), norm
 }
 
-// DigestSQLInner strips a leading EXPLAIN [ANALYZE] prefix and digests the
+// digestSQLInner strips a leading EXPLAIN [ANALYZE] prefix and digests the
 // statement underneath it, so an EXPLAIN ANALYZE run can file its plan
 // under the digest the bare statement executes as. ok is false when sql is
 // not an EXPLAIN statement.
-func DigestSQLInner(sql string) (digest, norm string, ok bool) {
+func digestSQLInner(sql string) (digest, norm string, ok bool) {
 	toks, err := lexSQL(sql)
 	if err != nil {
 		return "", "", false

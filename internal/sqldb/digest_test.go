@@ -57,16 +57,16 @@ func TestDigestInner(t *testing.T) {
 		"EXPLAIN ANALYZE SELECT title FROM urldb WHERE url = 'b'",
 		"explain analyze select title from urldb where url = ?",
 	} {
-		d, _, ok := DigestSQLInner(sql)
+		d, _, ok := digestSQLInner(sql)
 		if !ok {
-			t.Fatalf("DigestSQLInner(%q) not recognized as EXPLAIN", sql)
+			t.Fatalf("digestSQLInner(%q) not recognized as EXPLAIN", sql)
 		}
 		if d != want {
 			t.Errorf("inner digest of %q = %s, want the bare statement's %s", sql, d, want)
 		}
 	}
-	if _, _, ok := DigestSQLInner("SELECT 1"); ok {
-		t.Error("DigestSQLInner accepted a non-EXPLAIN statement")
+	if _, _, ok := digestSQLInner("SELECT 1"); ok {
+		t.Error("digestSQLInner accepted a non-EXPLAIN statement")
 	}
 }
 

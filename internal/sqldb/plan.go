@@ -85,9 +85,9 @@ type PlanCache struct {
 	bypasses atomic.Uint64
 }
 
-// NewPlanCache returns a cache holding at most cap shapes. cap <= 0
+// newPlanCache returns a cache holding at most cap shapes. cap <= 0
 // means DefaultPlanCacheCap.
-func NewPlanCache(cap int) *PlanCache {
+func newPlanCache(cap int) *PlanCache {
 	if cap <= 0 {
 		cap = DefaultPlanCacheCap
 	}

@@ -269,7 +269,7 @@ func TestPlanCacheDropTable(t *testing.T) {
 // TestPlanCacheLRUEviction exercises the bounded-LRU unit behaviour
 // directly: storing over capacity evicts the least recently used shape.
 func TestPlanCacheLRUEviction(t *testing.T) {
-	pc := NewPlanCache(2)
+	pc := newPlanCache(2)
 	store := func(key string) {
 		pc.store(&planEntry{key: key, stmt: &SelectStmt{}}, "text of "+key, nil)
 	}
@@ -332,7 +332,7 @@ func TestPlanCacheTextFastPath(t *testing.T) {
 		t.Fatalf("verbatim repeat across DDL not a hit: %d", got)
 	}
 	// The text map is bounded at textCapFactor times the shape cap.
-	pc := NewPlanCache(1)
+	pc := newPlanCache(1)
 	e := &planEntry{key: "k", stmt: &SelectStmt{}}
 	pc.store(e, "q", nil)
 	for i := 0; i < 3*textCapFactor; i++ {

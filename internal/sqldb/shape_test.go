@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -303,7 +304,10 @@ func TestShapePassAllocations(t *testing.T) {
 // (the gateway's maxBodyBytes, 1 MiB) — an IN list of 100 000 literals, a
 // string literal of 1 MiB — costs no more per byte to resolve and parse
 // than one of 10 KB, within a factor of 3: nothing on the path is
-// quadratic in the length of the text.
+// quadratic in the length of the text. Run through Session.Exec against a
+// two-row table with an index on the compared column, the same holds for
+// the whole statement, planning and executing included, and for a
+// LIKE '%…%' pattern as long.
 func TestResolveCostIsLinear(t *testing.T) {
 	const maxBody = 1 << 20
 	inList := func(n int) string {
@@ -321,33 +325,68 @@ func TestResolveCostIsLinear(t *testing.T) {
 	strLit := func(n int) string {
 		return "SELECT a FROM t WHERE b = '" + strings.Repeat("x", n-40) + "'"
 	}
-	// perByte is the least time per byte over runs of resolving and parsing
-	// sql on a database that has not seen it.
-	perByte := func(sql string, runs int) float64 {
+	like := func(n int) string {
+		return "SELECT a FROM t WHERE b LIKE '%" + strings.Repeat("x", n-40) + "%'"
+	}
+	empty := func() *Database { return NewDatabase("cost") }
+	twoRows := func() *Database {
+		db := NewDatabase("cost")
+		s := NewSession(db)
+		for _, sql := range []string{
+			"CREATE TABLE t (a INTEGER, b VARCHAR(20))",
+			"CREATE INDEX t_a ON t (a)",
+			"CREATE INDEX t_b ON t (b)",
+			"INSERT INTO t VALUES (1000001, 'x'), (2, 'xx')",
+		} {
+			mustExec(t, s, sql)
+		}
+		return db
+	}
+	resolve := func(db *Database, sql string) error {
+		if !db.StatementFacts(sql).Cacheable {
+			return errors.New("did not resolve to a parse")
+		}
+		return nil
+	}
+	exec := func(db *Database, sql string) error {
+		_, err := NewSession(db).Exec(sql)
+		return err
+	}
+	// perByte is the least time per byte over runs of run on sql, each on a
+	// database newDB built that has not seen sql.
+	perByte := func(sql string, runs int, newDB func() *Database, run func(*Database, string) error) float64 {
 		best := time.Duration(1 << 62)
 		for i := 0; i < runs; i++ {
-			db := NewDatabase("cost")
+			db := newDB()
 			start := time.Now()
-			f := db.StatementFacts(sql)
+			err := run(db, sql)
 			if d := time.Since(start); d < best {
 				best = d
 			}
-			if !f.Cacheable {
-				t.Fatalf("%.40q… did not resolve to a parse", sql)
+			if err != nil {
+				t.Fatalf("%.40q…: %v", sql, err)
 			}
 		}
 		return float64(best) / float64(len(sql))
 	}
 	for _, c := range []struct {
-		name string
-		gen  func(int) string
-	}{{"IN list", inList}, {"string literal", strLit}} {
+		name  string
+		gen   func(int) string
+		newDB func() *Database
+		run   func(*Database, string) error
+	}{
+		{"resolve: IN list", inList, empty, resolve},
+		{"resolve: string literal", strLit, empty, resolve},
+		{"exec: IN list", inList, twoRows, exec},
+		{"exec: string literal", strLit, twoRows, exec},
+		{"exec: LIKE pattern", like, twoRows, exec},
+	} {
 		small, large := c.gen(10<<10), c.gen(maxBody)
 		if len(large) > maxBody || len(large) < maxBody-64 {
 			t.Fatalf("%s: %d bytes, want about %d", c.name, len(large), maxBody)
 		}
-		perByte(large, 1) // warm the heap
-		ps, pl := perByte(small, 20), perByte(large, 3)
+		perByte(large, 1, c.newDB, c.run) // warm the heap
+		ps, pl := perByte(small, 20, c.newDB, c.run), perByte(large, 3, c.newDB, c.run)
 		t.Logf("%s: %.2f ns/byte at %d bytes, %.2f at %d", c.name, ps, len(small), pl, len(large))
 		if pl > 3*ps {
 			t.Errorf("%s: %.2f ns/byte at %d bytes against %.2f at %d: more than 3×", c.name, pl, len(large), ps, len(small))

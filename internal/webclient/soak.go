@@ -8,7 +8,7 @@ import (
 
 // SoakConfig drives Soak: sustained browser traffic against a gateway
 // for a fixed wall-clock duration — the workload behind gatewayd soak
-// checks and the A12 history ablation.
+// checks.
 type SoakConfig struct {
 	// Client performs the requests. Required.
 	Client *Client
