@@ -725,11 +725,11 @@ func BenchmarkA5_IndexVsScan(b *testing.B) {
 	}
 	s := sqldb.NewSession(db)
 	defer s.Close()
-	res, err := s.Exec("SELECT url FROM urldb ORDER BY url LIMIT 1 OFFSET 5000")
+	res, err := s.Exec("SELECT url FROM urldb ORDER BY url")
 	if err != nil {
 		b.Fatal(err)
 	}
-	key := res.Rows[0][0]
+	key := res.Rows[5000][0]
 	for _, idx := range []struct {
 		name, sql string
 	}{

@@ -222,6 +222,11 @@ type Error struct {
 	Macro string
 	Line  int
 	Msg   string
+	// Input says the request supplied what failed: a value a form field
+	// (or a name nothing defines, which only the request could bind)
+	// answered, or a dereference chain with a form field on it. The gateway
+	// answers it with 400; any other error is the macro's own, a 500.
+	Input bool
 }
 
 // Error implements the error interface.

@@ -412,13 +412,14 @@ func (r *macroRun) evalCondition(arm CondArm) (bool, error) {
 // directive runs every unnamed SQL section in macro order.
 func (r *macroRun) execDirective(item HTMLItem) error {
 	if item.SQLName != "" {
+		reads := r.vt.requestReads
 		name, err := r.vt.expandTemplate(item.sqlName)
 		if err != nil {
 			return err
 		}
 		sec := r.macro.NamedSQL(name)
 		if sec == nil {
-			return errAt(r.macro.Name, item.Line, "%%EXEC_SQL(%s): no SQL section named %q", item.SQLName, name)
+			return r.valueErr(reads, item.Line, "%%EXEC_SQL(%s): no SQL section named %q", item.SQLName, name)
 		}
 		return r.execSQLSection(sec)
 	}
@@ -614,6 +615,7 @@ func findMessage(mb *MessageBlock, code string) *MessageEntry {
 // RPT_MAXROWS variable wins; otherwise the engine default; 0 means
 // unlimited.
 func (r *macroRun) maxRows() (int, error) {
+	reads := r.vt.requestReads
 	v, err := r.vt.Lookup("RPT_MAXROWS")
 	if err != nil {
 		return 0, err
@@ -621,7 +623,7 @@ func (r *macroRun) maxRows() (int, error) {
 	if v != "" {
 		n, err := strconv.Atoi(strings.TrimSpace(v))
 		if err != nil || n < 0 {
-			return 0, errAt(r.macro.Name, 0, "RPT_MAXROWS is %q, want a non-negative integer", v)
+			return 0, r.valueErr(reads, 0, "RPT_MAXROWS is %q, want a non-negative integer", v)
 		}
 		return n, nil
 	}
@@ -633,6 +635,7 @@ func (r *macroRun) maxRows() (int, error) {
 // says the substitution scheme enables: a macro carries the position in
 // a hidden field and re-issues the query for the next page.
 func (r *macroRun) startRow() (int, error) {
+	reads := r.vt.requestReads
 	v, err := r.vt.Lookup("RPT_STARTROW")
 	if err != nil {
 		return 1, err
@@ -642,9 +645,18 @@ func (r *macroRun) startRow() (int, error) {
 	}
 	n, err := strconv.Atoi(strings.TrimSpace(v))
 	if err != nil || n < 1 {
-		return 1, errAt(r.macro.Name, 0, "RPT_STARTROW is %q, want a positive integer", v)
+		return 1, r.valueErr(reads, 0, "RPT_STARTROW is %q, want a positive integer", v)
 	}
 	return n, nil
+}
+
+// valueErr is the error of a value the variable table evaluated and the
+// engine then refused: the request's when the request answered one of the
+// dereferences made since the table counted reads.
+func (r *macroRun) valueErr(reads, line int, format string, args ...any) *Error {
+	e := errAt(r.macro.Name, line, format, args...)
+	e.Input = r.vt.requestReads > reads
+	return e
 }
 
 // renderResult renders a statement result through the custom

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"os/exec"
 	"strings"
 	"sync"
 )
@@ -13,14 +12,13 @@ import (
 // zero means success (the %EXEC variable then evaluates to null).
 type Command func(args []string, stdout *bytes.Buffer) int
 
-// CommandRegistry resolves and runs %EXEC command strings. By default
-// only registered in-process commands run — deterministic and safe for a
-// public gateway. AllowOS additionally permits running real operating
-// system programs, which is what the paper's REXX/Perl integrations did.
+// CommandRegistry resolves and runs %EXEC command strings. Only
+// registered in-process commands run — deterministic and safe for a
+// public gateway; the paper's REXX/Perl integrations, which ran operating
+// system programs, are in-process commands here.
 type CommandRegistry struct {
-	mu      sync.RWMutex
-	cmds    map[string]Command
-	AllowOS bool
+	mu   sync.RWMutex
+	cmds map[string]Command
 }
 
 // NewCommandRegistry returns an empty registry.
@@ -45,24 +43,13 @@ func (cr *CommandRegistry) Run(cmdline string) (int, string) {
 	}
 	cr.mu.RLock()
 	fn, ok := cr.cmds[args[0]]
-	allowOS := cr.AllowOS
 	cr.mu.RUnlock()
-	if ok {
-		var buf bytes.Buffer
-		code := fn(args, &buf)
-		return code, buf.String()
+	if !ok {
+		return 127, ""
 	}
-	if allowOS {
-		out, err := exec.Command(args[0], args[1:]...).Output()
-		if err != nil {
-			if ee, isExit := err.(*exec.ExitError); isExit {
-				return ee.ExitCode(), string(out)
-			}
-			return 127, ""
-		}
-		return 0, string(out)
-	}
-	return 127, ""
+	var buf bytes.Buffer
+	code := fn(args, &buf)
+	return code, buf.String()
 }
 
 // splitFields splits a command line on spaces, honouring double-quoted

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -64,6 +65,10 @@ type VarTable struct {
 	// from depth 0 has made and where its text began in the buffer, for
 	// maxDerefs and maxRefBytes.
 	derefs, refStart int
+	// requestReads counts the dereferences the request answered: those a
+	// form field bound, and those of a name nothing binds, which only the
+	// request could have.
+	requestReads int
 	// static is the Static the table belongs to: the table notes for it
 	// what each expansion reads (Static.read) and the shape of a command
 	// (appendParts). The request path leaves it nil.
@@ -127,6 +132,15 @@ func (vt *VarTable) Lookup(name string) (string, error) {
 		return "", err
 	}
 	return string(buf), nil
+}
+
+// errCut is the error of a dereference that a bound cuts at name: the
+// request's when a form field answers a name on the chain, the macro's
+// otherwise.
+func (vt *VarTable) errCut(name, format string, args ...any) *Error {
+	e := errAt(vt.macro, 0, format, args...)
+	e.Input = vt.inputs.Has(name) || slices.ContainsFunc(vt.visiting, vt.inputs.Has)
+	return e
 }
 
 // Expand evaluates a value string: literal text with $(name) references
@@ -350,15 +364,13 @@ func (vt *VarTable) appendVar(buf []byte, name string) ([]byte, error) {
 		return append(buf, v...), nil
 	}
 	if depth == maxDerefDepth {
-		return buf, errAt(vt.macro, 0, "reference chain deeper than %d variables at variable %q", maxDerefDepth, name)
+		return buf, vt.errCut(name, "reference chain deeper than %d variables at variable %q", maxDerefDepth, name)
 	}
 	if vt.derefs++; vt.derefs > maxDerefs || len(buf)-vt.refStart > maxRefBytes {
-		return buf, errAt(vt.macro, 0, "reference makes more than %d dereferences or %d bytes at variable %q", maxDerefs, maxRefBytes, name)
+		return buf, vt.errCut(name, "reference makes more than %d dereferences or %d bytes at variable %q", maxDerefs, maxRefBytes, name)
 	}
-	for _, n := range vt.visiting {
-		if n == name {
-			return buf, errAt(vt.macro, 0, "circular reference involving variable %q", name)
-		}
+	if slices.Contains(vt.visiting, name) {
+		return buf, vt.errCut(name, "circular reference involving variable %q", name)
 	}
 	vt.visiting = append(vt.visiting, name)
 	mark := len(buf)
@@ -381,6 +393,7 @@ func (vt *VarTable) appendBound(buf []byte, name string) ([]byte, string, error)
 	// are themselves parsed for references (Section 4.3.2), which is what
 	// makes the $$(hidden) idiom of Appendix A work.
 	if vals := vt.inputs.GetAll(name); len(vals) > 0 {
+		vt.requestReads++
 		if len(vals) == 1 {
 			buf, err := vt.appendSource(buf, vals[0])
 			return buf, "input", err
@@ -414,6 +427,7 @@ func (vt *VarTable) appendBound(buf []byte, name string) ([]byte, string, error)
 	// 3. Macro definitions.
 	switch {
 	case def == nil:
+		vt.requestReads++
 		return buf, "undefined", nil
 	case def.Exec != nil:
 		buf, err := vt.runExec(buf, name, def.Exec)

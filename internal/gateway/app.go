@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -136,7 +137,12 @@ func (a *App) ServeCGIContext(ctx context.Context, req *cgi.Request) (*cgi.Respo
 	// it, not a copy, and a failed run just leaves the buffer to the collector.
 	buf := pagePool.Get().(*pageBuffer)
 	if err := a.Engine.RunContext(ctx, m, mode, inputs, buf); err != nil {
-		return errorPageTrace(500, "Macro processing failed", err.Error(), tr), nil
+		status := 500
+		var ce *core.Error
+		if errors.As(err, &ce) && ce.Input {
+			status = 400 // the request supplied what failed
+		}
+		return errorPageTrace(status, "Macro processing failed", err.Error(), tr), nil
 	}
 	return &cgi.Response{
 		Status:      200,

@@ -1,0 +1,169 @@
+package gateway
+
+import (
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"db2www/internal/sqldb"
+)
+
+// appendixAForm is the form Appendix A's input page posts as printed.
+const appendixAForm = "SEARCH=ib&USE_URL=yes&USE_TITLE=yes&DBFIELDS=%24%28hidden_a%29&SHOWSQL="
+
+// post sends body to target through h, as a browser posts a form.
+func post(h http.Handler, target, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest("POST", "http://localhost"+target, strings.NewReader(body))
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// fanOut is a posted dereference fan-out past maxDerefs: SEARCH=$(A0),
+// each of A0…A5 eight references to the next, A6=x — 8⁶ dereferences.
+func fanOut() string {
+	v := url.Values{"SEARCH": {"$(A0)"}, "USE_URL": {"yes"}, "A6": {"x"}}
+	for i := 0; i < 6; i++ {
+		v.Set("A"+strconv.Itoa(i), strings.Repeat("$(A"+strconv.Itoa(i+1)+")", 8))
+	}
+	return v.Encode()
+}
+
+// clientErrors are posts to urlquery.d2w/report whose fault is the
+// request's: each once answered 500, counted in the 5xx burst that takes
+// the server out of rotation.
+var clientErrors = []struct{ name, body string }{
+	{"RPT_MAXROWS=A", appendixAForm + "&RPT_MAXROWS=A"},
+	{"RPT_STARTROW=-1", appendixAForm + "&RPT_STARTROW=-1"},
+	{"a cycle of posted fields", "USE_URL=yes&SEARCH=%24%28X%29&X=%24%28SEARCH%29"},
+	{"a posted fan-out past maxDerefs", fanOut()},
+}
+
+// TestClientInputErrorsAre400: an error whose value at fault came from the
+// request answers 400 with the page a 500 has, and leaves the server
+// ready; the same error in the macro's own definitions stays a 500.
+func TestClientInputErrorsAre400(t *testing.T) {
+	macros := t.TempDir()
+	src, err := os.ReadFile(filepath.Join(repoRoot(t), "testdata", "macros", "urlquery.d2w"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, text := range map[string]string{
+		"urlquery.d2w": string(src),
+		"cycle.d2w":    "%define{\nA = \"$(B)\"\nB = \"$(A)\"\n%}\n%HTML_REPORT{$(A)%}\n",
+		"maxrows.d2w": "%define{\nDATABASE = \"CELDIAL\"\nRPT_MAXROWS = \"A\"\n%}\n" +
+			"%SQL{SELECT url FROM urldb%}\n%HTML_REPORT{%EXEC_SQL%}\n",
+	} {
+		if err := os.WriteFile(filepath.Join(macros, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := DefaultServerConfig()
+	cfg.Macros, cfg.Lint = macros, "off" // the preflight would refuse cycle.d2w
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	for _, c := range clientErrors {
+		rec := post(h, "/cgi-bin/db2www/urlquery.d2w/report", c.body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "Macro processing failed") {
+			t.Errorf("%s: %d, want 400 with the macro's error page:\n%s", c.name, rec.Code, rec.Body)
+		}
+	}
+	// Twelve of them within a second are no 5xx burst.
+	for i := 0; i < 12; i++ {
+		post(h, "/cgi-bin/db2www/urlquery.d2w/report", clientErrors[0].body)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "http://localhost/readyz", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("/readyz after client errors: %d %s", rec.Code, rec.Body)
+	}
+	for _, own := range []string{"cycle.d2w", "maxrows.d2w"} {
+		if rec := post(h, "/cgi-bin/db2www/"+own+"/report", ""); rec.Code != http.StatusInternalServerError {
+			t.Errorf("%s, the macro's own error: %d, want 500", own, rec.Code)
+		}
+	}
+}
+
+// refusedSQL is one statement of each construct the engine refuses with
+// 0A000.
+var refusedSQL = []struct{ construct, sql string }{
+	{"UNION", "SELECT url FROM urldb UNION SELECT title FROM urldb"},
+	{"scalar subquery", "SELECT url FROM urldb WHERE title = (SELECT MAX(title) FROM urldb)"},
+	{"IN subquery", "SELECT url FROM urldb WHERE url IN (SELECT url FROM urldb)"},
+	{"EXISTS", "SELECT url FROM urldb WHERE EXISTS (SELECT 1 FROM urldb)"},
+	{"derived table", "SELECT d.url FROM (SELECT url FROM urldb) d"},
+	{"derived table joined", "SELECT u.url FROM urldb u JOIN (SELECT url FROM urldb) d ON d.url = u.url"},
+	{"HAVING", "SELECT title, COUNT(*) FROM urldb GROUP BY title HAVING COUNT(*) > 1"},
+	{"DISTINCT", "SELECT DISTINCT title FROM urldb"},
+	{"COUNT(DISTINCT)", "SELECT COUNT(DISTINCT title) FROM urldb"},
+	{"LIMIT", "SELECT url FROM urldb ORDER BY url LIMIT 5"},
+	{"OFFSET", "SELECT url FROM urldb ORDER BY url OFFSET 5"},
+	{"FETCH FIRST", "SELECT url FROM urldb ORDER BY url FETCH FIRST 5 ROWS ONLY"},
+	{"ALTER TABLE", "ALTER TABLE urldb ADD COLUMN rating INTEGER"},
+	{"EXPLAIN of a UNION", "EXPLAIN SELECT url FROM urldb UNION SELECT title FROM urldb"},
+}
+
+// TestUnsupportedSQLIs0A000: every construct the engine no longer serves
+// answers SQLSTATE 0A000 — through Session.Exec, and through a %SQL
+// section whose %SQL_MESSAGE catches it — and Appendix A's DBFIELDS
+// vector, which a UNION once turned into all of urldb, returns no row.
+func TestUnsupportedSQLIs0A000(t *testing.T) {
+	macros := t.TempDir()
+	src, err := os.ReadFile(filepath.Join(repoRoot(t), "testdata", "macros", "urlquery.d2w"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const refuse = `%define DATABASE = "CELDIAL"
+%SQL{$(STMT)
+%SQL_MESSAGE{
+0A000 : "<P>refused: $(SQL_STATE)</P>" : continue
+%}
+%}
+%HTML_REPORT{%EXEC_SQL%}
+`
+	for name, text := range map[string]string{"urlquery.d2w": string(src), "refuse.d2w": refuse} {
+		if err := os.WriteFile(filepath.Join(macros, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := DefaultServerConfig()
+	cfg.Macros = macros
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sess := sqldb.NewSession(srv.DB)
+	defer sess.Close()
+	h := srv.Handler()
+	for _, c := range refusedSQL {
+		_, err := sess.Exec(c.sql)
+		var se *sqldb.Error
+		if !errors.As(err, &se) || se.Code != sqldb.CodeFeature {
+			t.Errorf("%s: Session.Exec = %v, want SQLSTATE %s", c.construct, err, sqldb.CodeFeature)
+		}
+		rec := post(h, "/cgi-bin/db2www/refuse.d2w/report", url.Values{"STMT": {c.sql}}.Encode())
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "<P>refused: 0A000</P>") {
+			t.Errorf("%s: the %%SQL_MESSAGE page: %d\n%s", c.construct, rec.Code, rec.Body)
+		}
+	}
+
+	rec := post(h, "/cgi-bin/db2www/urlquery.d2w/report",
+		"SEARCH=ib&USE_URL=yes&DBFIELDS="+url.QueryEscape("title FROM urldb UNION SELECT url, title"))
+	if rows := strings.Count(rec.Body.String(), "<LI> <A HREF="); rec.Code != http.StatusOK || rows != 0 ||
+		!strings.Contains(rec.Body.String(), "SQLSTATE=0A000") {
+		t.Errorf("Appendix A's DBFIELDS UNION: %d with %d urldb rows, want 200 with none and the 0A000 message:\n%.2000s",
+			rec.Code, rows, rec.Body)
+	}
+}

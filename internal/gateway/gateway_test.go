@@ -44,7 +44,7 @@ func newTestStack(t *testing.T) (*Handler, *App) {
 }
 
 // repoRoot walks up from the working directory to the module root.
-func repoRoot(t *testing.T) string {
+func repoRoot(t testing.TB) string {
 	t.Helper()
 	dir, err := os.Getwd()
 	if err != nil {

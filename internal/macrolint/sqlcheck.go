@@ -12,11 +12,11 @@ import (
 
 // selectShape extracts the checkable shape of a SELECT list: the number
 // of projected columns and the names a report can reference via
-// $(V.name). Ok is false when the list cannot be pinned down (SELECT *,
-// t.*, or a UNION whose arms could disagree is left to the executor).
+// $(V.name). Ok is false when the list cannot be pinned down (SELECT * or
+// t.* is left to the executor).
 func selectShape(stmt sqldb.Stmt) (count int, names map[string]bool, ok bool) {
 	sel, isSel := stmt.(*sqldb.SelectStmt)
-	if !isSel || sel.Star || len(sel.Unions) > 0 {
+	if !isSel || sel.Star {
 		return 0, nil, false
 	}
 	names = map[string]bool{}

@@ -14,27 +14,14 @@ type Expr interface{ expr() }
 
 // --- Statements ---
 
-// SelectStmt is a SELECT query, possibly the head of a UNION chain.
-// When Unions is non-empty, OrderBy/Limit/Offset belong to the whole
-// chain and order by output column name or ordinal.
+// SelectStmt is a SELECT query.
 type SelectStmt struct {
-	Distinct bool
-	Items    []SelectItem // empty means bare `SELECT *`
-	Star     bool         // true when the item list is exactly *
-	From     []TableRef   // comma-joined table references
-	Where    Expr         // nil when absent
-	GroupBy  []Expr
-	Having   Expr
-	OrderBy  []OrderItem
-	Limit    Expr // nil when absent
-	Offset   Expr // nil when absent
-	Unions   []UnionPart
-}
-
-// UnionPart is one UNION [ALL] arm after the head SELECT.
-type UnionPart struct {
-	All bool
-	Sel *SelectStmt
+	Items   []SelectItem // empty means bare `SELECT *`
+	Star    bool         // true when the item list is exactly *
+	From    []TableRef   // comma-joined table references
+	Where   Expr         // nil when absent
+	GroupBy []Expr
+	OrderBy []OrderItem
 }
 
 // SelectItem is one projected expression with an optional alias, or a
@@ -61,24 +48,21 @@ const (
 	JoinCross
 )
 
-// TableRef is a base table or derived table (parenthesised SELECT, which
-// requires an alias) with a chain of explicit joins hanging off it.
+// TableRef is a base table with a chain of explicit joins hanging off it.
 type TableRef struct {
 	Table string
-	Sub   *SelectStmt // derived table; Table is then empty
 	Alias string
 	Joins []JoinClause
-	Off   int // byte offset of the table name (or opening paren) in the source
+	Off   int // byte offset of the table name in the source
 }
 
 // JoinClause is one explicit JOIN ... ON attached to a TableRef.
 type JoinClause struct {
 	Kind  JoinKind
 	Table string
-	Sub   *SelectStmt // derived table join target
 	Alias string
 	On    Expr // nil for CROSS JOIN
-	Off   int  // byte offset of the joined table name (or opening paren)
+	Off   int  // byte offset of the joined table name
 }
 
 // InsertStmt is an INSERT statement with one or more VALUES rows.
@@ -130,16 +114,6 @@ type ColumnDef struct {
 	Default    Expr // nil when absent
 }
 
-// AlterTableStmt alters a table: exactly one of AddColumn, DropColumn,
-// or RenameTo is set.
-type AlterTableStmt struct {
-	Table      string
-	AddColumn  *ColumnDef
-	DropColumn string
-	RenameTo   string
-	TableOff   int // byte offset of the table name
-}
-
 // DropTableStmt drops a table.
 type DropTableStmt struct {
 	Table    string
@@ -188,7 +162,6 @@ func (*InsertStmt) stmt()      {}
 func (*UpdateStmt) stmt()      {}
 func (*DeleteStmt) stmt()      {}
 func (*CreateTableStmt) stmt() {}
-func (*AlterTableStmt) stmt()  {}
 func (*DropTableStmt) stmt()   {}
 func (*CreateIndexStmt) stmt() {}
 func (*DropIndexStmt) stmt()   {}
@@ -248,27 +221,11 @@ type BetweenExpr struct {
 	Lo, Hi Expr
 }
 
-// InExpr is [NOT] IN (value list) or [NOT] IN (subquery).
+// InExpr is [NOT] IN (value list).
 type InExpr struct {
 	Not  bool
 	X    Expr
 	List []Expr
-	Sub  *Subquery // non-nil for the subquery form; List is then empty
-}
-
-// Subquery is a parenthesised SELECT used as an expression: scalar
-// (single column, at most one row), as the right side of IN, or under
-// EXISTS. Subqueries are uncorrelated: they cannot reference columns of
-// the enclosing query; they are evaluated once per statement execution
-// (the rows are kept on the subquery's plan).
-type Subquery struct {
-	Sel *SelectStmt
-}
-
-// ExistsExpr is [NOT] EXISTS (subquery).
-type ExistsExpr struct {
-	Not bool
-	Sub *Subquery
 }
 
 // IsNullExpr is IS [NOT] NULL.
@@ -278,13 +235,12 @@ type IsNullExpr struct {
 }
 
 // FuncCall is a scalar or aggregate function call. Star is true for
-// COUNT(*). Distinct is true for COUNT(DISTINCT x) style calls.
+// COUNT(*).
 type FuncCall struct {
-	Name     string // upper-cased
-	Star     bool
-	Distinct bool
-	Args     []Expr
-	Off      int // byte offset of the function name
+	Name string // upper-cased
+	Star bool
+	Args []Expr
+	Off  int // byte offset of the function name
 }
 
 // CaseExpr is a searched or simple CASE expression.
@@ -318,8 +274,6 @@ func (*IsNullExpr) expr()  {}
 func (*FuncCall) expr()    {}
 func (*CaseExpr) expr()    {}
 func (*CastExpr) expr()    {}
-func (*Subquery) expr()    {}
-func (*ExistsExpr) expr()  {}
 
 // walkExpr visits e and every sub-expression depth-first. The visitor
 // returns false to prune the subtree.
@@ -346,9 +300,6 @@ func walkExpr(e Expr, fn func(Expr) bool) {
 		for _, it := range x.List {
 			walkExpr(it, fn)
 		}
-		if x.Sub != nil {
-			walkExpr(x.Sub, fn)
-		}
 	case *IsNullExpr:
 		walkExpr(x.X, fn)
 	case *FuncCall:
@@ -364,11 +315,5 @@ func walkExpr(e Expr, fn func(Expr) bool) {
 		walkExpr(x.Else, fn)
 	case *CastExpr:
 		walkExpr(x.X, fn)
-	case *Subquery:
-		// Subqueries are closed scopes: the walk visits the node itself
-		// (fn already ran) but not the inner statement, whose
-		// expressions bind against the subquery's own FROM.
-	case *ExistsExpr:
-		walkExpr(x.Sub, fn)
 	}
 }

@@ -92,19 +92,19 @@ func BenchmarkGroupByAggregate(b *testing.B) {
 	}
 }
 
-func BenchmarkOrderByLimit(b *testing.B) {
+func BenchmarkOrderBy(b *testing.B) {
 	s := benchDB(b, 10000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Exec("SELECT id, name FROM t ORDER BY val DESC LIMIT 10"); err != nil {
+		if _, err := s.Exec("SELECT id, name FROM t ORDER BY val DESC"); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkParseOnly(b *testing.B) {
-	const q = "SELECT a.x, COUNT(*) FROM t1 a JOIN t2 b ON a.id = b.id WHERE a.v LIKE 'p%' AND b.n BETWEEN 1 AND 10 GROUP BY a.x ORDER BY 2 DESC LIMIT 5"
+	const q = "SELECT a.x, COUNT(*) FROM t1 a JOIN t2 b ON a.id = b.id WHERE a.v LIKE 'p%' AND b.n BETWEEN 1 AND 10 GROUP BY a.x ORDER BY 2 DESC"
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Parse(q); err != nil {

@@ -83,8 +83,8 @@ type Table struct {
 	indexes []*Index
 
 	// pending counts uncommitted version creations plus delete intents
-	// on this table. ALTER TABLE refuses to rewrite row layouts while
-	// another transaction's pending versions are present.
+	// on this table. DROP TABLE refuses to retire the table while another
+	// transaction's pending versions are present.
 	pending atomic.Int64
 
 	// Access counters, maintained unconditionally (plain atomics are

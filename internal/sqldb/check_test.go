@@ -65,7 +65,7 @@ func TestCheckHasNoSideEffects(t *testing.T) {
 	for _, src := range []string{
 		"SELECT c.name, o.total FROM customers c JOIN orders o ON c.custid = o.custid WHERE c.city = 'Austin'",
 		"SELECT nosuch FROM customers",
-		"SELECT name FROM customers WHERE custid IN (SELECT custid FROM orders WHERE total > ?)",
+		"SELECT name FROM customers WHERE custid IN (?, 2)",
 		"INSERT INTO customers VALUES (3, 'Edsger', 'Nuenen')",
 		"INSERT INTO customers (custid, nosuch) VALUES (3, 'x')",
 		"INSERT INTO customers (custid, name) VALUES (1, 'duplicate key')",
@@ -82,11 +82,6 @@ func TestCheckHasNoSideEffects(t *testing.T) {
 		"CREATE INDEX customers_city ON customers (name)",
 		"DROP INDEX customers_city",
 		"DROP INDEX nosuch",
-		"ALTER TABLE orders ADD COLUMN note VARCHAR",
-		"ALTER TABLE orders DROP COLUMN total",
-		"ALTER TABLE customers DROP COLUMN city",
-		"ALTER TABLE orders RENAME TO purchases",
-		"ALTER TABLE orders RENAME TO customers",
 		"BEGIN",
 		"COMMIT",
 	} {
@@ -119,9 +114,8 @@ func TestCheckReturnsTheEnginesError(t *testing.T) {
 		{"SELECT custid FROM customers, orders", CodeAmbiguousColumn, "custid"},
 		{"SELECT customers.name FROM customers c", CodeUndefinedColumn, "customers.name"},
 		{"SELECT name FROM customers ORDER BY 3", CodeSyntax, "3"},
-		{"SELECT name FROM customers UNION SELECT name, city FROM customers", CodeCardinality, "customers"},
-		{"SELECT name FROM customers WHERE custid IN (SELECT nope FROM orders)", CodeUndefinedColumn, "nope"},
-		{"SELECT x FROM (SELECT name AS x FROM customers) d WHERE d.y = 1", CodeUndefinedColumn, "d.y"},
+		{"SELECT name FROM customers WHERE custid IN (nope, 1)", CodeUndefinedColumn, "nope"},
+		{"SELECT name FROM customers d WHERE d.y = 1", CodeUndefinedColumn, "d.y"},
 		{"INSERT INTO customers (custid, nosuch) VALUES (3, 'x')", CodeUndefinedColumn, "nosuch"},
 		{"INSERT INTO customers (custid, name) VALUES (3, 'x', 'y')", CodeCardinality, "3"},
 		{"INSERT INTO customers (custid, custid) VALUES (3, 4)", CodeSyntax, "custid)"},
@@ -131,7 +125,6 @@ func TestCheckReturnsTheEnginesError(t *testing.T) {
 		{"DELETE FROM nosuch", CodeUndefinedTable, "nosuch"},
 		{"CREATE INDEX i ON customers (nosuch)", CodeUndefinedColumn, "nosuch"},
 		{"DROP INDEX nosuch", CodeUndefinedIndex, "nosuch"},
-		{"ALTER TABLE nosuch ADD COLUMN a INTEGER", CodeUndefinedTable, "nosuch"},
 		{"DROP TABLE IF EXISTS nosuch", "", ""},
 	} {
 		st, err := Parse(tc.src)
@@ -160,7 +153,7 @@ func TestCheckReturnsTheEnginesError(t *testing.T) {
 		}
 	}
 
-	st, _ := Parse("SELECT c.name, o.total, x FROM customers c JOIN orders o ON c.custid = o.custid, (SELECT 1 AS x) d")
+	st, _ := Parse("SELECT c.name, o.total FROM customers c JOIN orders o ON c.custid = o.custid")
 	bind, _, err := db.Check(st)
 	if err != nil {
 		t.Fatal(err)
@@ -169,21 +162,20 @@ func TestCheckReturnsTheEnginesError(t *testing.T) {
 	for ref, col := range bind {
 		got[ref.Table+"."+ref.Column] = col
 	}
-	if len(got) != 5 || got["c.name"].Rel != "c" || got["c.name"].Table != "customers" ||
-		got["o.total"].Column.Type != TFloat || got["o.custid"].Rel != "o" || got[".x"] != (BoundColumn{Rel: "d"}) {
+	if len(got) != 4 || got["c.name"].Rel != "c" || got["c.name"].Table != "customers" ||
+		got["o.total"].Column.Type != TFloat || got["o.custid"].Rel != "o" {
 		t.Errorf("binding = %+v", got)
 	}
 }
 
-// TestBindErrorsAtPlanTime: the target columns and the arity of an INSERT,
-// and the arity of a UNION, are checked when the statement is planned, so
-// plain EXPLAIN — which plans and runs nothing — reports them.
+// TestBindErrorsAtPlanTime: the target columns and the arity of an INSERT
+// are checked when the statement is planned, so plain EXPLAIN — which
+// plans and runs nothing — reports them.
 func TestBindErrorsAtPlanTime(t *testing.T) {
 	s := NewSession(checkDB(t))
 	for src, code := range map[string]string{
-		"EXPLAIN INSERT INTO customers (nosuch) VALUES (1)":                         CodeUndefinedColumn,
-		"EXPLAIN INSERT INTO customers (custid, name) VALUES (1)":                   CodeCardinality,
-		"EXPLAIN SELECT name FROM customers UNION SELECT name, city FROM customers": CodeCardinality,
+		"EXPLAIN INSERT INTO customers (nosuch) VALUES (1)":       CodeUndefinedColumn,
+		"EXPLAIN INSERT INTO customers (custid, name) VALUES (1)": CodeCardinality,
 	} {
 		_, err := s.Exec(src)
 		var se *Error

@@ -23,8 +23,7 @@ import (
 // raised when a row is evaluated, as the statement's semantics have it.
 
 // envCol names one slot of a row layout: the (lower-cased) table qualifier
-// and column name, and the base table the column is read from (nil for a
-// derived table's column).
+// and column name, and the base table the column is read from.
 type envCol struct {
 	tbl  string
 	name string
@@ -144,10 +143,9 @@ func failExpr(err error) rowExpr {
 type compiler struct {
 	cols   []envCol // the layout of the rows the closures will be called on
 	params []Value
-	// vw reads subqueries and the clock; without a database (constants:
-	// LIMIT, DEFAULT, an index key) neither is allowed.
-	vw   view
-	subs []*subPlan // the statement's subqueries, each with its plan
+	// vw reads the clock; without a database (constants: DEFAULT, an
+	// index key) it is not allowed.
+	vw view
 	// aggs are the aggregate calls of a grouped SELECT in slot order and
 	// aggRow where the executor puts the current group's results; nil
 	// wherever an aggregate has no group to be the result of.
@@ -170,7 +168,7 @@ func isPredicate(e Expr) bool {
 		case "AND", "OR", "=", "<>", "<", "<=", ">", ">=":
 			return true
 		}
-	case *LikeExpr, *BetweenExpr, *InExpr, *IsNullExpr, *ExistsExpr:
+	case *LikeExpr, *BetweenExpr, *InExpr, *IsNullExpr:
 		return true
 	}
 	return false
@@ -227,8 +225,6 @@ func (c *compiler) value(e Expr) (rowExpr, error) {
 			}
 			return coerceToColumn(a, to)
 		}}, nil
-	case *Subquery:
-		return c.scalarSubquery(x), nil
 	}
 	return failExpr(errInternal(fmt.Sprintf("unknown expression node %T", e))), nil
 }
@@ -508,54 +504,6 @@ func (c *compiler) caseExpr(x *CaseExpr) (rowExpr, error) {
 	}}, nil
 }
 
-// subqueryRows returns what reads the rows of sub: its plan runs the first
-// time the execution asks (subqueries are uncorrelated), and the rows are
-// kept on it after that.
-func (c *compiler) subqueryRows(sub *Subquery) func() ([][]Value, error) {
-	if c.vw.db == nil {
-		err := &Error{Code: CodeFeature, Message: "subqueries are not allowed in this context"}
-		return func() ([][]Value, error) { return nil, err }
-	}
-	for _, sp := range c.subs {
-		if sp.sq != sub {
-			continue
-		}
-		vw := c.vw
-		return func() ([][]Value, error) {
-			if !sp.done {
-				res, err := vw.execSelect(sp.plan)
-				if err != nil {
-					return nil, err
-				}
-				sp.rows, sp.done = res.Rows, true
-			}
-			return sp.rows, nil
-		}
-	}
-	err := errInternal("subquery without a plan")
-	return func() ([][]Value, error) { return nil, err }
-}
-
-func (c *compiler) scalarSubquery(x *Subquery) rowExpr {
-	sub := c.subqueryRows(x)
-	return rowExpr{fn: func([]Value) (Value, error) {
-		rows, err := sub()
-		switch {
-		case err != nil:
-			return Null, err
-		case len(rows) == 0:
-			return Null, nil
-		case len(rows) > 1:
-			return Null, &Error{Code: CodeCardinality,
-				Message: "scalar subquery returned more than one row"}
-		case len(rows[0]) != 1:
-			return Null, &Error{Code: CodeCardinality,
-				Message: "scalar subquery must return exactly one column"}
-		}
-		return rows[0][0], nil
-	}}
-}
-
 // --- predicates ---
 
 // pred compiles e as a predicate.
@@ -603,12 +551,6 @@ func (c *compiler) pred(e Expr) (predFn, error) {
 		return func(row []Value) (tri, error) {
 			a, err := v.eval(row)
 			return triOf(a.IsNull() != not), err
-		}, nil
-	case *ExistsExpr:
-		sub, not := c.subqueryRows(x.Sub), x.Not
-		return func([]Value) (tri, error) {
-			rows, err := sub()
-			return triOf((len(rows) > 0) != not), err
 		}, nil
 	}
 	panic("sqldb: isPredicate and pred disagree")
@@ -801,38 +743,14 @@ func (c *compiler) between(x *BetweenExpr) (predFn, error) {
 	}, nil
 }
 
-// in compiles [NOT] IN over a value list or a subquery's rows. A NULL
-// among the candidates makes a miss unknown.
+// in compiles [NOT] IN over a value list. A NULL among the candidates
+// makes a miss unknown.
 func (c *compiler) in(x *InExpr) (predFn, error) {
 	xv, err := c.value(x.X)
 	if err != nil {
 		return nil, err
 	}
 	not := x.Not
-	if x.Sub != nil {
-		sub := c.subqueryRows(x.Sub)
-		return func(row []Value) (tri, error) {
-			v, err := xv.eval(row)
-			if err != nil {
-				return triUnknown, err
-			}
-			rows, err := sub()
-			if err != nil || v.IsNull() {
-				return triUnknown, err
-			}
-			sawNull := false
-			for _, r := range rows {
-				if len(r) != 1 {
-					return triUnknown, &Error{Code: CodeCardinality,
-						Message: "IN subquery must return exactly one column"}
-				}
-				if found, err := inStep(&v, &r[0], &sawNull); err != nil || found {
-					return triOf(!not), err
-				}
-			}
-			return inMiss(sawNull, not), nil
-		}, nil
-	}
 	list := make([]rowExpr, len(x.List))
 	for i, item := range x.List {
 		if list[i], err = c.value(item); err != nil {
@@ -875,16 +793,6 @@ func inMiss(sawNull, not bool) tri {
 		return triUnknown
 	}
 	return triOf(not)
-}
-
-// constValue evaluates e if it is constant for the statement: no column,
-// aggregate or subquery in it, and nothing that needs the database.
-func constValue(e Expr, params []Value) (Value, bool) {
-	if !constShaped(e) {
-		return Null, false
-	}
-	v, err := evalConst(e, params)
-	return v, err == nil
 }
 
 // evalConst evaluates an expression that looks at no row.

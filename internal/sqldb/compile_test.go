@@ -11,8 +11,8 @@ import (
 
 // exprSite is one place of a statement an expression is evaluated in: the
 // layout of the rows that reach it, some such rows, and whether an
-// aggregate call there stands for its group's result (the projection,
-// HAVING and ORDER BY of a SELECT) or has no group (everywhere else).
+// aggregate call there stands for its group's result (the projection and
+// ORDER BY of a SELECT) or has no group (everywhere else).
 type exprSite struct {
 	cols    []envCol
 	rows    [][]Value
@@ -42,18 +42,9 @@ func sameFailure(a, b error) bool {
 // returns the number of evaluations compared. Caller holds db.mu shared.
 func checkCompiled(t testing.TB, vw view, e Expr, site exprSite, params []Value) int {
 	t.Helper()
-	// Each side plans the subqueries for itself: a plan keeps its rows.
-	plan := func() []*subPlan {
-		sc := subCollector{vw: vw, params: params}
-		sc.add(e)
-		if sc.err != nil {
-			return nil
-		}
-		return sc.subs
-	}
-	env := &evalEnv{cols: site.cols, params: params, vw: &vw, subs: plan()}
+	env := &evalEnv{cols: site.cols, params: params, vw: &vw}
 	var aggRow []Value
-	c := compiler{cols: site.cols, params: params, vw: vw, subs: plan(), aggRow: &aggRow}
+	c := compiler{cols: site.cols, params: params, vw: vw, aggRow: &aggRow}
 	if site.grouped {
 		c.aggs = appendAggregates(nil, e)
 		// Any results will do, as long as both sides read the same ones.
@@ -94,51 +85,31 @@ func checkCompiled(t testing.TB, vw view, e Expr, site exprSite, params []Value)
 				exprString(e), row, truth, truthErr, valueSQL(want), wantErr)
 		}
 	}
-	// Subqueries are uncorrelated: however many rows asked, each ran once.
-	for _, sub := range c.subs {
-		arm := sub.plan
-		if arm.arms != nil {
-			arm = arm.arms[0]
-		}
-		if arm.stat.calls > 1 {
-			t.Fatalf("%s: a subquery ran %d times in one execution", exprString(e), arm.stat.calls)
-		}
-	}
 	return 2 * len(site.rows)
 }
 
 // siteOf builds the site of a FROM clause's expressions: the layout in
 // declaration order, and a sample of the rows of the relations' product
 // with an all-NULL row (what a LEFT join pads with) at the end. ok is
-// false for a FROM clause the test cannot lay out: a table that does not
-// exist, a derived table whose columns are not written out.
-func siteOf(vw view, from []TableRef, params []Value) (site exprSite, ok bool) {
+// false for a FROM clause with a table that does not exist.
+func siteOf(vw view, from []TableRef) (site exprSite, ok bool) {
 	var rels [][][]Value
-	add := func(table string, sub *SelectStmt, alias string) bool {
-		rp, err := vw.planRel(table, sub, alias, 0, params)
-		if err != nil || rp.cols == nil {
+	add := func(table string, alias string) bool {
+		rp, err := vw.planRel(table, alias, 0)
+		if err != nil {
 			return false
 		}
-		var rows [][]Value
-		if rp.sub != nil {
-			res, err := vw.execSelect(rp.sub)
-			if err != nil {
-				return false
-			}
-			rows = res.Rows
-		} else {
-			rows, _ = vw.scanRows(rp, false)
-		}
+		rows, _ := vw.scanRows(rp, false)
 		site.cols = append(site.cols, rp.cols...)
 		rels = append(rels, rows)
 		return true
 	}
 	for i := range from {
-		if !add(from[i].Table, from[i].Sub, from[i].Alias) {
+		if !add(from[i].Table, from[i].Alias) {
 			return site, false
 		}
 		for _, jc := range from[i].Joins {
-			if !add(jc.Table, jc.Sub, jc.Alias) {
+			if !add(jc.Table, jc.Alias) {
 				return site, false
 			}
 		}
@@ -158,8 +129,8 @@ func siteOf(vw view, from []TableRef, params []Value) (site exprSite, ok bool) {
 }
 
 // checkStatement runs checkCompiled over every expression of st that is
-// evaluated against rows: those of each SELECT arm and derived table, of
-// an UPDATE's and DELETE's WHERE and SET, of an INSERT's VALUES.
+// evaluated against rows: those of a SELECT, of an UPDATE's and DELETE's
+// WHERE and SET, of an INSERT's VALUES.
 func checkStatement(t testing.TB, vw view, st Stmt, params []Value) int {
 	t.Helper()
 	n := 0
@@ -169,22 +140,8 @@ func checkStatement(t testing.TB, vw view, st Stmt, params []Value) int {
 			n += checkCompiled(t, vw, e, site, params)
 		}
 	}
-	var sel func(s *SelectStmt)
-	sel = func(s *SelectStmt) {
-		for _, u := range s.Unions {
-			sel(u.Sel)
-		}
-		for i := range s.From {
-			if s.From[i].Sub != nil {
-				sel(s.From[i].Sub)
-			}
-			for _, jc := range s.From[i].Joins {
-				if jc.Sub != nil {
-					sel(jc.Sub)
-				}
-			}
-		}
-		site, ok := siteOf(vw, s.From, params)
+	sel := func(s *SelectStmt) {
+		site, ok := siteOf(vw, s.From)
 		if !ok {
 			return
 		}
@@ -200,25 +157,22 @@ func checkStatement(t testing.TB, vw view, st Stmt, params []Value) int {
 		for _, it := range s.Items {
 			check(it.Expr, site, true)
 		}
-		check(s.Having, site, true)
-		if len(s.Unions) == 0 { // a UNION's ORDER BY names output columns
-			for _, o := range s.OrderBy {
-				check(o.Expr, site, true)
-			}
+		for _, o := range s.OrderBy {
+			check(o.Expr, site, true)
 		}
 	}
 	switch x := st.(type) {
 	case *SelectStmt:
 		sel(x)
 	case *UpdateStmt:
-		if site, ok := siteOf(vw, []TableRef{{Table: x.Table, Alias: x.Alias}}, params); ok {
+		if site, ok := siteOf(vw, []TableRef{{Table: x.Table, Alias: x.Alias}}); ok {
 			check(x.Where, site, false)
 			for _, set := range x.Set {
 				check(set.Value, site, false)
 			}
 		}
 	case *DeleteStmt:
-		if site, ok := siteOf(vw, []TableRef{{Table: x.Table, Alias: x.Alias}}, params); ok {
+		if site, ok := siteOf(vw, []TableRef{{Table: x.Table, Alias: x.Alias}}); ok {
 			check(x.Where, site, false)
 		}
 	case *InsertStmt:
@@ -290,15 +244,14 @@ var compileSeeds = []string{
 	"t.a = u.a", "t.a + u.x > t.c / 2", "t.c % (t.a - 3)",
 	"t.c BETWEEN 10 AND u.x * 5", "t.b NOT BETWEEN 'a' AND 'p'",
 	"t.c IN (10, NULL)", "t.c NOT IN (10, NULL)", "t.a IN (1, 1/0)", "t.b IN ('one', u.y)",
-	"t.a IN (SELECT a FROM u)", "t.a NOT IN (SELECT a FROM u)", "t.a IN (SELECT x, a FROM u)",
-	"t.c = (SELECT MAX(c) FROM t)", "(SELECT a FROM t)", "(SELECT a FROM t WHERE a > 9) IS NULL",
-	"EXISTS (SELECT 1 FROM u WHERE a = 9)", "NOT EXISTS (SELECT 1 FROM nosuch)",
+	"t.a IN (u.a, u.x)", "t.a NOT IN (u.a, NULL)", "t.c IN (t.a * 10, u.x)", "NOT (t.a IN (u.a))", // candidates from rows
+	"MAX(t.c) = t.c", "MIN(t.a) IS NULL", "COUNT(u.y) > 0", "u.y IN (t.b, MAX(u.y))", // aggregates beside columns
 	"t.b IS NULL", "u.y IS NOT NULL", "-t.c", "-t.b", "t.b || u.y", "t.a || NULL",
 	"CASE t.c WHEN 10 THEN 'ten' WHEN 20 THEN u.y END", "CASE WHEN t.b IS NULL THEN 1/0 WHEN u.a > 1 THEN t.a ELSE -1 END",
 	"CAST(t.b AS INTEGER)", "CAST(t.c AS VARCHAR(10)) || '!'",
 	"COALESCE(u.y, t.b, 'none')", "SUBSTR(t.b, 2, u.x)", "NOSUCHFN(t.a)", "LENGTH(t.b, t.b)", "NOW(1)",
 	"NOW(COUNT(1))", "NOW(SUM(t.b))", "CURDATE(nosuch)", // arguments never evaluated are compiled all the same
-	"COUNT(*) > 1", "SUM(t.a) + MAX(t.c)", "MIN(t.b) LIKE 'o%'", "SUM(COUNT(*))", "COUNT(t.a, t.c)", // HAVING, ORDER BY
+	"COUNT(*) > 1", "SUM(t.a) + MAX(t.c)", "MIN(t.b) LIKE 'o%'", "SUM(COUNT(*))", "COUNT(t.a, t.c)", // the projection, ORDER BY
 	"nosuch = 1", "a = 1", "FALSE AND nosuch = 1", "SUM(nosuch)", "zz.a IS NULL",
 	"?", "t.a = ? + ?",
 }
@@ -319,7 +272,7 @@ func FuzzCompileExpr(f *testing.F) {
 	defer s.db.mu.RUnlock()
 	vw, release := s.reader()
 	defer release()
-	site, ok := siteOf(vw, []TableRef{{Table: "t"}, {Table: "u"}}, nil)
+	site, ok := siteOf(vw, []TableRef{{Table: "t"}, {Table: "u"}})
 	if !ok {
 		f.Fatal("no rows to evaluate on")
 	}
@@ -332,14 +285,14 @@ func FuzzCompileExpr(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, src string) {
 		if strings.Count(src, ",")+strings.Count(strings.ToUpper(src), "JOIN") > 6 {
-			t.Skip() // as in FuzzExecRoundTrip: no budget for products in subqueries
+			t.Skip() // as in FuzzExecRoundTrip
 		}
 		st, err := Parse("SELECT " + src + " FROM t, u")
 		if err != nil {
 			return
 		}
 		sel, ok := st.(*SelectStmt)
-		if !ok || len(sel.Items) != 1 || sel.Items[0].Expr == nil || len(sel.From) != 2 || len(sel.Unions) > 0 {
+		if !ok || len(sel.Items) != 1 || sel.Items[0].Expr == nil || len(sel.From) != 2 {
 			return
 		}
 		for _, grouped := range []bool{true, false} {
@@ -359,7 +312,7 @@ func TestAggregateInUnevaluatedArguments(t *testing.T) {
 		{"SELECT 1 ORDER BY NOW(COUNT(1))", CodeWrongArity},
 		{"SELECT NOW(COUNT(c)) FROM t", CodeWrongArity},
 		{"SELECT NOW(SUM(b)) FROM t", CodeInvalidText}, // SUM of a string fails first
-		{"SELECT a FROM t GROUP BY a HAVING CURDATE(MAX(c)) = 'x'", CodeWrongArity},
+		{"SELECT a FROM t GROUP BY a ORDER BY CURDATE(MAX(c))", CodeWrongArity},
 	} {
 		_, err := s.Exec(c.sql)
 		var se *Error
@@ -423,9 +376,9 @@ func TestSharedStatementConcurrent(t *testing.T) {
 	setup := NewSession(db)
 	planSeed(t, setup)
 	shape := func(g int) string {
-		return fmt.Sprintf("SELECT e.name, d.dname, COUNT(*) FROM emp e JOIN dept d ON e.dept = d.id "+
-			"WHERE e.name LIKE 'n%d%%' OR e.id IN (%d, %d) GROUP BY e.name, d.dname HAVING COUNT(*) >= %d ORDER BY e.name",
-			g%3, g+1, g+11, g%2)
+		return fmt.Sprintf("SELECT e.name, d.dname, COUNT(*) + %d FROM emp e JOIN dept d ON e.dept = d.id "+
+			"WHERE e.name LIKE 'n%d%%' OR e.id IN (%d, %d) GROUP BY e.name, d.dname ORDER BY e.name",
+			g%2, g%3, g+1, g+11)
 	}
 	const sessions = 8
 	want := make([]string, sessions)

@@ -15,7 +15,7 @@ func statementKind(st Stmt) string {
 	case *SelectStmt:
 		return "select"
 	case *InsertStmt, *UpdateStmt, *DeleteStmt,
-		*CreateTableStmt, *AlterTableStmt, *DropTableStmt:
+		*CreateTableStmt, *DropTableStmt:
 		return "write"
 	case *CreateIndexStmt, *DropIndexStmt:
 		return "ddl"

@@ -209,8 +209,8 @@ func (db *Database) TxnStats() TxnStats {
 
 // view is one statement's read context: the database, the transaction
 // (nil for plain snapshot reads), and the snapshot watermark rows
-// resolve against. All read-path executors hang off view so subqueries
-// inherit the statement's snapshot.
+// resolve against. All read-path executors hang off view so every scan
+// of a statement reads the statement's snapshot.
 type view struct {
 	db   *Database
 	txn  *mvcc.Txn
@@ -282,7 +282,7 @@ type txnState struct {
 }
 
 // record appends one row effect and adjusts the table's pending-version
-// count. Caller holds t.mu exclusively (the same latch ALTER TABLE's
+// count. Caller holds t.mu exclusively (the same latch DROP TABLE's
 // pending guard reads under), so the count can't tear against DDL.
 func (tx *txnState) record(t *Table, row *storedRow, created, deleted *rowVersion) {
 	tx.writes = append(tx.writes, writeRec{t: t, row: row, created: created, deleted: deleted})
@@ -296,7 +296,7 @@ func (tx *txnState) record(t *Table, row *storedRow, created, deleted *rowVersio
 	t.pending.Add(n)
 }
 
-// pendingOn counts this transaction's pending units on t; ALTER TABLE
+// pendingOn counts this transaction's pending units on t; DROP TABLE
 // may proceed only when the table's total pending count equals it.
 func (tx *txnState) pendingOn(t *Table) int64 {
 	var n int64
@@ -535,16 +535,6 @@ func (db *Database) replayDDLUndo(undo []undoRec) {
 			if t, err := db.table(ix.Table); err == nil {
 				t.indexes = append(t.indexes, ix)
 			}
-		case undoAlterTable:
-			// Replace the altered table with its pre-image snapshot,
-			// undoing any rename and re-pointing the index catalog at the
-			// snapshot's rebuilt indexes.
-			delete(db.tables, strings.ToLower(r.table))
-			snap := r.droppedTable
-			db.tables[strings.ToLower(r.alterOldName)] = snap
-			for _, ix := range snap.indexes {
-				db.indexes[strings.ToLower(ix.Name)] = ix
-			}
 		}
 	}
 }
@@ -558,7 +548,6 @@ const (
 	undoDropTable
 	undoCreateIndex
 	undoDropIndex
-	undoAlterTable
 )
 
 type undoRec struct {
@@ -568,7 +557,6 @@ type undoRec struct {
 	droppedTable   *Table
 	droppedIndex   *Index
 	droppedIndexes []*Index
-	alterOldName   string // pre-ALTER table name (RENAME undo)
 }
 
 // --- sessions ---
@@ -769,11 +757,6 @@ func (s *Session) ExecStmt(st Stmt, params ...Value) (*Result, error) {
 		return s.execDDL(true, func(tx *txnState) (*Result, error) {
 			return s.db.execCreateTable(tx, x)
 		}, x.Table)
-	case *AlterTableStmt:
-		// A rename changes what two names resolve to; bump both.
-		return s.execDDL(true, func(tx *txnState) (*Result, error) {
-			return s.db.execAlterTable(tx, x)
-		}, x.Table, x.RenameTo)
 	case *DropTableStmt:
 		return s.execDDL(true, func(tx *txnState) (*Result, error) {
 			return s.db.execDropTable(tx, x)

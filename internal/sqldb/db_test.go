@@ -155,34 +155,6 @@ func TestAggregateOverEmptySet(t *testing.T) {
 	}
 }
 
-func TestHaving(t *testing.T) {
-	s := mustSession(t)
-	res := mustExec(t, s,
-		"SELECT custid FROM products GROUP BY custid HAVING COUNT(*) > 1 ORDER BY custid")
-	if len(res.Rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(res.Rows))
-	}
-	if res.Rows[0][0].I != 10100 || res.Rows[1][0].I != 10300 {
-		t.Errorf("groups = %v", rowsAsStrings(res))
-	}
-}
-
-func TestCountDistinct(t *testing.T) {
-	s := mustSession(t)
-	res := mustExec(t, s, "SELECT COUNT(DISTINCT custid) FROM products")
-	if res.Rows[0][0].I != 3 {
-		t.Fatalf("COUNT(DISTINCT) = %v, want 3", res.Rows[0][0])
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	s := mustSession(t)
-	res := mustExec(t, s, "SELECT DISTINCT custid FROM products ORDER BY custid")
-	if len(res.Rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(res.Rows))
-	}
-}
-
 func TestJoin(t *testing.T) {
 	s := mustSession(t)
 	mustExec(t, s, "CREATE TABLE customers (custid INTEGER PRIMARY KEY, name VARCHAR(64))")
@@ -557,22 +529,6 @@ func TestDropIndex(t *testing.T) {
 		t.Fatal("second drop should fail")
 	}
 	mustExec(t, s, "DROP INDEX IF EXISTS price_ix")
-}
-
-func TestLimitOffset(t *testing.T) {
-	s := mustSession(t)
-	res := mustExec(t, s, "SELECT title FROM urldb ORDER BY title LIMIT 2")
-	if len(res.Rows) != 2 || res.Rows[0][0].S != "DB2 Product Family" {
-		t.Fatalf("limit = %v", rowsAsStrings(res))
-	}
-	res = mustExec(t, s, "SELECT title FROM urldb ORDER BY title LIMIT 2 OFFSET 2")
-	if len(res.Rows) != 2 || res.Rows[0][0].S != "IBM Corporation" {
-		t.Fatalf("offset = %v", rowsAsStrings(res))
-	}
-	res = mustExec(t, s, "SELECT title FROM urldb ORDER BY title FETCH FIRST 3 ROWS ONLY")
-	if len(res.Rows) != 3 {
-		t.Fatalf("fetch first = %d rows", len(res.Rows))
-	}
 }
 
 func TestRowsCursor(t *testing.T) {

@@ -22,13 +22,9 @@ type evalEnv struct {
 	// slot order, and aggs the results.
 	aggCalls []*FuncCall
 	aggs     []Value
-	// vw enables subquery evaluation against the reader's snapshot; nil
-	// where subqueries are not permitted (e.g. constant folding for LIMIT).
+	// vw gives the clock functions the database's clock; nil where there
+	// is none (constants).
 	vw *view
-	// subs are the plans of the subqueries the statement's expressions
-	// contain; each keeps its rows once it ran, for every environment of
-	// the execution.
-	subs []*subPlan
 }
 
 // bindErr returns the error of the first column reference of e that does
@@ -91,29 +87,6 @@ func eval(e Expr, env *evalEnv) (Value, error) {
 			return Null, err
 		}
 		return coerceToColumn(v, x.To)
-	case *Subquery:
-		rows, err := evalSubquery(x, env)
-		if err != nil {
-			return Null, err
-		}
-		if len(rows) == 0 {
-			return Null, nil
-		}
-		if len(rows) > 1 {
-			return Null, &Error{Code: CodeCardinality,
-				Message: "scalar subquery returned more than one row"}
-		}
-		if len(rows[0]) != 1 {
-			return Null, &Error{Code: CodeCardinality,
-				Message: "scalar subquery must return exactly one column"}
-		}
-		return rows[0][0], nil
-	case *ExistsExpr:
-		rows, err := evalSubquery(x.Sub, env)
-		if err != nil {
-			return Null, err
-		}
-		return NewBool((len(rows) > 0) != x.Not), nil
 	default:
 		return Null, errInternal(fmt.Sprintf("unknown expression node %T", e))
 	}
@@ -295,64 +268,10 @@ func evalBetween(x *BetweenExpr, env *evalEnv) (Value, error) {
 	return NewBool(in != x.Not), nil
 }
 
-// evalSubquery runs an uncorrelated subquery's plan the first time the
-// execution reaches it, and returns the rows it kept after that.
-func evalSubquery(sub *Subquery, env *evalEnv) ([][]Value, error) {
-	if env.vw == nil {
-		return nil, &Error{Code: CodeFeature,
-			Message: "subqueries are not allowed in this context"}
-	}
-	for _, sp := range env.subs {
-		if sp.sq != sub {
-			continue
-		}
-		if !sp.done {
-			res, err := env.vw.execSelect(sp.plan)
-			if err != nil {
-				return nil, err
-			}
-			sp.rows, sp.done = res.Rows, true
-		}
-		return sp.rows, nil
-	}
-	return nil, errInternal("subquery without a plan")
-}
-
 func evalIn(x *InExpr, env *evalEnv) (Value, error) {
 	v, err := eval(x.X, env)
 	if err != nil {
 		return Null, err
-	}
-	if x.Sub != nil {
-		rows, err := evalSubquery(x.Sub, env)
-		if err != nil {
-			return Null, err
-		}
-		if v.IsNull() {
-			return Null, nil
-		}
-		sawNull := false
-		for _, row := range rows {
-			if len(row) != 1 {
-				return Null, &Error{Code: CodeCardinality,
-					Message: "IN subquery must return exactly one column"}
-			}
-			if row[0].IsNull() {
-				sawNull = true
-				continue
-			}
-			c, err := Compare(v, row[0])
-			if err != nil {
-				return Null, err
-			}
-			if c == 0 {
-				return NewBool(!x.Not), nil
-			}
-		}
-		if sawNull {
-			return Null, nil
-		}
-		return NewBool(x.Not), nil
 	}
 	if v.IsNull() {
 		return Null, nil

@@ -16,8 +16,7 @@ import (
 // The rows of a Result are read-only and may share storage with the
 // table: a SELECT that only lists adjacent columns (SELECT *, SELECT url,
 // title) hands out the stored rows themselves, which no later statement
-// writes to — an UPDATE links a new version, ALTER TABLE re-slices or
-// appends past what a Result can see. Writing to a cell writes to the
+// writes to — an UPDATE links a new version. Writing to a cell writes to the
 // table under every snapshot; copy a row before changing it.
 type Result struct {
 	Columns      []string
@@ -143,21 +142,10 @@ func crossJoin(a, b [][]Value) [][]Value {
 }
 
 // scanRel produces one planned relation's rows: the base-table scan
-// through its access path, or the derived table's result, with the
-// conjuncts the planner pushed to this relation applied.
+// through its access path, with the conjuncts the planner pushed to this
+// relation applied.
 func (vw view) scanRel(rp *relPlan) ([][]Value, error) {
-	var rows [][]Value
-	if rp.sub != nil {
-		start := vw.clock()
-		res, err := vw.execSelect(rp.sub)
-		if err != nil {
-			return nil, err
-		}
-		rows = res.Rows
-		rp.stat.done(start, len(rows), len(rows))
-	} else {
-		rows, _ = vw.scanRows(rp, false)
-	}
+	rows, _ := vw.scanRows(rp, false)
 	if rp.filter == nil {
 		return rows, nil
 	}
@@ -303,16 +291,8 @@ func (vw view) displayColumnName(ec envCol) string {
 	return ec.name
 }
 
-// execSelect runs a planned SELECT: a single one, or a UNION chain.
+// execSelect drives the compiled stages of a planned SELECT.
 func (vw view) execSelect(sp *selectPlan) (*Result, error) {
-	if sp.arms == nil {
-		return vw.execSelectSingle(sp)
-	}
-	return vw.execUnion(sp)
-}
-
-// execSelectSingle drives the compiled stages of one SELECT.
-func (vw view) execSelectSingle(sp *selectPlan) (*Result, error) {
 	selStart := vw.clock()
 	// SELECT without FROM evaluates expressions over a single empty row.
 	rows := [][]Value{{}}
@@ -370,18 +350,7 @@ func (vw view) execSelectSingle(sp *selectPlan) (*Result, error) {
 			}
 		}
 		var err error
-		if perm, err = sortOrder(keys, sp.orderBy); err != nil {
-			return nil, err
-		}
-	}
-
-	// OFFSET and LIMIT cut the sorted order, not the projected rows, unless
-	// DISTINCT has rows to drop in between: a row the cut drops is not
-	// projected.
-	from, to := 0, len(outs)
-	if !sp.dedupe {
-		var err error
-		if from, to, err = sp.cut(len(outs)); err != nil {
+		if perm, err = sortOrder(keys, sp.sel.OrderBy); err != nil {
 			return nil, err
 		}
 	}
@@ -389,14 +358,14 @@ func (vw view) execSelectSingle(sp *selectPlan) (*Result, error) {
 	// Projection, in sorted order. A projection that is a run of the rows'
 	// own columns hands out that run of each row; any other is evaluated
 	// into cells of one backing array.
-	res := &Result{Columns: sp.names, Rows: make([][]Value, to-from)}
+	res := &Result{Columns: sp.names, Rows: make([][]Value, len(outs))}
 	width := len(sp.proj)
 	var cells []Value
 	if !sp.shareRows {
 		cells = make([]Value, len(res.Rows)*width)
 	}
 	for k := range res.Rows {
-		i := from + k
+		i := k
 		if perm != nil {
 			i = int(perm[i])
 		}
@@ -418,23 +387,14 @@ func (vw view) execSelectSingle(sp *selectPlan) (*Result, error) {
 		}
 		res.Rows[k] = row
 	}
-
-	if sp.dedupe {
-		res.Rows = sp.dedupeRows(res.Rows)
-		from, to, err := sp.cut(len(res.Rows))
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = res.Rows[from:to]
-	}
 	sp.stat.done(selStart, 0, len(res.Rows))
 	res.RowsAffected = int64(len(res.Rows))
 	return res, nil
 }
 
 // groupRows runs the aggregate stage of a grouped SELECT: one output row
-// per group that passes HAVING — the group's first row, in the order the
-// groups were first met — and beside it the group's aggregate results.
+// per group — the group's first row, in the order the groups were first
+// met — and beside it the group's aggregate results.
 func (sp *selectPlan) groupRows(rows [][]Value) (outs, outAggs [][]Value, err error) {
 	type group struct {
 		rep    []Value
@@ -486,47 +446,21 @@ func (sp *selectPlan) groupRows(rows [][]Value) (outs, outAggs [][]Value, err er
 	}
 	for _, k := range order {
 		grp := groups[k]
-		sp.aggRow = make([]Value, len(sp.aggs))
+		aggRow := make([]Value, len(sp.aggs))
 		for i, st := range grp.states {
-			sp.aggRow[i] = st.result()
-		}
-		if sp.having != nil {
-			t, err := sp.having(grp.rep)
-			if err != nil {
-				return nil, nil, err
-			}
-			if t != triTrue {
-				continue
-			}
+			aggRow[i] = st.result()
 		}
 		outs = append(outs, grp.rep)
-		outAggs = append(outAggs, sp.aggRow)
+		outAggs = append(outAggs, aggRow)
 	}
 	sp.aggregate.note(len(rows), len(outs))
 	return outs, outAggs, nil
 }
 
-// dedupeRows is the DISTINCT stage, and a UNION's that is not ALL
-// throughout: the rows without those equal to one before them.
-func (sp *selectPlan) dedupeRows(rows [][]Value) [][]Value {
-	seen := map[string]struct{}{}
-	kept := rows[:0:0]
-	for _, r := range rows {
-		k := identityKey(r)
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		kept = append(kept, r)
-	}
-	sp.deduped.note(len(rows), len(kept))
-	return kept
-}
-
 // --- DML execution ---
 //
 // Writes run in three phases so no expression evaluates under a table
-// latch (a subquery in a WHERE or SET re-enters the scan path):
+// latch:
 //
 //  1. snapshot: collect target rows and their visible values under the
 //     shared latch;
@@ -744,22 +678,20 @@ func (vw view) execDelete(tx *txnState, del *DeleteStmt, params []Value) (*Resul
 //
 // DDL runs under the exclusive catalog lock and is not snapshot
 // isolated: catalog changes are visible to every session immediately
-// and are undone structurally on rollback. Statements that rewrite row
-// storage (ALTER TABLE) or retire it (DROP TABLE) additionally require
-// that no other transaction holds pending versions on the table,
-// surfacing a retryable conflict otherwise — a committed version chain
-// can be rewritten in place, but an uncommitted writer's versions
-// cannot be restitched safely.
+// and are undone structurally on rollback. DROP TABLE, which retires row
+// storage, additionally requires that no other transaction holds pending
+// versions on the table, surfacing a retryable conflict otherwise: an
+// uncommitted writer's versions would be retired under it.
 
 // guardPending enforces the rule above. Caller holds t.mu exclusively.
-func guardPending(t *Table, tx *txnState, what string) error {
+func guardPending(t *Table, tx *txnState) error {
 	var own int64
 	if tx != nil {
 		own = tx.pendingOn(t)
 	}
 	if t.pending.Load() != own {
 		return errConflict(fmt.Sprintf(
-			"cannot %s table %q: concurrent transactions have uncommitted changes", what, t.Name))
+			"cannot drop table %q: concurrent transactions have uncommitted changes", t.Name))
 	}
 	return nil
 }
@@ -798,34 +730,6 @@ func (db *Database) lookupDDL(st Stmt) (t *Table, noop bool, err error) {
 		} else if !exists {
 			err = &Error{Code: CodeUndefinedIndex, Off: x.NameOff + 1,
 				Message: fmt.Sprintf("index %q does not exist", x.Name)}
-		}
-	case *AlterTableStmt:
-		if t, err = db.table(x.Table); err != nil {
-			return nil, false, stampOff(err, x.TableOff)
-		}
-		switch {
-		case x.AddColumn != nil:
-			if t.colIndex(x.AddColumn.Name) >= 0 {
-				err = errSyntax("column %q already exists", x.AddColumn.Name)
-			}
-		case x.DropColumn != "":
-			pos := t.colIndex(x.DropColumn)
-			if pos < 0 {
-				return nil, false, stampOff(errUndefinedColumn(x.DropColumn), x.TableOff)
-			}
-			for _, ix := range t.indexes {
-				if ix.colPos == pos {
-					return nil, false, &Error{Code: CodeFeature, Off: x.TableOff + 1,
-						Message: fmt.Sprintf("cannot drop column %q: index %q depends on it (drop the index first)",
-							x.DropColumn, ix.Name)}
-				}
-			}
-		case x.RenameTo != "":
-			if u, exists := db.tables[strings.ToLower(x.RenameTo)]; exists && u != t {
-				err = errDuplicateTable(x.RenameTo)
-			}
-		default:
-			err = errSyntax("ALTER TABLE requires ADD, DROP, or RENAME")
 		}
 	}
 	return t, noop, err
@@ -891,7 +795,7 @@ func (db *Database) execDropTable(tx *txnState, dt *DropTableStmt) (*Result, err
 		return ddlNoop(err)
 	}
 	t.mu.Lock()
-	err = guardPending(t, tx, "drop")
+	err = guardPending(t, tx)
 	t.mu.Unlock()
 	if err != nil {
 		return nil, err

@@ -87,21 +87,9 @@ func (pp *planPrinter) staged(st *stageStats) string {
 
 func (sp *selectPlan) explain(pp *planPrinter) { pp.selectPlan(sp, "", true) }
 
-// selectPlan prints a SELECT: a Union node over its arms, or one arm.
+// selectPlan prints a SELECT.
 func (pp *planPrinter) selectPlan(sp *selectPlan, pad string, root bool) {
 	sel := sp.sel
-	if sp.arms != nil {
-		label := "Union All"
-		if sp.dedupe {
-			label = "Union" + pp.staged(&sp.deduped)
-		}
-		in := pp.node(pad, root, label)
-		pp.orderAndLimit(sp, in)
-		for _, arm := range sp.arms {
-			pp.selectPlan(arm, in, false)
-		}
-		return
-	}
 	in := pp.node(pad, root, "Select"+pp.produced(&sp.stat))
 	where := sel.Where
 	if sp.from != nil {
@@ -118,47 +106,13 @@ func (pp *planPrinter) selectPlan(sp *selectPlan, pad string, root bool) {
 	if sp.grouped {
 		pp.prop(in, "Aggregate"+pp.staged(&sp.aggregate))
 	}
-	if sel.Having != nil {
-		pp.prop(in, "Having: "+exprString(sel.Having))
+	if len(sel.OrderBy) > 0 {
+		pp.prop(in, "Order By: "+orderByString(sel.OrderBy))
 	}
-	if sp.dedupe {
-		pp.prop(in, "Distinct"+pp.staged(&sp.deduped))
-	}
-	// The head arm of a UNION was planned without the chain's ORDER BY and
-	// LIMIT, so nothing prints for them here.
-	pp.orderAndLimit(sp, in)
 	if sp.from == nil {
 		pp.node(in, false, "Result")
 	} else {
 		pp.fromNode(sp.from.root, sp.from.free, in)
-	}
-	pp.subPlans(sp.subs, in)
-}
-
-// orderAndLimit prints the ORDER BY, OFFSET and LIMIT lines; the LIMIT
-// stage's counters (a UNION keeps none) go on the Limit line, or on Offset
-// when it is alone.
-func (pp *planPrinter) orderAndLimit(sp *selectPlan, pad string) {
-	if len(sp.orderBy) > 0 {
-		pp.prop(pad, "Order By: "+orderByString(sp.orderBy))
-	}
-	l, counters := &sp.limit, pp.staged(&sp.limited)
-	if l.offset != nil {
-		text := "Offset: " + exprString(l.offset)
-		if l.limit == nil {
-			text += counters
-		}
-		pp.prop(pad, text)
-	}
-	if l.limit != nil {
-		pp.prop(pad, "Limit: "+exprString(l.limit)+counters)
-	}
-}
-
-// subPlans prints one SubPlan child per subquery of the statement.
-func (pp *planPrinter) subPlans(subs []*subPlan, pad string) {
-	for _, sub := range subs {
-		pp.selectPlan(sub.plan, pp.node(pad, false, "SubPlan"), false)
 	}
 }
 
@@ -212,8 +166,6 @@ func (pp *planPrinter) fromNode(n fromNode, free bool, pad string) {
 func (pp *planPrinter) relPlan(rp *relPlan, free bool, pad string) {
 	var label string
 	switch {
-	case rp.sub != nil:
-		label = "Subquery Scan on " + rp.alias
 	case rp.access != nil:
 		label = "Index Scan on " + rp.display() + " using " + rp.access.ix.Name
 	default:
@@ -237,9 +189,6 @@ func (pp *planPrinter) relPlan(rp *relPlan, free bool, pad string) {
 	}
 	if free {
 		pp.prop(in, estText(rp.est, rp.baseRows))
-	}
-	if rp.sub != nil {
-		pp.selectPlan(rp.sub, in, false)
 	}
 }
 
@@ -278,7 +227,6 @@ func (dp *dmlPlan) explain(pp *planPrinter) {
 		in = pp.node("", true, "Delete on "+dp.t.Name+pp.produced(&dp.stat))
 		pp.writeScan(dp, x.Where, in)
 	}
-	pp.subPlans(dp.subs, in)
 }
 
 // writeScan prints the WHERE filter and the scan under an UPDATE or
@@ -311,7 +259,7 @@ func planResultText(res *Result) string {
 // --- expression deparsing ---
 
 // exprString renders an expression for plan annotations. It is a
-// display form, not guaranteed to re-parse: subqueries abbreviate.
+// display form, not guaranteed to re-parse.
 func exprString(e Expr) string {
 	switch x := e.(type) {
 	case nil:
@@ -353,17 +301,11 @@ func exprString(e Expr) string {
 		if x.Not {
 			s += " NOT"
 		}
-		s += " IN ("
-		if x.Sub != nil {
-			s += "subquery"
-		} else {
-			items := make([]string, len(x.List))
-			for i, it := range x.List {
-				items[i] = exprString(it)
-			}
-			s += strings.Join(items, ", ")
+		items := make([]string, len(x.List))
+		for i, it := range x.List {
+			items[i] = exprString(it)
 		}
-		return s + ")"
+		return s + " IN (" + strings.Join(items, ", ") + ")"
 	case *IsNullExpr:
 		if x.Not {
 			return exprString(x.X) + " IS NOT NULL"
@@ -377,11 +319,7 @@ func exprString(e Expr) string {
 		for i, a := range x.Args {
 			args[i] = exprString(a)
 		}
-		inner := strings.Join(args, ", ")
-		if x.Distinct {
-			inner = "DISTINCT " + inner
-		}
-		return x.Name + "(" + inner + ")"
+		return x.Name + "(" + strings.Join(args, ", ") + ")"
 	case *CaseExpr:
 		var sb strings.Builder
 		sb.WriteString("CASE")
@@ -398,13 +336,6 @@ func exprString(e Expr) string {
 		return sb.String()
 	case *CastExpr:
 		return "CAST(" + exprString(x.X) + " AS " + x.To.String() + ")"
-	case *Subquery:
-		return "(subquery)"
-	case *ExistsExpr:
-		if x.Not {
-			return "NOT EXISTS (subquery)"
-		}
-		return "EXISTS (subquery)"
 	default:
 		return "?expr?"
 	}

@@ -281,8 +281,6 @@ func callScalar(name string, args []Value) (Value, error) {
 // aggState accumulates one aggregate function over a group.
 type aggState struct {
 	fn       string
-	distinct bool
-	seen     map[string]struct{} // for DISTINCT
 	count    int64
 	sumI     int64
 	sumF     float64
@@ -291,13 +289,7 @@ type aggState struct {
 	sawValue bool
 }
 
-func newAggState(fc *FuncCall) *aggState {
-	st := &aggState{fn: fc.Name, distinct: fc.Distinct}
-	if fc.Distinct {
-		st.seen = map[string]struct{}{}
-	}
-	return st
-}
+func newAggState(fc *FuncCall) *aggState { return &aggState{fn: fc.Name} }
 
 // add folds one input value into the aggregate. NULL inputs are ignored
 // for every aggregate except COUNT(*), which the caller handles by passing
@@ -309,13 +301,6 @@ func (st *aggState) add(v Value, star bool) error {
 	}
 	if v.IsNull() {
 		return nil
-	}
-	if st.distinct {
-		k := identityKey([]Value{v})
-		if _, dup := st.seen[k]; dup {
-			return nil
-		}
-		st.seen[k] = struct{}{}
 	}
 	st.sawValue = true
 	switch st.fn {

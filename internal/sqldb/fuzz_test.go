@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -15,15 +14,18 @@ import (
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"SELECT * FROM t",
-		"SELECT a, COUNT(*) FROM t GROUP BY a HAVING COUNT(*) > 1 ORDER BY 2 DESC LIMIT 3",
+		"SELECT a, COUNT(*) FROM t GROUP BY a ORDER BY 2 DESC",
 		"INSERT INTO t (a, b) VALUES (1, 'x''y'), (NULL, ?)",
 		"UPDATE t SET a = CASE WHEN b THEN 1 ELSE 2 END WHERE c LIKE 'p%' ESCAPE '!'",
-		"DELETE FROM t WHERE a IN (SELECT a FROM u)",
+		"DELETE FROM t WHERE a IN (1, 2)",
 		"CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR(10) DEFAULT 'd')",
-		"ALTER TABLE t ADD COLUMN x DOUBLE",
-		"SELECT 1 UNION ALL SELECT 2 ORDER BY 1",
 		"SELECT -1.5e10 || 'x' FROM t a CROSS JOIN u b",
 		"SELECT \"quoted ident\" FROM t -- comment\n/* block */",
+		// SQL the engine refuses with 0A000 where the parser stops at it.
+		"ALTER TABLE t ADD COLUMN x DOUBLE",
+		"SELECT 1 UNION ALL SELECT 2 ORDER BY 1",
+		"SELECT * FROM (SELECT a FROM t) d WHERE EXISTS (SELECT 1) AND a IN (SELECT a FROM u)",
+		"SELECT DISTINCT a FROM t GROUP BY a HAVING COUNT(*) > 1 LIMIT 3 OFFSET 1",
 		"%$#@!",
 		"SELECT ((((",
 	}
@@ -239,9 +241,8 @@ func sameOnEveryPlan(err error) bool {
 // parses, executes it twice: through the plan cache and the cost-based
 // planner, and parsed afresh on the naive plan. Execution must return an
 // error or a result, never panic, and the two must agree: on errors every
-// plan raises, and — when both succeed — on the rows as a multiset (LIMIT
-// without a total order may keep other rows, so there only on how many)
-// and on the affected-row count.
+// plan raises, and — when both succeed — on the rows as a multiset and on
+// the affected-row count.
 func FuzzExecRoundTrip(f *testing.F) {
 	f.Add("SELECT a FROM t WHERE a > 0")
 	f.Add("INSERT INTO t VALUES (9, 'nine', 1)")
@@ -250,8 +251,8 @@ func FuzzExecRoundTrip(f *testing.F) {
 	f.Add("SELECT t.b, u.y FROM t, u WHERE t.a = u.a AND u.x > 1 AND t.c = 20")
 	f.Add("SELECT * FROM u JOIN t ON t.a = u.a WHERE t.b LIKE 't%' AND u.a = 2")
 	f.Add("SELECT t.a, u.x FROM t LEFT JOIN u ON u.a = t.a AND u.y = 'p' WHERE t.c = 10")
-	f.Add("SELECT s.n FROM (SELECT a, COUNT(*) AS n FROM u GROUP BY a) s, t WHERE s.a = t.a")
-	f.Add("SELECT a FROM t WHERE c = 20 UNION SELECT a FROM u WHERE x IN (SELECT a FROM t)")
+	f.Add("SELECT t.a, COUNT(*) FROM u JOIN t ON t.a = u.a GROUP BY t.a ORDER BY 2")
+	f.Add("SELECT a FROM t WHERE c = 20 OR a IN (1, 3)")
 	f.Add("DELETE FROM u WHERE a = 1 AND y = 'q'")
 	f.Add("SELECT t.a, t2.a FROM t JOIN t t2 ON t.c = t2.c AND t.a <> t2.a")
 	f.Add("SELECT u.x, t.b FROM u LEFT JOIN t ON t.a = u.a AND t.c > 10")
@@ -282,11 +283,7 @@ func FuzzExecRoundTrip(f *testing.F) {
 			}
 			return
 		}
-		got, want := sortedRows(on), sortedRows(off)
-		if up := strings.ToUpper(src); strings.Contains(up, "LIMIT") || strings.Contains(up, "FETCH") {
-			got, want = fmt.Sprint(len(on.Rows)), fmt.Sprint(len(off.Rows))
-		}
-		if got != want {
+		if got, want := sortedRows(on), sortedRows(off); got != want {
 			t.Fatalf("%q:\n optimised: %s\n naive: %s", src, got, want)
 		}
 	})

@@ -37,9 +37,8 @@ func keyClassOf(a, b Type) (keyClass, bool) {
 
 // hashKeyFor chooses the join method of a step that joins right onto the
 // join of left under cond: the first conjunct `L.col = R.col` with one
-// column from left and one from right, both of base tables — what a table
-// stores has its column's declared type or is NULL, which a derived
-// table's column does not promise — and of one comparison class. nil
+// column from left and one from right — what a table stores has its
+// column's declared type or is NULL — and of one comparison class. nil
 // means a nested loop. The references are resolved as the compiler will
 // resolve them against the step's layout, so where it succeeds the two
 // agree on which side each column is.
@@ -79,7 +78,7 @@ func baseColumn(e Expr, rels []*relPlan) (relColumn, bool) {
 		return relColumn{}, false
 	}
 	rel := refRel(c, rels)
-	if rel < 0 || rels[rel].t == nil {
+	if rel < 0 {
 		return relColumn{}, false
 	}
 	name := strings.ToLower(c.Column)

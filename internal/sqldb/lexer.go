@@ -31,7 +31,10 @@ type token struct {
 // mapped to itself: the lexer finds a keyword by its upper-cased bytes and
 // takes the text from here, so a keyword written in lower case costs no
 // string. Non-reserved function names (UPPER, COUNT, ...) are plain
-// identifiers.
+// identifiers. The words of the SQL the parser refuses (unsupportedKeywords,
+// and the FIRST ROWS ONLY, ADD COLUMN, RENAME TO that went with them) stay
+// reserved: a refused statement is refused by name, and no identifier that
+// was reserved became a name.
 var sqlKeywords = func() map[string]string {
 	m := map[string]string{}
 	for _, kw := range strings.Fields(`

@@ -20,8 +20,8 @@ type parser struct {
 const maxNesting = 1000
 
 // nest opens one more level of nesting: an expression parsed inside
-// another (parentheses, a subquery, CASE, an IN list, a function's
-// arguments), a derived table, NOT and unary minus, and each further
+// another (parentheses, CASE, an IN list, a function's arguments), NOT
+// and unary minus, and each further
 // operator of a chain such as a OR b OR c, which deepens the tree without
 // recursing here. This is the one place the depth of a parsed tree is
 // bounded. Every later walk over the tree — the compiler, the planner,
@@ -81,12 +81,42 @@ func parseTokens(toks []token) (Stmt, error) {
 // errAt stamps a parse error with the byte offset of the token the parser
 // stopped at — the expect helpers fail without advancing, so this is the
 // offending token for the common failure paths. Offsets already set (or
-// non-Error values) pass through untouched.
+// non-Error values) pass through untouched. A syntax error at SQL the
+// engine does not serve is that SQL's 0A000 instead.
 func (p *parser) errAt(err error) error {
 	if e, ok := err.(*Error); ok && e.Off == 0 && p.pos < len(p.toks) {
 		e.Off = p.toks[p.pos].pos + 1
+		if what := unsupportedAt(p.toks, p.pos); what != "" && e.Code == CodeSyntax {
+			e.Code, e.Message = CodeFeature, what+" is not supported"
+		}
 	}
 	return err
+}
+
+// unsupportedKeywords are the keywords of SQL the engine reads no further
+// than to refuse it: no macro, example or workload of the system sends it.
+var unsupportedKeywords = map[string]string{
+	"UNION": "UNION", "HAVING": "HAVING", "DISTINCT": "DISTINCT",
+	"LIMIT": "LIMIT", "OFFSET": "OFFSET", "FETCH": "FETCH FIRST",
+	"ALTER": "ALTER TABLE",
+}
+
+// unsupportedAt names the unsupported SQL that begins at toks[i], "" when
+// none does: one of unsupportedKeywords, or a subquery, which the parser
+// meets as "(" SELECT — stopped at either token — or as EXISTS "(".
+func unsupportedAt(toks []token, i int) string {
+	is := func(j int, kind tokKind, text string) bool {
+		return j >= 0 && j < len(toks) && toks[j].kind == kind && toks[j].text == text
+	}
+	switch t := toks[i]; {
+	case t.kind == tkKeyword && unsupportedKeywords[t.text] != "":
+		return unsupportedKeywords[t.text]
+	case is(i-1, tkOp, "(") && is(i, tkKeyword, "SELECT"),
+		is(i, tkOp, "(") && is(i+1, tkKeyword, "SELECT"),
+		is(i, tkKeyword, "EXISTS") && is(i+1, tkOp, "("):
+		return "a subquery"
+	}
+	return ""
 }
 
 // ParseAll parses a semicolon-separated script into statements.
@@ -185,8 +215,6 @@ func (p *parser) parseStatement() (Stmt, error) {
 		return p.parseExplain()
 	case "CREATE":
 		return p.parseCreate()
-	case "ALTER":
-		return p.parseAlter()
 	case "DROP":
 		return p.parseDrop()
 	case "BEGIN":
@@ -231,19 +259,14 @@ func (p *parser) parseExplain() (Stmt, error) {
 
 // --- SELECT ---
 
-// parseSelectCore parses one SELECT through its HAVING clause — the unit
-// a UNION chain combines. ORDER BY and LIMIT belong to the whole chain
-// and are parsed by parseSelect.
-func (p *parser) parseSelectCore() (*SelectStmt, error) {
+// parseSelect parses a SELECT: its list, FROM, WHERE, GROUP BY and ORDER
+// BY.
+func (p *parser) parseSelect() (*SelectStmt, error) {
 	if err := p.expectKw("SELECT"); err != nil {
 		return nil, err
 	}
 	sel := &SelectStmt{}
-	if p.acceptKw("DISTINCT") {
-		sel.Distinct = true
-	} else {
-		p.acceptKw("ALL")
-	}
+	p.acceptKw("ALL")
 	if err := p.parseSelectList(sel); err != nil {
 		return nil, err
 	}
@@ -281,30 +304,6 @@ func (p *parser) parseSelectCore() (*SelectStmt, error) {
 			}
 		}
 	}
-	if p.acceptKw("HAVING") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		sel.Having = e
-	}
-	return sel, nil
-}
-
-func (p *parser) parseSelect() (*SelectStmt, error) {
-	sel, err := p.parseSelectCore()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKw("UNION") {
-		part := UnionPart{All: p.acceptKw("ALL")}
-		arm, err := p.parseSelectCore()
-		if err != nil {
-			return nil, err
-		}
-		part.Sel = arm
-		sel.Unions = append(sel.Unions, part)
-	}
 	if p.acceptKw("ORDER") {
 		if err := p.expectKw("BY"); err != nil {
 			return nil, err
@@ -324,36 +323,6 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			if !p.acceptOp(",") {
 				break
 			}
-		}
-	}
-	if p.acceptKw("LIMIT") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		sel.Limit = e
-		if p.acceptKw("OFFSET") {
-			o, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			sel.Offset = o
-		}
-	} else if p.acceptKw("FETCH") {
-		// DB2 syntax: FETCH FIRST n ROWS ONLY
-		if err := p.expectKw("FIRST"); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		sel.Limit = e
-		if err := p.expectKw("ROWS"); err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("ONLY"); err != nil {
-			return nil, err
 		}
 	}
 	return sel, nil
@@ -396,23 +365,6 @@ func (p *parser) parseSelectList(sel *SelectStmt) error {
 	}
 }
 
-// parseDerivedTable parses "( SELECT ... )" after the caller saw "(".
-func (p *parser) parseDerivedTable() (*SelectStmt, error) {
-	p.advance() // consume "("
-	if err := p.nest(); err != nil {
-		return nil, err
-	}
-	sub, err := p.parseSelect()
-	if err != nil {
-		return nil, err
-	}
-	p.depth--
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return sub, nil
-}
-
 // parseTableAlias consumes an optional [AS] alias.
 func (p *parser) parseTableAlias() (string, error) {
 	if p.acceptKw("AS") {
@@ -425,28 +377,14 @@ func (p *parser) parseTableAlias() (string, error) {
 }
 
 func (p *parser) parseTableRef() (TableRef, error) {
-	var tr TableRef
-	tr.Off = p.peek().pos
-	if t := p.peek(); t.kind == tkOp && t.text == "(" {
-		sub, err := p.parseDerivedTable()
-		if err != nil {
-			return TableRef{}, err
-		}
-		tr.Sub = sub
-	} else {
-		name, err := p.expectIdent("table name")
-		if err != nil {
-			return TableRef{}, err
-		}
-		tr.Table = name
-	}
-	alias, err := p.parseTableAlias()
+	tr := TableRef{Off: p.peek().pos}
+	name, err := p.expectIdent("table name")
 	if err != nil {
 		return TableRef{}, err
 	}
-	tr.Alias = alias
-	if tr.Sub != nil && tr.Alias == "" {
-		return TableRef{}, errSyntax("a derived table requires an alias")
+	tr.Table = name
+	if tr.Alias, err = p.parseTableAlias(); err != nil {
+		return TableRef{}, err
 	}
 	for {
 		var kind JoinKind
@@ -473,26 +411,11 @@ func (p *parser) parseTableRef() (TableRef, error) {
 			return tr, nil
 		}
 		jc := JoinClause{Kind: kind, Off: p.peek().pos}
-		if t := p.peek(); t.kind == tkOp && t.text == "(" {
-			sub, err := p.parseDerivedTable()
-			if err != nil {
-				return TableRef{}, err
-			}
-			jc.Sub = sub
-		} else {
-			jt, err := p.expectIdent("joined table name")
-			if err != nil {
-				return TableRef{}, err
-			}
-			jc.Table = jt
-		}
-		alias, err := p.parseTableAlias()
-		if err != nil {
+		if jc.Table, err = p.expectIdent("joined table name"); err != nil {
 			return TableRef{}, err
 		}
-		jc.Alias = alias
-		if jc.Sub != nil && jc.Alias == "" {
-			return TableRef{}, errSyntax("a derived table requires an alias")
+		if jc.Alias, err = p.parseTableAlias(); err != nil {
+			return TableRef{}, err
 		}
 		if kind != JoinCross {
 			if err := p.expectKw("ON"); err != nil {
@@ -795,47 +718,6 @@ func (p *parser) parseCreateIndex(unique bool) (*CreateIndexStmt, error) {
 		NameOff: nameOff, TableOff: tblOff, ColumnOff: colOff}, nil
 }
 
-func (p *parser) parseAlter() (Stmt, error) {
-	p.advance() // ALTER
-	if err := p.expectKw("TABLE"); err != nil {
-		return nil, err
-	}
-	tblOff := p.peek().pos
-	name, err := p.expectIdent("table name")
-	if err != nil {
-		return nil, err
-	}
-	at := &AlterTableStmt{Table: name, TableOff: tblOff}
-	switch {
-	case p.acceptKw("ADD"):
-		p.acceptKw("COLUMN")
-		cd, err := p.parseColumnDef()
-		if err != nil {
-			return nil, err
-		}
-		at.AddColumn = &cd
-	case p.acceptKw("DROP"):
-		p.acceptKw("COLUMN")
-		col, err := p.expectIdent("column name")
-		if err != nil {
-			return nil, err
-		}
-		at.DropColumn = col
-	case p.acceptKw("RENAME"):
-		if err := p.expectKw("TO"); err != nil {
-			return nil, err
-		}
-		to, err := p.expectIdent("new table name")
-		if err != nil {
-			return nil, err
-		}
-		at.RenameTo = to
-	default:
-		return nil, errSyntax("expected ADD, DROP or RENAME after ALTER TABLE %s", name)
-	}
-	return at, nil
-}
-
 func (p *parser) parseDrop() (Stmt, error) {
 	p.advance() // DROP
 	switch {
@@ -989,22 +871,14 @@ func (p *parser) parsePredicate() (Expr, error) {
 			return nil, err
 		}
 		in := &InExpr{Not: not, X: l}
-		if p.peek().kind == tkKeyword && p.peek().text == "SELECT" {
-			sub, err := p.parseSelect()
+		for {
+			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			in.Sub = &Subquery{Sel: sub}
-		} else {
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				in.List = append(in.List, e)
-				if !p.acceptOp(",") {
-					break
-				}
+			in.List = append(in.List, e)
+			if !p.acceptOp(",") {
+				break
 			}
 		}
 		if err := p.expectOp(")"); err != nil {
@@ -1085,21 +959,6 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return p.parseCase()
 		case "CAST":
 			return p.parseCast()
-		case "EXISTS":
-			p.advance()
-			if err := p.expectOp("("); err != nil {
-				return nil, err
-			}
-			sub, err := p.parseSelect()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return &ExistsExpr{Sub: &Subquery{Sel: sub}}, nil
-		case "SELECT":
-			return nil, errSyntax("subqueries must be parenthesised")
 		case "LEFT", "RIGHT":
 			// LEFT/RIGHT are reserved for joins but double as the string
 			// functions LEFT(s, n) / RIGHT(s, n) when followed by '('.
@@ -1107,10 +966,6 @@ func (p *parser) parsePrimary() (Expr, error) {
 				return p.parseIdentExpr()
 			}
 			return nil, errSyntax("unexpected %s in expression", t.describe())
-		case "DISTINCT":
-			// COUNT(DISTINCT x) handled inside function args; a bare
-			// DISTINCT here is a syntax error.
-			return nil, errSyntax("unexpected DISTINCT")
 		default:
 			return nil, errSyntax("unexpected %s in expression", t.describe())
 		}
@@ -1119,17 +974,6 @@ func (p *parser) parsePrimary() (Expr, error) {
 	case tkOp:
 		if t.text == "(" {
 			p.advance()
-			// A parenthesised SELECT is a scalar subquery.
-			if p.peek().kind == tkKeyword && p.peek().text == "SELECT" {
-				sub, err := p.parseSelect()
-				if err != nil {
-					return nil, err
-				}
-				if err := p.expectOp(")"); err != nil {
-					return nil, err
-				}
-				return &Subquery{Sel: sub}, nil
-			}
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -1164,9 +1008,6 @@ func (p *parser) parseIdentExpr() (Expr, error) {
 		}
 		if p.acceptOp(")") {
 			return fc, nil
-		}
-		if p.acceptKw("DISTINCT") {
-			fc.Distinct = true
 		}
 		for {
 			a, err := p.parseExpr()

@@ -330,10 +330,6 @@ func (sh *shaper) step(t *token) (param bool) {
 			if prevKind == tkKeyword && prevText == "ORDER" {
 				sh.orders = append(sh.orders, sh.depth)
 			}
-		case "LIMIT", "OFFSET", "FETCH", "UNION":
-			if n := len(sh.orders); n > 0 && sh.orders[n-1] == sh.depth {
-				sh.orders = sh.orders[:n-1]
-			}
 		}
 	case tkNumber:
 		inOrder := len(sh.orders) > 0 && sh.depth >= sh.orders[len(sh.orders)-1]

@@ -70,12 +70,15 @@ var cacheOracleDDL = [][]string{
 	{"DROP TABLE dept",
 		"CREATE TABLE dept (id INTEGER PRIMARY KEY, dname VARCHAR(40), loc VARCHAR(40))",
 		"INSERT INTO dept VALUES (1, 'dept1', 'east'), (2, 'dept2', 'west'), (3, 'dept3', 'north')"},
-	{"ALTER TABLE emp RENAME TO staff"},
-	{"ALTER TABLE staff RENAME TO emp"},
-	{"ALTER TABLE emp ADD COLUMN note VARCHAR(10) DEFAULT 'n'"},
-	{"ALTER TABLE emp DROP COLUMN note"},
+	{"DROP TABLE emp",
+		"CREATE TABLE emp (name VARCHAR(40), id INTEGER PRIMARY KEY, dept INTEGER, salary DOUBLE, note VARCHAR(10))",
+		"INSERT INTO emp VALUES ('n01', 1, 2, 1037.5, 'n'), ('n02', 2, 3, 1074.5, NULL)"},
+	{"DROP TABLE emp",
+		"CREATE TABLE emp (id INTEGER PRIMARY KEY, name VARCHAR(40), dept INTEGER, salary DOUBLE)",
+		"CREATE INDEX emp_dept ON emp (dept)",
+		"INSERT INTO emp VALUES (1, 'n01', 2, 1037.5), (2, 'n02', 3, 1074.5), (3, 'n03', 4, 1111.5)"},
 	{"BEGIN", "CREATE TABLE scratch (x INTEGER)", "DROP INDEX emp_dept",
-		"ALTER TABLE emp ADD COLUMN bonus INTEGER DEFAULT 1", "ALTER TABLE dept RENAME TO d2", "ROLLBACK"},
+		"DROP TABLE emp", "CREATE TABLE emp (id INTEGER)", "DROP TABLE dept", "ROLLBACK"},
 }
 
 // ordinalSequences are ROADMAP item 5e's three wrong answers: statements
@@ -83,8 +86,10 @@ var cacheOracleDDL = [][]string{
 var ordinalSequences = []string{
 	"SELECT name, salary FROM emp WHERE id < 9 ORDER BY 1 DESC",
 	"SELECT name, salary FROM emp WHERE id < 9 ORDER BY 2 DESC",
-	"SELECT id, name FROM emp WHERE id < 4 UNION ALL SELECT id, dname FROM dept ORDER BY 3",
-	"SELECT id, name FROM emp WHERE id < 4 UNION ALL SELECT id, dname FROM dept ORDER BY 0",
+	"SELECT id, name FROM emp WHERE id < 4 ORDER BY 3",
+	"SELECT id, name FROM emp WHERE id < 4 ORDER BY 0",
+	"SELECT dept, COUNT(*) FROM emp GROUP BY dept ORDER BY 2 DESC",
+	"SELECT dept, COUNT(*) FROM emp GROUP BY dept ORDER BY 1 DESC",
 	"SELECT id, name FROM emp WHERE dept = 2 ORDER BY 1",
 	"SELECT id, name FROM emp WHERE dept = 2 ORDER BY 5",
 	"SELECT CAST(salary AS VARCHAR(3)), NAME FROM emp WHERE id = 2",

@@ -10,12 +10,11 @@ import (
 
 // planGen derives statements over the planSeed schema from a seed: the
 // FROM shapes the planner treats differently (one relation, inner joins
-// it may reorder, LEFT joins it must not, derived tables), join keys a
-// hash can and cannot serve, predicates an index can and cannot serve,
-// NULL keys, grouping, UNION, subqueries, writes, and references that do
-// not resolve. It stays clear of what
+// it may reorder, LEFT joins it must not), join keys a hash can and cannot
+// serve, predicates an index can and cannot serve, NULL keys, grouping,
+// writes, and references that do not resolve. It stays clear of what
 // pushdown may legitimately change: predicates that fail on some rows
-// only (a type mismatch, a division), and LIMIT without a total order.
+// only (a type mismatch, a division).
 type planGen struct {
 	r      *rand.Rand
 	nextID int // next emp.id an INSERT uses
@@ -117,14 +116,12 @@ func (g *planGen) pred(rels []genRel) string {
 		return col + " IS " + g.pick("", "NOT ") + "NULL"
 	case 3:
 		return g.literal("int") + " " + g.pick("=", "<", ">=") + " " + col
-	case 4:
-		return col + " IN (SELECT id FROM dept WHERE loc " + g.pick("= 'east'", "<> 'hq'", "IS NULL") + ")"
 	}
 	return col + " " + g.pick("=", "=", "<", "<=", ">", ">=", "<>") + " " + g.literal("int")
 }
 
-// where returns up to n predicates joined by AND, some of them an OR, a
-// NOT, or a subquery that looks at no column of rels.
+// where returns up to n predicates joined by AND, some of them an OR or a
+// NOT.
 func (g *planGen) where(rels []genRel, n int) []string {
 	var out []string
 	for i := g.r.Intn(n + 1); i > 0; i-- {
@@ -134,8 +131,6 @@ func (g *planGen) where(rels []genRel, n int) []string {
 			p = "(" + p + " OR " + g.pred(rels) + ")"
 		case 1:
 			p = "NOT (" + p + ")"
-		case 2:
-			p = g.pick("", "NOT ") + "EXISTS (SELECT 1 FROM emp WHERE salary > " + g.literal("num") + ")"
 		}
 		out = append(out, p)
 	}
@@ -244,38 +239,6 @@ func (g *planGen) keyStmt() genStmt {
 	return st
 }
 
-// derivedStmt returns a SELECT that joins a base table with a derived
-// one: a grouped subquery, or a join the planner orders on its own.
-func (g *planGen) derivedStmt() genStmt {
-	base := g.rels(1)
-	sub, key := "(SELECT dept, COUNT(*) AS n, MAX(salary) AS mx FROM emp GROUP BY dept) s", "s.dept"
-	if g.chance(50) {
-		sub = "(SELECT e.id, e.name, d.loc FROM emp e, dept d WHERE e.dept = d.id AND " +
-			g.pred([]genRel{{"dept", "d"}}) + ") s"
-		key = "s.id"
-	}
-	link := base[0].alias + ".id = " + key
-	if base[0].table == "emp" && g.chance(50) {
-		link = base[0].alias + ".dept = " + key
-	}
-	from, where := base[0].table+" "+base[0].alias, g.where(base, 2)
-	if g.chance(50) {
-		from += g.pick(" JOIN ", " LEFT JOIN ") + sub + " ON " + link
-	} else {
-		from += ", " + sub
-		where = append(where, link)
-	}
-	st := genStmt{sql: "SELECT * FROM " + from}
-	if len(where) > 0 {
-		st.sql += " WHERE " + strings.Join(where, " AND ")
-	}
-	if g.chance(50) {
-		st.sql += " ORDER BY " + base[0].alias + ".id, " + key
-		st.ordered = true
-	}
-	return st
-}
-
 // selectStmt returns a SELECT over one to three base tables.
 func (g *planGen) selectStmt() genStmt {
 	// Three relations one time in six: the naive plan of a comma list is
@@ -295,20 +258,10 @@ func (g *planGen) selectStmt() genStmt {
 		if first.table == "dept" {
 			key = first.alias + "." + g.pick("id", "loc", "dname")
 		}
-		having := ""
-		if g.chance(40) {
-			having = " HAVING COUNT(*) > " + fmt.Sprint(g.r.Intn(3))
-		}
 		return genStmt{ordered: true, sql: "SELECT " + key + ", COUNT(*), MIN(" + first.alias + ".id), MAX(" + first.alias + ".id) FROM " +
-			from + tail + " GROUP BY " + key + having + " ORDER BY " + key}
+			from + tail + " GROUP BY " + key + " ORDER BY " + key}
 	case 1: // aggregate over everything
 		return genStmt{ordered: true, sql: "SELECT COUNT(*), MIN(" + first.alias + ".id), SUM(" + first.alias + ".id) FROM " + from + tail}
-	case 2: // distinct
-		col := first.alias + "." + g.pick("id", "dept", "name")
-		if first.table == "dept" {
-			col = first.alias + "." + g.pick("id", "loc")
-		}
-		return genStmt{ordered: true, sql: "SELECT DISTINCT " + col + " FROM " + from + tail + " ORDER BY " + col}
 	}
 	items := "*"
 	if g.chance(60) {
@@ -327,9 +280,6 @@ func (g *planGen) selectStmt() genStmt {
 		}
 		st.sql += " ORDER BY " + strings.Join(keys, ", ")
 		st.ordered = true
-		if g.chance(40) {
-			st.sql += fmt.Sprintf(" LIMIT %d OFFSET %d", 1+g.r.Intn(12), g.r.Intn(4))
-		}
 	}
 	return st
 }
@@ -344,10 +294,7 @@ func (g *planGen) brokenStmt() genStmt {
 		"SELECT e.id FROM emp e JOIN emp e2 ON e2.id = loc JOIN dept d ON d.id = e.dept",
 		"SELECT * FROM emp e, nosuch n WHERE e.id = n.id",
 		"SELECT * FROM emp e LEFT JOIN nosuch n ON e.id = n.id",
-		"SELECT e.id FROM emp e WHERE e.dept IN (SELECT id FROM nosuch)",
 		"SELECT e.id FROM emp e, dept d WHERE e.dept = d.id AND nocol = 1",
-		"SELECT id FROM emp UNION SELECT id, loc FROM dept",
-		"SELECT e.id FROM emp e, dept d WHERE e.dept = d.id AND e.salary > (SELECT d.id FROM dept)",
 		"UPDATE emp SET nocol = 1 WHERE id = "+g.literal("int"),
 		"DELETE FROM nosuch WHERE id = 1",
 	)}
@@ -375,20 +322,8 @@ func (g *planGen) next() genStmt {
 		return g.brokenStmt()
 	case n < 12:
 		return g.writeStmt()
-	case n < 20:
-		return g.derivedStmt()
-	case n < 30:
+	case n < 22:
 		return g.keyStmt()
-	case n < 38:
-		a, b := g.rels(1), g.rels(1)
-		arm := func(r []genRel) string {
-			sql := "SELECT " + r[0].alias + ".id FROM " + r[0].table + " " + r[0].alias
-			if w := g.where(r, 2); len(w) > 0 {
-				sql += " WHERE " + strings.Join(w, " AND ")
-			}
-			return sql
-		}
-		return genStmt{ordered: true, sql: arm(a) + g.pick(" UNION ", " UNION ALL ") + arm(b) + " ORDER BY 1" + g.pick("", " DESC", " LIMIT 7")}
 	}
 	return g.selectStmt()
 }

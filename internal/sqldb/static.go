@@ -23,16 +23,12 @@ type Binding map[*ColumnRef]BoundColumn
 // BoundColumn is the column one reference reads.
 type BoundColumn struct {
 	Rel    string // the relation's lower-cased qualifier: its alias, or the table's name
-	Table  string // the base table; "" for a derived table's column
+	Table  string // the base table
 	Column Column // the base table's column
 }
 
 func (b Binding) note(c *ColumnRef, ec envCol) {
-	bc := BoundColumn{Rel: ec.tbl}
-	if ec.base != nil {
-		bc.Table, bc.Column = ec.base.Name, ec.base.Columns[ec.base.colIndex(ec.name)]
-	}
-	b[c] = bc
+	b[c] = BoundColumn{Rel: ec.tbl, Table: ec.base.Name, Column: ec.base.Columns[ec.base.colIndex(ec.name)]}
 }
 
 // Check binds st against the catalog as it is now and runs nothing. A
@@ -72,8 +68,7 @@ func (db *Database) Check(st Stmt) (Binding, *PlanSummary, error) {
 
 // PlanSummary is what a plan decides about reading tables, read-only:
 // every scan of a base table — a relation of a FROM clause or the target
-// of an UPDATE or DELETE, in a subquery, derived table or UNION arm as
-// much as at the top — and every join step that multiplies its inputs
+// of an UPDATE or DELETE — and every join step that multiplies its inputs
 // with no condition in a FROM clause that writes no CROSS JOIN.
 type PlanSummary struct {
 	Scans    []ScanSummary
@@ -143,23 +138,20 @@ const (
 
 // ProductStep is a join step that multiplies its inputs with no condition.
 type ProductStep struct {
-	Name   string // the base table that joins on the step's right, or a derived table's qualifier
+	Name   string // the base table that joins on the step's right
 	Off    int    // its source offset
-	Rows   int64  // the product of the estimated rows of the FROM clause's relations; 0 when one is derived
+	Rows   int64  // the product of the estimated rows of the FROM clause's relations
 	Pinned bool   // a comma of a FROM clause a LEFT JOIN pins: its WHERE filters only above the product
 }
 
 // from summarises one planned FROM clause. A filter conjunct the planner
-// attributes to one of its base relations alone (attributeCond: no
-// subquery or aggregate in it) carries the verdict planIndexScan gave it
+// attributes to one of its relations alone (attributeCond: no aggregate
+// in it) carries the verdict planIndexScan gave it
 // when the planner weighed it for that relation's scan; the planner weighs
 // every such conjunct unless the FROM clause is pinned.
 func (s *PlanSummary) from(f plannedFrom) {
 	fp := f.fp
 	for k, rp := range fp.rels {
-		if rp.t == nil {
-			continue
-		}
 		sc := ScanSummary{Table: rp.t.Name, Qual: rp.qual, Off: rp.off, EstRows: int64(rp.baseRows)}
 		if rp.access != nil {
 			sc.Index = rp.access.ix.Name
@@ -188,14 +180,8 @@ func (s *PlanSummary) from(f plannedFrom) {
 			right = j.left
 		}
 		rp := right.(*relPlan)
-		step := ProductStep{Name: rp.qual, Off: rp.off, Rows: 1, Pinned: !fp.free}
-		if rp.t != nil {
-			step.Name = rp.t.Name
-		}
+		step := ProductStep{Name: rp.t.Name, Off: rp.off, Rows: 1, Pinned: !fp.free}
 		for _, r := range fp.rels {
-			if r.t == nil {
-				step.Rows = 0
-			}
 			step.Rows *= int64(r.baseRows)
 		}
 		s.Products = append(s.Products, step)

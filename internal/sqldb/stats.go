@@ -186,7 +186,7 @@ type indexShape struct {
 // indexableShape classifies one conjunct the way the planner does before
 // it looks at the catalog: col = const, const = col, a range comparison
 // in either orientation, or col LIKE pattern without NOT or ESCAPE, where
-// the operand references no column, aggregate or subquery.
+// the operand references no column or aggregate.
 func indexableShape(conj Expr) (indexShape, bool) {
 	switch x := conj.(type) {
 	case *Binary:
@@ -228,12 +228,12 @@ func flipComparison(op string) (flipped string, ok bool) {
 }
 
 // constShaped reports whether e can be evaluated once per statement: no
-// column references, aggregates or subqueries. Parameters qualify.
+// column references or aggregates. Parameters qualify.
 func constShaped(e Expr) bool {
 	ok := true
 	walkExpr(e, func(x Expr) bool {
 		switch n := x.(type) {
-		case *ColumnRef, *Subquery:
+		case *ColumnRef:
 			ok = false
 		case *FuncCall:
 			if isAggregate(n.Name) {
@@ -287,46 +287,10 @@ func andJoin(conds []Expr) Expr {
 	return e
 }
 
-// derivedCols returns the output layout a derived table will expose
-// under qual, mirroring expandProjection's naming, or nil when the
-// projection cannot be resolved statically (SELECT * or t.*).
-func derivedCols(sub *SelectStmt, qual string) []envCol {
-	if sub.Star {
-		return nil
-	}
-	out := make([]envCol, 0, len(sub.Items))
-	for i, it := range sub.Items {
-		if it.TableStar != "" {
-			return nil
-		}
-		name := it.Alias
-		if name == "" {
-			if c, ok := it.Expr.(*ColumnRef); ok {
-				name = c.Column
-			} else {
-				name = fmt.Sprintf("col%d", i+1)
-			}
-		}
-		out = append(out, envCol{tbl: qual, name: strings.ToLower(name)})
-	}
-	return out
-}
-
 // planRel resolves one FROM entry or join target, written at off: a base
-// table with its layout and row estimate, or a derived table with its own
-// plan.
-func (vw view) planRel(table string, sub *SelectStmt, alias string, off int, params []Value) (*relPlan, error) {
+// table with its layout and row estimate.
+func (vw view) planRel(table, alias string, off int) (*relPlan, error) {
 	rp := &relPlan{alias: alias, qual: strings.ToLower(alias), off: off}
-	if sub != nil {
-		sp, err := vw.planSelect(sub, params)
-		if err != nil {
-			return nil, err
-		}
-		rp.sub = sp
-		rp.cols = derivedCols(sub, rp.qual)
-		rp.baseRows = 100 // no statistics inside a derived table
-		return rp, nil
-	}
 	t, err := vw.db.table(table)
 	if err != nil {
 		return nil, stampOff(err, off)
@@ -365,7 +329,7 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 	pinned := vw.naive
 	for i := range from {
 		tr := &from[i]
-		rp, err := vw.planRel(tr.Table, tr.Sub, tr.Alias, tr.Off, params)
+		rp, err := vw.planRel(tr.Table, tr.Alias, tr.Off)
 		if err != nil {
 			return nil, err
 		}
@@ -376,7 +340,7 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 			if jc.Kind == JoinLeft {
 				pinned = true
 			}
-			if rp, err = vw.planRel(jc.Table, jc.Sub, jc.Alias, jc.Off, params); err != nil {
+			if rp, err = vw.planRel(jc.Table, jc.Alias, jc.Off); err != nil {
 				return nil, err
 			}
 			rp.declIdx = len(fp.rels)
@@ -387,7 +351,7 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 	pinned = pinned || !onInScope(from, rels)
 	if len(rels) == 1 {
 		rp := rels[0]
-		if rp.t != nil && !vw.naive {
+		if !vw.naive {
 			rp.planAccess(andConjuncts(where), params, vw.sum)
 		}
 		fp.root = rp
@@ -432,14 +396,9 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 	}
 
 	// Per-relation filter, access path, and cardinality after the filter.
-	allBase := true
 	for i, rp := range rels {
 		rp.filter = andJoin(pushed[i])
-		if rp.t != nil {
-			rp.planAccess(pushed[i], params, vw.sum)
-		} else {
-			allBase = false
-		}
+		rp.planAccess(pushed[i], params, vw.sum)
 		est := rp.baseRows
 		for _, cond := range pushed[i] {
 			est *= condSelectivity(rp, cond)
@@ -447,38 +406,33 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 		rp.est = math.Max(1, est)
 	}
 
-	// Greedy join ordering, base tables only (derived-table estimates are
-	// guesses, and reordering around them buys little). Start from the
-	// smallest estimated relation; at each step add the relation whose
-	// join yields the smallest estimated output.
+	// Greedy join ordering. Start from the smallest estimated relation; at
+	// each step add the relation whose join yields the smallest estimated
+	// output.
 	order := make([]*relPlan, 0, len(rels))
-	if allBase {
-		start := 0
-		for i, rp := range rels {
-			if rp.est < rels[start].est {
-				start = i
+	start := 0
+	for i, rp := range rels {
+		if rp.est < rels[start].est {
+			start = i
+		}
+	}
+	chosen := map[int]bool{start: true}
+	order = append(order, rels[start])
+	acc := rels[start].est
+	for len(order) < len(rels) {
+		best, bestCard := -1, math.MaxFloat64
+		for r := range rels {
+			if chosen[r] {
+				continue
+			}
+			card := joinCardinality(acc, rels[r], chosen, r, joinConds)
+			if card < bestCard {
+				best, bestCard = r, card
 			}
 		}
-		chosen := map[int]bool{start: true}
-		order = append(order, rels[start])
-		acc := rels[start].est
-		for len(order) < len(rels) {
-			best, bestCard := -1, math.MaxFloat64
-			for r := range rels {
-				if chosen[r] {
-					continue
-				}
-				card := joinCardinality(acc, rels[r], chosen, r, joinConds)
-				if card < bestCard {
-					best, bestCard = r, card
-				}
-			}
-			chosen[best] = true
-			order = append(order, rels[best])
-			acc = bestCard
-		}
-	} else {
-		order = append(order, rels...)
+		chosen[best] = true
+		order = append(order, rels[best])
+		acc = bestCard
 	}
 	for i, rp := range order {
 		if rp.declIdx != i {
@@ -690,8 +644,8 @@ func onInScope(from []TableRef, rels []*relPlan) bool {
 }
 
 // attributeCond determines which relations cond references. ok is false
-// when the conjunct must stay in the residual filter: it contains a
-// subquery or aggregate, references no columns, or has a reference that
+// when the conjunct must stay in the residual filter: it contains an
+// aggregate, references no columns, or has a reference that
 // cannot be resolved to exactly one relation (including every case bind
 // rejects — ambiguity and undefined columns surface from the residual
 // bind).
@@ -700,9 +654,6 @@ func attributeCond(cond Expr, rels []*relPlan) (map[int]bool, bool) {
 	var refs []*ColumnRef
 	walkExpr(cond, func(x Expr) bool {
 		switch v := x.(type) {
-		case *Subquery, *ExistsExpr:
-			bad = true
-			return false
 		case *FuncCall:
 			if isAggregate(v.Name) {
 				bad = true

@@ -7,8 +7,10 @@
 // transactions with rollback — all of which this package provides. The
 // engine supports a useful subset of SQL-92: CREATE/DROP TABLE, CREATE/DROP
 // INDEX, INSERT, UPDATE, DELETE, and SELECT with WHERE, joins, GROUP BY,
-// HAVING, ORDER BY, DISTINCT, LIMIT/OFFSET, scalar functions, aggregates,
-// LIKE, BETWEEN, IN, and CASE.
+// ORDER BY, scalar functions, aggregates, LIKE, BETWEEN, IN, and CASE.
+// UNION, subqueries, derived tables, HAVING, DISTINCT, LIMIT/OFFSET,
+// FETCH FIRST and ALTER TABLE are refused at parse with SQLSTATE 0A000:
+// nothing the gateway serves sends them.
 package sqldb
 
 import (
@@ -251,7 +253,7 @@ func Equal(a, b Value) bool {
 }
 
 // IdentityEqual reports whether two values are indistinguishable, treating
-// NULL as equal to NULL. Used for DISTINCT and GROUP BY key matching.
+// NULL as equal to NULL. Used for GROUP BY key matching.
 func IdentityEqual(a, b Value) bool {
 	if a.IsNull() && b.IsNull() {
 		return true
@@ -264,7 +266,7 @@ func IdentityEqual(a, b Value) bool {
 }
 
 // identityKey builds a hashable string key for a value row, used by
-// DISTINCT and GROUP BY, where NULL is a key like any other. The encoding
+// GROUP BY, where NULL is a key like any other. The encoding
 // is injective per type. (A hash join keys typed maps on one column
 // instead, see join.go.)
 func identityKey(vals []Value) string {

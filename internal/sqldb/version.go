@@ -8,7 +8,7 @@ import (
 // Table version counters.
 //
 // Every write that can change what a query over a table would return —
-// INSERT, UPDATE, DELETE, CREATE/DROP/ALTER TABLE — bumps that table's
+// INSERT, UPDATE, DELETE, CREATE/DROP TABLE — bumps that table's
 // version. A result cache layered above the engine records the versions
 // of every table a query read alongside the cached rows; on lookup it
 // compares the recorded versions against the current ones and treats any

@@ -174,12 +174,28 @@ func TestUnregisteredDatabase(t *testing.T) {
 	}
 }
 
+// refusedThroughDriver requires the engine's 0A000 for sql to reach the
+// database/sql caller as the engine's own error.
+func refusedThroughDriver(t *testing.T, db *sql.DB, sql string) {
+	t.Helper()
+	_, err := db.Exec(sql)
+	var se *sqldb.Error
+	if !errors.As(err, &se) || se.Code != sqldb.CodeFeature {
+		t.Fatalf("%s: err = %v, want SQLSTATE %s", sql, err, sqldb.CodeFeature)
+	}
+}
+
+// TestSubqueryThroughDriver: a subquery is refused, and the two statements
+// that replace it answer what it did.
 func TestSubqueryThroughDriver(t *testing.T) {
 	db := openTestDB(t, "T8")
+	refusedThroughDriver(t, db, "SELECT name FROM emp WHERE salary = (SELECT MAX(salary) FROM emp)")
+	var top float64
+	if err := db.QueryRow("SELECT MAX(salary) FROM emp").Scan(&top); err != nil {
+		t.Fatal(err)
+	}
 	var name string
-	err := db.QueryRow(
-		"SELECT name FROM emp WHERE salary = (SELECT MAX(salary) FROM emp)").Scan(&name)
-	if err != nil {
+	if err := db.QueryRow("SELECT name FROM emp WHERE salary = ?", top).Scan(&name); err != nil {
 		t.Fatal(err)
 	}
 	if name != "carol" {
@@ -187,9 +203,12 @@ func TestSubqueryThroughDriver(t *testing.T) {
 	}
 }
 
+// TestUnionThroughDriver: a UNION is refused, and an IN list reads the
+// rows of its two arms.
 func TestUnionThroughDriver(t *testing.T) {
 	db := openTestDB(t, "T9")
-	rows, err := db.Query("SELECT id FROM emp WHERE id = 1 UNION SELECT id FROM emp WHERE id = 3 ORDER BY 1")
+	refusedThroughDriver(t, db, "SELECT id FROM emp WHERE id = 1 UNION SELECT id FROM emp WHERE id = 3 ORDER BY 1")
+	rows, err := db.Query("SELECT id FROM emp WHERE id IN (1, 3) ORDER BY 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,13 +226,22 @@ func TestUnionThroughDriver(t *testing.T) {
 	}
 }
 
+// TestAlterThroughDriver: ALTER TABLE is refused and leaves the table as
+// it was; a new column is a new table, created through the driver.
 func TestAlterThroughDriver(t *testing.T) {
 	db := openTestDB(t, "T10")
-	if _, err := db.Exec("ALTER TABLE emp ADD bonus DOUBLE DEFAULT 500"); err != nil {
+	refusedThroughDriver(t, db, "ALTER TABLE emp ADD bonus DOUBLE DEFAULT 500")
+	if _, err := db.Exec("SELECT bonus FROM emp"); err == nil {
+		t.Fatal("the refused ALTER TABLE added a column")
+	}
+	if _, err := db.Exec("CREATE TABLE bonus (id INTEGER PRIMARY KEY, amount DOUBLE DEFAULT 500)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec("INSERT INTO bonus (id) VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
 	var bonus float64
-	if err := db.QueryRow("SELECT bonus FROM emp WHERE id = 1").Scan(&bonus); err != nil {
+	if err := db.QueryRow("SELECT b.amount FROM emp e JOIN bonus b ON b.id = e.id WHERE e.id = 1").Scan(&bonus); err != nil {
 		t.Fatal(err)
 	}
 	if bonus != 500 {

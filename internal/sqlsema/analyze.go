@@ -164,31 +164,22 @@ func (a *analyzer) stmt(st sqldb.Stmt) {
 	}
 }
 
-// selectStmt checks one SELECT and everything under it: derived tables,
-// join conditions, UNION arms and, through checkExpr, subqueries. A nil
-// one, a FROM entry's that is no derived table, has nothing to check.
+// selectStmt checks one SELECT: its join conditions, list, WHERE,
+// grouping and sort keys.
 func (a *analyzer) selectStmt(sel *sqldb.SelectStmt) {
-	if sel == nil {
-		return
-	}
 	for _, tr := range sel.From {
-		a.selectStmt(tr.Sub)
 		for _, jc := range tr.Joins {
-			a.selectStmt(jc.Sub)
 			a.checkExpr(jc.On)
 		}
 	}
 	for _, it := range sel.Items {
 		a.checkExpr(it.Expr)
 	}
-	for _, e := range append([]sqldb.Expr{sel.Where, sel.Having, sel.Limit, sel.Offset}, sel.GroupBy...) {
+	for _, e := range append([]sqldb.Expr{sel.Where}, sel.GroupBy...) {
 		a.checkExpr(e)
 	}
 	for _, o := range sel.OrderBy {
 		a.checkExpr(o.Expr)
-	}
-	for _, u := range sel.Unions {
-		a.selectStmt(u.Sel)
 	}
 }
 

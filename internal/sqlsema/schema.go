@@ -24,8 +24,8 @@ import (
 
 // Schema is where a lint run reads table metadata: the catalog of one
 // engine. It holds the database, not a copy of its schema, so every run
-// sees the catalog as it is at that moment — after a run-time ALTER TABLE
-// as much as at boot.
+// sees the catalog as it is at that moment — after a run-time CREATE or
+// DROP TABLE as much as at boot.
 type Schema struct {
 	db *sqldb.Database
 }
@@ -73,7 +73,7 @@ func FromDDL(src string) (*Schema, error) {
 	defer sess.Close()
 	for _, st := range stmts {
 		switch st.(type) {
-		case *sqldb.CreateTableStmt, *sqldb.CreateIndexStmt, *sqldb.AlterTableStmt,
+		case *sqldb.CreateTableStmt, *sqldb.CreateIndexStmt,
 			*sqldb.DropTableStmt, *sqldb.DropIndexStmt, *sqldb.InsertStmt:
 		default:
 			return nil, fmt.Errorf("schema: statement %T not allowed in a schema file (DDL and seed INSERTs only)", st)

@@ -95,8 +95,8 @@ func rejects(e sqldb.Expr) error {
 }
 
 // checkExpr type-checks e and returns its value abstraction. Column kinds
-// come from Check's binding: a reference it did not bind, or one to a
-// derived table's column, is of unknown kind.
+// come from Check's binding: a reference it did not bind is of unknown
+// kind.
 func (a *analyzer) checkExpr(e sqldb.Expr) val {
 	switch x := e.(type) {
 	case nil:
@@ -110,7 +110,7 @@ func (a *analyzer) checkExpr(e sqldb.Expr) val {
 		return v
 	case *sqldb.ColumnRef:
 		bc, ok := a.bind[x]
-		if !ok || bc.Table == "" {
+		if !ok {
 			return val{}
 		}
 		return val{kind: typeKind(bc.Column.Type), col: &bc}
@@ -174,9 +174,6 @@ func (a *analyzer) checkExpr(e sqldb.Expr) val {
 		for _, it := range x.List {
 			a.checkComparison("=", v, a.checkExpr(it), x.X, it)
 		}
-		if x.Sub != nil {
-			a.checkExpr(x.Sub)
-		}
 		return val{kind: kBool}
 	case *sqldb.IsNullExpr:
 		a.checkExpr(x.X)
@@ -216,17 +213,6 @@ func (a *analyzer) checkExpr(e sqldb.Expr) val {
 	case *sqldb.CastExpr:
 		a.checkExpr(x.X)
 		return val{kind: typeKind(x.To)}
-	case *sqldb.Subquery:
-		a.selectStmt(x.Sel)
-		if len(x.Sel.Items) == 1 {
-			if ref, ok := x.Sel.Items[0].Expr.(*sqldb.ColumnRef); ok {
-				return val{kind: a.checkExpr(ref).kind}
-			}
-		}
-		return val{}
-	case *sqldb.ExistsExpr:
-		a.checkExpr(x.Sub)
-		return val{kind: kBool}
 	}
 	return val{}
 }
