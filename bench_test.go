@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -505,6 +506,37 @@ func BenchmarkE13_BigReportHit(b *testing.B) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		checkBigReport(b, rec.Code, rec.Body.String())
+	}
+	w := discardWriter{header: http.Header{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, req)
+	}
+}
+
+// BenchmarkHitFloor is what a hit cannot go below: the server gatewayd
+// builds by default answers a one-line report that runs no SQL, so the
+// request is net/http's handler path, routing, the request record, the
+// parsed-macro cache and the page buffer, and nothing of the row path.
+// BenchmarkE13_BigReportHit and BenchmarkAppendixAHit less this are what
+// their reports add to a request.
+func BenchmarkHitFloor(b *testing.B) {
+	dir := b.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "floor.d2w"), []byte("%HTML_REPORT{<P>floor</P>\n%}\n"), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	srv, err := gateway.NewServer(experiments.GatewaydConfig(dir, 1, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { srv.Close() })
+	h := srv.Handler()
+	req := httptest.NewRequest("GET", "http://server/cgi-bin/db2www/floor.d2w/report", nil)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != 200 || rec.Body.String() != "<P>floor</P>\n" {
+		b.Fatalf("status %d: %q", rec.Code, rec.Body)
 	}
 	w := discardWriter{header: http.Header{}}
 	b.ReportAllocs()

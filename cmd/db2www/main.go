@@ -104,7 +104,7 @@ func run() error {
 		fmt.Fprintf(out, "Status: %d\n", resp.Status)
 	}
 	fmt.Fprint(out, cgi.WriteHeader(resp.ContentType))
-	_, err = io.WriteString(out, resp.Body)
+	_, err = resp.Body.WriteTo(out)
 	return err
 }
 

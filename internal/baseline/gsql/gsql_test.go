@@ -65,7 +65,7 @@ func TestFormFixedLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(resp.Body, "<DL>") || !strings.Contains(resp.Body, `NAME="SEARCH"`) {
+	if !strings.Contains(resp.Body.String(), "<DL>") || !strings.Contains(resp.Body.String(), `NAME="SEARCH"`) {
 		t.Fatalf("form:\n%s", resp.Body)
 	}
 }
@@ -78,7 +78,7 @@ func TestReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(resp.Body, "<TABLE") || !strings.Contains(resp.Body, "<TH>url</TH>") {
+	if !strings.Contains(resp.Body.String(), "<TABLE") || !strings.Contains(resp.Body.String(), "<TH>url</TH>") {
 		t.Fatalf("report:\n%s", resp.Body)
 	}
 }
@@ -93,7 +93,7 @@ func TestFlatSubstitutionLimitation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every non-NULL-title row matches LIKE '%%'.
-	n := strings.Count(resp.Body, "<TR>") - 1
+	n := strings.Count(resp.Body.String(), "<TR>") - 1
 	if n < 30 {
 		t.Fatalf("expected ~all rows under LIKE '%%%%', got %d", n)
 	}

@@ -49,7 +49,7 @@ func (a *App) ServeCGI(req *cgi.Request) (*cgi.Response, error) {
 
 func respond(status int, body string) *cgi.Response {
 	return &cgi.Response{Status: status, ContentType: "text/html",
-		Headers: map[string]string{"content-type": "text/html"}, Body: body}
+		Headers: map[string]string{"content-type": "text/html"}, Body: cgi.StringBody(body)}
 }
 
 func errorHTML(msg string) string {

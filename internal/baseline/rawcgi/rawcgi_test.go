@@ -27,7 +27,7 @@ func TestInputForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != 200 || !strings.Contains(resp.Body, "<FORM") {
+	if resp.Status != 200 || !strings.Contains(resp.Body.String(), "<FORM") {
 		t.Fatalf("resp = %d %q", resp.Status, resp.Body)
 	}
 }
@@ -46,7 +46,7 @@ func TestReportFlow(t *testing.T) {
 	if resp.Status != 200 {
 		t.Fatalf("status = %d", resp.Status)
 	}
-	if !strings.Contains(resp.Body, "<A HREF=\"http://") {
+	if !strings.Contains(resp.Body.String(), "<A HREF=\"http://") {
 		t.Fatalf("no hyperlinks in report:\n%s", resp.Body)
 	}
 }
@@ -64,7 +64,7 @@ func TestQuoteDoubling(t *testing.T) {
 	}
 	// The doubled quotes keep this a single LIKE pattern: no rows match,
 	// and no SQL error leaks.
-	if strings.Contains(resp.Body, "Error") {
+	if strings.Contains(resp.Body.String(), "Error") {
 		t.Fatalf("quote handling failed:\n%s", resp.Body)
 	}
 }

@@ -80,7 +80,7 @@ func TestAutoForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`NAME="custid"`, `NAME="product_name"`, `NAME="price"`} {
-		if !strings.Contains(resp.Body, want) {
+		if !strings.Contains(resp.Body.String(), want) {
 			t.Errorf("auto form missing %s:\n%s", want, resp.Body)
 		}
 	}
@@ -97,11 +97,11 @@ func TestQueryConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(resp.Body, "<TABLE") {
+	if !strings.Contains(resp.Body.String(), "<TABLE") {
 		t.Fatalf("report:\n%s", resp.Body)
 	}
 	// Every data row must be for custid 10000.
-	for _, line := range strings.Split(resp.Body, "\n") {
+	for _, line := range strings.Split(resp.Body.String(), "\n") {
 		if strings.HasPrefix(line, "<TR><TD>") && !strings.Contains(line, "<TD>10000</TD>") {
 			// first TD is prodid; check second
 			if !strings.Contains(line, ">10000<") {
@@ -122,7 +122,7 @@ func TestNumericRangeConstraint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(resp.Body, "row(s).") {
+	if !strings.Contains(resp.Body.String(), "row(s).") {
 		t.Fatalf("report:\n%s", resp.Body)
 	}
 }
@@ -138,7 +138,7 @@ func TestNumericConstraintValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(resp.Body, "query failed") {
+	if !strings.Contains(resp.Body.String(), "query failed") {
 		t.Fatalf("hostile numeric constraint must be rejected:\n%s", resp.Body)
 	}
 	// Table must still exist.

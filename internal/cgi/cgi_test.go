@@ -1,6 +1,7 @@
 package cgi
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -250,7 +251,7 @@ func TestParseResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != 200 || resp.ContentType != "text/html" || resp.Body != "<html>hi</html>" {
+	if resp.Status != 200 || resp.ContentType != "text/html" || resp.Body.String() != "<html>hi</html>" {
 		t.Fatalf("resp = %+v", resp)
 	}
 }
@@ -260,7 +261,7 @@ func TestParseResponseCRLFAndStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != 404 || resp.Body != "nope" {
+	if resp.Status != 404 || resp.Body.String() != "nope" {
 		t.Fatalf("resp = %+v", resp)
 	}
 }
@@ -280,10 +281,44 @@ func TestParseResponseErrors(t *testing.T) {
 
 func TestHandlerFunc(t *testing.T) {
 	h := HandlerFunc(func(req *Request) (*Response, error) {
-		return &Response{Status: 200, ContentType: "text/html", Body: "ok:" + req.PathInfo}, nil
+		return &Response{Status: 200, ContentType: "text/html", Body: StringBody("ok:" + req.PathInfo)}, nil
 	})
 	resp, err := h.ServeCGI(&Request{PathInfo: "/x/y"})
-	if err != nil || resp.Body != "ok:/x/y" {
+	if err != nil || resp.Body.String() != "ok:/x/y" {
 		t.Fatalf("resp = %+v, err = %v", resp, err)
+	}
+}
+
+// failAfter accepts n Writes and fails the next.
+type failAfter struct {
+	n   int
+	got []string
+}
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(w.got) == w.n {
+		return 0, errors.New("gone")
+	}
+	w.got = append(w.got, string(p))
+	return len(p), nil
+}
+
+// TestBodyRuns: a body is its runs in order, one Write each, and WriteTo
+// stops at the first failed Write with the bytes written so far.
+func TestBodyRuns(t *testing.T) {
+	b := BodyOf([][]byte{[]byte("<P>"), []byte("row\nrow\n"), []byte("</P>")})
+	if b.Len() != 15 || b.String() != "<P>row\nrow\n</P>" {
+		t.Fatalf("Len %d, String %q", b.Len(), b.String())
+	}
+	all := &failAfter{n: 3}
+	if n, err := b.WriteTo(all); n != 15 || err != nil || strings.Join(all.got, "|") != "<P>|row\nrow\n|</P>" {
+		t.Errorf("WriteTo: %d, %v, writes %q", n, err, all.got)
+	}
+	cut := &failAfter{n: 1}
+	if n, err := b.WriteTo(cut); n != 3 || err == nil {
+		t.Errorf("WriteTo past a failed Write: %d, %v", n, err)
+	}
+	if s := StringBody(""); s.Len() != 0 || s.String() != "" {
+		t.Errorf("StringBody(\"\"): %d bytes", s.Len())
 	}
 }

@@ -162,6 +162,15 @@ type Engine struct {
 // disposition stops report processing without failing the page.
 var errStopReport = fmt.Errorf("core: report processing stopped by message handler")
 
+// SharedWriter is a page writer that can take a run of the page by
+// reference: p is immutable — nobody modifies it, ever — so the writer may
+// keep it in place of a copy for as long as it holds the page. The engine
+// hands a report's memoised %ROW block (printRowBlock) to a writer that
+// offers this, and Writes the same bytes to every other.
+type SharedWriter interface {
+	WriteShared(p []byte) (n int, err error)
+}
+
 // Run processes macro m in the given mode: it evaluates sections from top
 // to bottom, writes the generated page body to w, and executes SQL for
 // %EXEC_SQL directives in report mode. inputs carries the HTML input
@@ -940,9 +949,10 @@ func (m *rowMemo) matches(row *Template, bound []rowRef, start, max int) bool {
 // prints row by row. The second rendering of one result (a cache's: nothing
 // else renders a result twice) keeps them on it, once they printed without
 // error, and every later rendering with the same key writes them in one
-// piece and replays on the record what the rows' wrappers left there. A
-// rendering under another key prints as usual and may replace the memo; a
-// result rendered once pays one atomic add.
+// piece and replays on the record what the rows' wrappers left there. The
+// bytes never change once kept, so a SharedWriter takes them by reference,
+// the filling rendering's included. A rendering under another key prints as
+// usual and may replace the memo; a result rendered once pays one atomic add.
 func (r *macroRun) printRowBlock(row *Template, res *SQLResult, rs *rowScope, start, max int, stmt *obs.SQLExec) error {
 	printEach := func() error {
 		return r.printRows(res, start, max, func(buf []byte, i int) ([]byte, error) {
@@ -984,7 +994,13 @@ func (r *macroRun) printRowBlock(row *Template, res *SQLResult, rs *rowScope, st
 	for _, v := range m.vars {
 		r.vt.trace.VarN(v.Name, v.MaxDepth, v.Source, v.Null, v.Count)
 	}
-	if _, err := r.out.Write(m.rows); err != nil {
+	var err error
+	if sw, ok := r.out.(SharedWriter); ok {
+		_, err = sw.WriteShared(m.rows)
+	} else {
+		_, err = r.out.Write(m.rows)
+	}
+	if err != nil {
 		return err
 	}
 	if fill {

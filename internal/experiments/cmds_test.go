@@ -133,7 +133,7 @@ func TestCmdDB2WWWGetAndPost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != 200 || !strings.Contains(resp.Body, "Query URL Information") {
+	if resp.Status != 200 || !strings.Contains(resp.Body.String(), "Query URL Information") {
 		t.Fatalf("GET input: %d %q", resp.Status, resp.Body)
 	}
 	post := &cgi.Request{
@@ -145,7 +145,7 @@ func TestCmdDB2WWWGetAndPost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != 200 || !strings.Contains(resp.Body, "URL Query Result") {
+	if resp.Status != 200 || !strings.Contains(resp.Body.String(), "URL Query Result") {
 		t.Fatalf("POST report: %d %q", resp.Status, resp.Body)
 	}
 	// The paper's positional calling convention: argv carries macro+cmd.
@@ -154,7 +154,7 @@ func TestCmdDB2WWWGetAndPost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != 200 || !strings.Contains(resp.Body, "Query URL Information") {
+	if resp.Status != 200 || !strings.Contains(resp.Body.String(), "Query URL Information") {
 		t.Fatalf("argv form: %d %q", resp.Status, resp.Body)
 	}
 	// Unknown macro yields a CGI error page with a Status header.
@@ -172,7 +172,7 @@ func TestCmdDB2WWWGetAndPost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != 500 || strings.Contains(resp.Body, "<b>") || !strings.Contains(resp.Body, "nosuch&lt;b&gt;") {
+	if resp.Status != 500 || strings.Contains(resp.Body.String(), "<b>") || !strings.Contains(resp.Body.String(), "nosuch&lt;b&gt;") {
 		t.Fatalf("bad dataset: status %d, body %q", resp.Status, resp.Body)
 	}
 }

@@ -149,7 +149,7 @@ func TestE4CGIFlowsInProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.Status != 200 || resp.Body != want {
+		if resp.Status != 200 || resp.Body.String() != want {
 			t.Errorf("%s flow: status %d, page differs from the pinned urlquery_report:\n%s", req.Method, resp.Status, resp.Body)
 		}
 	}
@@ -170,7 +170,7 @@ func TestE4SubprocessFlow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.Status != 200 || resp.Body != want {
+		if resp.Status != 200 || resp.Body.String() != want {
 			t.Errorf("%s subprocess flow: status %d, page differs from the in-process page:\n%s", req.Method, resp.Status, resp.Body)
 		}
 	}
@@ -442,12 +442,12 @@ func TestE10Baselines(t *testing.T) {
 			t.Fatalf("%s: status %d, %v", sys.name, resp.Status, err)
 		}
 		for _, u := range matching {
-			if !strings.Contains(resp.Body, u) {
+			if !strings.Contains(resp.Body.String(), u) {
 				t.Errorf("%s: the page lacks %s", sys.name, u)
 			}
 		}
 		for _, u := range others {
-			if strings.Contains(resp.Body, u) {
+			if strings.Contains(resp.Body.String(), u) {
 				t.Errorf("%s: the page lists %s, whose title does not match", sys.name, u)
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"db2www/internal/cgi"
 	"db2www/internal/core"
@@ -134,7 +133,8 @@ func (a *App) ServeCGIContext(ctx context.Context, req *cgi.Request) (*cgi.Respo
 		return errorPageTrace(400, "Bad request", err.Error(), tr), nil
 	}
 	// The page is rendered into a buffer the server keeps: Body is a view of
-	// it, not a copy, and a failed run just leaves the buffer to the collector.
+	// its bytes and of the shared runs it took (a memoised %ROW block), not a
+	// copy, and a failed run just leaves the buffer to the collector.
 	buf := pagePool.Get().(*pageBuffer)
 	if err := a.Engine.RunContext(ctx, m, mode, inputs, buf); err != nil {
 		status := 500
@@ -147,7 +147,7 @@ func (a *App) ServeCGIContext(ctx context.Context, req *cgi.Request) (*cgi.Respo
 	return &cgi.Response{
 		Status:      200,
 		ContentType: "text/html",
-		Body:        unsafe.String(unsafe.SliceData(buf.Bytes()), buf.Len()),
+		Body:        buf.body(),
 		Recycled:    buf,
 	}, nil
 }
@@ -155,8 +155,51 @@ func (a *App) ServeCGIContext(ctx context.Context, req *cgi.Request) (*cgi.Respo
 // pageBuffer is the writer a page is rendered into (its Grow is the size
 // hint core's report renderer looks for). A big_report page is 364 KB of
 // the 742 KB its request used to allocate, with a 3 MB live heap: a fresh
-// buffer per page was a collection every four or five requests.
-type pageBuffer struct{ bytes.Buffer }
+// buffer per page was a collection every four or five requests. Most of
+// such a page, on a cache hit, is the %ROW block kept on the cached result:
+// that run the buffer takes by reference (core.SharedWriter), so the page
+// is its own bytes with the shared runs between them.
+type pageBuffer struct {
+	bytes.Buffer
+	shared []sharedRun
+	runs   [][]byte // body's result, kept for the next page
+}
+
+// sharedRun is a run the page holds by reference, and the offset in the
+// buffer's own bytes it goes at.
+type sharedRun struct {
+	at  int
+	run []byte
+}
+
+var _ core.SharedWriter = (*pageBuffer)(nil)
+
+// WriteShared implements core.SharedWriter.
+func (p *pageBuffer) WriteShared(run []byte) (int, error) {
+	if len(run) > 0 {
+		p.shared = append(p.shared, sharedRun{at: p.Len(), run: run})
+	}
+	return len(run), nil
+}
+
+// body is the page in order: the buffer's bytes cut at each shared run's
+// offset, the shared runs between the pieces. A page without shared runs is
+// one run.
+func (p *pageBuffer) body() cgi.Body {
+	own, at := p.Bytes(), 0
+	p.runs = p.runs[:0]
+	for _, s := range p.shared {
+		if s.at > at {
+			p.runs = append(p.runs, own[at:s.at])
+		}
+		p.runs = append(p.runs, s.run)
+		at = s.at
+	}
+	if at < len(own) {
+		p.runs = append(p.runs, own[at:])
+	}
+	return cgi.BodyOf(p.runs)
+}
 
 // maxPooledPage is the largest buffer that goes back to the pool, so that
 // one huge report does not stay pinned.
@@ -165,8 +208,13 @@ const maxPooledPage = 4 << 20
 var pagePool = sync.Pool{New: func() any { return new(pageBuffer) }}
 
 // Release implements the hand-back of cgi.Response: the caller is done
-// with every byte of the page, so the next request may overwrite them.
+// with every byte of the page, so the next request may overwrite them. The
+// buffer lets go of the shared runs first, so that a pooled buffer never
+// keeps a memo alive that its cache has dropped.
 func (p *pageBuffer) Release() {
+	clear(p.shared)
+	clear(p.runs)
+	p.shared, p.runs = p.shared[:0], p.runs[:0]
 	if p.Cap() <= maxPooledPage {
 		p.Reset()
 		pagePool.Put(p)
@@ -250,28 +298,23 @@ func (a *App) includeResolver(seen *[]fileStamp) core.IncludeResolver {
 	}
 }
 
-// errorPage builds a minimal 1996-style error document.
-func errorPage(status int, title, detail string) *cgi.Response {
+// errorPageTrace builds a minimal 1996-style error document, with a
+// trace-ID footer when the request is traced, so the error a user
+// screenshots names the trace the operator can pull from the ring or the
+// logs.
+func errorPageTrace(status int, title, detail string, tr *obs.Trace) *cgi.Response {
+	footer := ""
+	if tr != nil && tr.ID != "" {
+		footer = fmt.Sprintf("<P><SMALL>trace %s</SMALL></P>\n", htmlEscape(tr.ID))
+	}
 	body := fmt.Sprintf(
-		"<HTML><HEAD><TITLE>%s</TITLE></HEAD>\n<BODY><H1>%s</H1>\n<P>%s</P>\n</BODY></HTML>\n",
-		title, title, htmlEscape(detail))
+		"<HTML><HEAD><TITLE>%s</TITLE></HEAD>\n<BODY><H1>%s</H1>\n<P>%s</P>\n%s</BODY></HTML>\n",
+		title, title, htmlEscape(detail), footer)
 	return &cgi.Response{
 		Status:      status,
 		ContentType: "text/html",
-		Body:        body,
+		Body:        cgi.StringBody(body),
 	}
-}
-
-// errorPageTrace is errorPage plus a trace-ID footer when the request is
-// traced, so the error a user screenshots names the trace the operator
-// can pull from the ring or the logs.
-func errorPageTrace(status int, title, detail string, tr *obs.Trace) *cgi.Response {
-	resp := errorPage(status, title, detail)
-	if tr != nil && tr.ID != "" {
-		footer := fmt.Sprintf("<P><SMALL>trace %s</SMALL></P>\n</BODY></HTML>\n", htmlEscape(tr.ID))
-		resp.Body = strings.Replace(resp.Body, "</BODY></HTML>\n", footer, 1)
-	}
-	return resp
 }
 
 var htmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")

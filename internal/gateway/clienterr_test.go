@@ -167,3 +167,31 @@ func TestUnsupportedSQLIs0A000(t *testing.T) {
 			rec.Code, rows, rec.Body)
 	}
 }
+
+// TestUnservedMethodIs405: a method other than GET, HEAD and POST answers
+// 405 with the methods a CGI path serves, before the macro is looked up,
+// in-process and in the fork/exec mode alike (there the program named does
+// not exist, so reaching it would be a 502).
+func TestUnservedMethodIs405(t *testing.T) {
+	inproc, app := newTestStack(t)
+	forked := &Handler{CGIProgram: filepath.Join(t.TempDir(), "no-such-program"), Logf: t.Logf}
+	for name, h := range map[string]*Handler{"in-process": inproc, "cgi": forked} {
+		for _, method := range []string{"PUT", "DELETE", "OPTIONS", "PATCH", "TRACE"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, "http://localhost/cgi-bin/db2www/urlquery.d2w/report", nil))
+			if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != "GET, HEAD, POST" {
+				t.Errorf("%s %s: status %d, Allow %q; want 405, %q", name, method, rec.Code, rec.Header().Get("Allow"), "GET, HEAD, POST")
+			}
+		}
+	}
+	if hits, misses := app.MacroCacheStats(); hits+misses != 0 {
+		t.Errorf("the macro was looked up %d times for a method the gateway does not serve", hits+misses)
+	}
+	for _, method := range []string{"GET", "HEAD"} {
+		rec := httptest.NewRecorder()
+		inproc.ServeHTTP(rec, httptest.NewRequest(method, "http://localhost/cgi-bin/db2www/urlquery.d2w/input", nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("%s: status %d, want 200", method, rec.Code)
+		}
+	}
+}

@@ -200,7 +200,7 @@ func TestPathTraversalBlocked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.Status == 200 && strings.Contains(resp.Body, "secret") {
+		if resp.Status == 200 && strings.Contains(resp.Body.String(), "secret") {
 			t.Errorf("traversal %q leaked file contents", evil)
 		}
 	}
@@ -263,7 +263,7 @@ func TestMacroCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp, err := app.ServeCGI(req)
-	if err != nil || !strings.Contains(resp.Body, "one") {
+	if err != nil || !strings.Contains(resp.Body.String(), "one") {
 		t.Fatalf("first load: %v %q", err, resp.Body)
 	}
 	// Rewrite with different content (size differs so the cache key
@@ -272,7 +272,7 @@ func TestMacroCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp, err = app.ServeCGI(req)
-	if err != nil || !strings.Contains(resp.Body, "two two") {
+	if err != nil || !strings.Contains(resp.Body.String(), "two two") {
 		t.Fatalf("after rewrite: %v %q", err, resp.Body)
 	}
 }
@@ -408,11 +408,11 @@ func TestExplainRendersThroughDefaultTable(t *testing.T) {
 		t.Fatalf("status %d, err %v", resp.Status, err)
 	}
 	for _, want := range []string{"QUERY PLAN", "Seq Scan on urldb", "Order By: url ASC"} {
-		if !strings.Contains(resp.Body, want) {
+		if !strings.Contains(resp.Body.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, resp.Body)
 		}
 	}
-	if strings.Contains(resp.Body, "affected") {
+	if strings.Contains(resp.Body.String(), "affected") {
 		t.Errorf("the plan's rows were dropped for an affected-row count:\n%s", resp.Body)
 	}
 }

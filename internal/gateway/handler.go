@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-	"unsafe"
 
 	"db2www/internal/cgi"
 	"db2www/internal/flight"
@@ -168,6 +167,16 @@ func (h *Handler) serveCGI(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	switch r.Method {
+	case http.MethodGet, http.MethodHead, http.MethodPost:
+	default:
+		// Figure 4 has two flows, GET's query string and POST's body: any
+		// other method is refused here, before a macro is looked up or a
+		// process started.
+		w.Header().Set("Allow", "GET, HEAD, POST")
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
+	}
 	pathInfo := strings.TrimPrefix(r.URL.Path, scriptName+".exe")
 	if pathInfo == r.URL.Path {
 		pathInfo = strings.TrimPrefix(r.URL.Path, scriptName)
@@ -214,9 +223,17 @@ func (h *Handler) serveCGI(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", resp.ContentType)
 	w.WriteHeader(resp.Status)
-	_, _ = w.Write(pageBytes(resp.Body))
-	// Write has returned, so it holds no reference to the page (io.Writer):
-	// a response rendered into a pooled buffer gives the buffer back.
+	// Each run of the page is one Write of its own bytes (cgi.Body.WriteTo):
+	// a report served from a memo goes out as its head, the %ROW block the
+	// cached result keeps, and its tail, none of them copied. No
+	// Content-Length is set, although the length is known: with it a large
+	// page is complete on the client while this handler is still closing its
+	// record and log line, and a client that pairs its own timing with the
+	// server's (benchmark/trace.go does) sees the two overlap. The chunked
+	// terminator is only sent once the handler has returned.
+	_, _ = resp.Body.WriteTo(w)
+	// WriteTo has returned, so the writer holds no reference to the page
+	// (io.Writer): a response rendered into a pooled buffer gives it back.
 	resp.Release()
 }
 
@@ -237,24 +254,6 @@ func (h *Handler) serveApp(r *http.Request, req *cgi.Request) (resp *cgi.Respons
 		return ch.ServeCGIContext(r.Context(), req)
 	}
 	return h.App.ServeCGI(req)
-}
-
-// pageBytes views a finished page as bytes without copying it. The page
-// goes out in one Write and not through io.WriteString: net/http moves a
-// WriteString through its 2 KB buffer, so a 364 KB report leaves as ninety
-// 4 KB socket writes (a millisecond on the big_report workload), while a
-// Write that large reaches the socket in one piece. Write must neither
-// modify nor retain its argument (io.Writer), so the string stays
-// immutable while anyone can read it, and its memory may be reused once
-// Write has returned (cgi.Response.Release).
-//
-// No Content-Length is set, although the length is known: with it a large
-// page is complete on the client while this handler is still closing its
-// record and log line, and a client that pairs its own timing
-// with the server's (benchmark/trace.go does) sees the two overlap. The
-// chunked terminator is only sent once the handler has returned.
-func pageBytes(s string) []byte {
-	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
 // maxBodyBytes bounds a POSTed form. A longer body is refused (413), not

@@ -23,7 +23,7 @@ func TestAppResolvesIncludes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != 200 || !strings.Contains(resp.Body, "<H1>Celdial Web</H1>") {
+	if resp.Status != 200 || !strings.Contains(resp.Body.String(), "<H1>Celdial Web</H1>") {
 		t.Fatalf("resp = %d %q", resp.Status, resp.Body)
 	}
 }
@@ -45,7 +45,7 @@ func TestAppIncludeSubdirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(resp.Body, "(c) 1996") {
+	if !strings.Contains(resp.Body.String(), "(c) 1996") {
 		t.Fatalf("resp = %q", resp.Body)
 	}
 }
@@ -65,7 +65,7 @@ func TestAppIncludeTraversalBlocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status == 200 && strings.Contains(resp.Body, "leaked") {
+	if resp.Status == 200 && strings.Contains(resp.Body.String(), "leaked") {
 		t.Fatalf("include traversal leaked content:\n%s", resp.Body)
 	}
 }
@@ -102,7 +102,7 @@ func TestAppIncludeCycleNamesTheChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "loop.d2i:2: %INCLUDE cycle: loop.d2w -&gt; loop.d2i -&gt; loop.d2w"; resp.Status != 500 || !strings.Contains(resp.Body, want) {
+	if want := "loop.d2i:2: %INCLUDE cycle: loop.d2w -&gt; loop.d2i -&gt; loop.d2w"; resp.Status != 500 || !strings.Contains(resp.Body.String(), want) {
 		t.Fatalf("resp = %d %q, want 500 naming %s", resp.Status, resp.Body, want)
 	}
 }
@@ -134,7 +134,7 @@ func TestAppIncludeEditInvalidatesCache(t *testing.T) {
 		return resp
 	}
 	for i := 0; i < 3; i++ {
-		if resp := get(); !strings.Contains(resp.Body, "<H1>one</H1>") {
+		if resp := get(); !strings.Contains(resp.Body.String(), "<H1>one</H1>") {
 			t.Fatalf("resp = %d %q", resp.Status, resp.Body)
 		}
 	}
@@ -142,10 +142,10 @@ func TestAppIncludeEditInvalidatesCache(t *testing.T) {
 		t.Fatalf("unedited: hits, misses = %d, %d, want 2, 1", hits, misses)
 	}
 	write("second") // another size, so the edit shows whatever the mtime granularity
-	if resp := get(); !strings.Contains(resp.Body, "<H1>second</H1>") {
+	if resp := get(); !strings.Contains(resp.Body.String(), "<H1>second</H1>") {
 		t.Fatalf("after editing the include: %q", resp.Body)
 	}
-	if resp := get(); !strings.Contains(resp.Body, "<H1>second</H1>") {
+	if resp := get(); !strings.Contains(resp.Body.String(), "<H1>second</H1>") {
 		t.Fatalf("after editing the include, cached: %q", resp.Body)
 	}
 	if hits, misses := app.MacroCacheStats(); hits != 3 || misses != 2 {

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"unsafe"
 
 	"db2www/internal/cgi"
+	"db2www/internal/core"
 	"db2www/internal/sqldb"
 	"db2www/internal/sqldriver"
 	"db2www/internal/workload"
@@ -47,7 +49,7 @@ func (w *recordingWriter) WriteString(s string) (int, error) {
 func TestPageIsWrittenOnceWithoutCopy(t *testing.T) {
 	page := strings.Repeat("<LI>row</LI>\n", 30000) // far beyond net/http's buffers
 	h := &Handler{App: cgi.HandlerFunc(func(*cgi.Request) (*cgi.Response, error) {
-		return &cgi.Response{Status: 200, ContentType: "text/html", Body: page}, nil
+		return &cgi.Response{Status: 200, ContentType: "text/html", Body: cgi.StringBody(page)}, nil
 	})}
 	var logged syncWriter
 	al := NewAccessLog(h, &logged)
@@ -138,8 +140,8 @@ func TestPooledPagesNeverBleed(t *testing.T) {
 	oracle := make([]string, len(urls))
 	for i, u := range urls {
 		oracle[i] = get(u)
-		if last := seen.last.Load(); last.Body != "" || last.Recycled != nil {
-			t.Fatalf("%s: after the handler's hand-back the response still holds %d bytes", u, len(last.Body))
+		if last := seen.last.Load(); last.Body.Len() != 0 || last.Recycled != nil {
+			t.Fatalf("%s: after the handler's hand-back the response still holds %d bytes", u, last.Body.Len())
 		}
 	}
 	if big, mid, small := len(oracle[0]), len(oracle[1]), len(oracle[2]); big < 350_000 || mid < 10_000 || mid > 20_000 || small > 500 {
@@ -149,8 +151,8 @@ func TestPooledPagesNeverBleed(t *testing.T) {
 	// A response taken from the App directly is never handed back.
 	held, err := app.ServeCGI(&cgi.Request{Method: "GET", PathInfo: "/urlquery.d2w/report",
 		QueryString: "DBFIELDS=title&DBFIELDS=description&RPT_MAXROWS=70&RPT_STARTROW=1"})
-	if err != nil || held.Body != oracle[1] {
-		t.Fatalf("App.ServeCGI: err %v, page differs from the handler's: %v", err, held.Body != oracle[1])
+	if err != nil || held.Body.String() != oracle[1] {
+		t.Fatalf("App.ServeCGI: err %v, page differs from the handler's: %v", err, held.Body.String() != oracle[1])
 	}
 
 	const workers, each = 8, 200
@@ -174,7 +176,7 @@ func TestPooledPagesNeverBleed(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if held.Body != oracle[1] {
+	if held.Body.String() != oracle[1] {
 		t.Errorf("a response that was never handed back changed while %d requests ran", workers*each)
 	}
 }
@@ -193,10 +195,125 @@ func TestOversizedPageBufferIsNotPooled(t *testing.T) {
 	small := &pageBuffer{}
 	small.Grow(1000)
 	small.WriteString("page")
-	resp := &cgi.Response{Body: "page", Recycled: small}
+	resp := &cgi.Response{Body: cgi.StringBody("page"), Recycled: small}
 	resp.Release()
 	resp.Release() // a second hand-back is a no-op
-	if resp.Body != "" || small.Len() != 0 || small.Cap() < 1000 {
+	if resp.Body.Len() != 0 || small.Len() != 0 || small.Cap() < 1000 {
 		t.Errorf("after Release: body %q, buffer len %d cap %d", resp.Body, small.Len(), small.Cap())
+	}
+}
+
+// sharedRecorder is a page that notes each run it is given by reference.
+type sharedRecorder struct {
+	bytes.Buffer
+	shared [][]byte
+}
+
+func (r *sharedRecorder) WriteShared(p []byte) (int, error) {
+	r.shared = append(r.shared, p)
+	return r.Write(p)
+}
+
+// memoHitServer is the default server over the 2 000-row table after the
+// 364 KB report has been rendered row by row (its page is returned) and
+// once more, which keeps the %ROW block on the cached result.
+func memoHitServer(t *testing.T) (*Server, string) {
+	t.Helper()
+	cfg := DefaultServerConfig()
+	cfg.Macros = filepath.Join(repoRoot(t), "testdata", "macros")
+	cfg.Dataset = "urldb:2000:1"
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	rowByRow := get(t, srv.Handler(), bigReport)
+	if fill := get(t, srv.Handler(), bigReport); fill != rowByRow {
+		t.Fatal("the memo fill's page differs from the row-by-row rendering")
+	}
+	return srv, rowByRow
+}
+
+const bigReport = "/cgi-bin/db2www/urlquery.d2w/report?DBFIELDS=title&DBFIELDS=description"
+
+// memoRun renders the big report straight from the engine, as the App
+// would, and returns the run it was given by reference: the memo's bytes.
+func memoRun(t *testing.T, srv *Server) []byte {
+	t.Helper()
+	m, _, _, err := srv.app.loadMacro("urlquery.d2w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs, err := (&cgi.Request{Method: "GET", QueryString: "DBFIELDS=title&DBFIELDS=description"}).Inputs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page sharedRecorder
+	if err := srv.app.Engine.Run(m, core.ModeReport, inputs, &page); err != nil {
+		t.Fatal(err)
+	}
+	if len(page.shared) != 1 || len(page.shared[0]) < 350_000 {
+		t.Fatalf("the engine handed over %d runs by reference; want the one %%ROW block", len(page.shared))
+	}
+	return page.shared[0]
+}
+
+// TestMemoHitIsWrittenByReference: on a memo hit the %ROW block reaches the
+// ResponseWriter as the memo's own bytes, between the page's head and tail,
+// and the page is the one rendered row by row, every byte of it counted by
+// the access log.
+func TestMemoHitIsWrittenByReference(t *testing.T) {
+	srv, rowByRow := memoHitServer(t)
+	var logged syncWriter
+	srv.root.out = &logged
+	w := &recordingWriter{header: http.Header{}}
+	srv.Handler().ServeHTTP(w, httptest.NewRequest("GET", "http://localhost"+bigReport, nil))
+	if render := srv.Traces.Snapshot()[0].SQL[0].Render; w.status != 200 || render != "memo" {
+		t.Fatalf("status %d, render=%q; want 200 and a memo hit", w.status, render)
+	}
+
+	memo := memoRun(t, srv)
+	if w.writeStrings != 0 || len(w.writes) != 3 {
+		t.Fatalf("%d Write and %d WriteString calls; want 3 Writes (head, %%ROW block, tail)", len(w.writes), w.writeStrings)
+	}
+	if block := w.writes[1]; len(block) != len(memo) || unsafe.SliceData(block) != unsafe.SliceData(memo) {
+		t.Errorf("the %%ROW block (%d bytes) was not written from the memo's own %d bytes", len(block), len(memo))
+	}
+	if page := string(bytes.Join(w.writes, nil)); page != rowByRow {
+		t.Errorf("the memo hit's page (%d bytes) differs from the row-by-row rendering (%d bytes)", len(page), len(rowByRow))
+	}
+	if want := fmt.Sprintf(" 200 %d ", len(rowByRow)); !strings.Contains(logged.String(), want) {
+		t.Errorf("access log does not count the page's %d bytes: %q", len(rowByRow), logged.String())
+	}
+}
+
+// TestReleasedPageBufferHoldsNoRun: the buffer a memo hit was rendered into
+// holds the memo by reference until the hand-back, and no run after it, so
+// a pooled buffer never keeps a memo alive that its cache has dropped.
+func TestReleasedPageBufferHoldsNoRun(t *testing.T) {
+	srv, rowByRow := memoHitServer(t)
+	resp, err := srv.app.ServeCGI(&cgi.Request{Method: "GET", PathInfo: "/urlquery.d2w/report",
+		QueryString: "DBFIELDS=title&DBFIELDS=description"})
+	if err != nil || resp.Body.String() != rowByRow {
+		t.Fatalf("err %v, or the memo hit's page differs from the row-by-row rendering", err)
+	}
+	buf := resp.Recycled.(*pageBuffer)
+	shared, runs := buf.shared[:cap(buf.shared)], buf.runs[:cap(buf.runs)]
+	if len(buf.shared) != 1 || len(buf.runs) != 3 {
+		t.Fatalf("the page holds %d shared runs in %d runs; want the %%ROW block between head and tail", len(buf.shared), len(buf.runs))
+	}
+	resp.Release()
+	for i, s := range shared {
+		if s.run != nil {
+			t.Errorf("after Release the buffer still holds shared run %d (%d bytes)", i, len(s.run))
+		}
+	}
+	for i, r := range runs {
+		if r != nil {
+			t.Errorf("after Release the buffer still holds run %d (%d bytes)", i, len(r))
+		}
+	}
+	if resp.Body.Len() != 0 {
+		t.Errorf("after Release the response still holds %d bytes", resp.Body.Len())
 	}
 }

@@ -49,7 +49,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 					errCh <- fmt.Errorf("read: status %d err %v", resp.Status, err)
 					return
 				}
-				if !strings.Contains(resp.Body, "URL Query Result") {
+				if !strings.Contains(resp.Body.String(), "URL Query Result") {
 					errCh <- fmt.Errorf("read: malformed page")
 					return
 				}
@@ -69,7 +69,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 					errCh <- fmt.Errorf("write: status %d err %v", resp.Status, err)
 					return
 				}
-				if !strings.Contains(resp.Body, "1 row(s) affected") {
+				if !strings.Contains(resp.Body.String(), "1 row(s) affected") {
 					errCh <- fmt.Errorf("write: unexpected body %q", resp.Body)
 					return
 				}
@@ -99,7 +99,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf("N=%d", writers*writesPerWorker)
-	if !strings.Contains(resp.Body, want) {
+	if !strings.Contains(resp.Body.String(), want) {
 		t.Fatalf("row count: want %s in %q", want, resp.Body)
 	}
 }
