@@ -7,14 +7,13 @@
 //	gatewayd -addr :8080 -macros ./macros -cgi ./db2www
 //
 // This file is the command line and the listener; gateway.NewServer
-// assembles what is served.
+// assembles what is served, and Server.HTTPServer the listener's bounds.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
@@ -79,8 +78,8 @@ func main() {
 		// main listener never serves — profiling stays on its own address.
 		go func() {
 			log.Printf("gatewayd: pprof at http://%s/debug/pprof/", *pprofAddr)
-			log.Fatal(http.ListenAndServe(*pprofAddr, nil))
+			log.Fatal(srv.HTTPServer(*pprofAddr, nil).ListenAndServe())
 		}()
 	}
-	log.Fatal(http.ListenAndServe(cfg.Addr, srv.Handler()))
+	log.Fatal(srv.HTTPServer(cfg.Addr, srv.Handler()).ListenAndServe())
 }

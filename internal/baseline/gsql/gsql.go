@@ -16,11 +16,11 @@
 package gsql
 
 import (
-	"database/sql"
 	"fmt"
 	"strings"
 
 	"db2www/internal/cgi"
+	"db2www/internal/sqldb"
 	"db2www/internal/sqldriver"
 )
 
@@ -189,17 +189,11 @@ func (a *App) form() string {
 // executes it, and prints the fixed tabular report.
 func (a *App) report(inputs *cgi.Form) (string, error) {
 	query := substitute(a.Proc.SQL, inputs)
-	db, err := sqldriver.Open(a.Proc.Database)
-	if err != nil {
-		return "", err
+	db, ok := sqldriver.Lookup(a.Proc.Database)
+	if !ok {
+		return "", fmt.Errorf("gsql: database %q is not registered", a.Proc.Database)
 	}
-	defer db.Close()
-	rows, err := db.Query(query)
-	if err != nil {
-		return "", err
-	}
-	defer rows.Close()
-	cols, err := rows.Columns()
+	res, err := sqldb.NewSession(db).Exec(query)
 	if err != nil {
 		return "", err
 	}
@@ -211,33 +205,22 @@ func (a *App) report(inputs *cgi.Form) (string, error) {
 	fmt.Fprintf(&b, "<HTML><HEAD><TITLE>%s result</TITLE></HEAD><BODY><H1>%s</H1>\n",
 		a.Proc.Heading, a.Proc.Heading)
 	b.WriteString("<TABLE BORDER=1>\n<TR>")
-	visible := make([]bool, len(cols))
-	for i, c := range cols {
+	visible := make([]bool, len(res.Columns))
+	for i, c := range res.Columns {
 		visible[i] = len(show) == 0 || show[strings.ToLower(c)]
 		if visible[i] {
 			fmt.Fprintf(&b, "<TH>%s</TH>", c)
 		}
 	}
 	b.WriteString("</TR>\n")
-	for rows.Next() {
-		vals := make([]sql.NullString, len(cols))
-		ptrs := make([]any, len(cols))
-		for i := range vals {
-			ptrs[i] = &vals[i]
-		}
-		if err := rows.Scan(ptrs...); err != nil {
-			return "", err
-		}
+	for _, row := range res.Rows {
 		b.WriteString("<TR>")
-		for i, v := range vals {
+		for i, v := range row {
 			if visible[i] {
-				fmt.Fprintf(&b, "<TD>%s</TD>", v.String)
+				fmt.Fprintf(&b, "<TD>%s</TD>", v.String())
 			}
 		}
 		b.WriteString("</TR>\n")
-	}
-	if err := rows.Err(); err != nil {
-		return "", err
 	}
 	b.WriteString("</TABLE>\n</BODY></HTML>\n")
 	return b.String(), nil

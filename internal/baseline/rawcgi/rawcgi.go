@@ -8,11 +8,11 @@
 package rawcgi
 
 import (
-	"database/sql"
 	"fmt"
 	"strings"
 
 	"db2www/internal/cgi"
+	"db2www/internal/sqldb"
 	"db2www/internal/sqldriver"
 )
 
@@ -81,11 +81,10 @@ func (a *App) inputForm() string {
 // report builds the SQL from the inputs, runs it, and formats the rows —
 // application logic, DBMS access, and presentation in one function.
 func (a *App) report(inputs *cgi.Form) (string, error) {
-	db, err := sqldriver.Open(a.Database)
-	if err != nil {
-		return "", err
+	db, ok := sqldriver.Lookup(a.Database)
+	if !ok {
+		return "", fmt.Errorf("rawcgi: database %q is not registered", a.Database)
 	}
-	defer db.Close()
 
 	search, _ := inputs.Get("SEARCH")
 	search = strings.ReplaceAll(search, "'", "''")
@@ -113,12 +112,7 @@ func (a *App) report(inputs *cgi.Form) (string, error) {
 	}
 	query := sel + " FROM urldb" + where + " ORDER BY title"
 
-	rows, err := db.Query(query)
-	if err != nil {
-		return "", err
-	}
-	defer rows.Close()
-	cols, err := rows.Columns()
+	res, err := sqldb.NewSession(db).Exec(query)
 	if err != nil {
 		return "", err
 	}
@@ -127,25 +121,15 @@ func (a *App) report(inputs *cgi.Form) (string, error) {
 	b.WriteString("<HTML><HEAD><TITLE>URL Query Result (raw CGI)</TITLE></HEAD><BODY>\n")
 	b.WriteString("<H1>URL Query Result</H1>\n<HR>\n")
 	b.WriteString("Select any of the following to go to the specified URL:\n<UL>\n")
-	for rows.Next() {
-		vals := make([]sql.NullString, len(cols))
-		ptrs := make([]any, len(cols))
-		for i := range vals {
-			ptrs[i] = &vals[i]
-		}
-		if err := rows.Scan(ptrs...); err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "<LI> <A HREF=\"%s\">%s</A>", vals[0].String, vals[0].String)
-		for _, v := range vals[1:] {
-			if v.Valid && v.String != "" {
-				b.WriteString(" <br>" + v.String)
+	for _, row := range res.Rows {
+		url := row[0].String()
+		fmt.Fprintf(&b, "<LI> <A HREF=\"%s\">%s</A>", url, url)
+		for _, v := range row[1:] {
+			if s := v.String(); s != "" { // NULL prints as ""
+				b.WriteString(" <br>" + s)
 			}
 		}
 		b.WriteString("\n")
-	}
-	if err := rows.Err(); err != nil {
-		return "", err
 	}
 	b.WriteString("</UL>\n<HR></BODY></HTML>\n")
 	return b.String(), nil

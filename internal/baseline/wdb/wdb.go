@@ -13,7 +13,6 @@
 package wdb
 
 import (
-	"database/sql"
 	"fmt"
 	"strings"
 
@@ -228,17 +227,11 @@ func (a *App) report(inputs *cgi.Form) (string, error) {
 		query += " WHERE " + strings.Join(conds, " AND ")
 	}
 
-	db, err := sqldriver.Open(a.FDF.Database)
-	if err != nil {
-		return "", err
+	db, ok := sqldriver.Lookup(a.FDF.Database)
+	if !ok {
+		return "", fmt.Errorf("wdb: unknown database %q", a.FDF.Database)
 	}
-	defer db.Close()
-	rows, err := db.Query(query)
-	if err != nil {
-		return "", err
-	}
-	defer rows.Close()
-	cols, err := rows.Columns()
+	res, err := sqldb.NewSession(db).Exec(query)
 	if err != nil {
 		return "", err
 	}
@@ -246,31 +239,18 @@ func (a *App) report(inputs *cgi.Form) (string, error) {
 	fmt.Fprintf(&b, "<HTML><HEAD><TITLE>%s result</TITLE></HEAD><BODY><H1>%s</H1>\n",
 		a.FDF.Title, a.FDF.Title)
 	b.WriteString("<TABLE BORDER=1>\n<TR>")
-	for _, c := range cols {
+	for _, c := range res.Columns {
 		fmt.Fprintf(&b, "<TH>%s</TH>", c)
 	}
 	b.WriteString("</TR>\n")
-	n := 0
-	for rows.Next() {
-		vals := make([]sql.NullString, len(cols))
-		ptrs := make([]any, len(cols))
-		for i := range vals {
-			ptrs[i] = &vals[i]
-		}
-		if err := rows.Scan(ptrs...); err != nil {
-			return "", err
-		}
+	for _, row := range res.Rows {
 		b.WriteString("<TR>")
-		for _, v := range vals {
-			fmt.Fprintf(&b, "<TD>%s</TD>", v.String)
+		for _, v := range row {
+			fmt.Fprintf(&b, "<TD>%s</TD>", v.String())
 		}
 		b.WriteString("</TR>\n")
-		n++
 	}
-	if err := rows.Err(); err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "</TABLE>\n<P>%d row(s).</P>\n</BODY></HTML>\n", n)
+	fmt.Fprintf(&b, "</TABLE>\n<P>%d row(s).</P>\n</BODY></HTML>\n", len(res.Rows))
 	return b.String(), nil
 }
 

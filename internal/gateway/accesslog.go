@@ -175,13 +175,14 @@ func (l *AccessLog) line(r *http.Request, cw *countingWriter, tr *obs.Trace, sta
 	}
 	return fmt.Sprintf("%s - %s [%s] \"%s %s %s\" %d %d%s\n",
 		host, logItem(user), now.Format("02/Jan/2006:15:04:05 -0700"),
-		r.Method, r.URL.RequestURI(), r.Proto, cw.code(), cw.bytes, suffix)
+		logItem(r.Method), logItem(r.URL.RequestURI()), logItem(r.Proto), cw.code(), cw.bytes, suffix)
 }
 
-// logItem escapes a field of a CLF line that the client wrote, as
-// Apache's mod_log_config does: a byte that is not printable ASCII, a
-// space, a quote and a backslash become \xhh, so the field can neither end
-// the line nor split it into other fields.
+// logItem escapes a field of a CLF line that the client wrote — the user
+// and the request line's method, URI and protocol — as Apache's
+// mod_log_config does: a byte that is not printable ASCII, a space, a
+// quote and a backslash become \xhh, so the field can end neither the
+// line nor the quoted request, and cannot split into other fields.
 func logItem(s string) string {
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {

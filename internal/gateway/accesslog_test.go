@@ -1,12 +1,15 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -62,6 +65,41 @@ func TestAccessLogEscapesUser(t *testing.T) {
 		` [04/Jun/1996:10:30:00 +0000] "GET /page HTTP/1.1" 200 19` + "\n"
 	if got := buf.String(); got != want {
 		t.Fatalf("log:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestAccessLogEscapesRequestLine: a request URI is the client's text too.
+// Sent over a socket with a quote and a backslash in its query, it stays
+// inside the quoted request field: the line splits on quotes into exactly
+// the CLF fields, the request into method, URI and protocol, and what
+// follows it is the status and the bytes.
+func TestAccessLogEscapesRequestLine(t *testing.T) {
+	var buf bytes.Buffer
+	l := NewAccessLog(okHandler(), &buf)
+	l.Now = fixedClock
+	ts := httptest.NewServer(l)
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprint(conn, "GET /page?x=\"%20404%200%20\\ HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n")
+	status, err := bufio.NewReader(conn).ReadString('\n')
+	conn.Close()
+	ts.Close() // waits for the handler, and so for the line
+	if err != nil || !strings.Contains(status, " 200 ") {
+		t.Fatalf("response %q, %v", status, err)
+	}
+	line := strings.TrimSuffix(buf.String(), "\n")
+	fields := strings.Split(line, `"`)
+	if len(fields) != 3 {
+		t.Fatalf("the line splits on quotes into %d fields, want 3: %q", len(fields), line)
+	}
+	if req := strings.Fields(fields[1]); len(req) != 3 || req[0] != "GET" || req[2] != "HTTP/1.1" ||
+		req[1] != `/page?x=\x22%20404%200%20\x5c` {
+		t.Errorf("request field %q", fields[1])
+	}
+	if tail := strings.Fields(fields[2]); !slices.Equal(tail, []string{"200", "19"}) {
+		t.Errorf("status and bytes %q, want 200 19", fields[2])
 	}
 }
 

@@ -19,6 +19,10 @@ import (
 	"db2www/internal/obs"
 )
 
+// defaultCGITimeout bounds a CGI invocation when Handler.CGITimeout is
+// zero, as under gatewayd's -cgi.
+const defaultCGITimeout = 30 * time.Second
+
 // Handler is the Web-server half of Figure 4: it serves static documents
 // and routes /cgi-bin/{program}/{macro}/{cmd} URLs to a CGI application —
 // in-process through App, or as a real subprocess when CGIProgram is set.
@@ -37,7 +41,7 @@ type Handler struct {
 	// CGIProgram, when non-empty, is the path of a CGI executable to
 	// fork/exec per request instead of calling App — the true CGI
 	// process model. CGIEnv is appended to its environment and
-	// CGITimeout bounds each invocation (default 30s).
+	// CGITimeout bounds each invocation (default defaultCGITimeout).
 	CGIProgram string
 	CGIEnv     []string
 	CGITimeout time.Duration
@@ -200,7 +204,7 @@ func (h *Handler) serveCGI(w http.ResponseWriter, r *http.Request) {
 	case h.CGIProgram != "":
 		timeout := h.CGITimeout
 		if timeout == 0 {
-			timeout = 30 * time.Second
+			timeout = defaultCGITimeout
 		}
 		resp, err = cgi.InvokeProcess(h.CGIProgram, nil, req, h.CGIEnv, timeout)
 	case h.App != nil:

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"context"
-	"database/sql"
 	"errors"
 	"fmt"
 	"os"
@@ -20,115 +19,33 @@ import (
 	"db2www/internal/workload"
 )
 
-// scanConn is the oracle's connection: a *sql.Conn on the twin database,
-// opened through the conforming driver, plus its open *sql.Tx — what
-// sqlConn held before a connection became an engine session.
-type scanConn struct {
-	conn *sql.Conn
-	tx   *sql.Tx
-}
-
-func (c *scanConn) Begin() (err error) {
-	if c.tx != nil {
-		return errors.New("transaction already open")
+// referenceExecute is the oracle the block fetch is compared against, on
+// a session of its own on the twin database: it decides from the text
+// whether the statement is a query, as the Scan loop did, and converts
+// each cell twice, independently of ExecuteContext — engine value to the
+// Go value the database/sql cursor handed out, that value to a Field. A
+// context already cancelled is refused at the door. Nothing else calls it.
+func referenceExecute(sess *sqldb.Session, ctx context.Context, sqlText string) (*core.SQLResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	c.tx, err = c.conn.BeginTx(context.Background(), nil)
-	return err
-}
-
-// end finishes the open transaction with Commit or Rollback.
-func (c *scanConn) end(finish func(*sql.Tx) error) error {
-	if c.tx == nil {
-		return errors.New("no open transaction")
-	}
-	tx := c.tx
-	c.tx = nil
-	return finish(tx)
-}
-
-func (c *scanConn) Commit() error   { return c.end((*sql.Tx).Commit) }
-func (c *scanConn) Rollback() error { return c.end((*sql.Tx).Rollback) }
-
-func (c *scanConn) Close() error {
-	if c.tx != nil {
-		_ = c.Rollback()
-	}
-	return c.conn.Close()
-}
-
-// referenceExecute is ExecuteContext as it was before the block fetch,
-// word for word: the portable database/sql cursor — rows.Next, Scan into
-// `any`, toField — that a foreign driver would need. It is the oracle the
-// block fetch is compared against and nothing else calls it.
-func referenceExecute(c *scanConn, ctx context.Context, sqlText string) (*core.SQLResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	query := func(q string) (*sql.Rows, error) {
-		if c.tx != nil {
-			return c.tx.QueryContext(ctx, q)
-		}
-		return c.conn.QueryContext(ctx, q)
-	}
-	exec := func(q string) (sql.Result, error) {
-		if c.tx != nil {
-			return c.tx.ExecContext(ctx, q)
-		}
-		return c.conn.ExecContext(ctx, q)
-	}
-	if isQueryStatement(sqlText) {
-		rows, err := query(sqlText)
-		if err != nil {
-			return nil, err
-		}
-		defer rows.Close()
-		cols, err := rows.Columns()
-		if err != nil {
-			return nil, err
-		}
-		res := &core.SQLResult{Columns: cols}
-		// One scan buffer serves every row, and the rows are carved out
-		// of shared chunks that start small (a point lookup allocates a
-		// few fields) and double up to maxChunkRows.
-		n := len(cols)
-		raw := make([]any, n)
-		ptrs := make([]any, n)
-		for i := range raw {
-			ptrs[i] = &raw[i]
-		}
-		var chunk []core.Field
-		chunkRows := 4
-		for rows.Next() {
-			if err := rows.Scan(ptrs...); err != nil {
-				return nil, err
-			}
-			if len(chunk) < n {
-				chunk = make([]core.Field, n*chunkRows)
-				chunkRows = min(2*chunkRows, maxChunkRows)
-			}
-			row := chunk[:n:n]
-			chunk = chunk[n:]
-			for i, v := range raw {
-				row[i] = toField(v)
-			}
-			res.Rows = append(res.Rows, row)
-		}
-		if err := rows.Err(); err != nil {
-			return nil, err
-		}
-		res.RowsAffected = int64(len(res.Rows))
-		return res, nil
-	}
-	r, err := exec(sqlText)
+	r, err := sess.Exec(sqlText)
 	if err != nil {
 		return nil, err
 	}
-	n, _ := r.RowsAffected()
-	return &core.SQLResult{RowsAffected: n}, nil
+	if !isQueryStatement(sqlText) {
+		return &core.SQLResult{RowsAffected: r.RowsAffected}, nil
+	}
+	res := &core.SQLResult{Columns: r.Columns, RowsAffected: int64(len(r.Rows))}
+	for _, vals := range r.Rows {
+		row := make([]core.Field, len(vals))
+		for i, v := range vals {
+			row[i] = toField(scanValue(v))
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return res, nil
 }
-
-// maxChunkRows bounds how many result rows share one backing array.
-const maxChunkRows = 256
 
 // isQueryStatement reports whether the statement produces a result set:
 // after the comments the engine's lexer skips, it begins with SELECT or
@@ -138,13 +55,24 @@ func isQueryStatement(sqlText string) bool {
 	return kw == "SELECT" || kw == "EXPLAIN"
 }
 
-// toField converts a database/sql scan value to the engine's Field.
+// scanValue is the value a Scan into `any` returned for an engine value.
+func scanValue(v sqldb.Value) any {
+	switch v.T {
+	case sqldb.TInt:
+		return v.I
+	case sqldb.TFloat:
+		return v.F
+	case sqldb.TString:
+		return v.S
+	case sqldb.TBool:
+		return v.B
+	}
+	return nil
+}
+
+// toField converts a scanned value to the engine's Field.
 func toField(v any) core.Field {
 	switch x := v.(type) {
-	case nil:
-		return core.Field{Null: true}
-	case []byte:
-		return core.Field{S: string(x)}
 	case string:
 		return core.Field{S: x}
 	case int64:
@@ -156,9 +84,8 @@ func toField(v any) core.Field {
 			return core.Field{S: "TRUE"}
 		}
 		return core.Field{S: "FALSE"}
-	default:
-		return core.Field{S: fmt.Sprint(x)}
 	}
+	return core.Field{Null: true}
 }
 
 // TestIsQueryStatement: the oracle's lex of the text agrees, on every
@@ -190,8 +117,8 @@ const twinRef = "_REF"
 // result — or the same error — from both.
 type twinProvider struct {
 	t   *testing.T
-	ref *sql.DB // the oracle's pool, on the twin
-	n   int     // statements compared
+	ref *sqldb.Database // the twin, the oracle's database
+	n   int             // statements compared
 }
 
 // newTwins registers two databases loaded from one dataset spec ("" loads
@@ -208,11 +135,7 @@ func newTwins(t *testing.T, name, dataset string) *twinProvider {
 		sqldriver.Register(n, db)
 		t.Cleanup(func() { sqldriver.Unregister(n) })
 	}
-	ref, err := sqldriver.Open(name + twinRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ref.Close() })
+	ref, _ := sqldriver.Lookup(name + twinRef)
 	return &twinProvider{t: t, ref: ref}
 }
 
@@ -221,17 +144,13 @@ func (tp *twinProvider) Connect(database, login, password string) (core.DBConn, 
 	if err != nil {
 		return nil, err
 	}
-	b, err := tp.ref.Conn(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return &twinConn{tp: tp, block: a.(*sqlConn), scan: &scanConn{conn: b}}, nil
+	return &twinConn{tp: tp, block: a.(*sqlConn), ref: sqldb.NewSession(tp.ref)}, nil
 }
 
 type twinConn struct {
 	tp    *twinProvider
 	block *sqlConn
-	scan  *scanConn
+	ref   *sqldb.Session
 }
 
 func (c *twinConn) both(err, err2 error) error {
@@ -241,10 +160,10 @@ func (c *twinConn) both(err, err2 error) error {
 	return err
 }
 
-func (c *twinConn) Begin() error    { return c.both(c.block.Begin(), c.scan.Begin()) }
-func (c *twinConn) Commit() error   { return c.both(c.block.Commit(), c.scan.Commit()) }
-func (c *twinConn) Rollback() error { return c.both(c.block.Rollback(), c.scan.Rollback()) }
-func (c *twinConn) Close() error    { return c.both(c.block.Close(), c.scan.Close()) }
+func (c *twinConn) Begin() error    { return c.both(c.block.Begin(), c.ref.BeginTxn()) }
+func (c *twinConn) Commit() error   { return c.both(c.block.Commit(), c.ref.Commit()) }
+func (c *twinConn) Rollback() error { return c.both(c.block.Rollback(), c.ref.Rollback()) }
+func (c *twinConn) Close() error    { return c.both(c.block.Close(), c.ref.Close()) }
 
 func (c *twinConn) Execute(sqlText string) (*core.SQLResult, error) {
 	return c.ExecuteContext(context.Background(), sqlText)
@@ -267,9 +186,9 @@ func (c *twinConn) ExecuteContext(ctx context.Context, sqlText string) (*core.SQ
 	t.Helper()
 	c.tp.n++
 	got, gotErr := c.block.ExecuteContext(ctx, sqlText)
-	want, wantErr := referenceExecute(c.scan, ctx, sqlText)
+	want, wantErr := referenceExecute(c.ref, ctx, sqlText)
 	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
-		t.Errorf("%s\nblock fetch error: %v\n  scan loop error: %v", sqlText, gotErr, wantErr)
+		t.Errorf("%s\nblock fetch error: %v\n  reference error: %v", sqlText, gotErr, wantErr)
 		return got, gotErr
 	}
 	if gotErr != nil {
@@ -288,9 +207,9 @@ func (c *twinConn) ExecuteContext(ctx context.Context, sqlText string) (*core.SQ
 		for at < len(got.Rows) && at < len(want.Rows) && reflect.DeepEqual(got.Rows[at], want.Rows[at]) {
 			at++
 		}
-		t.Errorf("%s\nblock fetch: %s\n  scan loop: %s\nrows differ from row %d", sqlText, describe(got), describe(want), at)
+		t.Errorf("%s\nblock fetch: %s\n  reference: %s\nrows differ from row %d", sqlText, describe(got), describe(want), at)
 		if at < len(got.Rows) && at < len(want.Rows) {
-			t.Errorf("row %d:\nblock fetch: %#v\n  scan loop: %#v", at, got.Rows[at], want.Rows[at])
+			t.Errorf("row %d:\nblock fetch: %#v\n  reference: %#v", at, got.Rows[at], want.Rows[at])
 		}
 	}
 	return got, nil
@@ -348,11 +267,11 @@ var blockFetchCorpus = []struct {
 	}},
 }
 
-// TestBlockFetchMatchesScan requires the block fetch and the Scan loop it
-// replaced to return reflect.DeepEqual results for every statement the
-// golden corpus executes — served through the engine, so the pages are
-// checked against the golden files on the way — and for a typed table of
-// the cases a page does not show apart.
+// TestBlockFetchMatchesScan requires the block fetch and the reference
+// conversion of the Scan loop it replaced to return reflect.DeepEqual
+// results for every statement the golden corpus executes — served through
+// the engine, so the pages are checked against the golden files on the
+// way — and for a typed table of the cases a page does not show apart.
 func TestBlockFetchMatchesScan(t *testing.T) {
 	root := repoRoot(t)
 	golden := filepath.Join(root, "testdata/golden/corpus")
@@ -470,12 +389,14 @@ func TestBlockFetchMatchesScan(t *testing.T) {
 	if _, err := conn.ExecuteContext(cancelled, "SELECT id FROM v"); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled context: %v", err)
 	}
-	info := &obs.SQLExec{}
-	if _, err := conn.block.ExecuteContext(obs.WithSQLExec(context.Background(), info), "SELECT id FROM v"); err != nil {
-		t.Fatal(err)
-	}
-	if info.Kind != "select" || info.Digest == "" {
-		t.Errorf("the obs.SQLExec entry on ctx did not reach the engine: %+v", info)
+	for sqlText, kind := range map[string]string{"SELECT id FROM v": "select", "INSERT INTO v (id) VALUES (9)": "write"} {
+		info := &obs.SQLExec{}
+		if _, err := conn.block.ExecuteContext(obs.WithSQLExec(context.Background(), info), sqlText); err != nil {
+			t.Fatal(err)
+		}
+		if info.Kind != kind || info.Digest == "" {
+			t.Errorf("%s: the obs.SQLExec entry on ctx did not reach the engine: %+v", sqlText, info)
+		}
 	}
 }
 

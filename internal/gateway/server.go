@@ -245,6 +245,35 @@ func (s *Server) assemble() (err error) {
 // mounted.
 func (s *Server) Handler() http.Handler { return s.root }
 
+// The bounds of gatewayd's listeners (DESIGN.md §6): a client that sends
+// half a header, or reads its page at a trickle, is cut off rather than
+// holding a goroutine and a file descriptor. writeTimeout exceeds
+// defaultCGITimeout, so a slow CGI still gets its 504 out.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+	// maxHeaderBytes is net/http's default, stated: it is the only bound
+	// on a GET's query string.
+	maxHeaderBytes = http.DefaultMaxHeaderBytes
+)
+
+// HTTPServer is the http.Server that serves h on addr with the listener
+// bounds: gatewayd's main listener with Handler, and -pprof-addr with
+// http.DefaultServeMux (h nil).
+func (s *Server) HTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // Close stops the vacuum loop, closes the provider's connections, the
 // flight recorder and the log files, and unregisters the database; it
 // returns what failed to close. A second Close does nothing.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"html"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -379,6 +380,50 @@ func TestServerWithoutQueryCache(t *testing.T) {
 			t.Errorf("%s: the reports moved the Query cache section:\n%s\nto\n%s", c.name, before, after)
 		}
 		srv.Close()
+	}
+}
+
+// TestListenerBounds: the http.Server gatewayd listens through carries
+// the four timeouts and the header bound — none is zero, which net/http
+// reads as no bound at all — and its write timeout leaves a slow CGI the
+// time to be answered 504. It then serves a report over a socket.
+func TestListenerBounds(t *testing.T) {
+	cfg := DefaultServerConfig()
+	cfg.Macros = filepath.Join(repoRoot(t), "testdata", "macros")
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := srv.HTTPServer("127.0.0.1:0", srv.Handler())
+	for name, d := range map[string]time.Duration{"ReadHeaderTimeout": hs.ReadHeaderTimeout,
+		"ReadTimeout": hs.ReadTimeout, "WriteTimeout": hs.WriteTimeout, "IdleTimeout": hs.IdleTimeout} {
+		if d <= 0 {
+			t.Errorf("%s = %v, want a bound", name, d)
+		}
+	}
+	if hs.WriteTimeout <= defaultCGITimeout {
+		t.Errorf("WriteTimeout %v does not exceed the CGI timeout %v", hs.WriteTimeout, defaultCGITimeout)
+	}
+	if hs.ReadHeaderTimeout > hs.ReadTimeout {
+		t.Errorf("ReadHeaderTimeout %v exceeds ReadTimeout %v", hs.ReadHeaderTimeout, hs.ReadTimeout)
+	}
+	if hs.MaxHeaderBytes != 1<<20 {
+		t.Errorf("MaxHeaderBytes = %d, want net/http's 1 MiB stated", hs.MaxHeaderBytes)
+	}
+	ln, err := net.Listen("tcp", hs.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	defer hs.Close()
+	resp, err := http.Get("http://" + ln.Addr().String() + smokeReport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("report over the bounded listener: status %d", resp.StatusCode)
 	}
 }
 

@@ -49,19 +49,3 @@ func (s *Session) ExecContext(ctx context.Context, sql string, params ...Value) 
 	info.Digest = s.lastDigest
 	return res, err
 }
-
-// ExecStmtContext is ExecStmt with the context's obs.SQLExec entry
-// filled. The timing is taken only when an entry is present — the
-// plain path stays clock-free. Without the SQL text there is no digest
-// to record; statement stats accrue only on the text-bearing paths.
-func (s *Session) ExecStmtContext(ctx context.Context, st Stmt, params ...Value) (*Result, error) {
-	info := obs.SQLExecFrom(ctx)
-	if info == nil {
-		return s.ExecStmt(st, params...)
-	}
-	info.Kind = statementKind(st)
-	start := time.Now()
-	res, err := s.ExecStmt(st, params...)
-	info.DBMicros = time.Since(start).Microseconds()
-	return res, err
-}

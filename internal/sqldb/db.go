@@ -31,7 +31,7 @@ import (
 //   - Write-write conflicts resolve first-committer-wins: the later
 //     writer gets a retryable serialization failure (SQLSTATE 40001).
 //     Auto-commit statements retry internally; explicit transactions
-//     surface the error through sqldriver.
+//     surface the error to the session's caller (IsSerializationFailure).
 //
 // Lock order: db.mu → Table.mu; db.mu → vt.mu. The mvcc manager's
 // internal mutex nests under everything and takes nothing.
@@ -684,9 +684,8 @@ func (s *Session) prepare(sql string, params []Value) (*prepared, error) {
 }
 
 // execPrepared executes p and, when engine observability is on, files
-// the execution under sql's digest in the statement stats registry. Only
-// paths that still have the SQL text run through here — ExecScript and
-// prepared statements execute digest-less.
+// the execution under sql's digest in the statement stats registry.
+// ExecStmt and ExecScript have no text to digest and run digest-less.
 func (s *Session) execPrepared(sql string, p *prepared) (*Result, error) {
 	st, params := p.st, p.params
 	if s.db.stmts == nil || !obsEnabled() {
@@ -973,15 +972,6 @@ func (s *Session) execDDL(bump bool, run func(*txnState) (*Result, error), targe
 	}
 }
 
-// Query executes a SELECT (or any statement) and returns a row cursor.
-func (s *Session) Query(sql string, params ...Value) (*Rows, error) {
-	res, err := s.Exec(sql, params...)
-	if err != nil {
-		return nil, err
-	}
-	return &Rows{res: res, pos: -1}, nil
-}
-
 // ExecScript parses and executes a semicolon-separated script, stopping at
 // the first error. It returns the number of statements executed.
 func (s *Session) ExecScript(script string) (int, error) {
@@ -996,32 +986,3 @@ func (s *Session) ExecScript(script string) (int, error) {
 	}
 	return len(stmts), nil
 }
-
-// Rows is a forward-only cursor over a materialised result set — the
-// row-at-a-time fetch interface the macro engine's %ROW block consumes.
-type Rows struct {
-	res *Result
-	pos int
-}
-
-// Columns returns the result column names.
-func (r *Rows) Columns() []string { return r.res.Columns }
-
-// Next advances to the next row, returning false at the end.
-func (r *Rows) Next() bool {
-	if r.pos+1 >= len(r.res.Rows) {
-		return false
-	}
-	r.pos++
-	return true
-}
-
-// Row returns the current row. Next must have returned true.
-func (r *Rows) Row() []Value { return r.res.Rows[r.pos] }
-
-// RowCount returns the total number of rows in the result.
-func (r *Rows) RowCount() int { return len(r.res.Rows) }
-
-// Close releases the cursor (a no-op for materialised results; present so
-// callers follow the usual acquire/release discipline).
-func (r *Rows) Close() error { return nil }

@@ -531,28 +531,6 @@ func TestDropIndex(t *testing.T) {
 	mustExec(t, s, "DROP INDEX IF EXISTS price_ix")
 }
 
-func TestRowsCursor(t *testing.T) {
-	s := mustSession(t)
-	rows, err := s.Query("SELECT url, title FROM urldb ORDER BY url")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rows.Close()
-	if got := rows.Columns(); len(got) != 2 || got[0] != "url" {
-		t.Fatalf("columns = %v", got)
-	}
-	n := 0
-	for rows.Next() {
-		if len(rows.Row()) != 2 {
-			t.Fatalf("row width = %d", len(rows.Row()))
-		}
-		n++
-	}
-	if n != 5 || rows.RowCount() != 5 {
-		t.Fatalf("iterated %d rows, count %d, want 5", n, rows.RowCount())
-	}
-}
-
 func TestSelectWithoutFrom(t *testing.T) {
 	s := mustSession(t)
 	res := mustExec(t, s, "SELECT 1 + 2, 'x' || 'y'")

@@ -10,8 +10,8 @@ import (
 // and Rows; DML fills RowsAffected (and LastInsertID for single-row
 // INSERT). Results are fully materialised: the engine evaluates the query
 // under the database lock and hands the caller an immutable snapshot,
-// which the Rows cursor then walks row-at-a-time (the fetch model the
-// macro engine's %ROW block expects).
+// whose rows the caller reads whole (the %ROW block walks them
+// row-at-a-time).
 //
 // The rows of a Result are read-only and may share storage with the
 // table: a SELECT that only lists adjacent columns (SELECT *, SELECT url,

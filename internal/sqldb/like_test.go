@@ -157,8 +157,8 @@ func TestLikePatternFromColumn(t *testing.T) {
 	}
 }
 
-// TestLikeParsedStatementRunAgain: sqldriver executes one parsed AST many
-// times with new parameter values, so a program left on the node by the
+// TestLikeParsedStatementRunAgain: the plan cache executes one parsed AST
+// many times with new parameter values, so a program left on the node by the
 // previous execution must not answer for the next pattern.
 func TestLikeParsedStatementRunAgain(t *testing.T) {
 	s := mustSession(t)

@@ -46,22 +46,6 @@ func Parse(src string) (Stmt, error) {
 	return parseTokens(toks)
 }
 
-// ParseParams is Parse, and the number of ? parameters the statement
-// takes.
-func ParseParams(src string) (st Stmt, nparams int, err error) {
-	toks, err := lexSQL(src)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, t := range toks {
-		if t.kind == tkParam {
-			nparams++
-		}
-	}
-	st, err = parseTokens(toks)
-	return st, nparams, err
-}
-
 // parseTokens parses a single statement from an already-lexed token
 // stream. The plan cache calls this directly with its parameterized
 // token rewrite, skipping a second lex of the statement text.

@@ -236,13 +236,15 @@ var typeKeywords = map[string]bool{
 // tier — it takes the literal path — when it does not have a DML/SELECT
 // head or already carries ? parameters.
 //
-// Numbers in ORDER BY lists are kept literal — a bare integer there is a
-// projection ordinal, which the executor resolves from the *Literal*
-// node; parameterizing it would silently change semantics. Numbers in
-// type suffixes (VARCHAR(10)) are kept literal because they are part of
-// the type. The pass looks back, never ahead: BY opens an ORDER BY list
-// when the token before it was ORDER, and ( opens a type suffix when the
-// token before it was a type keyword.
+// Numbers in the ORDER BY list are kept literal — a bare integer there is
+// a projection ordinal, which the executor resolves from the *Literal*
+// node; parameterizing it would silently change semantics. With no
+// subquery in the grammar, ORDER BY is the last clause of the statement,
+// so its list runs to the end of the text. Numbers in type suffixes
+// (VARCHAR(10)) are kept literal because they are part of the type. The
+// pass looks back, never ahead: BY opens the ORDER BY list when the token
+// before it was ORDER, and ( opens a type suffix when the token before it
+// was a type keyword.
 //
 // The key renders every token as the parser reads it, one space apart, so
 // that two statements with one key parse to one tree: identifiers as
@@ -253,7 +255,7 @@ var typeKeywords = map[string]bool{
 type shaper struct {
 	key       []byte
 	vals      []Value
-	orders    []int // paren depths with an active ORDER BY list
+	order     bool // the ORDER BY list is open
 	depth     int
 	typeParen int // paren depth of an open type-suffix group, -1 when none
 	prevKind  tokKind
@@ -282,7 +284,7 @@ func (sh *shaper) release() {
 }
 
 func (sh *shaper) reset() {
-	*sh = shaper{key: sh.key[:0], vals: sh.vals[:0], orders: sh.orders[:0], typeParen: -1}
+	*sh = shaper{key: sh.key[:0], vals: sh.vals[:0], typeParen: -1}
 }
 
 // step feeds the next token and reports whether it was extracted as a
@@ -318,23 +320,14 @@ func (sh *shaper) step(t *token) (param bool) {
 			if sh.typeParen >= 0 && sh.depth < sh.typeParen {
 				sh.typeParen = -1
 			}
-			for n := len(sh.orders); n > 0 && sh.depth < sh.orders[n-1]; n = len(sh.orders) {
-				sh.orders = sh.orders[:n-1]
-			}
-		case ";":
-			sh.orders = sh.orders[:0]
 		}
 	case tkKeyword:
-		switch t.text {
-		case "BY":
-			if prevKind == tkKeyword && prevText == "ORDER" {
-				sh.orders = append(sh.orders, sh.depth)
-			}
+		if t.text == "BY" && prevKind == tkKeyword && prevText == "ORDER" {
+			sh.order = true
 		}
 	case tkNumber:
-		inOrder := len(sh.orders) > 0 && sh.depth >= sh.orders[len(sh.orders)-1]
 		inType := sh.typeParen >= 0 && sh.depth >= sh.typeParen
-		if !inOrder && !inType {
+		if !sh.order && !inType {
 			sh.vals = append(sh.vals, t.num)
 			sh.key = append(sh.key, " ?"...)
 			return true

@@ -186,6 +186,67 @@ func TestPlanCacheHitSkipsParse(t *testing.T) {
 	}
 }
 
+// TestCachedShapeReplansPerExecution: a cached shape is one parsed tree
+// executed with each text's literals, so nothing the planner decides may
+// stay on it. The shape of a two-table join runs with one literal, then
+// with another after the smaller table has outgrown the other: both times
+// its rows are those of the join written so that the planner must take it
+// as declared (a LEFT JOIN keeps declaration order, pushes nothing down
+// and scans sequentially — the naive plan, reached through SQL), and
+// EXPLAIN shows the join order following the data.
+func TestCachedShapeReplansPerExecution(t *testing.T) {
+	db := NewDatabase("REPLAN")
+	s := NewSession(db)
+	mustExec(t, s, "CREATE TABLE small (k INTEGER PRIMARY KEY, tag VARCHAR(10))")
+	mustExec(t, s, "CREATE TABLE big (id INTEGER PRIMARY KEY, k INTEGER, v VARCHAR(10))")
+	for k := 0; k < 3; k++ {
+		mustExec(t, s, "INSERT INTO small VALUES (?, ?)", NewInt(int64(k)), NewString(fmt.Sprintf("t%d", k)))
+	}
+	for id := 1; id <= 40; id++ {
+		mustExec(t, s, "INSERT INTO big VALUES (?, ?, ?)", NewInt(int64(id)), NewInt(int64(id%5)), NewString(fmt.Sprintf("v%d", id)))
+	}
+	join := func(min int) string {
+		return fmt.Sprintf("SELECT b.id, s.tag FROM big b JOIN small s ON s.k = b.k WHERE b.id > %d ORDER BY b.id", min)
+	}
+	declared := func(min int) string {
+		return fmt.Sprintf("SELECT b.id, s.tag FROM big b LEFT JOIN small s ON s.k = b.k WHERE b.id > %d AND s.k IS NOT NULL ORDER BY b.id", min)
+	}
+	firstScan := func(min int) string {
+		plan := resultBytes(mustExec(t, s, "EXPLAIN "+join(min)))
+		iSmall, iBig := strings.Index(plan, "Scan on small"), strings.Index(plan, "Scan on big")
+		if iSmall < 0 || iBig < 0 {
+			t.Fatalf("plan shows no scans:\n%s", plan)
+		}
+		if iSmall < iBig {
+			return "small"
+		}
+		return "big"
+	}
+	run := func(min, want int) {
+		t.Helper()
+		got, ref := mustExec(t, s, join(min)), mustExec(t, s, declared(min))
+		if len(got.Rows) != want || resultBytes(got) != resultBytes(ref) {
+			t.Fatalf("b.id > %d: %d rows\n%s\ndeclared-order join\n%s", min, len(got.Rows), resultBytes(got), resultBytes(ref))
+		}
+	}
+
+	run(10, 18)
+	if first := firstScan(10); first != "small" {
+		t.Fatalf("3 rows against ~13: want the join to start from small, starts from %s", first)
+	}
+	for k := 100; k < 300; k++ {
+		mustExec(t, s, "INSERT INTO small VALUES (?, 'late')", NewInt(int64(k)))
+	}
+	base := db.PlanCacheStats()
+	run(35, 3)
+	if st := db.PlanCacheStats(); st.Hits-base.Hits != 2 || st.Misses != base.Misses {
+		t.Fatalf("the second literal did not run the cached shape: %d hits, %d misses", st.Hits-base.Hits, st.Misses-base.Misses)
+	}
+	if first := firstScan(35); first != "big" {
+		t.Fatalf("203 rows against ~13: want the join to start from big, starts from %s", first)
+	}
+}
+
 // TestPlanCacheExplicitParamsBypass: calls that already carry bind
 // parameters skip the cache entirely.
 func TestPlanCacheExplicitParamsBypass(t *testing.T) {

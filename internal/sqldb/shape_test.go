@@ -21,8 +21,8 @@ import (
 // referenceParamize rewrites toks with every string and number literal
 // replaced by a ? parameter, returning the extracted values in parameter
 // order; ok is false when the statement takes the literal path. It looks
-// ahead: ORDER opens an ordinal list when BY follows, a type keyword a
-// type suffix when ( follows.
+// ahead: ORDER opens the ordinal list, to the end of the text, when BY
+// follows; a type keyword a type suffix when ( follows.
 func referenceParamize(toks []token) ([]token, []Value, bool) {
 	if len(toks) == 0 || toks[0].kind != tkKeyword || !paramizableHeads[toks[0].text] {
 		return nil, nil, false
@@ -30,7 +30,7 @@ func referenceParamize(toks []token) ([]token, []Value, bool) {
 	out := make([]token, 0, len(toks))
 	var vals []Value
 	depth := 0
-	var orderDepths []int
+	order := false
 	typeParen := -1
 	for i, t := range toks {
 		switch t.kind {
@@ -45,17 +45,12 @@ func referenceParamize(toks []token) ([]token, []Value, bool) {
 				if typeParen >= 0 && depth < typeParen {
 					typeParen = -1
 				}
-				for n := len(orderDepths); n > 0 && depth < orderDepths[n-1]; n = len(orderDepths) {
-					orderDepths = orderDepths[:n-1]
-				}
-			case ";":
-				orderDepths = orderDepths[:0]
 			}
 		case tkKeyword:
 			switch t.text {
 			case "ORDER":
 				if i+1 < len(toks) && toks[i+1].kind == tkKeyword && toks[i+1].text == "BY" {
-					orderDepths = append(orderDepths, depth)
+					order = true
 				}
 			default:
 				if typeKeywords[t.text] && i+1 < len(toks) &&
@@ -64,9 +59,8 @@ func referenceParamize(toks []token) ([]token, []Value, bool) {
 				}
 			}
 		case tkNumber:
-			inOrder := len(orderDepths) > 0 && depth >= orderDepths[len(orderDepths)-1]
 			inType := typeParen >= 0 && depth >= typeParen
-			if !inOrder && !inType {
+			if !order && !inType {
 				vals = append(vals, t.num)
 				out = append(out, token{kind: tkParam, text: "?", pos: t.pos})
 				continue

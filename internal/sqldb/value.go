@@ -3,8 +3,8 @@
 //
 // It is the DBMS substrate for the DB2 WWW Connection reproduction: the
 // macro engine (internal/core) only requires dynamic statement execution,
-// result column names and values, row-at-a-time cursors, typed errors, and
-// transactions with rollback — all of which this package provides. The
+// result column names and values, typed errors, and transactions with
+// rollback — all of which this package provides. The
 // engine supports a useful subset of SQL-92: CREATE/DROP TABLE, CREATE/DROP
 // INDEX, INSERT, UPDATE, DELETE, and SELECT with WHERE, joins, GROUP BY,
 // ORDER BY, scalar functions, aggregates, LIKE, BETWEEN, IN, and CASE.
