@@ -658,6 +658,127 @@ func TestBigReportAllocBytes(t *testing.T) {
 	}
 }
 
+// ordersRequests is one operation of orders.d2w as the orders_mixed
+// workload posts it, in n distinct forms, ready to be served again and
+// again: a product search per customer and name prefix, a spend report per
+// customer, a ship of one product (the UPDATE and its read-back), and the
+// input form.
+func ordersRequests(op string, n int) []*http.Request {
+	prefixes := []string{"bik", "hel", "loc", "ten", "rop", "sto", "pac", "boo"}
+	reqs := make([]*http.Request, n)
+	for i := range reqs {
+		f := cgi.NewForm()
+		cust := fmt.Sprint(10000 + 100*(i%200))
+		switch op {
+		case "products":
+			f.Add("sqlcmd", op)
+			f.Add("cust_inp", cust)
+			f.Add("prod_inp", prefixes[(i/200)%len(prefixes)])
+		case "spend":
+			f.Add("sqlcmd", op)
+			f.Add("cust_inp", cust)
+		case "ship":
+			f.Add("sqlcmd", op)
+			f.Add("prod_id", fmt.Sprint(2+i%3998))
+		case "input":
+			reqs[i] = httptest.NewRequest("GET", "http://server/cgi-bin/db2www/orders.d2w/input", nil)
+			continue
+		}
+		body := &replayBody{src: f.Encode()}
+		req := httptest.NewRequest("POST", "http://server/cgi-bin/db2www/orders.d2w/report", nil)
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		req.Body, req.ContentLength = body, int64(len(body.src))
+		reqs[i] = req
+	}
+	return reqs
+}
+
+// replayBody is a request body that is read again from its start each
+// time it is closed, so that one *http.Request can be served many times
+// without the test allocating a body per request.
+type replayBody struct {
+	src string
+	r   strings.Reader
+	on  bool
+}
+
+func (b *replayBody) Read(p []byte) (int, error) {
+	if !b.on {
+		b.r.Reset(b.src)
+		b.on = true
+	}
+	return b.r.Read(p)
+}
+
+func (b *replayBody) Close() error { b.on = false; return nil }
+
+// TestOrdersRequestAllocations gates what each operation of the
+// orders_mixed workload allocates in the server gatewayd builds by default
+// (gateway.NewServer over the flag defaults, orders:200:20:1 and
+// benchmark/macros/orders). The workload's ships write the tables its
+// searches read, so the query cache refuses the searches' shapes and
+// nearly every one runs in the engine: a warm-up of such rounds puts the
+// cache in that state, and each measured request is a text the server has
+// not seen since. Bytes decide how often the collector runs. Before the
+// ceilings, a search was 143 allocations and 10.2 KB, a spend report 243
+// and 22.7 KB, a ship 157 and 11.2 KB, the input form 32 and 2.8 KB.
+func TestOrdersRequestAllocations(t *testing.T) {
+	cfg := gateway.DefaultServerConfig()
+	cfg.Macros = filepath.Join("benchmark", "macros", "orders")
+	cfg.Dataset = "orders:200:20:1"
+	srv, err := gateway.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	h := srv.Handler()
+	w := discardWriter{header: http.Header{}}
+	const n = 1600
+	ops := map[string][]*http.Request{}
+	for _, op := range []string{"input", "products", "spend", "ship"} {
+		ops[op] = ordersRequests(op, n)
+	}
+	serve := func(req *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != 200 || strings.Contains(rec.Body.String(), "rror") {
+			t.Fatalf("%s: status %d: %s", req.URL, rec.Code, rec.Body)
+		}
+		req.Body.Close()
+	}
+	for i := 0; i < 64; i++ { // the workload's mix: searches, reports, ships
+		serve(ops["products"][n-1-i])
+		serve(ops["spend"][n-1-i])
+		serve(ops["ship"][n-1-i])
+	}
+	for _, c := range []struct {
+		op             string
+		allocs, bytesK float64
+	}{
+		{"input", 20, 2.0},
+		{"products", 88, 6.5},
+		{"spend", 110, 8.7},
+		{"ship", 106, 8.3},
+	} {
+		const runs = 400
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			req := ops[c.op][i]
+			h.ServeHTTP(w, req)
+			req.Body.Close()
+		}
+		runtime.ReadMemStats(&after)
+		allocs := float64(after.Mallocs-before.Mallocs) / runs
+		kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+		t.Logf("%s: %.0f allocations, %.2f KB a request", c.op, allocs, kb)
+		if allocs > c.allocs || kb > c.bytesK {
+			t.Errorf("%s: %.0f allocations and %.2f KB a request, want at most %.0f and %.1f",
+				c.op, allocs, kb, c.allocs, c.bytesK)
+		}
+	}
+}
+
 // BenchmarkA1_LazyVsEager measures page generation when k of 1000
 // defined variables are actually referenced: lazy evaluation pays only
 // for k (the k=1000 row is what an eager evaluator always pays).

@@ -143,7 +143,10 @@ func ParseForm(encoded string) (*Form, error) {
 	if encoded == "" {
 		return f, nil
 	}
-	for _, chunk := range strings.Split(encoded, "&") {
+	f.pairs = make([]Pair, 0, strings.Count(encoded, "&")+1)
+	for rest := encoded; rest != ""; {
+		var chunk string
+		chunk, rest, _ = strings.Cut(rest, "&")
 		if chunk == "" {
 			continue
 		}
@@ -194,6 +197,9 @@ func EncodeComponent(s string) string {
 // DecodeComponent reverses EncodeComponent: '+' becomes space and %XX
 // sequences decode to bytes. Malformed escapes are an error.
 func DecodeComponent(s string) (string, error) {
+	if strings.IndexByte(s, '%') < 0 && strings.IndexByte(s, '+') < 0 {
+		return s, nil // nothing to decode: the text itself
+	}
 	var sb strings.Builder
 	sb.Grow(len(s))
 	for i := 0; i < len(s); i++ {

@@ -34,6 +34,11 @@ type Macro struct {
 	// Source is the original macro text (kept for the developer-tooling
 	// pipeline: linting and section extraction, experiment E5).
 	Source string
+
+	// vars is the most variables a run of the macro has recorded on its
+	// request's record, read and written atomically: a run's record makes
+	// room for as many at once. The record holds at most 128.
+	vars int32
 }
 
 // Section is one top-level macro section.
@@ -43,6 +48,10 @@ type Section interface{ section() }
 type DefineSection struct {
 	Stmts []DefineStmt
 	Line  int
+
+	// defs is the variables as they stand after this section, which Parse
+	// builds on base, the table of the %DEFINE sections before it.
+	defs, base *defTable
 }
 
 // DefineKind discriminates the four define-statement forms of
@@ -209,8 +218,8 @@ func (m *Macro) SQLSections() []*SQLSection {
 // NamedSQL returns the SQL section with the given name (case-sensitive,
 // like all user variable and section names), or nil.
 func (m *Macro) NamedSQL(name string) *SQLSection {
-	for _, q := range m.SQLSections() {
-		if q.SectName == name {
+	for _, s := range m.Sections {
+		if q, ok := s.(*SQLSection); ok && q.SectName == name {
 			return q
 		}
 	}

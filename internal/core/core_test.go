@@ -302,6 +302,52 @@ func TestReassignmentReplaces(t *testing.T) {
 
 // --- modes ---
 
+// TestDefineTablesAreParsed: Parse builds, for each %DEFINE section, the
+// table of variables that stands after it, and a run takes those tables
+// as they are, in document order; a section applied out of order, or one
+// built by hand, gets a table of its own, and no table is written to.
+func TestDefineTablesAreParsed(t *testing.T) {
+	m := mustParse(t, `%define{ A = "1"
+%list "," L
+L = "x"
+%}
+%HTML_INPUT{$(A)$(L)%}
+%define{ A = "2"
+L = "y"
+%}
+%HTML_REPORT{$(A)$(L)%}`)
+	var secs []*DefineSection
+	for _, s := range m.Sections {
+		if d, ok := s.(*DefineSection); ok {
+			secs = append(secs, d)
+		}
+	}
+	first, second := secs[0].defs, secs[1].defs
+	if first == nil || second == nil || secs[1].base != first {
+		t.Fatal("Parse left a %DEFINE section without its table")
+	}
+	if got := runMacro(t, &Engine{}, m, ModeInput, nil); got != "1x" {
+		t.Errorf("input mode: %q, want 1x", got)
+	}
+	if got := runMacro(t, &Engine{}, m, ModeReport, nil); got != "2x,y" {
+		t.Errorf("report mode: %q, want 2x,y", got)
+	}
+	if a := first.defs["A"]; len(a.Assigns) != 1 || a.Assigns[0].Value != "1" || len(first.defs["L"].Assigns) != 1 {
+		t.Errorf("the first section's table was written to: A = %v, L = %v", a.Assigns, first.defs["L"].Assigns)
+	}
+	vt := NewVarTable(m.Name, nil)
+	vt.ApplyDefine(secs[0])
+	vt.ApplyDefine(secs[1])
+	if vt.table != second {
+		t.Error("a run in document order did not take the parsed table")
+	}
+	vt = NewVarTable(m.Name, nil)
+	vt.ApplyDefine(secs[1]) // out of order: built on the empty table
+	if vt.table == second || len(vt.table.defs["L"].Assigns) != 1 || vt.table.defs["L"].List {
+		t.Error("a section applied out of order took the table built for document order")
+	}
+}
+
 func TestInputModeIgnoresSQLAndReport(t *testing.T) {
 	src := `
 %define DATABASE = "X"

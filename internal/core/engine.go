@@ -158,6 +158,10 @@ type Engine struct {
 	ShowSQLVar string
 }
 
+// mSQLExec is each %SQL section's execution latency, by section name.
+var mSQLExec = obs.Default.HistogramVec("db2www_sql_exec_seconds",
+	"macro %SQL section execution latency (substitution excluded)", nil, "section")
+
 // errStopReport is a sentinel: a %SQL_MESSAGE entry with the exit
 // disposition stops report processing without failing the page.
 var errStopReport = fmt.Errorf("core: report processing stopped by message handler")
@@ -191,8 +195,19 @@ func (e *Engine) RunContext(ctx context.Context, m *Macro, mode Mode, inputs *cg
 	vt := NewVarTable(m.Name, inputs)
 	vt.engine = e
 	vt.trace = obs.TraceFrom(ctx)
+	vt.trace.ReserveVars(int(atomic.LoadInt32(&m.vars)))
 	run := &macroRun{engine: e, macro: m, vt: vt, out: w, ctx: ctx, trace: vt.trace}
 	defer run.cleanup()
+	if vt.trace != nil {
+		defer func() {
+			n := int32(len(vt.trace.Vars))
+			for seen := atomic.LoadInt32(&m.vars); n > seen; seen = atomic.LoadInt32(&m.vars) {
+				if atomic.CompareAndSwapInt32(&m.vars, seen, n) {
+					break
+				}
+			}
+		}()
+	}
 
 	for _, sec := range m.Sections {
 		switch s := sec.(type) {
@@ -230,8 +245,35 @@ type macroRun struct {
 	txnOpen  bool
 	finished bool
 	// buf is the scratch every template of the run is expanded into before
-	// it is written to out; a report reuses it row after row.
+	// it is written to out or made a string; a report reuses it row after
+	// row.
 	buf []byte
+}
+
+// expand expands t in the run's scratch buffer and returns the text: one
+// allocation of its length, however the expansion grew.
+func (r *macroRun) expand(t *Template) (string, error) {
+	if s, ok := t.literal(); ok {
+		return s, nil
+	}
+	if n := t.sizeHint(); cap(r.buf) < n {
+		r.buf = make([]byte, 0, n) // rather than grow it step by step
+	}
+	var err error
+	if r.buf, err = r.vt.appendTemplate(r.buf[:0], t); err != nil {
+		return "", err
+	}
+	return string(r.buf), nil
+}
+
+// lookup evaluates a variable by name as VarTable.Lookup does, in the
+// run's scratch buffer.
+func (r *macroRun) lookup(name string) (string, error) {
+	var err error
+	if r.buf, err = r.vt.appendVar(r.buf[:0], name); err != nil {
+		return "", err
+	}
+	return string(r.buf), nil
 }
 
 // emit expands t and writes the text to the page.
@@ -294,15 +336,15 @@ func (r *macroRun) connect() (DBConn, error) {
 	if r.engine.DB == nil {
 		return nil, errAt(r.macro.Name, 0, "macro executes SQL but the engine has no DBProvider")
 	}
-	dbName, err := r.vt.Lookup("DATABASE")
+	dbName, err := r.lookup("DATABASE")
 	if err != nil {
 		return nil, err
 	}
-	login, err := r.vt.Lookup("LOGIN")
+	login, err := r.lookup("LOGIN")
 	if err != nil {
 		return nil, err
 	}
-	password, err := r.vt.Lookup("PASSWORD")
+	password, err := r.lookup("PASSWORD")
 	if err != nil {
 		return nil, err
 	}
@@ -371,24 +413,24 @@ func (r *macroRun) renderCond(cb *CondBlock, mode Mode) error {
 
 // evalCondition expands and compares one %IF arm. Without an operator
 // the condition is true when the expanded value is non-null; with one,
-// the sides compare numerically when both parse as numbers, else as
-// strings.
+// the sides compare numerically when both are finite decimal numbers
+// (decimal), else as strings.
 func (r *macroRun) evalCondition(arm CondArm) (bool, error) {
-	left, err := r.vt.expandTemplate(arm.left)
+	left, err := r.expand(arm.left)
 	if err != nil {
 		return false, err
 	}
 	if arm.Op == "" {
 		return left != "", nil
 	}
-	right, err := r.vt.expandTemplate(arm.right)
+	right, err := r.expand(arm.right)
 	if err != nil {
 		return false, err
 	}
 	var cmp int
-	lf, lerr := strconv.ParseFloat(strings.TrimSpace(left), 64)
-	rf, rerr := strconv.ParseFloat(strings.TrimSpace(right), 64)
-	if lerr == nil && rerr == nil {
+	lf, lok := decimal(left)
+	rf, rok := decimal(right)
+	if lok && rok {
 		switch {
 		case lf < rf:
 			cmp = -1
@@ -415,6 +457,48 @@ func (r *macroRun) evalCondition(arm CondArm) (bool, error) {
 	return false, errAt(r.macro.Name, arm.Line, "unknown %%IF operator %q", arm.Op)
 }
 
+// decimal returns the value of s, spaces around it aside, when it is a
+// finite decimal number: an optional sign, digits with an optional
+// fraction, an optional exponent. Anything else is text to a %IF: NaN
+// and Inf, which would compare equal to or unordered with every number,
+// a hexadecimal float, and a number too large for a float64.
+func decimal(s string) (float64, bool) {
+	s = strings.TrimSpace(s)
+	digits := func(i int) int {
+		for i < len(s) && '0' <= s[i] && s[i] <= '9' {
+			i++
+		}
+		return i
+	}
+	i := 0
+	if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		i++
+	}
+	end := digits(i)
+	n := end - i
+	if end < len(s) && s[end] == '.' {
+		i, end = end+1, digits(end+1)
+		n += end - i
+	}
+	if n == 0 {
+		return 0, false
+	}
+	if end < len(s) && (s[end] == 'e' || s[end] == 'E') {
+		i = end + 1
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+			i++
+		}
+		if end = digits(i); end == i {
+			return 0, false
+		}
+	}
+	if end != len(s) {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
+}
+
 // execDirective resolves which SQL sections a %EXEC_SQL directive runs:
 // a named directive runs exactly the named section (the name may be a
 // variable reference, enabling user-selected commands); an unnamed
@@ -422,7 +506,7 @@ func (r *macroRun) evalCondition(arm CondArm) (bool, error) {
 func (r *macroRun) execDirective(item HTMLItem) error {
 	if item.SQLName != "" {
 		reads := r.vt.requestReads
-		name, err := r.vt.expandTemplate(item.sqlName)
+		name, err := r.expand(item.sqlName)
 		if err != nil {
 			return err
 		}
@@ -459,7 +543,7 @@ func (r *macroRun) execSQLSection(sec *SQLSection) error {
 		secName = "(unnamed)"
 	}
 	evalSpan := r.trace.Start(obs.SpanVarEval, secName)
-	sqlStr, err := r.vt.expandTemplate(sec.command)
+	sqlStr, err := r.expand(sec.command)
 	evalSpan.End()
 	if err != nil {
 		return err
@@ -483,9 +567,7 @@ func (r *macroRun) execSQLSection(sec *SQLSection) error {
 		elapsed = time.Since(start)
 	}
 	if obs.Enabled() {
-		obs.Default.Histogram("db2www_sql_exec_seconds",
-			"macro %SQL section execution latency (substitution excluded)",
-			nil, "section", secName).Observe(elapsed.Seconds())
+		mSQLExec.Histogram(secName).Observe(elapsed.Seconds())
 	}
 	if execErr != nil {
 		r.trace.EndSQL(stmt, start, elapsed, 0, execErr)
@@ -527,7 +609,7 @@ func (r *macroRun) maybeShowSQL(sqlStr string) error {
 	if name == "" {
 		name = "SHOWSQL"
 	}
-	v, err := r.vt.Lookup(name)
+	v, err := r.lookup(name)
 	if err != nil {
 		return err
 	}
@@ -625,7 +707,7 @@ func findMessage(mb *MessageBlock, code string) *MessageEntry {
 // unlimited.
 func (r *macroRun) maxRows() (int, error) {
 	reads := r.vt.requestReads
-	v, err := r.vt.Lookup("RPT_MAXROWS")
+	v, err := r.lookup("RPT_MAXROWS")
 	if err != nil {
 		return 0, err
 	}
@@ -645,7 +727,7 @@ func (r *macroRun) maxRows() (int, error) {
 // a hidden field and re-issues the query for the next page.
 func (r *macroRun) startRow() (int, error) {
 	reads := r.vt.requestReads
-	v, err := r.vt.Lookup("RPT_STARTROW")
+	v, err := r.lookup("RPT_STARTROW")
 	if err != nil {
 		return 1, err
 	}
@@ -693,7 +775,7 @@ func (r *macroRun) renderResult(sec *SQLSection, res *SQLResult, stmt *obs.SQLEx
 // row being printed. Column-name variables match case-insensitively.
 type rowScope struct {
 	cols  []string
-	lower []string // cols, lower-cased once per result
+	lower []string // cols, lower-cased at the first lookup by name
 	inRow bool     // inside the %ROW block: row is the fetched row
 	row   []Field
 	// rowNum is ROW_NUM: the row being printed, then the total; -1 while
@@ -706,7 +788,7 @@ type rowScope struct {
 // rowRef is a reference resolved once per report instead of once per row.
 type rowRef struct {
 	// col is the column ordinal a Vi / V.column reference reads, else -1.
-	col int
+	col int32
 	// null is set for a Vi / V.column reference to a column the result does
 	// not have, which nothing else answers either: the null string on every
 	// row, as an undefined name is.
@@ -722,11 +804,7 @@ type rowRef struct {
 var unbound = rowRef{col: -1}
 
 func newRowScope(cols []string) *rowScope {
-	s := &rowScope{cols: cols, lower: make([]string, len(cols)), rowNum: -1}
-	for i, c := range cols {
-		s.lower[i] = strings.ToLower(c)
-	}
-	return s
+	return &rowScope{cols: cols, rowNum: -1}
 }
 
 // columns resolves the references among parts to a column the result has,
@@ -742,8 +820,8 @@ func (s *rowScope) columns(vt *VarTable, parts []part) []rowRef {
 			continue
 		}
 		if col := s.ordinal(p.name); col >= 0 && col < len(s.cols) {
-			refs[k].col = col
-		} else if _, _, ok := ReportColumn(p.name); ok && vt.defs[p.name] == nil && !vt.outranked(p.name) {
+			refs[k].col = int32(col)
+		} else if _, _, ok := ReportColumn(p.name); ok && vt.table.defs[p.name] == nil && !vt.outranked(p.name) {
 			refs[k].null = true
 		}
 	}
@@ -796,6 +874,12 @@ func (s *rowScope) ordinal(name string) int {
 		return -1
 	case n > 0:
 		return n - 1
+	}
+	if s.lower == nil {
+		s.lower = make([]string, len(s.cols))
+		for i, c := range s.cols {
+			s.lower[i] = strings.ToLower(c)
+		}
 	}
 	want := strings.ToLower(col)
 	for i := len(s.lower) - 1; i >= 0; i-- {
@@ -992,7 +1076,7 @@ func (r *macroRun) printRowBlock(row *Template, res *SQLResult, rs *rowScope, st
 		m.rows, m.vars = w.Bytes(), rec.Vars
 	}
 	for _, v := range m.vars {
-		r.vt.trace.VarN(v.Name, v.MaxDepth, v.Source, v.Null, v.Count)
+		r.vt.trace.VarN(v.Name, int(v.MaxDepth), v.Source, v.Null, v.Count)
 	}
 	var err error
 	if sw, ok := r.out.(SharedWriter); ok {

@@ -49,6 +49,24 @@ func TestIfComparisons(t *testing.T) {
 		// String comparison when either side is non-numeric.
 		{`$(x) < "b"`, "a", true},
 		{`$(x) > "b"`, "a", false},
+		// Only finite decimals are numbers: NaN and Inf in any spelling
+		// are text, which no number equals and which orders as text.
+		{`$(x) == 5`, "5.0", true},
+		{`$(x) <= 5`, " 5e0 ", true},
+		{`$(x) == 5`, "NaN", false},
+		{`$(x) <= 1`, "NaN", false},
+		{`$(x) < 1`, "NaN", false},
+		{`$(x) != 5`, "nan", true},
+		{`$(x) == 5`, "nan", false},
+		{`$(x) > 5`, "Inf", true},
+		{`$(x) == "Inf"`, "Inf", true},
+		{`$(x) > 1e308`, "Infinity", true},
+		{`$(x) == 5`, "Infinity", false},
+		{`$(x) < 1`, "-Inf", true},
+		{`$(x) == 5`, "abc", false},
+		{`$(x) > 5`, "abc", true},
+		{`$(x) == 16`, "0x10", false},
+		{`$(x) == 1`, "1e400", false},
 	}
 	for _, c := range cases {
 		src := "%HTML_INPUT{%IF(" + c.cond + ")[T]%ELSE[F]%ENDIF%}"

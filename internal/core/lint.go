@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"db2www/internal/htmlutil"
+	"db2www/internal/obs"
 )
 
 // Static is a macro's variables as the engine evaluates them under an empty
@@ -34,7 +35,7 @@ func NewStatic(m *Macro) *Static {
 
 // Def is what the engine evaluates name by (VarTable.applyStmt's record of
 // its statements), or nil when no %DEFINE names it. It is read-only.
-func (s *Static) Def(name string) *Def { return s.vt.defs[name] }
+func (s *Static) Def(name string) *Def { return s.vt.table.defs[name] }
 
 // Inputs is the macro's form controls (InputNames).
 func (s *Static) Inputs() map[string]bool { return s.inputs }
@@ -53,8 +54,8 @@ func (s *Static) Expand(tpl string) (string, bool) {
 // for it: anything but a %DEFINE or %LIST that is no form control is the
 // request's — a form control, a name no %DEFINE binds, an %EXEC. (Static
 // holds no report or message scope and no %EXEC output.)
-func (s *Static) read(name, source string) {
-	if s != nil && (source != "define" && source != "list" || s.inputs[name]) {
+func (s *Static) read(name string, source obs.VarSource) {
+	if s != nil && (source != obs.SourceDefine && source != obs.SourceList || s.inputs[name]) {
 		s.reached = true
 	}
 }

@@ -86,6 +86,7 @@ func parse(name, src string, inc *includes) (*Macro, error) {
 		return nil, err
 	}
 	compileTemplates(m)
+	buildDefTables(m)
 	return m, nil
 }
 

@@ -172,6 +172,19 @@ func (t *Template) compileParts(tpl string, base, depth int) []part {
 	return parts
 }
 
+// sizeHint is what an expansion of t may come to: its literal text and
+// 32 bytes a reference.
+func (t *Template) sizeHint() int {
+	n := 0
+	for i := range t.parts {
+		n += len(t.parts[i].lit)
+		if t.parts[i].ref {
+			n += 32
+		}
+	}
+	return n
+}
+
 // literal reports whether the template holds no references, and if so
 // the text it expands to.
 func (t *Template) literal() (string, bool) {

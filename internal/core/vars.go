@@ -11,7 +11,8 @@ import (
 
 // Def is what the engine evaluates one macro-defined variable by, as
 // applyStmt left it after the variable's statements in order. The
-// statements it points at belong to the (shared, immutable) parsed macro.
+// statements it points at belong to the (shared, immutable) parsed macro,
+// and so does the Def: it is read-only.
 type Def struct {
 	List    bool          // declared with %LIST
 	Sep     *Template     // separator template (list variables)
@@ -45,7 +46,7 @@ func (m mapScope) appendVar(buf []byte, name string) ([]byte, bool) {
 // text back truncates.
 type VarTable struct {
 	inputs *cgi.Form
-	defs   map[string]*Def
+	table  *defTable // the %DEFINE sections applied so far
 	scopes []scope
 	// execOutputs holds <name>_OUTPUT bindings captured from %EXEC
 	// commands (an extension; see runExec).
@@ -81,12 +82,28 @@ func NewVarTable(macro string, inputs *cgi.Form) *VarTable {
 	if inputs == nil {
 		inputs = cgi.NewForm()
 	}
-	return &VarTable{inputs: inputs, defs: map[string]*Def{}, macro: macro}
+	return &VarTable{inputs: inputs, table: noDefs, macro: macro,
+		visiting: make([]string, 0, 4)}
 }
 
-// ApplyDefine registers the statements of one %DEFINE section. Value
-// strings are stored unevaluated (lazy substitution, Section 4.3.1).
-func (vt *VarTable) ApplyDefine(sec *DefineSection) {
+// defTable is a macro's %DEFINE variables as they stand after one of its
+// %DEFINE sections: what applyStmt made of every statement up to the
+// section's last, in document order. Parse builds one per section
+// (DefineSection.defs), each on the one before, and every request of the
+// macro shares them: nothing writes to a table, or to a Def in it, once it
+// is built.
+type defTable struct{ defs map[string]*Def }
+
+// noDefs is the table before the first %DEFINE section.
+var noDefs = &defTable{defs: map[string]*Def{}}
+
+// with returns the table t and the statements of sec make: a new table,
+// which shares every Def of t that sec does not assign.
+func (t *defTable) with(sec *DefineSection) *defTable {
+	defs := make(map[string]*Def, len(t.defs)+len(sec.Stmts))
+	for name, def := range t.defs {
+		defs[name] = def
+	}
 	for i := range sec.Stmts {
 		st := &sec.Stmts[i]
 		if st.value == nil { // hand-built statement: Parse compiles its own
@@ -94,16 +111,47 @@ func (vt *VarTable) ApplyDefine(sec *DefineSection) {
 			c.compile()
 			st = &c
 		}
-		vt.applyStmt(st)
+		def := defs[st.Name]
+		if def == nil || def == t.defs[st.Name] { // not this table's own yet
+			own := &Def{}
+			if def != nil {
+				*own = *def
+				own.Assigns = slices.Clone(def.Assigns)
+			}
+			def, defs[st.Name] = own, own
+		}
+		applyStmt(def, st)
+	}
+	return &defTable{defs: defs}
+}
+
+// buildDefTables gives each %DEFINE section of m the table that stands
+// after it.
+func buildDefTables(m *Macro) {
+	t := noDefs
+	for _, sec := range m.Sections {
+		if d, ok := sec.(*DefineSection); ok {
+			d.base, d.defs = t, t.with(d)
+			t = d.defs
+		}
 	}
 }
 
-func (vt *VarTable) applyStmt(st *DefineStmt) {
-	def, ok := vt.defs[st.Name]
-	if !ok {
-		def = &Def{}
-		vt.defs[st.Name] = def
+// ApplyDefine registers the statements of one %DEFINE section. Value
+// strings are stored unevaluated (lazy substitution, Section 4.3.1). A
+// section applied after the ones before it, as the engine applies them,
+// is the table Parse built for it; a hand-built one, or one applied out
+// of order, is built here.
+func (vt *VarTable) ApplyDefine(sec *DefineSection) {
+	t := sec.defs
+	if t == nil || sec.base != vt.table {
+		t = vt.table.with(sec)
 	}
+	vt.table = t
+}
+
+// applyStmt records one statement on the Def of its variable.
+func applyStmt(def *Def, st *DefineStmt) {
 	switch st.Kind {
 	case DefList:
 		def.List = true
@@ -210,7 +258,7 @@ func (vt *VarTable) appendParts(buf []byte, parts []part, bound []rowRef, row []
 		if b.null {
 			// What appendVar records for a name nothing answers.
 			sawNull = true
-			vt.trace.Var(p.name, len(vt.visiting), "undefined", true)
+			vt.trace.Var(p.name, len(vt.visiting), obs.SourceUndefined, true)
 			continue
 		}
 		mark := len(buf)
@@ -228,7 +276,7 @@ func (vt *VarTable) appendParts(buf []byte, parts []part, bound []rowRef, row []
 			if null && b.wrap.Kind == DefCondSelf {
 				buf = buf[:mark]
 			}
-			vt.trace.Var(name, len(vt.visiting), "define", len(buf) == mark)
+			vt.trace.Var(name, len(vt.visiting), obs.SourceDefine, len(buf) == mark)
 		} else {
 			if p.dyn != nil {
 				// Late evaluation: the body's own references first, then the
@@ -268,7 +316,7 @@ func (vt *VarTable) appendParts(buf []byte, parts []part, bound []rowRef, row []
 // has not that nothing answers (null). It returns that assignment and what
 // its value's references are bound to.
 func (vt *VarTable) rowWrapper(name string, rs *rowScope) (*DefineStmt, []rowRef) {
-	def := vt.defs[name]
+	def := vt.table.defs[name]
 	if def == nil || def.List || len(def.Assigns) == 0 || vt.outranked(name) {
 		return nil, nil
 	}
@@ -295,7 +343,7 @@ func (vt *VarTable) outranked(name string) bool {
 	if _, ok := vt.execOutputs[name]; ok {
 		return true
 	}
-	for _, d := range vt.defs {
+	for _, d := range vt.table.defs {
 		if d.Exec != nil {
 			return true
 		}
@@ -360,7 +408,7 @@ func (vt *VarTable) appendVar(buf []byte, name string) ([]byte, error) {
 		vt.derefs, vt.refStart = 0, len(buf)
 	}
 	if v, ok := vt.execOutputs[name]; ok {
-		vt.trace.Var(name, depth, "exec", v == "")
+		vt.trace.Var(name, depth, obs.SourceExec, v == "")
 		return append(buf, v...), nil
 	}
 	if depth == maxDerefDepth {
@@ -385,57 +433,63 @@ func (vt *VarTable) appendVar(buf []byte, name string) ([]byte, error) {
 
 // appendBound evaluates name from the HTML input variables or the macro
 // definitions and names which of them answered, for the record.
-func (vt *VarTable) appendBound(buf []byte, name string) ([]byte, string, error) {
-	def := vt.defs[name]
+func (vt *VarTable) appendBound(buf []byte, name string) ([]byte, obs.VarSource, error) {
+	def := vt.table.defs[name]
 	mark := len(buf)
 
 	// 2. HTML input variables override macro definitions. Input values
 	// are themselves parsed for references (Section 4.3.2), which is what
 	// makes the $$(hidden) idiom of Appendix A work.
-	if vals := vt.inputs.GetAll(name); len(vals) > 0 {
-		vt.requestReads++
-		if len(vals) == 1 {
-			buf, err := vt.appendSource(buf, vals[0])
-			return buf, "input", err
+	pairs := vt.inputs.Pairs()
+	n := 0
+	for i := range pairs {
+		if pairs[i].Name == name {
+			n++
 		}
-		// Multiply-assigned input variable: a list variable with comma
+	}
+	if n > 0 {
+		vt.requestReads++
+		// A multiply-assigned input variable is a list variable with comma
 		// as the default separator (Section 2.2), overridable by %LIST.
 		sep := ","
-		if def != nil && def.List {
+		if n > 1 && def != nil && def.List {
 			var err error
 			if sep, err = vt.expandTemplate(def.Sep); err != nil {
-				return buf, "", err
+				return buf, 0, err
 			}
 		}
-		for _, raw := range vals {
+		for i := range pairs {
+			if pairs[i].Name != name {
+				continue
+			}
 			item := len(buf)
 			if item > mark {
 				buf = append(buf, sep...)
 			}
-			n := len(buf)
+			at := len(buf)
 			var err error
-			if buf, err = vt.appendSource(buf, raw); err != nil {
-				return buf, "", err
+			if buf, err = vt.appendSource(buf, pairs[i].Value); err != nil {
+				return buf, 0, err
 			}
-			if len(buf) == n {
+			if len(buf) == at {
 				buf = buf[:item]
 			}
 		}
-		return buf, "input", nil
+		return buf, obs.SourceInput, nil
 	}
 
 	// 3. Macro definitions.
 	switch {
 	case def == nil:
 		vt.requestReads++
-		return buf, "undefined", nil
+		return buf, obs.SourceUndefined, nil
 	case def.Exec != nil:
 		buf, err := vt.runExec(buf, name, def.Exec)
-		return buf, "exec", err
+		return buf, obs.SourceExec, err
 	case def.List:
 		sep, err := vt.expandTemplate(def.Sep)
 		if err != nil {
-			return buf, "", err
+			return buf, 0, err
 		}
 		for _, st := range def.Assigns {
 			// "the list variable evaluation is intelligent enough to add
@@ -447,19 +501,19 @@ func (vt *VarTable) appendBound(buf []byte, name string) ([]byte, string, error)
 			}
 			n := len(buf)
 			if buf, err = vt.appendAssign(buf, st); err != nil {
-				return buf, "", err
+				return buf, 0, err
 			}
 			if len(buf) == n {
 				buf = buf[:item]
 			}
 		}
-		return buf, "list", nil
+		return buf, obs.SourceList, nil
 	case len(def.Assigns) == 0:
 		// Declared (%LIST removed or bare) but never assigned.
-		return buf, "define", nil
+		return buf, obs.SourceDefine, nil
 	}
 	buf, err := vt.appendAssign(buf, def.Assigns[len(def.Assigns)-1])
-	return buf, "define", err
+	return buf, obs.SourceDefine, err
 }
 
 // appendAssign evaluates one assignment statement's right-hand side.

@@ -29,8 +29,8 @@ func finishedTrace(id string, status int, total time.Duration) *obs.Trace {
 func fullTrace(id string, status int, total time.Duration) *obs.Trace {
 	tr := finishedTrace(id, status, total)
 	tr.SetMacro("q.d2w", true)
-	tr.Var("SEARCH", 0, "input", false)
-	tr.Var("WHERE", 1, "define", false)
+	tr.Var("SEARCH", 0, obs.SourceInput, false)
+	tr.Var("WHERE", 1, obs.SourceDefine, false)
 	e := tr.StartSQL("(unnamed)", "SELECT 1")
 	e.Cache, e.Kind = "miss", "select"
 	tr.EndSQL(e, tr.Begun.Add(time.Millisecond), 2*time.Millisecond, 3, nil)

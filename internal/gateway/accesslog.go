@@ -59,11 +59,13 @@ func NewAccessLog(next http.Handler, out io.Writer) *AccessLog {
 	return &AccessLog{next: next, out: out, Now: time.Now}
 }
 
-// countingWriter captures the status code and body size of a response.
+// countingWriter captures the status code and body size of a response,
+// and carries the request's record (beginRequest).
 type countingWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
+	tr     *obs.Trace // the request's record, nil while instrumentation is off
 }
 
 func (cw *countingWriter) WriteHeader(code int) {
@@ -105,7 +107,12 @@ func (l *AccessLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// The line is only put together when there is somewhere to write it;
 	// what the inner handler learnt of the request (trace ID, retention
 	// decision, slowest statement) it left on the request's record.
-	cw, r, tr := beginRequest(w, r)
+	cw, tr := beginRequest(w, r)
+	if _, handler := l.next.(*Handler); !handler && tr != nil && obs.TraceFrom(r.Context()) != tr {
+		// A Handler reads the record off the writer; any other handler
+		// finds it where a handler looks for it, on the request's context.
+		r = r.WithContext(obs.WithTrace(r.Context(), tr))
+	}
 	if l.out == nil {
 		l.next.ServeHTTP(cw, r)
 		return

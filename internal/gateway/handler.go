@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 
 	"db2www/internal/cgi"
 	"db2www/internal/flight"
@@ -79,32 +80,51 @@ var (
 		"request latency from gateway receipt to response completion", nil)
 	mResponseBytes = obs.Default.Counter("db2www_http_response_bytes_total",
 		"response body bytes written")
+	mRequests = obs.Default.CounterVec("db2www_http_requests_total",
+		"requests served, by response status", "code")
 )
+
+// statusLabels are the texts of the status codes net/http lets a handler
+// write, 100 to 999, so that counting a request by its status makes no
+// string.
+var statusLabels = func() (l [1000]string) {
+	for code := 100; code < len(l); code++ {
+		l[code] = strconv.Itoa(code)
+	}
+	return l
+}()
+
+func statusLabel(code int) string {
+	if code >= 100 && code < len(statusLabels) {
+		return statusLabels[code]
+	}
+	return strconv.Itoa(code)
+}
 
 // beginRequest gives a request what the middleware of this package needs
 // of it: a writer that counts the response and, while instrumentation is
-// on, its record — the ID taken from a valid incoming X-Trace-Id header
-// (so a client or an upstream proxy can stitch its own correlation) or
-// minted here, echoed on the X-Trace-Id response header, and travelling
-// the request context through the engine. Whichever of AccessLog and
-// Handler meets the request first does this; the other finds it done.
-func beginRequest(w http.ResponseWriter, r *http.Request) (*countingWriter, *http.Request, *obs.Trace) {
-	cw, ok := w.(*countingWriter)
-	if !ok {
-		cw = &countingWriter{ResponseWriter: w}
+// on, carries its record — the ID taken from a valid incoming X-Trace-Id
+// header (so a client or an upstream proxy can stitch its own correlation)
+// or minted here, echoed on the X-Trace-Id response header. A record the
+// request's context already carries is that record. Whichever of AccessLog
+// and Handler meets the request first does this; the other finds it done
+// on the writer it is handed. The record reaches the engine on the context
+// serveApp gives it.
+func beginRequest(w http.ResponseWriter, r *http.Request) (*countingWriter, *obs.Trace) {
+	if cw, ok := w.(*countingWriter); ok {
+		return cw, cw.tr
 	}
-	tr := obs.TraceFrom(r.Context())
-	if tr == nil && obs.Enabled() {
+	cw := &countingWriter{ResponseWriter: w, tr: obs.TraceFrom(r.Context())}
+	if cw.tr == nil && obs.Enabled() {
 		id := obs.SanitizeTraceID(r.Header.Get("X-Trace-Id"))
 		if id == "" {
 			id = obs.NewTraceID()
 		}
-		tr = obs.NewTrace(id)
-		tr.Method, tr.Path = r.Method, r.URL.Path
+		cw.tr = obs.NewTrace(id)
+		cw.tr.Method, cw.tr.Path = r.Method, r.URL.Path
 		w.Header().Set("X-Trace-Id", id)
-		r = r.WithContext(obs.WithTrace(r.Context(), tr))
 	}
-	return cw, r, tr
+	return cw, cw.tr
 }
 
 // ServeHTTP implements http.Handler. While instrumentation is on, every
@@ -114,7 +134,7 @@ func beginRequest(w http.ResponseWriter, r *http.Request) (*countingWriter, *htt
 // bytes and in-flight gauge land in the obs registry. Nothing is written
 // to the record once the first sink has it.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	cw, r, tr := beginRequest(w, r)
+	cw, tr := beginRequest(w, r)
 	if tr == nil {
 		h.route(cw, r)
 		return
@@ -124,8 +144,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	h.route(cw, r)
 	tr.Finish(cw.code(), time.Since(tr.Begun))
-	obs.Default.Counter("db2www_http_requests_total",
-		"requests served, by response status", "code", strconv.Itoa(tr.Status)).Inc()
+	mRequests.Counter(statusLabel(tr.Status)).Inc()
 	mRequestSeconds.Observe(tr.Total.Seconds())
 	mResponseBytes.Add(cw.bytes)
 	h.Flight.Observe(tr)
@@ -133,7 +152,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // route dispatches between CGI, static files, and 404.
-func (h *Handler) route(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) route(w *countingWriter, r *http.Request) {
 	if r.URL.Path == scriptName || strings.HasPrefix(r.URL.Path, scriptName+"/") ||
 		strings.HasPrefix(r.URL.Path, scriptName+".exe/") {
 		h.serveCGI(w, r)
@@ -149,20 +168,20 @@ func (h *Handler) route(w http.ResponseWriter, r *http.Request) {
 // logf reports server-side detail, tagged with the request's trace ID so
 // the operator can correlate it with the access log, the trace ring, and
 // the line the client quotes back.
-func (h *Handler) logf(r *http.Request, format string, args ...any) {
+func (h *Handler) logf(tr *obs.Trace, r *http.Request, format string, args ...any) {
 	logf := h.Logf
 	if logf == nil {
 		logf = log.Printf
 	}
 	id := "-"
-	if tr := obs.TraceFrom(r.Context()); tr != nil {
+	if tr != nil {
 		id = tr.ID
 	}
 	logf("gateway: trace=%s %s %s: %s", id, r.Method, r.URL.Path,
 		fmt.Sprintf(format, args...))
 }
 
-func (h *Handler) serveCGI(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) serveCGI(w *countingWriter, r *http.Request) {
 	if h.Authenticate != nil {
 		user, pass, ok := r.BasicAuth()
 		if !ok || !h.Authenticate(user, pass) {
@@ -190,7 +209,7 @@ func (h *Handler) serveCGI(w http.ResponseWriter, r *http.Request) {
 		// The detail (an unreadable body, a malformed header) is logged
 		// with the trace ID; the client gets a generic message — internal
 		// error strings are not part of the response contract.
-		h.logf(r, "rejecting request: %v", err)
+		h.logf(w.tr, r, "rejecting request: %v", err)
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			http.Error(w, "request entity too large", http.StatusRequestEntityTooLarge)
@@ -208,16 +227,16 @@ func (h *Handler) serveCGI(w http.ResponseWriter, r *http.Request) {
 		}
 		resp, err = cgi.InvokeProcess(h.CGIProgram, nil, req, h.CGIEnv, timeout)
 	case h.App != nil:
-		resp, err = h.serveApp(r, req)
+		resp, err = h.serveApp(r, w.tr, req)
 	default:
-		h.logf(r, "no CGI application configured")
+		h.logf(w.tr, r, "no CGI application configured")
 		http.Error(w, "server misconfigured", http.StatusInternalServerError)
 		return
 	}
 	if err != nil {
 		// Distinct status codes per failure class; raw error text stays
 		// server-side.
-		h.logf(r, "CGI failure: %v", err)
+		h.logf(w.tr, r, "CGI failure: %v", err)
 		if errors.Is(err, cgi.ErrTimeout) {
 			http.Error(w, "gateway timeout", http.StatusGatewayTimeout)
 		} else {
@@ -246,16 +265,20 @@ func (h *Handler) serveCGI(w http.ResponseWriter, r *http.Request) {
 // with the trace ID, and ServeHTTP finishes the record as for any 5xx (the
 // flight recorder keeps it as kept:error). The page buffer the run had
 // taken is left to the collector, never handed back to the pool.
-func (h *Handler) serveApp(r *http.Request, req *cgi.Request) (resp *cgi.Response, err error) {
+func (h *Handler) serveApp(r *http.Request, tr *obs.Trace, req *cgi.Request) (resp *cgi.Response, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			h.logf(r, "panic: %v\n%s", v, debug.Stack())
+			h.logf(tr, r, "panic: %v\n%s", v, debug.Stack())
 			resp, err = errorPageTrace(http.StatusInternalServerError, "Internal server error",
-				"the request could not be processed", obs.TraceFrom(r.Context())), nil
+				"the request could not be processed", tr), nil
 		}
 	}()
 	if ch, ok := h.App.(contextCGIHandler); ok {
-		return ch.ServeCGIContext(r.Context(), req)
+		ctx := r.Context()
+		if tr != nil && obs.TraceFrom(ctx) != tr {
+			ctx = obs.WithTrace(ctx, tr)
+		}
+		return ch.ServeCGIContext(ctx, req)
 	}
 	return h.App.ServeCGI(req)
 }
@@ -287,13 +310,34 @@ func (h *Handler) buildRequest(w http.ResponseWriter, r *http.Request, pathInfo 
 		req.AuthUser = user
 	}
 	if r.Method == http.MethodPost {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		body, err := readBody(w, r)
 		if err != nil {
 			return nil, fmt.Errorf("reading request body: %w", err)
 		}
-		req.Body = string(body)
+		req.Body = body
 	}
 	return req, nil
+}
+
+// readBody reads a POSTed form, at most maxBodyBytes of it. A body that
+// states its length within the bound is read into one buffer of that
+// length, and the string is that buffer: nothing else holds it. A body of
+// unstated length grows as it is read.
+func readBody(w http.ResponseWriter, r *http.Request) (string, error) {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	n := r.ContentLength
+	if n < 0 || n > maxBodyBytes {
+		b, err := io.ReadAll(body)
+		return string(b), err
+	}
+	if n == 0 {
+		return "", nil
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(body, buf); err != nil {
+		return "", err
+	}
+	return unsafe.String(&buf[0], len(buf)), nil
 }
 
 // BasicAuthUsers builds an Authenticate callback from a fixed user table.

@@ -61,11 +61,11 @@ func scanValue(v sqldb.Value) any {
 	case sqldb.TInt:
 		return v.I
 	case sqldb.TFloat:
-		return v.F
+		return v.Float()
 	case sqldb.TString:
 		return v.S
 	case sqldb.TBool:
-		return v.B
+		return v.Bool()
 	}
 	return nil
 }

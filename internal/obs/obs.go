@@ -276,6 +276,69 @@ func (r *Registry) runScrapeHooks() {
 	}
 }
 
+// Vec is a metric family by one label, as Counter or Histogram would
+// register it series by series. A series it has met is found again by the
+// label's value alone, with no label text built and no registry lock
+// taken: what a request does to count itself under its status or its
+// statement's section.
+type Vec struct {
+	r                 *Registry
+	name, help, label string
+	kind              metricKind
+	bounds            []float64
+	seen              atomic.Pointer[[]vecSeries] // the first maxVecSeen values met
+}
+
+type vecSeries struct {
+	value string
+	s     *series
+}
+
+// maxVecSeen bounds the values a Vec remembers; further ones are looked
+// up in the registry each time.
+const maxVecSeen = 64
+
+// CounterVec returns the counter family name by label.
+func (r *Registry) CounterVec(name, help, label string) *Vec {
+	return &Vec{r: r, name: name, help: help, label: label, kind: kindCounter}
+}
+
+// HistogramVec returns the histogram family name by label, with buckets
+// as Histogram takes them.
+func (r *Registry) HistogramVec(name, help string, buckets []float64, label string) *Vec {
+	if buckets == nil {
+		buckets = LatencyBuckets
+	}
+	return &Vec{r: r, name: name, help: help, label: label, kind: kindHistogram, bounds: buckets}
+}
+
+// Counter returns the counter of the family's series for value.
+func (v *Vec) Counter(value string) *Counter { return v.series(value).c }
+
+// Histogram returns the histogram of the family's series for value.
+func (v *Vec) Histogram(value string) *Histogram { return v.series(value).h }
+
+func (v *Vec) series(value string) *series {
+	cur := v.seen.Load()
+	if cur != nil {
+		for _, e := range *cur {
+			if e.value == value {
+				return e.s
+			}
+		}
+	}
+	s := v.r.get(v.name, v.help, v.kind, v.bounds, []string{v.label, value})
+	if cur == nil || len(*cur) < maxVecSeen {
+		var next []vecSeries
+		if cur != nil {
+			next = append(next, *cur...)
+		}
+		next = append(next, vecSeries{value: value, s: s})
+		v.seen.CompareAndSwap(cur, &next)
+	}
+	return s
+}
+
 // Histogram returns (creating if absent) the histogram for name and
 // labels. buckets applies only on first creation of the family; nil
 // means LatencyBuckets.

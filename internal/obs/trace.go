@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"strconv"
 	"time"
 )
@@ -114,17 +116,43 @@ func (e *SQLExec) note() string {
 // VarEval aggregates every evaluation of one variable during the
 // request: how many times it was dereferenced, the deepest chain it was
 // reached through (0 = referenced directly from a template), where it
-// resolved, and whether its last evaluation was null.
+// resolved, and whether its last evaluation was null. It is 32 bytes: a
+// request records one per name it dereferences.
 type VarEval struct {
-	Name     string `json:"name"`
-	Source   string `json:"source"` // input, define, list, exec, undefined
-	Count    int    `json:"count"`
-	MaxDepth int    `json:"max_depth"`
-	Null     bool   `json:"null"`
+	Name     string    `json:"name"`
+	Source   VarSource `json:"source"`
+	Count    int32     `json:"count"`
+	MaxDepth int16     `json:"max_depth"` // at most the engine's chain bound, 256
+	Null     bool      `json:"null"`
 	// next is the index in Trace.Vars of the variable dereferenced after
 	// this one the last time: where Trace.Var looks first.
-	next int
+	next uint8
 }
+
+// VarSource is what answered a dereference. It prints, and marshals, as
+// its word: input, define, list, exec or undefined.
+type VarSource uint8
+
+// The sources of a dereference.
+const (
+	SourceUndefined VarSource = iota // nothing binds the name
+	SourceInput                      // a form field
+	SourceDefine                     // a %DEFINE assignment
+	SourceList                       // a %LIST variable
+	SourceExec                       // an %EXEC variable or its output
+)
+
+var varSources = [...]string{"undefined", "input", "define", "list", "exec"}
+
+func (s VarSource) String() string {
+	if int(s) < len(varSources) {
+		return varSources[s]
+	}
+	return "VarSource(" + strconv.Itoa(int(s)) + ")"
+}
+
+// MarshalText is the source's word.
+func (s VarSource) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
 // Trace is the one record of a request: its identity (an ID minted at
 // the gateway or taken from the client's X-Trace-Id header), the macro it
@@ -161,6 +189,7 @@ type Trace struct {
 	Vars        []VarEval
 	VarsDropped int
 	lastVar     int // index in Vars of the latest dereference
+	varRoom     int // what the first dereference makes room for (ReserveVars)
 }
 
 // NewTrace starts a trace now under the given ID.
@@ -192,9 +221,12 @@ func (s ActiveSpan) End() {
 	}
 }
 
+// addSpan appends a span. The first makes room for four, what a request
+// that runs one %SQL section records: the macro load, and the section's
+// substitution, execution and rendering.
 func (t *Trace) addSpan(sp Span) {
 	if t.Spans == nil {
-		t.Spans = make([]Span, 0, 8)
+		t.Spans = make([]Span, 0, 4)
 	}
 	t.Spans = append(t.Spans, sp)
 }
@@ -216,40 +248,49 @@ func (t *Trace) SetMacro(name string, cached bool) {
 // followed the previous one last time is tried before the list is
 // scanned: 9 ns a dereference where the scan alone costs 27, ≈ 3.4 µs of
 // the Appendix A report (A7, higher without it in 12 of 14 paired runs).
-func (t *Trace) Var(name string, depth int, source string, null bool) {
+func (t *Trace) Var(name string, depth int, source VarSource, null bool) {
 	t.VarN(name, depth, source, null, 1)
 }
 
 // VarN records n dereferences of name at one depth and from one source, the
 // last of them null or not: what n calls of Var record, in one. A report
 // served from a memo replays its row wrappers' dereferences with it.
-func (t *Trace) VarN(name string, depth int, source string, null bool, n int) {
+func (t *Trace) VarN(name string, depth int, source VarSource, null bool, n int32) {
 	if t == nil {
 		return
 	}
 	i := 0
 	if len(t.Vars) > 0 {
-		if i = t.Vars[t.lastVar].next; t.Vars[i].Name != name {
+		if i = int(t.Vars[t.lastVar].next); t.Vars[i].Name != name {
 			for i = 0; i < len(t.Vars) && t.Vars[i].Name != name; i++ {
 			}
 		}
 	}
 	if i == len(t.Vars) {
 		if i == maxVars {
-			t.VarsDropped += n
+			t.VarsDropped += int(n)
 			return
 		}
 		if t.Vars == nil {
-			t.Vars = make([]VarEval, 0, 16)
+			t.Vars = make([]VarEval, 0, cmp.Or(t.varRoom, 16))
 		}
 		t.Vars = append(t.Vars, VarEval{Name: name})
 	}
-	t.Vars[t.lastVar].next = i
+	t.Vars[t.lastVar].next = uint8(i)
 	t.lastVar = i
 	v := &t.Vars[i]
 	v.Count += n
-	v.MaxDepth = max(v.MaxDepth, depth)
+	v.MaxDepth = max(v.MaxDepth, int16(min(depth, math.MaxInt16)))
 	v.Source, v.Null = source, null
+}
+
+// ReserveVars has the first variable recorded make room for n, where the
+// record would otherwise start with room for 16 and grow (a nil trace
+// ignores it).
+func (t *Trace) ReserveVars(n int) {
+	if t != nil {
+		t.varRoom = min(n, maxVars)
+	}
 }
 
 // StartSQL opens the entry of one %SQL section execution (nil on a nil

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestTraceSpans(t *testing.T) {
@@ -63,7 +64,7 @@ func TestNilTraceIsSafe(t *testing.T) {
 	var tr *Trace
 	tr.Start(SpanParse, "").End()
 	tr.SetMacro("m", true)
-	tr.Var("x", 0, "input", false)
+	tr.Var("x", 0, SourceInput, false)
 	e := tr.StartSQL("s", "SELECT 1")
 	tr.EndSQL(e, time.Now(), 0, 0, nil)
 	tr.Finish(200, time.Second)
@@ -104,27 +105,27 @@ func TestContextPlumbing(t *testing.T) {
 func TestRecordBounds(t *testing.T) {
 	tr := NewTrace("bounds")
 	for i := 0; i < maxVars+10; i++ {
-		tr.Var(fmt.Sprintf("v%d", i), 0, "input", false)
+		tr.Var(fmt.Sprintf("v%d", i), 0, SourceInput, false)
 	}
 	if len(tr.Vars) != maxVars || tr.VarsDropped != 10 {
 		t.Errorf("vars = %d, dropped = %d", len(tr.Vars), tr.VarsDropped)
 	}
 	// Re-evaluating a known name aggregates instead of dropping.
-	tr.Var("v0", 3, "define", true)
-	if v := tr.Vars[0]; v.Name != "v0" || v.Count != 2 || v.MaxDepth != 3 || !v.Null || v.Source != "define" {
+	tr.Var("v0", 3, SourceDefine, true)
+	if v := tr.Vars[0]; v.Name != "v0" || v.Count != 2 || v.MaxDepth != 3 || !v.Null || v.Source != SourceDefine {
 		t.Errorf("aggregate = %+v", v)
 	}
 	// A report loop dereferences in a cycle, names beyond the cap among
 	// them: every dereference is counted on its name or as dropped.
 	for i := 0; i < 1000; i++ {
-		tr.Var("v1", 1, "input", false)
-		tr.Var("late", 0, "input", false)
-		tr.Var("v127", 2, "list", i%2 == 0)
+		tr.Var("v1", 1, SourceInput, false)
+		tr.Var("late", 0, SourceInput, false)
+		tr.Var("v127", 2, SourceList, i%2 == 0)
 	}
 	if v := tr.Vars[1]; v.Count != 1001 || v.MaxDepth != 1 {
 		t.Errorf("v1 = %+v", v)
 	}
-	if v := tr.Vars[127]; v.Count != 1001 || v.MaxDepth != 2 || v.Source != "list" || v.Null {
+	if v := tr.Vars[127]; v.Count != 1001 || v.MaxDepth != 2 || v.Source != SourceList || v.Null {
 		t.Errorf("v127 = %+v", v)
 	}
 	if len(tr.Vars) != maxVars || tr.VarsDropped != 1010 {
@@ -145,6 +146,32 @@ func TestRecordBounds(t *testing.T) {
 	}
 	if len(tr.Spans) != maxSQL+5 {
 		t.Errorf("spans = %d: a statement beyond the cap must still show it ran", len(tr.Spans))
+	}
+}
+
+// TestVarEvalRecord: a variable's record is 32 bytes, and its JSON is
+// what it was when each field was a string or an int: the source as its
+// word, the counts as numbers.
+func TestVarEvalRecord(t *testing.T) {
+	if size := unsafe.Sizeof(VarEval{}); size != 32 {
+		t.Errorf("VarEval is %d bytes, want 32", size)
+	}
+	tr := NewTrace("vars")
+	for _, src := range []VarSource{SourceInput, SourceDefine, SourceList, SourceExec, SourceUndefined} {
+		tr.Var(src.String()+"_var", 2, src, src == SourceUndefined)
+	}
+	tr.VarN("input_var", 300, SourceInput, false, 4)
+	got, err := json.Marshal(tr.Vars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `[{"name":"input_var","source":"input","count":5,"max_depth":300,"null":false},` +
+		`{"name":"define_var","source":"define","count":1,"max_depth":2,"null":false},` +
+		`{"name":"list_var","source":"list","count":1,"max_depth":2,"null":false},` +
+		`{"name":"exec_var","source":"exec","count":1,"max_depth":2,"null":false},` +
+		`{"name":"undefined_var","source":"undefined","count":1,"max_depth":2,"null":true}]`
+	if string(got) != want {
+		t.Errorf("Vars as JSON:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -76,6 +76,12 @@ type Table struct {
 	Name    string
 	Columns []Column
 
+	// layouts are the row layouts planRel has built for the table, one
+	// per qualifier (its name or an alias), the first maxLayouts only. A
+	// table's columns never change once it is created, so neither does a
+	// layout, and every plan shares them.
+	layouts atomic.Pointer[[]tableLayout]
+
 	mu      sync.RWMutex
 	rows    []*storedRow
 	byID    map[int64]*storedRow
@@ -358,7 +364,7 @@ func buildIndex(t *Table, name, column string, unique bool) (*Index, error) {
 		tree:   newBTree(),
 		nulls:  map[int64]int{},
 	}
-	claims := map[string]bool{}
+	claims := map[Value]bool{}
 	for _, row := range t.rows {
 		for v := row.head; v != nil; v = v.prev {
 			if c := v.meta.Creator(); c != nil && c.Aborted() {
@@ -377,7 +383,7 @@ func buildIndex(t *Table, name, column string, unique bool) (*Index, error) {
 		if key.IsNull() {
 			continue
 		}
-		k := identityKey([]Value{key})
+		k := groupKey(key)
 		if claims[k] {
 			if cur.meta.Creator() != nil {
 				return nil, errConflict(fmt.Sprintf(
@@ -513,4 +519,40 @@ func (t *Table) indexOn(pos int) *Index {
 		}
 	}
 	return found
+}
+
+// tableLayout is the row layout of a table read under a qualifier.
+type tableLayout struct {
+	qual string
+	cols []envCol
+}
+
+// maxLayouts bounds the layouts a table keeps: aliases come from statement
+// text, and a client may send any number of them.
+const maxLayouts = 8
+
+// layout returns the layout of t's rows read under qual, which nothing
+// writes to.
+func (t *Table) layout(qual string) []envCol {
+	cur := t.layouts.Load()
+	if cur != nil {
+		for _, l := range *cur {
+			if l.qual == qual {
+				return l.cols
+			}
+		}
+	}
+	cols := make([]envCol, len(t.Columns))
+	for i := range t.Columns {
+		cols[i] = envCol{tbl: qual, name: strings.ToLower(t.Columns[i].Name), base: t}
+	}
+	if cur == nil || len(*cur) < maxLayouts {
+		var next []tableLayout
+		if cur != nil {
+			next = append(next, *cur...)
+		}
+		next = append(next, tableLayout{qual: qual, cols: cols})
+		t.layouts.CompareAndSwap(cur, &next)
+	}
+	return cols
 }

@@ -120,6 +120,9 @@ func (x rowExpr) eval(row []Value) (Value, error) {
 
 func (x rowExpr) isColumn() bool { return x.fn == nil && x.k == nil }
 
+// evaluated reports whether x is evaluated, not read from a column.
+func (x rowExpr) evaluated() bool { return !x.isColumn() }
+
 // uncompiledArg is what an aggregate's slot of aggArgs holds until the call
 // is compiled: no layout has a slot -1.
 var uncompiledArg = rowExpr{slot: -1}
@@ -154,6 +157,8 @@ type compiler struct {
 	// aggArgs receives, by slot, the compiled argument of each aggregate
 	// call as the expression it stands in is compiled.
 	aggArgs []rowExpr
+	// likes are the LIKE programs planning built (fromPlan.likes).
+	likes []*likeProgram
 }
 
 // isPredicate reports whether e is compiled as a predicate (and boxed where
@@ -245,7 +250,7 @@ func (c *compiler) negate(x *Unary) (rowExpr, error) {
 		case TInt:
 			return NewInt(-a.I), nil
 		case TFloat:
-			return NewFloat(-a.F), nil
+			return NewFloat(-a.Float()), nil
 		}
 		return Null, &Error{Code: CodeDatatypeMismatch,
 			Message: fmt.Sprintf("cannot negate %s", a.T)}
@@ -356,7 +361,7 @@ func numify(v Value) (Value, error) {
 	case TString:
 		return coerceToColumn(v, TFloat)
 	case TBool:
-		if v.B {
+		if v.Bool() {
 			return NewInt(1), nil
 		}
 		return NewInt(0), nil
@@ -674,7 +679,7 @@ func (c *compiler) like(x *LikeExpr) (predFn, error) {
 	if xv.isColumn() && pv.k != nil && !pv.k.IsNull() && !hasEscape {
 		// A column against a pattern known now, which without ESCAPE
 		// cannot be in error: one slot read and one match a row.
-		slot, prog := xv.slot, compileLike(pv.k.String(), "", false)
+		slot, prog := xv.slot, c.likeProgram(pv.k.String())
 		return func(row []Value) (tri, error) {
 			v := &row[slot]
 			if v.T == TNull {
@@ -709,6 +714,18 @@ func (c *compiler) like(x *LikeExpr) (predFn, error) {
 		}
 		return triOf(prog.match(v.String()) != not), nil
 	}, nil
+}
+
+// likeProgram returns the program of a pattern without ESCAPE: the one
+// planning built for it where it did, so that a pattern is compiled once
+// an execution.
+func (c *compiler) likeProgram(pattern string) *likeProgram {
+	for _, p := range c.likes {
+		if p.pattern == pattern {
+			return p
+		}
+	}
+	return compileLike(pattern, "", false)
 }
 
 func (c *compiler) between(x *BetweenExpr) (predFn, error) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -279,7 +280,12 @@ func FuzzCompileExpr(f *testing.F) {
 	site.rows = site.rows[:0]
 	rt, _ := vw.scanRows(&relPlan{t: s.db.tables["t"]}, false)
 	ru, _ := vw.scanRows(&relPlan{t: s.db.tables["u"]}, false)
-	site.rows = append(crossJoin(rt, ru), make([]Value, len(site.cols)))
+	for _, r := range rt {
+		for _, u := range ru {
+			site.rows = append(site.rows, append(slices.Clip(r), u...))
+		}
+	}
+	site.rows = append(site.rows, make([]Value, len(site.cols)))
 	// Parameter 1 is a pattern, 2 is NULL, 3 a number; 4 is not bound.
 	params := []Value{NewString("t%"), Null, NewInt(2)}
 

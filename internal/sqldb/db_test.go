@@ -111,7 +111,7 @@ func TestOrderBy(t *testing.T) {
 func TestOrderByDescAndOrdinal(t *testing.T) {
 	s := mustSession(t)
 	res := mustExec(t, s, "SELECT custid, price FROM products ORDER BY 2 DESC")
-	if res.Rows[0][1].F != 899.0 {
+	if res.Rows[0][1].Float() != 899.0 {
 		t.Fatalf("first price = %v, want 899", res.Rows[0][1])
 	}
 }
@@ -136,7 +136,7 @@ func TestAggregates(t *testing.T) {
 	if r0[0].I != 10100 || r0[1].I != 2 || r0[2].I != 4 {
 		t.Errorf("group 10100 = %v", rowsAsStrings(res)[0])
 	}
-	if r0[3].F != 329.99 || r0[4].F != 899.0 {
+	if r0[3].Float() != 329.99 || r0[4].Float() != 899.0 {
 		t.Errorf("min/max wrong: %v", rowsAsStrings(res)[0])
 	}
 }
@@ -557,7 +557,7 @@ func TestTypeCoercionOnInsert(t *testing.T) {
 	if res.Rows[0][0].I != 10600 {
 		t.Errorf("custid coerced = %v", res.Rows[0][0])
 	}
-	if res.Rows[0][1].F != 9.99 {
+	if res.Rows[0][1].Float() != 9.99 {
 		t.Errorf("price coerced = %v", res.Rows[0][1])
 	}
 }

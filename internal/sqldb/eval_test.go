@@ -106,7 +106,7 @@ func evalUnary(x *Unary, env *evalEnv) (Value, error) {
 		case TInt:
 			return NewInt(-v.I), nil
 		case TFloat:
-			return NewFloat(-v.F), nil
+			return NewFloat(-v.Float()), nil
 		}
 		return Null, &Error{Code: CodeDatatypeMismatch,
 			Message: fmt.Sprintf("cannot negate %s", v.T)}

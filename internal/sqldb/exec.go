@@ -2,7 +2,7 @@ package sqldb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -39,15 +39,19 @@ func (vw view) scanRows(rp *relPlan, keepRows bool) (vals [][]Value, rows []*sto
 	t := rp.t
 	start := vw.clock()
 	t.mu.RLock()
-	cands := t.rows
+	var ids []int64
+	n := len(t.rows)
 	if rp.access != nil {
-		cands = t.runIndexScan(rp.access)
+		ids = t.runIndexScan(rp.access)
+		n = len(ids)
 	}
-	vals = make([][]Value, 0, len(cands))
+	vals = make([][]Value, 0, n)
 	if keepRows {
-		rows = make([]*storedRow, 0, len(cands))
+		rows = make([]*storedRow, 0, n)
 	}
-	for _, r := range cands {
+	cands := 0
+	visit := func(r *storedRow) {
+		cands++
 		if v := r.visibleVersion(vw.txn, vw.snap); v != nil {
 			vals = append(vals, v.vals)
 			if keepRows {
@@ -55,9 +59,24 @@ func (vw view) scanRows(rp *relPlan, keepRows bool) (vals [][]Value, rows []*sto
 			}
 		}
 	}
+	if rp.access == nil {
+		for _, r := range t.rows {
+			visit(r)
+		}
+	}
+	last := int64(-1)
+	for _, id := range ids {
+		if id == last {
+			continue
+		}
+		last = id
+		if r, ok := t.byID[id]; ok {
+			visit(r)
+		}
+	}
 	t.mu.RUnlock()
 	noteScan(t, rp.access, len(vals))
-	rp.stat.done(start, len(cands), len(vals))
+	rp.stat.done(start, cands, len(vals))
 	return vals, rows
 }
 
@@ -75,36 +94,26 @@ func noteScan(t *Table, plan *indexScanPlan, rows int) {
 }
 
 // andConjuncts flattens a chain of top-level ANDs; nil has none.
-func andConjuncts(e Expr) []Expr {
+func andConjuncts(e Expr) []Expr { return appendConjuncts(nil, e) }
+
+// appendConjuncts appends the conjuncts of e's chain of top-level ANDs to
+// dst.
+func appendConjuncts(dst []Expr, e Expr) []Expr {
 	if e == nil {
-		return nil
+		return dst
 	}
 	if b, ok := e.(*Binary); ok && b.Op == "AND" {
-		return append(andConjuncts(b.L), andConjuncts(b.R)...)
+		return appendConjuncts(appendConjuncts(dst, b.L), b.R)
 	}
-	return []Expr{e}
+	return append(dst, e)
 }
 
-// runIndexScan executes a planned index access. Because postings are a
-// multiset over row versions, the same row ID can surface more than
-// once; collect sorts and de-duplicates so each candidate appears
-// exactly once, in row-ID order. Caller holds the table latch.
-func (t *Table) runIndexScan(p *indexScanPlan) []*storedRow {
-	collect := func(ids []int64) []*storedRow {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		rows := make([]*storedRow, 0, len(ids))
-		last := int64(-1)
-		for _, id := range ids {
-			if id == last {
-				continue
-			}
-			last = id
-			if r, ok := t.byID[id]; ok {
-				rows = append(rows, r)
-			}
-		}
-		return rows
-	}
+// runIndexScan executes a planned index access and returns the row IDs
+// it found in order. Because postings are a multiset over row versions,
+// the same row ID can surface more than once, next to itself: the caller
+// takes each once. Caller holds the table latch, and reads the IDs under
+// it: they may be the index's own.
+func (t *Table) runIndexScan(p *indexScanPlan) []int64 {
 	var ids []int64
 	gather := func(_ Value, post []int64) bool {
 		ids = append(ids, post...)
@@ -112,7 +121,11 @@ func (t *Table) runIndexScan(p *indexScanPlan) []*storedRow {
 	}
 	switch p.op {
 	case "=":
-		ids = append(ids, p.ix.tree.lookup(p.key)...)
+		// The key's posting list itself where it is in order; a copy to
+		// sort where an update appended a row out of order.
+		if ids = p.ix.tree.lookup(p.key); !slices.IsSorted(ids) {
+			ids = slices.Clone(ids)
+		}
 	case "<":
 		p.ix.tree.ascendRange(nil, &p.key, false, false, gather)
 	case "<=":
@@ -124,21 +137,10 @@ func (t *Table) runIndexScan(p *indexScanPlan) []*storedRow {
 	case "like":
 		p.ix.tree.scanPrefix(p.prefix, gather)
 	}
-	return collect(ids)
-}
-
-// crossJoin combines two row sets with a filter-less nested loop.
-func crossJoin(a, b [][]Value) [][]Value {
-	out := make([][]Value, 0, len(a)*len(b))
-	for _, ra := range a {
-		for _, rb := range b {
-			row := make([]Value, 0, len(ra)+len(rb))
-			row = append(row, ra...)
-			row = append(row, rb...)
-			out = append(out, row)
-		}
+	if !slices.IsSorted(ids) {
+		slices.Sort(ids)
 	}
-	return out
+	return ids
 }
 
 // scanRel produces one planned relation's rows: the base-table scan
@@ -174,51 +176,70 @@ func filterRows(rows [][]Value, pred predFn, bindErr error) ([][]Value, error) {
 	return kept, nil
 }
 
-// execFromNode runs one node of the FROM tree: a scan, or the join of its
-// two inputs, left first, by the method on the node.
+// execFromNode runs one node of the FROM tree, a scan or a join, and
+// returns its rows: a join's in an arena, for the join above it to read.
 func (vw view) execFromNode(n fromNode) ([][]Value, error) {
 	jp, ok := n.(*joinPlan)
 	if !ok {
 		return vw.scanRel(n.(*relPlan))
 	}
+	var rows [][]Value
+	var arena rowArena
+	err := vw.execJoin(jp, func(r []Value) { rows = append(rows, arena.keep(r)) })
+	return rows, err
+}
+
+// execJoin runs a join node: its two inputs, left first, then the join by
+// the method on the node, each row it yields handed to emit.
+func (vw view) execJoin(jp *joinPlan, emit func(row []Value)) error {
 	left, err := vw.execFromNode(jp.left)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	right, err := vw.execFromNode(jp.right)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	start := vw.clock()
-	var out [][]Value
-	examined := len(left) * len(right)
-	if jp.cond == nil && jp.kind != JoinLeft {
-		out = crossJoin(left, right)
-	} else if out, examined, err = joinOn(left, right, jp); err != nil {
-		return nil, err
+	examined, returned, err := joinOn(left, right, jp, emit)
+	if err != nil {
+		return err
 	}
-	jp.stat.done(start, examined, len(out))
-	return out, nil
+	jp.stat.done(start, examined, returned)
+	return nil
 }
 
 // execFromPlan executes a planned FROM clause — the only way a FROM
-// clause runs — then puts the columns back in declaration order when the
-// planner reordered: the stages above were compiled against the layout
-// the statement declared.
-func (vw view) execFromPlan(fp *fromPlan) ([][]Value, error) {
-	rows, err := vw.execFromNode(fp.root)
-	if err != nil || !fp.reordered {
-		return rows, err
-	}
-	out := make([][]Value, len(rows))
-	for ri, r := range rows {
-		nr := make([]Value, len(r))
-		for i, from := range fp.remap {
-			nr[i] = r[from]
+// clause runs — and hands each of its rows to st, in order, with the
+// columns in declaration order where the planner reordered: the stages
+// above were compiled against the layout the statement declared. A scan's
+// rows are the table's own and go as they are, and the scan's array is
+// st's to keep them in; the rows of the join at the top go as the join's
+// scratch row, which is copied only where a stage keeps one.
+func (vw view) execFromPlan(fp *fromPlan, st *selectRows) error {
+	jp, ok := fp.root.(*joinPlan)
+	if !ok {
+		rows, err := vw.scanRel(fp.root.(*relPlan))
+		if err != nil {
+			return err
 		}
-		out[ri] = nr
+		st.rows = rows[:0] // add appends behind the row it is given
+		for _, r := range rows {
+			st.add(r, true)
+		}
+		return nil
 	}
-	return out, nil
+	emit := func(r []Value) { st.add(r, false) }
+	if fp.reordered {
+		decl := make([]Value, len(fp.remap))
+		emit = func(r []Value) {
+			for i, from := range fp.remap {
+				decl[i] = r[from]
+			}
+			st.add(decl, false)
+		}
+	}
+	return vw.execJoin(jp, emit)
 }
 
 // --- SELECT execution ---
@@ -294,51 +315,38 @@ func (vw view) displayColumnName(ec envCol) string {
 // execSelect drives the compiled stages of a planned SELECT.
 func (vw view) execSelect(sp *selectPlan) (*Result, error) {
 	selStart := vw.clock()
-	// SELECT without FROM evaluates expressions over a single empty row.
-	rows := [][]Value{{}}
-	if sp.from != nil {
-		var err error
-		if rows, err = vw.execFromPlan(sp.from); err != nil {
-			return nil, err
-		}
+	st := selectRows{sp: sp}
+	if sp.grouped {
+		st.groups.open(sp)
 	}
-
-	// WHERE filter: what the planner did not push into scans or join steps.
-	if sp.filter != nil || sp.filterErr != nil {
-		kept, err := filterRows(rows, sp.filter, sp.filterErr)
-		if err != nil {
-			return nil, err
-		}
-		sp.where.note(len(rows), len(kept))
-		rows = kept
+	if sp.from == nil {
+		// SELECT without FROM evaluates expressions over a single empty row.
+		st.add([]Value{}, true)
+	} else if err := vw.execFromPlan(sp.from, &st); err != nil {
+		return nil, err
 	}
-	if sp.stagesErr != nil {
-		return nil, sp.stagesErr
+	if err := st.finish(); err != nil {
+		return nil, err
 	}
 
 	// The rows that reach ORDER BY and the projection: FROM rows, or one
 	// representative row per group with its aggregate results beside it,
 	// which go where the closures read them before the row is evaluated.
-	outs := rows
-	var outAggs [][]Value
-
+	outs := st.rows
 	if sp.grouped {
-		var err error
-		if outs, outAggs, err = sp.groupRows(rows); err != nil {
-			return nil, err
-		}
+		outs = st.groups.results()
 	}
 
 	// ORDER BY. Keys that are columns of the rows are sorted where they
 	// are; any other key is evaluated for every row first.
 	var perm []int32
-	if nk := len(sp.order); nk > 0 {
+	if nk := len(sp.order); nk > 0 && (len(outs) > 1 || slices.ContainsFunc(sp.order, rowExpr.evaluated)) {
 		keys := sortKeys{nk: nk, rows: outs, slots: columnSlots(sp.order)}
 		if keys.slots == nil {
 			keys.flat = make([]Value, len(outs)*nk)
 			for i, r := range outs {
 				if sp.grouped {
-					sp.aggRow = outAggs[i]
+					sp.aggRow = st.groups.aggRow(i)
 				}
 				for j, e := range sp.order {
 					v, err := e.eval(r)
@@ -375,7 +383,7 @@ func (vw view) execSelect(sp *selectPlan) (*Result, error) {
 			continue
 		}
 		if sp.grouped {
-			sp.aggRow = outAggs[i]
+			sp.aggRow = st.groups.aggRow(i)
 		}
 		row := cells[k*width : (k+1)*width : (k+1)*width]
 		for c, e := range sp.proj {
@@ -392,69 +400,185 @@ func (vw view) execSelect(sp *selectPlan) (*Result, error) {
 	return res, nil
 }
 
-// groupRows runs the aggregate stage of a grouped SELECT: one output row
-// per group — the group's first row, in the order the groups were first
-// met — and beside it the group's aggregate results.
-func (sp *selectPlan) groupRows(rows [][]Value) (outs, outAggs [][]Value, err error) {
-	type group struct {
-		rep    []Value
-		states []*aggState
+// selectRows takes the FROM rows of a SELECT through the stages that
+// take them one at a time: the WHERE left above the FROM tree, then the
+// grouping, or else the rows kept for ORDER BY and the projection. Each
+// stage's error is the statement's as if the stages ran one after another
+// over all the rows — the FROM clause's first, then the WHERE's, a
+// reference of the stages from the projection on, the grouping's — so a
+// stage that fails takes no further rows, and the FROM clause, which may
+// yet fail itself, goes on.
+type selectRows struct {
+	sp      *selectPlan
+	rows    [][]Value // ungrouped: the rows the WHERE kept
+	arena   rowArena  // copies of the kept rows that were not stored
+	groups  grouping  // grouped
+	in, out int       // the WHERE's input and output rows
+	err     error     // the WHERE's error
+	aggErr  error     // the grouping's
+}
+
+// add takes one FROM row. stored says the row is storage nothing writes
+// to — a table's row version — which may be kept as it is; any other row
+// is valid only during the call, and is copied where it is kept.
+func (st *selectRows) add(r []Value, stored bool) {
+	sp := st.sp
+	if st.err != nil || sp.filterErr != nil {
+		return
 	}
-	newGroup := func(rep []Value) *group {
-		grp := &group{rep: rep, states: make([]*aggState, len(sp.aggs))}
-		for i, ac := range sp.aggs {
-			grp.states[i] = newAggState(ac.fc)
+	if sp.filter != nil {
+		st.in++
+		t, err := sp.filter(r)
+		if err != nil {
+			st.err = err
+			return
 		}
-		return grp
+		if t != triTrue {
+			return
+		}
+		st.out++
 	}
-	var order []string
-	groups := map[string]*group{}
-	keyVals := make([]Value, len(sp.groupBy))
-	for _, r := range rows {
-		for i, g := range sp.groupBy {
-			v, err := g.eval(r)
-			if err != nil {
-				return nil, nil, err
+	switch {
+	case sp.stagesErr != nil:
+	case sp.grouped:
+		if st.aggErr == nil {
+			st.aggErr = st.groups.add(r, stored)
+		}
+	default:
+		if !stored {
+			r = st.arena.keep(r)
+		}
+		st.rows = append(st.rows, r)
+	}
+}
+
+// finish raises the first error of the stages, and counts the WHERE's
+// rows where it ran through.
+func (st *selectRows) finish() error {
+	sp := st.sp
+	if err := firstErr(sp.filterErr, st.err); err != nil {
+		return err
+	}
+	if sp.filter != nil {
+		sp.where.note(st.in, st.out)
+	}
+	return firstErr(sp.stagesErr, st.aggErr)
+}
+
+// grouping is the aggregate stage of a grouped SELECT: one group per
+// distinct key, in the order the groups were first met, each with its
+// first row and the states of its aggregate calls. Groups are found by a
+// hash of the key, each compared on the key as GROUP BY compares values
+// (groupKey); nothing is built per row.
+type grouping struct {
+	sp     *selectPlan
+	key    []Value          // the key of the row being added
+	keys   []Value          // every group's key, len(key) values each
+	first  map[uint64]int32 // a key's hash → the last group opened with it
+	next   []int32          // next[g]: the group opened before g with its hash, -1 for none
+	reps   [][]Value        // every group's first row
+	states []aggState       // len(sp.aggs) per group
+	arena  rowArena         // copies of the first rows that were not stored
+	rows   int              // the rows added
+	aggs   []Value          // results: len(sp.aggs) per group
+}
+
+// open readies g for the rows of sp.
+func (g *grouping) open(sp *selectPlan) {
+	g.sp, g.key = sp, make([]Value, len(sp.groupBy))
+}
+
+// add folds one row into its group, opening the group if it is the first
+// of its key.
+func (g *grouping) add(r []Value, stored bool) error {
+	sp := g.sp
+	g.rows++
+	for i, e := range sp.groupBy {
+		v, err := e.eval(r)
+		if err != nil {
+			return err
+		}
+		g.key[i] = groupKey(v)
+	}
+	grp, h := g.find()
+	if grp < 0 {
+		grp = int32(len(g.reps))
+		if !stored {
+			r = g.arena.keep(r)
+		}
+		g.reps = append(g.reps, r)
+		g.keys = append(g.keys, g.key...)
+		if len(g.key) > 0 {
+			if g.first == nil {
+				g.first = map[uint64]int32{}
 			}
-			keyVals[i] = v
-		}
-		k := identityKey(keyVals)
-		grp, ok := groups[k]
-		if !ok {
-			grp = newGroup(r)
-			groups[k] = grp
-			order = append(order, k)
-		}
-		for i, ac := range sp.aggs {
-			var av Value
-			if !ac.fc.Star {
-				var err error
-				if av, err = ac.arg.eval(r); err != nil {
-					return nil, nil, err
-				}
+			prev, ok := g.first[h]
+			if !ok {
+				prev = -1
 			}
-			if err := grp.states[i].add(av, ac.fc.Star); err != nil {
-				return nil, nil, err
+			g.first[h] = grp
+			g.next = append(g.next, prev)
+		}
+		for _, ac := range sp.aggs {
+			g.states = append(g.states, aggState{fn: ac.fc.Name})
+		}
+	}
+	states := g.states[int(grp)*len(sp.aggs):]
+	for i, ac := range sp.aggs {
+		var av Value
+		if !ac.fc.Star {
+			var err error
+			if av, err = ac.arg.eval(r); err != nil {
+				return err
 			}
 		}
-	}
-	// A grouped query with no GROUP BY and no input rows still yields
-	// one row of aggregates over the empty set.
-	if len(sp.groupBy) == 0 && len(order) == 0 {
-		groups[""] = newGroup(make([]Value, sp.width))
-		order = append(order, "")
-	}
-	for _, k := range order {
-		grp := groups[k]
-		aggRow := make([]Value, len(sp.aggs))
-		for i, st := range grp.states {
-			aggRow[i] = st.result()
+		if err := states[i].add(av, ac.fc.Star); err != nil {
+			return err
 		}
-		outs = append(outs, grp.rep)
-		outAggs = append(outAggs, aggRow)
 	}
-	sp.aggregate.note(len(rows), len(outs))
-	return outs, outAggs, nil
+	return nil
+}
+
+// find returns the group of the current key, or -1, and the key's hash.
+// Without GROUP BY every row is of the one group.
+func (g *grouping) find() (int32, uint64) {
+	k := len(g.key)
+	if k == 0 {
+		return int32(len(g.reps)) - 1, 0
+	}
+	h := groupHash(g.key)
+	grp, ok := g.first[h]
+	for ; ok && grp >= 0; grp = g.next[grp] {
+		if slices.Equal(g.keys[int(grp)*k:int(grp+1)*k], g.key) {
+			return grp, h
+		}
+	}
+	return -1, h
+}
+
+// results returns every group's first row and computes, for aggRow, the
+// group's aggregate results. A grouped query with no GROUP BY and no
+// input rows still yields one row of aggregates over the empty set.
+func (g *grouping) results() [][]Value {
+	sp := g.sp
+	if len(sp.groupBy) == 0 && len(g.reps) == 0 {
+		g.reps = append(g.reps, make([]Value, sp.width))
+		for _, ac := range sp.aggs {
+			g.states = append(g.states, aggState{fn: ac.fc.Name})
+		}
+	}
+	g.aggs = make([]Value, len(g.states))
+	for i := range g.states {
+		g.aggs[i] = g.states[i].result()
+	}
+	sp.aggregate.note(g.rows, len(g.reps))
+	return g.reps
+}
+
+// aggRow returns the aggregate results of group i.
+func (g *grouping) aggRow(i int) []Value {
+	n := len(g.sp.aggs)
+	return g.aggs[i*n : (i+1)*n : (i+1)*n]
 }
 
 // --- DML execution ---

@@ -217,7 +217,7 @@ func callScalar(name string, args []Value) (Value, error) {
 			}
 			return n, nil
 		}
-		return NewFloat(math.Abs(n.F)), nil
+		return NewFloat(math.Abs(n.Float())), nil
 	case "MOD":
 		if err := arity(name, args, 2); err != nil {
 			return Null, err
@@ -289,8 +289,6 @@ type aggState struct {
 	sawValue bool
 }
 
-func newAggState(fc *FuncCall) *aggState { return &aggState{fn: fc.Name} }
-
 // add folds one input value into the aggregate. NULL inputs are ignored
 // for every aggregate except COUNT(*), which the caller handles by passing
 // star=true.
@@ -314,7 +312,7 @@ func (st *aggState) add(v Value, star bool) error {
 		st.count++
 		if n.T == TFloat {
 			st.isFloat = true
-			st.sumF += n.F
+			st.sumF += n.Float()
 		} else {
 			st.sumI += n.I
 			st.sumF += float64(n.I)

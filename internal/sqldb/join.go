@@ -35,19 +35,20 @@ func keyClassOf(a, b Type) (keyClass, bool) {
 	return 0, false
 }
 
-// hashKeyFor chooses the join method of a step that joins right onto the
-// join of left under cond: the first conjunct `L.col = R.col` with one
-// column from left and one from right — what a table stores has its
-// column's declared type or is NULL — and of one comparison class. nil
-// means a nested loop. The references are resolved as the compiler will
-// resolve them against the step's layout, so where it succeeds the two
-// agree on which side each column is.
-func hashKeyFor(cond Expr, left []*relPlan, right *relPlan) *hashKey {
+// hashKeyFor chooses the join method of a step that joins the last of
+// rels onto the join of the others under cond: the first conjunct
+// `L.col = R.col` with one column from the left and one from the right —
+// what a table stores has its column's declared type or is NULL — and of
+// one comparison class. nil means a nested loop. The references are
+// resolved as the compiler will resolve them against the step's layout,
+// so where it succeeds the two agree on which side each column is.
+func hashKeyFor(cond Expr, rels []*relPlan) *hashKey {
 	if cond == nil {
 		return nil
 	}
-	rels := append(left[:len(left):len(left)], right)
-	for _, conj := range andConjuncts(cond) {
+	left := rels[:len(rels)-1]
+	var buf [4]Expr
+	for _, conj := range appendConjuncts(buf[:0], cond) {
 		b, ok := conj.(*Binary)
 		if !ok || b.Op != "=" {
 			continue
@@ -101,13 +102,6 @@ type hashTable struct {
 	next   []int32 // next[i]: the next row with row i's key, -1 after the last
 }
 
-func intKey(v Value) int64 {
-	if v.T == TBool && v.B {
-		return 1
-	}
-	return v.I // zero for FALSE
-}
-
 // buildHash hashes column slot of rows. It goes through them backwards, so
 // that each chain starts at the first row with its key.
 func buildHash(rows [][]Value, slot int, class keyClass) *hashTable {
@@ -128,7 +122,7 @@ func buildHash(rows [][]Value, slot int, class keyClass) *hashTable {
 		h.next[i] = h.first(v)
 		switch class {
 		case keyInt:
-			h.ints[intKey(v)] = int32(i)
+			h.ints[v.I] = int32(i)
 		case keyFloat:
 			f, _ := v.AsFloat()
 			h.floats[f] = int32(i)
@@ -139,6 +133,22 @@ func buildHash(rows [][]Value, slot int, class keyClass) *hashTable {
 	return h
 }
 
+// equal reports whether a probe key finds a build key in the hash of
+// class k: neither is NULL, and they are one key of the class's map.
+func (k *hashKey) equal(probe, build Value) bool {
+	switch {
+	case probe.IsNull() || build.IsNull():
+		return false
+	case k.class == keyFloat:
+		p, _ := probe.AsFloat()
+		b, _ := build.AsFloat()
+		return p == b
+	case k.class == keyInt:
+		return probe.I == build.I
+	}
+	return probe.S == build.S
+}
+
 // first returns the first row whose key compares equal to v, or -1.
 func (h *hashTable) first(v Value) int32 {
 	var i int32
@@ -146,7 +156,7 @@ func (h *hashTable) first(v Value) int32 {
 	switch {
 	case v.IsNull():
 	case h.class == keyInt:
-		i, ok = h.ints[intKey(v)]
+		i, ok = h.ints[v.I]
 	case h.class == keyFloat:
 		f, _ := v.AsFloat()
 		i, ok = h.floats[f]
@@ -159,25 +169,27 @@ func (h *hashTable) first(v Value) int32 {
 	return i
 }
 
-// joinOn performs the INNER or LEFT join jp of a with b: for each row of a
-// in order, the rows of b in order that the condition holds with; LEFT
-// emits a NULL-padded row for a left row that has none. The condition is
-// evaluated on one scratch row that is copied only for a pair it keeps.
-// It returns the number of pairs it evaluated beside the rows.
-func joinOn(a, b [][]Value, jp *joinPlan) ([][]Value, int, error) {
+// joinOn performs the join jp of a with b: for each row of a in order,
+// the rows of b in order that the condition holds with — every one in a
+// cross join, which has none; LEFT emits a NULL-padded row for a left row
+// that has none. Each pair is put together in one scratch row, the
+// condition is evaluated on it, and a pair kept goes to emit as that row,
+// which is valid only during the call: nothing is copied here. It returns
+// the pairs it evaluated and the rows it emitted.
+func joinOn(a, b [][]Value, jp *joinPlan, emit func(row []Value)) (examined, returned int, err error) {
 	if jp.predErr != nil {
-		return nil, 0, jp.predErr
+		return 0, 0, jp.predErr
 	}
 	wa := jp.leftWidth
+	// One left row probes once: a pass over the right rows that compares
+	// their keys as the hash would finds the same pairs, without the hash.
 	var hash *hashTable
-	if jp.hash != nil {
+	if jp.hash != nil && len(a) > 1 {
 		hash = buildHash(b, jp.hash.build, jp.hash.class)
 	}
-	var out [][]Value
 	scratch := make([]Value, jp.width)
-	examined := 0
 	// pair evaluates the condition on the scratch row with rb in its right
-	// half, and keeps a copy of it when the condition holds.
+	// half, and emits the row when the condition holds.
 	pair := func(rb []Value) (bool, error) {
 		examined++
 		copy(scratch[wa:], rb)
@@ -186,7 +198,8 @@ func joinOn(a, b [][]Value, jp *joinPlan) ([][]Value, int, error) {
 				return false, err
 			}
 		}
-		out = append(out, append([]Value(nil), scratch...))
+		returned++
+		emit(scratch)
 		return true, nil
 	}
 	for _, ra := range a {
@@ -196,23 +209,48 @@ func joinOn(a, b [][]Value, jp *joinPlan) ([][]Value, int, error) {
 			for i := hash.first(ra[jp.hash.probe]); i >= 0; i = hash.next[i] {
 				kept, err := pair(b[i])
 				if err != nil {
-					return nil, 0, err
+					return 0, 0, err
 				}
 				matched = matched || kept
 			}
 		} else {
 			for _, rb := range b {
+				if jp.hash != nil && !jp.hash.equal(ra[jp.hash.probe], rb[jp.hash.build]) {
+					continue
+				}
 				kept, err := pair(rb)
 				if err != nil {
-					return nil, 0, err
+					return 0, 0, err
 				}
 				matched = matched || kept
 			}
 		}
 		if jp.kind == JoinLeft && !matched {
 			clear(scratch[wa:])
-			out = append(out, append([]Value(nil), scratch...))
+			returned++
+			emit(scratch)
 		}
 	}
-	return out, examined, nil
+	return examined, returned, nil
+}
+
+// rowArena keeps copies of rows in chunks, each one backing array for
+// many rows, so that a row kept is not an allocation of its own. A chunk
+// is never regrown — a row handed out stays where it is, read-only — and
+// each chunk is twice the rows of the last, from one.
+type rowArena struct {
+	free  []Value // what is left of the current chunk
+	chunk int     // the rows of the current chunk
+}
+
+// keep returns a copy of r.
+func (ar *rowArena) keep(r []Value) []Value {
+	if len(ar.free) < len(r) {
+		ar.chunk = max(1, 2*ar.chunk)
+		ar.free = make([]Value, ar.chunk*len(r))
+	}
+	row := ar.free[:len(r):len(r)]
+	copy(row, r)
+	ar.free = ar.free[len(r):]
+	return row
 }

@@ -78,9 +78,9 @@ func TestLikeIndexablePrefix(t *testing.T) {
 		{"bik\xffs%", "", false}, // U+FFFD matches any invalid byte: not a byte prefix
 	}
 	for _, c := range cases {
-		prefix, ok := indexablePrefix(c.pattern)
+		prefix, ok := compileLike(c.pattern, "", false).prefix()
 		if prefix != c.prefix || ok != c.ok {
-			t.Errorf("indexablePrefix(%q) = %q, %v; want %q, %v", c.pattern, prefix, ok, c.prefix, c.ok)
+			t.Errorf("prefix of %q = %q, %v; want %q, %v", c.pattern, prefix, ok, c.prefix, c.ok)
 		}
 	}
 }

@@ -114,6 +114,9 @@ type fromPlan struct {
 	free      bool       // the planner chose order and pushdown, and estimated
 	reordered bool       // execution order differs from declaration order
 	remap     []int      // reordered: for each slot in declaration order, its slot in root's rows
+	// likes are the programs planning built for LIKE patterns it read a
+	// prefix from, which the compiler takes instead of building them again.
+	likes []*likeProgram
 }
 
 // fromNode is a relPlan (a scan) or a joinPlan.
@@ -313,6 +316,7 @@ func (vw view) compileSelect(sp *selectPlan, params []Value) {
 	c := compiler{params: params, vw: vw}
 	residual := sel.Where // SELECT without FROM evaluates over a single empty row
 	if sp.from != nil {
+		c.likes = sp.from.likes
 		c.cols = sp.from.compile(&c)
 		residual = sp.from.residual
 	}
@@ -458,7 +462,7 @@ func (fp *fromPlan) compile(c *compiler) []envCol {
 func compileFromNode(n fromNode, c *compiler) []envCol {
 	if rp, ok := n.(*relPlan); ok {
 		if rp.filter != nil {
-			sc := compiler{cols: rp.cols, params: c.params, vw: c.vw}
+			sc := compiler{cols: rp.cols, params: c.params, vw: c.vw, likes: c.likes}
 			rp.pred, rp.predErr = sc.pred(rp.filter)
 		}
 		return rp.cols
@@ -545,7 +549,7 @@ func (vw view) planWrite(st Stmt, table, alias string, off int, where Expr, para
 			dp.bindErr = err
 		}
 	}
-	c := compiler{cols: scan.cols, params: params, vw: vw}
+	c := compiler{cols: scan.cols, params: params, vw: vw, likes: fp.likes}
 	if where != nil {
 		if dp.where, err = c.pred(where); err != nil {
 			fail(err)

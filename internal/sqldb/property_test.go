@@ -1,12 +1,15 @@
 package sqldb
 
 import (
+	"math"
 	"math/rand"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // TestBTreePropertyInsertLookup checks that after an arbitrary sequence of
@@ -310,5 +313,63 @@ func TestTxnRollbackProperty(t *testing.T) {
 				t.Fatalf("trial %d row %d: %v -> %v", trial, i, before.Rows[i], after.Rows[i])
 			}
 		}
+	}
+}
+
+// identityKey builds a string key for a value row that tells rows apart
+// as GROUP BY does (groupKey), for comparing results. The encoding is
+// injective per type.
+func identityKey(vals []Value) string {
+	var sb strings.Builder
+	for _, v := range vals {
+		switch v.T {
+		case TNull:
+			sb.WriteString("n|")
+		case TInt:
+			sb.WriteString("i")
+			sb.WriteString(strconv.FormatInt(v.I, 10))
+			sb.WriteByte('|')
+		case TFloat:
+			// Normalise integral floats so 1 and 1.0 group together,
+			// mirroring Compare's numeric cross-type semantics.
+			if v.Float() == math.Trunc(v.Float()) && !math.IsInf(v.Float(), 0) &&
+				v.Float() >= math.MinInt64 && v.Float() <= math.MaxInt64 {
+				sb.WriteString("i")
+				sb.WriteString(strconv.FormatInt(int64(v.Float()), 10))
+			} else {
+				sb.WriteString("f")
+				sb.WriteString(strconv.FormatFloat(v.Float(), 'b', -1, 64))
+			}
+			sb.WriteByte('|')
+		case TString:
+			sb.WriteString("s")
+			sb.WriteString(strconv.Itoa(len(v.S)))
+			sb.WriteByte(':')
+			sb.WriteString(v.S)
+			sb.WriteByte('|')
+		case TBool:
+			if v.Bool() {
+				sb.WriteString("bt|")
+			} else {
+				sb.WriteString("bf|")
+			}
+		}
+	}
+	return sb.String()
+}
+
+// TestValueLayout: a Value is 32 bytes, and a DOUBLE or BOOLEAN kept in
+// its I word reads back as it was put, bit for bit.
+func TestValueLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Value{}); size != 32 {
+		t.Errorf("Value is %d bytes, want 32", size)
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 1.5, -899.99, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.NaN()} {
+		if v := NewFloat(f); v.T != TFloat || math.Float64bits(v.Float()) != math.Float64bits(f) {
+			t.Errorf("NewFloat(%v).Float() = %v", f, v.Float())
+		}
+	}
+	if !NewBool(true).Bool() || NewBool(false).Bool() || NewBool(false) != (Value{T: TBool}) {
+		t.Error("BOOLEAN values do not read back")
 	}
 }

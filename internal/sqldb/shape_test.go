@@ -8,7 +8,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
+	"runtime/debug"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -251,6 +254,9 @@ func FuzzShapeKey(f *testing.F) {
 // raceDetector is set in a build with the race detector (race_test.go).
 var raceDetector bool
 
+// RaceDetector is raceDetector, for the tests of package sqldb_test.
+func RaceDetector() bool { return raceDetector }
+
 // TestShapePassAllocations: finding a cached shape builds nothing but the
 // values it extracts — no token slice, no key string.
 func TestShapePassAllocations(t *testing.T) {
@@ -342,22 +348,38 @@ func TestResolveCostIsLinear(t *testing.T) {
 		_, err := NewSession(db).Exec(sql)
 		return err
 	}
-	// perByte is the least time per byte over runs of run on sql, each on a
-	// database newDB built that has not seen sql.
-	perByte := func(sql string, runs int, newDB func() *Database, run func(*Database, string) error) float64 {
-		best := time.Duration(1 << 62)
-		for i := 0; i < runs; i++ {
+	// cost is the least CPU time per byte of run on each text: the small
+	// ones six times for every large one, the large ones three times, in
+	// turn, each on a database newDB built that has not seen its text. The
+	// time is the process's CPU time, not the clock's, and the runs
+	// alternate, so that what else the machine runs beside the test —
+	// CI's parallel -race packages — weighs on neither size alone. The
+	// collector is off while a run is timed and runs between the runs: a
+	// large run would otherwise pay for its collections, where a small one
+	// mostly pays for none.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cost := func(small, large string, newDB func() *Database, run func(*Database, string) error) (ps, pl float64) {
+		best := map[string]time.Duration{small: 1 << 62, large: 1 << 62}
+		once := func(sql string) {
 			db := newDB()
-			start := time.Now()
+			runtime.GC()
+			start := cpuTime(t)
 			err := run(db, sql)
-			if d := time.Since(start); d < best {
-				best = d
+			if d := cpuTime(t) - start; d < best[sql] {
+				best[sql] = d
 			}
 			if err != nil {
 				t.Fatalf("%.40q…: %v", sql, err)
 			}
 		}
-		return float64(best) / float64(len(sql))
+		once(large) // warm the heap
+		for round := 0; round < 3; round++ {
+			for i := 0; i < 6; i++ {
+				once(small)
+			}
+			once(large)
+		}
+		return float64(best[small]) / float64(len(small)), float64(best[large]) / float64(len(large))
 	}
 	for _, c := range []struct {
 		name  string
@@ -375,11 +397,20 @@ func TestResolveCostIsLinear(t *testing.T) {
 		if len(large) > maxBody || len(large) < maxBody-64 {
 			t.Fatalf("%s: %d bytes, want about %d", c.name, len(large), maxBody)
 		}
-		perByte(large, 1, c.newDB, c.run) // warm the heap
-		ps, pl := perByte(small, 20, c.newDB, c.run), perByte(large, 3, c.newDB, c.run)
+		ps, pl := cost(small, large, c.newDB, c.run)
 		t.Logf("%s: %.2f ns/byte at %d bytes, %.2f at %d", c.name, ps, len(small), pl, len(large))
 		if pl > 3*ps {
 			t.Errorf("%s: %.2f ns/byte at %d bytes against %.2f at %d: more than 3×", c.name, pl, len(large), ps, len(small))
 		}
 	}
+}
+
+// cpuTime is the CPU time the process has used so far, in user and
+// kernel mode, over all its threads.
+func cpuTime(t *testing.T) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		t.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

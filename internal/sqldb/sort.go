@@ -118,7 +118,7 @@ func (k *sortKeys) abbreviate(desc bool) []sortRec {
 	for i := range recs {
 		v := k.at(int32(i), 0)
 		class |= 1 << v.T
-		if v.T == TFloat && v.F != v.F {
+		if v.T == TFloat && v.Float() != v.Float() {
 			class |= nan
 		}
 	}
@@ -139,7 +139,7 @@ func (k *sortKeys) abbreviate(desc bool) []sortRec {
 				copy(b[:], v.S)
 				r.hi, r.lo = binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
 			case bools:
-				if v.B {
+				if v.Bool() {
 					r.hi = 1
 				}
 			}

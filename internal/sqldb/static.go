@@ -157,7 +157,7 @@ func (s *PlanSummary) from(f plannedFrom) {
 			sc.Index = rp.access.ix.Name
 		}
 		for _, conj := range f.filters {
-			if mask, ok := attributeCond(conj, fp.rels); ok && len(mask) == 1 && mask[k] {
+			if mask, ok := attributeCond(conj, fp.rels); ok && mask == 1<<k {
 				c := ScanCond{Expr: conj, Why: VerdictPinned}
 				for _, v := range s.verdicts {
 					if v.Expr == conj {

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 )
 
@@ -96,22 +97,27 @@ type indexScanPlan struct {
 // conjuncts that filter it: every conjunct an index can satisfy is a
 // candidate, and the one expected to examine the fewest rows wins; no
 // access means a sequential scan. Under Check (sum is non-nil) the plan's
-// summary keeps planIndexScan's verdict on each conjunct. Pure planning —
-// no tree reads. Caller holds db.mu at least shared (DDL excluded), which
-// keeps the table's index list still.
-func (rp *relPlan) planAccess(conds []Expr, params []Value, sum *PlanSummary) {
+// summary keeps planIndexScan's verdict on each conjunct. Each LIKE
+// program it builds for a prefix goes to likes, for the compiler. Pure
+// planning — no tree reads. Caller holds db.mu at least shared (DDL
+// excluded), which keeps the table's index list still.
+func (rp *relPlan) planAccess(conds []Expr, params []Value, sum *PlanSummary, likes *[]*likeProgram) {
+	var best indexScanPlan
 	var bestRows float64
 	for _, conj := range conds {
-		p, why := planIndexScan(rp.t, rp.qual, conj, params, sum != nil)
+		p, ok, why := planIndexScan(rp.t, rp.qual, conj, params, sum != nil, likes)
 		if sum != nil {
 			sum.verdicts = append(sum.verdicts, why)
 		}
-		if p == nil {
+		if !ok {
 			continue
 		}
-		if rows := planEstRows(rp.t, p); rp.access == nil || rows < bestRows {
-			rp.access, bestRows = p, rows
+		if rows := planEstRows(rp.t, &p); best.ix == nil || rows < bestRows {
+			best, bestRows = p, rows
 		}
+	}
+	if best.ix != nil {
+		rp.access = &best
 	}
 }
 
@@ -123,45 +129,48 @@ func (rp *relPlan) planAccess(conds []Expr, params []Value, sum *PlanSummary) {
 // column an index, and a comparison key must convert to the column type.
 // Under Check (unbound) a ? has no value yet and is a key of unknown value,
 // which converts and has a prefix; the executor and EXPLAIN always bind it.
-func planIndexScan(t *Table, qual string, conj Expr, params []Value, unbound bool) (*indexScanPlan, ScanCond) {
+// The program a LIKE pattern is read with is appended to likes.
+func planIndexScan(t *Table, qual string, conj Expr, params []Value, unbound bool, likes *[]*likeProgram) (indexScanPlan, bool, ScanCond) {
 	why := ScanCond{Expr: conj, Why: VerdictNoShape}
 	sh, ok := indexableShape(conj)
 	if !ok {
-		return nil, why
+		return indexScanPlan{}, false, why
 	}
 	pos := columnForQual(t, qual, sh.col)
 	if pos < 0 || (sh.op == "like" && t.Columns[pos].Type != TString) {
-		return nil, why
+		return indexScanPlan{}, false, why
 	}
 	v, ok := constKey(sh.operand, params, unbound)
 	if !ok {
-		return nil, why
+		return indexScanPlan{}, false, why
 	}
 	ix := t.indexOn(pos)
 	why.Column = t.Columns[pos].Name
 	var prefix string
 	if sh.op == "like" && !v.IsNull() {
-		if prefix, ok = indexablePrefix(v.String()); !ok {
+		prog := compileLike(v.String(), "", false)
+		*likes = append(*likes, prog)
+		if prefix, ok = prog.prefix(); !ok {
 			why.Why, why.Pattern = VerdictNoPrefix, v.String()
 			if ix != nil {
 				why.Index = ix.Name
 			}
-			return nil, why
+			return indexScanPlan{}, false, why
 		}
 	}
 	if ix == nil {
 		why.Why = VerdictNoIndex
-		return nil, why
+		return indexScanPlan{}, false, why
 	}
 	if sh.op != "like" && !v.IsNull() {
 		var err error
 		if v, err = coerceToColumn(v, t.Columns[pos].Type); err != nil {
 			why.Why = VerdictKeyType
-			return nil, why
+			return indexScanPlan{}, false, why
 		}
 	}
 	why.Why = VerdictIndexable
-	return &indexScanPlan{ix: ix, op: sh.op, key: v, prefix: prefix, conj: conj}, why
+	return indexScanPlan{ix: ix, op: sh.op, key: v, prefix: prefix, conj: conj}, true, why
 }
 
 // constKey evaluates the operand of an index key or an implied binding; ok
@@ -245,14 +254,6 @@ func constShaped(e Expr) bool {
 	return ok
 }
 
-// indexablePrefix returns the literal prefix of a LIKE pattern that an
-// index range scan can use: the pattern must end in % and contain no
-// other wildcard. ok is false when the pattern cannot be served by an
-// index seek.
-func indexablePrefix(pattern string) (prefix string, ok bool) {
-	return compileLike(pattern, "", false).prefix()
-}
-
 // columnForQual returns the table column position when c refers to table t
 // (by the scan qualifier), or -1.
 func columnForQual(t *Table, qual string, c *ColumnRef) int {
@@ -270,9 +271,20 @@ func columnForQual(t *Table, qual string, c *ColumnRef) int {
 // pair the two scans let through.
 type stepCond struct {
 	cond  Expr
-	mask  map[int]bool
+	mask  relSet
 	bound bool
 }
+
+// relSet is a set of a FROM clause's relations by index. A clause of more
+// relations than it holds is planned pinned.
+type relSet uint64
+
+const maxFreeRels = 64
+
+func (s relSet) has(i int) bool { return s&(1<<i) != 0 }
+
+// one reports whether the set holds exactly one relation.
+func (s relSet) one() bool { return s != 0 && s&(s-1) == 0 }
 
 // andJoin folds conds into one AND chain (nil for an empty list).
 func andJoin(conds []Expr) Expr {
@@ -299,10 +311,7 @@ func (vw view) planRel(table, alias string, off int) (*relPlan, error) {
 	if rp.qual == "" {
 		rp.qual = strings.ToLower(t.Name)
 	}
-	rp.cols = make([]envCol, len(t.Columns))
-	for i := range t.Columns {
-		rp.cols[i] = envCol{tbl: rp.qual, name: strings.ToLower(t.Columns[i].Name), base: t}
-	}
+	rp.cols = t.layout(rp.qual)
 	rp.baseRows = estTableRows(t)
 	return rp, nil
 }
@@ -327,6 +336,11 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 		vw.sum.plan(fp, from, where)
 	}
 	pinned := vw.naive
+	nrels := len(from)
+	for i := range from {
+		nrels += len(from[i].Joins)
+	}
+	fp.rels = make([]*relPlan, 0, nrels)
 	for i := range from {
 		tr := &from[i]
 		rp, err := vw.planRel(tr.Table, tr.Alias, tr.Off)
@@ -348,11 +362,11 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 		}
 	}
 	rels := fp.rels
-	pinned = pinned || !onInScope(from, rels)
+	pinned = pinned || len(rels) > maxFreeRels || !onInScope(from, rels)
 	if len(rels) == 1 {
 		rp := rels[0]
 		if !vw.naive {
-			rp.planAccess(andConjuncts(where), params, vw.sum)
+			rp.planAccess(andConjuncts(where), params, vw.sum, &fp.likes)
 		}
 		fp.root = rp
 		return fp, nil
@@ -362,12 +376,10 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 		return fp, nil
 	}
 
-	conds := andConjuncts(where)
+	conds := appendConjuncts(make([]Expr, 0, 2*len(rels)), where)
 	for i := range from {
 		for j := range from[i].Joins {
-			if on := from[i].Joins[j].On; on != nil {
-				conds = append(conds, andConjuncts(on)...)
-			}
+			conds = appendConjuncts(conds, from[i].Joins[j].On)
 		}
 	}
 
@@ -381,10 +393,9 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 		switch {
 		case !ok:
 			residual = append(residual, cond)
-		case len(mask) == 1:
-			for i := range mask {
-				pushed[i] = append(pushed[i], cond)
-			}
+		case mask.one():
+			i := bits.TrailingZeros64(uint64(mask))
+			pushed[i] = append(pushed[i], cond)
 		default:
 			joinConds = append(joinConds, stepCond{cond: cond, mask: mask})
 		}
@@ -398,7 +409,7 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 	// Per-relation filter, access path, and cardinality after the filter.
 	for i, rp := range rels {
 		rp.filter = andJoin(pushed[i])
-		rp.planAccess(pushed[i], params, vw.sum)
+		rp.planAccess(pushed[i], params, vw.sum, &fp.likes)
 		est := rp.baseRows
 		for _, cond := range pushed[i] {
 			est *= condSelectivity(rp, cond)
@@ -416,13 +427,13 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 			start = i
 		}
 	}
-	chosen := map[int]bool{start: true}
+	chosen := relSet(1) << start
 	order = append(order, rels[start])
 	acc := rels[start].est
 	for len(order) < len(rels) {
 		best, bestCard := -1, math.MaxFloat64
 		for r := range rels {
-			if chosen[r] {
+			if chosen.has(r) {
 				continue
 			}
 			card := joinCardinality(acc, rels[r], chosen, r, joinConds)
@@ -430,7 +441,7 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 				best, bestCard = r, card
 			}
 		}
-		chosen[best] = true
+		chosen |= 1 << best
 		order = append(order, rels[best])
 		acc = bestCard
 	}
@@ -443,26 +454,16 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 	// Join left-deep in that order, each condition at the earliest step
 	// that covers its relations, rolling up cardinality and cost.
 	assigned := make([]bool, len(joinConds))
-	covered := map[int]bool{order[0].declIdx: true}
+	covered := relSet(1) << order[0].declIdx
 	card := order[0].est
 	cost := order[0].baseRows
 	var node fromNode = order[0]
 	for i, rp := range order[1:] {
-		covered[rp.declIdx] = true
+		covered |= 1 << rp.declIdx
 		var step []Expr
 		sel := 1.0
 		for j := range joinConds {
-			if assigned[j] {
-				continue
-			}
-			in := true
-			for m := range joinConds[j].mask {
-				if !covered[m] {
-					in = false
-					break
-				}
-			}
-			if !in {
+			if assigned[j] || joinConds[j].mask&^covered != 0 {
 				continue
 			}
 			assigned[j] = true
@@ -474,7 +475,7 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 		jp := &joinPlan{left: node, right: rp, kind: JoinCross, cond: andJoin(step)}
 		if jp.cond != nil {
 			jp.kind = JoinInner
-			jp.hash = hashKeyFor(jp.cond, order[:i+1], rp)
+			jp.hash = hashKeyFor(jp.cond, order[:i+2])
 		}
 		// The scan, then the pairs the step forms: every one in a nested
 		// loop, one pass over each input in a hash join.
@@ -597,7 +598,7 @@ func declaredJoins(from []TableRef, rels []*relPlan, hash bool) fromNode {
 			jc := &from[i].Joins[j]
 			jp := &joinPlan{left: node, right: rels[k], kind: jc.Kind, cond: jc.On}
 			if hash {
-				jp.hash = hashKeyFor(jc.On, rels[entry:k], rels[k])
+				jp.hash = hashKeyFor(jc.On, rels[entry:k+1])
 			}
 			node = jp
 			k++
@@ -648,34 +649,24 @@ func onInScope(from []TableRef, rels []*relPlan) bool {
 // aggregate, references no columns, or has a reference that
 // cannot be resolved to exactly one relation (including every case bind
 // rejects — ambiguity and undefined columns surface from the residual
-// bind).
-func attributeCond(cond Expr, rels []*relPlan) (map[int]bool, bool) {
-	bad := false
-	var refs []*ColumnRef
+// bind), or to one of the first maxFreeRels.
+func attributeCond(cond Expr, rels []*relPlan) (relSet, bool) {
+	var mask relSet
+	ok := true
 	walkExpr(cond, func(x Expr) bool {
 		switch v := x.(type) {
 		case *FuncCall:
-			if isAggregate(v.Name) {
-				bad = true
-				return false
-			}
+			ok = ok && !isAggregate(v.Name)
 		case *ColumnRef:
-			refs = append(refs, v)
+			r := refRel(v, rels)
+			ok = ok && r >= 0 && r < maxFreeRels
+			if ok {
+				mask |= 1 << r
+			}
 		}
-		return true
+		return ok
 	})
-	if bad || len(refs) == 0 {
-		return nil, false
-	}
-	mask := map[int]bool{}
-	for _, c := range refs {
-		r := refRel(c, rels)
-		if r < 0 {
-			return nil, false
-		}
-		mask[r] = true
-	}
-	return mask, true
+	return mask, ok && mask != 0
 }
 
 // refRel returns the index in rels of the relation c refers to, or -1 when
@@ -795,23 +786,12 @@ func condJoinSelectivity(rp *relPlan, cond Expr) float64 {
 // joinCardinality estimates the output rows of joining rp (index r) onto
 // an accumulated set of acc rows, using the best applicable unassigned
 // join condition.
-func joinCardinality(acc float64, rp *relPlan, chosen map[int]bool, r int, joinConds []stepCond) float64 {
+func joinCardinality(acc float64, rp *relPlan, chosen relSet, r int, joinConds []stepCond) float64 {
 	sel := 1.0
 	connected := false
 	for j := range joinConds {
-		in := true
-		hasR := false
-		for m := range joinConds[j].mask {
-			if m == r {
-				hasR = true
-				continue
-			}
-			if !chosen[m] {
-				in = false
-				break
-			}
-		}
-		if !in || !hasR {
+		m := joinConds[j].mask
+		if !m.has(r) || m&^(chosen|1<<r) != 0 {
 			continue
 		}
 		connected = true

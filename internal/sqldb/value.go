@@ -15,6 +15,7 @@ package sqldb
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -50,13 +51,14 @@ func (t Type) String() string {
 	}
 }
 
-// Value is a runtime SQL value. The zero Value is NULL.
+// Value is a runtime SQL value. The zero Value is NULL. It is 32 bytes:
+// an INTEGER is I, a VARCHAR is S, and a DOUBLE and a BOOLEAN keep their
+// bits in I too (Float and Bool read them), since a table, a join and a
+// result hold a Value per cell.
 type Value struct {
 	T Type
 	I int64
-	F float64
 	S string
-	B bool
 }
 
 // Null is the SQL NULL value.
@@ -66,13 +68,24 @@ var Null = Value{T: TNull}
 func NewInt(i int64) Value { return Value{T: TInt, I: i} }
 
 // NewFloat returns a DOUBLE value.
-func NewFloat(f float64) Value { return Value{T: TFloat, F: f} }
+func NewFloat(f float64) Value { return Value{T: TFloat, I: int64(math.Float64bits(f))} }
 
 // NewString returns a VARCHAR value.
 func NewString(s string) Value { return Value{T: TString, S: s} }
 
 // NewBool returns a BOOLEAN value.
-func NewBool(b bool) Value { return Value{T: TBool, B: b} }
+func NewBool(b bool) Value {
+	if b {
+		return Value{T: TBool, I: 1}
+	}
+	return Value{T: TBool}
+}
+
+// Float returns the float64 of a DOUBLE value (see AsFloat for any number).
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.I)) }
+
+// Bool returns the truth of a BOOLEAN value.
+func (v Value) Bool() bool { return v.I != 0 }
 
 // IsNull reports whether v is the SQL NULL value.
 func (v Value) IsNull() bool { return v.T == TNull }
@@ -87,11 +100,11 @@ func (v Value) String() string {
 	case TInt:
 		return strconv.FormatInt(v.I, 10)
 	case TFloat:
-		return formatFloat(v.F)
+		return formatFloat(v.Float())
 	case TString:
 		return v.S
 	case TBool:
-		if v.B {
+		if v.Bool() {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -132,7 +145,7 @@ func (v Value) AsFloat() (float64, bool) {
 	case TInt:
 		return float64(v.I), true
 	case TFloat:
-		return v.F, true
+		return v.Float(), true
 	default:
 		return 0, false
 	}
@@ -144,7 +157,7 @@ func (v Value) AsInt() (int64, bool) {
 	case TInt:
 		return v.I, true
 	case TFloat:
-		return int64(v.F), true
+		return int64(v.Float()), true
 	default:
 		return 0, false
 	}
@@ -155,11 +168,11 @@ func (v Value) AsInt() (int64, bool) {
 func (v Value) Truth() (bool, bool) {
 	switch v.T {
 	case TBool:
-		return v.B, true
+		return v.Bool(), true
 	case TInt:
 		return v.I != 0, true
 	case TFloat:
-		return v.F != 0, true
+		return v.Float() != 0, true
 	case TNull:
 		return false, false
 	default:
@@ -204,9 +217,9 @@ func Compare(a, b Value) (int, error) {
 	}
 	if a.T == TBool && b.T == TBool {
 		switch {
-		case !a.B && b.B:
+		case !a.Bool() && b.Bool():
 			return -1, nil
-		case a.B && !b.B:
+		case a.Bool() && !b.Bool():
 			return 1, nil
 		default:
 			return 0, nil
@@ -265,47 +278,44 @@ func IdentityEqual(a, b Value) bool {
 	return err == nil && c == 0
 }
 
-// identityKey builds a hashable string key for a value row, used by
-// GROUP BY, where NULL is a key like any other. The encoding
-// is injective per type. (A hash join keys typed maps on one column
-// instead, see join.go.)
-func identityKey(vals []Value) string {
-	var sb strings.Builder
-	for _, v := range vals {
-		switch v.T {
-		case TNull:
-			sb.WriteString("n|")
-		case TInt:
-			sb.WriteString("i")
-			sb.WriteString(strconv.FormatInt(v.I, 10))
-			sb.WriteByte('|')
-		case TFloat:
-			// Normalise integral floats so 1 and 1.0 group together,
-			// mirroring Compare's numeric cross-type semantics.
-			if v.F == math.Trunc(v.F) && !math.IsInf(v.F, 0) &&
-				v.F >= math.MinInt64 && v.F <= math.MaxInt64 {
-				sb.WriteString("i")
-				sb.WriteString(strconv.FormatInt(int64(v.F), 10))
-			} else {
-				sb.WriteString("f")
-				sb.WriteString(strconv.FormatFloat(v.F, 'b', -1, 64))
-			}
-			sb.WriteByte('|')
-		case TString:
-			sb.WriteString("s")
-			sb.WriteString(strconv.Itoa(len(v.S)))
-			sb.WriteByte(':')
-			sb.WriteString(v.S)
-			sb.WriteByte('|')
-		case TBool:
-			if v.B {
-				sb.WriteString("bt|")
-			} else {
-				sb.WriteString("bf|")
-			}
+// groupKey is v as GROUP BY and a unique index's build compare it, where
+// NULL is a key like any other: two values are one key exactly when their
+// groupKeys are ==. A DOUBLE with an integral value is the INTEGER of it,
+// mirroring Compare's numeric cross-type semantics, so that 1 and 1.0 are
+// one key; every NaN is one key; anything else is itself.
+func groupKey(v Value) Value {
+	switch v.T {
+	case TFloat:
+		f := v.Float()
+		switch {
+		case f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64:
+			return NewInt(int64(f))
+		case f != f:
+			return NewFloat(math.NaN())
 		}
+	case TNull:
+		return Null
+	case TString:
+		return NewString(v.S)
 	}
-	return sb.String()
+	return v
+}
+
+// groupSeed seeds the hash of string keys.
+var groupSeed = maphash.MakeSeed()
+
+// groupHash hashes a row of groupKeys.
+func groupHash(key []Value) uint64 {
+	h := uint64(len(key))
+	for _, v := range key {
+		x := uint64(v.T)<<56 ^ uint64(v.I)
+		if v.T == TString {
+			x ^= maphash.String(groupSeed, v.S)
+		}
+		h = (h ^ x) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	return h
 }
 
 // coerceToColumn converts a value for storage into a column of the given
@@ -324,12 +334,12 @@ func coerceToColumn(v Value, t Type) (Value, error) {
 		case TInt:
 			return v, nil
 		case TFloat:
-			if !finite(v.F) {
+			if !finite(v.Float()) {
 				return Null, errNotFinite(v, t)
 			}
-			return NewInt(int64(v.F)), nil
+			return NewInt(int64(v.Float())), nil
 		case TBool:
-			if v.B {
+			if v.Bool() {
 				return NewInt(1), nil
 			}
 			return NewInt(0), nil
@@ -350,12 +360,12 @@ func coerceToColumn(v Value, t Type) (Value, error) {
 		case TInt:
 			return NewFloat(float64(v.I)), nil
 		case TFloat:
-			if !finite(v.F) {
+			if !finite(v.Float()) {
 				return Null, errNotFinite(v, t)
 			}
 			return v, nil
 		case TBool:
-			if v.B {
+			if v.Bool() {
 				return NewFloat(1), nil
 			}
 			return NewFloat(0), nil
@@ -376,7 +386,7 @@ func coerceToColumn(v Value, t Type) (Value, error) {
 		case TInt:
 			return NewBool(v.I != 0), nil
 		case TFloat:
-			return NewBool(v.F != 0), nil
+			return NewBool(v.Float() != 0), nil
 		case TString:
 			switch strings.ToUpper(strings.TrimSpace(v.S)) {
 			case "TRUE", "T", "1", "YES", "Y":

@@ -52,7 +52,7 @@ func exec(t *testing.T, s *sqldb.Session, sql string, params ...sqldb.Value) *sq
 func TestQueryRow(t *testing.T) {
 	s := openTestSession(t, "T1")
 	res := exec(t, s, "SELECT name, salary FROM emp WHERE id = ?", sqldb.NewInt(2))
-	if len(res.Rows) != 1 || res.Rows[0][0].S != "bob" || res.Rows[0][1].F != 80000 {
+	if len(res.Rows) != 1 || res.Rows[0][0].S != "bob" || res.Rows[0][1].Float() != 80000 {
 		t.Fatalf("got %v", res.Rows)
 	}
 }
@@ -122,7 +122,7 @@ func TestDriverTransaction(t *testing.T) {
 	if err := s.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if salary := exec(t, session(t, "T7"), "SELECT salary FROM emp WHERE id = 1").Rows[0][0].F; salary != 90000 {
+	if salary := exec(t, session(t, "T7"), "SELECT salary FROM emp WHERE id = 1").Rows[0][0].Float(); salary != 90000 {
 		t.Fatalf("salary = %v after rollback, want 90000", salary)
 	}
 }
@@ -186,7 +186,7 @@ func TestAlterThroughDriver(t *testing.T) {
 	}
 	exec(t, s, "CREATE TABLE bonus (id INTEGER PRIMARY KEY, amount DOUBLE DEFAULT 500)")
 	exec(t, s, "INSERT INTO bonus (id) VALUES (1)")
-	if bonus := exec(t, s, "SELECT b.amount FROM emp e JOIN bonus b ON b.id = e.id WHERE e.id = 1").Rows[0][0].F; bonus != 500 {
+	if bonus := exec(t, s, "SELECT b.amount FROM emp e JOIN bonus b ON b.id = e.id WHERE e.id = 1").Rows[0][0].Float(); bonus != 500 {
 		t.Fatalf("bonus = %v", bonus)
 	}
 }
@@ -253,7 +253,7 @@ func TestConflictSurfacesAsRetryable(t *testing.T) {
 	if err := s1.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if salary := exec(t, s2, "SELECT salary FROM emp WHERE id = 1").Rows[0][0].F; salary != 1 {
+	if salary := exec(t, s2, "SELECT salary FROM emp WHERE id = 1").Rows[0][0].Float(); salary != 1 {
 		t.Fatalf("salary = %v, want winner's 1", salary)
 	}
 }
@@ -297,7 +297,7 @@ func TestRetryLoopThroughDriver(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if salary := exec(t, s, "SELECT salary FROM emp WHERE id = 1").Rows[0][0].F; salary != 90000+workers*increments {
+	if salary := exec(t, s, "SELECT salary FROM emp WHERE id = 1").Rows[0][0].Float(); salary != 90000+workers*increments {
 		t.Fatalf("salary = %v, want %d", salary, 90000+workers*increments)
 	}
 }
@@ -313,7 +313,7 @@ func TestExecuteBlockFetch(t *testing.T) {
 	exec(t, s, "UPDATE emp SET name = 'zed' WHERE id = 1")
 	res := exec(t, s, "SELECT id, name, salary FROM emp ORDER BY id")
 	if len(res.Rows) != 3 || !slices.Equal(res.Columns, []string{"id", "name", "salary"}) ||
-		res.Rows[0][1].S != "zed" || res.Rows[2][2].F != 120000 {
+		res.Rows[0][1].S != "zed" || res.Rows[2][2].Float() != 120000 {
 		t.Errorf("block fetch inside the transaction: %+v", res)
 	}
 	if err := s.Rollback(); err != nil {
