@@ -168,6 +168,30 @@ func TestUnsupportedSQLIs0A000(t *testing.T) {
 	}
 }
 
+// TestUnterminatedCommentIsASyntaxError: Appendix A's field list is
+// substituted outside a literal, so DBFIELDS could end the statement with
+// an unclosed /*, which ran to the end of the text and took the WHERE
+// clause with it: every urldb row, for a search that matches none. An
+// unclosed comment is a syntax error (42601) now, in the lexer the shaper
+// reads the text with too.
+func TestUnterminatedCommentIsASyntaxError(t *testing.T) {
+	cfg := DefaultServerConfig()
+	cfg.Macros = filepath.Join(repoRoot(t), "testdata", "macros")
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	rec := post(h, "/cgi-bin/db2www/urlquery.d2w/report",
+		"SEARCH=zzzzqq&USE_URL=yes&DBFIELDS="+url.QueryEscape("title FROM urldb /*"))
+	if rows := strings.Count(rec.Body.String(), "<LI> <A HREF="); rec.Code != http.StatusOK || rows != 0 ||
+		!strings.Contains(rec.Body.String(), "SQLSTATE=42601") {
+		t.Errorf("Appendix A's DBFIELDS ending in /*: %d with %d urldb rows, want 200 with none and the 42601 message:\n%.2000s",
+			rec.Code, rows, rec.Body)
+	}
+}
+
 // TestUnservedMethodIs405: a method other than GET, HEAD and POST answers
 // 405 with the methods a CGI path serves, before the macro is looked up,
 // in-process and in the fork/exec mode alike (there the program named does

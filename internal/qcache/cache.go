@@ -6,13 +6,16 @@
 //
 // Four mechanisms keep it correct, bounded and worth its memory:
 //
-//   - Table-version invalidation. Every entry records the version of each
-//     table the query read (internal/sqldb bumps a per-table counter on
-//     every write). A lookup re-reads the current versions and discards
-//     the entry on any difference, so a stale hit is impossible; and
-//     entries are linked under the tables they read, so the first lookup
-//     or fill that sees a table's version move drops every entry under it
-//     then and there instead of leaving them for the collector to trace.
+//   - Precision invalidation. Entries are linked under the tables they
+//     read, each link at the table version its entries were read at
+//     (internal/sqldb bumps a per-table version on every write). The first
+//     lookup or fill that sees a table's version move sweeps its link: it
+//     reads the table's change records since, and drops the entries whose
+//     predicate on that table (sqldb.Predicate) an old or new image of a
+//     written row satisfies — every entry under the table on a change of
+//     the whole table, or when the records are gone. An entry is served
+//     only while it is linked and every one of its links has swept to the
+//     table's current version, so a stale hit is impossible.
 //
 //   - Admission by observed invalidation. A statement shape (its digest)
 //     whose fills mostly die unread — its table is written between reads —
@@ -35,7 +38,6 @@
 package qcache
 
 import (
-	"container/list"
 	"context"
 	"sync"
 
@@ -60,12 +62,18 @@ const (
 const maxShapes = 4096
 
 // Source is the database behind a cached connection; *sqldb.Database
-// implements it. Version snapshots must be causally consistent with
+// implements it. AppendTableVersions appends one snapshot of the tables'
+// versions to dst. Version snapshots must be causally consistent with
 // writes — a caller that can observe a write's effects must also observe
-// its bump — and a table's version never decreases.
+// its bump — and a table's version never decreases. Changes returns the
+// records of a table's bumps in (since, until], or false when it no longer
+// has them all; Predicate compiles a statement's condition on the rows of
+// its i-th table for a change's images (nil: every row matches).
 type Source interface {
-	TableVersions(tables []string) []uint64
+	AppendTableVersions(dst []uint64, tables []string) []uint64
 	StatementFacts(sql string) sqldb.Facts
+	Changes(table string, since, until uint64) ([]sqldb.Change, bool)
+	Predicate(f *sqldb.Facts, i int, ch *sqldb.Change) *sqldb.Predicate
 }
 
 // Stats is a snapshot of the cache's counters.
@@ -75,7 +83,7 @@ type Stats struct {
 	Dedups        int64 // hits by callers that waited on another's flight
 	Stores        int64 // entries written
 	Evictions     int64 // entries removed to stay inside the byte budget
-	Invalidations int64 // entries discarded on a table-version mismatch
+	Invalidations int64 // entries a write dropped: an image of a row it wrote satisfied their predicate
 	Refused       int64 // executions of a shape admission keeps out: no lookup counted, nothing stored
 	Bypasses      int64 // statements that skipped the cache (not a SELECT, open txn)
 	Uncacheable   int64 // SELECTs executed but not stored (non-deterministic, oversize, or raced by a write)
@@ -107,22 +115,73 @@ type key struct {
 }
 
 type entry struct {
-	key      key
-	res      *core.SQLResult
-	size     int64         // charged to the budget: result, key and memo
-	memo     int64         // the result's MemoBytes when the entry was last served
-	facts    sqldb.Facts   // the digest a hit is recorded under, the tables read
-	hit      bool          // served at least once
-	versions []uint64      // of facts.Tables when the result was read
-	links    []*tableLink  // parallel to facts.Tables
-	elem     *list.Element // nil once removed
+	key   key
+	res   *core.SQLResult
+	size  int64       // charged to the budget: result, key and memo
+	memo  int64       // the result's MemoBytes when the entry was last served
+	facts sqldb.Facts // the digest a hit is recorded under, the tables read
+	hit   bool        // served at least once
+	links []link      // parallel to facts.Tables; one's array when one table
+	one   [1]link
+	// prev and next place the entry in the LRU, next nil once removed.
+	prev, next *entry
 }
 
-// tableLink holds the live entries that read one table, all stored at the
-// version seen.
+// link is an entry's place under one table it read: a node of one of the
+// table link's lists.
+type link struct {
+	e          *entry
+	l          *tableLink
+	in         uint8            // which list holds it: fresh, rest or keyed
+	i          int32            // the table's index in e.facts.Tables
+	pred       *sqldb.Predicate // bound at the first change the entry meets
+	prev, next *link
+}
+
+const (
+	fresh uint8 = iota
+	rest
+	keyed
+)
+
+// tableLink holds the live entries that read one table, all of them
+// valid at the version seen. An entry is fresh until the first change of
+// the table it meets binds its predicate; then it is keyed, in the bucket
+// of its predicate's equality key, or with no key among the rest. A change
+// visits the buckets of its images' keys and the rest, never every entry
+// that read the table.
 type tableLink struct {
-	seen    uint64
-	entries map[*entry]struct{}
+	table       string
+	seen        uint64
+	fresh, rest *link // heads of two lists
+	keyed       map[sqldb.EqKey]*link
+	cols        map[int]int // the columns keys are of, with their entries' count
+}
+
+func newTableLink(table string, seen uint64) *tableLink {
+	return &tableLink{table: table, seen: seen, keyed: map[sqldb.EqKey]*link{}, cols: map[int]int{}}
+}
+
+// push puts n at the head of the list *head.
+func (n *link) push(head **link) {
+	n.prev, n.next = nil, *head
+	if n.next != nil {
+		n.next.prev = n
+	}
+	*head = n
+}
+
+// unlink takes n out of the list *head.
+func (n *link) unlink(head **link) {
+	if n.prev != nil {
+		n.prev.next = n.next
+	} else {
+		*head = n.next
+	}
+	if n.next != nil {
+		n.next.prev = n.prev
+	}
+	n.prev, n.next = nil, nil
 }
 
 type tableKey struct {
@@ -133,34 +192,43 @@ type tableKey struct {
 // shape is one digest's admission counters.
 type shape struct{ fills, wasted, skipped int }
 
-type flight struct {
-	done chan struct{}
-}
-
 // Cache is the query-result cache. The zero value is not usable; use New.
 type Cache struct {
 	maxBytes int64
 
 	mu      sync.Mutex
 	entries map[key]*entry
-	lru     *list.List // front = most recently used
+	lru     entry // the LRU's sentinel: lru.next is the most recently used
 	bytes   int64
 	links   map[tableKey]*tableLink
 	shapes  map[string]*shape
-	flights map[key]*flight
+	flights map[key]bool // statements a leader is executing
+	cur     []uint64     // lookupLocked's snapshot of an entry's table versions
+	landed  sync.Cond    // broadcast, on mu, when a flight's leader is done
 	stats   Stats
 }
 
 // New builds a cache holding at most maxBytes of materialised results.
 func New(maxBytes int64) *Cache {
-	return &Cache{
+	c := &Cache{
 		maxBytes: maxBytes,
 		entries:  map[key]*entry{},
-		lru:      list.New(),
 		links:    map[tableKey]*tableLink{},
 		shapes:   map[string]*shape{},
-		flights:  map[key]*flight{},
+		flights:  map[key]bool{},
 	}
+	c.landed.L = &c.mu
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
+}
+
+// toFront puts e at the front of the LRU, taking it from where it is.
+func (c *Cache) toFront(e *entry) {
+	if e.next != nil {
+		e.prev.next, e.next.prev = e.next, e.prev
+	}
+	e.prev, e.next = &c.lru, c.lru.next
+	e.next.prev, c.lru.next = e, e
 }
 
 // Do returns the cached result of sql on src if a valid entry exists,
@@ -192,14 +260,16 @@ func (c *Cache) Do(ctx context.Context, src Source, conn core.DBConn, sql string
 			c.mu.Unlock()
 			return res, out, nil
 		}
-		if f, inFlight := c.flights[k]; inFlight {
+		if c.flights[k] {
 			// Another caller is executing this statement. Wait, then loop
 			// to re-check the cache: a stored entry is validated against
 			// current table versions, and if the leader could not store
 			// (error, write race) this caller leads its own flight.
 			// Followers never serve an unvalidated result.
+			for c.flights[k] {
+				c.landed.Wait()
+			}
 			c.mu.Unlock()
-			<-f.done
 			waited = true
 			continue
 		}
@@ -226,15 +296,14 @@ func (c *Cache) Do(ctx context.Context, src Source, conn core.DBConn, sql string
 		}
 		c.stats.Misses++
 		mMisses.Inc()
-		f := &flight{done: make(chan struct{})}
-		c.flights[k] = f
+		c.flights[k] = true
 		c.mu.Unlock()
 
 		res, err := c.lead(ctx, conn, k, facts)
 		c.mu.Lock()
 		delete(c.flights, k)
+		c.landed.Broadcast()
 		c.mu.Unlock()
-		close(f.done)
 		return res, Outcome{How: Miss, Dedup: waited}, err
 	}
 }
@@ -251,12 +320,14 @@ func execute(ctx context.Context, conn core.DBConn, sql string) (*core.SQLResult
 // lead runs the query as the single flight leader and stores the result
 // when the version snapshots bracket it cleanly.
 func (c *Cache) lead(ctx context.Context, conn core.DBConn, k key, facts sqldb.Facts) (*core.SQLResult, error) {
-	before := k.src.TableVersions(facts.Tables)
+	n := len(facts.Tables)
+	vs := k.src.AppendTableVersions(make([]uint64, 0, 2*n), facts.Tables)
 	res, err := execute(ctx, conn, k.sql)
 	if err != nil {
 		return nil, err
 	}
-	after := k.src.TableVersions(facts.Tables)
+	vs = k.src.AppendTableVersions(vs, facts.Tables)
+	before, after := vs[:n], vs[n:]
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// A write that landed while the query ran leaves the result's position
@@ -269,29 +340,25 @@ func (c *Cache) lead(ctx context.Context, conn core.DBConn, k key, facts sqldb.F
 }
 
 // lookupLocked returns the valid entry under k. It is where a table's
-// version is seen to move: every entry under a table that did is dropped,
-// k's own among them. c.mu held.
+// version is seen to move: each link of the entry whose table moved is
+// swept, which may drop the entry itself. c.mu held.
 func (c *Cache) lookupLocked(k key) *entry {
 	e, ok := c.entries[k]
 	if !ok {
 		return nil
 	}
-	cur := k.src.TableVersions(e.facts.Tables)
-	for i, l := range e.links {
-		if cur[i] != l.seen {
-			c.sweepLocked(l, cur[i])
+	c.cur = k.src.AppendTableVersions(c.cur[:0], e.facts.Tables)
+	for i := range e.links {
+		if l := e.links[i].l; c.cur[i] != l.seen {
+			c.sweepLocked(k.src, l, c.cur[i])
 		}
 	}
-	if e.elem == nil {
+	// Linked, and every link swept to the current version: no write since
+	// the entry was read can have changed its result.
+	if e.next == nil {
 		return nil
 	}
-	// The invariant the links only anticipate: what an entry is served
-	// under is the versions it was stored under.
-	if !versionsEqual(e.versions, cur) {
-		c.invalidateLocked(e)
-		return nil
-	}
-	c.lru.MoveToFront(e.elem)
+	c.toFront(e)
 	e.hit = true
 	// The render memo a request may have left on the result since the entry
 	// was last served (core.SQLResult.MemoBytes) is charged here.
@@ -304,13 +371,78 @@ func (c *Cache) lookupLocked(k key) *entry {
 	return e
 }
 
-// sweepLocked drops every entry that read l's table, whose version is now
-// v. c.mu held.
-func (c *Cache) sweepLocked(l *tableLink, v uint64) {
-	for e := range l.entries {
-		c.invalidateLocked(e)
-	}
+// sweepLocked brings l from the version it has seen to v: it reads the
+// table's changes in between and drops every entry whose predicate an
+// image of a change satisfies — every entry under l on a change of the
+// whole table, or when the changes are no longer on record. c.mu held.
+func (c *Cache) sweepLocked(src Source, l *tableLink, v uint64) {
+	changes, ok := src.Changes(l.table, l.seen, v)
 	l.seen = v
+	if !ok {
+		c.dropLinkLocked(l)
+		return
+	}
+	for i := range changes {
+		ch := &changes[i]
+		if ch.Whole() {
+			c.dropLinkLocked(l)
+			return
+		}
+		if len(ch.Images()) == 0 {
+			continue
+		}
+		c.bindLocked(src, l, ch)
+		for _, img := range ch.Images() {
+			for col := range l.cols {
+				if k, ok := sqldb.ImageKey(img, col); ok {
+					c.dropMatchingLocked(l.keyed[k], ch, img)
+				}
+			}
+			c.dropMatchingLocked(l.rest, ch, img)
+		}
+	}
+}
+
+// bindLocked moves l's fresh entries to the rest or to a bucket, with
+// their predicates compiled for ch's images. c.mu held.
+func (c *Cache) bindLocked(src Source, l *tableLink, ch *sqldb.Change) {
+	for l.fresh != nil {
+		n := l.fresh
+		n.unlink(&l.fresh)
+		n.pred = src.Predicate(&n.e.facts, int(n.i), ch)
+		k, ok := n.pred.Key()
+		if !ok {
+			n.in = rest
+			n.push(&l.rest)
+			continue
+		}
+		n.in = keyed
+		head := l.keyed[k]
+		n.push(&head)
+		l.keyed[k] = head
+		l.cols[k.Column()]++
+	}
+}
+
+// dropMatchingLocked drops the entries of the list at n whose predicate
+// img, an image of ch, satisfies; with ch nil, all of them. c.mu held.
+func (c *Cache) dropMatchingLocked(n *link, ch *sqldb.Change, img []sqldb.Value) {
+	for n != nil {
+		next := n.next // dropping the entry takes n out of the list
+		if ch == nil || n.pred.Matches(ch, img) {
+			c.invalidateLocked(n.e)
+		}
+		n = next
+	}
+}
+
+// dropLinkLocked drops every entry that read l's table. c.mu held.
+func (c *Cache) dropLinkLocked(l *tableLink) {
+	c.dropMatchingLocked(l.fresh, nil, nil)
+	c.dropMatchingLocked(l.rest, nil, nil)
+	for _, n := range l.keyed {
+		c.dropMatchingLocked(n, nil, nil)
+	}
 }
 
 // invalidateLocked drops an entry a write overtook; one nobody was served
@@ -348,29 +480,32 @@ func (c *Cache) storeLocked(k key, res *core.SQLResult, facts sqldb.Facts, versi
 	if size > c.maxBytes {
 		return false
 	}
-	links := make([]*tableLink, len(facts.Tables))
+	e := &entry{key: k, res: res, size: size, facts: facts}
+	if e.links = e.one[:]; len(facts.Tables) != 1 {
+		e.links = make([]link, len(facts.Tables))
+	}
 	for i, t := range facts.Tables {
 		l := c.links[tableKey{k.src, t}]
 		if l == nil {
-			l = &tableLink{seen: versions[i], entries: map[*entry]struct{}{}}
+			l = newTableLink(t, versions[i])
 			c.links[tableKey{k.src, t}] = l
 		}
 		if versions[i] < l.seen {
 			return false
 		}
 		if versions[i] > l.seen {
-			c.sweepLocked(l, versions[i])
+			c.sweepLocked(k.src, l, versions[i])
 		}
-		links[i] = l
+		e.links[i] = link{e: e, l: l, i: int32(i)}
 	}
 	if old, ok := c.entries[k]; ok {
 		c.removeLocked(old)
 	}
-	e := &entry{key: k, res: res, size: size, facts: facts, versions: versions, links: links}
-	e.elem = c.lru.PushFront(e)
+	c.toFront(e)
 	c.entries[k] = e
-	for _, l := range links {
-		l.entries[e] = struct{}{}
+	for i := range e.links {
+		n := &e.links[i]
+		n.push(&n.l.fresh)
 	}
 	c.bytes += size
 	c.stats.Stores++
@@ -395,7 +530,7 @@ func (c *Cache) storeLocked(k key, res *core.SQLResult, facts sqldb.Facts, versi
 // holds. c.mu held.
 func (c *Cache) evictLocked() {
 	for c.bytes > c.maxBytes {
-		c.removeLocked(c.lru.Back().Value.(*entry))
+		c.removeLocked(c.lru.prev)
 		c.stats.Evictions++
 		mEvictions.Inc()
 	}
@@ -405,10 +540,26 @@ func (c *Cache) evictLocked() {
 // c.mu held.
 func (c *Cache) removeLocked(e *entry) {
 	delete(c.entries, e.key)
-	c.lru.Remove(e.elem)
-	e.elem = nil
-	for _, l := range e.links {
-		delete(l.entries, e)
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+	for i := range e.links {
+		switch n, l := &e.links[i], e.links[i].l; n.in {
+		case fresh:
+			n.unlink(&l.fresh)
+		case rest:
+			n.unlink(&l.rest)
+		case keyed:
+			k, _ := n.pred.Key()
+			head := l.keyed[k]
+			if n.unlink(&head); head == nil {
+				delete(l.keyed, k)
+			} else {
+				l.keyed[k] = head
+			}
+			if l.cols[k.Column()]--; l.cols[k.Column()] == 0 {
+				delete(l.cols, k.Column())
+			}
+		}
 	}
 	c.bytes -= e.size
 }
@@ -452,7 +603,7 @@ func (c *Cache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = map[key]*entry{}
-	c.lru.Init()
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	c.links = map[tableKey]*tableLink{}
 	c.bytes = 0
 }

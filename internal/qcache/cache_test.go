@@ -24,14 +24,13 @@ type fakeSource struct {
 
 func newFakeSource() *fakeSource { return &fakeSource{v: map[string]uint64{}} }
 
-func (f *fakeSource) TableVersions(tables []string) []uint64 {
+func (f *fakeSource) AppendTableVersions(dst []uint64, tables []string) []uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]uint64, len(tables))
-	for i, t := range tables {
-		out[i] = f.v[t]
+	for _, t := range tables {
+		dst = append(dst, f.v[t])
 	}
-	return out
+	return dst
 }
 
 func (f *fakeSource) StatementFacts(sql string) sqldb.Facts {
@@ -41,6 +40,26 @@ func (f *fakeSource) StatementFacts(sql string) sqldb.Facts {
 	}
 	return sqldb.Facts{Digest: shape, Norm: shape, Tables: strings.Split(shape, ","), Cacheable: true}
 }
+
+// len counts the entries under l.
+func (l *tableLink) len() int {
+	count := func(n *link) (k int) {
+		for ; n != nil; n = n.next {
+			k++
+		}
+		return k
+	}
+	k := count(l.fresh) + count(l.rest)
+	for _, n := range l.keyed {
+		k += count(n)
+	}
+	return k
+}
+
+// Changes keeps no records: every bump is a change of the whole table.
+func (f *fakeSource) Changes(string, uint64, uint64) ([]sqldb.Change, bool) { return nil, false }
+
+func (f *fakeSource) Predicate(*sqldb.Facts, int, *sqldb.Change) *sqldb.Predicate { return nil }
 
 func (f *fakeSource) bump(table string) {
 	f.mu.Lock()
@@ -72,12 +91,28 @@ func resultOfSize(payload int) *core.SQLResult {
 	}
 }
 
-// do is Do for a test that expects no error.
+// do is Do for a test that expects no error. A hit must have been served
+// under the invariant that replaced comparing an entry's versions with
+// the tables': the entry is linked, and each of its links has swept to its
+// table's current version.
 func do(t *testing.T, c *Cache, src Source, conn core.DBConn, sql string) (*core.SQLResult, Outcome) {
 	t.Helper()
 	res, out, err := c.Do(context.Background(), src, conn, sql)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if out.How == Hit {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		e := c.entries[key{src, sql}]
+		if e == nil || e.next == nil {
+			t.Fatalf("%s: a hit on an entry that is not linked", sql)
+		}
+		for i, v := range src.AppendTableVersions(nil, e.facts.Tables) {
+			if l := e.links[i].l; l.seen != v || c.links[tableKey{src, e.facts.Tables[i]}] != l {
+				t.Fatalf("%s: a hit while its link under %s is at version %d, the table at %d", sql, e.facts.Tables[i], l.seen, v)
+			}
+		}
 	}
 	return res, out
 }
@@ -151,7 +186,7 @@ func TestStaleFillIsNotStored(t *testing.T) {
 	do(t, c, src, conn, "t a")
 	k := key{src, "t slow"}
 	facts := src.StatementFacts(k.sql)
-	before := src.TableVersions(facts.Tables)
+	before := src.AppendTableVersions(nil, facts.Tables)
 	src.bump("t")
 	do(t, c, src, conn, "t a") // sees the bump, refills at the new version
 	c.mu.Lock()
@@ -445,8 +480,8 @@ func TestTableSweepDropsExactlyItsReaders(t *testing.T) {
 	}
 	c.mu.Lock()
 	la, lb := c.links[tableKey{src, "a"}], c.links[tableKey{src, "b"}]
-	if len(la.entries) != 1 || len(lb.entries) != 5 {
-		t.Errorf("links: %d under a, %d under b, want 1 and 5", len(la.entries), len(lb.entries))
+	if la.len() != 1 || lb.len() != 5 {
+		t.Errorf("links: %d under a, %d under b, want 1 and 5", la.len(), lb.len())
 	}
 	if sh := c.shapes["a"]; sh.fills != 6 || sh.wasted != 4 {
 		t.Errorf("shape a: %+v, want 6 fills of which 4 wasted (k0 was served)", *sh)
@@ -469,9 +504,9 @@ func TestTableSweepDropsExactlyItsReaders(t *testing.T) {
 	do(t, c, src, conn, "a,b join")
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(la.entries) != 2 || len(lb.entries) != 1 || len(c.entries) != 2 {
+	if la.len() != 2 || lb.len() != 1 || len(c.entries) != 2 {
 		t.Fatalf("after a write to b: %d under a, %d under b, %d entries, want 2, 1, 2",
-			len(la.entries), len(lb.entries), len(c.entries))
+			la.len(), lb.len(), len(c.entries))
 	}
 }
 

@@ -17,7 +17,7 @@ var (
 	mEvictions = obs.Default.Counter("db2www_qcache_evictions_total",
 		"query-cache entries removed to stay inside the byte budget")
 	mInvalidations = obs.Default.Counter("db2www_qcache_invalidations_total",
-		"query-cache entries discarded on a table-version mismatch")
+		"query-cache entries a write dropped: an image of a row it wrote satisfied their predicate")
 	mRefused = obs.Default.Counter("db2www_qcache_refused_total",
 		"SELECTs of a shape admission keeps out of the query cache: executed, not looked up, not stored")
 	mBypasses = obs.Default.Counter("db2www_qcache_bypasses_total",

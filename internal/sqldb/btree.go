@@ -118,8 +118,10 @@ func (n *btreeNode) insertNonFull(key Value, rowID int64) bool {
 	return n.children[i].insertNonFull(key, rowID)
 }
 
-// delete removes rowID from key's posting list. Empty posting lists are
-// kept in place (the key becomes a tombstone) — simpler than B-tree key
+// delete removes rowID from key's posting list, in place: a posting list
+// is read and written only under the table latch, readers shared and
+// writers exclusive, as insert appends to it in place. Empty posting lists
+// are kept (the key becomes a tombstone) — simpler than B-tree key
 // deletion and harmless for scan correctness; lookups skip empty posts.
 func (t *btree) delete(key Value, rowID int64) bool {
 	n := t.root
@@ -129,7 +131,7 @@ func (t *btree) delete(key Value, rowID int64) bool {
 			post := n.posts[i]
 			for j, id := range post {
 				if id == rowID {
-					n.posts[i] = append(post[:j:j], post[j+1:]...)
+					n.posts[i] = append(post[:j], post[j+1:]...)
 					if len(n.posts[i]) == 0 {
 						t.size--
 					}

@@ -46,7 +46,7 @@ func stateOf(t *testing.T, db *Database) engineState {
 	return engineState{
 		dump:      dump.String(),
 		commitSeq: tx.CommitSeq, commits: tx.Commits, aborts: tx.Rollbacks + tx.Conflicts,
-		versions:          db.TableVersions([]string{"customers", "orders"}),
+		versions:          db.AppendTableVersions(nil, []string{"customers", "orders"}),
 		tables:            db.TableStatsSnapshot(),
 		schema:            db.SchemaSnapshot(),
 		activeSnapshots:   tx.ActiveSnapshots,

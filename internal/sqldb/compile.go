@@ -330,18 +330,19 @@ func arith(op string, l, r Value) (Value, error) {
 	}
 	af, _ := l2.AsFloat()
 	bf, _ := r2.AsFloat()
+	var f float64
 	switch op {
 	case "+":
-		return NewFloat(af + bf), nil
+		f = af + bf
 	case "-":
-		return NewFloat(af - bf), nil
+		f = af - bf
 	case "*":
-		return NewFloat(af * bf), nil
+		f = af * bf
 	case "/":
 		if bf == 0 {
 			return Null, &Error{Code: CodeDivisionByZero, Message: "division by zero"}
 		}
-		return NewFloat(af / bf), nil
+		f = af / bf
 	case "%":
 		// The remainder is of the truncated operands: it is the truncated
 		// divisor that must not be zero, as 0.5 is.
@@ -349,8 +350,13 @@ func arith(op string, l, r Value) (Value, error) {
 			return Null, &Error{Code: CodeDivisionByZero, Message: "division by zero"}
 		}
 		return NewFloat(float64(int64(af) % int64(bf))), nil
+	default:
+		return Null, errInternal("unknown arithmetic operator " + op)
 	}
-	return Null, errInternal("unknown arithmetic operator " + op)
+	if !finite(f) {
+		return Null, errOutOfRange("the result of " + op)
+	}
+	return NewFloat(f), nil
 }
 
 // numify coerces a value to TInt or TFloat for arithmetic.

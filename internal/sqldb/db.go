@@ -321,27 +321,69 @@ func (tx *txnState) logDDL(r undoRec) {
 	}
 }
 
-// bumpNames returns the lower-cased names of every table this
-// transaction wrote (write set plus DDL), deduplicated. Tables only
-// read never appear: a rollback must not invalidate cache entries for
-// them.
-func (tx *txnState) bumpNames() []string {
-	seen := map[string]bool{}
-	var names []string
-	add := func(n string) {
-		ln := strings.ToLower(n)
-		if ln != "" && !seen[ln] {
-			seen[ln] = true
-			names = append(names, ln)
+// tableChange is what a transaction did to one table, as its commit
+// records it (version.go): the images of the rows it created and deleted,
+// or the whole table when DDL touched it or it wrote more than
+// maxChangeImages images.
+type tableChange struct {
+	name  string // lower-cased
+	whole bool
+	t     *Table
+	imgs  [][]Value
+}
+
+// tableChanges returns one tableChange for every table this transaction
+// wrote (write set plus DDL), in the order it first wrote them, with the
+// row images when images is set. Tables only read never appear: a
+// rollback must not invalidate cache entries for them.
+func (tx *txnState) tableChanges(images bool) []tableChange {
+	var out []tableChange
+	at := func(n string) *tableChange {
+		n = strings.ToLower(n)
+		for i := range out {
+			if out[i].name == n {
+				return &out[i]
+			}
+		}
+		out = append(out, tableChange{name: n})
+		return &out[len(out)-1]
+	}
+	for _, n := range tx.ddlBump {
+		if n != "" {
+			at(n).whole = true
 		}
 	}
 	for i := range tx.writes {
-		add(tx.writes[i].t.Name)
+		w := &tx.writes[i]
+		c := at(w.t.Name)
+		if c.t == nil {
+			c.t = w.t
+		}
+		if !images {
+			continue
+		}
+		n := 0
+		if w.deleted != nil {
+			n++
+		}
+		if w.created != nil {
+			n++
+		}
+		if c.whole || c.t != w.t || len(c.imgs)+n > maxChangeImages {
+			c.whole, c.imgs = true, nil
+			continue
+		}
+		if c.imgs == nil {
+			c.imgs = make([][]Value, 0, 2)
+		}
+		if w.deleted != nil {
+			c.imgs = append(c.imgs, w.deleted.vals)
+		}
+		if w.created != nil {
+			c.imgs = append(c.imgs, w.created.vals)
+		}
 	}
-	for _, n := range tx.ddlBump {
-		add(n)
-	}
-	return names
+	return out
 }
 
 // begin starts a transaction state at a fresh snapshot.
@@ -356,11 +398,9 @@ func (db *Database) begin() *txnState {
 // TableVersions therefore can never pair this commit's data with
 // pre-commit versions or vice versa.
 func (db *Database) commitTxn(tx *txnState) {
-	names := tx.bumpNames()
+	changes := tx.tableChanges(true)
 	if len(tx.writes) == 0 {
-		if len(names) > 0 {
-			db.bumpVersions(names...)
-		}
+		db.bumpChanges(changes)
 		db.mvcc.Finish(tx.txn, true)
 		mTxnCommit.Add(1)
 		return
@@ -376,7 +416,7 @@ func (db *Database) commitTxn(tx *txnState) {
 			w.deleted.meta.StampEnd(seq)
 		}
 	}
-	db.bumpLocked(names)
+	db.bumpChangesLocked(changes)
 	db.mvcc.Publish(seq)
 	db.vt.mu.Unlock()
 	db.mvcc.Finish(tx.txn, true)
@@ -387,8 +427,10 @@ func (db *Database) commitTxn(tx *txnState) {
 // rollbackTxn aborts: one status store hides every pending version and
 // voids every delete intent; the physical garbage is then unlinked.
 // DDL undoes structurally under the exclusive catalog lock. Written
-// tables get a conservative version bump (DDL rewrote them; pure DML
-// garbage costs at most a cache miss) — tables only read do not.
+// tables get a version bump — tables only read do not: a change of the
+// whole table where DDL rewrote them, and a change without row images
+// where the transaction only wrote rows, which no other snapshot ever saw
+// and so no cached read can have read.
 func (db *Database) rollbackTxn(tx *txnState, conflict bool) {
 	db.mvcc.Finish(tx.txn, false)
 	db.purgeWrites(tx, 0)
@@ -397,14 +439,34 @@ func (db *Database) rollbackTxn(tx *txnState, conflict bool) {
 		db.replayDDLUndo(tx.ddlUndo)
 		db.mu.Unlock()
 	}
-	if names := tx.bumpNames(); len(names) > 0 {
-		db.bumpVersions(names...)
-	}
+	db.bumpChanges(tx.tableChanges(false))
 	if conflict {
 		db.conflicts.Add(1)
 		mTxnConflict.Add(1)
 	} else {
 		mTxnRollback.Add(1)
+	}
+}
+
+// bumpChanges bumps the version of each changed table and records the
+// change.
+func (db *Database) bumpChanges(changes []tableChange) {
+	if len(changes) == 0 {
+		return
+	}
+	db.vt.mu.Lock()
+	defer db.vt.mu.Unlock()
+	db.bumpChangesLocked(changes)
+}
+
+// bumpChangesLocked is bumpChanges with vt.mu held.
+func (db *Database) bumpChangesLocked(changes []tableChange) {
+	for _, c := range changes {
+		if c.whole {
+			db.bumpLocked(c.name, nil, nil)
+		} else {
+			db.bumpLocked(c.name, c.t, c.imgs)
+		}
 	}
 }
 

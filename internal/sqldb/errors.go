@@ -20,6 +20,7 @@ const (
 	CodeUniqueViolation  = "23505" // unique constraint violated
 	CodeNotNullViolation = "23502" // NOT NULL constraint violated
 	CodeDivisionByZero   = "22012" // division by zero
+	CodeNumericRange     = "22003" // numeric value out of range
 	CodeInvalidText      = "22P02" // invalid text representation
 	CodeWrongArity       = "42883" // wrong number of function arguments
 	CodeInvalidTxnState  = "25000" // invalid transaction state

@@ -246,8 +246,17 @@ func callScalar(name string, args []Value) (Value, error) {
 			}
 			digits, _ = args[1].AsInt()
 		}
+		// Past 2^53 a float64 has no fraction to round: at such a scale,
+		// or one that overflows, f is already rounded.
 		scale := math.Pow(10, float64(digits))
-		return NewFloat(math.Round(f*scale) / scale), nil
+		if x := math.Abs(f * scale); x >= 1<<53 || math.IsNaN(x) {
+			return NewFloat(f), nil
+		}
+		r := math.Round(f*scale) / scale
+		if !finite(r) {
+			return Null, errOutOfRange("ROUND")
+		}
+		return NewFloat(r), nil
 	case "FLOOR":
 		if err := arity(name, args, 1); err != nil {
 			return Null, err

@@ -9,27 +9,28 @@ import (
 
 // TestNonFiniteNumbersAreRejected: NaN compared equal to every number
 // (`WHERE a = 5` returned the NaN row) and a dump wrote ±Inf as a bare
-// word, so neither is a value a numeric column takes — from a string, from
-// arithmetic, or from a script that is being restored.
+// word, so neither is a value a numeric column takes — from a string or
+// from a script that is being restored (22P02); arithmetic that overflows
+// raises 22003 before there is anything to store.
 func TestNonFiniteNumbersAreRejected(t *testing.T) {
 	s := NewSession(NewDatabase("NAN"))
 	mustExec(t, s, "CREATE TABLE t (id INTEGER, a DOUBLE)")
 	mustExec(t, s, "INSERT INTO t VALUES (1, 5)")
-	for _, q := range []string{
-		"INSERT INTO t VALUES (2, 'NaN')",
-		"INSERT INTO t VALUES (2, '+Inf')",
-		"INSERT INTO t VALUES (2, '-Infinity')",
-		"INSERT INTO t VALUES (2, 1e308 * 10)",
-		"INSERT INTO t VALUES ('nan', 2)",
-		"INSERT INTO t VALUES (1e308 * 10, 2)",
-		"UPDATE t SET a = 'NaN' WHERE id = 1",
-		"UPDATE t SET a = 1e308 * 10 - 1e308 * 10",
-		"SELECT CAST('NaN' AS DOUBLE)",
+	for _, c := range []struct{ q, code string }{
+		{"INSERT INTO t VALUES (2, 'NaN')", CodeInvalidText},
+		{"INSERT INTO t VALUES (2, '+Inf')", CodeInvalidText},
+		{"INSERT INTO t VALUES (2, '-Infinity')", CodeInvalidText},
+		{"INSERT INTO t VALUES (2, 1e308 * 10)", CodeNumericRange},
+		{"INSERT INTO t VALUES ('nan', 2)", CodeInvalidText},
+		{"INSERT INTO t VALUES (1e308 * 10, 2)", CodeNumericRange},
+		{"UPDATE t SET a = 'NaN' WHERE id = 1", CodeInvalidText},
+		{"UPDATE t SET a = 1e308 * 10 - 1e308 * 10", CodeNumericRange},
+		{"SELECT CAST('NaN' AS DOUBLE)", CodeInvalidText},
 	} {
-		_, err := s.Exec(q)
+		_, err := s.Exec(c.q)
 		var e *Error
-		if !errors.As(err, &e) || e.Code != CodeInvalidText {
-			t.Errorf("%s: err = %v, want %s", q, err, CodeInvalidText)
+		if !errors.As(err, &e) || e.Code != c.code {
+			t.Errorf("%s: err = %v, want %s", c.q, err, c.code)
 		}
 	}
 	err := Restore(NewDatabase("NAN2"), strings.NewReader(
@@ -40,6 +41,46 @@ func TestNonFiniteNumbersAreRejected(t *testing.T) {
 	}
 	if res := mustExec(t, s, "SELECT id FROM t WHERE a = 5"); len(res.Rows) != 1 {
 		t.Errorf("a = 5 matched %d rows, want 1", len(res.Rows))
+	}
+}
+
+// TestTextIsANumberOnlyWhenFiniteDecimal: 'NaN' against a number equalled
+// every INT and DOUBLE, indexed or not, and <> 'NaN' matched nothing;
+// overflowing arithmetic and ROUND met NaN and compared it equal to 3 and
+// to 7. A text is a number only when it is a finite decimal, so 'NaN' and
+// 'Inf' answer 42804 as 'abc' does, and no result is a NaN.
+func TestTextIsANumberOnlyWhenFiniteDecimal(t *testing.T) {
+	s := NewSession(NewDatabase("DECIMAL"))
+	mustExec(t, s, "CREATE TABLE t (id INTEGER PRIMARY KEY, x DOUBLE)")
+	mustExec(t, s, "INSERT INTO t VALUES (1, 5)")
+	mustExec(t, s, "INSERT INTO t VALUES (2, 7.5)")
+	for _, c := range []struct{ q, code string }{
+		{"SELECT id FROM t WHERE id = 'NaN'", CodeDatatypeMismatch},
+		{"SELECT id FROM t WHERE x <> 'NaN'", CodeDatatypeMismatch},
+		{"SELECT id FROM t WHERE x = 'Inf'", CodeDatatypeMismatch},
+		{"SELECT id FROM t WHERE id < '-Infinity'", CodeDatatypeMismatch},
+		{"SELECT id FROM t WHERE id = '0x1p0'", CodeDatatypeMismatch},
+		{"SELECT id FROM t WHERE 1.0e308 * 10 - 1.0e308 * 10 = 3", CodeNumericRange},
+		{"SELECT 1.0e308 + 1.0e308", CodeNumericRange},
+		{"SELECT -1.0e308 / 1.0e-308", CodeNumericRange},
+	} {
+		_, err := s.Exec(c.q)
+		var e *Error
+		if !errors.As(err, &e) || e.Code != c.code {
+			t.Errorf("%s: err = %v, want %s", c.q, err, c.code)
+		}
+	}
+	for q, want := range map[string]int{
+		"SELECT id FROM t WHERE ROUND(1.5, 400) = 7":   0,
+		"SELECT id FROM t WHERE ROUND(1.5, 400) = 1.5": 2,
+		"SELECT id FROM t WHERE ROUND(x, 400) = x":     2,
+		"SELECT id FROM t WHERE id = ' 1 '":            1,
+		"SELECT id FROM t WHERE x = '7.50'":            1,
+		"SELECT id FROM t WHERE x > '+1e0'":            2,
+	} {
+		if res := mustExec(t, s, q); len(res.Rows) != want {
+			t.Errorf("%s: %d rows, want %d", q, len(res.Rows), want)
+		}
 	}
 }
 

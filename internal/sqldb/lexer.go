@@ -94,7 +94,9 @@ func HeadKeyword(sql string) string {
 // too large to be returned by value through every lexing function, once
 // per token of every statement.
 func (lx *lexer) next(t *token) error {
-	lx.skipSpaceAndComments()
+	if err := lx.skipSpaceAndComments(); err != nil {
+		return err
+	}
 	if lx.pos >= len(lx.src) {
 		*t = token{kind: tkEOF, pos: lx.pos}
 		return nil
@@ -120,7 +122,10 @@ func (lx *lexer) next(t *token) error {
 	}
 }
 
-func (lx *lexer) skipSpaceAndComments() {
+// skipSpaceAndComments skips to the next token. A block comment that is
+// never closed is a syntax error, not a comment to the end of the text:
+// what follows an unclosed /* would otherwise vanish from the statement.
+func (lx *lexer) skipSpaceAndComments() error {
 	for lx.pos < len(lx.src) {
 		c := lx.src[lx.pos]
 		switch {
@@ -135,14 +140,14 @@ func (lx *lexer) skipSpaceAndComments() {
 			// /* block comment */
 			end := strings.Index(lx.src[lx.pos+2:], "*/")
 			if end < 0 {
-				lx.pos = len(lx.src)
-			} else {
-				lx.pos += 2 + end + 2
+				return errSyntax("unterminated comment at offset %d", lx.pos)
 			}
+			lx.pos += 2 + end + 2
 		default:
-			return
+			return nil
 		}
 	}
+	return nil
 }
 
 // lexString lexes the literal at start, unescaped: a slice of the input

@@ -98,6 +98,7 @@ func TestParseRejects(t *testing.T) {
 		"SELECT * FROM t; garbage",
 		"SELECT 'unterminated",
 		"SELECT \"unterminated",
+		"SELECT 1 /* unterminated",
 		"SELECT 1 + ",
 		"SELECT (1",
 		"SELECT CASE END",
@@ -351,4 +352,41 @@ func TestNestingIsBounded(t *testing.T) {
 	if !tooComplex(nestings[0].build(400_000)) {
 		t.Errorf("400 000 parentheses: not refused with SQLSTATE %s", CodeTooComplex)
 	}
+}
+
+// TestUnterminatedCommentIs42601: an unclosed block comment is a syntax
+// error where the lexer meets it — in Parse, in the plan cache's one pass
+// over a text, and in a session — not a comment that swallows the rest of
+// the statement.
+func TestUnterminatedCommentIs42601(t *testing.T) {
+	db := NewDatabase("COMMENT")
+	s := NewSession(db)
+	defer s.Close()
+	if _, err := s.Exec("CREATE TABLE t (a INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"SELECT a FROM t /*",
+		"SELECT a FROM t WHERE a = 1 /* AND a = 2",
+		"/* SELECT a FROM t",
+		"SELECT a FROM t WHERE a = 'x' /**",
+	} {
+		if _, err := Parse(sql); !isCode(err, CodeSyntax) {
+			t.Errorf("Parse(%q) = %v, want %s", sql, err, CodeSyntax)
+		}
+		if _, err := s.Exec(sql); !isCode(err, CodeSyntax) {
+			t.Errorf("Exec(%q) = %v, want %s", sql, err, CodeSyntax)
+		}
+		if f := db.StatementFacts(sql); f.Cacheable {
+			t.Errorf("StatementFacts(%q) is cacheable", sql)
+		}
+	}
+	if _, err := s.Exec("SELECT a FROM t /* closed */ WHERE a = 1"); err != nil {
+		t.Errorf("a closed comment: %v", err)
+	}
+}
+
+func isCode(err error, code string) bool {
+	var e *Error
+	return errors.As(err, &e) && e.Code == code
 }

@@ -64,10 +64,17 @@ type planEntry struct {
 // lower-cased base tables it reads (sorted, deduplicated), and whether its
 // result depends on nothing but those tables' contents and the statement
 // text (stmtFacts' rule). The zero Facts says: not cacheable.
+//
+// Past what a cache reads, Facts carries what Database.Predicate compiles:
+// the shape's read set and the values the text's literals were extracted
+// to, which the shape's parameters stand for. Both are the plan cache's,
+// read-only.
 type Facts struct {
 	Digest, Norm string
 	Tables       []string
 	Cacheable    bool
+	args         []Value
+	reads        *readSet
 }
 
 // PlanCache is a bounded LRU of parsed statement shapes, with a bounded
@@ -424,10 +431,14 @@ func (db *Database) StatementFacts(sql string) Facts {
 	pc := db.plans
 	if te := pc.lookupText(sql); te != nil {
 		pc.hits.Add(1)
-		return te.shape.facts
+		f := te.shape.facts
+		f.args = te.vals
+		return f
 	}
-	if e, _ := pc.resolve(sql); e != nil {
-		return e.facts
+	if e, vals := pc.resolve(sql); e != nil {
+		f := e.facts
+		f.args = vals
+		return f
 	}
 	return Facts{}
 }
@@ -467,6 +478,9 @@ func (pc *PlanCache) resolve(sql string) (*planEntry, []Value) {
 	if st, err := parseTokens(ptoks); err == nil {
 		e.stmt = st
 		e.facts.Tables, e.facts.Cacheable = stmtFacts(st)
+		if e.facts.Cacheable {
+			e.facts.reads = readSetOf(st.(*SelectStmt), e.facts.Tables)
+		}
 	}
 	// Without a parse, a negative entry: this shape never parses in
 	// parameterized form (e.g. a literal in a position the grammar needs

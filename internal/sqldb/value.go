@@ -225,10 +225,11 @@ func Compare(a, b Value) (int, error) {
 			return 0, nil
 		}
 	}
-	// Cross-type comparison between string and number: attempt a numeric
-	// parse of the string side, as 1996-era dynamic SQL front ends did.
+	// Cross-type comparison between string and number: a string that is a
+	// finite decimal number compares as that number, as 1996-era dynamic SQL
+	// front ends did; any other text ('abc', 'NaN', 'Inf') is no number.
 	if a.T == TString && bok {
-		if f, err := strconv.ParseFloat(strings.TrimSpace(a.S), 64); err == nil {
+		if f, ok := decimal(a.S); ok {
 			switch {
 			case f < bf:
 				return -1, nil
@@ -240,7 +241,7 @@ func Compare(a, b Value) (int, error) {
 		}
 	}
 	if b.T == TString && aok {
-		if f, err := strconv.ParseFloat(strings.TrimSpace(b.S), 64); err == nil {
+		if f, ok := decimal(b.S); ok {
 			switch {
 			case af < f:
 				return -1, nil
@@ -346,8 +347,8 @@ func coerceToColumn(v Value, t Type) (Value, error) {
 		case TString:
 			i, err := strconv.ParseInt(strings.TrimSpace(v.S), 10, 64)
 			if err != nil {
-				f, ferr := strconv.ParseFloat(strings.TrimSpace(v.S), 64)
-				if ferr != nil || !finite(f) {
+				f, ok := decimal(v.S)
+				if !ok {
 					return Null, &Error{Code: CodeInvalidText,
 						Message: fmt.Sprintf("invalid INTEGER literal %q", v.S)}
 				}
@@ -370,8 +371,8 @@ func coerceToColumn(v Value, t Type) (Value, error) {
 			}
 			return NewFloat(0), nil
 		case TString:
-			f, err := strconv.ParseFloat(strings.TrimSpace(v.S), 64)
-			if err != nil || !finite(f) {
+			f, ok := decimal(v.S)
+			if !ok {
 				return Null, &Error{Code: CodeInvalidText,
 					Message: fmt.Sprintf("invalid DOUBLE literal %q", v.S)}
 			}
@@ -402,6 +403,57 @@ func coerceToColumn(v Value, t Type) (Value, error) {
 }
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// decimal returns the value of s, spaces around it aside, when it is a
+// finite decimal number: an optional sign, digits with an optional
+// fraction, an optional exponent. It is the one grammar by which a text is
+// a number, in a comparison as in an assignment; anything else is text:
+// NaN and Inf, which would compare equal to or unordered with every
+// number, a hexadecimal float, and a number too large for a float64. (A
+// %IF applies the same grammar, internal/core.)
+func decimal(s string) (float64, bool) {
+	s = strings.TrimSpace(s)
+	digits := func(i int) int {
+		for i < len(s) && '0' <= s[i] && s[i] <= '9' {
+			i++
+		}
+		return i
+	}
+	i := 0
+	if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		i++
+	}
+	end := digits(i)
+	n := end - i
+	if end < len(s) && s[end] == '.' {
+		i, end = end+1, digits(end+1)
+		n += end - i
+	}
+	if n == 0 {
+		return 0, false
+	}
+	if end < len(s) && (s[end] == 'e' || s[end] == 'E') {
+		i = end + 1
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+			i++
+		}
+		if end = digits(i); end == i {
+			return 0, false
+		}
+	}
+	if end != len(s) {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
+}
+
+// errOutOfRange is the error of an arithmetic result that is not a finite
+// number: the engine holds no NaN and no infinity, so Compare never meets
+// one.
+func errOutOfRange(op string) *Error {
+	return &Error{Code: CodeNumericRange, Message: op + " is out of range for type DOUBLE"}
+}
 
 func errNotFinite(v Value, t Type) *Error {
 	return &Error{Code: CodeInvalidText,

@@ -33,12 +33,68 @@ import (
 // only read — see Session.Rollback). A spurious bump costs a cache
 // miss; a missing bump would cost a stale hit.
 //
+// Each bump also leaves a change record in the table's ring (changes):
+// the version it made, the version it follows, and the images of the rows
+// the commit created and deleted, so that a cache can tell which of its
+// reads a write can have changed (precision invalidation, qcache). A
+// rollback's record of the rows it wrote has no images: no other snapshot
+// saw them. A bump that can have changed rows it has no images of — DDL,
+// a failed auto-commit write, or a commit of more than maxChangeImages
+// images on one table — records the whole table as changed, and drops the
+// ring's older records: whoever needs one of them meets the whole-table
+// record first.
+//
 // The counters live behind their own mutex, not db.mu, because the cache
 // reads them without holding any engine lock.
 type versionTable struct {
 	mu       sync.Mutex
 	seq      uint64
 	versions map[string]uint64
+	changes  map[string]*changeRing
+}
+
+// The ring of change records is maxChanges deep per table; one record
+// holds at most maxChangeImages row images (an UPDATE leaves two a row).
+const (
+	maxChanges      = 64
+	maxChangeImages = 32
+)
+
+// Change is the record of one bump of a table's version: version is the
+// version it made, prev the one it follows. Its images are the rows a
+// commit created and deleted, shared with the table's version chains
+// (which never write to a row's values). A change of the whole table has
+// no images and no table.
+type Change struct {
+	version, prev uint64
+	t             *Table // the table the images are rows of; nil for the whole table
+	imgs          [][]Value
+}
+
+// Whole reports whether the change may have changed any row of the table.
+func (c *Change) Whole() bool { return c.t == nil }
+
+// Images returns the old and new images of the rows the change wrote.
+func (c *Change) Images() [][]Value { return c.imgs }
+
+// changeRing is one table's last maxChanges change records, oldest at
+// head once the ring is full.
+type changeRing struct {
+	recs []Change
+	head int
+}
+
+func (r *changeRing) add(c Change) {
+	if c.t == nil {
+		clear(r.recs)
+		r.recs, r.head = r.recs[:0], 0
+	}
+	if len(r.recs) < maxChanges {
+		r.recs = append(r.recs, c)
+		return
+	}
+	r.recs[r.head] = c
+	r.head = (r.head + 1) % maxChanges
 }
 
 // TableVersion returns the current version of the named table. A table
@@ -49,36 +105,76 @@ func (db *Database) TableVersion(name string) uint64 {
 	return db.vt.versions[strings.ToLower(name)]
 }
 
-// TableVersions returns the current versions of the named tables, in
-// order, as one consistent snapshot.
-func (db *Database) TableVersions(names []string) []uint64 {
-	out := make([]uint64, len(names))
+// AppendTableVersions appends the current versions of the named tables to
+// dst, in order, as one consistent snapshot.
+func (db *Database) AppendTableVersions(dst []uint64, names []string) []uint64 {
 	db.vt.mu.Lock()
 	defer db.vt.mu.Unlock()
-	for i, n := range names {
-		out[i] = db.vt.versions[strings.ToLower(n)]
+	for _, n := range names {
+		dst = append(dst, db.vt.versions[strings.ToLower(n)])
 	}
-	return out
+	return dst
 }
 
-// bumpVersions advances the version of each named table.
+// Changes returns the change records of the named table after version
+// since, up to and including version until, oldest first. ok is false
+// when the ring no longer holds the record that follows since: the caller
+// must then take every row of the table as changed.
+func (db *Database) Changes(table string, since, until uint64) (changes []Change, ok bool) {
+	if since == until {
+		return nil, true
+	}
+	db.vt.mu.Lock()
+	defer db.vt.mu.Unlock()
+	r := db.vt.changes[strings.ToLower(table)]
+	if r == nil {
+		return nil, false
+	}
+	n := len(r.recs)
+	for i := 0; i < n; i++ {
+		c := r.recs[(r.head+i)%n]
+		switch {
+		case changes == nil && c.prev != since:
+			continue
+		case changes != nil && c.prev != changes[len(changes)-1].version:
+			return nil, false // unreachable: a table's records chain
+		}
+		changes = append(changes, c)
+		if c.version == until {
+			return changes, true
+		}
+	}
+	return nil, false
+}
+
+// bumpVersions advances the version of each named table, each a change of
+// the whole table.
 func (db *Database) bumpVersions(names ...string) {
 	db.vt.mu.Lock()
 	defer db.vt.mu.Unlock()
-	db.bumpLocked(names)
+	for _, n := range names {
+		db.bumpLocked(n, nil, nil)
+	}
 }
 
-// bumpLocked advances versions with vt.mu already held; the commit path
-// calls it inside its stamp/publish critical section.
-func (db *Database) bumpLocked(names []string) {
-	if db.vt.versions == nil {
-		db.vt.versions = map[string]uint64{}
+// bumpLocked advances one table's version with vt.mu already held (the
+// commit path calls it inside its stamp/publish critical section) and
+// records the change: the rows imgs of t, or with t nil the whole table.
+func (db *Database) bumpLocked(name string, t *Table, imgs [][]Value) {
+	if name == "" {
+		return
 	}
-	for _, n := range names {
-		if n == "" {
-			continue
-		}
-		db.vt.seq++
-		db.vt.versions[strings.ToLower(n)] = db.vt.seq
+	vt := &db.vt
+	if vt.versions == nil {
+		vt.versions, vt.changes = map[string]uint64{}, map[string]*changeRing{}
 	}
+	name = strings.ToLower(name)
+	vt.seq++
+	r := vt.changes[name]
+	if r == nil {
+		r = &changeRing{}
+		vt.changes[name] = r
+	}
+	r.add(Change{version: vt.seq, prev: vt.versions[name], t: t, imgs: imgs})
+	vt.versions[name] = vt.seq
 }

@@ -172,7 +172,7 @@ func TestTableVersionsSnapshot(t *testing.T) {
 	if _, err := s.Exec("CREATE TABLE other (x INTEGER)"); err != nil {
 		t.Fatal(err)
 	}
-	got := db.TableVersions([]string{"kv", "other", "missing"})
+	got := db.AppendTableVersions(nil, []string{"kv", "other", "missing"})
 	want := []uint64{db.TableVersion("kv"), db.TableVersion("other"), 0}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("TableVersions = %v, want %v", got, want)
