@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"db2www/internal/cgi"
+	"db2www/internal/decimal"
 	"db2www/internal/obs"
 )
 
@@ -428,8 +429,8 @@ func (r *macroRun) evalCondition(arm CondArm) (bool, error) {
 		return false, err
 	}
 	var cmp int
-	lf, lok := decimal(left)
-	rf, rok := decimal(right)
+	lf, lok := decimal.Parse(left)
+	rf, rok := decimal.Parse(right)
 	if lok && rok {
 		switch {
 		case lf < rf:
@@ -455,48 +456,6 @@ func (r *macroRun) evalCondition(arm CondArm) (bool, error) {
 		return cmp >= 0, nil
 	}
 	return false, errAt(r.macro.Name, arm.Line, "unknown %%IF operator %q", arm.Op)
-}
-
-// decimal returns the value of s, spaces around it aside, when it is a
-// finite decimal number: an optional sign, digits with an optional
-// fraction, an optional exponent. Anything else is text to a %IF: NaN
-// and Inf, which would compare equal to or unordered with every number,
-// a hexadecimal float, and a number too large for a float64.
-func decimal(s string) (float64, bool) {
-	s = strings.TrimSpace(s)
-	digits := func(i int) int {
-		for i < len(s) && '0' <= s[i] && s[i] <= '9' {
-			i++
-		}
-		return i
-	}
-	i := 0
-	if i < len(s) && (s[i] == '+' || s[i] == '-') {
-		i++
-	}
-	end := digits(i)
-	n := end - i
-	if end < len(s) && s[end] == '.' {
-		i, end = end+1, digits(end+1)
-		n += end - i
-	}
-	if n == 0 {
-		return 0, false
-	}
-	if end < len(s) && (s[end] == 'e' || s[end] == 'E') {
-		i = end + 1
-		if i < len(s) && (s[i] == '+' || s[i] == '-') {
-			i++
-		}
-		if end = digits(i); end == i {
-			return 0, false
-		}
-	}
-	if end != len(s) {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	return f, err == nil
 }
 
 // execDirective resolves which SQL sections a %EXEC_SQL directive runs:

@@ -112,13 +112,19 @@ var refusedSQL = []struct{ construct, sql string }{
 	{"FETCH FIRST", "SELECT url FROM urldb ORDER BY url FETCH FIRST 5 ROWS ONLY"},
 	{"ALTER TABLE", "ALTER TABLE urldb ADD COLUMN rating INTEGER"},
 	{"EXPLAIN of a UNION", "EXPLAIN SELECT url FROM urldb UNION SELECT title FROM urldb"},
+	{"BETWEEN", "SELECT url FROM urldb WHERE title BETWEEN 'A' AND 'M'"},
+	{"NOT BETWEEN", "SELECT url FROM urldb WHERE title NOT BETWEEN 'A' AND 'M'"},
+	{"CAST", "SELECT CAST(title AS VARCHAR(10)) FROM urldb"},
+	{"LIKE ... ESCAPE", "SELECT url FROM urldb WHERE title LIKE 'IBM!_%' ESCAPE '!'"},
+	{"||", "SELECT url || title FROM urldb"},
+	{"|| in a LIKE pattern", "SELECT url FROM urldb WHERE url LIKE title || '%'"},
 }
 
-// TestUnsupportedSQLIs0A000: every construct the engine no longer serves
-// answers SQLSTATE 0A000 — through Session.Exec, and through a %SQL
-// section whose %SQL_MESSAGE catches it — and Appendix A's DBFIELDS
-// vector, which a UNION once turned into all of urldb, returns no row.
-func TestUnsupportedSQLIs0A000(t *testing.T) {
+// refuseServer is a server with Appendix A's macro and refuse.d2w, whose
+// one %SQL section runs the statement STMT and whose %SQL_MESSAGE catches
+// 0A000 and 42883.
+func refuseServer(t *testing.T) *Server {
+	t.Helper()
 	macros := t.TempDir()
 	src, err := os.ReadFile(filepath.Join(repoRoot(t), "testdata", "macros", "urlquery.d2w"))
 	if err != nil {
@@ -128,6 +134,7 @@ func TestUnsupportedSQLIs0A000(t *testing.T) {
 %SQL{$(STMT)
 %SQL_MESSAGE{
 0A000 : "<P>refused: $(SQL_STATE)</P>" : continue
+42883 : "<P>no such function: $(SQL_STATE)</P>" : continue
 %}
 %}
 %HTML_REPORT{%EXEC_SQL%}
@@ -143,7 +150,16 @@ func TestUnsupportedSQLIs0A000(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// TestUnsupportedSQLIs0A000: every construct the engine no longer serves
+// answers SQLSTATE 0A000 — through Session.Exec, and through a %SQL
+// section whose %SQL_MESSAGE catches it — and Appendix A's DBFIELDS
+// vector, which a UNION once turned into all of urldb, returns no row.
+func TestUnsupportedSQLIs0A000(t *testing.T) {
+	srv := refuseServer(t)
 	sess := sqldb.NewSession(srv.DB)
 	defer sess.Close()
 	h := srv.Handler()
@@ -165,6 +181,57 @@ func TestUnsupportedSQLIs0A000(t *testing.T) {
 		!strings.Contains(rec.Body.String(), "SQLSTATE=0A000") {
 		t.Errorf("Appendix A's DBFIELDS UNION: %d with %d urldb rows, want 200 with none and the 0A000 message:\n%.2000s",
 			rec.Code, rows, rec.Body)
+	}
+}
+
+// TestRemovedFunctionsAre42883: a function the engine does not have
+// answers SQLSTATE 42883 (undefined_function), through Session.Exec and
+// through a %SQL_MESSAGE that catches it, while LENGTH, ROUND and the
+// aggregates answer. LEFT and RIGHT are keywords of the join grammar: a
+// call of either is a syntax error.
+func TestRemovedFunctionsAre42883(t *testing.T) {
+	srv := refuseServer(t)
+	sess := sqldb.NewSession(srv.DB)
+	defer sess.Close()
+	h := srv.Handler()
+	run := func(sql string) (string, string) {
+		_, err := sess.Exec(sql)
+		var se *sqldb.Error
+		code := ""
+		if errors.As(err, &se) {
+			code = se.Code
+		} else if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		rec := post(h, "/cgi-bin/db2www/refuse.d2w/report", url.Values{"STMT": {sql}}.Encode())
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d\n%s", sql, rec.Code, rec.Body)
+		}
+		return code, rec.Body.String()
+	}
+	for _, name := range []string{"UPPER", "UCASE", "LOWER", "LCASE", "TRIM", "LTRIM", "RTRIM",
+		"SUBSTR", "SUBSTRING", "REPLACE", "CONCAT", "POSITION", "LOCATE", "INSTR", "REPEAT",
+		"COALESCE", "IFNULL", "VALUE", "NULLIF", "ABS", "MOD", "FLOOR", "CEIL", "CEILING",
+		"LEN", "CHAR_LENGTH", "NOW", "CURRENT_TIMESTAMP", "CURDATE", "CURRENT_DATE",
+		"CURTIME", "CURRENT_TIME", "NOSUCHFN"} {
+		sql := "SELECT " + name + "(title) FROM urldb"
+		code, page := run(sql)
+		if code != sqldb.CodeUndefinedFunction || !strings.Contains(page, "<P>no such function: 42883</P>") {
+			t.Errorf("%s: SQLSTATE %q, want %s; the %%SQL_MESSAGE page:\n%s", sql, code, sqldb.CodeUndefinedFunction, page)
+		}
+	}
+	for _, sql := range []string{"SELECT LEFT(title, 2) FROM urldb", "SELECT RIGHT(title, 2) FROM urldb"} {
+		if code, _ := run(sql); code != sqldb.CodeSyntax {
+			t.Errorf("%s: SQLSTATE %q, want %s", sql, code, sqldb.CodeSyntax)
+		}
+	}
+	for _, sql := range []string{
+		"SELECT LENGTH(title), ROUND(LENGTH(url) / 3.0, 1) FROM urldb",
+		"SELECT COUNT(*), COUNT(title), SUM(LENGTH(url)), AVG(LENGTH(url)), MIN(title), MAX(url) FROM urldb",
+	} {
+		if code, page := run(sql); code != "" || strings.Contains(page, "<P>") {
+			t.Errorf("%s: SQLSTATE %q:\n%s", sql, code, page)
+		}
 	}
 }
 

@@ -296,6 +296,11 @@ var nameRows = []struct {
 	{"UPDATE customers SET nosuch = 1 WHERE custid = 1", sqldb.CodeUndefinedColumn, "nosuch"},
 	{"CREATE INDEX urldb_title ON customers (city)", sqldb.CodeDuplicateIndex, "urldb_title"},
 	{"DROP INDEX nosuch", sqldb.CodeUndefinedIndex, "nosuch"},
+	{"SELECT NOSUCHFN(name) FROM customers", sqldb.CodeUndefinedFunction, "NOSUCHFN"},
+	{"SELECT name FROM customers WHERE UPPER(city) = 'AUSTIN'", sqldb.CodeUndefinedFunction, "UPPER"},
+	{"UPDATE customers SET name = LOWER(nosuch) WHERE custid = 1", sqldb.CodeUndefinedColumn, "nosuch"},
+	{"UPDATE customers SET name = LOWER(name) WHERE custid = 1", sqldb.CodeUndefinedFunction, "LOWER"},
+	{"SELECT LENGTH(name), ROUND(custid, 1) FROM customers", "", ""},
 }
 
 // bindCodes are the SQLSTATEs Check returns: a statement Check accepts

@@ -78,6 +78,7 @@ var seededDefects = map[string][]expectation{
 		{"schema", SevError, 8},  // unknown column nosuch
 		{"schema", SevError, 11}, // unknown table nosuchtable
 		{"schema", SevError, 14}, // ambiguous custid
+		{"schema", SevError, 17}, // unknown function UPPER
 	},
 	"type_mismatch.d2w": {
 		{"sqltype", SevError, 10}, // custid = 'abc'

@@ -85,8 +85,8 @@ type Stats struct {
 	Evictions     int64 // entries removed to stay inside the byte budget
 	Invalidations int64 // entries a write dropped: an image of a row it wrote satisfied their predicate
 	Refused       int64 // executions of a shape admission keeps out: no lookup counted, nothing stored
-	Bypasses      int64 // statements that skipped the cache (not a SELECT, open txn)
-	Uncacheable   int64 // SELECTs executed but not stored (non-deterministic, oversize, or raced by a write)
+	Bypasses      int64 // statements that skipped the cache (not a SELECT the engine parses, open txn)
+	Uncacheable   int64 // SELECTs executed but not stored (oversize, or raced by a write)
 }
 
 // How the cache handled one statement; the sql-exec note of the request
@@ -238,7 +238,7 @@ func (c *Cache) toFront(e *entry) {
 // A hit costs a map lookup and one version snapshot: the statement is not
 // lexed. Anything else asks src for the statement's facts (from the
 // engine's parse cache, which the execution that follows then finds
-// warm): a statement that is not a deterministic SELECT bypasses the
+// warm): a statement that is not a SELECT the engine parses bypasses the
 // cache; a shape admission refuses goes straight to conn; the rest execute
 // as a flight's leader, which snapshots the tables' versions before and
 // after and stores the entry only when they match, so a result raced by a
@@ -277,11 +277,7 @@ func (c *Cache) Do(ctx context.Context, src Source, conn core.DBConn, sql string
 			c.mu.Unlock()
 			facts, analyzed = src.StatementFacts(sql), true
 			if !facts.Cacheable {
-				if sqldb.HeadKeyword(sql) == "SELECT" {
-					c.addStat(&c.stats.Uncacheable, mUncacheable)
-				} else {
-					c.addStat(&c.stats.Bypasses, mBypasses)
-				}
+				c.addStat(&c.stats.Bypasses, mBypasses)
 				res, err := execute(ctx, conn, sql)
 				return res, Outcome{How: Bypass}, err
 			}
@@ -298,14 +294,19 @@ func (c *Cache) Do(ctx context.Context, src Source, conn core.DBConn, sql string
 		mMisses.Inc()
 		c.flights[k] = true
 		c.mu.Unlock()
-
 		res, err := c.lead(ctx, conn, k, facts)
-		c.mu.Lock()
-		delete(c.flights, k)
-		c.landed.Broadcast()
-		c.mu.Unlock()
 		return res, Outcome{How: Miss, Dedup: waited}, err
 	}
+}
+
+// land ends k's flight and wakes its followers. lead defers it, so that a
+// panic under the leader lands the flight too: a flight left registered
+// would keep every later caller of the statement waiting for ever.
+func (c *Cache) land(k key) {
+	c.mu.Lock()
+	delete(c.flights, k)
+	c.landed.Broadcast()
+	c.mu.Unlock()
 }
 
 // execute forwards to the connection, preserving the context when it is
@@ -317,9 +318,10 @@ func execute(ctx context.Context, conn core.DBConn, sql string) (*core.SQLResult
 	return conn.Execute(sql)
 }
 
-// lead runs the query as the single flight leader and stores the result
-// when the version snapshots bracket it cleanly.
+// lead runs the query as the single flight leader, stores the result
+// when the version snapshots bracket it cleanly, and lands the flight.
 func (c *Cache) lead(ctx context.Context, conn core.DBConn, k key, facts sqldb.Facts) (*core.SQLResult, error) {
+	defer c.land(k)
 	n := len(facts.Tables)
 	vs := k.src.AppendTableVersions(make([]uint64, 0, 2*n), facts.Tables)
 	res, err := execute(ctx, conn, k.sql)

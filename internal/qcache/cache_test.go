@@ -356,12 +356,15 @@ func TestOversizeResultNotStored(t *testing.T) {
 	}
 }
 
+// TestUncacheableNeverStored: a statement the engine does not call
+// cacheable — here a SELECT it does not parse — is executed every time and
+// counted as a bypass.
 func TestUncacheableNeverStored(t *testing.T) {
 	c := New(1 << 20)
 	src := newFakeSource()
 	conn := &fakeConn{res: resultOfSize(4)}
 	for i := 0; i < 3; i++ {
-		if _, out := do(t, c, src, conn, "SELECT NOW()"); out.How != Bypass {
+		if _, out := do(t, c, src, conn, "SELECT FROM"); out.How != Bypass {
 			t.Fatalf("outcome %+v, want a bypass", out)
 		}
 	}
@@ -372,8 +375,8 @@ func TestUncacheableNeverStored(t *testing.T) {
 		t.Fatalf("uncacheable statement was stored")
 	}
 	// Not a lookup: the hit ratio is of what the cache tried to serve.
-	if st := c.Stats(); st.Misses != 0 || st.Uncacheable != 3 {
-		t.Fatalf("stats = %+v, want 3 uncacheable and no miss", st)
+	if st := c.Stats(); st.Misses != 0 || st.Bypasses != 3 || st.Uncacheable != 0 {
+		t.Fatalf("stats = %+v, want 3 bypasses and no miss", st)
 	}
 }
 
@@ -591,6 +594,59 @@ func TestFollowerRevalidatesAfterLeaderFails(t *testing.T) {
 	<-done
 	if l, f := leader.execs.Load(), follower.execs.Load(); l != 1 || f != 1 {
 		t.Fatalf("executed %d + %d times, want 1 + 1 (leader fails, follower retries)", l, f)
+	}
+}
+
+// TestLeaderPanicLandsTheFlight: a panic under the leader's execution goes
+// on up to its caller, and the flight lands with it: a caller of the same
+// statement, waiting or later, leads a flight of its own.
+func TestLeaderPanicLandsTheFlight(t *testing.T) {
+	c := New(1 << 20)
+	src := newFakeSource()
+	gate := make(chan struct{})
+	conn := &fakeConn{}
+	conn.run = func() (*core.SQLResult, error) {
+		if conn.execs.Load() == 1 {
+			<-gate
+			panic("boom")
+		}
+		return resultOfSize(4), nil
+	}
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Do(context.Background(), src, conn, "t k")
+	}()
+	for conn.execs.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	type result struct {
+		out Outcome
+		err error
+	}
+	second := make(chan result, 1)
+	go func() {
+		_, out, err := c.Do(context.Background(), src, conn, "t k")
+		second <- result{out, err}
+	}()
+	time.Sleep(5 * time.Millisecond) // the second caller waits on the flight
+	close(gate)
+	if p := <-panicked; p != "boom" {
+		t.Fatalf("the leader's caller recovered %v, want the panic boom", p)
+	}
+	select {
+	case r := <-second:
+		if r.err != nil || r.out.How != Miss {
+			t.Fatalf("second caller: %+v, %v; want a miss of its own flight", r.out, r.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a caller of the statement still waits on the flight of a leader that panicked")
+	}
+	if n := conn.execs.Load(); n != 2 {
+		t.Fatalf("executed %d times, want 2 (the panic, then the second flight)", n)
+	}
+	if _, out := do(t, c, src, conn, "t k"); out.How != Hit {
+		t.Fatalf("the second flight's result was not stored: %+v", out)
 	}
 }
 

@@ -23,7 +23,7 @@ var (
 	mBypasses = obs.Default.Counter("db2www_qcache_bypasses_total",
 		"statements that skipped the query cache (writes, open transaction)")
 	mUncacheable = obs.Default.Counter("db2www_qcache_uncacheable_total",
-		"SELECTs executed but not stored (non-deterministic, oversize, or raced by a write)")
+		"SELECTs executed but not stored (oversize, or raced by a write)")
 )
 
 // RegisterMetrics exports what c holds — its live entries and the bytes

@@ -200,25 +200,17 @@ type Unary struct {
 	X  Expr
 }
 
-// Binary is an infix operator: arithmetic, comparison, AND/OR, ||.
+// Binary is an infix operator: arithmetic, comparison, AND/OR.
 type Binary struct {
 	Op   string
 	L, R Expr
 }
 
-// LikeExpr is [NOT] LIKE with an optional ESCAPE character.
+// LikeExpr is [NOT] LIKE.
 type LikeExpr struct {
 	Not     bool
 	X       Expr
 	Pattern Expr
-	Escape  Expr // nil means no escape character
-}
-
-// BetweenExpr is [NOT] BETWEEN lo AND hi.
-type BetweenExpr struct {
-	Not    bool
-	X      Expr
-	Lo, Hi Expr
 }
 
 // InExpr is [NOT] IN (value list).
@@ -256,24 +248,16 @@ type CaseWhen struct {
 	Then Expr
 }
 
-// CastExpr is CAST(x AS type).
-type CastExpr struct {
-	X  Expr
-	To Type
-}
-
-func (*Literal) expr()     {}
-func (*ColumnRef) expr()   {}
-func (*Param) expr()       {}
-func (*Unary) expr()       {}
-func (*Binary) expr()      {}
-func (*LikeExpr) expr()    {}
-func (*BetweenExpr) expr() {}
-func (*InExpr) expr()      {}
-func (*IsNullExpr) expr()  {}
-func (*FuncCall) expr()    {}
-func (*CaseExpr) expr()    {}
-func (*CastExpr) expr()    {}
+func (*Literal) expr()    {}
+func (*ColumnRef) expr()  {}
+func (*Param) expr()      {}
+func (*Unary) expr()      {}
+func (*Binary) expr()     {}
+func (*LikeExpr) expr()   {}
+func (*InExpr) expr()     {}
+func (*IsNullExpr) expr() {}
+func (*FuncCall) expr()   {}
+func (*CaseExpr) expr()   {}
 
 // walkExpr visits e and every sub-expression depth-first. The visitor
 // returns false to prune the subtree.
@@ -290,11 +274,6 @@ func walkExpr(e Expr, fn func(Expr) bool) {
 	case *LikeExpr:
 		walkExpr(x.X, fn)
 		walkExpr(x.Pattern, fn)
-		walkExpr(x.Escape, fn)
-	case *BetweenExpr:
-		walkExpr(x.X, fn)
-		walkExpr(x.Lo, fn)
-		walkExpr(x.Hi, fn)
 	case *InExpr:
 		walkExpr(x.X, fn)
 		for _, it := range x.List {
@@ -313,7 +292,5 @@ func walkExpr(e Expr, fn func(Expr) bool) {
 			walkExpr(w.Then, fn)
 		}
 		walkExpr(x.Else, fn)
-	case *CastExpr:
-		walkExpr(x.X, fn)
 	}
 }

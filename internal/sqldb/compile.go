@@ -16,11 +16,12 @@ import (
 // hands one tree to every execution of a shape, concurrent ones included.
 //
 // A value compiles to a rowExpr, a predicate to a predFn that answers in
-// three-valued logic without boxing the answer in a Value. The only error
-// compiling returns is a column reference that does not resolve against
-// the layout; everything else an expression can get wrong (a missing
-// parameter, an unknown function, a bad ESCAPE) is an error of the closure,
-// raised when a row is evaluated, as the statement's semantics have it.
+// three-valued logic without boxing the answer in a Value. The only errors
+// compiling returns are a column reference that does not resolve against
+// the layout and a function the engine does not have; everything else an
+// expression can get wrong (a missing parameter, a wrong number of
+// arguments) is an error of the closure, raised when a row is evaluated,
+// as the statement's semantics have it.
 
 // envCol names one slot of a row layout: the (lower-cased) table qualifier
 // and column name, and the base table the column is read from.
@@ -146,9 +147,7 @@ func failExpr(err error) rowExpr {
 type compiler struct {
 	cols   []envCol // the layout of the rows the closures will be called on
 	params []Value
-	// vw reads the clock; without a database (constants: DEFAULT, an
-	// index key) it is not allowed.
-	vw view
+	bind   Binding // receives what each column reference resolves to (Check)
 	// aggs are the aggregate calls of a grouped SELECT in slot order and
 	// aggRow where the executor puts the current group's results; nil
 	// wherever an aggregate has no group to be the result of.
@@ -173,7 +172,7 @@ func isPredicate(e Expr) bool {
 		case "AND", "OR", "=", "<>", "<", "<=", ">", ">=":
 			return true
 		}
-	case *LikeExpr, *BetweenExpr, *InExpr, *IsNullExpr:
+	case *LikeExpr, *InExpr, *IsNullExpr:
 		return true
 	}
 	return false
@@ -199,8 +198,8 @@ func (c *compiler) value(e Expr) (rowExpr, error) {
 		return rowExpr{k: &x.Val}, nil
 	case *ColumnRef:
 		slot, err := resolveColumn(c.cols, x)
-		if err == nil && c.vw.bind != nil {
-			c.vw.bind.note(x, c.cols[slot])
+		if err == nil && c.bind != nil {
+			c.bind.note(x, c.cols[slot])
 		}
 		return rowExpr{slot: slot}, err
 	case *Param:
@@ -217,19 +216,6 @@ func (c *compiler) value(e Expr) (rowExpr, error) {
 		return c.call(x)
 	case *CaseExpr:
 		return c.caseExpr(x)
-	case *CastExpr:
-		v, err := c.value(x.X)
-		if err != nil {
-			return rowExpr{}, err
-		}
-		to := x.To
-		return rowExpr{fn: func(row []Value) (Value, error) {
-			a, err := v.eval(row)
-			if err != nil {
-				return Null, err
-			}
-			return coerceToColumn(a, to)
-		}}, nil
 	}
 	return failExpr(errInternal(fmt.Sprintf("unknown expression node %T", e))), nil
 }
@@ -265,7 +251,7 @@ func both(l, r rowExpr, row []Value) (a, b Value, err error) {
 	return a, b, err
 }
 
-// binary compiles the operators that yield a value: || and arithmetic.
+// binary compiles the operators that yield a value: arithmetic.
 func (c *compiler) binary(x *Binary) (rowExpr, error) {
 	l, err := c.value(x.L)
 	if err != nil {
@@ -281,13 +267,7 @@ func (c *compiler) binary(x *Binary) (rowExpr, error) {
 		if err != nil {
 			return Null, err
 		}
-		if op != "||" {
-			return arith(op, a, b)
-		}
-		if a.IsNull() || b.IsNull() {
-			return Null, nil
-		}
-		return NewString(a.String() + b.String()), nil
+		return arith(op, a, b)
 	}}, nil
 }
 
@@ -365,7 +345,7 @@ func numify(v Value) (Value, error) {
 	case TInt, TFloat:
 		return v, nil
 	case TString:
-		return coerceToColumn(v, TFloat)
+		return CoerceToColumn(v, TFloat)
 	case TBool:
 		if v.Bool() {
 			return NewInt(1), nil
@@ -409,32 +389,15 @@ func (c *compiler) call(fc *FuncCall) (rowExpr, error) {
 			return rowExpr{}, err
 		}
 	}
-	// Clock functions read the database clock (injectable for tests). One
-	// that is given arguments fails without evaluating them, but they were
-	// compiled all the same: an aggregate among them has its slot to fill.
-	layout := ""
-	switch name {
-	case "NOW", "CURRENT_TIMESTAMP":
-		layout = "2006-01-02 15:04:05"
-	case "CURDATE", "CURRENT_DATE":
-		layout = "2006-01-02"
-	case "CURTIME", "CURRENT_TIME":
-		layout = "15:04:05"
+	// The arguments were compiled first: a reference among them that does
+	// not resolve is the call's error before its name is, and an aggregate
+	// among them has its slot filled either way.
+	fn := scalarFns[name]
+	if fn == nil {
+		return rowExpr{}, stampOff(errUndefinedFunction(name), fc.Off)
 	}
-	if layout != "" {
-		db := c.vw.db
-		switch {
-		case len(args) != 0:
-			return failExpr(&Error{Code: CodeWrongArity, Message: name + " takes no arguments"}), nil
-		case db == nil:
-			return failExpr(&Error{Code: CodeFeature, Message: name + " requires a database context"}), nil
-		}
-		return rowExpr{fn: func([]Value) (Value, error) {
-			return NewString(db.now().Format(layout)), nil
-		}}, nil
-	}
-	// One argument buffer serves every row: callScalar keeps none of it,
-	// and a call cannot be evaluated while it is being evaluated.
+	// One argument buffer serves every row: fn keeps none of it, and a
+	// call cannot be evaluated while it is being evaluated.
 	vals := make([]Value, len(args))
 	return rowExpr{fn: func(row []Value) (Value, error) {
 		for i, a := range args {
@@ -443,7 +406,7 @@ func (c *compiler) call(fc *FuncCall) (rowExpr, error) {
 				return Null, err
 			}
 		}
-		return callScalar(name, vals)
+		return fn(vals)
 	}}, nil
 }
 
@@ -549,8 +512,6 @@ func (c *compiler) pred(e Expr) (predFn, error) {
 		return c.comparison(x)
 	case *LikeExpr:
 		return c.like(x)
-	case *BetweenExpr:
-		return c.between(x)
 	case *InExpr:
 		return c.in(x)
 	case *IsNullExpr:
@@ -663,9 +624,7 @@ func (c *compiler) comparison(x *Binary) (predFn, error) {
 
 // like compiles [NOT] LIKE. Where the pattern is known now — a literal,
 // or the parameter the plan cache made of it — the program is built here;
-// otherwise the closure keeps the program of the last pattern it saw, and
-// an operand is evaluated, and its NULL answered, before the pattern's
-// error is raised.
+// otherwise the closure keeps the program of the last pattern it saw.
 func (c *compiler) like(x *LikeExpr) (predFn, error) {
 	xv, err := c.value(x.X)
 	if err != nil {
@@ -675,16 +634,10 @@ func (c *compiler) like(x *LikeExpr) (predFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	hasEscape, not := x.Escape != nil, x.Not
-	var ev rowExpr
-	if hasEscape {
-		if ev, err = c.value(x.Escape); err != nil {
-			return nil, err
-		}
-	}
-	if xv.isColumn() && pv.k != nil && !pv.k.IsNull() && !hasEscape {
-		// A column against a pattern known now, which without ESCAPE
-		// cannot be in error: one slot read and one match a row.
+	not := x.Not
+	if xv.isColumn() && pv.k != nil && !pv.k.IsNull() {
+		// A column against a pattern known now: one slot read and one
+		// match a row.
 		slot, prog := xv.slot, c.likeProgram(pv.k.String())
 		return func(row []Value) (tri, error) {
 			v := &row[slot]
@@ -704,66 +657,22 @@ func (c *compiler) like(x *LikeExpr) (predFn, error) {
 		if err != nil || v.IsNull() || p.IsNull() {
 			return triUnknown, err
 		}
-		escape := ""
-		if hasEscape {
-			e, err := ev.eval(row)
-			if err != nil || e.IsNull() {
-				return triUnknown, err
-			}
-			escape = e.String()
-		}
-		if pattern := p.String(); prog == nil || prog.pattern != pattern || prog.escape != escape {
-			prog = compileLike(pattern, escape, hasEscape)
-		}
-		if prog.err != nil {
-			return triUnknown, prog.err
+		if pattern := p.String(); prog == nil || prog.pattern != pattern {
+			prog = compileLike(pattern)
 		}
 		return triOf(prog.match(v.String()) != not), nil
 	}, nil
 }
 
-// likeProgram returns the program of a pattern without ESCAPE: the one
-// planning built for it where it did, so that a pattern is compiled once
-// an execution.
+// likeProgram returns the program of a pattern: the one planning built
+// for it where it did, so that a pattern is compiled once an execution.
 func (c *compiler) likeProgram(pattern string) *likeProgram {
 	for _, p := range c.likes {
 		if p.pattern == pattern {
 			return p
 		}
 	}
-	return compileLike(pattern, "", false)
-}
-
-func (c *compiler) between(x *BetweenExpr) (predFn, error) {
-	xv, err := c.value(x.X)
-	if err != nil {
-		return nil, err
-	}
-	lo, err := c.value(x.Lo)
-	if err != nil {
-		return nil, err
-	}
-	hi, err := c.value(x.Hi)
-	if err != nil {
-		return nil, err
-	}
-	not := x.Not
-	return func(row []Value) (tri, error) {
-		v, err := xv.eval(row)
-		if err != nil {
-			return triUnknown, err
-		}
-		l, h, err := both(lo, hi, row)
-		if err != nil || v.IsNull() || l.IsNull() || h.IsNull() {
-			return triUnknown, err
-		}
-		c1, err := Compare(v, l)
-		if err != nil {
-			return triUnknown, err
-		}
-		c2, err := Compare(v, h)
-		return triOf((c1 >= 0 && c2 <= 0) != not), err
-	}, nil
+	return compileLike(pattern)
 }
 
 // in compiles [NOT] IN over a value list. A NULL among the candidates

@@ -42,10 +42,6 @@ type Database struct {
 	tables  map[string]*Table
 	indexes map[string]*Index
 
-	// nowFn supplies the clock for NOW()/CURDATE()/CURTIME(). Defaults
-	// to time.Now; tests inject a fixed clock for determinism.
-	nowFn func() time.Time
-
 	// vt holds the per-table version counters behind result-cache
 	// invalidation; see version.go.
 	vt versionTable
@@ -118,22 +114,6 @@ func (db *Database) noteTableRetries(targets []string) {
 		v, _ := db.tableRetries.LoadOrStore(ln, new(atomic.Uint64))
 		v.(*atomic.Uint64).Add(1)
 	}
-}
-
-// SetClock overrides the clock behind NOW(), CURDATE(), and CURTIME().
-// Pass nil to restore the real clock.
-func (db *Database) SetClock(now func() time.Time) {
-	db.mu.Lock()
-	db.nowFn = now
-	db.mu.Unlock()
-}
-
-// now returns the database clock's current time in UTC.
-func (db *Database) now() time.Time {
-	if db.nowFn != nil {
-		return db.nowFn().UTC()
-	}
-	return time.Now().UTC()
 }
 
 // table looks up a table by name, case-insensitively.

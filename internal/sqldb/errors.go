@@ -29,6 +29,11 @@ const (
 	CodeCardinality      = "21000" // cardinality violation
 	CodeFeature          = "0A000" // feature not supported
 	CodeTooComplex       = "54001" // statement too complex
+
+	// CodeUndefinedFunction is a function the engine does not have:
+	// PostgreSQL's undefined_function, whose code a wrong number of
+	// arguments answers too.
+	CodeUndefinedFunction = CodeWrongArity
 )
 
 // Error is the typed error returned by all engine operations.

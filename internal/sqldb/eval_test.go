@@ -11,7 +11,7 @@ import (
 // the tree and nothing else — a column is resolved against the layout each
 // time it is evaluated, a LIKE pattern parsed each time it is matched —
 // and shares with the compiler only what works on values: Compare, arith,
-// callScalar, coerceToColumn, the LIKE program.
+// the functions of scalarFns, the LIKE program.
 
 // evalEnv is the evaluation environment for one row (or one group).
 type evalEnv struct {
@@ -22,19 +22,30 @@ type evalEnv struct {
 	// slot order, and aggs the results.
 	aggCalls []*FuncCall
 	aggs     []Value
-	// vw gives the clock functions the database's clock; nil where there
-	// is none (constants).
-	vw *view
 }
 
 // bindErr returns the error of the first column reference of e that does
-// not resolve against the layout: what compiling e returns before any row
-// is looked at.
+// not resolve against the layout, or of the first function the engine
+// does not have, a call's arguments before its name: what compiling e
+// returns before any row is looked at.
 func bindErr(e Expr, cols []envCol) error {
 	var err error
 	walkExpr(e, func(x Expr) bool {
-		if c, ok := x.(*ColumnRef); ok && err == nil {
-			_, err = resolveColumn(cols, c)
+		if err != nil {
+			return false
+		}
+		switch x := x.(type) {
+		case *ColumnRef:
+			_, err = resolveColumn(cols, x)
+		case *FuncCall:
+			if !isAggregate(x.Name) && scalarFns[x.Name] == nil {
+				for _, a := range x.Args {
+					if err = bindErr(a, cols); err != nil {
+						return false
+					}
+				}
+				err = errUndefinedFunction(x.Name)
+			}
 		}
 		return err == nil
 	})
@@ -64,8 +75,6 @@ func eval(e Expr, env *evalEnv) (Value, error) {
 		return evalBinary(x, env)
 	case *LikeExpr:
 		return evalLike(x, env)
-	case *BetweenExpr:
-		return evalBetween(x, env)
 	case *InExpr:
 		return evalIn(x, env)
 	case *IsNullExpr:
@@ -81,12 +90,6 @@ func eval(e Expr, env *evalEnv) (Value, error) {
 		return evalFunc(x, env)
 	case *CaseExpr:
 		return evalCase(x, env)
-	case *CastExpr:
-		v, err := eval(x.X, env)
-		if err != nil {
-			return Null, err
-		}
-		return coerceToColumn(v, x.To)
 	default:
 		return Null, errInternal(fmt.Sprintf("unknown expression node %T", e))
 	}
@@ -199,11 +202,6 @@ func evalBinary(x *Binary, env *evalEnv) (Value, error) {
 			b = c >= 0
 		}
 		return NewBool(b), nil
-	case "||":
-		if l.IsNull() || r.IsNull() {
-			return Null, nil
-		}
-		return NewString(l.String() + r.String()), nil
 	case "+", "-", "*", "/", "%":
 		return arith(x.Op, l, r)
 	}
@@ -222,50 +220,7 @@ func evalLike(x *LikeExpr, env *evalEnv) (Value, error) {
 	if v.IsNull() || p.IsNull() {
 		return Null, nil
 	}
-	escape, hasEscape := "", x.Escape != nil
-	if hasEscape {
-		e, err := eval(x.Escape, env)
-		if err != nil {
-			return Null, err
-		}
-		if e.IsNull() {
-			return Null, nil
-		}
-		escape = e.String()
-	}
-	prog := compileLike(p.String(), escape, hasEscape)
-	if prog.err != nil {
-		return Null, prog.err
-	}
-	return NewBool(prog.match(v.String()) != x.Not), nil
-}
-
-func evalBetween(x *BetweenExpr, env *evalEnv) (Value, error) {
-	v, err := eval(x.X, env)
-	if err != nil {
-		return Null, err
-	}
-	lo, err := eval(x.Lo, env)
-	if err != nil {
-		return Null, err
-	}
-	hi, err := eval(x.Hi, env)
-	if err != nil {
-		return Null, err
-	}
-	if v.IsNull() || lo.IsNull() || hi.IsNull() {
-		return Null, nil
-	}
-	c1, err := Compare(v, lo)
-	if err != nil {
-		return Null, err
-	}
-	c2, err := Compare(v, hi)
-	if err != nil {
-		return Null, err
-	}
-	in := c1 >= 0 && c2 <= 0
-	return NewBool(in != x.Not), nil
+	return NewBool(compileLike(p.String()).match(v.String()) != x.Not), nil
 }
 
 func evalIn(x *InExpr, env *evalEnv) (Value, error) {
@@ -337,32 +292,9 @@ func evalFunc(fc *FuncCall, env *evalEnv) (Value, error) {
 		return Null, &Error{Code: CodeSyntax,
 			Message: fmt.Sprintf("aggregate function %s used outside of a grouped query", fc.Name)}
 	}
-	// Clock functions read the database clock (injectable for tests).
-	switch fc.Name {
-	case "NOW", "CURRENT_TIMESTAMP":
-		if len(fc.Args) != 0 {
-			return Null, &Error{Code: CodeWrongArity, Message: fc.Name + " takes no arguments"}
-		}
-		if env.vw == nil {
-			return Null, &Error{Code: CodeFeature, Message: fc.Name + " requires a database context"}
-		}
-		return NewString(env.vw.db.now().Format("2006-01-02 15:04:05")), nil
-	case "CURDATE", "CURRENT_DATE":
-		if len(fc.Args) != 0 {
-			return Null, &Error{Code: CodeWrongArity, Message: fc.Name + " takes no arguments"}
-		}
-		if env.vw == nil {
-			return Null, &Error{Code: CodeFeature, Message: fc.Name + " requires a database context"}
-		}
-		return NewString(env.vw.db.now().Format("2006-01-02")), nil
-	case "CURTIME", "CURRENT_TIME":
-		if len(fc.Args) != 0 {
-			return Null, &Error{Code: CodeWrongArity, Message: fc.Name + " takes no arguments"}
-		}
-		if env.vw == nil {
-			return Null, &Error{Code: CodeFeature, Message: fc.Name + " requires a database context"}
-		}
-		return NewString(env.vw.db.now().Format("15:04:05")), nil
+	fn := scalarFns[fc.Name]
+	if fn == nil {
+		return Null, errUndefinedFunction(fc.Name)
 	}
 	args := make([]Value, len(fc.Args))
 	for i, a := range fc.Args {
@@ -372,5 +304,5 @@ func evalFunc(fc *FuncCall, env *evalEnv) (Value, error) {
 		}
 		args[i] = v
 	}
-	return callScalar(fc.Name, args)
+	return fn(args)
 }

@@ -619,7 +619,7 @@ func (vw view) execInsert(tx *txnState, ins *InsertStmt, params []Value) (*Resul
 			if err != nil {
 				return nil, err
 			}
-			cv, err := coerceToColumn(v, t.Columns[colPos[i]].Type)
+			cv, err := CoerceToColumn(v, t.Columns[colPos[i]].Type)
 			if err != nil {
 				return nil, err
 			}
@@ -700,7 +700,7 @@ func (vw view) execUpdate(tx *txnState, up *UpdateStmt, params []Value) (*Result
 				return nil, err
 			}
 			col := &t.Columns[set.pos]
-			cv, err := coerceToColumn(v, col.Type)
+			cv, err := CoerceToColumn(v, col.Type)
 			if err != nil {
 				return nil, err
 			}
@@ -883,7 +883,7 @@ func (db *Database) execCreateTable(tx *txnState, ct *CreateTableStmt) (*Result,
 			if err != nil {
 				return nil, err
 			}
-			cv, err := coerceToColumn(v, cd.Type)
+			cv, err := CoerceToColumn(v, cd.Type)
 			if err != nil {
 				return nil, err
 			}

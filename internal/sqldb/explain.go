@@ -285,17 +285,7 @@ func exprString(e Expr) string {
 		if x.Not {
 			s += " NOT"
 		}
-		s += " LIKE " + exprString(x.Pattern)
-		if x.Escape != nil {
-			s += " ESCAPE " + exprString(x.Escape)
-		}
-		return s
-	case *BetweenExpr:
-		s := exprString(x.X)
-		if x.Not {
-			s += " NOT"
-		}
-		return s + " BETWEEN " + exprString(x.Lo) + " AND " + exprString(x.Hi)
+		return s + " LIKE " + exprString(x.Pattern)
 	case *InExpr:
 		s := exprString(x.X)
 		if x.Not {
@@ -334,8 +324,6 @@ func exprString(e Expr) string {
 		}
 		sb.WriteString(" END")
 		return sb.String()
-	case *CastExpr:
-		return "CAST(" + exprString(x.X) + " AS " + x.To.String() + ")"
 	default:
 		return "?expr?"
 	}

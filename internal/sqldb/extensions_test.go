@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // --- persistence ---
@@ -186,33 +185,5 @@ func TestDumpRestorePropertyLarge(t *testing.T) {
 		if identityKey(a.Rows[i]) != identityKey(b.Rows[i]) {
 			t.Fatalf("row %d: %v vs %v", i, a.Rows[i], b.Rows[i])
 		}
-	}
-}
-
-// --- clock functions ---
-
-func TestClockFunctions(t *testing.T) {
-	s := mustSession(t)
-	fixed := time.Date(1996, time.June, 4, 10, 30, 45, 0, time.UTC)
-	s.db.SetClock(func() time.Time { return fixed })
-	res := mustExec(t, s, "SELECT NOW(), CURDATE(), CURTIME()")
-	if res.Rows[0][0].S != "1996-06-04 10:30:45" {
-		t.Errorf("NOW() = %v", res.Rows[0][0])
-	}
-	if res.Rows[0][1].S != "1996-06-04" {
-		t.Errorf("CURDATE() = %v", res.Rows[0][1])
-	}
-	if res.Rows[0][2].S != "10:30:45" {
-		t.Errorf("CURTIME() = %v", res.Rows[0][2])
-	}
-	// Timestamps are ordinary strings: they store, compare, and index.
-	mustExec(t, s, "CREATE TABLE log (at VARCHAR(20), msg VARCHAR(20))")
-	mustExec(t, s, "INSERT INTO log VALUES (NOW(), 'hello')")
-	res = mustExec(t, s, "SELECT COUNT(*) FROM log WHERE at >= '1996-01-01'")
-	if res.Rows[0][0].I != 1 {
-		t.Errorf("timestamp compare = %v", res.Rows[0][0])
-	}
-	if _, err := s.Exec("SELECT NOW(1)"); err == nil {
-		t.Error("NOW with arguments must fail")
 	}
 }

@@ -30,11 +30,11 @@ type token struct {
 // sqlKeywords is the set of reserved words recognised by the parser, each
 // mapped to itself: the lexer finds a keyword by its upper-cased bytes and
 // takes the text from here, so a keyword written in lower case costs no
-// string. Non-reserved function names (UPPER, COUNT, ...) are plain
-// identifiers. The words of the SQL the parser refuses (unsupportedKeywords,
-// and the FIRST ROWS ONLY, ADD COLUMN, RENAME TO that went with them) stay
-// reserved: a refused statement is refused by name, and no identifier that
-// was reserved became a name.
+// string. Function names (LENGTH, COUNT, ...) are plain identifiers. The
+// words of the SQL the parser refuses (unsupportedKeywords, and the FIRST
+// ROWS ONLY, ADD COLUMN, RENAME TO that went with them) stay reserved: a
+// refused statement is refused by name, and no identifier that was
+// reserved became a name.
 var sqlKeywords = func() map[string]string {
 	m := map[string]string{}
 	for _, kw := range strings.Fields(`
@@ -80,7 +80,7 @@ func lexSQL(src string) ([]token, error) {
 // HeadKeyword returns the keyword sql begins with, upper-cased, after the
 // whitespace and comments the lexer skips; "" when it begins with anything
 // else. It reads one token: callers that route a statement by its kind
-// (rows or a count, cacheable or not) need not lex the rest.
+// (an EXPLAIN or not) need not lex the rest.
 func HeadKeyword(sql string) string {
 	lx := lexer{src: sql}
 	var t token

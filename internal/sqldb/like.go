@@ -6,21 +6,18 @@ import (
 )
 
 // likeProgram is a LIKE pattern prepared for matching: the pattern split
-// on unescaped '%' into parts, the first anchored at the start of the
-// operand, the last at its end, the ones between floating. '%' matches
-// any sequence of characters (including none), '_' exactly one character,
-// and the optional escape character makes the character after it literal.
-// Matching is case-sensitive, per SQL-92; callers wanting case-folding
-// apply UPPER/LOWER. A character is a rune as []rune(s) would yield it:
-// every byte of invalid UTF-8 counts as one U+FFFD.
+// on '%' into parts, the first anchored at the start of the operand, the
+// last at its end, the ones between floating. '%' matches any sequence of
+// characters (including none), '_' exactly one character. Every pattern
+// is valid. Matching is case-sensitive, per SQL-92. A character is a rune
+// as []rune(s) would yield it: every byte of invalid UTF-8 counts as one
+// U+FFFD.
 //
-// pattern and escape are what the program was built from, so that its
-// owner can tell when it needs another; err is the pattern's error,
-// reported by every evaluation instead of a match.
+// pattern is what the program was built from, so that its owner can tell
+// when it needs another.
 type likeProgram struct {
-	pattern, escape string
-	parts           []likePart // at least one when err is nil
-	err             error
+	pattern string
+	parts   []likePart // at least one
 }
 
 // likePart is the text between two '%'. A part with no '_' hole and no
@@ -40,18 +37,8 @@ type likePart struct {
 const likeAny rune = -1
 
 // compileLike parses a LIKE pattern; it is the only code that does.
-func compileLike(pattern, escape string, hasEscape bool) *likeProgram {
-	p := &likeProgram{pattern: pattern, escape: escape}
-	var esc rune
-	if hasEscape {
-		var w int
-		esc, w = utf8.DecodeRuneInString(escape)
-		if escape == "" || w != len(escape) {
-			p.err = &Error{Code: CodeInvalidText,
-				Message: "ESCAPE must be a single character"}
-			return p
-		}
-	}
+func compileLike(pattern string) *likeProgram {
+	p := &likeProgram{pattern: pattern}
 	var part []rune
 	plain := true
 	flush := func() {
@@ -62,29 +49,18 @@ func compileLike(pattern, escape string, hasEscape bool) *likeProgram {
 		}
 		part, plain = part[:0], true
 	}
-	literal := false
 	for _, r := range pattern {
-		switch {
-		case literal:
-			literal = false
-		case hasEscape && r == esc:
-			literal = true
-			continue
-		case r == '%':
+		switch r {
+		case '%':
 			flush()
 			continue
-		case r == '_':
+		case '_':
 			r = likeAny
 		}
 		if r == likeAny || r == utf8.RuneError {
 			plain = false
 		}
 		part = append(part, r)
-	}
-	if literal {
-		p.err = &Error{Code: CodeInvalidText,
-			Message: "LIKE pattern ends with escape character"}
-		return p
 	}
 	flush()
 	return p

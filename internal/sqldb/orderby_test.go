@@ -164,8 +164,6 @@ func TestOrderByOrdinalsAreShapes(t *testing.T) {
 		{"SELECT a, c FROM t ORDER BY 2 DESC", "[[2 20] [3 20] [1 10] [5 10] [4 ]]"},
 		{"SELECT a, b, c FROM t WHERE c = 10 ORDER BY 1", "[[1 one 10] [5 five 10]]"},
 		{"SELECT a, b, c FROM t WHERE c = 10 ORDER BY 5", "42601 ORDER BY ordinal 5 out of range"},
-		{"SELECT CAST(a AS VARCHAR(1)) FROM t WHERE a = 1", "[[1]]"},
-		{"SELECT CAST(a AS VARCHAR(2)) FROM t WHERE a = 1", "[[1]]"},
 	} {
 		for round, counted := range []string{"miss", "hit"} {
 			before := s.db.PlanCacheStats()

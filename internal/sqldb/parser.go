@@ -82,12 +82,14 @@ func (p *parser) errAt(err error) error {
 var unsupportedKeywords = map[string]string{
 	"UNION": "UNION", "HAVING": "HAVING", "DISTINCT": "DISTINCT",
 	"LIMIT": "LIMIT", "OFFSET": "OFFSET", "FETCH": "FETCH FIRST",
-	"ALTER": "ALTER TABLE",
+	"ALTER": "ALTER TABLE", "BETWEEN": "BETWEEN", "CAST": "CAST",
+	"ESCAPE": "LIKE ... ESCAPE",
 }
 
 // unsupportedAt names the unsupported SQL that begins at toks[i], "" when
-// none does: one of unsupportedKeywords, or a subquery, which the parser
-// meets as "(" SELECT — stopped at either token — or as EXISTS "(".
+// none does: one of unsupportedKeywords, the || operator, or a subquery,
+// which the parser meets as "(" SELECT — stopped at either token — or as
+// EXISTS "(".
 func unsupportedAt(toks []token, i int) string {
 	is := func(j int, kind tokKind, text string) bool {
 		return j >= 0 && j < len(toks) && toks[j].kind == kind && toks[j].text == text
@@ -95,6 +97,8 @@ func unsupportedAt(toks []token, i int) string {
 	switch t := toks[i]; {
 	case t.kind == tkKeyword && unsupportedKeywords[t.text] != "":
 		return unsupportedKeywords[t.text]
+	case is(i, tkOp, "||"):
+		return "the || operator"
 	case is(i-1, tkOp, "(") && is(i, tkKeyword, "SELECT"),
 		is(i, tkOp, "(") && is(i+1, tkKeyword, "SELECT"),
 		is(i, tkKeyword, "EXISTS") && is(i+1, tkOp, "("):
@@ -798,8 +802,8 @@ func (p *parser) parseNot() (Expr, error) {
 	return p.parsePredicate()
 }
 
-// parsePredicate handles comparison and the SQL predicates (LIKE, BETWEEN,
-// IN, IS NULL) at the same precedence level.
+// parsePredicate handles comparison and the SQL predicates (LIKE, IN,
+// IS NULL) at the same precedence level.
 func (p *parser) parsePredicate() (Expr, error) {
 	l, err := p.parseAdditive()
 	if err != nil {
@@ -817,7 +821,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 	if p.peek().kind == tkKeyword && p.peek().text == "NOT" &&
 		p.pos+1 < len(p.toks) && p.toks[p.pos+1].kind == tkKeyword {
 		switch p.toks[p.pos+1].text {
-		case "LIKE", "BETWEEN", "IN":
+		case "LIKE", "IN", "BETWEEN": // NOT BETWEEN is refused at BETWEEN
 			p.advance()
 			not = true
 		}
@@ -828,28 +832,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		le := &LikeExpr{Not: not, X: l, Pattern: pat}
-		if p.acceptKw("ESCAPE") {
-			esc, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			le.Escape = esc
-		}
-		return le, nil
-	case p.acceptKw("BETWEEN"):
-		lo, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("AND"); err != nil {
-			return nil, err
-		}
-		hi, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		return &BetweenExpr{Not: not, X: l, Lo: lo, Hi: hi}, nil
+		return &LikeExpr{Not: not, X: l, Pattern: pat}, nil
 	case p.acceptKw("IN"):
 		if err := p.expectOp("("); err != nil {
 			return nil, err
@@ -871,7 +854,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 		return in, nil
 	}
 	if not {
-		return nil, errSyntax("expected LIKE, BETWEEN or IN after NOT")
+		return nil, errSyntax("expected LIKE or IN after NOT")
 	}
 	// comparison operators
 	for _, op := range []string{"=", "<>", "!=", "<=", ">=", "<", ">"} {
@@ -891,7 +874,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 }
 
 func (p *parser) parseAdditive() (Expr, error) {
-	return p.chain(p.parseMultiplicative, "+", "-", "||")
+	return p.chain(p.parseMultiplicative, "+", "-")
 }
 
 func (p *parser) parseMultiplicative() (Expr, error) { return p.chain(p.parseUnary, "*", "/", "%") }
@@ -941,15 +924,6 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return &Literal{Val: NewBool(false), Off: t.pos}, nil
 		case "CASE":
 			return p.parseCase()
-		case "CAST":
-			return p.parseCast()
-		case "LEFT", "RIGHT":
-			// LEFT/RIGHT are reserved for joins but double as the string
-			// functions LEFT(s, n) / RIGHT(s, n) when followed by '('.
-			if p.pos+1 < len(p.toks) && p.toks[p.pos+1].kind == tkOp && p.toks[p.pos+1].text == "(" {
-				return p.parseIdentExpr()
-			}
-			return nil, errSyntax("unexpected %s in expression", t.describe())
 		default:
 			return nil, errSyntax("unexpected %s in expression", t.describe())
 		}
@@ -1057,26 +1031,4 @@ func (p *parser) parseCase() (Expr, error) {
 		return nil, err
 	}
 	return ce, nil
-}
-
-func (p *parser) parseCast() (Expr, error) {
-	p.advance() // CAST
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
-	x, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("AS"); err != nil {
-		return nil, err
-	}
-	typ, err := p.parseTypeName()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return &CastExpr{X: x, To: typ}, nil
 }

@@ -229,13 +229,6 @@ var paramizableHeads = map[string]bool{
 	"SELECT": true, "INSERT": true, "UPDATE": true, "DELETE": true,
 }
 
-// typeKeywords introduce a parenthesised length/precision whose numbers
-// are part of the type, not values (CAST(x AS VARCHAR(10))).
-var typeKeywords = map[string]bool{
-	"VARCHAR": true, "CHAR": true, "CHARACTER": true,
-	"DECIMAL": true, "NUMERIC": true, "FLOAT": true,
-}
-
 // shaper is the one pass from a statement to its shape. Fed the tokens of
 // the statement in order, it replaces every string and number literal by a
 // ? parameter, collects the values in parameter order, and renders the key
@@ -247,11 +240,8 @@ var typeKeywords = map[string]bool{
 // a projection ordinal, which the executor resolves from the *Literal*
 // node; parameterizing it would silently change semantics. With no
 // subquery in the grammar, ORDER BY is the last clause of the statement,
-// so its list runs to the end of the text. Numbers in type suffixes
-// (VARCHAR(10)) are kept literal because they are part of the type. The
-// pass looks back, never ahead: BY opens the ORDER BY list when the token
-// before it was ORDER, and ( opens a type suffix when the token before it
-// was a type keyword.
+// so its list runs to the end of the text. The pass looks back, never
+// ahead: BY opens the ORDER BY list when the token before it was ORDER.
 //
 // The key renders every token as the parser reads it, one space apart, so
 // that two statements with one key parse to one tree: identifiers as
@@ -260,15 +250,13 @@ var typeKeywords = map[string]bool{
 // Only the extracted values and the positions error messages cite are not
 // in it. A shaper is reused (shapers); its buffers are scratch.
 type shaper struct {
-	key       []byte
-	vals      []Value
-	order     bool // the ORDER BY list is open
-	depth     int
-	typeParen int // paren depth of an open type-suffix group, -1 when none
-	prevKind  tokKind
-	prevText  string
-	started   bool
-	bypass    bool
+	key      []byte
+	vals     []Value
+	order    bool // the ORDER BY list is open
+	prevKind tokKind
+	prevText string
+	started  bool
+	bypass   bool
 }
 
 // shapers keeps shapers, and their buffers, between statements.
@@ -291,7 +279,7 @@ func (sh *shaper) release() {
 }
 
 func (sh *shaper) reset() {
-	*sh = shaper{key: sh.key[:0], vals: sh.vals[:0], typeParen: -1}
+	*sh = shaper{key: sh.key[:0], vals: sh.vals[:0]}
 }
 
 // step feeds the next token and reports whether it was extracted as a
@@ -315,26 +303,12 @@ func (sh *shaper) step(t *token) (param bool) {
 	case tkParam:
 		sh.bypass = true
 		return false
-	case tkOp:
-		switch t.text {
-		case "(":
-			sh.depth++
-			if prevKind == tkKeyword && typeKeywords[prevText] {
-				sh.typeParen = sh.depth
-			}
-		case ")":
-			sh.depth--
-			if sh.typeParen >= 0 && sh.depth < sh.typeParen {
-				sh.typeParen = -1
-			}
-		}
 	case tkKeyword:
 		if t.text == "BY" && prevKind == tkKeyword && prevText == "ORDER" {
 			sh.order = true
 		}
 	case tkNumber:
-		inType := sh.typeParen >= 0 && sh.depth >= sh.typeParen
-		if !sh.order && !inType {
+		if !sh.order {
 			sh.vals = append(sh.vals, t.num)
 			sh.key = append(sh.key, " ?"...)
 			return true

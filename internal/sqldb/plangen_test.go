@@ -111,7 +111,7 @@ func (g *planGen) pred(rels []genRel) string {
 	case 0:
 		return col + " IN (" + g.literal("int") + ", " + g.literal("int") + ", NULL)"
 	case 1:
-		return col + " BETWEEN " + fmt.Sprint(g.r.Intn(10)) + " AND " + fmt.Sprint(10+g.r.Intn(25))
+		return "(" + col + " >= " + fmt.Sprint(g.r.Intn(10)) + " AND " + col + " <= " + fmt.Sprint(10+g.r.Intn(25)) + ")"
 	case 2:
 		return col + " IS " + g.pick("", "NOT ") + "NULL"
 	case 3:
@@ -312,7 +312,7 @@ func (g *planGen) writeStmt() genStmt {
 		return genStmt{sql: "DELETE FROM emp WHERE id > 100 AND " + g.pred(emp)}
 	}
 	where := append(g.where(emp, 2), g.pred(emp))
-	return genStmt{sql: "UPDATE emp SET " + g.pick("salary = salary + 1", "dept = dept", "name = name || ''") +
+	return genStmt{sql: "UPDATE emp SET " + g.pick("salary = salary + 1", "dept = dept", "name = name") +
 		" WHERE " + strings.Join(where, " AND ")}
 }
 

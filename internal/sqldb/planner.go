@@ -313,7 +313,7 @@ func errOrdinalRange(v Value) *Error {
 // one when the projection is reached, the first in this order.
 func (vw view) compileSelect(sp *selectPlan, params []Value) {
 	sel := sp.sel
-	c := compiler{params: params, vw: vw}
+	c := compiler{params: params, bind: vw.bind}
 	residual := sel.Where // SELECT without FROM evaluates over a single empty row
 	if sp.from != nil {
 		c.likes = sp.from.likes
@@ -462,7 +462,7 @@ func (fp *fromPlan) compile(c *compiler) []envCol {
 func compileFromNode(n fromNode, c *compiler) []envCol {
 	if rp, ok := n.(*relPlan); ok {
 		if rp.filter != nil {
-			sc := compiler{cols: rp.cols, params: c.params, vw: c.vw, likes: c.likes}
+			sc := compiler{cols: rp.cols, params: c.params, bind: c.bind, likes: c.likes}
 			rp.pred, rp.predErr = sc.pred(rp.filter)
 		}
 		return rp.cols
@@ -474,7 +474,7 @@ func compileFromNode(n fromNode, c *compiler) []envCol {
 	if jp.cond == nil {
 		return cols
 	}
-	jc := compiler{cols: cols, params: c.params, vw: c.vw}
+	jc := compiler{cols: cols, params: c.params, bind: c.bind}
 	jp.pred, jp.predErr = jc.pred(jp.cond)
 	if h := jp.hash; h != nil && jp.predErr == nil {
 		// The condition resolved, so its two key columns do, one to each side.
@@ -520,7 +520,7 @@ func (vw view) planInsert(ins *InsertStmt, params []Value) (*dmlPlan, error) {
 				Message: fmt.Sprintf("INSERT has %d values for %d columns", len(row), len(dp.cols))}, ExprOff(row[0]))
 		}
 	}
-	c := compiler{params: params, vw: vw}
+	c := compiler{params: params, bind: vw.bind}
 	dp.values = make([][]rowExpr, len(ins.Rows))
 	for i, row := range ins.Rows {
 		dp.values[i] = make([]rowExpr, len(row))
@@ -549,7 +549,7 @@ func (vw view) planWrite(st Stmt, table, alias string, off int, where Expr, para
 			dp.bindErr = err
 		}
 	}
-	c := compiler{cols: scan.cols, params: params, vw: vw, likes: fp.likes}
+	c := compiler{cols: scan.cols, params: params, bind: vw.bind, likes: fp.likes}
 	if where != nil {
 		if dp.where, err = c.pred(where); err != nil {
 			fail(err)

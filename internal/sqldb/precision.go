@@ -4,6 +4,8 @@ import (
 	"hash/maphash"
 	"math"
 	"strings"
+
+	"db2www/internal/decimal"
 )
 
 // Precision invalidation: what a result cache needs to drop only the
@@ -301,7 +303,7 @@ func eqKeyOf(cond Expr, t *Table, qual string, args []Value) (EqKey, bool) {
 			return numKey(pos, f), true
 		}
 		if v.T == TString {
-			if f, ok := decimal(v.S); ok {
+			if f, ok := decimal.Parse(v.S); ok {
 				return numKey(pos, f), true
 			}
 		}
@@ -325,7 +327,7 @@ const (
 )
 
 // safeCond reports whether cond cannot raise an error on any row: a
-// comparison, BETWEEN, IN, LIKE without ESCAPE or IS NULL of columns and
+// comparison, IN, LIKE or IS NULL of columns and
 // constants whose types compare, and AND, OR and NOT of such.
 func safeCond(cond Expr, colType func(*ColumnRef) (Type, bool), args []Value) bool {
 	class := func(e Expr) (opClass, bool) {
@@ -354,7 +356,7 @@ func safeCond(cond Expr, colType func(*ColumnRef) (Type, bool), args []Value) bo
 		case TInt, TFloat:
 			return opNum, true
 		case TString:
-			if _, ok := decimal(v.S); ok {
+			if _, ok := decimal.Parse(v.S); ok {
 				return opDecimalText, true
 			}
 			return opText, true
@@ -396,12 +398,10 @@ func safeCond(cond Expr, colType func(*ColumnRef) (Type, bool), args []Value) bo
 	case *LikeExpr:
 		_, okX := class(x.X)
 		_, okP := class(x.Pattern)
-		return x.Escape == nil && okX && okP
+		return okX && okP
 	case *IsNullExpr:
 		_, ok := class(x.X)
 		return ok
-	case *BetweenExpr:
-		return compares(x.X, x.Lo) && compares(x.X, x.Hi)
 	case *InExpr:
 		for _, it := range x.List {
 			if !compares(x.X, it) {

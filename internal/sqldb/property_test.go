@@ -168,12 +168,8 @@ func TestLikeMatchesRegexpOracle(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		s := strings.ReplaceAll(strings.ReplaceAll(randStr(rng.Intn(8)), "%", "a"), "_", "b")
 		pat := randStr(rng.Intn(6))
-		got, err := likeVia(s, pat, "", false)
-		if err != nil {
-			t.Fatalf("LIKE(%q, %q): %v", s, pat, err)
-		}
-		want := likeToRegexp(pat).MatchString(s)
-		if got != want {
+		got := compileLike(pat).match(s)
+		if want := likeToRegexp(pat).MatchString(s); got != want {
 			t.Fatalf("LIKE(%q, %q) = %v, oracle says %v", s, pat, got, want)
 		}
 	}

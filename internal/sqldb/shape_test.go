@@ -25,45 +25,24 @@ import (
 // replaced by a ? parameter, returning the extracted values in parameter
 // order; ok is false when the statement takes the literal path. It looks
 // ahead: ORDER opens the ordinal list, to the end of the text, when BY
-// follows; a type keyword a type suffix when ( follows.
+// follows.
 func referenceParamize(toks []token) ([]token, []Value, bool) {
 	if len(toks) == 0 || toks[0].kind != tkKeyword || !paramizableHeads[toks[0].text] {
 		return nil, nil, false
 	}
 	out := make([]token, 0, len(toks))
 	var vals []Value
-	depth := 0
 	order := false
-	typeParen := -1
 	for i, t := range toks {
 		switch t.kind {
 		case tkParam:
 			return nil, nil, false
-		case tkOp:
-			switch t.text {
-			case "(":
-				depth++
-			case ")":
-				depth--
-				if typeParen >= 0 && depth < typeParen {
-					typeParen = -1
-				}
-			}
 		case tkKeyword:
-			switch t.text {
-			case "ORDER":
-				if i+1 < len(toks) && toks[i+1].kind == tkKeyword && toks[i+1].text == "BY" {
-					order = true
-				}
-			default:
-				if typeKeywords[t.text] && i+1 < len(toks) &&
-					toks[i+1].kind == tkOp && toks[i+1].text == "(" {
-					typeParen = depth + 1
-				}
+			if t.text == "ORDER" && i+1 < len(toks) && toks[i+1].kind == tkKeyword && toks[i+1].text == "BY" {
+				order = true
 			}
 		case tkNumber:
-			inType := typeParen >= 0 && depth >= typeParen
-			if !order && !inType {
+			if !order {
 				vals = append(vals, t.num)
 				out = append(out, token{kind: tkParam, text: "?", pos: t.pos})
 				continue
@@ -132,9 +111,10 @@ func checkShape(t *testing.T, sql string) {
 	}
 }
 
-// shapeHandCases are the places the two passes could part: ordinals, type
-// suffixes, parentheses, quote escapes, comments, caller parameters,
-// non-ASCII identifiers, keyword case.
+// shapeHandCases are the places the two passes could part: ordinals,
+// parentheses, quote escapes, comments, caller parameters, non-ASCII
+// identifiers, keyword case, and SQL the parser refuses (CAST, BETWEEN),
+// which is shaped all the same.
 var shapeHandCases = []string{
 	"SELECT name FROM t ORDER BY 2",
 	"SELECT name FROM t WHERE id = 3 ORDER BY 1, 2 DESC",

@@ -148,7 +148,7 @@ func planIndexScan(t *Table, qual string, conj Expr, params []Value, unbound boo
 	why.Column = t.Columns[pos].Name
 	var prefix string
 	if sh.op == "like" && !v.IsNull() {
-		prog := compileLike(v.String(), "", false)
+		prog := compileLike(v.String())
 		*likes = append(*likes, prog)
 		if prefix, ok = prog.prefix(); !ok {
 			why.Why, why.Pattern = VerdictNoPrefix, v.String()
@@ -164,7 +164,7 @@ func planIndexScan(t *Table, qual string, conj Expr, params []Value, unbound boo
 	}
 	if sh.op != "like" && !v.IsNull() {
 		var err error
-		if v, err = coerceToColumn(v, t.Columns[pos].Type); err != nil {
+		if v, err = CoerceToColumn(v, t.Columns[pos].Type); err != nil {
 			why.Why = VerdictKeyType
 			return indexScanPlan{}, false, why
 		}
@@ -194,7 +194,7 @@ type indexShape struct {
 
 // indexableShape classifies one conjunct the way the planner does before
 // it looks at the catalog: col = const, const = col, a range comparison
-// in either orientation, or col LIKE pattern without NOT or ESCAPE, where
+// in either orientation, or col LIKE pattern without NOT, where
 // the operand references no column or aggregate.
 func indexableShape(conj Expr) (indexShape, bool) {
 	switch x := conj.(type) {
@@ -210,7 +210,7 @@ func indexableShape(conj Expr) (indexShape, bool) {
 			return indexShape{col: c, op: flipped, operand: x.L}, constShaped(x.L)
 		}
 	case *LikeExpr:
-		if c, ok := x.X.(*ColumnRef); ok && !x.Not && x.Escape == nil {
+		if c, ok := x.X.(*ColumnRef); ok && !x.Not {
 			return indexShape{col: c, op: "like", operand: x.Pattern}, constShaped(x.Pattern)
 		}
 	}

@@ -7,10 +7,11 @@
 // rollback — all of which this package provides. The
 // engine supports a useful subset of SQL-92: CREATE/DROP TABLE, CREATE/DROP
 // INDEX, INSERT, UPDATE, DELETE, and SELECT with WHERE, joins, GROUP BY,
-// ORDER BY, scalar functions, aggregates, LIKE, BETWEEN, IN, and CASE.
-// UNION, subqueries, derived tables, HAVING, DISTINCT, LIMIT/OFFSET,
-// FETCH FIRST and ALTER TABLE are refused at parse with SQLSTATE 0A000:
-// nothing the gateway serves sends them.
+// ORDER BY, the functions LENGTH and ROUND, the five aggregates, LIKE, IN,
+// IS NULL and CASE. UNION, subqueries, derived tables, HAVING, DISTINCT,
+// LIMIT/OFFSET, FETCH FIRST, ALTER TABLE, BETWEEN, CAST, LIKE ... ESCAPE
+// and || are refused at parse with SQLSTATE 0A000, and any other function
+// with 42883: nothing the gateway serves sends them.
 package sqldb
 
 import (
@@ -19,6 +20,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"db2www/internal/decimal"
 )
 
 // Type identifies the runtime type of a Value.
@@ -229,7 +232,7 @@ func Compare(a, b Value) (int, error) {
 	// finite decimal number compares as that number, as 1996-era dynamic SQL
 	// front ends did; any other text ('abc', 'NaN', 'Inf') is no number.
 	if a.T == TString && bok {
-		if f, ok := decimal(a.S); ok {
+		if f, ok := decimal.Parse(a.S); ok {
 			switch {
 			case f < bf:
 				return -1, nil
@@ -241,7 +244,7 @@ func Compare(a, b Value) (int, error) {
 		}
 	}
 	if b.T == TString && aok {
-		if f, ok := decimal(b.S); ok {
+		if f, ok := decimal.Parse(b.S); ok {
 			switch {
 			case af < f:
 				return -1, nil
@@ -319,13 +322,14 @@ func groupHash(key []Value) uint64 {
 	return h
 }
 
-// coerceToColumn converts a value for storage into a column of the given
-// declared type. Strings parse to numbers when the column is numeric;
+// CoerceToColumn converts a value for storage into a column of the given
+// declared type: the engine's one assignment coercion, which the linter
+// asks too. Strings parse to numbers when the column is numeric;
 // numbers render to strings for VARCHAR columns; NULL passes through. A
 // number that is not finite is not a value of a numeric column: NaN would
 // compare equal to every number (Compare answers 0 when neither operand is
 // less), and a dump writes ±Inf as a bare word that does not parse back.
-func coerceToColumn(v Value, t Type) (Value, error) {
+func CoerceToColumn(v Value, t Type) (Value, error) {
 	if v.IsNull() || t == TNull {
 		return v, nil
 	}
@@ -347,7 +351,7 @@ func coerceToColumn(v Value, t Type) (Value, error) {
 		case TString:
 			i, err := strconv.ParseInt(strings.TrimSpace(v.S), 10, 64)
 			if err != nil {
-				f, ok := decimal(v.S)
+				f, ok := decimal.Parse(v.S)
 				if !ok {
 					return Null, &Error{Code: CodeInvalidText,
 						Message: fmt.Sprintf("invalid INTEGER literal %q", v.S)}
@@ -371,7 +375,7 @@ func coerceToColumn(v Value, t Type) (Value, error) {
 			}
 			return NewFloat(0), nil
 		case TString:
-			f, ok := decimal(v.S)
+			f, ok := decimal.Parse(v.S)
 			if !ok {
 				return Null, &Error{Code: CodeInvalidText,
 					Message: fmt.Sprintf("invalid DOUBLE literal %q", v.S)}
@@ -403,50 +407,6 @@ func coerceToColumn(v Value, t Type) (Value, error) {
 }
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
-
-// decimal returns the value of s, spaces around it aside, when it is a
-// finite decimal number: an optional sign, digits with an optional
-// fraction, an optional exponent. It is the one grammar by which a text is
-// a number, in a comparison as in an assignment; anything else is text:
-// NaN and Inf, which would compare equal to or unordered with every
-// number, a hexadecimal float, and a number too large for a float64. (A
-// %IF applies the same grammar, internal/core.)
-func decimal(s string) (float64, bool) {
-	s = strings.TrimSpace(s)
-	digits := func(i int) int {
-		for i < len(s) && '0' <= s[i] && s[i] <= '9' {
-			i++
-		}
-		return i
-	}
-	i := 0
-	if i < len(s) && (s[i] == '+' || s[i] == '-') {
-		i++
-	}
-	end := digits(i)
-	n := end - i
-	if end < len(s) && s[end] == '.' {
-		i, end = end+1, digits(end+1)
-		n += end - i
-	}
-	if n == 0 {
-		return 0, false
-	}
-	if end < len(s) && (s[end] == 'e' || s[end] == 'E') {
-		i = end + 1
-		if i < len(s) && (s[i] == '+' || s[i] == '-') {
-			i++
-		}
-		if end = digits(i); end == i {
-			return 0, false
-		}
-	}
-	if end != len(s) {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	return f, err == nil
-}
 
 // errOutOfRange is the error of an arithmetic result that is not a finite
 // number: the engine holds no NaN and no infinity, so Compare never meets

@@ -87,6 +87,11 @@ func (v val) sample() sqldb.Expr {
 // the engine raises for it, if any.
 func rejects(e sqldb.Expr) error {
 	_, err := sqldb.EvalConst(e)
+	return typeError(err)
+}
+
+// typeError is err when the engine raised it for a type, nil otherwise.
+func typeError(err error) error {
 	var se *sqldb.Error
 	if errors.As(err, &se) && (se.Code == sqldb.CodeDatatypeMismatch || se.Code == sqldb.CodeInvalidText) {
 		return err
@@ -143,8 +148,6 @@ func (a *analyzer) checkExpr(e sqldb.Expr) val {
 		case "=", "<>", "<", "<=", ">", ">=":
 			a.checkComparison(x.Op, l, r, x.L, x.R)
 			return val{kind: kBool}
-		case "||":
-			return val{kind: kText}
 		}
 		// Each operand against a number: a type error is that operand's.
 		one := &sqldb.Literal{Val: sqldb.NewInt(1)}
@@ -158,16 +161,10 @@ func (a *analyzer) checkExpr(e sqldb.Expr) val {
 	case *sqldb.LikeExpr:
 		a.checkExpr(x.X)
 		p := a.checkExpr(x.Pattern)
-		a.checkExpr(x.Escape)
 		if p.kind == kNull {
 			a.add(RuleType, SevWarn, p.lit.Off,
 				"LIKE with a NULL pattern never matches; the predicate is always unknown", "")
 		}
-		return val{kind: kBool}
-	case *sqldb.BetweenExpr:
-		v, lo, hi := a.checkExpr(x.X), a.checkExpr(x.Lo), a.checkExpr(x.Hi)
-		a.checkComparison(">=", v, lo, x.X, x.Lo)
-		a.checkComparison("<=", v, hi, x.X, x.Hi)
 		return val{kind: kBool}
 	case *sqldb.InExpr:
 		v := a.checkExpr(x.X)
@@ -184,10 +181,8 @@ func (a *analyzer) checkExpr(e sqldb.Expr) val {
 			args = append(args, a.checkExpr(arg))
 		}
 		switch x.Name {
-		case "COUNT", "SUM", "AVG", "LENGTH", "ABS", "ROUND":
+		case "COUNT", "SUM", "AVG", "LENGTH", "ROUND":
 			return val{kind: kNum}
-		case "UPPER", "LOWER", "TRIM", "SUBSTR", "SUBSTRING", "CONCAT":
-			return val{kind: kText}
 		case "MIN", "MAX":
 			if len(args) == 1 {
 				return val{kind: args[0].kind}
@@ -210,9 +205,6 @@ func (a *analyzer) checkExpr(e sqldb.Expr) val {
 			out = kUnknown
 		}
 		return val{kind: out}
-	case *sqldb.CastExpr:
-		a.checkExpr(x.X)
-		return val{kind: typeKind(x.To)}
 	}
 	return val{}
 }
@@ -275,7 +267,7 @@ func (a *analyzer) checkComparison(op string, l, r val, le, re sqldb.Expr) {
 }
 
 // checkAssign checks one INSERT/UPDATE value against the column of table
-// it is stored in: the engine stores it as CAST to the column type does.
+// it is stored in, by the engine's own assignment coercion.
 func (a *analyzer) checkAssign(c *sqldb.Column, table string, v val, e sqldb.Expr) {
 	if v.kind == kNull {
 		if c.NotNull {
@@ -288,7 +280,8 @@ func (a *analyzer) checkAssign(c *sqldb.Column, table string, v val, e sqldb.Exp
 	if s == nil {
 		return
 	}
-	err := rejects(&sqldb.CastExpr{X: s, To: c.Type})
+	_, err := sqldb.CoerceToColumn(s.(*sqldb.Literal).Val, c.Type)
+	err = typeError(err)
 	target := fmt.Sprintf("%s column %s.%s", strings.ToUpper(c.Type.String()), table, c.Name)
 	switch {
 	case err == nil:
