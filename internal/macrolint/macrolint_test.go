@@ -70,7 +70,8 @@ var seededDefects = map[string][]expectation{
 	"exec_missing.d2w":     {{"sections", SevError, 10}, {"sections", SevWarn, 6}},
 	"report_cols.d2w":      {{"sqlreport", SevWarn, 11}, {"sqlreport", SevWarn, 11}},
 	"report_ordinals.d2w":  {{"undefined", SevWarn, 12}, {"undefined", SevWarn, 12}}, // $(V0), $(V01)
-	"sqlsyntax.d2w":        {{"sqlreport", SevWarn, 7}},
+	"sqlsyntax.d2w":        {{"sqlreport", SevError, 7}},
+	"sqlunsupported.d2w":   {{"sqlreport", SevError, 8}}, // || is 0A000
 	"unterminated.d2w":     {{"template", SevWarn, 7}},
 	"include_missing.d2w":  {{"include", SevError, 5}},
 	"include_cycle.d2w":    {{"include", SevError, 5}},

@@ -39,9 +39,11 @@ func selectShape(stmt sqldb.Stmt) (count int, names map[string]bool, ok bool) {
 }
 
 // runSQLReport validates what can be proven about a SQL section without
-// running it: when the command resolves statically it must parse, and
-// when the SELECT list is known, every $(Vi)/$(V.col) reference in the
-// report and message blocks must address a real column.
+// running it: when the command resolves statically it must parse — one
+// that does not (a syntax error, or SQL the engine refuses with 0A000)
+// fails every request that runs it, an error — and when the SELECT list
+// is known, every $(Vi)/$(V.col) reference in the report and message
+// blocks must address a real column.
 func runSQLReport(p *pass) {
 	e := p.env
 	for _, t := range e.templates {
@@ -64,7 +66,7 @@ func runSQLReport(p *pass) {
 			}
 			p.reportAt(t, off, Diagnostic{
 				Analyzer: "sqlreport",
-				Severity: SevWarn,
+				Severity: SevError,
 				Message:  fmt.Sprintf("SQL command of %s does not parse: %v", t.where(), err),
 			})
 			continue

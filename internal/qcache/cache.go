@@ -68,12 +68,12 @@ const maxShapes = 4096
 // its bump — and a table's version never decreases. Changes returns the
 // records of a table's bumps in (since, until], or false when it no longer
 // has them all; Predicate compiles a statement's condition on the rows of
-// its i-th table for a change's images (nil: every row matches).
+// the table a change is of, for its images (nil: every row matches).
 type Source interface {
 	AppendTableVersions(dst []uint64, tables []string) []uint64
 	StatementFacts(sql string) sqldb.Facts
 	Changes(table string, since, until uint64) ([]sqldb.Change, bool)
-	Predicate(f *sqldb.Facts, i int, ch *sqldb.Change) *sqldb.Predicate
+	Predicate(f *sqldb.Facts, ch *sqldb.Change) *sqldb.Predicate
 }
 
 // Stats is a snapshot of the cache's counters.
@@ -133,7 +133,6 @@ type link struct {
 	e          *entry
 	l          *tableLink
 	in         uint8            // which list holds it: fresh, rest or keyed
-	i          int32            // the table's index in e.facts.Tables
 	pred       *sqldb.Predicate // bound at the first change the entry meets
 	prev, next *link
 }
@@ -411,7 +410,7 @@ func (c *Cache) bindLocked(src Source, l *tableLink, ch *sqldb.Change) {
 	for l.fresh != nil {
 		n := l.fresh
 		n.unlink(&l.fresh)
-		n.pred = src.Predicate(&n.e.facts, int(n.i), ch)
+		n.pred = src.Predicate(&n.e.facts, ch)
 		k, ok := n.pred.Key()
 		if !ok {
 			n.in = rest
@@ -498,7 +497,7 @@ func (c *Cache) storeLocked(k key, res *core.SQLResult, facts sqldb.Facts, versi
 		if versions[i] > l.seen {
 			c.sweepLocked(k.src, l, versions[i])
 		}
-		e.links[i] = link{e: e, l: l, i: int32(i)}
+		e.links[i] = link{e: e, l: l}
 	}
 	if old, ok := c.entries[k]; ok {
 		c.removeLocked(old)

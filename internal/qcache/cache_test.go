@@ -59,7 +59,7 @@ func (l *tableLink) len() int {
 // Changes keeps no records: every bump is a change of the whole table.
 func (f *fakeSource) Changes(string, uint64, uint64) ([]sqldb.Change, bool) { return nil, false }
 
-func (f *fakeSource) Predicate(*sqldb.Facts, int, *sqldb.Change) *sqldb.Predicate { return nil }
+func (f *fakeSource) Predicate(*sqldb.Facts, *sqldb.Change) *sqldb.Predicate { return nil }
 
 func (f *fakeSource) bump(table string) {
 	f.mu.Lock()

@@ -1,6 +1,7 @@
 package qcache_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -44,7 +45,8 @@ const preciseBurst = 70
 // preciseReads are the SELECTs the fuzzer picks from, %d a small number
 // and %s a short text: equality, ranges, LIKE prefixes, IS NULL, inner
 // and LEFT joins and GROUP BY, numbers against text and text against
-// numbers.
+// numbers, an unqualified column of a joined table, a join key bound by
+// implied equality, and the rows a LEFT join matches with none.
 var preciseReads = []string{
 	"SELECT id, k, s FROM a WHERE k = %d ORDER BY id",
 	"SELECT id FROM a WHERE k < %d ORDER BY id",
@@ -58,6 +60,9 @@ var preciseReads = []string{
 	"SELECT b.t, COUNT(*) FROM a JOIN b ON a.id = b.aid AND b.t = '%s' GROUP BY b.t ORDER BY b.t",
 	"SELECT COUNT(*) FROM a, b WHERE a.id = b.aid AND a.s = '%s'",
 	"SELECT id FROM b WHERE aid = %d OR t IS NULL ORDER BY id",
+	"SELECT a.id, t FROM a JOIN b ON a.id = b.aid WHERE t = '%s' ORDER BY a.id, t",
+	"SELECT a.id, b.id FROM a JOIN b ON a.id = b.aid WHERE a.id = %d ORDER BY a.id, b.id",
+	"SELECT a.id FROM a LEFT JOIN b ON a.id = b.aid WHERE b.t IS NULL ORDER BY a.id",
 }
 
 // preciseWrites are the single-row writes, %[1]d a row id, %[2]d a small
@@ -85,8 +90,10 @@ var preciseTexts = []string{"a", "ab", "b", "abc", "c", "7", "1"}
 // requires after
 // every step that each SELECT generated so far answers through the cache
 // what it answers on a connection without one: same columns, rows and
-// error. Writes go through a session of their own, so what the cache
-// knows of them is the engine's change records alone.
+// error, and no error but a comparison of text with a number, the one the
+// generated reads make on purpose. Writes go through a session of their
+// own, so what the cache knows of them is the engine's change records
+// alone.
 func FuzzPreciseInvalidation(f *testing.F) {
 	rng := rand.New(rand.NewSource(46))
 	for i := 0; i < 12; i++ {
@@ -134,9 +141,10 @@ func FuzzPreciseInvalidation(f *testing.F) {
 			switch op := next() % 9; {
 			case op < 4:
 				q := preciseReads[next()%len(preciseReads)]
-				if strings.Contains(q, "%s") {
+				switch {
+				case strings.Contains(q, "%s"):
 					q = fmt.Sprintf(q, preciseTexts[next()%len(preciseTexts)])
-				} else {
+				case strings.Contains(q, "%d"):
 					q = fmt.Sprintf(q, next()%4)
 				}
 				if !seen[q] {
@@ -169,6 +177,12 @@ func FuzzPreciseInvalidation(f *testing.F) {
 				if fmt.Sprint(gerr) != fmt.Sprint(werr) || !sameResult(got, want) {
 					t.Fatalf("step %d: %s\ncached: %v %v\ndirect: %v %v", step, q, resultRows(got), gerr, resultRows(want), werr)
 				}
+				// Every generated read binds against the schema: the one error
+				// it may meet is a comparison of text with a number.
+				var se *sqldb.Error
+				if werr != nil && (!errors.As(werr, &se) || se.Code != sqldb.CodeDatatypeMismatch) {
+					t.Fatalf("step %d: %s: %v", step, q, werr)
+				}
 			}
 		}
 	})
@@ -186,4 +200,75 @@ func resultRows(r *core.SQLResult) [][]core.Field {
 		return nil
 	}
 	return r.Rows
+}
+
+// TestJoinReadKeepsThePlansPredicate: a join's cached read keeps, on the
+// joined table, the conjuncts the planner gives it — an unqualified
+// column of that table alone, and the equality implied by a join key
+// bound to a constant — so a write to the table whose old and new images
+// fail them leaves the read a hit, and one whose new image satisfies them
+// drops it.
+func TestJoinReadKeepsThePlansPredicate(t *testing.T) {
+	name := fmt.Sprintf("PRECISE%d", preciseDB.Add(1))
+	db := sqldb.NewDatabase(name)
+	w := sqldb.NewSession(db)
+	defer w.Close()
+	if _, err := w.ExecScript(preciseSchema); err != nil {
+		t.Fatal(err)
+	}
+	sqldriver.Register(name, db)
+	defer sqldriver.Unregister(name)
+	cache := qcache.New(1 << 20)
+	cached, err := qcache.Wrap(gateway.NewSQLProvider(), cache).Connect(name, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cached.Close()
+	direct, err := gateway.NewSQLProvider().Connect(name, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+
+	reads := []string{
+		"SELECT a.id, t FROM a JOIN b ON a.id = b.aid WHERE t = 'ab' ORDER BY a.id",
+		"SELECT a.id, t FROM a JOIN b ON a.id = b.aid WHERE a.id = 1 ORDER BY t",
+	}
+	// read runs q through the cache and says whether it was a hit.
+	read := func(q string) bool {
+		t.Helper()
+		hits := cache.Stats().Hits
+		got, gerr := cached.Execute(q)
+		want, werr := direct.Execute(q)
+		if gerr != nil || werr != nil || !sameResult(got, want) {
+			t.Fatalf("%s\ncached: %v %v\ndirect: %v %v", q, resultRows(got), gerr, resultRows(want), werr)
+		}
+		return cache.Stats().Hits > hits
+	}
+	for _, q := range reads {
+		read(q)
+		if !read(q) {
+			t.Fatalf("%s: not a hit when repeated", q)
+		}
+	}
+	// b's row 3 (aid 9, t 'c') neither before nor after: t is not 'ab' and
+	// aid is not 1.
+	if _, err := w.Exec("UPDATE b SET t = 'z' WHERE id = 3"); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range reads {
+		if !read(q) {
+			t.Errorf("%s: dropped by a write to b whose images fail its predicate on b", q)
+		}
+	}
+	// Its new image has aid 1: the second read's implied b.aid = 1.
+	if _, err := w.Exec("UPDATE b SET aid = 1 WHERE id = 3"); err != nil {
+		t.Fatal(err)
+	}
+	if !read(reads[0]) {
+		t.Errorf("%s: dropped by a write whose images have t 'z'", reads[0])
+	}
+	if read(reads[1]) {
+		t.Errorf("%s: still a hit after a write whose new image has aid 1", reads[1])
+	}
 }

@@ -93,9 +93,6 @@ func noteScan(t *Table, plan *indexScanPlan, rows int) {
 	t.rowsRead.Add(int64(rows))
 }
 
-// andConjuncts flattens a chain of top-level ANDs; nil has none.
-func andConjuncts(e Expr) []Expr { return appendConjuncts(nil, e) }
-
 // appendConjuncts appends the conjuncts of e's chain of top-level ANDs to
 // dst.
 func appendConjuncts(dst []Expr, e Expr) []Expr {
@@ -358,7 +355,7 @@ func (vw view) execSelect(sp *selectPlan) (*Result, error) {
 			}
 		}
 		var err error
-		if perm, err = sortOrder(keys, sp.sel.OrderBy); err != nil {
+		if perm, err = sortOrder(keys, sp.orderBy); err != nil {
 			return nil, err
 		}
 	}

@@ -89,25 +89,20 @@ func (sp *selectPlan) explain(pp *planPrinter) { pp.selectPlan(sp, "", true) }
 
 // selectPlan prints a SELECT.
 func (pp *planPrinter) selectPlan(sp *selectPlan, pad string, root bool) {
-	sel := sp.sel
 	in := pp.node(pad, root, "Select"+pp.produced(&sp.stat))
-	where := sel.Where
-	if sp.from != nil {
-		// Conjuncts the planner pushed into scans and join steps show
-		// there; only the residual is evaluated above the FROM tree.
-		where = sp.from.residual
+	// Conjuncts the planner pushed into scans and join steps show there;
+	// only the residual is evaluated above the FROM tree.
+	if sp.residual != nil {
+		pp.prop(in, "Filter: "+exprString(sp.residual)+pp.staged(&sp.where))
 	}
-	if where != nil {
-		pp.prop(in, "Filter: "+exprString(where)+pp.staged(&sp.where))
-	}
-	if len(sel.GroupBy) > 0 {
-		pp.prop(in, "Group By: "+exprListString(sel.GroupBy))
+	if len(sp.groupKeys) > 0 {
+		pp.prop(in, "Group By: "+exprListString(sp.groupKeys))
 	}
 	if sp.grouped {
 		pp.prop(in, "Aggregate"+pp.staged(&sp.aggregate))
 	}
-	if len(sel.OrderBy) > 0 {
-		pp.prop(in, "Order By: "+orderByString(sel.OrderBy))
+	if len(sp.orderBy) > 0 {
+		pp.prop(in, "Order By: "+orderByString(sp.orderBy))
 	}
 	if sp.from == nil {
 		pp.node(in, false, "Result")
@@ -143,7 +138,7 @@ func (pp *planPrinter) fromNode(n fromNode, free bool, pad string) {
 	case jp.hash != nil:
 		pp.prop(in, "Hash Cond: "+exprString(jp.hash.conj))
 		var rest []Expr
-		for _, conj := range andConjuncts(jp.cond) {
+		for _, conj := range appendConjuncts(nil, jp.cond) {
 			if conj != Expr(jp.hash.conj) {
 				rest = append(rest, conj)
 			}
@@ -177,10 +172,9 @@ func (pp *planPrinter) relPlan(rp *relPlan, free bool, pad string) {
 	}
 	if rp.filter != nil {
 		text := exprString(rp.filter)
-		if len(rp.implied) > 0 {
-			conds := andConjuncts(rp.filter)
-			parts := make([]string, len(conds))
-			for i, c := range conds {
+		if rp.nImplied > 0 {
+			parts := make([]string, len(rp.conds))
+			for i, c := range rp.conds {
 				parts[i] = rp.condText(c)
 			}
 			text = strings.Join(parts, " AND ")
@@ -195,7 +189,7 @@ func (pp *planPrinter) relPlan(rp *relPlan, free bool, pad string) {
 // condText renders a conjunct pushed to the scan, marked when implied
 // equality derived it.
 func (rp *relPlan) condText(c Expr) string {
-	if slices.Contains(rp.implied, c) {
+	if slices.Contains(rp.conds[len(rp.conds)-rp.nImplied:], c) {
 		return exprString(c) + " (implied)"
 	}
 	return exprString(c)
@@ -222,18 +216,18 @@ func (dp *dmlPlan) explain(pp *planPrinter) {
 			sets[i] = sc.Column + " = " + exprString(sc.Value)
 		}
 		pp.prop(in, "Set: "+strings.Join(sets, ", "))
-		pp.writeScan(dp, x.Where, in)
+		pp.writeScan(dp, in)
 	case *DeleteStmt:
 		in = pp.node("", true, "Delete on "+dp.t.Name+pp.produced(&dp.stat))
-		pp.writeScan(dp, x.Where, in)
+		pp.writeScan(dp, in)
 	}
 }
 
 // writeScan prints the WHERE filter and the scan under an UPDATE or
 // DELETE.
-func (pp *planPrinter) writeScan(dp *dmlPlan, where Expr, pad string) {
-	if where != nil {
-		pp.prop(pad, "Filter: "+exprString(where)+pp.staged(&dp.filter))
+func (pp *planPrinter) writeScan(dp *dmlPlan, pad string) {
+	if dp.residual != nil {
+		pp.prop(pad, "Filter: "+exprString(dp.residual)+pp.staged(&dp.filter))
 	}
 	pp.relPlan(dp.scan, false, pad)
 }

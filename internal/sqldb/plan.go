@@ -65,16 +65,16 @@ type planEntry struct {
 // result depends on nothing but those tables' contents and the statement
 // text (stmtFacts' rule). The zero Facts says: not cacheable.
 //
-// Past what a cache reads, Facts carries what Database.Predicate compiles:
-// the shape's read set and the values the text's literals were extracted
-// to, which the shape's parameters stand for. Both are the plan cache's,
-// read-only.
+// Past what a cache reads, Facts carries what Database.Predicate plans
+// from: the shape's readPlan and the values the text's literals were
+// extracted to, which the shape's parameters stand for. Both are the plan
+// cache's.
 type Facts struct {
 	Digest, Norm string
 	Tables       []string
 	Cacheable    bool
 	args         []Value
-	reads        *readSet
+	reads        *readPlan
 }
 
 // PlanCache is a bounded LRU of parsed statement shapes, with a bounded
@@ -453,7 +453,7 @@ func (pc *PlanCache) resolve(sql string) (*planEntry, []Value) {
 		e.stmt = st
 		e.facts.Tables, e.facts.Cacheable = stmtFacts(st)
 		if e.facts.Cacheable {
-			e.facts.reads = readSetOf(st.(*SelectStmt), e.facts.Tables)
+			e.facts.reads = &readPlan{sel: st.(*SelectStmt)}
 		}
 	}
 	// Without a parse, a negative entry: this shape never parses in

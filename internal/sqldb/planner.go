@@ -8,12 +8,14 @@ import (
 )
 
 // The plan: one tree per statement execution, built by planStmt and its
-// parts before anything runs, and the only thing the executor (exec.go,
-// exec2.go), EXPLAIN (explain.go) and — through the summary Check returns
+// parts before anything runs, and the only thing the executor (exec.go),
+// EXPLAIN (explain.go) and — through the summary Check returns
 // (static.go) — the linter read. Every decision the engine makes about how
 // to read a table is on a node here: which relations join in which order
 // and by which method, which conjuncts filter at a scan, which index
-// serves a scan. The plan also holds the statement's compiled stages:
+// serves a scan. Which conjunct filters which relation is decided once,
+// by attribute (stats.go), whose record the query cache's read set reads
+// too (precision.go). The plan also holds the statement's compiled stages:
 // every expression — a scan's filter, a join's condition, the WHERE left
 // above them, the grouping keys and aggregate arguments, the sort
 // keys, the projection, a write's SET and VALUES — resolved against the
@@ -30,10 +32,10 @@ import (
 // of an INSERT's rows.
 //
 // A plan is built per execution and never kept on the statement: the
-// driver's prepared statements execute one parsed tree many times with
-// other parameters, and the statistics the choices rest on move between
-// executions. It holds resolved *Table and *Index pointers, so it is
-// valid only under the catalog lock it was built under.
+// parse cache (plan.go) hands every text of a shape one parsed tree, run
+// with that text's values bound, and the statistics the choices rest on
+// move between executions. It holds resolved *Table and *Index pointers,
+// so it is valid only under the catalog lock it was built under.
 
 // opStats is what one operator did: how often it ran, the rows it
 // considered (scan candidates, join pairs) and produced, and — only while
@@ -73,12 +75,12 @@ func (s *stageStats) note(in, out int) {
 // selectPlan is the plan of a SELECT: its FROM tree (nil without a FROM
 // clause) and the stages above it.
 type selectPlan struct {
-	sel  *SelectStmt
 	from *fromPlan
 
 	// The compiled stages, in the order they run.
 	width     int      // columns of a row the FROM clause yields
-	filter    predFn   // WHERE above the FROM tree; nil when nothing is left there
+	residual  Expr     // WHERE above the FROM tree (all of it without one); nil when nothing is left there
+	filter    predFn   // residual compiled
 	filterErr error    // its reference that did not resolve
 	names     []string // output column names
 	proj      []rowExpr
@@ -87,10 +89,12 @@ type selectPlan struct {
 	// row itself and nothing is copied.
 	shareRows bool
 	grouped   bool      // GROUP BY or an aggregate: one output row per group
-	groupBy   []rowExpr // grouping keys
+	groupKeys []Expr    // GROUP BY
+	groupBy   []rowExpr // groupKeys compiled
 	aggs      []aggCall // aggregate calls in slot order
 	aggRow    []Value   // the current group's results, which the closures read
-	order     []rowExpr // sort keys, evaluated like the projection
+	orderBy   []OrderItem
+	order     []rowExpr // orderBy's keys, evaluated like the projection
 	stagesErr error     // the first reference from the projection on that did not resolve
 
 	stat             opStats
@@ -135,10 +139,15 @@ type relPlan struct {
 	off     int            // source offset of the relation
 	cols    []envCol       // output layout
 	access  *indexScanPlan // nil = sequential scan
-	filter  Expr           // AND of the conjuncts pushed down to this scan; nil when none
-	implied []Expr         // those of filter's conjuncts implied equality derived
-	pred    predFn         // filter compiled against the scan's layout
-	predErr error
+	// conds are the conjuncts of the statement's WHERE and inner ONs that
+	// name this relation alone, in the order written, then the nImplied
+	// that implied equality derived: attribute's and impliedConds' record,
+	// which a free plan pushes down to the scan as filter.
+	conds    []Expr
+	nImplied int
+	filter   Expr   // AND of conds in a free plan; nil when none or not pushed
+	pred     predFn // filter compiled against the scan's layout
+	predErr  error
 
 	baseRows float64 // estimated rows before the pushed filter
 	est      float64 // estimated rows after it
@@ -185,11 +194,12 @@ type dmlPlan struct {
 	t    *Table
 	scan *relPlan
 
-	where   predFn      // UPDATE, DELETE: WHERE over the scanned rows; nil when absent
-	set     []setValue  // UPDATE: the assignments
-	cols    []int       // INSERT: the table position each value of a row goes to
-	values  [][]rowExpr // INSERT: the VALUES rows
-	bindErr error       // the first reference that did not resolve
+	residual Expr        // UPDATE, DELETE: WHERE, above the scan; nil when absent
+	where    predFn      // residual compiled against the scanned rows
+	set      []setValue  // UPDATE: the assignments
+	cols     []int       // INSERT: the table position each value of a row goes to
+	values   [][]rowExpr // INSERT: the VALUES rows
+	bindErr  error       // the first reference that did not resolve
 
 	filter stageStats // WHERE over the scanned rows
 	stat   opStats    // the apply phase
@@ -263,7 +273,7 @@ func errNotExplainable() *Error {
 // the first table that does not exist is the error, then its stages.
 // Caller holds db.mu at least shared.
 func (vw view) planSelect(sel *SelectStmt, params []Value) (*selectPlan, error) {
-	sp := &selectPlan{sel: sel}
+	sp := &selectPlan{}
 	if len(sel.From) > 0 {
 		fp, err := vw.planQuery(sel.From, sel.Where, params)
 		if err != nil {
@@ -271,7 +281,7 @@ func (vw view) planSelect(sel *SelectStmt, params []Value) (*selectPlan, error) 
 		}
 		sp.from = fp
 	}
-	vw.compileSelect(sp, params)
+	vw.compileSelect(sp, sel, params)
 	return sp, nil
 }
 
@@ -311,29 +321,29 @@ func errOrdinalRange(v Value) *Error {
 // fields are set here, and a reference that does not resolve is reported
 // by the stage it belongs to: the WHERE's when the filter runs, any later
 // one when the projection is reached, the first in this order.
-func (vw view) compileSelect(sp *selectPlan, params []Value) {
-	sel := sp.sel
+func (vw view) compileSelect(sp *selectPlan, sel *SelectStmt, params []Value) {
 	c := compiler{params: params, bind: vw.bind}
-	residual := sel.Where // SELECT without FROM evaluates over a single empty row
+	sp.residual = sel.Where // SELECT without FROM evaluates over a single empty row
 	if sp.from != nil {
 		c.likes = sp.from.likes
 		c.cols = sp.from.compile(&c)
-		residual = sp.from.residual
+		sp.residual = sp.from.residual
 	}
 	sp.width = len(c.cols)
-	if residual != nil {
-		sp.filter, sp.filterErr = c.pred(residual)
+	if sp.residual != nil {
+		sp.filter, sp.filterErr = c.pred(sp.residual)
 	}
+	sp.groupKeys, sp.orderBy = sel.GroupBy, sel.OrderBy
 
 	// The aggregate calls, in the order their slots are numbered: as the
 	// projection and ORDER BY are walked. * and t.* add none.
 	for _, it := range sel.Items {
 		c.aggs = appendAggregates(c.aggs, it.Expr)
 	}
-	for _, o := range sel.OrderBy {
+	for _, o := range sp.orderBy {
 		c.aggs = appendAggregates(c.aggs, o.Expr)
 	}
-	sp.grouped = len(sel.GroupBy) > 0 || len(c.aggs) > 0
+	sp.grouped = len(sp.groupKeys) > 0 || len(c.aggs) > 0
 	c.aggRow, c.aggArgs = &sp.aggRow, newAggArgs(len(c.aggs))
 
 	fail := func(err error) {
@@ -354,12 +364,12 @@ func (vw view) compileSelect(sp *selectPlan, params []Value) {
 		}
 	}
 	sp.names, sp.proj = names, proj
-	if len(sel.GroupBy) > 0 {
+	if len(sp.groupKeys) > 0 {
 		// A grouping key sees rows, not groups.
 		rowc := c
 		rowc.aggs = nil
-		sp.groupBy = make([]rowExpr, len(sel.GroupBy))
-		for i, g := range sel.GroupBy {
+		sp.groupBy = make([]rowExpr, len(sp.groupKeys))
+		for i, g := range sp.groupKeys {
 			if sp.groupBy[i], err = rowc.value(g); err != nil {
 				fail(err)
 			}
@@ -367,10 +377,10 @@ func (vw view) compileSelect(sp *selectPlan, params []Value) {
 	}
 	// A sort key that names an output column, or gives its ordinal, is
 	// that column's expression.
-	if len(sel.OrderBy) > 0 {
-		sp.order = make([]rowExpr, len(sel.OrderBy))
+	if len(sp.orderBy) > 0 {
+		sp.order = make([]rowExpr, len(sp.orderBy))
 	}
-	for i, o := range sel.OrderBy {
+	for i, o := range sp.orderBy {
 		slot, err := orderColumn(o.Expr, names)
 		if err == nil && slot >= 0 {
 			sp.order[i] = proj[slot]
@@ -543,15 +553,15 @@ func (vw view) planWrite(st Stmt, table, alias string, off int, where Expr, para
 	}
 	scan := fp.rels[0]
 	up, _ := st.(*UpdateStmt)
-	dp := &dmlPlan{st: st, t: scan.t, scan: scan}
+	dp := &dmlPlan{st: st, t: scan.t, scan: scan, residual: fp.residual}
 	fail := func(err error) {
 		if dp.bindErr == nil {
 			dp.bindErr = err
 		}
 	}
 	c := compiler{cols: scan.cols, params: params, bind: vw.bind, likes: fp.likes}
-	if where != nil {
-		if dp.where, err = c.pred(where); err != nil {
+	if dp.residual != nil {
+		if dp.where, err = c.pred(dp.residual); err != nil {
 			fail(err)
 		}
 	}

@@ -3,7 +3,9 @@ package sqldb
 import (
 	"hash/maphash"
 	"math"
+	"slices"
 	"strings"
+	"sync/atomic"
 
 	"db2www/internal/decimal"
 )
@@ -24,102 +26,63 @@ import (
 // one predicate per table it read, and the read is stale only when one of
 // the images satisfies its predicate for that table.
 //
-// The predicate of a table is derived once per statement shape, from the
-// parse the plan cache keeps (readSet), and compiled per text with the
-// text's extracted values bound, by the compiler the executor uses
-// (Database.Predicate). The whole table stands in for it — every row
-// matches — where the argument above does not hold or cannot be checked:
-// a LEFT join, a table read twice, no conjunct of the table's own, and a
-// condition of the statement that could raise an error on some row (the
-// direct execution might then fail where the cached result stands; a
-// statement whose every condition compares columns and constants of
-// comparable types cannot).
+// The predicate of a table is the planner's: the conjuncts attribute gives
+// the table's relation, with those implied equality derives for it, compiled
+// per read with the text's extracted values bound, by the compiler the
+// executor uses (Database.Predicate). The whole table stands in for it —
+// every row matches — where the argument above does not hold or cannot be
+// checked: a pinned FROM clause (a LEFT join), a table read twice, no
+// conjunct of the table's own, and a condition of the statement that could
+// raise an error on some row (the direct execution might then fail where
+// the cached result stands; a statement whose every condition compares
+// columns and constants of comparable types cannot).
 
-// readSet is what a cacheable SELECT's shape says of the rows it reads.
-type readSet struct {
-	rels   []relRef    // the relations of FROM, in order
-	filter []Expr      // every top-level conjunct of WHERE and of each ON
-	reads  []tableRead // parallel to Facts.Tables
+// readPlan is a cacheable SELECT shape as Database.Predicate reads it: the
+// parse the plan cache keeps, and the attribution of its conjuncts against
+// the catalog last asked about. Every text of the shape shares it.
+type readPlan struct {
+	sel  *SelectStmt
+	last atomic.Pointer[readAttribution]
 }
 
-// relRef is one relation of a FROM clause: its lower-cased table name and
-// the lower-cased qualifier its columns are referred to by.
-type relRef struct{ table, qual string }
-
-// tableRead is what a row of one table must satisfy to take part in the
-// result: conj, over the columns of the relation qual; or with whole set,
-// nothing the shape can say.
-type tableRead struct {
-	qual  string
-	conj  []Expr
-	whole bool
+// readAttribution is attribute's record of a shape over the tables its
+// relations resolved to, read-only once kept: the relations' conds are
+// clipped, so a read that adds implied ones copies them.
+type readAttribution struct {
+	attribution
+	pinned bool
 }
 
-// readSetOf derives sel's read set over tables, stmtFacts' list of the
-// tables it reads.
-func readSetOf(sel *SelectStmt, tables []string) *readSet {
-	rs := &readSet{filter: appendConjuncts(nil, sel.Where)}
-	left := false
-	add := func(table, alias string) {
-		qual := alias
-		if qual == "" {
-			qual = table
-		}
-		rs.rels = append(rs.rels, relRef{strings.ToLower(table), strings.ToLower(qual)})
+// attribution returns the shape's readAttribution under the catalog as it
+// is — the one kept while the catalog still holds the tables it resolved —
+// or nil when a table it reads does not exist. Caller holds db.mu at least
+// shared.
+func (r *readPlan) attribution(db *Database) *readAttribution {
+	if a := r.last.Load(); a != nil && a.current(db) {
+		return a
 	}
-	for _, tr := range sel.From {
-		add(tr.Table, tr.Alias)
-		for _, j := range tr.Joins {
-			add(j.Table, j.Alias)
-			left = left || j.Kind == JoinLeft
-			rs.filter = appendConjuncts(rs.filter, j.On)
-		}
+	rels, pinned, err := view{db: db}.planRels(r.sel.From)
+	if err != nil {
+		return nil
 	}
-	rs.reads = make([]tableRead, len(tables))
-	for i, t := range tables {
-		r := &rs.reads[i]
-		n := 0
-		for _, rel := range rs.rels {
-			if rel.table == t {
-				n, r.qual = n+1, rel.qual
-			}
-		}
-		if left || n != 1 {
-			r.whole = true
-			continue
-		}
-		for _, cond := range rs.filter {
-			if rs.over(cond, r.qual) {
-				r.conj = append(r.conj, cond)
-			}
-		}
-		r.whole = len(r.conj) == 0
+	a := &readAttribution{attribution: attribute(r.sel.From, r.sel.Where, rels), pinned: pinned}
+	for _, rp := range rels {
+		rp.conds = slices.Clip(rp.conds)
 	}
-	return rs
+	r.last.Store(a)
+	return a
 }
 
-// over reports whether every column cond refers to is one of the relation
-// qual's, and it calls no aggregate: an unqualified column is the
-// relation's only when it is the one relation of the statement.
-func (rs *readSet) over(cond Expr, qual string) bool {
-	ok := true
-	walkExpr(cond, func(x Expr) bool {
-		if !ok {
+// current reports whether the catalog still holds the tables a's
+// relations resolved to; a table's columns never change, so a's
+// attribution then still holds.
+func (a *readAttribution) current(db *Database) bool {
+	for _, rp := range a.rels {
+		if db.tables[strings.ToLower(rp.t.Name)] != rp.t {
 			return false
 		}
-		switch n := x.(type) {
-		case *ColumnRef:
-			if n.Table == "" {
-				ok = len(rs.rels) == 1
-			} else {
-				ok = strings.ToLower(n.Table) == qual
-			}
-		case *FuncCall:
-			ok = !isAggregate(n.Name)
-		}
-		return ok
-	})
-	return ok
+	}
+	return true
 }
 
 // Predicate is a cached read's condition on the rows of one table it
@@ -128,58 +91,72 @@ func (rs *readSet) over(cond Expr, qual string) bool {
 // first image it is asked about, so a predicate whose key keeps images
 // away is never compiled; a Predicate is not safe for concurrent use.
 type Predicate struct {
-	t     *Table
+	rel   *relPlan // the table's relation in the read's attribution
 	f     *Facts   // the read's, which the Predicate is kept beside
-	conj  []predFn // compiled by Matches
+	conds []Expr   // rel's, with those implied equality derives for it last
+	fns   []predFn // conds compiled by Matches
 	key   EqKey
-	i     int32 // the table's index in f.Tables
 	keyed bool
 	bad   bool // a conjunct did not compile: every row matches
 }
 
-// Predicate returns f's condition on the rows of f.Tables[i] for the
-// images of ch, with the text's extracted values bound: nil, the whole
-// table, when the read set says nothing of the table, ch is a change of
-// the whole table, or a condition of the statement could raise an error
-// (safeCond). f is a cacheable SELECT's facts, from StatementFacts; the
-// Predicate refers to it, and must not outlive it. The layouts the
-// conditions are checked against are ch's for the table and the catalog's
-// for the others: a catalog change that makes them differ bumps both
-// tables as a whole, and the entry goes on that change.
-func (db *Database) Predicate(f *Facts, i int, ch *Change) *Predicate {
-	if f.reads == nil || ch.Whole() || f.reads.reads[i].whole {
+// Predicate returns f's condition on the rows of the table ch is a change
+// of, one of f.Tables, for ch's images, with the text's extracted values
+// bound: nil, the whole table, when the plan's attribution gives the table
+// no conjunct of its own, ch is a change of the whole table, or a
+// condition of the statement could raise an error (safeCond). f is a
+// cacheable SELECT's facts, from StatementFacts; the Predicate refers to
+// it, and must not outlive it. The relations are the catalog's; a catalog
+// whose table is no longer ch's has changed it as a whole since, and the
+// entry goes on that change. Of the planner only attribute, kept per
+// shape, and impliedConds run: no access path, LIKE program or join order.
+func (db *Database) Predicate(f *Facts, ch *Change) *Predicate {
+	if f.reads == nil || ch.Whole() {
 		return nil
 	}
-	rs, r := f.reads, &f.reads.reads[i]
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	colType := func(c *ColumnRef) (Type, bool) {
-		qual := strings.ToLower(c.Table)
-		for _, rel := range rs.rels {
-			if qual != "" && rel.qual != qual {
-				continue
-			}
-			t := ch.t
-			if rel.table != f.Tables[i] {
-				t = db.tables[rel.table]
-			}
-			if t == nil {
-				return TNull, false
-			}
-			if pos := t.colIndex(c.Column); pos >= 0 {
-				return t.Columns[pos].Type, true
-			}
-		}
-		return TNull, false
+	a := f.reads.attribution(db)
+	if a == nil || a.pinned {
+		return nil
 	}
-	for _, cond := range rs.filter {
-		if !safeCond(cond, colType, f.args) {
-			return nil
+	target := -1
+	for k, rp := range a.rels {
+		if rp.t == ch.t {
+			if target >= 0 {
+				return nil // read twice
+			}
+			target = k
 		}
 	}
-	p := &Predicate{t: ch.t, f: f, i: int32(i)}
-	for _, cond := range r.conj {
-		if p.key, p.keyed = eqKeyOf(cond, ch.t, r.qual, f.args); p.keyed {
+	if target < 0 {
+		return nil
+	}
+	sel := f.reads.sel
+	safe := func(cond Expr) bool { return cond == nil || safeCond(cond, a.rels, f.args) }
+	if !safe(sel.Where) {
+		return nil
+	}
+	for _, tr := range sel.From {
+		for _, jc := range tr.Joins {
+			if !safe(jc.On) {
+				return nil
+			}
+		}
+	}
+	rel := a.rels[target]
+	conds := rel.conds // clipped: implied conjuncts go to a copy
+	impliedConds(a.rels, a.joins, f.args, false, func(r int, col *ColumnRef, operand Expr, _ *stepCond) {
+		if r == target {
+			conds = append(conds, &Binary{Op: "=", L: col, R: operand})
+		}
+	})
+	if len(conds) == 0 {
+		return nil
+	}
+	p := &Predicate{rel: rel, f: f, conds: conds}
+	for _, cond := range conds {
+		if p.key, p.keyed = eqKey(cond, rel, f.args); p.keyed {
 			break
 		}
 	}
@@ -191,27 +168,26 @@ func (db *Database) Predicate(f *Facts, i int, ch *Change) *Predicate {
 // that a direct execution's error is never hidden behind a cached result).
 // An image of another layout than p is for always matches.
 func (p *Predicate) Matches(ch *Change, img []Value) bool {
-	if p == nil || ch.t != p.t {
+	if p == nil || ch.t != p.rel.t {
 		return true
 	}
-	if p.conj == nil && !p.bad {
-		r := &p.f.reads.reads[p.i]
-		cp := compiler{cols: p.t.layout(r.qual), params: p.f.args}
-		p.conj = make([]predFn, len(r.conj))
-		for j, cond := range r.conj {
+	if p.fns == nil && !p.bad {
+		cp := compiler{cols: p.rel.cols, params: p.f.args}
+		p.fns = make([]predFn, len(p.conds))
+		for j, cond := range p.conds {
 			fn, err := cp.pred(cond)
 			if err != nil {
 				p.bad = true
 				break
 			}
-			p.conj[j] = fn
+			p.fns[j] = fn
 		}
 	}
 	if p.bad {
 		return true
 	}
 	match := true
-	for _, c := range p.conj {
+	for _, c := range p.fns {
 		t, err := c(img)
 		if err != nil {
 			return true
@@ -274,30 +250,22 @@ func textKey(col int, s string) EqKey {
 	return EqKey{col: col, h: maphash.String(groupSeed, s)}
 }
 
-// eqKeyOf returns the key of cond when it is col = constant over a column
-// of t, the relation qual.
-func eqKeyOf(cond Expr, t *Table, qual string, args []Value) (EqKey, bool) {
-	b, ok := cond.(*Binary)
-	if !ok || b.Op != "=" {
+// eqKey returns the key of cond when it is a column of rp compared for
+// equality with a constant (indexableShape).
+func eqKey(cond Expr, rp *relPlan, args []Value) (EqKey, bool) {
+	sh, ok := indexableShape(cond)
+	if !ok || sh.op != "=" {
 		return EqKey{}, false
 	}
-	col, other := b.L, b.R
-	if _, ok := col.(*ColumnRef); !ok {
-		col, other = other, col
-	}
-	c, ok := col.(*ColumnRef)
-	if !ok || !constShaped(other) {
-		return EqKey{}, false
-	}
-	pos := columnForQual(t, qual, c)
+	pos := columnForQual(rp.t, rp.qual, sh.col)
 	if pos < 0 {
 		return EqKey{}, false
 	}
-	v, err := evalConst(other, args)
+	v, err := evalConst(sh.operand, args)
 	if err != nil {
 		return EqKey{}, false
 	}
-	switch t.Columns[pos].Type {
+	switch rp.t.Columns[pos].Type {
 	case TInt, TFloat:
 		if f, ok := v.AsFloat(); ok {
 			return numKey(pos, f), true
@@ -326,20 +294,23 @@ const (
 	opBool
 )
 
-// safeCond reports whether cond cannot raise an error on any row: a
-// comparison, IN, LIKE or IS NULL of columns and
-// constants whose types compare, and AND, OR and NOT of such.
-func safeCond(cond Expr, colType func(*ColumnRef) (Type, bool), args []Value) bool {
+// safeCond reports whether cond cannot raise an error on any row of rels:
+// a comparison, IN, LIKE or IS NULL of columns and constants whose types
+// compare, and AND, OR and NOT of such.
+func safeCond(cond Expr, rels []*relPlan, args []Value) bool {
 	class := func(e Expr) (opClass, bool) {
 		if c, ok := e.(*ColumnRef); ok {
-			t, ok := colType(c)
-			switch t {
+			col, ok := baseColumn(c, rels)
+			if !ok {
+				return opNull, false
+			}
+			switch col.typ(rels) {
 			case TInt, TFloat:
-				return opNum, ok
+				return opNum, true
 			case TString:
-				return opText, ok
+				return opText, true
 			case TBool:
-				return opBool, ok
+				return opBool, true
 			}
 			return opNull, false
 		}
@@ -389,12 +360,12 @@ func safeCond(cond Expr, colType func(*ColumnRef) (Type, bool), args []Value) bo
 	case *Binary:
 		switch x.Op {
 		case "AND", "OR":
-			return safeCond(x.L, colType, args) && safeCond(x.R, colType, args)
+			return safeCond(x.L, rels, args) && safeCond(x.R, rels, args)
 		case "=", "<>", "<", "<=", ">", ">=":
 			return compares(x.L, x.R)
 		}
 	case *Unary:
-		return x.Op == "NOT" && safeCond(x.X, colType, args)
+		return x.Op == "NOT" && safeCond(x.X, rels, args)
 	case *LikeExpr:
 		_, okX := class(x.X)
 		_, okP := class(x.Pattern)

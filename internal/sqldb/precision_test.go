@@ -129,11 +129,13 @@ func TestChangesRingCoverage(t *testing.T) {
 }
 
 // TestPredicateOfTheReadSet: a cached read's predicate on a table is the
-// top-level conjuncts of WHERE and inner ON over that table's columns,
-// with the text's values bound, evaluated by the engine's compiler; the
-// whole table where a LEFT join, a table read twice, no conjunct of its
-// own or a condition that could raise an error stands in the way. Its key
-// is its equality's, under the coercion Compare applies.
+// conjuncts the planner attributes to the table's relation alone — the
+// top-level conjuncts of WHERE and inner ON over its columns, qualified
+// or not, and those implied equality derives — with the text's values
+// bound, evaluated by the engine's compiler; the whole table where a LEFT
+// join, a table read twice, no conjunct of its own or a condition that
+// could raise an error stands in the way. Its key is its equality's, under
+// the coercion Compare applies.
 func TestPredicateOfTheReadSet(t *testing.T) {
 	db := NewDatabase("PRED")
 	s := NewSession(db)
@@ -159,17 +161,11 @@ INSERT INTO b VALUES (1, 1, 'x');`); err != nil {
 		if !f.Cacheable {
 			t.Fatalf("%s: not cacheable", sql)
 		}
-		i := -1
-		for j, tb := range f.Tables {
-			if tb == table {
-				i = j
-			}
-		}
 		ch := chA
 		if table == "b" {
 			ch = chB
 		}
-		return db.Predicate(&f, i, ch)
+		return db.Predicate(&f, ch)
 	}
 	row := func(vals ...any) []Value {
 		out := make([]Value, len(vals))
@@ -201,6 +197,14 @@ INSERT INTO b VALUES (1, 1, 'x');`); err != nil {
 		{sql: "SELECT a.id FROM a JOIN b ON a.id = b.aid AND b.t = 'x' WHERE a.k = 5", table: "b",
 			match: [][]Value{row(1, 7, "x")}, miss: [][]Value{row(1, 1, "y")}, key: row(0, 0, "x"), keyCol: 2},
 		{sql: "SELECT a.id FROM a JOIN b ON a.id = b.aid WHERE a.k = 5", table: "b", whole: true},
+		// An unqualified column the planner attributes to b alone.
+		{sql: "SELECT a.id, t FROM a JOIN b ON a.id = b.aid WHERE t = 'x'", table: "b",
+			match: [][]Value{row(1, 7, "x")}, miss: [][]Value{row(1, 1, "y")}, key: row(0, 0, "x"), keyCol: 2},
+		// Implied equality: a.id = 1 and a.id = b.aid bind b.aid = 1.
+		{sql: "SELECT a.id, t FROM a JOIN b ON a.id = b.aid WHERE a.id = 1", table: "b",
+			match: [][]Value{row(5, 1, "q")}, miss: [][]Value{row(5, 2, "q"), row(5, nil, "q")}, key: row(0, 1), keyCol: 1},
+		{sql: "SELECT a.id, t FROM a JOIN b ON a.id = b.aid WHERE a.id = 1", table: "a",
+			match: [][]Value{row(1, 9, "q")}, miss: [][]Value{row(2, 5, "ab")}, key: row(1), keyCol: 0},
 		{sql: "SELECT a.id FROM a LEFT JOIN b ON a.id = b.aid WHERE a.k = 5", table: "a", whole: true},
 		{sql: "SELECT x.id FROM a x JOIN a y ON x.id = y.k WHERE x.k = 5", table: "a", whole: true},
 		{sql: "SELECT id FROM a WHERE s = 5", table: "a", whole: true},     // a text column against a number

@@ -60,9 +60,6 @@ func (db *Database) Check(st Stmt) (Binding, *PlanSummary, error) {
 	if err != nil {
 		return vw.bind, nil, err
 	}
-	for _, f := range vw.sum.froms {
-		vw.sum.from(f)
-	}
 	return vw.bind, vw.sum, p.keptErr()
 }
 
@@ -73,32 +70,7 @@ func (db *Database) Check(st Stmt) (Binding, *PlanSummary, error) {
 type PlanSummary struct {
 	Scans    []ScanSummary
 	Products []ProductStep
-	froms    []plannedFrom
 	verdicts []ScanCond // planIndexScan's, on every conjunct a scan's access was chosen among
-}
-
-// plannedFrom is one FROM clause planQuery planned, with the conjuncts of
-// its WHERE clause and of its inner joins' ONs, and whether it writes a
-// CROSS JOIN.
-type plannedFrom struct {
-	fp      *fromPlan
-	filters []Expr
-	cross   bool
-}
-
-// plan notes a FROM clause as planQuery starts to plan it into fp; the
-// summary reads fp once the statement is planned.
-func (s *PlanSummary) plan(fp *fromPlan, from []TableRef, where Expr) {
-	f := plannedFrom{fp: fp, filters: andConjuncts(where)}
-	for _, tr := range from {
-		for _, jc := range tr.Joins {
-			f.cross = f.cross || jc.Kind == JoinCross
-			if jc.Kind == JoinInner {
-				f.filters = append(f.filters, andConjuncts(jc.On)...)
-			}
-		}
-	}
-	s.froms = append(s.froms, f)
 }
 
 // ScanSummary is one scan of a base table.
@@ -144,34 +116,38 @@ type ProductStep struct {
 	Pinned bool   // a comma of a FROM clause a LEFT JOIN pins: its WHERE filters only above the product
 }
 
-// from summarises one planned FROM clause. A filter conjunct the planner
-// attributes to one of its relations alone (attributeCond: no aggregate
-// in it) carries the verdict planIndexScan gave it
-// when the planner weighed it for that relation's scan; the planner weighs
-// every such conjunct unless the FROM clause is pinned.
-func (s *PlanSummary) from(f plannedFrom) {
-	fp := f.fp
-	for k, rp := range fp.rels {
+// from summarises fp, the plan of the FROM clause from, once planQuery
+// has planned it. Each scan's conditions are its relation's own conds as
+// written, each with the verdict planIndexScan gave it when planAccess
+// weighed it for the scan; it weighs every one unless the FROM clause is
+// pinned. A FROM clause that writes a CROSS JOIN has no product steps to
+// report.
+func (s *PlanSummary) from(fp *fromPlan, from []TableRef) {
+	cross := false
+	for _, tr := range from {
+		for _, jc := range tr.Joins {
+			cross = cross || jc.Kind == JoinCross
+		}
+	}
+	for _, rp := range fp.rels {
 		sc := ScanSummary{Table: rp.t.Name, Qual: rp.qual, Off: rp.off, EstRows: int64(rp.baseRows)}
 		if rp.access != nil {
 			sc.Index = rp.access.ix.Name
 		}
-		for _, conj := range f.filters {
-			if mask, ok := attributeCond(conj, fp.rels); ok && mask == 1<<k {
-				c := ScanCond{Expr: conj, Why: VerdictPinned}
-				for _, v := range s.verdicts {
-					if v.Expr == conj {
-						c = v
-					}
+		for _, conj := range rp.conds[:len(rp.conds)-rp.nImplied] {
+			c := ScanCond{Expr: conj, Why: VerdictPinned}
+			for _, v := range s.verdicts {
+				if v.Expr == conj {
+					c = v
 				}
-				sc.Conds = append(sc.Conds, c)
 			}
+			sc.Conds = append(sc.Conds, c)
 		}
 		s.Scans = append(s.Scans, sc)
 	}
 	// Both plans are left-deep along the product steps: a free plan joins
 	// one relation a step, a pinned one multiplies its comma-listed entries.
-	for n, ok := fp.root.(*joinPlan); ok && !f.cross; n, ok = n.left.(*joinPlan) {
+	for n, ok := fp.root.(*joinPlan); ok && !cross; n, ok = n.left.(*joinPlan) {
 		if n.kind != JoinCross {
 			continue
 		}

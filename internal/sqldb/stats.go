@@ -25,7 +25,7 @@ import (
 //     examine the fewest rows;
 //   - predicate pushdown: WHERE and inner-join ON conjuncts that mention
 //     a single relation are applied at that relation's scan, below the
-//     joins;
+//     joins (attribute, whose record Check and the query cache read too);
 //   - implied equality: a join conjunct equating two base columns of one
 //     declared type, beside a pushed conjunct binding one of them to a
 //     constant, implies the same binding of the other, which is pushed to
@@ -93,18 +93,18 @@ type indexScanPlan struct {
 	conj   Expr   // the conjunct the index satisfies
 }
 
-// planAccess decides how rp's base table is read under conds, the
-// conjuncts that filter it: every conjunct an index can satisfy is a
-// candidate, and the one expected to examine the fewest rows wins; no
-// access means a sequential scan. Under Check (sum is non-nil) the plan's
-// summary keeps planIndexScan's verdict on each conjunct. Each LIKE
-// program it builds for a prefix goes to likes, for the compiler. Pure
-// planning — no tree reads. Caller holds db.mu at least shared (DDL
-// excluded), which keeps the table's index list still.
-func (rp *relPlan) planAccess(conds []Expr, params []Value, sum *PlanSummary, likes *[]*likeProgram) {
+// planAccess decides how rp's base table is read under its conds: every
+// conjunct an index can satisfy is a candidate, and the one expected to
+// examine the fewest rows wins; no access means a sequential scan. Under
+// Check (sum is non-nil) the plan's summary keeps planIndexScan's verdict
+// on each conjunct. Each LIKE program it builds for a prefix goes to
+// likes, for the compiler. Pure planning — no tree reads. Caller holds
+// db.mu at least shared (DDL excluded), which keeps the table's index list
+// still.
+func (rp *relPlan) planAccess(params []Value, sum *PlanSummary, likes *[]*likeProgram) {
 	var best indexScanPlan
 	var bestRows float64
-	for _, conj := range conds {
+	for _, conj := range rp.conds {
 		p, ok, why := planIndexScan(rp.t, rp.qual, conj, params, sum != nil, likes)
 		if sum != nil {
 			sum.verdicts = append(sum.verdicts, why)
@@ -316,102 +316,143 @@ func (vw view) planRel(table, alias string, off int) (*relPlan, error) {
 	return rp, nil
 }
 
-// planQuery plans a FROM clause under its WHERE clause. It is total: the
-// relations resolve in declaration order (so the first table that does
-// not exist is the error), and what it returns is what runs.
-//
-// Two or more relations without a LEFT join, whose ON conditions mean the
-// same against the whole FROM clause as in their own scope (onInScope),
-// are planned freely: pushdown attribution, selectivity estimation, greedy
-// join ordering. Anything else is pinned — declaration order, each
-// explicit join where it was written, comma-listed entries multiplied,
-// nothing pushed (pushdown and reordering change LEFT join semantics) —
-// and only a lone base table is routed through an index, chosen among the
-// WHERE conjuncts. Either way each join step gets the method its condition
-// allows (hashKeyFor), except on the naive plan. Under Check the plan's
-// summary keeps it. Caller holds db.mu at least shared.
-func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan, error) {
-	fp := &fromPlan{residual: where}
-	if vw.sum != nil {
-		vw.sum.plan(fp, from, where)
-	}
-	pinned := vw.naive
+// planRels resolves from's relations in declaration order, so that the
+// first table that does not exist is the error, and says whether the
+// clause is planned pinned: a LEFT join, more relations than a relSet
+// holds, or an ON condition that means something else against the whole
+// clause than in its own scope (onInScope).
+func (vw view) planRels(from []TableRef) (rels []*relPlan, pinned bool, err error) {
 	nrels := len(from)
 	for i := range from {
 		nrels += len(from[i].Joins)
 	}
-	fp.rels = make([]*relPlan, 0, nrels)
+	rels = make([]*relPlan, 0, nrels)
+	add := func(table, alias string, off int) error {
+		rp, err := vw.planRel(table, alias, off)
+		if err == nil {
+			rp.declIdx = len(rels)
+			rels = append(rels, rp)
+		}
+		return err
+	}
 	for i := range from {
 		tr := &from[i]
-		rp, err := vw.planRel(tr.Table, tr.Alias, tr.Off)
-		if err != nil {
-			return nil, err
+		if err := add(tr.Table, tr.Alias, tr.Off); err != nil {
+			return nil, false, err
 		}
-		rp.declIdx = len(fp.rels)
-		fp.rels = append(fp.rels, rp)
 		for j := range tr.Joins {
 			jc := &tr.Joins[j]
-			if jc.Kind == JoinLeft {
-				pinned = true
+			pinned = pinned || jc.Kind == JoinLeft
+			if err := add(jc.Table, jc.Alias, jc.Off); err != nil {
+				return nil, false, err
 			}
-			if rp, err = vw.planRel(jc.Table, jc.Alias, jc.Off); err != nil {
-				return nil, err
-			}
-			rp.declIdx = len(fp.rels)
-			fp.rels = append(fp.rels, rp)
 		}
 	}
-	rels := fp.rels
-	pinned = pinned || len(rels) > maxFreeRels || !onInScope(from, rels)
+	return rels, pinned || len(rels) > maxFreeRels || !onInScope(from, rels), nil
+}
+
+// attribution is the planner's one reading of which conjuncts filter
+// what: each top-level conjunct of a statement's WHERE and of its FROM
+// clause's inner ON conditions goes to the one relation it names alone
+// (attributeCond), appended to that relation's conds in the order
+// written; to the join steps when it names two or more; or to the
+// residual filter. The executor pushes a relation's conds to its scan in
+// a free plan, Check reports them with their verdicts, and
+// Database.Predicate keeps them as a cached read's condition on the
+// relation's table.
+type attribution struct {
+	rels     []*relPlan // the FROM clause's relations, in declaration order
+	joins    []stepCond // the conjuncts that name two or more of them
+	residual []Expr     // the conjuncts that name none, or a column not exactly one has
+}
+
+// attribute attributes the conjuncts of where and of from's inner ONs
+// among rels, from's relations in declaration order.
+func attribute(from []TableRef, where Expr, rels []*relPlan) attribution {
+	at := attribution{rels: rels}
+	at.add(where)
+	for i := range from {
+		for j := range from[i].Joins {
+			if jc := &from[i].Joins[j]; jc.Kind == JoinInner {
+				at.add(jc.On)
+			}
+		}
+	}
+	return at
+}
+
+// add attributes the conjuncts of e's chain of top-level ANDs.
+func (at *attribution) add(e Expr) {
+	if b, ok := e.(*Binary); ok && b.Op == "AND" {
+		at.add(b.L)
+		at.add(b.R)
+		return
+	}
+	if e == nil {
+		return
+	}
+	mask, ok := attributeCond(e, at.rels)
+	switch {
+	case !ok:
+		at.residual = append(at.residual, e)
+	case mask.one():
+		rp := at.rels[bits.TrailingZeros64(uint64(mask))]
+		rp.conds = append(rp.conds, e)
+	default:
+		at.joins = append(at.joins, stepCond{cond: e, mask: mask})
+	}
+}
+
+// planQuery plans a FROM clause under its WHERE clause. It is total: the
+// relations resolve in declaration order (so the first table that does
+// not exist is the error), and what it returns is what runs.
+//
+// Two or more relations that planRels does not pin are planned freely:
+// pushdown of the conjuncts attribute gives each relation, implied
+// equality, selectivity estimation, greedy join ordering. Anything else is
+// pinned — declaration order, each explicit join where it was written,
+// comma-listed entries multiplied, nothing pushed (pushdown and reordering
+// change LEFT join semantics) — and only a lone base table is routed
+// through an index, chosen among its conjuncts. Either way each join step
+// gets the method its condition allows (hashKeyFor), except on the naive
+// plan. Under Check the plan's summary keeps it. Caller holds db.mu at
+// least shared.
+func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan, error) {
+	rels, pinned, err := vw.planRels(from)
+	if err != nil {
+		return nil, err
+	}
+	fp := &fromPlan{rels: rels, residual: where}
+	if vw.sum != nil {
+		defer vw.sum.from(fp, from)
+	}
+	at := attribute(from, where, rels)
+	joinConds := at.joins
 	if len(rels) == 1 {
 		rp := rels[0]
 		if !vw.naive {
-			rp.planAccess(andConjuncts(where), params, vw.sum, &fp.likes)
+			rp.planAccess(params, vw.sum, &fp.likes)
 		}
 		fp.root = rp
 		return fp, nil
 	}
-	if pinned {
+	if pinned || vw.naive {
 		fp.root = declaredJoins(from, rels, !vw.naive)
 		return fp, nil
 	}
-
-	conds := appendConjuncts(make([]Expr, 0, 2*len(rels)), where)
-	for i := range from {
-		for j := range from[i].Joins {
-			conds = appendConjuncts(conds, from[i].Joins[j].On)
-		}
-	}
-
-	// Attribute each conjunct: to one relation (pushed), to a join step
-	// (multi-relation), or to the residual filter.
-	var joinConds []stepCond
-	var residual []Expr
-	pushed := make([][]Expr, len(rels))
-	for _, cond := range conds {
-		mask, ok := attributeCond(cond, rels)
-		switch {
-		case !ok:
-			residual = append(residual, cond)
-		case mask.one():
-			i := bits.TrailingZeros64(uint64(mask))
-			pushed[i] = append(pushed[i], cond)
-		default:
-			joinConds = append(joinConds, stepCond{cond: cond, mask: mask})
-		}
-	}
-
-	for i, imp := range impliedConds(rels, pushed, joinConds, params, vw.sum != nil) {
-		rels[i].implied = imp
-		pushed[i] = append(pushed[i], imp...)
-	}
+	impliedConds(rels, joinConds, params, vw.sum != nil, func(r int, col *ColumnRef, operand Expr, step *stepCond) {
+		rp := rels[r]
+		rp.conds = append(rp.conds, &Binary{Op: "=", L: col, R: operand})
+		rp.nImplied++
+		step.bound = true
+	})
 
 	// Per-relation filter, access path, and cardinality after the filter.
-	for i, rp := range rels {
-		rp.filter = andJoin(pushed[i])
-		rp.planAccess(pushed[i], params, vw.sum, &fp.likes)
+	for _, rp := range rels {
+		rp.filter = andJoin(rp.conds)
+		rp.planAccess(params, vw.sum, &fp.likes)
 		est := rp.baseRows
-		for _, cond := range pushed[i] {
+		for _, cond := range rp.conds {
 			est *= condSelectivity(rp, cond)
 		}
 		rp.est = math.Max(1, est)
@@ -489,27 +530,29 @@ func (vw view) planQuery(from []TableRef, where Expr, params []Value) (*fromPlan
 		node = jp
 	}
 	fp.root, fp.rels = node, order
-	fp.residual = andJoin(residual)
+	fp.residual = andJoin(at.residual)
 	fp.free = true
 	return fp, nil
 }
 
-// impliedConds returns, by relation, the conjuncts implied equality adds
-// to those pushed to it: where a join conjunct equates a column of one base
+// impliedConds derives the conjuncts implied equality adds to those
+// attribute gave each relation, and hands each to derive: the relation,
+// and col = operand over one of its columns, derived through the join
+// conjunct step. Where a join conjunct equates a column of one base
 // relation with a column of another of the same declared type (c.k = p.k),
-// and a pushed conjunct binds one of them to a literal or parameter
-// (p.k = ?), the other is bound to it too (c.k = ?), and on from there
-// through further join equalities. The original conjuncts all stay, so a
-// derived one only narrows: a row it drops, the join would have dropped,
-// and it lets the relation's scan use an index on the column. Equality is
-// transitive only within one type: Compare coerces across types (an
-// INTEGER beside a DOUBLE, a VARCHAR beside a number), so a join of mixed
-// types derives nothing. The bound value must be of the column's class
-// too, so that the derived conjunct cannot fail on a row: Compare raises
-// no error between values of one class. A join conjunct that derived a
-// binding is marked bound. nil when nothing is implied. Under Check
-// (unbound) a ? binds a value of unknown class, assumed the column's.
-func impliedConds(rels []*relPlan, pushed [][]Expr, joinConds []stepCond, params []Value, unbound bool) [][]Expr {
+// and a conjunct of one of the relations binds its column to a literal or
+// parameter (p.k = ?), the other is bound to it too (c.k = ?), and on from
+// there through further join equalities. The original conjuncts all stay,
+// so a derived one only narrows: a row it drops, the join would have
+// dropped, and it lets the relation's scan use an index on the column.
+// Equality is transitive only within one type: Compare coerces across
+// types (an INTEGER beside a DOUBLE, a VARCHAR beside a number), so a join
+// of mixed types derives nothing. The bound value must be of the column's
+// class too, so that the derived conjunct cannot fail on a row: Compare
+// raises no error between values of one class. Under Check (unbound) a ?
+// binds a value of unknown class, assumed the column's. Nothing of rels
+// or joinConds is written.
+func impliedConds(rels []*relPlan, joinConds []stepCond, params []Value, unbound bool, derive func(rel int, col *ColumnRef, operand Expr, step *stepCond)) {
 	// Each join equality of one type, once in each direction: a binding of
 	// from's column binds to's.
 	type edge struct {
@@ -517,7 +560,8 @@ func impliedConds(rels []*relPlan, pushed [][]Expr, joinConds []stepCond, params
 		toRef    *ColumnRef
 		step     *stepCond
 	}
-	var edges []edge
+	var edgeBuf [8]edge
+	edges := edgeBuf[:0]
 	for j := range joinConds {
 		b, ok := joinConds[j].cond.(*Binary)
 		if !ok || b.Op != "=" {
@@ -534,12 +578,25 @@ func impliedConds(rels []*relPlan, pushed [][]Expr, joinConds []stepCond, params
 		}
 	}
 	if len(edges) == 0 {
+		return
+	}
+	// The operand each column is bound to by a conjunct of its relation.
+	type binding struct {
+		col     relColumn
+		operand Expr
+	}
+	var boundBuf [8]binding
+	bound := boundBuf[:0]
+	boundTo := func(c relColumn) Expr {
+		for _, b := range bound {
+			if b.col == c {
+				return b.operand
+			}
+		}
 		return nil
 	}
-	// The operand each column is bound to by a pushed conjunct.
-	bound := map[relColumn]Expr{}
-	for i, conds := range pushed {
-		for _, conj := range conds {
+	for i, rp := range rels {
+		for _, conj := range rp.conds {
 			sh, ok := indexableShape(conj)
 			if !ok || sh.op != "=" {
 				continue
@@ -550,7 +607,7 @@ func impliedConds(rels []*relPlan, pushed [][]Expr, joinConds []stepCond, params
 				continue
 			}
 			c, ok := baseColumn(sh.col, rels)
-			if _, seen := bound[c]; !ok || seen || c.rel != i {
+			if !ok || c.rel != i || boundTo(c) != nil {
 				continue
 			}
 			v, ok := constKey(sh.operand, params, unbound)
@@ -558,28 +615,22 @@ func impliedConds(rels []*relPlan, pushed [][]Expr, joinConds []stepCond, params
 				continue
 			}
 			if _, ok := keyClassOf(c.typ(rels), v.T); ok || v.IsNull() {
-				bound[c] = sh.operand
+				bound = append(bound, binding{c, sh.operand})
 			}
 		}
 	}
-	var out [][]Expr
 	for derived := true; derived; {
 		derived = false
 		for _, e := range edges {
-			operand, ok := bound[e.from]
-			if _, done := bound[e.to]; !ok || done {
+			operand := boundTo(e.from)
+			if operand == nil || boundTo(e.to) != nil {
 				continue
 			}
-			if out == nil {
-				out = make([][]Expr, len(rels))
-			}
-			out[e.to.rel] = append(out[e.to.rel], &Binary{Op: "=", L: e.toRef, R: operand})
-			bound[e.to] = operand
-			e.step.bound = true
+			derive(e.to.rel, e.toRef, operand, e.step)
+			bound = append(bound, binding{e.to, operand})
 			derived = true
 		}
 	}
-	return out
 }
 
 // declaredJoins builds the join tree of a pinned FROM clause exactly as
@@ -704,24 +755,11 @@ func refRel(c *ColumnRef, rels []*relPlan) int {
 	return found
 }
 
-// relEqColumn returns the column position on rp that cond (a Binary "=")
-// compares against a non-column side, or -1.
+// relEqColumn returns the column position on rp that cond compares for
+// equality with a constant (indexableShape), or -1.
 func relEqColumn(rp *relPlan, cond Expr) int {
-	b, ok := cond.(*Binary)
-	if !ok || b.Op != "=" || rp.t == nil {
-		return -1
-	}
-	for _, side := range [2]struct{ col, other Expr }{{b.L, b.R}, {b.R, b.L}} {
-		c, ok := side.col.(*ColumnRef)
-		if !ok {
-			continue
-		}
-		if _, isCol := side.other.(*ColumnRef); isCol {
-			continue
-		}
-		if pos := columnForQual(rp.t, rp.qual, c); pos >= 0 {
-			return pos
-		}
+	if sh, ok := indexableShape(cond); ok && sh.op == "=" {
+		return columnForQual(rp.t, rp.qual, sh.col)
 	}
 	return -1
 }
