@@ -147,10 +147,9 @@ func BenchmarkTxnCommit(b *testing.B) {
 }
 
 // BenchmarkPlanCacheResolve measures what the front door costs before
-// anything is planned: a verbatim repeat (the text map), a repeat of the
-// shape with another literal (the shape map; 2 000 texts, as the
-// benchmark's point_lookup sends them), and the same with an ORDER BY
-// ordinal in the shape's key.
+// anything is planned: a repeat of the shape with another literal (the
+// shape map; 2 000 texts, as the benchmark's point_lookup sends them), and
+// the same with an ORDER BY ordinal in the shape's key.
 func BenchmarkPlanCacheResolve(b *testing.B) {
 	texts := func(format string) []string {
 		out := make([]string, 2000)
@@ -163,7 +162,6 @@ func BenchmarkPlanCacheResolve(b *testing.B) {
 		name  string
 		texts []string
 	}{
-		{"text", []string{"SELECT url, title FROM urldb WHERE url LIKE '%ibm%' OR title LIKE '%ibm%' ORDER BY title"}},
 		{"shape", texts("SELECT url, title, description FROM urldb WHERE url = 'http://www.ibm%d.example/'")},
 		{"shape_ordinal", texts("SELECT a, b FROM t WHERE c = %d ORDER BY 1")},
 	} {

@@ -86,9 +86,6 @@ func TestOrdersSpendHashJoin(t *testing.T) {
 // while its join copied each pair it kept and its grouping built a string
 // key per row.
 func TestOrdersStatementAllocations(t *testing.T) {
-	if sqldb.RaceDetector() {
-		t.Skip("the shape pass's pool drops what it is handed at random under the race detector")
-	}
 	s := ordersSession(t)
 	ceilings := map[string]struct{ allocs, bytes float64 }{
 		"products": {38, 3200},
@@ -138,9 +135,8 @@ func ordersTexts(sql string, n int) []string {
 }
 
 // BenchmarkOrdersStatements runs each statement of orders.d2w in 2 048
-// distinct texts, twice as many as the parse cache's exact-text tier holds,
-// so that every execution finds its cached shape by the one pass over its
-// text, as under orders_mixed. shape/ stops there — StatementFacts, what
+// distinct texts, each execution finding its cached shape by the one pass
+// over its text, as under orders_mixed. shape/ stops there — StatementFacts, what
 // the query cache asks of a statement first — and exec/ runs it.
 func BenchmarkOrdersStatements(b *testing.B) {
 	db := ordersDB(b)
@@ -167,7 +163,7 @@ func BenchmarkOrdersStatements(b *testing.B) {
 }
 
 // BenchmarkSpendStatement is the spend report alone, in one text: the join
-// and its scans, with the statement found by the exact-text tier.
+// and its scans, with the statement found in the shape map.
 func BenchmarkSpendStatement(b *testing.B) {
 	s := ordersSession(b)
 	b.ReportAllocs()

@@ -16,7 +16,8 @@ import (
 // bounded map, building no token slice. A hit skips parsing: the cached
 // AST is executed as it is — nothing writes to a parsed tree, so
 // concurrent executions share it — with the extracted values bound. A
-// verbatim repeat of a text skips the lex as well.
+// verbatim repeat takes the same pass: a repeated SELECT is the query
+// cache's to answer (internal/qcache), before it reaches the engine.
 //
 // What is cached is the result of parseTokens, a pure function of the
 // token stream that never looks at the catalog: the plan is built from the
@@ -31,20 +32,11 @@ import (
 // DefaultPlanCacheCap bounds the number of cached statement shapes.
 const DefaultPlanCacheCap = 256
 
-// textCapFactor sizes the exact-text front map relative to the shape
-// cap: distinct literal texts outnumber shapes (one per literal binding),
-// but each entry is just a pointer to its shape and a value slice.
-const textCapFactor = 4
-
-// textEntry is the exact-text fast path: production traffic is
-// zipf-skewed, so the same literal text repeats verbatim; remembering
-// its extracted values and the shape it resolved to lets a repeat skip
-// even the lex.
-type textEntry struct {
-	shape *planEntry
-	vals  []Value
-	elem  *list.Element
-}
+// maxPlanCacheBytes bounds the bytes of the keys and normalized texts the
+// cached shapes hold: a shape is as long as its statement, and a form
+// field of a megabyte of identifiers makes a megabyte-long shape of its
+// own. The most recently stored shape is kept whatever its size.
+const maxPlanCacheBytes = 4 << 20
 
 // planEntry is one cached shape, immutable once stored. stmt is the parsed
 // statement every execution of the shape shares; a nil stmt is a negative
@@ -77,15 +69,14 @@ type Facts struct {
 	reads        *readPlan
 }
 
-// PlanCache is a bounded LRU of parsed statement shapes, with a bounded
-// LRU of the texts that resolved to them in front.
+// PlanCache is an LRU of parsed statement shapes, bounded in count and in
+// bytes.
 type PlanCache struct {
 	mu      sync.Mutex
 	cap     int
+	bytes   int                   // of the entries' keys and normalized texts
 	entries map[string]*planEntry // by key
-	lru     *list.List            // front = most recently used; values are keys
-	texts   map[string]*textEntry
-	tlru    *list.List // text-map LRU; values are SQL texts
+	lru     *list.List            // front = most recently used; values are entries
 
 	hits     atomic.Uint64
 	misses   atomic.Uint64
@@ -102,29 +93,14 @@ func newPlanCache(cap int) *PlanCache {
 		cap:     cap,
 		entries: map[string]*planEntry{},
 		lru:     list.New(),
-		texts:   map[string]*textEntry{},
-		tlru:    list.New(),
 	}
 }
 
-// lookupText returns the exact-text entry for sql, bumping its recency and
-// its shape's (which may have left the shape map since: the text entry
-// keeps the parse, and moving an element no list holds does nothing).
-func (pc *PlanCache) lookupText(sql string) *textEntry {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	te, ok := pc.texts[sql]
-	if !ok {
-		return nil
-	}
-	pc.tlru.MoveToFront(te.elem)
-	pc.lru.MoveToFront(te.shape.elem)
-	return te
-}
+// size is what an entry counts against maxPlanCacheBytes.
+func (e *planEntry) size() int { return len(e.key) + len(e.facts.Norm) }
 
-// lookup returns the shape cached under key, bumping its recency, and
-// remembers that sql resolves to it with vals extracted.
-func (pc *PlanCache) lookup(key []byte, sql string, vals []Value) *planEntry {
+// lookup returns the shape cached under key, bumping its recency.
+func (pc *PlanCache) lookup(key []byte) *planEntry {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	e, ok := pc.entries[string(key)]
@@ -132,40 +108,31 @@ func (pc *PlanCache) lookup(key []byte, sql string, vals []Value) *planEntry {
 		return nil
 	}
 	pc.lru.MoveToFront(e.elem)
-	pc.putText(sql, e, vals)
 	return e
 }
 
-// store inserts e, which sql resolved to with vals extracted, evicting the
-// least recently used shape when over capacity. Two sessions that missed
-// on one shape both store it; the later parse replaces its equal.
-func (pc *PlanCache) store(e *planEntry, sql string, vals []Value) {
+// store inserts e, evicting the least recently used shapes while over the
+// count or the byte bound. Two sessions that missed on one shape both
+// store it; the later parse replaces its equal.
+func (pc *PlanCache) store(e *planEntry) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if old, ok := pc.entries[e.key]; ok {
-		pc.lru.Remove(old.elem)
+		pc.remove(old)
 	}
-	e.elem = pc.lru.PushFront(e.key)
+	e.elem = pc.lru.PushFront(e)
 	pc.entries[e.key] = e
-	for pc.lru.Len() > pc.cap {
-		delete(pc.entries, pc.lru.Remove(pc.lru.Back()).(string))
+	pc.bytes += e.size()
+	for pc.lru.Len() > pc.cap || (pc.bytes > maxPlanCacheBytes && pc.lru.Len() > 1) {
+		pc.remove(pc.lru.Back().Value.(*planEntry))
 	}
-	pc.putText(sql, e, vals)
 }
 
-// putText records that sql resolves to e with vals extracted; a shape
-// without a parse gets no text entries. Caller holds mu.
-func (pc *PlanCache) putText(sql string, e *planEntry, vals []Value) {
-	if e.stmt == nil {
-		return
-	}
-	if old, ok := pc.texts[sql]; ok {
-		pc.tlru.Remove(old.elem)
-	}
-	pc.texts[sql] = &textEntry{shape: e, vals: vals, elem: pc.tlru.PushFront(sql)}
-	for pc.tlru.Len() > pc.cap*textCapFactor {
-		delete(pc.texts, pc.tlru.Remove(pc.tlru.Back()).(string))
-	}
+// remove drops e from the map and the LRU. Caller holds mu.
+func (pc *PlanCache) remove(e *planEntry) {
+	pc.lru.Remove(e.elem)
+	delete(pc.entries, e.key)
+	pc.bytes -= e.size()
 }
 
 // len reports the number of cached shapes (including negative entries).
@@ -185,7 +152,7 @@ func (db *Database) PlanCached(sql string) (digest string, cached bool) {
 		return "", false
 	}
 	toks, _ = explainTarget(toks)
-	sh := shapers.Get().(*shaper)
+	sh := getShaper()
 	defer sh.release()
 	if _, ok := sh.shapeTokens(toks); ok {
 		pc := db.plans
@@ -259,12 +226,25 @@ type shaper struct {
 	bypass   bool
 }
 
-// shapers keeps shapers, and their buffers, between statements.
-var shapers = sync.Pool{New: func() any { return new(shaper) }}
+// shapers keeps a few shapers, and their buffers, between statements. It
+// is a free list rather than a sync.Pool, which a collection empties and
+// the race detector makes drop at random: a statement allocates the same
+// on every run, under -race too.
+var shapers = make(chan *shaper, 8)
+
+// getShaper takes a shaper from the free list, or makes one.
+func getShaper() *shaper {
+	select {
+	case sh := <-shapers:
+		return sh
+	default:
+		return new(shaper)
+	}
+}
 
 // maxKeptScratch bounds the buffers a shaper keeps when it goes back to
-// the pool: a statement of a 100 000-literal IN list should not pin its
-// megabytes.
+// the free list: a statement of a 100 000-literal IN list should not pin
+// its megabytes.
 const maxKeptScratch = 64 << 10
 
 func (sh *shaper) release() {
@@ -275,7 +255,10 @@ func (sh *shaper) release() {
 		sh.vals = nil
 	}
 	clear(sh.vals[:cap(sh.vals)]) // drop the strings the values point into
-	shapers.Put(sh)
+	select {
+	case shapers <- sh:
+	default: // the list is full
+	}
 }
 
 func (sh *shaper) reset() {
@@ -335,7 +318,7 @@ func (sh *shaper) step(t *token) (param bool) {
 }
 
 // shapeText runs the pass over sql, lexing it one token at a time into no
-// slice: the path of every text the exact-text tier does not hold. ok is
+// slice: the path of every text a statement is resolved from. ok is
 // false when the statement bypasses; err is the lexer's, which the whole
 // text is lexed for, bypass or not.
 func (sh *shaper) shapeText(sql string) (ok bool, err error) {
@@ -369,7 +352,7 @@ func (sh *shaper) shapeTokens(toks []token) (ptoks []token, ok bool) {
 }
 
 // values returns a copy of the extracted values, nil when there are none:
-// the caller keeps it, the shaper goes back to the pool.
+// the caller keeps it, the shaper goes back to the free list.
 func (sh *shaper) values() []Value {
 	if len(sh.vals) == 0 {
 		return nil
@@ -383,33 +366,18 @@ func (sh *shaper) values() []Value {
 // shape (saving the recording path its own lex). It returns nil when the
 // statement must take the literal Parse path (see resolve).
 func (db *Database) prepareCached(sql string) *prepared {
-	pc := db.plans
-	// Exact-text fast path: a verbatim repeat skips even the lex. The
-	// values slice is copied out because callers hand it to execution.
-	if te := pc.lookupText(sql); te != nil {
-		pc.hits.Add(1)
-		return te.shape.prepared(append([]Value(nil), te.vals...))
-	}
-	if e, vals := pc.resolve(sql); e != nil {
+	if e, vals := db.plans.resolve(sql); e != nil {
 		return e.prepared(vals)
 	}
 	return nil
 }
 
 // StatementFacts is what the plan cache knows of sql's shape, parsed and
-// walked once per shape: a text seen before costs a map lookup, and the
-// execution that follows a first sight finds the text cached. A statement
-// the plan cache does not take (DDL, caller-supplied parameters, a syntax
-// error) is not cacheable.
+// walked once per shape: a shape seen before costs one pass over the text
+// and a map lookup. A statement the plan cache does not take (DDL,
+// caller-supplied parameters, a syntax error) is not cacheable.
 func (db *Database) StatementFacts(sql string) Facts {
-	pc := db.plans
-	if te := pc.lookupText(sql); te != nil {
-		pc.hits.Add(1)
-		f := te.shape.facts
-		f.args = te.vals
-		return f
-	}
-	if e, vals := pc.resolve(sql); e != nil {
+	if e, vals := db.plans.resolve(sql); e != nil {
 		f := e.facts
 		f.args = vals
 		return f
@@ -417,14 +385,14 @@ func (db *Database) StatementFacts(sql string) Facts {
 	return Facts{}
 }
 
-// resolve is the path of a text the exact-text tier does not hold: one
-// pass over the text to its shape key and values, and a lookup. Only a
-// shape not cached yet lexes the text into tokens, to parse it. It returns
+// resolve is the path of every text through the plan cache: one pass over
+// the text to its shape key and values, and a lookup. Only a shape not
+// cached yet lexes the text into tokens, to parse it. It returns
 // nil when the statement must take the literal Parse path — shape not
 // parameterizable, or the parameterized form failed to parse (the literal
 // path then reports the authoritative error).
 func (pc *PlanCache) resolve(sql string) (*planEntry, []Value) {
-	sh := shapers.Get().(*shaper)
+	sh := getShaper()
 	defer sh.release()
 	if ok, err := sh.shapeText(sql); err != nil {
 		return nil, nil
@@ -433,7 +401,7 @@ func (pc *PlanCache) resolve(sql string) (*planEntry, []Value) {
 		return nil, nil
 	}
 	vals := sh.values()
-	if e := pc.lookup(sh.key, sql, vals); e != nil {
+	if e := pc.lookup(sh.key); e != nil {
 		if e.stmt == nil {
 			pc.bypasses.Add(1)
 			return nil, nil
@@ -459,7 +427,7 @@ func (pc *PlanCache) resolve(sql string) (*planEntry, []Value) {
 	// Without a parse, a negative entry: this shape never parses in
 	// parameterized form (e.g. a literal in a position the grammar needs
 	// verbatim).
-	pc.store(e, sql, vals)
+	pc.store(e)
 	if e.stmt == nil {
 		return nil, nil
 	}

@@ -328,10 +328,8 @@ func TestPlanCacheDropTable(t *testing.T) {
 // directly: storing over capacity evicts the least recently used shape.
 func TestPlanCacheLRUEviction(t *testing.T) {
 	pc := newPlanCache(2)
-	store := func(key string) {
-		pc.store(&planEntry{key: key, stmt: &SelectStmt{}}, "text of "+key, nil)
-	}
-	lookup := func(key string) *planEntry { return pc.lookup([]byte(key), "text of "+key, nil) }
+	store := func(key string) { pc.store(&planEntry{key: key, stmt: &SelectStmt{}}) }
+	lookup := func(key string) *planEntry { return pc.lookup([]byte(key)) }
 	store("a")
 	store("b")
 	if lookup("a") == nil { // touch a: b becomes LRU
@@ -347,34 +345,20 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	if lookup("a") == nil || lookup("c") == nil {
 		t.Fatal("a or c evicted wrongly")
 	}
-	// The text that resolved to b still does, and a hit on it does not put
-	// the shape back.
-	if te := pc.lookupText("text of b"); te == nil || te.shape.key != "b" || pc.len() != 2 {
-		t.Fatalf("text entry of an evicted shape: %+v, %d shapes", te, pc.len())
-	}
-	// A negative entry gets no text entry.
-	pc.store(&planEntry{key: "neg"}, "text of neg", nil)
-	if pc.lookupText("text of neg") != nil {
-		t.Fatal("negative entry has a text entry")
-	}
 }
 
-// TestPlanCacheTextFastPath: a verbatim repeat is served from the
-// exact-text map, across DDL on its table too, and the text map honours
-// its own LRU bound.
-func TestPlanCacheTextFastPath(t *testing.T) {
+// TestPlanCacheVerbatimRepeat: a verbatim repeat is a shape-map hit, and
+// stays one across DDL on its table.
+func TestPlanCacheVerbatimRepeat(t *testing.T) {
 	db := NewDatabase("t")
 	s := NewSession(db)
 	planSeed(t, s)
 	q := "SELECT name FROM emp WHERE id = 9"
 	mustExec(t, s, q)
-	if db.plans.lookupText(q) == nil {
-		t.Fatal("text entry not stored after first execution")
-	}
 	base := db.PlanCacheStats()
 	res := mustExec(t, s, q)
 	if len(res.Rows) != 1 || res.Rows[0][0].S != "n09" {
-		t.Fatalf("text-path result wrong: %v", res.Rows)
+		t.Fatalf("repeat's result wrong: %v", res.Rows)
 	}
 	st := db.PlanCacheStats()
 	if st.Hits-base.Hits != 1 || st.Misses != base.Misses {
@@ -384,20 +368,48 @@ func TestPlanCacheTextFastPath(t *testing.T) {
 	mustExec(t, s, "CREATE TABLE note (x INTEGER)")
 	res = mustExec(t, s, q)
 	if len(res.Rows) != 1 || res.Rows[0][0].S != "n09" {
-		t.Fatalf("text-path result wrong after DDL: %v", res.Rows)
+		t.Fatalf("repeat's result wrong after DDL: %v", res.Rows)
 	}
 	if got := db.PlanCacheStats().Hits - st.Hits; got != 1 {
 		t.Fatalf("verbatim repeat across DDL not a hit: %d", got)
 	}
-	// The text map is bounded at textCapFactor times the shape cap.
-	pc := newPlanCache(1)
-	e := &planEntry{key: "k", stmt: &SelectStmt{}}
-	pc.store(e, "q", nil)
-	for i := 0; i < 3*textCapFactor; i++ {
-		pc.lookup([]byte("k"), fmt.Sprintf("q%d", i), nil)
+}
+
+// TestLargeStatementsAreNotPinned: a few hundred distinct statements of
+// 32 KB each — a shape each, half of them negative entries — leave the plan
+// cache holding at most maxPlanCacheBytes of keys and normalized texts, by
+// its own count and by a recount of what it holds, and the statement
+// registry holding no text over maxStmtText.
+func TestLargeStatementsAreNotPinned(t *testing.T) {
+	db := NewDatabase("big")
+	reg := NewStatementStats(1000)
+	db.SetStatementStats(reg)
+	s := NewSession(db)
+	mustExec(t, s, "CREATE TABLE t (x INTEGER)")
+	name := strings.Repeat("y", 32<<10)
+	for i := 0; i < 150; i++ {
+		mustExec(t, s, fmt.Sprintf("SELECT x AS a%d%s FROM t", i, name))
+		if _, err := s.Exec(fmt.Sprintf("SELECT x a%d%s y FROM t", i, name)); err == nil {
+			t.Fatal("a projection of two aliases parsed")
+		}
 	}
-	if pc.tlru.Len() != textCapFactor || len(pc.texts) != textCapFactor {
-		t.Fatalf("text LRU holds %d entries, want %d", pc.tlru.Len(), textCapFactor)
+	pc := db.plans
+	pc.mu.Lock()
+	held := 0
+	for _, e := range pc.entries {
+		held += len(e.key) + len(e.facts.Norm)
+	}
+	counted, n := pc.bytes, len(pc.entries)
+	pc.mu.Unlock()
+	if held != counted || held > maxPlanCacheBytes || n < 2 {
+		t.Errorf("the plan cache holds %d shapes of %d bytes, counts %d bytes; bound %d", n, held, counted, maxPlanCacheBytes)
+	}
+	longest := 0
+	for _, st := range reg.Snapshot() {
+		longest = max(longest, len(st.Statement))
+	}
+	if reg.Len() < 150 || longest > maxStmtText+len("…") {
+		t.Errorf("the registry holds %d statements, the longest %d bytes; bound %d", reg.Len(), longest, maxStmtText)
 	}
 }
 

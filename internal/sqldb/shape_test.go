@@ -231,12 +231,6 @@ func FuzzShapeKey(f *testing.F) {
 	})
 }
 
-// raceDetector is set in a build with the race detector (race_test.go).
-var raceDetector bool
-
-// RaceDetector is raceDetector, for the tests of package sqldb_test.
-func RaceDetector() bool { return raceDetector }
-
 // TestShapePassAllocations: finding a cached shape builds nothing but the
 // values it extracts — no token slice, no key string.
 func TestShapePassAllocations(t *testing.T) {
@@ -250,16 +244,12 @@ func TestShapePassAllocations(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("the shape pass over the spend statement: %.0f allocations, want 0", allocs)
 	}
-	if raceDetector {
-		return
-	}
 	db := NewDatabase("alloc")
 	s := NewSession(db)
 	mustExec(t, s, "CREATE TABLE customers (custid INTEGER PRIMARY KEY, name VARCHAR(20))")
 	mustExec(t, s, "CREATE TABLE products (prodid INTEGER PRIMARY KEY, custid INTEGER, product_name VARCHAR(20), price DOUBLE, qty INTEGER)")
 	db.StatementFacts(spend)
-	// A text the exact-text tier does not hold, of a cached shape: the
-	// values, and the text entry that remembers them.
+	// A new text of a cached shape: the values extracted from it.
 	texts := make([]string, 51)
 	for i := range texts {
 		texts[i] = strings.Replace(spend, "14200", fmt.Sprint(i), 1)
@@ -271,8 +261,8 @@ func TestShapePassAllocations(t *testing.T) {
 		}
 		i++
 	})
-	if allocs > 4 {
-		t.Errorf("resolving a new text of a cached shape: %.0f allocations, want at most 4", allocs)
+	if allocs > 1 {
+		t.Errorf("resolving a new text of a cached shape: %.0f allocations, want at most 1", allocs)
 	}
 }
 
@@ -328,12 +318,12 @@ func TestResolveCostIsLinear(t *testing.T) {
 		_, err := NewSession(db).Exec(sql)
 		return err
 	}
-	// cost is the least CPU time per byte of run on each text: the small
-	// ones six times for every large one, the large ones three times, in
-	// turn, each on a database newDB built that has not seen its text. The
-	// time is the process's CPU time, not the clock's, and the runs
-	// alternate, so that what else the machine runs beside the test —
-	// CI's parallel -race packages — weighs on neither size alone. The
+	// cost is the least CPU time per byte of run on each text: each size
+	// run as often as the other, in alternation, each on a database newDB
+	// built that has not seen its text. The time is the process's CPU time,
+	// not the clock's, and each size has as many chances at its best time,
+	// so that what else the machine runs beside the test — CI's parallel
+	// -race packages — weighs on neither size alone. The
 	// collector is off while a run is timed and runs between the runs: a
 	// large run would otherwise pay for its collections, where a small one
 	// mostly pays for none.
@@ -353,10 +343,8 @@ func TestResolveCostIsLinear(t *testing.T) {
 			}
 		}
 		once(large) // warm the heap
-		for round := 0; round < 3; round++ {
-			for i := 0; i < 6; i++ {
-				once(small)
-			}
+		for round := 0; round < 6; round++ {
+			once(small)
 			once(large)
 		}
 		return float64(best[small]) / float64(len(small)), float64(best[large]) / float64(len(large))

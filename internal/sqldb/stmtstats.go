@@ -24,6 +24,12 @@ type StatementStats struct {
 // new shapes fold into the "_other" bucket.
 const DefaultStmtCap = 64
 
+// maxStmtText is how much of a shape's normalized text the registry keeps:
+// the digest is of the whole text, but an entry must not pin a statement
+// of any size (obs.Trace.StartSQL keeps the request record's by the same
+// rule).
+const maxStmtText = 500
+
 // OtherDigest is the digest of the overflow bucket that absorbs statement
 // shapes beyond the registry's cardinality cap.
 const OtherDigest = "_other"
@@ -40,7 +46,7 @@ const numStmtBuckets = 19
 
 type stmtEntry struct {
 	digest      string
-	text        string // normalized statement, first shape seen wins
+	text        string // normalized statement, first shape seen wins, cut at maxStmtText
 	kind        string
 	calls       int64
 	errors      int64
@@ -98,6 +104,9 @@ func (s *StatementStats) entry(digest, text, kind string) *stmtEntry {
 		if e, ok := s.entries[digest]; ok {
 			return e
 		}
+	}
+	if len(text) > maxStmtText {
+		text = text[:maxStmtText] + "…" // a copy
 	}
 	e := &stmtEntry{digest: digest, text: text, kind: kind}
 	s.entries[digest] = e

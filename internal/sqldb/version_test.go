@@ -221,7 +221,7 @@ func TestAnalyzeQuery(t *testing.T) {
 // cache keeps with a shape: for AnalyzeQuery's own cases, the plan corpus
 // and the 2 500 statements planGen derives from TestPlanCacheByteIdentical's
 // seeds, what Database.StatementFacts answers — on first sight, when it
-// parses the shape or finds it, and on the repeat, from the text map — is
+// parses the shape or finds it, and on the repeat, from the shape map — is
 // what AnalyzeQuery derives from a parse of the text, under the text's own
 // digest.
 func TestStatementFactsMatchAnalyzeQuery(t *testing.T) {
