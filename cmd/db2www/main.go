@@ -62,10 +62,7 @@ func run() error {
 	}
 	sqldriver.Register(dbName, db)
 
-	engine := &core.Engine{
-		DB:       gateway.NewSQLProvider(),
-		Commands: core.NewCommandRegistry(),
-	}
+	engine := &core.Engine{DB: gateway.NewSQLProvider()}
 	if os.Getenv("DB2WWW_TXN") == "single" {
 		engine.Txn = core.TxnSingle
 	}

@@ -101,7 +101,7 @@ func goldenApp(t *testing.T, set goldenSet, cached bool) *gateway.App {
 	}
 	return &gateway.App{
 		MacroDir:    set.dir,
-		Engine:      &core.Engine{DB: provider, Commands: core.NewCommandRegistry()},
+		Engine:      &core.Engine{DB: provider},
 		CacheMacros: true,
 	}
 }

@@ -116,10 +116,6 @@ func TestFormSetAndDel(t *testing.T) {
 	if got := f.GetAll("x"); len(got) != 1 || got[0] != "9" {
 		t.Fatalf("after Set: %v", got)
 	}
-	f.Del("y")
-	if f.Has("y") {
-		t.Fatal("y not deleted")
-	}
 	f.Set("z", "new")
 	if v, _ := f.Get("z"); v != "new" {
 		t.Fatal("Set on absent name must add")

@@ -83,17 +83,6 @@ func (f *Form) Has(name string) bool {
 	return ok
 }
 
-// Del removes all pairs named name.
-func (f *Form) Del(name string) {
-	kept := f.pairs[:0]
-	for _, p := range f.pairs {
-		if p.Name != name {
-			kept = append(kept, p)
-		}
-	}
-	f.pairs = kept
-}
-
 // Pairs returns the pairs in order. The caller must not mutate the slice.
 func (f *Form) Pairs() []Pair { return f.pairs }
 

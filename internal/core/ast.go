@@ -5,7 +5,7 @@
 // A macro file contains four kinds of sections (paper Section 3):
 //
 //	%DEFINE{ ... %}      variable definitions (simple, conditional,
-//	                     %LIST, %EXEC)
+//	                     %LIST)
 //	%SQL [(name)] { ... %}   one SQL command, with optional
 //	                     %SQL_REPORT{ ... %ROW{ ... %} ... %} and
 //	                     %SQL_MESSAGE{ ... %} blocks
@@ -64,14 +64,13 @@ const (
 	DefCondTest                   // var = testvar ? "v1" : "v2"
 	DefCondSelf                   // var = ? "value"  (null if value has null refs)
 	DefList                       // %LIST "sep" var
-	DefExec                       // var = %EXEC "command"
 )
 
 // DefineStmt is one statement inside a %DEFINE section.
 type DefineStmt struct {
 	Kind    DefineKind
 	Name    string
-	Value   string // value template (v1 for DefCondTest; command for DefExec)
+	Value   string // value template (v1 for DefCondTest)
 	Value2  string // v2 for DefCondTest (empty when no ':' arm)
 	HasElse bool   // whether the ':' arm was present
 	TestVar string // for DefCondTest

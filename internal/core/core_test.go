@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -796,47 +797,22 @@ func TestSingleTxnRollsBackOnError(t *testing.T) {
 
 // --- %EXEC variables ---
 
-func TestExecVariable(t *testing.T) {
-	reg := NewCommandRegistry()
-	reg.RegisterCommand("probe", func(args []string, stdout *bytes.Buffer) int {
-		fmt.Fprintf(stdout, "saw %d args", len(args))
-		if len(args) > 1 && args[1] == "fail" {
-			return 8
+// TestExecIsAParseError: the paper's executable variables (Section 3.1.4)
+// are refused when the macro is parsed, with the line of the %EXEC, in
+// either form of %DEFINE.
+func TestExecIsAParseError(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		line int
+	}{
+		{"%define rc = %EXEC \"probe $(arg)\"\n%HTML_INPUT{$(rc)%}", 1},
+		{"%define a = \"1\"\n%DEFINE{\nb = \"2\"\nrc = %exec {nosuch%}\n%}\n%HTML_INPUT{$(rc)%}", 4},
+	} {
+		_, err := Parse("t.d2w", c.src)
+		var ce *Error
+		if !errors.As(err, &ce) || ce.Line != c.line || !strings.Contains(ce.Msg, "%EXEC") {
+			t.Errorf("Parse(%q) = %v, want an error at line %d naming %%EXEC", c.src, err, c.line)
 		}
-		return 0
-	})
-	src := `
-%define rc = %EXEC "probe $(arg)"
-%define err_msg = rc ? "<B>error $(rc)</B>" : "ok"
-%HTML_INPUT{$(err_msg) out=[$(rc_OUTPUT)]%}
-`
-	m := mustParse(t, src)
-	e := &Engine{Commands: reg}
-
-	in := cgi.NewForm()
-	in.Add("arg", "ok")
-	out := runMacro(t, e, m, ModeInput, in)
-	if !strings.Contains(out, "ok") || strings.Contains(out, "error") {
-		t.Errorf("success case: %q", out)
-	}
-
-	in2 := cgi.NewForm()
-	in2.Add("arg", "fail")
-	out = runMacro(t, e, m, ModeInput, in2)
-	if !strings.Contains(out, "<B>error 8</B>") {
-		t.Errorf("failure case: %q", out)
-	}
-	if !strings.Contains(out, "out=[saw 2 args]") {
-		t.Errorf("captured output missing: %q", out)
-	}
-}
-
-func TestExecUnknownCommand(t *testing.T) {
-	reg := NewCommandRegistry()
-	m := mustParse(t, "%define rc = %EXEC \"nosuch\"\n%HTML_INPUT{$(rc)%}")
-	out := runMacro(t, &Engine{Commands: reg}, m, ModeInput, nil)
-	if got := strings.TrimSpace(out); got != "127" {
-		t.Fatalf("unknown command rc = %q, want 127", got)
 	}
 }
 

@@ -142,11 +142,13 @@ type DBProvider interface {
 }
 
 // Engine processes parsed macros. The zero value is not usable; fill in
-// DB (and Commands if macros use %EXEC).
+// DB.
 type Engine struct {
 	// DB provides database connections for %EXEC_SQL processing.
 	DB DBProvider
-	// Commands executes %EXEC variables. Nil disables %EXEC.
+	// Commands is ignored: %EXEC is a parse error. It stays only for
+	// benchmark/stack.go and benchmark/traced.go until ROADMAP item 3
+	// deletes it with CommandRegistry.
 	Commands *CommandRegistry
 	// Txn selects auto-commit (default) or single-transaction processing.
 	Txn TxnMode
@@ -194,7 +196,6 @@ func (e *Engine) RunContext(ctx context.Context, m *Macro, mode Mode, inputs *cg
 		ctx = context.Background()
 	}
 	vt := NewVarTable(m.Name, inputs)
-	vt.engine = e
 	vt.trace = obs.TraceFrom(ctx)
 	vt.trace.ReserveVars(int(atomic.LoadInt32(&m.vars)))
 	run := &macroRun{engine: e, macro: m, vt: vt, out: w, ctx: ctx, trace: vt.trace}

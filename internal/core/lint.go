@@ -9,11 +9,11 @@ import (
 
 // Static is a macro's variables as the engine evaluates them under an empty
 // request: a VarTable holding every %DEFINE section of the macro, with no
-// form, no report scope and no command registry. It is what the linter means
-// by "statically resolvable". A value is static when the expansion raised no
-// error (a cycle, or %EXEC without a registry) and reached nothing a request
-// may supply (read). The VarTable notes both for it as it expands, and, while
-// shape is set, the top level of the command being shaped (appendParts).
+// form and no report scope. It is what the linter means by "statically
+// resolvable". A value is static when the expansion raised no error (a
+// cycle) and reached nothing a request may supply (read). The VarTable
+// notes both for it as it expands, and, while shape is set, the top level
+// of the command being shaped (appendParts).
 type Static struct {
 	vt      *VarTable
 	inputs  map[string]bool // the macro's form controls
@@ -52,8 +52,8 @@ func (s *Static) Expand(tpl string) (string, bool) {
 
 // read notes that name was answered by source, the request record's word
 // for it: anything but a %DEFINE or %LIST that is no form control is the
-// request's — a form control, a name no %DEFINE binds, an %EXEC. (Static
-// holds no report or message scope and no %EXEC output.)
+// request's — a form control, a name no %DEFINE binds. (Static holds no
+// report or message scope.)
 func (s *Static) read(name string, source obs.VarSource) {
 	if s != nil && (source != obs.SourceDefine && source != obs.SourceList || s.inputs[name]) {
 		s.reached = true
@@ -201,7 +201,7 @@ func WalkHTMLItems(items []HTMLItem, fn func(HTMLItem)) {
 }
 
 // IsSystemVariable reports whether name is one the engine binds at run
-// time (report variables, message variables, %EXEC outputs).
+// time (report variables and message variables).
 func IsSystemVariable(name string) bool {
 	switch name {
 	case "ROW_NUM", "NLIST", "VLIST", "RPT_MAXROWS", "RPT_STARTROW",
@@ -209,7 +209,7 @@ func IsSystemVariable(name string) bool {
 		return true
 	}
 	_, _, col := ReportColumn(name)
-	return col || strings.HasSuffix(name, "_OUTPUT")
+	return col
 }
 
 // ReportColumn decodes a report variable that addresses a result column:

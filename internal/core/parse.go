@@ -466,7 +466,7 @@ type defineLexer struct {
 }
 
 type defTok struct {
-	kind string // "ident", "str", "block", "=", "?", ":", "%LIST", "%EXEC", "eof"
+	kind string // "ident", "str", "block", "=", "?", ":", "%LIST", "eof"
 	text string
 	line int
 }
@@ -542,7 +542,9 @@ func (l *defineLexer) next() (defTok, error) {
 		case "LIST":
 			return defTok{kind: "%LIST", line: start}, nil
 		case "EXEC":
-			return defTok{kind: "%EXEC", line: start}, nil
+			// The paper's executable variables (Section 3.1.4): no binary
+			// here can run a command, so a macro that asks for one is refused.
+			return defTok{}, errAt(l.macro, start, "%%EXEC variables are not supported: the gateway runs no commands")
 		default:
 			return defTok{}, errAt(l.macro, start, "unexpected %%%s in DEFINE section", kw)
 		}
@@ -614,15 +616,6 @@ func parseAssignment(macro string, lx *defineLexer, name defTok) (DefineStmt, er
 		return DefineStmt{}, err
 	}
 	switch tok.kind {
-	case "%EXEC":
-		cmd, err := lx.next()
-		if err != nil {
-			return DefineStmt{}, err
-		}
-		if cmd.kind != "str" && cmd.kind != "block" {
-			return DefineStmt{}, errAt(macro, cmd.line, "%%EXEC requires a quoted command string")
-		}
-		return DefineStmt{Kind: DefExec, Name: name.text, Value: cmd.text, Line: name.line}, nil
 	case "?":
 		// form (b)/(d): var = ? "value"
 		val, err := lx.next()

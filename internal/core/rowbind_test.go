@@ -14,8 +14,8 @@ import (
 )
 
 // referenceRenderCustom is renderCustom without bind: every reference of
-// every row is evaluated by name — scope walk, %EXEC outputs, HTML input
-// variables, definitions — through appendParts' generic path. It is the
+// every row is evaluated by name — scope walk, HTML input variables,
+// definitions — through appendParts' generic path. It is the
 // specification the bound and the memoised path are held to.
 func referenceRenderCustom(r *macroRun, rb *ReportBlock, res *SQLResult, _ *obs.SQLExec) error {
 	max, err := r.maxRows()
@@ -49,17 +49,6 @@ func referenceRenderCustom(r *macroRun, rb *ReportBlock, res *SQLResult, _ *obs.
 	return r.emit(rb.footer)
 }
 
-// rowCommands is the %EXEC registry of the oracle: rc's exit code and
-// output are a function of its argument.
-func rowCommands() *CommandRegistry {
-	reg := NewCommandRegistry()
-	reg.RegisterCommand("rc", func(args []string, stdout *bytes.Buffer) int {
-		fmt.Fprintf(stdout, "out%v", args[1:])
-		return len(strings.Join(args, "")) % 3
-	})
-	return reg
-}
-
 // reportOutcome is everything a report leaves behind.
 type reportOutcome struct {
 	page, err string
@@ -75,9 +64,9 @@ type reportOutcome struct {
 func renderReport(t testing.TB, m *Macro, inputs *cgi.Form, res *SQLResult,
 	render func(*macroRun, *ReportBlock, *SQLResult, *obs.SQLExec) error) reportOutcome {
 	t.Helper()
-	e := &Engine{Commands: rowCommands()}
+	e := &Engine{}
 	vt := NewVarTable(m.Name, inputs)
-	vt.engine, vt.trace = e, obs.NewTrace("t")
+	vt.trace = obs.NewTrace("t")
 	var page bytes.Buffer
 	run := &macroRun{engine: e, macro: m, vt: vt, out: &page, ctx: context.Background(), trace: vt.trace}
 	var rb *ReportBlock
@@ -204,13 +193,7 @@ func TestRowBindingMatchesByName(t *testing.T) {
 		{"simple keeps its text on a null column", `D2 = "<br>$(V2)"` + "\n" + `D3 = "[$(V3)]"`, appendixA, nil, urlTable, 2},
 		{"conditional on another variable", `D2 = V2 ? "<br>$(V2)" : "none"` + "\n" + `D3 = ? "$(V3)"`, appendixA, nil, urlTable, 1},
 		{"list variable", `%LIST " | " D2` + "\n" + `D2 = "$(V2)"` + "\n" + `D2 = "$(V3)"`, appendixA, nil, urlTable, 0},
-		{"exec variable keeps every wrapper unbound", `D2 = %EXEC "rc $(V1)"` + "\n" + `D3 = ? "<br>$(V3)"`, appendixA + " $(D2_OUTPUT)", nil, urlTable, 0},
-		{"exec output shadows a wrapper from the first row on", `E = %EXEC "rc $(V2)"` + "\n" + `E_OUTPUT = "wrapper $(V1)"`, "$(E_OUTPUT) $(E) $(E_OUTPUT)", nil, urlTable, 0},
 		{"redefined: the last assignment", `D2 = "$(nowhere)"` + "\n" + `D2 = ? "<i>$(V.TITLE)</i>"` + "\n" + `D3 = ? "$(V3)"` + "\n" + `D3 = "$(D2)"`, appendixA, nil, urlTable, 1},
-		{"redefined from exec to simple", `D2 = %EXEC "rc 1"` + "\n" + `D2 = "$(V2)"`, appendixA, nil, urlTable, 1},
-		{"the output of an exec variable that ran before it was redefined",
-			`E = %EXEC "rc 1"` + "\n%}\n%HTML_INPUT{$(E)%}\n%DEFINE{\n" + `E = "$(V1)"` + "\n" + `E_OUTPUT = "wrapper $(V1)"`,
-			"$(E_OUTPUT) $(E)", nil, urlTable, 1},
 		{"undefined", ``, appendixA, nil, urlTable, 0},
 		{"wrapper of a wrapper", `D2 = ? "<br>$(V2)"` + "\n" + `D3 = ? "($(D2))"`, appendixA, nil, urlTable, 1},
 		{"transforms outside and inside", `D2 = ? "<br>$(@html:V2)"` + "\n" + `D3 = ? "'$(@sq:V3)' $(@url:V.description)"`, "$(@html:D2) $(@url:D3) $(@sq:D3)", nil, urlTable, 3},
@@ -288,7 +271,6 @@ func TestRowMemoNullColumns(t *testing.T) {
 		{"V3 posted", appendixAWrappers, appendixA, form("V3", "posted $(V1)"), project(1, 2), false},
 		{"V3 posted empty", appendixAWrappers, appendixA, form("V3", ""), project(1, 2), false},
 		{"%DEFINE V3", appendixAWrappers + "\n" + `V3 = "three"`, appendixA, nil, project(1, 2), false},
-		{"an %EXEC variable", appendixAWrappers + "\n" + `E = %EXEC "rc 1"`, appendixA, nil, project(1, 2), false},
 		{"V.nosuch posted", appendixAWrappers, appendixA + " $(V.nosuch)", form("V.nosuch", "posted"), project(1, 2, 3), false},
 		{"rows narrower than the header", appendixAWrappers, appendixA, nil, narrower, false},
 	}
@@ -309,12 +291,12 @@ type rowGen struct{ *rand.Rand }
 
 func (g rowGen) pick(xs ...string) string { return xs[g.Intn(len(xs))] }
 
-var rowGenNames = []string{"D1", "D1", "D2", "D2", "D3", "D3", "W", "L", "E", "ROW_NUM", "V2", "V9", "N1", "E_OUTPUT"}
+var rowGenNames = []string{"D1", "D1", "D2", "D2", "D3", "D3", "W", "L", "E", "ROW_NUM", "V2", "V9", "N1"}
 
 func (g rowGen) statement() string {
 	n := g.pick(rowGenNames...)
 	col := g.pick("V1", "V2", "V3", "V4", "V9", "V.title", "V.URL", "V.none", "V0", "@html:V2", "@sq:V1", "@url:V3")
-	switch g.Intn(24) % 13 { // 12, the %EXEC that unbinds every wrapper, half as often
+	switch g.Intn(12) {
 	case 0, 1:
 		return fmt.Sprintf(`%s = ? "<br>$(%s)"`, n, col)
 	case 2, 3:
@@ -323,8 +305,6 @@ func (g rowGen) statement() string {
 		return fmt.Sprintf(`%s = ? "$(%s)"`, n, g.pick(rowGenNames...))
 	case 5:
 		return fmt.Sprintf(`%s = %s ? "$(%s)" : "%s"`, n, g.pick("V1", "V2", "D1", "U"), col, g.pick("", "else"))
-	case 12:
-		return fmt.Sprintf(`%s = %%EXEC "rc $(%s)"`, n, col)
 	case 6, 7:
 		return fmt.Sprintf("%%LIST \"%s\" %s\n%s = \"$(%s)\"", g.pick(", ", " $(V1) "), n, n, col)
 	case 8:

@@ -257,7 +257,6 @@ const (
 	ValDefine  ValueKind = iota // a %DEFINE value: "v", "? v", the v1 of "t ? v1 : v2"
 	ValElse                     // the v2 of "t ? v1 : v2"
 	ValListSep                  // a %LIST separator
-	ValExec                     // an %EXEC command
 	ValSQL                      // a %SQL command
 	ValHeader                   // a %SQL_REPORT header
 	ValRow                      // a %ROW block
@@ -299,9 +298,6 @@ func eachValue(m *Macro, fn func(v Value, compiled **Template)) {
 			for i := range s.Stmts {
 				st := &s.Stmts[i]
 				val := Value{Text: st.Value, Kind: ValDefine, Line: st.Line, Section: s, Name: st.Name}
-				if st.Kind == DefExec {
-					val.Kind = ValExec
-				}
 				fn(val, &st.value)
 				val.Text, val.Kind = st.Value2, ValElse
 				fn(val, &st.value2)

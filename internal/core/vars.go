@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"strconv"
 	"strings"
 
 	"db2www/internal/cgi"
@@ -17,7 +16,6 @@ type Def struct {
 	List    bool          // declared with %LIST
 	Sep     *Template     // separator template (list variables)
 	Assigns []*DefineStmt // assignment history: all kept for list vars, last wins otherwise
-	Exec    *DefineStmt   // the %EXEC statement, when the variable is one
 }
 
 // scope is one level of system variables: report column names and values,
@@ -48,11 +46,7 @@ type VarTable struct {
 	inputs *cgi.Form
 	table  *defTable // the %DEFINE sections applied so far
 	scopes []scope
-	// execOutputs holds <name>_OUTPUT bindings captured from %EXEC
-	// commands (an extension; see runExec).
-	execOutputs map[string]string
-	engine      *Engine // for %EXEC command execution; may be nil
-	macro       string  // macro name for error messages
+	macro  string // macro name for error messages
 	// trace, when non-nil, is the request's record and receives every
 	// variable dereference. Scope (per-row report) hits are not recorded:
 	// they are data plumbing, not macro logic, and would swamp the record
@@ -156,11 +150,7 @@ func applyStmt(def *Def, st *DefineStmt) {
 	case DefList:
 		def.List = true
 		def.Sep = st.sep
-	case DefExec:
-		def.Exec = st
-		def.Assigns = nil
 	default:
-		def.Exec = nil
 		if !def.List {
 			def.Assigns = def.Assigns[:0]
 		}
@@ -334,19 +324,10 @@ func (vt *VarTable) rowWrapper(name string, rs *rowScope) (*DefineStmt, []rowRef
 }
 
 // outranked reports whether something that outranks a %DEFINE assignment
-// may answer name on some row: a scope, an HTML input variable, or a %EXEC
-// output now or (a %EXEC variable being defined) later.
+// may answer name on some row: a scope or an HTML input variable.
 func (vt *VarTable) outranked(name string) bool {
 	if vt.inputs.Has(name) {
 		return true
-	}
-	if _, ok := vt.execOutputs[name]; ok {
-		return true
-	}
-	for _, d := range vt.table.defs {
-		if d.Exec != nil {
-			return true
-		}
 	}
 	for _, s := range vt.scopes {
 		if _, ok := s.appendVar(nil, name); ok {
@@ -406,10 +387,6 @@ func (vt *VarTable) appendVar(buf []byte, name string) ([]byte, error) {
 	depth := len(vt.visiting)
 	if depth == 0 {
 		vt.derefs, vt.refStart = 0, len(buf)
-	}
-	if v, ok := vt.execOutputs[name]; ok {
-		vt.trace.Var(name, depth, obs.SourceExec, v == "")
-		return append(buf, v...), nil
 	}
 	if depth == maxDerefDepth {
 		return buf, vt.errCut(name, "reference chain deeper than %d variables at variable %q", maxDerefDepth, name)
@@ -483,9 +460,6 @@ func (vt *VarTable) appendBound(buf []byte, name string) ([]byte, obs.VarSource,
 	case def == nil:
 		vt.requestReads++
 		return buf, obs.SourceUndefined, nil
-	case def.Exec != nil:
-		buf, err := vt.runExec(buf, name, def.Exec)
-		return buf, obs.SourceExec, err
 	case def.List:
 		sep, err := vt.expandTemplate(def.Sep)
 		if err != nil {
@@ -543,29 +517,6 @@ func (vt *VarTable) appendAssign(buf []byte, st *DefineStmt) ([]byte, error) {
 		return buf, err
 	}
 	return buf, errAt(vt.macro, st.Line, "internal: unexpected assignment kind %d", st.Kind)
-}
-
-// runExec executes a %EXEC variable's command. The variable's value is
-// the command's non-zero exit code, or null on success (Section 3.1.4).
-// Captured standard output is exposed as <name>_OUTPUT in a system scope
-// (a documented extension; the paper leaves command output unspecified).
-func (vt *VarTable) runExec(buf []byte, name string, st *DefineStmt) ([]byte, error) {
-	cmdline, err := vt.expandTemplate(st.value)
-	if err != nil {
-		return buf, err
-	}
-	if vt.engine == nil || vt.engine.Commands == nil {
-		return buf, errAt(vt.macro, 0, "%%EXEC variable used but no command registry is configured")
-	}
-	code, output := vt.engine.Commands.Run(cmdline)
-	if vt.execOutputs == nil {
-		vt.execOutputs = map[string]string{}
-	}
-	vt.execOutputs[name+"_OUTPUT"] = output
-	if code == 0 {
-		return buf, nil
-	}
-	return strconv.AppendInt(buf, int64(code), 10), nil
 }
 
 // escapeHTML escapes the five HTML-special characters.

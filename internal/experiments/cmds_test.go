@@ -88,6 +88,15 @@ func TestCmdMacrocheck(t *testing.T) {
 	if !ok || exit.ExitCode() != 1 {
 		t.Fatalf("strict lint of broken macro must exit 1, got %v", err)
 	}
+
+	// An %EXEC variable is a parse finding at its line.
+	execMacro := filepath.Join(RepoRoot(), "testdata", "lint", "exec_unsupported.d2w")
+	out, err = exec.Command(bin, "-strict", execMacro).CombinedOutput()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 ||
+		!strings.Contains(string(out), "exec_unsupported.d2w:8: error: %EXEC variables are not supported") ||
+		!strings.Contains(string(out), "[parse]") {
+		t.Fatalf("strict lint of an %%EXEC macro must report it at line 8 and exit 1, got %v\n%s", err, out)
+	}
 }
 
 func TestCmdSqlsh(t *testing.T) {

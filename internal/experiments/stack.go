@@ -74,7 +74,7 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	st := &Stack{DBName: cfg.DBName, MacroDir: dir}
 	st.App = &gateway.App{
 		MacroDir:    dir,
-		Engine:      &core.Engine{DB: gateway.NewSQLProvider(), Commands: core.NewCommandRegistry()},
+		Engine:      &core.Engine{DB: gateway.NewSQLProvider()},
 		CacheMacros: cfg.CacheMacros,
 	}
 	st.Handler = &gateway.Handler{App: st.App}

@@ -2,8 +2,11 @@ package gateway
 
 import (
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -307,6 +310,47 @@ func TestMalformedMacroIs500(t *testing.T) {
 	}
 	if resp.Status != 500 {
 		t.Fatalf("status = %d", resp.Status)
+	}
+}
+
+// TestExecMacroIsAMacroError: a macro that defines an %EXEC variable does
+// not parse, so the server gatewayd builds answers a request for it with
+// the same 500 "Macro error" page as for any macro that does not parse,
+// naming the %EXEC's line.
+func TestExecMacroIsAMacroError(t *testing.T) {
+	cfg := DefaultServerConfig()
+	cfg.Macros = t.TempDir()
+	macros := map[string]string{
+		"broken.d2w": "%HTML_INPUT{never closed",
+		"exec.d2w":   "%DEFINE{\nA = \"1\"\nrc = %EXEC \"probe $(A)\"\n%}\n%HTML_INPUT{$(rc)%}",
+	}
+	for name, src := range macros {
+		if err := os.WriteFile(filepath.Join(cfg.Macros, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pages := map[string]string{}
+	for name := range macros {
+		req := httptest.NewRequest("GET", "http://localhost/cgi-bin/db2www/"+name+"/input", nil)
+		req.Header.Set("X-Trace-Id", "t-exec")
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "<H1>Macro error</H1>") {
+			t.Fatalf("%s: status %d, want a 500 Macro error page\n%s", name, rec.Code, rec.Body)
+		}
+		pages[name] = rec.Body.String()
+	}
+	detail := regexp.MustCompile(`<P>[^\n]*</P>\n<P><SMALL>`)
+	if !strings.Contains(pages["exec.d2w"], "exec.d2w:3: %EXEC variables are not supported") {
+		t.Errorf("the page does not name the %%EXEC line:\n%s", pages["exec.d2w"])
+	}
+	if a, b := detail.ReplaceAllString(pages["exec.d2w"], ""), detail.ReplaceAllString(pages["broken.d2w"], ""); a != b {
+		t.Errorf("the %%EXEC page is not the page of a macro that does not parse:\n%s\n%s", a, b)
 	}
 }
 

@@ -280,7 +280,7 @@ func TestBlockFetchMatchesScan(t *testing.T) {
 		tp := newTwins(t, "CELDIAL", set.dataset)
 		app := &App{
 			MacroDir: filepath.Join(root, set.dir),
-			Engine:   &core.Engine{DB: tp, Commands: core.NewCommandRegistry()},
+			Engine:   &core.Engine{DB: tp},
 		}
 		for _, c := range set.cases {
 			resp, err := app.ServeCGI(&cgi.Request{Method: "GET", PathInfo: "/" + c[1], QueryString: c[2]})

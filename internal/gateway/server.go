@@ -188,9 +188,8 @@ func (s *Server) assemble() (err error) {
 			s.QCache = qcache.New(cfg.QCacheBytes)
 		}
 		engine := &core.Engine{
-			DB:       qcache.Wrap(NewSQLProvider(), s.QCache),
-			Commands: core.NewCommandRegistry(),
-			MaxRows:  cfg.MaxRows,
+			DB:      qcache.Wrap(NewSQLProvider(), s.QCache),
+			MaxRows: cfg.MaxRows,
 		}
 		if cfg.Txn == "single" {
 			engine.Txn = core.TxnSingle

@@ -271,12 +271,6 @@ func TestEntities(t *testing.T) {
 	}
 }
 
-func TestEscapeHTML(t *testing.T) {
-	if got := EscapeHTML(`<a href="x">&`); got != "&lt;a href=&quot;x&quot;&gt;&amp;" {
-		t.Fatalf("got %q", got)
-	}
-}
-
 func TestTokenizerToleratesJunk(t *testing.T) {
 	// Unterminated tag, stray <, comment.
 	toks := Tokenize(`a < b <!-- c --> <p`)

@@ -238,10 +238,3 @@ func DecodeEntities(s string) string {
 	}
 	return sb.String()
 }
-
-// EscapeHTML escapes &, <, >, and double quotes for embedding text in
-// HTML markup.
-func EscapeHTML(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}

@@ -60,8 +60,6 @@ func (t *tpl) where() string {
 		return fmt.Sprintf("definition of %q (else arm)", t.Name)
 	case core.ValListSep:
 		return fmt.Sprintf("%%LIST separator of %q", t.Name)
-	case core.ValExec:
-		return fmt.Sprintf("%%EXEC command of %q", t.Name)
 	case core.ValSQL:
 		return "SQL section " + section
 	case core.ValHeader:

@@ -49,7 +49,7 @@ var catalog = []*Analyzer{
 	{ID: "unused", Doc: "DEFINE variables never referenced (escapes and engine-read names count as uses)", run: runUnused},
 	{ID: "cycle", Doc: "definition cycles and self-references fail at dereference time", run: runCycle},
 	{ID: "sections", Doc: "cross-section consistency: %EXEC_SQL targets, unexecuted SQL sections, DATABASE, page structure", run: runSections},
-	{ID: "taint", Doc: "dataflow from form/URL input through DEFINE chains into SQL or %EXEC sinks without $(@sq:) quoting", run: runTaint},
+	{ID: "taint", Doc: "dataflow from form/URL input through DEFINE chains into SQL without $(@sq:) quoting", run: runTaint},
 	{ID: "sqlreport", Doc: "substituted-skeleton SQL must parse and %SQL_REPORT column references must match the SELECT list", run: runSQLReport},
 	{ID: "schema", Doc: "the engine's own name resolution against the configured schema (Database.Check): the first error a statement would fail with — unknown tables, columns, and indexes; ambiguous column references", run: runSchema},
 	{ID: "sqltype", Doc: "expression type checking against declared column types, each operation evaluated by the engine on sample operands, with value classes inferred for $(VAR) slots through %DEFINE chains", run: runSqltype},

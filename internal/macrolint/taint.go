@@ -29,15 +29,14 @@ type taintInfo struct {
 	origin string   // human-readable description of the source
 }
 
-// runTaint flags attacker-controlled data flowing into an injection
-// sink: the %SQL command template or a %DEFINE ... %EXEC command. The
-// $(@sq:name) transform (single-quote doubling) is the sanctioned
-// sanitizer and stops the flow; @html: and @url: do not help SQL and are
-// ignored.
+// runTaint flags attacker-controlled data flowing into the injection
+// sink, the %SQL command template. The $(@sq:name) transform
+// (single-quote doubling) is the sanctioned sanitizer and stops the flow;
+// @html: and @url: do not help SQL and are ignored.
 func runTaint(p *pass) {
 	e := p.env
 	for _, t := range e.templates {
-		if t.Kind != core.ValSQL && t.Kind != core.ValExec {
+		if t.Kind != core.ValSQL {
 			continue
 		}
 		for _, r := range t.refs {
@@ -50,35 +49,27 @@ func runTaint(p *pass) {
 			}
 			d := Diagnostic{Analyzer: "taint"}
 			sink := "the SQL command of " + t.where()
-			if t.Kind == core.ValExec {
-				sink = "the " + t.where()
-			}
 			switch ti.level {
 			case taintDirect:
 				d.Severity = SevError
 				d.Message = fmt.Sprintf("%s is interpolated into %s without $(@sq:) quoting — SQL injection",
 					ti.origin, sink)
-				if t.Kind == core.ValSQL {
-					d.Fix = fmt.Sprintf("replace $(%s) with $(@sq:%s)", r.Raw, r.Name)
-					// The hole the reference is, or is nested in.
-					inLit := false
-					for _, g := range p.skeletonOf(t).Segs {
-						if g.Src <= r.Offset {
-							inLit = g.InLit
-						}
+				d.Fix = fmt.Sprintf("replace $(%s) with $(@sq:%s)", r.Raw, r.Name)
+				// The hole the reference is, or is nested in.
+				inLit := false
+				for _, g := range p.skeletonOf(t).Segs {
+					if g.Src <= r.Offset {
+						inLit = g.InLit
 					}
-					if inLit {
-						// Inside a quoted literal the value lands in a bind
-						// parameter, not in statement structure (the plan
-						// cache extracts quoted literals); the residual risk
-						// is quote breakout, which $(@sq:) closes.
-						d.Severity = SevWarn
-						d.Message = fmt.Sprintf("%s is interpolated into a string literal of %s without $(@sq:) quoting",
-							ti.origin, sink)
-					}
-				} else {
-					d.Message = fmt.Sprintf("%s is interpolated into %s — command injection", ti.origin, sink)
-					d.Fix = "do not interpolate request data into %EXEC commands"
+				}
+				if inLit {
+					// Inside a quoted literal the value lands in a bind
+					// parameter, not in statement structure (the plan
+					// cache extracts quoted literals); the residual risk
+					// is quote breakout, which $(@sq:) closes.
+					d.Severity = SevWarn
+					d.Message = fmt.Sprintf("%s is interpolated into a string literal of %s without $(@sq:) quoting",
+						ti.origin, sink)
 				}
 			case taintIndirect:
 				d.Severity = SevWarn

@@ -39,6 +39,61 @@ func (e *env) walk() {
 	for _, name := range e.order {
 		e.fact(name)
 	}
+	// A name whose facts were kept while a name it reads was still on the
+	// path read that name as onPath, without taint, though only the walk's
+	// order, not the engine, put it in a cycle. Taint only grows, so
+	// carrying it along every edge until nothing changes ends.
+	for changed := true; changed; {
+		changed = false
+		for _, name := range e.order {
+			f := e.facts[name]
+			if f.taint.level != taintNone || e.inputs[name] || engineReadVars[name] {
+				continue
+			}
+			if worst := e.inflow(e.static.Def(name)); worst != nil {
+				f.taint, changed = indirect(name, worst), true
+			}
+		}
+	}
+}
+
+// indirect is the taint of a defined name that reads worst: any hop through
+// a definition demotes to indirect, since the macro author interposed a
+// template, which is the Appendix A idiom.
+func indirect(name string, worst *taintInfo) taintInfo {
+	return taintInfo{level: taintIndirect, chain: append([]string{name}, worst.chain...), origin: worst.origin}
+}
+
+// inflow is the worst taint among the references of what the engine
+// evaluates def by — its assignments' values and the %LIST separator —
+// walking each, and each conditional test variable, first.
+func (e *env) inflow(def *core.Def) *taintInfo {
+	var worst *taintInfo
+	flow := func(t *tpl) {
+		if t == nil {
+			return
+		}
+		for _, r := range t.refs {
+			if r.Dynamic {
+				continue
+			}
+			// $(@sq:) doubles quotes — the sanitizer.
+			if sub := e.fact(r.Name); r.Prefix != "@sq:" && sub.taint.level > taintNone &&
+				(worst == nil || sub.taint.level > worst.level) {
+				worst = &sub.taint
+			}
+		}
+	}
+	for _, st := range def.Assigns {
+		value, value2 := st.Templates()
+		flow(e.tpls[value])
+		if st.Kind == core.DefCondTest {
+			flow(e.tpls[value2])
+			e.fact(st.TestVar)
+		}
+	}
+	flow(e.tpls[def.Sep])
+	return worst
 }
 
 // fact returns the facts of name, walking the definitions it dereferences
@@ -59,37 +114,8 @@ func (e *env) fact(name string) *varFacts {
 		e.path = append(e.path, name)
 	}
 	var worst *taintInfo
-	flow := func(t *tpl, taints bool) {
-		if t == nil {
-			return
-		}
-		for _, r := range t.refs {
-			if r.Dynamic {
-				continue
-			}
-			// $(@sq:) doubles quotes — the sanitizer.
-			if sub := e.fact(r.Name); taints && r.Prefix != "@sq:" && sub.taint.level > taintNone &&
-				(worst == nil || sub.taint.level > worst.level) {
-				worst = &sub.taint
-			}
-		}
-	}
-	switch {
-	case def == nil:
-	case def.Exec != nil:
-		// An %EXEC variable is its command's exit code, not request data.
-		cmd, _ := def.Exec.Templates()
-		flow(e.tpls[cmd], false)
-	default:
-		for _, st := range def.Assigns {
-			value, value2 := st.Templates()
-			flow(e.tpls[value], true)
-			if st.Kind == core.DefCondTest {
-				flow(e.tpls[value2], true)
-				e.fact(st.TestVar)
-			}
-		}
-		flow(e.tpls[def.Sep], true)
+	if def != nil {
+		worst = e.inflow(def)
 	}
 
 	f := &varFacts{}
@@ -105,9 +131,7 @@ func (e *env) fact(name string) *varFacts {
 		f.taint = taintInfo{level: taintDirect, chain: []string{name},
 			origin: fmt.Sprintf("%q has no definition, so only the request can supply it", name)}
 	case worst != nil:
-		// Any hop through a definition demotes to indirect: the macro
-		// author interposed a template, which is the Appendix A idiom.
-		f.taint = taintInfo{level: taintIndirect, chain: append([]string{name}, worst.chain...), origin: worst.origin}
+		f.taint = indirect(name, worst)
 	}
 	switch {
 	case e.inputs[name]:
@@ -154,7 +178,7 @@ func canonicalCycle(cycle []string) string {
 // environment-dependent degrades to ClassUnknown or ClassInput, which the
 // type checker treats as unfalsifiable.
 func (e *env) classOf(def *core.Def) classInfo {
-	if def.Exec != nil || def.List {
+	if def.List {
 		return classInfo{}
 	}
 	var sawNum, sawText, sawInput, sawUnknown bool

@@ -130,7 +130,7 @@ type VarEval struct {
 }
 
 // VarSource is what answered a dereference. It prints, and marshals, as
-// its word: input, define, list, exec or undefined.
+// its word: input, define, list or undefined.
 type VarSource uint8
 
 // The sources of a dereference.
@@ -139,10 +139,9 @@ const (
 	SourceInput                      // a form field
 	SourceDefine                     // a %DEFINE assignment
 	SourceList                       // a %LIST variable
-	SourceExec                       // an %EXEC variable or its output
 )
 
-var varSources = [...]string{"undefined", "input", "define", "list", "exec"}
+var varSources = [...]string{"undefined", "input", "define", "list"}
 
 func (s VarSource) String() string {
 	if int(s) < len(varSources) {

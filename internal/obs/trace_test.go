@@ -157,7 +157,7 @@ func TestVarEvalRecord(t *testing.T) {
 		t.Errorf("VarEval is %d bytes, want 32", size)
 	}
 	tr := NewTrace("vars")
-	for _, src := range []VarSource{SourceInput, SourceDefine, SourceList, SourceExec, SourceUndefined} {
+	for _, src := range []VarSource{SourceInput, SourceDefine, SourceList, SourceUndefined} {
 		tr.Var(src.String()+"_var", 2, src, src == SourceUndefined)
 	}
 	tr.VarN("input_var", 300, SourceInput, false, 4)
@@ -168,7 +168,6 @@ func TestVarEvalRecord(t *testing.T) {
 	want := `[{"name":"input_var","source":"input","count":5,"max_depth":300,"null":false},` +
 		`{"name":"define_var","source":"define","count":1,"max_depth":2,"null":false},` +
 		`{"name":"list_var","source":"list","count":1,"max_depth":2,"null":false},` +
-		`{"name":"exec_var","source":"exec","count":1,"max_depth":2,"null":false},` +
 		`{"name":"undefined_var","source":"undefined","count":1,"max_depth":2,"null":true}]`
 	if string(got) != want {
 		t.Errorf("Vars as JSON:\n got %s\nwant %s", got, want)

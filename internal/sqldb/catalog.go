@@ -146,15 +146,6 @@ func (t *Table) colIndex(name string) int {
 	return -1
 }
 
-// ColumnNames returns the declared column names in order.
-func (t *Table) ColumnNames() []string {
-	names := make([]string, len(t.Columns))
-	for i := range t.Columns {
-		names[i] = t.Columns[i].Name
-	}
-	return names
-}
-
 // RowCount returns the number of rows visible to a fresh snapshot
 // (committed, not deleted). Pending versions do not count.
 func (t *Table) RowCount() int {

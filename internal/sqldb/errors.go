@@ -62,12 +62,6 @@ func (e *Error) Error() string {
 // handlers match on it.
 func (e *Error) SQLState() string { return e.Code }
 
-// Is allows errors.Is matching on the code alone.
-func (e *Error) Is(target error) bool {
-	t, ok := target.(*Error)
-	return ok && t.Code == e.Code
-}
-
 func errSyntax(format string, args ...any) *Error {
 	return &Error{Code: CodeSyntax, Message: fmt.Sprintf(format, args...)}
 }

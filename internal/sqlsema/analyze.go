@@ -41,7 +41,7 @@ type VarClass int
 
 // Value classes for substitution slots.
 const (
-	ClassUnknown   VarClass = iota // no static knowledge (system vars, %EXEC results, ...)
+	ClassUnknown   VarClass = iota // no static knowledge (system vars, ...)
 	ClassInput                     // request-controlled: any text can arrive
 	ClassNumber                    // every statically reachable value is numeric text
 	ClassText                      // every statically reachable value is non-numeric text
