@@ -39,10 +39,14 @@ done
 export GOCOVERDIR=$sys
 
 # gatewayd serves testdata/macros, saves its database on SIGTERM, and then
-# serves the saved database again (-load), saving it once more.
+# serves the saved database again (-load), saving it once more. A server a
+# failed step leaves behind is stopped on exit.
+pid=
+trap '[ -z "$pid" ] || kill "$pid" 2>/dev/null || true' EXIT
 serve() {
 	"$bin/gatewayd" -addr "127.0.0.1:$port" -macros testdata/macros -save "$out/$1" "${@:2}" >>"$out/gatewayd.log" 2>&1 &
-	local pid=$! i
+	pid=$!
+	local i
 	for i in $(seq 1 100); do
 		curl -sf "http://127.0.0.1:$port/readyz" >/dev/null && break
 		sleep 0.1
@@ -62,6 +66,7 @@ serve() {
 	done
 	kill -TERM "$pid"
 	wait "$pid" || true
+	pid=
 }
 serve dump1.sql
 serve dump2.sql -load "$out/dump1.sql"
