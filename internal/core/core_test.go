@@ -797,23 +797,28 @@ func TestSingleTxnRollsBackOnError(t *testing.T) {
 
 // --- %EXEC variables ---
 
-// TestExecIsAParseError: the paper's executable variables (Section 3.1.4)
-// are refused when the macro is parsed, with the line of the %EXEC, in
-// either form of %DEFINE.
-func TestExecIsAParseError(t *testing.T) {
-	for _, c := range []struct {
-		src  string
-		line int
-	}{
-		{"%define rc = %EXEC \"probe $(arg)\"\n%HTML_INPUT{$(rc)%}", 1},
-		{"%define a = \"1\"\n%DEFINE{\nb = \"2\"\nrc = %exec {nosuch%}\n%}\n%HTML_INPUT{$(rc)%}", 4},
-	} {
-		_, err := Parse("t.d2w", c.src)
-		var ce *Error
-		if !errors.As(err, &ce) || ce.Line != c.line || !strings.Contains(ce.Msg, "%EXEC") {
-			t.Errorf("Parse(%q) = %v, want an error at line %d naming %%EXEC", c.src, err, c.line)
-		}
+// The paper's executable variables (Section 3.1.4) are refused when the
+// macro is parsed, with the line of the %EXEC, in either form of %DEFINE.
+
+func assertExecParseError(t *testing.T, src string, line int) {
+	t.Helper()
+	_, err := Parse("t.d2w", src)
+	var ce *Error
+	if !errors.As(err, &ce) || ce.Line != line || !strings.Contains(ce.Msg, "%EXEC") {
+		t.Errorf("Parse(%q) = %v, want an error at line %d naming %%EXEC", src, err, line)
 	}
+}
+
+// TestExecVariable: a one-line %define of an executable variable, with a
+// variable in its command, does not parse.
+func TestExecVariable(t *testing.T) {
+	assertExecParseError(t, "%define rc = %EXEC \"probe $(arg)\"\n%HTML_INPUT{$(rc)%}", 1)
+}
+
+// TestExecUnknownCommand: an %exec inside a %DEFINE block is refused at
+// its own line, whatever command it names.
+func TestExecUnknownCommand(t *testing.T) {
+	assertExecParseError(t, "%define a = \"1\"\n%DEFINE{\nb = \"2\"\nrc = %exec {nosuch%}\n%}\n%HTML_INPUT{$(rc)%}", 4)
 }
 
 // --- transform extensions ---
