@@ -765,11 +765,11 @@ func TestOrdersRequestAllocations(t *testing.T) {
 		allocs, bytesK float64
 	}{
 		{"input", 400, false, 20, 2.0},
-		{"products", 400, false, 88, 6.5},
-		{"products", 400, true, 48, 4.0},
-		{"spend", spends, false, 110, 8.7},
-		{"spend", spends, true, 47, 3.7},
-		{"ship", 400, false, 106, 8.3},
+		{"products", 400, false, 85, 6.5},
+		{"products", 400, true, 47, 4.0},
+		{"spend", spends, false, 107, 8.7},
+		{"spend", spends, true, 46, 3.7},
+		{"ship", 400, false, 101, 8.3},
 	} {
 		name := c.op
 		if c.hit {

@@ -309,3 +309,82 @@ func TestOrdersMixHitsUnderShips(t *testing.T) {
 		t.Errorf("product-search hit ratio %.2f, want at least 0.5", ratio)
 	}
 }
+
+// txnMacros are two macros over urldb: count reads how many titles are
+// DIRTY, and dirty opens a transaction with the SQL text BEGIN, writes
+// every title DIRTY, reads the same count inside the transaction and
+// rolls it back.
+var txnMacros = map[string]string{
+	"count.d2w": `%define{DATABASE = "CELDIAL"%}
+%SQL(count){
+SELECT COUNT(*) FROM urldb WHERE title = 'DIRTY'
+%SQL_REPORT{%ROW{n=$(V1)
+%}%}
+%}
+%HTML_REPORT{%EXEC_SQL(count)%}
+`,
+	"dirty.d2w": `%define{DATABASE = "CELDIAL"%}
+%SQL(begin){
+BEGIN
+%}
+%SQL(dirty){
+UPDATE urldb SET title = 'DIRTY'
+%}
+%SQL(count){
+SELECT COUNT(*) FROM urldb WHERE title = 'DIRTY'
+%SQL_REPORT{%ROW{n=$(V1)
+%}%}
+%}
+%SQL(rollback){
+ROLLBACK
+%}
+%HTML_REPORT{%EXEC_SQL(begin)%EXEC_SQL(dirty)%EXEC_SQL(count)%EXEC_SQL(rollback)%}
+`,
+}
+
+// TestTransactionOpenedBySQLTextBypassesTheCache: a transaction a macro
+// opens with the SQL text BEGIN is the session's, and the cache asks the
+// session. Inside it the macro's read sees its own write, not an entry
+// another macro cached; its read is not stored, so after the rollback
+// every read sees the rows as they were. Both orders — the read cached
+// first, and the transaction first — print, page by page, what a server
+// with -qcache-bytes 0 prints.
+func TestTransactionOpenedBySQLTextBypassesTheCache(t *testing.T) {
+	macros := t.TempDir()
+	for name, text := range txnMacros {
+		if err := os.WriteFile(filepath.Join(macros, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const count, dirty = "/cgi-bin/db2www/count.d2w/report", "/cgi-bin/db2www/dirty.d2w/report"
+	for _, order := range [][]string{{count, dirty, count, dirty, count}, {dirty, count, dirty, count}} {
+		pages := map[int64][]string{}
+		for _, qcacheBytes := range []int64{0, 64 << 20} {
+			cfg := DefaultServerConfig()
+			cfg.Macros = macros
+			cfg.Dataset = "urldb:500:1"
+			cfg.QCacheBytes = qcacheBytes
+			srv, err := NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range order {
+				pages[qcacheBytes] = append(pages[qcacheBytes], get(t, srv.Handler(), path))
+			}
+			srv.Close() // the next server registers the same database name
+		}
+		for i, path := range order {
+			want := "n=0\n"
+			if path == dirty {
+				want = "n=500\n"
+			}
+			if !strings.Contains(pages[0][i], want) {
+				t.Fatalf("order %v, request %d (%s): the uncached page lacks %q:\n%s", order, i+1, path, want, pages[0][i])
+			}
+			if got := pages[64<<20][i]; got != pages[0][i] {
+				t.Errorf("order %v, request %d (%s): the cached server's page differs\ncached:\n%s\nuncached:\n%s",
+					order, i+1, path, got, pages[0][i])
+			}
+		}
+	}
+}

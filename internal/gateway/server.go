@@ -188,7 +188,7 @@ func (s *Server) assemble() (err error) {
 			s.QCache = qcache.New(cfg.QCacheBytes)
 		}
 		engine := &core.Engine{
-			DB:      qcache.Wrap(NewSQLProvider(), s.QCache),
+			DB:      &SQLProvider{Cache: s.QCache},
 			MaxRows: cfg.MaxRows,
 		}
 		if cfg.Txn == "single" {

@@ -115,20 +115,28 @@ func runUnused(p *pass) {
 
 // runCycle reports the definition cycles, self-references included, that
 // the walk over the %DEFINE graph met. Dereferencing a member fails at run
-// time: VarTable's visiting-set check.
+// time: VarTable's visiting-set check. A cycle that an arm of a
+// conditional definition closes fails only when the arm is taken, and its
+// message names the condition; it is an error all the same, since the
+// request can take that arm.
 func runCycle(p *pass) {
-	for _, cycle := range p.env.cycles {
+	for _, c := range p.env.cycles {
 		d := Diagnostic{
 			Analyzer: "cycle",
 			Severity: SevError,
-			Line:     p.env.firstLine[cycle[0]],
+			Line:     p.env.firstLine[c.names[0]],
 			Fix:      "break the cycle by inlining one value or introducing a distinct variable",
 		}
-		if len(cycle) == 1 {
-			d.Message = fmt.Sprintf("%q references itself in its own definition; dereferencing it fails at run time", cycle[0])
+		when, then := "", ""
+		if c.when != "" {
+			when, then = ", closed only when "+c.when, " then"
+		}
+		if len(c.names) == 1 {
+			d.Message = fmt.Sprintf("%q references itself in its own definition%s; dereferencing it%s fails at run time",
+				c.names[0], when, then)
 		} else {
-			d.Message = fmt.Sprintf("definition cycle %s -> %s; dereferencing any member fails at run time",
-				strings.Join(cycle, " -> "), cycle[0])
+			d.Message = fmt.Sprintf("definition cycle %s -> %s%s; dereferencing any member%s fails at run time",
+				strings.Join(c.names, " -> "), c.names[0], when, then)
 		}
 		p.report(d)
 	}

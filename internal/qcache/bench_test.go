@@ -31,7 +31,7 @@ func benchEngine(tb testing.TB, dbName string, rows int, cache *qcache.Cache) (*
 	db.SetStatementStats(sqldb.NewStatementStats(0))
 	sqldriver.Register(dbName, db)
 	tb.Cleanup(func() { sqldriver.Unregister(dbName) })
-	return &core.Engine{DB: qcache.Wrap(gateway.NewSQLProvider(), cache)}, db
+	return &core.Engine{DB: &gateway.SQLProvider{Cache: cache}}, db
 }
 
 func benchMacro(tb testing.TB, dbName string) *core.Macro {
@@ -129,7 +129,7 @@ func BenchmarkCacheLookupParallel(b *testing.B) {
 	}
 	sqldriver.Register("QBENCHL", db)
 	b.Cleanup(func() { sqldriver.Unregister("QBENCHL") })
-	provider := qcache.Wrap(gateway.NewSQLProvider(), cache)
+	provider := &gateway.SQLProvider{Cache: cache}
 	warm, err := provider.Connect("QBENCHL", "", "")
 	if err != nil {
 		b.Fatal(err)

@@ -38,7 +38,6 @@
 package qcache
 
 import (
-	"context"
 	"sync"
 
 	"db2www/internal/core"
@@ -231,18 +230,19 @@ func (c *Cache) toFront(e *entry) {
 }
 
 // Do returns the cached result of sql on src if a valid entry exists,
-// otherwise executes it on conn — at most once across concurrent callers
+// otherwise executes it with exec — at most once across concurrent callers
 // of the same statement — and caches the result when it is safe to do so.
 //
 // A hit costs a map lookup and one version snapshot: the statement is not
-// lexed. Anything else asks src for the statement's facts (from the
-// engine's parse cache, which the execution that follows then finds
-// warm): a statement that is not a SELECT the engine parses bypasses the
-// cache; a shape admission refuses goes straight to conn; the rest execute
-// as a flight's leader, which snapshots the tables' versions before and
-// after and stores the entry only when they match, so a result raced by a
-// concurrent write is never recorded (it may reflect either side of it).
-func (c *Cache) Do(ctx context.Context, src Source, conn core.DBConn, sql string) (*core.SQLResult, Outcome, error) {
+// lexed. Anything else asks src for the statement's facts, which resolve
+// it through the engine's plan cache, and hands them to exec, which runs
+// the statement they carry without resolving it again: a statement that
+// is not a SELECT the engine parses bypasses the cache; a shape admission
+// refuses is executed and nothing stored; the rest execute as a flight's
+// leader, which snapshots the tables' versions before and after and stores
+// the entry only when they match, so a result raced by a concurrent write
+// is never recorded (it may reflect either side of it).
+func (c *Cache) Do(src Source, sql string, exec func(sqldb.Facts) (*core.SQLResult, error)) (*core.SQLResult, Outcome, error) {
 	k := key{src, sql}
 	var facts sqldb.Facts
 	analyzed, waited := false, false
@@ -277,7 +277,7 @@ func (c *Cache) Do(ctx context.Context, src Source, conn core.DBConn, sql string
 			facts, analyzed = src.StatementFacts(sql), true
 			if !facts.Cacheable {
 				c.addStat(&c.stats.Bypasses, mBypasses)
-				res, err := execute(ctx, conn, sql)
+				res, err := exec(facts)
 				return res, Outcome{How: Bypass}, err
 			}
 			continue
@@ -286,14 +286,14 @@ func (c *Cache) Do(ctx context.Context, src Source, conn core.DBConn, sql string
 			c.stats.Refused++
 			mRefused.Inc()
 			c.mu.Unlock()
-			res, err := execute(ctx, conn, sql)
+			res, err := exec(facts)
 			return res, Outcome{How: Refused}, err
 		}
 		c.stats.Misses++
 		mMisses.Inc()
 		c.flights[k] = true
 		c.mu.Unlock()
-		res, err := c.lead(ctx, conn, k, facts)
+		res, err := c.lead(k, facts, exec)
 		return res, Outcome{How: Miss, Dedup: waited}, err
 	}
 }
@@ -308,22 +308,13 @@ func (c *Cache) land(k key) {
 	c.mu.Unlock()
 }
 
-// execute forwards to the connection, preserving the context when it is
-// context-aware.
-func execute(ctx context.Context, conn core.DBConn, sql string) (*core.SQLResult, error) {
-	if cc, ok := conn.(core.ContextDBConn); ok {
-		return cc.ExecuteContext(ctx, sql)
-	}
-	return conn.Execute(sql)
-}
-
 // lead runs the query as the single flight leader, stores the result
 // when the version snapshots bracket it cleanly, and lands the flight.
-func (c *Cache) lead(ctx context.Context, conn core.DBConn, k key, facts sqldb.Facts) (*core.SQLResult, error) {
+func (c *Cache) lead(k key, facts sqldb.Facts, exec func(sqldb.Facts) (*core.SQLResult, error)) (*core.SQLResult, error) {
 	defer c.land(k)
 	n := len(facts.Tables)
 	vs := k.src.AppendTableVersions(make([]uint64, 0, 2*n), facts.Tables)
-	res, err := execute(ctx, conn, k.sql)
+	res, err := exec(facts)
 	if err != nil {
 		return nil, err
 	}
@@ -566,8 +557,8 @@ func (c *Cache) removeLocked(e *entry) {
 }
 
 // NoteBypass counts a statement that went straight to the database
-// without asking Do: one inside an open transaction, whose reads may see
-// uncommitted data that must never leak into the cache.
+// without asking Do: one on a session with a transaction open, whose
+// reads may see uncommitted data that must never leak into the cache.
 func (c *Cache) NoteBypass() { c.addStat(&c.stats.Bypasses, mBypasses) }
 
 func (c *Cache) addStat(p *int64, m *obs.Counter) {

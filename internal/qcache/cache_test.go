@@ -1,7 +1,6 @@
 package qcache
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -67,16 +66,15 @@ func (f *fakeSource) bump(table string) {
 	f.v[table]++
 }
 
-// fakeConn is the connection under the cache: it counts executions and
-// answers res, or whatever run returns when set.
+// fakeConn is the connection under the cache: its exec step counts
+// executions and answers res, or whatever run returns when set.
 type fakeConn struct {
-	core.DBConn // the transaction methods, never called
-	execs       atomic.Int64
-	res         *core.SQLResult
-	run         func() (*core.SQLResult, error)
+	execs atomic.Int64
+	res   *core.SQLResult
+	run   func() (*core.SQLResult, error)
 }
 
-func (c *fakeConn) Execute(string) (*core.SQLResult, error) {
+func (c *fakeConn) exec(sqldb.Facts) (*core.SQLResult, error) {
 	c.execs.Add(1)
 	if c.run != nil {
 		return c.run()
@@ -95,9 +93,9 @@ func resultOfSize(payload int) *core.SQLResult {
 // under the invariant that replaced comparing an entry's versions with
 // the tables': the entry is linked, and each of its links has swept to its
 // table's current version.
-func do(t *testing.T, c *Cache, src Source, conn core.DBConn, sql string) (*core.SQLResult, Outcome) {
+func do(t *testing.T, c *Cache, src Source, conn *fakeConn, sql string) (*core.SQLResult, Outcome) {
 	t.Helper()
-	res, out, err := c.Do(context.Background(), src, conn, sql)
+	res, out, err := c.Do(src, sql, conn.exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +247,7 @@ func TestLRUOrderRespectsRecency(t *testing.T) {
 type cachedDB struct {
 	c    *Cache
 	src  Source
-	conn core.DBConn
+	conn *fakeConn
 }
 
 func (p cachedDB) Connect(_, _, _ string) (core.DBConn, error) { return p, nil }
@@ -258,7 +256,7 @@ func (p cachedDB) Commit() error                               { return nil }
 func (p cachedDB) Rollback() error                             { return nil }
 func (p cachedDB) Close() error                                { return nil }
 func (p cachedDB) Execute(sql string) (*core.SQLResult, error) {
-	res, _, err := p.c.Do(context.Background(), p.src, p.conn, sql)
+	res, _, err := p.c.Do(p.src, sql, p.conn.exec)
 	return res, err
 }
 
@@ -528,7 +526,7 @@ func TestSingleFlightDeduplicates(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, _, err := c.Do(context.Background(), src, conn, "t k")
+			res, _, err := c.Do(src, "t k", conn.exec)
 			if err != nil {
 				t.Error(err)
 			}
@@ -567,7 +565,7 @@ func TestFollowerRevalidatesAfterLeaderFails(t *testing.T) {
 
 	errCh := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(context.Background(), src, leader, "t k")
+		_, _, err := c.Do(src, "t k", leader.exec)
 		errCh <- err
 	}()
 	for leader.execs.Load() == 0 {
@@ -578,7 +576,7 @@ func TestFollowerRevalidatesAfterLeaderFails(t *testing.T) {
 		defer close(done)
 		// The follower must not inherit the leader's error: it re-checks
 		// the cache, finds nothing, and executes itself.
-		res, _, err := c.Do(context.Background(), src, follower, "t k")
+		res, _, err := c.Do(src, "t k", follower.exec)
 		if err != nil {
 			t.Errorf("follower: %v", err)
 		}
@@ -615,7 +613,7 @@ func TestLeaderPanicLandsTheFlight(t *testing.T) {
 	panicked := make(chan any, 1)
 	go func() {
 		defer func() { panicked <- recover() }()
-		c.Do(context.Background(), src, conn, "t k")
+		c.Do(src, "t k", conn.exec)
 	}()
 	for conn.execs.Load() == 0 {
 		time.Sleep(time.Millisecond)
@@ -626,7 +624,7 @@ func TestLeaderPanicLandsTheFlight(t *testing.T) {
 	}
 	second := make(chan result, 1)
 	go func() {
-		_, out, err := c.Do(context.Background(), src, conn, "t k")
+		_, out, err := c.Do(src, "t k", conn.exec)
 		second <- result{out, err}
 	}()
 	time.Sleep(5 * time.Millisecond) // the second caller waits on the flight
@@ -673,20 +671,4 @@ func TestFlush(t *testing.T) {
 	if _, out := do(t, c, src, conn, "t k"); out.How != Miss || c.Stats().Invalidations != 1 {
 		t.Fatalf("after flush, refill and write: %+v, %+v", out, c.Stats())
 	}
-}
-
-func TestWrapNilCacheReturnsInner(t *testing.T) {
-	inner := &stubProvider{}
-	if got := Wrap(inner, nil); got != core.DBProvider(inner) {
-		t.Fatalf("Wrap(inner, nil) != inner")
-	}
-	if got := Wrap(inner, New(1)); got == core.DBProvider(inner) {
-		t.Fatalf("Wrap with a cache returned inner unchanged")
-	}
-}
-
-type stubProvider struct{}
-
-func (s *stubProvider) Connect(database, login, password string) (core.DBConn, error) {
-	return nil, fmt.Errorf("stub")
 }

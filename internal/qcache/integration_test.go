@@ -3,6 +3,7 @@ package qcache_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -49,7 +50,7 @@ func newStressDB(t *testing.T, name string) *sqldb.Database {
 func TestNoStaleReadAfterCommittedWrite(t *testing.T) {
 	newStressDB(t, "QSTRESS")
 	cache := qcache.New(1 << 20)
-	provider := qcache.Wrap(gateway.NewSQLProvider(), cache)
+	provider := &gateway.SQLProvider{Cache: cache}
 
 	const (
 		writes  = 800
@@ -147,7 +148,7 @@ func TestNoStaleReadAfterCommittedWrite(t *testing.T) {
 func TestCommentBeforeSelectIsCached(t *testing.T) {
 	newStressDB(t, "QCOMMENT")
 	cache := qcache.New(1 << 20)
-	conn, err := qcache.Wrap(gateway.NewSQLProvider(), cache).Connect("QCOMMENT", "", "")
+	conn, err := (&gateway.SQLProvider{Cache: cache}).Connect("QCOMMENT", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestCommentBeforeSelectIsCached(t *testing.T) {
 func TestNoStaleReadAcrossTransactions(t *testing.T) {
 	newStressDB(t, "QSTRESSTXN")
 	cache := qcache.New(1 << 20)
-	provider := qcache.Wrap(gateway.NewSQLProvider(), cache)
+	provider := &gateway.SQLProvider{Cache: cache}
 
 	const rounds = 200
 	var committedFloor atomic.Int64
@@ -306,7 +307,7 @@ SELECT url, title FROM urldb ORDER BY url
 		t.Fatal(err)
 	}
 	cache := qcache.New(1 << 20)
-	cached := &core.Engine{DB: qcache.Wrap(gateway.NewSQLProvider(), cache)}
+	cached := &core.Engine{DB: &gateway.SQLProvider{Cache: cache}}
 	plain := &core.Engine{DB: gateway.NewSQLProvider()}
 
 	render := func(e *core.Engine, inputs *cgi.Form) string {
@@ -396,7 +397,7 @@ func TestInvalidationContractUnderMVCC(t *testing.T) {
 	}
 
 	cache := qcache.New(1 << 20)
-	provider := qcache.Wrap(gateway.NewSQLProvider(), cache)
+	provider := &gateway.SQLProvider{Cache: cache}
 	conn, err := provider.Connect("QCONTRACT", "", "")
 	if err != nil {
 		t.Fatal(err)
@@ -468,14 +469,16 @@ func TestInvalidationContractUnderMVCC(t *testing.T) {
 
 // TestHitAndMissDoTheParsingTheyClaim: a hit does not reach the engine's
 // lexer, parser or plan cache and allocates next to nothing; a miss asks
-// the plan cache for the statement's facts and the execution that follows
-// finds the text it left there, so a new literal of a known shape is lexed
-// once and never parsed. What parses a text outright — Parse, and the
-// AnalyzeQuery that sqldb's tests keep as an oracle — has no caller on the
-// request path.
+// the plan cache for the statement's facts, and the execution that
+// follows runs the statement those facts resolved, so a new literal of a
+// known shape is resolved once and never parsed, and a statement the shape
+// tier does not take is resolved once and parsed once, as written, for
+// the error sqldb.Parse reports. What parses a text outright — Parse, and
+// the AnalyzeQuery that sqldb's tests keep as an oracle — has no caller in
+// the query cache.
 func TestHitAndMissDoTheParsingTheyClaim(t *testing.T) {
 	db := newStressDB(t, "QPARSE")
-	conn, err := qcache.Wrap(gateway.NewSQLProvider(), qcache.New(1<<20)).Connect("QPARSE", "", "")
+	conn, err := (&gateway.SQLProvider{Cache: qcache.New(1 << 20)}).Connect("QPARSE", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,18 +506,44 @@ func TestHitAndMissDoTheParsingTheyClaim(t *testing.T) {
 		exec(fmt.Sprintf("SELECT v FROM kv WHERE k = %d", i))
 	}
 	after := db.PlanCacheStats()
-	// Per statement two lookups, the cache's for the facts and the
-	// engine's; none parses, the shape being q's.
-	if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 0 || hits != 200 {
-		t.Errorf("100 new literals of a known shape: %d plan-cache misses and %d hits, want 0 and 200", misses, hits)
+	// Per statement one lookup, the cache's for the facts, whose statement
+	// the session runs; none parses, the shape being q's.
+	if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 0 || hits != 100 {
+		t.Errorf("100 new literals of a known shape: %d plan-cache misses and %d hits, want 0 and 100", misses, hits)
 	}
 	before = after
 	for i := 100; i < 200; i++ {
 		exec(fmt.Sprintf("SELECT k FROM kv WHERE v = %d", i))
 	}
 	after = db.PlanCacheStats()
-	if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 1 || hits != 199 {
-		t.Errorf("100 literals of a new shape: %d plan-cache misses and %d hits, want 1 and 199", misses, hits)
+	if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 1 || hits != 99 {
+		t.Errorf("100 literals of a new shape: %d plan-cache misses and %d hits, want 1 and 99", misses, hits)
+	}
+
+	// A statement whose shape does not parse: the first sight is the
+	// shape's miss, whose error comes from the tokens the miss lexed; each
+	// repeat is one bypass, parsed once as written. Either way the error is
+	// the literal text's, not the parameterized shape's.
+	const bad = "SELECT v FROM kv WHERE k = 1 'two'"
+	_, perr := sqldb.Parse(bad)
+	var want *sqldb.Error
+	if !errors.As(perr, &want) {
+		t.Fatalf("Parse(%q) = %v, want a *sqldb.Error", bad, perr)
+	}
+	const repeats = 50
+	before = db.PlanCacheStats()
+	for i := 0; i <= repeats; i++ {
+		_, err := conn.Execute(bad)
+		var got *sqldb.Error
+		if !errors.As(err, &got) || *got != *want {
+			t.Fatalf("execution %d of %q: %#v, want Parse's %#v", i, bad, err, want)
+		}
+	}
+	after = db.PlanCacheStats()
+	if d := (sqldb.PlanCacheStats{Misses: after.Misses - before.Misses, Hits: after.Hits - before.Hits,
+		Bypasses: after.Bypasses - before.Bypasses}); d.Misses != 1 || d.Hits != 0 || d.Bypasses != repeats {
+		t.Errorf("a shape that does not parse, %d repeats: %d misses, %d hits, %d bypasses, want 1, 0 and %d",
+			repeats, d.Misses, d.Hits, d.Bypasses, repeats)
 	}
 
 	root := filepath.Join("..", "..")
@@ -531,8 +560,15 @@ func TestHitAndMissDoTheParsingTheyClaim(t *testing.T) {
 			if bytes.Contains(src, []byte("AnalyzeQuery(")) {
 				t.Errorf("%s calls AnalyzeQuery: the request path asks Database.StatementFacts", rel)
 			}
-			if filepath.Dir(rel) == filepath.Join("internal", "qcache") && bytes.Contains(src, []byte("sqldb.Parse")) {
-				t.Errorf("%s reaches sqldb.Parse", rel)
+			if filepath.Dir(rel) != filepath.Join("internal", "qcache") {
+				return nil
+			}
+			// The cache is handed its statement's execution: it opens no
+			// connection of its own and parses nothing.
+			for _, name := range []string{"sqldb.Parse", "sqldriver", "ContextDBConn"} {
+				if bytes.Contains(src, []byte(name)) {
+					t.Errorf("%s names %s", rel, name)
+				}
 			}
 			return nil
 		})

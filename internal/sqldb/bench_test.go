@@ -168,12 +168,12 @@ func BenchmarkPlanCacheResolve(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			db := NewDatabase("PC")
 			for _, q := range c.texts[:1] {
-				db.prepareCached(q)
+				db.StatementFacts(q)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				db.prepareCached(c.texts[i%len(c.texts)])
+				db.StatementFacts(c.texts[i%len(c.texts)])
 			}
 		})
 	}

@@ -409,8 +409,8 @@ func TestSharedStatementConcurrent(t *testing.T) {
 	for g := range want {
 		want[g] = resultBytes(mustExec(t, setup, shape(g)))
 	}
-	first, again := db.prepareCached(shape(0)), db.prepareCached(shape(1))
-	if first == nil || again == nil || first.st != again.st {
+	first, again := db.StatementFacts(shape(0)), db.StatementFacts(shape(1))
+	if first.stmt == nil || again.stmt == nil || first.stmt != again.stmt {
 		t.Fatalf("the plan cache does not hand out one tree per shape (%+v, %+v)", first, again)
 	}
 

@@ -34,17 +34,22 @@ func statementKind(st Stmt) string {
 // engine, so a request's record can separate database time from cache
 // and driver overhead above it.
 func (s *Session) ExecContext(ctx context.Context, sql string, params ...Value) (*Result, error) {
-	p, err := s.prepare(sql, params)
-	if err != nil {
-		return nil, err
-	}
+	f := s.resolve(sql, params)
+	return s.ExecResolved(ctx, sql, &f)
+}
+
+// ExecResolved is ExecContext for a statement already resolved: f is what
+// the session's database answered for sql from StatementFacts, which a
+// query cache asks before it executes. The statement runs as f carries
+// it, without a second pass over the text.
+func (s *Session) ExecResolved(ctx context.Context, sql string, f *Facts) (*Result, error) {
 	info := obs.SQLExecFrom(ctx)
-	if info == nil {
-		return s.execPrepared(sql, p)
+	if info == nil || f.err != nil || s.closed {
+		return s.execResolved(sql, f)
 	}
-	info.Kind = statementKind(p.st)
+	info.Kind = statementKind(f.stmt)
 	start := time.Now()
-	res, err := s.execPrepared(sql, p)
+	res, err := s.execResolved(sql, f)
 	info.DBMicros = time.Since(start).Microseconds()
 	info.Digest = s.lastDigest
 	return res, err

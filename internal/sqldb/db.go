@@ -686,55 +686,45 @@ func (s *Session) Rollback() error {
 	return nil
 }
 
+// InTxn reports whether the session has an explicit transaction open,
+// whichever way it was opened: BeginTxn, or a BEGIN statement.
+func (s *Session) InTxn() bool { return s.tx != nil }
+
 // Exec parses and executes one SQL statement, returning its result.
 // Params bind to ? placeholders in order.
 func (s *Session) Exec(sql string, params ...Value) (*Result, error) {
-	p, err := s.prepare(sql, params)
-	if err != nil {
-		return nil, err
-	}
-	return s.execPrepared(sql, p)
+	f := s.resolve(sql, params)
+	return s.execResolved(sql, &f)
 }
 
-// prepared is one statement resolved for execution: an AST (the plan
-// cache's, shared, or a fresh parse) with its bind values. digest/norm are
-// set when the plan-cache path already computed them, saving the
-// recording path a second lex.
-type prepared struct {
-	st           Stmt
-	params       []Value
-	digest, norm string
-}
-
-// prepare resolves sql to an executable statement, routing literal-only
+// resolve resolves sql to an executable statement, routing literal-only
 // statements through the plan cache. Caller-supplied ? parameters force
 // the plain parse path (the statement already is a shape).
-func (s *Session) prepare(sql string, params []Value) (*prepared, error) {
+func (s *Session) resolve(sql string, params []Value) Facts {
+	if len(params) == 0 {
+		return s.db.StatementFacts(sql)
+	}
+	st, err := Parse(sql)
+	return Facts{stmt: st, err: err, args: params}
+}
+
+// execResolved executes f's statement and, when engine observability is
+// on, files the execution under sql's digest in the statement stats
+// registry. ExecStmt and ExecScript have no text to digest and run
+// digest-less.
+func (s *Session) execResolved(sql string, f *Facts) (*Result, error) {
 	if s.closed {
 		return nil, &Error{Code: CodeInvalidTxnState, Message: "session is closed"}
 	}
-	if len(params) == 0 {
-		if p := s.db.prepareCached(sql); p != nil {
-			return p, nil
-		}
+	if f.err != nil {
+		return nil, f.err
 	}
-	st, err := Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return &prepared{st: st, params: params}, nil
-}
-
-// execPrepared executes p and, when engine observability is on, files
-// the execution under sql's digest in the statement stats registry.
-// ExecStmt and ExecScript have no text to digest and run digest-less.
-func (s *Session) execPrepared(sql string, p *prepared) (*Result, error) {
-	st, params := p.st, p.params
+	st, params := f.stmt, f.args
 	if s.db.stmts == nil || !obsEnabled() {
 		s.lastDigest = ""
 		return s.ExecStmt(st, params...)
 	}
-	digest, norm := p.digest, p.norm
+	digest, norm := f.Digest, f.Norm
 	if digest == "" {
 		digest, norm = DigestSQL(sql)
 	}

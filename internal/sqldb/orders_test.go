@@ -88,10 +88,10 @@ func TestOrdersSpendHashJoin(t *testing.T) {
 func TestOrdersStatementAllocations(t *testing.T) {
 	s := ordersSession(t)
 	ceilings := map[string]struct{ allocs, bytes float64 }{
-		"products": {38, 3200},
-		"spend":    {70, 6000},
-		"ship":     {38, 3300},
-		"shipped":  {27, 1800},
+		"products": {37, 3200},
+		"spend":    {69, 6000},
+		"ship":     {37, 3300},
+		"shipped":  {26, 1800},
 	}
 	for _, st := range ordersStatements {
 		texts := ordersTexts(st.sql, 2048)

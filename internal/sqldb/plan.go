@@ -38,16 +38,15 @@ const DefaultPlanCacheCap = 256
 // own. The most recently stored shape is kept whatever its size.
 const maxPlanCacheBytes = 4 << 20
 
-// planEntry is one cached shape, immutable once stored. stmt is the parsed
-// statement every execution of the shape shares; a nil stmt is a negative
-// entry recording that the shape cannot take the parameterized path (so
-// repeat executions skip the doomed parse attempt). facts is what a result
-// cache asks about the shape — like the parse, a pure function of the
-// tokens.
+// planEntry is one cached shape, immutable once stored. facts is what a
+// result cache asks about the shape — like the parse, a pure function of
+// the tokens — and facts.stmt the parsed statement every execution of the
+// shape shares; a nil stmt is a negative entry recording that the shape
+// cannot take the parameterized path (so repeat executions skip the
+// doomed parse attempt).
 type planEntry struct {
 	key   string // the shaper's key of the statement
 	facts Facts
-	stmt  Stmt
 	elem  *list.Element
 }
 
@@ -60,13 +59,18 @@ type planEntry struct {
 // Past what a cache reads, Facts carries what Database.Predicate plans
 // from: the shape's readPlan and the values the text's literals were
 // extracted to, which the shape's parameters stand for. Both are the plan
-// cache's.
+// cache's. And it carries the statement resolved for execution, which
+// Session.ExecResolved runs without resolving the text again: stmt — the
+// shape's shared tree with args bound to its parameters, or a parse of
+// the literal text — or err, the error that text's parse reports.
 type Facts struct {
 	Digest, Norm string
 	Tables       []string
 	Cacheable    bool
 	args         []Value
 	reads        *readPlan
+	stmt         Stmt
+	err          error
 }
 
 // PlanCache is an LRU of parsed statement shapes, bounded in count and in
@@ -159,7 +163,7 @@ func (db *Database) PlanCached(sql string) (digest string, cached bool) {
 		pc.mu.Lock()
 		e := pc.entries[string(sh.key)]
 		pc.mu.Unlock()
-		cached = e != nil && e.stmt != nil
+		cached = e != nil && e.facts.stmt != nil
 	}
 	return digestOf(normalizeTokens(toks)), cached
 }
@@ -360,65 +364,52 @@ func (sh *shaper) values() []Value {
 	return append(make([]Value, 0, len(sh.vals)), sh.vals...)
 }
 
-// prepareCached resolves sql through the plan cache: the shape's parsed
-// statement, which the caller must not write to, with the extracted
-// literal values as its bind parameters and the digest and normalized
-// shape (saving the recording path its own lex). It returns nil when the
-// statement must take the literal Parse path (see resolve).
-func (db *Database) prepareCached(sql string) *prepared {
-	if e, vals := db.plans.resolve(sql); e != nil {
-		return e.prepared(vals)
-	}
-	return nil
-}
+// StatementFacts resolves sql through the plan cache: what the cache
+// knows of its shape, parsed and walked once per shape — a shape seen
+// before costs one pass over the text and a map lookup — with the
+// statement to execute. A statement the plan cache does not take (DDL,
+// transaction control, EXPLAIN, caller-supplied parameters, a shape that
+// does not parse) is not cacheable and carries the literal text's parse,
+// or its error.
+func (db *Database) StatementFacts(sql string) Facts { return db.plans.resolve(sql) }
 
-// StatementFacts is what the plan cache knows of sql's shape, parsed and
-// walked once per shape: a shape seen before costs one pass over the text
-// and a map lookup. A statement the plan cache does not take (DDL,
-// caller-supplied parameters, a syntax error) is not cacheable.
-func (db *Database) StatementFacts(sql string) Facts {
-	if e, vals := db.plans.resolve(sql); e != nil {
+// resolve is the path of every text through the plan cache: one pass over
+// the text to its shape key and values, and a lookup. Only a shape not
+// cached yet lexes the text into tokens, to parse it. A statement that
+// takes the literal path — shape not parameterizable, or its
+// parameterized form failed to parse — is parsed once as written, which
+// reports the authoritative error: from the tokens a new shape lexed, from
+// the text otherwise; a lexer error is the pass's own.
+func (pc *PlanCache) resolve(sql string) Facts {
+	sh := getShaper()
+	defer sh.release()
+	if ok, err := sh.shapeText(sql); err != nil {
+		return Facts{err: err}
+	} else if !ok {
+		pc.bypasses.Add(1)
+		return literal(sql, Facts{})
+	}
+	vals := sh.values()
+	if e := pc.lookup(sh.key); e != nil {
+		if e.facts.stmt == nil {
+			pc.bypasses.Add(1)
+			return literal(sql, e.facts)
+		}
+		pc.hits.Add(1)
 		f := e.facts
 		f.args = vals
 		return f
 	}
-	return Facts{}
-}
-
-// resolve is the path of every text through the plan cache: one pass over
-// the text to its shape key and values, and a lookup. Only a shape not
-// cached yet lexes the text into tokens, to parse it. It returns
-// nil when the statement must take the literal Parse path — shape not
-// parameterizable, or the parameterized form failed to parse (the literal
-// path then reports the authoritative error).
-func (pc *PlanCache) resolve(sql string) (*planEntry, []Value) {
-	sh := getShaper()
-	defer sh.release()
-	if ok, err := sh.shapeText(sql); err != nil {
-		return nil, nil
-	} else if !ok {
-		pc.bypasses.Add(1)
-		return nil, nil
-	}
-	vals := sh.values()
-	if e := pc.lookup(sh.key); e != nil {
-		if e.stmt == nil {
-			pc.bypasses.Add(1)
-			return nil, nil
-		}
-		pc.hits.Add(1)
-		return e, vals
-	}
 	pc.misses.Add(1)
 	toks, err := lexSQL(sql)
 	if err != nil {
-		return nil, nil // unreachable: the pass lexed the same text
+		return Facts{err: err} // unreachable: the pass lexed the same text
 	}
 	ptoks, _ := sh.shapeTokens(toks)
 	norm := normalizeTokens(toks)
 	e := &planEntry{key: string(sh.key), facts: Facts{Digest: digestOf(norm), Norm: norm}}
 	if st, err := parseTokens(ptoks); err == nil {
-		e.stmt = st
+		e.facts.stmt = st
 		e.facts.Tables, e.facts.Cacheable = stmtFacts(st)
 		if e.facts.Cacheable {
 			e.facts.reads = &readPlan{sel: st.(*SelectStmt)}
@@ -428,13 +419,19 @@ func (pc *PlanCache) resolve(sql string) (*planEntry, []Value) {
 	// parameterized form (e.g. a literal in a position the grammar needs
 	// verbatim).
 	pc.store(e)
-	if e.stmt == nil {
-		return nil, nil
+	if e.facts.stmt == nil {
+		f := e.facts
+		f.stmt, f.err = parseTokens(toks)
+		return f
 	}
-	return e, vals
+	f := e.facts
+	f.args = vals
+	return f
 }
 
-// prepared is the shape's statement with vals bound.
-func (e *planEntry) prepared(vals []Value) *prepared {
-	return &prepared{st: e.stmt, params: vals, digest: e.facts.Digest, norm: e.facts.Norm}
+// literal is f with sql parsed as written: the statement of a text the
+// shape tier does not take.
+func literal(sql string, f Facts) Facts {
+	f.stmt, f.err = Parse(sql)
+	return f
 }

@@ -328,7 +328,7 @@ func TestPlanCacheDropTable(t *testing.T) {
 // directly: storing over capacity evicts the least recently used shape.
 func TestPlanCacheLRUEviction(t *testing.T) {
 	pc := newPlanCache(2)
-	store := func(key string) { pc.store(&planEntry{key: key, stmt: &SelectStmt{}}) }
+	store := func(key string) { pc.store(&planEntry{key: key, facts: Facts{stmt: &SelectStmt{}}}) }
 	lookup := func(key string) *planEntry { return pc.lookup([]byte(key)) }
 	store("a")
 	store("b")

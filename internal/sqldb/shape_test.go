@@ -256,7 +256,7 @@ func TestShapePassAllocations(t *testing.T) {
 	}
 	i := 0
 	allocs = testing.AllocsPerRun(50, func() {
-		if e, _ := db.plans.resolve(texts[i]); e == nil {
+		if f := db.plans.resolve(texts[i]); f.stmt == nil || f.args == nil {
 			t.Fatal("the spend statement did not resolve")
 		}
 		i++
