@@ -544,8 +544,8 @@ func TestDifferentialRandomWorkload(t *testing.T) {
 
 	nextID := int64(1)
 	for round := 0; round < 300; round++ {
-		inTxn := rng.Intn(3) == 0 // every third round is a multi-statement txn
-		if inTxn {
+		explicit := rng.Intn(3) == 0 // every third round is a multi-statement txn
+		if explicit {
 			if err := s.BeginTxn(); err != nil {
 				t.Fatal(err)
 			}
@@ -555,7 +555,7 @@ func TestDifferentialRandomWorkload(t *testing.T) {
 			shadow[id] = v
 		}
 		stmts := 1
-		if inTxn {
+		if explicit {
 			stmts = 1 + rng.Intn(4)
 		}
 		failed := false
@@ -600,7 +600,7 @@ func TestDifferentialRandomWorkload(t *testing.T) {
 				}
 			}
 		}
-		if inTxn {
+		if explicit {
 			if rng.Intn(4) == 0 { // roll back: oracle keeps its old state
 				if err := s.Rollback(); err != nil {
 					t.Fatal(err)
