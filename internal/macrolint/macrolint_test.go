@@ -72,7 +72,8 @@ var seededDefects = map[string][]expectation{
 	"report_cols.d2w":      {{"sqlreport", SevWarn, 11}, {"sqlreport", SevWarn, 11}},
 	"report_ordinals.d2w":  {{"undefined", SevWarn, 12}, {"undefined", SevWarn, 12}}, // $(V0), $(V01)
 	"sqlsyntax.d2w":        {{"sqlreport", SevError, 7}},
-	"sqlunsupported.d2w":   {{"sqlreport", SevError, 8}}, // || is 0A000
+	"sqlunsupported.d2w":   {{"sqlreport", SevError, 8}},                            // || is 0A000
+	"txn_control.d2w":      {{"sqlreport", SevWarn, 9}, {"sqlreport", SevWarn, 15}}, // BEGIN, COMMIT
 	"unterminated.d2w":     {{"template", SevWarn, 7}},
 	"include_missing.d2w":  {{"include", SevError, 5}},
 	"include_cycle.d2w":    {{"include", SevError, 5}},

@@ -41,9 +41,10 @@ func selectShape(stmt sqldb.Stmt) (count int, names map[string]bool, ok bool) {
 // runSQLReport validates what can be proven about a SQL section without
 // running it: when the command resolves statically it must parse — one
 // that does not (a syntax error, or SQL the engine refuses with 0A000)
-// fails every request that runs it, an error — and when the SELECT list
-// is known, every $(Vi)/$(V.col) reference in the report and message
-// blocks must address a real column.
+// fails every request that runs it, an error — it should not be
+// transaction control, which the gateway's -txn mode owns (txnControl),
+// and when the SELECT list is known, every $(Vi)/$(V.col) reference in
+// the report and message blocks must address a real column.
 func runSQLReport(p *pass) {
 	e := p.env
 	for _, t := range e.templates {
@@ -68,6 +69,18 @@ func runSQLReport(p *pass) {
 				Analyzer: "sqlreport",
 				Severity: SevError,
 				Message:  fmt.Sprintf("SQL command of %s does not parse: %v", t.where(), err),
+			})
+			continue
+		}
+		if cmd := txnControl(stmt); cmd != "" {
+			lead := len(sk.Skeleton) - len(strings.TrimLeft(sk.Skeleton, " \t\r\n"))
+			p.reportAt(t, sk.Src(lead), Diagnostic{
+				Analyzer: "sqlreport",
+				Severity: SevWarn,
+				Message: fmt.Sprintf("SQL command of %s is transaction control (%s): under gatewayd -txn single every request "+
+					"that runs it fails with SQLSTATE 25000, and under -txn auto the statements of the transaction "+
+					"it opens or ends bypass the query cache until it ends", t.where(), cmd),
+				Fix: "leave transactions to the gateway's -txn mode",
 			})
 			continue
 		}
@@ -108,4 +121,22 @@ func runSQLReport(p *pass) {
 			}
 		}
 	}
+}
+
+// txnControl names the transaction-control command stmt is, or is "".
+// Under -txn single the request's transaction is open before the first
+// command, so a BEGIN finds one and a COMMIT or ROLLBACK leaves none for
+// the gateway to end: both are 25000. Under -txn auto a BEGIN opens one
+// the session then carries, and the query cache is bypassed while it is
+// open.
+func txnControl(stmt sqldb.Stmt) string {
+	switch stmt.(type) {
+	case *sqldb.BeginStmt:
+		return "BEGIN"
+	case *sqldb.CommitStmt:
+		return "COMMIT"
+	case *sqldb.RollbackStmt:
+		return "ROLLBACK"
+	}
+	return ""
 }

@@ -206,7 +206,7 @@ func (c *compiler) value(e Expr) (rowExpr, error) {
 		if x.Index >= 1 && x.Index <= len(c.params) {
 			return rowExpr{k: &c.params[x.Index-1]}, nil
 		}
-		return failExpr(&Error{Code: CodeWrongArity,
+		return failExpr(&Error{Code: CodeParamCount,
 			Message: fmt.Sprintf("missing value for parameter %d", x.Index)}), nil
 	case *Unary:
 		return c.negate(x)

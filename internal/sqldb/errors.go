@@ -29,6 +29,7 @@ const (
 	CodeCardinality      = "21000" // cardinality violation
 	CodeFeature          = "0A000" // feature not supported
 	CodeTooComplex       = "54001" // statement too complex
+	CodeParamCount       = "07001" // fewer arguments than ? parameters
 
 	// CodeUndefinedFunction is a function the engine does not have:
 	// PostgreSQL's undefined_function, whose code a wrong number of

@@ -65,7 +65,7 @@ func eval(e Expr, env *evalEnv) (Value, error) {
 		return env.row[slot], nil
 	case *Param:
 		if x.Index < 1 || x.Index > len(env.params) {
-			return Null, &Error{Code: CodeWrongArity,
+			return Null, &Error{Code: CodeParamCount,
 				Message: fmt.Sprintf("missing value for parameter %d", x.Index)}
 		}
 		return env.params[x.Index-1], nil

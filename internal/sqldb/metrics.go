@@ -101,7 +101,7 @@ func RegisterMetrics(db *Database) {
 		obs.Default.Gauge("db2www_sqldb_plan_cache_misses",
 			"parse cache misses: statement shapes parsed for the first time").Set(int64(pc.Misses))
 		obs.Default.Gauge("db2www_sqldb_plan_cache_bypasses",
-			"statements the parse cache does not take (DDL, EXPLAIN, caller-supplied parameters)").Set(int64(pc.Bypasses))
+			"statements the parse cache does not take (DDL, EXPLAIN, a shape that does not parse)").Set(int64(pc.Bypasses))
 		obs.Default.Gauge("db2www_sqldb_plan_cache_size",
 			"statement shapes whose parse is cached").Set(int64(pc.Size))
 		st := db.TxnStats()

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -13,9 +14,12 @@ import (
 // literals. Instead of re-parsing every statement, the session makes one
 // pass over its text (shaper) that extracts the literals into bind
 // parameters and renders what is left — the shape — as the key of a
-// bounded map, building no token slice. A hit skips parsing: the cached
-// AST is executed as it is — nothing writes to a parsed tree, so
-// concurrent executions share it — with the extracted values bound. A
+// bounded map, building no token slice. A ? the caller supplies an
+// argument for is a hole of the shape like an extracted literal, its
+// value the next argument: "WHERE id = ?" with 5 and "WHERE id = 5" are
+// one shape. A hit skips parsing: the cached AST is executed as it is —
+// nothing writes to a parsed tree, so concurrent executions share it —
+// with the extracted values and the arguments bound in text order. A
 // verbatim repeat takes the same pass: a repeated SELECT is the query
 // cache's to answer (internal/qcache), before it reaches the engine.
 //
@@ -202,10 +206,12 @@ var paramizableHeads = map[string]bool{
 
 // shaper is the one pass from a statement to its shape. Fed the tokens of
 // the statement in order, it replaces every string and number literal by a
-// ? parameter, collects the values in parameter order, and renders the key
-// of what is left (the shape) as it goes. The statement bypasses the shape
-// tier — it takes the literal path — when it does not have a DML/SELECT
-// head or already carries ? parameters.
+// ? parameter and collects the values in parameter order, a caller's ?
+// taking the next of the caller's arguments (args) as its value, and
+// renders the key of what is left (the shape) as it goes. It counts the
+// caller's ? (holes) whatever the statement, so that a missing argument is
+// an error before anything runs. The statement bypasses the shape tier —
+// it takes the literal path — when it does not have a DML/SELECT head.
 //
 // Numbers in the ORDER BY list are kept literal — a bare integer there is
 // a projection ordinal, which the executor resolves from the *Literal*
@@ -219,11 +225,15 @@ var paramizableHeads = map[string]bool{
 // written, which is how the tree names output columns, and quoted, so that
 // none reads as a keyword or as two; the numbers left in place as written.
 // Only the extracted values and the positions error messages cite are not
-// in it. A shaper is reused (shapers); its buffers are scratch.
+// in it. A shaper is reused (shapers); its buffers are scratch, and it
+// drops the caller's arguments when it is released.
 type shaper struct {
 	key      []byte
 	vals     []Value
-	order    bool // the ORDER BY list is open
+	args     []Value // the caller's, bound to its ? in order
+	holes    int     // the caller's ? seen so far
+	lits     int     // literals extracted so far
+	order    bool    // the ORDER BY list is open
 	prevKind tokKind
 	prevText string
 	started  bool
@@ -259,19 +269,25 @@ func (sh *shaper) release() {
 		sh.vals = nil
 	}
 	clear(sh.vals[:cap(sh.vals)]) // drop the strings the values point into
+	sh.args = nil
 	select {
 	case shapers <- sh:
 	default: // the list is full
 	}
 }
 
+// reset readies the shaper for a statement, keeping its buffers and the
+// arguments.
 func (sh *shaper) reset() {
-	*sh = shaper{key: sh.key[:0], vals: sh.vals[:0]}
+	*sh = shaper{key: sh.key[:0], vals: sh.vals[:0], args: sh.args}
 }
 
 // step feeds the next token and reports whether it was extracted as a
-// parameter. After the token that decides a bypass it does nothing.
+// parameter. After the token that decides a bypass it only counts holes.
 func (sh *shaper) step(t *token) (param bool) {
+	if t.kind == tkParam {
+		sh.holes++
+	}
 	if sh.bypass {
 		return false
 	}
@@ -288,19 +304,22 @@ func (sh *shaper) step(t *token) (param bool) {
 	case tkEOF:
 		return false
 	case tkParam:
-		sh.bypass = true
-		return false
+		if sh.holes <= len(sh.args) {
+			sh.vals = append(sh.vals, sh.args[sh.holes-1])
+		}
 	case tkKeyword:
 		if t.text == "BY" && prevKind == tkKeyword && prevText == "ORDER" {
 			sh.order = true
 		}
 	case tkNumber:
 		if !sh.order {
+			sh.lits++
 			sh.vals = append(sh.vals, t.num)
 			sh.key = append(sh.key, " ?"...)
 			return true
 		}
 	case tkString:
+		sh.lits++
 		sh.vals = append(sh.vals, NewString(t.text))
 		sh.key = append(sh.key, " ?"...)
 		return true
@@ -321,11 +340,12 @@ func (sh *shaper) step(t *token) (param bool) {
 	return false
 }
 
-// shapeText runs the pass over sql, lexing it one token at a time into no
-// slice: the path of every text a statement is resolved from. ok is
-// false when the statement bypasses; err is the lexer's, which the whole
-// text is lexed for, bypass or not.
-func (sh *shaper) shapeText(sql string) (ok bool, err error) {
+// shapeText runs the pass over sql with the caller's arguments, lexing it
+// one token at a time into no slice: the path of every text a statement
+// is resolved from. ok is false when the statement bypasses; err is the
+// lexer's, which the whole text is lexed for, bypass or not.
+func (sh *shaper) shapeText(sql string, args []Value) (ok bool, err error) {
+	sh.args = args
 	sh.reset()
 	lx := lexer{src: sql}
 	var t token
@@ -340,9 +360,10 @@ func (sh *shaper) shapeText(sql string) (ok bool, err error) {
 	}
 }
 
-// shapeTokens runs the pass over a lexed statement and returns its tokens
-// with every extracted literal replaced by a parameter: what parseTokens
-// parses once for the shape.
+// shapeTokens runs the pass over a lexed statement, with the arguments
+// of the last shapeText, and returns its tokens with every extracted
+// literal replaced by a parameter: what parseTokens parses once for the
+// shape.
 func (sh *shaper) shapeTokens(toks []token) (ptoks []token, ok bool) {
 	sh.reset()
 	ptoks = make([]token, 0, len(toks))
@@ -355,11 +376,16 @@ func (sh *shaper) shapeTokens(toks []token) (ptoks []token, ok bool) {
 	return ptoks, !sh.bypass
 }
 
-// values returns a copy of the extracted values, nil when there are none:
-// the caller keeps it, the shaper goes back to the free list.
+// values returns the values of the shape's parameters, nil when there
+// are none: the caller's arguments as they are when the text extracted no
+// literal, else a copy, which the caller keeps while the shaper goes back
+// to the free list.
 func (sh *shaper) values() []Value {
-	if len(sh.vals) == 0 {
+	switch {
+	case len(sh.vals) == 0:
 		return nil
+	case sh.lits == 0:
+		return sh.args[:len(sh.vals)]
 	}
 	return append(make([]Value, 0, len(sh.vals)), sh.vals...)
 }
@@ -368,32 +394,48 @@ func (sh *shaper) values() []Value {
 // knows of its shape, parsed and walked once per shape — a shape seen
 // before costs one pass over the text and a map lookup — with the
 // statement to execute. A statement the plan cache does not take (DDL,
-// transaction control, EXPLAIN, caller-supplied parameters, a shape that
-// does not parse) is not cacheable and carries the literal text's parse,
-// or its error.
-func (db *Database) StatementFacts(sql string) Facts { return db.plans.resolve(sql) }
+// transaction control, EXPLAIN, a shape that does not parse) is not
+// cacheable and carries the literal text's parse, or its error. sql is
+// resolved without arguments, so a text with a ? answers SQLSTATE 07001.
+func (db *Database) StatementFacts(sql string) Facts { return db.plans.resolve(sql, nil) }
 
-// resolve is the path of every text through the plan cache: one pass over
-// the text to its shape key and values, and a lookup. Only a shape not
-// cached yet lexes the text into tokens, to parse it. A statement that
-// takes the literal path — shape not parameterizable, or its
-// parameterized form failed to parse — is parsed once as written, which
-// reports the authoritative error: from the tokens a new shape lexed, from
-// the text otherwise; a lexer error is the pass's own.
-func (pc *PlanCache) resolve(sql string) Facts {
+// resolve is the path of every text through the plan cache, with the
+// caller's arguments for its ?: one pass over the text to its shape key
+// and values, and a lookup. Only a shape not cached yet lexes the text
+// into tokens, to parse it. A statement that takes the literal path —
+// shape not parameterizable, or its parameterized form failed to parse —
+// is parsed once as written, which reports the authoritative error: from
+// the tokens a new shape lexed, from the text otherwise; a lexer error is
+// the pass's own. A statement that parses with fewer arguments than it has
+// ? is an error, SQLSTATE 07001, whatever rows it would read; arguments
+// past the last ? are ignored.
+func (pc *PlanCache) resolve(sql string, args []Value) Facts {
 	sh := getShaper()
 	defer sh.release()
-	if ok, err := sh.shapeText(sql); err != nil {
+	ok, err := sh.shapeText(sql, args)
+	if err != nil {
 		return Facts{err: err}
-	} else if !ok {
+	}
+	f := pc.shaped(sh, sql, ok)
+	if f.err == nil && sh.holes > len(args) {
+		return Facts{err: &Error{Code: CodeParamCount,
+			Message: fmt.Sprintf("missing value for parameter %d of %d", len(args)+1, sh.holes)}}
+	}
+	return f
+}
+
+// shaped answers sql from the plan cache after sh's pass over it; ok is
+// the pass's.
+func (pc *PlanCache) shaped(sh *shaper, sql string, ok bool) Facts {
+	if !ok {
 		pc.bypasses.Add(1)
-		return literal(sql, Facts{})
+		return literal(sql, sh.args, Facts{})
 	}
 	vals := sh.values()
 	if e := pc.lookup(sh.key); e != nil {
 		if e.facts.stmt == nil {
 			pc.bypasses.Add(1)
-			return literal(sql, e.facts)
+			return literal(sql, sh.args, e.facts)
 		}
 		pc.hits.Add(1)
 		f := e.facts
@@ -419,19 +461,20 @@ func (pc *PlanCache) resolve(sql string) Facts {
 	// parameterized form (e.g. a literal in a position the grammar needs
 	// verbatim).
 	pc.store(e)
-	if e.facts.stmt == nil {
-		f := e.facts
+	f := e.facts
+	if f.stmt == nil {
 		f.stmt, f.err = parseTokens(toks)
+		f.args = sh.args
 		return f
 	}
-	f := e.facts
 	f.args = vals
 	return f
 }
 
-// literal is f with sql parsed as written: the statement of a text the
-// shape tier does not take.
-func literal(sql string, f Facts) Facts {
+// literal is f with sql parsed as written and args bound to its ?: the
+// statement of a text the shape tier does not take.
+func literal(sql string, args []Value, f Facts) Facts {
 	f.stmt, f.err = Parse(sql)
+	f.args = args
 	return f
 }

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -24,16 +25,19 @@ func newCacheOracle(t testing.TB, emps int) *cacheOracle {
 	return o
 }
 
-// exec runs sql down both paths and requires one outcome: the SQLSTATE of
-// the error (its text may render an extracted literal as ?), or the result
-// byte for byte — column names, rows in order, affected-row count.
-func (o *cacheOracle) exec(t testing.TB, sql string) {
+// exec runs sql with args down both paths and requires one outcome: the
+// SQLSTATE of the error (its text may render an extracted literal as ?),
+// or the result byte for byte — column names, rows in order, affected-row
+// count. Parsed afresh, a text with more ? than args is 07001 unrun.
+func (o *cacheOracle) exec(t testing.TB, sql string, args ...Value) {
 	t.Helper()
-	got, gotErr := o.cached.Exec(sql)
+	got, gotErr := o.cached.Exec(sql, args...)
 	st, wantErr := Parse(sql)
 	var want *Result
-	if wantErr == nil {
-		want, wantErr = o.fresh.ExecStmt(st)
+	if wantErr == nil && countParams(sql) > len(args) {
+		wantErr = &Error{Code: CodeParamCount}
+	} else if wantErr == nil {
+		want, wantErr = o.fresh.ExecStmt(st, args...)
 	}
 	if gotErr != nil || wantErr != nil {
 		if sqlState(gotErr) != sqlState(wantErr) {
@@ -44,6 +48,45 @@ func (o *cacheOracle) exec(t testing.TB, sql string) {
 	if g, w := resultBytes(got), resultBytes(want); g != w {
 		t.Fatalf("%q:\n cached: %s\n parsed afresh: %s", sql, g, w)
 	}
+}
+
+// countParams is the number of ? tokens of a text that lexes.
+func countParams(sql string) int {
+	toks, _ := lexSQL(sql)
+	n := 0
+	for _, t := range toks {
+		if t.kind == tkParam {
+			n++
+		}
+	}
+	return n
+}
+
+// oracleArgs splits an oracle statement at its first | into the text and
+// its arguments, a comma-separated tail: NULL, an integer, a float, or
+// else a string as written.
+func oracleArgs(stmt string) (string, []Value) {
+	sql, tail, ok := strings.Cut(stmt, "|")
+	if !ok {
+		return sql, nil
+	}
+	var args []Value
+	for _, a := range strings.Split(tail, ",") {
+		a = strings.TrimSpace(a)
+		if a == "" {
+			continue
+		}
+		if a == "NULL" {
+			args = append(args, Null)
+		} else if i, err := strconv.ParseInt(a, 10, 64); err == nil {
+			args = append(args, NewInt(i))
+		} else if f, err := strconv.ParseFloat(a, 64); err == nil {
+			args = append(args, NewFloat(f))
+		} else {
+			args = append(args, NewString(a))
+		}
+	}
+	return sql, args
 }
 
 func sqlState(err error) string {
@@ -126,8 +169,9 @@ func TestParseCacheEquivalence(t *testing.T) {
 }
 
 // FuzzParseCacheEquivalence is the same oracle over whatever the fuzzer
-// writes: a script of statements apart by semicolons, and for each of them
-// a byte that picks the catalog churn to run first, or none.
+// writes: a script of statements apart by semicolons, each with the
+// arguments of its ? after a | (oracleArgs), and for each of them a byte
+// that picks the catalog churn to run first, or none.
 func FuzzParseCacheEquivalence(f *testing.F) {
 	// Short scripts: the fuzzer minimizes every input it keeps, one byte at
 	// a time.
@@ -139,11 +183,21 @@ func FuzzParseCacheEquivalence(f *testing.F) {
 	}
 	f.Add("SELECT name FROM emp WHERE id = 1;select NAME from emp where id = 2;SELECT name FROM emp WHERE id = 3", []byte{8})
 	f.Add("BEGIN;UPDATE emp SET salary = 1.5 WHERE id = 1;SELECT salary FROM emp WHERE id = 1;ROLLBACK;SELECT salary FROM emp WHERE id = 1", []byte{255, 255, 0})
+	// A text of literals and ? alike, its shape shared with texts that
+	// place them otherwise; a ? in ORDER BY, which is no ordinal; EXPLAIN
+	// with arguments; writes with a NULL argument; too few arguments, and
+	// one too many.
+	f.Add("SELECT name FROM emp WHERE dept = 2 AND id > ? AND salary < ?|3,1500.5;SELECT name FROM emp WHERE dept = ? AND id > 3 AND salary < ?|2,1500.5;SELECT name FROM emp WHERE dept = 2 AND id > 3 AND salary < 1500.5", []byte{255, 0})
+	f.Add("SELECT id, name FROM emp WHERE id < ? ORDER BY ?|5,1;SELECT id, name FROM emp WHERE id < 5 ORDER BY 1;SELECT id, name FROM emp WHERE id < ? ORDER BY ? DESC|5,x", []byte{255})
+	f.Add("EXPLAIN SELECT name FROM emp WHERE id = ?|4;EXPLAIN SELECT name FROM emp WHERE dept = ? AND id > 1|2", []byte{0, 255})
+	f.Add("INSERT INTO emp VALUES (?, ?, ?, ?)|77,x,NULL,1.5;UPDATE emp SET salary = ? WHERE id = ?|2.5,77;SELECT * FROM emp WHERE id = ?|77", []byte{255})
+	f.Add("SELECT name FROM emp WHERE id = ? AND dept = ?|999;DELETE FROM emp WHERE id = 999 AND dept = ?|;SELECT name FROM emp WHERE id = ? AND dept = ?|5;SELECT name FROM emp WHERE id = ?|5,6", []byte{255})
 	f.Fuzz(func(t *testing.T, script string, churn []byte) {
 		o := newCacheOracle(t, 6)
 		defer o.cached.Close()
 		defer o.fresh.Close()
-		for i, sql := range strings.Split(script, ";") {
+		for i, stmt := range strings.Split(script, ";") {
+			sql, args := oracleArgs(stmt)
 			// Every relation multiplies the rows of a product; a statement
 			// listing many would spend the fuzzing budget on one cross join.
 			if strings.Count(sql, ",")+strings.Count(strings.ToUpper(sql), "JOIN") > 6 {
@@ -156,7 +210,7 @@ func FuzzParseCacheEquivalence(f *testing.F) {
 					}
 				}
 			}
-			o.exec(t, sql)
+			o.exec(t, sql, args...)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -247,20 +248,35 @@ func TestCachedShapeReplansPerExecution(t *testing.T) {
 	}
 }
 
-// TestPlanCacheExplicitParamsBypass: calls that already carry bind
-// parameters skip the cache entirely.
-func TestPlanCacheExplicitParamsBypass(t *testing.T) {
+// TestPlanCacheArgumentsShareTheShape: a ? with the caller's argument is
+// a hole of the shape like an extracted literal. "… WHERE id = ?" with 5
+// and "… WHERE id = 5" are one shape entry — one miss, then hits — with
+// equal rows and the digest each text has on its own.
+func TestPlanCacheArgumentsShareTheShape(t *testing.T) {
 	db := NewDatabase("t")
 	s := NewSession(db)
 	planSeed(t, s)
+	param, lit := "SELECT name FROM emp WHERE id = ?", "SELECT name FROM emp WHERE id = 5"
 	base := db.PlanCacheStats()
-	res := mustExec(t, s, "SELECT name FROM emp WHERE id = ?", NewInt(5))
-	if len(res.Rows) != 1 {
-		t.Fatalf("got %d rows", len(res.Rows))
+	want := resultBytes(mustExec(t, s, param, NewInt(5)))
+	if got := resultBytes(mustExec(t, s, lit)); got != want {
+		t.Fatalf("the literal text answers\n%s\nthe ? text\n%s", got, want)
+	}
+	for id := int64(1); id <= 3; id++ {
+		if res := mustExec(t, s, param, NewInt(id)); len(res.Rows) != 1 || res.Rows[0][0].S != fmt.Sprintf("n%02d", id) {
+			t.Fatalf("id %d: %s", id, resultBytes(res))
+		}
 	}
 	st := db.PlanCacheStats()
-	if st.Hits != base.Hits || st.Misses != base.Misses {
-		t.Fatalf("parameterized call touched the cache: %+v -> %+v", base, st)
+	if st.Misses-base.Misses != 1 || st.Hits-base.Hits != 4 || st.Bypasses != base.Bypasses || st.Size != base.Size+1 {
+		t.Fatalf("want one new shape, 1 miss and 4 hits: %+v -> %+v", base, st)
+	}
+	fp, fl := db.plans.resolve(param, []Value{NewInt(5)}), db.plans.resolve(lit, nil)
+	if wantDigest, _ := DigestSQL(param); fp.Digest != wantDigest || fl.Digest != wantDigest {
+		t.Fatalf("digests %s (?) and %s (literal), want %s", fp.Digest, fl.Digest, wantDigest)
+	}
+	if fp.stmt != fl.stmt {
+		t.Fatal("the two texts resolved to two trees")
 	}
 }
 
@@ -489,9 +505,83 @@ func TestPlanCacheConcurrentDDL(t *testing.T) {
 	}
 }
 
+// TestArgumentShapesConcurrent: sessions on their own goroutines each run
+// one shape with ? arguments, new values every time — a text of ? alone,
+// whose arguments are bound as the caller passed them, and texts mixing
+// ? and literals, whose values are merged into a slice of their own —
+// and every row answers for its own arguments. Under -race it also
+// checks that no pooled shaper hands one session's values to another.
+func TestArgumentShapesConcurrent(t *testing.T) {
+	db := NewDatabase("t")
+	planSeed(t, NewSession(db))
+	shapes := []struct {
+		sql  func(id int) string
+		args func(tag string, id int) []Value
+	}{
+		{func(int) string { return "SELECT ?, name FROM emp WHERE id = ?" },
+			func(tag string, id int) []Value { return []Value{NewString(tag), NewInt(int64(id))} }},
+		{func(id int) string { return fmt.Sprintf("SELECT ?, name FROM emp WHERE id = %d", id) },
+			func(tag string, _ int) []Value { return []Value{NewString(tag)} }},
+		{func(id int) string { return fmt.Sprintf("SELECT ?, name FROM emp WHERE dept = %d AND id = ?", id%5+1) },
+			func(tag string, id int) []Value { return []Value{NewString(tag), NewInt(int64(id))} }},
+		{func(id int) string { return "SELECT ?, name FROM emp WHERE name = 'n01' OR id = ?" },
+			func(tag string, id int) []Value { return []Value{NewString(tag), NewInt(int64(id))} }},
+	}
+	const sessions, rounds = 8, 300
+	var wg sync.WaitGroup
+	errc := make(chan error, sessions)
+	for g := 0; g < sessions; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			s, sh := NewSession(db), shapes[g%len(shapes)]
+			for i := 0; i < rounds; i++ {
+				id, tag := i%29+2, fmt.Sprintf("s%d-%d", g, i)
+				res, err := s.Exec(sh.sql(id), sh.args(tag, id)...)
+				if err != nil {
+					errc <- fmt.Errorf("session %d: %v", g, err)
+					return
+				}
+				found := false
+				for _, r := range res.Rows {
+					found = found || r[1].S == fmt.Sprintf("n%02d", id)
+					if r[0].S != tag {
+						found = false
+						break
+					}
+				}
+				if !found {
+					errc <- fmt.Errorf("session %d, id %d, tag %s: %s", g, id, tag, resultBytes(res))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	if st := db.PlanCacheStats(); st.Misses > uint64(len(shapes)*sessions) || st.Hits < sessions*rounds/2 {
+		t.Fatalf("the shapes were not served from the cache: %+v", st)
+	}
+	// The shapers back on the free list keep no session's values.
+	var idle []*shaper
+	for len(shapers) > 0 {
+		idle = append(idle, <-shapers)
+	}
+	for _, sh := range idle {
+		if sh.args != nil || slices.ContainsFunc(sh.vals[:cap(sh.vals)], func(v Value) bool { return v != Null }) {
+			t.Errorf("a released shaper holds values: args %v, vals %v", sh.args, sh.vals[:cap(sh.vals)])
+		}
+		sh.release()
+	}
+}
+
 // TestParamizeTokens pins the shaper's literal-extraction rules: strings
-// and numbers extract, ORDER BY ordinals stay literal, and
-// pre-parameterized or non-DML statements bail out. In all
+// and numbers extract, ORDER BY ordinals stay literal, a caller's ? stays
+// a parameter (without arguments it takes no value), and non-DML
+// statements bail out. In all
 // extracted cases the normalized shape is unchanged — the cache key is
 // shared with statement stats by construction.
 func TestParamizeTokens(t *testing.T) {
@@ -504,7 +594,7 @@ func TestParamizeTokens(t *testing.T) {
 		{"SELECT name FROM t ORDER BY 2", true, 0},
 		{"SELECT name FROM t WHERE id = 3 ORDER BY 1", true, 1}, // 3; ordinal kept
 		{"INSERT INTO t VALUES (1, 'a', 2.5)", true, 3},
-		{"SELECT * FROM t WHERE id = ?", false, 0},
+		{"SELECT * FROM t WHERE id = ?", true, 0},
 		{"CREATE TABLE t (id INTEGER)", false, 0},
 		{"EXPLAIN SELECT * FROM t WHERE id = 1", false, 0},
 	}

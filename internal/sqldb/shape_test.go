@@ -22,21 +22,25 @@ import (
 // against, as eval_test.go keeps the tree walker.
 
 // referenceParamize rewrites toks with every string and number literal
-// replaced by a ? parameter, returning the extracted values in parameter
-// order; ok is false when the statement takes the literal path. It looks
-// ahead: ORDER opens the ordinal list, to the end of the text, when BY
-// follows.
-func referenceParamize(toks []token) ([]token, []Value, bool) {
+// replaced by a ? parameter, returning the values of the parameters in
+// order — an extracted literal's, or for a ? of the text the next of args
+// while there is one; ok is false when the statement takes the literal
+// path. It looks ahead: ORDER opens the ordinal list, to the end of the
+// text, when BY follows.
+func referenceParamize(toks []token, args []Value) ([]token, []Value, bool) {
 	if len(toks) == 0 || toks[0].kind != tkKeyword || !paramizableHeads[toks[0].text] {
 		return nil, nil, false
 	}
 	out := make([]token, 0, len(toks))
 	var vals []Value
-	order := false
+	order, holes := false, 0
 	for i, t := range toks {
 		switch t.kind {
 		case tkParam:
-			return nil, nil, false
+			if holes < len(args) {
+				vals = append(vals, args[holes])
+			}
+			holes++
 		case tkKeyword:
 			if t.text == "ORDER" && i+1 < len(toks) && toks[i+1].kind == tkKeyword && toks[i+1].text == "BY" {
 				order = true
@@ -77,22 +81,31 @@ func referenceShapeKey(ptoks []token) string {
 	return sb.String()
 }
 
-// checkShape compares the shaper with the reference on one statement: the
-// same lex error, the same bypass decision, and on the shape path a
-// byte-identical key, identical values, and — what a miss parses — the
-// same rewritten tokens.
-func checkShape(t *testing.T, sql string) {
+// checkShape compares the shaper with the reference on one statement and
+// the caller's arguments: the same lex error, the same count of ?, the
+// same bypass decision, and on the shape path a byte-identical key,
+// identical values, and — what a miss parses — the same rewritten tokens.
+func checkShape(t *testing.T, sql string, args []Value) {
 	t.Helper()
 	toks, lexErr := lexSQL(sql)
 	var sh shaper
-	ok, err := sh.shapeText(sql)
+	ok, err := sh.shapeText(sql, args)
 	if (err != nil) != (lexErr != nil) {
 		t.Fatalf("%q: one-pass lex error %v, reference %v", sql, err, lexErr)
 	}
 	if lexErr != nil {
 		return
 	}
-	wantToks, wantVals, wantOK := referenceParamize(toks)
+	holes := 0
+	for _, tk := range toks {
+		if tk.kind == tkParam {
+			holes++
+		}
+	}
+	if sh.holes != holes {
+		t.Fatalf("%q: one pass counted %d ?, the text has %d", sql, sh.holes, holes)
+	}
+	wantToks, wantVals, wantOK := referenceParamize(toks, args)
 	if ok != wantOK {
 		t.Fatalf("%q: one pass ok=%v, reference %v", sql, ok, wantOK)
 	}
@@ -110,6 +123,10 @@ func checkShape(t *testing.T, sql string) {
 		t.Fatalf("%q: rewritten tokens\n got %v\nwant %v", sql, ptoks, wantToks)
 	}
 }
+
+// shapeArgs are the caller's arguments the hand cases are shaped with:
+// fewer than some of them have ?.
+var shapeArgs = []Value{NewInt(41), NewString("a'b"), Null}
 
 // shapeHandCases are the places the two passes could part: ordinals,
 // parentheses, quote escapes, comments, caller parameters, non-ASCII
@@ -133,6 +150,12 @@ var shapeHandCases = []string{
 	"-- head comment\nSELECT a FROM t WHERE a = 9",
 	"SELECT a FROM t WHERE a = ? AND b = 'x'",
 	"SELECT a FROM t WHERE a = 'x' AND b = ?",
+	"SELECT a FROM t WHERE a = ? AND b = 'x' AND c = ? AND d = 2 AND e = ?",
+	"SELECT a, b FROM t WHERE c = ? ORDER BY ?, 2",
+	"INSERT INTO t VALUES (?, ?, ?, ?)",
+	"UPDATE t SET a = ? WHERE b = 'q' AND c = ?",
+	"EXPLAIN SELECT * FROM t WHERE id = ? AND b = 1",
+	"? SELECT a FROM t",
 	"SELECT naïve, 名前, Ärger FROM tåble WHERE ünï = 'ö' AND µ = 1.5e3",
 	"SELECT ſelect, ıd FROM t",
 	"sElEcT a FrOm t wHeRe a = 1 OrDeR bY 1",
@@ -213,10 +236,10 @@ func TestShapeMatchesReference(t *testing.T) {
 		stmts = append(stmts, g.next().sql)
 	}
 	for _, sql := range stmts {
-		checkShape(t, sql)
+		checkShape(t, sql, shapeArgs)
 		// And with its head in lower case and its literals grown, which
-		// moves every later token.
-		checkShape(t, strings.Replace(strings.ToLower(sql), "1", "1234.5e1", 3))
+		// moves every later token, and no arguments.
+		checkShape(t, strings.Replace(strings.ToLower(sql), "1", "1234.5e1", 3), nil)
 	}
 }
 
@@ -227,7 +250,7 @@ func FuzzShapeKey(f *testing.F) {
 		f.Add(sql)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
-		checkShape(t, sql)
+		checkShape(t, sql, shapeArgs)
 	})
 }
 
@@ -237,7 +260,7 @@ func TestShapePassAllocations(t *testing.T) {
 	spend := shapeHandCases[len(shapeHandCases)-3]
 	sh := new(shaper)
 	allocs := testing.AllocsPerRun(50, func() {
-		if ok, err := sh.shapeText(spend); !ok || err != nil {
+		if ok, err := sh.shapeText(spend, nil); !ok || err != nil {
 			t.Fatal(ok, err)
 		}
 	})
@@ -256,13 +279,25 @@ func TestShapePassAllocations(t *testing.T) {
 	}
 	i := 0
 	allocs = testing.AllocsPerRun(50, func() {
-		if f := db.plans.resolve(texts[i]); f.stmt == nil || f.args == nil {
+		if f := db.plans.resolve(texts[i], nil); f.stmt == nil || f.args == nil {
 			t.Fatal("the spend statement did not resolve")
 		}
 		i++
 	})
 	if allocs > 1 {
 		t.Errorf("resolving a new text of a cached shape: %.0f allocations, want at most 1", allocs)
+	}
+	// A text of ? alone binds the caller's arguments as they are.
+	insert := "INSERT INTO products VALUES (?, ?, ?, ?, ?)"
+	args := []Value{NewInt(1), NewInt(14200), NewString("bikes"), NewFloat(1.5), NewInt(2)}
+	db.plans.resolve(insert, args)
+	allocs = testing.AllocsPerRun(50, func() {
+		if f := db.plans.resolve(insert, args); f.stmt == nil || len(f.args) != len(args) {
+			t.Fatal("the insert did not resolve")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("resolving a cached shape of ? with arguments: %.0f allocations, want 0", allocs)
 	}
 }
 

@@ -102,12 +102,29 @@ func TestPreparedStatementReuse(t *testing.T) {
 	}
 }
 
+// TestWrongParamCount: a statement given fewer arguments than it has ?
+// is refused with SQLSTATE 07001 before any row is read — whether or not
+// a row would reach the ? without a value — and one given more runs with
+// the extra ones ignored.
 func TestWrongParamCount(t *testing.T) {
 	s := openTestSession(t, "T6")
-	_, err := s.Exec("SELECT name FROM emp WHERE id = ? AND salary > ?", sqldb.NewInt(1))
-	var se *sqldb.Error
-	if !errors.As(err, &se) || se.Code != sqldb.CodeWrongArity {
-		t.Fatalf("missing parameter: %v, want SQLSTATE %s", err, sqldb.CodeWrongArity)
+	for _, c := range []struct {
+		sql  string
+		args []sqldb.Value
+	}{
+		{"SELECT name FROM emp WHERE id = ? AND salary > ?", []sqldb.Value{sqldb.NewInt(1)}},
+		{"SELECT name FROM emp WHERE id = ? AND salary > ?", []sqldb.Value{sqldb.NewInt(999)}},
+		{"DELETE FROM emp WHERE id = 999 AND salary > ?", nil},
+	} {
+		_, err := s.Exec(c.sql, c.args...)
+		var se *sqldb.Error
+		if !errors.As(err, &se) || se.Code != sqldb.CodeParamCount {
+			t.Errorf("%s with %v: %v, want SQLSTATE %s", c.sql, c.args, err, sqldb.CodeParamCount)
+		}
+	}
+	res := exec(t, s, "SELECT name FROM emp WHERE id = ?", sqldb.NewInt(2), sqldb.NewInt(3))
+	if len(res.Rows) != 1 || res.Rows[0][0].S != "bob" {
+		t.Fatalf("an extra argument: %v", res.Rows)
 	}
 }
 
