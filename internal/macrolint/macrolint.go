@@ -50,7 +50,7 @@ var catalog = []*Analyzer{
 	{ID: "cycle", Doc: "definition cycles and self-references fail at dereference time", run: runCycle},
 	{ID: "sections", Doc: "cross-section consistency: %EXEC_SQL targets, unexecuted SQL sections, DATABASE, page structure", run: runSections},
 	{ID: "taint", Doc: "dataflow from form/URL input through DEFINE chains into SQL without $(@sq:) quoting", run: runTaint},
-	{ID: "sqlreport", Doc: "substituted-skeleton SQL must parse and %SQL_REPORT column references must match the SELECT list", run: runSQLReport},
+	{ID: "sqlreport", Doc: "substituted-skeleton SQL must parse and not be transaction control, and %SQL_REPORT column references must match the SELECT list", run: runSQLReport},
 	{ID: "schema", Doc: "the engine's own name resolution against the configured schema (Database.Check): the first error a statement would fail with — unknown tables, columns, and indexes; ambiguous column references", run: runSchema},
 	{ID: "sqltype", Doc: "expression type checking against declared column types, each operation evaluated by the engine on sample operands, with value classes inferred for $(VAR) slots through %DEFINE chains", run: runSqltype},
 	{ID: "sqlperf", Doc: "planner-driven performance lints: predicates no index can serve, leading-wildcard LIKE, joins with no join predicate, SELECT * feeding a report", run: runSqlperf},

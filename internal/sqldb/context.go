@@ -34,7 +34,7 @@ func statementKind(st Stmt) string {
 // engine, so a request's record can separate database time from cache
 // and driver overhead above it.
 func (s *Session) ExecContext(ctx context.Context, sql string, params ...Value) (*Result, error) {
-	f := s.resolve(sql, params)
+	f := s.db.plans.resolve(sql, params)
 	return s.ExecResolved(ctx, sql, &f)
 }
 
